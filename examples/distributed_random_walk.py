@@ -43,24 +43,17 @@ def handmade_cluster_walks() -> None:
 
     # one walker driver per machine, walking its own core nodes
     for m in range(n_machines):
-        name = f"compute:{m}.0"
-        g = DistGraphStorage(cluster.rrefs, m, name)
+        proc = cluster.worker(m, 0)
+        g = DistGraphStorage(cluster.rrefs, m, proc.name)
         roots = sharded.shards[m].core_global[:6]
-
-        def driver(g=g, roots=roots, name=name):
-            proc = cluster.scheduler.processes[name]
-            summary = yield from distributed_random_walk(
-                g, proc, roots, sharded, walk_length=5
-            )
-            return summary
-
-        cluster.spawn_compute(m, 0, driver())
+        cluster.spawn_compute(m, 0, distributed_random_walk(
+            g, proc, roots, sharded, walk_length=5))
 
     makespan = cluster.run()
     print(f"makespan: {makespan * 1e3:.2f} ms virtual; "
-          f"{cluster.ctx.remote_requests} cross-machine RPCs")
-    for m in range(n_machines):
-        summary = cluster.scheduler.result_of(f"compute:{m}.0")
+          f"{cluster.remote_requests} cross-machine RPCs")
+    for m, proc in enumerate(cluster.compute_processes()):
+        summary = cluster.result_of(proc.name)
         hops_crossed = 0
         for row in summary:
             shards = sharded.owner_shard[row]

@@ -38,19 +38,14 @@ def main() -> None:
 
     # --- distributed BFS -------------------------------------------------
     cluster = SimCluster(sharded, EngineConfig(n_machines=n_machines))
-    name = "compute:0.0"
-    g = DistGraphStorage(cluster.rrefs, 0, name)
+    proc = cluster.worker(0, 0)
+    g = DistGraphStorage(cluster.rrefs, 0, proc.name)
     source = int(sharded.shards[0].core_global[0])
     source_local = int(sharded.owner_local[source])
-
-    def bfs_driver():
-        proc = cluster.scheduler.processes[name]
-        state = yield from distributed_bfs(g, proc, source_local)
-        return state
-
-    cluster.spawn_compute(0, 0, bfs_driver())
+    name = cluster.spawn_compute(
+        0, 0, distributed_bfs(g, proc, source_local))
     makespan = cluster.run()
-    state = cluster.scheduler.result_of(name)
+    state = cluster.result_of(name)
     depths = state.dense_depths(sharded, graph.n_nodes)
     reference = single_machine_bfs(graph, source)
     reached = int((depths >= 0).sum())
@@ -63,19 +58,13 @@ def main() -> None:
 
     # --- node2vec walks ----------------------------------------------------
     cluster2 = SimCluster(sharded, EngineConfig(n_machines=n_machines))
-    g2 = DistGraphStorage(cluster2.rrefs, 0, name)
+    proc2 = cluster2.worker(0, 0)
+    g2 = DistGraphStorage(cluster2.rrefs, 0, proc2.name)
     roots = sharded.shards[0].core_global[:6]
-
-    def n2v_driver():
-        proc = cluster2.scheduler.processes[name]
-        summary = yield from distributed_node2vec_walk(
-            g2, proc, roots, sharded, 8, p=0.25, q=4.0, seed=5
-        )
-        return summary
-
-    cluster2.spawn_compute(0, 0, n2v_driver())
+    cluster2.spawn_compute(0, 0, distributed_node2vec_walk(
+        g2, proc2, roots, sharded, 8, p=0.25, q=4.0, seed=5))
     cluster2.run()
-    walks = cluster2.scheduler.result_of(name)
+    walks = cluster2.result_of(name)
     print(f"\nnode2vec walks (p=0.25, q=4.0 — homophily-leaning):")
     for row in walks[:3]:
         print("  " + " -> ".join(str(int(v)) for v in row))

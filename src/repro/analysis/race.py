@@ -17,11 +17,12 @@ Instrumentation points:
   cost is one attribute check per *batched* call — zero overhead in
   practice.  :func:`install` / :func:`installed` flip it.
 * :class:`~repro.rpc.thread_runtime.ThreadRuntime` — constructed with
-  ``sanitize=True``, its cross-thread counters are recorded under
-  detector-tracked locks (see :class:`TrackedLock`).
+  ``sanitizer=detector``, its cross-thread call-index table is recorded
+  under a detector-tracked lock (see :class:`TrackedLock`).
 
-``RunRequest(sanitize=True)`` threads a detector through the engine →
-cluster → obs bundle; violations surface on
+``RunRequest(sanitize=True)`` has the deployed cluster (either runtime)
+own a detector, install it for the duration of the run, and hand it to
+the obs bundle; violations surface on
 ``QueryRunResult.race_violations`` and the ``sanitizer.*`` metrics.
 """
 

@@ -12,9 +12,8 @@ Downstream-friendly entry points for the preprocessing / query pipeline:
   re-aggregates existing results; ``bench diff`` renders an old-vs-new
   trajectory comparison; ``bench check`` is the regression gate (non-zero
   exit naming every offending metric); ``bench lint`` cross-checks the
-  ``.txt``/``.json`` result siblings; ``bench quick`` is the legacy
-  one-shot engine-vs-baselines comparison (a bare ``bench <graph>`` still
-  routes there);
+  ``.txt``/``.json`` result siblings; ``bench quick <graph>`` is the
+  one-shot engine-vs-baselines comparison;
 * ``serve``      — multi-tenant open-loop serving: replay a seeded Poisson
   or bursty arrival trace through a session (admission control, cross-tenant
   batching, SLO accounting; see ``docs/serving.md``);
@@ -1048,20 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-BENCH_SUBCOMMANDS = {"quick", "run", "report", "diff", "check", "lint"}
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    # legacy spelling: `repro bench <graph> ...` meant the one-shot
-    # engine-vs-baselines comparison, now `bench quick`
-    if argv and argv[0] == "bench" and (
-        len(argv) == 1
-        or argv[1] not in BENCH_SUBCOMMANDS | {"-h", "--help"}
-    ):
-        argv.insert(1, "quick")
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

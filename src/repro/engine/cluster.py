@@ -1,8 +1,18 @@
-"""Cluster bring-up: one RPC group per query run.
+"""Cluster bring-up: one RPC group per run, on either runtime.
 
-Builds a fresh scheduler + RPC context, registers one storage server per
-machine hosting that machine's :class:`~repro.storage.shard.GraphShard`, and
-hands back the RRef list every computing process receives (Section 3.1).
+:func:`deploy` builds a fresh deployment of one sharded graph — an RPC
+group with one storage server per machine hosting that machine's
+:class:`~repro.storage.shard.GraphShard` — and hands back the RRef list
+every computing process receives (Section 3.1).  The two backends,
+:class:`SimCluster` (virtual-time scheduler) and :class:`ThreadCluster`
+(real OS threads), expose the same members, so every run body in the repo
+is written once against this seam::
+
+    cluster = deploy(sharded, config, runtime)
+    proc = cluster.worker(machine, p)        # handle exists before the body
+    cluster.spawn_compute(machine, p, driver(g, proc, ...))
+    makespan = cluster.run()                 # re-raises a driver failure
+    value = cluster.result_of(proc.name)
 """
 
 from __future__ import annotations
@@ -12,23 +22,39 @@ from repro.errors import SimulationError
 from repro.obs import DEFAULT_MAX_SPANS, Obs
 from repro.rpc.api import RpcContext
 from repro.rpc.rref import RRef
+from repro.rpc.thread_runtime import ThreadRuntime
+from repro.rpc.worker import TransportCounters
 from repro.simt.scheduler import Scheduler
 from repro.storage.build import ShardedGraph
 
 
-class SimCluster:
-    """A simulated K-machine deployment of one sharded graph.
+class _Cluster(TransportCounters):
+    """What both backends share: bring-up, worker handles, run, results.
 
-    ``trace_rpc`` / ``fault_plan`` / ``retry_policy`` override the config's
-    deployment defaults for this cluster (one cluster is built per query
-    run, so these are per-run knobs carried by a
-    :class:`~repro.engine.request.RunRequest`).
+    ``trace_rpc`` / ``trace`` / ``max_spans`` / ``fault_plan`` /
+    ``retry_policy`` override the config's deployment defaults for this
+    cluster (one cluster is built per run, so these are per-run knobs
+    carried by a :class:`~repro.engine.request.RunRequest`).  The retry
+    policy resolves here, once, for every body: the explicit argument
+    (request, else session/stream config) › ``config.retry_policy`` › the
+    default policy iff the fault plan is non-empty (applied by the RPC
+    group, :class:`~repro.rpc.worker.WorkerRegistry`).
+
+    ``sanitize`` attaches a lockset race detector
+    (:class:`repro.analysis.race.RaceDetector`) as ``sanitizer`` /
+    ``obs.sanitizer``; :meth:`run` installs its ShardedMap hook for
+    exactly the duration of the run.
     """
+
+    #: RpcTracer recording every dispatched call, when asked for
+    #: (virtual-time timestamps, so only :class:`SimCluster` attaches one)
+    tracer = None
 
     def __init__(self, sharded: ShardedGraph, config: EngineConfig, *,
                  trace_rpc: bool | None = None, fault_plan=None,
                  retry_policy=None, trace: bool | None = None,
-                 max_spans: int | None = None, sanitizer=None) -> None:
+                 max_spans: int | None = None,
+                 sanitize: bool = False) -> None:
         if sharded.n_shards != config.n_shards:
             raise SimulationError(
                 f"graph has {sharded.n_shards} shards but config expects "
@@ -36,69 +62,184 @@ class SimCluster:
             )
         self.sharded = sharded
         self.config = config
-        self.scheduler = Scheduler()
-        tracer = None
-        if config.trace_rpc if trace_rpc is None else trace_rpc:
-            from repro.rpc.tracing import RpcTracer
-
-            tracer = RpcTracer()
-        if retry_policy is None:
-            retry_policy = config.retry_policy
         #: observability bundle shared by this deployment's RPC layer and
         #: every process spawned into it
         self.obs = Obs.create(
             trace=config.trace_spans if trace is None else trace,
             max_spans=DEFAULT_MAX_SPANS if max_spans is None else max_spans,
         )
-        #: optional race detector (repro.analysis.race.RaceDetector); the
-        #: engine installs it around the run so ShardedMap accesses are
-        #: recorded — on the single-threaded virtual-time runtime a clean
-        #: run reports zero violations
-        self.sanitizer = sanitizer
-        self.obs.sanitizer = sanitizer
-        self.ctx = RpcContext(self.scheduler, config.network, tracer=tracer,
-                              fault_plan=fault_plan,
-                              retry_policy=retry_policy, obs=self.obs)
+        self.sanitizer = None
+        if sanitize:
+            from repro.analysis.race import RaceDetector
+
+            self.sanitizer = RaceDetector()
+        self.obs.sanitizer = self.sanitizer
+        if retry_policy is None:
+            retry_policy = config.retry_policy
+        #: the RPC group RRefs dispatch through
+        self.ctx = self._make_ctx(
+            config.trace_rpc if trace_rpc is None else trace_rpc,
+            fault_plan, retry_policy)
         self.rrefs: list[RRef] = []
-        self._compute_names: list[str] = []
-        self._bring_up()
+        for m in range(config.n_machines):
+            self.ctx.register_server(config.server_name(m), m)
+            self.rrefs.append(self.ctx.create_remote(
+                config.server_name(m), "storage",
+                lambda shard=sharded.shards[m]: shard,
+            ))
+        self._workers: dict[str, object] = {}
+        self._compute: list = []
 
-    def _bring_up(self) -> None:
-        cfg = self.config
-        for m in range(cfg.n_machines):
-            self.ctx.register_server(cfg.server_name(m), m)
-            rref = self.ctx.create_remote(
-                cfg.server_name(m), "storage",
-                lambda shard=self.sharded.shards[m]: shard,
-            )
-            self.rrefs.append(rref)
+    def worker(self, machine: int, proc_index: int):
+        """Process handle of computing process ``proc_index`` on ``machine``.
 
-    def spawn_compute(self, machine: int, proc_index: int, body) -> str:
-        """Spawn one computing process coroutine; returns its worker name.
-
-        With ``colocate_server`` on, each machine's server shares the
-        interpreter of its first computing process (the GIL-contention
-        ablation): the server's service time is also charged to that
-        process's clock.
+        Registered on first use, *before* its body exists: drivers and the
+        fetch layer take their own handle (``measured``, ``span``,
+        ``clock``) as an argument, and :meth:`spawn_compute` then starts
+        the body on it.
         """
         name = self.config.worker_name(machine, proc_index)
-        proc = self.scheduler.spawn(name, body)
-        proc.tracer = self.obs.tracer
-        self.ctx.register_worker(name, machine, proc)
-        self._compute_names.append(name)
-        if self.config.colocate_server and proc_index == 0:
-            self.ctx.server_of(self.config.server_name(machine)).host_process = proc
-        return name
+        proc = self._workers.get(name)
+        if proc is None:
+            proc = self._workers[name] = self.ctx.register_worker(name,
+                                                                  machine)
+        return proc
+
+    def spawn_compute(self, machine: int, proc_index: int, body) -> str:
+        """Run ``body`` as that computing process; returns its worker name."""
+        proc = self.worker(machine, proc_index)
+        self._compute.append(proc)
+        self._start(proc, body)
+        return proc.name
 
     def run(self) -> float:
-        """Drain the event loop; return the compute makespan (virtual s)."""
-        self.scheduler.run()
-        if not self._compute_names:
-            return 0.0
-        return self.scheduler.makespan(self._compute_names)
+        """Run every spawned body to completion; return the makespan.
 
-    def compute_processes(self):
-        return [self.scheduler.processes[n] for n in self._compute_names]
+        The makespan is the latest final clock among the computing
+        processes — the paper's throughput denominator.  The first driver
+        failure (in spawn order) is re-raised.
+        """
+        if self.sanitizer is None:
+            self._drain()
+        else:
+            from repro.analysis.race import installed
+
+            with installed(self.sanitizer):
+                self._drain()
+        for proc in self._compute:
+            self.result_of(proc.name)
+        return max((p.clock for p in self._compute), default=0.0)
+
+    def compute_processes(self) -> list:
+        """Process handles of the spawned bodies, in spawn order."""
+        return list(self._compute)
 
     def results(self) -> dict[str, object]:
-        return {n: self.scheduler.result_of(n) for n in self._compute_names}
+        """Worker name -> return value of every spawned body."""
+        return {p.name: self.result_of(p.name) for p in self._compute}
+
+
+class SimCluster(_Cluster):
+    """A simulated K-machine deployment on the virtual-time scheduler."""
+
+    def __init__(self, sharded: ShardedGraph, config: EngineConfig,
+                 **overrides) -> None:
+        self.scheduler = Scheduler()
+        super().__init__(sharded, config, **overrides)
+
+    def _make_ctx(self, trace_rpc, fault_plan, retry_policy) -> RpcContext:
+        tracer = None
+        if trace_rpc:
+            from repro.rpc.tracing import RpcTracer
+
+            tracer = RpcTracer()
+        return RpcContext(self.scheduler, self.config.network,
+                          tracer=tracer, fault_plan=fault_plan,
+                          retry_policy=retry_policy, obs=self.obs)
+
+    @property
+    def tracer(self):
+        return self.ctx.tracer
+
+    def spawn_compute(self, machine: int, proc_index: int, body) -> str:
+        """With ``colocate_server`` on, each machine's server shares the
+        interpreter of its first computing process (the GIL-contention
+        ablation): the server's service time is also charged to that
+        process's clock."""
+        name = super().spawn_compute(machine, proc_index, body)
+        if self.config.colocate_server and proc_index == 0:
+            server = self.ctx.server_of(self.config.server_name(machine))
+            server.host_process = self._workers[name]
+        return name
+
+    def _start(self, proc, body) -> None:
+        proc.start(body)
+
+    def _drain(self) -> None:
+        self.scheduler.run()
+
+    def result_of(self, name: str):
+        """Return value of a finished body (re-raises its exception)."""
+        return self.scheduler.result_of(name)
+
+    def start_timeline(self, timeline, gauges=None) -> None:
+        """Take the t=0 sample and arm the virtual-time grid sampler."""
+        from repro.obs.analysis.timeline import install_sim_sampler
+
+        install_sim_sampler(self.scheduler, self.obs.metrics, timeline,
+                            timeline.interval, gauges=gauges)
+
+
+class ThreadCluster(_Cluster):
+    """The same deployment over :class:`~repro.rpc.ThreadRuntime`.
+
+    Same worker names, same bring-up, same bodies — so every caller issues
+    the identical remote-call sequence and a ``FaultPlan`` replays the
+    identical drop decisions.  Modeled virtual timing does not apply:
+    clocks (and the makespan) are accumulated charged seconds, crash
+    windows and ``colocate_server`` are virtual-time constructs and are
+    ignored.  Bodies start when :meth:`run` is called, as on the scheduler.
+    """
+
+    def __init__(self, sharded: ShardedGraph, config: EngineConfig,
+                 **overrides) -> None:
+        self._bodies: list = []
+        super().__init__(sharded, config, **overrides)
+
+    def _make_ctx(self, trace_rpc, fault_plan, retry_policy) -> ThreadRuntime:
+        return ThreadRuntime(fault_plan=fault_plan, retry_policy=retry_policy,
+                             obs=self.obs, sanitizer=self.sanitizer)
+
+    def _start(self, proc, body) -> None:
+        self._bodies.append((proc.name, body))
+
+    def _drain(self) -> None:
+        try:
+            for name, body in self._bodies:
+                self.ctx.spawn(name, body)
+            self.ctx.join(timeout=180)
+        finally:
+            self.ctx.shutdown()
+
+    def result_of(self, name: str):
+        """Return value of a finished body (re-raises its exception)."""
+        return self.ctx.result_of(name)
+
+    def start_timeline(self, timeline, gauges=None) -> None:
+        """Take the t=0 sample; real threads have no virtual timer to arm,
+        so the series keeps the two deterministic edges."""
+        from repro.obs.analysis.timeline import sample_engine
+
+        sample_engine(timeline, 0.0, self.obs.metrics, gauges)
+
+
+def deploy(sharded: ShardedGraph, config: EngineConfig,
+           runtime: str = "sim", **overrides) -> _Cluster:
+    """Deploy ``sharded`` on the named runtime (``"sim"`` | ``"threads"``).
+
+    ``runtime`` is the value a ``SessionConfig`` / ``StreamConfig``
+    already validated; ``overrides`` are the per-run knobs documented on
+    the cluster class.
+    """
+    cls = ThreadCluster if runtime == "threads" else SimCluster
+    return cls(sharded, config, **overrides)

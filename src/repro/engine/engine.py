@@ -176,7 +176,7 @@ class GraphEngine:
         tracing, fault-plan, and retry-policy overrides, and reports the
         fault-tolerance counters alongside the usual throughput numbers.
         Thin wrapper over a throwaway serving session — the body lives in
-        :meth:`repro.serving.Session._execute`, the single execution path
+        :meth:`repro.serving.Session.run`, the single execution path
         shared with ``session.drain()``.
 
         Under ``degradation=fail_fast`` (the default), the first remote
@@ -188,7 +188,7 @@ class GraphEngine:
         """
         from repro.serving.session import Session
 
-        return Session(self)._execute(request)
+        return Session(self).run(request)
 
     def run_queries_batched(self, n_queries: int | None = None, *,
                             sources: np.ndarray | None = None,
@@ -235,17 +235,15 @@ class GraphEngine:
         walks: dict[str, np.ndarray] = {}
         roots_by_proc: dict[str, np.ndarray] = {}
         for (machine, proc_index), chunk in assignment.items():
-            name = cfg.worker_name(machine, proc_index)
-            g = DistGraphStorage(cluster.rrefs, machine, name, compress=True)
-            body = distributed_random_walk(
-                g, _late_proc(cluster, name), chunk, self.sharded,
-                walk_length,
-            )
-            cluster.spawn_compute(machine, proc_index, body)
-            roots_by_proc[name] = chunk
+            proc = cluster.worker(machine, proc_index)
+            g = DistGraphStorage(cluster.rrefs, machine, proc.name,
+                                 compress=True)
+            cluster.spawn_compute(machine, proc_index, distributed_random_walk(
+                g, proc, chunk, self.sharded, walk_length))
+            roots_by_proc[proc.name] = chunk
         makespan = cluster.run()
         for name in roots_by_proc:
-            walks[name] = cluster.scheduler.result_of(name)
+            walks[name] = cluster.result_of(name)
         summary = np.concatenate([walks[n] for n in sorted(walks)], axis=0)
         all_roots = np.concatenate(
             [roots_by_proc[n] for n in sorted(roots_by_proc)]
@@ -271,17 +269,12 @@ class GraphEngine:
         machine = int(self.sharded.owner_shard[source_global])
         source_local = int(self.sharded.owner_local[source_global])
         cluster = SimCluster(self.sharded, cfg)
-        name = cfg.worker_name(machine, 0)
-        g = DistGraphStorage(cluster.rrefs, machine, name, compress=True)
-        proxy = _late_proc(cluster, name)
-
-        def body():
-            state = yield from distributed_bfs(g, proxy, source_local)
-            return state
-
-        cluster.spawn_compute(machine, 0, body())
+        proc = cluster.worker(machine, 0)
+        g = DistGraphStorage(cluster.rrefs, machine, proc.name, compress=True)
+        name = cluster.spawn_compute(
+            machine, 0, distributed_bfs(g, proc, source_local))
         makespan = cluster.run()
-        state = cluster.scheduler.result_of(name)
+        state = cluster.result_of(name)
         return state.dense_depths(self.sharded, self.graph.n_nodes), makespan
 
     def run_wcc(self) -> tuple[np.ndarray, float]:
@@ -296,22 +289,16 @@ class GraphEngine:
         cluster = SimCluster(self.sharded, cfg)
         names = []
         for m in range(cfg.n_machines):
-            name = cfg.worker_name(m, 0)
-            g = DistGraphStorage(cluster.rrefs, m, name, compress=True)
+            proc = cluster.worker(m, 0)
+            g = DistGraphStorage(cluster.rrefs, m, proc.name, compress=True)
             seeds = np.arange(self.sharded.shards[m].n_core)
-            proxy = _late_proc(cluster, name)
-
-            def body(g=g, seeds=seeds, proxy=proxy):
-                state = yield from distributed_wcc(g, proxy, seeds)
-                return state
-
-            cluster.spawn_compute(m, 0, body())
-            names.append(name)
+            names.append(cluster.spawn_compute(
+                m, 0, distributed_wcc(g, proc, seeds)))
         makespan = cluster.run()
         labels = np.full(self.graph.n_nodes, np.iinfo(np.int64).max,
                          dtype=np.int64)
         for name in names:
-            state = cluster.scheduler.result_of(name)
+            state = cluster.result_of(name)
             keys, labs = state.results()
             gids = self.sharded.global_of(keys // self.sharded.n_shards,
                                           keys % self.sharded.n_shards)
@@ -333,50 +320,3 @@ class WalkRunResult:
     walks: np.ndarray     # (n_roots, walk_length) global IDs
     makespan: float
     throughput: float
-
-
-class _late_proc:
-    """Proxy handing the driver its own SimProcess once spawned.
-
-    Driver generators need their process handle for ``measured()``, but the
-    process object only exists after ``spawn``.  Generators are lazy — by
-    the time the body first executes, the process is registered, and this
-    proxy resolves it on first attribute access.
-    """
-
-    __slots__ = ("_cluster", "_name", "_proc")
-
-    def __init__(self, cluster: SimCluster, name: str) -> None:
-        self._cluster = cluster
-        self._name = name
-        self._proc = None
-
-    def _resolve(self):
-        if self._proc is None:
-            self._proc = self._cluster.scheduler.processes[self._name]
-        return self._proc
-
-    def measured(self, category: str):
-        return self._resolve().measured(category)
-
-    def span(self, name: str, **attrs):
-        return self._resolve().span(name, **attrs)
-
-    def charge_seconds(self, dt: float, category: str = "other") -> None:
-        self._resolve().charge_seconds(dt, category)
-
-    @property
-    def breakdown(self):
-        return self._resolve().breakdown
-
-    @property
-    def clock(self) -> float:
-        return self._resolve().clock
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def tracer(self):
-        return self._resolve().tracer

@@ -76,8 +76,11 @@ class RunRequest:
     fault_plan:
         Injected faults for this run (chaos testing); ``None`` = healthy.
     retry_policy:
-        Timeout/retry/backoff for remote calls.  ``None`` with a non-empty
-        ``fault_plan`` gets the default policy so drops resolve as timeouts.
+        Timeout/retry/backoff for remote calls.  ``None`` falls back to
+        ``EngineConfig.retry_policy``, and — with a non-empty ``fault_plan``
+        and no policy anywhere — to the default policy, so drops resolve as
+        timeouts instead of deadlocks (resolved once, at deployment:
+        :mod:`repro.engine.cluster`).
     degradation:
         What a query does when a remote fetch exhausts its retries
         (``mode="engine"`` only; the tensor and batched drivers always
@@ -154,16 +157,3 @@ class RunRequest:
             raise ValueError(
                 f"timeline interval must be > 0, got {self.timeline}"
             )
-
-    def resolved_retry_policy(self) -> RetryPolicy | None:
-        """The retry policy this request runs with.
-
-        A non-empty fault plan without an explicit policy gets the default
-        :class:`RetryPolicy` — otherwise a dropped message would leave its
-        caller waiting on a future nobody resolves (a virtual deadlock).
-        """
-        if self.retry_policy is not None:
-            return self.retry_policy
-        if self.fault_plan is not None and not self.fault_plan.is_empty():
-            return RetryPolicy()
-        return None

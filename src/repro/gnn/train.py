@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.engine.cluster import SimCluster
 from repro.engine.config import EngineConfig
-from repro.engine.engine import _late_proc
 from repro.engine.query import assign_queries
 from repro.gnn.data import Batch, community_task
 from repro.gnn.model import ShadowSage
@@ -157,14 +156,15 @@ def run_distributed_training(graph: CSRGraph, features: np.ndarray,
                        replace=False)
             for _ in range(n_steps)
         ]
-        name = config.worker_name(m, 0)
+        proc = cluster.worker(m, 0)
+        name = proc.name
         g = DistGraphStorage(cluster.rrefs, m, name, compress=True)
         feats = DistFeatureStore(feat_rrefs, name)
         model = ShadowSage(features.shape[1], 32, n_classes,
                            seed=model_seed)
         models.append(model)
         body = gnn_training_driver(
-            g, feats, _late_proc(cluster, name), cluster.ctx, sharded,
+            g, feats, proc, cluster.ctx, sharded,
             model, labels, batches, params, topk=topk, lr=lr,
             world_size=world, worker_name=name, records=records,
         )

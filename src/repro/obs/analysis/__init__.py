@@ -36,7 +36,7 @@ from repro.obs.analysis.timeline import (
     STREAM_WATCH,
     Timeline,
     TimelineSample,
-    edge_samples,
+    final_sample,
     install_sim_sampler,
     sample_counters,
 )
@@ -55,7 +55,7 @@ __all__ = [
     "TraceGraph",
     "diagnose",
     "diff_reports",
-    "edge_samples",
+    "final_sample",
     "install_sim_sampler",
     "machine_of_process",
     "render_diagnosis",

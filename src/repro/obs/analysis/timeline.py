@@ -3,15 +3,14 @@
 A :class:`Timeline` is a typed series of ``(virtual_time, values)``
 samples of selected counters and gauges.  Three samplers feed it:
 
-* **simulated engine runs** — a scheduler timer fires every
+* **engine runs** — every run's series opens with the ``t=0`` sample and
+  closes with the final counters at the makespan (:func:`final_sample`);
+  on the virtual-time scheduler a timer additionally fires every
   ``RunRequest(timeline=interval)`` virtual seconds and snapshots the
-  watch list mid-run (:func:`install_sim_sampler`); the timer re-arms
-  only while other events remain queued, so it can never keep the event
-  loop alive by itself;
-* **thread-mode engine runs** — real threads have no virtual timer, so
-  the series keeps the two deterministic edges: an all-zero sample at
-  ``t=0`` and a final sample at the run's makespan
-  (:func:`edge_samples`);
+  watch list mid-run (:func:`install_sim_sampler`) — it re-arms only
+  while other events remain queued, so it can never keep the event loop
+  alive by itself.  Real threads have no virtual timer, so a thread-mode
+  series keeps the two deterministic edges;
 * **serving / streaming sessions** — every drain or stream event
   boundary samples on the deterministic serving clock, which advances
   through cost models only.  Those series are *count-derived end to
@@ -117,6 +116,15 @@ def sample_counters(metrics, names) -> dict:
     return {name: counters.get(name, 0) for name in names}
 
 
+def sample_engine(timeline: Timeline, t: float, metrics,
+                  gauges=None) -> None:
+    """Append one engine-run snapshot (watch list + ``gauges()``) at ``t``."""
+    values = sample_counters(metrics, ENGINE_WATCH)
+    if gauges is not None:
+        values.update(gauges())
+    timeline.sample(t, values)
+
+
 def install_sim_sampler(scheduler, metrics, timeline: Timeline,
                         interval: float, gauges=None) -> None:
     """Arm a virtual-time grid sampler on a :class:`Scheduler`.
@@ -130,35 +138,24 @@ def install_sim_sampler(scheduler, metrics, timeline: Timeline,
     """
     if interval <= 0:
         raise ValueError(f"timeline interval must be > 0, got {interval}")
-
-    def snapshot() -> dict:
-        values = sample_counters(metrics, ENGINE_WATCH)
-        if gauges is not None:
-            values.update(gauges())
-        return values
-
-    timeline.sample(scheduler.now, snapshot())
+    sample_engine(timeline, scheduler.now, metrics, gauges)
 
     def tick() -> None:
-        timeline.sample(scheduler.now, snapshot())
+        sample_engine(timeline, scheduler.now, metrics, gauges)
         if scheduler._heap:
             scheduler.call_at(scheduler.now + interval, tick)
 
     scheduler.call_at(scheduler.now + interval, tick)
 
 
-def edge_samples(timeline: Timeline, metrics, makespan: float,
-                 gauges=None, *, zero_first: bool = True) -> None:
-    """Thread-mode fallback: sample the deterministic edges only.
+def final_sample(timeline: Timeline, metrics, makespan: float,
+                 gauges=None) -> None:
+    """Close an engine run's series with the final counters.
 
-    Real threads have no virtual timer to hook, so the series carries an
-    all-zero ``t=0`` row plus the final counters at the run's makespan —
-    both fully determined by the workload, never by wall time.
+    Sampled at the run's makespan — or at the last grid sample when a
+    trailing timer fired past it, since samples are time-ordered.  Both
+    edges (``t=0`` and this one) are fully determined by the workload,
+    never by wall time, which is what a thread-mode series consists of.
     """
-    if zero_first and not timeline.samples:
-        timeline.sample(0.0, {name: 0 for name in ENGINE_WATCH})
-    values = sample_counters(metrics, ENGINE_WATCH)
-    if gauges is not None:
-        values.update(gauges())
-    timeline.sample(max(makespan, timeline.samples[-1].t
-                        if timeline.samples else 0.0), values)
+    last = timeline.samples[-1].t if timeline.samples else 0.0
+    sample_engine(timeline, max(makespan, last), metrics, gauges)

@@ -1,8 +1,8 @@
 """Process-safe metrics: counters, gauges, fixed-bucket histograms.
 
-One :class:`MetricsRegistry` exists per engine run (created by
-:class:`~repro.engine.cluster.SimCluster` or a
-:class:`~repro.rpc.thread_runtime.ThreadRuntime`).  Every layer — RPC
+One :class:`MetricsRegistry` exists per engine run (created by the
+cluster :func:`~repro.engine.cluster.deploy` brings up, on either
+runtime).  Every layer — RPC
 dispatch, fault handling, drivers, the engine facade — increments the *same*
 named instruments, so a run's counters are identical whether the workload
 executed on the virtual-time scheduler or on real threads: the registry is
@@ -201,6 +201,11 @@ class MetricsRegistry:
     def get(self, name: str):
         """The instrument registered under ``name`` (KeyError if absent)."""
         return self._instruments[name]
+
+    def count(self, name: str) -> int:
+        """Value of counter ``name``; 0 (and no instrument) if never bumped."""
+        inst = self._instruments.get(name)
+        return inst.value if inst is not None else 0
 
     def counters(self) -> dict[str, int]:
         """All counter values — the differential tests' comparison unit."""

@@ -12,7 +12,9 @@ Mirrors the subset of ``torch.distributed.rpc`` the paper relies on:
   *tensor count*, because TensorPipe-style transports pay a per-tensor
   wrapping cost — the term the paper's CSR *Compress* optimization removes.
 
-Two interchangeable executions:
+Two interchangeable executions (both a
+:class:`~repro.rpc.worker.WorkerRegistry`, which owns the worker
+registry, remote-object creation and retry-policy resolution once):
 
 * :class:`RpcContext` dispatches over :mod:`repro.simt` (virtual time,
   deterministic, used by all benchmarks);

@@ -13,7 +13,7 @@ DDP-style gradient synchronization.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -22,15 +22,15 @@ from repro.obs import Obs
 from repro.rpc.retry import RetryPolicy
 from repro.rpc.rref import RRef
 from repro.rpc.serialization import payload_sizes, request_payload_sizes
-from repro.rpc.worker import RpcServer, WorkerInfo
+from repro.rpc.worker import RpcServer, WorkerRegistry
 from repro.simt.faults import FaultPlan
-from repro.simt.futures import SimFuture
+from repro.simt.futures import MergedSimFuture, SimFuture
 from repro.simt.network import NetworkModel
 from repro.simt.process import SimProcess
 from repro.simt.scheduler import Scheduler
 
 
-class RpcContext:
+class RpcContext(WorkerRegistry):
     """Registry + dispatcher for a simulated RPC group.
 
     With a :class:`~repro.simt.faults.FaultPlan` and/or
@@ -46,32 +46,13 @@ class RpcContext:
                  tracer=None, *, fault_plan: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
                  obs: Obs | None = None) -> None:
+        super().__init__(fault_plan=fault_plan, retry_policy=retry_policy,
+                         obs=obs)
         self.scheduler = scheduler
         self.network = network
-        #: observability bundle — the registry is always live (cheap), the
-        #: span tracer only when the deployment asked for tracing
-        self.obs = obs if obs is not None else Obs()
-        self._workers: dict[str, WorkerInfo] = {}
-        self._processes: dict[str, SimProcess] = {}
-        self._servers: dict[str, RpcServer] = {}
         self._collectives: dict[str, "_AllReduceRound"] = {}
-        #: running count of cross-machine requests (diagnostics/benchmarks)
-        self.remote_requests = 0
-        self.local_calls = 0
         #: optional RpcTracer recording every dispatched call
         self.tracer = tracer
-        #: injected faults; a plan without a policy gets default retries so
-        #: dropped messages resolve as timeouts instead of deadlocks
-        self.fault_plan = fault_plan
-        if fault_plan is not None and not fault_plan.is_empty() \
-                and retry_policy is None:
-            retry_policy = RetryPolicy()
-        self.retry_policy = retry_policy
-        #: fault-layer counters (surfaced on QueryRunResult)
-        self.retries = 0
-        self.timeouts = 0
-        self.dropped_messages = 0
-        self._call_indices: dict[str, int] = {}
 
     # -- registration -----------------------------------------------------
     def register_server(self, name: str, machine_id: int,
@@ -86,50 +67,18 @@ class RpcContext:
         self._servers[name] = server
         return server
 
-    def register_worker(self, name: str, machine_id: int,
-                        process: SimProcess) -> WorkerInfo:
-        """Register a computing-process worker with its coroutine process."""
-        info = self._register(name, machine_id)
-        self._processes[name] = process
-        return info
+    def _new_process(self, name: str) -> SimProcess:
+        return self.scheduler.add_passive(name)
 
-    def _register(self, name: str, machine_id: int) -> WorkerInfo:
-        if name in self._workers:
-            raise RpcError(f"worker {name!r} already registered")
-        info = WorkerInfo(name, machine_id)
-        self._workers[name] = info
-        return info
+    # -- futures ------------------------------------------------------------
+    def resolved_future(self, value: Any, tag: str | None = None) -> SimFuture:
+        """A future already resolved with ``value`` (no wire, no waiting)."""
+        return SimFuture.resolved(value, 0.0, tag=tag)
 
-    # -- lookups ------------------------------------------------------------
-    def worker_info(self, name: str) -> WorkerInfo:
-        try:
-            return self._workers[name]
-        except KeyError:
-            raise RpcError(f"unknown worker {name!r}") from None
-
-    def process_of(self, name: str) -> SimProcess:
-        try:
-            return self._processes[name]
-        except KeyError:
-            raise RpcError(f"worker {name!r} has no registered process") from None
-
-    def server_of(self, name: str) -> RpcServer:
-        try:
-            return self._servers[name]
-        except KeyError:
-            raise RpcError(f"worker {name!r} is not a server") from None
-
-    # -- remote object lifecycle ------------------------------------------
-    def create_remote(self, owner_name: str, key: str,
-                      factory: Callable[..., Any], *args, **kwargs) -> RRef:
-        """Instantiate ``factory(*args, **kwargs)`` on ``owner_name``.
-
-        Setup happens outside measured time: graph-shard construction is a
-        preprocessing step whose cost the paper amortizes across queries.
-        """
-        server = self.server_of(owner_name)
-        server.put_object(key, factory(*args, **kwargs))
-        return RRef(self, owner_name, key)
+    def merged_future(self, parts: list[SimFuture], finalize,
+                      tag: str | None = None) -> MergedSimFuture:
+        """One future over ``parts``; ``finalize`` runs at consumption."""
+        return MergedSimFuture(parts, finalize, tag=tag)
 
     # -- dispatch -----------------------------------------------------------
     def rref_call(self, caller_name: str, rref: RRef, method: str,
@@ -156,7 +105,6 @@ class RpcContext:
 
         if caller_machine == owner_machine:
             # Shared-memory path: invoke directly on the caller's timeline.
-            self.local_calls += 1
             metrics.inc("rpc.calls_local")
             caller.charge_seconds(self.network.local_call_overhead, "local_call")
             fn = server.resolve_method(rref.key, method)
@@ -166,7 +114,6 @@ class RpcContext:
                                       tag=f"local:{method}")
 
         # Remote path: async issue, modeled transfer, FIFO service, reply.
-        self.remote_requests += 1
         req_bytes, req_tensors = request_payload_sizes(args, kwargs)
         metrics.inc("rpc.calls_remote")
         metrics.inc("rpc.request_bytes", req_bytes)
@@ -276,13 +223,11 @@ class RpcContext:
             if fut.done:
                 return
             if n > 1:
-                self.retries += 1
                 metrics.inc("rpc.retries")
                 self._trace_fault("retry", caller_name, owner_name, method,
                                   n, send_time)
             deadline = send_time + policy.timeout
             if plan.roll_drop(caller_name, call_index, n):
-                self.dropped_messages += 1
                 metrics.inc("rpc.dropped_messages")
                 last_failure["cause"] = "drop"
                 self._trace_fault("drop", caller_name, owner_name, method,
@@ -335,7 +280,6 @@ class RpcContext:
         def on_timeout(n: int, deadline: float) -> None:
             if fut.done:
                 return
-            self.timeouts += 1
             metrics.inc("rpc.timeouts")
             self._trace_fault("timeout", caller_name, owner_name, method,
                               n, deadline)

@@ -24,14 +24,11 @@ from typing import Any, Callable, Generator
 
 from repro.errors import RpcError, RpcTimeoutError, SimulationError
 from repro.obs import Obs
-from repro.rpc.handlers import check_dispatch
-from repro.rpc.retry import RetryPolicy
 from repro.rpc.rref import RRef
-from repro.rpc.serialization import (BufferPool, payload_sizes,
-                                     request_payload_sizes)
-from repro.rpc.worker import WorkerInfo
+from repro.rpc.serialization import payload_sizes, request_payload_sizes
+from repro.rpc.worker import ObjectHost, WorkerInfo, WorkerRegistry
 from repro.simt.events import Charge, Sleep, Wait, WaitAll
-from repro.utils.timer import CategoryTimer
+from repro.simt.process import ProcessClock
 
 
 class ThreadFuture:
@@ -56,194 +53,133 @@ class ThreadFuture:
         return cls(inner)
 
 
-class ThreadProcess:
-    """Per-thread worker state mirroring :class:`~repro.simt.SimProcess`."""
+class MergedThreadFuture:
+    """Composite future: blocks on its parts at ``value()``.
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.clock = 0.0  # accumulated charged seconds (real, for reporting)
-        self.timer = CategoryTimer(on_charge=self._advance)
-        self.result: Any = None
-        self.exception: BaseException | None = None
-        #: optional SpanTracer shared with the runtime's Obs bundle; thread
-        #: spans run on the accumulated-charge clock, not wall time
-        self.tracer = None
+    ``finalize(ok)`` builds the value from the parts (or cleans up after a
+    failed part) exactly once, on the first consumer's thread.
+    """
 
-    def _advance(self, category: str, dt: float) -> None:
-        self.clock += dt
+    __slots__ = ("_parts", "_finalize", "_lock", "_result", "_exception",
+                 "_materialized")
 
-    def charge_seconds(self, dt: float, category: str = "other") -> None:
-        self.timer.charge_seconds(category, dt)
-
-    def measured(self, category: str):
-        if self.tracer is None:
-            return self.timer.charge(category)
-        from repro.obs.spans import _TracedMeasure
-
-        return _TracedMeasure(self, category)
-
-    def span(self, name: str, **attrs):
-        """Logical span on this process's charged-seconds timeline."""
-        if self.tracer is None:
-            from contextlib import nullcontext
-
-            return nullcontext()
-        return self.tracer.span(self.name, name, lambda: self.clock,
-                                attrs or None)
+    def __init__(self, parts: list[Any], finalize) -> None:
+        self._parts = parts
+        self._finalize = finalize
+        self._lock = threading.Lock()
+        self._result: Any = None
+        self._exception: BaseException | None = None
+        self._materialized = False
 
     @property
-    def breakdown(self):
-        return self.timer.breakdown
+    def done(self) -> bool:
+        return all(p.done for p in self._parts)
+
+    def value(self) -> Any:
+        with self._lock:
+            if not self._materialized:
+                self._materialized = True
+                fin, self._finalize = self._finalize, None
+                try:
+                    for p in self._parts:
+                        p.value()
+                except BaseException as exc:
+                    fin(False)
+                    self._exception = exc
+                    raise
+                self._result = fin(True)
+                return self._result
+            if self._exception is not None:
+                raise self._exception
+            return self._result
 
 
-class _ThreadServer:
-    """Single-threaded FIFO server hosting remote objects."""
+class ThreadProcess(ProcessClock):
+    """Per-thread worker state; the clock accumulates charged seconds
+    (real, for reporting), so thread spans run on the charged-seconds
+    timeline, not wall time."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.result: Any = None
+        self.exception: BaseException | None = None
+
+
+class _ThreadServer(ObjectHost):
+    """Single-threaded FIFO server hosting remote objects.
+
+    The response buffer pool is only touched on the single executor
+    thread, so it needs no extra locking.
+    """
 
     def __init__(self, info: WorkerInfo) -> None:
-        self.info = info
-        self.objects: dict[str, Any] = {}
+        super().__init__(info)
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"rpc-{info.name}"
         )
-        self.requests_served = 0
         self._lock = threading.Lock()
-        #: response buffer pool; only touched on the single executor
-        #: thread, so no extra locking is needed
-        self.pool = BufferPool()
 
     def put_object(self, key: str, obj: Any) -> None:
         with self._lock:
-            if key in self.objects:
-                raise RpcError(f"object key {key!r} already exists")
-            self.objects[key] = obj
-        attach = getattr(obj, "attach_pool", None)
-        if attach is not None:
-            attach(self.pool)  # memory accounting sees pooled buffers
-
-    def get_object(self, key: str) -> Any:
-        try:
-            return self.objects[key]
-        except KeyError:
-            raise RpcError(
-                f"worker {self.info.name!r} hosts no object {key!r}"
-            ) from None
-
-    def resolve_method(self, key: str, method: str) -> Callable:
-        obj = self.get_object(key)
-        refused = check_dispatch(obj, method)
-        if refused is not None:
-            raise RpcError(f"on {self.info.name!r}: {refused}")
-        fn = getattr(obj, method, None)
-        if fn is None or not callable(fn):
-            raise RpcError(f"object {key!r} has no method {method!r}")
-        return fn
+            super().put_object(key, obj)
 
     def shutdown(self) -> None:
         self.executor.shutdown(wait=True)
 
 
-class ThreadRuntime:
-    """Thread-backed drop-in for ``(Scheduler, RpcContext)`` in tests.
+class ThreadRuntime(WorkerRegistry):
+    """Thread-backed drop-in for ``(Scheduler, RpcContext)``.
 
     Implements the same registration/dispatch surface as
     :class:`~repro.rpc.api.RpcContext` so :class:`~repro.rpc.rref.RRef` and
-    the storage layer work unchanged.
+    the storage layer work unchanged.  The counter names (and values, under
+    a drop-only FaultPlan) match RpcContext's — asserted by
+    tests/test_runtime_differential.py.
+
+    Fault injection: the *same* FaultPlan drop decisions replay here as on
+    the virtual-time scheduler, because decisions are keyed on (seed,
+    caller, per-caller call index, attempt) — never on time.  Crash windows
+    are virtual-time constructs and are ignored in thread mode; modeled
+    latency terms have no real-time effect.
+
+    ``sanitizer`` is an optional lockset race detector
+    (:class:`repro.analysis.race.RaceDetector`): the runtime's cross-thread
+    state is then recorded under a detector-tracked lock.  Installing the
+    detector's ShardedMap hook around the run is the deployment's job
+    (``repro.engine.cluster``).
     """
 
     def __init__(self, *, fault_plan=None, retry_policy=None,
-                 obs: Obs | None = None, sanitize: bool = False) -> None:
-        self._workers: dict[str, WorkerInfo] = {}
-        self._processes: dict[str, ThreadProcess] = {}
-        self._servers: dict[str, _ThreadServer] = {}
+                 obs: Obs | None = None, sanitizer=None) -> None:
+        super().__init__(fault_plan=fault_plan, retry_policy=retry_policy,
+                         obs=obs)
         self._threads: list[threading.Thread] = []
-        #: observability bundle; the counter names (and values, under a
-        #: drop-only FaultPlan) match RpcContext's — asserted by
-        #: tests/test_runtime_differential.py
-        self.obs = obs if obs is not None else Obs()
-        #: lockset race detector (repro.analysis.race); shared ShardedMaps
-        #: are instrumented for the runtime's lifetime (until shutdown)
-        self.sanitizer = None
-        if sanitize:
-            from repro.analysis.race import RaceDetector, install
-
-            self.sanitizer = RaceDetector()
-            self.obs.sanitizer = self.sanitizer
-            install(self.sanitizer)
-        self.remote_requests = 0
-        self.local_calls = 0
-        #: fault injection: the *same* FaultPlan drop decisions replay here
-        #: as on the virtual-time scheduler, because decisions are keyed on
-        #: (seed, caller, per-caller call index, attempt) — never on time.
-        #: Crash windows are virtual-time constructs and are ignored in
-        #: thread mode; modeled latency terms have no real-time effect.
-        self.fault_plan = fault_plan
-        if fault_plan is not None and not fault_plan.is_empty() \
-                and retry_policy is None:
-            retry_policy = RetryPolicy()
-        self.retry_policy = retry_policy
-        self.retries = 0
-        self.timeouts = 0
-        self.dropped_messages = 0
-        self._call_indices: dict[str, int] = {}
-        if self.sanitizer is not None:
-            self._fault_lock = self.sanitizer.tracked_lock(
-                "ThreadRuntime._fault_lock")
-            self._counter_lock = self.sanitizer.tracked_lock(
-                "ThreadRuntime._counter_lock")
-        else:
-            self._fault_lock = threading.Lock()
-            #: guards the legacy int counters, which many driver threads
-            #: bump concurrently in rref_call
-            self._counter_lock = threading.Lock()
-
-    def _san_record(self, location: str, *, write: bool = True) -> None:
-        """Record a shared-state access when the sanitizer is on."""
-        if self.sanitizer is not None:
-            self.sanitizer.record(location, write=write)
+        self.sanitizer = sanitizer
+        #: guards the per-caller call indices, which many driver threads
+        #: advance concurrently in rref_call
+        self._fault_lock = (
+            sanitizer.tracked_lock("ThreadRuntime._fault_lock")
+            if sanitizer is not None else threading.Lock())
 
     # -- registration (RpcContext-compatible) ------------------------------
     def register_server(self, name: str, machine_id: int,
                         colocated_with: str | None = None) -> _ThreadServer:
-        info = self._register(name, machine_id)
-        server = _ThreadServer(info)
+        server = _ThreadServer(self._register(name, machine_id))
         self._servers[name] = server
         return server
 
-    def register_worker(self, name: str, machine_id: int,
-                        process: ThreadProcess | None = None) -> ThreadProcess:
-        self._register(name, machine_id)
-        proc = process if process is not None else ThreadProcess(name)
-        proc.tracer = self.obs.tracer
-        self._processes[name] = proc
-        return proc
+    def _new_process(self, name: str) -> ThreadProcess:
+        return ThreadProcess(name)
 
-    def _register(self, name: str, machine_id: int) -> WorkerInfo:
-        if name in self._workers:
-            raise RpcError(f"worker {name!r} already registered")
-        info = WorkerInfo(name, machine_id)
-        self._workers[name] = info
-        return info
+    # -- futures ------------------------------------------------------------
+    def resolved_future(self, value: Any, tag: str | None = None) -> ThreadFuture:
+        """A future already resolved with ``value`` (no wire, no waiting)."""
+        return ThreadFuture.resolved(value)
 
-    def worker_info(self, name: str) -> WorkerInfo:
-        try:
-            return self._workers[name]
-        except KeyError:
-            raise RpcError(f"unknown worker {name!r}") from None
-
-    def server_of(self, name: str) -> _ThreadServer:
-        try:
-            return self._servers[name]
-        except KeyError:
-            raise RpcError(f"worker {name!r} is not a server") from None
-
-    def process_of(self, name: str) -> ThreadProcess:
-        return self._processes[name]
-
-    def create_remote(self, owner_name: str, key: str,
-                      factory: Callable[..., Any], *args, **kwargs) -> RRef:
-        server = self.server_of(owner_name)
-        server.put_object(key, factory(*args, **kwargs))
-        return RRef(self, owner_name, key)
+    def merged_future(self, parts: list[Any], finalize,
+                      tag: str | None = None) -> MergedThreadFuture:
+        """One future over ``parts``; ``finalize`` runs at consumption."""
+        return MergedThreadFuture(parts, finalize)
 
     # -- dispatch -------------------------------------------------------------
     def rref_call(self, caller_name: str, rref: RRef, method: str,
@@ -255,14 +191,8 @@ class ThreadRuntime:
         metrics = self.obs.metrics
         metrics.inc("rpc.calls")
         if caller_machine == owner_machine:
-            with self._counter_lock:
-                self._san_record("ThreadRuntime.local_calls")
-                self.local_calls += 1
             metrics.inc("rpc.calls_local")
             return ThreadFuture.resolved(fn(*args, **kwargs))
-        with self._counter_lock:
-            self._san_record("ThreadRuntime.remote_requests")
-            self.remote_requests += 1
         req_bytes, _ = request_payload_sizes(args, kwargs)
         metrics.inc("rpc.calls_remote")
         metrics.inc("rpc.request_bytes", req_bytes)
@@ -274,16 +204,15 @@ class ThreadRuntime:
         if plan is not None and not plan.is_empty():
             policy = self.retry_policy
             with self._fault_lock:
-                self._san_record("ThreadRuntime.fault_counters")
+                if self.sanitizer is not None:
+                    self.sanitizer.record("ThreadRuntime.call_indices",
+                                          write=True)
                 call_index = self._call_indices.get(caller_name, 0)
                 self._call_indices[caller_name] = call_index + 1
 
             def faulty_handler() -> Any:
                 for attempt in range(1, policy.max_attempts + 1):
                     if attempt > 1:
-                        with self._fault_lock:
-                            self._san_record("ThreadRuntime.fault_counters")
-                            self.retries += 1
                         metrics.inc("rpc.retries")
                         metrics.inc("rpc.faults.retry")
                     if plan.roll_drop(caller_name, call_index, attempt):
@@ -291,10 +220,6 @@ class ThreadRuntime:
                         # logically (no real sleeping) and we retransmit.
                         # Each drop implies one logical timeout firing — the
                         # same accounting the virtual-time timers produce.
-                        with self._fault_lock:
-                            self._san_record("ThreadRuntime.fault_counters")
-                            self.dropped_messages += 1
-                            self.timeouts += 1
                         metrics.inc("rpc.dropped_messages")
                         metrics.inc("rpc.faults.drop")
                         metrics.inc("rpc.timeouts")
@@ -371,29 +296,29 @@ class ThreadRuntime:
 
     @staticmethod
     def _trampoline(proc: ThreadProcess, body: Generator) -> None:
-        send_value: Any = None
-        try:
-            while True:
-                try:
-                    effect = body.send(send_value)
-                except StopIteration as stop:
-                    proc.result = stop.value
+        """Drive ``body`` on this thread, performing each yielded effect.
+
+        A failed ``Wait``/``WaitAll`` is thrown into the body at its yield
+        point, exactly as ``SimProcess._throw`` does, so a driver's
+        ``except TRANSPORT_ERRORS`` sees transport faults on both runtimes.
+        """
+        resume, arg = body.send, None
+        while True:
+            try:
+                in_body = True
+                effect = resume(arg)
+                in_body = False
+                resume, arg = body.send, _perform(proc, effect)
+            except StopIteration as stop:
+                proc.result = stop.value
+                return
+            # a body fault surfaces via join(); a failed wait goes to the body
+            # repro: allow=REP006 forwarded into the coroutine or to join()
+            except BaseException as exc:
+                if in_body:
+                    proc.exception = exc
                     return
-                if isinstance(effect, Wait):
-                    send_value = effect.future.value()
-                elif isinstance(effect, WaitAll):
-                    send_value = [f.value() for f in effect.futures]
-                elif isinstance(effect, Charge):
-                    proc.charge_seconds(effect.seconds,
-                                        effect.category or "charged")
-                    send_value = None
-                elif isinstance(effect, Sleep):
-                    send_value = None
-                else:
-                    raise SimulationError(f"unknown effect {effect!r}")
-        # repro: allow=REP006 fault is surfaced to the test via join()
-        except BaseException as exc:
-            proc.exception = exc
+                resume, arg = body.throw, exc
 
     def join(self, timeout: float = 60.0) -> None:
         """Wait for all spawned drivers; re-raise the first failure."""
@@ -406,10 +331,27 @@ class ThreadRuntime:
             if proc.exception is not None:
                 raise proc.exception
 
+    def result_of(self, name: str) -> Any:
+        """Return value of a joined driver (re-raises its exception)."""
+        proc = self.process_of(name)
+        if proc.exception is not None:
+            raise proc.exception
+        return proc.result
+
     def shutdown(self) -> None:
         for server in self._servers.values():
             server.shutdown()
-        if self.sanitizer is not None:
-            from repro.analysis.race import uninstall
 
-            uninstall(self.sanitizer)
+
+def _perform(proc: ThreadProcess, effect) -> Any:
+    """Carry out one yielded effect; returns the value to send back."""
+    if isinstance(effect, Wait):
+        return effect.future.value()
+    if isinstance(effect, WaitAll):
+        return [f.value() for f in effect.futures]
+    if isinstance(effect, Charge):
+        proc.charge_seconds(effect.seconds, effect.category or "charged")
+        return None
+    if isinstance(effect, Sleep):
+        return None  # modeled delays are not slept in thread mode
+    raise SimulationError(f"unknown effect {effect!r}")

@@ -12,6 +12,12 @@ charged to the host process's clock.  Colocation reproduces the GIL
 contention pathology the paper describes (Section 3.2.3: overlapping RPC
 target functions with local Python work stalls both); the engine's default
 follows the paper's fix of a separate server process.
+
+:class:`ObjectHost` and :class:`WorkerRegistry` are the runtime-independent
+halves of a server and of an RPC group — object hosting, the worker
+registry, remote-object creation, retry-policy resolution — written once;
+the virtual-time :class:`~repro.rpc.api.RpcContext` and the OS-thread
+:class:`~repro.rpc.thread_runtime.ThreadRuntime` add dispatch only.
 """
 
 from __future__ import annotations
@@ -20,7 +26,10 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import RpcError, WorkerCrashedError
+from repro.obs import Obs
 from repro.rpc.handlers import check_dispatch
+from repro.rpc.retry import RetryPolicy
+from repro.rpc.rref import RRef
 from repro.rpc.serialization import BufferPool
 from repro.simt.process import SimProcess
 from repro.utils.timer import Stopwatch
@@ -45,23 +54,13 @@ class WorkerInfo:
             raise ValueError(f"machine_id must be >= 0, got {self.machine_id}")
 
 
-class RpcServer:
-    """A FIFO single-threaded request server bound to one worker."""
+class ObjectHost:
+    """Named objects hosted on one server worker (targets of RRef calls)."""
 
-    def __init__(self, info: WorkerInfo, process: SimProcess,
-                 host_process: SimProcess | None = None,
-                 fault_plan=None) -> None:
+    def __init__(self, info: WorkerInfo) -> None:
         self.info = info
-        self.process = process
-        #: computing process sharing the server's interpreter, if colocated
-        self.host_process = host_process
-        self.next_free = 0.0
         self.objects: dict[str, Any] = {}
         self.requests_served = 0
-        #: optional FaultPlan consulted for straggler factors and crash
-        #: windows (the dispatch layer checks crashes first; the check here
-        #: guards direct serve() callers)
-        self.fault_plan = fault_plan
         #: size-class buffer pool for response serialization (cost model)
         self.pool = BufferPool()
 
@@ -94,6 +93,23 @@ class RpcServer:
                 f"object {key!r} on {self.info.name!r} has no method {method!r}"
             )
         return fn
+
+
+class RpcServer(ObjectHost):
+    """A FIFO single-threaded request server bound to one worker."""
+
+    def __init__(self, info: WorkerInfo, process: SimProcess,
+                 host_process: SimProcess | None = None,
+                 fault_plan=None) -> None:
+        super().__init__(info)
+        self.process = process
+        #: computing process sharing the server's interpreter, if colocated
+        self.host_process = host_process
+        self.next_free = 0.0
+        #: optional FaultPlan consulted for straggler factors and crash
+        #: windows (the dispatch layer checks crashes first; the check here
+        #: guards direct serve() callers)
+        self.fault_plan = fault_plan
 
     def serve(self, arrival: float, key: str, method: str,
               args: tuple, kwargs: dict) -> tuple[Any, float, float]:
@@ -129,3 +145,120 @@ class RpcServer:
             # process (GIL contention model).
             self.host_process.charge_seconds(handler_dt, "gil_contention")
         return result, start, end
+
+
+class TransportCounters:
+    """Read-only transport/fault counters over ``self.obs.metrics``.
+
+    Both runtimes count every dispatched call and every injected fault in
+    the run's metrics registry; these typed views are what results and
+    tests read, so there is one set of books.
+    """
+
+    @property
+    def remote_requests(self) -> int:
+        """Cross-machine requests dispatched."""
+        return self.obs.metrics.count("rpc.calls_remote")
+
+    @property
+    def local_calls(self) -> int:
+        """Same-machine (shared-memory path) calls."""
+        return self.obs.metrics.count("rpc.calls_local")
+
+    @property
+    def retries(self) -> int:
+        """Re-sent attempts (attempt > 1)."""
+        return self.obs.metrics.count("rpc.retries")
+
+    @property
+    def timeouts(self) -> int:
+        """Attempts that hit their deadline."""
+        return self.obs.metrics.count("rpc.timeouts")
+
+    @property
+    def dropped_messages(self) -> int:
+        """Requests lost on the injected network."""
+        return self.obs.metrics.count("rpc.dropped_messages")
+
+
+class WorkerRegistry(TransportCounters):
+    """Worker registry and remote-object lifecycle of one RPC group.
+
+    Subclasses supply the runtime: how a server is built
+    (``register_server``), what a bare process handle is
+    (``_new_process``), dispatch (``rref_call``) and the future types
+    (``resolved_future`` / ``merged_future``).
+    """
+
+    def __init__(self, *, fault_plan=None,
+                 retry_policy: RetryPolicy | None = None,
+                 obs: Obs | None = None) -> None:
+        #: observability bundle — the registry is always live (cheap), the
+        #: span tracer only when the deployment asked for tracing
+        self.obs = obs if obs is not None else Obs()
+        self._workers: dict[str, WorkerInfo] = {}
+        self._processes: dict[str, Any] = {}
+        self._servers: dict[str, ObjectHost] = {}
+        #: injected faults; a plan without a policy gets default retries so
+        #: dropped messages resolve as timeouts instead of deadlocks — the
+        #: one place this default-iff-faults rule lives
+        self.fault_plan = fault_plan
+        if fault_plan is not None and not fault_plan.is_empty() \
+                and retry_policy is None:
+            retry_policy = RetryPolicy()
+        self.retry_policy = retry_policy
+        #: per-caller logical call index — the time-independent key fault
+        #: decisions are rolled on
+        self._call_indices: dict[str, int] = {}
+
+    # -- registration -----------------------------------------------------
+    def register_worker(self, name: str, machine_id: int, process=None):
+        """Register a computing-process worker; returns its process handle.
+
+        Without ``process`` a bare handle is created, so a driver can be
+        built around it before its body is spawned.
+        """
+        self._register(name, machine_id)
+        if process is None:
+            process = self._new_process(name)
+        process.tracer = self.obs.tracer
+        self._processes[name] = process
+        return process
+
+    def _register(self, name: str, machine_id: int) -> WorkerInfo:
+        if name in self._workers:
+            raise RpcError(f"worker {name!r} already registered")
+        info = WorkerInfo(name, machine_id)
+        self._workers[name] = info
+        return info
+
+    # -- lookups ------------------------------------------------------------
+    def worker_info(self, name: str) -> WorkerInfo:
+        try:
+            return self._workers[name]
+        except KeyError:
+            raise RpcError(f"unknown worker {name!r}") from None
+
+    def process_of(self, name: str):
+        try:
+            return self._processes[name]
+        except KeyError:
+            raise RpcError(f"worker {name!r} has no registered process") from None
+
+    def server_of(self, name: str):
+        try:
+            return self._servers[name]
+        except KeyError:
+            raise RpcError(f"worker {name!r} is not a server") from None
+
+    # -- remote object lifecycle ------------------------------------------
+    def create_remote(self, owner_name: str, key: str,
+                      factory: Callable[..., Any], *args, **kwargs) -> RRef:
+        """Instantiate ``factory(*args, **kwargs)`` on ``owner_name``.
+
+        Setup happens outside measured time: graph-shard construction is a
+        preprocessing step whose cost the paper amortizes across queries.
+        """
+        server = self.server_of(owner_name)
+        server.put_object(key, factory(*args, **kwargs))
+        return RRef(self, owner_name, key)

@@ -3,11 +3,11 @@
 This module is the engine's *only* execution path.  A :class:`Session`
 owns one deployment's serving state — an admission controller, a virtual
 serving clock, accumulated ``serve.*`` metrics — and executes query
-batches through :meth:`Session._execute`, which is the engine's historical
-``run`` body moved here verbatim.  ``GraphEngine.run(RunRequest(...))`` is
-now a thin wrapper that opens a throwaway session and calls the same code,
-so the batch and serving paths produce byte-for-byte identical results by
-construction.
+batches through :meth:`Session.run`, the one run body: written once against
+the :func:`~repro.engine.cluster.deploy` seam, it serves both runtimes.
+``GraphEngine.run(RunRequest(...))`` is a thin wrapper that opens a
+throwaway session and calls the same code, so the batch and serving paths
+produce byte-for-byte identical results by construction.
 
 Serving use::
 
@@ -33,7 +33,7 @@ Determinism: the serving clock advances only by cost-model time computed
 from runtime-independent inputs (query counts, operator push counts,
 fault-plan retry counts), so a seeded arrival trace produces identical
 admission decisions, batch compositions, latencies, and result vectors on
-the virtual-time scheduler and on :class:`~repro.rpc.ThreadRuntime`
+the virtual-time scheduler and on real threads
 (``SessionConfig(runtime="threads")``) — pinned by
 ``tests/test_serving.py``.
 """
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.breakdown import aggregate_breakdowns
-from repro.engine.cluster import SimCluster
+from repro.engine.cluster import deploy
 from repro.engine.query import (
     assign_queries,
     multi_query_batched_driver,
@@ -132,7 +132,7 @@ class SessionConfig:
     #: (shared-frontier MultiSSPPR) is the cross-tenant batching default
     mode: str = "batched"
     params: PPRParams | None = None
-    #: ``"sim"`` = virtual-time scheduler, ``"threads"`` = ThreadRuntime
+    #: ``"sim"`` = virtual-time scheduler, ``"threads"`` = real OS threads
     runtime: str = "sim"
     tenants: tuple[TenantSpec, ...] = ()
     queue_cap: int = 256
@@ -446,25 +446,24 @@ class Session:
 
     # -- execution ----------------------------------------------------------
     def run(self, request: RunRequest):
-        """Execute one batched request on the session's runtime.
+        """Execute one batched SSPPR request on the session's runtime.
 
         This is the single execution path shared by ``engine.run`` (which
         opens a throwaway session) and ``drain`` — identical requests
-        yield byte-for-byte identical results either way.
-        """
-        if self.config.runtime == "threads":
-            return self._execute_threads(request)
-        return self._execute(request)
-
-    def _execute(self, request: RunRequest):
-        """Run one batched SSPPR request on the virtual-time scheduler.
+        yield byte-for-byte identical results either way — and the single
+        body for both runtimes: it is written against the
+        :func:`~repro.engine.cluster.deploy` seam, so the virtual-time
+        scheduler and real OS threads run the same worker names, the same
+        query assignment and the same storage wrapping (fresh per-machine
+        ``FetchCache`` per batch), issue the identical remote-call
+        sequence, and replay a ``FaultPlan``'s drop decisions identically.
 
         Dispatches on ``request.mode`` (PPR Engine / tensor baseline /
         inter-query batching), deploys a fresh cluster with the request's
         tracing, fault-plan, and retry-policy overrides, and reports the
         fault-tolerance counters alongside the usual throughput numbers.
         """
-        from repro.engine.engine import QueryRunResult, _late_proc
+        from repro.engine.engine import QueryRunResult
 
         engine = self.engine
         cfg = engine.config
@@ -477,19 +476,14 @@ class Session:
                                      seed=seed)
         opt = request.opt if request.opt is not None else cfg.opt
 
-        sanitizer = None
-        if request.sanitize:
-            from repro.analysis.race import RaceDetector
-
-            sanitizer = RaceDetector()
-
-        cluster = SimCluster(engine.sharded, cfg,
-                             trace_rpc=request.trace_rpc,
-                             fault_plan=request.fault_plan,
-                             retry_policy=request.resolved_retry_policy(),
-                             trace=request.trace,
-                             max_spans=request.max_spans,
-                             sanitizer=sanitizer)
+        cluster = deploy(engine.sharded, cfg, self.config.runtime,
+                         trace_rpc=request.trace_rpc,
+                         fault_plan=request.fault_plan,
+                         retry_policy=request.retry_policy,
+                         trace=request.trace,
+                         max_spans=request.max_spans,
+                         sanitize=request.sanitize)
+        obs = cluster.obs
         assignment = assign_queries(engine.sharded, sources,
                                     cfg.procs_per_machine)
 
@@ -507,297 +501,114 @@ class Session:
         # the stream rebalancer reads it off the result between epochs
         heat_maps: dict[int, dict[int, int]] = {}
 
-        def wrap_fetch(g, machine, name):
-            if not (g.compress and (fetch_split or fetch_cache_bytes > 0)):
+        def storage_for(machine, proc, compress):
+            g = DistGraphStorage(cluster.rrefs, machine, proc.name,
+                                 compress=compress)
+            if not (compress and (fetch_split or fetch_cache_bytes > 0)):
                 return g
             fc = fetch_caches.get(machine)
             if fc is None:
                 fc = fetch_caches[machine] = FetchCache(
-                    fetch_cache_bytes, sanitizer=sanitizer
+                    fetch_cache_bytes, sanitizer=cluster.sanitizer
                 )
             return NeighborFetchService(
                 g, fc, split=fetch_split, coalesce=fetch_coalesce,
-                metrics=cluster.obs.metrics, proc=_late_proc(cluster, name),
+                metrics=obs.metrics, proc=proc,
                 heat=heat_maps.setdefault(machine, {}),
             )
 
+        def cache_gauges() -> dict:
+            return {
+                "fetch.cache_bytes": sum(
+                    fc.nbytes for fc in fetch_caches.values()),
+                "fetch.cache_entries": sum(
+                    len(fc.rows) for fc in fetch_caches.values()),
+            }
+
         run_timeline = None
         if request.timeline is not None:
-            from repro.obs.analysis.timeline import Timeline, \
-                install_sim_sampler
-
-            def _cache_gauges() -> dict:
-                return {
-                    "fetch.cache_bytes": sum(
-                        fc.nbytes for fc in fetch_caches.values()),
-                    "fetch.cache_entries": sum(
-                        len(fc.rows) for fc in fetch_caches.values()),
-                }
+            from repro.obs.analysis.timeline import Timeline
 
             run_timeline = Timeline(interval=request.timeline)
-            install_sim_sampler(cluster.scheduler, cluster.obs.metrics,
-                                run_timeline, request.timeline,
-                                gauges=_cache_gauges)
+            cluster.start_timeline(run_timeline, gauges=cache_gauges)
 
         states: dict[int, object] = {}
         latencies: dict[int, float] = {}
-        fault_stats = {"degraded_queries": 0, "abandoned_mass": 0.0}
+        # one skip_remote accumulator per driver, summed in spawn order:
+        # no cross-thread read-modify-write, and the same float sum on
+        # both runtimes
+        fault_stats: list[dict] = []
         # batched mode always collects: its per-query views are the only
         # way to read results back out of the shared MultiSSPPR
         collect = states if (request.keep_states
                              or request.mode == "batched") else None
         for (machine, proc_index), chunk in assignment.items():
-            name = cfg.worker_name(machine, proc_index)
+            proc = cluster.worker(machine, proc_index)
             if request.mode == "tensor":
-                g = wrap_fetch(DistGraphStorage(cluster.rrefs, machine, name,
-                                                compress=True), machine, name)
                 body = multi_query_tensor_driver(
-                    g, _late_proc(cluster, name), chunk, engine.sharded,
-                    params, collect=collect,
+                    storage_for(machine, proc, True), proc, chunk,
+                    engine.sharded, params, collect=collect,
                 )
             elif request.mode == "batched":
-                g = wrap_fetch(DistGraphStorage(cluster.rrefs, machine, name,
-                                                compress=True), machine, name)
                 body = multi_query_batched_driver(
-                    g, _late_proc(cluster, name), chunk, engine.sharded,
-                    params, collect=collect,
+                    storage_for(machine, proc, True), proc, chunk,
+                    engine.sharded, params, collect=collect,
                 )
             else:
-                g = wrap_fetch(DistGraphStorage(cluster.rrefs, machine, name,
-                                                compress=opt.compressed),
-                               machine, name)
+                fault_stats.append({"degraded_queries": 0,
+                                    "abandoned_mass": 0.0})
                 body = multi_query_driver(
-                    g, _late_proc(cluster, name), chunk, engine.sharded,
-                    params, opt=opt, collect=collect,
+                    storage_for(machine, proc, opt.compressed), proc, chunk,
+                    engine.sharded, params, opt=opt, collect=collect,
                     latencies=latencies, degradation=request.degradation,
-                    fault_stats=fault_stats,
+                    fault_stats=fault_stats[-1],
                 )
             cluster.spawn_compute(machine, proc_index, body)
 
-        if sanitizer is not None:
-            from repro.analysis.race import installed
-
-            with installed(sanitizer):
-                makespan = cluster.run()
-        else:
-            makespan = cluster.run()
+        makespan = cluster.run()
         procs = cluster.compute_processes()
-        # surface driver failures (fail_fast): result_of re-raises the
-        # exception a compute process finished with
-        for p in procs:
-            cluster.scheduler.result_of(p.name)
         phases = aggregate_breakdowns([p.breakdown for p in procs])
-        ctx = cluster.ctx
-        obs = cluster.obs
+        degraded_queries = sum(s["degraded_queries"] for s in fault_stats)
+        abandoned_mass = sum((s["abandoned_mass"] for s in fault_stats), 0.0)
         if fetch_caches:
-            obs.metrics.set("fetch.cache_bytes",
-                            sum(fc.nbytes for fc in fetch_caches.values()))
-            obs.metrics.set("fetch.cache_entries",
-                            sum(len(fc.rows) for fc in fetch_caches.values()))
+            for name, value in cache_gauges().items():
+                obs.metrics.set(name, value)
         obs.metrics.inc("engine.queries", len(sources))
-        obs.metrics.inc("engine.degraded_queries",
-                        fault_stats["degraded_queries"])
+        obs.metrics.inc("engine.degraded_queries", degraded_queries)
         obs.metrics.set("engine.makespan", makespan)
         for state in states.values():
             # operator-work counts (pure counts — runtime-independent)
             if hasattr(state, "stats"):
                 for key, val in state.stats().items():
                     obs.metrics.inc(key, int(val))
-        if ctx.tracer is not None:
-            ctx.tracer.publish(obs.metrics)
+        if cluster.tracer is not None:
+            cluster.tracer.publish(obs.metrics)
         race_violations: list = []
-        if sanitizer is not None:
-            race_violations = list(sanitizer.report())
-            obs.metrics.inc("sanitizer.accesses", sanitizer.accesses)
+        if cluster.sanitizer is not None:
+            race_violations = list(cluster.sanitizer.report())
+            obs.metrics.inc("sanitizer.accesses", cluster.sanitizer.accesses)
             obs.metrics.inc("sanitizer.violations", len(race_violations))
         if run_timeline is not None:
-            from repro.obs.analysis.timeline import edge_samples
+            from repro.obs.analysis.timeline import final_sample
 
-            edge_samples(run_timeline, obs.metrics, makespan,
-                         gauges=_cache_gauges, zero_first=False)
+            final_sample(run_timeline, obs.metrics, makespan,
+                         gauges=cache_gauges)
         return QueryRunResult(
             n_queries=len(sources),
             makespan=makespan,
             throughput=len(sources) / makespan if makespan > 0 else float("inf"),
             phases=phases,
             per_proc_clocks={p.name: p.clock for p in procs},
-            remote_requests=ctx.remote_requests,
-            local_calls=ctx.local_calls,
+            remote_requests=cluster.remote_requests,
+            local_calls=cluster.local_calls,
             states=states,
-            trace=ctx.tracer,
+            trace=cluster.tracer,
             latencies=latencies,
-            retries=ctx.retries,
-            timeouts=ctx.timeouts,
-            dropped_messages=ctx.dropped_messages,
-            degraded_queries=fault_stats["degraded_queries"],
-            abandoned_mass=fault_stats["abandoned_mass"],
-            metrics=obs.metrics.snapshot(),
-            obs=obs,
-            heat=heat_maps,
-            race_violations=race_violations,
-            timeline=run_timeline,
-        )
-
-    def _execute_threads(self, request: RunRequest):
-        """Mirror of :meth:`_execute` on real OS threads.
-
-        Same worker names, same query assignment, same storage wrapping
-        (fresh per-machine ``FetchCache`` per batch) — so every caller
-        issues the identical remote-call sequence and a ``FaultPlan``
-        replays the identical drop decisions.  Modeled virtual timing does
-        not apply; ``makespan`` reports accumulated charged seconds.
-        """
-        from repro.engine.engine import QueryRunResult
-        from repro.obs import DEFAULT_MAX_SPANS, Obs
-        from repro.rpc.thread_runtime import ThreadRuntime
-
-        engine = self.engine
-        cfg = engine.config
-        params = request.params if request.params is not None else PPRParams()
-        seed = cfg.seed if request.seed is None else request.seed
-        if request.sources is not None:
-            sources = request.sources
-        else:
-            sources = sample_sources(engine.sharded, request.n_queries,
-                                     seed=seed)
-        opt = request.opt if request.opt is not None else cfg.opt
-
-        bundle = Obs.create(
-            trace=(cfg.trace_spans if request.trace is None
-                   else request.trace),
-            max_spans=(DEFAULT_MAX_SPANS if request.max_spans is None
-                       else request.max_spans),
-        )
-        runtime = ThreadRuntime(fault_plan=request.fault_plan,
-                                retry_policy=request.resolved_retry_policy(),
-                                obs=bundle,
-                                sanitize=request.sanitize)
-        rrefs = []
-        for m in range(cfg.n_machines):
-            runtime.register_server(cfg.server_name(m), m)
-            rrefs.append(runtime.create_remote(
-                cfg.server_name(m), "storage",
-                lambda shard=engine.sharded.shards[m]: shard,
-            ))
-        assignment = assign_queries(engine.sharded, sources,
-                                    cfg.procs_per_machine)
-
-        fetch_split = (cfg.fetch_split if request.fetch_split is None
-                       else request.fetch_split)
-        fetch_cache_bytes = (cfg.fetch_cache_bytes
-                             if request.fetch_cache_bytes is None
-                             else request.fetch_cache_bytes)
-        fetch_coalesce = (cfg.fetch_coalesce if request.fetch_coalesce is None
-                          else request.fetch_coalesce)
-        fetch_caches: dict[int, FetchCache] = {}
-        heat_maps: dict[int, dict[int, int]] = {}
-
-        def wrap_fetch(g, machine):
-            if not (g.compress and (fetch_split or fetch_cache_bytes > 0)):
-                return g
-            fc = fetch_caches.get(machine)
-            if fc is None:
-                fc = fetch_caches[machine] = FetchCache(
-                    fetch_cache_bytes, sanitizer=runtime.sanitizer
-                )
-            return NeighborFetchService(
-                g, fc, split=fetch_split, coalesce=fetch_coalesce,
-                metrics=runtime.obs.metrics,
-                heat=heat_maps.setdefault(machine, {}),
-            )
-
-        states: dict[int, object] = {}
-        latencies: dict[int, float] = {}
-        fault_stats = {"degraded_queries": 0, "abandoned_mass": 0.0}
-        collect = states if (request.keep_states
-                             or request.mode == "batched") else None
-        procs = []
-        try:
-            for (machine, proc_index), chunk in assignment.items():
-                name = cfg.worker_name(machine, proc_index)
-                proc = runtime.register_worker(name, machine)
-                procs.append(proc)
-                if request.mode == "tensor":
-                    g = wrap_fetch(DistGraphStorage(rrefs, machine, name,
-                                                    compress=True), machine)
-                    body = multi_query_tensor_driver(
-                        g, proc, chunk, engine.sharded, params,
-                        collect=collect,
-                    )
-                elif request.mode == "batched":
-                    g = wrap_fetch(DistGraphStorage(rrefs, machine, name,
-                                                    compress=True), machine)
-                    body = multi_query_batched_driver(
-                        g, proc, chunk, engine.sharded, params,
-                        collect=collect,
-                    )
-                else:
-                    g = wrap_fetch(DistGraphStorage(rrefs, machine, name,
-                                                    compress=opt.compressed),
-                                   machine)
-                    body = multi_query_driver(
-                        g, proc, chunk, engine.sharded, params, opt=opt,
-                        collect=collect, latencies=latencies,
-                        degradation=request.degradation,
-                        fault_stats=fault_stats,
-                    )
-                runtime.spawn(name, body)
-            runtime.join(timeout=180)
-        finally:
-            runtime.shutdown()
-
-        obs = runtime.obs
-        phases = aggregate_breakdowns([p.breakdown for p in procs])
-        makespan = max((p.clock for p in procs), default=0.0)
-        if fetch_caches:
-            obs.metrics.set("fetch.cache_bytes",
-                            sum(fc.nbytes for fc in fetch_caches.values()))
-            obs.metrics.set("fetch.cache_entries",
-                            sum(len(fc.rows) for fc in fetch_caches.values()))
-        obs.metrics.inc("engine.queries", len(sources))
-        obs.metrics.inc("engine.degraded_queries",
-                        fault_stats["degraded_queries"])
-        obs.metrics.set("engine.makespan", makespan)
-        for state in states.values():
-            if hasattr(state, "stats"):
-                for key, val in state.stats().items():
-                    obs.metrics.inc(key, int(val))
-        race_violations: list = []
-        if runtime.sanitizer is not None:
-            race_violations = list(runtime.sanitizer.report())
-        run_timeline = None
-        if request.timeline is not None:
-            from repro.obs.analysis.timeline import Timeline, edge_samples
-
-            def _cache_gauges() -> dict:
-                return {
-                    "fetch.cache_bytes": sum(
-                        fc.nbytes for fc in fetch_caches.values()),
-                    "fetch.cache_entries": sum(
-                        len(fc.rows) for fc in fetch_caches.values()),
-                }
-
-            # no mid-run grid on real threads (wall time is not virtual
-            # time); the deterministic edges still join the differential
-            run_timeline = Timeline(interval=request.timeline)
-            edge_samples(run_timeline, obs.metrics, makespan,
-                         gauges=_cache_gauges)
-        return QueryRunResult(
-            n_queries=len(sources),
-            makespan=makespan,
-            throughput=(len(sources) / makespan if makespan > 0
-                        else float("inf")),
-            phases=phases,
-            per_proc_clocks={p.name: p.clock for p in procs},
-            remote_requests=runtime.remote_requests,
-            local_calls=runtime.local_calls,
-            states=states,
-            latencies=latencies,
-            retries=runtime.retries,
-            timeouts=runtime.timeouts,
-            dropped_messages=runtime.dropped_messages,
-            degraded_queries=fault_stats["degraded_queries"],
-            abandoned_mass=fault_stats["abandoned_mass"],
+            retries=cluster.retries,
+            timeouts=cluster.timeouts,
+            dropped_messages=cluster.dropped_messages,
+            degraded_queries=degraded_queries,
+            abandoned_mass=abandoned_mass,
             metrics=obs.metrics.snapshot(),
             obs=obs,
             heat=heat_maps,
@@ -808,69 +619,28 @@ class Session:
     def _execute_walks(self, roots: np.ndarray,
                        walk_length: int) -> tuple[dict[int, np.ndarray], int]:
         """Run one drained walk group; returns (root gid -> walk row, retries)."""
-        from repro.engine.engine import _late_proc
-
         engine = self.engine
         cfg = engine.config
-        policy = self.config.retry_policy
-        if policy is None and self.config.fault_plan is not None \
-                and not self.config.fault_plan.is_empty():
-            policy = RetryPolicy()
-        assignment = assign_queries(engine.sharded, roots,
-                                    cfg.procs_per_machine)
-        rows: dict[int, np.ndarray] = {}
-        if self.config.runtime == "threads":
-            from repro.rpc.thread_runtime import ThreadRuntime
-
-            runtime = ThreadRuntime(fault_plan=self.config.fault_plan,
-                                    retry_policy=policy)
-            rrefs = []
-            for m in range(cfg.n_machines):
-                runtime.register_server(cfg.server_name(m), m)
-                rrefs.append(runtime.create_remote(
-                    cfg.server_name(m), "storage",
-                    lambda shard=engine.sharded.shards[m]: shard,
-                ))
-            chunk_of: dict[str, np.ndarray] = {}
-            try:
-                for (machine, p), chunk in assignment.items():
-                    name = cfg.worker_name(machine, p)
-                    proc = runtime.register_worker(name, machine)
-                    runtime.spawn(name, distributed_random_walk(
-                        DistGraphStorage(rrefs, machine, name, compress=True),
-                        proc, chunk, engine.sharded, walk_length,
-                    ))
-                    chunk_of[name] = chunk
-                runtime.join(timeout=180)
-            finally:
-                runtime.shutdown()
-            for name in sorted(chunk_of):
-                summary = runtime.process_of(name).result
-                for i, gid in enumerate(chunk_of[name].tolist()):
-                    rows[gid] = summary[i]
-            self.metrics.merge(runtime.obs.metrics)
-            return rows, runtime.retries
-
-        cluster = SimCluster(engine.sharded, cfg,
-                             fault_plan=self.config.fault_plan,
-                             retry_policy=policy)
-        chunk_of = {}
-        for (machine, p), chunk in assignment.items():
-            name = cfg.worker_name(machine, p)
-            g = DistGraphStorage(cluster.rrefs, machine, name, compress=True)
-            body = distributed_random_walk(
-                g, _late_proc(cluster, name), chunk, engine.sharded,
-                walk_length,
-            )
-            cluster.spawn_compute(machine, p, body)
-            chunk_of[name] = chunk
+        cluster = deploy(engine.sharded, cfg, self.config.runtime,
+                         fault_plan=self.config.fault_plan,
+                         retry_policy=self.config.retry_policy)
+        chunk_of: dict[str, np.ndarray] = {}
+        for (machine, p), chunk in assign_queries(
+                engine.sharded, roots, cfg.procs_per_machine).items():
+            proc = cluster.worker(machine, p)
+            g = DistGraphStorage(cluster.rrefs, machine, proc.name,
+                                 compress=True)
+            cluster.spawn_compute(machine, p, distributed_random_walk(
+                g, proc, chunk, engine.sharded, walk_length))
+            chunk_of[proc.name] = chunk
         cluster.run()
+        rows: dict[int, np.ndarray] = {}
         for name in sorted(chunk_of):
-            summary = cluster.scheduler.result_of(name)
+            summary = cluster.result_of(name)
             for i, gid in enumerate(chunk_of[name].tolist()):
                 rows[gid] = summary[i]
         self.metrics.merge(cluster.obs.metrics)
-        return rows, cluster.ctx.retries
+        return rows, cluster.retries
 
     # -- reporting ----------------------------------------------------------
     def snapshot(self) -> dict:

@@ -21,27 +21,24 @@ from repro.simt.futures import SimFuture
 from repro.utils.timer import CategoryTimer
 
 
-class SimProcess:
-    """One simulated OS process (computing process or storage server)."""
+class ProcessClock:
+    """Name, clock and per-category time accounting of one process.
 
-    def __init__(self, name: str, scheduler, body: Generator | None = None) -> None:
+    The half of a process handle the drivers see (``measured``, ``span``,
+    ``charge_seconds``, ``breakdown``), written once for both runtimes:
+    :class:`SimProcess` adds the coroutine lifecycle on the virtual-time
+    scheduler, :class:`~repro.rpc.thread_runtime.ThreadProcess` the
+    result slot of an OS thread.
+    """
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.scheduler = scheduler
         self.clock = 0.0
         self.timer = CategoryTimer(on_charge=self._advance_clock)
-        self.completion = SimFuture(tag=f"{name}.completion")
         #: optional SpanTracer; when set, measured() blocks and span() open
-        #: intervals on this process's virtual timeline
+        #: intervals on this process's timeline
         self.tracer = None
-        self._body = body
-        self._finished = False
-        self._waiting = False
-        #: futures this process is currently suspended on — the wait-for
-        #: graph edge set read by repro.analysis.deadlock when the
-        #: scheduler drains with unfinished processes
-        self.waiting_on: tuple[SimFuture, ...] = ()
 
-    # -- clock ------------------------------------------------------------
     def _advance_clock(self, category: str, dt: float) -> None:
         self.clock += dt
 
@@ -82,8 +79,26 @@ class SimProcess:
 
     @property
     def breakdown(self):
-        """Per-category virtual seconds accumulated so far."""
+        """Per-category seconds accumulated so far."""
         return self.timer.breakdown
+
+
+class SimProcess(ProcessClock):
+    """One simulated OS process (computing process or storage server)."""
+
+    def __init__(self, name: str, scheduler) -> None:
+        super().__init__(name)
+        self.scheduler = scheduler
+        self.completion = SimFuture(tag=f"{name}.completion")
+        #: the coroutine; None for passive processes (storage servers) and
+        #: for a computing process between registration and start()
+        self._body: Generator | None = None
+        self._finished = False
+        self._waiting = False
+        #: futures this process is currently suspended on — the wait-for
+        #: graph edge set read by repro.analysis.deadlock when the
+        #: scheduler drains with unfinished processes
+        self.waiting_on: tuple[SimFuture, ...] = ()
 
     @property
     def finished(self) -> bool:
@@ -91,9 +106,15 @@ class SimProcess:
         return self._finished
 
     # -- lifecycle (driven by the Scheduler) --------------------------------
-    def _start(self) -> None:
-        if self._body is None:
-            raise SimulationError(f"process {self.name!r} has no body")
+    def start(self, body: Generator) -> None:
+        """Attach the coroutine body and schedule its first step.
+
+        A process exists (clock, timer, registry entry) before its body
+        does, so a driver can be handed its own handle at construction.
+        """
+        if self._body is not None:
+            raise SimulationError(f"process {self.name!r} already has a body")
+        self._body = body
         self.scheduler._schedule(self.clock, lambda: self._step(None))
 
     def _step(self, send_value: Any) -> None:

@@ -38,23 +38,22 @@ class Scheduler:
     # -- process management ---------------------------------------------------
     def spawn(self, name: str, body: Generator, *, start_at: float = 0.0) -> SimProcess:
         """Register a generator as a simulated process and schedule its start."""
-        if name in self.processes:
-            raise SimulationError(f"duplicate process name {name!r}")
-        proc = SimProcess(name, self, body)
+        proc = self.add_passive(name)
         proc.clock = start_at
-        self.processes[name] = proc
-        proc._start()
+        proc.start(body)
         return proc
 
     def add_passive(self, name: str) -> SimProcess:
-        """Register a process with no coroutine body (e.g. an RPC server).
+        """Register a process with no coroutine body (yet).
 
-        Passive processes never run a generator; their clock is advanced by
-        the RPC layer when requests are served on them.
+        An RPC server stays passive — its clock is advanced by the RPC
+        layer when requests are served on it; a computing process is
+        registered passive so its driver can be built around the handle,
+        then given its body with :meth:`SimProcess.start`.
         """
         if name in self.processes:
             raise SimulationError(f"duplicate process name {name!r}")
-        proc = SimProcess(name, self, body=None)
+        proc = SimProcess(name, self)
         self.processes[name] = proc
         return proc
 

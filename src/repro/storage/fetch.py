@@ -23,8 +23,8 @@ Split responses are reassembled with the vectorized
 bitwise identical to an unsplit fetch.  Cache state mutates only at
 deterministic points: classification happens when the driver *issues* a
 fetch, and admission/unregistration happen when the driver first *consumes*
-the response (``value()``), which both the virtual-time scheduler and
-``ThreadRuntime`` do in driver program order.  All shared state is guarded
+the response (``value()`` of the runtime's merged future), which both the
+virtual-time scheduler and the thread runtime do in driver program order.  All shared state is guarded
 by one lock (sanitizer-tracked when a race detector is installed).
 """
 
@@ -35,7 +35,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.simt.futures import SimFuture
 from repro.storage.neighbor_batch import NeighborBatch
 
 #: per-entry cost of a cached adjacency row: 5 eight-byte fields per
@@ -151,87 +150,6 @@ def _rows_to_batch(rows: list[_HotRow]) -> NeighborBatch:
                       count=len(rows))
     return NeighborBatch(indptr, local, shard, glob, weight, wdeg, src,
                          check=False)
-
-
-class _SimMergedFuture(SimFuture):
-    """Composite SimFuture whose value materializes at first consumption.
-
-    Resolves (ready time = max over parts; exception = first failing part)
-    as soon as every part resolves, but the merge + hot-cache admission +
-    pending-table cleanup run lazily inside :meth:`value` — the scheduler
-    calls ``value()`` exactly when the waiting driver resumes, so cache
-    state evolves in driver program order on the sim runtime just as it
-    does on :class:`ThreadRuntime`.
-    """
-
-    __slots__ = ("_finalize",)
-
-    def __init__(self, parts: list[SimFuture], finalize) -> None:
-        super().__init__(tag="fetch.merge")
-        self._finalize = finalize
-        remaining = {"n": len(parts)}
-
-        def on_done(_f: SimFuture) -> None:
-            remaining["n"] -= 1
-            if remaining["n"] > 0:
-                return
-            ready = max(p.ready_time for p in parts)
-            exc = next((p.exception for p in parts
-                        if p.exception is not None), None)
-            if exc is not None:
-                self.set_exception(exc, ready)
-            else:
-                self.set_result(None, ready)
-
-        for p in parts:
-            p.add_done_callback(on_done)
-
-    def value(self) -> Any:
-        if self._done and self._finalize is not None:
-            fin, self._finalize = self._finalize, None
-            if self._exception is None:
-                self._value = fin(True)
-            else:
-                fin(False)
-        return super().value()
-
-
-class _ThreadMergedFuture:
-    """Composite future for ThreadRuntime: blocks on parts at ``value()``."""
-
-    __slots__ = ("_parts", "_finalize", "_lock", "_result", "_exception",
-                 "_materialized")
-
-    def __init__(self, parts: list[Any], finalize) -> None:
-        self._parts = parts
-        self._finalize = finalize
-        self._lock = threading.Lock()
-        self._result: Any = None
-        self._exception: BaseException | None = None
-        self._materialized = False
-
-    @property
-    def done(self) -> bool:
-        return all(p.done for p in self._parts)
-
-    def value(self) -> Any:
-        with self._lock:
-            if not self._materialized:
-                self._materialized = True
-                fin, self._finalize = self._finalize, None
-                try:
-                    for p in self._parts:
-                        p.value()
-                # repro: allow=REP006 cleanup only; fault is re-raised
-                except BaseException as exc:
-                    fin(False)
-                    self._exception = exc
-                    raise
-                self._result = fin(True)
-                return self._result
-            if self._exception is not None:
-                raise self._exception
-            return self._result
 
 
 class NeighborFetchService:
@@ -412,7 +330,7 @@ class NeighborFetchService:
             # origin future's client span id) to the RPC this caller is
             # piggybacking on — exporters draw the cross-process flow arrow
             # from it instead of leaving the late requester dangling.
-            tracer = getattr(self._proc, "tracer", None)
+            tracer = self._proc.tracer
             if tracer is not None:
                 now = self._proc.clock
                 parent = tracer.current(self._proc.name)
@@ -427,14 +345,10 @@ class NeighborFetchService:
                     )
 
         # Pure hot hit: no wire, no waiting — resolve immediately.
+        ctx = self._g.rrefs[0].ctx
         if len(hot_pos) == n:
-            batch = _rows_to_batch(hot_rows)
-            ctx = self._g.rrefs[0].ctx
-            if hasattr(ctx, "scheduler"):
-                return SimFuture.resolved(batch, 0.0, tag="fetch.hot")
-            from repro.rpc.thread_runtime import ThreadFuture
-
-            return ThreadFuture.resolved(batch)
+            return ctx.resolved_future(_rows_to_batch(hot_rows),
+                                       tag="fetch.hot")
 
         # Pure miss with nothing to merge or admit or unregister: hand the
         # raw storage future through — byte-for-byte the pre-fetch-layer
@@ -493,7 +407,7 @@ class NeighborFetchService:
                 return merge_parts[0][1]
             return NeighborBatch.merge(n, merge_parts)
 
-        parts = [spec[0] for spec in part_specs]
-        if hasattr(parts[0], "add_done_callback"):
-            return _SimMergedFuture(parts, finalize)
-        return _ThreadMergedFuture(parts, finalize)
+        # Merge + hot-cache admission + pending-table cleanup run when the
+        # driver first consumes the future, on either runtime.
+        return ctx.merged_future([spec[0] for spec in part_specs], finalize,
+                                 tag="fetch.merge")

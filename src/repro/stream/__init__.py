@@ -25,7 +25,6 @@ from repro.stream.ingest import (
     StreamIngestError,
     build_shard_payloads,
     ingest_on_cluster,
-    ingest_on_threads,
 )
 from repro.stream.rebalance import (
     RebalanceDecision,
@@ -60,6 +59,5 @@ __all__ = [
     "UpdateBatch",
     "build_shard_payloads",
     "ingest_on_cluster",
-    "ingest_on_threads",
     "plan_rebalance",
 ]

@@ -16,15 +16,11 @@ So a batch is all-or-nothing across the cluster under drops, stragglers
 and crash windows, which ``tests/test_failure_and_sync.py`` pins.
 
 All traffic flows through the normal RPC layer (fault injection,
-retries, ``rpc.*`` metrics, spans), and the driver runs identically on
-the virtual-time scheduler and on
-:class:`~repro.rpc.thread_runtime.ThreadRuntime`.  The one asymmetry
-between the runtimes — the sim scheduler *throws* a failed future's
-exception into the waiting coroutine, while the thread trampoline calls
-``future.value()`` itself so the exception never reaches the generator —
-is neutralized by *shielded futures*: wrappers that always resolve with
-an ``("ok", value)`` / ``("err", exc)`` tuple, so the driver branches on
-data instead of catching across a ``yield``.
+retries, ``rpc.*`` metrics, spans), and the one driver body runs on
+either backend of :func:`~repro.engine.cluster.deploy`: both runtimes
+throw a failed future's exception into the waiting coroutine, so a phase
+catches the transport fault at its ``yield`` and then reads every shard's
+outcome off the futures as data.
 """
 
 from __future__ import annotations
@@ -35,9 +31,7 @@ import numpy as np
 
 from repro.errors import RpcTimeoutError, StreamIngestError, \
     WorkerCrashedError
-from repro.rpc.retry import RetryPolicy
 from repro.simt.events import WaitAll
-from repro.simt.futures import SimFuture
 from repro.storage.shard_update import ShardUpdate
 
 #: injected-fault errors the two-phase driver tolerates and reacts to;
@@ -134,55 +128,30 @@ def build_shard_payloads(sharded, dyn, changed) -> list[ShardUpdate]:
     return payloads
 
 
-# -- shielded futures -------------------------------------------------------
-
-class _ThreadShield:
-    """Wraps a ThreadFuture so ``value()`` returns a status tuple."""
-
-    __slots__ = ("_fut",)
-
-    def __init__(self, fut) -> None:
-        self._fut = fut
-
-    def value(self):
-        try:
-            return ("ok", self._fut.value())
-        except TRANSPORT_ERRORS as exc:
-            return ("err", exc)
-
-
-def _shielded(fut):
-    """A future resolving with ``("ok", v)`` / ``("err", exc)``.
-
-    Transport faults become data; genuine handler errors still
-    propagate (on the sim runtime via ``set_exception``, on threads by
-    re-raising out of ``value()``).
-    """
-    if isinstance(fut, SimFuture):
-        out = SimFuture(tag="stream.shield")
-
-        def _done(f: SimFuture) -> None:
-            exc = f.exception
-            if exc is None:
-                out.set_result(("ok", f.value()), f.ready_time)
-            elif isinstance(exc, TRANSPORT_ERRORS):
-                out.set_result(("err", exc), f.ready_time)
-            else:
-                out.set_exception(exc, f.ready_time)
-
-        fut.add_done_callback(_done)
-        return out
-    return _ThreadShield(fut)
-
-
 # -- the two-phase driver ---------------------------------------------------
 
+def _outcome(fut):
+    """``("ok", value)`` / ``("err", exc)`` of one RPC future.
+
+    Transport faults become data; genuine handler errors still propagate.
+    Blocks on a future still in flight (thread runtime), so a phase always
+    accounts for every shard.
+    """
+    try:
+        return ("ok", fut.value())
+    except TRANSPORT_ERRORS as exc:
+        return ("err", exc)
+
+
 def _phase(rrefs, caller, method, args_per_shard):
-    """Issue one RPC per shard; collect all shielded outcomes."""
-    futs = [_shielded(rrefs[p].rpc_async(caller, method, *args_per_shard[p]))
+    """Issue one RPC per shard; collect every shard's outcome."""
+    futs = [rrefs[p].rpc_async(caller, method, *args_per_shard[p])
             for p in range(len(rrefs))]
-    results = yield WaitAll(futs)
-    return results
+    try:
+        yield WaitAll(futs)
+    except TRANSPORT_ERRORS:
+        pass  # the first failure; per-shard outcomes are read below
+    return [_outcome(f) for f in futs]
 
 
 def ingest_driver(rrefs, caller, payloads, tag, metrics):
@@ -226,62 +195,34 @@ def ingest_driver(rrefs, caller, payloads, tag, metrics):
             "staged_rows": staged_rows}
 
 
-# -- runners (one per runtime) ----------------------------------------------
+# -- runner -----------------------------------------------------------------
 
-def _resolve_retry_policy(fault_plan, retry_policy):
-    if retry_policy is None and fault_plan is not None \
-            and not fault_plan.is_empty():
-        return RetryPolicy()
-    return retry_policy
+def run_round(engine, driver, *args, runtime="sim", fault_plan=None,
+              retry_policy=None):
+    """One driver-side traffic round on a fresh cluster of ``runtime``.
+
+    Spawns ``driver(rrefs, caller, *args, metrics)`` as the first
+    computing process of machine 0 and returns ``(its result, the round's
+    metrics registry, retries)``.
+    """
+    from repro.engine.cluster import deploy
+
+    cluster = deploy(engine.sharded, engine.config, runtime,
+                     fault_plan=fault_plan, retry_policy=retry_policy)
+    proc = cluster.worker(0, 0)
+    name = cluster.spawn_compute(0, 0, driver(
+        cluster.rrefs, proc.name, *args, cluster.obs.metrics))
+    cluster.run()
+    return cluster.result_of(name), cluster.obs.metrics, cluster.retries
 
 
-def ingest_on_cluster(engine, payloads, tag, *, fault_plan=None,
-                      retry_policy=None):
-    """Apply one batch on a fresh virtual-time cluster.
+def ingest_on_cluster(engine, payloads, tag, **deployment):
+    """Apply one batch on a fresh cluster (``runtime="sim"`` by default).
 
     Returns ``(outcome dict, metrics registry, retries)``; the metrics
     carry this round's ``stream.*`` and ``rpc.*`` counters.
     """
-    from repro.engine.cluster import SimCluster
-
-    cfg = engine.config
-    cluster = SimCluster(engine.sharded, cfg, fault_plan=fault_plan,
-                         retry_policy=_resolve_retry_policy(fault_plan,
-                                                            retry_policy))
-    name = cluster.spawn_compute(0, 0, ingest_driver(
-        cluster.rrefs, cfg.worker_name(0, 0), payloads, tag,
-        cluster.obs.metrics))
-    cluster.run()
-    outcome = cluster.scheduler.result_of(name)
-    return outcome, cluster.obs.metrics, cluster.ctx.retries
-
-
-def ingest_on_threads(engine, payloads, tag, *, fault_plan=None,
-                      retry_policy=None):
-    """Apply one batch over :class:`ThreadRuntime` (same driver body)."""
-    from repro.rpc.thread_runtime import ThreadRuntime
-
-    cfg = engine.config
-    runtime = ThreadRuntime(
-        fault_plan=fault_plan,
-        retry_policy=_resolve_retry_policy(fault_plan, retry_policy))
-    rrefs = []
-    try:
-        for m in range(cfg.n_machines):
-            runtime.register_server(cfg.server_name(m), m)
-            rrefs.append(runtime.create_remote(
-                cfg.server_name(m), "storage",
-                lambda shard=engine.sharded.shards[m]: shard,
-            ))
-        name = cfg.worker_name(0, 0)
-        runtime.register_worker(name, 0)
-        runtime.spawn(name, ingest_driver(rrefs, name, payloads, tag,
-                                          runtime.obs.metrics))
-        runtime.join(timeout=180)
-        outcome = runtime.process_of(name).result
-    finally:
-        runtime.shutdown()
-    return outcome, runtime.obs.metrics, runtime.retries
+    return run_round(engine, ingest_driver, payloads, tag, **deployment)
 
 
 def report_from_outcome(tag, outcome, n_changed, retries) -> IngestReport:

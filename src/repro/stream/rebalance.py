@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.simt.events import Wait, WaitAll
-from repro.stream.ingest import _resolve_retry_policy
+from repro.stream.ingest import run_round
 
 
 @dataclass(frozen=True)
@@ -166,50 +166,6 @@ def rebalance_driver(rrefs, caller, jobs, metrics):
     return {"bytes_copied": bytes_copied}
 
 
-def rebalance_on_cluster(engine, jobs, *, fault_plan=None,
-                         retry_policy=None):
-    """One traffic round on a fresh virtual-time cluster."""
-    from repro.engine.cluster import SimCluster
-
-    cfg = engine.config
-    cluster = SimCluster(engine.sharded, cfg, fault_plan=fault_plan,
-                         retry_policy=_resolve_retry_policy(fault_plan,
-                                                            retry_policy))
-    name = cluster.spawn_compute(0, 0, rebalance_driver(
-        cluster.rrefs, cfg.worker_name(0, 0), jobs, cluster.obs.metrics))
-    cluster.run()
-    outcome = cluster.scheduler.result_of(name)
-    return outcome, cluster.obs.metrics, cluster.ctx.retries
-
-
-def rebalance_on_threads(engine, jobs, *, fault_plan=None,
-                         retry_policy=None):
-    """Same traffic round over :class:`ThreadRuntime`."""
-    from repro.rpc.thread_runtime import ThreadRuntime
-
-    cfg = engine.config
-    runtime = ThreadRuntime(
-        fault_plan=fault_plan,
-        retry_policy=_resolve_retry_policy(fault_plan, retry_policy))
-    rrefs = []
-    try:
-        for m in range(cfg.n_machines):
-            runtime.register_server(cfg.server_name(m), m)
-            rrefs.append(runtime.create_remote(
-                cfg.server_name(m), "storage",
-                lambda shard=engine.sharded.shards[m]: shard,
-            ))
-        name = cfg.worker_name(0, 0)
-        runtime.register_worker(name, 0)
-        runtime.spawn(name, rebalance_driver(rrefs, name, jobs,
-                                             runtime.obs.metrics))
-        runtime.join(timeout=180)
-        outcome = runtime.process_of(name).result
-    finally:
-        runtime.shutdown()
-    return outcome, runtime.obs.metrics, runtime.retries
-
-
 def execute_rebalance(engine, report: RebalanceReport, *, runtime="sim",
                       fault_plan=None, retry_policy=None):
     """Execute a plan against ``engine``; returns the rounds' metrics.
@@ -222,15 +178,14 @@ def execute_rebalance(engine, report: RebalanceReport, *, runtime="sim",
     """
     from repro.storage.build import build_shards
 
-    run = (rebalance_on_threads if runtime == "threads"
-           else rebalance_on_cluster)
     migr = [d for d in report.decisions if d.action == "migrate"]
     repl = [d for d in report.decisions if d.action == "replicate"]
     metrics_list = []
     if migr:
-        outcome, metrics, retries = run(
-            engine, _jobs_for(engine.sharded, migr),
-            fault_plan=fault_plan, retry_policy=retry_policy)
+        outcome, metrics, retries = run_round(
+            engine, rebalance_driver, _jobs_for(engine.sharded, migr),
+            runtime=runtime, fault_plan=fault_plan,
+            retry_policy=retry_policy)
         metrics.inc("rebalance.migrations", len(migr))
         report.bytes_copied += int(outcome["bytes_copied"])
         report.retries += int(retries)
@@ -240,9 +195,10 @@ def execute_rebalance(engine, report: RebalanceReport, *, runtime="sim",
             engine.graph, new_result, seed=engine.config.seed,
             halo_hops=engine.config.halo_hops)
     if repl:
-        outcome, metrics, retries = run(
-            engine, _jobs_for(engine.sharded, repl),
-            fault_plan=fault_plan, retry_policy=retry_policy)
+        outcome, metrics, retries = run_round(
+            engine, rebalance_driver, _jobs_for(engine.sharded, repl),
+            runtime=runtime, fault_plan=fault_plan,
+            retry_policy=retry_policy)
         metrics.inc("rebalance.replications", len(repl))
         report.bytes_copied += int(outcome["bytes_copied"])
         report.retries += int(retries)

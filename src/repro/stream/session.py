@@ -20,9 +20,10 @@
 
 Every step advances the serving clock only through the deterministic
 :class:`StreamCostModel` (never wall time), and all distributed traffic
-runs on the session's configured runtime — so the same event stream and
+runs on the session's configured runtime through the one
+:func:`~repro.engine.cluster.deploy` seam — so the same event stream and
 fault plan replay bitwise-identically on the virtual-time scheduler and
-on :class:`~repro.rpc.thread_runtime.ThreadRuntime`.
+on real threads.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ from repro.obs import MetricsRegistry
 from repro.ppr.incremental import IncrementalState, RefreshStats
 from repro.ppr.incremental import refresh as refresh_state
 from repro.ppr.params import PPRParams
-from repro.serving.session import Query, Session, SessionConfig, \
-    _batch_pushes
+from repro.serving.session import SESSION_RUNTIMES, Query, Session, \
+    SessionConfig, _batch_pushes
 from repro.stream.dynamic import DynamicGraph
 from repro.stream.ingest import IngestReport, build_shard_payloads, \
-    ingest_on_cluster, ingest_on_threads, raise_if_failed, \
-    report_from_outcome
+    ingest_on_cluster, raise_if_failed, report_from_outcome
 from repro.stream.rebalance import RebalancePolicy, RebalanceReport, \
     execute_rebalance, plan_rebalance
 from repro.stream.updates import UpdateBatch
@@ -113,8 +113,8 @@ class StreamConfig:
     timeline: bool = False
 
     def __post_init__(self) -> None:
-        if self.runtime not in ("sim", "threads"):
-            raise ValueError(f"runtime must be sim|threads, "
+        if self.runtime not in SESSION_RUNTIMES:
+            raise ValueError(f"runtime must be one of {SESSION_RUNTIMES}, "
                              f"got {self.runtime!r}")
         if self.refresh_every <= 0:
             raise ValueError(f"refresh_every must be > 0, "
@@ -258,10 +258,8 @@ class StreamingSession:
 
         payloads = build_shard_payloads(self.engine.sharded, self.dyn,
                                         delta.changed)
-        runner = (ingest_on_threads if cfg.runtime == "threads"
-                  else ingest_on_cluster)
-        outcome, metrics, retries = runner(
-            self.engine, payloads, tag,
+        outcome, metrics, retries = ingest_on_cluster(
+            self.engine, payloads, tag, runtime=cfg.runtime,
             fault_plan=cfg.fault_plan, retry_policy=cfg.retry_policy)
         self.metrics.merge(metrics)
         report = report_from_outcome(tag, outcome, delta.n_changed, retries)

@@ -830,41 +830,39 @@ class TestSanitizedRuns:
                 sane.states[gid].dense_result(engine.sharded, n))
 
     def test_clean_threaded_run_reports_zero_violations(self, engine):
+        from repro.engine.cluster import deploy
         from repro.engine.query import assign_queries, multi_query_driver, \
             sample_sources
         from repro.ppr import OptLevel, PPRParams
-        from repro.rpc import ThreadRuntime
         from repro.storage import DistGraphStorage
 
         cfg = engine.config
         sharded = engine.sharded
         sources = sample_sources(sharded, 4, seed=0)
-        runtime = ThreadRuntime(sanitize=True)
-        assert ShardedMap._sanitizer is runtime.sanitizer
-        rrefs = []
-        for m in range(cfg.n_machines):
-            runtime.register_server(cfg.server_name(m), m)
-            rrefs.append(runtime.create_remote(
-                cfg.server_name(m), "storage",
-                lambda shard=sharded.shards[m]: shard,
-            ))
-        try:
-            for (machine, p), chunk in assign_queries(
-                    sharded, sources, cfg.procs_per_machine).items():
-                name = cfg.worker_name(machine, p)
-                proc = runtime.register_worker(name, machine)
-                g = DistGraphStorage(rrefs, machine, name, compress=True)
-                runtime.spawn(name, multi_query_driver(
-                    g, proc, chunk, sharded, PPRParams(epsilon=1e-5),
-                    opt=OptLevel.OVERLAP, collect={},
-                ))
-            runtime.join(timeout=120)
-        finally:
-            runtime.shutdown()
+        cluster = deploy(sharded, cfg, "threads", sanitize=True)
+        seen_installed = []
+
+        def watched(body):
+            # the hook is installed for exactly the duration of run()
+            seen_installed.append(ShardedMap._sanitizer is cluster.sanitizer)
+            return (yield from body)
+
+        for (machine, p), chunk in assign_queries(
+                sharded, sources, cfg.procs_per_machine).items():
+            proc = cluster.worker(machine, p)
+            g = DistGraphStorage(cluster.rrefs, machine, proc.name,
+                                 compress=True)
+            cluster.spawn_compute(machine, p, watched(multi_query_driver(
+                g, proc, chunk, sharded, PPRParams(epsilon=1e-5),
+                opt=OptLevel.OVERLAP, collect={},
+            )))
         assert ShardedMap._sanitizer is None
-        assert runtime.sanitizer.report() == ()
-        assert runtime.sanitizer.accesses > 0
-        assert runtime.obs.sanitizer is runtime.sanitizer
+        cluster.run()
+        assert seen_installed and all(seen_installed)
+        assert ShardedMap._sanitizer is None
+        assert cluster.sanitizer.report() == ()
+        assert cluster.sanitizer.accesses > 0
+        assert cluster.obs.sanitizer is cluster.sanitizer
 
 
 # ---------------------------------------------------------------------------

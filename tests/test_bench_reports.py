@@ -422,13 +422,16 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "demo" in out and "bench" in out
 
-    def test_legacy_bench_shim_routes_to_quick(self, tmp_path, capsys):
+    def test_bench_quick_is_the_one_spelling(self, tmp_path, capsys):
         from repro.graph import powerlaw_cluster, save_npz
         path = str(tmp_path / "g.npz")
         save_npz(path, powerlaw_cluster(300, 5, mixing=0.2, seed=0))
-        rc = main(["bench", path, "--machines", "2", "--queries", "2"])
+        rc = main(["bench", "quick", path, "--machines", "2",
+                   "--queries", "2"])
         assert rc == 0
         assert "engine" in capsys.readouterr().out.lower()
+        with pytest.raises(SystemExit):  # the bare `bench <graph>` is gone
+            main(["bench", path])
 
 
 class TestScaleKeyedCaches:

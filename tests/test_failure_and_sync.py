@@ -75,7 +75,7 @@ class TestFailureInjection:
         results = {}
 
         def good_driver():
-            proc = cluster.scheduler.processes[good_name]
+            proc = cluster.worker(0, 0)
             lid = int(sharded.owner_local[source])
             state = yield from distributed_sppr_query(
                 g_good, proc, lid, params, opt=OptLevel.OVERLAP
@@ -89,10 +89,11 @@ class TestFailureInjection:
 
         cluster.spawn_compute(0, 0, good_driver())
         cluster.spawn_compute(1, 0, bad_driver())
-        cluster.run()
-        # the bad driver's failure is recorded, not swallowed
+        # the bad driver's failure is surfaced by run(), not swallowed
         with pytest.raises(RuntimeError, match="injected"):
-            cluster.scheduler.result_of(bad_name)
+            cluster.run()
+        with pytest.raises(RuntimeError, match="injected"):
+            cluster.result_of(bad_name)
         # and the good driver's result is still correct
         ref, _, _ = forward_push_parallel(graph, source, params)
         dense = results["good"].dense_result(sharded, graph.n_nodes)
@@ -555,12 +556,12 @@ class TestStreamIngestAtomicity:
         assert metrics.counters().get("stream.batches_committed", 0) == 0
 
     def test_total_drop_aborts_cleanly_threads(self):
-        from repro.stream import ingest_on_threads
+        from repro.stream import ingest_on_cluster
 
         engine, payloads = self._engine_and_payloads()
         images = self._shard_images(engine)
-        outcome, _, _ = ingest_on_threads(
-            engine, payloads, 1,
+        outcome, _, _ = ingest_on_cluster(
+            engine, payloads, 1, runtime="threads",
             fault_plan=FaultPlan(seed=3, drop_prob=1.0),
             retry_policy=RetryPolicy(max_attempts=2, timeout=0.01))
         assert outcome["status"] == "aborted"
@@ -581,15 +582,15 @@ class TestStreamIngestAtomicity:
         self._assert_unchanged(engine, images)
 
     def test_moderate_drops_apply_after_retries(self):
-        from repro.stream import ingest_on_cluster, ingest_on_threads
+        from repro.stream import ingest_on_cluster
 
-        for runner in (ingest_on_cluster, ingest_on_threads):
+        for runtime in ("sim", "threads"):
             engine, payloads = self._engine_and_payloads()
-            outcome, metrics, retries = runner(
-                engine, payloads, 1,
+            outcome, metrics, retries = ingest_on_cluster(
+                engine, payloads, 1, runtime=runtime,
                 fault_plan=FaultPlan(seed=2, drop_prob=0.4),
                 retry_policy=RetryPolicy(max_attempts=8, timeout=5.0))
-            assert outcome["status"] == "applied", runner.__name__
+            assert outcome["status"] == "applied", runtime
             assert retries > 0
             assert metrics.counters()["stream.batches_committed"] == 1
 

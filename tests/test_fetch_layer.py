@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import ShardError
 from repro.graph import powerlaw_cluster
 from repro.partition import HashPartitioner
-from repro.rpc.thread_runtime import ThreadFuture
+from repro.rpc.thread_runtime import ThreadFuture, ThreadRuntime
 from repro.storage import FetchCache, NeighborFetchService, build_shards
 from repro.storage.neighbor_batch import NeighborBatch
 
@@ -58,7 +58,7 @@ class _StubRref:
 
     def __init__(self, shard):
         self._shard = shard
-        self.ctx = object()  # no .scheduler attribute -> ThreadFuture path
+        self.ctx = ThreadRuntime()  # the runtime builds the futures
 
     def local_value(self):
         return self._shard

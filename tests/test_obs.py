@@ -360,7 +360,6 @@ class TestCrashedPhase:
         from repro.engine.cluster import SimCluster
         from repro.engine.query import assign_queries, multi_query_driver, \
             sample_sources
-        from repro.engine.engine import _late_proc
         from repro.ppr.distributed import OptLevel
         from repro.storage import DistGraphStorage
 
@@ -371,10 +370,10 @@ class TestCrashedPhase:
         sources = sample_sources(engine.sharded, 6, seed=0)
         for (m, p), chunk in assign_queries(engine.sharded, sources,
                                             cfg.procs_per_machine).items():
-            name = cfg.worker_name(m, p)
-            g = DistGraphStorage(cluster.rrefs, m, name, compress=True)
+            proc = cluster.worker(m, p)
+            g = DistGraphStorage(cluster.rrefs, m, proc.name, compress=True)
             cluster.spawn_compute(m, p, multi_query_driver(
-                g, _late_proc(cluster, name), chunk, engine.sharded,
+                g, proc, chunk, engine.sharded,
                 PPRParams(epsilon=1e-5), opt=OptLevel.OVERLAP,
                 degradation=DegradationMode.SKIP_REMOTE,
             ))

@@ -2,9 +2,9 @@
 
 The same driver coroutines, the same ``ShardedGraph``, the same
 ``FaultPlan`` — executed once on the deterministic virtual-time
-scheduler (via ``engine.run``) and once on :class:`ThreadRuntime` with a
-harness that mirrors ``engine.run``'s deployment (same worker names,
-same query assignment, same storage options).  Because fault decisions
+scheduler (via ``engine.run``) and once on real threads, through a
+harness on ``deploy(..., "threads")`` (same worker names, same query
+assignment, same storage options).  Because fault decisions
 are keyed on (seed, caller, per-caller call index, attempt) — never on
 time — and the unified metrics registry uses one counter namespace on
 both runtimes, the two executions must agree on:
@@ -18,11 +18,13 @@ import numpy as np
 import pytest
 
 from repro.engine import EngineConfig, GraphEngine, RunRequest
+from repro.engine.cluster import deploy
 from repro.engine.query import assign_queries, multi_query_driver, \
     sample_sources
 from repro.graph import powerlaw_cluster
-from repro.ppr import OptLevel, PPRParams
-from repro.rpc import RetryPolicy, ThreadRuntime
+from repro.ppr import DegradationMode, OptLevel, PPRParams
+from repro.rpc import RetryPolicy
+from repro.serving.session import Session, SessionConfig
 from repro.simt import FaultPlan
 from repro.storage import DistGraphStorage, FetchCache, NeighborFetchService
 
@@ -52,55 +54,36 @@ def engine():
     return GraphEngine(graph, EngineConfig(n_machines=2))
 
 
-def run_threaded(engine, sources, *, fault_plan=None, retry_policy=None,
-                 fetch=True, sanitize=False):
-    """Mirror ``engine.run``'s deployment on real threads.
+def run_threaded(engine, sources, *, fetch=True, **overrides):
+    """``engine.run``'s deployment on real threads, driver by driver.
 
-    Same server/worker names, same query assignment, same storage
-    options — so each caller issues the identical remote-call sequence
-    and the FaultPlan replays the identical drop decisions.  ``fetch``
-    mirrors the engine's fetch-layer wrapping (one shared FetchCache per
-    machine) with the config's default knobs.
+    ``fetch`` mirrors the engine's fetch-layer wrapping (one shared
+    FetchCache per machine) with the config's default knobs; ``overrides``
+    are the cluster's per-run knobs (fault plan, retry policy, sanitize).
     """
     cfg = engine.config
     sharded = engine.sharded
-    runtime = ThreadRuntime(fault_plan=fault_plan, retry_policy=retry_policy,
-                            sanitize=sanitize)
-    rrefs = []
-    for m in range(cfg.n_machines):
-        runtime.register_server(cfg.server_name(m), m)
-        rrefs.append(runtime.create_remote(
-            cfg.server_name(m), "storage",
-            lambda shard=sharded.shards[m]: shard,
-        ))
+    cluster = deploy(sharded, cfg, "threads", **overrides)
     states: dict[int, object] = {}
     fetch_caches: dict[int, FetchCache] = {}
-    try:
-        for (machine, p), chunk in assign_queries(
-                sharded, sources, cfg.procs_per_machine).items():
-            name = cfg.worker_name(machine, p)
-            proc = runtime.register_worker(name, machine)
-            g = DistGraphStorage(rrefs, machine, name, compress=True)
-            if fetch and (cfg.fetch_split or cfg.fetch_cache_bytes > 0):
-                fc = fetch_caches.get(machine)
-                if fc is None:
-                    fc = fetch_caches[machine] = FetchCache(
-                        cfg.fetch_cache_bytes,
-                        sanitizer=runtime.sanitizer,
-                    )
-                g = NeighborFetchService(
-                    g, fc, split=cfg.fetch_split,
-                    coalesce=cfg.fetch_coalesce,
-                    metrics=runtime.obs.metrics,
-                )
-            runtime.spawn(name, multi_query_driver(
-                g, proc, chunk, sharded, PARAMS,
-                opt=OptLevel.OVERLAP, collect=states,
-            ))
-        runtime.join(timeout=180)
-    finally:
-        runtime.shutdown()
-    return runtime, states
+    for (machine, p), chunk in assign_queries(
+            sharded, sources, cfg.procs_per_machine).items():
+        proc = cluster.worker(machine, p)
+        g = DistGraphStorage(cluster.rrefs, machine, proc.name, compress=True)
+        if fetch:
+            if machine not in fetch_caches:
+                fetch_caches[machine] = FetchCache(
+                    cfg.fetch_cache_bytes, sanitizer=cluster.sanitizer)
+            g = NeighborFetchService(
+                g, fetch_caches[machine], split=cfg.fetch_split,
+                coalesce=cfg.fetch_coalesce, metrics=cluster.obs.metrics,
+                proc=proc)
+        cluster.spawn_compute(machine, p, multi_query_driver(
+            g, proc, chunk, sharded, PARAMS,
+            opt=OptLevel.OVERLAP, collect=states,
+        ))
+    cluster.run()
+    return cluster, states
 
 
 def sim_request(sources, **overrides):
@@ -108,9 +91,14 @@ def sim_request(sources, **overrides):
                       opt=OptLevel.OVERLAP, keep_states=True, **overrides)
 
 
-def dense(states, sharded, n_nodes):
-    return {gid: s.dense_result(sharded, n_nodes)
-            for gid, s in states.items()}
+def assert_same_vectors(engine, states_a, states_b):
+    """Same sources, bit-for-bit equal dense result vectors."""
+    n = engine.graph.n_nodes
+    a = {g: s.dense_result(engine.sharded, n) for g, s in states_a.items()}
+    b = {g: s.dense_result(engine.sharded, n) for g, s in states_b.items()}
+    assert a.keys() == b.keys()
+    for gid in a:
+        np.testing.assert_array_equal(a[gid], b[gid])
 
 
 class TestHealthyDifferential:
@@ -118,13 +106,7 @@ class TestHealthyDifferential:
         sources = sample_sources(engine.sharded, 8, seed=0)
         sim = engine.run(sim_request(sources))
         runtime, thread_states = run_threaded(engine, sources)
-
-        n = engine.graph.n_nodes
-        sim_vecs = dense(sim.states, engine.sharded, n)
-        thr_vecs = dense(thread_states, engine.sharded, n)
-        assert sim_vecs.keys() == thr_vecs.keys()
-        for gid in sim_vecs:
-            np.testing.assert_array_equal(sim_vecs[gid], thr_vecs[gid])
+        assert_same_vectors(engine, sim.states, thread_states)
 
         sim_counters = sim.obs.metrics.counters()
         thr_counters = runtime.obs.metrics.counters()
@@ -139,11 +121,15 @@ class TestHealthyDifferential:
             assert thr_counters.get(key, 0) == 0
 
     def test_legacy_counters_agree_with_registry(self, engine):
+        """The typed counters are views of the registry, on both runtimes."""
         sources = sample_sources(engine.sharded, 4, seed=1)
+        sim = engine.run(sim_request(sources))
         runtime, _ = run_threaded(engine, sources)
         c = runtime.obs.metrics.counters()
-        assert c["rpc.calls_remote"] == runtime.remote_requests
-        assert c["rpc.calls_local"] == runtime.local_calls
+        assert c["rpc.calls_remote"] == runtime.remote_requests > 0
+        assert c["rpc.calls_local"] == runtime.local_calls > 0
+        assert (sim.remote_requests, sim.local_calls) == \
+            (runtime.remote_requests, runtime.local_calls)
 
 
 class TestFaultyDifferential:
@@ -162,13 +148,7 @@ class TestFaultyDifferential:
         # faults actually fired, and were survived, on both runtimes
         assert sim.retries > 0
         assert runtime.retries > 0
-
-        n = engine.graph.n_nodes
-        sim_vecs = dense(sim.states, engine.sharded, n)
-        thr_vecs = dense(thread_states, engine.sharded, n)
-        assert sim_vecs.keys() == thr_vecs.keys()
-        for gid in sim_vecs:
-            np.testing.assert_array_equal(sim_vecs[gid], thr_vecs[gid])
+        assert_same_vectors(engine, sim.states, thread_states)
 
         sim_counters = sim.obs.metrics.counters()
         thr_counters = runtime.obs.metrics.counters()
@@ -179,6 +159,42 @@ class TestFaultyDifferential:
         assert sim.timeouts == runtime.timeouts
         assert sim.dropped_messages == runtime.dropped_messages
 
+    def _on_both(self, engine, request):
+        sim = engine.run(request)
+        thr = Session(engine, SessionConfig(runtime="threads")).run(request)
+        assert_same_vectors(engine, sim.states, thr.states)
+        return sim, thr
+
+    def test_skip_remote_degrades_identically(self, engine):
+        """A fetch that exhausts its retries reaches the driver's
+        ``except TRANSPORT_ERRORS`` on both runtimes: same written-off
+        mass, same degraded answers."""
+        sources = sample_sources(engine.sharded, 8, seed=0)
+        sim, thr = self._on_both(engine, sim_request(
+            sources, fault_plan=FaultPlan(seed=3, drop_prob=0.6),
+            retry_policy=RetryPolicy(max_attempts=2, timeout=0.01),
+            degradation=DegradationMode.SKIP_REMOTE))
+        assert sim.degraded_queries > 0 and sim.abandoned_mass > 0
+        assert (sim.degraded_queries, sim.abandoned_mass) == \
+            (thr.degraded_queries, thr.abandoned_mass)
+
+    def test_engine_config_retry_policy_is_honoured(self, engine):
+        """``EngineConfig.retry_policy`` is the deployment default even
+        when the request carries a fault plan — one attempt means no
+        retransmissions, on both runtimes."""
+        one_shot = GraphEngine(engine.graph, EngineConfig(
+            n_machines=2, retry_policy=RetryPolicy(max_attempts=1,
+                                                   timeout=0.01),
+        ), sharded=engine.sharded)
+        sources = sample_sources(engine.sharded, 8, seed=0)
+        sim, thr = self._on_both(one_shot, sim_request(
+            sources, fault_plan=FaultPlan(seed=13, drop_prob=0.3),
+            degradation=DegradationMode.SKIP_REMOTE))
+        assert sim.dropped_messages > 0
+        assert sim.retries == thr.retries == 0
+        assert (sim.timeouts, sim.dropped_messages, sim.degraded_queries) \
+            == (thr.timeouts, thr.dropped_messages, thr.degraded_queries)
+
     def test_faulty_equals_healthy_results(self, engine):
         """Dropped-and-retried messages never change the answer."""
         sources = sample_sources(engine.sharded, 6, seed=2)
@@ -187,11 +203,7 @@ class TestFaultyDifferential:
             sources, fault_plan=FaultPlan(seed=5, drop_prob=0.2),
             retry_policy=RetryPolicy(max_attempts=8, timeout=5.0)))
         assert faulty.retries > 0
-        n = engine.graph.n_nodes
-        h = dense(healthy.states, engine.sharded, n)
-        f = dense(faulty.states, engine.sharded, n)
-        for gid in h:
-            np.testing.assert_array_equal(h[gid], f[gid])
+        assert_same_vectors(engine, healthy.states, faulty.states)
 
     def test_thread_replay_is_deterministic(self, engine):
         sources = sample_sources(engine.sharded, 6, seed=3)
@@ -214,12 +226,7 @@ class TestFetchLayerDifferential:
         on = engine.run(sim_request(sources))
         off = engine.run(sim_request(sources, fetch_split=False,
                                      fetch_cache_bytes=0))
-        n = engine.graph.n_nodes
-        on_vecs = dense(on.states, engine.sharded, n)
-        off_vecs = dense(off.states, engine.sharded, n)
-        assert on_vecs.keys() == off_vecs.keys()
-        for gid in on_vecs:
-            np.testing.assert_array_equal(on_vecs[gid], off_vecs[gid])
+        assert_same_vectors(engine, on.states, off.states)
         # ... and travels less: the hot-vertex cache absorbs repeats
         on_c = on.obs.metrics.counters()
         off_c = off.obs.metrics.counters()
@@ -232,12 +239,7 @@ class TestFetchLayerDifferential:
         sources = sample_sources(engine.sharded, 8, seed=4)
         _, on_states = run_threaded(engine, sources, fetch=True)
         _, off_states = run_threaded(engine, sources, fetch=False)
-        n = engine.graph.n_nodes
-        on_vecs = dense(on_states, engine.sharded, n)
-        off_vecs = dense(off_states, engine.sharded, n)
-        assert on_vecs.keys() == off_vecs.keys()
-        for gid in on_vecs:
-            np.testing.assert_array_equal(on_vecs[gid], off_vecs[gid])
+        assert_same_vectors(engine, on_states, off_states)
 
     def test_sanitized_threads_clean_through_coalescing(self):
         """Two procs per machine hammer one shared FetchCache: the lockset
@@ -249,7 +251,6 @@ class TestFetchLayerDifferential:
         sources = sample_sources(engine.sharded, 12, seed=5)
         runtime, states = run_threaded(engine, sources, sanitize=True)
         assert len(states) == len(sources)
-        assert runtime.sanitizer is not None
         assert runtime.sanitizer.accesses > 0
         assert list(runtime.sanitizer.report()) == []
 
@@ -266,7 +267,6 @@ class TestDoctorDifferential:
 
     def _both(self, engine, request):
         from repro.obs.analysis import diagnose
-        from repro.serving.session import Session, SessionConfig
 
         sim = engine.run(request)
         thr = Session(engine, SessionConfig(runtime="threads")).run(request)

@@ -148,7 +148,7 @@ class TestCli:
 
     def test_bench(self, graph_file, capsys):
         from repro.cli import main
-        assert main(["bench", graph_file, "--machines", "2",
+        assert main(["bench", "quick", graph_file, "--machines", "2",
                      "--queries", "3"]) == 0
         out = capsys.readouterr().out
         assert "PPR Engine" in out and "multi-query" in out
