@@ -40,8 +40,9 @@ class Rep001WallClock(Rule):
     Virtual-time code paths must never read the host clock directly: a
     ``time.time()`` in a simt/ rpc/ engine path makes modeled timings (and
     potentially results) depend on the machine running the test.  Measured
-    compute goes through :class:`repro.utils.timer.CategoryTimer`; report
-    timestamps go through :func:`repro.utils.timer.wall_unix`.
+    compute goes through ``proc.measured()`` (built on
+    :class:`repro.utils.timer.Stopwatch`); report timestamps go through
+    :func:`repro.utils.timer.wall_unix`.
     """
 
     id = "REP001"
@@ -56,7 +57,7 @@ class Rep001WallClock(Rule):
                 yield self.violation(
                     ctx, node,
                     f"wall-clock call {name}() — route through "
-                    "repro.utils.timer (CategoryTimer / Stopwatch / "
+                    "proc.measured() or repro.utils.timer (Stopwatch / "
                     "wall_unix) so virtual-time code stays deterministic",
                 )
 

@@ -470,42 +470,46 @@ def cmd_profile(args) -> int:
     import json as _json
 
     from repro.obs import text_table, write_chrome_trace
+    from repro.obs.analysis import rpc_summary
 
     engine = _engine_from_args(args)
     params = PPRParams(alpha=args.alpha, epsilon=args.epsilon)
     run = engine.run(RunRequest(
         n_queries=args.queries, params=params, seed=args.seed,
-        mode=args.mode, trace=True, trace_rpc=True,
+        mode=args.mode, trace=True,
     ))
     metrics = dict(run.metrics)
     if getattr(args, "stream_batches", 0):
         metrics.update(_stream_profile_metrics(engine, params, args))
-    if args.format == "stats":
-        # machine-readable: the flat metrics snapshot plus phase seconds
-        print(_json.dumps({"metrics": metrics,
-                           "phases": run.phases,
-                           "makespan_s": run.makespan,
-                           "n_queries": run.n_queries}, indent=1))
-        return 0
-    if args.format == "table":
-        print(text_table(metrics, title="metrics"))
-        print("phases: " + ", ".join(
-            f"{k}={v * 1e3:.2f}ms" for k, v in run.phases.items()
-        ))
-        return 0
     cfg = engine.config
     machine_of = {cfg.server_name(m): m for m in range(cfg.n_machines)}
     machine_of.update({
         cfg.worker_name(m, p): m
         for m in range(cfg.n_machines) for p in range(cfg.procs_per_machine)
     })
-    path = write_chrome_trace(args.out, run.obs.tracer, machine_of)
-    n_spans = len(run.obs.tracer)
-    n_rpc = len(run.obs.tracer.by_kind("client"))
-    print(f"{run.n_queries} queries traced: {n_spans} spans "
-          f"({n_rpc} RPC client/server pairs) -> {path}")
-    print(f"open in chrome://tracing or https://ui.perfetto.dev")
+    rpc = rpc_summary(run.obs.tracer, machine_of)
+    if args.format == "stats":
+        # machine-readable: the flat metrics snapshot, the per-call RPC
+        # account and phase seconds
+        print(_json.dumps({"metrics": metrics,
+                           "rpc": rpc,
+                           "phases": run.phases,
+                           "makespan_s": run.makespan,
+                           "n_queries": run.n_queries}, indent=1))
+        return 0
+    if args.format != "table":
+        path = write_chrome_trace(args.out, run.obs.tracer, machine_of)
+        n_spans = len(run.obs.tracer)
+        print(f"{run.n_queries} queries traced: {n_spans} spans "
+              f"({rpc['calls_remote']} RPC client/server pairs) -> {path}")
+        print(f"open in chrome://tracing or https://ui.perfetto.dev")
     print(text_table(metrics, title="metrics"))
+    print("remote calls: " + ", ".join(
+        f"{method}={n}" for method, n in rpc["by_method"].items()
+    ))
+    print("request bytes: " + ", ".join(
+        f"p{p}={v:.0f}" for p, v in rpc["payload_percentiles"].items()
+    ))
     print("phases: " + ", ".join(
         f"{k}={v * 1e3:.2f}ms" for k, v in run.phases.items()
     ))

@@ -31,10 +31,9 @@ from repro.storage.build import ShardedGraph
 class _Cluster(TransportCounters):
     """What both backends share: bring-up, worker handles, run, results.
 
-    ``trace_rpc`` / ``trace`` / ``max_spans`` / ``fault_plan`` /
-    ``retry_policy`` override the config's deployment defaults for this
-    cluster (one cluster is built per run, so these are per-run knobs
-    carried by a :class:`~repro.engine.request.RunRequest`).  The retry
+    ``trace`` / ``max_spans`` / ``fault_plan`` / ``retry_policy`` are
+    per-run knobs (one cluster is built per run) carried by a
+    :class:`~repro.engine.request.RunRequest`.  The retry
     policy resolves here, once, for every body: the explicit argument
     (request, else session/stream config) › ``config.retry_policy`` › the
     default policy iff the fault plan is non-empty (applied by the RPC
@@ -46,13 +45,8 @@ class _Cluster(TransportCounters):
     exactly the duration of the run.
     """
 
-    #: RpcTracer recording every dispatched call, when asked for
-    #: (virtual-time timestamps, so only :class:`SimCluster` attaches one)
-    tracer = None
-
     def __init__(self, sharded: ShardedGraph, config: EngineConfig, *,
-                 trace_rpc: bool | None = None, fault_plan=None,
-                 retry_policy=None, trace: bool | None = None,
+                 fault_plan=None, retry_policy=None, trace: bool = False,
                  max_spans: int | None = None,
                  sanitize: bool = False) -> None:
         if sharded.n_shards != config.n_shards:
@@ -65,7 +59,7 @@ class _Cluster(TransportCounters):
         #: observability bundle shared by this deployment's RPC layer and
         #: every process spawned into it
         self.obs = Obs.create(
-            trace=config.trace_spans if trace is None else trace,
+            trace=trace,
             max_spans=DEFAULT_MAX_SPANS if max_spans is None else max_spans,
         )
         self.sanitizer = None
@@ -77,9 +71,7 @@ class _Cluster(TransportCounters):
         if retry_policy is None:
             retry_policy = config.retry_policy
         #: the RPC group RRefs dispatch through
-        self.ctx = self._make_ctx(
-            config.trace_rpc if trace_rpc is None else trace_rpc,
-            fault_plan, retry_policy)
+        self.ctx = self._make_ctx(fault_plan, retry_policy)
         self.rrefs: list[RRef] = []
         for m in range(config.n_machines):
             self.ctx.register_server(config.server_name(m), m)
@@ -147,30 +139,10 @@ class SimCluster(_Cluster):
         self.scheduler = Scheduler()
         super().__init__(sharded, config, **overrides)
 
-    def _make_ctx(self, trace_rpc, fault_plan, retry_policy) -> RpcContext:
-        tracer = None
-        if trace_rpc:
-            from repro.rpc.tracing import RpcTracer
-
-            tracer = RpcTracer()
+    def _make_ctx(self, fault_plan, retry_policy) -> RpcContext:
         return RpcContext(self.scheduler, self.config.network,
-                          tracer=tracer, fault_plan=fault_plan,
-                          retry_policy=retry_policy, obs=self.obs)
-
-    @property
-    def tracer(self):
-        return self.ctx.tracer
-
-    def spawn_compute(self, machine: int, proc_index: int, body) -> str:
-        """With ``colocate_server`` on, each machine's server shares the
-        interpreter of its first computing process (the GIL-contention
-        ablation): the server's service time is also charged to that
-        process's clock."""
-        name = super().spawn_compute(machine, proc_index, body)
-        if self.config.colocate_server and proc_index == 0:
-            server = self.ctx.server_of(self.config.server_name(machine))
-            server.host_process = self._workers[name]
-        return name
+                          fault_plan=fault_plan, retry_policy=retry_policy,
+                          obs=self.obs)
 
     def _start(self, proc, body) -> None:
         proc.start(body)
@@ -196,9 +168,9 @@ class ThreadCluster(_Cluster):
     Same worker names, same bring-up, same bodies — so every caller issues
     the identical remote-call sequence and a ``FaultPlan`` replays the
     identical drop decisions.  Modeled virtual timing does not apply:
-    clocks (and the makespan) are accumulated charged seconds, crash
-    windows and ``colocate_server`` are virtual-time constructs and are
-    ignored.  Bodies start when :meth:`run` is called, as on the scheduler.
+    clocks (and the makespan) are accumulated charged seconds, and crash
+    windows are virtual-time constructs and are ignored.  Bodies start
+    when :meth:`run` is called, as on the scheduler.
     """
 
     def __init__(self, sharded: ShardedGraph, config: EngineConfig,
@@ -206,7 +178,7 @@ class ThreadCluster(_Cluster):
         self._bodies: list = []
         super().__init__(sharded, config, **overrides)
 
-    def _make_ctx(self, trace_rpc, fault_plan, retry_policy) -> ThreadRuntime:
+    def _make_ctx(self, fault_plan, retry_policy) -> ThreadRuntime:
         return ThreadRuntime(fault_plan=fault_plan, retry_policy=retry_policy,
                              obs=self.obs, sanitizer=self.sanitizer)
 

@@ -25,20 +25,10 @@ class EngineConfig:
     partitioner: Partitioner = field(default_factory=MetisLitePartitioner)
     network: NetworkModel = field(default_factory=NetworkModel)
     opt: OptLevel = OptLevel.OVERLAP
-    #: colocate the storage server with the first computing process —
-    #: reproduces the GIL-contention pathology the paper engineered away
-    colocate_server: bool = False
     #: halo caching depth: 1 = metadata only (the paper's scheme),
     #: 2 = cache full adjacency rows of 1-hop halo nodes (Section 3.2.1's
     #: memory-for-communication trade)
     halo_hops: int = 1
-    #: attach an RpcTracer to the cluster (per-call communication records,
-    #: exposed on QueryRunResult.trace)
-    trace_rpc: bool = False
-    #: attach a SpanTracer (nested per-process spans + linked RPC
-    #: client/server pairs, exportable as a Chrome trace); per-run override
-    #: via ``RunRequest(trace=...)``
-    trace_spans: bool = False
     #: deployment-wide timeout/retry/backoff default for remote calls;
     #: ``None`` keeps the zero-overhead dispatch path.  Per-run overrides
     #: travel on :class:`~repro.engine.request.RunRequest`.

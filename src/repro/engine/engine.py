@@ -58,7 +58,7 @@ class QueryRunResult:
       ``degraded_queries``, ``abandoned_mass``;
     * serving-mode counters (zero outside a session) — ``admitted``,
       ``rejected``, ``deadline_missed``;
-    * diagnostics — ``trace``, ``metrics``, ``obs``, ``race_violations``.
+    * diagnostics — ``metrics``, ``obs``, ``race_violations``.
     """
 
     n_queries: int
@@ -70,8 +70,6 @@ class QueryRunResult:
     local_calls: int
     #: source global id -> finished SSPPR / DenseSSPPR state
     states: dict[int, object] = field(repr=False, default_factory=dict)
-    #: RpcTracer when the config asked for tracing, else None
-    trace: object = field(repr=False, default=None)
     #: per-query virtual latency keyed by source global ID (engine runs)
     latencies: dict[int, float] = field(repr=False, default_factory=dict)
     #: fault-tolerance counters — all zero on a healthy run

@@ -59,15 +59,13 @@ class RunRequest:
         (``mode="batched"`` always collects).
     seed:
         Source-sampling seed override; the config's seed when ``None``.
-    trace_rpc:
-        Attach an :class:`~repro.rpc.tracing.RpcTracer` override; the
-        config's flag when ``None``.
     trace:
         Attach a :class:`~repro.obs.SpanTracer` recording nested per-process
         spans (queries, pop/push/serve, linked RPC client/server pairs) on
-        the virtual timeline; the config's ``trace_spans`` when ``None``.
+        the process timelines — the one tracing switch, on either runtime.
         Export with :func:`repro.obs.write_chrome_trace` or
-        ``repro.cli profile``.
+        ``repro.cli profile``; summarize the RPC client spans with
+        :func:`repro.obs.analysis.rpc_summary`.
     max_spans:
         Cap on retained spans for a traced run (the earliest spans are
         kept; overflow is counted in the ``obs.spans_dropped`` metric);
@@ -114,8 +112,7 @@ class RunRequest:
     opt: OptLevel | None = None
     keep_states: bool = False
     seed: int | None = None
-    trace_rpc: bool | None = None
-    trace: bool | None = None
+    trace: bool = False
     max_spans: int | None = None
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy | None = None

@@ -1,10 +1,13 @@
 """``repro.obs.analysis`` — trace analytics over the observability layer.
 
-Three modules turn a finished run's raw telemetry into answers:
+Four modules turn a finished run's raw telemetry into answers:
 
 * :mod:`~repro.obs.analysis.causal` — span DAG reconstruction and
   per-query critical-path extraction with total-conserving
   (machine, phase, span-name, fault-event) attribution;
+* :mod:`~repro.obs.analysis.rpc` — :func:`rpc_summary`, the per-method /
+  per-machine-pair / payload-size account of a run's remote calls, read
+  off the RPC client spans;
 * :mod:`~repro.obs.analysis.timeline` — typed, deterministic
   virtual-time series of selected counters and gauges
   (``RunRequest(timeline=interval)``, session/stream boundary samples);
@@ -30,6 +33,7 @@ from repro.obs.analysis.doctor import (
     render_diagnosis,
     render_doctor_diff,
 )
+from repro.obs.analysis.rpc import rpc_summary
 from repro.obs.analysis.timeline import (
     ENGINE_WATCH,
     SESSION_WATCH,
@@ -60,5 +64,6 @@ __all__ = [
     "machine_of_process",
     "render_diagnosis",
     "render_doctor_diff",
+    "rpc_summary",
     "sample_counters",
 ]

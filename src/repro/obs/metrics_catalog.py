@@ -18,7 +18,7 @@ from __future__ import annotations
 #: namespace -> one-line meaning (the docs/observability.md section map)
 METRIC_NAMESPACES: dict[str, str] = {
     "rpc": ("transport accounting, fault machinery, rpc.pool.* buffer "
-            "reuse, rpc.trace.* gauges"),
+            "reuse"),
     "engine": "per-run query accounting and makespan",
     "ppr": "SSPPR operator work (pushes, iterations, touched)",
     "fetch": "adaptive neighbor-fetch layer",

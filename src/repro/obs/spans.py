@@ -120,9 +120,6 @@ class SpanTracer:
     def by_name(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
 
-    def by_process(self, process: str) -> list[Span]:
-        return [s for s in self.spans if s.process == process]
-
     def by_kind(self, kind: str) -> list[Span]:
         return [s for s in self.spans if s.kind == kind]
 
@@ -153,35 +150,4 @@ class _OpenSpan:
         self._tracer.record(
             self._name, self._process, self._start, self._clock(),
             span_id=self._id, parent_id=self._parent, attrs=self._attrs,
-        )
-
-
-class _TracedMeasure:
-    """``proc.measured(category)`` with a span recorded on top of the charge.
-
-    Works for any process object exposing ``name``, ``clock``, ``timer``
-    and a ``tracer`` (:class:`~repro.simt.process.SimProcess` and
-    :class:`~repro.rpc.thread_runtime.ThreadProcess`).  The span's interval
-    is the *clock advance* caused by the measured block, so breakdown
-    categories and spans stay consistent by construction.
-    """
-
-    __slots__ = ("_proc", "_category", "_inner", "_start", "_parent")
-
-    def __init__(self, proc, category: str) -> None:
-        self._proc = proc
-        self._category = category
-
-    def __enter__(self) -> "_TracedMeasure":
-        self._parent = self._proc.tracer.current(self._proc.name)
-        self._start = self._proc.clock
-        self._inner = self._proc.timer.charge(self._category)
-        self._inner.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._inner.__exit__(*exc)
-        self._proc.tracer.record(
-            self._category, self._proc.name, self._start, self._proc.clock,
-            parent_id=self._parent,
         )

@@ -42,8 +42,8 @@ class RpcContext(WorkerRegistry):
     the original zero-overhead path.
     """
 
-    def __init__(self, scheduler: Scheduler, network: NetworkModel,
-                 tracer=None, *, fault_plan: FaultPlan | None = None,
+    def __init__(self, scheduler: Scheduler, network: NetworkModel, *,
+                 fault_plan: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
                  obs: Obs | None = None) -> None:
         super().__init__(fault_plan=fault_plan, retry_policy=retry_policy,
@@ -51,18 +51,13 @@ class RpcContext(WorkerRegistry):
         self.scheduler = scheduler
         self.network = network
         self._collectives: dict[str, "_AllReduceRound"] = {}
-        #: optional RpcTracer recording every dispatched call
-        self.tracer = tracer
 
     # -- registration -----------------------------------------------------
-    def register_server(self, name: str, machine_id: int,
-                        colocated_with: str | None = None) -> RpcServer:
+    def register_server(self, name: str, machine_id: int) -> RpcServer:
         """Create a storage-server worker backed by a passive process."""
         info = self._register(name, machine_id)
         process = self.scheduler.add_passive(name)
-        host = self._processes[colocated_with] if colocated_with else None
-        server = RpcServer(info, process, host_process=host,
-                           fault_plan=self.fault_plan)
+        server = RpcServer(info, process, fault_plan=self.fault_plan)
         self._processes[name] = process
         self._servers[name] = server
         return server
@@ -91,18 +86,6 @@ class RpcContext(WorkerRegistry):
         metrics = self.obs.metrics
         metrics.inc("rpc.calls")
 
-        if self.tracer is not None:
-            from repro.rpc.tracing import RpcCallRecord
-
-            req_b, req_t = request_payload_sizes(args, kwargs)
-            self.tracer.record(RpcCallRecord(
-                time=caller.clock, caller=caller_name,
-                owner=rref.owner_name, caller_machine=caller_machine,
-                owner_machine=owner_machine, method=method,
-                request_nbytes=req_b, request_tensors=req_t,
-                remote=caller_machine != owner_machine,
-            ))
-
         if caller_machine == owner_machine:
             # Shared-memory path: invoke directly on the caller's timeline.
             metrics.inc("rpc.calls_local")
@@ -125,25 +108,12 @@ class RpcContext(WorkerRegistry):
         # recorded when the future resolves (its virtual ready time is the
         # span's end).  The virtual round-trip also feeds the latency
         # histogram regardless of tracing.
-        span_tracer = self.obs.tracer
-        client_id = None
-        if span_tracer is not None:
-            client_id = span_tracer.next_id()
-            parent_id = span_tracer.current(caller_name)
-            owner_name = rref.owner_name
-
-            def record_client(f: SimFuture) -> None:
-                attrs = {"owner": owner_name, "method": method}
-                if f.exception is not None:
-                    attrs["error"] = type(f.exception).__name__
-                span_tracer.record(
-                    f"rpc:{method}", caller_name, issued_at, f.ready_time,
-                    span_id=client_id, parent_id=parent_id, kind="client",
-                    attrs=attrs,
-                )
-
-            fut.add_done_callback(record_client)
-            fut.span_id = client_id
+        call = self._reserve_client_span(caller_name, rref.owner_name, method,
+                                         req_bytes, req_tensors)
+        if call is not None:
+            fut.span_id = call["span_id"]
+            fut.add_done_callback(lambda f: self._close_client_span(
+                call, issued_at, f.ready_time, f.exception))
         fut.add_done_callback(
             lambda f: metrics.observe("rpc.latency", f.ready_time - issued_at)
         )
@@ -163,8 +133,7 @@ class RpcContext(WorkerRegistry):
                         exc, arrival + self.network.transfer_time(64, 0)
                     )
                     return
-                self._record_server_span(rref.owner_name, method, start, end,
-                                         client_id, caller_name)
+                self._record_server_span(call, start, end)
                 resp_bytes, resp_tensors = payload_sizes(result)
                 metrics.inc("rpc.response_bytes", resp_bytes)
                 server.pool.stage(result, metrics)
@@ -177,28 +146,16 @@ class RpcContext(WorkerRegistry):
 
         self._dispatch_with_retries(
             fut, caller_name, caller, rref, server, method, args, kwargs,
-            caller_machine, owner_machine, req_bytes, req_tensors, client_id,
+            caller_machine, owner_machine, req_bytes, req_tensors, call,
         )
         return fut
-
-    def _record_server_span(self, owner_name: str, method: str, start: float,
-                            end: float, client_id: int | None,
-                            caller_name: str) -> None:
-        """Record the service-side span, linked to the client span's id."""
-        if self.obs.tracer is None:
-            return
-        self.obs.tracer.record(
-            f"serve:{method}", owner_name, start, end, kind="server",
-            link=client_id, attrs={"caller": caller_name, "method": method},
-        )
 
     def _dispatch_with_retries(self, fut: SimFuture, caller_name: str,
                                caller: SimProcess, rref: RRef,
                                server: RpcServer, method: str, args: tuple,
                                kwargs: dict, caller_machine: int,
                                owner_machine: int, req_bytes: int,
-                               req_tensors: int,
-                               client_id: int | None = None) -> None:
+                               req_tensors: int, call) -> None:
         """Run one logical remote call through the timeout/retry machinery.
 
         Each attempt either delivers (request survives the network, the
@@ -223,15 +180,11 @@ class RpcContext(WorkerRegistry):
             if fut.done:
                 return
             if n > 1:
-                metrics.inc("rpc.retries")
-                self._trace_fault("retry", caller_name, owner_name, method,
-                                  n, send_time)
+                self._fault("retry")
             deadline = send_time + policy.timeout
             if plan.roll_drop(caller_name, call_index, n):
-                metrics.inc("rpc.dropped_messages")
+                self._fault("drop")
                 last_failure["cause"] = "drop"
-                self._trace_fault("drop", caller_name, owner_name, method,
-                                  n, send_time)
                 self.scheduler.call_at(deadline, lambda: on_timeout(n, deadline))
                 return
             arrival = send_time + self.network.transfer_time_under(
@@ -245,8 +198,7 @@ class RpcContext(WorkerRegistry):
                     return  # an earlier attempt already resolved the call
                 if plan.is_crashed(owner_name, self.scheduler.now):
                     last_failure["cause"] = "crash"
-                    self._trace_fault("crash", caller_name, owner_name,
-                                      method, n, self.scheduler.now)
+                    self._fault("crash")
                     return  # message lost on a dead server; timer handles it
                 try:
                     result, start, end = server.serve(arrival, rref.key,
@@ -257,8 +209,7 @@ class RpcContext(WorkerRegistry):
                         exc, arrival + self.network.transfer_time(64, 0)
                     )
                     return
-                self._record_server_span(owner_name, method, start, end,
-                                         client_id, caller_name)
+                self._record_server_span(call, start, end)
                 resp_bytes, resp_tensors = payload_sizes(result)
                 metrics.inc("rpc.response_bytes", resp_bytes)
                 server.pool.stage(result, metrics)
@@ -280,9 +231,7 @@ class RpcContext(WorkerRegistry):
         def on_timeout(n: int, deadline: float) -> None:
             if fut.done:
                 return
-            metrics.inc("rpc.timeouts")
-            self._trace_fault("timeout", caller_name, owner_name, method,
-                              n, deadline)
+            self._fault("timeout")
             if n >= policy.max_attempts:
                 cause = last_failure["cause"]
                 detail = (f"{caller_name} -> {owner_name}.{method} failed "
@@ -293,9 +242,7 @@ class RpcContext(WorkerRegistry):
                     exc = WorkerCrashedError(detail)
                 else:
                     exc = RpcTimeoutError(detail)
-                metrics.inc("rpc.giveups")
-                self._trace_fault("giveup", caller_name, owner_name, method,
-                                  n, deadline)
+                self._fault("giveup")
                 fut.set_exception(exc, deadline)
                 return
             delay = policy.backoff_delay(n, seed=plan.seed,
@@ -305,18 +252,6 @@ class RpcContext(WorkerRegistry):
             self.scheduler.call_at(next_send, lambda: attempt(n + 1, next_send))
 
         attempt(1, caller.clock)
-
-    def _trace_fault(self, kind: str, caller: str, owner: str, method: str,
-                     attempt: int, time: float) -> None:
-        self.obs.metrics.inc(f"rpc.faults.{kind}")
-        if self.tracer is None:
-            return
-        from repro.rpc.tracing import RpcFaultRecord
-
-        self.tracer.record_fault(RpcFaultRecord(
-            time=time, caller=caller, owner=owner, method=method,
-            kind=kind, attempt=attempt,
-        ))
 
     # -- collectives ----------------------------------------------------------
     def allreduce_mean(self, group: str, caller_name: str, n_members: int,

@@ -17,10 +17,9 @@ timing).
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future as _PyFuture
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Generator
+from typing import Any, Generator
 
 from repro.errors import RpcError, RpcTimeoutError, SimulationError
 from repro.obs import Obs
@@ -29,15 +28,18 @@ from repro.rpc.serialization import payload_sizes, request_payload_sizes
 from repro.rpc.worker import ObjectHost, WorkerInfo, WorkerRegistry
 from repro.simt.events import Charge, Sleep, Wait, WaitAll
 from repro.simt.process import ProcessClock
+from repro.utils.timer import Stopwatch
 
 
 class ThreadFuture:
     """Future resolved on a server thread; waiters block."""
 
-    __slots__ = ("_inner",)
+    __slots__ = ("_inner", "span_id")
 
     def __init__(self, inner: _PyFuture) -> None:
         self._inner = inner
+        #: client span id of the remote call behind this future, when traced
+        self.span_id: int | None = None
 
     @property
     def done(self) -> bool:
@@ -162,8 +164,7 @@ class ThreadRuntime(WorkerRegistry):
             if sanitizer is not None else threading.Lock())
 
     # -- registration (RpcContext-compatible) ------------------------------
-    def register_server(self, name: str, machine_id: int,
-                        colocated_with: str | None = None) -> _ThreadServer:
+    def register_server(self, name: str, machine_id: int) -> _ThreadServer:
         server = _ThreadServer(self._register(name, machine_id))
         self._servers[name] = server
         return server
@@ -193,13 +194,32 @@ class ThreadRuntime(WorkerRegistry):
         if caller_machine == owner_machine:
             metrics.inc("rpc.calls_local")
             return ThreadFuture.resolved(fn(*args, **kwargs))
-        req_bytes, _ = request_payload_sizes(args, kwargs)
+        req_bytes, req_tensors = request_payload_sizes(args, kwargs)
         metrics.inc("rpc.calls_remote")
         metrics.inc("rpc.request_bytes", req_bytes)
-        owner_name = rref.owner_name
-        serve = self._instrumented_serve(caller_name, owner_name, server,
-                                         method, fn, args, kwargs)
+        # Spans use the caller's charged clock at issue as the base and
+        # real handler seconds as the extent — approximate, but enough to
+        # see linked client/server pairs in a thread-mode trace.
+        call = self._reserve_client_span(caller_name, rref.owner_name, method,
+                                         req_bytes, req_tensors)
+        issue_clock = self.process_of(caller_name).clock
+        handler_seconds = 0.0
 
+        def serve() -> Any:
+            """One handler invocation, on the server's executor thread."""
+            nonlocal handler_seconds
+            server.requests_served += 1
+            with Stopwatch() as sw:
+                result = fn(*args, **kwargs)
+            handler_seconds = sw.elapsed
+            resp_bytes, _ = payload_sizes(result)
+            metrics.inc("rpc.response_bytes", resp_bytes)
+            server.pool.stage(result, metrics)
+            self._record_server_span(call, issue_clock,
+                                     issue_clock + handler_seconds)
+            return result
+
+        handler = serve
         plan = self.fault_plan
         if plan is not None and not plan.is_empty():
             policy = self.retry_policy
@@ -210,73 +230,39 @@ class ThreadRuntime(WorkerRegistry):
                 call_index = self._call_indices.get(caller_name, 0)
                 self._call_indices[caller_name] = call_index + 1
 
-            def faulty_handler() -> Any:
+            def serve_with_faults() -> Any:
                 for attempt in range(1, policy.max_attempts + 1):
                     if attempt > 1:
-                        metrics.inc("rpc.retries")
-                        metrics.inc("rpc.faults.retry")
+                        self._fault("retry")
                     if plan.roll_drop(caller_name, call_index, attempt):
                         # Lost request: in thread mode the timeout elapses
                         # logically (no real sleeping) and we retransmit.
                         # Each drop implies one logical timeout firing — the
                         # same accounting the virtual-time timers produce.
-                        metrics.inc("rpc.dropped_messages")
-                        metrics.inc("rpc.faults.drop")
-                        metrics.inc("rpc.timeouts")
-                        metrics.inc("rpc.faults.timeout")
+                        self._fault("drop")
+                        self._fault("timeout")
                         continue
                     return serve()
-                metrics.inc("rpc.giveups")
-                metrics.inc("rpc.faults.giveup")
+                self._fault("giveup")
                 raise RpcTimeoutError(
                     f"{caller_name} -> {rref.owner_name}.{method} failed "
                     f"after {policy.max_attempts} attempt(s) "
                     f"(timeout={policy.timeout:g}s, last cause: drop)"
                 )
 
-            return ThreadFuture(server.executor.submit(faulty_handler))
+            handler = serve_with_faults
 
-        return ThreadFuture(server.executor.submit(serve))
-
-    def _instrumented_serve(self, caller_name: str, owner_name: str,
-                            server: "_ThreadServer", method: str,
-                            fn: Callable, args: tuple, kwargs: dict):
-        """Wrap one remote handler invocation with counters and spans.
-
-        Runs on the server's executor thread.  Spans use the caller's
-        charged clock at issue as the base and real handler seconds as the
-        extent — approximate, but enough to see linked client/server pairs
-        in a thread-mode trace.
-        """
-        metrics = self.obs.metrics
-        tracer = self.obs.tracer
-        issue_clock = self.process_of(caller_name).clock \
-            if caller_name in self._processes else 0.0
-
-        def serve() -> Any:
-            server.requests_served += 1
-            # repro: allow=REP001 real handler seconds in thread mode
-            t0 = time.perf_counter()
-            result = fn(*args, **kwargs)
-            # repro: allow=REP001 real handler seconds in thread mode
-            elapsed = time.perf_counter() - t0
-            resp_bytes, _ = payload_sizes(result)
-            metrics.inc("rpc.response_bytes", resp_bytes)
-            server.pool.stage(result, metrics)
-            if tracer is not None:
-                client_id = tracer.record(
-                    f"rpc:{method}", caller_name, issue_clock,
-                    issue_clock + elapsed, kind="client",
-                    attrs={"owner": owner_name, "method": method},
-                )
-                tracer.record(
-                    f"serve:{method}", owner_name, issue_clock,
-                    issue_clock + elapsed, kind="server", link=client_id,
-                    attrs={"caller": caller_name, "method": method},
-                )
-            return result
-
-        return serve
+        inner = server.executor.submit(handler)
+        fut = ThreadFuture(inner)
+        if call is not None:
+            # Recorded when the call resolves, as on the scheduler — so a
+            # call that exhausted its retries still leaves its client span
+            # (zero handler seconds, ``error`` attr).
+            fut.span_id = call["span_id"]
+            inner.add_done_callback(lambda f: self._close_client_span(
+                call, issue_clock, issue_clock + handler_seconds,
+                f.exception()))
+        return fut
 
     # -- driving coroutines -------------------------------------------------
     def spawn(self, name: str, body: Generator) -> ThreadProcess:

@@ -5,18 +5,17 @@ setup, machine ``k`` registers one *Graph Storage server* worker plus ``P``
 *computing process* workers.
 
 An :class:`RpcServer` models the storage-server process: it owns named
-objects (the Graph Storage of its shard), serves requests FIFO on a single
-virtual thread (``next_free`` bookkeeping), and — optionally — can be
-*colocated* with a computing process, in which case service time is also
-charged to the host process's clock.  Colocation reproduces the GIL
-contention pathology the paper describes (Section 3.2.3: overlapping RPC
-target functions with local Python work stalls both); the engine's default
-follows the paper's fix of a separate server process.
+objects (the Graph Storage of its shard) and serves requests FIFO on a
+single virtual thread (``next_free`` bookkeeping) — a process of its own,
+the paper's fix for the GIL contention of serving RPC target functions
+inside a computing process (Section 3.2.3).
 
 :class:`ObjectHost` and :class:`WorkerRegistry` are the runtime-independent
 halves of a server and of an RPC group — object hosting, the worker
-registry, remote-object creation, retry-policy resolution — written once;
-the virtual-time :class:`~repro.rpc.api.RpcContext` and the OS-thread
+registry, remote-object creation, retry-policy resolution, and the
+observability hooks of a remote call (client/server span pair, fault
+counters) — written once; the virtual-time
+:class:`~repro.rpc.api.RpcContext` and the OS-thread
 :class:`~repro.rpc.thread_runtime.ThreadRuntime` add dispatch only.
 """
 
@@ -99,12 +98,9 @@ class RpcServer(ObjectHost):
     """A FIFO single-threaded request server bound to one worker."""
 
     def __init__(self, info: WorkerInfo, process: SimProcess,
-                 host_process: SimProcess | None = None,
                  fault_plan=None) -> None:
         super().__init__(info)
         self.process = process
-        #: computing process sharing the server's interpreter, if colocated
-        self.host_process = host_process
         self.next_free = 0.0
         #: optional FaultPlan consulted for straggler factors and crash
         #: windows (the dispatch layer checks crashes first; the check here
@@ -140,10 +136,6 @@ class RpcServer(ObjectHost):
         end = start + handler_dt
         self.next_free = end
         self.requests_served += 1
-        if self.host_process is not None and self.host_process is not self.process:
-            # A colocated server steals interpreter time from its host
-            # process (GIL contention model).
-            self.host_process.charge_seconds(handler_dt, "gil_contention")
         return result, start, end
 
 
@@ -179,6 +171,12 @@ class TransportCounters:
     def dropped_messages(self) -> int:
         """Requests lost on the injected network."""
         return self.obs.metrics.count("rpc.dropped_messages")
+
+
+#: fault kind -> the transport counter that moves with it (``crash`` has
+#: none: a request lost on a dead server is written off by its timeout)
+_FAULT_COUNTERS = {"retry": "rpc.retries", "drop": "rpc.dropped_messages",
+                   "timeout": "rpc.timeouts", "giveup": "rpc.giveups"}
 
 
 class WorkerRegistry(TransportCounters):
@@ -250,6 +248,60 @@ class WorkerRegistry(TransportCounters):
             return self._servers[name]
         except KeyError:
             raise RpcError(f"worker {name!r} is not a server") from None
+
+    # -- observability hooks of a remote call ------------------------------
+    def _reserve_client_span(self, caller_name: str, owner_name: str,
+                             method: str, request_nbytes: int,
+                             request_tensors: int) -> dict | None:
+        """Reserve a remote call's client span at issue; None when untraced.
+
+        Returns what ``SpanTracer.record`` can be told now: the id (the
+        server span links to it, the future carries it as ``fut.span_id``),
+        the caller's innermost open span as parent, and the per-call facts
+        no counter keeps — what :func:`repro.obs.analysis.rpc_summary`
+        aggregates.
+        """
+        tracer = self.obs.tracer
+        if tracer is None:
+            return None
+        return dict(
+            name=f"rpc:{method}", process=caller_name, kind="client",
+            span_id=tracer.next_id(), parent_id=tracer.current(caller_name),
+            attrs={"owner": owner_name, "method": method,
+                   "request_nbytes": request_nbytes,
+                   "request_tensors": request_tensors})
+
+    def _close_client_span(self, call: dict, start: float, end: float,
+                           exception: BaseException | None) -> None:
+        """Record the reserved client span once the call has resolved."""
+        if exception is not None:
+            # the fault event fault_of_span / cli doctor attribute time to
+            call["attrs"]["error"] = type(exception).__name__
+        self.obs.tracer.record(start=start, end=end, **call)
+
+    def _record_server_span(self, call: dict | None, start: float,
+                            end: float) -> None:
+        """Record the service-side span, linked to the client span's id."""
+        if call is None:
+            return
+        method = call["attrs"]["method"]
+        self.obs.tracer.record(
+            f"serve:{method}", call["attrs"]["owner"], start, end,
+            kind="server", link=call["span_id"],
+            attrs={"caller": call["process"], "method": method})
+
+    def _fault(self, kind: str) -> None:
+        """Count one fault-layer event on a remote call.
+
+        ``kind``: ``drop`` (request lost in the network), ``crash`` (it
+        reached a dead server), ``timeout`` (an attempt's deadline fired;
+        a late reply is folded in), ``retry`` (a retransmission) or
+        ``giveup`` (budget exhausted; the caller sees a typed error).
+        """
+        paired = _FAULT_COUNTERS.get(kind)
+        if paired is not None:
+            self.obs.metrics.inc(paired)
+        self.obs.metrics.inc(f"rpc.faults.{kind}")
 
     # -- remote object lifecycle ------------------------------------------
     def create_remote(self, owner_name: str, key: str,

@@ -477,7 +477,6 @@ class Session:
         opt = request.opt if request.opt is not None else cfg.opt
 
         cluster = deploy(engine.sharded, cfg, self.config.runtime,
-                         trace_rpc=request.trace_rpc,
                          fault_plan=request.fault_plan,
                          retry_policy=request.retry_policy,
                          trace=request.trace,
@@ -581,8 +580,6 @@ class Session:
             if hasattr(state, "stats"):
                 for key, val in state.stats().items():
                     obs.metrics.inc(key, int(val))
-        if cluster.tracer is not None:
-            cluster.tracer.publish(obs.metrics)
         race_violations: list = []
         if cluster.sanitizer is not None:
             race_violations = list(cluster.sanitizer.report())
@@ -602,7 +599,6 @@ class Session:
             remote_requests=cluster.remote_requests,
             local_calls=cluster.local_calls,
             states=states,
-            trace=cluster.tracer,
             latencies=latencies,
             retries=cluster.retries,
             timeouts=cluster.timeouts,

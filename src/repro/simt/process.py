@@ -14,11 +14,13 @@ breakdowns.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Generator
 
 from repro.errors import SimulationError, WorkerCrashedError
+from repro.simt.events import Charge, Sleep, Wait, WaitAll
 from repro.simt.futures import SimFuture
-from repro.utils.timer import CategoryTimer
+from repro.utils.timer import Stopwatch, TimeBreakdown
 
 
 class ProcessClock:
@@ -29,24 +31,27 @@ class ProcessClock:
     :class:`SimProcess` adds the coroutine lifecycle on the virtual-time
     scheduler, :class:`~repro.rpc.thread_runtime.ThreadProcess` the
     result slot of an OS thread.
+
+    This is the only place a second is charged: every charge — measured,
+    modeled or waited — adds the same float to ``clock`` and to
+    ``breakdown`` (an idle ``Sleep`` moves the clock alone).
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.clock = 0.0
-        self.timer = CategoryTimer(on_charge=self._advance_clock)
+        #: per-category seconds accumulated so far
+        self.breakdown = TimeBreakdown()
         #: optional SpanTracer; when set, measured() blocks and span() open
         #: intervals on this process's timeline
         self.tracer = None
 
-    def _advance_clock(self, category: str, dt: float) -> None:
-        self.clock += dt
-
     def charge_seconds(self, dt: float, category: str = "other") -> None:
         """Charge a modeled duration to this process's clock + breakdown."""
-        self.timer.charge_seconds(category, dt)
+        self.breakdown.charge(category, dt)
+        self.clock += dt
 
-    def measured(self, category: str):
+    def measured(self, category: str) -> "_Measured":
         """Context manager: run real work, charge its measured duration.
 
         With a tracer attached, the charged interval is also recorded as a
@@ -57,11 +62,7 @@ class ProcessClock:
         >>> with proc.measured("push"):        # doctest: +SKIP
         ...     state.push(infos, nodes, shards)
         """
-        if self.tracer is None:
-            return self.timer.charge(category)
-        from repro.obs.spans import _TracedMeasure
-
-        return _TracedMeasure(self, category)
+        return _Measured(self, category)
 
     def span(self, name: str, **attrs):
         """Open a logical span (e.g. one query) on this process's timeline.
@@ -71,16 +72,35 @@ class ProcessClock:
         ``query`` span's duration is the query's virtual latency.
         """
         if self.tracer is None:
-            from contextlib import nullcontext
-
             return nullcontext()
         return self.tracer.span(self.name, name, lambda: self.clock,
                                 attrs or None)
 
-    @property
-    def breakdown(self):
-        """Per-category seconds accumulated so far."""
-        return self.timer.breakdown
+
+class _Measured(Stopwatch):
+    """``proc.measured(category)``: time the block, charge it, span it.
+
+    The span's interval is the *clock advance* the charge caused, so
+    breakdown categories and spans stay consistent by construction; it is
+    recorded only when the process has a tracer.
+    """
+
+    __slots__ = ("_proc", "_category")
+
+    def __init__(self, proc: ProcessClock, category: str) -> None:
+        # the Stopwatch slots are written by __enter__ / __exit__
+        self._proc = proc
+        self._category = category
+
+    def __exit__(self, *exc) -> None:
+        Stopwatch.__exit__(self)
+        proc = self._proc
+        start = proc.clock
+        proc.charge_seconds(self.elapsed, self._category)
+        tracer = proc.tracer
+        if tracer is not None:
+            tracer.record(self._category, proc.name, start, proc.clock,
+                          parent_id=tracer.current(proc.name))
 
 
 class SimProcess(ProcessClock):
@@ -117,10 +137,19 @@ class SimProcess(ProcessClock):
         self._body = body
         self.scheduler._schedule(self.clock, lambda: self._step(None))
 
-    def _step(self, send_value: Any) -> None:
-        """Resume the coroutine until the next suspension point."""
-        from repro.simt.events import Charge, Sleep, Wait, WaitAll
+    def _throw(self, exc: BaseException) -> None:
+        """Inject an exception (e.g. failed RPC) into the coroutine."""
+        self._step(exc, self._body.throw)
 
+    def _step(self, arg: Any, resume=None) -> None:
+        """Resume the coroutine until the next suspension point.
+
+        The one effect dispatcher: a step enters with ``body.send``,
+        :meth:`_throw` with ``body.throw`` — if the coroutine catches the
+        exception and yields a new effect, it is handled right here.
+        """
+        if resume is None:
+            resume = self._body.send
         if self._finished:
             raise SimulationError(f"process {self.name!r} stepped after finish")
         self._waiting = False
@@ -131,7 +160,7 @@ class SimProcess(ProcessClock):
             # Un-instrumented coroutine glue is free, which keeps the model
             # predictable and avoids double counting.
             try:
-                effect = self._body.send(send_value)
+                effect = resume(arg)
             except StopIteration as stop:
                 self._finish(stop.value)
                 return
@@ -139,7 +168,7 @@ class SimProcess(ProcessClock):
             except BaseException as exc:
                 self._fail(exc)
                 return
-            send_value = None
+            resume, arg = self._body.send, None
 
             if isinstance(effect, Charge):
                 self.charge_seconds(effect.seconds, effect.category or "charged")
@@ -150,109 +179,57 @@ class SimProcess(ProcessClock):
                 self._waiting = True
                 return
             if isinstance(effect, Wait):
-                self._wait_one(effect.future)
+                self._wait((effect.future,), unwrap=True)
                 return
             if isinstance(effect, WaitAll):
-                self._wait_all(list(effect.futures))
+                self._wait(tuple(effect.futures), unwrap=False)
                 return
             raise SimulationError(
                 f"process {self.name!r} yielded unknown effect {effect!r}"
             )
 
-    def _wait_one(self, fut: SimFuture) -> None:
-        self._waiting = True
-        self.waiting_on = (fut,)
+    def _wait(self, futs: tuple[SimFuture, ...], unwrap: bool) -> None:
+        """Suspend until every future resolves; resume at the latest one.
 
-        def on_done(f: SimFuture) -> None:
-            resume_at = max(self.clock, f.ready_time)
+        ``unwrap`` sends back the bare value a ``Wait`` expects instead of
+        the list a ``WaitAll`` receives.
+        """
+        self._waiting = True
+        self.waiting_on = futs
+        if not futs:
+            self.scheduler._schedule(self.clock, lambda: self._step([]))
+            return
+        remaining = len(futs)
+
+        def on_done(_f: SimFuture) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if remaining > 0:
+                return
+            resume_at = max(self.clock, *(f.ready_time for f in futs))
             wait_dt = resume_at - self.clock
             # Time blocked on a worker that turned out to be crashed is its
             # own breakdown category: lumping it into "wait" would silently
             # inflate the remote_fetch phase with outage time.
-            category = ("crashed" if isinstance(f.exception, WorkerCrashedError)
-                        else "wait")
-
-            def resume() -> None:
-                self.timer.charge_seconds(category, wait_dt)
-                try:
-                    value = f.value()
-                # repro: allow=REP006 fault is forwarded into the coroutine
-                except BaseException as exc:
-                    self._throw(exc)
-                    return
-                self._step(value)
-
-            self.scheduler._schedule(resume_at, resume)
-
-        fut.add_done_callback(on_done)
-
-    def _wait_all(self, futs: list[SimFuture]) -> None:
-        self._waiting = True
-        self.waiting_on = tuple(futs)
-        remaining = len(futs)
-        if remaining == 0:
-            self.scheduler._schedule(self.clock, lambda: self._step([]))
-            return
-        pending = {"n": remaining}
-
-        def on_done(_f: SimFuture) -> None:
-            pending["n"] -= 1
-            if pending["n"] > 0:
-                return
-            resume_at = max([self.clock] + [f.ready_time for f in futs])
-            wait_dt = resume_at - self.clock
             category = ("crashed"
                         if any(isinstance(f.exception, WorkerCrashedError)
                                for f in futs)
                         else "wait")
 
             def resume() -> None:
-                self.timer.charge_seconds(category, wait_dt)
+                self.charge_seconds(wait_dt, category)
                 try:
                     values = [f.value() for f in futs]
                 # repro: allow=REP006 fault is forwarded into the coroutine
                 except BaseException as exc:
                     self._throw(exc)
                     return
-                self._step(values)
+                self._step(values[0] if unwrap else values)
 
             self.scheduler._schedule(resume_at, resume)
 
         for f in futs:
             f.add_done_callback(on_done)
-
-    def _throw(self, exc: BaseException) -> None:
-        """Inject an exception (e.g. failed RPC) into the coroutine."""
-        try:
-            effect = self._body.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        # repro: allow=REP006 faults are re-raised via completion.value()
-        except BaseException as body_exc:
-            self._fail(body_exc)
-            return
-        # The coroutine caught the exception and yielded a new effect;
-        # re-enter the normal stepping path by handling that effect.
-        self._handle_resumed_effect(effect)
-
-    def _handle_resumed_effect(self, effect) -> None:
-        from repro.simt.events import Charge, Sleep, Wait, WaitAll
-
-        if isinstance(effect, Charge):
-            self.charge_seconds(effect.seconds, effect.category or "charged")
-            self.scheduler._schedule(self.clock, lambda: self._step(None))
-        elif isinstance(effect, Sleep):
-            self.clock += effect.seconds
-            self.scheduler._schedule(self.clock, lambda: self._step(None))
-        elif isinstance(effect, Wait):
-            self._wait_one(effect.future)
-        elif isinstance(effect, WaitAll):
-            self._wait_all(list(effect.futures))
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded unknown effect {effect!r}"
-            )
 
     def _finish(self, value: Any) -> None:
         self._finished = True

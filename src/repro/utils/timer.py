@@ -4,7 +4,9 @@ The discrete-event runtime (:mod:`repro.simt`) executes *real* compute (NumPy
 work on real shard data) and charges the measured duration to the owning
 simulated process's virtual clock.  These helpers provide the measurement
 side: a context-manager stopwatch and a per-category accumulator used for the
-runtime breakdowns of Figure 6 and Table 3.
+runtime breakdowns of Figure 6 and Table 3.  The charging side — the one
+place a second lands on a clock and a breakdown — is
+:class:`repro.simt.process.ProcessClock`.
 """
 
 from __future__ import annotations
@@ -96,44 +98,3 @@ class TimeBreakdown:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = ", ".join(f"{k}={v:.4g}s" for k, v in sorted(self.seconds.items()))
         return f"TimeBreakdown({parts})"
-
-
-class CategoryTimer:
-    """Measure real compute and charge it to a :class:`TimeBreakdown`.
-
-    The ``charge(category)`` context manager measures the enclosed block with
-    ``perf_counter`` and accumulates it.  An optional ``on_charge`` callback
-    receives ``(category, dt)`` — the simt runtime uses it to advance virtual
-    clocks.
-    """
-
-    def __init__(self, breakdown: TimeBreakdown | None = None, on_charge=None) -> None:
-        self.breakdown = breakdown if breakdown is not None else TimeBreakdown()
-        self._on_charge = on_charge
-
-    def charge(self, category: str) -> "_ChargeContext":
-        """Context manager: measure the block, charge it to ``category``."""
-        return _ChargeContext(self, category)
-
-    def charge_seconds(self, category: str, dt: float) -> None:
-        """Charge a pre-measured or modeled duration directly."""
-        self.breakdown.charge(category, dt)
-        if self._on_charge is not None:
-            self._on_charge(category, dt)
-
-
-class _ChargeContext:
-    __slots__ = ("_timer", "_category", "_start")
-
-    def __init__(self, timer: CategoryTimer, category: str) -> None:
-        self._timer = timer
-        self._category = category
-        self._start = 0.0
-
-    def __enter__(self) -> "_ChargeContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        dt = time.perf_counter() - self._start
-        self._timer.charge_seconds(self._category, dt)

@@ -12,6 +12,7 @@ import pytest
 from repro import EngineConfig, GraphEngine, PPRParams, RunRequest
 from repro.engine.query import sample_sources
 from repro.graph import load_dataset, powerlaw_cluster
+from repro.obs.analysis import machine_of_process, rpc_summary
 from repro.partition import MetisLitePartitioner
 from repro.simt import Scheduler, Sleep, Wait
 from repro.storage import build_shards
@@ -67,11 +68,12 @@ class TestDeterminism:
         g = powerlaw_cluster(400, 6, mixing=0.2, seed=4)
         counts = []
         for _ in range(2):
-            engine = GraphEngine(g, EngineConfig(n_machines=3, seed=0,
-                                                 trace_rpc=True))
-            run = engine.run(RunRequest(n_queries=6, seed=7))
+            engine = GraphEngine(g, EngineConfig(n_machines=3, seed=0))
+            run = engine.run(RunRequest(n_queries=6, seed=7, trace=True))
+            machine_of = {s.process: machine_of_process(s.process)
+                          for s in run.obs.tracer.spans}
             counts.append((run.remote_requests, run.local_calls,
-                           run.trace.calls_by_method()))
+                           rpc_summary(run.obs.tracer, machine_of)))
         assert counts[0] == counts[1]
 
 

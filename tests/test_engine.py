@@ -236,22 +236,6 @@ class TestRandomWalks:
         assert run.throughput > 0
 
 
-class TestGilContentionAblation:
-    def test_colocated_server_steals_host_time(self, graph):
-        """Under colocation the server's service time is charged to its
-        host computing process too (the GIL model); measured wall-clock
-        noise makes makespan comparisons flaky, so assert the contention
-        charge directly."""
-        base = EngineConfig(n_machines=2, procs_per_machine=2, seed=1)
-        coloc = EngineConfig(n_machines=2, procs_per_machine=2, seed=1,
-                             colocate_server=True)
-        t_base = GraphEngine(graph, base).run(RunRequest(n_queries=8, seed=3))
-        t_coloc = GraphEngine(graph, coloc).run(RunRequest(n_queries=8, seed=3))
-        # gil_contention is not a mapped phase -> lands in "other"
-        assert t_base.phases["other"] == 0.0
-        assert t_coloc.phases["other"] > 0.0
-
-
 class TestConfigValidation:
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -328,11 +328,17 @@ class TestEngineWiring:
         assert any(s.parent_id in query_ids for s in tracer.by_name("push"))
         assert all(s.end >= s.start for s in tracer.spans)
 
-    def test_rpc_tracer_publish_lands_in_snapshot(self, engine):
-        run = engine.run(RunRequest(n_queries=3, trace_rpc=True))
-        assert run.metrics["rpc.trace.calls_remote"] == run.remote_requests
-        assert run.metrics["rpc.trace.calls_total"] == \
-            run.remote_requests + run.local_calls
+    def test_rpc_summary_agrees_with_snapshot(self, engine):
+        from repro.obs.analysis import machine_of_process, rpc_summary
+
+        run = engine.run(RunRequest(n_queries=3, trace=True))
+        machine_of = {s.process: machine_of_process(s.process)
+                      for s in run.obs.tracer.spans}
+        summary = rpc_summary(run.obs.tracer, machine_of)
+        assert summary["calls_remote"] == run.metrics["rpc.calls_remote"] \
+            == run.remote_requests
+        assert summary["request_bytes_remote"] == \
+            run.metrics["rpc.request_bytes"]
 
 
 class TestCrashedPhase:
@@ -432,8 +438,7 @@ class TestChromeTraceSchema:
 
     @pytest.fixture(scope="class")
     def doc(self, engine):
-        run = engine.run(RunRequest(n_queries=5, seed=4, trace=True,
-                                    trace_rpc=True))
+        run = engine.run(RunRequest(n_queries=5, seed=4, trace=True))
         return chrome_trace(run.obs.tracer)
 
     def test_required_keys_per_event(self, doc):

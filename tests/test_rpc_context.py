@@ -229,26 +229,6 @@ class TestServerContention:
         assert lo >= 0.005 - 1e-4
         assert hi >= lo + 0.004
 
-    def test_colocated_server_charges_host(self):
-        sched, ctx = make_ctx(NetworkModel.instant())
-
-        def host_body():
-            yield Wait(host_done)
-
-        host_done = sched.resolved_future(None, delay=0.0)
-        host = sched.spawn("host", host_body())
-        ctx.register_worker("host", 0, host)
-        ctx.register_server("s0", machine_id=0, colocated_with="host")
-        rref = ctx.create_remote("s0", "counter", Counter)
-
-        def caller_body():
-            yield Wait(rref.rpc_async("w1", "add", 1))
-
-        caller = sched.spawn("w1", caller_body())
-        ctx.register_worker("w1", 1, caller)
-        sched.run()
-        assert host.breakdown.get("gil_contention") > 0.0
-
 
 class TestAllReduce:
     def test_mean_across_members(self):

@@ -5,8 +5,12 @@ deprecated ``run_queries`` shim was removed once serving landed); these
 tests pin the result-schema contract — the typed serving counters default
 to zero on plain batch runs, convenience wrappers return the same shape —
 plus the degenerate ``latency_percentiles`` inputs (0 and 1 samples) that
-historically tripped ``np.percentile``.
+historically tripped ``np.percentile`` — and the knob surface: the exact
+field names of ``EngineConfig`` and ``RunRequest``, so a new knob is a
+visible test diff.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -62,6 +66,27 @@ class TestResultSchema:
         sources = sample_sources(engine.sharded, 2, seed=0)
         run = engine.run(RunRequest(sources=sources))
         assert run.n_queries == 2
+
+
+class TestKnobSurface:
+    """Every independently settable field, by name.  Adding one doubles
+    the configurations tests and benches must cover: it has to show up
+    here, next to the non-test caller that needs it."""
+
+    def test_engine_config_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(EngineConfig)) == (
+            "n_machines", "procs_per_machine", "partitioner", "network",
+            "opt", "halo_hops", "retry_policy", "fetch_split",
+            "fetch_cache_bytes", "fetch_coalesce", "seed",
+        )
+
+    def test_run_request_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(RunRequest)) == (
+            "n_queries", "sources", "params", "mode", "opt", "keep_states",
+            "seed", "trace", "max_spans", "fault_plan", "retry_policy",
+            "degradation", "sanitize", "fetch_split", "fetch_cache_bytes",
+            "fetch_coalesce", "timeline",
+        )
 
 
 class TestLatencyPercentiles:

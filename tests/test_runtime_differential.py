@@ -11,7 +11,9 @@ both runtimes, the two executions must agree on:
 
 * the result vectors, exactly (bit-for-bit — same arithmetic, same
   order, timing-independent);
-* every ``rpc.*`` counter, including the injected-fault accounting.
+* every ``rpc.*`` counter, including the injected-fault accounting;
+* the per-call RPC account (``rpc_summary`` over the one ``SpanTracer``)
+  and the shape of the RPC spans it is read from.
 """
 
 import numpy as np
@@ -22,10 +24,12 @@ from repro.engine.cluster import deploy
 from repro.engine.query import assign_queries, multi_query_driver, \
     sample_sources
 from repro.graph import powerlaw_cluster
+from repro.obs.analysis import TraceGraph, machine_of_process, rpc_summary
+from repro.obs.analysis.causal import fault_of_span
 from repro.ppr import DegradationMode, OptLevel, PPRParams
 from repro.rpc import RetryPolicy
 from repro.serving.session import Session, SessionConfig
-from repro.simt import FaultPlan
+from repro.simt import FaultPlan, Wait
 from repro.storage import DistGraphStorage, FetchCache, NeighborFetchService
 
 PARAMS = PPRParams(epsilon=1e-5)
@@ -101,6 +105,13 @@ def assert_same_vectors(engine, states_a, states_b):
         np.testing.assert_array_equal(a[gid], b[gid])
 
 
+def run_on_both(engine, request):
+    """One request on the scheduler and on real threads."""
+    sim = engine.run(request)
+    thr = Session(engine, SessionConfig(runtime="threads")).run(request)
+    return sim, thr
+
+
 class TestHealthyDifferential:
     def test_results_and_counters_identical(self, engine):
         sources = sample_sources(engine.sharded, 8, seed=0)
@@ -160,8 +171,7 @@ class TestFaultyDifferential:
         assert sim.dropped_messages == runtime.dropped_messages
 
     def _on_both(self, engine, request):
-        sim = engine.run(request)
-        thr = Session(engine, SessionConfig(runtime="threads")).run(request)
+        sim, thr = run_on_both(engine, request)
         assert_same_vectors(engine, sim.states, thr.states)
         return sim, thr
 
@@ -253,6 +263,96 @@ class TestFetchLayerDifferential:
         assert len(states) == len(sources)
         assert runtime.sanitizer.accesses > 0
         assert list(runtime.sanitizer.report()) == []
+
+
+class TestTraceDifferential:
+    """One tracer, one set of RPC hooks (``WorkerRegistry``): both
+    runtimes record the same client/server span pairs, so everything read
+    off them agrees — the per-call account, the client span's parent, the
+    ``error`` attr of a failed call, the span id on the future."""
+
+    CHAOS = dict(fault_plan=FaultPlan(seed=13, drop_prob=0.15),
+                 retry_policy=RetryPolicy(max_attempts=6, timeout=5.0))
+    GIVEUPS = dict(fault_plan=FaultPlan(seed=3, drop_prob=0.6),
+                   retry_policy=RetryPolicy(max_attempts=2, timeout=0.01),
+                   degradation=DegradationMode.SKIP_REMOTE)
+
+    @staticmethod
+    def _summary(run):
+        tracer = run.obs.tracer
+        return rpc_summary(tracer, {s.process: machine_of_process(s.process)
+                                    for s in tracer.spans})
+
+    @pytest.mark.parametrize("overrides", [{}, CHAOS], ids=["clean", "drops"])
+    def test_rpc_summary_identical(self, engine, overrides):
+        sources = sample_sources(engine.sharded, 8, seed=0)
+        sim, thr = run_on_both(engine, sim_request(
+            sources, trace=True, **overrides))
+        summary = self._summary(sim)
+        assert summary == self._summary(thr)
+        assert summary["calls_remote"] == sim.remote_requests > 0
+        assert summary["request_bytes_remote"] == \
+            sim.metrics["rpc.request_bytes"]
+        assert sum(summary["by_method"].values()) == sim.remote_requests
+        matrix = np.array(summary["machine_matrix"])
+        assert np.trace(matrix) == 0 and matrix.sum() == sim.remote_requests
+        assert set(summary["payload_percentiles"]) == {50, 90, 99}
+
+    def test_client_spans_hang_under_their_query(self, engine):
+        sources = sample_sources(engine.sharded, 8, seed=0)
+        for run in run_on_both(engine, sim_request(sources, trace=True)):
+            graph = TraceGraph.from_tracer(run.obs.tracer)
+            clients = run.obs.tracer.by_kind("client")
+            assert len(clients) == run.remote_requests
+            for span in clients:
+                while span.name != "query":
+                    assert span.parent_id is not None, span
+                    span = graph.by_id[span.parent_id]
+
+    def test_exhausted_call_leaves_error_client_span(self, engine):
+        sources = sample_sources(engine.sharded, 8, seed=0)
+        failed = []
+        for run in run_on_both(engine, sim_request(
+                sources, trace=True, **self.GIVEUPS)):
+            tracer = run.obs.tracer
+            errors = [s for s in tracer.by_kind("client")
+                      if fault_of_span(s) == "RpcTimeoutError"]
+            assert len(errors) == run.metrics["rpc.giveups"] > 0
+            # every call has its client span; only served ones a server span
+            assert len(tracer.by_kind("client")) == run.remote_requests
+            assert len(tracer.by_kind("server")) == \
+                run.remote_requests - len(errors)
+            failed.append(len(errors))
+        assert failed[0] == failed[1]
+
+    @pytest.mark.parametrize("runtime", ["sim", "threads"])
+    def test_coalesce_marker_links_origin(self, engine, runtime):
+        """A second request joining an in-flight fetch draws its
+        ``fetch.coalesced`` marker from ``fut.span_id`` on either
+        runtime's future."""
+        cluster = deploy(engine.sharded, engine.config, runtime, trace=True)
+        proc = cluster.worker(0, 0)
+        svc = NeighborFetchService(
+            DistGraphStorage(cluster.rrefs, 0, proc.name, compress=True),
+            FetchCache(engine.config.fetch_cache_bytes),
+            metrics=cluster.obs.metrics, proc=proc)
+
+        def body():
+            first = svc.get_neighbor_infos(1, np.array([0, 1, 2]))
+            second = svc.get_neighbor_infos(1, np.array([1, 2, 3]))
+            yield Wait(first)
+            yield Wait(second)
+
+        cluster.spawn_compute(0, 0, body())
+        cluster.run()
+        tracer = cluster.obs.tracer
+        assert cluster.obs.metrics.count("fetch.coalesced") == 2
+        origin, _late = sorted(tracer.by_kind("client"),
+                               key=lambda s: s.span_id)
+        (marker,) = tracer.by_kind("coalesce")
+        assert marker.name == "fetch.coalesced"
+        assert marker.link == origin.span_id
+        assert marker.attrs["rows"] == 2
 
 
 class TestDoctorDifferential:

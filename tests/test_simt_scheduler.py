@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkerCrashedError
+from repro.obs import SpanTracer
 from repro.simt import Charge, Scheduler, SimFuture, Sleep, Wait, WaitAll
+from repro.simt.process import ProcessClock
 
 
 class TestBasicProcesses:
@@ -84,6 +86,64 @@ class TestBasicProcesses:
             Charge(-1.0)
         with pytest.raises(ValueError):
             Sleep(-1.0)
+
+
+class TestProcessClock:
+    """The one ledger: every charged second lands on clock and breakdown."""
+
+    def test_negative_charge_rejected(self):
+        proc = ProcessClock("p")
+        with pytest.raises(ValueError):
+            proc.charge_seconds(-0.5, "net")
+        assert proc.clock == 0.0
+        assert proc.breakdown.total() == 0.0
+
+    def test_measured_charges_clock_and_breakdown_by_same_float(self):
+        proc = ProcessClock("p")
+        proc.charge_seconds(0.25, "net")
+        with proc.measured("work") as block:
+            sum(range(10000))
+        assert block.elapsed > 0.0
+        assert proc.breakdown.get("work") == block.elapsed
+        assert proc.clock == 0.25 + block.elapsed
+        assert len(proc.breakdown.seconds) == 2
+
+    def test_traced_measure_span_is_the_clock_advance(self):
+        proc = ProcessClock("p")
+        proc.tracer = SpanTracer()
+        proc.charge_seconds(1.0, "net")
+        with proc.span("query"):
+            with proc.measured("push"):
+                sum(range(10000))
+        push, query = proc.tracer.spans
+        assert (push.name, push.start, push.end) == ("push", 1.0, proc.clock)
+        assert push.parent_id == query.span_id
+        assert push.duration == proc.clock - 1.0
+
+    def test_breakdown_conserves_clock_with_crashed_category(self):
+        sched = Scheduler()
+        ok = SimFuture.resolved("x", ready_time=2.0)
+        dead = SimFuture()
+        dead.set_exception(WorkerCrashedError("server down"), 5.0)
+
+        def body():
+            yield Charge(1.0, "work")
+            yield Wait(ok)
+            try:
+                yield WaitAll([ok, dead])
+            except WorkerCrashedError:
+                # caught: the next effects run on the same dispatcher
+                yield Charge(0.5, "recover")
+                yield Wait(ok)
+            return "survived"
+
+        proc = sched.spawn("p0", body())
+        sched.run()
+        assert sched.result_of("p0") == "survived"
+        assert proc.breakdown.as_dict() == {
+            "work": 1.0, "wait": 1.0, "crashed": 3.0, "recover": 0.5}
+        assert proc.breakdown.total() == proc.clock == 5.5
+        assert proc.waiting_on == ()
 
 
 class TestFutures:

@@ -5,59 +5,81 @@ import pytest
 
 from repro import EngineConfig, GraphEngine, RunRequest
 from repro.graph import powerlaw_cluster, save_npz
+from repro.obs import SpanTracer
+from repro.obs.analysis import rpc_summary
 from repro.partition import MetisLitePartitioner
-from repro.rpc.tracing import RpcCallRecord, RpcTracer
 from repro.storage import build_shards
 from repro.storage.persist import load_sharded, save_sharded
 
 
+def machine_map(cfg):
+    """Process name -> machine id for every server and computing process."""
+    out = {cfg.server_name(m): m for m in range(cfg.n_machines)}
+    out.update({cfg.worker_name(m, p): m for m in range(cfg.n_machines)
+                for p in range(cfg.procs_per_machine)})
+    return out
+
+
 class TestRpcTracer:
+    """Tracing RPCs: per-call records ride on the SpanTracer's client
+    spans and ``rpc_summary`` folds them."""
+
     def test_engine_tracing(self):
         g = powerlaw_cluster(400, 6, mixing=0.2, seed=0)
-        engine = GraphEngine(g, EngineConfig(n_machines=2, trace_rpc=True,
-                                             seed=0))
-        run = engine.run(RunRequest(n_queries=4, seed=1))
-        assert run.trace is not None
-        assert len(run.trace) == run.remote_requests + run.local_calls
-        assert len(run.trace.remote_records()) == run.remote_requests
+        engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
+        run = engine.run(RunRequest(n_queries=4, seed=1, trace=True))
+        s = rpc_summary(run.obs.tracer, machine_map(engine.config))
+        assert s["calls_remote"] == run.remote_requests > 0
+        assert s["request_bytes_remote"] == run.metrics["rpc.request_bytes"]
+        assert sum(s["by_method"].values()) == run.remote_requests
 
     def test_tracing_disabled_by_default(self):
         g = powerlaw_cluster(200, 5, seed=1)
         engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
         run = engine.run(RunRequest(n_queries=2))
-        assert run.trace is None
+        assert run.obs.tracer is None
 
     def test_machine_matrix_off_diagonal(self):
         g = powerlaw_cluster(400, 6, mixing=0.3, seed=2)
-        engine = GraphEngine(g, EngineConfig(n_machines=3, trace_rpc=True,
-                                             seed=0))
-        run = engine.run(RunRequest(n_queries=6, seed=3))
-        m = run.trace.machine_matrix(3)
-        assert np.trace(m) == 0  # local calls aren't remote records
+        engine = GraphEngine(g, EngineConfig(n_machines=3, seed=0))
+        run = engine.run(RunRequest(n_queries=6, seed=3, trace=True))
+        m = np.array(rpc_summary(run.obs.tracer,
+                                 machine_map(engine.config))["machine_matrix"])
+        assert m.shape == (3, 3)
+        assert np.trace(m) == 0  # local calls leave no client span
         assert m.sum() == run.remote_requests
 
     def test_summary_fields(self):
         g = powerlaw_cluster(300, 5, seed=3)
-        engine = GraphEngine(g, EngineConfig(n_machines=2, trace_rpc=True,
-                                             seed=0))
-        run = engine.run(RunRequest(n_queries=3, seed=4))
-        s = run.trace.summary(2)
-        assert s["calls_total"] >= s["calls_remote"]
+        engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
+        run = engine.run(RunRequest(n_queries=3, seed=4, trace=True))
+        s = rpc_summary(run.obs.tracer, machine_map(engine.config))
+        assert set(s) == {"calls_remote", "request_bytes_remote", "by_method",
+                          "machine_matrix", "payload_percentiles"}
         assert "get_neighbor_batch" in s["by_method"] or \
             "get_vertex_props" in s["by_method"]
         assert set(s["payload_percentiles"]) == {50, 90, 99}
+        p = s["payload_percentiles"]
+        assert 0 < p[50] <= p[90] <= p[99]
 
     def test_empty_tracer(self):
-        t = RpcTracer()
-        assert t.total_request_bytes() == 0
-        assert t.payload_percentiles() == {50: 0.0, 90: 0.0, 99: 0.0}
-        np.testing.assert_array_equal(t.machine_matrix(2), np.zeros((2, 2)))
+        s = rpc_summary(SpanTracer(), {"a": 0, "b": 1})
+        assert s["calls_remote"] == s["request_bytes_remote"] == 0
+        assert s["by_method"] == {}
+        assert s["payload_percentiles"] == {50: 0.0, 90: 0.0, 99: 0.0}
+        assert s["machine_matrix"] == [[0, 0], [0, 0]]
 
     def test_manual_record(self):
-        t = RpcTracer()
-        t.record(RpcCallRecord(0.0, "a", "b", 0, 1, "m", 100, 2, True))
-        assert len(t) == 1
-        assert t.calls_by_method() == {"m": 1}
+        t = SpanTracer()
+        t.record("rpc:m", "a", 0.0, 1.0, kind="client",
+                 attrs={"owner": "b", "method": "m",
+                        "request_nbytes": 100, "request_tensors": 2})
+        t.record("serve:m", "b", 0.2, 0.8, kind="server", link=1)
+        s = rpc_summary(t, {"a": 0, "b": 1})
+        assert s["calls_remote"] == 1
+        assert s["request_bytes_remote"] == 100
+        assert s["by_method"] == {"m": 1}
+        assert s["machine_matrix"] == [[0, 1], [0, 0]]
 
 
 class TestPersistence:

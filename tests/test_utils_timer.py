@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.utils.timer import CategoryTimer, Stopwatch, TimeBreakdown
+from repro.utils.timer import Stopwatch, TimeBreakdown
 
 
 class TestStopwatch:
@@ -59,26 +59,3 @@ class TestTimeBreakdown:
         d = bd.as_dict()
         d["x"] = 99.0
         assert bd.get("x") == pytest.approx(1.0)
-
-
-class TestCategoryTimer:
-    def test_charge_context_manager(self):
-        t = CategoryTimer()
-        with t.charge("work"):
-            time.sleep(0.005)
-        assert t.breakdown.get("work") >= 0.004
-
-    def test_on_charge_callback(self):
-        seen = []
-        t = CategoryTimer(on_charge=lambda cat, dt: seen.append((cat, dt)))
-        t.charge_seconds("net", 0.25)
-        assert seen == [("net", 0.25)]
-        assert t.breakdown.get("net") == pytest.approx(0.25)
-
-    def test_shared_breakdown(self):
-        bd = TimeBreakdown()
-        t1 = CategoryTimer(breakdown=bd)
-        t2 = CategoryTimer(breakdown=bd)
-        t1.charge_seconds("a", 1.0)
-        t2.charge_seconds("a", 1.0)
-        assert bd.get("a") == pytest.approx(2.0)
