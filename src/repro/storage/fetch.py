@@ -13,7 +13,13 @@ mechanisms:
    populated from remote responses.  Power-law hub vertices re-fetched by
    every query are fetched once per run.  Eviction is deterministic
    (lowest ``(frequency, last-use tick, key)`` first — a logical tick, no
-   wall clock, no randomness).
+   wall clock, no randomness) and the victim comes off a lazy min-heap
+   holding exactly one ``(freq, tick, key)`` entry per resident row.  A
+   hit only writes ``row.freq`` / ``row.tick``; since both only grow, a
+   filed entry is a lower bound on its row's priority, and eviction
+   re-files a stale top entry until the top matches its row — that row is
+   the true minimum.  Costs: hit none, admit one heap push, evict
+   O(log R) plus one re-file per row hit since it was filed.
 3. **Single-flight coalescing** — concurrent in-flight requests for
    overlapping ``(shard, node)`` sets dedup against a pending-futures table;
    late arrivals extract their rows from the first request's response.
@@ -31,6 +37,7 @@ by one lock (sanitizer-tracked when a race detector is installed).
 from __future__ import annotations
 
 import threading
+from heapq import heappop, heappush, heapreplace
 from typing import Any
 
 import numpy as np
@@ -78,6 +85,11 @@ class FetchCache:
             )
         self.capacity = int(capacity_bytes)
         self.rows: dict[int, _HotRow] = {}
+        #: eviction order: exactly one ``(freq, tick, key)`` entry per
+        #: resident row, filed at admission or at its last re-file.  Hits
+        #: bump the row, not the entry, so an entry may be stale — but
+        #: never above its row's current priority (freq and tick only grow)
+        self._heap: list[tuple[int, int, int]] = []
         #: key -> (in-flight future, row index within that request)
         self.pending: dict[int, tuple[Any, int]] = {}
         self.nbytes = 0
@@ -100,27 +112,38 @@ class FetchCache:
         """Cache rows of a remote response; returns evictions performed."""
         if self.capacity <= 0:
             return 0
-        indptr = batch.indptr
+        rows = self.rows
+        heap = self._heap
+        capacity = self.capacity
         tick = self.tick
+        # bulk conversions once per response, not per row
+        bounds = batch.indptr.tolist()
+        src_wdeg = batch.source_wdeg.tolist()
         for i, key in enumerate(keys):
-            if key in self.rows:
+            if key in rows:
                 continue
-            s, e = int(indptr[i]), int(indptr[i + 1])
+            s, e = bounds[i], bounds[i + 1]
             nbytes = (e - s) * _ROW_ENTRY_NBYTES + _ROW_BASE_NBYTES
-            if nbytes > self.capacity:
+            if nbytes > capacity:
                 continue
-            self.rows[key] = _HotRow(
+            rows[key] = _HotRow(
                 batch.local_ids[s:e], batch.shard_ids[s:e],
                 batch.global_ids[s:e], batch.weights[s:e],
-                batch.weighted_degrees[s:e], float(batch.source_wdeg[i]),
-                nbytes, tick,
+                batch.weighted_degrees[s:e], src_wdeg[i], nbytes, tick,
             )
+            heappush(heap, (1, tick, key))
             self.nbytes += nbytes
         evicted = 0
-        while self.nbytes > self.capacity:
-            key, row = min(self.rows.items(),
-                           key=lambda kv: (kv[1].freq, kv[1].tick, kv[0]))
-            del self.rows[key]
+        while self.nbytes > capacity:
+            freq, filed, key = heap[0]
+            row = rows[key]
+            if row.freq != freq or row.tick != filed:
+                # hit since it was filed: re-file at its current priority;
+                # the first top entry that matches its row is the minimum
+                heapreplace(heap, (row.freq, row.tick, key))
+                continue
+            heappop(heap)
+            del rows[key]
             self.nbytes -= row.nbytes
             evicted += 1
         self.evictions += evicted
@@ -256,6 +279,7 @@ class NeighborFetchService:
 
     def _fetch_remote(self, dest_shard: int, ids: np.ndarray):
         cache = self._cache
+        coalesce = self._coalesce
         n = len(ids)
         keys = ids * self._g.n_shards + dest_shard
         key_list = keys.tolist()  # one bulk conversion, not n int() calls
@@ -275,7 +299,7 @@ class NeighborFetchService:
                 for key in key_list:
                     heat[key] = heat.get(key, 0) + 1
             use_rows = cache.capacity > 0 and bool(cache.rows)
-            if not use_rows and not (self._coalesce and cache.pending):
+            if not use_rows and not (coalesce and cache.pending):
                 # nothing cached or in flight: every node is a miss
                 rest = list(range(n))
             else:
@@ -291,8 +315,8 @@ class NeighborFetchService:
                     rest_arr = np.asarray(rest, dtype=np.int64)
                     covered = local_shard.cache_mask(dest_shard,
                                                      ids[rest_arr])
-                    halo_pos = [int(p) for p in rest_arr[covered]]
-                    miss_pos = [int(p) for p in rest_arr[~covered]]
+                    halo_pos = rest_arr[covered].tolist()
+                    miss_pos = rest_arr[~covered].tolist()
 
             halo_fut = None
             if halo_pos:
@@ -303,13 +327,16 @@ class NeighborFetchService:
                 )
 
             miss_fut = None
+            #: keys of the rows on the wire, in response row order: built
+            #: once for pending registration, unregistration and admission
             miss_keys: list[int] = []
             if miss_pos:
                 miss_fut = self._g.get_neighbor_infos(
                     dest_shard, ids[np.asarray(miss_pos, dtype=np.int64)]
                 )
-                if self._coalesce:
+                if coalesce or cache.capacity > 0:
                     miss_keys = [key_list[p] for p in miss_pos]
+                if coalesce:
                     for row_idx, key in enumerate(miss_keys):
                         cache.pending[key] = (miss_fut, row_idx)
 
@@ -353,8 +380,7 @@ class NeighborFetchService:
         # Pure miss with nothing to merge or admit or unregister: hand the
         # raw storage future through — byte-for-byte the pre-fetch-layer
         # path.
-        if (miss_fut is not None and len(miss_pos) == n
-                and cache.capacity <= 0 and not miss_keys):
+        if miss_fut is not None and len(miss_pos) == n and not miss_keys:
             return miss_fut
 
         part_specs: list[tuple[Any, list[int], list[int] | None]] = []
@@ -367,7 +393,7 @@ class NeighborFetchService:
 
         def finalize(ok: bool):
             if not ok:
-                if miss_keys:
+                if coalesce and miss_keys:
                     with cache.lock:
                         cache.record_access(write=True)
                         cache.unregister(miss_keys, miss_fut)
@@ -387,14 +413,13 @@ class NeighborFetchService:
                     (np.asarray(positions, dtype=np.int64), batch)
                 )
             evicted = 0
-            if miss_keys or (cache.capacity > 0 and miss_fut is not None):
+            if miss_keys:
                 with cache.lock:
                     cache.record_access(write=True)
-                    if miss_keys:
+                    if coalesce:
                         cache.unregister(miss_keys, miss_fut)
-                    if cache.capacity > 0 and miss_fut is not None:
-                        admit_keys = [key_list[p] for p in miss_pos]
-                        evicted = cache.admit(admit_keys, miss_fut.value())
+                    if cache.capacity > 0:
+                        evicted = cache.admit(miss_keys, miss_fut.value())
             self._inc("fetch.bytes_saved", saved)
             self._inc("fetch.evictions", evicted)
             if hot_rows:

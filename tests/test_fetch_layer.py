@@ -4,13 +4,19 @@ Covers the three mechanisms in isolation (partial-hit splitting via
 ``GraphShard.cache_mask``, the byte-budgeted hot-vertex cache, and the
 single-flight pending table) plus the wire-format helpers they rest on
 (``NeighborBatch.take_rows`` / ``NeighborBatch.merge``).  Hypothesis
-checks the two invariants the bitwise-identity guarantee depends on:
+checks the invariants the bitwise-identity guarantee depends on:
 
 * split/merge round-trip — any partition of a batch into parts, in any
   order, merges back to the original batch bit-for-bit;
 * eviction determinism — the same admission sequence always produces
-  the same cache contents and the same eviction count.
+  the same cache contents and the same eviction count;
+* eviction order — under any interleaving of admissions, hits and tick
+  advances the heap-backed cache evicts exactly the rows a brute-force
+  ``min`` over ``(freq, tick, key)`` would, and files exactly one heap
+  entry per resident row (:func:`assert_cache_quiescent`).
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -226,6 +232,63 @@ def admit_ids(cache, ids):
         return cache.admit(keys, batch)
 
 
+def assert_cache_quiescent(cache):
+    """Between calls the byte account is exact and within budget, and the
+    eviction heap holds exactly one entry per resident row — none for an
+    evicted one, so it cannot grow with hits or with run length — each a
+    lower bound on its row's current ``(freq, tick)``."""
+    assert cache.nbytes == sum(r.nbytes for r in cache.rows.values())
+    assert cache.nbytes <= cache.capacity
+    assert sorted(key for _, _, key in cache._heap) == sorted(cache.rows)
+    for freq, tick, key in cache._heap:
+        row = cache.rows[key]
+        assert (freq, tick) <= (row.freq, row.tick)
+
+
+class _ScanCache:
+    """The eviction oracle: rows as ``key -> [freq, tick, nbytes]``, every
+    victim picked by a full ``min`` scan over ``(freq, tick, key)``."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.rows = {}
+        self.nbytes = 0
+        self.evictions = 0
+        self.tick = 0
+
+    def admit(self, ids):
+        if self.capacity <= 0:
+            return 0
+        for node in ids:
+            key = node * 2
+            nbytes = (node % 3 + 1) * 40 + 8  # make_batch's row sizes
+            if key in self.rows or nbytes > self.capacity:
+                continue
+            self.rows[key] = [1, self.tick, nbytes]
+            self.nbytes += nbytes
+        evicted = 0
+        while self.nbytes > self.capacity:
+            key = min(self.rows, key=lambda k: (*self.rows[k][:2], k))
+            self.nbytes -= self.rows.pop(key)[2]
+            evicted += 1
+        self.evictions += evicted
+        return evicted
+
+
+#: one step of a cache's life: admit a response, hit the n-th resident
+#: row (in key order) the way ``_classify`` does, or advance the tick
+cache_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("admit"),
+                  st.lists(st.integers(min_value=0, max_value=40),
+                           min_size=1, max_size=6)),
+        st.tuples(st.just("hit"), st.integers(min_value=0, max_value=63)),
+        st.tuples(st.just("tick"), st.just(None)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
 class TestFetchCache:
     def test_admit_accounts_bytes(self):
         cache = FetchCache(1 << 20)
@@ -237,12 +300,16 @@ class TestFetchCache:
         cache = FetchCache(0)
         assert admit_ids(cache, [0, 1]) == 0
         assert cache.rows == {} and cache.nbytes == 0
+        assert cache._heap == []
 
     def test_oversize_row_skipped(self):
         cache = FetchCache(60)  # row of node 1 costs 2*40+8 = 88 > 60
+        admit_ids(cache, [1])
+        assert cache.rows == {} and cache._heap == []
         admit_ids(cache, [0, 1])  # node 0 costs 48, fits
         assert list(cache.rows) == [0]
         assert cache.evictions == 0
+        assert_cache_quiescent(cache)
 
     def test_eviction_prefers_cold_then_old(self):
         cache = FetchCache(3 * 48)  # three single-neighbor rows max
@@ -254,6 +321,7 @@ class TestFetchCache:
         assert cache.evictions == 1
         assert 6 not in cache.rows  # coldest and oldest goes first
         assert set(cache.rows) == {0, 12, 18}
+        assert_cache_quiescent(cache)
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity_bytes"):
@@ -287,6 +355,56 @@ class TestFetchCache:
         assert a.nbytes == b.nbytes == sum(r.nbytes for r in a.rows.values())
         assert a.evictions == b.evictions
         assert a.nbytes <= capacity
+
+    @settings(max_examples=150, deadline=None)
+    @given(cache_steps, st.integers(min_value=0, max_value=800))
+    def test_evicts_what_a_min_scan_would(self, steps, capacity):
+        """Hits make heap entries stale; the victims must not change."""
+        cache, oracle = FetchCache(capacity), _ScanCache(capacity)
+        for op, arg in steps:
+            if op == "admit":
+                assert admit_ids(cache, arg) == oracle.admit(arg)
+            elif op == "tick":
+                cache.tick += 1
+                oracle.tick += 1
+            elif cache.rows:
+                key = sorted(cache.rows)[arg % len(cache.rows)]
+                row = cache.rows[key]
+                row.freq += 1
+                row.tick = cache.tick
+                oracle.rows[key][0] += 1
+                oracle.rows[key][1] = oracle.tick
+            assert set(cache.rows) == set(oracle.rows)
+            assert cache.nbytes == oracle.nbytes
+            assert cache.evictions == oracle.evictions
+            assert_cache_quiescent(cache)
+
+    @pytest.mark.slow
+    def test_eviction_cost_does_not_scale_with_residents(self):
+        """The same number of evictions out of 16x the resident rows costs
+        < 4x per victim (a scan costs ~16x); a ratio, so host speed
+        cancels."""
+        n_victims, per_call = 2048, 64
+
+        def per_victim_seconds(resident):
+            cache = FetchCache(resident * 48)  # single-neighbor rows only
+            admit_ids(cache, np.arange(resident) * 3)
+            assert len(cache.rows) == resident
+            calls = []
+            for start in range(resident, resident + n_victims, per_call):
+                ids = np.arange(start, start + per_call) * 3
+                calls.append(((ids * 2).tolist(), make_batch(ids)))
+            cache.tick += 1
+            t0 = time.perf_counter()
+            for keys, batch in calls:
+                cache.admit(keys, batch)
+            elapsed = time.perf_counter() - t0
+            assert cache.evictions == n_victims
+            return elapsed / n_victims
+
+        small = min(per_victim_seconds(512) for _ in range(5))
+        large = min(per_victim_seconds(8192) for _ in range(5))
+        assert large < 4 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------

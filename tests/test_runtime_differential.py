@@ -31,6 +31,7 @@ from repro.rpc import RetryPolicy
 from repro.serving.session import Session, SessionConfig
 from repro.simt import FaultPlan, Wait
 from repro.storage import DistGraphStorage, FetchCache, NeighborFetchService
+from tests.test_fetch_layer import assert_cache_quiescent
 
 PARAMS = PPRParams(epsilon=1e-5)
 
@@ -58,18 +59,22 @@ def engine():
     return GraphEngine(graph, EngineConfig(n_machines=2))
 
 
-def run_threaded(engine, sources, *, fetch=True, **overrides):
+def run_threaded(engine, sources, *, fetch=True, fetch_caches=None,
+                 **overrides):
     """``engine.run``'s deployment on real threads, driver by driver.
 
     ``fetch`` mirrors the engine's fetch-layer wrapping (one shared
-    FetchCache per machine) with the config's default knobs; ``overrides``
-    are the cluster's per-run knobs (fault plan, retry policy, sanitize).
+    FetchCache per machine) with the config's default knobs; a caller that
+    wants to inspect those caches afterwards passes its own (empty)
+    ``fetch_caches`` dict.  ``overrides`` are the cluster's per-run knobs
+    (fault plan, retry policy, sanitize).
     """
     cfg = engine.config
     sharded = engine.sharded
     cluster = deploy(sharded, cfg, "threads", **overrides)
     states: dict[int, object] = {}
-    fetch_caches: dict[int, FetchCache] = {}
+    if fetch_caches is None:
+        fetch_caches = {}
     for (machine, p), chunk in assign_queries(
             sharded, sources, cfg.procs_per_machine).items():
         proc = cluster.worker(machine, p)
@@ -251,6 +256,35 @@ class TestFetchLayerDifferential:
         _, off_states = run_threaded(engine, sources, fetch=False)
         assert_same_vectors(engine, on_states, off_states)
 
+    def test_overflowing_cache_evicts_identically_and_stays_quiescent(
+            self, engine):
+        """A cache too small for the run evicts the same rows on both
+        runtimes, never changes an answer, and ends every run with exact
+        byte accounts and one heap entry per resident row."""
+        tight = GraphEngine(engine.graph, EngineConfig(
+            n_machines=2, fetch_cache_bytes=4096), sharded=engine.sharded)
+        sources = sample_sources(engine.sharded, 8, seed=4)
+        roomy = engine.run(sim_request(sources))
+        sim = tight.run(sim_request(sources))
+        caches: dict[int, FetchCache] = {}
+        runtime, thr_states = run_threaded(tight, sources,
+                                           fetch_caches=caches)
+        assert_same_vectors(engine, roomy.states, sim.states)
+        assert_same_vectors(engine, sim.states, thr_states)
+        sim_c = sim.obs.metrics.counters()
+        thr_c = runtime.obs.metrics.counters()
+        for key in ("fetch.evictions", "fetch.cache_hits", "fetch.misses",
+                    "fetch.coalesced", "fetch.bytes_saved"):
+            assert sim_c.get(key, 0) == thr_c.get(key, 0), key
+        assert "fetch.evictions" not in roomy.obs.metrics.counters()
+        assert sim_c["fetch.evictions"] > 0
+        assert sim_c["fetch.cache_hits"] > 0  # stale heap entries exist
+        assert sum(c.evictions for c in caches.values()) \
+            == thr_c["fetch.evictions"]
+        for cache in caches.values():
+            assert cache.rows
+            assert_cache_quiescent(cache)
+
     def test_sanitized_threads_clean_through_coalescing(self):
         """Two procs per machine hammer one shared FetchCache: the lockset
         detector must see accesses but no discipline violations."""
@@ -259,10 +293,15 @@ class TestFetchLayerDifferential:
             n_machines=2, procs_per_machine=2, halo_hops=2,
         ))
         sources = sample_sources(engine.sharded, 12, seed=5)
-        runtime, states = run_threaded(engine, sources, sanitize=True)
+        caches: dict[int, FetchCache] = {}
+        runtime, states = run_threaded(engine, sources, sanitize=True,
+                                       fetch_caches=caches)
         assert len(states) == len(sources)
         assert runtime.sanitizer.accesses > 0
         assert list(runtime.sanitizer.report()) == []
+        for cache in caches.values():
+            assert not cache.pending
+            assert_cache_quiescent(cache)
 
 
 class TestTraceDifferential:
