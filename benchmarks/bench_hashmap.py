@@ -1,19 +1,30 @@
-"""Microbenchmark — the vectorized sharded map vs a Python dict.
+"""Microbenchmark — the paged slot table vs a Python dict.
 
 The paper's Section 3.3 rests on the parallel hashmap being fast at batch
-updates.  Our NumPy emulation must beat the obvious alternative (a Python
+updates.  Our NumPy stand-in must beat the obvious alternative (a Python
 dict driven from the interpreter) at engine-relevant batch sizes, otherwise
-the "C++ operator" stand-in claim would be hollow.  Also records submap
-load balance (the property that enables the paper's lock-free partitioned
-updates).
+the "C++ operator" claim would be hollow.  Keys are engine-shaped: packed
+``(local * K + shard) * B + qid`` ids over a |V| * B = 50 000 * 4 range
+(the twitter stand-in under a 4-query fused batch), each distinct key
+repeated ~4x inside a call — a push resolves 19% (products) to 49%
+(twitter) distinct keys per call.  Also records page fill: the share of
+resident cells in use, i.e. what lazily paging the domain costs in memory.
 """
 
 import numpy as np
 
 from benchmarks import common
-from repro.ppr.hashmap import ShardedMap
+from repro.ppr.hashmap import PAGE_SLOTS, ShardedMap
 
 BATCH_SIZES = (1_000, 10_000, 100_000)
+KEY_RANGE = 50_000 * 4
+REPEATS_PER_KEY = 4
+
+
+def push_shaped_keys(rng, n: int) -> np.ndarray:
+    """``n`` packed ids, each distinct one drawn ~REPEATS_PER_KEY times."""
+    distinct = rng.integers(0, KEY_RANGE, size=max(1, n // REPEATS_PER_KEY))
+    return distinct[rng.integers(0, len(distinct), size=n)]
 
 
 def dict_get_or_insert(d: dict, keys: np.ndarray) -> np.ndarray:
@@ -37,8 +48,8 @@ def time_once(fn) -> float:
 
 def run_batch_size(n: int) -> dict:
     rng = np.random.default_rng(41)
-    keys = rng.integers(0, 2**40, size=n)
-    fresh_keys = rng.integers(0, 2**40, size=n)
+    keys = push_shaped_keys(rng, n)
+    fresh_keys = push_shaped_keys(rng, n)
 
     m = ShardedMap()
     t_insert = time_once(lambda: m.get_or_insert(keys))
@@ -49,7 +60,6 @@ def run_batch_size(n: int) -> dict:
     t_dict_insert = time_once(lambda: dict_get_or_insert(d, keys))
     t_dict_lookup = time_once(lambda: dict_get_or_insert(d, keys))
 
-    balance = m.submap_sizes()
     return {
         "Batch": n,
         "Map insert (ms)": round(t_insert * 1e3, 2),
@@ -57,14 +67,12 @@ def run_batch_size(n: int) -> dict:
         "Map 2nd insert (ms)": round(t_insert_more * 1e3, 2),
         "Dict insert (ms)": round(t_dict_insert * 1e3, 2),
         "Dict lookup (ms)": round(t_dict_lookup * 1e3, 2),
-        "Submap max/mean": round(
-            float(balance.max() / max(balance.mean(), 1e-9)), 2
-        ),
+        "Page fill": round(len(m) / (m.resident_pages * PAGE_SLOTS), 4),
     }
 
 
-# at engine-scale batches the vectorized map clearly wins, and submaps
-# stay usably balanced (the lock-free partitioning premise)
+# at engine-scale batches the vectorized table clearly wins, and an
+# engine-scale batch leaves its pages usefully full (paging is not waste)
 EXPECTATIONS = [
     {"kind": "cmp", "label": "map insert beats dict at engine batches",
      "left": {"col": "Map insert (ms)", "where": {"Batch": BATCH_SIZES[-1]}},
@@ -78,9 +86,9 @@ EXPECTATIONS = [
      "right": {"col": "Dict lookup (ms)",
                "where": {"Batch": BATCH_SIZES[-1]}},
      "scales": ["full"]},
-    {"kind": "bounds", "label": "submaps stay balanced",
-     "col": "Submap max/mean", "where": {"Batch": BATCH_SIZES[-1]},
-     "hi": 1.6, "scales": "all"},
+    {"kind": "bounds", "label": "engine-scale batches fill their pages",
+     "col": "Page fill", "where": {"Batch": BATCH_SIZES[-1]},
+     "lo": 0.1, "scales": "all"},
 ]
 
 
@@ -92,7 +100,7 @@ def test_hashmap_vs_dict(benchmark):
         "hashmap",
         "ShardedMap vs Python dict (get_or_insert / lookup)",
         rows, key=("Batch",),
-        deterministic=("Submap max/mean",),
+        deterministic=("Page fill",),
         lower_is_better=("Map insert (ms)", "Map lookup (ms)",
                          "Map 2nd insert (ms)", "Dict insert (ms)",
                          "Dict lookup (ms)"),

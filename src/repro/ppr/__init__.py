@@ -2,10 +2,10 @@
 
 Implements every PPR method the paper evaluates:
 
-* :class:`ShardedMap` (:mod:`~repro.ppr.hashmap`) — a vectorized
-  open-addressing hash map partitioned into submaps, emulating the
-  lock-free parallel-hashmap the paper's C++ operators build on;
-* :class:`SSPPR` (:mod:`~repro.ppr.ppr_ops`) — the hashmap-backed local PPR
+* :class:`ShardedMap` (:mod:`~repro.ppr.hashmap`) — a vectorized, lazily
+  paged direct-address slot table standing in for the lock-free
+  parallel-hashmap the paper's C++ operators build on;
+* :class:`SSPPR` (:mod:`~repro.ppr.ppr_ops`) — the slot-table-backed local PPR
   operators ``pop`` / ``push`` of Section 3.3 ("PPR Ops");
 * :class:`DenseSSPPR` (:mod:`~repro.ppr.tensor_ops`) — the dense
   tensor-based state used by the "PyTorch Tensor" baseline, whose per-

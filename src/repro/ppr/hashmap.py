@@ -1,276 +1,200 @@
-"""Vectorized sharded hash map — the parallel-hashmap emulation.
+"""Paged direct-address slot table — key -> dense slot, no hashing.
 
 The paper's C++ PPR operators store ``<local ID, shard ID> -> value`` pairs
 in greg7mdp/parallel-hashmap: a table split into submaps, with updates
-partitioned across threads *by submap index* so no locks are needed.  This
-module provides the same structure in NumPy:
+partitioned across threads *by submap index* so no locks are needed.  Those
+keys are a dense domain — the engine packs ``local * K + shard`` (and
+``* B + qid`` for fused batches), which tops out at ~1.1 |V| B — so this
+module addresses them directly instead of hashing them:
 
-* keys are non-negative ``int64`` (the engine packs ``local * K + shard``);
-* the table is ``n_submaps`` contiguous open-addressed regions; a key's
-  submap is chosen by the low bits of its hash, mirroring phmap;
-* **all operations are batch-vectorized**: lookups and inserts process a
-  whole key array per probe round (a masked compare + claim/verify cycle
-  that emulates CAS), so a push over 100k neighbor entries costs a handful
-  of NumPy kernels rather than 100k interpreter iterations — this is the
-  "C++ speed" stand-in;
-* duplicate keys are allowed in every call: duplicates of one key compute
-  identical probe sequences, so they move through the rounds in lockstep
-  and resolve to the same slot; dense-index claiming dedups by slot;
-* the map stores only key -> *dense index* (insertion order).  Values live
-  in caller-owned dense arrays that never move on rehash, exactly like the
-  slot/value split in the paper's operators.
+* a **page directory** indexed by ``key >> PAGE_BITS`` names the page a key
+  lives on; pages are ``PAGE_SLOTS`` cells (32 KiB), allocated on first
+  touch, so memory is O(touched pages) and nothing is ever re-placed;
+* ``lookup`` is two array indexings (directory, then cell); page 0 is a
+  permanent all-missing *null page* every unallocated directory entry
+  points at, so absent keys need no branch;
+* ``get_or_insert`` is the same plus a first-occurrence claim for the keys
+  it finds missing: dense slots are numbered in order of first occurrence
+  in the call, so ``keys()`` enumerates in first-touch order;
+* **all operations are batch-vectorized** and duplicate keys are allowed in
+  every call — this is the "C++ speed" stand-in;
+* the table stores only key -> *dense slot*.  Values live in caller-owned
+  slot-indexed arrays (:func:`fit_values` grows them), exactly like the
+  slot/value split in the paper's operators;
+* the paper's lock-free contract is a property of pages: keys on different
+  pages (:meth:`ShardedMap.page_of`) never share a cell, so updates
+  partitioned by page need no locks — the submap rule, without the hash.
+
+The module and class keep their historical names because the wall-clock
+benchmark patches ``repro.ppr.hashmap.ShardedMap`` by name; the rename
+waits for ROADMAP item 5a.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_EMPTY = np.int64(-1)
+PAGE_BITS = 12
+PAGE_SLOTS = 1 << PAGE_BITS
+_LOW = PAGE_SLOTS - 1
 
 
-def _mix(keys: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer — avalanche the bits of each key (vectorized)."""
-    with np.errstate(over="ignore"):
-        z = keys.astype(np.uint64, copy=True)
-        z += np.uint64(0x9E3779B97F4A7C15)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-    return z
+def _fit(arr: np.ndarray, needed: int, used: int | None = None):
+    """``arr`` if it holds ``needed`` entries, else a zero-extended copy of
+    its first ``used`` (default: all) entries with capacity doubled to fit."""
+    cap = len(arr)
+    if needed <= cap:
+        return arr
+    while cap < needed:
+        cap *= 2
+    grown = np.zeros(cap, dtype=arr.dtype)
+    used = len(arr) if used is None else used
+    grown[:used] = arr[:used]
+    return grown
+
+
+def fit_values(table: "ShardedMap", *arrays: np.ndarray) -> tuple:
+    """Slot-indexed value ``arrays`` zero-extended to ``len(table)`` slots."""
+    return tuple(_fit(a, len(table)) for a in arrays)
 
 
 class ShardedMap:
-    """Open-addressed int64 -> dense-index map with submap partitioning."""
+    """Lazily paged direct-address int64 -> dense-slot table."""
 
     #: race-sanitizer hook (repro.analysis.race.install).  Class-level and
     #: None by default: the off path costs one attribute check per *batched*
     #: call, so instrumentation is zero-overhead when disabled.
     _sanitizer = None
 
-    def __init__(self, *, initial_submap_capacity: int = 2048,
-                 n_submaps: int = 16, max_load: float = 0.35) -> None:
-        if n_submaps < 1 or n_submaps & (n_submaps - 1):
-            raise ValueError(f"n_submaps must be a power of two, got {n_submaps}")
-        if initial_submap_capacity < 4:
-            raise ValueError("initial_submap_capacity must be >= 4")
-        if not 0.1 <= max_load <= 0.9:
-            raise ValueError(f"max_load must be in [0.1, 0.9], got {max_load}")
-        self.n_submaps = n_submaps
-        self.max_load = max_load
-        self._submap_cap = 1 << int(np.ceil(np.log2(initial_submap_capacity)))
-        self._submap_bits = int(np.log2(n_submaps))
-        self._alloc_table()
-        # Dense side: insertion-ordered keys.
+    #: largest admissible key.  The directory holds one word per page up to
+    #: the largest key *seen* (at most 2**22 words); a key past the bound
+    #: raises before anything is allocated.
+    MAX_KEY = (1 << 34) - 1
+
+    def __init__(self) -> None:
+        self._directory = np.zeros(16, dtype=np.int64)  # 0 = the null page
+        self._cells = np.empty(8 * PAGE_SLOTS, dtype=np.int64)
+        self._cells[:PAGE_SLOTS] = -1
+        self._n_pages = 1
+        # Dense side: keys in slot (first-occurrence) order.
         self._dense_keys = np.empty(1024, dtype=np.int64)
         self._n = 0
-        #: total probe rounds executed (diagnostics / collision stats)
+        #: probe rounds executed — one per non-empty call, by construction
         self.probe_rounds = 0
+        #: always 0: a direct-address cell is never re-placed
         self.rehashes = 0
-
-    def _alloc_table(self) -> None:
-        total = self.n_submaps * self._submap_cap
-        self._keys = np.full(total, _EMPTY, dtype=np.int64)
-        self._index = np.empty(total, dtype=np.int64)
 
     # -- public surface --------------------------------------------------
     def __len__(self) -> int:
         return self._n
 
     @property
-    def capacity(self) -> int:
-        return self.n_submaps * self._submap_cap
+    def resident_pages(self) -> int:
+        """Pages allocated so far (== distinct pages ever inserted into)."""
+        return self._n_pages - 1
 
     def keys(self) -> np.ndarray:
-        """All keys in insertion (dense-index) order."""
+        """All keys in slot order (order of first occurrence)."""
         return self._dense_keys[: self._n]
 
-    def submap_of(self, keys) -> np.ndarray:
-        """Which submap each key lives in (the thread-partitioning index)."""
-        h = _mix(np.asarray(keys, dtype=np.int64))
-        return (h & np.uint64(self.n_submaps - 1)).astype(np.int64)
-
-    def submap_sizes(self) -> np.ndarray:
-        """Occupied entries per submap (for load-balance diagnostics)."""
-        occ = self._keys != _EMPTY
-        return occ.reshape(self.n_submaps, self._submap_cap).sum(axis=1)
-
-    def _start_slots(self, keys: np.ndarray) -> np.ndarray:
-        """Initial probe slot per key (submap base + in-submap offset)."""
-        h = _mix(keys)
-        base = (h & np.uint64(self.n_submaps - 1)).astype(np.int64) \
-            * self._submap_cap
-        offset = ((h >> np.uint64(self._submap_bits))
-                  & np.uint64(self._submap_cap - 1)).astype(np.int64)
-        return base + offset
-
-    def _advance(self, slot: np.ndarray) -> np.ndarray:
-        """Next linear-probe slot, wrapping within each submap."""
-        cap = self._submap_cap
-        base = slot & ~np.int64(cap - 1)
-        return base + ((slot + 1) & (cap - 1))
+    @staticmethod
+    def page_of(keys) -> np.ndarray:
+        """Which page each key lives on (the thread-partitioning index)."""
+        return np.asarray(keys, dtype=np.int64) >> PAGE_BITS
 
     def lookup(self, keys) -> np.ndarray:
-        """Dense indices of ``keys`` (-1 where missing).  Duplicates OK."""
+        """Dense slots of ``keys`` (-1 where missing).  Duplicates OK."""
         if self._sanitizer is not None:
             self._sanitizer.record(f"ShardedMap@{id(self):#x}", write=False)
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        self._check_keys(keys)
-        n = len(keys)
-        out = np.full(n, -1, dtype=np.int64)
-        if n == 0 or self._n == 0:
-            return out
-        slot = self._start_slots(keys)
-        # Fast first round on the full array.
-        cur = self._keys[slot]
-        hit = cur == keys
-        out[hit] = self._index[slot[hit]]
-        pending = np.flatnonzero(~hit & (cur != _EMPTY))
-        self.probe_rounds += 1
-        # Straggler rounds on shrinking subsets.
-        pslot = slot[pending]
-        pkeys = keys[pending]
-        rounds = 1
-        while len(pending):
-            # After submap_cap probes a key has inspected its entire
-            # submap: anything still pending is definitively absent (a
-            # completely full submap has no empty slot to terminate on).
-            if rounds >= self._submap_cap:
-                break
-            pslot = self._advance(pslot)
-            cur = self._keys[pslot]
-            hit = cur == pkeys
-            out[pending[hit]] = self._index[pslot[hit]]
-            alive = ~hit & (cur != _EMPTY)
-            pending, pslot, pkeys = pending[alive], pslot[alive], pkeys[alive]
-            self.probe_rounds += 1
-            rounds += 1
-        return out
+        keys, top = self._checked(keys)
+        if len(keys) == 0:
+            return np.empty(0, dtype=np.int64)
+        return self._cells[self._address(keys, top)]
 
     def get_or_insert(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """Dense indices for ``keys``, inserting missing ones.  Duplicates OK.
+        """Dense slots for ``keys``, inserting missing ones.  Duplicates OK.
 
-        Returns ``(indices, new_mask)`` — ``new_mask`` is True for every
+        Returns ``(slots, new_mask)`` — ``new_mask`` is True for every
         occurrence of a key first inserted by this call.
         """
         if self._sanitizer is not None:
             self._sanitizer.record(f"ShardedMap@{id(self):#x}", write=True)
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        self._check_keys(keys)
-        n = len(keys)
-        if n == 0:
-            return (np.empty(0, dtype=np.int64), np.zeros(0, dtype=bool))
-        # Conservative growth trigger: duplicates make len(keys) an upper
-        # bound on insertions, so this may grow slightly early — harmless.
-        while (self._n + n) > self.max_load * self.capacity:
-            self._grow()
-
-        out = np.empty(n, dtype=np.int64)
-        new_mask = np.zeros(n, dtype=bool)
-        pending = np.arange(n)
-        pslot = self._start_slots(keys)
-        pkeys = keys
-        safety = 0
-        while len(pending):
-            cur = self._keys[pslot]
-            hit = cur == pkeys
-            out[pending[hit]] = self._index[pslot[hit]]
-
-            empty = cur == _EMPTY
-            if empty.any():
-                cand = pending[empty]
-                cand_slots = pslot[empty]
-                cand_keys = pkeys[empty]
-                # Emulated CAS: all contenders write, re-read decides who
-                # won.  Duplicates of one key share the same slot and all
-                # "win" it together; distinct keys racing for one slot
-                # leave exactly one winner.
-                self._keys[cand_slots] = cand_keys
-                won = self._keys[cand_slots] == cand_keys
-                if won.any():
-                    win_slots = cand_slots[won]
-                    # Dedup slots (duplicate keys win together) without a
-                    # sort: scatter positions, last-write-wins per slot,
-                    # keep the surviving occurrence of each slot.
-                    pos = np.arange(len(win_slots))
-                    self._index[win_slots] = pos
-                    rep = self._index[win_slots] == pos
-                    uniq_slots = win_slots[rep]
-                    idx = self._claim_dense(self._keys[uniq_slots])
-                    self._index[uniq_slots] = idx
-                    winners = cand[won]
-                    out[winners] = self._index[win_slots]
-                    new_mask[winners] = True
-                resolved = hit.copy()
-                resolved[np.flatnonzero(empty)[won]] = True
-            else:
-                resolved = hit
-            alive = ~resolved
-            pending, pkeys = pending[alive], pkeys[alive]
-            pslot = self._advance(pslot[alive])
-            self.probe_rounds += 1
-            safety += 1
-            if safety >= self._submap_cap and len(pending):
-                # A key probed its whole submap without a hit or an empty
-                # slot: the submap is full even though *global* load is
-                # under max_load (skewed hashing).  Grow and re-probe the
-                # stragglers — placements survive rehash (dense indices
-                # never move), so already-resolved outputs stay valid.
-                self._grow()
-                pslot = self._start_slots(pkeys)
-                safety = 0
-        return out, new_mask
+        keys, top = self._checked(keys)
+        if len(keys) == 0:
+            return np.empty(0, dtype=np.int64), np.zeros(0, dtype=bool)
+        if top >> PAGE_BITS >= len(self._directory):
+            self._directory = _fit(self._directory, (top >> PAGE_BITS) + 1)
+        addr = self._address(keys, top)
+        slots = self._cells[addr]
+        new = slots < 0
+        if new.any():
+            pos = np.flatnonzero(new)
+            slots[pos] = self._claim(keys[pos], addr[pos])
+        return slots, new
 
     # -- internals ----------------------------------------------------------
-    def _check_keys(self, keys: np.ndarray) -> None:
+    def _checked(self, keys) -> tuple[np.ndarray, int]:
+        """``keys`` as 1-D in-domain int64, plus their maximum."""
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
         if keys.ndim != 1:
             raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
-        if len(keys) and keys.min() < 0:
-            raise ValueError("keys must be non-negative int64")
+        if len(keys) == 0:
+            return keys, 0
+        # Negative keys wrap above MAX_KEY as uint64: one pass checks both
+        # ends of the domain.
+        top = int(keys.view(np.uint64).max())
+        if top > self.MAX_KEY:
+            if keys.min() < 0:
+                raise ValueError("keys must be non-negative int64")
+            raise ValueError(
+                f"key {top} is outside the table's domain "
+                f"[0, {self.MAX_KEY}]"
+            )
+        return keys, top
 
-    def _claim_dense(self, keys: np.ndarray) -> np.ndarray:
-        n_new = len(keys)
-        while self._n + n_new > len(self._dense_keys):
-            grown = np.empty(2 * len(self._dense_keys), dtype=np.int64)
-            grown[: self._n] = self._dense_keys[: self._n]
-            self._dense_keys = grown
-        idx = np.arange(self._n, self._n + n_new, dtype=np.int64)
-        self._dense_keys[idx] = keys
-        self._n += n_new
-        return idx
+    def _address(self, keys: np.ndarray, top: int) -> np.ndarray:
+        """Cell of each key — on the null page where its page is absent."""
+        self.probe_rounds += 1
+        page = keys >> PAGE_BITS
+        n_dir = len(self._directory)
+        if top >> PAGE_BITS < n_dir:
+            addr = self._directory[page]
+        else:  # keys past every inserted key resolve through the null page
+            addr = np.zeros(len(keys), dtype=np.int64)
+            inside = page < n_dir
+            addr[inside] = self._directory[page[inside]]
+        addr <<= PAGE_BITS
+        addr |= keys & _LOW
+        return addr
 
-    def _grow(self) -> None:
-        """Quadruple submap capacity and re-place all keys (dense side fixed).
-
-        The aggressive factor keeps rehash count low for Forward Push's
-        rapidly expanding touched set.
-        """
-        old_keys = self._dense_keys[: self._n].copy()
-        self._submap_cap *= 4
-        self._alloc_table()
-        self.rehashes += 1
-        if self._n == 0:
-            return
-        pending = np.arange(self._n)
-        pslot = self._start_slots(old_keys)
-        pkeys = old_keys
-        rounds = 0
-        while len(pending):
-            if rounds >= self._submap_cap:  # pragma: no cover - extreme skew
-                # One submap is full even at the quadrupled capacity;
-                # quadruple again (re-places everything off the dense side).
-                return self._grow()
-            cur = self._keys[pslot]
-            empty = cur == _EMPTY
-            cand = pending[empty]
-            cand_slots = pslot[empty]
-            self._keys[cand_slots] = pkeys[empty]
-            won = self._keys[cand_slots] == pkeys[empty]
-            self._index[cand_slots[won]] = cand[won]
-            resolved = np.zeros(len(pending), dtype=bool)
-            resolved[np.flatnonzero(empty)[won]] = True
-            alive = ~resolved
-            pending, pkeys = pending[alive], pkeys[alive]
-            pslot = self._advance(pslot[alive])
-            rounds += 1
+    def _claim(self, keys: np.ndarray, addr: np.ndarray) -> np.ndarray:
+        """Slots for missing ``keys`` (duplicates OK) at cells ``addr``."""
+        on_null = addr < PAGE_SLOTS
+        if on_null.any():
+            # Allocate the untouched pages, then re-address their keys.
+            homeless = keys[on_null]
+            pages = homeless >> PAGE_BITS
+            fresh = np.unique(pages)
+            used = self._n_pages * PAGE_SLOTS
+            self._n_pages += len(fresh)
+            self._cells = _fit(self._cells, self._n_pages * PAGE_SLOTS, used)
+            self._cells[used: self._n_pages * PAGE_SLOTS] = -1
+            self._directory[fresh] = np.arange(
+                self._n_pages - len(fresh), self._n_pages)
+            addr[on_null] = ((self._directory[pages] << PAGE_BITS)
+                             | (homeless & _LOW))
+        # First-occurrence claim: every occurrence writes its position,
+        # back to front, so each cell ends up holding its earliest one.
+        # (NumPy assigns repeated indices in order; were that ever to
+        # change, slots would still be unique per key — only their
+        # numbering would differ.)
+        order = np.arange(len(keys))
+        self._cells[addr[::-1]] = order[::-1]
+        first = self._cells[addr] == order
+        claimed = keys[first]
+        base = self._n
+        self._n += len(claimed)
+        self._dense_keys = _fit(self._dense_keys, self._n, base)
+        self._dense_keys[base: self._n] = claimed
+        self._cells[addr[first]] = np.arange(base, self._n)
+        return self._cells[addr]

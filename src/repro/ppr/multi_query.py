@@ -9,26 +9,29 @@ fetches the **union** of their activated vertices — one RPC per destination
 shard for the whole batch, with every fetched adjacency row reused by every
 query that needs it.
 
-State layout: the hashmap key packs ``(node, query)`` as
-``(local * K + shard) * B + qid``; pops dedupe at the *node* level for
-fetching while retaining the per-(node, query) activation pairs for the
-push expansion.  Total push work equals running the queries separately —
-the savings are pure communication (fewer, larger RPCs; shared rows).
+State layout: the slot-table key packs ``(node, query)`` as
+``(local * K + shard) * B + qid``; the frontier is the queued flags of the
+touched pair slots.  Pops dedupe at the *node* level for fetching while
+retaining the per-(node, query) activation pairs — node, query and slot,
+sorted by pair key — for the push expansion.  Total push work equals
+running the queries separately — the savings are pure communication (fewer,
+larger RPCs; shared rows).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ppr.hashmap import ShardedMap
+from repro.ppr.hashmap import ShardedMap, fit_values
 from repro.ppr.params import PPRParams
+from repro.ppr.ppr_ops import split_residual
 
 
 class MultiSSPPR:
     """Lockstep state for a batch of SSPPR queries sharing fetches."""
 
     def __init__(self, source_locals, source_shard: int, params: PPRParams,
-                 source_wdegs, n_shards: int, *, n_submaps: int = 16) -> None:
+                 source_wdegs, n_shards: int) -> None:
         source_locals = np.asarray(source_locals, dtype=np.int64)
         source_wdegs = np.asarray(source_wdegs, dtype=np.float64)
         if len(source_locals) == 0:
@@ -42,15 +45,15 @@ class MultiSSPPR:
         self.params = params
         self.n_shards = int(n_shards)
         self.n_queries = len(source_locals)
-        self.map = ShardedMap(n_submaps=n_submaps)
+        self.map = ShardedMap()
         cap = 1024
         self.residual = np.zeros(cap)
         self.ppr = np.zeros(cap)
         self.wdeg = np.zeros(cap)
-        self.queued = np.zeros(cap, dtype=bool)
-        self._frontier_chunks: list[np.ndarray] = []
-        self._pending_pairs: np.ndarray | None = None  # sorted pair keys
-        self._pending_pair_nodes: np.ndarray | None = None  # pairs // B
+        self.queued = np.zeros(cap, dtype=bool)  # the activated pairs
+        # The popped pairs sorted by pair key, as (node keys, query ids,
+        # slots); None once a pop found nothing activated.
+        self._pending: tuple | None = None
         self.n_pushes = 0
         self.n_entries_processed = 0
         self.n_iterations = 0
@@ -59,31 +62,14 @@ class MultiSSPPR:
         node_keys = source_locals * self.n_shards + int(source_shard)
         pair_keys = node_keys * self.n_queries + qids
         idx, _ = self.map.get_or_insert(pair_keys)
-        self._ensure_capacity(len(self.map))
+        self._fit_values()
         self.residual[idx] = 1.0
         self.wdeg[idx] = source_wdegs
         self.queued[idx] = True
-        self._frontier_chunks.append(pair_keys)
 
-    # -- helpers ------------------------------------------------------------
-    def _ensure_capacity(self, needed: int) -> None:
-        cap = len(self.residual)
-        if needed <= cap:
-            return
-        while cap < needed:
-            cap *= 2
-        for name in ("residual", "ppr", "wdeg"):
-            old = getattr(self, name)
-            grown = np.zeros(cap)
-            grown[: len(old)] = old
-            setattr(self, name, grown)
-        grown_q = np.zeros(cap, dtype=bool)
-        grown_q[: len(self.queued)] = self.queued
-        self.queued = grown_q
-
-    def _split_pair(self, pair_keys: np.ndarray):
-        node_keys, qids = np.divmod(pair_keys, self.n_queries)
-        return node_keys, qids
+    def _fit_values(self) -> None:
+        (self.residual, self.ppr, self.wdeg, self.queued) = fit_values(
+            self.map, self.residual, self.ppr, self.wdeg, self.queued)
 
     # -- operators -----------------------------------------------------------
     def pop(self) -> tuple[np.ndarray, np.ndarray]:
@@ -93,29 +79,21 @@ class MultiSSPPR:
         Returned ``(local_ids, shard_ids)`` are node-key sorted (the order
         push expects back via its ``local_ids``/``shard_ids`` arguments).
         """
-        if not self._frontier_chunks:
-            empty = np.empty(0, dtype=np.int64)
-            self._pending_pairs = None
-            self._pending_pair_nodes = None
-            return empty, empty
-        raw = (self._frontier_chunks[0] if len(self._frontier_chunks) == 1
-               else np.concatenate(self._frontier_chunks))
-        self._frontier_chunks = []
-        pairs = np.unique(raw)
-        idx = self.map.lookup(pairs)
-        self.queued[idx] = False
-        self._pending_pairs = pairs  # sorted; node key = pair // B
+        slots = np.flatnonzero(self.queued[: len(self.map)])
+        if len(slots) == 0:
+            self._pending = None
+            return slots, slots
+        self.queued[slots] = False
+        pairs = self.map.keys()[slots]
+        order = np.argsort(pairs)
         # pairs are sorted, so pair_nodes is sorted: dedupe with one diff
         # scan instead of a second np.unique sort, and cache for push().
-        pair_nodes = pairs // self.n_queries
-        self._pending_pair_nodes = pair_nodes
-        if len(pair_nodes):
-            first = np.empty(len(pair_nodes), dtype=bool)
-            first[0] = True
-            np.not_equal(pair_nodes[1:], pair_nodes[:-1], out=first[1:])
-            node_keys = pair_nodes[first]
-        else:
-            node_keys = pair_nodes
+        pair_nodes, pair_qids = np.divmod(pairs[order], self.n_queries)
+        self._pending = (pair_nodes, pair_qids, slots[order])
+        first = np.empty(len(pair_nodes), dtype=bool)
+        first[0] = True
+        np.not_equal(pair_nodes[1:], pair_nodes[:-1], out=first[1:])
+        node_keys = pair_nodes[first]
         self.n_iterations += 1
         return node_keys // self.n_shards, node_keys % self.n_shards
 
@@ -128,13 +106,11 @@ class MultiSSPPR:
                 f"infos cover {len(indptr) - 1} sources, got "
                 f"{len(local_ids)} popped ids"
             )
-        if len(local_ids) == 0 or self._pending_pairs is None:
+        if len(local_ids) == 0 or self._pending is None:
             return
-        alpha = self.params.alpha
+        pair_nodes, pair_qids, pair_slots = self._pending
         chunk_nodes = (np.asarray(local_ids, dtype=np.int64) * self.n_shards
-                       + np.asarray(shard_ids, dtype=np.int64))
-        pairs = self._pending_pairs
-        pair_nodes = self._pending_pair_nodes  # cached by pop(): pairs // B
+                       + shard_ids)
         # Pair range for each chunk node (pairs are sorted by pair key,
         # hence by node key first).
         starts = np.searchsorted(pair_nodes, chunk_nodes, side="left")
@@ -148,27 +124,19 @@ class MultiSSPPR:
         np.cumsum(pair_counts, out=offsets[1:])
         pair_sel = (np.repeat(starts - offsets[:-1], pair_counts)
                     + np.arange(total_pairs))
-        sel_pairs = pairs[pair_sel]
-        sel_qids = sel_pairs % self.n_queries
+        sel_qids = pair_qids[pair_sel]
         # chunk-node index each pair belongs to
         pair_chunk_idx = np.repeat(np.arange(len(chunk_nodes)), pair_counts)
 
-        idx_v = self.map.lookup(sel_pairs)
-        if np.any(idx_v < 0):
-            raise ValueError("push received pairs that were never touched")
-        r_v = self.residual[idx_v].copy()
+        idx_v = pair_slots[pair_sel]
+        r_v = self.residual[idx_v]
         self.residual[idx_v] = 0.0
-        pair_src_wdeg = src_wdeg[pair_chunk_idx]
-        dangling = pair_src_wdeg <= 0.0
-        self.ppr[idx_v] += np.where(dangling, r_v, alpha * r_v)
+        gained, scale = split_residual(r_v, src_wdeg[pair_chunk_idx],
+                                       self.params.alpha)
+        self.ppr[idx_v] += gained
         self.n_pushes += total_pairs
-
-        scale = np.where(
-            dangling, 0.0,
-            (1.0 - alpha) * r_v / np.where(dangling, 1.0, pair_src_wdeg),
-        )
         # Expand each pair over its node's adjacency row.
-        row_counts = np.diff(indptr)
+        row_counts = indptr[1:] - indptr[:-1]
         pair_row_counts = row_counts[pair_chunk_idx]
         total_entries = int(pair_row_counts.sum())
         if total_entries == 0:
@@ -181,24 +149,21 @@ class MultiSSPPR:
         contrib = weights[entry_idx] * np.repeat(scale, pair_row_counts)
         self.n_entries_processed += total_entries
 
-        nbr_node_keys = (nbr_local[entry_idx] * self.n_shards
-                         + nbr_shard[entry_idx])
-        target_pairs = (nbr_node_keys * self.n_queries
+        nbr_node_keys = nbr_local * self.n_shards + nbr_shard
+        target_pairs = (nbr_node_keys[entry_idx] * self.n_queries
                         + np.repeat(sel_qids, pair_row_counts))
+        touched = len(self.map)
         slots, new = self.map.get_or_insert(target_pairs)
-        if new.any():
-            self._ensure_capacity(len(self.map))
-            self.wdeg[slots[new]] = nbr_wdeg[entry_idx][new]
-        m_len = len(self.map)
-        self.residual[:m_len] += np.bincount(slots, weights=contrib,
-                                             minlength=m_len)
+        if len(self.map) > touched:
+            self._fit_values()
+            self.wdeg[slots[new]] = nbr_wdeg[entry_idx[new]]
+            touched = len(self.map)
+        self.residual[:touched] += np.bincount(slots, weights=contrib,
+                                               minlength=touched)
 
         threshold = self.params.epsilon * self.wdeg[slots]
         above = self.residual[slots] > threshold
-        newly = above & ~self.queued[slots]
-        if newly.any():
-            self.queued[slots[newly]] = True
-            self._frontier_chunks.append(target_pairs[newly])
+        self.queued[slots[above]] = True
 
     # -- results ------------------------------------------------------------
     @property

@@ -1,11 +1,14 @@
-"""Local PPR operators (paper Section 3.3): hashmap-backed ``pop`` / ``push``.
+"""Local PPR operators (paper Section 3.3): slot-table ``pop`` / ``push``.
 
 :class:`SSPPR` holds the state of one in-flight SSPPR query: a
 :class:`~repro.ppr.hashmap.ShardedMap` from packed ``(local ID, shard ID)``
 keys to dense slots, and dense value arrays (residual, PPR score, weighted
-degree, queued flag) indexed by slot.  Work per iteration is proportional to
-the *touched frontier*, never to |V| — the property that separates the PPR
-Engine from the tensor baseline.
+degree, queued flag) indexed by slot.  The activated set *is* the queued
+flags of the touched slots, so only ``push`` resolves keys.  Work per
+iteration is proportional to the *touched frontier*, never to |V| — the
+property that separates the PPR Engine from the tensor baseline.  Slots are
+numbered by first touch, so ``results()`` enumerates nodes in the order the
+query reached them.
 
 Semantics follow the parallel Forward Push of Shun et al. [22] as adapted by
 the paper: ``pop`` drains the activated set; ``push`` consumes a batch of
@@ -24,14 +27,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ppr.hashmap import ShardedMap
+from repro.ppr.hashmap import ShardedMap, fit_values
 from repro.ppr.params import PPRParams
 
 
 def pack_keys(local_ids: np.ndarray, shard_ids: np.ndarray,
               n_shards: int) -> np.ndarray:
     """Pack ``(local, shard)`` into flat int64 keys: ``local * K + shard``."""
-    return local_ids.astype(np.int64) * n_shards + shard_ids
+    return np.asarray(local_ids, dtype=np.int64) * n_shards + shard_ids
 
 
 def unpack_keys(keys: np.ndarray, n_shards: int) -> tuple[np.ndarray, np.ndarray]:
@@ -39,25 +42,44 @@ def unpack_keys(keys: np.ndarray, n_shards: int) -> tuple[np.ndarray, np.ndarray
     return keys // n_shards, keys % n_shards
 
 
+def split_residual(r_v: np.ndarray, src_wdeg: np.ndarray,
+                   alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """What pushed sources keep and spread: ``(gained, scale)``.
+
+    A source converts ``alpha * r`` into PPR mass and scales its out-edge
+    weights by ``(1 - alpha) * r / d_w``; a dangling one (``d_w == 0``)
+    absorbs its whole residual and spreads nothing.
+    """
+    gained = alpha * r_v
+    scale = (1.0 - alpha) * r_v
+    dangling = src_wdeg <= 0.0
+    if dangling.any():
+        gained[dangling] = r_v[dangling]
+        scale /= np.where(dangling, 1.0, src_wdeg)
+        scale[dangling] = 0.0
+    else:
+        scale /= src_wdeg
+    return gained, scale
+
+
 class SSPPR:
     """State and operators for one SSPPR query."""
 
     def __init__(self, source_local: int, source_shard: int,
-                 params: PPRParams, source_wdeg: float, n_shards: int, *,
-                 n_submaps: int = 16) -> None:
+                 params: PPRParams, source_wdeg: float,
+                 n_shards: int) -> None:
         if n_shards <= 0:
             raise ValueError(f"n_shards must be > 0, got {n_shards}")
         if source_wdeg < 0:
             raise ValueError(f"source_wdeg must be >= 0, got {source_wdeg}")
         self.params = params
         self.n_shards = int(n_shards)
-        self.map = ShardedMap(n_submaps=n_submaps)
+        self.map = ShardedMap()
         cap = 1024
         self.residual = np.zeros(cap)
         self.ppr = np.zeros(cap)
         self.wdeg = np.zeros(cap)
-        self.queued = np.zeros(cap, dtype=bool)
-        self._frontier_chunks: list[np.ndarray] = []
+        self.queued = np.zeros(cap, dtype=bool)  # the activated set
         # Operator statistics (push-count ablation, workload accounting).
         self.n_pushes = 0
         self.n_entries_processed = 0
@@ -76,23 +98,6 @@ class SSPPR:
         self.residual[idx[0]] = 1.0
         self.wdeg[idx[0]] = float(source_wdeg)
         self.queued[idx[0]] = True
-        self._frontier_chunks.append(source_key)
-
-    # -- capacity -----------------------------------------------------------
-    def _ensure_capacity(self, needed: int) -> None:
-        cap = len(self.residual)
-        if needed <= cap:
-            return
-        while cap < needed:
-            cap *= 2
-        for name in ("residual", "ppr", "wdeg"):
-            old = getattr(self, name)
-            grown = np.zeros(cap)
-            grown[: len(old)] = old
-            setattr(self, name, grown)
-        grown_q = np.zeros(cap, dtype=bool)
-        grown_q[: len(self.queued)] = self.queued
-        self.queued = grown_q
 
     # -- operators -----------------------------------------------------------
     def pop(self) -> tuple[np.ndarray, np.ndarray]:
@@ -100,22 +105,16 @@ class SSPPR:
 
         The paper: "the pop operator first returns the local ID tensor and
         the shard ID tensor from the current activated vertex set and then
-        clears the set" — O(frontier), since the activated keys are stored
-        explicitly rather than found by scanning.  Chunks appended by push
-        may contain duplicates (cheaper there); this is the single dedup
-        point per iteration.
+        clears the set".  The set is one flag per *touched* slot, so this
+        scans O(touched) bytes (never |V|) and needs no dedup however many
+        entries activated a node.  Sources come back sorted by packed key.
         """
-        if not self._frontier_chunks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        raw = (self._frontier_chunks[0] if len(self._frontier_chunks) == 1
-               else np.concatenate(self._frontier_chunks))
-        self._frontier_chunks = []
-        keys = np.unique(raw)
-        idx = self.map.lookup(keys)
-        self.queued[idx] = False
+        slots = np.flatnonzero(self.queued[: len(self.map)])
+        if len(slots) == 0:
+            return slots, slots
+        self.queued[slots] = False
         self.n_iterations += 1
-        return unpack_keys(keys, self.n_shards)
+        return unpack_keys(np.sort(self.map.keys()[slots]), self.n_shards)
 
     def push(self, infos, local_ids: np.ndarray, shard_ids: np.ndarray) -> None:
         """Apply one batch of pushes given fetched neighbor information.
@@ -133,26 +132,19 @@ class SSPPR:
             )
         if len(local_ids) == 0:
             return
-        src_keys = pack_keys(np.asarray(local_ids, dtype=np.int64),
-                             np.asarray(shard_ids, dtype=np.int64),
-                             self.n_shards)
-        idx_v = self.map.lookup(src_keys)
-        if np.any(idx_v < 0):
+        idx_v = self.map.lookup(pack_keys(local_ids, shard_ids,
+                                          self.n_shards))
+        if idx_v.min() < 0:
             raise ValueError("push received sources that were never touched")
 
-        alpha = self.params.alpha
-        r_v = self.residual[idx_v].copy()
+        r_v = self.residual[idx_v]
         self.residual[idx_v] = 0.0
-        dangling = src_wdeg <= 0.0
-        # Dangling sources absorb everything; others convert an alpha share.
-        gained = np.where(dangling, r_v, alpha * r_v)
+        gained, scale = split_residual(r_v, src_wdeg, self.params.alpha)
         self.ppr[idx_v] += gained
-        self.n_pushes += len(src_keys)
+        self.n_pushes += len(idx_v)
 
         # Per-entry contribution: w(v,u) / d_w(v) * (1 - alpha) * r(v).
-        scale = np.where(dangling, 0.0,
-                         (1.0 - alpha) * r_v / np.where(dangling, 1.0, src_wdeg))
-        counts = np.diff(indptr)
+        counts = indptr[1:] - indptr[:-1]
         contrib = weights * np.repeat(scale, counts)
         self.n_entries_processed += len(contrib)
         if len(contrib) == 0:
@@ -160,26 +152,23 @@ class SSPPR:
 
         # Resolve neighbor slots in one vectorized pass (duplicates fine).
         nbr_keys = pack_keys(nbr_local, nbr_shard, self.n_shards)
+        touched = len(self.map)
         slots, new = self.map.get_or_insert(nbr_keys)
-        if new.any():
-            self._ensure_capacity(len(self.map))
+        if len(self.map) > touched:
+            (self.residual, self.ppr, self.wdeg, self.queued) = fit_values(
+                self.map, self.residual, self.ppr, self.wdeg, self.queued)
             # Record the newcomers' weighted degrees (duplicates write the
             # same global value, so no per-key dedup is needed).
             self.wdeg[slots[new]] = nbr_wdeg[new]
+            touched = len(self.map)
         # Scatter-add over the *dense slot domain*: O(touched), never O(|V|).
-        # This aggregation confined to touched nodes is the hashmap's win.
-        m_len = len(self.map)
-        self.residual[:m_len] += np.bincount(slots, weights=contrib,
-                                             minlength=m_len)
+        # This aggregation confined to touched nodes is the engine's win.
+        self.residual[:touched] += np.bincount(slots, weights=contrib,
+                                               minlength=touched)
 
         threshold = self.params.epsilon * self.wdeg[slots]
         above = self.residual[slots] > threshold
-        newly = above & ~self.queued[slots]
-        if newly.any():
-            hot = slots[newly]
-            self.queued[hot] = True
-            # may contain duplicate keys; pop() dedups once per iteration
-            self._frontier_chunks.append(nbr_keys[newly])
+        self.queued[slots[above]] = True
 
     def abandon(self, local_ids: np.ndarray, shard_ids: np.ndarray) -> float:
         """Write off popped sources whose neighbor fetch failed for good.
@@ -192,10 +181,7 @@ class SSPPR:
         """
         if len(local_ids) == 0:
             return 0.0
-        keys = pack_keys(np.asarray(local_ids, dtype=np.int64),
-                         np.asarray(shard_ids, dtype=np.int64),
-                         self.n_shards)
-        idx = self.map.lookup(keys)
+        idx = self.map.lookup(pack_keys(local_ids, shard_ids, self.n_shards))
         idx = idx[idx >= 0]
         lost = float(self.residual[idx].sum())
         self.residual[idx] = 0.0
@@ -226,7 +212,7 @@ class SSPPR:
 
     def frontier_size(self) -> int:
         """Nodes currently queued for the next iteration."""
-        return int(sum(len(c) for c in self._frontier_chunks))
+        return int(np.count_nonzero(self.queued[: len(self.map)]))
 
     def total_mass(self) -> float:
         """``sum(ppr) + sum(residual)`` — invariantly 1.0."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.ppr.hashmap import ShardedMap
+from repro.ppr.hashmap import ShardedMap, fit_values
 from repro.simt.events import Wait
 from repro.storage.dist_storage import DistGraphStorage
 
@@ -37,16 +37,6 @@ class BfsState:
         self.frontier = key
         self.level = 0
 
-    def _ensure_capacity(self, needed: int) -> None:
-        cap = len(self.depths)
-        if needed <= cap:
-            return
-        while cap < needed:
-            cap *= 2
-        grown = np.zeros(cap, dtype=np.int64)
-        grown[: len(self.depths)] = self.depths
-        self.depths = grown
-
     def pop(self) -> tuple[np.ndarray, np.ndarray]:
         """Current frontier as ``(local_ids, shard_ids)`` (empty = done)."""
         keys = self.frontier
@@ -61,7 +51,7 @@ class BfsState:
         keys = nbr_local.astype(np.int64) * self.n_shards + nbr_shard
         slots, new = self.map.get_or_insert(keys)
         if new.any():
-            self._ensure_capacity(len(self.map))
+            (self.depths,) = fit_values(self.map, self.depths)
             self.depths[slots[new]] = self.level + 1
             # dedupe new keys (duplicates share slots; keep one each)
             uniq_keys = np.unique(keys[new])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.ppr.hashmap import ShardedMap
+from repro.ppr.hashmap import ShardedMap, fit_values
 from repro.simt.events import Wait
 from repro.storage.dist_storage import DistGraphStorage
 
@@ -35,20 +35,10 @@ class WccState:
         keys = (np.asarray(seed_locals, dtype=np.int64) * n_shards
                 + int(seed_shard))
         idx, _ = self.map.get_or_insert(keys)
-        self._ensure_capacity(len(self.map))
+        (self.labels,) = fit_values(self.map, self.labels)
         self.labels[idx] = keys  # own key = initial label
         self.frontier = np.unique(keys)
         self.rounds = 0
-
-    def _ensure_capacity(self, needed: int) -> None:
-        cap = len(self.labels)
-        if needed <= cap:
-            return
-        while cap < needed:
-            cap *= 2
-        grown = np.zeros(cap, dtype=np.int64)
-        grown[: len(self.labels)] = self.labels
-        self.labels = grown
 
     def pop(self) -> tuple[np.ndarray, np.ndarray]:
         keys = self.frontier
@@ -71,7 +61,7 @@ class WccState:
         nbr_keys = nbr_local.astype(np.int64) * self.n_shards + nbr_shard
         slots, new = self.map.get_or_insert(nbr_keys)
         if new.any():
-            self._ensure_capacity(len(self.map))
+            (self.labels,) = fit_values(self.map, self.labels)
             self.labels[slots[new]] = nbr_keys[new]  # own key baseline
         # min-label adoption: scatter-min via sorting-free two-pass
         # (numpy minimum.at is adequate here: entries per round are small)

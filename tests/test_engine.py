@@ -181,12 +181,20 @@ class TestOptLevels:
             0.5 * runs[OptLevel.SINGLE].remote_requests
 
     def test_overlap_not_slower_than_compress(self, graph):
-        """Overlap hides remote latency behind local work."""
-        makespans = {}
+        """Overlap hides remote latency behind local work.
+
+        Judged on the modelled quantity overlap changes — virtual seconds
+        blocked on remote futures — not on two makespans that mostly carry
+        host-measured compute.  Host noise only ever adds time, so the
+        best of three runs filters a preempted one.
+        """
+        remote_wait = {}
         for opt in (OptLevel.COMPRESS, OptLevel.OVERLAP):
             e = GraphEngine(graph, EngineConfig(n_machines=2, opt=opt, seed=1))
-            makespans[opt] = e.run(RunRequest(n_queries=4, seed=4)).makespan
-        assert makespans[OptLevel.OVERLAP] <= 1.2 * makespans[OptLevel.COMPRESS]
+            remote_wait[opt] = min(
+                e.run(RunRequest(n_queries=4, seed=4)).phases["remote_fetch"]
+                for _ in range(3))
+        assert remote_wait[OptLevel.OVERLAP] < remote_wait[OptLevel.COMPRESS]
 
 
 class TestTensorBaseline:

@@ -208,3 +208,97 @@ class TestEngineEquivalenceProperties:
         bound = 2 * params.epsilon * g.weighted_degrees.sum() + 1e-12
         assert np.abs(approx - ref).sum() <= bound
         assert m.total_mass() == pytest.approx(1.0)
+
+
+def flagged_slots(state) -> np.ndarray:
+    """The activated set as the state stores it: one flag per touched slot."""
+    flagged = np.flatnonzero(state.queued)
+    assert np.all(flagged < len(state.map))  # never a flag past the table
+    return flagged
+
+
+def check_pop(state, mass: float):
+    """``pop`` returns exactly the flagged slots' nodes, sorted, and clears."""
+    flagged_keys = state.map.keys()[flagged_slots(state)]
+    node_keys = np.unique(flagged_keys // getattr(state, "n_queries", 1))
+    node_ids, shard_ids = state.pop()
+    np.testing.assert_array_equal(
+        node_ids * state.n_shards + shard_ids, node_keys)
+    assert not state.queued.any()
+    assert state.total_mass() == pytest.approx(mass)
+    return node_ids, shard_ids
+
+
+def check_push(state, infos, node_ids, shard_ids, mass: float):
+    """``push`` only ever *adds* flags, and only on above-threshold slots."""
+    before = flagged_slots(state)
+    state.push(infos, node_ids, shard_ids)
+    after = flagged_slots(state)
+    assert np.isin(before, after).all()
+    fresh = np.setdiff1d(after, before)
+    eps = state.params.epsilon
+    assert np.all(state.residual[fresh] > eps * state.wdeg[fresh])
+    assert state.total_mass() == pytest.approx(mass)
+    return after
+
+
+class TestSlotFrontierInvariant:
+    """The activated set is the queued flags of the touched slots."""
+
+    @given(n=st.integers(20, 120), k=st.integers(1, 4),
+           seed=st.integers(0, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_ssppr_flags_are_the_frontier(self, n, k, seed):
+        g = powerlaw_cluster(n, 4, seed=seed)
+        sharded = build_shards(g, HashPartitioner().partition(g, k))
+        lid, sid = sharded.address_of([seed % n])
+        wdeg = sharded.shards[sid[0]].source_weighted_degrees(lid)[0]
+        m = SSPPR(int(lid[0]), int(sid[0]), PPRParams(epsilon=1e-4),
+                  float(wdeg), k)
+        assert m.frontier_size() == 1
+        while True:
+            node_ids, shard_ids = check_pop(m, 1.0)
+            if len(node_ids) == 0:
+                break
+            for j in np.unique(shard_ids).tolist():
+                mask = shard_ids == j
+                infos = sharded.shards[j].get_neighbor_batch(node_ids[mask])
+                after = check_push(m, infos, node_ids[mask],
+                                   shard_ids[mask], 1.0)
+                # every node this response reached that now sits above
+                # its threshold is activated
+                _, nbr_local, nbr_shard, *_ = infos.to_arrays()
+                hit = np.unique(m.map.lookup(
+                    pack_keys(nbr_local, nbr_shard, k)))
+                hot = hit[m.residual[hit]
+                          > m.params.epsilon * m.wdeg[hit]]
+                assert np.isin(hot, after).all()
+                assert m.frontier_size() == len(after)
+        n_touched = len(m.map)
+        assert np.all(m.residual[:n_touched]
+                      <= m.params.epsilon * m.wdeg[:n_touched])
+
+    @given(n=st.integers(20, 120), k=st.integers(1, 4),
+           batch=st.integers(1, 6), seed=st.integers(0, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_multi_flags_are_the_frontier(self, n, k, batch, seed):
+        from repro.ppr import MultiSSPPR
+
+        g = powerlaw_cluster(n, 4, seed=seed)
+        sharded = build_shards(g, HashPartitioner().partition(g, k))
+        own = np.flatnonzero(sharded.owner_shard == 0)[:batch]
+        local, _ = sharded.address_of(own)
+        wdegs = sharded.shards[0].source_weighted_degrees(local)
+        m = MultiSSPPR(local, 0, PPRParams(epsilon=1e-4), wdegs, k)
+        mass = float(len(own))
+        while True:
+            node_ids, shard_ids = check_pop(m, mass)
+            if len(node_ids) == 0:
+                break
+            for j in np.unique(shard_ids).tolist():
+                mask = shard_ids == j
+                infos = sharded.shards[j].get_neighbor_batch(node_ids[mask])
+                check_push(m, infos, node_ids[mask], shard_ids[mask], mass)
+        n_touched = len(m.map)
+        assert np.all(m.residual[:n_touched]
+                      <= m.params.epsilon * m.wdeg[:n_touched])
