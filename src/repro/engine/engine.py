@@ -135,7 +135,6 @@ class GraphEngine:
     def __init__(self, graph: CSRGraph, config: EngineConfig | None = None,
                  *, sharded: ShardedGraph | None = None) -> None:
         self.config = config if config is not None else EngineConfig()
-        self.graph = graph
         if sharded is not None:
             if sharded.n_shards != self.config.n_shards:
                 raise ValueError(
@@ -150,6 +149,11 @@ class GraphEngine:
             self.sharded = build_shards(graph, result,
                                         seed=self.config.seed,
                                         halo_hops=self.config.halo_hops)
+
+    @property
+    def graph(self) -> CSRGraph:
+        """Whole-graph view, read through :attr:`ShardedGraph.graph`."""
+        return self.sharded.graph
 
     # -- serving -----------------------------------------------------------
     def open_session(self, config=None):

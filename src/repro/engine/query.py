@@ -42,9 +42,8 @@ def sample_sources(sharded: ShardedGraph, n_queries: int, *,
     per_shard = np.full(k, n_queries // k)
     per_shard[: n_queries % k] += 1
     picks = []
-    degrees = np.diff(sharded.graph.indptr)
     for p, shard in enumerate(sharded.shards):
-        candidates = shard.core_global[degrees[shard.core_global] > 0]
+        candidates = shard.core_global[np.diff(shard.indptr) > 0]
         if len(candidates) == 0:
             candidates = shard.core_global
         if len(candidates) == 0:

@@ -160,3 +160,44 @@ class CSRGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CSRGraph(n_nodes={self.n_nodes}, n_arcs={self.n_arcs})"
+
+
+def row_blocks(indptr: np.ndarray, rows: np.ndarray):
+    """``(block indptr, flat entry index)`` gathering CSR ``rows`` in order."""
+    counts = indptr[rows + 1] - indptr[rows]
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out, np.repeat(indptr[rows] - out[:-1], counts) + np.arange(out[-1])
+
+
+def splice_rows(indptr: np.ndarray, columns, rows: np.ndarray,
+                starts: np.ndarray, ends: np.ndarray, row_columns):
+    """Replace whole CSR rows by contiguous block copies.
+
+    Row ``rows[j]`` (unique ids, any order) becomes
+    ``row_columns[c][starts[j]:ends[j]]`` in every column ``c``; all other
+    rows keep their content.  The kept entries between two consecutive
+    replaced rows are one run in the old and the new layout alike, so the
+    work is two slice copies per replaced row and column rather than
+    per-entry index arithmetic over the whole arena.  Returns
+    ``(new_indptr, new_columns)``; the inputs are not written to.
+    """
+    counts = np.diff(indptr)
+    counts[rows] = ends - starts
+    new_indptr = np.zeros(len(indptr), dtype=np.int64)
+    np.cumsum(counts, out=new_indptr[1:])
+    out = [np.empty(int(new_indptr[-1]), dtype=col.dtype) for col in columns]
+    order = np.argsort(rows, kind="stable")
+    ids = rows[order]
+    old_s, old_e = indptr[ids].tolist(), indptr[ids + 1].tolist()
+    new_s, new_e = new_indptr[ids].tolist(), new_indptr[ids + 1].tolist()
+    blk_s, blk_e = starts[order].tolist(), ends[order].tolist()
+    src = dst = 0
+    for i in range(len(ids)):
+        for new, old, blk in zip(out, columns, row_columns):
+            new[dst:new_s[i]] = old[src:old_s[i]]
+            new[new_s[i]:new_e[i]] = blk[blk_s[i]:blk_e[i]]
+        src, dst = old_e[i], new_e[i]
+    for new, old in zip(out, columns):
+        new[dst:] = old[src:]
+    return new_indptr, out

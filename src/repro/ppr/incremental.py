@@ -122,23 +122,6 @@ def refresh(state: IncrementalState, dyn, *,
     if max_pushes is None:
         max_pushes = int(min(5e8, 500 * n / eps))
 
-    # Per-refresh memo of current rows/degrees: the graph is frozen for
-    # the duration of the refresh, and the signed push revisits rows.
-    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    wdegs: dict[int, float] = {}
-
-    def row_of(v: int) -> tuple[np.ndarray, np.ndarray]:
-        got = rows.get(v)
-        if got is None:
-            got = rows[v] = dyn.row(v)
-        return got
-
-    def wdeg_of(v: int) -> float:
-        got = wdegs.get(v)
-        if got is None:
-            got = wdegs[v] = dyn.wdeg(v)
-        return got
-
     # -- phase 1: residual corrections -------------------------------------
     n_corrections = 0
     seeds: set[int] = set()
@@ -148,8 +131,8 @@ def refresh(state: IncrementalState, dyn, *,
         if p_u == 0.0:
             continue
         pre_gids, pre_wts, pre_wdeg = state.pre_rows[u]
-        cur_gids, cur_wts = row_of(u)
-        cur_wdeg = wdeg_of(u)
+        cur_gids, cur_wts = dyn.row(u)
+        cur_wdeg = dyn.wdeg(u)
         if (cur_wdeg == pre_wdeg and np.array_equal(cur_gids, pre_gids)
                 and np.array_equal(cur_wts, pre_wts)):
             continue  # net no-op row: contributes exactly nothing
@@ -166,21 +149,22 @@ def refresh(state: IncrementalState, dyn, *,
     state.pre_rows.clear()
 
     # -- phase 2: signed forward push back under the threshold --------------
-    queue: deque[int] = deque()
+    def over_threshold(vs: np.ndarray) -> np.ndarray:
+        """Those of ``vs`` (in order) whose residual needs a push."""
+        d, r_vs = dyn.wdeg_of(vs), r[vs]
+        return vs[np.where(d > 0.0, np.abs(r_vs) > eps * d, r_vs != 0.0)]
+
     queued = np.zeros(n, dtype=bool)
-    for v in sorted(seeds):
-        d_v = wdeg_of(v)
-        r_v = r[v]
-        if (d_v > 0.0 and abs(r_v) > eps * d_v) or \
-                (d_v <= 0.0 and r_v != 0.0):
-            queue.append(v)
-            queued[v] = True
+    first = over_threshold(np.fromiter(sorted(seeds), dtype=np.int64,
+                                       count=len(seeds)))
+    queued[first] = True
+    queue: deque[int] = deque(first.tolist())
     n_pushes = 0
     while queue:
         v = queue.popleft()
         queued[v] = False
         r_v = r[v]
-        d_v = wdeg_of(v)
+        d_v = dyn.wdeg(v)
         if d_v > 0.0 and abs(r_v) <= eps * d_v:
             continue
         if r_v == 0.0:
@@ -198,18 +182,13 @@ def refresh(state: IncrementalState, dyn, *,
         p[v] += alpha * r_v
         m = (1.0 - alpha) * r_v
         r[v] = 0.0
-        gids, wts = row_of(v)
+        gids, wts = dyn.row(v)
         r[gids] += wts * (m / d_v)
-        for g in gids:
-            g = int(g)
-            if queued[g]:
-                continue
-            d_g = wdeg_of(g)
-            r_g = r[g]
-            if (d_g > 0.0 and abs(r_g) > eps * d_g) or \
-                    (d_g <= 0.0 and r_g != 0.0):
-                queue.append(g)
-                queued[g] = True
+        # A row holds each neighbor once and never v itself, so one masked
+        # test in row order queues exactly what a per-neighbor loop would.
+        woken = over_threshold(gids[~queued[gids]])
+        queued[woken] = True
+        queue.extend(woken.tolist())
 
     return RefreshStats(n_changed=n_changed, n_corrections=n_corrections,
                         n_pushes=n_pushes,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShardError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, row_blocks
 from repro.partition.base import PartitionResult
 from repro.storage.shard import GraphShard
 
@@ -22,7 +22,11 @@ class ShardedGraph:
 
     def __init__(self, graph: CSRGraph, result: PartitionResult,
                  shards: list[GraphShard]) -> None:
-        self.graph = graph
+        #: zero-arg source of the whole-graph view.  The shards are the
+        #: live truth; a streaming session points this at its mirror's
+        #: ``snapshot`` so the view is materialised by whoever reads it,
+        #: never on the ingest path, and can never be stale.
+        self.graph_source = lambda: graph
         self.result = result
         self.shards = shards
         self.n_shards = result.n_parts
@@ -32,10 +36,16 @@ class ShardedGraph:
         for shard in shards:
             self.owner_local[shard.core_global] = np.arange(shard.n_core)
 
+    @property
+    def graph(self) -> CSRGraph:
+        """The frozen whole-graph view the shards currently hold."""
+        return self.graph_source()
+
     def address_of(self, global_ids) -> tuple[np.ndarray, np.ndarray]:
         """Translate global IDs -> ``(local_ids, shard_ids)``."""
         gids = np.asarray(global_ids, dtype=np.int64)
-        if len(gids) and (gids.min() < 0 or gids.max() >= self.graph.n_nodes):
+        if len(gids) and (gids.min() < 0
+                          or gids.max() >= len(self.owner_local)):
             raise ShardError("global_ids out of range")
         return self.owner_local[gids], self.owner_shard[gids]
 
@@ -100,17 +110,11 @@ def build_shards(graph: CSRGraph, result: PartitionResult, *,
         part_nodes.append(nodes)
         owner_local[nodes] = np.arange(len(nodes))
 
-    degrees = np.diff(graph.indptr)
     shards = []
     for p in range(n_shards):
         core = part_nodes[p]
-        counts = degrees[core]
-        indptr = np.zeros(len(core) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
         # Flat gather of all core rows out of the global CSR.
-        idx = np.repeat(graph.indptr[core] - indptr[:-1], counts) \
-            + np.arange(total)
+        indptr, idx = row_blocks(graph.indptr, core)
         nbr_global = graph.indices[idx]
         shards.append(GraphShard(
             shard_id=p,
@@ -135,12 +139,7 @@ def build_shards(graph: CSRGraph, result: PartitionResult, *,
             halo_keys = owner_local[halos] * n_shards_i + assignment[halos]
             order = np.argsort(halo_keys)
             halos, halo_keys = halos[order], halo_keys[order]
-            counts = degrees[halos]
-            cache_indptr = np.zeros(len(halos) + 1, dtype=np.int64)
-            np.cumsum(counts, out=cache_indptr[1:])
-            total = int(cache_indptr[-1])
-            idx = np.repeat(graph.indptr[halos] - cache_indptr[:-1],
-                            counts) + np.arange(total)
+            cache_indptr, idx = row_blocks(graph.indptr, halos)
             nbr_global = graph.indices[idx]
             shard.install_halo_cache(
                 halo_keys,

@@ -33,6 +33,7 @@ import threading
 import numpy as np
 
 from repro.errors import ShardError
+from repro.graph.csr import splice_rows
 from repro.rpc.handlers import rpc_handler
 from repro.storage.neighbor_batch import NeighborBatch, NeighborLists
 from repro.storage.shard_update import ShardUpdate
@@ -355,48 +356,19 @@ class GraphShard:
 
         # Core degrees from the broadcast (changed vertices only).
         core_wdeg = self.core_wdeg.copy()  # repro: allow=REP011 staged replacement
-        if self.n_core and len(update.deg_gids):
-            pos = np.searchsorted(self.core_global, update.deg_gids)
-            pos_c = np.minimum(pos, self.n_core - 1)
-            sel = self.core_global[pos_c] == update.deg_gids
-            core_wdeg[pos_c[sel]] = update.deg_wdeg[sel]
+        self._patch_degrees(self.core_global, core_wdeg, update.deg_gids,
+                            update.deg_wdeg)
 
         # Splice replacement rows over the old flat arrays.
-        old_counts = np.diff(self.indptr)
-        new_counts = old_counts.copy()  # repro: allow=REP011 staged replacement
-        new_counts[lids] = np.diff(update.row_indptr)
-        indptr = np.zeros(self.n_core + 1, dtype=np.int64)
-        np.cumsum(new_counts, out=indptr[1:])
-        total = int(indptr[-1])
-        arrays = {
-            "nbr_local": np.empty(total, dtype=np.int64),
-            "nbr_shard": np.empty(total, dtype=np.int64),
-            "nbr_global": np.empty(total, dtype=np.int64),
-            "nbr_weight": np.empty(total, dtype=np.float64),
-            "nbr_wdeg": np.empty(total, dtype=np.float64),
-        }
-        changed = np.zeros(self.n_core, dtype=bool)
-        changed[lids] = True
-        entry_row = np.repeat(np.arange(self.n_core), old_counts)  # repro: allow=REP011
-        keep = ~changed[entry_row]
-        dst = (indptr[entry_row[keep]]
-               + (np.arange(self.n_entries) - self.indptr[entry_row])[keep])
-        for name, src in (("nbr_local", self.nbr_local),
-                          ("nbr_shard", self.nbr_shard),
-                          ("nbr_global", self.nbr_global),
-                          ("nbr_weight", self.nbr_weight),
-                          ("nbr_wdeg", self.nbr_wdeg)):
-            arrays[name][dst] = src[keep]
-        row_counts = np.diff(update.row_indptr)
-        row_total = int(update.row_indptr[-1]) if len(lids) else 0
-        # repro: allow=REP011 staged-splice scatter
-        dst2 = (np.repeat(indptr[lids] - update.row_indptr[:-1], row_counts)
-                + np.arange(row_total))
-        arrays["nbr_local"][dst2] = update.row_local
-        arrays["nbr_shard"][dst2] = update.row_shard
-        arrays["nbr_global"][dst2] = update.row_global
-        arrays["nbr_weight"][dst2] = update.row_weight
-        arrays["nbr_wdeg"][dst2] = update.row_wdeg
+        indptr, columns = splice_rows(
+            self.indptr,
+            (self.nbr_local, self.nbr_shard, self.nbr_global,
+             self.nbr_weight, self.nbr_wdeg),
+            lids, update.row_indptr[:-1], update.row_indptr[1:],
+            (update.row_local, update.row_shard, update.row_global,
+             update.row_weight, update.row_wdeg))
+        arrays = dict(zip(("nbr_local", "nbr_shard", "nbr_global",
+                           "nbr_weight", "nbr_wdeg"), columns))
 
         # Degree broadcast over every entry referencing a changed vertex.
         self._patch_degrees(arrays["nbr_global"], arrays["nbr_wdeg"],
@@ -411,13 +383,18 @@ class GraphShard:
     @staticmethod
     def _patch_degrees(gids: np.ndarray, wdeg: np.ndarray,
                        deg_gids: np.ndarray, deg_wdeg: np.ndarray) -> None:
-        """Overwrite ``wdeg`` entries whose ``gids`` are in the broadcast."""
+        """Overwrite ``wdeg`` entries whose ``gids`` are in the broadcast.
+
+        Membership is one gather through a table over ``[0, max changed
+        gid]``; larger gids clip onto the table's trailing miss cell.
+        """
         if not len(gids) or not len(deg_gids):
             return
-        pos = np.searchsorted(deg_gids, gids)
-        pos_c = np.minimum(pos, len(deg_gids) - 1)
-        sel = deg_gids[pos_c] == gids
-        wdeg[sel] = deg_wdeg[pos_c[sel]]
+        slot = np.full(int(deg_gids[-1]) + 2, -1, dtype=np.int64)
+        slot[deg_gids] = np.arange(len(deg_gids))
+        pos = slot.take(gids, mode="clip")
+        hit = np.flatnonzero(pos >= 0)
+        wdeg[hit] = deg_wdeg[pos[hit]]
 
     def _stage_cache_refresh(self, update: ShardUpdate) -> dict:
         """New halo-cache arrays with changed vertices' rows replaced.
@@ -429,52 +406,19 @@ class GraphShard:
         if self._cache_keys is None:
             return {}
         keys = self._cache_keys
-        old_counts = np.diff(self._cache_indptr)
-        refresh = np.zeros(len(keys), dtype=bool)
-        src_pos = np.zeros(len(keys), dtype=np.int64)
+        ref_idx = srcs = np.empty(0, dtype=np.int64)
         if len(keys) and len(update.halo_keys):
-            pos = np.searchsorted(update.halo_keys, keys)
-            pos_c = np.minimum(pos, len(update.halo_keys) - 1)
-            refresh = update.halo_keys[pos_c] == keys
-            src_pos = pos_c
-        new_counts = old_counts.copy()  # repro: allow=REP011 staged replacement
-        halo_counts = np.diff(update.halo_indptr)
-        new_counts[refresh] = halo_counts[src_pos[refresh]]
-        indptr = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum(new_counts, out=indptr[1:])
-        total = int(indptr[-1])
-        old_local, old_shard, old_glob, old_w, old_wdeg = self._cache_arrays
-        out = {name: np.empty(total, dtype=dt) for name, dt in (
-            ("c_local", np.int64), ("c_shard", np.int64),
-            ("c_global", np.int64), ("c_weight", np.float64),
-            ("c_wdeg", np.float64))}
-        # Kept rows: gather from the old arrays at their new offsets.
-        kept = ~refresh
-        n_old = int(self._cache_indptr[-1])
-        entry_key = np.repeat(np.arange(len(keys)), old_counts)  # repro: allow=REP011
-        keep_entries = kept[entry_key]
-        dst = (indptr[entry_key[keep_entries]]
-               + (np.arange(n_old)
-                  - self._cache_indptr[entry_key])[keep_entries])
-        for name, src in (("c_local", old_local), ("c_shard", old_shard),
-                          ("c_global", old_glob), ("c_weight", old_w),
-                          ("c_wdeg", old_wdeg)):
-            out[name][dst] = src[keep_entries]
-        # Refreshed rows: gather from the update's halo rows.
-        ref_idx = np.flatnonzero(refresh)
-        srcs = src_pos[ref_idx]
-        cnt = halo_counts[srcs]
-        n_ref = int(np.sum(cnt))
-        within = (np.arange(n_ref)  # staged cache-refresh gather
-                  - np.repeat(np.cumsum(cnt) - cnt, cnt))  # repro: allow=REP011
-        dst2 = np.repeat(indptr[ref_idx], cnt) + within  # repro: allow=REP011
-        src2 = np.repeat(update.halo_indptr[srcs], cnt) + within  # repro: allow=REP011
-        for name, src in (("c_local", update.halo_local),
-                          ("c_shard", update.halo_shard),
-                          ("c_global", update.halo_global),
-                          ("c_weight", update.halo_weight),
-                          ("c_wdeg", update.halo_wdeg)):
-            out[name][dst2] = src[src2]
+            pos = np.minimum(np.searchsorted(update.halo_keys, keys),
+                             len(update.halo_keys) - 1)
+            ref_idx = np.flatnonzero(update.halo_keys[pos] == keys)
+            srcs = pos[ref_idx]
+        indptr, columns = splice_rows(
+            self._cache_indptr, self._cache_arrays, ref_idx,
+            update.halo_indptr[srcs], update.halo_indptr[srcs + 1],
+            (update.halo_local, update.halo_shard, update.halo_global,
+             update.halo_weight, update.halo_wdeg))
+        out = dict(zip(("c_local", "c_shard", "c_global", "c_weight",
+                        "c_wdeg"), columns))
         self._patch_degrees(out["c_global"], out["c_wdeg"],
                             update.deg_gids, update.deg_wdeg)
         src_wdeg = self._cache_src_wdeg.copy()  # repro: allow=REP011 staged replacement

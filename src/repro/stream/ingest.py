@@ -31,15 +31,13 @@ import numpy as np
 
 from repro.errors import RpcTimeoutError, StreamIngestError, \
     WorkerCrashedError
+from repro.graph.csr import row_blocks
 from repro.simt.events import WaitAll
 from repro.storage.shard_update import ShardUpdate
 
 #: injected-fault errors the two-phase driver tolerates and reacts to;
 #: anything else (e.g. a ShardError) is a bug and propagates
 TRANSPORT_ERRORS = (RpcTimeoutError, WorkerCrashedError)
-
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=np.float64)
 
 
 @dataclass
@@ -67,63 +65,36 @@ def build_shard_payloads(sharded, dyn, changed) -> list[ShardUpdate]:
     ``dyn`` must already hold the *post*-batch adjacency.  Row targets
     carry owner addressing from ``sharded`` (ownership never changes
     during ingestion — only rebalancing moves vertices) and the targets'
-    new weighted degrees, so shards apply rows without lookups.
+    new weighted degrees, so shards apply rows without lookups.  The
+    changed rows are laid out once, addressed once, and every shard's
+    block (and the halo block) is cut out of that layout by index.
     """
-    k = sharded.n_shards
     changed = np.asarray(changed, dtype=np.int64)
-    deg_wdeg = np.array([dyn.wdeg(int(v)) for v in changed],
-                        dtype=np.float64)
-    rows = {}
-    for v in changed.tolist():
-        gids, wts = dyn.row(v)
-        loc, shd = sharded.address_of(gids)
-        t_wdeg = np.array([dyn.wdeg(int(g)) for g in gids],
-                          dtype=np.float64)
-        rows[v] = (gids, wts, loc, shd, t_wdeg)
+    indptr, gids, wts = dyn.rows_of(changed.tolist())
+    loc, shd = sharded.address_of(gids)
+    columns = {"local": loc, "shard": shd, "global": gids, "weight": wts,
+               "wdeg": dyn.wdeg_of(gids)}
+    deg_wdeg = dyn.wdeg_of(changed)
 
     # Halo refresh block: every changed vertex's full row, keyed and
     # sorted by packed owner address — identical for all shards.
-    halo_keys = sharded.keys_of(changed) if len(changed) else _EMPTY_I
+    halo_keys = sharded.keys_of(changed)
     order = np.argsort(halo_keys)
-    h_vertices = changed[order]
-    halo_keys = halo_keys[order]
-    halo_src_wdeg = deg_wdeg[order]
-    h_counts = np.array([rows[int(v)][0].shape[0] for v in h_vertices],
-                        dtype=np.int64)
-    halo_indptr = np.zeros(len(h_vertices) + 1, dtype=np.int64)
-    np.cumsum(h_counts, out=halo_indptr[1:])
-    halo = {name: (np.concatenate([rows[int(v)][i] for v in h_vertices])
-                   if len(h_vertices) else empty)
-            for i, (name, empty) in enumerate((
-                ("global", _EMPTY_I), ("weight", _EMPTY_F),
-                ("local", _EMPTY_I), ("shard", _EMPTY_I),
-                ("wdeg", _EMPTY_F)))}
+    halo_indptr, idx = row_blocks(indptr, order)
+    halo = {f"halo_{name}": col[idx] for name, col in columns.items()}
+    halo.update(halo_keys=halo_keys[order], halo_src_wdeg=deg_wdeg[order],
+                halo_indptr=halo_indptr)
 
+    owner = sharded.owner_shard[changed]
     payloads = []
-    for p in range(k):
-        owned = changed[sharded.owner_shard[changed] == p] \
-            if len(changed) else changed
-        lids = sharded.owner_local[owned] if len(owned) else _EMPTY_I
-        counts = np.array([rows[int(v)][0].shape[0] for v in owned],
-                          dtype=np.int64)
-        indptr = np.zeros(len(owned) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-
-        def _cat(i, empty):
-            if not len(owned):
-                return empty
-            return np.concatenate([rows[int(v)][i] for v in owned])
-
+    for p in range(sharded.n_shards):
+        owned = np.flatnonzero(owner == p)
+        row_indptr, idx = row_blocks(indptr, owned)
         payloads.append(ShardUpdate(
-            row_lids=lids, row_indptr=indptr,
-            row_local=_cat(2, _EMPTY_I), row_shard=_cat(3, _EMPTY_I),
-            row_global=_cat(0, _EMPTY_I), row_weight=_cat(1, _EMPTY_F),
-            row_wdeg=_cat(4, _EMPTY_F),
-            deg_gids=changed, deg_wdeg=deg_wdeg,
-            halo_keys=halo_keys, halo_src_wdeg=halo_src_wdeg,
-            halo_indptr=halo_indptr, halo_local=halo["local"],
-            halo_shard=halo["shard"], halo_global=halo["global"],
-            halo_weight=halo["weight"], halo_wdeg=halo["wdeg"],
+            row_lids=sharded.owner_local[changed[owned]],
+            row_indptr=row_indptr,
+            **{f"row_{name}": col[idx] for name, col in columns.items()},
+            deg_gids=changed, deg_wdeg=deg_wdeg, **halo,
         ))
     return payloads
 

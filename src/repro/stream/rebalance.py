@@ -190,10 +190,11 @@ def execute_rebalance(engine, report: RebalanceReport, *, runtime="sim",
         report.bytes_copied += int(outcome["bytes_copied"])
         report.retries += int(retries)
         metrics_list.append(metrics)
-        new_result = engine.sharded.result.with_moves(report.moves)
+        old = engine.sharded
         engine.sharded = build_shards(
-            engine.graph, new_result, seed=engine.config.seed,
-            halo_hops=engine.config.halo_hops)
+            old.graph, old.result.with_moves(report.moves),
+            seed=engine.config.seed, halo_hops=engine.config.halo_hops)
+        engine.sharded.graph_source = old.graph_source
     if repl:
         outcome, metrics, retries = run_round(
             engine, rebalance_driver, _jobs_for(engine.sharded, repl),

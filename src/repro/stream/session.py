@@ -153,6 +153,10 @@ class StreamingSession:
         self.serving = Session(engine, serving_cfg)
         #: authoritative mutable adjacency, kept in lockstep with shards
         self.dyn = DynamicGraph.from_csr(engine.graph)
+        # From here on the engine's whole-graph view reads through the
+        # mirror: materialised by its readers (rebalance rebuilds, oracles),
+        # never by ingest, and O(1) while the mirror is unchanged.
+        engine.sharded.graph_source = self.dyn.snapshot
         #: source gid -> incrementally maintained (p, r)
         self.states: dict[int, IncrementalState] = {}
         #: accumulated fetch heat: machine -> {packed key -> count}
@@ -208,7 +212,7 @@ class StreamingSession:
             keep_states=True, fault_plan=cfg.fault_plan,
             retry_policy=cfg.retry_policy,
         ))
-        n = self.engine.graph.n_nodes
+        n = self.dyn.n_nodes
         sharded = self.engine.sharded
         for gid in sources.tolist():
             view = result.states[gid]
@@ -233,10 +237,13 @@ class StreamingSession:
         the batch goes through the two-phase shard protocol.  On any
         distributed failure the mirror is reverted bitwise and a
         :class:`~repro.errors.StreamIngestError` is raised — the graph
-        is unchanged everywhere.
+        is unchanged everywhere.  A batch naming a vertex outside the
+        node set is rejected (:class:`~repro.errors.GraphFormatError`)
+        before anything — mirror, tag, counters — has moved.
         """
         cfg = self.config
         cm = cfg.cost_model
+        self.dyn.check(batch)
         self._tag += 1
         tag = self._tag
         self.report.n_batches += 1
@@ -273,9 +280,6 @@ class StreamingSession:
         self.metrics.inc("stream.arcs_inserted", delta.arcs_inserted)
         self.metrics.inc("stream.arcs_deleted", delta.arcs_deleted)
         self.metrics.inc("stream.arcs_reweighted", delta.arcs_reweighted)
-        # Keep the engine's frozen view current for later (re)builds.
-        self.engine.graph = self.dyn.snapshot()
-        self.engine.sharded.graph = self.engine.graph
         self._since_refresh += 1
         if self._since_refresh >= cfg.refresh_every:
             self.refresh()

@@ -10,6 +10,15 @@ value stored for a node is not, so states are compared in key order.
 
 Regenerate only for a change that is *meant* to move results:
 ``PYTHONPATH=src python -m tests.test_golden_bitwise > tests/fixtures/golden_ppr.json``.
+
+``tests/fixtures/golden_stream.json`` pins the write path the same way: one
+digest per runtime of every published ``(p, r)`` plus the final mirror
+after a fixed ``run_stream`` (queries, seven update batches refreshed every
+second one, a rebalance with three migrations in the middle) — captured
+with the dict-of-dicts ``DynamicGraph`` and per-batch ``snapshot()``,
+*before* the CSR-backed mirror and the vectorised payload planner, refresh
+and shard splice replaced them
+(``python -m tests.test_golden_bitwise stream`` prints it).
 """
 
 import hashlib
@@ -25,6 +34,8 @@ from repro.ppr import OptLevel, PPRParams
 from repro.serving.session import Session, SessionConfig
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_ppr.json"
+STREAM_FIXTURE = FIXTURE.with_name("golden_stream.json")
+STREAM_PUBLISH = (3, 17, 42, 101)
 PARAMS = PPRParams(epsilon=1e-6)
 MULTI_BATCHES = (1, 3, 16)
 N_SINGLE_SOURCES = 6
@@ -84,5 +95,51 @@ def test_results_match_golden_digests(runtime):
     assert compute_digests(runtime) == json.loads(FIXTURE.read_text())
 
 
+def compute_stream_digest(runtime: str) -> str:
+    """sha256 over published ``(p, r)`` and the final mirror of one stream."""
+    from repro.stream import (RebalancePolicy, StreamConfig, StreamEvent,
+                              StreamingSession, TemporalEdgeStream)
+
+    graph = powerlaw_cluster(300, 5, mixing=0.3, seed=7)
+    engine = GraphEngine(graph, EngineConfig(n_machines=3, seed=0,
+                                             halo_hops=2))
+    session = StreamingSession(engine, StreamConfig(
+        runtime=runtime, params=PPRParams(alpha=0.2, epsilon=1e-5),
+        refresh_every=2,
+        rebalance=RebalancePolicy(top_k=6, min_heat=2, migrate_frac=0.5,
+                                  max_migrations=3)))
+    session.publish(STREAM_PUBLISH)
+    batches = TemporalEdgeStream(graph, seed=23, batch_size=24).batches(7)
+    events = []
+    for i, batch in enumerate(batches):
+        events.append(StreamEvent("query", source=STREAM_PUBLISH[i % 4]))
+        events.append(StreamEvent("update", batch=batch))
+        if i == 3:
+            events.append(StreamEvent("rebalance"))
+    report = session.run_stream(events)
+    assert report.n_applied == 7
+    assert report.rebalance_reports[0].n_migrated == 3
+    h = hashlib.sha256()
+    for gid in STREAM_PUBLISH:
+        for column in session.published(gid):
+            h.update(np.ascontiguousarray(column).tobytes())
+    final = session.dyn.snapshot()
+    h.update(final.indices.tobytes())
+    h.update(final.weights.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("runtime", ["sim", "threads"])
+def test_stream_matches_golden_digest(runtime):
+    golden = json.loads(STREAM_FIXTURE.read_text())
+    assert compute_stream_digest(runtime) == golden[runtime]
+
+
 if __name__ == "__main__":
-    print(json.dumps(compute_digests("sim"), indent=2))
+    import sys
+
+    if sys.argv[1:] == ["stream"]:
+        print(json.dumps({rt: compute_stream_digest(rt)
+                          for rt in ("sim", "threads")}, indent=2))
+    else:
+        print(json.dumps(compute_digests("sim"), indent=2))

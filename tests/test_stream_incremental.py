@@ -24,12 +24,15 @@ from hypothesis import strategies as st
 from repro.engine import EngineConfig, GraphEngine
 from repro.errors import GraphFormatError, ShardError
 from repro.graph import powerlaw_cluster
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, splice_rows
 from repro.ppr import PPRParams
 from repro.ppr.forward_push_seq import forward_push_sequential
 from repro.ppr.incremental import (IncrementalState, accuracy_bound,
                                    refresh)
-from repro.stream import (DynamicGraph, TemporalEdgeStream, UpdateBatch,
+from repro.storage.build import build_shards
+from repro.storage.shard_update import ShardUpdate
+from repro.stream import (DynamicGraph, StreamConfig, StreamingSession,
+                          TemporalEdgeStream, UpdateBatch,
                           build_shard_payloads, ingest_on_cluster)
 
 PARAMS = PPRParams(alpha=0.2, epsilon=1e-4)
@@ -130,6 +133,218 @@ class TestDynamicGraph:
         dyn = DynamicGraph.from_csr(small_graph())
         with pytest.raises(GraphFormatError):
             dyn.apply(UpdateBatch([0], [40], [1.0], [1]))
+
+    def test_rejected_batch_leaves_mirror_untouched(self):
+        """Endpoints are checked before the first mutation: op 0 of a
+        batch whose op 1 is out of range must not have been applied."""
+        g = small_graph()
+        dyn = DynamicGraph.from_csr(g)
+        absent = next(v for v in range(1, 40) if not dyn.has_edge(0, v))
+        arcs = dyn.n_arcs
+        for bad in (999, -1):
+            with pytest.raises(GraphFormatError):
+                dyn.apply(UpdateBatch([0, 5], [absent, bad], [1.0, 1.0],
+                                      [1, 1]))
+            assert dyn.n_arcs == arcs
+            assert not dyn.has_edge(0, absent)
+        assert dyn.snapshot() is g  # nothing was ever overlaid
+
+    def test_unsorted_rows_are_rejected(self):
+        g = CSRGraph(3, [0, 2, 3, 4], [2, 1, 0, 0], [1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(GraphFormatError):
+            DynamicGraph.from_csr(g)
+
+
+# -- the old mirror, kept as the oracle of the new one ------------------------
+
+class _DictMirror:
+    """The dict-of-dicts ``DynamicGraph`` this repo shipped before the
+    CSR-backed one: every row a ``{neighbor: weight}`` dict, ``row()``
+    sorted on demand, ``wdeg()`` summed on demand, ``snapshot()`` a full
+    rebuild.  Slow and obviously right — the oracle."""
+
+    def __init__(self, n_nodes):
+        self.n_nodes = n_nodes
+        self._adj = [{} for _ in range(n_nodes)]
+
+    @classmethod
+    def from_csr(cls, graph):
+        dyn = cls(graph.n_nodes)
+        for u in range(graph.n_nodes):
+            dyn._adj[u] = {int(v): float(w) for v, w in zip(
+                graph.neighbors(u), graph.neighbor_weights(u))}
+        return dyn
+
+    @property
+    def n_arcs(self):
+        return sum(len(row) for row in self._adj)
+
+    def row(self, u):
+        adj = self._adj[u]
+        gids = np.fromiter(sorted(adj), dtype=np.int64, count=len(adj))
+        wts = np.array([adj[int(g)] for g in gids], dtype=np.float64)
+        return gids, wts
+
+    def wdeg(self, u):
+        _, wts = self.row(u)
+        return float(np.sum(wts)) if wts.shape[0] else 0.0
+
+    def apply(self, batch):
+        changed, undo = set(), []
+        inserted = deleted = reweighted = 0
+        for i in range(len(batch)):
+            u, v = int(batch.src[i]), int(batch.dst[i])
+            prev = self._adj[u].get(v)
+            if int(batch.op[i]) == 1:
+                w = float(batch.weight[i])
+                if prev is not None and prev == w:
+                    continue
+                self._adj[u][v] = self._adj[v][u] = w
+                if prev is None:
+                    inserted += 1
+                else:
+                    reweighted += 1
+            else:
+                if prev is None:
+                    continue
+                del self._adj[u][v], self._adj[v][u]
+                deleted += 1
+            undo.append((u, v, prev))
+            changed.update((u, v))
+        return sorted(changed), (inserted, deleted, reweighted), undo
+
+    def revert(self, undo):
+        for u, v, prev in reversed(undo):
+            if prev is None:
+                self._adj[u].pop(v, None)
+                self._adj[v].pop(u, None)
+            else:
+                self._adj[u][v] = self._adj[v][u] = prev
+
+    def snapshot(self):
+        counts = [len(row) for row in self._adj]
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        rows = [self.row(u) for u in range(self.n_nodes)]
+        return CSRGraph(self.n_nodes, indptr,
+                        np.concatenate([g for g, _ in rows]),
+                        np.concatenate([w for _, w in rows]))
+
+
+_N = 12
+#: few vertices and few distinct weights, so ops collide: reweights,
+#: same-weight no-ops, deletes of absent edges, insert-then-delete
+_edge_ops = st.lists(
+    st.tuples(st.integers(0, _N - 1), st.integers(0, _N - 1),
+              st.sampled_from([0.5, 1.25, 2.0]), st.sampled_from([1, -1]))
+    .filter(lambda op: op[0] != op[1]),
+    max_size=6)
+mirror_steps = st.lists(
+    st.one_of(st.tuples(st.just("apply"), _edge_ops),
+              st.tuples(st.just("revert"), st.none()),
+              st.tuples(st.just("snapshot"), st.none())),
+    min_size=1, max_size=14)
+
+
+class TestMirrorAgainstDictOracle:
+    @staticmethod
+    def _assert_same_graph(snap, want):
+        assert np.array_equal(snap.indptr, want.indptr)
+        assert np.array_equal(snap.indices, want.indices)
+        assert np.array_equal(snap.weights, want.weights)
+
+    @given(st.integers(0, 96), mirror_steps)
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_steps_match_oracle(self, seed, steps):
+        g = small_graph(seed=seed, n=_N, m=30)
+        dyn, oracle = DynamicGraph.from_csr(g), _DictMirror.from_csr(g)
+        applied = []   # (new delta, oracle undo log), most recent last
+        captured = []  # (held gids, held wts, copies taken at capture)
+        for kind, ops in steps:
+            if kind == "apply":
+                batch = UpdateBatch(*zip(*ops)) if ops else \
+                    UpdateBatch.empty()
+                for v in touched_vertices(batch).tolist():
+                    gids, wts = dyn.row(v)
+                    captured.append((gids, wts, gids.copy(), wts.copy()))
+                delta = dyn.apply(batch)
+                changed, counts, undo = oracle.apply(batch)
+                assert delta.changed.tolist() == changed
+                assert (delta.arcs_inserted, delta.arcs_deleted,
+                        delta.arcs_reweighted) == counts
+                applied.append((delta, undo))
+            elif kind == "revert" and applied:
+                delta, undo = applied.pop()
+                dyn.revert(delta)
+                oracle.revert(undo)
+            elif kind == "snapshot":  # compacts: overlay becomes base
+                self._assert_same_graph(dyn.snapshot(), oracle.snapshot())
+                assert dyn.snapshot() is dyn.snapshot()
+            assert dyn.n_arcs == oracle.n_arcs
+            for u in range(_N):
+                gids, wts = dyn.row(u)
+                want_g, want_w = oracle.row(u)
+                assert np.array_equal(gids, want_g)
+                assert np.array_equal(wts, want_w)
+                assert dyn.wdeg(u) == oracle.wdeg(u)  # bitwise, not close
+            assert np.array_equal(dyn.wdeg_of(np.arange(_N)),
+                                  [oracle.wdeg(u) for u in range(_N)])
+            # copy-on-write: no later apply / revert / compaction wrote
+            # into arrays somebody captured earlier
+            for gids, wts, gids0, wts0 in captured:
+                assert np.array_equal(gids, gids0)
+                assert np.array_equal(wts, wts0)
+        self._assert_same_graph(dyn.snapshot(), oracle.snapshot())
+
+    def test_revert_across_compaction_restores_bitwise(self):
+        g = small_graph(seed=3)
+        dyn = DynamicGraph.from_csr(g)
+        wdeg0 = [dyn.wdeg(u) for u in range(g.n_nodes)]
+        stream = TemporalEdgeStream(g, seed=7, batch_size=16)
+        deltas = []
+        for batch in stream.batches(3):
+            deltas.append(dyn.apply(batch))
+            assert dyn.snapshot() is not g   # compacted in between
+        for delta in reversed(deltas):
+            dyn.revert(delta)
+        self._assert_same_graph(dyn.snapshot(), g)
+        assert [dyn.wdeg(u) for u in range(g.n_nodes)] == wdeg0
+
+
+class TestSpliceRows:
+    """``splice_rows`` (shared by ``snapshot()`` and shard staging)
+    against a row-by-row rebuild."""
+
+    @given(st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_row_by_row_rebuild(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        counts = rng.integers(0, 5, size=n)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        cols = (rng.integers(0, 99, size=indptr[-1]),
+                rng.random(indptr[-1]))
+        # unsorted unique rows (possibly none), some replaced by nothing
+        rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+        new_counts = rng.integers(0, 4, size=len(rows))
+        ends = np.cumsum(new_counts)
+        starts = ends - new_counts
+        blocks = (rng.integers(100, 199, size=int(new_counts.sum())),
+                  rng.random(int(new_counts.sum())))
+        new_indptr, (ids, vals) = splice_rows(indptr, cols, rows, starts,
+                                              ends, blocks)
+        where = {int(r): j for j, r in enumerate(rows)}
+        for u in range(n):
+            got = (ids[new_indptr[u]:new_indptr[u + 1]],
+                   vals[new_indptr[u]:new_indptr[u + 1]])
+            if u in where:
+                s, e = starts[where[u]], ends[where[u]]
+                want = (blocks[0][s:e], blocks[1][s:e])
+            else:
+                want = (cols[0][indptr[u]:indptr[u + 1]],
+                        cols[1][indptr[u]:indptr[u + 1]])
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        assert new_indptr[-1] == len(ids) == len(vals)
 
 
 class TestGenerator:
@@ -250,25 +465,69 @@ class TestMetamorphic:
 
 # -- distributed application ------------------------------------------------
 
+def _shuffled(update, seed):
+    """``update`` with its replacement rows in a random order.
+
+    ``ShardUpdate`` itself insists on ascending ``row_lids`` (what the
+    planner emits); the splice underneath takes any order, and this pins
+    it — so the permuted payload is assembled around the validation.
+    """
+    order = np.random.default_rng(seed).permutation(update.n_rows)
+    counts = np.diff(update.row_indptr)[order]
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    idx = np.concatenate(
+        [np.arange(update.row_indptr[j], update.row_indptr[j + 1])
+         for j in order] + [np.empty(0, dtype=np.int64)])
+    out = ShardUpdate.__new__(ShardUpdate)
+    for name in ShardUpdate.__slots__:
+        setattr(out, name, getattr(update, name))
+    out.row_lids, out.row_indptr = update.row_lids[order], indptr
+    for name in ("row_local", "row_shard", "row_global", "row_weight",
+                 "row_wdeg"):
+        setattr(out, name, getattr(update, name)[idx])
+    return out
+
+
 class TestShardSplice:
     @pytest.mark.parametrize("halo_hops", [1, 2])
     def test_splice_equals_fresh_build(self, halo_hops):
-        from repro.storage.build import build_shards
+        self._check_splice(halo_hops, shuffle=False)
+        self._check_splice(halo_hops, shuffle=True)
 
+    def _check_splice(self, halo_hops, shuffle):
         g = powerlaw_cluster(120, 4, mixing=0.2, seed=8)
         engine = GraphEngine(g, EngineConfig(n_machines=3, seed=0,
                                              halo_hops=halo_hops))
+        sharded = engine.sharded
         dyn = DynamicGraph.from_csr(g)
         stream = TemporalEdgeStream(g, seed=9, batch_size=16)
-        for tag in (1, 2):
-            delta = dyn.apply(stream.next_batch())
-            payloads = build_shard_payloads(engine.sharded, dyn,
-                                            delta.changed)
+        owned0 = np.flatnonzero(sharded.owner_shard == 0).tolist()
+        loner = max(owned0, key=g.out_degree)   # about to lose every edge
+        owned0.remove(loner)
+
+        def empties_loner():
+            nbrs, _ = dyn.row(loner)
+            assert len(nbrs)
+            return UpdateBatch(np.full(len(nbrs), loner), nbrs,
+                               np.ones(len(nbrs)), np.full(len(nbrs), -1))
+
+        def inside_shard0():  # the other shards stage no rows at all
+            return UpdateBatch(owned0[:1], owned0[1:2], [0.7], [1])
+
+        for tag, make in enumerate((stream.next_batch, stream.next_batch,
+                                    empties_loner, inside_shard0), start=1):
+            delta = dyn.apply(make())
+            payloads = build_shard_payloads(sharded, dyn, delta.changed)
+            if make is inside_shard0:
+                assert sorted(p.n_rows for p in payloads) == [0, 0, 2]
+            if shuffle:
+                payloads = [_shuffled(p, seed=tag) for p in payloads]
             outcome, _, _ = ingest_on_cluster(engine, payloads, tag=tag)
             assert outcome["status"] == "applied"
-        fresh = build_shards(dyn.snapshot(), engine.sharded.result,
+        assert not len(dyn.row(loner)[0])
+        fresh = build_shards(dyn.snapshot(), sharded.result,
                              seed=0, halo_hops=halo_hops)
-        for spliced, rebuilt in zip(engine.sharded.shards, fresh.shards):
+        for spliced, rebuilt in zip(sharded.shards, fresh.shards):
             assert np.array_equal(spliced.indptr, rebuilt.indptr)
             assert np.array_equal(spliced.nbr_global, rebuilt.nbr_global)
             assert np.array_equal(spliced.nbr_local, rebuilt.nbr_local)
@@ -277,6 +536,24 @@ class TestShardSplice:
             # wdeg columns: same sums, different summation order
             assert np.allclose(spliced.core_wdeg, rebuilt.core_wdeg)
             assert np.allclose(spliced.nbr_wdeg, rebuilt.nbr_wdeg)
+            if halo_hops == 2:
+                self._assert_cache_current(spliced, sharded, dyn)
+
+    @staticmethod
+    def _assert_cache_current(shard, sharded, dyn):
+        """Every cached halo row equals its owner's current row."""
+        local, owner, glob, weight, wdeg = shard._cache_arrays
+        gids = sharded.globals_from_keys(shard._cache_keys)
+        for i, gid in enumerate(gids.tolist()):
+            s, e = shard._cache_indptr[i], shard._cache_indptr[i + 1]
+            want_g, want_w = dyn.row(gid)
+            assert np.array_equal(glob[s:e], want_g)
+            assert np.array_equal(weight[s:e], want_w)
+            want_l, want_s = sharded.address_of(want_g)
+            assert np.array_equal(local[s:e], want_l)
+            assert np.array_equal(owner[s:e], want_s)
+            assert np.allclose(wdeg[s:e], dyn.wdeg_of(want_g))
+            assert np.isclose(shard._cache_src_wdeg[i], dyn.wdeg(gid))
 
     def test_stage_commit_rollback_idempotent(self):
         g = powerlaw_cluster(80, 4, mixing=0.2, seed=3)
@@ -306,3 +583,120 @@ class TestShardSplice:
         engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
         with pytest.raises(ShardError):
             engine.sharded.shards[0].commit_updates(99)
+
+
+# -- the session: nothing |E|-sized on the write path, no stale view ---------
+
+def _count_calls(monkeypatch, name):
+    """Count calls of ``DynamicGraph.<name>`` through a wrapper."""
+    calls = []
+    inner = getattr(DynamicGraph, name)
+
+    def counting(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(DynamicGraph, name, counting)
+    return calls
+
+
+def _shard_columns(shard):
+    return (shard.core_global, shard.indptr, shard.nbr_local,
+            shard.nbr_shard, shard.nbr_global, shard.nbr_weight,
+            shard.nbr_wdeg, shard.core_wdeg)
+
+
+class TestSessionGraphView:
+    def _session(self, graph, n_machines=3, **cfg):
+        engine = GraphEngine(graph, EngineConfig(n_machines=n_machines,
+                                                 seed=0))
+        return StreamingSession(engine, StreamConfig(params=PARAMS, **cfg))
+
+    def test_ingest_never_materialises_the_graph(self, monkeypatch):
+        g = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
+        session = self._session(g)
+        session.publish([3, 17])
+        snapshots = _count_calls(monkeypatch, "snapshot")
+        stream = TemporalEdgeStream(g, seed=1, batch_size=12)
+        for batch in stream.batches(5):
+            assert session.ingest(batch).applied
+        session.submit(3)
+        session.drain()       # the query path reads shards, not the view
+        assert snapshots == []
+
+    def test_ingest_cost_does_not_scale_with_graph_size(self, monkeypatch):
+        """The same batches over 4x the graph touch the same rows: the
+        mirror is asked for exactly as many rows (a count, not a time)."""
+        g = small_graph(seed=4, n=40, m=160)
+        u, v = np.nonzero(np.triu(g.to_scipy().toarray()))
+        w = g.to_scipy().toarray()[u, v]
+        # four disjoint copies; copy 0 keeps its ids, rows and weights
+        big = CSRGraph.from_edges(
+            160, np.concatenate([u + 40 * k for k in range(4)]),
+            np.concatenate([v + 40 * k for k in range(4)]), np.tile(w, 4))
+        batches = TemporalEdgeStream(g, seed=5, batch_size=12).batches(4)
+        counts = []
+        for graph in (g, big):
+            session = self._session(graph, n_machines=2)
+            # a published vector whose support is copy 0 on both graphs
+            session.states[7] = IncrementalState.from_scratch(graph, 7,
+                                                              PARAMS)
+            rows = _count_calls(monkeypatch, "row")
+            for batch in batches:
+                assert session.ingest(batch).applied
+            counts.append(len(rows))
+            monkeypatch.undo()
+        assert counts[0] == counts[1] > 0
+
+    def test_views_read_through_and_rebalance_sees_current_graph(self):
+        g = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
+        session = self._session(g)
+        engine = session.engine
+        stream = TemporalEdgeStream(g, seed=2, batch_size=12)
+        for batch in stream.batches(3):
+            session.ingest(batch)
+        current = session.dyn.snapshot()
+        assert current is not g
+        assert engine.graph is current and engine.sharded.graph is current
+
+        # force one migration: machine 1 asks for a shard-0 vertex a lot
+        victim = int(np.flatnonzero(engine.sharded.owner_shard == 0)[0])
+        key = int(engine.sharded.keys_of(np.array([victim]))[0])
+        session.heat = {1: {key: 50}}
+        plan = session.epoch_rebalance()
+        assert plan.moves == {victim: 1}
+        assert engine.sharded.owner_shard[victim] == 1
+        fresh = build_shards(session.dyn.snapshot(), engine.sharded.result,
+                             seed=0)
+        for moved, rebuilt in zip(engine.sharded.shards, fresh.shards):
+            for got, want in zip(_shard_columns(moved),
+                                 _shard_columns(rebuilt)):
+                assert np.array_equal(got, want)
+
+        # the rebuilt shards still read the mirror, not a frozen copy
+        assert session.ingest(stream.next_batch()).n_changed
+        assert engine.sharded.graph is session.dyn.snapshot()
+        assert engine.sharded.graph is not current
+
+    def test_rejected_batch_moves_nothing(self):
+        g = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
+        session = self._session(g)
+        session.publish([3])
+        session.ingest(TemporalEdgeStream(g, seed=2,
+                                          batch_size=8).next_batch())
+        absent = next(v for v in range(1, 150)
+                      if not session.dyn.has_edge(0, v))
+        before = session.dyn.snapshot()
+        tag, n_batches = session._tag, session.report.n_batches
+        counted = session.metrics.counters()["stream.batches"]
+        with pytest.raises(GraphFormatError):
+            session.ingest(UpdateBatch([0, 5], [absent, 999], [1.0, 1.0],
+                                       [1, 1]))
+        assert session.dyn.snapshot() is before
+        assert not session.dyn.has_edge(0, absent)
+        assert (session._tag, session.report.n_batches) == (tag, n_batches)
+        assert session.metrics.counters()["stream.batches"] == counted
+        assert not session.states[3].pre_rows
+        # and the next good batch takes the next tag
+        report = session.ingest(UpdateBatch([0], [absent], [1.0], [1]))
+        assert report.applied and report.tag == tag + 1
