@@ -30,11 +30,11 @@ def run_bfs(sharded) -> dict:
     cluster = SimCluster(sharded, engine_config(N_MACHINES))
     name = "compute:0.0"
     g = DistGraphStorage(cluster.rrefs, 0, name)
-    source_local = int(sharded.owner_local[sharded.shards[0].core_global[0]])
+    source_id = int(sharded.base[0])  # the first core node of shard 0
 
     def driver():
         proc = cluster.scheduler.processes[name]
-        state = yield from distributed_bfs(g, proc, source_local)
+        state = yield from distributed_bfs(g, proc, source_id)
         return state
 
     cluster.spawn_compute(0, 0, driver())
@@ -56,7 +56,8 @@ def run_node2vec(sharded) -> dict:
     cluster = SimCluster(sharded, engine_config(N_MACHINES))
     name = "compute:0.0"
     g = DistGraphStorage(cluster.rrefs, 0, name)
-    roots = sharded.shards[0].core_global[: scale.walk_roots // 2]
+    roots = np.arange(sharded.base[0],
+                      sharded.base[0] + scale.walk_roots // 2)
 
     def driver():
         proc = cluster.scheduler.processes[name]

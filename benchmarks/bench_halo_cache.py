@@ -49,10 +49,9 @@ def run_dataset(name: str) -> dict:
     # the halo cache.
     extra_lookups = 0
     for gid, state in run.states.items():
-        owner = sharded.owner_shard[gid]
-        keys = state.map.keys()
-        shard_of_key = keys % sharded.n_shards
-        extra_lookups += int(np.count_nonzero(shard_of_key != owner))
+        owner = sharded.result.assignment[gid]
+        touched_owner = sharded.owner_of(state.map.keys())
+        extra_lookups += int(np.count_nonzero(touched_owner != owner))
 
     net = NetworkModel()
     # one batched wdeg-fetch round per iteration is the cheapest possible

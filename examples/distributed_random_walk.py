@@ -45,7 +45,8 @@ def handmade_cluster_walks() -> None:
     for m in range(n_machines):
         proc = cluster.worker(m, 0)
         g = DistGraphStorage(cluster.rrefs, m, proc.name)
-        roots = sharded.shards[m].core_global[:6]
+        # drivers speak node ids: machine m owns [base[m], base[m + 1])
+        roots = np.arange(sharded.base[m], sharded.base[m] + 6)
         cluster.spawn_compute(m, 0, distributed_random_walk(
             g, proc, roots, sharded, walk_length=5))
 
@@ -56,7 +57,7 @@ def handmade_cluster_walks() -> None:
         summary = cluster.result_of(proc.name)
         hops_crossed = 0
         for row in summary:
-            shards = sharded.owner_shard[row]
+            shards = sharded.owner_of(sharded.nodes_of(row))
             hops_crossed += int(np.count_nonzero(np.diff(shards) != 0))
         print(f"machine {m}: {summary.shape[0]} walks, "
               f"{hops_crossed} shard-crossing hops")

@@ -41,9 +41,9 @@ def main() -> None:
     proc = cluster.worker(0, 0)
     g = DistGraphStorage(cluster.rrefs, 0, proc.name)
     source = int(sharded.shards[0].core_global[0])
-    source_local = int(sharded.owner_local[source])
+    # drivers speak node ids; nodes_of / globals_of are the way in and out
     name = cluster.spawn_compute(
-        0, 0, distributed_bfs(g, proc, source_local))
+        0, 0, distributed_bfs(g, proc, int(sharded.nodes_of(source))))
     makespan = cluster.run()
     state = cluster.result_of(name)
     depths = state.dense_depths(sharded, graph.n_nodes)
@@ -60,7 +60,7 @@ def main() -> None:
     cluster2 = SimCluster(sharded, EngineConfig(n_machines=n_machines))
     proc2 = cluster2.worker(0, 0)
     g2 = DistGraphStorage(cluster2.rrefs, 0, proc2.name)
-    roots = sharded.shards[0].core_global[:6]
+    roots = sharded.nodes_of(sharded.shards[0].core_global[:6])
     cluster2.spawn_compute(0, 0, distributed_node2vec_walk(
         g2, proc2, roots, sharded, 8, p=0.25, q=4.0, seed=5))
     cluster2.run()

@@ -91,7 +91,7 @@ class QueryRunResult:
     #: the run's Obs bundle; ``obs.tracer`` holds the spans when
     #: ``RunRequest(trace=True)`` (export with repro.obs.write_chrome_trace)
     obs: object = field(repr=False, default=None)
-    #: per-machine remote-row demand: machine -> {packed owner key ->
+    #: per-machine remote-row demand: machine -> {node id ->
     #: request count}, gathered by the fetch layer; feeds the
     #: telemetry-driven shard rebalancer (``repro.stream.rebalance``)
     heat: dict = field(repr=False, default_factory=dict)
@@ -230,31 +230,27 @@ class GraphEngine:
         """Distributed random walks (Figure 4 right)."""
         cfg = self.config
         seed = cfg.seed if seed is None else seed
-        roots = sample_sources(self.sharded, n_roots, seed=seed)
+        roots = self.sharded.nodes_of(
+            sample_sources(self.sharded, n_roots, seed=seed))
         cluster = SimCluster(self.sharded, cfg)
         assignment = assign_queries(self.sharded, roots,
                                     cfg.procs_per_machine)
-        walks: dict[str, np.ndarray] = {}
-        roots_by_proc: dict[str, np.ndarray] = {}
+        names = []
         for (machine, proc_index), chunk in assignment.items():
             proc = cluster.worker(machine, proc_index)
             g = DistGraphStorage(cluster.rrefs, machine, proc.name,
                                  compress=True)
-            cluster.spawn_compute(machine, proc_index, distributed_random_walk(
-                g, proc, chunk, self.sharded, walk_length))
-            roots_by_proc[proc.name] = chunk
+            names.append(cluster.spawn_compute(
+                machine, proc_index, distributed_random_walk(
+                    g, proc, chunk, self.sharded, walk_length)))
         makespan = cluster.run()
-        for name in roots_by_proc:
-            walks[name] = cluster.result_of(name)
-        summary = np.concatenate([walks[n] for n in sorted(walks)], axis=0)
-        all_roots = np.concatenate(
-            [roots_by_proc[n] for n in sorted(roots_by_proc)]
-        )
+        summary = np.concatenate(
+            [cluster.result_of(n) for n in sorted(names)], axis=0)
         return WalkRunResult(
-            roots=all_roots,
+            roots=summary[:, 0],
             walks=summary,
             makespan=makespan,
-            throughput=len(all_roots) / makespan if makespan > 0 else float("inf"),
+            throughput=len(summary) / makespan if makespan > 0 else float("inf"),
         )
 
     # -- other graph algorithms (engine generality) ---------------------------
@@ -268,13 +264,13 @@ class GraphEngine:
         from repro.walk.bfs import distributed_bfs
 
         cfg = self.config
-        machine = int(self.sharded.owner_shard[source_global])
-        source_local = int(self.sharded.owner_local[source_global])
+        source = int(self.sharded.nodes_of(source_global))
+        machine = int(self.sharded.owner_of(source))
         cluster = SimCluster(self.sharded, cfg)
         proc = cluster.worker(machine, 0)
         g = DistGraphStorage(cluster.rrefs, machine, proc.name, compress=True)
         name = cluster.spawn_compute(
-            machine, 0, distributed_bfs(g, proc, source_local))
+            machine, 0, distributed_bfs(g, proc, source))
         makespan = cluster.run()
         state = cluster.result_of(name)
         return state.dense_depths(self.sharded, self.graph.n_nodes), makespan
@@ -293,18 +289,15 @@ class GraphEngine:
         for m in range(cfg.n_machines):
             proc = cluster.worker(m, 0)
             g = DistGraphStorage(cluster.rrefs, m, proc.name, compress=True)
-            seeds = np.arange(self.sharded.shards[m].n_core)
+            seeds = np.arange(self.sharded.base[m], self.sharded.base[m + 1])
             names.append(cluster.spawn_compute(
                 m, 0, distributed_wcc(g, proc, seeds)))
         makespan = cluster.run()
         labels = np.full(self.graph.n_nodes, np.iinfo(np.int64).max,
                          dtype=np.int64)
         for name in names:
-            state = cluster.result_of(name)
-            keys, labs = state.results()
-            gids = self.sharded.global_of(keys // self.sharded.n_shards,
-                                          keys % self.sharded.n_shards)
-            np.minimum.at(labels, gids, labs)
+            ids, labs = cluster.result_of(name).results()
+            np.minimum.at(labels, self.sharded.globals_of(ids), labs)
         # Canonicalize: label = min global ID within each class.  Every
         # core node is seeded, so all nodes are touched.
         out = np.empty(self.graph.n_nodes, dtype=np.int64)

@@ -43,7 +43,7 @@ def sample_sources(sharded: ShardedGraph, n_queries: int, *,
     per_shard[: n_queries % k] += 1
     picks = []
     for p, shard in enumerate(sharded.shards):
-        candidates = shard.core_global[np.diff(shard.indptr) > 0]
+        candidates = shard.core_global[np.diff(shard.rows.indptr) > 0]
         if len(candidates) == 0:
             candidates = shard.core_global
         if len(candidates) == 0:
@@ -53,15 +53,19 @@ def sample_sources(sharded: ShardedGraph, n_queries: int, *,
     return np.concatenate(picks)
 
 
-def assign_queries(sharded: ShardedGraph, sources_global: np.ndarray,
+def assign_queries(sharded: ShardedGraph, sources: np.ndarray,
                    procs_per_machine: int) -> dict[tuple[int, int], np.ndarray]:
-    """Owner-compute dispatch: ``(machine, proc) -> source globals``."""
+    """Owner-compute dispatch: ``(machine, proc) -> source node ids``.
+
+    ``sources`` are node ids — callers translate (and thereby validate)
+    caller ids with :meth:`ShardedGraph.nodes_of` first.
+    """
     if procs_per_machine <= 0:
         raise ValueError("procs_per_machine must be > 0")
-    owner = sharded.owner_shard[sources_global]
+    owner = sharded.owner_of(sources)
     assignment: dict[tuple[int, int], np.ndarray] = {}
     for m in range(sharded.n_shards):
-        mine = sources_global[owner == m]
+        mine = sources[owner == m]
         for p in range(procs_per_machine):
             chunk = mine[p::procs_per_machine]
             if len(chunk):
@@ -69,7 +73,17 @@ def assign_queries(sharded: ShardedGraph, sources_global: np.ndarray,
     return assignment
 
 
-def multi_query_driver(g: DistGraphStorage, proc, sources_global: np.ndarray,
+def _owned_globals(g: DistGraphStorage, sharded: ShardedGraph,
+                   sources: np.ndarray) -> list[int]:
+    """Caller ids of a driver's ``sources``, which its shard must own."""
+    if np.any(g.owner_of(sources) != g.shard_id):
+        raise SimulationError(
+            "owner-compute violation: driver received foreign sources"
+        )
+    return sharded.globals_of(sources).tolist()
+
+
+def multi_query_driver(g: DistGraphStorage, proc, sources: np.ndarray,
                        sharded: ShardedGraph, params: PPRParams, *,
                        opt: OptLevel, collect: dict | None = None,
                        latencies: dict | None = None,
@@ -77,23 +91,20 @@ def multi_query_driver(g: DistGraphStorage, proc, sources_global: np.ndarray,
                        fault_stats: dict | None = None):
     """Coroutine: run each assigned query to completion, in order.
 
-    ``latencies`` (optional) receives per-query virtual durations keyed by
-    source global ID — the engine's latency-percentile reporting.
+    ``sources`` are node ids; ``collect`` and ``latencies`` (optional, the
+    engine's latency-percentile reporting) are keyed by the sources'
+    caller ids.
 
     ``fault_stats`` (optional, shared across the batch's drivers) aggregates
     ``skip_remote`` degradation: queries that lost at least one remote fetch
     and the total residual mass written off.
     """
-    local_ids, shard_ids = sharded.address_of(sources_global)
-    if np.any(shard_ids != g.shard_id):
-        raise SimulationError(
-            "owner-compute violation: driver received foreign sources"
-        )
-    for gid, lid in zip(sources_global.tolist(), local_ids.tolist()):
+    for gid, source in zip(_owned_globals(g, sharded, sources),
+                           sources.tolist()):
         started = proc.clock
         with proc.span("query", source=gid):
             state = yield from distributed_sppr_query(
-                g, proc, lid, params, opt=opt, degradation=degradation
+                g, proc, source, params, opt=opt, degradation=degradation
             )
         if latencies is not None:
             latencies[gid] = proc.clock - started
@@ -102,11 +113,11 @@ def multi_query_driver(g: DistGraphStorage, proc, sources_global: np.ndarray,
             fault_stats["abandoned_mass"] += state.abandoned_mass
         if collect is not None:
             collect[gid] = state
-    return len(sources_global)
+    return len(sources)
 
 
 def multi_query_batched_driver(g: DistGraphStorage, proc,
-                               sources_global: np.ndarray,
+                               sources: np.ndarray,
                                sharded: ShardedGraph, params: PPRParams, *,
                                collect: dict | None = None):
     """Coroutine: one process's whole chunk as a lockstep MultiSSPPR.
@@ -117,17 +128,13 @@ def multi_query_batched_driver(g: DistGraphStorage, proc,
     """
     from repro.ppr.distributed import distributed_multi_query
 
-    local_ids, shard_ids = sharded.address_of(sources_global)
-    if np.any(shard_ids != g.shard_id):
-        raise SimulationError(
-            "owner-compute violation: driver received foreign sources"
-        )
-    with proc.span("query_batch", n_queries=len(sources_global)):
-        multi = yield from distributed_multi_query(g, proc, local_ids, params)
+    gids = _owned_globals(g, sharded, sources)
+    with proc.span("query_batch", n_queries=len(sources)):
+        multi = yield from distributed_multi_query(g, proc, sources, params)
     if collect is not None:
-        for qid, gid in enumerate(sources_global.tolist()):
+        for qid, gid in enumerate(gids):
             collect[gid] = MultiQueryResultView(multi, qid)
-    return len(sources_global)
+    return len(sources)
 
 
 class MultiQueryResultView:
@@ -149,7 +156,7 @@ class MultiQueryResultView:
         return self.multi.n_iterations
 
     def total_mass(self) -> float:
-        node_keys, values = self.multi.results_for(self.qid)
+        _ids, values = self.multi.results_for(self.qid)
         # residual part of this query's mass
         keys = self.multi.map.keys()
         mine = keys % self.multi.n_queries == self.qid
@@ -157,30 +164,24 @@ class MultiQueryResultView:
         return float(values.sum() + self.multi.residual[:n][mine].sum())
 
     def results_global(self, sharded) -> tuple[np.ndarray, np.ndarray]:
-        node_keys, values = self.multi.results_for(self.qid)
-        gids = sharded.global_of(node_keys // self.multi.n_shards,
-                                 node_keys % self.multi.n_shards)
-        return gids, values
+        ids, values = self.multi.results_for(self.qid)
+        return sharded.globals_of(ids), values
 
     def dense_result(self, sharded, n_nodes: int) -> np.ndarray:
         return self.multi.dense_result_for(self.qid, sharded, n_nodes)
 
 
 def multi_query_tensor_driver(g: DistGraphStorage, proc,
-                              sources_global: np.ndarray,
+                              sources: np.ndarray,
                               sharded: ShardedGraph, params: PPRParams, *,
                               collect: dict | None = None):
     """Coroutine: tensor-baseline counterpart of :func:`multi_query_driver`."""
-    owner = sharded.owner_shard[sources_global]
-    if np.any(owner != g.shard_id):
-        raise SimulationError(
-            "owner-compute violation: driver received foreign sources"
-        )
-    for gid in sources_global.tolist():
+    for gid, source in zip(_owned_globals(g, sharded, sources),
+                           sources.tolist()):
         with proc.span("query", source=gid, mode="tensor"):
             state = yield from distributed_tensor_query(
-                g, proc, gid, params, sharded.owner_local, sharded.owner_shard
+                g, proc, source, params, sharded.to_node
             )
         if collect is not None:
             collect[gid] = state
-    return len(sources_global)
+    return len(sources)

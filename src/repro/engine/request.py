@@ -37,6 +37,15 @@ from repro.simt.faults import FaultPlan
 RUN_MODES = ("engine", "tensor", "batched")
 
 
+def check_degradation(mode: str, degradation: DegradationMode) -> None:
+    """Reject ``SKIP_REMOTE`` on a mode that would silently fail fast."""
+    if degradation is DegradationMode.SKIP_REMOTE and mode != "engine":
+        raise ValueError(
+            f'degradation=SKIP_REMOTE needs mode="engine" (only SSPPR can '
+            f"abandon a batch); mode={mode!r} would fail fast instead"
+        )
+
+
 @dataclass(frozen=True)
 class RunRequest:
     """One batched SSPPR run, fully specified.
@@ -80,9 +89,9 @@ class RunRequest:
         timeouts instead of deadlocks (resolved once, at deployment:
         :mod:`repro.engine.cluster`).
     degradation:
-        What a query does when a remote fetch exhausts its retries
-        (``mode="engine"`` only; the tensor and batched drivers always
-        fail fast).
+        What a query does when a remote fetch exhausts its retries.
+        ``SKIP_REMOTE`` needs ``mode="engine"`` — only its operator can
+        write a batch off — and is rejected with any other mode.
     sanitize:
         Attach the lockset race detector
         (:class:`repro.analysis.race.RaceDetector`) to the run: shared
@@ -141,6 +150,7 @@ class RunRequest:
                 f"degradation must be a DegradationMode, "
                 f"got {type(self.degradation).__name__}"
             )
+        check_degradation(self.mode, self.degradation)
         if self.sources is not None:
             object.__setattr__(
                 self, "sources", np.asarray(self.sources, dtype=np.int64)

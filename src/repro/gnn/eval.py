@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.gnn.data import Batch
+from repro.graph.csr import row_blocks
 from repro.gnn.model import ShadowSage
 from repro.gnn.sampler import topk_ppr_nodes
 from repro.ppr.forward_push_parallel import forward_push_parallel
@@ -49,12 +50,8 @@ def local_ppr_batch(sharded: ShardedGraph, features: np.ndarray,
 
     # Induce the adjacency over node_set from the global CSR.
     local_index = {int(g): i for i, g in enumerate(node_set)}
-    counts = np.diff(graph.indptr)[node_set]
-    starts = graph.indptr[node_set]
-    offsets = np.zeros(len(node_set) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    idx = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-    rows = np.repeat(np.arange(len(node_set)), counts)
+    offsets, idx = row_blocks(graph.indptr, node_set)
+    rows = np.repeat(np.arange(len(node_set)), np.diff(offsets))
     nbrs = graph.indices[idx]
     keep = np.isin(nbrs, node_set)
     cols = np.searchsorted(node_set, nbrs[keep])

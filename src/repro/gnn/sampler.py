@@ -47,24 +47,26 @@ def induce_subgraph(sharded: ShardedGraph, g: DistGraphStorage,
     to subgraph-local rows.  Returns ``scipy.sparse.csr_matrix``.
     """
     node_set = np.asarray(node_set, dtype=np.int64)
-    local, shard = sharded.address_of(node_set)
+    ids = sharded.nodes_of(node_set)
+    shard = sharded.owner_of(ids)
     futs, masks = {}, {}
     for j in range(sharded.n_shards):
         mask = shard == j
         if not mask.any():
             continue
         masks[j] = mask
-        futs[j] = g.get_neighbor_infos(j, local[mask])
+        futs[j] = g.get_neighbor_infos(j, ids[mask])
     rows_parts, cols_parts, data_parts = [], [], []
     row_of = {int(gid): i for i, gid in enumerate(node_set)}
     for j in sorted(futs):
         infos = yield Wait(futs[j])
-        (indptr, _l, _s, nbr_global, weights, _wd, _src) = infos.to_arrays()
+        indptr, nbr_ids, weights, _wd, _src = infos.to_arrays()
+        nbr_gids = sharded.globals_of(nbr_ids)
         src_rows = np.flatnonzero(masks[j])
         counts = np.diff(indptr)
         row_ids = np.repeat(src_rows, counts)
-        keep = np.isin(nbr_global, node_set)
-        col_ids = np.searchsorted(node_set, nbr_global[keep])
+        keep = np.isin(nbr_gids, node_set)
+        col_ids = np.searchsorted(node_set, nbr_gids[keep])
         rows_parts.append(row_ids[keep])
         cols_parts.append(col_ids)
         data_parts.append(weights[keep])

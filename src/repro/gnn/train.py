@@ -64,7 +64,7 @@ def gnn_training_driver(g: DistGraphStorage, feats: DistFeatureStore, proc,
                         worker_name: str, records: list):
     """Coroutine: one machine's replica through all its mini-batches."""
     optimizer = Adam(model.parameters(), lr=lr)
-    local_ids, _ = sharded.address_of(
+    ego_ids = sharded.nodes_of(
         np.concatenate(ego_batches) if ego_batches else np.empty(0, np.int64)
     )
     offset = 0
@@ -74,9 +74,9 @@ def gnn_training_driver(g: DistGraphStorage, feats: DistFeatureStore, proc,
                 # (1) top-K SSPPR per ego through the PPR engine
                 node_sets = []
                 for i in range(len(egos)):
-                    lid = int(local_ids[offset + i])
                     state = yield from distributed_sppr_query(
-                        g, proc, lid, params, opt=OptLevel.OVERLAP
+                        g, proc, int(ego_ids[offset + i]), params,
+                        opt=OptLevel.OVERLAP
                     )
                     node_sets.append(topk_ppr_nodes(state, sharded, topk,
                                                     include=egos[i:i + 1]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, row_blocks
 
 
 def connected_components(graph: CSRGraph) -> tuple[int, np.ndarray]:
@@ -49,12 +49,8 @@ def induced_subgraph(graph: CSRGraph, nodes: np.ndarray) -> CSRGraph:
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= graph.n_nodes):
         raise ValueError("nodes out of range")
-    counts = np.diff(graph.indptr)[nodes]
-    starts = graph.indptr[nodes]
-    offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    idx = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-    rows = np.repeat(np.arange(len(nodes)), counts)
+    offsets, idx = row_blocks(graph.indptr, nodes)
+    rows = np.repeat(np.arange(len(nodes)), np.diff(offsets))
     nbrs = graph.indices[idx]
     keep = np.isin(nbrs, nodes)
     cols = np.searchsorted(nodes, nbrs[keep])

@@ -74,15 +74,16 @@ class OptLevel(enum.Enum):
         return self is OptLevel.OVERLAP
 
 
-def distributed_sppr_query(g: DistGraphStorage, proc, source_local: int,
+def distributed_sppr_query(g: DistGraphStorage, proc, source: int,
                            params: PPRParams, *,
                            opt: OptLevel = OptLevel.OVERLAP,
                            degradation: DegradationMode = DegradationMode.FAIL_FAST):
     """Coroutine computing one SSPPR query on the PPR Engine.
 
-    The query's source must be a core node of the caller's shard (the
-    owner-compute rule dispatches each query to the machine hosting its
-    source).  Returns the finished :class:`~repro.ppr.ppr_ops.SSPPR` state.
+    The query's source (a node id) must be a core node of the caller's
+    shard (the owner-compute rule dispatches each query to the machine
+    hosting its source).  Returns the finished
+    :class:`~repro.ppr.ppr_ops.SSPPR` state.
 
     ``degradation`` selects the response to a remote fetch that fails at
     the transport level (retry budget exhausted against a lossy network or
@@ -96,22 +97,30 @@ def distributed_sppr_query(g: DistGraphStorage, proc, source_local: int,
     skip = degradation is DegradationMode.SKIP_REMOTE
     shard = g.shard_id
     wfut = g.source_weighted_degrees(
-        shard, np.array([source_local], dtype=np.int64)
+        shard, np.array([source], dtype=np.int64)
     )
     src_wdeg = (yield Wait(wfut))[0]
-    m = SSPPR(source_local, shard, params, float(src_wdeg), g.n_shards)
+    m = SSPPR(source, params, float(src_wdeg))
 
     while True:
         with proc.measured("pop"):
-            node_ids, shard_ids = m.pop()
+            node_ids = m.pop()
         if len(node_ids) == 0:
             break
 
         if not opt.batched:
-            # Single mode: sequential per-vertex fetch + push.  Convert
-            # once per frontier instead of one int() pair per vertex.
-            node_list = node_ids.tolist()
-            shard_list = shard_ids.tolist()
+            # Single mode: sequential per-vertex fetch + push.  push reads
+            # residuals at push time, so the visit order is observable
+            # (push counts, Table 3's RPC column): keep the paper's
+            # <local ID, shard ID> order — ascending row index, then shard —
+            # rather than pop's shard-major one.
+            with proc.measured("pop"):
+                owners = g.owner_of(node_ids)
+                order = np.lexsort((owners, node_ids - g.base[owners]))
+                node_ids = node_ids[order]
+                # Convert once per frontier, not one int() per vertex.
+                node_list = node_ids.tolist()
+                shard_list = owners[order].tolist()
             for i in range(len(node_list)):
                 fut = g.get_neighbor_infos_single(shard_list[i], node_list[i])
                 try:
@@ -120,14 +129,14 @@ def distributed_sppr_query(g: DistGraphStorage, proc, source_local: int,
                 except TRANSPORT_ERRORS:
                     if not skip:
                         raise
-                    m.abandon(node_ids[i:i + 1], shard_ids[i:i + 1])
+                    m.abandon(node_ids[i:i + 1])
                     continue
                 with proc.measured("push"):
-                    m.push(infos, node_ids[i:i + 1], shard_ids[i:i + 1])
+                    m.push(infos, node_ids[i:i + 1])
             continue
 
         with proc.measured("pop"):
-            masks = g.shard_masks(shard_ids)
+            masks = g.shard_masks(node_ids)
 
         # Issue remote batches first (they are asynchronous either way; the
         # overlap flag decides whether we wait before or after local work).
@@ -153,7 +162,7 @@ def distributed_sppr_query(g: DistGraphStorage, proc, source_local: int,
             lfut = g.get_neighbor_infos(shard, node_ids[local_mask])
             infos = yield Wait(lfut)  # local calls resolve synchronously
             with proc.measured("push"):
-                m.push(infos, node_ids[local_mask], shard_ids[local_mask])
+                m.push(infos, node_ids[local_mask])
 
         for j in futs:
             jm = masks[j]
@@ -168,15 +177,15 @@ def distributed_sppr_query(g: DistGraphStorage, proc, source_local: int,
             else:
                 infos = remote_infos[j]
             if infos is None:  # skip_remote: write off this shard's batch
-                m.abandon(node_ids[jm], shard_ids[jm])
+                m.abandon(node_ids[jm])
                 continue
             with proc.measured("push"):
-                m.push(infos, node_ids[jm], shard_ids[jm])
+                m.push(infos, node_ids[jm])
     return m
 
 
 def distributed_multi_query(g: DistGraphStorage, proc,
-                            source_locals: np.ndarray, params: PPRParams):
+                            sources: np.ndarray, params: PPRParams):
     """Coroutine: a batch of SSPPR queries advanced in lockstep.
 
     Extension of the paper's batching to the inter-query level: each
@@ -190,18 +199,18 @@ def distributed_multi_query(g: DistGraphStorage, proc,
     if not g.compress:
         raise ValueError("multi-query batching requires compressed storage")
     shard = g.shard_id
-    source_locals = np.asarray(source_locals, dtype=np.int64)
-    wfut = g.source_weighted_degrees(shard, source_locals)
+    sources = np.asarray(sources, dtype=np.int64)
+    wfut = g.source_weighted_degrees(shard, sources)
     src_wdegs = yield Wait(wfut)
-    m = MultiSSPPR(source_locals, shard, params, src_wdegs, g.n_shards)
+    m = MultiSSPPR(sources, params, src_wdegs)
 
     while True:
         with proc.measured("pop"):
-            node_ids, shard_ids = m.pop()
+            node_ids = m.pop()
         if len(node_ids) == 0:
             break
         with proc.measured("pop"):
-            masks = g.shard_masks(shard_ids)
+            masks = g.shard_masks(node_ids)
         futs = {}
         for j, mask in masks.items():
             if j != shard:
@@ -211,18 +220,16 @@ def distributed_multi_query(g: DistGraphStorage, proc,
             infos = yield Wait(g.get_neighbor_infos(shard,
                                                     node_ids[local_mask]))
             with proc.measured("push"):
-                m.push(infos, node_ids[local_mask], shard_ids[local_mask])
+                m.push(infos, node_ids[local_mask])
         for j in futs:
             infos = yield Wait(futs[j])
-            jm = masks[j]
             with proc.measured("push"):
-                m.push(infos, node_ids[jm], shard_ids[jm])
+                m.push(infos, node_ids[masks[j]])
     return m
 
 
-def distributed_tensor_query(g: DistGraphStorage, proc, source_global: int,
-                             params: PPRParams, owner_local: np.ndarray,
-                             owner_shard: np.ndarray):
+def distributed_tensor_query(g: DistGraphStorage, proc, source: int,
+                             params: PPRParams, to_node: np.ndarray):
     """Coroutine computing one SSPPR query with the dense tensor baseline.
 
     Uses the same distributed storage (batched + compressed RPCs — the
@@ -230,22 +237,20 @@ def distributed_tensor_query(g: DistGraphStorage, proc, source_global: int,
     the full activation scan in ``pop``.
     """
     shard = g.shard_id
-    n_nodes = len(owner_local)
-    src_local = int(owner_local[source_global])
     wfut = g.source_weighted_degrees(
-        shard, np.array([src_local], dtype=np.int64)
+        shard, np.array([source], dtype=np.int64)
     )
     src_wdeg = (yield Wait(wfut))[0]
-    m = DenseSSPPR(source_global, params, n_nodes, owner_local, owner_shard)
+    m = DenseSSPPR(source, params, to_node)
     m.seed_source_degree(float(src_wdeg))
 
     while True:
         with proc.measured("pop"):
-            gids, node_ids, shard_ids = m.pop()
-        if len(gids) == 0:
+            node_ids = m.pop()
+        if len(node_ids) == 0:
             break
         with proc.measured("pop"):
-            masks = g.shard_masks(shard_ids)
+            masks = g.shard_masks(node_ids)
 
         futs = {}
         for j, mask in masks.items():
@@ -261,8 +266,8 @@ def distributed_tensor_query(g: DistGraphStorage, proc, source_global: int,
             lfut = g.get_neighbor_infos(shard, node_ids[local_mask])
             infos = yield Wait(lfut)
             with proc.measured("push"):
-                m.push(infos, gids[local_mask])
+                m.push(infos, node_ids[local_mask])
         for j, infos in remote_infos.items():
             with proc.measured("push"):
-                m.push(infos, gids[masks[j]])
+                m.push(infos, node_ids[masks[j]])
     return m

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, row_blocks
 from repro.ppr.forward_push_seq import PushStats
 from repro.ppr.params import PPRParams
 
@@ -54,14 +54,10 @@ def forward_push_parallel(graph: CSRGraph, source: int, params: PPRParams,
         spreaders = frontier[~dangling]
         if len(spreaders):
             scale = (1.0 - alpha) * r_f[~dangling] / d_f[~dangling]
-            counts = graph.indptr[spreaders + 1] - graph.indptr[spreaders]
-            starts = graph.indptr[spreaders]
-            offsets = np.zeros(len(spreaders) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            idx = np.repeat(starts - offsets[:-1], counts) \
-                + np.arange(offsets[-1])
+            offsets, idx = row_blocks(graph.indptr, spreaders)
             nbrs = graph.indices[idx]
-            contrib = graph.weights[idx] * np.repeat(scale, counts)
+            contrib = graph.weights[idx] * np.repeat(scale,
+                                                     np.diff(offsets))
             np.add.at(residual, nbrs, contrib)
             touched[nbrs] = True
 

@@ -10,7 +10,7 @@ shard for the whole batch, with every fetched adjacency row reused by every
 query that needs it.
 
 State layout: the slot-table key packs ``(node, query)`` as
-``(local * K + shard) * B + qid``; the frontier is the queued flags of the
+``id * B + qid``; the frontier is the queued flags of the
 touched pair slots.  Pops dedupe at the *node* level for fetching while
 retaining the per-(node, query) activation pairs — node, query and slot,
 sorted by pair key — for the push expansion.  Total push work equals
@@ -30,28 +30,24 @@ from repro.ppr.ppr_ops import split_residual
 class MultiSSPPR:
     """Lockstep state for a batch of SSPPR queries sharing fetches."""
 
-    def __init__(self, source_locals, source_shard: int, params: PPRParams,
-                 source_wdegs, n_shards: int) -> None:
-        source_locals = np.asarray(source_locals, dtype=np.int64)
+    def __init__(self, sources, params: PPRParams, source_wdegs) -> None:
+        sources = np.asarray(sources, dtype=np.int64)
         source_wdegs = np.asarray(source_wdegs, dtype=np.float64)
-        if len(source_locals) == 0:
+        if len(sources) == 0:
             raise ValueError("MultiSSPPR needs at least one source")
-        if len(source_wdegs) != len(source_locals):
+        if len(source_wdegs) != len(sources):
             raise ValueError("source_wdegs length mismatch")
-        if n_shards <= 0:
-            raise ValueError(f"n_shards must be > 0, got {n_shards}")
         if np.any(source_wdegs < 0):
             raise ValueError("source_wdegs must be >= 0")
         self.params = params
-        self.n_shards = int(n_shards)
-        self.n_queries = len(source_locals)
+        self.n_queries = len(sources)
         self.map = ShardedMap()
         cap = 1024
         self.residual = np.zeros(cap)
         self.ppr = np.zeros(cap)
         self.wdeg = np.zeros(cap)
         self.queued = np.zeros(cap, dtype=bool)  # the activated pairs
-        # The popped pairs sorted by pair key, as (node keys, query ids,
+        # The popped pairs sorted by pair key, as (node ids, query ids,
         # slots); None once a pop found nothing activated.
         self._pending: tuple | None = None
         self.n_pushes = 0
@@ -59,9 +55,7 @@ class MultiSSPPR:
         self.n_iterations = 0
 
         qids = np.arange(self.n_queries, dtype=np.int64)
-        node_keys = source_locals * self.n_shards + int(source_shard)
-        pair_keys = node_keys * self.n_queries + qids
-        idx, _ = self.map.get_or_insert(pair_keys)
+        idx, _ = self.map.get_or_insert(sources * self.n_queries + qids)
         self._fit_values()
         self.residual[idx] = 1.0
         self.wdeg[idx] = source_wdegs
@@ -72,17 +66,17 @@ class MultiSSPPR:
             self.map, self.residual, self.ppr, self.wdeg, self.queued)
 
     # -- operators -----------------------------------------------------------
-    def pop(self) -> tuple[np.ndarray, np.ndarray]:
+    def pop(self) -> np.ndarray:
         """Unique activated *nodes* across all queries -> fetch list.
 
         The per-(node, query) pairs are retained internally for push.
-        Returned ``(local_ids, shard_ids)`` are node-key sorted (the order
-        push expects back via its ``local_ids``/``shard_ids`` arguments).
+        Returned node ids are ascending (the order push expects back via
+        its ``ids`` argument).
         """
         slots = np.flatnonzero(self.queued[: len(self.map)])
         if len(slots) == 0:
             self._pending = None
-            return slots, slots
+            return slots
         self.queued[slots] = False
         pairs = self.map.keys()[slots]
         order = np.argsort(pairs)
@@ -93,26 +87,23 @@ class MultiSSPPR:
         first = np.empty(len(pair_nodes), dtype=bool)
         first[0] = True
         np.not_equal(pair_nodes[1:], pair_nodes[:-1], out=first[1:])
-        node_keys = pair_nodes[first]
         self.n_iterations += 1
-        return node_keys // self.n_shards, node_keys % self.n_shards
+        return pair_nodes[first]
 
-    def push(self, infos, local_ids: np.ndarray, shard_ids: np.ndarray) -> None:
+    def push(self, infos, ids: np.ndarray) -> None:
         """Apply one fetched chunk to every query activated on its nodes."""
-        (indptr, nbr_local, nbr_shard, _g, weights, nbr_wdeg,
-         src_wdeg) = infos.to_arrays()
-        if len(indptr) - 1 != len(local_ids):
+        indptr, nbr_ids, weights, nbr_wdeg, src_wdeg = infos.to_arrays()
+        if len(indptr) - 1 != len(ids):
             raise ValueError(
                 f"infos cover {len(indptr) - 1} sources, got "
-                f"{len(local_ids)} popped ids"
+                f"{len(ids)} popped ids"
             )
-        if len(local_ids) == 0 or self._pending is None:
+        if len(ids) == 0 or self._pending is None:
             return
         pair_nodes, pair_qids, pair_slots = self._pending
-        chunk_nodes = (np.asarray(local_ids, dtype=np.int64) * self.n_shards
-                       + shard_ids)
+        chunk_nodes = np.asarray(ids, dtype=np.int64)
         # Pair range for each chunk node (pairs are sorted by pair key,
-        # hence by node key first).
+        # hence by node id first).
         starts = np.searchsorted(pair_nodes, chunk_nodes, side="left")
         ends = np.searchsorted(pair_nodes, chunk_nodes, side="right")
         pair_counts = ends - starts
@@ -149,8 +140,7 @@ class MultiSSPPR:
         contrib = weights[entry_idx] * np.repeat(scale, pair_row_counts)
         self.n_entries_processed += total_entries
 
-        nbr_node_keys = nbr_local * self.n_shards + nbr_shard
-        target_pairs = (nbr_node_keys[entry_idx] * self.n_queries
+        target_pairs = (nbr_ids[entry_idx] * self.n_queries
                         + np.repeat(sel_qids, pair_row_counts))
         touched = len(self.map)
         slots, new = self.map.get_or_insert(target_pairs)
@@ -176,7 +166,7 @@ class MultiSSPPR:
         return float(self.ppr[:n].sum() + self.residual[:n].sum())
 
     def results_for(self, qid: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(node_keys, ppr)`` of one query's positive-mass nodes."""
+        """``(node ids, ppr)`` of one query's positive-mass nodes."""
         if not 0 <= qid < self.n_queries:
             raise ValueError(f"qid {qid} out of range [0, {self.n_queries})")
         n = len(self.map)
@@ -188,15 +178,13 @@ class MultiSSPPR:
 
     def dense_result_for(self, qid: int, sharded, n_nodes: int) -> np.ndarray:
         """One query's PPR as a dense |V| vector."""
-        node_keys, values = self.results_for(qid)
+        ids, values = self.results_for(qid)
         out = np.zeros(n_nodes)
-        gids = sharded.global_of(node_keys // self.n_shards,
-                                 node_keys % self.n_shards)
-        out[gids] = values
+        out[sharded.globals_of(ids)] = values
         return out
 
     def residuals_for(self, qid: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(node_keys, residual)`` of one query's nonzero residuals."""
+        """``(node ids, residual)`` of one query's nonzero residuals."""
         if not 0 <= qid < self.n_queries:
             raise ValueError(f"qid {qid} out of range [0, {self.n_queries})")
         n = len(self.map)
@@ -214,9 +202,7 @@ class MultiSSPPR:
         the streaming layer seeds incremental maintenance
         (:mod:`repro.ppr.incremental`) from the exact ``(p, r)`` pair.
         """
-        node_keys, values = self.residuals_for(qid)
+        ids, values = self.residuals_for(qid)
         out = np.zeros(n_nodes)
-        gids = sharded.global_of(node_keys // self.n_shards,
-                                 node_keys % self.n_shards)
-        out[gids] = values
+        out[sharded.globals_of(ids)] = values
         return out

@@ -1,8 +1,8 @@
 """Local PPR operators (paper Section 3.3): slot-table ``pop`` / ``push``.
 
 :class:`SSPPR` holds the state of one in-flight SSPPR query: a
-:class:`~repro.ppr.hashmap.ShardedMap` from packed ``(local ID, shard ID)``
-keys to dense slots, and dense value arrays (residual, PPR score, weighted
+:class:`~repro.ppr.hashmap.ShardedMap` from node ids to dense slots, and
+dense value arrays (residual, PPR score, weighted
 degree, queued flag) indexed by slot.  The activated set *is* the queued
 flags of the touched slots, so only ``push`` resolves keys.  Work per
 iteration is proportional to the *touched frontier*, never to |V| — the
@@ -31,17 +31,6 @@ from repro.ppr.hashmap import ShardedMap, fit_values
 from repro.ppr.params import PPRParams
 
 
-def pack_keys(local_ids: np.ndarray, shard_ids: np.ndarray,
-              n_shards: int) -> np.ndarray:
-    """Pack ``(local, shard)`` into flat int64 keys: ``local * K + shard``."""
-    return np.asarray(local_ids, dtype=np.int64) * n_shards + shard_ids
-
-
-def unpack_keys(keys: np.ndarray, n_shards: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_keys`."""
-    return keys // n_shards, keys % n_shards
-
-
 def split_residual(r_v: np.ndarray, src_wdeg: np.ndarray,
                    alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """What pushed sources keep and spread: ``(gained, scale)``.
@@ -65,15 +54,11 @@ def split_residual(r_v: np.ndarray, src_wdeg: np.ndarray,
 class SSPPR:
     """State and operators for one SSPPR query."""
 
-    def __init__(self, source_local: int, source_shard: int,
-                 params: PPRParams, source_wdeg: float,
-                 n_shards: int) -> None:
-        if n_shards <= 0:
-            raise ValueError(f"n_shards must be > 0, got {n_shards}")
+    def __init__(self, source: int, params: PPRParams,
+                 source_wdeg: float) -> None:
         if source_wdeg < 0:
             raise ValueError(f"source_wdeg must be >= 0, got {source_wdeg}")
         self.params = params
-        self.n_shards = int(n_shards)
         self.map = ShardedMap()
         cap = 1024
         self.residual = np.zeros(cap)
@@ -90,50 +75,47 @@ class SSPPR:
         self.abandoned_mass = 0.0
         self.skipped_fetches = 0
 
-        source_key = np.array(
-            [int(source_local) * self.n_shards + int(source_shard)],
-            dtype=np.int64,
-        )
-        idx, _ = self.map.get_or_insert(source_key)
+        idx, _ = self.map.get_or_insert(np.array([int(source)],
+                                                  dtype=np.int64))
         self.residual[idx[0]] = 1.0
         self.wdeg[idx[0]] = float(source_wdeg)
         self.queued[idx[0]] = True
 
     # -- operators -----------------------------------------------------------
-    def pop(self) -> tuple[np.ndarray, np.ndarray]:
-        """Drain the activated set -> ``(local_ids, shard_ids)`` and clear it.
+    def pop(self) -> np.ndarray:
+        """Drain the activated set -> node ids, ascending, and clear it.
 
         The paper: "the pop operator first returns the local ID tensor and
         the shard ID tensor from the current activated vertex set and then
-        clears the set".  The set is one flag per *touched* slot, so this
-        scans O(touched) bytes (never |V|) and needs no dedup however many
-        entries activated a node.  Sources come back sorted by packed key.
+        clears the set" — one id tensor here, because a node id names its
+        shard.  The set is one flag per *touched* slot, so this scans
+        O(touched) bytes (never |V|) and needs no dedup however many
+        entries activated a node.  Ascending ids are shard-major: each
+        shard's sources form one run, in row order.
         """
         slots = np.flatnonzero(self.queued[: len(self.map)])
         if len(slots) == 0:
-            return slots, slots
+            return slots
         self.queued[slots] = False
         self.n_iterations += 1
-        return unpack_keys(np.sort(self.map.keys()[slots]), self.n_shards)
+        return np.sort(self.map.keys()[slots])
 
-    def push(self, infos, local_ids: np.ndarray, shard_ids: np.ndarray) -> None:
+    def push(self, infos, ids: np.ndarray) -> None:
         """Apply one batch of pushes given fetched neighbor information.
 
         ``infos`` is any response exposing ``to_arrays()`` (VertexProp,
-        NeighborBatch, NeighborLists); ``local_ids``/``shard_ids`` are the
-        popped sources this response answers, in request order.
+        NeighborBatch, NeighborLists); ``ids`` are the popped sources this
+        response answers, in request order.
         """
-        (indptr, nbr_local, nbr_shard, _nbr_global, weights, nbr_wdeg,
-         src_wdeg) = infos.to_arrays()
-        if len(indptr) - 1 != len(local_ids):
+        indptr, nbr_ids, weights, nbr_wdeg, src_wdeg = infos.to_arrays()
+        if len(indptr) - 1 != len(ids):
             raise ValueError(
                 f"infos cover {len(indptr) - 1} sources, got "
-                f"{len(local_ids)} popped ids"
+                f"{len(ids)} popped ids"
             )
-        if len(local_ids) == 0:
+        if len(ids) == 0:
             return
-        idx_v = self.map.lookup(pack_keys(local_ids, shard_ids,
-                                          self.n_shards))
+        idx_v = self.map.lookup(ids)
         if idx_v.min() < 0:
             raise ValueError("push received sources that were never touched")
 
@@ -151,9 +133,8 @@ class SSPPR:
             return
 
         # Resolve neighbor slots in one vectorized pass (duplicates fine).
-        nbr_keys = pack_keys(nbr_local, nbr_shard, self.n_shards)
         touched = len(self.map)
-        slots, new = self.map.get_or_insert(nbr_keys)
+        slots, new = self.map.get_or_insert(nbr_ids)
         if len(self.map) > touched:
             (self.residual, self.ppr, self.wdeg, self.queued) = fit_values(
                 self.map, self.residual, self.ppr, self.wdeg, self.queued)
@@ -170,7 +151,7 @@ class SSPPR:
         above = self.residual[slots] > threshold
         self.queued[slots[above]] = True
 
-    def abandon(self, local_ids: np.ndarray, shard_ids: np.ndarray) -> float:
+    def abandon(self, ids: np.ndarray) -> float:
         """Write off popped sources whose neighbor fetch failed for good.
 
         The ``skip_remote`` degradation mode calls this instead of ``push``
@@ -179,9 +160,9 @@ class SSPPR:
         ``pop``), bounding the query's accuracy loss by the returned mass —
         the same quantity the forward-push L1 error bound is built on.
         """
-        if len(local_ids) == 0:
+        if len(ids) == 0:
             return 0.0
-        idx = self.map.lookup(pack_keys(local_ids, shard_ids, self.n_shards))
+        idx = self.map.lookup(ids)
         idx = idx[idx >= 0]
         lost = float(self.residual[idx].sum())
         self.residual[idx] = 0.0
@@ -220,16 +201,16 @@ class SSPPR:
         return float(self.ppr[:n].sum() + self.residual[:n].sum())
 
     def results(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(keys, ppr_values)`` for every node with positive PPR mass."""
+        """``(node ids, ppr_values)`` for every node with positive PPR mass."""
         n = len(self.map)
         ppr = self.ppr[:n]
         mask = ppr > 0.0
         return self.map.keys()[mask], ppr[mask]
 
     def results_global(self, sharded) -> tuple[np.ndarray, np.ndarray]:
-        """``(global_ids, ppr_values)`` via a ShardedGraph's address book."""
-        keys, values = self.results()
-        return sharded.globals_from_keys(keys), values
+        """``(caller ids, ppr_values)`` via a ShardedGraph's address book."""
+        ids, values = self.results()
+        return sharded.globals_of(ids), values
 
     def dense_result(self, sharded, n_nodes: int) -> np.ndarray:
         """PPR scores scattered into a dense |V| vector (for comparisons)."""

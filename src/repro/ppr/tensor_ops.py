@@ -1,15 +1,16 @@
 """Dense tensor-based SSPPR state — the "PyTorch Tensor" baseline.
 
 Re-creates the paper's pure-tensor distributed Forward Push: the PPR and
-residual vectors are dense |V|-length arrays indexed by *global* node ID,
+residual vectors are dense |V|-length arrays indexed by node id,
 and — crucially — retrieving the activated set each iteration requires a
 threshold test plus nonzero scan over the **entire** vector ("the overhead
 of SSPPR calculation increases in proportion to the total number of
 nodes").  Pushes use scatter-add over the dense arrays, exactly the
 ``index_select`` / ``scatter_add_`` op mix a PyTorch implementation uses.
 
-The address-translation arrays (global -> local/shard) are part of the
-baseline's state: a tensor implementation carries them as tensors.
+The caller-id -> node-id permutation is part of the baseline's state (a
+tensor implementation carries it as a tensor): ``dense_result`` reports in
+caller ids.
 """
 
 from __future__ import annotations
@@ -22,19 +23,16 @@ from repro.ppr.params import PPRParams
 class DenseSSPPR:
     """Dense-array state for one tensor-based SSPPR query."""
 
-    def __init__(self, source_global: int, params: PPRParams,
-                 n_nodes: int, owner_local: np.ndarray,
-                 owner_shard: np.ndarray) -> None:
-        if not 0 <= source_global < n_nodes:
+    def __init__(self, source: int, params: PPRParams,
+                 to_node: np.ndarray) -> None:
+        n_nodes = len(to_node)
+        if not 0 <= source < n_nodes:
             raise ValueError(
-                f"source {source_global} out of range [0, {n_nodes})"
+                f"source {source} out of range [0, {n_nodes})"
             )
-        if len(owner_local) != n_nodes or len(owner_shard) != n_nodes:
-            raise ValueError("address arrays must have length n_nodes")
         self.params = params
-        self.n_nodes = int(n_nodes)
-        self.owner_local = owner_local
-        self.owner_shard = owner_shard
+        self.n_nodes = n_nodes
+        self.to_node = to_node
         self.residual = np.zeros(n_nodes)
         self.ppr = np.zeros(n_nodes)
         # Weighted degrees learned from responses; NaN = unknown.  Unknown
@@ -42,9 +40,9 @@ class DenseSSPPR:
         # only arrives together with their weighted degree, so the first
         # pop never misses an activation.
         self.wdeg = np.full(n_nodes, np.nan)
-        self.residual[source_global] = 1.0
+        self.residual[source] = 1.0
         self._first_pop_done = False
-        self._source = int(source_global)
+        self._source = int(source)
         self.n_pushes = 0
         self.n_iterations = 0
 
@@ -52,8 +50,8 @@ class DenseSSPPR:
         """Record the source's weighted degree (fetched at query start)."""
         self.wdeg[self._source] = float(source_wdeg)
 
-    def pop(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Activated nodes -> ``(global_ids, local_ids, shard_ids)``.
+    def pop(self) -> np.ndarray:
+        """Activated nodes -> node ids, ascending.
 
         Performs the full-vector threshold scan the paper identifies as the
         dominant tensor-side cost.
@@ -63,29 +61,27 @@ class DenseSSPPR:
             (self.residual > self.params.epsilon * self.wdeg)
             | ((self.residual > 0.0) & (self.wdeg <= 0.0))
         )
-        gids = np.flatnonzero(active)
         self.n_iterations += 1
-        return gids, self.owner_local[gids], self.owner_shard[gids]
+        return np.flatnonzero(active)
 
-    def push(self, infos, global_ids: np.ndarray) -> None:
+    def push(self, infos, ids: np.ndarray) -> None:
         """Dense scatter-add push for one fetched batch."""
-        (indptr, _nbr_local, _nbr_shard, nbr_global, weights, nbr_wdeg,
-         src_wdeg) = infos.to_arrays()
-        if len(indptr) - 1 != len(global_ids):
+        indptr, nbr_ids, weights, nbr_wdeg, src_wdeg = infos.to_arrays()
+        if len(indptr) - 1 != len(ids):
             raise ValueError(
                 f"infos cover {len(indptr) - 1} sources, got "
-                f"{len(global_ids)} ids"
+                f"{len(ids)} ids"
             )
-        if len(global_ids) == 0:
+        if len(ids) == 0:
             return
         alpha = self.params.alpha
-        gids = np.asarray(global_ids, dtype=np.int64)
-        self.wdeg[gids] = src_wdeg
-        r_v = self.residual[gids].copy()
-        self.residual[gids] = 0.0
+        ids = np.asarray(ids, dtype=np.int64)
+        self.wdeg[ids] = src_wdeg
+        r_v = self.residual[ids].copy()
+        self.residual[ids] = 0.0
         dangling = src_wdeg <= 0.0
-        self.ppr[gids] += np.where(dangling, r_v, alpha * r_v)
-        self.n_pushes += len(gids)
+        self.ppr[ids] += np.where(dangling, r_v, alpha * r_v)
+        self.n_pushes += len(ids)
 
         scale = np.where(dangling, 0.0,
                          (1.0 - alpha) * r_v / np.where(dangling, 1.0, src_wdeg))
@@ -96,14 +92,14 @@ class DenseSSPPR:
         # Dense scatter-add: the best a pure-tensor implementation can do is
         # index_add over the full |V|-length vector — same primitive as the
         # hashmap engine's aggregation, but over the global domain.
-        self.residual += np.bincount(nbr_global, weights=contrib,
+        self.residual += np.bincount(nbr_ids, weights=contrib,
                                      minlength=self.n_nodes)
-        self.wdeg[nbr_global] = nbr_wdeg
+        self.wdeg[nbr_ids] = nbr_wdeg
 
     def total_mass(self) -> float:
         """``sum(ppr) + sum(residual)`` — invariantly 1.0."""
         return float(self.ppr.sum() + self.residual.sum())
 
     def dense_result(self) -> np.ndarray:
-        """The PPR vector (already dense)."""
-        return self.ppr
+        """The PPR vector, indexed by caller id."""
+        return self.ppr[self.to_node]

@@ -10,7 +10,7 @@ returns ``(nbytes, n_tensors)``:
 * containers are walked recursively;
 * objects exposing ``rpc_payload() -> (nbytes, n_tensors)`` report
   themselves — e.g. a CSR-compressed
-  :class:`~repro.storage.neighbor_batch.NeighborBatch` reports seven tensors
+  :class:`~repro.storage.neighbor_batch.NeighborBatch` reports five tensors
   total, while the uncompressed list-of-lists response reports one tensor
   *per source node per field*, which is exactly why compression wins.
 

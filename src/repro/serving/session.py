@@ -53,7 +53,7 @@ from repro.engine.query import (
     multi_query_tensor_driver,
     sample_sources,
 )
-from repro.engine.request import RUN_MODES, RunRequest
+from repro.engine.request import RUN_MODES, RunRequest, check_degradation
 from repro.obs import MetricsRegistry
 from repro.ppr.distributed import DegradationMode
 from repro.ppr.params import PPRParams
@@ -163,6 +163,7 @@ class SessionConfig:
                 f"runtime must be one of {SESSION_RUNTIMES}, "
                 f"got {self.runtime!r}"
             )
+        check_degradation(self.mode, self.degradation)
         if self.slo is not None and self.slo <= 0:
             raise ValueError(f"slo must be > 0 or None, got {self.slo}")
         if self.batch_window < 0:
@@ -474,6 +475,8 @@ class Session:
         else:
             sources = sample_sources(engine.sharded, request.n_queries,
                                      seed=seed)
+        # the boundary: caller ids are validated and become node ids here
+        source_ids = engine.sharded.nodes_of(sources)
         opt = request.opt if request.opt is not None else cfg.opt
 
         cluster = deploy(engine.sharded, cfg, self.config.runtime,
@@ -483,7 +486,7 @@ class Session:
                          max_spans=request.max_spans,
                          sanitize=request.sanitize)
         obs = cluster.obs
-        assignment = assign_queries(engine.sharded, sources,
+        assignment = assign_queries(engine.sharded, source_ids,
                                     cfg.procs_per_machine)
 
         fetch_split = (cfg.fetch_split if request.fetch_split is None
@@ -617,24 +620,24 @@ class Session:
         """Run one drained walk group; returns (root gid -> walk row, retries)."""
         engine = self.engine
         cfg = engine.config
+        root_ids = engine.sharded.nodes_of(roots)
         cluster = deploy(engine.sharded, cfg, self.config.runtime,
                          fault_plan=self.config.fault_plan,
                          retry_policy=self.config.retry_policy)
-        chunk_of: dict[str, np.ndarray] = {}
+        names = []
         for (machine, p), chunk in assign_queries(
-                engine.sharded, roots, cfg.procs_per_machine).items():
+                engine.sharded, root_ids, cfg.procs_per_machine).items():
             proc = cluster.worker(machine, p)
             g = DistGraphStorage(cluster.rrefs, machine, proc.name,
                                  compress=True)
-            cluster.spawn_compute(machine, p, distributed_random_walk(
-                g, proc, chunk, engine.sharded, walk_length))
-            chunk_of[proc.name] = chunk
+            names.append(cluster.spawn_compute(
+                machine, p, distributed_random_walk(
+                    g, proc, chunk, engine.sharded, walk_length)))
         cluster.run()
         rows: dict[int, np.ndarray] = {}
-        for name in sorted(chunk_of):
-            summary = cluster.result_of(name)
-            for i, gid in enumerate(chunk_of[name].tolist()):
-                rows[gid] = summary[i]
+        for name in sorted(names):
+            for row in cluster.result_of(name):
+                rows[int(row[0])] = row
         self.metrics.merge(cluster.obs.metrics)
         return rows, cluster.retries
 

@@ -1,10 +1,16 @@
 """Partition-to-shard preprocessing (Section 3.2's "Graph Shard Preprocessing").
 
 Given a graph and a partition assignment, build one :class:`GraphShard` per
-part plus the global address book: every global node ID maps to its owner
-``(shard ID, local ID)`` pair, where the local ID is the node's rank within
-its shard's ascending global-ID list.  All of it is vectorized gathers — no
-Python-level per-edge loops.
+part plus the address book.  Every node gets one **node id**: shard ``s``
+owns the contiguous range ``[base[s], base[s+1])`` and a node's id is
+``base[owner]`` plus its rank in its owner's ascending caller-id list.  The
+id alone says where the node lives (owner = one ``searchsorted`` over the
+K+1 entries of ``base``, row = ``id - base[owner]``) — the paper's
+``<local ID, shard ID>`` addressing with one integer instead of two, and the
+shape of DistDGL's contiguous-range partition book.  Everything below the
+engine facade speaks node ids; the caller's (global) ids exist only at
+:class:`ShardedGraph`'s boundary functions.  All of it is vectorized
+gathers — no Python-level per-edge loops.
 """
 
 from __future__ import annotations
@@ -14,14 +20,16 @@ import numpy as np
 from repro.errors import ShardError
 from repro.graph.csr import CSRGraph, row_blocks
 from repro.partition.base import PartitionResult
+from repro.storage.neighbor_batch import NeighborBatch
 from repro.storage.shard import GraphShard
 
 
 class ShardedGraph:
-    """All shards of one graph plus global <-> (local, shard) translation."""
+    """All shards of one graph plus caller id <-> node id translation."""
 
     def __init__(self, graph: CSRGraph, result: PartitionResult,
-                 shards: list[GraphShard]) -> None:
+                 shards: list[GraphShard], base: np.ndarray,
+                 to_node: np.ndarray, to_global: np.ndarray) -> None:
         #: zero-arg source of the whole-graph view.  The shards are the
         #: live truth; a streaming session points this at its mirror's
         #: ``snapshot`` so the view is materialised by whoever reads it,
@@ -30,51 +38,39 @@ class ShardedGraph:
         self.result = result
         self.shards = shards
         self.n_shards = result.n_parts
-        # Address book: owner shard and owner-local ID per global node.
-        self.owner_shard = result.assignment
-        self.owner_local = np.empty(graph.n_nodes, dtype=np.int64)
-        for shard in shards:
-            self.owner_local[shard.core_global] = np.arange(shard.n_core)
+        #: shard ``s`` owns node ids ``[base[s], base[s+1])``
+        self.base = base
+        #: the two |V| permutations of the boundary: caller id -> node id
+        #: and back.  A rebalance rebuilds all three (a relabel epoch).
+        self.to_node = to_node
+        self.to_global = to_global
 
     @property
     def graph(self) -> CSRGraph:
         """The frozen whole-graph view the shards currently hold."""
         return self.graph_source()
 
-    def address_of(self, global_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Translate global IDs -> ``(local_ids, shard_ids)``."""
-        gids = np.asarray(global_ids, dtype=np.int64)
-        if len(gids) and (gids.min() < 0
-                          or gids.max() >= len(self.owner_local)):
-            raise ShardError("global_ids out of range")
-        return self.owner_local[gids], self.owner_shard[gids]
+    def nodes_of(self, global_ids) -> np.ndarray:
+        """Translate caller ids -> node ids (the way in; range-checked)."""
+        return self._translate(self.to_node, global_ids, "global_ids")
 
-    def global_of(self, local_ids, shard_ids) -> np.ndarray:
-        """Translate ``(local, shard)`` pairs back to global IDs."""
-        local_ids = np.asarray(local_ids, dtype=np.int64)
-        shard_ids = np.asarray(shard_ids, dtype=np.int64)
-        if len(shard_ids) and (shard_ids.min() < 0
-                               or shard_ids.max() >= self.n_shards):
-            raise ShardError("shard_ids out of range")
-        out = np.empty(len(local_ids), dtype=np.int64)
-        for p, shard in enumerate(self.shards):
-            mask = shard_ids == p
-            if mask.any():
-                ids = local_ids[mask]
-                if ids.max(initial=-1) >= shard.n_core:
-                    raise ShardError(f"local_ids out of range for shard {p}")
-                out[mask] = shard.core_global[ids]
-        return out
+    def globals_of(self, ids) -> np.ndarray:
+        """Translate node ids -> caller ids (the way out; range-checked)."""
+        return self._translate(self.to_global, ids, "node ids")
 
-    def keys_of(self, global_ids) -> np.ndarray:
-        """Encode global IDs as the engine's flat ``local*K + shard`` keys."""
-        local, shard = self.address_of(global_ids)
-        return local * self.n_shards + shard
+    @staticmethod
+    def _translate(perm: np.ndarray, ids, what: str) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(perm)):
+            raise ShardError(
+                f"{what} out of range [0, {len(perm)}): "
+                f"[{ids.min()}, {ids.max()}]"
+            )
+        return perm[ids]
 
-    def globals_from_keys(self, keys) -> np.ndarray:
-        """Decode flat keys back to global IDs."""
-        keys = np.asarray(keys, dtype=np.int64)
-        return self.global_of(keys // self.n_shards, keys % self.n_shards)
+    def owner_of(self, ids) -> np.ndarray:
+        """Owner shard of each node id."""
+        return np.searchsorted(self.base, ids, side="right") - 1
 
     def total_memory_nbytes(self) -> int:
         return sum(s.memory_nbytes() for s in self.shards)
@@ -83,11 +79,21 @@ class ShardedGraph:
         return [s.describe() for s in self.shards]
 
 
+def _rows_of_graph(graph: CSRGraph, nodes: np.ndarray,
+                   to_node: np.ndarray) -> NeighborBatch:
+    """The adjacency rows of ``nodes`` (caller ids) as one row block."""
+    indptr, idx = row_blocks(graph.indptr, nodes)
+    nbrs = graph.indices[idx]
+    return NeighborBatch(indptr, to_node[nbrs], graph.weights[idx],
+                         graph.weighted_degrees[nbrs],
+                         graph.weighted_degrees[nodes], check=False)
+
+
 def build_shards(graph: CSRGraph, result: PartitionResult, *,
                  seed=0, halo_hops: int = 1) -> ShardedGraph:
     """Convert a partitioned graph into per-shard CSR storage.
 
-    ``halo_hops=1`` (default) caches only halo *metadata* (addresses and
+    ``halo_hops=1`` (default) caches only halo *metadata* (ids and
     weighted degrees inline in the neighbor arrays — the paper's scheme).
     ``halo_hops=2`` additionally caches the full adjacency *rows* of every
     1-hop halo node, so requests for them are answered locally — the
@@ -100,53 +106,29 @@ def build_shards(graph: CSRGraph, result: PartitionResult, *,
             f"partition covers {result.n_nodes} nodes, graph has {graph.n_nodes}"
         )
     n_shards = result.n_parts
-    assignment = result.assignment
-
-    # Owner-local IDs for every node (rank within its part's sorted list).
-    owner_local = np.empty(graph.n_nodes, dtype=np.int64)
-    part_nodes = []
-    for p in range(n_shards):
-        nodes = np.flatnonzero(assignment == p)
-        part_nodes.append(nodes)
-        owner_local[nodes] = np.arange(len(nodes))
+    # One stable argsort lays the nodes out shard by shard, ascending
+    # caller id inside each shard: position in that layout is the node id.
+    to_global = np.argsort(result.assignment, kind="stable")
+    to_node = np.empty(graph.n_nodes, dtype=np.int64)
+    to_node[to_global] = np.arange(graph.n_nodes)
+    base = np.zeros(n_shards + 1, dtype=np.int64)
+    np.cumsum(np.bincount(result.assignment, minlength=n_shards),
+              out=base[1:])
+    for book in (base, to_node, to_global):
+        book.flags.writeable = False
 
     shards = []
     for p in range(n_shards):
-        core = part_nodes[p]
-        # Flat gather of all core rows out of the global CSR.
-        indptr, idx = row_blocks(graph.indptr, core)
-        nbr_global = graph.indices[idx]
+        core = to_global[base[p]:base[p + 1]]
         shards.append(GraphShard(
-            shard_id=p,
-            n_shards=n_shards,
-            core_global=core,
-            indptr=indptr,
-            nbr_local=owner_local[nbr_global],
-            nbr_shard=assignment[nbr_global],
-            nbr_global=nbr_global,
-            nbr_weight=graph.weights[idx],
-            nbr_wdeg=graph.weighted_degrees[nbr_global],
-            core_wdeg=graph.weighted_degrees[core],
+            p, base, core, _rows_of_graph(graph, core, to_node),
             seed=None if seed is None else seed + p,
         ))
 
     if halo_hops == 2:
-        n_shards_i = n_shards
         for shard in shards:
-            halos = shard.halo_globals()
-            # Sort halos by packed owner key so cache lookups can binary
-            # search.
-            halo_keys = owner_local[halos] * n_shards_i + assignment[halos]
-            order = np.argsort(halo_keys)
-            halos, halo_keys = halos[order], halo_keys[order]
-            cache_indptr, idx = row_blocks(graph.indptr, halos)
-            nbr_global = graph.indices[idx]
+            halo_ids = shard.halo_nodes()
             shard.install_halo_cache(
-                halo_keys,
-                cache_indptr,
-                (owner_local[nbr_global], assignment[nbr_global],
-                 nbr_global, graph.weights[idx],
-                 graph.weighted_degrees[nbr_global]),
-                graph.weighted_degrees[halos],
-            )
-    return ShardedGraph(graph, result, shards)
+                halo_ids,
+                _rows_of_graph(graph, to_global[halo_ids], to_node))
+    return ShardedGraph(graph, result, shards, base, to_node, to_global)

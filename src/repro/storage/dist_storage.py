@@ -4,14 +4,18 @@ A :class:`DistGraphStorage` is constructed per computing process from the
 list of storage RRefs (one per shard) and the process's own shard ID.  Its
 methods mirror the paper's interface:
 
-* ``get_neighbor_infos(dest_shard, local_ids)`` — asynchronous batched
+* ``get_neighbor_infos(dest_shard, ids)`` — asynchronous batched
   fetch.  Same-machine requests take the zero-copy :class:`VertexProp`
   path; cross-machine requests return a CSR-compressed
   :class:`NeighborBatch` (or the uncompressed list-of-lists when the
   *Compress* optimization is disabled, for the Table 3 ablation).
-* ``get_neighbor_infos_single(dest_shard, local_id)`` — one node per RPC,
+* ``get_neighbor_infos_single(dest_shard, node_id)`` — one node per RPC,
   the unbatched ablation baseline.
-* ``sample_one_neighbor(dest_shard, local_ids)`` — random-walk step.
+* ``sample_one_neighbor(dest_shard, ids)`` — random-walk step.
+
+Nodes are addressed by node id throughout; ``dest_shard`` is the routing
+decision the caller already made with :meth:`DistGraphStorage.shard_masks`
+(one ``searchsorted`` over the address book ``base``).
 
 All methods return a future (already resolved for local calls), so driver
 code is identical with and without overlap.
@@ -38,6 +42,8 @@ class DistGraphStorage:
         self.shard_id = int(shard_id)
         self.caller = caller
         self.compress = compress
+        #: the address book, as held by this machine's own shard
+        self.base = rrefs[self.shard_id].local_value().base
 
     @property
     def n_shards(self) -> int:
@@ -47,7 +53,11 @@ class DistGraphStorage:
         """Whether ``dest_shard``'s storage lives on the caller's machine."""
         return self.rrefs[dest_shard].is_owner(self.caller)
 
-    def get_neighbor_infos(self, dest_shard: int, local_ids: np.ndarray):
+    def owner_of(self, ids: np.ndarray) -> np.ndarray:
+        """Owner shard of each node id."""
+        return np.searchsorted(self.base, ids, side="right") - 1
+
+    def get_neighbor_infos(self, dest_shard: int, ids: np.ndarray):
         """Batched neighbor fetch; returns a future of a batch response.
 
         With ``compress`` on, same-machine requests take the zero-copy
@@ -61,26 +71,26 @@ class DistGraphStorage:
         rref = self.rrefs[dest_shard]
         if self.compress:
             if self.is_local(dest_shard):
-                return rref.rpc_async(self.caller, "get_vertex_props", local_ids)
+                return rref.rpc_async(self.caller, "get_vertex_props", ids)
             # 2-hop halo cache: if the local shard caches every requested
             # node's row, answer from shared memory instead of the network.
             local_rref = self.rrefs[self.shard_id]
             local_shard = local_rref.local_value()
             if (local_shard.has_halo_cache
-                    and local_shard.cache_covers(dest_shard, local_ids)):
+                    and local_shard.cache_mask(ids).all()):
                 return local_rref.rpc_async(
-                    self.caller, "get_cached_batch", dest_shard, local_ids
+                    self.caller, "get_cached_batch", ids
                 )
-            return rref.rpc_async(self.caller, "get_neighbor_batch", local_ids)
-        return rref.rpc_async(self.caller, "get_neighbor_lists", local_ids)
+            return rref.rpc_async(self.caller, "get_neighbor_batch", ids)
+        return rref.rpc_async(self.caller, "get_neighbor_lists", ids)
 
-    def get_neighbor_infos_single(self, dest_shard: int, local_id: int):
+    def get_neighbor_infos_single(self, dest_shard: int, node_id: int):
         """Single-node fetch (the unbatched, uncompressed ablation baseline)."""
         return self.rrefs[dest_shard].rpc_async(
-            self.caller, "get_single", int(local_id)
+            self.caller, "get_single", int(node_id)
         )
 
-    def sample_one_neighbor(self, dest_shard: int, local_ids: np.ndarray,
+    def sample_one_neighbor(self, dest_shard: int, ids: np.ndarray,
                             salt: int | None = None):
         """Sample one out-neighbor per node (random-walk step).
 
@@ -88,20 +98,20 @@ class DistGraphStorage:
         request arrival order — see GraphShard.sample_one_neighbor.
         """
         return self.rrefs[dest_shard].rpc_async(
-            self.caller, "sample_one_neighbor", local_ids, salt
+            self.caller, "sample_one_neighbor", ids, salt
         )
 
-    def source_weighted_degrees(self, dest_shard: int, local_ids: np.ndarray):
+    def source_weighted_degrees(self, dest_shard: int, ids: np.ndarray):
         """Fetch own weighted degrees (used to seed SSPPR queries)."""
         return self.rrefs[dest_shard].rpc_async(
-            self.caller, "source_weighted_degrees", local_ids
+            self.caller, "source_weighted_degrees", ids
         )
 
-    def shard_masks(self, shard_ids: np.ndarray) -> dict[int, np.ndarray]:
+    def shard_masks(self, ids: np.ndarray) -> dict[int, np.ndarray]:
         """Index array per destination shard (Figure 4's ``mask_dict``).
 
-        Each entry holds the ascending positions of that shard's nodes in
-        ``shard_ids`` — equivalent to ``np.flatnonzero(shard_ids == j)``
+        Each entry holds the ascending positions in ``ids`` of the nodes
+        that shard owns — equivalent to ``np.flatnonzero(owner == j)``
         for every present shard, but built in one ``np.argsort`` pass
         instead of one comparison scan per shard.  Only shards actually
         present get an entry — at high machine counts a frontier usually
@@ -111,10 +121,10 @@ class DistGraphStorage:
         scatters exactly what the old boolean masks did, in the same
         (ascending-position) order.
         """
-        if len(shard_ids) == 0:
+        if len(ids) == 0:
             return {}
-        order = np.argsort(shard_ids, kind="stable")
-        sorted_sh = shard_ids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_sh)) + 1
-        return {int(shard_ids[g[0]]): g
+        owner = self.owner_of(ids)
+        order = np.argsort(owner, kind="stable")
+        boundaries = np.flatnonzero(np.diff(owner[order])) + 1
+        return {int(owner[g[0]]): g
                 for g in np.split(order, boundaries)}

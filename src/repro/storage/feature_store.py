@@ -20,12 +20,15 @@ from repro.storage.build import ShardedGraph
 class FeatureShard:
     """Feature rows for one shard's core nodes (hosted on its server)."""
 
-    def __init__(self, shard_id: int, features: np.ndarray) -> None:
+    def __init__(self, shard_id: int, first_id: int,
+                 features: np.ndarray) -> None:
         if features.ndim != 2:
             raise ShardError(
                 f"features must be 2-D (n_core, dim), got {features.shape}"
             )
         self.shard_id = shard_id
+        #: the shard owns node ids ``[first_id, first_id + n_rows)``
+        self.first_id = int(first_id)
         self.features = features
 
     @property
@@ -37,14 +40,14 @@ class FeatureShard:
         return self.features.shape[1]
 
     @rpc_handler
-    def gather(self, local_ids) -> np.ndarray:
-        """Rows for the given core-node local IDs (copy, RPC-safe)."""
-        ids = np.asarray(local_ids, dtype=np.int64)
-        if len(ids) and (ids.min() < 0 or ids.max() >= self.n_rows):
+    def gather(self, ids) -> np.ndarray:
+        """Rows for the given core-node ids (copy, RPC-safe)."""
+        rows = np.asarray(ids, dtype=np.int64) - self.first_id
+        if len(rows) and (rows.min() < 0 or rows.max() >= self.n_rows):
             raise ShardError(
-                f"feature local_ids out of range for shard {self.shard_id}"
+                f"feature ids out of range for shard {self.shard_id}"
             )
-        return self.features[ids].copy()
+        return self.features[rows].copy()
 
 
 def split_features(sharded: ShardedGraph,
@@ -56,7 +59,7 @@ def split_features(sharded: ShardedGraph,
             f"{sharded.graph.n_nodes}"
         )
     return [
-        FeatureShard(p, features[shard.core_global])
+        FeatureShard(p, sharded.base[p], features[shard.core_global])
         for p, shard in enumerate(sharded.shards)
     ]
 
@@ -75,8 +78,8 @@ class DistFeatureStore:
         ``global_ids[masks[j]]``.  The caller reassembles rows in request
         order (see :func:`assemble_rows`).
         """
-        gids = np.asarray(global_ids, dtype=np.int64)
-        local, shard = sharded.address_of(gids)
+        ids = sharded.nodes_of(global_ids)
+        shard = sharded.owner_of(ids)
         futures, masks = {}, {}
         for j in range(len(self.rrefs)):
             mask = shard == j
@@ -84,7 +87,7 @@ class DistFeatureStore:
                 continue
             masks[j] = mask
             futures[j] = self.rrefs[j].rpc_async(
-                self.caller, "gather", local[mask]
+                self.caller, "gather", ids[mask]
             )
         return futures, masks
 

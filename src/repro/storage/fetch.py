@@ -4,9 +4,9 @@ Sits between the SSPPR/walk drivers and :class:`DistGraphStorage` and makes
 every remote batch as small and as rare as possible, composing three
 mechanisms:
 
-1. **Partial-hit splitting** — ``GraphShard.cache_covers`` is all-or-nothing:
-   one uncached node used to send the *entire* per-shard batch over the
-   network.  The fetch layer splits each request with
+1. **Partial-hit splitting** — the raw facade's halo-cache shortcut is
+   all-or-nothing: one uncached node sends the *entire* per-shard batch over
+   the network.  The fetch layer splits each request with
    :meth:`GraphShard.cache_mask`, serves covered rows from the local halo
    cache, and sends only the misses.
 2. **Hot-vertex cache** — a bounded, byte-budgeted cache of adjacency rows
@@ -44,27 +44,23 @@ import numpy as np
 
 from repro.storage.neighbor_batch import NeighborBatch
 
-#: per-entry cost of a cached adjacency row: 5 eight-byte fields per
-#: neighbor (local, shard, global, weight, weighted degree) ...
-_ROW_ENTRY_NBYTES = 40
-#: ... plus the source node's own weighted degree
-_ROW_BASE_NBYTES = 8
-
 
 class _HotRow:
-    """One cached adjacency row (views over a remote response's arrays)."""
+    """One cached adjacency row: row ``index`` (entries ``start:stop``) of
+    the remote response it arrived in, with its eviction priority.
 
-    __slots__ = ("local", "shard", "glob", "weight", "wdeg", "src_wdeg",
-                 "nbytes", "freq", "tick")
+    A reference, not a copy: the response's arrays stay alive as long as
+    one of its rows is resident.
+    """
 
-    def __init__(self, local, shard, glob, weight, wdeg, src_wdeg,
-                 nbytes, tick) -> None:
-        self.local = local
-        self.shard = shard
-        self.glob = glob
-        self.weight = weight
-        self.wdeg = wdeg
-        self.src_wdeg = src_wdeg
+    __slots__ = ("batch", "index", "start", "stop", "nbytes", "freq", "tick")
+
+    def __init__(self, batch: NeighborBatch, index: int, start: int,
+                 stop: int, nbytes: int, tick: int) -> None:
+        self.batch = batch
+        self.index = index
+        self.start = start
+        self.stop = stop
         self.nbytes = nbytes
         self.freq = 1
         self.tick = tick
@@ -73,9 +69,8 @@ class _HotRow:
 class FetchCache:
     """Shared per-machine fetch state: hot rows + pending-flight table.
 
-    Keys are packed owner addresses ``local * n_shards + dest_shard`` (the
-    same scheme as the halo cache).  ``capacity_bytes == 0`` disables the
-    hot-vertex cache while leaving the pending table usable.
+    Keys are node ids (as in the halo cache).  ``capacity_bytes == 0``
+    disables the hot-vertex cache while leaving the pending table usable.
     """
 
     def __init__(self, capacity_bytes: int, *, sanitizer=None) -> None:
@@ -116,23 +111,17 @@ class FetchCache:
         heap = self._heap
         capacity = self.capacity
         tick = self.tick
-        # bulk conversions once per response, not per row
+        # bulk conversions once per response, not per row; a row is priced
+        # by what it would cost as a batch of its own
         bounds = batch.indptr.tolist()
-        src_wdeg = batch.source_wdeg.tolist()
+        sizes = batch.row_nbytes().tolist()
         for i, key in enumerate(keys):
-            if key in rows:
+            if key in rows or sizes[i] > capacity:
                 continue
-            s, e = bounds[i], bounds[i + 1]
-            nbytes = (e - s) * _ROW_ENTRY_NBYTES + _ROW_BASE_NBYTES
-            if nbytes > capacity:
-                continue
-            rows[key] = _HotRow(
-                batch.local_ids[s:e], batch.shard_ids[s:e],
-                batch.global_ids[s:e], batch.weights[s:e],
-                batch.weighted_degrees[s:e], src_wdeg[i], nbytes, tick,
-            )
+            rows[key] = _HotRow(batch, i, bounds[i], bounds[i + 1], sizes[i],
+                                tick)
             heappush(heap, (1, tick, key))
-            self.nbytes += nbytes
+            self.nbytes += sizes[i]
         evicted = 0
         while self.nbytes > capacity:
             freq, filed, key = heap[0]
@@ -159,20 +148,17 @@ class FetchCache:
 
 def _rows_to_batch(rows: list[_HotRow]) -> NeighborBatch:
     """Assemble cached rows (in request order) into one NeighborBatch."""
-    counts = np.fromiter((len(r.local) for r in rows), dtype=np.int64,
-                         count=len(rows))
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum([r.stop - r.start for r in rows], out=indptr[1:])
     # repro: allow=REP011 hot rows come from many responses; reassembly copies
-    local = np.concatenate([r.local for r in rows])
-    shard = np.concatenate([r.shard for r in rows])  # repro: allow=REP011
-    glob = np.concatenate([r.glob for r in rows])  # repro: allow=REP011
-    weight = np.concatenate([r.weight for r in rows])  # repro: allow=REP011
-    wdeg = np.concatenate([r.wdeg for r in rows])  # repro: allow=REP011
-    src = np.fromiter((r.src_wdeg for r in rows), dtype=np.float64,
-                      count=len(rows))
-    return NeighborBatch(indptr, local, shard, glob, weight, wdeg, src,
-                         check=False)
+    ids = np.concatenate([r.batch.ids[r.start:r.stop] for r in rows])
+    weights = np.concatenate(  # repro: allow=REP011
+        [r.batch.weights[r.start:r.stop] for r in rows])
+    wdeg = np.concatenate(  # repro: allow=REP011
+        [r.batch.wdeg[r.start:r.stop] for r in rows])
+    src_wdeg = np.fromiter((r.batch.src_wdeg[r.index] for r in rows),
+                           dtype=np.float64, count=len(rows))
+    return NeighborBatch(indptr, ids, weights, wdeg, src_wdeg, check=False)
 
 
 class NeighborFetchService:
@@ -193,7 +179,7 @@ class NeighborFetchService:
         self._coalesce = bool(coalesce)
         self._metrics = metrics
         self._proc = proc
-        #: packed owner key -> remote-request count; the rebalancer reads
+        #: node id -> remote-request count; the rebalancer reads
         #: this between epochs to find hot boundary vertices
         self._heat = heat
 
@@ -218,28 +204,34 @@ class NeighborFetchService:
     def n_shards(self) -> int:
         return self._g.n_shards
 
+    @property
+    def base(self) -> np.ndarray:
+        return self._g.base
+
+    def owner_of(self, ids: np.ndarray) -> np.ndarray:
+        return self._g.owner_of(ids)
+
     def is_local(self, dest_shard: int) -> bool:
         return self._g.is_local(dest_shard)
 
-    def shard_masks(self, shard_ids: np.ndarray) -> dict[int, np.ndarray]:
-        return self._g.shard_masks(shard_ids)
+    def shard_masks(self, ids: np.ndarray) -> dict[int, np.ndarray]:
+        return self._g.shard_masks(ids)
 
-    def get_neighbor_infos_single(self, dest_shard: int, local_id: int):
-        return self._g.get_neighbor_infos_single(dest_shard, local_id)
+    def get_neighbor_infos_single(self, dest_shard: int, node_id: int):
+        return self._g.get_neighbor_infos_single(dest_shard, node_id)
 
-    def sample_one_neighbor(self, dest_shard: int, local_ids: np.ndarray,
+    def sample_one_neighbor(self, dest_shard: int, ids: np.ndarray,
                             salt: int | None = None):
-        return self._g.sample_one_neighbor(dest_shard, local_ids, salt)
+        return self._g.sample_one_neighbor(dest_shard, ids, salt)
 
-    def source_weighted_degrees(self, dest_shard: int,
-                                local_ids: np.ndarray):
-        return self._g.source_weighted_degrees(dest_shard, local_ids)
+    def source_weighted_degrees(self, dest_shard: int, ids: np.ndarray):
+        return self._g.source_weighted_degrees(dest_shard, ids)
 
     # -- the adaptive path ----------------------------------------------
-    def get_neighbor_infos(self, dest_shard: int, local_ids: np.ndarray):
+    def get_neighbor_infos(self, dest_shard: int, ids: np.ndarray):
         if not self._g.compress or self._g.is_local(dest_shard):
-            return self._g.get_neighbor_infos(dest_shard, local_ids)
-        ids = np.asarray(local_ids, dtype=np.int64)
+            return self._g.get_neighbor_infos(dest_shard, ids)
+        ids = np.asarray(ids, dtype=np.int64)
         if len(ids) == 0:
             return self._g.get_neighbor_infos(dest_shard, ids)
         return self._fetch_remote(int(dest_shard), ids)
@@ -281,8 +273,7 @@ class NeighborFetchService:
         cache = self._cache
         coalesce = self._coalesce
         n = len(ids)
-        keys = ids * self._g.n_shards + dest_shard
-        key_list = keys.tolist()  # one bulk conversion, not n int() calls
+        key_list = ids.tolist()  # one bulk conversion, not n int() calls
 
         hot_pos: list[int] = []
         hot_rows: list[_HotRow] = []
@@ -313,8 +304,7 @@ class NeighborFetchService:
                 local_shard = self._g.rrefs[self._g.shard_id].local_value()
                 if local_shard.has_halo_cache:
                     rest_arr = np.asarray(rest, dtype=np.int64)
-                    covered = local_shard.cache_mask(dest_shard,
-                                                     ids[rest_arr])
+                    covered = local_shard.cache_mask(ids[rest_arr])
                     halo_pos = rest_arr[covered].tolist()
                     miss_pos = rest_arr[~covered].tolist()
 
@@ -322,7 +312,7 @@ class NeighborFetchService:
             if halo_pos:
                 local_rref = self._g.rrefs[self._g.shard_id]
                 halo_fut = local_rref.rpc_async(
-                    self._g.caller, "get_cached_batch", dest_shard,
+                    self._g.caller, "get_cached_batch",
                     ids[np.asarray(halo_pos, dtype=np.int64)],
                 )
 

@@ -1,23 +1,26 @@
 """The staged-update payload one shard receives during stream ingestion.
 
 A :class:`ShardUpdate` carries everything shard ``p`` needs to apply one
-update batch without further communication:
+update batch without further communication, as two blocks of CSR rows
+(:class:`~repro.storage.neighbor_batch.NeighborBatch`, keyed by node id):
 
-* **row replacements** — for every *core* vertex of ``p`` whose
-  adjacency changed, the complete new row (targets sorted by global id,
-  with owner addressing, weights, and the targets' new weighted
-  degrees), spliced wholesale over the old row.  Row replacement is
-  idempotent and order-insensitive, which keeps retried RPCs and
-  split/merged batches convergent.
-* **degree broadcast** — the new weighted degrees of *every* vertex the
-  batch changed, anywhere in the graph, so the shard can patch its
-  ``core_wdeg`` / ``nbr_wdeg`` / halo-cache degree columns (the 1-hop
-  degree halo stays coherent without a second RPC round).
-* **halo row refresh** — the same replacement rows keyed by packed owner
-  address, so shards holding a 2-hop halo cache can refresh the cached
-  adjacency of changed vertices in place (cached content always equals
-  the owner's current row; coverage of *new* halo vertices is left to
-  rebalancing/replication).
+* **row replacements** (``row_ids`` / ``rows``) — for every *core*
+  vertex of ``p`` whose adjacency changed, the complete new row (targets
+  in caller-id order, with their node ids, weights, and new weighted
+  degrees; ``src_wdeg`` is the vertex's own new degree), spliced
+  wholesale over the old row.  Row replacement is idempotent and
+  order-insensitive, which keeps retried RPCs and split/merged batches
+  convergent.
+* **changed rows** (``changed_ids`` / ``changed_rows``) — the same
+  complete rows for *every* vertex the batch changed, anywhere in the
+  graph, identical for all shards.  Its ``(changed_ids, src_wdeg)``
+  columns are the **degree broadcast**: the shard patches the neighbor-
+  degree column of its arena and halo cache with them (the 1-hop degree
+  halo stays coherent without a second RPC round).  Its rows are the
+  **halo row refresh**: shards holding a 2-hop halo cache replace the
+  cached adjacency of changed vertices in place (cached content always
+  equals the owner's current row; coverage of *new* halo vertices is
+  left to rebalancing/replication).
 
 Built by :func:`repro.stream.ingest.build_shard_payloads`; consumed by
 :meth:`repro.storage.shard.GraphShard.stage_updates`.  Implements
@@ -30,80 +33,42 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShardError
+from repro.storage.neighbor_batch import NeighborBatch
 
 
 class ShardUpdate:
     """One shard's view of one update batch (see module docstring)."""
 
-    __slots__ = (
-        "row_lids", "row_indptr", "row_local", "row_shard", "row_global",
-        "row_weight", "row_wdeg", "deg_gids", "deg_wdeg", "halo_keys",
-        "halo_src_wdeg", "halo_indptr", "halo_local", "halo_shard",
-        "halo_global", "halo_weight", "halo_wdeg",
-    )
+    __slots__ = ("row_ids", "rows", "changed_ids", "changed_rows")
 
-    def __init__(self, row_lids, row_indptr, row_local, row_shard,
-                 row_global, row_weight, row_wdeg, deg_gids, deg_wdeg,
-                 halo_keys, halo_src_wdeg, halo_indptr, halo_local,
-                 halo_shard, halo_global, halo_weight, halo_wdeg) -> None:
-        self.row_lids = np.ascontiguousarray(row_lids, dtype=np.int64)
-        self.row_indptr = np.ascontiguousarray(row_indptr, dtype=np.int64)
-        self.row_local = np.ascontiguousarray(row_local, dtype=np.int64)
-        self.row_shard = np.ascontiguousarray(row_shard, dtype=np.int64)
-        self.row_global = np.ascontiguousarray(row_global, dtype=np.int64)
-        self.row_weight = np.ascontiguousarray(row_weight, dtype=np.float64)
-        self.row_wdeg = np.ascontiguousarray(row_wdeg, dtype=np.float64)
-        self.deg_gids = np.ascontiguousarray(deg_gids, dtype=np.int64)
-        self.deg_wdeg = np.ascontiguousarray(deg_wdeg, dtype=np.float64)
-        self.halo_keys = np.ascontiguousarray(halo_keys, dtype=np.int64)
-        self.halo_src_wdeg = np.ascontiguousarray(halo_src_wdeg,
-                                                  dtype=np.float64)
-        self.halo_indptr = np.ascontiguousarray(halo_indptr, dtype=np.int64)
-        self.halo_local = np.ascontiguousarray(halo_local, dtype=np.int64)
-        self.halo_shard = np.ascontiguousarray(halo_shard, dtype=np.int64)
-        self.halo_global = np.ascontiguousarray(halo_global, dtype=np.int64)
-        self.halo_weight = np.ascontiguousarray(halo_weight,
-                                                dtype=np.float64)
-        self.halo_wdeg = np.ascontiguousarray(halo_wdeg, dtype=np.float64)
-        self._validate()
-
-    def _validate(self) -> None:
-        n_rows = self.row_lids.shape[0]
-        if self.row_indptr.shape != (n_rows + 1,) or \
-                (n_rows and self.row_indptr[0] != 0):
-            raise ShardError("row_indptr shape/start mismatch")
-        if n_rows and bool(np.any(np.diff(self.row_lids) <= 0)):
-            raise ShardError("row_lids must be strictly increasing")
-        total = int(self.row_indptr[-1]) if n_rows else 0
-        for name in ("row_local", "row_shard", "row_global", "row_weight",
-                     "row_wdeg"):
-            if getattr(self, name).shape[0] != total:
-                raise ShardError(f"{name} length != row_indptr[-1]")
-        if self.deg_wdeg.shape[0] != self.deg_gids.shape[0]:
-            raise ShardError("degree broadcast arrays must share length")
-        if self.deg_gids.shape[0] and \
-                bool(np.any(np.diff(self.deg_gids) <= 0)):
-            raise ShardError("deg_gids must be strictly increasing")
-        n_halo = self.halo_keys.shape[0]
-        if self.halo_indptr.shape != (n_halo + 1,) or \
-                self.halo_src_wdeg.shape[0] != n_halo:
-            raise ShardError("halo refresh header mismatch")
-        if n_halo and bool(np.any(np.diff(self.halo_keys) <= 0)):
-            raise ShardError("halo_keys must be strictly increasing")
-        h_total = int(self.halo_indptr[-1]) if n_halo else 0
-        for name in ("halo_local", "halo_shard", "halo_global",
-                     "halo_weight", "halo_wdeg"):
-            if getattr(self, name).shape[0] != h_total:
-                raise ShardError(f"{name} length != halo_indptr[-1]")
+    def __init__(self, row_ids, rows: NeighborBatch, changed_ids,
+                 changed_rows: NeighborBatch) -> None:
+        self.row_ids = np.ascontiguousarray(row_ids, dtype=np.int64)
+        self.rows = rows
+        self.changed_ids = np.ascontiguousarray(changed_ids, dtype=np.int64)
+        self.changed_rows = changed_rows
+        for name, ids, block in (("row", self.row_ids, rows),
+                                 ("changed", self.changed_ids, changed_rows)):
+            if block.n_sources != len(ids):
+                raise ShardError(f"{name}_ids / {name} rows length mismatch")
+            if len(ids) and bool(np.any(np.diff(ids) <= 0)):
+                raise ShardError(f"{name}_ids must be strictly increasing")
 
     @property
     def n_rows(self) -> int:
-        return int(self.row_lids.shape[0])
+        return int(self.row_ids.shape[0])
 
     @property
     def n_changed(self) -> int:
-        return int(self.deg_gids.shape[0])
+        return int(self.changed_ids.shape[0])
 
     def rpc_payload(self) -> tuple[int, int]:
-        arrays = [getattr(self, name) for name in self.__slots__]
-        return sum(a.nbytes for a in arrays), len(arrays)
+        """The two id arrays plus the two row blocks, each priced as a
+        response of its own."""
+        nbytes = self.row_ids.nbytes + self.changed_ids.nbytes
+        n_tensors = 2
+        for block in (self.rows, self.changed_rows):
+            block_nbytes, block_tensors = block.rpc_payload()
+            nbytes += block_nbytes
+            n_tensors += block_tensors
+        return nbytes, n_tensors

@@ -1,8 +1,8 @@
 """Zero-copy local fetch results.
 
 A :class:`VertexProp` is what a local (shared-memory) ``get_neighbor_infos``
-returns: no data is copied — it records the shard object and the requested
-core-node IDs, and exposes views into the shard's flat arrays.  This mirrors
+returns: no data is copied — it records the shard's arena and the requested
+rows, and exposes views into the arena's flat arrays.  This mirrors
 the paper's optimization of passing "a vector of shared pointers of
 VertexProp across the C++ and Python layers for local fetching, without
 taking ownership of the original data".
@@ -16,70 +16,45 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.storage.neighbor_batch import NeighborBatch
+
 
 class VertexProp:
-    """Views over a shard's neighbor arrays for a batch of core nodes."""
+    """Views over a shard's arena rows for a batch of core nodes."""
 
-    __slots__ = ("shard", "ids", "_starts", "_ends")
+    __slots__ = ("arena", "rows")
 
-    def __init__(self, shard, ids: np.ndarray) -> None:
-        self.shard = shard
-        self.ids = ids
-        self._starts = shard.indptr[ids]
-        self._ends = shard.indptr[ids + 1]
+    def __init__(self, arena: NeighborBatch, rows: np.ndarray) -> None:
+        self.arena = arena
+        self.rows = rows
 
     @property
     def n_sources(self) -> int:
-        return len(self.ids)
-
-    @property
-    def n_entries(self) -> int:
-        return int((self._ends - self._starts).sum())
+        return len(self.rows)
 
     def degree(self, i: int) -> int:
         """Neighbor count of the i-th requested node."""
-        return int(self._ends[i] - self._starts[i])
+        row = self.rows[i]
+        return int(self.arena.indptr[row + 1] - self.arena.indptr[row])
 
     def neighbors(self, i: int):
-        """Views: ``(local, shard, global, weight, wdeg)`` of node i's neighbors."""
-        s, e = self._starts[i], self._ends[i]
-        sh = self.shard
-        return (sh.nbr_local[s:e], sh.nbr_shard[s:e], sh.nbr_global[s:e],
-                sh.nbr_weight[s:e], sh.nbr_wdeg[s:e])
+        """Views: ``(ids, weights, wdeg)`` of node i's neighbors."""
+        row = self.rows[i]
+        s, e = self.arena.indptr[row], self.arena.indptr[row + 1]
+        return (self.arena.ids[s:e], self.arena.weights[s:e],
+                self.arena.wdeg[s:e])
 
     def source_weighted_degrees(self) -> np.ndarray:
         """Own weighted degree of each requested node."""
-        return self.shard.core_wdeg[self.ids]
+        return self.arena.src_wdeg[self.rows]
 
     def to_arrays(self):
-        """Materialize ``(indptr, local, shard, global, w, wdeg, src_wdeg)``.
+        """Materialize ``(indptr, ids, w, wdeg, src_wdeg)``.
 
-        When the requested ids form a contiguous ascending run — the
-        common case for sorted core batches — the flat arrays are pure
-        zero-copy slices of the shard's CSC arena (read-only views).
-        Otherwise, a gather with one flat index array (no Python loop).
-        Both paths return bitwise-identical values.
+        Zero-copy slices of the arena when the rows are one ascending run,
+        else one gather — see :meth:`NeighborBatch.take_rows`.
         """
-        sh = self.shard
-        ids = self.ids
-        n = len(ids)
-        if n and ids[0] + n - 1 == ids[-1] and np.all(np.diff(ids) == 1):
-            i0 = int(ids[0])
-            s0 = int(self._starts[0])
-            e_last = int(self._ends[-1])
-            indptr = sh.indptr[i0:i0 + n + 1] - s0
-            return (indptr, sh.nbr_local[s0:e_last], sh.nbr_shard[s0:e_last],
-                    sh.nbr_global[s0:e_last], sh.nbr_weight[s0:e_last],
-                    sh.nbr_wdeg[s0:e_last], sh.core_wdeg[i0:i0 + n])
-        counts = self._ends - self._starts
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        # flat gather indices: for each source i, range(starts[i], ends[i])
-        idx = np.repeat(self._starts - indptr[:-1], counts) + np.arange(total)
-        return (indptr, sh.nbr_local[idx], sh.nbr_shard[idx],
-                sh.nbr_global[idx], sh.nbr_weight[idx], sh.nbr_wdeg[idx],
-                sh.core_wdeg[ids])
+        return self.arena.take_rows(self.rows).to_arrays()
 
     def rpc_payload(self) -> tuple[int, int]:
         """Local handoff is pointer-passing: negligible payload.
@@ -88,4 +63,4 @@ class VertexProp:
         cost model would still see a tiny control payload rather than the
         (unsent) underlying arrays.
         """
-        return 16 * (len(self.ids) + 1), 1
+        return 16 * (len(self.rows) + 1), 1

@@ -31,8 +31,8 @@ import numpy as np
 
 from repro.errors import RpcTimeoutError, StreamIngestError, \
     WorkerCrashedError
-from repro.graph.csr import row_blocks
 from repro.simt.events import WaitAll
+from repro.storage.neighbor_batch import NeighborBatch
 from repro.storage.shard_update import ShardUpdate
 
 #: injected-fault errors the two-phase driver tolerates and reacts to;
@@ -63,40 +63,27 @@ def build_shard_payloads(sharded, dyn, changed) -> list[ShardUpdate]:
     """One :class:`ShardUpdate` per shard for the given changed vertices.
 
     ``dyn`` must already hold the *post*-batch adjacency.  Row targets
-    carry owner addressing from ``sharded`` (ownership never changes
-    during ingestion — only rebalancing moves vertices) and the targets'
-    new weighted degrees, so shards apply rows without lookups.  The
-    changed rows are laid out once, addressed once, and every shard's
-    block (and the halo block) is cut out of that layout by index.
+    carry node ids from ``sharded`` (ownership never changes during
+    ingestion — only rebalancing moves vertices) and the targets' new
+    weighted degrees, so shards apply rows without lookups.  The changed
+    rows are laid out once, in node-id order — that layout is the block
+    every shard receives (degree broadcast + halo refresh) — and each
+    shard's own replacement rows are the run of it that the shard owns.
     """
     changed = np.asarray(changed, dtype=np.int64)
+    changed_ids = sharded.nodes_of(changed)
+    order = np.argsort(changed_ids)
+    changed, changed_ids = changed[order], changed_ids[order]
     indptr, gids, wts = dyn.rows_of(changed.tolist())
-    loc, shd = sharded.address_of(gids)
-    columns = {"local": loc, "shard": shd, "global": gids, "weight": wts,
-               "wdeg": dyn.wdeg_of(gids)}
-    deg_wdeg = dyn.wdeg_of(changed)
-
-    # Halo refresh block: every changed vertex's full row, keyed and
-    # sorted by packed owner address — identical for all shards.
-    halo_keys = sharded.keys_of(changed)
-    order = np.argsort(halo_keys)
-    halo_indptr, idx = row_blocks(indptr, order)
-    halo = {f"halo_{name}": col[idx] for name, col in columns.items()}
-    halo.update(halo_keys=halo_keys[order], halo_src_wdeg=deg_wdeg[order],
-                halo_indptr=halo_indptr)
-
-    owner = sharded.owner_shard[changed]
-    payloads = []
-    for p in range(sharded.n_shards):
-        owned = np.flatnonzero(owner == p)
-        row_indptr, idx = row_blocks(indptr, owned)
-        payloads.append(ShardUpdate(
-            row_lids=sharded.owner_local[changed[owned]],
-            row_indptr=row_indptr,
-            **{f"row_{name}": col[idx] for name, col in columns.items()},
-            deg_gids=changed, deg_wdeg=deg_wdeg, **halo,
-        ))
-    return payloads
+    changed_rows = NeighborBatch(indptr, sharded.nodes_of(gids), wts,
+                                 dyn.wdeg_of(gids), dyn.wdeg_of(changed))
+    # ascending ids are shard-major: shard p's rows are one run
+    cuts = np.searchsorted(changed_ids, sharded.base)
+    return [
+        ShardUpdate(changed_ids[lo:hi], changed_rows.slice_rows(lo, hi),
+                    changed_ids, changed_rows)
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())
+    ]
 
 
 # -- the two-phase driver ---------------------------------------------------

@@ -1,7 +1,7 @@
 """Telemetry-driven shard rebalancing (``repro.stream.rebalance``).
 
 The fetch layer records per-machine *heat*: how often each remote row
-(packed owner key) was requested during a serving epoch
+(node id) was requested during a serving epoch
 (:class:`~repro.engine.engine.QueryRunResult.heat`).  Between epochs the
 planner turns that demand into deterministic decisions:
 
@@ -11,7 +11,11 @@ planner turns that demand into deterministic decisions:
   ``install_halo_rows`` on the new one — both priced, retried, and
   fault-injected like any other message), then the new assignment is
   rebuilt deterministically with
-  :func:`~repro.storage.build.build_shards`.
+  :func:`~repro.storage.build.build_shards` — which re-issues every
+  shard's id range, so a migration is a **relabel epoch**: node ids are
+  only meaningful between two rebuilds, and everything keyed by them
+  (heat, fetch caches, halo caches) is per-run or reset here, while
+  decisions, the mirror and published vectors stay in caller ids.
 * **replicate** — demand is spread across requesters: push the row into
   each requester's halo cache (``install_halo_rows``), so future
   fetches are partial-halo hits instead of remote misses.
@@ -70,7 +74,7 @@ class RebalanceReport:
 def plan_rebalance(sharded, heat_maps, policy=None) -> RebalanceReport:
     """Turn per-machine heat into a deterministic action plan.
 
-    ``heat_maps`` is ``machine -> {packed owner key -> request count}``
+    ``heat_maps`` is ``machine -> {node id -> request count}``
     as gathered by :class:`~repro.storage.fetch.NeighborFetchService`.
     Candidates are ranked by total demand (ties by global id), capped at
     ``policy.top_k``; a vertex migrates when one requester holds at
@@ -86,7 +90,7 @@ def plan_rebalance(sharded, heat_maps, policy=None) -> RebalanceReport:
         if not hmap:
             continue
         keys = np.fromiter(sorted(hmap), dtype=np.int64, count=len(hmap))
-        gids = sharded.globals_from_keys(keys)
+        gids = sharded.globals_of(keys)
         for key, gid in zip(keys.tolist(), gids.tolist()):
             count = int(hmap[key])
             totals[gid] = totals.get(gid, 0) + count
@@ -97,11 +101,10 @@ def plan_rebalance(sharded, heat_maps, policy=None) -> RebalanceReport:
         (g for g, t in totals.items() if t >= policy.min_heat),
         key=lambda g: (-totals[g], g))[:max(policy.top_k, 0)]
 
-    sizes = np.bincount(sharded.owner_shard,
-                        minlength=sharded.n_shards).tolist()
+    sizes = np.diff(sharded.base).tolist()
     report = RebalanceReport()
     for gid in candidates:
-        owner = int(sharded.owner_shard[gid])
+        owner = int(sharded.result.assignment[gid])
         requesters = {m: c for m, c in by[gid].items() if m != owner}
         if not requesters:
             continue
@@ -130,13 +133,8 @@ def plan_rebalance(sharded, heat_maps, policy=None) -> RebalanceReport:
 
 def _jobs_for(sharded, decisions):
     """Resolve decisions against the *current* address book."""
-    jobs = []
-    for d in decisions:
-        lid = int(sharded.owner_local[d.vertex])
-        key = int(sharded.keys_of(
-            np.array([d.vertex], dtype=np.int64))[0])
-        jobs.append((d.vertex, d.src_shard, lid, key, d.dst_shards))
-    return jobs
+    return [(d.src_shard, int(sharded.nodes_of(d.vertex)), d.dst_shards)
+            for d in decisions]
 
 
 def rebalance_driver(rrefs, caller, jobs, metrics):
@@ -147,17 +145,12 @@ def rebalance_driver(rrefs, caller, jobs, metrics):
     spans and payload pricing all apply.
     """
     bytes_copied = 0
-    for _vertex, src, lid, key, dsts in jobs:
-        fut = rrefs[src].rpc_async(caller, "get_neighbor_batch",
-                                   np.array([lid], dtype=np.int64))
-        batch = yield Wait(fut)
+    for src, node_id, dsts in jobs:
+        ids = np.array([node_id], dtype=np.int64)
+        batch = yield Wait(rrefs[src].rpc_async(caller, "get_neighbor_batch",
+                                                ids))
         bytes_copied += batch.rpc_payload()[0]
-        keys = np.array([key], dtype=np.int64)
-        futs = [rrefs[d].rpc_async(
-                    caller, "install_halo_rows", keys, batch.source_wdeg,
-                    batch.indptr, batch.local_ids, batch.shard_ids,
-                    batch.global_ids, batch.weights,
-                    batch.weighted_degrees)
+        futs = [rrefs[d].rpc_async(caller, "install_halo_rows", ids, batch)
                 for d in dsts]
         counts = yield WaitAll(futs)
         metrics.inc("rebalance.rows_installed",

@@ -159,7 +159,8 @@ class StreamingSession:
         engine.sharded.graph_source = self.dyn.snapshot
         #: source gid -> incrementally maintained (p, r)
         self.states: dict[int, IncrementalState] = {}
-        #: accumulated fetch heat: machine -> {packed key -> count}
+        #: accumulated fetch heat of the current relabel epoch:
+        #: machine -> {node id -> count}
         self.heat: dict[int, dict[int, int]] = {}
         #: stream.* / rebalance.* counters plus merged per-round registries
         self.metrics = MetricsRegistry()

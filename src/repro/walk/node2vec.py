@@ -27,31 +27,29 @@ from repro.utils.rng import rng_from_seed
 from repro.utils.validation import check_positive
 
 
-def _biased_choice(rng, candidates_global: np.ndarray, weights: np.ndarray,
-                   prev_global: int, prev_neighbors: np.ndarray,
+def _biased_choice(rng, candidates: np.ndarray, weights: np.ndarray,
+                   prev: int, prev_neighbors: np.ndarray,
                    p: float, q: float) -> int:
     """Sample one candidate index under node2vec biases."""
-    bias = np.full(len(candidates_global), 1.0 / q)
+    bias = np.full(len(candidates), 1.0 / q)
     if len(prev_neighbors):
-        close = np.isin(candidates_global, prev_neighbors,
-                        assume_unique=False)
+        close = np.isin(candidates, prev_neighbors, assume_unique=False)
         bias[close] = 1.0
-    bias[candidates_global == prev_global] = 1.0 / p
+    bias[candidates == prev] = 1.0 / p
     scores = weights * bias
     total = scores.sum()
     if total <= 0:
-        return int(rng.integers(0, len(candidates_global)))
+        return int(rng.integers(0, len(candidates)))
     return int(np.searchsorted(np.cumsum(scores),
                                rng.random() * total).clip(0, len(scores) - 1))
 
 
-def distributed_node2vec_walk(g: DistGraphStorage, proc,
-                              roots_global: np.ndarray,
+def distributed_node2vec_walk(g: DistGraphStorage, proc, roots: np.ndarray,
                               sharded: ShardedGraph, walk_length: int, *,
                               p: float = 1.0, q: float = 1.0, seed=0):
-    """Coroutine: node2vec walks for the given roots.
+    """Coroutine: node2vec walks for the given roots (node ids).
 
-    Returns the walk summary ``(n_roots, walk_length + 1)`` of global IDs.
+    Returns the walk summary ``(n_roots, walk_length + 1)`` in caller ids.
     ``p`` is the return parameter, ``q`` the in-out parameter (both 1.0
     degenerates to a weighted first-order walk).
     """
@@ -59,46 +57,37 @@ def distributed_node2vec_walk(g: DistGraphStorage, proc,
     check_positive("p", p)
     check_positive("q", q)
     rng = rng_from_seed(seed)
-    roots_global = np.asarray(roots_global, dtype=np.int64)
-    n_roots = len(roots_global)
-    cur_local, cur_shard = sharded.address_of(roots_global)
-    cur_local = cur_local.copy()
-    cur_shard = cur_shard.copy()
-    cur_global = roots_global.copy()
-    prev_global = np.full(n_roots, -1, dtype=np.int64)
-    # previous step's neighbor sets per walker (global IDs)
+    n_roots = len(roots)
+    prev = np.full(n_roots, -1, dtype=np.int64)
+    # previous step's neighbor sets per walker (node ids)
     prev_neighbors: list[np.ndarray] = [np.empty(0, np.int64)] * n_roots
     summary = np.empty((n_roots, walk_length + 1), dtype=np.int64)
-    summary[:, 0] = roots_global
+    summary[:, 0] = roots
 
     for step in range(1, walk_length + 1):
+        cur = summary[:, step - 1]
         with proc.measured("pop"):
-            masks = g.shard_masks(cur_shard)
+            masks = g.shard_masks(cur)
         futs = {}
         for j, mask in masks.items():
-            futs[j] = g.get_neighbor_infos(j, cur_local[mask])
+            futs[j] = g.get_neighbor_infos(j, cur[mask])
         for j, fut in futs.items():
             infos = yield Wait(fut)
-            (indptr, nbr_local, nbr_shard, nbr_global, weights, _wd,
-             _src) = infos.to_arrays()
+            indptr, nbr_ids, weights, _wd, _src = infos.to_arrays()
             walker_rows = masks[j]  # index array: walker rows directly
             with proc.measured("push"):
                 for i, walker in enumerate(walker_rows):
                     s, e = indptr[i], indptr[i + 1]
                     if s == e:  # stuck walker stays put
-                        summary[walker, step] = cur_global[walker]
-                        prev_global[walker] = cur_global[walker]
+                        summary[walker, step] = cur[walker]
+                        prev[walker] = cur[walker]
                         prev_neighbors[walker] = np.empty(0, np.int64)
                         continue
                     pick = _biased_choice(
-                        rng, nbr_global[s:e], weights[s:e],
-                        int(prev_global[walker]), prev_neighbors[walker],
-                        p, q,
+                        rng, nbr_ids[s:e], weights[s:e],
+                        int(prev[walker]), prev_neighbors[walker], p, q,
                     )
-                    prev_global[walker] = cur_global[walker]
-                    prev_neighbors[walker] = nbr_global[s:e].copy()
-                    cur_global[walker] = nbr_global[s + pick]
-                    cur_local[walker] = nbr_local[s + pick]
-                    cur_shard[walker] = nbr_shard[s + pick]
-                    summary[walker, step] = cur_global[walker]
-    return summary
+                    prev[walker] = cur[walker]
+                    prev_neighbors[walker] = nbr_ids[s:e].copy()
+                    summary[walker, step] = nbr_ids[s + pick]
+    return sharded.globals_of(summary)

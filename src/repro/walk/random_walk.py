@@ -3,7 +3,8 @@
 Each step: group the walkers by the shard currently owning them, issue one
 ``sample_one_neighbor`` batch per shard (local resolves synchronously,
 remote in parallel), then scatter the sampled next-hops back into the
-walker state and record the step's global IDs in the walk summary.
+walker state and record them in the walk summary — kept in node ids and
+translated to caller ids once, on the way out.
 """
 
 from __future__ import annotations
@@ -18,39 +19,31 @@ from repro.utils.rng import rng_from_seed
 from repro.utils.validation import check_positive
 
 
-def distributed_random_walk(g: DistGraphStorage, proc,
-                            roots_global: np.ndarray, sharded: ShardedGraph,
-                            walk_length: int):
+def distributed_random_walk(g: DistGraphStorage, proc, roots: np.ndarray,
+                            sharded: ShardedGraph, walk_length: int):
     """Coroutine: walk ``len(roots)`` walkers for ``walk_length`` steps.
 
-    Returns the walk summary, shape ``(n_roots, walk_length + 1)`` of
-    global node IDs (column 0 = roots).
+    ``roots`` are node ids.  Returns the walk summary, shape
+    ``(n_roots, walk_length + 1)``, in caller ids (column 0 = roots).
     """
     check_positive("walk_length", walk_length)
-    roots_global = np.asarray(roots_global, dtype=np.int64)
-    n_roots = len(roots_global)
-    node_ids, shard_ids = sharded.address_of(roots_global)
-    node_ids = node_ids.copy()
-    shard_ids = shard_ids.copy()
-    summary = np.empty((n_roots, walk_length + 1), dtype=np.int64)
-    summary[:, 0] = roots_global
+    summary = np.empty((len(roots), walk_length + 1), dtype=np.int64)
+    summary[:, 0] = roots
 
     for step in range(1, walk_length + 1):
+        node_ids = summary[:, step - 1]
         with proc.measured("pop"):
-            masks = g.shard_masks(shard_ids)
+            masks = g.shard_masks(node_ids)
         futs = {}
         for j, mask in masks.items():
-            # per-step salt: draws depend on (shard seed, step, ids), not
+            # per-step salt: draws depend on (shard seed, step, rows), not
             # on the order requests happen to reach the server
             futs[j] = g.sample_one_neighbor(j, node_ids[mask], salt=step)
         for j, fut in futs.items():
-            next_local, next_global, next_shard = yield Wait(fut)
-            mask = masks[j]
+            next_ids = yield Wait(fut)
             with proc.measured("push"):
-                node_ids[mask] = next_local
-                shard_ids[mask] = next_shard
-                summary[mask, step] = next_global
-    return summary
+                summary[masks[j], step] = next_ids
+    return sharded.globals_of(summary)
 
 
 def single_machine_random_walk(graph: CSRGraph, roots: np.ndarray,

@@ -1,7 +1,7 @@
 """Distributed weakly-connected components — label propagation.
 
 A Pregel-style min-label propagation on the engine's storage API: every
-node starts with its own (packed owner-address) key as its label; each
+node starts with its own node id as its label; each
 round, frontier nodes send their label to neighbors, which adopt it when it
 is smaller.  Converges in O(diameter) rounds; frontier work and per-shard
 batched fetches follow the same pattern as every other driver in
@@ -25,44 +25,34 @@ from repro.storage.dist_storage import DistGraphStorage
 class WccState:
     """Label table + frontier for a label-propagation run."""
 
-    def __init__(self, seed_locals: np.ndarray, seed_shard: int,
-                 n_shards: int) -> None:
-        if n_shards <= 0:
-            raise ValueError(f"n_shards must be > 0, got {n_shards}")
-        self.n_shards = int(n_shards)
+    def __init__(self, seeds: np.ndarray) -> None:
         self.map = ShardedMap()
         self.labels = np.zeros(1024, dtype=np.int64)
-        keys = (np.asarray(seed_locals, dtype=np.int64) * n_shards
-                + int(seed_shard))
-        idx, _ = self.map.get_or_insert(keys)
+        seeds = np.asarray(seeds, dtype=np.int64)
+        idx, _ = self.map.get_or_insert(seeds)
         (self.labels,) = fit_values(self.map, self.labels)
-        self.labels[idx] = keys  # own key = initial label
-        self.frontier = np.unique(keys)
+        self.labels[idx] = seeds  # own id = initial label
+        self.frontier = np.unique(seeds)
         self.rounds = 0
 
-    def pop(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = self.frontier
+    def pop(self) -> np.ndarray:
+        ids = self.frontier
         self.frontier = np.empty(0, dtype=np.int64)
         self.rounds += 1
-        return keys // self.n_shards, keys % self.n_shards
+        return ids
 
-    def relax(self, infos, local_ids: np.ndarray,
-              shard_ids: np.ndarray) -> None:
+    def relax(self, infos, ids: np.ndarray) -> None:
         """Propagate source labels to neighbors; queue improved nodes."""
-        (indptr, nbr_local, nbr_shard, _g, _w, _wd, _src) = infos.to_arrays()
-        if len(nbr_local) == 0:
+        indptr, nbr_ids = infos.to_arrays()[:2]
+        if len(nbr_ids) == 0:
             return
-        src_keys = (np.asarray(local_ids, dtype=np.int64) * self.n_shards
-                    + np.asarray(shard_ids, dtype=np.int64))
-        src_slots = self.map.lookup(src_keys)
-        src_labels = self.labels[src_slots]
+        src_labels = self.labels[self.map.lookup(ids)]
         counts = np.diff(indptr)
         sent = np.repeat(src_labels, counts)
-        nbr_keys = nbr_local.astype(np.int64) * self.n_shards + nbr_shard
-        slots, new = self.map.get_or_insert(nbr_keys)
+        slots, new = self.map.get_or_insert(nbr_ids)
         if new.any():
             (self.labels,) = fit_values(self.map, self.labels)
-            self.labels[slots[new]] = nbr_keys[new]  # own key baseline
+            self.labels[slots[new]] = nbr_ids[new]  # own id baseline
         # min-label adoption: scatter-min via sorting-free two-pass
         # (numpy minimum.at is adequate here: entries per round are small)
         before = self.labels[slots].copy()
@@ -73,29 +63,29 @@ class WccState:
         queue = improved | new
         if queue.any():
             self.frontier = np.unique(np.concatenate(
-                [self.frontier, nbr_keys[queue]]
+                [self.frontier, nbr_ids[queue]]
             ))
 
     def results(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(keys, labels)`` for every touched node."""
+        """``(node ids, labels)`` for every touched node."""
         n = len(self.map)
         return self.map.keys(), self.labels[:n]
 
 
-def distributed_wcc(g: DistGraphStorage, proc, seed_locals: np.ndarray):
-    """Coroutine: label propagation from this shard's given core nodes.
+def distributed_wcc(g: DistGraphStorage, proc, seeds: np.ndarray):
+    """Coroutine: label propagation from this shard's given core nodes (ids).
 
     Returns the finished :class:`WccState`.  Seeding with *all* of the
     shard's core nodes yields labels for the whole reachable region.
     """
-    state = WccState(seed_locals, g.shard_id, g.n_shards)
+    state = WccState(seeds)
     while True:
         with proc.measured("pop"):
-            node_ids, shard_ids = state.pop()
+            node_ids = state.pop()
         if len(node_ids) == 0:
             break
         with proc.measured("pop"):
-            masks = g.shard_masks(shard_ids)
+            masks = g.shard_masks(node_ids)
         futs = {}
         for j, mask in masks.items():
             if j != g.shard_id:
@@ -105,13 +95,11 @@ def distributed_wcc(g: DistGraphStorage, proc, seed_locals: np.ndarray):
             infos = yield Wait(g.get_neighbor_infos(g.shard_id,
                                                     node_ids[local_mask]))
             with proc.measured("push"):
-                state.relax(infos, node_ids[local_mask],
-                            shard_ids[local_mask])
+                state.relax(infos, node_ids[local_mask])
         for j in futs:
             infos = yield Wait(futs[j])
-            jm = masks[j]
             with proc.measured("push"):
-                state.relax(infos, node_ids[jm], shard_ids[jm])
+                state.relax(infos, node_ids[masks[j]])
     return state
 
 

@@ -838,7 +838,7 @@ class TestSanitizedRuns:
 
         cfg = engine.config
         sharded = engine.sharded
-        sources = sample_sources(sharded, 4, seed=0)
+        sources = sharded.nodes_of(sample_sources(sharded, 4, seed=0))
         cluster = deploy(sharded, cfg, "threads", sanitize=True)
         seen_installed = []
 

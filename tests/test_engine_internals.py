@@ -24,13 +24,14 @@ def sharded():
 class TestSampleSources:
     def test_even_spread_across_shards(self, sharded):
         sources = sample_sources(sharded, 9, seed=1)
-        owners = sharded.owner_shard[sources]
+        owners = sharded.owner_of(sharded.nodes_of(sources))
         np.testing.assert_array_equal(np.bincount(owners, minlength=3),
                                       [3, 3, 3])
 
     def test_remainder_round_robin(self, sharded):
         sources = sample_sources(sharded, 7, seed=2)
-        counts = np.bincount(sharded.owner_shard[sources], minlength=3)
+        counts = np.bincount(sharded.owner_of(sharded.nodes_of(sources)),
+                             minlength=3)
         assert counts.sum() == 7
         assert counts.max() - counts.min() <= 1
 
@@ -59,23 +60,23 @@ class TestSampleSources:
 
 class TestAssignQueries:
     def test_owner_compute_respected(self, sharded):
-        sources = sample_sources(sharded, 12, seed=6)
+        sources = sharded.nodes_of(sample_sources(sharded, 12, seed=6))
         assignment = assign_queries(sharded, sources, 2)
         for (machine, _proc), chunk in assignment.items():
             np.testing.assert_array_equal(
-                sharded.owner_shard[chunk], machine
+                sharded.owner_of(chunk), machine
             )
 
     def test_round_robin_within_machine(self, sharded):
-        sources = sample_sources(sharded, 12, seed=7)
+        sources = sharded.nodes_of(sample_sources(sharded, 12, seed=7))
         assignment = assign_queries(sharded, sources, 2)
         for m in range(3):
             total = sum(len(assignment.get((m, p), ())) for p in range(2))
-            mine = int((sharded.owner_shard[sources] == m).sum())
+            mine = int((sharded.owner_of(sources) == m).sum())
             assert total == mine
 
     def test_all_queries_assigned_once(self, sharded):
-        sources = sample_sources(sharded, 10, seed=8)
+        sources = sharded.nodes_of(sample_sources(sharded, 10, seed=8))
         assignment = assign_queries(sharded, sources, 3)
         got = np.sort(np.concatenate(list(assignment.values())))
         np.testing.assert_array_equal(got, np.sort(sources))

@@ -76,9 +76,9 @@ class TestFailureInjection:
 
         def good_driver():
             proc = cluster.worker(0, 0)
-            lid = int(sharded.owner_local[source])
             state = yield from distributed_sppr_query(
-                g_good, proc, lid, params, opt=OptLevel.OVERLAP
+                g_good, proc, int(sharded.nodes_of(source)), params,
+                opt=OptLevel.OVERLAP
             )
             results["good"] = state
             return "ok"
@@ -530,17 +530,14 @@ class TestStreamIngestAtomicity:
 
     @staticmethod
     def _shard_images(engine):
-        return [(s.indptr.copy(), s.nbr_global.copy(), s.nbr_weight.copy(),
-                 s.core_wdeg.copy()) for s in engine.sharded.shards]
+        return [s.rows.materialize() for s in engine.sharded.shards]
 
     @staticmethod
     def _assert_unchanged(engine, images):
-        for shard, (indptr, gids, wts, wdeg) in zip(engine.sharded.shards,
-                                                    images):
-            np.testing.assert_array_equal(shard.indptr, indptr)
-            np.testing.assert_array_equal(shard.nbr_global, gids)
-            np.testing.assert_array_equal(shard.nbr_weight, wts)
-            np.testing.assert_array_equal(shard.core_wdeg, wdeg)
+        for shard, image in zip(engine.sharded.shards, images):
+            for now, before in zip(shard.rows.to_arrays(),
+                                   image.to_arrays()):
+                np.testing.assert_array_equal(now, before)
 
     def test_total_drop_aborts_cleanly_sim(self):
         from repro.stream import ingest_on_cluster

@@ -41,13 +41,11 @@ def make_batch(ids):
     np.cumsum(counts, out=indptr[1:])
     total = int(indptr[-1])
     offset = np.arange(total) - np.repeat(indptr[:-1], counts)
-    local = np.repeat(ids * 10, counts) + offset
-    shard = np.repeat(ids % 2, counts)
-    glob = local + 1000
-    weights = local.astype(np.float64) + 0.5
+    nbrs = np.repeat(ids * 10, counts) + offset
+    weights = nbrs.astype(np.float64) + 0.5
     wdeg = weights * 2.0
     src_wdeg = ids.astype(np.float64) + 1.0
-    return NeighborBatch(indptr, local, shard, glob, weights, wdeg, src_wdeg)
+    return NeighborBatch(indptr, nbrs, weights, wdeg, src_wdeg)
 
 
 def assert_batches_equal(a, b):
@@ -86,8 +84,8 @@ class _StubStorage:
     def is_local(self, dest_shard):
         return dest_shard == self.shard_id
 
-    def get_neighbor_infos(self, dest_shard, local_ids):
-        ids = np.asarray(local_ids, dtype=np.int64)
+    def get_neighbor_infos(self, dest_shard, ids):
+        ids = np.asarray(ids, dtype=np.int64)
         self.calls.append((int(dest_shard), ids.copy()))
         return ThreadFuture.resolved(make_batch(ids))
 
@@ -121,31 +119,35 @@ class TestCacheMask:
 
     def test_mask_splits_halo_from_core(self, sharded):
         shard0 = sharded.shards[0]
-        halos = shard0.halo_globals()
-        local, owner = sharded.address_of(halos)
-        covered = local[owner == 1][:5]
-        non_halo = np.setdiff1d(sharded.shards[1].core_global, halos)
-        uncovered, _ = sharded.address_of(non_halo[:5])
+        halos = shard0.halo_nodes()
+        covered = halos[:5]
+        uncovered = np.setdiff1d(
+            np.arange(sharded.base[1], sharded.base[2]), halos)[:5]
         mixed = np.concatenate([covered, uncovered])
-        mask = shard0.cache_mask(1, mixed)
+        mask = shard0.cache_mask(mixed)
         assert mask.dtype == bool
         assert mask[:len(covered)].all()
         assert not mask[len(covered):].any()
 
     def test_mask_all_agrees_with_cache_covers(self, sharded):
+        """The facade's all-or-nothing shortcut is ``cache_mask(...).all()``:
+        a fully covered request is served by ``get_cached_batch``, and one
+        uncovered node makes that raise."""
         shard0 = sharded.shards[0]
-        halos = shard0.halo_globals()
-        local, owner = sharded.address_of(halos)
-        covered = local[owner == 1][:8]
-        assert bool(shard0.cache_mask(1, covered).all()) \
-            == shard0.cache_covers(1, covered)
+        covered = shard0.halo_nodes()[:8]
+        assert shard0.cache_mask(covered).all()
+        assert shard0.get_cached_batch(covered).n_sources == len(covered)
+        own = np.append(covered, sharded.base[0])  # a core node: not halo
+        assert not shard0.cache_mask(own).all()
+        with pytest.raises(ShardError, match="halo cache miss"):
+            shard0.get_cached_batch(own)
 
     def test_mask_without_cache_is_all_false(self):
         g = powerlaw_cluster(100, 4, seed=0)
         sharded = build_shards(g, HashPartitioner().partition(g, 2))
         shard0 = sharded.shards[0]
         assert not shard0.has_halo_cache
-        mask = shard0.cache_mask(1, np.array([0, 1, 2], dtype=np.int64))
+        mask = shard0.cache_mask(np.array([0, 1, 2], dtype=np.int64))
         assert mask.shape == (3,) and not mask.any()
 
 
@@ -226,7 +228,7 @@ class TestMergeProperties:
 
 def admit_ids(cache, ids):
     ids = np.asarray(ids, dtype=np.int64)
-    keys = [int(k) for k in ids * 2]  # n_shards=2, dest=0 packing
+    keys = ids.tolist()  # cache keys are node ids
     batch = make_batch(ids)
     with cache.lock:
         return cache.admit(keys, batch)
@@ -260,8 +262,10 @@ class _ScanCache:
         if self.capacity <= 0:
             return 0
         for node in ids:
-            key = node * 2
-            nbytes = (node % 3 + 1) * 40 + 8  # make_batch's row sizes
+            key = node
+            # make_batch's row sizes: 3 columns per neighbor + one-row
+            # indptr + src_wdeg
+            nbytes = (node % 3 + 1) * 24 + 24
             if key in self.rows or nbytes > self.capacity:
                 continue
             self.rows[key] = [1, self.tick, nbytes]
@@ -294,7 +298,9 @@ class TestFetchCache:
         cache = FetchCache(1 << 20)
         admit_ids(cache, [0, 1, 2])  # 1, 2, 3 neighbors
         assert len(cache.rows) == 3
-        assert cache.nbytes == (1 + 2 + 3) * 40 + 3 * 8
+        assert cache.nbytes == sum(
+            make_batch([i]).nbytes for i in (0, 1, 2)) \
+            == (1 + 2 + 3) * 24 + 3 * 24
 
     def test_zero_capacity_disables(self):
         cache = FetchCache(0)
@@ -303,7 +309,7 @@ class TestFetchCache:
         assert cache._heap == []
 
     def test_oversize_row_skipped(self):
-        cache = FetchCache(60)  # row of node 1 costs 2*40+8 = 88 > 60
+        cache = FetchCache(60)  # row of node 1 costs 2*24+24 = 72 > 60
         admit_ids(cache, [1])
         assert cache.rows == {} and cache._heap == []
         admit_ids(cache, [0, 1])  # node 0 costs 48, fits
@@ -313,14 +319,14 @@ class TestFetchCache:
 
     def test_eviction_prefers_cold_then_old(self):
         cache = FetchCache(3 * 48)  # three single-neighbor rows max
-        admit_ids(cache, [0, 3, 6])  # keys 0, 6, 12 — one neighbor each
-        cache.rows[0].freq += 1  # key 0 is hot
+        admit_ids(cache, [0, 3, 6])  # one neighbor each
+        cache.rows[0].freq += 1  # node 0 is hot
         cache.tick += 1
-        cache.rows[12].tick = cache.tick  # key 12 recently used
+        cache.rows[6].tick = cache.tick  # node 6 recently used
         admit_ids(cache, [9])  # forces one eviction
         assert cache.evictions == 1
-        assert 6 not in cache.rows  # coldest and oldest goes first
-        assert set(cache.rows) == {0, 12, 18}
+        assert 3 not in cache.rows  # coldest and oldest goes first
+        assert set(cache.rows) == {0, 6, 9}
         assert_cache_quiescent(cache)
 
     def test_negative_capacity_rejected(self):
@@ -393,7 +399,7 @@ class TestFetchCache:
             calls = []
             for start in range(resident, resident + n_victims, per_call):
                 ids = np.arange(start, start + per_call) * 3
-                calls.append(((ids * 2).tolist(), make_batch(ids)))
+                calls.append((ids.tolist(), make_batch(ids)))
             cache.tick += 1
             t0 = time.perf_counter()
             for keys, batch in calls:
@@ -456,8 +462,7 @@ class TestFetchService:
         assert_batches_equal(f1.value(), make_batch(np.array([5, 6, 7])))
         assert_batches_equal(f2.value(), make_batch(np.array([6, 7, 8])))
         assert not cache.pending
-        assert set(cache.rows) == {5 * 2 + 1, 6 * 2 + 1, 7 * 2 + 1,
-                                   8 * 2 + 1}
+        assert set(cache.rows) == {5, 6, 7, 8}
 
     def test_coalesced_flight_consumable_in_any_order(self):
         svc, _, _, _ = make_service()

@@ -222,7 +222,7 @@ class TestFeatureStore:
         feats = np.arange(300, dtype=np.float64).reshape(100, 3)
         shards = split_features(sharded, feats)
         for p, fs in enumerate(shards):
-            rows = fs.gather(np.arange(min(4, fs.n_rows)))
+            rows = fs.gather(sharded.base[p] + np.arange(min(4, fs.n_rows)))
             expected = feats[sharded.shards[p].core_global[:len(rows)]]
             np.testing.assert_allclose(rows, expected)
 
@@ -235,9 +235,11 @@ class TestFeatureStore:
 
     def test_gather_out_of_range(self):
         from repro.errors import ShardError
-        fs = FeatureShard(0, np.zeros((5, 2)))
+        fs = FeatureShard(0, 10, np.zeros((5, 2)))
         with pytest.raises(ShardError):
-            fs.gather([7])
+            fs.gather([17])
+        with pytest.raises(ShardError):
+            fs.gather([7])  # below the shard's range: another shard's id
 
     def test_assemble_rows(self):
         masks = {0: np.array([True, False, True]),

@@ -46,13 +46,11 @@ class TestBuild:
             g, MetisLitePartitioner(seed=0).partition(g, 3), halo_hops=2
         )
         shard0 = sharded.shards[0]
-        halos = shard0.halo_globals()[:10]
-        local, owner = sharded.address_of(halos)
-        for gid, lid, own in zip(halos, local, owner):
-            cached = shard0.get_cached_batch(int(own),
-                                             np.array([lid]))
+        halos = shard0.halo_nodes()[:10]
+        for node_id, own in zip(halos, sharded.owner_of(halos)):
+            cached = shard0.get_cached_batch(np.array([node_id]))
             authoritative = sharded.shards[own].get_neighbor_batch(
-                np.array([lid])
+                np.array([node_id])
             )
             for a, b in zip(cached.to_arrays(), authoritative.to_arrays()):
                 np.testing.assert_array_equal(a, b)
@@ -62,34 +60,90 @@ class TestBuild:
         sharded = build_shards(g, HashPartitioner().partition(g, 2),
                                halo_hops=2)
         shard0 = sharded.shards[0]
-        halos = shard0.halo_globals()
-        local, owner = sharded.address_of(halos)
-        own1 = owner == 1
-        assert shard0.cache_covers(1, local[own1][:5])
+        halos = shard0.halo_nodes()
+        assert shard0.cache_mask(halos[:5]).all()
         # a core node of shard 1 that is NOT shard 0's halo
-        non_halo = np.setdiff1d(sharded.shards[1].core_global, halos)
+        non_halo = np.setdiff1d(
+            np.arange(sharded.base[1], sharded.base[2]), halos)
         if len(non_halo):
-            lid, _ = sharded.address_of(non_halo[:1])
-            assert not shard0.cache_covers(1, lid)
+            assert not shard0.cache_mask(non_halo[:1]).any()
 
     def test_cache_miss_raises(self):
         g = powerlaw_cluster(200, 5, seed=4)
         sharded = build_shards(g, HashPartitioner().partition(g, 2),
                                halo_hops=2)
         shard0 = sharded.shards[0]
-        halos = shard0.halo_globals()
-        non_halo = np.setdiff1d(sharded.shards[1].core_global, halos)
+        non_halo = np.setdiff1d(
+            np.arange(sharded.base[1], sharded.base[2]), shard0.halo_nodes())
         if len(non_halo) == 0:
             pytest.skip("all of shard 1 is halo for shard 0")
-        lid, _ = sharded.address_of(non_halo[:1])
         with pytest.raises(ShardError, match="halo cache miss"):
-            shard0.get_cached_batch(1, lid)
+            shard0.get_cached_batch(non_halo[:1])
 
     def test_no_cache_raises(self):
         g = powerlaw_cluster(100, 4, seed=5)
         sharded = build_shards(g, HashPartitioner().partition(g, 2))
         with pytest.raises(ShardError, match="no halo cache"):
-            sharded.shards[0].get_cached_batch(1, np.array([0]))
+            sharded.shards[0].get_cached_batch(np.array([0]))
+
+
+def _merge_by_loop(old_ids, old, new_ids, new):
+    """The per-key reference: walk the merged id list, take each row from
+    the incoming block if it has the id, else from the cache."""
+    merged = np.union1d(old_ids, new_ids)
+    rows = []
+    for node_id in merged:
+        ids, block = ((new_ids, new) if node_id in new_ids
+                      else (old_ids, old))
+        pos = int(np.searchsorted(ids, node_id))
+        s, e = block.indptr[pos], block.indptr[pos + 1]
+        rows.append((block.ids[s:e], block.weights[s:e], block.wdeg[s:e],
+                     block.src_wdeg[pos]))
+    return merged, rows
+
+
+class TestInstallHaloRows:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_merge_equals_per_key_loop(self, seed):
+        """Incoming rows replace cached ones on collision and extend
+        coverage otherwise — overlapping and new ids in one call."""
+        g = powerlaw_cluster(200, 5, mixing=0.4, seed=seed)
+        sharded = build_shards(g, HashPartitioner().partition(g, 3),
+                               halo_hops=2)
+        shard0, shard1 = sharded.shards[0], sharded.shards[1]
+        rng = np.random.default_rng(seed)
+        cached = rng.choice(shard0.halo_ids, size=5, replace=False)
+        uncached = np.setdiff1d(
+            np.arange(sharded.base[1], sharded.base[2]), shard0.halo_ids)[:4]
+        new_ids = np.sort(np.concatenate([
+            cached[sharded.owner_of(cached) == 1], uncached]))
+        # incoming content differs from the cached content: doubled weights
+        new = shard1.get_neighbor_batch(new_ids).materialize()
+        new.weights *= 2.0
+        old_ids, old = shard0.halo_ids, shard0.halo
+        want_ids, want_rows = _merge_by_loop(old_ids, old, new_ids, new)
+
+        assert shard0.install_halo_rows(new_ids, new) == len(new_ids)
+        np.testing.assert_array_equal(shard0.halo_ids, want_ids)
+        assert shard0.cache_mask(want_ids).all()
+        halo = shard0.halo
+        for i, (ids, w, wdeg, src) in enumerate(want_rows):
+            s, e = halo.indptr[i], halo.indptr[i + 1]
+            np.testing.assert_array_equal(halo.ids[s:e], ids)
+            np.testing.assert_array_equal(halo.weights[s:e], w)
+            np.testing.assert_array_equal(halo.wdeg[s:e], wdeg)
+            assert halo.src_wdeg[i] == src
+
+    def test_creates_the_cache_when_there_is_none(self):
+        g = powerlaw_cluster(100, 4, seed=0)
+        sharded = build_shards(g, HashPartitioner().partition(g, 2))
+        shard0 = sharded.shards[0]
+        ids = np.arange(sharded.base[1], sharded.base[1] + 3)
+        rows = sharded.shards[1].get_neighbor_batch(ids)
+        assert shard0.install_halo_rows(ids, rows) == 3
+        for a, b in zip(shard0.get_cached_batch(ids).to_arrays(),
+                        rows.to_arrays()):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestEngineWithCache:

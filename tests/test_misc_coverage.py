@@ -29,7 +29,8 @@ class TestDistGraphStorageValidation:
         rrefs = self.make_rrefs(3)
         g = DGS(rrefs, 0, "w")
         shard_ids = np.array([0, 1, 2, 1, 0])
-        masks = g.shard_masks(shard_ids)
+        # the first id of each shard, then its second for the repeats
+        masks = g.shard_masks(g.base[shard_ids] + [0, 0, 0, 1, 1])
         assert set(masks) == {0, 1, 2}
         total = sum(len(m) for m in masks.values())
         assert total == 5
@@ -40,7 +41,7 @@ class TestDistGraphStorageValidation:
     def test_shard_masks_only_present_shards(self):
         rrefs = self.make_rrefs(3)
         g = DGS(rrefs, 0, "w")
-        masks = g.shard_masks(np.array([1, 1, 1]))
+        masks = g.shard_masks(g.base[1] + np.arange(3))
         assert set(masks) == {1}
         assert masks.get(0) is None
         np.testing.assert_array_equal(masks[1], np.arange(3))
@@ -86,7 +87,7 @@ class TestVertexPropPayload:
             gid = shard.core_global[lid]
             assert prop.degree(i) == g.out_degree(int(gid))
         np.testing.assert_allclose(prop.source_weighted_degrees(),
-                                   shard.core_wdeg[ids])
+                                   shard.rows.src_wdeg[ids])
 
 
 class TestCliHaloHops:

@@ -17,36 +17,38 @@ PARAMS = PPRParams()
 
 def run_multi(sharded, sources_global, params=PARAMS):
     """Drive a MultiSSPPR directly against shards (no RPC layer)."""
-    local, shard = sharded.address_of(sources_global)
+    sources = sharded.nodes_of(sources_global)
+    shard = sharded.owner_of(sources)
     assert len(np.unique(shard)) == 1, "all sources must share a shard"
     own = int(shard[0])
-    wdegs = sharded.shards[own].source_weighted_degrees(local)
-    m = MultiSSPPR(local, own, params, wdegs, sharded.n_shards)
+    wdegs = sharded.shards[own].source_weighted_degrees(sources)
+    m = MultiSSPPR(sources, params, wdegs)
     while True:
-        node_ids, shard_ids = m.pop()
+        node_ids = m.pop()
         if len(node_ids) == 0:
             return m
+        shard_ids = sharded.owner_of(node_ids)
         for j in range(sharded.n_shards):
             mask = shard_ids == j
             if not mask.any():
                 continue
             infos = sharded.shards[j].get_neighbor_batch(node_ids[mask])
-            m.push(infos, node_ids[mask], shard_ids[mask])
+            m.push(infos, node_ids[mask])
 
 
 class TestMultiSSPPRState:
     def test_construction_validation(self):
         with pytest.raises(ValueError):
-            MultiSSPPR([], 0, PARAMS, [], 2)
+            MultiSSPPR([], PARAMS, [])
         with pytest.raises(ValueError):
-            MultiSSPPR([0], 0, PARAMS, [1.0, 2.0], 2)
+            MultiSSPPR([0], PARAMS, [1.0, 2.0])
         with pytest.raises(ValueError):
-            MultiSSPPR([0], 0, PARAMS, [-1.0], 2)
+            MultiSSPPR([0], PARAMS, [-1.0])
         with pytest.raises(ValueError):
-            MultiSSPPR([0], 0, PARAMS, [1.0], 0)
+            MultiSSPPR([-1], PARAMS, [1.0])
 
     def test_results_for_bad_qid(self):
-        m = MultiSSPPR([0, 1], 0, PARAMS, [1.0, 1.0], 2)
+        m = MultiSSPPR([0, 1], PARAMS, [1.0, 1.0])
         with pytest.raises(ValueError):
             m.results_for(5)
 

@@ -373,7 +373,8 @@ class TestCrashedPhase:
         cluster = SimCluster(engine.sharded, cfg, fault_plan=plan,
                              retry_policy=RetryPolicy(max_attempts=2,
                                                       timeout=0.01))
-        sources = sample_sources(engine.sharded, 6, seed=0)
+        sources = engine.sharded.nodes_of(
+            sample_sources(engine.sharded, 6, seed=0))
         for (m, p), chunk in assign_queries(engine.sharded, sources,
                                             cfg.procs_per_machine).items():
             proc = cluster.worker(m, p)

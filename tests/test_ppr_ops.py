@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.graph import erdos_renyi, powerlaw_cluster
 from repro.partition import HashPartitioner, MetisLitePartitioner
 from repro.ppr import PPRParams, SSPPR, forward_push_parallel
-from repro.ppr.ppr_ops import pack_keys, unpack_keys
 from repro.ppr.tensor_ops import DenseSSPPR
 from repro.storage import build_shards
 
@@ -18,85 +17,73 @@ PARAMS = PPRParams()
 
 def run_hashmap_query(sharded, source_global, params=PARAMS):
     """Drive SSPPR to completion directly against shards (no RPC layer)."""
-    lid, sid = sharded.address_of([source_global])
-    shard = sharded.shards[sid[0]]
-    wdeg = shard.source_weighted_degrees(lid)[0]
-    m = SSPPR(int(lid[0]), int(sid[0]), params, float(wdeg),
-              sharded.n_shards)
+    source = sharded.nodes_of([source_global])
+    shard = sharded.shards[int(sharded.owner_of(source)[0])]
+    wdeg = shard.source_weighted_degrees(source)[0]
+    m = SSPPR(int(source[0]), params, float(wdeg))
     while True:
-        node_ids, shard_ids = m.pop()
+        node_ids = m.pop()
         if len(node_ids) == 0:
             return m
+        shard_ids = sharded.owner_of(node_ids)
         for j in range(sharded.n_shards):
             mask = shard_ids == j
             if not mask.any():
                 continue
             infos = sharded.shards[j].get_neighbor_batch(node_ids[mask])
-            m.push(infos, node_ids[mask], shard_ids[mask])
+            m.push(infos, node_ids[mask])
 
 
 def run_dense_query(sharded, source_global, params=PARAMS):
     """Drive the tensor baseline to completion directly against shards."""
-    n = sharded.graph.n_nodes
-    m = DenseSSPPR(source_global, params, n, sharded.owner_local,
-                   sharded.owner_shard)
-    lid, sid = sharded.address_of([source_global])
+    source = sharded.nodes_of([source_global])
+    m = DenseSSPPR(int(source[0]), params, sharded.to_node)
     m.seed_source_degree(
-        sharded.shards[sid[0]].source_weighted_degrees(lid)[0]
+        sharded.shards[int(sharded.owner_of(source)[0])]
+        .source_weighted_degrees(source)[0]
     )
     while True:
-        gids, node_ids, shard_ids = m.pop()
-        if len(gids) == 0:
+        node_ids = m.pop()
+        if len(node_ids) == 0:
             return m
+        shard_ids = sharded.owner_of(node_ids)
         for j in range(sharded.n_shards):
             mask = shard_ids == j
             if not mask.any():
                 continue
             infos = sharded.shards[j].get_neighbor_batch(node_ids[mask])
-            m.push(infos, gids[mask])
-
-
-class TestKeys:
-    def test_pack_unpack_roundtrip(self):
-        local = np.array([0, 5, 123456], dtype=np.int64)
-        shard = np.array([0, 3, 7], dtype=np.int64)
-        keys = pack_keys(local, shard, 8)
-        l2, s2 = unpack_keys(keys, 8)
-        np.testing.assert_array_equal(l2, local)
-        np.testing.assert_array_equal(s2, shard)
+            m.push(infos, node_ids[mask])
 
 
 class TestSSPPRState:
     def test_init_queues_source(self):
-        m = SSPPR(3, 1, PARAMS, 2.5, n_shards=4)
-        node_ids, shard_ids = m.pop()
-        np.testing.assert_array_equal(node_ids, [3])
-        np.testing.assert_array_equal(shard_ids, [1])
+        m = SSPPR(3, PARAMS, 2.5)
+        np.testing.assert_array_equal(m.pop(), [3])
         # second pop is empty
-        n2, _ = m.pop()
-        assert len(n2) == 0
+        assert len(m.pop()) == 0
 
     def test_invalid_init(self):
         with pytest.raises(ValueError):
-            SSPPR(0, 0, PARAMS, 1.0, n_shards=0)
+            SSPPR(-1, PARAMS, 1.0)
         with pytest.raises(ValueError):
-            SSPPR(0, 0, PARAMS, -1.0, n_shards=1)
+            SSPPR(0, PARAMS, -1.0)
 
     def test_push_unknown_source_rejected(self):
         g = powerlaw_cluster(50, 4, seed=0)
         sharded = build_shards(g, HashPartitioner().partition(g, 2))
-        m = SSPPR(0, 0, PARAMS, 1.0, n_shards=2)
-        infos = sharded.shards[1].get_neighbor_batch(np.array([0]))
+        m = SSPPR(0, PARAMS, 1.0)
+        other = sharded.base[1:2]  # first id of shard 1: never touched
+        infos = sharded.shards[1].get_neighbor_batch(other)
         with pytest.raises(ValueError, match="never touched"):
-            m.push(infos, np.array([0]), np.array([1]))
+            m.push(infos, other)
 
     def test_push_length_mismatch_rejected(self):
         g = powerlaw_cluster(50, 4, seed=0)
         sharded = build_shards(g, HashPartitioner().partition(g, 1))
-        m = SSPPR(0, 0, PARAMS, 1.0, n_shards=1)
+        m = SSPPR(0, PARAMS, 1.0)
         infos = sharded.shards[0].get_neighbor_batch(np.array([0, 1]))
         with pytest.raises(ValueError, match="sources"):
-            m.push(infos, np.array([0]), np.array([0]))
+            m.push(infos, np.array([0]))
 
     def test_matches_single_machine_reference(self):
         g = powerlaw_cluster(400, 8, mixing=0.2, seed=1)
@@ -173,17 +160,14 @@ class TestDenseState:
 
     def test_invalid_init(self):
         with pytest.raises(ValueError):
-            DenseSSPPR(10, PARAMS, 5, np.zeros(5, dtype=int),
-                       np.zeros(5, dtype=int))
+            DenseSSPPR(10, PARAMS, np.arange(5))
         with pytest.raises(ValueError):
-            DenseSSPPR(0, PARAMS, 5, np.zeros(3, dtype=int),
-                       np.zeros(5, dtype=int))
+            DenseSSPPR(-1, PARAMS, np.arange(5))
 
     def test_push_length_mismatch(self):
         g = powerlaw_cluster(50, 4, seed=7)
         sharded = build_shards(g, HashPartitioner().partition(g, 1))
-        m = DenseSSPPR(0, PARAMS, 50, sharded.owner_local,
-                       sharded.owner_shard)
+        m = DenseSSPPR(0, PARAMS, sharded.to_node)
         infos = sharded.shards[0].get_neighbor_batch(np.array([0, 1]))
         with pytest.raises(ValueError, match="sources"):
             m.push(infos, np.array([0]))
@@ -221,18 +205,17 @@ def check_pop(state, mass: float):
     """``pop`` returns exactly the flagged slots' nodes, sorted, and clears."""
     flagged_keys = state.map.keys()[flagged_slots(state)]
     node_keys = np.unique(flagged_keys // getattr(state, "n_queries", 1))
-    node_ids, shard_ids = state.pop()
-    np.testing.assert_array_equal(
-        node_ids * state.n_shards + shard_ids, node_keys)
+    node_ids = state.pop()
+    np.testing.assert_array_equal(node_ids, node_keys)
     assert not state.queued.any()
     assert state.total_mass() == pytest.approx(mass)
-    return node_ids, shard_ids
+    return node_ids
 
 
-def check_push(state, infos, node_ids, shard_ids, mass: float):
+def check_push(state, infos, node_ids, mass: float):
     """``push`` only ever *adds* flags, and only on above-threshold slots."""
     before = flagged_slots(state)
-    state.push(infos, node_ids, shard_ids)
+    state.push(infos, node_ids)
     after = flagged_slots(state)
     assert np.isin(before, after).all()
     fresh = np.setdiff1d(after, before)
@@ -251,25 +234,23 @@ class TestSlotFrontierInvariant:
     def test_ssppr_flags_are_the_frontier(self, n, k, seed):
         g = powerlaw_cluster(n, 4, seed=seed)
         sharded = build_shards(g, HashPartitioner().partition(g, k))
-        lid, sid = sharded.address_of([seed % n])
-        wdeg = sharded.shards[sid[0]].source_weighted_degrees(lid)[0]
-        m = SSPPR(int(lid[0]), int(sid[0]), PPRParams(epsilon=1e-4),
-                  float(wdeg), k)
+        source = sharded.nodes_of([seed % n])
+        wdeg = sharded.shards[int(sharded.owner_of(source)[0])] \
+            .source_weighted_degrees(source)[0]
+        m = SSPPR(int(source[0]), PPRParams(epsilon=1e-4), float(wdeg))
         assert m.frontier_size() == 1
         while True:
-            node_ids, shard_ids = check_pop(m, 1.0)
+            node_ids = check_pop(m, 1.0)
             if len(node_ids) == 0:
                 break
+            shard_ids = sharded.owner_of(node_ids)
             for j in np.unique(shard_ids).tolist():
                 mask = shard_ids == j
                 infos = sharded.shards[j].get_neighbor_batch(node_ids[mask])
-                after = check_push(m, infos, node_ids[mask],
-                                   shard_ids[mask], 1.0)
+                after = check_push(m, infos, node_ids[mask], 1.0)
                 # every node this response reached that now sits above
                 # its threshold is activated
-                _, nbr_local, nbr_shard, *_ = infos.to_arrays()
-                hit = np.unique(m.map.lookup(
-                    pack_keys(nbr_local, nbr_shard, k)))
+                hit = np.unique(m.map.lookup(infos.ids))
                 hot = hit[m.residual[hit]
                           > m.params.epsilon * m.wdeg[hit]]
                 assert np.isin(hot, after).all()
@@ -286,19 +267,19 @@ class TestSlotFrontierInvariant:
 
         g = powerlaw_cluster(n, 4, seed=seed)
         sharded = build_shards(g, HashPartitioner().partition(g, k))
-        own = np.flatnonzero(sharded.owner_shard == 0)[:batch]
-        local, _ = sharded.address_of(own)
-        wdegs = sharded.shards[0].source_weighted_degrees(local)
-        m = MultiSSPPR(local, 0, PPRParams(epsilon=1e-4), wdegs, k)
+        own = np.arange(sharded.base[0], sharded.base[1])[:batch]
+        wdegs = sharded.shards[0].source_weighted_degrees(own)
+        m = MultiSSPPR(own, PPRParams(epsilon=1e-4), wdegs)
         mass = float(len(own))
         while True:
-            node_ids, shard_ids = check_pop(m, mass)
+            node_ids = check_pop(m, mass)
             if len(node_ids) == 0:
                 break
+            shard_ids = sharded.owner_of(node_ids)
             for j in np.unique(shard_ids).tolist():
                 mask = shard_ids == j
                 infos = sharded.shards[j].get_neighbor_batch(node_ids[mask])
-                check_push(m, infos, node_ids[mask], shard_ids[mask], mass)
+                check_push(m, infos, node_ids[mask], mass)
         n_touched = len(m.map)
         assert np.all(m.residual[:n_touched]
                       <= m.params.epsilon * m.wdeg[:n_touched])

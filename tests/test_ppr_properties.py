@@ -64,14 +64,14 @@ def tensor_reference(graph: CSRGraph, source: int,
     res = PartitionResult(np.zeros(graph.n_nodes, dtype=np.int64), 1)
     sharded = build_shards(graph, res)
     shard = sharded.shards[0]
-    m = DenseSSPPR(source, params, graph.n_nodes,
-                   sharded.owner_local, sharded.owner_shard)
+    # one shard: node ids are the caller's ids
+    m = DenseSSPPR(source, params, sharded.to_node)
     m.seed_source_degree(float(graph.weighted_degrees[source]))
     for _ in range(100_000):
-        gids, local_ids, _ = m.pop()
-        if len(gids) == 0:
+        ids = m.pop()
+        if len(ids) == 0:
             break
-        m.push(shard.get_vertex_props(local_ids), gids)
+        m.push(shard.get_vertex_props(ids), ids)
     else:  # pragma: no cover - safety valve
         raise AssertionError("tensor baseline failed to converge")
     assert m.total_mass() == pytest.approx(1.0)

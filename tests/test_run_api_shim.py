@@ -7,7 +7,9 @@ to zero on plain batch runs, convenience wrappers return the same shape —
 plus the degenerate ``latency_percentiles`` inputs (0 and 1 samples) that
 historically tripped ``np.percentile`` — and the knob surface: the exact
 field names of ``EngineConfig`` and ``RunRequest``, so a new knob is a
-visible test diff.
+visible test diff — and the boundary: caller ids are validated once, with
+one typed error, on every path in; a knob combination that would silently
+do nothing is rejected where it is written.
 """
 
 import dataclasses
@@ -17,8 +19,10 @@ import pytest
 
 from repro.engine import EngineConfig, GraphEngine, QueryRunResult, RunRequest
 from repro.engine.query import sample_sources
+from repro.errors import ShardError
 from repro.graph import powerlaw_cluster
-from repro.ppr import PPRParams
+from repro.ppr import DegradationMode, PPRParams
+from repro.serving import Query, SessionConfig
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +70,50 @@ class TestResultSchema:
         sources = sample_sources(engine.sharded, 2, seed=0)
         run = engine.run(RunRequest(sources=sources))
         assert run.n_queries == 2
+
+
+class TestSourceValidation:
+    """Out-of-range caller ids never wrap, never escape as ``IndexError``
+    and never depend on the mode: ``ShardError`` from the one boundary
+    function, before any cluster is deployed."""
+
+    @pytest.mark.parametrize("mode", ["engine", "batched", "tensor"])
+    @pytest.mark.parametrize("bad", [-1, 400])
+    def test_run_rejects_out_of_range_sources(self, engine, mode, bad):
+        good = int(sample_sources(engine.sharded, 1, seed=0)[0])
+        with pytest.raises(ShardError, match="out of range"):
+            engine.run(RunRequest(sources=[good, bad], mode=mode))
+
+    @pytest.mark.parametrize("bad", [-1, 400])
+    def test_bfs_rejects_out_of_range_source(self, engine, bad):
+        with pytest.raises(ShardError, match="out of range"):
+            engine.run_bfs(bad)
+
+    def test_walk_query_rejects_out_of_range_root(self, engine):
+        session = engine.open_session()
+        session.submit(Query(source=400, kind="walk"))
+        with pytest.raises(ShardError, match="out of range"):
+            session.drain()
+
+
+class TestKnobCombinations:
+    @pytest.mark.parametrize("mode", ["batched", "tensor"])
+    def test_skip_remote_needs_engine_mode(self, mode):
+        with pytest.raises(ValueError, match='mode="engine"'):
+            RunRequest(n_queries=1, mode=mode,
+                       degradation=DegradationMode.SKIP_REMOTE)
+        with pytest.raises(ValueError, match='mode="engine"'):
+            SessionConfig(mode=mode,
+                          degradation=DegradationMode.SKIP_REMOTE)
+
+    def test_session_default_mode_is_batched(self):
+        with pytest.raises(ValueError, match='mode="engine"'):
+            SessionConfig(degradation=DegradationMode.SKIP_REMOTE)
+
+    def test_skip_remote_with_engine_mode_is_accepted(self):
+        RunRequest(n_queries=1, degradation=DegradationMode.SKIP_REMOTE)
+        SessionConfig(mode="engine",
+                      degradation=DegradationMode.SKIP_REMOTE)
 
 
 class TestKnobSurface:

@@ -76,7 +76,8 @@ def run_threaded(engine, sources, *, fetch=True, fetch_caches=None,
     if fetch_caches is None:
         fetch_caches = {}
     for (machine, p), chunk in assign_queries(
-            sharded, sources, cfg.procs_per_machine).items():
+            sharded, sharded.nodes_of(sources),
+            cfg.procs_per_machine).items():
         proc = cluster.worker(machine, p)
         g = DistGraphStorage(cluster.rrefs, machine, proc.name, compress=True)
         if fetch:
@@ -376,9 +377,11 @@ class TestTraceDifferential:
             FetchCache(engine.config.fetch_cache_bytes),
             metrics=cluster.obs.metrics, proc=proc)
 
+        first_id = engine.sharded.base[1]
+
         def body():
-            first = svc.get_neighbor_infos(1, np.array([0, 1, 2]))
-            second = svc.get_neighbor_infos(1, np.array([1, 2, 3]))
+            first = svc.get_neighbor_infos(1, first_id + np.array([0, 1, 2]))
+            second = svc.get_neighbor_infos(1, first_id + np.array([1, 2, 3]))
             yield Wait(first)
             yield Wait(second)
 

@@ -17,12 +17,10 @@ class TestNeighborBatchValidation:
     def good_args(self):
         return dict(
             indptr=np.array([0, 2, 3]),
-            local_ids=np.array([0, 1, 2]),
-            shard_ids=np.array([0, 0, 1]),
-            global_ids=np.array([5, 6, 7]),
+            ids=np.array([5, 6, 7]),
             weights=np.ones(3),
-            weighted_degrees=np.ones(3),
-            source_wdeg=np.ones(2),
+            wdeg=np.ones(3),
+            src_wdeg=np.ones(2),
         )
 
     def test_valid(self):
@@ -44,14 +42,14 @@ class TestNeighborBatchValidation:
 
     def test_source_wdeg_mismatch(self):
         args = self.good_args()
-        args["source_wdeg"] = np.ones(5)
-        with pytest.raises(ShardError, match="source_wdeg"):
+        args["src_wdeg"] = np.ones(5)
+        with pytest.raises(ShardError, match="src_wdeg"):
             NeighborBatch(**args)
 
 
 class TestNeighborListsValidation:
     def test_length_mismatch(self):
-        with pytest.raises(ShardError, match="source_wdeg"):
+        with pytest.raises(ShardError, match="src_wdeg"):
             NeighborLists([], np.ones(2))
 
     def test_empty(self):
@@ -60,14 +58,12 @@ class TestNeighborListsValidation:
         assert len(indptr) == 1
         assert all(len(a) == 0 for a in arrays)
         nbytes, n_tensors = lists.rpc_payload()
-        assert n_tensors == 1  # just the source_wdeg array
+        assert n_tensors == 1  # just the src_wdeg array
 
     def test_n_entries(self):
         entries = [
-            (np.array([1, 2]), np.zeros(2, np.int64), np.array([1, 2]),
-             np.ones(2), np.ones(2)),
-            (np.array([3]), np.zeros(1, np.int64), np.array([3]),
-             np.ones(1), np.ones(1)),
+            (np.array([1, 2]), np.ones(2), np.ones(2)),
+            (np.array([3]), np.ones(1), np.ones(1)),
         ]
         lists = NeighborLists(entries, np.ones(2))
         assert lists.n_entries == 3
@@ -84,8 +80,8 @@ class TestFormatEquivalenceProperties:
         if shard.n_core == 0:
             return
         rng = np.random.default_rng(seed)
-        ids = rng.choice(shard.n_core, size=min(5, shard.n_core),
-                         replace=False)
+        ids = sharded.base[seed % k] + rng.choice(
+            shard.n_core, size=min(5, shard.n_core), replace=False)
         a = shard.get_vertex_props(ids).to_arrays()
         b = shard.get_neighbor_batch(ids).to_arrays()
         c = shard.get_neighbor_lists(ids).to_arrays()

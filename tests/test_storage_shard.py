@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ShardError
+from repro.errors import PartitionError, ShardError
 from repro.graph import CSRGraph, erdos_renyi, powerlaw_cluster
 from repro.partition import HashPartitioner, MetisLitePartitioner, PartitionResult
 from repro.storage import build_shards
+from repro.storage.neighbor_batch import NeighborBatch
+from repro.storage.shard_update import ShardUpdate
 
 
 def figure2_graph():
@@ -38,43 +40,46 @@ class TestBuildShards:
     def test_local_ids_are_ranks(self):
         g, res = figure2_graph()
         sg = build_shards(g, res)
-        local, shard = sg.address_of([0, 1, 2, 3, 4])
-        np.testing.assert_array_equal(local, [0, 1, 2, 0, 1])
+        ids = sg.nodes_of([0, 1, 2, 3, 4])
+        shard = sg.owner_of(ids)
+        np.testing.assert_array_equal(ids - sg.base[shard], [0, 1, 2, 0, 1])
         np.testing.assert_array_equal(shard, [0, 0, 0, 1, 1])
 
     def test_halo_nodes(self):
         g, res = figure2_graph()
         sg = build_shards(g, res)
         # Shard 0's halo: global 3 (reached from nodes 1 and 2).
-        np.testing.assert_array_equal(sg.shards[0].halo_globals(), [3])
+        np.testing.assert_array_equal(
+            sg.globals_of(sg.shards[0].halo_nodes()), [3])
         # Shard 1's halo: globals 1 and 2.
-        np.testing.assert_array_equal(sg.shards[1].halo_globals(), [1, 2])
+        np.testing.assert_array_equal(
+            sg.globals_of(sg.shards[1].halo_nodes()), [1, 2])
 
     def test_neighbor_arrays_reference_owner_addresses(self):
         g, res = figure2_graph()
         sg = build_shards(g, res)
-        s0 = sg.shards[0]
-        # Core node global 2 (local 2): neighbors are 0, 1 (local) and 3
-        # (halo, owned by shard 1 where its local ID is 0).
-        s, e = s0.indptr[2], s0.indptr[3]
-        np.testing.assert_array_equal(s0.nbr_global[s:e], [0, 1, 3])
-        np.testing.assert_array_equal(s0.nbr_shard[s:e], [0, 0, 1])
-        np.testing.assert_array_equal(s0.nbr_local[s:e], [0, 1, 0])
+        rows = sg.shards[0].rows
+        # Core node global 2 (row 2): neighbors are 0, 1 (local) and 3
+        # (halo, owned by shard 1 where it is the first id).
+        s, e = rows.indptr[2], rows.indptr[3]
+        np.testing.assert_array_equal(sg.globals_of(rows.ids[s:e]), [0, 1, 3])
+        np.testing.assert_array_equal(sg.owner_of(rows.ids[s:e]), [0, 0, 1])
+        np.testing.assert_array_equal(rows.ids[s:e], [0, 1, sg.base[1]])
 
     def test_weighted_degrees_cached_for_halos(self):
         g, res = figure2_graph()
         sg = build_shards(g, res)
-        s0 = sg.shards[0]
-        s, e = s0.indptr[2], s0.indptr[3]
+        rows = sg.shards[0].rows
+        s, e = rows.indptr[2], rows.indptr[3]
         # global 3 weighted degree = 3 + 1 + 2 = 6
-        assert s0.nbr_wdeg[s:e][2] == pytest.approx(6.0)
+        assert rows.wdeg[s:e][2] == pytest.approx(6.0)
 
     def test_core_wdeg_matches_graph(self):
         g, res = figure2_graph()
         sg = build_shards(g, res)
         for shard in sg.shards:
             np.testing.assert_allclose(
-                shard.core_wdeg, g.weighted_degrees[shard.core_global]
+                shard.rows.src_wdeg, g.weighted_degrees[shard.core_global]
             )
 
     def test_shards_cover_all_arcs(self):
@@ -94,7 +99,6 @@ class TestBuildShards:
         raw = g.indices.nbytes + g.weights.nbytes + g.indptr.nbytes
         sg = build_shards(g, HashPartitioner().partition(g, 4))
         ratio = sg.total_memory_nbytes() / raw
-        # we store global IDs too (walk support), so a bit above 1.5x
         assert 1.2 < ratio < 3.0
 
     def test_describe(self):
@@ -110,26 +114,104 @@ class TestAddressTranslation:
         g = powerlaw_cluster(300, 6, seed=2)
         sg = build_shards(g, MetisLitePartitioner(seed=0).partition(g, 3))
         gids = np.arange(300)
-        local, shard = sg.address_of(gids)
-        np.testing.assert_array_equal(sg.global_of(local, shard), gids)
+        ids = sg.nodes_of(gids)
+        np.testing.assert_array_equal(np.sort(ids), gids)  # a permutation
+        np.testing.assert_array_equal(sg.globals_of(ids), gids)
 
     def test_keys_roundtrip(self):
         g = powerlaw_cluster(200, 6, seed=3)
         sg = build_shards(g, HashPartitioner().partition(g, 4))
         gids = np.array([0, 5, 17, 199])
         np.testing.assert_array_equal(
-            sg.globals_from_keys(sg.keys_of(gids)), gids
+            sg.globals_of(sg.nodes_of(gids)), gids
         )
 
     def test_out_of_range(self):
         g, res = figure2_graph()
         sg = build_shards(g, res)
         with pytest.raises(ShardError):
-            sg.address_of([99])
+            sg.nodes_of([99])
         with pytest.raises(ShardError):
-            sg.global_of([0], [9])
+            sg.nodes_of([-1])
         with pytest.raises(ShardError):
-            sg.global_of([99], [0])
+            sg.globals_of([99])
+        with pytest.raises(ShardError):
+            sg.globals_of([-1])
+
+
+#: a partition of 12-40 nodes into 1-4 parts: arbitrary, or everything on
+#: one part (every other shard empty)
+assignments = st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.one_of(
+        st.lists(st.integers(0, k - 1), min_size=12, max_size=40),
+        st.tuples(st.integers(0, k - 1), st.integers(12, 40)).map(
+            lambda t: [t[0]] * t[1]),
+    )))
+
+
+def check_address_book(sg):
+    """The contiguous-range book: what every layer below the facade
+    assumes about node ids."""
+    n, assignment = sg.graph.n_nodes, sg.result.assignment
+    # ranges are contiguous, ordered and sized like the parts
+    assert sg.base[0] == 0 and sg.base[-1] == n
+    np.testing.assert_array_equal(
+        np.diff(sg.base), np.bincount(assignment, minlength=sg.n_shards))
+    # the two permutations invert each other
+    gids = np.arange(n)
+    ids = sg.nodes_of(gids)
+    np.testing.assert_array_equal(np.sort(ids), gids)
+    np.testing.assert_array_equal(sg.globals_of(ids), gids)
+    # the id alone names the owner
+    np.testing.assert_array_equal(
+        np.searchsorted(sg.base, ids, side="right") - 1, assignment)
+    np.testing.assert_array_equal(sg.owner_of(ids), assignment)
+    for p, shard in enumerate(sg.shards):
+        lo, hi = int(sg.base[p]), int(sg.base[p + 1])
+        # rank inside a shard is ascending caller id
+        core = sg.globals_of(np.arange(lo, hi))
+        np.testing.assert_array_equal(core, np.flatnonzero(assignment == p))
+        np.testing.assert_array_equal(shard.core_global, core)
+        # one past the range (and one before it) is never another row
+        for bad in (hi, lo - 1):
+            ids = np.array([bad], dtype=np.int64)
+            for fetch in (shard.get_neighbor_batch, shard.get_vertex_props,
+                          shard.source_weighted_degrees):
+                with pytest.raises(ShardError, match="out of range"):
+                    fetch(ids)
+            one_row = NeighborBatch(np.array([0, 0]), np.empty(0, np.int64),
+                                    np.empty(0), np.empty(0), np.zeros(1))
+            with pytest.raises(ShardError, match="out of range"):
+                shard.stage_updates(
+                    1, ShardUpdate(ids, one_row, ids, one_row))
+
+
+class TestAddressBookProperties:
+    @given(case=assignments, seed=st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_any_assignment(self, case, seed):
+        k, assignment = case
+        g = erdos_renyi(len(assignment), 3, seed=seed)
+        check_address_book(
+            build_shards(g, PartitionResult(np.array(assignment), k)))
+
+    @given(case=assignments, seed=st.integers(0, 5), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_after_moves(self, case, seed, data):
+        """A rebalance re-issues every range: the moved book is as valid
+        as the first one (a relabel epoch)."""
+        k, assignment = case
+        g = erdos_renyi(len(assignment), 3, seed=seed)
+        result = PartitionResult(np.array(assignment), k)
+        moves = data.draw(st.dictionaries(
+            st.integers(0, len(assignment) - 1), st.integers(0, k - 1),
+            max_size=4))
+        try:
+            moved = result.with_moves(moves)
+        except PartitionError:  # would leave a part empty: not a plan
+            return
+        check_address_book(build_shards(g, moved))
 
 
 class TestShardFetch:
@@ -142,11 +224,11 @@ class TestShardFetch:
         s0 = sharded.shards[0]
         prop = s0.get_vertex_props(np.array([1, 2]))
         assert prop.n_sources == 2
-        local, shard, glob, w, wdeg = prop.neighbors(0)
+        ids, w, wdeg = prop.neighbors(0)
         # node global 1: neighbors 0, 2, 3
-        np.testing.assert_array_equal(glob, [0, 2, 3])
+        np.testing.assert_array_equal(sharded.globals_of(ids), [0, 2, 3])
         # views share memory with the shard
-        assert glob.base is s0.nbr_global or glob is s0.nbr_global
+        assert ids.base is s0.rows.ids or ids is s0.rows.ids
 
     def test_vertex_prop_to_arrays_matches_batch(self, sharded):
         s0 = sharded.shards[0]
@@ -166,9 +248,10 @@ class TestShardFetch:
 
     def test_single(self, sharded):
         s1 = sharded.shards[1]
-        resp = s1.get_single(0)  # global 3: neighbors 1, 2, 4
-        indptr, local, shard, glob, w, wdeg, src_wdeg = resp.to_arrays()
-        np.testing.assert_array_equal(glob, [1, 2, 4])
+        # global 3 (first id of shard 1): neighbors 1, 2, 4
+        resp = s1.get_single(int(sharded.base[1]))
+        indptr, ids, w, wdeg, src_wdeg = resp.to_arrays()
+        np.testing.assert_array_equal(sharded.globals_of(ids), [1, 2, 4])
         assert src_wdeg[0] == pytest.approx(6.0)
 
     def test_out_of_range_ids_rejected(self, sharded):
@@ -176,19 +259,22 @@ class TestShardFetch:
             sharded.shards[0].get_vertex_props(np.array([7]))
         with pytest.raises(ShardError, match="out of range"):
             sharded.shards[0].get_neighbor_batch(np.array([-1]))
+        # an id another shard owns is an error, never another node's row
+        with pytest.raises(ShardError, match="out of range"):
+            sharded.shards[1].get_neighbor_batch(np.array([0]))
 
     def test_compressed_payload_constant_tensors(self, sharded):
         s0 = sharded.shards[0]
         small = s0.get_neighbor_batch(np.array([0]))
         big = s0.get_neighbor_batch(np.array([0, 1, 2]))
-        assert small.rpc_payload()[1] == big.rpc_payload()[1] == 7
+        assert small.rpc_payload()[1] == big.rpc_payload()[1] == 5
 
     def test_uncompressed_payload_grows_with_batch(self, sharded):
         s0 = sharded.shards[0]
         small = s0.get_neighbor_lists(np.array([0]))
         big = s0.get_neighbor_lists(np.array([0, 1, 2]))
-        assert small.rpc_payload()[1] == 6   # 5 tensors + src_wdeg
-        assert big.rpc_payload()[1] == 16    # 15 tensors + src_wdeg
+        assert small.rpc_payload()[1] == 4   # 3 tensors + src_wdeg
+        assert big.rpc_payload()[1] == 10    # 9 tensors + src_wdeg
 
     def test_empty_request(self, sharded):
         s0 = sharded.shards[0]
@@ -199,17 +285,18 @@ class TestShardFetch:
     def test_sample_one_neighbor_valid(self, sharded):
         s0 = sharded.shards[0]
         for _ in range(10):
-            nl, ng, ns = s0.sample_one_neighbor(np.array([1]))
+            nxt = s0.sample_one_neighbor(np.array([1]))
             # node global 1's neighbors: 0, 2 (shard 0), 3 (shard 1)
+            ng = sharded.globals_of(nxt)
             assert ng[0] in (0, 2, 3)
             expected_shard = 1 if ng[0] == 3 else 0
-            assert ns[0] == expected_shard
+            assert sharded.owner_of(nxt)[0] == expected_shard
 
     def test_sample_isolated_node_stays(self):
         g = CSRGraph.from_edges(3, [0], [1])  # node 2 isolated
         sg = build_shards(g, PartitionResult(np.zeros(3, dtype=int), 1), seed=0)
-        nl, ng, ns = sg.shards[0].sample_one_neighbor(np.array([2]))
-        assert ng[0] == 2 and ns[0] == 0
+        nxt = sg.shards[0].sample_one_neighbor(np.array([2]))
+        assert nxt[0] == 2
 
 
 class TestShardProperties:
@@ -221,13 +308,14 @@ class TestShardProperties:
         sg = build_shards(g, HashPartitioner().partition(g, k))
         seen_arcs = 0
         for shard in sg.shards:
+            rows = shard.rows
             for i, gid in enumerate(shard.core_global):
-                s, e = shard.indptr[i], shard.indptr[i + 1]
+                s, e = rows.indptr[i], rows.indptr[i + 1]
                 np.testing.assert_array_equal(
-                    shard.nbr_global[s:e], g.neighbors(gid)
+                    sg.globals_of(rows.ids[s:e]), g.neighbors(gid)
                 )
                 np.testing.assert_allclose(
-                    shard.nbr_weight[s:e], g.neighbor_weights(gid)
+                    rows.weights[s:e], g.neighbor_weights(gid)
                 )
                 seen_arcs += e - s
         assert seen_arcs == g.n_arcs
@@ -235,11 +323,19 @@ class TestShardProperties:
     @given(n=st.integers(20, 120), k=st.integers(2, 4), seed=st.integers(0, 5))
     @settings(max_examples=20, deadline=None)
     def test_halo_addressing_consistent(self, n, k, seed):
-        """Every neighbor entry's (local, shard) resolves to its global ID."""
+        """Every neighbor entry's id resolves to a row of its owner whose
+        core node is the neighbor (and whose degree is the cached one)."""
         g = erdos_renyi(n, 5, seed=seed)
         sg = build_shards(g, HashPartitioner().partition(g, k))
         for shard in sg.shards:
             if shard.n_entries == 0:
                 continue
-            resolved = sg.global_of(shard.nbr_local, shard.nbr_shard)
-            np.testing.assert_array_equal(resolved, shard.nbr_global)
+            ids = shard.rows.ids
+            owner = sg.owner_of(ids)
+            for p in np.unique(owner).tolist():
+                mine = owner == p
+                rows = ids[mine] - sg.base[p]
+                np.testing.assert_array_equal(
+                    sg.shards[p].core_global[rows], sg.globals_of(ids[mine]))
+                np.testing.assert_array_equal(
+                    sg.shards[p].rows.src_wdeg[rows], shard.rows.wdeg[mine])

@@ -468,23 +468,16 @@ class TestMetamorphic:
 def _shuffled(update, seed):
     """``update`` with its replacement rows in a random order.
 
-    ``ShardUpdate`` itself insists on ascending ``row_lids`` (what the
+    ``ShardUpdate`` itself insists on ascending ``row_ids`` (what the
     planner emits); the splice underneath takes any order, and this pins
     it — so the permuted payload is assembled around the validation.
     """
     order = np.random.default_rng(seed).permutation(update.n_rows)
-    counts = np.diff(update.row_indptr)[order]
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    idx = np.concatenate(
-        [np.arange(update.row_indptr[j], update.row_indptr[j + 1])
-         for j in order] + [np.empty(0, dtype=np.int64)])
     out = ShardUpdate.__new__(ShardUpdate)
     for name in ShardUpdate.__slots__:
         setattr(out, name, getattr(update, name))
-    out.row_lids, out.row_indptr = update.row_lids[order], indptr
-    for name in ("row_local", "row_shard", "row_global", "row_weight",
-                 "row_wdeg"):
-        setattr(out, name, getattr(update, name)[idx])
+    out.row_ids = update.row_ids[order]
+    out.rows = update.rows.take_rows(order)
     return out
 
 
@@ -501,7 +494,7 @@ class TestShardSplice:
         sharded = engine.sharded
         dyn = DynamicGraph.from_csr(g)
         stream = TemporalEdgeStream(g, seed=9, batch_size=16)
-        owned0 = np.flatnonzero(sharded.owner_shard == 0).tolist()
+        owned0 = sharded.shards[0].core_global.tolist()
         loner = max(owned0, key=g.out_degree)   # about to lose every edge
         owned0.remove(loner)
 
@@ -528,32 +521,27 @@ class TestShardSplice:
         fresh = build_shards(dyn.snapshot(), sharded.result,
                              seed=0, halo_hops=halo_hops)
         for spliced, rebuilt in zip(sharded.shards, fresh.shards):
-            assert np.array_equal(spliced.indptr, rebuilt.indptr)
-            assert np.array_equal(spliced.nbr_global, rebuilt.nbr_global)
-            assert np.array_equal(spliced.nbr_local, rebuilt.nbr_local)
-            assert np.array_equal(spliced.nbr_shard, rebuilt.nbr_shard)
-            assert np.array_equal(spliced.nbr_weight, rebuilt.nbr_weight)
+            assert np.array_equal(spliced.rows.indptr, rebuilt.rows.indptr)
+            assert np.array_equal(spliced.rows.ids, rebuilt.rows.ids)
+            assert np.array_equal(spliced.rows.weights, rebuilt.rows.weights)
             # wdeg columns: same sums, different summation order
-            assert np.allclose(spliced.core_wdeg, rebuilt.core_wdeg)
-            assert np.allclose(spliced.nbr_wdeg, rebuilt.nbr_wdeg)
+            assert np.allclose(spliced.rows.src_wdeg, rebuilt.rows.src_wdeg)
+            assert np.allclose(spliced.rows.wdeg, rebuilt.rows.wdeg)
             if halo_hops == 2:
                 self._assert_cache_current(spliced, sharded, dyn)
 
     @staticmethod
     def _assert_cache_current(shard, sharded, dyn):
         """Every cached halo row equals its owner's current row."""
-        local, owner, glob, weight, wdeg = shard._cache_arrays
-        gids = sharded.globals_from_keys(shard._cache_keys)
+        halo = shard.halo
+        gids = sharded.globals_of(shard.halo_ids)
         for i, gid in enumerate(gids.tolist()):
-            s, e = shard._cache_indptr[i], shard._cache_indptr[i + 1]
+            s, e = halo.indptr[i], halo.indptr[i + 1]
             want_g, want_w = dyn.row(gid)
-            assert np.array_equal(glob[s:e], want_g)
-            assert np.array_equal(weight[s:e], want_w)
-            want_l, want_s = sharded.address_of(want_g)
-            assert np.array_equal(local[s:e], want_l)
-            assert np.array_equal(owner[s:e], want_s)
-            assert np.allclose(wdeg[s:e], dyn.wdeg_of(want_g))
-            assert np.isclose(shard._cache_src_wdeg[i], dyn.wdeg(gid))
+            assert np.array_equal(halo.ids[s:e], sharded.nodes_of(want_g))
+            assert np.array_equal(halo.weights[s:e], want_w)
+            assert np.allclose(halo.wdeg[s:e], dyn.wdeg_of(want_g))
+            assert np.isclose(halo.src_wdeg[i], dyn.wdeg(gid))
 
     def test_stage_commit_rollback_idempotent(self):
         g = powerlaw_cluster(80, 4, mixing=0.2, seed=3)
@@ -563,19 +551,19 @@ class TestShardSplice:
             TemporalEdgeStream(g, seed=2, batch_size=8).next_batch())
         payloads = build_shard_payloads(engine.sharded, dyn, delta.changed)
         shard = engine.sharded.shards[0]
-        before = shard.nbr_weight.copy()
+        before = shard.rows.weights.copy()
 
         shard.stage_updates(7, payloads[0])
-        assert np.array_equal(shard.nbr_weight, before)  # invisible
+        assert np.array_equal(shard.rows.weights, before)  # invisible
         shard.commit_updates(7)
-        after = shard.nbr_weight.copy()
+        after = shard.rows.weights.copy()
         # duplicate RPCs (lost replies) are absorbed, not re-applied
         shard.stage_updates(7, payloads[0])
         assert shard.commit_updates(7) == 1
-        assert np.array_equal(shard.nbr_weight, after)
+        assert np.array_equal(shard.rows.weights, after)
         # rollback restores the pre-image, idempotently
         assert shard.rollback_updates(7) == 1
-        assert np.array_equal(shard.nbr_weight, before)
+        assert np.array_equal(shard.rows.weights, before)
         assert shard.rollback_updates(7) == 1
 
     def test_commit_unknown_tag_raises(self):
@@ -601,9 +589,7 @@ def _count_calls(monkeypatch, name):
 
 
 def _shard_columns(shard):
-    return (shard.core_global, shard.indptr, shard.nbr_local,
-            shard.nbr_shard, shard.nbr_global, shard.nbr_weight,
-            shard.nbr_wdeg, shard.core_wdeg)
+    return (shard.core_global, *shard.rows.to_arrays())
 
 
 class TestSessionGraphView:
@@ -660,12 +646,11 @@ class TestSessionGraphView:
         assert engine.graph is current and engine.sharded.graph is current
 
         # force one migration: machine 1 asks for a shard-0 vertex a lot
-        victim = int(np.flatnonzero(engine.sharded.owner_shard == 0)[0])
-        key = int(engine.sharded.keys_of(np.array([victim]))[0])
-        session.heat = {1: {key: 50}}
+        victim = int(engine.sharded.shards[0].core_global[0])
+        session.heat = {1: {int(engine.sharded.nodes_of(victim)): 50}}
         plan = session.epoch_rebalance()
         assert plan.moves == {victim: 1}
-        assert engine.sharded.owner_shard[victim] == 1
+        assert engine.sharded.owner_of(engine.sharded.nodes_of(victim)) == 1
         fresh = build_shards(session.dyn.snapshot(), engine.sharded.result,
                              seed=0)
         for moved, rebuilt in zip(engine.sharded.shards, fresh.shards):

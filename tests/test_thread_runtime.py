@@ -34,10 +34,10 @@ def make_cluster(graph, n_machines, runtime):
 
 
 def collector_driver(g, proc, sources, sharded, out):
-    local_ids, _ = sharded.address_of(sources)
-    for gid, lid in zip(sources.tolist(), local_ids.tolist()):
+    ids = sharded.nodes_of(sources)
+    for gid, node_id in zip(sources.tolist(), ids.tolist()):
         state = yield from distributed_sppr_query(
-            g, proc, lid, PARAMS, opt=OptLevel.OVERLAP
+            g, proc, node_id, PARAMS, opt=OptLevel.OVERLAP
         )
         out[gid] = state
     return len(sources)
@@ -53,7 +53,7 @@ class TestThreadedSSPPR:
             for m in range(3):
                 name = f"compute:{m}"
                 runtime.register_worker(name, m)
-                mine = np.flatnonzero(sharded.owner_shard == np.int64(m))[:3]
+                mine = sharded.shards[m].core_global[:3]
                 g = DistGraphStorage(rrefs, m, name, compress=True)
                 proc = runtime.process_of(name)
                 runtime.spawn(name, collector_driver(
@@ -81,7 +81,7 @@ class TestThreadedSSPPR:
             for m in range(2):
                 name = f"walker:{m}"
                 runtime.register_worker(name, m)
-                roots = np.flatnonzero(sharded.owner_shard == np.int64(m))[:5]
+                roots = np.arange(sharded.base[m], sharded.base[m] + 5)
                 g = DistGraphStorage(rrefs, m, name, compress=True)
                 proc = runtime.process_of(name)
                 runtime.spawn(name, distributed_random_walk(

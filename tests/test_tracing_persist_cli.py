@@ -96,8 +96,8 @@ class TestPersistence:
                                       sharded.result.assignment)
         for a, b in zip(loaded.shards, sharded.shards):
             np.testing.assert_array_equal(a.core_global, b.core_global)
-            np.testing.assert_array_equal(a.nbr_global, b.nbr_global)
-            np.testing.assert_allclose(a.nbr_weight, b.nbr_weight)
+            np.testing.assert_array_equal(a.rows.ids, b.rows.ids)
+            np.testing.assert_allclose(a.rows.weights, b.rows.weights)
 
     def test_halo_hops_preserved(self, tmp_path):
         g = powerlaw_cluster(200, 5, seed=5)

@@ -59,10 +59,7 @@ class TestDistributedBfs:
         graph = powerlaw_cluster(400, 6, mixing=0.2, seed=1)
         sharded, state = run_driver_on_cluster(
             graph, 3,
-            lambda g, proc, sh: distributed_bfs(
-                g, proc, int(sh.shards[0].core_global[0] * 0
-                             + sh.owner_local[sh.shards[0].core_global[0]])
-            ),
+            lambda g, proc, sh: distributed_bfs(g, proc, int(sh.base[0])),
         )
         source = int(sharded.shards[0].core_global[0])
         expected = single_machine_bfs(graph, source)
@@ -74,9 +71,7 @@ class TestDistributedBfs:
         sharded, state = run_driver_on_cluster(
             graph, 2,
             lambda g, proc, sh: distributed_bfs(
-                g, proc,
-                int(sh.owner_local[sh.shards[0].core_global[0]]),
-                max_depth=2,
+                g, proc, int(sh.base[0]), max_depth=2,
             ),
         )
         _keys, depths = state.results()
@@ -85,7 +80,7 @@ class TestDistributedBfs:
     def test_invalid_state_args(self):
         from repro.walk.bfs import BfsState
         with pytest.raises(ValueError):
-            BfsState(0, 0, 0)
+            BfsState(-1)
 
     @given(n=st.integers(20, 100), k=st.integers(1, 3),
            seed=st.integers(0, 10))
@@ -94,9 +89,7 @@ class TestDistributedBfs:
         graph = erdos_renyi(n, 4, seed=seed)
         sharded, state = run_driver_on_cluster(
             graph, k,
-            lambda g, proc, sh: distributed_bfs(
-                g, proc, int(sh.owner_local[sh.shards[0].core_global[0]])
-            ),
+            lambda g, proc, sh: distributed_bfs(g, proc, int(sh.base[0])),
             partitioner=HashPartitioner(),
         )
         source = int(sharded.shards[0].core_global[0])
@@ -111,7 +104,7 @@ class TestNode2vec:
         _, summary = run_driver_on_cluster(
             graph, 2,
             lambda g, proc, sh: distributed_node2vec_walk(
-                g, proc, sh.shards[0].core_global[:5], sh, 6,
+                g, proc, sh.nodes_of(sh.shards[0].core_global[:5]), sh, 6,
                 p=0.5, q=2.0, seed=4,
             ),
         )
@@ -131,7 +124,8 @@ class TestNode2vec:
             _, summary = run_driver_on_cluster(
                 graph, 1,
                 lambda g, proc, sh: distributed_node2vec_walk(
-                    g, proc, sh.shards[0].core_global[:8], sh, 20,
+                    g, proc, sh.nodes_of(sh.shards[0].core_global[:8]),
+                    sh, 20,
                     p=p, q=1.0, seed=5,
                 ),
                 partitioner=HashPartitioner(),

@@ -22,7 +22,7 @@ def run_wcc_all_machines(graph, n_machines, partitioner=None):
     for m in range(n_machines):
         name = f"compute:{m}.0"
         g = DistGraphStorage(cluster.rrefs, m, name)
-        seeds = np.arange(sharded.shards[m].n_core)
+        seeds = np.arange(sharded.base[m], sharded.base[m + 1])
 
         def driver(g=g, seeds=seeds, name=name):
             proc = cluster.scheduler.processes[name]
@@ -35,11 +35,9 @@ def run_wcc_all_machines(graph, n_machines, partitioner=None):
     labels = np.full(graph.n_nodes, np.iinfo(np.int64).max, dtype=np.int64)
     for name in names:
         state = cluster.scheduler.result_of(name)
-        keys, labs = state.results()
-        gids = sharded.global_of(keys // sharded.n_shards,
-                                 keys % sharded.n_shards)
-        np.minimum.at(labels, gids, labs)
-    # canonicalize label keys -> the min *global id* in each class
+        ids, labs = state.results()
+        np.minimum.at(labels, sharded.globals_of(ids), labs)
+    # canonicalize label ids -> the min *global id* in each class
     out = np.empty(graph.n_nodes, dtype=np.int64)
     for lab in np.unique(labels):
         members = np.flatnonzero(labels == lab)
@@ -50,7 +48,7 @@ def run_wcc_all_machines(graph, n_machines, partitioner=None):
 class TestWccState:
     def test_invalid_shards(self):
         with pytest.raises(ValueError):
-            WccState(np.array([0]), 0, 0)
+            WccState(np.array([-1]))
 
     def test_single_component_graph(self):
         g = powerlaw_cluster(150, 6, seed=0)
