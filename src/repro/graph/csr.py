@@ -46,6 +46,8 @@ class CSRGraph:
             )
         if len(indices) and (indices.min() < 0 or indices.max() >= n_nodes):
             raise GraphFormatError("indices out of range")
+        if not np.isfinite(weights).all():
+            raise GraphFormatError("edge weights must be finite")
         if np.any(weights < 0):
             raise GraphFormatError("negative edge weights are not supported")
         self.n_nodes = int(n_nodes)

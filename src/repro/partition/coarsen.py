@@ -30,33 +30,41 @@ class CoarseLevel:
 def heaviest_neighbor(graph: CSRGraph, eligible: np.ndarray) -> np.ndarray:
     """For each node, its heaviest eligible neighbor (-1 if none).
 
-    ``eligible`` is a boolean mask over nodes; arcs to ineligible nodes are
-    ignored.  Ties break toward the larger neighbor ID (lexsort order),
-    deterministically.
+    ``eligible`` is a boolean mask over nodes; an arc counts only when both
+    of its endpoints are eligible.  Among a row's heaviest such arcs the
+    larger neighbor ID wins, so the result is deterministic.
+
+    One segment arg-max per CSR row: ineligible arcs are masked to ``-inf``
+    (weights are finite, :class:`CSRGraph` checks), ``reduceat`` takes each
+    row's best weight and then the largest neighbor ID among the arcs that
+    attain it.  Empty rows are left out of the segment starts — ``reduceat``
+    would read the next row's first arc for them.
     """
-    n = graph.n_nodes
-    proposal = np.full(n, -1, dtype=np.int64)
+    proposal = np.full(graph.n_nodes, -1, dtype=np.int64)
     if graph.n_arcs == 0:
         return proposal
-    row = np.repeat(np.arange(n), np.diff(graph.indptr))
+    degree = np.diff(graph.indptr)
+    rows = np.flatnonzero(degree)
+    starts = graph.indptr[rows]
     col = graph.indices
-    w = graph.weights
-    mask = eligible[row] & eligible[col]
-    if not mask.any():
-        return proposal
-    row, col, w = row[mask], col[mask], w[mask]
-    # Sort by (row, weight, col); the last entry per row is the proposal.
-    order = np.lexsort((col, w, row))
-    row, col = row[order], col[order]
-    last = np.empty(len(row), dtype=bool)
-    last[-1] = True
-    last[:-1] = row[1:] != row[:-1]
-    proposal[row[last]] = col[last]
+    live = np.repeat(eligible, degree)
+    live &= eligible[col]
+    w = np.where(live, graph.weights, -np.inf)
+    best = np.maximum.reduceat(w, starts)
+    live &= w == np.repeat(best, degree[rows])
+    del w
+    proposal[rows] = np.maximum.reduceat(np.where(live, col, -1), starts)
     return proposal
 
 
 def match_mutual(graph: CSRGraph, *, rounds: int = 3) -> np.ndarray:
-    """Heavy-edge mutual matching; returns ``mate`` array (-1 = unmatched)."""
+    """Heavy-edge mutual matching; returns ``mate`` array (-1 = unmatched).
+
+    In each round every unmatched node proposes to its heaviest unmatched
+    neighbor — equal weights go to the larger neighbor ID, the rule of
+    :func:`heaviest_neighbor` — and two nodes that propose to each other
+    are matched.
+    """
     n = graph.n_nodes
     mate = np.full(n, -1, dtype=np.int64)
     for _ in range(rounds):
@@ -85,19 +93,29 @@ def contract(graph: CSRGraph, node_weights: np.ndarray,
     reps, fine_to_coarse = np.unique(rep, return_inverse=True)
     n_coarse = len(reps)
 
-    coarse_weights = np.zeros(n_coarse)
-    np.add.at(coarse_weights, fine_to_coarse, node_weights)
+    coarse_weights = np.bincount(fine_to_coarse, weights=node_weights,
+                                 minlength=n_coarse)
 
     if graph.n_arcs:
-        row = fine_to_coarse[np.repeat(np.arange(n), np.diff(graph.indptr))]
-        col = fine_to_coarse[graph.indices]
+        # A deployment's memory high-water mark sits in this block: coarse
+        # endpoints are built in scipy's index width (COO downcasts wider
+        # ones itself) and each E-sized temporary goes as soon as its
+        # consumer holds the result.
+        coarse_of = fine_to_coarse.astype(sp.get_index_dtype(maxval=n_coarse))
+        row = np.repeat(coarse_of, np.diff(graph.indptr))
+        col = coarse_of[graph.indices]
         keep = row != col  # intra-cluster arcs disappear
-        adj = sp.coo_matrix(
+        coo = sp.coo_matrix(
             (graph.weights[keep], (row[keep], col[keep])),
             shape=(n_coarse, n_coarse),
-        ).tocsr()
+        )
+        del row, col, keep
+        adj = coo.tocsr()
+        del coo
         adj.sum_duplicates()
-        coarse = CSRGraph.from_scipy(adj)
+        # ``adj`` is ours, so its arrays go in without ``from_scipy``'s
+        # defensive copies.
+        coarse = CSRGraph(n_coarse, adj.indptr, adj.indices, adj.data)
     else:
         coarse = CSRGraph.from_edges(n_coarse, [], [])
     return CoarseLevel(coarse, coarse_weights, fine_to_coarse)

@@ -40,8 +40,8 @@ def refine(graph: CSRGraph, assignment: np.ndarray, node_weights: np.ndarray,
     # can still exchange nodes (otherwise interleaved assignments are stuck).
     cap = max((1.0 + imbalance) * ideal,
               ideal + (node_weights.max() if len(node_weights) else 0.0))
-    part_weight = np.zeros(n_parts)
-    np.add.at(part_weight, assignment, node_weights)
+    part_weight = np.bincount(assignment, weights=node_weights,
+                              minlength=n_parts)
 
     for _ in range(max_passes):
         conn = connectivity_matrix(graph, assignment, n_parts)

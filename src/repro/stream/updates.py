@@ -50,8 +50,10 @@ class UpdateBatch:
         if n and not bool(np.all(np.isin(self.op, (OP_UPSERT, OP_DELETE)))):
             raise GraphFormatError("update ops must be +1 (upsert) or -1 "
                                    "(delete)")
-        upsert = self.op == OP_UPSERT
-        if n and bool(np.any(self.weight[upsert] <= 0.0)):
+        upsert_weight = self.weight[self.op == OP_UPSERT]
+        if not np.isfinite(upsert_weight).all():
+            raise GraphFormatError("upsert weights must be finite")
+        if np.any(upsert_weight <= 0.0):
             raise GraphFormatError("upsert weights must be positive")
 
     def __len__(self) -> int:

@@ -24,6 +24,15 @@ with the dict-of-dicts ``DynamicGraph`` and per-batch ``snapshot()``,
 *before* the CSR-backed mirror and the vectorised payload planner, refresh
 and shard splice replaced them
 (``python -m tests.test_golden_bitwise stream`` prints it).
+
+``tests/fixtures/golden_partition.json`` pins the array every shard, node id
+and deterministic bench column sits downstream of: the sha256 of
+``MetisLitePartitioner(seed=s).partition(g, K).assignment`` on both
+perfbench stand-ins — at ``scale=0.04`` for K in {2, 4, 8} and s in {0, 7}
+(tier-1), and at full scale for the perfbench deployment (K = 4, seed 0;
+``-m slow``).  Captured with the lexsort matching kernel and the int64
+``contract``, *before* the segment arg-max kernel and the int32 contraction
+replaced them (``python -m tests.test_golden_bitwise partition`` prints it).
 """
 
 import hashlib
@@ -34,13 +43,19 @@ import numpy as np
 import pytest
 
 from repro.engine import EngineConfig, GraphEngine, RunRequest
-from repro.graph import powerlaw_cluster
+from repro.graph import load_dataset, powerlaw_cluster
+from repro.partition import MetisLitePartitioner
 from repro.ppr import OptLevel, PPRParams
 from repro.serving.session import Session, SessionConfig
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_ppr.json"
 STREAM_FIXTURE = FIXTURE.with_name("golden_stream.json")
 STREAM_PUBLISH = (3, 17, 42, 101)
+PARTITION_FIXTURE = FIXTURE.with_name("golden_partition.json")
+PARTITION_GRAPHS = ("products", "twitter")
+#: (scale, n_parts, seed): the tier-1 grid, and the perfbench deployment
+PARTITION_SMALL = [(0.04, k, seed) for k in (2, 4, 8) for seed in (0, 7)]
+PARTITION_FULL = [(1.0, 4, 0)]
 PARAMS = PPRParams(epsilon=1e-6)
 MULTI_BATCHES = (1, 3, 16)
 N_SINGLE_SOURCES = 6
@@ -149,10 +164,38 @@ def test_stream_matches_golden_digest(runtime):
     assert compute_stream_digest(runtime) == golden[runtime]
 
 
+def compute_partition_digests(cases) -> dict[str, str]:
+    """sha256 of the assignment bytes per stand-in and (scale, K, seed)."""
+    out = {}
+    for name in PARTITION_GRAPHS:
+        graphs = {scale: load_dataset(name, scale=scale, use_cache=False)
+                  for scale in sorted({scale for scale, _, _ in cases})}
+        for scale, k, seed in cases:
+            assignment = MetisLitePartitioner(seed=seed).partition(
+                graphs[scale], k).assignment
+            assert assignment.dtype == np.int64
+            out[f"{name}.scale{scale}.K{k}.seed{seed}"] = hashlib.sha256(
+                assignment.tobytes()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param(PARTITION_SMALL, id="scale0.04"),
+    pytest.param(PARTITION_FULL, id="perfbench", marks=pytest.mark.slow),
+])
+def test_partition_matches_golden_digests(cases):
+    golden = json.loads(PARTITION_FIXTURE.read_text())
+    digests = compute_partition_digests(cases)
+    assert digests == {key: golden[key] for key in digests}
+
+
 if __name__ == "__main__":
     import sys
 
-    if sys.argv[1:] == ["stream"]:
+    if sys.argv[1:] == ["partition"]:
+        print(json.dumps(compute_partition_digests(
+            PARTITION_SMALL + PARTITION_FULL), indent=2))
+    elif sys.argv[1:] == ["stream"]:
         print(json.dumps({rt: compute_stream_digest(rt)
                           for rt in ("sim", "threads")}, indent=2))
     else:

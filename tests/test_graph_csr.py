@@ -52,6 +52,18 @@ class TestConstruction:
         with pytest.raises(GraphFormatError, match="negative"):
             CSRGraph.from_edges(2, [0], [1], [-1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        """NaN compares False with ``< 0``; only a finiteness check stops it."""
+        import scipy.sparse as sp
+        with pytest.raises(GraphFormatError, match="finite"):
+            CSRGraph(2, [0, 1, 2], [1, 0], [bad, 1.0])
+        with pytest.raises(GraphFormatError, match="finite"):
+            CSRGraph.from_edges(3, [0, 1], [1, 2], [1.0, bad])
+        with pytest.raises(GraphFormatError, match="finite"):
+            CSRGraph.from_scipy(sp.csr_matrix(
+                ([bad, 1.0], ([0, 1], [1, 0])), shape=(2, 2)))
+
     def test_empty_graph(self):
         g = CSRGraph.from_edges(5, [], [])
         assert g.n_arcs == 0

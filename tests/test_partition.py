@@ -1,12 +1,18 @@
 """Tests for the partitioning package (base, quality, all partitioners)."""
 
+import time
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PartitionError
-from repro.graph import complete_graph, erdos_renyi, path_graph, powerlaw_cluster
+from repro.graph import (CSRGraph, complete_graph, erdos_renyi, load_dataset,
+                         path_graph, powerlaw_cluster)
 from repro.partition import (
     BfsPartitioner,
     HashPartitioner,
@@ -17,7 +23,9 @@ from repro.partition import (
     edge_cut_fraction,
     partition_quality,
 )
-from repro.partition.coarsen import coarsen_to, contract, match_mutual
+from repro.partition import coarsen
+from repro.partition.coarsen import (CoarseLevel, coarsen_to, contract,
+                                     heaviest_neighbor, match_mutual)
 from repro.partition.refine import connectivity_matrix, refine
 
 
@@ -177,6 +185,182 @@ class TestCoarsening:
         sizes = [lv.graph.n_nodes for lv in levels]
         assert all(sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1))
         assert sizes[-1] <= 2000  # made progress or stopped cleanly
+
+
+def _lexsort_heaviest_neighbor(graph, eligible):
+    """The 3-key arc sort ``heaviest_neighbor`` used to be: the oracle."""
+    n = graph.n_nodes
+    proposal = np.full(n, -1, dtype=np.int64)
+    if graph.n_arcs == 0:
+        return proposal
+    row = np.repeat(np.arange(n), np.diff(graph.indptr))
+    col = graph.indices
+    w = graph.weights
+    mask = eligible[row] & eligible[col]
+    if not mask.any():
+        return proposal
+    row, col, w = row[mask], col[mask], w[mask]
+    # Sort by (row, weight, col); the last entry per row is the proposal.
+    order = np.lexsort((col, w, row))
+    row, col = row[order], col[order]
+    last = np.empty(len(row), dtype=bool)
+    last[-1] = True
+    last[:-1] = row[1:] != row[:-1]
+    proposal[row[last]] = col[last]
+    return proposal
+
+
+def _gather_contract(graph, node_weights, mate):
+    """``contract`` as it was: int64 gathers, ``np.add.at``, ``from_scipy``."""
+    n = graph.n_nodes
+    rep = np.arange(n)
+    matched = mate >= 0
+    rep[matched] = np.minimum(rep[matched], mate[matched])
+    reps, fine_to_coarse = np.unique(rep, return_inverse=True)
+    n_coarse = len(reps)
+    coarse_weights = np.zeros(n_coarse)
+    np.add.at(coarse_weights, fine_to_coarse, node_weights)
+    if graph.n_arcs:
+        row = fine_to_coarse[np.repeat(np.arange(n), np.diff(graph.indptr))]
+        col = fine_to_coarse[graph.indices]
+        keep = row != col
+        adj = sp.coo_matrix(
+            (graph.weights[keep], (row[keep], col[keep])),
+            shape=(n_coarse, n_coarse),
+        ).tocsr()
+        adj.sum_duplicates()
+        coarse = CSRGraph.from_scipy(adj)
+    else:
+        coarse = CSRGraph.from_edges(n_coarse, [], [])
+    return CoarseLevel(coarse, coarse_weights, fine_to_coarse)
+
+
+def _oracle_kernels():
+    """Run the coarsening phase on the two kernels this file keeps."""
+    return mock.patch.multiple(coarsen,
+                               heaviest_neighbor=_lexsort_heaviest_neighbor,
+                               contract=_gather_contract)
+
+
+#: few distinct values, so rows tie; both zeros, which compare equal
+_COLLIDING_WEIGHTS = (0.0, -0.0, 0.5, 1.0, 1.0, 2.0, 2.0)
+#: what one cell of the adjacency matrix may hold (None = no arc)
+_DENSE_CELLS = (None,) + _COLLIDING_WEIGHTS
+_SPARSE_CELLS = (None,) * 3 * len(_COLLIDING_WEIGHTS) + _COLLIDING_WEIGHTS
+
+
+@st.composite
+def colliding_graphs(draw):
+    """Small weighted CSR graphs built to tie, with empty rows forced at the
+    start / middle / end (isolated nodes, when the graph is symmetric)."""
+    n = draw(st.integers(1, 10))
+    cell = st.sampled_from(draw(st.sampled_from((_DENSE_CELLS,
+                                                 _SPARSE_CELLS))))
+    cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    symmetric = draw(st.booleans())
+    empty = draw(st.sets(st.sampled_from((0, n // 2, n - 1))))
+    indptr, indices, weights = [0], [], []
+    for u in range(n):
+        for v in range(n):
+            w = cells[min(u, v) * n + max(u, v)] if symmetric \
+                else cells[u * n + v]
+            if w is None or u == v or u in empty or (symmetric and v in empty):
+                continue
+            indices.append(v)
+            weights.append(w)
+        indptr.append(len(indices))
+    return CSRGraph(n, indptr, indices, weights)
+
+
+def _identical(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bytes (stricter than ``==``: signed zeros)."""
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestSegmentArgMaxAgainstLexsort:
+    """The parent's kernels (arc sort, int64 contraction) are the oracle."""
+
+    @given(graph=colliding_graphs(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_proposals_matching_and_hierarchy(self, graph, data):
+        n = graph.n_nodes
+        everyone = np.ones(n, dtype=bool)
+        heaviest = _lexsort_heaviest_neighbor(graph, everyone)
+        only_heaviest_out = everyone.copy()
+        only_heaviest_out[heaviest[data.draw(st.integers(0, n - 1))]] = False
+        masks = (
+            everyone,
+            np.zeros(n, dtype=bool),
+            np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n))),
+            # the drawn row's winner (node n-1 if it has none) sits out
+            only_heaviest_out,
+        )
+        for eligible in masks:
+            assert _identical(heaviest_neighbor(graph, eligible),
+                              _lexsort_heaviest_neighbor(graph, eligible))
+
+        mate = match_mutual(graph)
+        levels = coarsen_to(graph, 1)
+        with _oracle_kernels():
+            assert _identical(mate, match_mutual(graph))
+            expected = coarsen_to(graph, 1)
+        assert len(levels) == len(expected)
+        for got, want in zip(levels, expected):
+            assert _identical(got.fine_to_coarse, want.fine_to_coarse)
+            assert _identical(got.node_weights, want.node_weights)
+            assert _identical(got.graph.indptr, want.graph.indptr)
+            assert _identical(got.graph.indices, want.graph.indices)
+            assert _identical(got.graph.weights, want.graph.weights)
+
+    def test_tie_goes_to_larger_id_and_zeros_compare_equal(self):
+        # row 0: weights 2, 2, -0.0 -> the larger id of the two 2s;
+        # row 1: 0.0 vs -0.0 tie -> larger id; row 2 empty; node 4 isolated
+        g = CSRGraph(5, [0, 3, 5, 5, 6, 6], [1, 2, 3, 0, 3, 0],
+                     [2.0, 2.0, -0.0, 0.0, -0.0, 1.0])
+        everyone = np.ones(5, dtype=bool)
+        np.testing.assert_array_equal(heaviest_neighbor(g, everyone),
+                                      [2, 3, -1, 0, -1])
+        without_2 = everyone.copy()
+        without_2[2] = False
+        np.testing.assert_array_equal(heaviest_neighbor(g, without_2),
+                                      [1, 3, -1, 0, -1])
+
+
+@pytest.mark.slow
+class TestSetupPathGuards:
+    """Full stand-in scale: what a deployment pays before its first query."""
+
+    def test_coarsening_transient_memory(self):
+        """E-sized temporaries above the retained hierarchy stay bounded.
+
+        Reached: 20.2 MB on ``products`` (the arc sort and int64
+        contraction this replaced: 34.3 MB); the bound is that plus 25%.
+        """
+        graph = load_dataset("products", scale=1.0, use_cache=False)
+        tracemalloc.start()
+        try:
+            levels = coarsen_to(graph, 240)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(levels) == 3
+        assert (peak - retained) / 2**20 <= 20.2 * 1.25
+
+    def test_hub_graph_partitions_in_proportion_to_its_arcs(self):
+        """``twitter`` has 1.85x the arcs of ``products``; an E log E pass
+        over its hub rows would show as a super-linear cost ratio."""
+        seconds = {}
+        for name in ("products", "twitter"):
+            graph = load_dataset(name, scale=1.0, use_cache=False)
+            runs = []
+            for _ in range(3):
+                start = time.perf_counter()
+                MetisLitePartitioner(seed=0).partition(graph, 4)
+                runs.append(time.perf_counter() - start)
+            seconds[name] = min(runs)
+        assert seconds["twitter"] < 3.0 * seconds["products"], seconds
 
 
 class TestRefine:

@@ -69,6 +69,13 @@ class TestUpdateBatch:
         with pytest.raises(GraphFormatError):
             UpdateBatch([0, 1], [1], [1.0], [1])       # ragged
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_upsert_weight_rejected(self, bad):
+        with pytest.raises(GraphFormatError, match="finite"):
+            UpdateBatch([0, 2], [1, 3], [1.0, bad], [1, 1])
+        # a delete's weight is ignored, so it is not inspected either
+        assert UpdateBatch([0, 2], [1, 3], [1.0, bad], [1, -1]).n_deletes == 1
+
     def test_split_concat_roundtrip(self):
         b = UpdateBatch([0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0], [1, 1, -1])
         head, tail = b.split(2)
