@@ -33,13 +33,12 @@ import numpy as np
 
 from repro.engine.cluster import SimCluster
 from repro.engine.config import EngineConfig
-from repro.engine.query import assign_queries, sample_sources
+from repro.engine.query import sample_sources
 from repro.engine.request import RunRequest
 from repro.graph.csr import CSRGraph
 from repro.ppr.params import PPRParams
 from repro.storage.build import ShardedGraph, build_shards
 from repro.storage.dist_storage import DistGraphStorage
-from repro.walk.random_walk import distributed_random_walk
 
 
 @dataclass
@@ -227,25 +226,16 @@ class GraphEngine:
     # -- random walks ---------------------------------------------------------
     def run_random_walks(self, n_roots: int, walk_length: int, *,
                          seed: int | None = None) -> "WalkRunResult":
-        """Distributed random walks (Figure 4 right)."""
-        cfg = self.config
-        seed = cfg.seed if seed is None else seed
-        roots = self.sharded.nodes_of(
-            sample_sources(self.sharded, n_roots, seed=seed))
-        cluster = SimCluster(self.sharded, cfg)
-        assignment = assign_queries(self.sharded, roots,
-                                    cfg.procs_per_machine)
-        names = []
-        for (machine, proc_index), chunk in assignment.items():
-            proc = cluster.worker(machine, proc_index)
-            g = DistGraphStorage(cluster.rrefs, machine, proc.name,
-                                 compress=True)
-            names.append(cluster.spawn_compute(
-                machine, proc_index, distributed_random_walk(
-                    g, proc, chunk, self.sharded, walk_length)))
-        makespan = cluster.run()
-        summary = np.concatenate(
-            [cluster.result_of(n) for n in sorted(names)], axis=0)
+        """Distributed random walks (Figure 4 right).
+
+        Thin wrapper over a throwaway serving session, like :meth:`run`:
+        the body is :meth:`repro.serving.Session.run_walks`.
+        """
+        from repro.serving.session import Session
+
+        seed = self.config.seed if seed is None else seed
+        roots = sample_sources(self.sharded, n_roots, seed=seed)
+        summary, makespan, _ = Session(self).run_walks(roots, walk_length)
         return WalkRunResult(
             roots=summary[:, 0],
             walks=summary,

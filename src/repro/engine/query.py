@@ -19,12 +19,13 @@ from repro.errors import SimulationError
 from repro.ppr.distributed import (
     DegradationMode,
     OptLevel,
+    distributed_multi_query,
     distributed_sppr_query,
     distributed_tensor_query,
 )
 from repro.ppr.params import PPRParams
 from repro.storage.build import ShardedGraph
-from repro.storage.dist_storage import DistGraphStorage
+from repro.storage.dist_storage import DistGraphStorage, shard_masks
 from repro.utils.rng import rng_from_seed
 
 
@@ -62,10 +63,9 @@ def assign_queries(sharded: ShardedGraph, sources: np.ndarray,
     """
     if procs_per_machine <= 0:
         raise ValueError("procs_per_machine must be > 0")
-    owner = sharded.owner_of(sources)
     assignment: dict[tuple[int, int], np.ndarray] = {}
-    for m in range(sharded.n_shards):
-        mine = sources[owner == m]
+    for m, mask in shard_masks(sharded.base, sources).items():
+        mine = sources[mask]
         for p in range(procs_per_machine):
             chunk = mine[p::procs_per_machine]
             if len(chunk):
@@ -126,8 +126,6 @@ def multi_query_batched_driver(g: DistGraphStorage, proc,
     ``collect`` as lightweight result adapters compatible with the
     single-query state's ``results_global``/``dense_result`` surface.
     """
-    from repro.ppr.distributed import distributed_multi_query
-
     gids = _owned_globals(g, sharded, sources)
     with proc.span("query_batch", n_queries=len(sources)):
         multi = yield from distributed_multi_query(g, proc, sources, params)

@@ -46,6 +46,11 @@ class WorkerCrashedError(RpcError):
     """
 
 
+#: transport-level failures a degradation mode may absorb.  Handler errors
+#: (ShardError etc.) always propagate: they are bugs, not faults.
+TRANSPORT_ERRORS = (RpcTimeoutError, WorkerCrashedError)
+
+
 class SimulationError(ReproError):
     """The discrete-event runtime reached an invalid state (e.g. deadlock)."""
 

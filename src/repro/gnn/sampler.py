@@ -17,7 +17,7 @@ from repro.gnn.data import Batch
 from repro.ppr.ppr_ops import SSPPR
 from repro.simt.events import Wait, WaitAll
 from repro.storage.build import ShardedGraph
-from repro.storage.dist_storage import DistGraphStorage
+from repro.storage.dist_storage import DistGraphStorage, shard_masks
 from repro.storage.feature_store import DistFeatureStore, assemble_rows
 from repro.utils.validation import check_positive
 
@@ -48,23 +48,16 @@ def induce_subgraph(sharded: ShardedGraph, g: DistGraphStorage,
     """
     node_set = np.asarray(node_set, dtype=np.int64)
     ids = sharded.nodes_of(node_set)
-    shard = sharded.owner_of(ids)
-    futs, masks = {}, {}
-    for j in range(sharded.n_shards):
-        mask = shard == j
-        if not mask.any():
-            continue
-        masks[j] = mask
-        futs[j] = g.get_neighbor_infos(j, ids[mask])
+    masks = shard_masks(sharded.base, ids)
+    futs = {j: g.get_neighbor_infos(j, ids[mask])
+            for j, mask in masks.items()}
     rows_parts, cols_parts, data_parts = [], [], []
-    row_of = {int(gid): i for i, gid in enumerate(node_set)}
-    for j in sorted(futs):
-        infos = yield Wait(futs[j])
+    for j, fut in futs.items():
+        infos = yield Wait(fut)
         indptr, nbr_ids, weights, _wd, _src = infos.to_arrays()
         nbr_gids = sharded.globals_of(nbr_ids)
-        src_rows = np.flatnonzero(masks[j])
         counts = np.diff(indptr)
-        row_ids = np.repeat(src_rows, counts)
+        row_ids = np.repeat(masks[j], counts)
         keep = np.isin(nbr_gids, node_set)
         col_ids = np.searchsorted(node_set, nbr_gids[keep])
         rows_parts.append(row_ids[keep])
@@ -79,7 +72,6 @@ def induce_subgraph(sharded: ShardedGraph, g: DistGraphStorage,
         ).tocsr()
     else:
         adj = sp.csr_matrix((n, n))
-    del row_of
     return adj
 
 

@@ -1,10 +1,12 @@
 """Distributed SSPPR drivers — the iteration loops of Figure 4.
 
-Both drivers are generator coroutines runnable on either runtime (the
+The drivers are generator coroutines runnable on either runtime (the
 virtual-time scheduler for benchmarks, real threads for concurrency tests).
-They yield :class:`~repro.simt.events.Wait` effects on remote futures and
-wrap real compute in ``proc.measured(category)`` blocks, which is where the
-Figure 6 / Table 3 breakdowns come from.
+Each is a ``while pop:`` header around one
+:func:`~repro.storage.dist_storage.fetch_round`, which yields
+:class:`~repro.simt.events.Wait` effects on remote futures and wraps real
+compute in ``proc.measured(category)`` blocks — where the Figure 6 /
+Table 3 breakdowns come from.
 
 :func:`distributed_sppr_query` is the PPR Engine (hashmap ops) with the
 cumulative optimization levels of Table 3:
@@ -25,16 +27,13 @@ import enum
 
 import numpy as np
 
-from repro.errors import RpcTimeoutError, WorkerCrashedError
+from repro.ppr.multi_query import MultiSSPPR
 from repro.ppr.params import PPRParams
 from repro.ppr.ppr_ops import SSPPR
 from repro.ppr.tensor_ops import DenseSSPPR
 from repro.simt.events import Wait
-from repro.storage.dist_storage import DistGraphStorage
-
-#: transport-level failures the degradation modes may absorb.  Handler
-#: errors (ShardError etc.) always propagate: they are bugs, not faults.
-TRANSPORT_ERRORS = (RpcTimeoutError, WorkerCrashedError)
+from repro.storage.dist_storage import DistGraphStorage, await_fetch, \
+    fetch_round
 
 
 class DegradationMode(enum.Enum):
@@ -95,10 +94,8 @@ def distributed_sppr_query(g: DistGraphStorage, proc, source: int,
             f"storage compress={g.compress} inconsistent with opt={opt}"
         )
     skip = degradation is DegradationMode.SKIP_REMOTE
-    shard = g.shard_id
-    wfut = g.source_weighted_degrees(
-        shard, np.array([source], dtype=np.int64)
-    )
+    wfut = g.source_weighted_degrees(g.shard_id,
+                                     np.array([source], dtype=np.int64))
     src_wdeg = (yield Wait(wfut))[0]
     m = SSPPR(source, params, float(src_wdeg))
 
@@ -121,66 +118,20 @@ def distributed_sppr_query(g: DistGraphStorage, proc, source: int,
                 # Convert once per frontier, not one int() per vertex.
                 node_list = node_ids.tolist()
                 shard_list = owners[order].tolist()
-            for i in range(len(node_list)):
-                fut = g.get_neighbor_infos_single(shard_list[i], node_list[i])
-                try:
-                    with proc.span("fetch", shard=shard_list[i]):
-                        infos = yield Wait(fut)
-                except TRANSPORT_ERRORS:
-                    if not skip:
-                        raise
-                    m.abandon(node_ids[i:i + 1])
+            for i, (j, v) in enumerate(zip(shard_list, node_list)):
+                one = node_ids[i:i + 1]
+                infos = yield from await_fetch(
+                    proc, j, g.get_neighbor_infos_single(j, v), skip)
+                if infos is None:  # skip_remote: write this vertex off
+                    m.abandon(one)
                     continue
                 with proc.measured("push"):
-                    m.push(infos, node_ids[i:i + 1])
+                    m.push(infos, one)
             continue
 
-        with proc.measured("pop"):
-            masks = g.shard_masks(node_ids)
-
-        # Issue remote batches first (they are asynchronous either way; the
-        # overlap flag decides whether we wait before or after local work).
-        # shard_masks entries are non-empty index arrays by construction.
-        futs = {}
-        for j, mask in masks.items():
-            if j != shard:
-                futs[j] = g.get_neighbor_infos(j, node_ids[mask])
-
-        remote_infos = {}
-        if not opt.overlapped:
-            for j, fut in futs.items():
-                try:
-                    with proc.span("fetch", shard=j):
-                        remote_infos[j] = yield Wait(fut)
-                except TRANSPORT_ERRORS:
-                    if not skip:
-                        raise
-                    remote_infos[j] = None
-
-        local_mask = masks.get(shard)
-        if local_mask is not None:
-            lfut = g.get_neighbor_infos(shard, node_ids[local_mask])
-            infos = yield Wait(lfut)  # local calls resolve synchronously
-            with proc.measured("push"):
-                m.push(infos, node_ids[local_mask])
-
-        for j in futs:
-            jm = masks[j]
-            if opt.overlapped:
-                try:
-                    with proc.span("fetch", shard=j):
-                        infos = yield Wait(futs[j])
-                except TRANSPORT_ERRORS:
-                    if not skip:
-                        raise
-                    infos = None
-            else:
-                infos = remote_infos[j]
-            if infos is None:  # skip_remote: write off this shard's batch
-                m.abandon(node_ids[jm])
-                continue
-            with proc.measured("push"):
-                m.push(infos, node_ids[jm])
+        yield from fetch_round(g, proc, node_ids, m.push,
+                               overlap=opt.overlapped,
+                               lost=m.abandon if skip else None)
     return m
 
 
@@ -194,13 +145,10 @@ def distributed_multi_query(g: DistGraphStorage, proc,
     storage (the batched responses are CSR).  Returns the finished
     :class:`~repro.ppr.multi_query.MultiSSPPR`.
     """
-    from repro.ppr.multi_query import MultiSSPPR
-
     if not g.compress:
         raise ValueError("multi-query batching requires compressed storage")
-    shard = g.shard_id
     sources = np.asarray(sources, dtype=np.int64)
-    wfut = g.source_weighted_degrees(shard, sources)
+    wfut = g.source_weighted_degrees(g.shard_id, sources)
     src_wdegs = yield Wait(wfut)
     m = MultiSSPPR(sources, params, src_wdegs)
 
@@ -209,22 +157,7 @@ def distributed_multi_query(g: DistGraphStorage, proc,
             node_ids = m.pop()
         if len(node_ids) == 0:
             break
-        with proc.measured("pop"):
-            masks = g.shard_masks(node_ids)
-        futs = {}
-        for j, mask in masks.items():
-            if j != shard:
-                futs[j] = g.get_neighbor_infos(j, node_ids[mask])
-        local_mask = masks.get(shard)
-        if local_mask is not None:
-            infos = yield Wait(g.get_neighbor_infos(shard,
-                                                    node_ids[local_mask]))
-            with proc.measured("push"):
-                m.push(infos, node_ids[local_mask])
-        for j in futs:
-            infos = yield Wait(futs[j])
-            with proc.measured("push"):
-                m.push(infos, node_ids[masks[j]])
+        yield from fetch_round(g, proc, node_ids, m.push)
     return m
 
 
@@ -236,10 +169,8 @@ def distributed_tensor_query(g: DistGraphStorage, proc, source: int,
     baseline's best configuration) but dense |V| state; every iteration pays
     the full activation scan in ``pop``.
     """
-    shard = g.shard_id
-    wfut = g.source_weighted_degrees(
-        shard, np.array([source], dtype=np.int64)
-    )
+    wfut = g.source_weighted_degrees(g.shard_id,
+                                     np.array([source], dtype=np.int64))
     src_wdeg = (yield Wait(wfut))[0]
     m = DenseSSPPR(source, params, to_node)
     m.seed_source_degree(float(src_wdeg))
@@ -249,25 +180,6 @@ def distributed_tensor_query(g: DistGraphStorage, proc, source: int,
             node_ids = m.pop()
         if len(node_ids) == 0:
             break
-        with proc.measured("pop"):
-            masks = g.shard_masks(node_ids)
-
-        futs = {}
-        for j, mask in masks.items():
-            if j != shard:
-                futs[j] = g.get_neighbor_infos(j, node_ids[mask])
         # Figure 6 configuration: no overlap — wait before local work.
-        remote_infos = {}
-        for j, fut in futs.items():
-            remote_infos[j] = yield Wait(fut)
-
-        local_mask = masks.get(shard)
-        if local_mask is not None:
-            lfut = g.get_neighbor_infos(shard, node_ids[local_mask])
-            infos = yield Wait(lfut)
-            with proc.measured("push"):
-                m.push(infos, node_ids[local_mask])
-        for j, infos in remote_infos.items():
-            with proc.measured("push"):
-                m.push(infos, node_ids[masks[j]])
+        yield from fetch_round(g, proc, node_ids, m.push, overlap=False)
     return m

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ppr.hashmap import ShardedMap, fit_values
 from repro.ppr.params import PPRParams
-from repro.ppr.ppr_ops import split_residual
+from repro.ppr.ppr_ops import PushState
 
 
-class MultiSSPPR:
+class MultiSSPPR(PushState):
     """Lockstep state for a batch of SSPPR queries sharing fetches."""
 
     def __init__(self, sources, params: PPRParams, source_wdegs) -> None:
@@ -39,31 +38,12 @@ class MultiSSPPR:
             raise ValueError("source_wdegs length mismatch")
         if np.any(source_wdegs < 0):
             raise ValueError("source_wdegs must be >= 0")
-        self.params = params
         self.n_queries = len(sources)
-        self.map = ShardedMap()
-        cap = 1024
-        self.residual = np.zeros(cap)
-        self.ppr = np.zeros(cap)
-        self.wdeg = np.zeros(cap)
-        self.queued = np.zeros(cap, dtype=bool)  # the activated pairs
         # The popped pairs sorted by pair key, as (node ids, query ids,
         # slots); None once a pop found nothing activated.
         self._pending: tuple | None = None
-        self.n_pushes = 0
-        self.n_entries_processed = 0
-        self.n_iterations = 0
-
         qids = np.arange(self.n_queries, dtype=np.int64)
-        idx, _ = self.map.get_or_insert(sources * self.n_queries + qids)
-        self._fit_values()
-        self.residual[idx] = 1.0
-        self.wdeg[idx] = source_wdegs
-        self.queued[idx] = True
-
-    def _fit_values(self) -> None:
-        (self.residual, self.ppr, self.wdeg, self.queued) = fit_values(
-            self.map, self.residual, self.ppr, self.wdeg, self.queued)
+        self._seed(params, sources * self.n_queries + qids, source_wdegs)
 
     # -- operators -----------------------------------------------------------
     def pop(self) -> np.ndarray:
@@ -73,11 +53,10 @@ class MultiSSPPR:
         Returned node ids are ascending (the order push expects back via
         its ``ids`` argument).
         """
-        slots = np.flatnonzero(self.queued[: len(self.map)])
+        slots = self._drain()
         if len(slots) == 0:
             self._pending = None
             return slots
-        self.queued[slots] = False
         pairs = self.map.keys()[slots]
         order = np.argsort(pairs)
         # pairs are sorted, so pair_nodes is sorted: dedupe with one diff
@@ -87,7 +66,6 @@ class MultiSSPPR:
         first = np.empty(len(pair_nodes), dtype=bool)
         first[0] = True
         np.not_equal(pair_nodes[1:], pair_nodes[:-1], out=first[1:])
-        self.n_iterations += 1
         return pair_nodes[first]
 
     def push(self, infos, ids: np.ndarray) -> None:
@@ -119,13 +97,7 @@ class MultiSSPPR:
         # chunk-node index each pair belongs to
         pair_chunk_idx = np.repeat(np.arange(len(chunk_nodes)), pair_counts)
 
-        idx_v = pair_slots[pair_sel]
-        r_v = self.residual[idx_v]
-        self.residual[idx_v] = 0.0
-        gained, scale = split_residual(r_v, src_wdeg[pair_chunk_idx],
-                                       self.params.alpha)
-        self.ppr[idx_v] += gained
-        self.n_pushes += total_pairs
+        scale = self._take(pair_slots[pair_sel], src_wdeg[pair_chunk_idx])
         # Expand each pair over its node's adjacency row.
         row_counts = indptr[1:] - indptr[:-1]
         pair_row_counts = row_counts[pair_chunk_idx]
@@ -137,34 +109,12 @@ class MultiSSPPR:
         np.cumsum(pair_row_counts, out=entry_offsets[1:])
         entry_idx = np.repeat(row_starts - entry_offsets[:-1],
                               pair_row_counts) + np.arange(total_entries)
-        contrib = weights[entry_idx] * np.repeat(scale, pair_row_counts)
-        self.n_entries_processed += total_entries
-
-        target_pairs = (nbr_ids[entry_idx] * self.n_queries
-                        + np.repeat(sel_qids, pair_row_counts))
-        touched = len(self.map)
-        slots, new = self.map.get_or_insert(target_pairs)
-        if len(self.map) > touched:
-            self._fit_values()
-            self.wdeg[slots[new]] = nbr_wdeg[entry_idx[new]]
-            touched = len(self.map)
-        self.residual[:touched] += np.bincount(slots, weights=contrib,
-                                               minlength=touched)
-
-        threshold = self.params.epsilon * self.wdeg[slots]
-        above = self.residual[slots] > threshold
-        self.queued[slots[above]] = True
+        self._spread(nbr_ids[entry_idx] * self.n_queries
+                     + np.repeat(sel_qids, pair_row_counts),
+                     weights[entry_idx] * np.repeat(scale, pair_row_counts),
+                     nbr_wdeg, entry_idx)
 
     # -- results ------------------------------------------------------------
-    @property
-    def n_touched_pairs(self) -> int:
-        return len(self.map)
-
-    def total_mass(self) -> float:
-        """Sum over all queries — invariantly ``n_queries``."""
-        n = len(self.map)
-        return float(self.ppr[:n].sum() + self.residual[:n].sum())
-
     def results_for(self, qid: int) -> tuple[np.ndarray, np.ndarray]:
         """``(node ids, ppr)`` of one query's positive-mass nodes."""
         if not 0 <= qid < self.n_queries:

@@ -1,14 +1,15 @@
 """Local PPR operators (paper Section 3.3): slot-table ``pop`` / ``push``.
 
-:class:`SSPPR` holds the state of one in-flight SSPPR query: a
-:class:`~repro.ppr.hashmap.ShardedMap` from node ids to dense slots, and
-dense value arrays (residual, PPR score, weighted
-degree, queued flag) indexed by slot.  The activated set *is* the queued
-flags of the touched slots, so only ``push`` resolves keys.  Work per
-iteration is proportional to the *touched frontier*, never to |V| — the
-property that separates the PPR Engine from the tensor baseline.  Slots are
-numbered by first touch, so ``results()`` enumerates nodes in the order the
-query reached them.
+:class:`PushState` holds the state of in-flight Forward Push: a
+:class:`~repro.ppr.hashmap.ShardedMap` from keys to dense slots (node ids
+for one :class:`SSPPR` query, ``(node, query)`` pairs for a fused
+:class:`~repro.ppr.multi_query.MultiSSPPR` batch), and dense value arrays
+(residual, PPR score, weighted degree, queued flag) indexed by slot.  The
+activated set *is* the queued flags of the touched slots, so only ``push``
+resolves keys.  Work per iteration is proportional to the *touched
+frontier*, never to |V| — the property that separates the PPR Engine from
+the tensor baseline.  Slots are numbered by first touch, so ``results()``
+enumerates nodes in the order the query reached them.
 
 Semantics follow the parallel Forward Push of Shun et al. [22] as adapted by
 the paper: ``pop`` drains the activated set; ``push`` consumes a batch of
@@ -51,13 +52,16 @@ def split_residual(r_v: np.ndarray, src_wdeg: np.ndarray,
     return gained, scale
 
 
-class SSPPR:
-    """State and operators for one SSPPR query."""
+class PushState:
+    """The slot table, its four value arrays and the operator counters.
 
-    def __init__(self, source: int, params: PPRParams,
-                 source_wdeg: float) -> None:
-        if source_wdeg < 0:
-            raise ValueError(f"source_wdeg must be >= 0, got {source_wdeg}")
+    Subclasses decide what a key is and how a response expands into
+    entries; taking a source's residual, the scatter-add and the
+    ``r > eps * d_w`` activation rule are written here, once.
+    """
+
+    def _seed(self, params: PPRParams, keys: np.ndarray, wdegs) -> None:
+        """Fresh state with residual 1 queued on each of ``keys``."""
         self.params = params
         self.map = ShardedMap()
         cap = 1024
@@ -69,17 +73,90 @@ class SSPPR:
         self.n_pushes = 0
         self.n_entries_processed = 0
         self.n_iterations = 0
+        idx, _ = self.map.get_or_insert(keys)
+        self._fit_values()
+        self.residual[idx] = 1.0
+        self.wdeg[idx] = wdegs
+        self.queued[idx] = True
+
+    def _fit_values(self) -> None:
+        (self.residual, self.ppr, self.wdeg, self.queued) = fit_values(
+            self.map, self.residual, self.ppr, self.wdeg, self.queued)
+
+    def _drain(self) -> np.ndarray:
+        """Slots of the activated set, ascending; clears it.
+
+        One flag per *touched* slot, so this scans O(touched) bytes (never
+        |V|) and needs no dedup however many entries activated a key.
+        """
+        slots = np.flatnonzero(self.queued[: len(self.map)])
+        if len(slots):
+            self.queued[slots] = False
+            self.n_iterations += 1
+        return slots
+
+    def _take(self, idx_v: np.ndarray, src_wdeg: np.ndarray) -> np.ndarray:
+        """Push sources at slots ``idx_v``: bank ``alpha * r``, zero ``r``.
+
+        Returns the per-source ``scale`` their out-edge weights spread by.
+        """
+        r_v = self.residual[idx_v]
+        self.residual[idx_v] = 0.0
+        gained, scale = split_residual(r_v, src_wdeg, self.params.alpha)
+        self.ppr[idx_v] += gained
+        self.n_pushes += len(idx_v)
+        return scale
+
+    def _spread(self, keys: np.ndarray, contrib: np.ndarray,
+                nbr_wdeg: np.ndarray, pos: np.ndarray | None = None) -> None:
+        """Add ``contrib[i]`` to the residual of ``keys[i]``; activate.
+
+        The weighted degree of ``keys[i]`` is ``nbr_wdeg[i]``, or
+        ``nbr_wdeg[pos[i]]`` when entries are an expansion of the
+        response's columns.
+        """
+        self.n_entries_processed += len(contrib)
+        if len(contrib) == 0:
+            return
+        # Resolve target slots in one vectorized pass (duplicates fine).
+        touched = len(self.map)
+        slots, new = self.map.get_or_insert(keys)
+        if len(self.map) > touched:
+            self._fit_values()
+            # Record the newcomers' weighted degrees (duplicates write the
+            # same global value, so no per-key dedup is needed).
+            self.wdeg[slots[new]] = nbr_wdeg[new if pos is None
+                                             else pos[new]]
+            touched = len(self.map)
+        # Scatter-add over the *dense slot domain*: O(touched), never O(|V|).
+        # This aggregation confined to touched nodes is the engine's win.
+        self.residual[:touched] += np.bincount(slots, weights=contrib,
+                                               minlength=touched)
+
+        threshold = self.params.epsilon * self.wdeg[slots]
+        above = self.residual[slots] > threshold
+        self.queued[slots[above]] = True
+
+    def total_mass(self) -> float:
+        """``sum(ppr) + sum(residual)`` — invariantly one per query."""
+        n = len(self.map)
+        return float(self.ppr[:n].sum() + self.residual[:n].sum())
+
+
+class SSPPR(PushState):
+    """State and operators for one SSPPR query."""
+
+    def __init__(self, source: int, params: PPRParams,
+                 source_wdeg: float) -> None:
+        if source_wdeg < 0:
+            raise ValueError(f"source_wdeg must be >= 0, got {source_wdeg}")
+        self._seed(params, np.array([int(source)], dtype=np.int64),
+                   float(source_wdeg))
         # Degradation accounting (skip_remote fault handling): residual mass
         # written off because its shard could not be fetched.  Invariantly
         # sum(ppr) + sum(residual) + abandoned_mass == 1.
         self.abandoned_mass = 0.0
         self.skipped_fetches = 0
-
-        idx, _ = self.map.get_or_insert(np.array([int(source)],
-                                                  dtype=np.int64))
-        self.residual[idx[0]] = 1.0
-        self.wdeg[idx[0]] = float(source_wdeg)
-        self.queued[idx[0]] = True
 
     # -- operators -----------------------------------------------------------
     def pop(self) -> np.ndarray:
@@ -88,17 +165,10 @@ class SSPPR:
         The paper: "the pop operator first returns the local ID tensor and
         the shard ID tensor from the current activated vertex set and then
         clears the set" — one id tensor here, because a node id names its
-        shard.  The set is one flag per *touched* slot, so this scans
-        O(touched) bytes (never |V|) and needs no dedup however many
-        entries activated a node.  Ascending ids are shard-major: each
-        shard's sources form one run, in row order.
+        shard.  Ascending ids are shard-major: each shard's sources form
+        one run, in row order.
         """
-        slots = np.flatnonzero(self.queued[: len(self.map)])
-        if len(slots) == 0:
-            return slots
-        self.queued[slots] = False
-        self.n_iterations += 1
-        return np.sort(self.map.keys()[slots])
+        return np.sort(self.map.keys()[self._drain()])
 
     def push(self, infos, ids: np.ndarray) -> None:
         """Apply one batch of pushes given fetched neighbor information.
@@ -118,38 +188,10 @@ class SSPPR:
         idx_v = self.map.lookup(ids)
         if idx_v.min() < 0:
             raise ValueError("push received sources that were never touched")
-
-        r_v = self.residual[idx_v]
-        self.residual[idx_v] = 0.0
-        gained, scale = split_residual(r_v, src_wdeg, self.params.alpha)
-        self.ppr[idx_v] += gained
-        self.n_pushes += len(idx_v)
-
+        scale = self._take(idx_v, src_wdeg)
         # Per-entry contribution: w(v,u) / d_w(v) * (1 - alpha) * r(v).
         counts = indptr[1:] - indptr[:-1]
-        contrib = weights * np.repeat(scale, counts)
-        self.n_entries_processed += len(contrib)
-        if len(contrib) == 0:
-            return
-
-        # Resolve neighbor slots in one vectorized pass (duplicates fine).
-        touched = len(self.map)
-        slots, new = self.map.get_or_insert(nbr_ids)
-        if len(self.map) > touched:
-            (self.residual, self.ppr, self.wdeg, self.queued) = fit_values(
-                self.map, self.residual, self.ppr, self.wdeg, self.queued)
-            # Record the newcomers' weighted degrees (duplicates write the
-            # same global value, so no per-key dedup is needed).
-            self.wdeg[slots[new]] = nbr_wdeg[new]
-            touched = len(self.map)
-        # Scatter-add over the *dense slot domain*: O(touched), never O(|V|).
-        # This aggregation confined to touched nodes is the engine's win.
-        self.residual[:touched] += np.bincount(slots, weights=contrib,
-                                               minlength=touched)
-
-        threshold = self.params.epsilon * self.wdeg[slots]
-        above = self.residual[slots] > threshold
-        self.queued[slots[above]] = True
+        self._spread(nbr_ids, weights * np.repeat(scale, counts), nbr_wdeg)
 
     def abandon(self, ids: np.ndarray) -> float:
         """Write off popped sources whose neighbor fetch failed for good.
@@ -194,11 +236,6 @@ class SSPPR:
     def frontier_size(self) -> int:
         """Nodes currently queued for the next iteration."""
         return int(np.count_nonzero(self.queued[: len(self.map)]))
-
-    def total_mass(self) -> float:
-        """``sum(ppr) + sum(residual)`` — invariantly 1.0."""
-        n = len(self.map)
-        return float(self.ppr[:n].sum() + self.residual[:n].sum())
 
     def results(self) -> tuple[np.ndarray, np.ndarray]:
         """``(node ids, ppr_values)`` for every node with positive PPR mass."""

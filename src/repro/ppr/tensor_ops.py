@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ppr.params import PPRParams
+from repro.ppr.ppr_ops import split_residual
 
 
 class DenseSSPPR:
@@ -74,17 +75,14 @@ class DenseSSPPR:
             )
         if len(ids) == 0:
             return
-        alpha = self.params.alpha
         ids = np.asarray(ids, dtype=np.int64)
         self.wdeg[ids] = src_wdeg
-        r_v = self.residual[ids].copy()
+        r_v = self.residual[ids]
         self.residual[ids] = 0.0
-        dangling = src_wdeg <= 0.0
-        self.ppr[ids] += np.where(dangling, r_v, alpha * r_v)
+        gained, scale = split_residual(r_v, src_wdeg, self.params.alpha)
+        self.ppr[ids] += gained
         self.n_pushes += len(ids)
 
-        scale = np.where(dangling, 0.0,
-                         (1.0 - alpha) * r_v / np.where(dangling, 1.0, src_wdeg))
         counts = np.diff(indptr)
         contrib = weights * np.repeat(scale, counts)
         if len(contrib) == 0:

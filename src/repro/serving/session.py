@@ -390,9 +390,9 @@ class Session:
                 roots = np.array(
                     [h.query.source for h in walks
                      if h.query.walk_length == length], dtype=np.int64)
-                rows, retries = self._execute_walks(roots, length)
-                walk_rows.update({(gid, length): row
-                                  for gid, row in rows.items()})
+                rows, _makespan, retries = self.run_walks(roots, length)
+                walk_rows.update({(int(row[0]), length): row
+                                  for row in rows})
                 n_retries += retries
                 n_walk_steps += len(roots) * length
 
@@ -615,9 +615,15 @@ class Session:
             timeline=run_timeline,
         )
 
-    def _execute_walks(self, roots: np.ndarray,
-                       walk_length: int) -> tuple[dict[int, np.ndarray], int]:
-        """Run one drained walk group; returns (root gid -> walk row, retries)."""
+    def run_walks(self, roots: np.ndarray,
+                  walk_length: int) -> tuple[np.ndarray, float, int]:
+        """Execute one random-walk batch (``roots`` are caller ids).
+
+        The single walk execution path, shared by ``drain`` and
+        ``engine.run_random_walks`` (through a throwaway session).  Returns
+        ``(walks, makespan, retries)``: one row per root, duplicates
+        included, in worker-name order, each row starting at its root.
+        """
         engine = self.engine
         cfg = engine.config
         root_ids = engine.sharded.nodes_of(roots)
@@ -633,13 +639,11 @@ class Session:
             names.append(cluster.spawn_compute(
                 machine, p, distributed_random_walk(
                     g, proc, chunk, engine.sharded, walk_length)))
-        cluster.run()
-        rows: dict[int, np.ndarray] = {}
-        for name in sorted(names):
-            for row in cluster.result_of(name):
-                rows[int(row[0])] = row
+        makespan = cluster.run()
+        walks = np.concatenate(
+            [cluster.result_of(n) for n in sorted(names)], axis=0)
         self.metrics.merge(cluster.obs.metrics)
-        return rows, cluster.retries
+        return walks, makespan, cluster.retries
 
     # -- reporting ----------------------------------------------------------
     def snapshot(self) -> dict:

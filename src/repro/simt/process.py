@@ -60,7 +60,7 @@ class ProcessClock:
         breakdown reach the Chrome trace.
 
         >>> with proc.measured("push"):        # doctest: +SKIP
-        ...     state.push(infos, nodes, shards)
+        ...     state.push(infos, ids)
         """
         return _Measured(self, category)
 

@@ -14,18 +14,106 @@ methods mirror the paper's interface:
 * ``sample_one_neighbor(dest_shard, ids)`` — random-walk step.
 
 Nodes are addressed by node id throughout; ``dest_shard`` is the routing
-decision the caller already made with :meth:`DistGraphStorage.shard_masks`
-(one ``searchsorted`` over the address book ``base``).
+decision the caller already made with :func:`shard_masks` (one
+``searchsorted`` over the address book ``base``).
 
 All methods return a future (already resolved for local calls), so driver
-code is identical with and without overlap.
+code is identical with and without overlap — and is written once:
+:func:`fetch_round` is Figure 4's loop body (route, one batched fetch per
+shard, push what comes back), called by every frontier driver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import TRANSPORT_ERRORS
 from repro.rpc.rref import RRef, check_rrefs
+from repro.simt.events import Wait
+
+
+def shard_masks(base: np.ndarray, ids: np.ndarray) -> dict[int, np.ndarray]:
+    """Index array per destination shard (Figure 4's ``mask_dict``).
+
+    ``base`` is the address book (shard ``j`` owns ``[base[j], base[j+1])``).
+    Each entry holds the ascending positions in ``ids`` of the nodes that
+    shard owns — equivalent to ``np.flatnonzero(owner == j)`` for every
+    present shard, but built in one ``np.argsort`` pass instead of one
+    comparison scan per shard.  Only shards actually present get an entry,
+    in ascending shard order — at high machine counts a frontier usually
+    touches a few shards, and building all K masks per iteration is
+    O(K·frontier) waste.  Callers must treat absent shards as empty
+    (``masks.get(j)``).
+    """
+    if len(ids) == 0:
+        return {}
+    owner = np.searchsorted(base, ids, side="right") - 1
+    order = np.argsort(owner, kind="stable")
+    boundaries = np.flatnonzero(np.diff(owner[order])) + 1
+    return {int(owner[g[0]]): g for g in np.split(order, boundaries)}
+
+
+def await_fetch(proc, shard: int, fut, absorb: bool):
+    """Coroutine: one response inside a ``fetch`` span.
+
+    A transport-level failure (retry budget exhausted) re-raises, or
+    returns ``None`` when ``absorb`` is set; handler errors always
+    propagate.
+    """
+    try:
+        with proc.span("fetch", shard=shard):
+            return (yield Wait(fut))
+    except TRANSPORT_ERRORS:
+        if not absorb:
+            raise
+        return None
+
+
+def fetch_round(g, proc, ids: np.ndarray, apply, *, overlap: bool = True,
+                lost=None):
+    """Coroutine: one round of Figure 4 — route, fetch per shard, apply.
+
+    Routes ``ids`` with ``g.shard_masks`` (charged as ``pop``), issues one
+    ``get_neighbor_infos`` per remote shard in ascending shard order, then
+    the local one, and calls ``apply(infos, ids_of_that_shard)`` (charged
+    as ``push``) for the local response first and the remote ones in issue
+    order.  With ``overlap`` the remote responses are awaited one by one
+    after the local work (Table 3's ``+Overlap``); without it they are all
+    awaited before it.  Every remote wait is a ``fetch`` span.
+
+    A remote wait that fails at the transport level (retry budget
+    exhausted) re-raises, unless ``lost`` is given: then the round goes on
+    and ``lost(ids_of_that_shard)`` stands in for that shard's ``apply``.
+    Handler errors always propagate.
+    """
+    with proc.measured("pop"):
+        masks = g.shard_masks(ids)
+    local = masks.pop(g.shard_id, None)
+    remote = []
+    for j, mask in masks.items():
+        part = ids[mask]
+        remote.append((j, part, g.get_neighbor_infos(j, part)))
+    absorb = lost is not None
+    early = []
+    if not overlap:
+        for j, _part, fut in remote:
+            early.append((yield from await_fetch(proc, j, fut, absorb)))
+    if local is not None:
+        part = ids[local]
+        # local calls resolve synchronously
+        infos = yield Wait(g.get_neighbor_infos(g.shard_id, part))
+        with proc.measured("push"):
+            apply(infos, part)
+    for k, (j, part, fut) in enumerate(remote):
+        if overlap:
+            infos = yield from await_fetch(proc, j, fut, absorb)
+        else:
+            infos = early[k]
+        if infos is None:  # absorbed loss: write off this shard's batch
+            lost(part)
+            continue
+        with proc.measured("push"):
+            apply(infos, part)
 
 
 class DistGraphStorage:
@@ -108,23 +196,5 @@ class DistGraphStorage:
         )
 
     def shard_masks(self, ids: np.ndarray) -> dict[int, np.ndarray]:
-        """Index array per destination shard (Figure 4's ``mask_dict``).
-
-        Each entry holds the ascending positions in ``ids`` of the nodes
-        that shard owns — equivalent to ``np.flatnonzero(owner == j)``
-        for every present shard, but built in one ``np.argsort`` pass
-        instead of one comparison scan per shard.  Only shards actually
-        present get an entry — at high machine counts a frontier usually
-        touches a few shards, and building all K masks per iteration is
-        O(K·frontier) waste.  Callers must treat absent shards as empty
-        (``masks.get(j)``); fancy-indexing with an index array selects and
-        scatters exactly what the old boolean masks did, in the same
-        (ascending-position) order.
-        """
-        if len(ids) == 0:
-            return {}
-        owner = self.owner_of(ids)
-        order = np.argsort(owner, kind="stable")
-        boundaries = np.flatnonzero(np.diff(owner[order])) + 1
-        return {int(owner[g[0]]): g
-                for g in np.split(order, boundaries)}
+        """:func:`shard_masks` over this process's address book."""
+        return shard_masks(self.base, ids)

@@ -15,6 +15,7 @@ from repro.errors import ShardError
 from repro.rpc.handlers import rpc_handler
 from repro.rpc.rref import RRef
 from repro.storage.build import ShardedGraph
+from repro.storage.dist_storage import shard_masks
 
 
 class FeatureShard:
@@ -75,20 +76,15 @@ class DistFeatureStore:
         """Issue one gather per owning shard.
 
         Returns ``(futures, masks)``: ``futures[j]`` resolves to the rows of
-        ``global_ids[masks[j]]``.  The caller reassembles rows in request
-        order (see :func:`assemble_rows`).
+        ``global_ids[masks[j]]`` (``masks`` are :func:`shard_masks` index
+        arrays).  The caller reassembles rows in request order (see
+        :func:`assemble_rows`).
         """
         ids = sharded.nodes_of(global_ids)
-        shard = sharded.owner_of(ids)
-        futures, masks = {}, {}
-        for j in range(len(self.rrefs)):
-            mask = shard == j
-            if not mask.any():
-                continue
-            masks[j] = mask
-            futures[j] = self.rrefs[j].rpc_async(
-                self.caller, "gather", ids[mask]
-            )
+        masks = shard_masks(sharded.base, ids)
+        futures = {j: self.rrefs[j].rpc_async(self.caller, "gather",
+                                              ids[mask])
+                   for j, mask in masks.items()}
         return futures, masks
 
 

@@ -34,7 +34,6 @@ from repro.stream.rebalance import (
 )
 from repro.stream.session import (
     StreamConfig,
-    StreamCostModel,
     StreamEvent,
     StreamingSession,
     StreamReport,
@@ -50,7 +49,6 @@ __all__ = [
     "RebalanceReport",
     "ShardUpdate",
     "StreamConfig",
-    "StreamCostModel",
     "StreamEvent",
     "StreamIngestError",
     "StreamReport",

@@ -29,15 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import RpcTimeoutError, StreamIngestError, \
-    WorkerCrashedError
+from repro.errors import TRANSPORT_ERRORS, StreamIngestError
 from repro.simt.events import WaitAll
 from repro.storage.neighbor_batch import NeighborBatch
 from repro.storage.shard_update import ShardUpdate
-
-#: injected-fault errors the two-phase driver tolerates and reacts to;
-#: anything else (e.g. a ShardError) is a bug and propagates
-TRANSPORT_ERRORS = (RpcTimeoutError, WorkerCrashedError)
 
 
 @dataclass

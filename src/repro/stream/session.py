@@ -19,7 +19,8 @@
   heat into migrations/replications (:mod:`repro.stream.rebalance`).
 
 Every step advances the serving clock only through the deterministic
-:class:`StreamCostModel` (never wall time), and all distributed traffic
+cost functions below (:func:`ingest_time`, :func:`refresh_time`,
+:func:`rebalance_time` — never wall time), and all distributed traffic
 runs on the session's configured runtime through the one
 :func:`~repro.engine.cluster.deploy` seam — so the same event stream and
 fault plan replay bitwise-identically on the virtual-time scheduler and
@@ -46,33 +47,28 @@ from repro.stream.rebalance import RebalancePolicy, RebalanceReport, \
 from repro.stream.updates import UpdateBatch
 
 
-@dataclass(frozen=True)
-class StreamCostModel:
-    """Deterministic virtual service time of streaming operations.
+# Deterministic virtual service time of streaming operations.  Inputs are
+# runtime-independent operator counts (staged rows, applied corrections,
+# signed pushes, retry counts), so the serving clock advances identically
+# on both runtimes.
+BATCH_OVERHEAD = 2e-3   # two-phase round trips + bookkeeping
+PER_ROW = 1e-4          # per core row staged across the cluster
+PER_CORRECTION = 1e-6   # per residual correction folded in
+PER_PUSH = 5e-8         # per signed push (same rate as serving)
+PER_RETRY = 1e-3        # per RPC retransmission
+PER_MOVE = 5e-3         # per rebalance decision executed
 
-    Inputs are runtime-independent operator counts (staged rows, applied
-    corrections, signed pushes, retry counts), so the serving clock
-    advances identically on both runtimes.
-    """
 
-    batch_overhead: float = 2e-3   # two-phase round trips + bookkeeping
-    per_row: float = 1e-4          # per core row staged across the cluster
-    per_correction: float = 1e-6   # per residual correction folded in
-    per_push: float = 5e-8         # per signed push (same rate as serving)
-    per_retry: float = 1e-3        # per RPC retransmission
-    per_move: float = 5e-3         # per rebalance decision executed
+def ingest_time(staged_rows: int, retries: int) -> float:
+    return BATCH_OVERHEAD + PER_ROW * staged_rows + PER_RETRY * retries
 
-    def ingest_time(self, staged_rows: int, retries: int) -> float:
-        return (self.batch_overhead + self.per_row * staged_rows
-                + self.per_retry * retries)
 
-    def refresh_time(self, corrections: int, pushes: int) -> float:
-        return (self.per_correction * corrections
-                + self.per_push * pushes)
+def refresh_time(corrections: int, pushes: int) -> float:
+    return PER_CORRECTION * corrections + PER_PUSH * pushes
 
-    def rebalance_time(self, report: RebalanceReport) -> float:
-        return (self.per_move * len(report.decisions)
-                + self.per_retry * report.retries)
+
+def rebalance_time(report: RebalanceReport) -> float:
+    return PER_MOVE * len(report.decisions) + PER_RETRY * report.retries
 
 
 @dataclass(frozen=True)
@@ -104,10 +100,6 @@ class StreamConfig:
     fault_plan: object = None
     retry_policy: object = None
     rebalance: RebalancePolicy = field(default_factory=RebalancePolicy)
-    cost_model: StreamCostModel = field(default_factory=StreamCostModel)
-    #: inner serving-session knobs; built from the fields above if None
-    serving: SessionConfig | None = None
-    max_pushes: int | None = None
     #: sample a serving-clock Timeline (repro.obs.analysis) after every
     #: streaming step; count-derived, so it replays bitwise on both runtimes
     timeline: bool = False
@@ -143,14 +135,11 @@ class StreamingSession:
         self.engine = engine
         self.config = config if config is not None else StreamConfig()
         cfg = self.config
-        serving_cfg = cfg.serving
-        if serving_cfg is None:
-            serving_cfg = SessionConfig(
-                mode="batched", runtime=cfg.runtime, params=cfg.params,
-                fault_plan=cfg.fault_plan, retry_policy=cfg.retry_policy,
-            )
         #: inner admission/drain front end; owns the serving clock
-        self.serving = Session(engine, serving_cfg)
+        self.serving = Session(engine, SessionConfig(
+            mode="batched", runtime=cfg.runtime, params=cfg.params,
+            fault_plan=cfg.fault_plan, retry_policy=cfg.retry_policy,
+        ))
         #: authoritative mutable adjacency, kept in lockstep with shards
         self.dyn = DynamicGraph.from_csr(engine.graph)
         # From here on the engine's whole-graph view reads through the
@@ -243,7 +232,6 @@ class StreamingSession:
         before anything — mirror, tag, counters — has moved.
         """
         cfg = self.config
-        cm = cfg.cost_model
         self.dyn.check(batch)
         self._tag += 1
         tag = self._tag
@@ -259,7 +247,7 @@ class StreamingSession:
                                   staged_rows=0, error=None, retries=0)
             self.report.ingest_reports.append(report)
             self.report.n_applied += 1
-            self._advance(cm.batch_overhead)
+            self._advance(BATCH_OVERHEAD)
             if self.timeline is not None:
                 self._sample_timeline()
             return report
@@ -272,7 +260,7 @@ class StreamingSession:
         self.metrics.merge(metrics)
         report = report_from_outcome(tag, outcome, delta.n_changed, retries)
         self.report.ingest_reports.append(report)
-        self._advance(cm.ingest_time(report.staged_rows, retries))
+        self._advance(ingest_time(report.staged_rows, retries))
         if not report.applied:
             self.dyn.revert(delta)
             self.report.n_failed += 1
@@ -291,11 +279,8 @@ class StreamingSession:
     # -- incremental maintenance --------------------------------------------
     def refresh(self) -> list[RefreshStats]:
         """Fold pending row diffs into every published vector."""
-        cfg = self.config
-        stats: list[RefreshStats] = []
-        for gid in sorted(self.states):
-            stats.append(refresh_state(self.states[gid], self.dyn,
-                                       max_pushes=cfg.max_pushes))
+        stats = [refresh_state(self.states[gid], self.dyn)
+                 for gid in sorted(self.states)]
         self._since_refresh = 0
         if not self.states:
             return stats
@@ -306,7 +291,7 @@ class StreamingSession:
         self.metrics.inc("stream.refreshes")
         self.metrics.inc("stream.refresh_corrections", corrections)
         self.metrics.inc("stream.refresh_pushes", pushes)
-        self._advance(cfg.cost_model.refresh_time(corrections, pushes))
+        self._advance(refresh_time(corrections, pushes))
         if self.timeline is not None:
             self._sample_timeline()
         return stats
@@ -347,7 +332,7 @@ class StreamingSession:
                     fault_plan=cfg.fault_plan,
                     retry_policy=cfg.retry_policy):
                 self.metrics.merge(metrics)
-            self._advance(cfg.cost_model.rebalance_time(plan))
+            self._advance(rebalance_time(plan))
         self.heat = {}
         self.metrics.inc("rebalance.epochs")
         self.metrics.inc("rebalance.migrations_planned", plan.n_migrated)

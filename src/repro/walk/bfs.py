@@ -4,8 +4,9 @@ The paper names BFS (GraphSAGE-style neighborhood collection) among the
 graph-processing algorithms that need hashmap-like frontier state rather
 than tensors (Section 1).  This driver implements level-synchronous BFS on
 the distributed storage with exactly the engine's idioms: a frontier of
-node ids, per-shard batched ``get_neighbor_infos``
-fetches, and a visited set in a :class:`~repro.ppr.hashmap.ShardedMap`.
+node ids, the engine's own per-shard batched round
+(:func:`~repro.storage.dist_storage.fetch_round`), and a visited set in a
+:class:`~repro.ppr.hashmap.ShardedMap`.
 
 Returns hop distances from the source for every reached node.
 """
@@ -16,8 +17,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph, row_blocks
 from repro.ppr.hashmap import ShardedMap, fit_values
-from repro.simt.events import Wait
-from repro.storage.dist_storage import DistGraphStorage
+from repro.storage.dist_storage import DistGraphStorage, fetch_round
 
 
 class BfsState:
@@ -37,8 +37,12 @@ class BfsState:
         self.frontier = np.empty(0, dtype=np.int64)
         return ids
 
-    def expand(self, infos) -> None:
-        """Mark unvisited neighbors at ``level + 1``; queue them."""
+    def expand(self, infos, ids) -> None:
+        """Mark unvisited neighbors at ``level + 1``; queue them.
+
+        The answered sources ``ids`` (every ``fetch_round`` ``apply`` gets
+        them) are unused: BFS keeps no per-source state.
+        """
         nbr_ids = infos.to_arrays()[1]
         if len(nbr_ids) == 0:
             return
@@ -49,9 +53,6 @@ class BfsState:
             # dedupe new ids (duplicates share slots; keep one each)
             self.frontier = np.concatenate([self.frontier,
                                             np.unique(nbr_ids[new])])
-
-    def advance_level(self) -> None:
-        self.level += 1
 
     def results(self) -> tuple[np.ndarray, np.ndarray]:
         """``(node ids, depths)`` of every reached node."""
@@ -81,23 +82,8 @@ def distributed_bfs(g: DistGraphStorage, proc, source: int, *,
             break
         if max_depth is not None and state.level >= max_depth:
             break
-        with proc.measured("pop"):
-            masks = g.shard_masks(node_ids)
-        futs = {}
-        for j, mask in masks.items():
-            if j != g.shard_id:
-                futs[j] = g.get_neighbor_infos(j, node_ids[mask])
-        local_mask = masks.get(g.shard_id)
-        if local_mask is not None:
-            infos = yield Wait(g.get_neighbor_infos(g.shard_id,
-                                                    node_ids[local_mask]))
-            with proc.measured("push"):
-                state.expand(infos)
-        for j in futs:
-            infos = yield Wait(futs[j])
-            with proc.measured("push"):
-                state.expand(infos)
-        state.advance_level()
+        yield from fetch_round(g, proc, node_ids, state.expand)
+        state.level += 1
     return state
 
 

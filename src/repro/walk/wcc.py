@@ -3,9 +3,9 @@
 A Pregel-style min-label propagation on the engine's storage API: every
 node starts with its own node id as its label; each
 round, frontier nodes send their label to neighbors, which adopt it when it
-is smaller.  Converges in O(diameter) rounds; frontier work and per-shard
-batched fetches follow the same pattern as every other driver in
-:mod:`repro.walk`.
+is smaller.  Converges in O(diameter) rounds; each round is one
+:func:`~repro.storage.dist_storage.fetch_round`, the same call the PPR
+drivers make.
 
 Each machine runs the propagation for its *own core nodes* as sources; the
 engine facade unions the results — labels are globally consistent because
@@ -18,8 +18,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.ppr.hashmap import ShardedMap, fit_values
-from repro.simt.events import Wait
-from repro.storage.dist_storage import DistGraphStorage
+from repro.storage.dist_storage import DistGraphStorage, fetch_round
 
 
 class WccState:
@@ -84,22 +83,7 @@ def distributed_wcc(g: DistGraphStorage, proc, seeds: np.ndarray):
             node_ids = state.pop()
         if len(node_ids) == 0:
             break
-        with proc.measured("pop"):
-            masks = g.shard_masks(node_ids)
-        futs = {}
-        for j, mask in masks.items():
-            if j != g.shard_id:
-                futs[j] = g.get_neighbor_infos(j, node_ids[mask])
-        local_mask = masks.get(g.shard_id)
-        if local_mask is not None:
-            infos = yield Wait(g.get_neighbor_infos(g.shard_id,
-                                                    node_ids[local_mask]))
-            with proc.measured("push"):
-                state.relax(infos, node_ids[local_mask])
-        for j in futs:
-            infos = yield Wait(futs[j])
-            with proc.measured("push"):
-                state.relax(infos, node_ids[masks[j]])
+        yield from fetch_round(g, proc, node_ids, state.relax)
     return state
 
 

@@ -6,7 +6,8 @@ tests pin the result-schema contract — the typed serving counters default
 to zero on plain batch runs, convenience wrappers return the same shape —
 plus the degenerate ``latency_percentiles`` inputs (0 and 1 samples) that
 historically tripped ``np.percentile`` — and the knob surface: the exact
-field names of ``EngineConfig`` and ``RunRequest``, so a new knob is a
+field names of ``EngineConfig``, ``RunRequest``, ``SessionConfig`` and
+``StreamConfig``, so a new knob is a
 visible test diff — and the boundary: caller ids are validated once, with
 one typed error, on every path in; a knob combination that would silently
 do nothing is rejected where it is written.
@@ -17,12 +18,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.stream
 from repro.engine import EngineConfig, GraphEngine, QueryRunResult, RunRequest
 from repro.engine.query import sample_sources
 from repro.errors import ShardError
 from repro.graph import powerlaw_cluster
 from repro.ppr import DegradationMode, PPRParams
 from repro.serving import Query, SessionConfig
+from repro.stream import StreamConfig
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +138,22 @@ class TestKnobSurface:
             "degradation", "sanitize", "fetch_split", "fetch_cache_bytes",
             "fetch_coalesce", "timeline",
         )
+
+    def test_session_config_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(SessionConfig)) == (
+            "mode", "params", "runtime", "tenants", "queue_cap", "batch_cap",
+            "slo", "batch_window", "cost_model", "fault_plan",
+            "retry_policy", "degradation", "seed", "timeline",
+        )
+
+    def test_stream_config_fields(self):
+        """``cost_model`` / ``serving`` / ``max_pushes`` had no caller and
+        are gone; the cost coefficients are module constants."""
+        assert tuple(f.name for f in dataclasses.fields(StreamConfig)) == (
+            "runtime", "params", "refresh_every", "fault_plan",
+            "retry_policy", "rebalance", "timeline",
+        )
+        assert not hasattr(repro.stream, "StreamCostModel")
 
 
 class TestLatencyPercentiles:
