@@ -22,11 +22,13 @@ request content is interleaving-independent).  Everything else is gated
 by inequality expectations with comfortable margins, not exact replay.
 """
 
+import dataclasses
+
 from benchmarks import common
 from benchmarks.common import bench_scale, engine_config, get_sharded
 from repro.engine import GraphEngine, RunRequest
 from repro.engine.query import sample_sources
-from repro.ppr import OptLevel, PPRParams
+from repro.ppr import PPRParams
 from repro.storage import build_shards
 
 PARAMS = PPRParams(alpha=0.462, epsilon=1e-5)
@@ -44,11 +46,11 @@ LEVELS = (
 
 def run_level(engine, sources, level) -> dict:
     label, split, cache_bytes, coalesce = level
-    run = engine.run(RunRequest(
-        sources=sources, params=PARAMS, opt=OptLevel.OVERLAP,
-        fetch_split=split, fetch_cache_bytes=cache_bytes,
-        fetch_coalesce=coalesce,
-    ))
+    # a level is a deployment setting: a sibling engine over the same shards
+    at_level = GraphEngine(engine.graph, dataclasses.replace(
+        engine.config, fetch_split=split, fetch_cache_bytes=cache_bytes,
+        fetch_coalesce=coalesce), sharded=engine.sharded)
+    run = at_level.run(RunRequest(sources=sources, params=PARAMS))
     m = run.metrics
     return {
         "Level": label,

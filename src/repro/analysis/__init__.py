@@ -13,15 +13,11 @@ scheduler deadlocks — at lint time and at runtime:
 * :mod:`repro.analysis.lint` — a small AST visitor framework with
   per-rule allowlists (``# repro: allow=REPnnn`` pragmas and the
   ``[tool.repro.analysis]`` table in ``pyproject.toml``); the repo-specific
-  rules live in :mod:`repro.analysis.rules` (REP001–REP010);
+  rules live in :mod:`repro.analysis.rules` (REP001–REP011);
 * :mod:`repro.analysis.callgraph` — the whole-program model (module
   import graph, alias-aware call graph, lock-site index) behind the
   interprocedural rules REP008–REP010 and the project-refined
-  REP004/REP006 verdicts; dump it with ``cli analyze --graph dot|json``;
-* :mod:`repro.analysis.baseline` — the ratchet baseline
-  (``analysis-baseline.json``): new findings fail, stale entries fail;
-* :mod:`repro.analysis.sarif` — SARIF 2.1.0 export
-  (``cli analyze --sarif``);
+  REP004/REP006 verdicts;
 * :mod:`repro.analysis.race` — an Eraser-style lockset race detector that
   instruments :class:`~repro.ppr.hashmap.ShardedMap` and
   :class:`~repro.rpc.thread_runtime.ThreadRuntime` shared state behind a
@@ -31,19 +27,13 @@ scheduler deadlocks — at lint time and at runtime:
   unresolved futures, naming each blocked coroutine and what it awaits.
 
 ``python -m repro.cli analyze`` runs the lint suite over ``src/`` and is
-gated in tier-1 by ``tests/test_analysis.py``.  See
+gated in tier-1 by ``tests/test_analysis.py``; any finding fails, and an
+intentional hit is suppressed by a pragma or an allowlist entry.  See
 ``docs/static-analysis.md`` for the rule catalog and allowlist syntax.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineResult,
-    load_baseline,
-    reconcile,
-    save_baseline,
-)
 from repro.analysis.callgraph import Project, build_project
 from repro.analysis.deadlock import DeadlockReport, diagnose
 from repro.analysis.lint import (
@@ -55,7 +45,6 @@ from repro.analysis.lint import (
     load_config,
     run_lint,
 )
-from repro.analysis.sarif import to_sarif
 from repro.analysis.race import (
     RaceAccess,
     RaceDetector,
@@ -70,8 +59,6 @@ from repro.analysis.rules import ALL_RULES, get_rules
 __all__ = [
     "ALL_RULES",
     "AnalysisConfig",
-    "Baseline",
-    "BaselineResult",
     "DeadlockReport",
     "FileContext",
     "Project",
@@ -87,11 +74,7 @@ __all__ = [
     "get_rules",
     "install",
     "installed",
-    "load_baseline",
     "load_config",
-    "reconcile",
     "run_lint",
-    "save_baseline",
-    "to_sarif",
     "uninstall",
 ]

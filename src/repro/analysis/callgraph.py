@@ -34,8 +34,7 @@ keeps them *suspect*; REP008/REP009 propagate nothing through them).
 
 Derived fixpoints (:meth:`Project.acquires_closure`,
 :meth:`Project.raises_fault`, :meth:`Project.always_called_locked`) are
-memoized on the project; :meth:`Project.to_dot` / :meth:`Project.to_json`
-back ``cli analyze --graph``.
+memoized on the project.
 """
 
 from __future__ import annotations
@@ -503,76 +502,6 @@ class Project:
         for start in sorted(adj):
             dfs(start, start, [start], {start})
         return [list(c) for c in sorted(cycles)]
-
-    # -- dumps -------------------------------------------------------------
-    def to_json(self) -> dict:
-        edges = self.lock_order_edges()
-        return {
-            "schema": "repro.analysis-graph/v1",
-            "modules": {m: sorted(self.imports.get(m, ()))
-                        for m in sorted(self.modules)},
-            "functions": sorted(self.functions),
-            "calls": sorted(
-                {(fn.qname, c.callee)
-                 for fn in self.functions.values()
-                 for c in fn.calls if c.callee is not None}
-            ),
-            "locks": {
-                "sites": [
-                    {"lock": a.lock_id, "function": a.function,
-                     "line": a.lineno}
-                    for fq in sorted(self.functions)
-                    for a in self.functions[fq].locks
-                ],
-                "order_edges": [
-                    {"held": a, "acquired": b,
-                     "at": f"{edges[(a, b)].function}:{edges[(a, b)].lineno}"}
-                    for a, b in sorted(edges)
-                ],
-                "cycles": self.lock_cycles(),
-            },
-            "rpc": {
-                "handlers": [
-                    {"method": h.name, "class": h.cls, "line": h.lineno,
-                     "params": h.params.describe()}
-                    for h in sorted(self.rpc_handlers,
-                                    key=lambda h: (h.cls, h.name))
-                ],
-                "call_sites": [
-                    {"method": s.method, "via_param": s.method_param,
-                     "path": s.relpath, "line": s.node.lineno,
-                     "dispatch": s.attr}
-                    for s in sorted(self.rpc_call_sites,
-                                    key=lambda s: (s.relpath, s.node.lineno,
-                                                   s.node.col_offset))
-                ],
-            },
-        }
-
-    def to_dot(self) -> str:
-        """Graphviz dump: call edges plus the lock-order graph as a
-        cluster, with edges on any cycle highlighted in red."""
-        lines = ["digraph repro_analysis {", "  rankdir=LR;",
-                 "  node [shape=box, fontsize=10];"]
-        call_edges = sorted(
-            {(fn.qname, c.callee) for fn in self.functions.values()
-             for c in fn.calls if c.callee is not None}
-        )
-        for src, dst in call_edges:
-            lines.append(f'  "{src}" -> "{dst}";')
-        edges = self.lock_order_edges()
-        cyc_edges: set[tuple[str, str]] = set()
-        for cycle in self.lock_cycles():
-            ring = cycle + cycle[:1]
-            cyc_edges.update(zip(ring, ring[1:]))
-        lines.append("  subgraph cluster_locks {")
-        lines.append('    label="lock order"; node [shape=ellipse];')
-        for a, b in sorted(edges):
-            style = " [color=red, penwidth=2]" if (a, b) in cyc_edges else ""
-            lines.append(f'    "lock:{a}" -> "lock:{b}"{style};')
-        lines.append("  }")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ together:
 Rules are *scoped*: a rule with ``scope_dirs`` only fires in files whose
 path contains one of those directory names (e.g. REP003 only inside
 ``simt``/``rpc``/``engine``/``partition``), mirroring where the hazard
-class actually bites.  The concrete REP001–REP006 rules live in
+class actually bites.  The concrete REP001–REP011 rules live in
 :mod:`repro.analysis.rules`.
 """
 
@@ -280,7 +280,6 @@ def run_lint(paths: Iterable[str | Path], *,
              rules: Iterable[Rule] | None = None,
              config: AnalysisConfig | None = None,
              root: Path | None = None,
-             only: Iterable[str] | None = None,
              project=None) -> list[Violation]:
     """Lint every .py file under ``paths``; returns sorted violations.
 
@@ -290,10 +289,6 @@ def run_lint(paths: Iterable[str | Path], *,
     ``self.project``, :class:`ProjectRule` subclasses are checked against
     it directly, with scope/pragma/config filters resolved per violation.
 
-    ``only`` restricts the *reported* violations to the given repo-relative
-    paths without shrinking the analyzed program — ``--changed-only``
-    keeps whole-program precision (orphan handlers, lock cycles spanning
-    unchanged files stay visible to the analysis, just unreported).
     ``project`` lets a caller that already built the model pass it in.
     """
     from repro.analysis.rules import ALL_RULES
@@ -340,7 +335,4 @@ def run_lint(paths: Iterable[str | Path], *,
             if config.allows(v.rule, v.path):
                 continue
             out.append(v)
-    if only is not None:
-        allowed_paths = set(only)
-        out = [v for v in out if v.path in allowed_paths]
     return sorted(out)

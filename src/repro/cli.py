@@ -11,9 +11,8 @@ Downstream-friendly entry points for the preprocessing / query pipeline:
   reports into a ``BENCH_<scale>.json`` trajectory; ``bench report``
   re-aggregates existing results; ``bench diff`` renders an old-vs-new
   trajectory comparison; ``bench check`` is the regression gate (non-zero
-  exit naming every offending metric); ``bench lint`` cross-checks the
-  ``.txt``/``.json`` result siblings; ``bench quick <graph>`` is the
-  one-shot engine-vs-baselines comparison;
+  exit naming every offending metric, ``.txt``/``.json`` result siblings
+  cross-checked);
 * ``serve``      — multi-tenant open-loop serving: replay a seeded Poisson
   or bursty arrival trace through a session (admission control, cross-tenant
   batching, SLO accounting; see ``docs/serving.md``);
@@ -88,11 +87,63 @@ def _scale_value(text: str) -> float:
         ) from None
 
 
-def _add_graph_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph", help="dataset name or graph .npz path")
+def _add_graph_args(p: argparse.ArgumentParser,
+                    default: str | None = None) -> None:
+    """``graph`` + ``--scale``; the positional is optional iff ``default``."""
+    if default is None:
+        p.add_argument("graph", help="dataset name or graph .npz path")
+    else:
+        p.add_argument("graph", nargs="?", default=default,
+                       help="dataset name or graph .npz path "
+                            f"(default {default})")
     p.add_argument("--scale", type=_scale_value, default=0.1,
                    help="stand-in scale when loading by name: a fraction "
                         "or tiny/small/full (default 0.1)")
+
+
+def _add_engine_args(p: argparse.ArgumentParser,
+                     graph_default: str | None = None,
+                     seed_help: str | None = None) -> None:
+    """The deployment every engine-backed subcommand builds
+    (:func:`_engine_from_args`), plus its ``--seed``."""
+    _add_graph_args(p, graph_default)
+    p.add_argument("--shards", default=None,
+                   help="load a saved sharded graph instead")
+    p.add_argument("--machines", type=int, default=4)
+    p.add_argument("--procs", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    p.add_argument("--no-fetch", action="store_true",
+                   help="disable the adaptive fetch layer (split + "
+                        "hot-vertex cache + coalescing)")
+    p.add_argument("--fetch-cache-bytes", type=int, default=None,
+                   help="hot-vertex cache budget per machine "
+                        "(0 disables the cache; default 4 MiB)")
+
+
+def _add_ppr_args(p: argparse.ArgumentParser, queries: int) -> None:
+    p.add_argument("--queries", type=int, default=queries)
+    p.add_argument("--alpha", type=float, default=0.462)
+    p.add_argument("--epsilon", type=float, default=1e-6)
+
+
+def _add_chaos_args(p: argparse.ArgumentParser, *, drop: float,
+                    max_attempts: int) -> None:
+    p.add_argument("--drop", type=float, default=drop,
+                   help="per-message drop probability")
+    p.add_argument("--fault-seed", type=int, default=7,
+                   help="fault plan seed (faults replay deterministically)")
+    p.add_argument("--max-attempts", type=int, default=max_attempts)
+    p.add_argument("--timeout", type=float, default=0.05,
+                   help="per-attempt RPC timeout, virtual seconds")
+
+
+def _chaos_from_args(args) -> tuple[FaultPlan | None, RetryPolicy | None]:
+    """``--drop 0`` is a healthy run: no plan, and no retry layer either."""
+    if args.drop <= 0:
+        return None, None
+    return (FaultPlan(seed=args.fault_seed, drop_prob=args.drop),
+            RetryPolicy(max_attempts=args.max_attempts,
+                        timeout=args.timeout))
 
 
 def cmd_info(args) -> int:
@@ -247,24 +298,6 @@ def cmd_stream(args) -> int:
     return 0
 
 
-def cmd_bench_quick(args) -> int:
-    engine = _engine_from_args(args)
-    params = PPRParams(alpha=args.alpha, epsilon=args.epsilon)
-    run_e = engine.run(RunRequest(n_queries=args.queries, params=params,
-                                  seed=args.seed, keep_states=True))
-    sources = np.array(sorted(run_e.states))
-    run_t = engine.run(RunRequest(sources=sources, params=params,
-                                  seed=args.seed, mode="tensor"))
-    run_b = engine.run(RunRequest(sources=sources, params=params,
-                                  seed=args.seed, mode="batched"))
-    print(f"{'implementation':<24} {'q/s':>10} {'RPCs':>8}")
-    for label, run in (("PPR Engine", run_e),
-                       ("PPR Engine (multi-query)", run_b),
-                       ("PyTorch-Tensor baseline", run_t)):
-        print(f"{label:<24} {run.throughput:>10.1f} {run.remote_requests:>8}")
-    return 0
-
-
 def _trajectory_from_results(results_dir: Path, scale: str) -> dict:
     from repro.obs import bench as obs_bench
 
@@ -387,21 +420,6 @@ def cmd_bench_check(args) -> int:
     print(f"bench check OK vs {baseline_path}: "
           f"{len(base['benches'])} benches, {n_fields} fields, "
           f"{len(deltas)} tolerated drift(s)")
-    return 0
-
-
-def cmd_bench_lint(args) -> int:
-    """Cross-check every results/<name>.txt against its .json sibling."""
-    from repro.obs import bench as obs_bench
-
-    problems = obs_bench.lint_results(Path(args.results_dir))
-    for msg in problems:
-        print(f"LINT {msg}")
-    if problems:
-        print(f"bench lint: {len(problems)} problem(s)")
-        return 1
-    n = len(list(Path(args.results_dir).glob("*.json")))
-    print(f"bench lint OK: {n} report(s) agree with their .txt tables")
     return 0
 
 
@@ -546,13 +564,7 @@ def cmd_doctor(args) -> int:
     else:
         engine = _engine_from_args(args)
         params = PPRParams(alpha=args.alpha, epsilon=args.epsilon)
-        fault_plan = None
-        retry_policy = None
-        if args.drop > 0:
-            fault_plan = FaultPlan(seed=args.fault_seed,
-                                   drop_prob=args.drop)
-            retry_policy = RetryPolicy(max_attempts=args.max_attempts,
-                                       timeout=args.timeout)
+        fault_plan, retry_policy = _chaos_from_args(args)
         run = engine.run(RunRequest(
             n_queries=args.queries, params=params, seed=args.seed,
             trace=True, max_spans=args.max_spans, timeline=args.timeline,
@@ -596,7 +608,6 @@ def cmd_serve(args) -> int:
     """Replay a seeded open-loop trace through a serving session."""
     import json as _json
 
-    from repro.rpc import RetryPolicy as _RetryPolicy
     from repro.serving import TRACES, SessionConfig, serve_trace
 
     engine = _engine_from_args(args)
@@ -610,12 +621,7 @@ def cmd_serve(args) -> int:
                       duty=args.duty)
     trace = TRACES[args.trace](pool, **kwargs)
 
-    fault_plan = None
-    retry_policy = None
-    if args.drop > 0:
-        fault_plan = FaultPlan(seed=args.fault_seed, drop_prob=args.drop)
-        retry_policy = _RetryPolicy(max_attempts=args.max_attempts,
-                                    timeout=args.timeout)
+    fault_plan, retry_policy = _chaos_from_args(args)
     config = SessionConfig(
         mode=args.mode, runtime=args.runtime, tenants=tenants,
         queue_cap=args.queue_cap, batch_cap=args.batch_cap, slo=args.slo,
@@ -633,108 +639,40 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _changed_paths(base: str) -> set[str]:
-    """Repo-relative .py paths changed vs ``base`` (plus untracked files)."""
-    import subprocess
-
-    out: set[str] = set()
-    diff = subprocess.run(["git", "diff", "--name-only", base, "--"],
-                          cwd=_REPO_ROOT, capture_output=True, text=True)
-    if diff.returncode != 0:
-        raise SystemExit(
-            f"analyze: git diff --name-only {base} failed: "
-            f"{diff.stderr.strip()}")
-    out.update(diff.stdout.splitlines())
-    untracked = subprocess.run(
-        ["git", "ls-files", "--others", "--exclude-standard"],
-        cwd=_REPO_ROOT, capture_output=True, text=True)
-    if untracked.returncode == 0:
-        out.update(untracked.stdout.splitlines())
-    return {p for p in out if p.endswith(".py")}
-
-
 def cmd_analyze(args) -> int:
     """Static-analysis gate: lint the tree, exit 1 naming each violation.
 
-    Findings reconcile against the committed ratchet baseline
-    (``analysis-baseline.json``): baselined findings are suppressed, new
-    findings fail, and stale baseline entries fail too (unless the run
-    was partial — ``--changed-only``, explicit paths, or ``--rule``).
+    Any finding fails.  An intentional hit is suppressed where it lives,
+    with its reason: an inline ``# repro: allow=REPnnn`` pragma or a
+    ``[tool.repro.analysis]`` allowlist entry in ``pyproject.toml``.
     """
     import json as _json
 
     from repro.analysis import load_config, run_lint
-    from repro.analysis.baseline import (load_baseline, reconcile,
-                                         save_baseline)
     from repro.analysis.rules import ALL_RULES, get_rules
-    from repro.analysis.sarif import to_sarif
 
     if args.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.id}  {rule.title}")
         return 0
-    rules = get_rules(args.rule) if args.rule else None
+    rules = get_rules(args.rule) if args.rule else ALL_RULES
     paths = [Path(p) for p in args.paths] if args.paths \
         else [_REPO_ROOT / "src" / "repro"]
-    if args.graph:
-        from repro.analysis.callgraph import build_project
-
-        project = build_project(paths, root=_REPO_ROOT)
-        if args.graph == "dot":
-            print(project.to_dot())
-        else:
-            print(_json.dumps(project.to_json(), indent=1))
-        return 0
-    config = None if args.no_config \
-        else load_config(_REPO_ROOT / "pyproject.toml")
-    only = None
-    if args.changed_only:
-        only = _changed_paths(args.base)
-        if not only:
-            print(f"analyze OK: no .py files changed vs {args.base}")
-            return 0
-    violations = run_lint(paths, rules=rules, config=config,
-                          root=_REPO_ROOT, only=only)
-    baseline_path = Path(args.baseline) if args.baseline \
-        else _REPO_ROOT / "analysis-baseline.json"
-    if args.update_baseline:
-        saved = save_baseline(baseline_path, violations)
-        print(f"analyze: baseline updated — {saved.total} finding(s) "
-              f"frozen in {baseline_path}")
-        return 0
-    if args.no_baseline:
-        new, stale, suppressed = tuple(violations), (), ()
-    else:
-        full_tree = not args.paths and only is None and rules is None
-        result = reconcile(load_baseline(baseline_path), violations,
-                           check_stale=full_tree)
-        new, stale, suppressed = result.new, result.stale, result.suppressed
-    if args.sarif is not None:
-        doc = to_sarif(violations, rules if rules is not None else ALL_RULES)
-        text = _json.dumps(doc, indent=1)
-        if args.sarif == "-":
-            print(text)
-        else:
-            Path(args.sarif).write_text(text + "\n")
+    violations = run_lint(paths, rules=rules,
+                          config=load_config(_REPO_ROOT / "pyproject.toml"),
+                          root=_REPO_ROOT)
     if args.json:
-        print(_json.dumps([v.as_dict() for v in new], indent=1))
-    elif args.sarif != "-":
-        for v in new:
+        print(_json.dumps([v.as_dict() for v in violations], indent=1))
+    else:
+        for v in violations:
             print(v.format())
-    for rule, rel, message in stale:
-        print(f"analyze: stale baseline entry {rule} {rel}: {message!r} "
-              "— the tree no longer produces it; regenerate with "
-              "--update-baseline", file=sys.stderr)
-    if new or stale:
-        n_rules = len({v.rule for v in new} | {k[0] for k in stale})
-        print(f"analyze: {len(new)} new violation(s), {len(stale)} stale "
-              f"baseline entr(y/ies) across {n_rules} rule(s)",
+    if violations:
+        print(f"analyze: {len(violations)} violation(s) across "
+              f"{len({v.rule for v in violations})} rule(s)",
               file=sys.stderr)
         return 1
-    if not args.json and args.sarif != "-":
-        n = len(rules) if rules is not None else len(ALL_RULES)
-        extra = f", {len(suppressed)} baselined" if suppressed else ""
-        print(f"analyze OK: {n} rule(s), 0 new violations{extra}")
+    if not args.json:
+        print(f"analyze OK: {len(rules)} rule(s), 0 violations")
     return 0
 
 
@@ -756,25 +694,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="sharded.npz")
     p.set_defaults(fn=cmd_partition)
 
-    def add_engine_args(p):
-        _add_graph_args(p)
-        p.add_argument("--shards", default=None,
-                       help="load a saved sharded graph instead")
-        p.add_argument("--machines", type=int, default=4)
-        p.add_argument("--procs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--no-fetch", action="store_true",
-                       help="disable the adaptive fetch layer (split + "
-                            "hot-vertex cache + coalescing)")
-        p.add_argument("--fetch-cache-bytes", type=int, default=None,
-                       help="hot-vertex cache budget per machine "
-                            "(0 disables the cache; default 4 MiB)")
-
     p = sub.add_parser("query", help="run SSPPR queries")
-    add_engine_args(p)
-    p.add_argument("--queries", type=int, default=16)
-    p.add_argument("--alpha", type=float, default=0.462)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    _add_engine_args(p)
+    _add_ppr_args(p, queries=16)
     p.add_argument("--top", type=int, default=10,
                    help="print top-K PPR of one query (0 = off)")
     p.add_argument("--batch-queries", action="store_true",
@@ -782,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("walk", help="run distributed random walks")
-    add_engine_args(p)
+    _add_engine_args(p)
     p.add_argument("--roots", type=int, default=16)
     p.add_argument("--length", type=int, default=8)
     p.set_defaults(fn=cmd_walk)
@@ -790,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stream",
                        help="streaming updates: incremental PPR + "
                             "telemetry-driven rebalancing")
-    add_engine_args(p)
+    _add_engine_args(p)
     p.add_argument("--runtime", choices=("sim", "threads"), default="sim")
     p.add_argument("--batches", type=int, default=8,
                    help="update batches to stream")
@@ -812,13 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench",
                        help="benchmark observatory: run/report/diff/check")
     bsub = p.add_subparsers(dest="bench_command", required=True)
-
-    b = bsub.add_parser("quick", help="engine vs baselines, one shot")
-    add_engine_args(b)
-    b.add_argument("--queries", type=int, default=8)
-    b.add_argument("--alpha", type=float, default=0.462)
-    b.add_argument("--epsilon", type=float, default=1e-6)
-    b.set_defaults(fn=cmd_bench_quick)
 
     def add_results_dir(b):
         b.add_argument("--results-dir", default=str(_RESULTS_DIR),
@@ -868,25 +783,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the txt/json consistency linter")
     b.set_defaults(fn=cmd_bench_check)
 
-    b = bsub.add_parser("lint",
-                        help="check results/*.txt against *.json siblings")
-    add_results_dir(b)
-    b.set_defaults(fn=cmd_bench_lint)
-
     p = sub.add_parser("serve",
                        help="multi-tenant open-loop serving (docs/serving.md)")
-    p.add_argument("graph", nargs="?", default="products",
-                   help="dataset name or graph .npz path (default products)")
-    p.add_argument("--scale", type=_scale_value, default=0.1,
-                   help="stand-in scale: a fraction or tiny/small/full")
-    p.add_argument("--shards", default=None,
-                   help="load a saved sharded graph instead")
-    p.add_argument("--machines", type=int, default=4)
-    p.add_argument("--procs", type=int, default=1)
-    p.add_argument("--no-fetch", action="store_true",
-                   help="disable the adaptive fetch layer")
-    p.add_argument("--fetch-cache-bytes", type=int, default=None,
-                   help="hot-vertex cache budget per machine")
+    _add_engine_args(
+        p, graph_default="products",
+        seed_help="trace seed (same seed -> identical workload)")
     p.add_argument("--trace", default="poisson",
                    choices=("poisson", "bursty"),
                    help="arrival process (seeded, open-loop)")
@@ -894,8 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mean arrivals per virtual second")
     p.add_argument("--duration", type=float, default=0.5,
                    help="trace length in virtual seconds")
-    p.add_argument("--seed", type=int, default=0,
-                   help="trace seed (same seed -> identical workload)")
     p.add_argument("--tenants", default="gold:2:32:2,free:0:8:1",
                    help="comma list of name[:priority[:quota[:weight]]] "
                         "('' = single default tenant)")
@@ -916,12 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runtime", default="sim", choices=("sim", "threads"),
                    help="drain on the virtual-time scheduler or real "
                         "threads (identical outputs either way)")
-    p.add_argument("--drop", type=float, default=0.0,
-                   help="chaos: per-message drop probability")
-    p.add_argument("--fault-seed", type=int, default=7)
-    p.add_argument("--max-attempts", type=int, default=6)
-    p.add_argument("--timeout", type=float, default=0.05,
-                   help="per-attempt RPC timeout, virtual seconds")
+    _add_chaos_args(p, drop=0.0, max_attempts=6)
     p.add_argument("--burst-factor", type=float, default=8.0,
                    help="bursty trace: burst-to-base intensity ratio")
     p.add_argument("--period", type=float, default=0.2,
@@ -933,23 +827,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("chaos", help="clean vs faulty run, one shot")
-    add_engine_args(p)
-    p.add_argument("--queries", type=int, default=16)
-    p.add_argument("--alpha", type=float, default=0.462)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--fault-seed", type=int, default=7,
-                   help="fault plan seed (faults replay deterministically)")
-    p.add_argument("--drop", type=float, default=0.05,
-                   help="per-message drop probability")
+    _add_engine_args(p)
+    _add_ppr_args(p, queries=16)
+    _add_chaos_args(p, drop=0.05, max_attempts=4)
     p.add_argument("--crash-machine", type=int, default=-1,
                    help="crash this machine's storage server (-1 = none)")
     p.add_argument("--crash-at", type=float, default=0.0,
                    help="virtual time the crash starts")
     p.add_argument("--recover-at", type=float, default=float("inf"),
                    help="virtual time the server recovers (inf = never)")
-    p.add_argument("--max-attempts", type=int, default=4)
-    p.add_argument("--timeout", type=float, default=0.05,
-                   help="per-attempt RPC timeout, virtual seconds")
     p.add_argument("--degradation", default="skip_remote",
                    choices=[m.value for m in DegradationMode],
                    help="what a query does when retries are exhausted")
@@ -957,10 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile",
                        help="traced run -> Chrome trace JSON + metrics")
-    add_engine_args(p)
-    p.add_argument("--queries", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=0.462)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    _add_engine_args(p)
+    _add_ppr_args(p, queries=8)
     p.add_argument("--mode", default="engine",
                    choices=("engine", "tensor", "batched"))
     p.add_argument("--out", default="trace.json",
@@ -978,34 +862,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("doctor",
                        help="trace analytics: critical paths, stragglers, "
                             "cache verdicts (docs/observability.md)")
-    p.add_argument("graph", nargs="?", default="products",
-                   help="dataset name or graph .npz path (default products)")
-    p.add_argument("--scale", type=_scale_value, default=0.1,
-                   help="stand-in scale: a fraction or tiny/small/full")
-    p.add_argument("--shards", default=None,
-                   help="load a saved sharded graph instead")
-    p.add_argument("--machines", type=int, default=4)
-    p.add_argument("--procs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-fetch", action="store_true",
-                   help="disable the adaptive fetch layer")
-    p.add_argument("--fetch-cache-bytes", type=int, default=None,
-                   help="hot-vertex cache budget per machine")
-    p.add_argument("--queries", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=0.462)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    _add_engine_args(p, graph_default="products")
+    _add_ppr_args(p, queries=8)
     p.add_argument("--max-spans", type=int, default=None,
                    help="span cap for the traced run (overflow flags the "
                         "report as trace-incomplete)")
     p.add_argument("--timeline", type=float, default=None,
                    help="sample a telemetry timeline at this virtual-time "
                         "interval (seconds)")
-    p.add_argument("--drop", type=float, default=0.0,
-                   help="chaos: per-message drop probability")
-    p.add_argument("--fault-seed", type=int, default=7)
-    p.add_argument("--max-attempts", type=int, default=6)
-    p.add_argument("--timeout", type=float, default=0.05,
-                   help="per-attempt RPC timeout, virtual seconds")
+    _add_chaos_args(p, drop=0.0, max_attempts=6)
     p.add_argument("--top", type=int, default=10,
                    help="critical-path buckets to print")
     p.add_argument("--json", action="store_true",
@@ -1030,26 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit violations as JSON")
     p.add_argument("--list-rules", action="store_true",
                    help="list rule IDs and titles, then exit")
-    p.add_argument("--no-config", action="store_true",
-                   help="ignore the [tool.repro.analysis] allowlist")
-    p.add_argument("--changed-only", action="store_true",
-                   help="report only findings in files changed vs --base "
-                        "(the whole tree is still analyzed)")
-    p.add_argument("--base", default="HEAD", metavar="REF",
-                   help="git ref --changed-only diffs against "
-                        "(default: HEAD)")
-    p.add_argument("--sarif", nargs="?", const="-", default=None,
-                   metavar="FILE",
-                   help="emit SARIF 2.1.0 to FILE ('-' or bare = stdout)")
-    p.add_argument("--graph", choices=("dot", "json"), default=None,
-                   help="dump the whole-program call/lock graph and exit")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="ratchet baseline file "
-                        "(default: analysis-baseline.json)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="freeze current findings as the new baseline")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore the baseline: any finding fails")
     p.set_defaults(fn=cmd_analyze)
     return parser
 

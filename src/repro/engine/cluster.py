@@ -33,11 +33,12 @@ class _Cluster(TransportCounters):
 
     ``trace`` / ``max_spans`` / ``fault_plan`` / ``retry_policy`` are
     per-run knobs (one cluster is built per run) carried by a
-    :class:`~repro.engine.request.RunRequest`.  The retry
-    policy resolves here, once, for every body: the explicit argument
-    (request, else session/stream config) › ``config.retry_policy`` › the
-    default policy iff the fault plan is non-empty (applied by the RPC
-    group, :class:`~repro.rpc.worker.WorkerRegistry`).
+    :class:`~repro.engine.request.RunRequest` (or, for walks and
+    ingestion, a session / stream config).  The retry policy travels with
+    the fault plan it answers and resolves in two steps, once, for every
+    body: the explicit argument › the default policy iff the fault plan is
+    non-empty (applied by the RPC group,
+    :class:`~repro.rpc.worker.WorkerRegistry`).
 
     ``sanitize`` attaches a lockset race detector
     (:class:`repro.analysis.race.RaceDetector`) as ``sanitizer`` /
@@ -68,8 +69,6 @@ class _Cluster(TransportCounters):
 
             self.sanitizer = RaceDetector()
         self.obs.sanitizer = self.sanitizer
-        if retry_policy is None:
-            retry_policy = config.retry_policy
         #: the RPC group RRefs dispatch through
         self.ctx = self._make_ctx(fault_plan, retry_policy)
         self.rrefs: list[RRef] = []

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from repro.partition.base import Partitioner
 from repro.partition.metis_lite import MetisLitePartitioner
 from repro.ppr.distributed import OptLevel
-from repro.rpc.retry import RetryPolicy
 from repro.simt.network import NetworkModel
 from repro.utils.validation import check_positive
 
@@ -29,10 +28,6 @@ class EngineConfig:
     #: 2 = cache full adjacency rows of 1-hop halo nodes (Section 3.2.1's
     #: memory-for-communication trade)
     halo_hops: int = 1
-    #: deployment-wide timeout/retry/backoff default for remote calls;
-    #: ``None`` keeps the zero-overhead dispatch path.  Per-run overrides
-    #: travel on :class:`~repro.engine.request.RunRequest`.
-    retry_policy: RetryPolicy | None = None
     #: adaptive fetch layer (docs/fetch-layer.md): split per-shard requests
     #: into halo-cache hits (served locally) and misses (only misses cross
     #: the wire).  Turn off together with ``fetch_cache_bytes=0`` to get the

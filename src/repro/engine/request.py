@@ -1,10 +1,10 @@
 """The engine's run-request API.
 
-A :class:`RunRequest` bundles everything that parameterizes one batched
-query run — the query set, PPR parameters, RPC optimization level, tracing,
-seeding, and the fault-tolerance knobs (fault plan, retry policy,
-degradation mode) — into a single validated value passed to
-:meth:`~repro.engine.engine.GraphEngine.run`::
+A :class:`RunRequest` says *what* one batched query run computes — the
+query set, PPR parameters, execution mode, seeding — plus what is observed
+about it (tracing, sanitizer, timeline) and the chaos it runs under (fault
+plan, the retry policy answering it, degradation mode), as a single
+validated value passed to :meth:`~repro.engine.engine.GraphEngine.run`::
 
     from repro import FaultPlan, GraphEngine, RunRequest
 
@@ -17,8 +17,19 @@ degradation mode) — into a single validated value passed to
 This replaced the sprawling ``run_queries(...)`` keyword surface (the
 deprecated shim is gone).  Requests are frozen: one request can be
 replayed against several engines or configurations and means the same thing
-every time.  For long-lived multi-tenant serving, sessions build these
-requests internally — see :mod:`repro.serving` and docs/serving.md.
+every time.  *How* the cluster talks — RPC optimization level, the fetch
+layer's knobs, halo depth — is fixed at deployment on
+:class:`~repro.engine.config.EngineConfig`; a run at another setting is a
+sibling engine over the same shards (no re-partition)::
+
+    import dataclasses
+
+    batch_only = GraphEngine(engine.graph, dataclasses.replace(
+        engine.config, opt=OptLevel.BATCH), sharded=engine.sharded)
+    run = batch_only.run(request)
+
+For long-lived multi-tenant serving, sessions build these requests
+internally — see :mod:`repro.serving` and docs/serving.md.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ppr.distributed import DegradationMode, OptLevel
+from repro.ppr.distributed import DegradationMode
 from repro.ppr.params import PPRParams
 from repro.rpc.retry import RetryPolicy
 from repro.simt.faults import FaultPlan
@@ -54,15 +65,14 @@ class RunRequest:
     ----------
     n_queries / sources:
         Either a query count (sources sampled with ``seed``) or an explicit
-        array of source global IDs.  Exactly one must be provided.
+        array of source global IDs.  Exactly one must be provided;
+        ``sources`` must be a non-empty 1-D array of integer dtype (no
+        silent truncation of floats, bools or strings).
     params:
         PPR parameters; engine defaults when ``None``.
     mode:
         ``"engine"`` (hashmap PPR engine, the default), ``"tensor"`` (dense
         baseline), or ``"batched"`` (inter-query MultiSSPPR batching).
-    opt:
-        RPC optimization level override; the config's level when ``None``.
-        Only meaningful for ``mode="engine"``.
     keep_states:
         Collect per-query result states into ``QueryRunResult.states``
         (``mode="batched"`` always collects).
@@ -83,11 +93,10 @@ class RunRequest:
     fault_plan:
         Injected faults for this run (chaos testing); ``None`` = healthy.
     retry_policy:
-        Timeout/retry/backoff for remote calls.  ``None`` falls back to
-        ``EngineConfig.retry_policy``, and — with a non-empty ``fault_plan``
-        and no policy anywhere — to the default policy, so drops resolve as
-        timeouts instead of deadlocks (resolved once, at deployment:
-        :mod:`repro.engine.cluster`).
+        Timeout/retry/backoff for remote calls; it travels with the fault
+        plan it answers.  ``None`` means no retry layer on a healthy run
+        and the default policy under a non-empty ``fault_plan``, so drops
+        resolve as timeouts instead of deadlocks.
     degradation:
         What a query does when a remote fetch exhausts its retries.
         ``SKIP_REMOTE`` needs ``mode="engine"`` — only its operator can
@@ -99,11 +108,6 @@ class RunRequest:
         lock-discipline violations surface in
         ``QueryRunResult.race_violations`` plus the ``sanitizer.*``
         metrics.  Zero-overhead when off (the default).
-    fetch_split / fetch_cache_bytes / fetch_coalesce:
-        Per-run overrides for the adaptive fetch layer
-        (docs/fetch-layer.md); the config's knobs when ``None``.
-        ``fetch_split=False, fetch_cache_bytes=0`` reproduces the
-        pre-fetch-layer wire behavior exactly (ablation off-switch).
     timeline:
         Sampling interval in virtual seconds for a
         :class:`~repro.obs.analysis.Timeline` of selected counters and
@@ -118,7 +122,6 @@ class RunRequest:
     sources: np.ndarray | None = None
     params: PPRParams | None = None
     mode: str = "engine"
-    opt: OptLevel | None = None
     keep_states: bool = False
     seed: int | None = None
     trace: bool = False
@@ -127,9 +130,6 @@ class RunRequest:
     retry_policy: RetryPolicy | None = None
     degradation: DegradationMode = DegradationMode.FAIL_FAST
     sanitize: bool = False
-    fetch_split: bool | None = None
-    fetch_cache_bytes: int | None = None
-    fetch_coalesce: bool | None = None
     timeline: float | None = None
 
     def __post_init__(self) -> None:
@@ -152,13 +152,16 @@ class RunRequest:
             )
         check_degradation(self.mode, self.degradation)
         if self.sources is not None:
+            sources = np.asarray(self.sources)
+            # bool is not an integer dtype to NumPy, so [True, False] fails too
+            if (sources.ndim != 1 or sources.size == 0
+                    or not np.issubdtype(sources.dtype, np.integer)):
+                raise ValueError(
+                    f"sources must be a non-empty 1-D array of integer ids, "
+                    f"got shape {sources.shape} dtype {sources.dtype}"
+                )
             object.__setattr__(
-                self, "sources", np.asarray(self.sources, dtype=np.int64)
-            )
-        if self.fetch_cache_bytes is not None and self.fetch_cache_bytes < 0:
-            raise ValueError(
-                f"fetch_cache_bytes must be >= 0, "
-                f"got {self.fetch_cache_bytes}"
+                self, "sources", sources.astype(np.int64, copy=False)
             )
         if self.timeline is not None and self.timeline <= 0:
             raise ValueError(

@@ -89,6 +89,12 @@ class Query:
             raise ValueError(
                 f"kind must be one of {QUERY_KINDS}, got {self.kind!r}"
             )
+        # same rule as RunRequest.sources: integers only, nothing truncated
+        if (isinstance(self.source, bool)
+                or not isinstance(self.source, (int, np.integer))):
+            raise ValueError(
+                f"source must be an integer id, got {self.source!r}"
+            )
         if self.source < 0:
             raise ValueError(f"source must be >= 0, got {self.source}")
         if self.kind == "walk" and self.walk_length <= 0:
@@ -147,7 +153,6 @@ class SessionConfig:
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy | None = None
     degradation: DegradationMode = DegradationMode.FAIL_FAST
-    seed: int | None = None
     #: sample a serving-clock Timeline (repro.obs.analysis) at session
     #: open and after every drain; the series is count-derived end to
     #: end, so it replays bitwise on both runtimes
@@ -460,8 +465,9 @@ class Session:
         sequence, and replay a ``FaultPlan``'s drop decisions identically.
 
         Dispatches on ``request.mode`` (PPR Engine / tensor baseline /
-        inter-query batching), deploys a fresh cluster with the request's
-        tracing, fault-plan, and retry-policy overrides, and reports the
+        inter-query batching), deploys a fresh cluster at the engine
+        config's optimization level and fetch settings with the request's
+        tracing, fault plan and retry policy, and reports the
         fault-tolerance counters alongside the usual throughput numbers.
         """
         from repro.engine.engine import QueryRunResult
@@ -477,7 +483,6 @@ class Session:
                                      seed=seed)
         # the boundary: caller ids are validated and become node ids here
         source_ids = engine.sharded.nodes_of(sources)
-        opt = request.opt if request.opt is not None else cfg.opt
 
         cluster = deploy(engine.sharded, cfg, self.config.runtime,
                          fault_plan=request.fault_plan,
@@ -489,13 +494,6 @@ class Session:
         assignment = assign_queries(engine.sharded, source_ids,
                                     cfg.procs_per_machine)
 
-        fetch_split = (cfg.fetch_split if request.fetch_split is None
-                       else request.fetch_split)
-        fetch_cache_bytes = (cfg.fetch_cache_bytes
-                             if request.fetch_cache_bytes is None
-                             else request.fetch_cache_bytes)
-        fetch_coalesce = (cfg.fetch_coalesce if request.fetch_coalesce is None
-                          else request.fetch_coalesce)
         # one FetchCache per machine, shared by its computing processes —
         # that sharing is what makes cross-request coalescing fire
         fetch_caches: dict[int, FetchCache] = {}
@@ -506,15 +504,16 @@ class Session:
         def storage_for(machine, proc, compress):
             g = DistGraphStorage(cluster.rrefs, machine, proc.name,
                                  compress=compress)
-            if not (compress and (fetch_split or fetch_cache_bytes > 0)):
+            if not (compress
+                    and (cfg.fetch_split or cfg.fetch_cache_bytes > 0)):
                 return g
             fc = fetch_caches.get(machine)
             if fc is None:
                 fc = fetch_caches[machine] = FetchCache(
-                    fetch_cache_bytes, sanitizer=cluster.sanitizer
+                    cfg.fetch_cache_bytes, sanitizer=cluster.sanitizer
                 )
             return NeighborFetchService(
-                g, fc, split=fetch_split, coalesce=fetch_coalesce,
+                g, fc, split=cfg.fetch_split, coalesce=cfg.fetch_coalesce,
                 metrics=obs.metrics, proc=proc,
                 heat=heat_maps.setdefault(machine, {}),
             )
@@ -560,9 +559,10 @@ class Session:
                 fault_stats.append({"degraded_queries": 0,
                                     "abandoned_mass": 0.0})
                 body = multi_query_driver(
-                    storage_for(machine, proc, opt.compressed), proc, chunk,
-                    engine.sharded, params, opt=opt, collect=collect,
-                    latencies=latencies, degradation=request.degradation,
+                    storage_for(machine, proc, cfg.opt.compressed), proc,
+                    chunk, engine.sharded, params, opt=cfg.opt,
+                    collect=collect, latencies=latencies,
+                    degradation=request.degradation,
                     fault_stats=fault_stats[-1],
                 )
             cluster.spawn_compute(machine, proc_index, body)

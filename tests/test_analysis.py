@@ -1,11 +1,10 @@
 """The determinism & concurrency sanitizer suite (``repro.analysis``).
 
 Pillars, tested in order: the custom AST lint engine and its
-REP001–REP010 rules (against per-rule positive/negative fixtures under
+REP001–REP011 rules (against per-rule positive/negative fixtures under
 ``tests/fixtures/analysis/`` and against the shipped tree, which must be
 clean — the tier-1 gate); the whole-program call/lock-graph model behind
-the interprocedural rules, the ratchet baseline, and the SARIF export;
-the Eraser-style lockset race detector wired through ``ShardedMap`` /
+the interprocedural rules; the Eraser-style lockset race detector wired through ``ShardedMap`` /
 ``ThreadRuntime`` / ``RunRequest(sanitize=True)``; and the scheduler
 deadlock detector that names the blocked coroutine and the future it
 awaits when the event queue drains early.
@@ -27,19 +26,12 @@ from repro.analysis import (
     run_lint,
     uninstall,
 )
-from repro.analysis.baseline import (
-    BASELINE_SCHEMA,
-    load_baseline,
-    reconcile,
-    save_baseline,
-)
 from repro.analysis.lint import (
     FileContext,
     Violation,
     collect_pragmas,
     lint_file,
 )
-from repro.analysis.sarif import to_sarif
 from repro.analysis.rules import ALL_RULE_IDS, ALL_RULES, get_rules
 from repro.cli import main
 from repro.engine import EngineConfig, GraphEngine, RunRequest
@@ -382,17 +374,7 @@ class TestCallGraph:
         project = build_project([tmp_path], root=tmp_path)
         assert project.lock_cycles() == [["mod:L1", "mod:L2"]]
 
-    def test_graph_exports(self):
-        project = build_project([FIXTURES / "rep008_bad.py"],
-                                root=REPO_ROOT)
-        payload = project.to_json()
-        assert payload["schema"] == "repro.analysis-graph/v1"
-        assert payload["locks"]["cycles"], "fixture cycle missing"
-        dot = project.to_dot()
-        assert dot.startswith("digraph")
-        assert "color=red" in dot  # cycle edges are highlighted
-
-    def test_run_lint_only_filters_report_not_analysis(self, tmp_path):
+    def test_dispatch_site_in_another_file_binds_the_handler(self, tmp_path):
         rpc = tmp_path / "rpc"
         rpc.mkdir()
         (rpc / "server.py").write_text(
@@ -405,15 +387,12 @@ class TestCallGraph:
             "def go(ctx, ref):\n"
             "    ctx.rpc_async(ref, 'ok')\n"
             "    ctx.rpc_async(ref, 'gone')\n")
-        everything = run_lint([tmp_path], rules=get_rules(["REP010"]),
-                              root=tmp_path)
-        assert [v.path for v in everything] == ["rpc/client.py"]
-        # restricting the report to server.py hides the client finding but
-        # the whole-program analysis still ran: no orphan false-positive
-        # for S.ok (its dispatch site lives in the unreported file)
-        only_server = run_lint([tmp_path], rules=get_rules(["REP010"]),
-                               root=tmp_path, only=["rpc/server.py"])
-        assert only_server == []
+        # S.ok is no orphan (its only dispatch site lives in client.py);
+        # 'gone' has no handler anywhere
+        out = run_lint([tmp_path], rules=get_rules(["REP010"]),
+                       root=tmp_path)
+        assert [(v.path, v.line) for v in out] == [("rpc/client.py", 3)]
+
 
 
 # ---------------------------------------------------------------------------
@@ -570,144 +549,6 @@ class TestInterproceduralRules:
         assert len(out) == 2
         assert all("mod:A" in v.message and "mod:B" in v.message
                    for v in out)
-
-
-# ---------------------------------------------------------------------------
-# the ratchet baseline
-# ---------------------------------------------------------------------------
-
-def _v(rule="REP001", path="src/a.py", line=3, message="boom"):
-    return Violation(path=path, line=line, col=0, rule=rule,
-                     message=message)
-
-
-class TestBaseline:
-    def test_roundtrip(self, tmp_path):
-        f = tmp_path / "base.json"
-        saved = save_baseline(f, [_v(), _v(line=9), _v(rule="REP002")])
-        loaded = load_baseline(f)
-        assert loaded.entries == saved.entries
-        assert loaded.entries[("REP001", "src/a.py", "boom")] == 2
-        payload = json.loads(f.read_text())
-        assert payload["schema"] == BASELINE_SCHEMA
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json").entries == {}
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        f = tmp_path / "base.json"
-        f.write_text('{"schema": "something/v9", "findings": []}')
-        with pytest.raises(ValueError, match="schema"):
-            load_baseline(f)
-
-    def test_new_finding_fails(self, tmp_path):
-        f = tmp_path / "base.json"
-        baseline = save_baseline(f, [_v()])
-        result = reconcile(baseline, [_v(), _v(rule="REP005")])
-        assert [v.rule for v in result.new] == ["REP005"]
-        assert result.stale == () and not result.ok
-
-    def test_stale_entry_fails(self, tmp_path):
-        f = tmp_path / "base.json"
-        baseline = save_baseline(f, [_v(), _v(rule="REP002")])
-        result = reconcile(baseline, [_v()])
-        assert result.new == ()
-        assert result.stale == (("REP002", "src/a.py", "boom"),)
-        assert not result.ok
-
-    def test_stale_check_skipped_for_partial_runs(self, tmp_path):
-        baseline = save_baseline(tmp_path / "b.json", [_v()])
-        result = reconcile(baseline, [], check_stale=False)
-        assert result.ok
-
-    def test_line_moves_do_not_churn(self, tmp_path):
-        # the key is (rule, path, message): code motion above a baselined
-        # finding keeps it suppressed
-        baseline = save_baseline(tmp_path / "b.json", [_v(line=3)])
-        result = reconcile(baseline, [_v(line=40)])
-        assert result.ok and len(result.suppressed) == 1
-
-    def test_excess_duplicates_are_new_last_in_line_order(self, tmp_path):
-        baseline = save_baseline(tmp_path / "b.json", [_v(line=3)])
-        result = reconcile(baseline, [_v(line=3), _v(line=9)])
-        assert [v.line for v in result.new] == [9]
-        assert [v.line for v in result.suppressed] == [3]
-
-
-# ---------------------------------------------------------------------------
-# SARIF export + the new CLI surfaces
-# ---------------------------------------------------------------------------
-
-class TestSarifAndCliSurfaces:
-    def test_sarif_document_shape(self):
-        vs = [_v(line=7)]
-        doc = to_sarif(vs, ALL_RULES)
-        assert doc["version"] == "2.1.0"
-        assert "sarif-schema-2.1.0" in doc["$schema"]
-        run = doc["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-analyze"
-        assert [r["id"] for r in driver["rules"]] == list(ALL_RULE_IDS)
-        result = run["results"][0]
-        assert result["ruleId"] == "REP001"
-        assert result["level"] == "error"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 7
-        assert region["startColumn"] == 1  # 0-based col -> 1-based
-
-    def test_cli_sarif_stdout(self, capsys):
-        bad = FIXTURES / "rep001_bad.py"
-        assert main(["analyze", str(bad), "--rule", "REP001",
-                     "--sarif"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        results = doc["runs"][0]["results"]
-        assert results and all(r["ruleId"] == "REP001" for r in results)
-
-    def test_cli_sarif_to_file(self, tmp_path, capsys):
-        out_file = tmp_path / "report.sarif"
-        bad = FIXTURES / "rep001_bad.py"
-        assert main(["analyze", str(bad), "--rule", "REP001",
-                     "--sarif", str(out_file)]) == 1
-        capsys.readouterr()
-        doc = json.loads(out_file.read_text())
-        assert doc["runs"][0]["results"]
-
-    def test_cli_graph_exports(self, capsys):
-        assert main(["analyze", str(FIXTURES / "rep008_bad.py"),
-                     "--graph", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.analysis-graph/v1"
-        assert payload["locks"]["cycles"]
-        assert main(["analyze", str(FIXTURES / "rep008_bad.py"),
-                     "--graph", "dot"]) == 0
-        assert capsys.readouterr().out.startswith("digraph")
-
-    def test_cli_baseline_ratchet(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        bad = FIXTURES / "rep001_bad.py"
-        # freeze the findings, then the same tree passes with them noted
-        assert main(["analyze", str(bad), "--rule", "REP001",
-                     "--baseline", str(base), "--update-baseline"]) == 0
-        assert main(["analyze", str(bad), "--rule", "REP001",
-                     "--baseline", str(base)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-        # --no-baseline ignores the budget: findings fail again
-        assert main(["analyze", str(bad), "--rule", "REP001",
-                     "--baseline", str(base), "--no-baseline"]) == 1
-        capsys.readouterr()
-
-    def test_cli_changed_only_runs(self, capsys):
-        # on a clean (or clean-baselined) tree this must exit 0 whatever
-        # the current diff against HEAD contains
-        assert main(["analyze", "--changed-only"]) == 0
-        capsys.readouterr()
-
-    def test_committed_baseline_is_empty(self):
-        # the shipped tree is clean, so the committed ratchet starts empty
-        baseline = load_baseline(REPO_ROOT / "analysis-baseline.json")
-        assert baseline.total == 0
 
 
 # ---------------------------------------------------------------------------

@@ -407,13 +407,17 @@ class TestBenchCli:
         assert rc == 0
         assert "a.RPCs" in out and "99 -> 10" in out
 
-    def test_lint_command(self, tmp_path, results_dir, capsys):
-        assert main(["bench", "lint",
-                     "--results-dir", str(results_dir)]) == 0
+    def test_check_lints_txt_json_siblings(self, tmp_path, results_dir,
+                                           capsys):
+        baseline = self.write_baseline(tmp_path)
+        argv = ["bench", "check", "--scale", "tiny",
+                "--baseline", str(baseline),
+                "--results-dir", str(results_dir)]
         (results_dir / "demo.txt").write_text("== Demo ==\nh\n---\nonly\n")
-        assert main(["bench", "lint",
-                     "--results-dir", str(results_dir)]) == 1
-        assert "LINT" in capsys.readouterr().out
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "LINT" in out and "1 lint problem(s)" in out
+        assert main(argv + ["--no-lint"]) == 0
 
     def test_report_command(self, results_dir, capsys):
         rc = main(["bench", "report", "--scale", "tiny",
@@ -421,17 +425,6 @@ class TestBenchCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "demo" in out and "bench" in out
-
-    def test_bench_quick_is_the_one_spelling(self, tmp_path, capsys):
-        from repro.graph import powerlaw_cluster, save_npz
-        path = str(tmp_path / "g.npz")
-        save_npz(path, powerlaw_cluster(300, 5, mixing=0.2, seed=0))
-        rc = main(["bench", "quick", path, "--machines", "2",
-                   "--queries", "2"])
-        assert rc == 0
-        assert "engine" in capsys.readouterr().out.lower()
-        with pytest.raises(SystemExit):  # the bare `bench <graph>` is gone
-            main(["bench", path])
 
 
 class TestScaleKeyedCaches:

@@ -1,6 +1,7 @@
 """Integration tests for the GraphEngine facade: end-to-end distributed
 SSPPR / tensor baseline / random walks on the virtual-time cluster."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -113,7 +114,9 @@ class TestRunRequestApi:
     def test_opt_override(self, graph):
         e = GraphEngine(graph, EngineConfig(n_machines=2,
                                             opt=OptLevel.OVERLAP, seed=1))
-        single = e.run(RunRequest(n_queries=4, opt=OptLevel.SINGLE, seed=2))
+        per_vertex = GraphEngine(graph, dataclasses.replace(
+            e.config, opt=OptLevel.SINGLE), sharded=e.sharded)
+        single = per_vertex.run(RunRequest(n_queries=4, seed=2))
         overlap = e.run(RunRequest(n_queries=4, seed=2))
         # per-vertex mode issues far more RPCs than the config's OVERLAP
         assert single.remote_requests > overlap.remote_requests

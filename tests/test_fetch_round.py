@@ -14,6 +14,8 @@ loop changed nothing observable:
   K-pass ``owner == j`` scans they replaced.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -476,9 +478,11 @@ class TestFetchSpans:
         """Each driver issues one ``get_neighbor_infos`` per remote shard
         per round and waits for it once; with the fetch layer off every
         one of those is one remote RPC, so the counts must agree."""
-        run = engine.run(RunRequest(
-            n_queries=6, params=PARAMS, mode=mode, trace=True,
-            fetch_split=False, fetch_cache_bytes=0))
+        bypassed = GraphEngine(engine.graph, dataclasses.replace(
+            engine.config, fetch_split=False, fetch_cache_bytes=0),
+            sharded=engine.sharded)
+        run = bypassed.run(RunRequest(
+            n_queries=6, params=PARAMS, mode=mode, trace=True))
         spans = [s for s in run.obs.tracer.spans if s.name == "fetch"]
         assert len(spans) > 0
         assert len(spans) == run.remote_requests

@@ -35,6 +35,7 @@ perfbench stand-ins — at ``scale=0.04`` for K in {2, 4, 8} and s in {0, 7}
 replaced them (``python -m tests.test_golden_bitwise partition`` prints it).
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -89,6 +90,17 @@ def _digest(states, sharded) -> str:
     return h.hexdigest()
 
 
+def _sibling(engine, **changes) -> GraphEngine:
+    """``engine`` at another deployment setting, over the same shards.
+
+    The fixture was captured with per-run ``opt`` overrides on one engine;
+    it passing unregenerated pins that a sibling engine runs the same thing.
+    """
+    return GraphEngine(engine.graph,
+                       dataclasses.replace(engine.config, **changes),
+                       sharded=engine.sharded)
+
+
 def _run(engine, request, runtime: str):
     if runtime == "sim":
         return engine.run(request)
@@ -103,8 +115,8 @@ def compute_digests(runtime: str) -> dict[str, str]:
     on_machine0 = sharded.shards[0].core_global
     out = {}
     for opt in OptLevel:
-        result = _run(engine, RunRequest(
-            sources=spread, params=PARAMS, opt=opt, keep_states=True,
+        result = _run(_sibling(engine, opt=opt), RunRequest(
+            sources=spread, params=PARAMS, keep_states=True,
         ), runtime)
         out[f"ssppr.{opt.value}"] = _digest(
             (result.states[g] for g in spread.tolist()), sharded)
@@ -122,6 +134,19 @@ def compute_digests(runtime: str) -> dict[str, str]:
 @pytest.mark.parametrize("runtime", ["sim", "threads"])
 def test_results_match_golden_digests(runtime):
     assert compute_digests(runtime) == json.loads(FIXTURE.read_text())
+
+
+def test_sibling_engine_shares_shards_and_never_partitions():
+    class NeverPartition(MetisLitePartitioner):
+        def partition(self, graph, n_parts):
+            raise AssertionError("a sibling engine must not re-partition")
+
+    engine = _engine()
+    sibling = _sibling(engine, opt=OptLevel.BATCH,
+                       partitioner=NeverPartition())
+    assert sibling.sharded is engine.sharded
+    assert sibling.config.opt is OptLevel.BATCH
+    assert engine.config.opt is OptLevel.OVERLAP
 
 
 def compute_stream_digest(runtime: str) -> str:

@@ -7,18 +7,21 @@ to zero on plain batch runs, convenience wrappers return the same shape —
 plus the degenerate ``latency_percentiles`` inputs (0 and 1 samples) that
 historically tripped ``np.percentile`` — and the knob surface: the exact
 field names of ``EngineConfig``, ``RunRequest``, ``SessionConfig`` and
-``StreamConfig``, so a new knob is a
+``StreamConfig`` and the exact subcommands and flags of ``repro.cli``'s
+``analyze`` / ``bench``, so a new knob is a
 visible test diff — and the boundary: caller ids are validated once, with
 one typed error, on every path in; a knob combination that would silently
 do nothing is rejected where it is written.
 """
 
+import argparse
 import dataclasses
 
 import numpy as np
 import pytest
 
 import repro.stream
+from repro.cli import build_parser
 from repro.engine import EngineConfig, GraphEngine, QueryRunResult, RunRequest
 from repro.engine.query import sample_sources
 from repro.errors import ShardError
@@ -99,6 +102,46 @@ class TestSourceValidation:
             session.drain()
 
 
+#: (``sources`` as a caller might hand them over, one such ``Query.source``)
+HOSTILE_SOURCES = {
+    "floats": (np.array([1.7, 2.2]), 1.7),
+    "bools": ([True, False], True),
+    "strings": (["3"], "3"),
+    "two-dimensional": (np.array([[1, 2]]), np.array([1, 2])),
+    "empty": ([], None),
+}
+
+
+class TestHostileSources:
+    """Ids that are not integers are refused, never truncated or coerced —
+    ``ValueError`` at construction, so no cluster is deployed for them."""
+
+    @pytest.mark.parametrize("sources, source", HOSTILE_SOURCES.values(),
+                             ids=HOSTILE_SOURCES.keys())
+    def test_rejected_before_deploy(self, engine, monkeypatch, sources,
+                                    source):
+        def no_deploy(*args, **kwargs):
+            raise AssertionError("a cluster was deployed")
+
+        monkeypatch.setattr("repro.serving.session.deploy", no_deploy)
+        for mode in ("engine", "batched", "tensor"):
+            with pytest.raises(ValueError, match="sources must be"):
+                engine.run(RunRequest(sources=sources, mode=mode))
+        session = engine.open_session()
+        with pytest.raises(ValueError, match="source must be"):
+            session.submit(Query(source=source))
+        assert session.pending == 0
+
+    def test_integer_arrays_of_any_width_are_accepted(self, engine):
+        good = sample_sources(engine.sharded, 2, seed=0)
+        for sources in (good.astype(np.int32), good.astype(np.uint16),
+                        good.tolist()):
+            request = RunRequest(sources=sources)
+            assert request.sources.dtype == np.int64
+            assert request.sources.tolist() == good.tolist()
+        Query(source=np.int32(3))
+
+
 class TestKnobCombinations:
     @pytest.mark.parametrize("mode", ["batched", "tensor"])
     def test_skip_remote_needs_engine_mode(self, mode):
@@ -127,23 +170,22 @@ class TestKnobSurface:
     def test_engine_config_fields(self):
         assert tuple(f.name for f in dataclasses.fields(EngineConfig)) == (
             "n_machines", "procs_per_machine", "partitioner", "network",
-            "opt", "halo_hops", "retry_policy", "fetch_split",
-            "fetch_cache_bytes", "fetch_coalesce", "seed",
+            "opt", "halo_hops", "fetch_split", "fetch_cache_bytes",
+            "fetch_coalesce", "seed",
         )
 
     def test_run_request_fields(self):
         assert tuple(f.name for f in dataclasses.fields(RunRequest)) == (
-            "n_queries", "sources", "params", "mode", "opt", "keep_states",
+            "n_queries", "sources", "params", "mode", "keep_states",
             "seed", "trace", "max_spans", "fault_plan", "retry_policy",
-            "degradation", "sanitize", "fetch_split", "fetch_cache_bytes",
-            "fetch_coalesce", "timeline",
+            "degradation", "sanitize", "timeline",
         )
 
     def test_session_config_fields(self):
         assert tuple(f.name for f in dataclasses.fields(SessionConfig)) == (
             "mode", "params", "runtime", "tenants", "queue_cap", "batch_cap",
             "slo", "batch_window", "cost_model", "fault_plan",
-            "retry_policy", "degradation", "seed", "timeline",
+            "retry_policy", "degradation", "timeline",
         )
 
     def test_stream_config_fields(self):
@@ -154,6 +196,70 @@ class TestKnobSurface:
             "retry_policy", "rebalance", "timeline",
         )
         assert not hasattr(repro.stream, "StreamCostModel")
+
+
+def _subcommands(parser) -> dict:
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _arguments(parser) -> tuple:
+    """Positionals by dest and options by their strings, in order."""
+    return tuple(s for a in parser._actions
+                 if not isinstance(a, argparse._HelpAction)
+                 for s in (a.option_strings or [a.dest]))
+
+
+class TestCliSurface:
+    """Every subcommand, and every flag of the gate and bench commands, by
+    name — the CLI's counterpart of :class:`TestKnobSurface`."""
+
+    def test_subcommands(self):
+        assert tuple(_subcommands(build_parser())) == (
+            "info", "partition", "query", "walk", "stream", "bench",
+            "serve", "chaos", "profile", "doctor", "analyze",
+        )
+
+    def test_analyze_flags(self):
+        analyze = _subcommands(build_parser())["analyze"]
+        assert _arguments(analyze) == (
+            "paths", "--rule", "--json", "--list-rules",
+        )
+
+    def test_bench_subcommands_and_flags(self):
+        bench = _subcommands(_subcommands(build_parser())["bench"])
+        assert {name: _arguments(p) for name, p in bench.items()} == {
+            "run": ("--scale", "--select", "--benchmarks-dir",
+                    "--results-dir", "--out"),
+            "report": ("--scale", "--results-dir", "--out"),
+            "diff": ("baseline", "current", "--results-dir", "--wall-rtol"),
+            "check": ("--scale", "--baseline", "--results-dir",
+                      "--wall-rtol", "--no-lint"),
+        }
+
+    def test_shared_flag_groups_keep_each_commands_defaults(self):
+        """The graph / engine / ppr / chaos groups are spelled once; what
+        differs per subcommand is only these defaults."""
+        engine_group = dict(scale=0.1, shards=None, machines=4, procs=1,
+                            seed=0, no_fetch=False, fetch_cache_bytes=None)
+        ppr = dict(alpha=0.462, epsilon=1e-6)
+        expected = {
+            ("query", "products"): dict(engine_group, **ppr, queries=16),
+            ("profile", "products"): dict(engine_group, **ppr, queries=8),
+            ("chaos", "products"): dict(
+                engine_group, **ppr, queries=16, drop=0.05, fault_seed=7,
+                max_attempts=4, timeout=0.05),
+            ("doctor",): dict(
+                engine_group, **ppr, queries=8, graph="products", drop=0.0,
+                fault_seed=7, max_attempts=6, timeout=0.05),
+            ("serve",): dict(
+                engine_group, graph="products", drop=0.0, fault_seed=7,
+                max_attempts=6, timeout=0.05),
+        }
+        for argv, defaults in expected.items():
+            args = vars(build_parser().parse_args(list(argv)))
+            assert {k: args[k] for k in defaults} == defaults, argv
 
 
 class TestLatencyPercentiles:

@@ -97,8 +97,9 @@ def run_threaded(engine, sources, *, fetch=True, fetch_caches=None,
 
 
 def sim_request(sources, **overrides):
-    return RunRequest(sources=sources, params=PARAMS,
-                      opt=OptLevel.OVERLAP, keep_states=True, **overrides)
+    # the module's engine deploys at OptLevel.OVERLAP (the config default)
+    return RunRequest(sources=sources, params=PARAMS, keep_states=True,
+                      **overrides)
 
 
 def assert_same_vectors(engine, states_a, states_b):
@@ -194,17 +195,14 @@ class TestFaultyDifferential:
         assert (sim.degraded_queries, sim.abandoned_mass) == \
             (thr.degraded_queries, thr.abandoned_mass)
 
-    def test_engine_config_retry_policy_is_honoured(self, engine):
-        """``EngineConfig.retry_policy`` is the deployment default even
-        when the request carries a fault plan — one attempt means no
+    def test_explicit_one_shot_policy_beats_the_fault_default(self, engine):
+        """The request's policy is used as given even under a fault plan
+        (which alone would get the default policy) — one attempt means no
         retransmissions, on both runtimes."""
-        one_shot = GraphEngine(engine.graph, EngineConfig(
-            n_machines=2, retry_policy=RetryPolicy(max_attempts=1,
-                                                   timeout=0.01),
-        ), sharded=engine.sharded)
         sources = sample_sources(engine.sharded, 8, seed=0)
-        sim, thr = self._on_both(one_shot, sim_request(
+        sim, thr = self._on_both(engine, sim_request(
             sources, fault_plan=FaultPlan(seed=13, drop_prob=0.3),
+            retry_policy=RetryPolicy(max_attempts=1, timeout=0.01),
             degradation=DegradationMode.SKIP_REMOTE))
         assert sim.dropped_messages > 0
         assert sim.retries == thr.retries == 0
@@ -240,8 +238,10 @@ class TestFetchLayerDifferential:
     def test_fetch_on_off_bitwise_identical_sim(self, engine):
         sources = sample_sources(engine.sharded, 8, seed=4)
         on = engine.run(sim_request(sources))
-        off = engine.run(sim_request(sources, fetch_split=False,
-                                     fetch_cache_bytes=0))
+        bypassed = GraphEngine(engine.graph, EngineConfig(
+            n_machines=2, fetch_split=False, fetch_cache_bytes=0),
+            sharded=engine.sharded)
+        off = bypassed.run(sim_request(sources))
         assert_same_vectors(engine, on.states, off.states)
         # ... and travels less: the hot-vertex cache absorbs repeats
         on_c = on.obs.metrics.counters()

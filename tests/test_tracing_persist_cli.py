@@ -168,13 +168,6 @@ class TestCli:
                      "--length", "3"]) == 0
         assert "walks/s" in capsys.readouterr().out
 
-    def test_bench(self, graph_file, capsys):
-        from repro.cli import main
-        assert main(["bench", "quick", graph_file, "--machines", "2",
-                     "--queries", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "PPR Engine" in out and "multi-query" in out
-
     def test_unknown_graph(self):
         from repro.cli import main
         with pytest.raises(SystemExit):
