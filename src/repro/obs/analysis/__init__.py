@@ -10,7 +10,7 @@ Four modules turn a finished run's raw telemetry into answers:
   off the RPC client spans;
 * :mod:`~repro.obs.analysis.timeline` — typed, deterministic
   virtual-time series of selected counters and gauges
-  (``RunRequest(timeline=interval)``, session/stream boundary samples);
+  (``RunRequest(timeline=interval)``);
 * :mod:`~repro.obs.analysis.doctor` — ``diagnose(run)`` →
   :class:`DiagnosisReport`, report diffing, and the rendering behind
   ``python -m repro.cli doctor``.
@@ -36,8 +36,6 @@ from repro.obs.analysis.doctor import (
 from repro.obs.analysis.rpc import rpc_summary
 from repro.obs.analysis.timeline import (
     ENGINE_WATCH,
-    SESSION_WATCH,
-    STREAM_WATCH,
     Timeline,
     TimelineSample,
     final_sample,
@@ -49,8 +47,6 @@ __all__ = [
     "DIAGNOSIS_SCHEMA",
     "ENGINE_WATCH",
     "PATH_PHASES",
-    "SESSION_WATCH",
-    "STREAM_WATCH",
     "CriticalPath",
     "DiagnosisReport",
     "PathSegment",

@@ -1,22 +1,15 @@
 """Deterministic telemetry timelines.
 
 A :class:`Timeline` is a typed series of ``(virtual_time, values)``
-samples of selected counters and gauges.  Three samplers feed it:
-
-* **engine runs** — every run's series opens with the ``t=0`` sample and
-  closes with the final counters at the makespan (:func:`final_sample`);
-  on the virtual-time scheduler a timer additionally fires every
-  ``RunRequest(timeline=interval)`` virtual seconds and snapshots the
-  watch list mid-run (:func:`install_sim_sampler`) — it re-arms only
-  while other events remain queued, so it can never keep the event loop
-  alive by itself.  Real threads have no virtual timer, so a thread-mode
-  series keeps the two deterministic edges;
-* **serving / streaming sessions** — every drain or stream event
-  boundary samples on the deterministic serving clock, which advances
-  through cost models only.  Those series are *count-derived end to
-  end* and therefore replay bitwise-identically on both runtimes,
-  joining the cross-runtime differential contract
-  (``tests/test_runtime_differential.py``).
+samples of selected counters and gauges, fed by engine runs
+(``RunRequest(timeline=interval)``): every run's series opens with the
+``t=0`` sample and closes with the final counters at the makespan
+(:func:`final_sample`); on the virtual-time scheduler a timer additionally
+fires every ``interval`` virtual seconds and snapshots the watch list
+mid-run (:func:`install_sim_sampler`) — it re-arms only while other events
+remain queued, so it can never keep the event loop alive by itself.  Real
+threads have no virtual timer, so a thread-mode series keeps the two
+deterministic edges.
 
 Counter values come from :meth:`MetricsRegistry.counters` — the same
 comparison unit the differential tests use.
@@ -33,21 +26,6 @@ ENGINE_WATCH = (
     "rpc.retries", "rpc.timeouts", "rpc.dropped_messages", "rpc.giveups",
     "fetch.requests", "fetch.halo_hits", "fetch.misses",
     "obs.spans_dropped",
-)
-
-#: serving-session watch list (sampled on the deterministic serving clock).
-SESSION_WATCH = (
-    "serve.submitted", "serve.admitted", "serve.rejected",
-    "serve.completed", "serve.slo_missed",
-    "serve.batches", "serve.batch_queries",
-)
-
-#: streaming-session watch list.
-STREAM_WATCH = (
-    "stream.published", "stream.batches", "stream.batches_committed",
-    "stream.staged_rows", "stream.queries", "stream.refreshes",
-    "stream.refresh_corrections", "stream.refresh_pushes",
-    "rebalance.epochs", "rebalance.migrations", "rebalance.replications",
 )
 
 
@@ -101,13 +79,6 @@ class Timeline:
         for s in doc.get("samples", ()):
             tl.sample(s["t"], s["values"])
         return tl
-
-    def counts_view(self) -> dict:
-        """First/last rows — the count-derived differential summary."""
-        if not self.samples:
-            return {"first": {}, "last": {}}
-        return {"first": dict(self.samples[0].values),
-                "last": dict(self.samples[-1].values)}
 
 
 def sample_counters(metrics, names) -> dict:

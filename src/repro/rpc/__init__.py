@@ -14,7 +14,8 @@ Mirrors the subset of ``torch.distributed.rpc`` the paper relies on:
 
 Two interchangeable executions (both a
 :class:`~repro.rpc.worker.WorkerRegistry`, which owns the worker
-registry, remote-object creation and retry-policy resolution once):
+registry, remote-object creation, retry-policy resolution and the
+accounting of a remote call once; each adds its attempt loop):
 
 * :class:`RpcContext` dispatches over :mod:`repro.simt` (virtual time,
   deterministic, used by all benchmarks);

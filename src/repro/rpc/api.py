@@ -13,16 +13,18 @@ DDP-style gradient synchronization.
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from typing import Any
 
 import numpy as np
 
-from repro.errors import RpcError, RpcTimeoutError, WorkerCrashedError
+from repro.errors import RpcError
 from repro.obs import Obs
 from repro.rpc.retry import RetryPolicy
 from repro.rpc.rref import RRef
 from repro.rpc.serialization import payload_sizes, request_payload_sizes
-from repro.rpc.worker import RpcServer, WorkerRegistry
+from repro.rpc.worker import RemoteCall, RpcServer, WorkerRegistry
 from repro.simt.faults import FaultPlan
 from repro.simt.futures import MergedSimFuture, SimFuture
 from repro.simt.network import NetworkModel
@@ -33,13 +35,13 @@ from repro.simt.scheduler import Scheduler
 class RpcContext(WorkerRegistry):
     """Registry + dispatcher for a simulated RPC group.
 
-    With a :class:`~repro.simt.faults.FaultPlan` and/or
-    :class:`~repro.rpc.retry.RetryPolicy` attached, remote dispatch runs
-    through the fault-tolerant path: attempts can be dropped, delayed, or
-    lost to crashed servers, per-call timeout timers fire on the scheduler,
-    and retransmissions with deterministic backoff keep the call alive until
-    it succeeds or the budget is exhausted.  Without either, dispatch takes
-    the original zero-overhead path.
+    A :class:`~repro.simt.faults.FaultPlan` makes attempts of a remote
+    call droppable or lost to crashed servers; a
+    :class:`~repro.rpc.retry.RetryPolicy` arms a per-attempt timeout timer
+    on the scheduler and retransmits with deterministic backoff until the
+    call succeeds or the budget is exhausted.  Both are conditions inside
+    the one dispatch machine of :meth:`rref_call`, not a second path: with
+    neither (or with an empty plan) a call schedules one delivery event.
     """
 
     def __init__(self, scheduler: Scheduler, network: NetworkModel, *,
@@ -57,7 +59,7 @@ class RpcContext(WorkerRegistry):
         """Create a storage-server worker backed by a passive process."""
         info = self._register(name, machine_id)
         process = self.scheduler.add_passive(name)
-        server = RpcServer(info, process, fault_plan=self.fault_plan)
+        server = RpcServer(info, process)
         self._processes[name] = process
         self._servers[name] = server
         return server
@@ -78,18 +80,26 @@ class RpcContext(WorkerRegistry):
     # -- dispatch -----------------------------------------------------------
     def rref_call(self, caller_name: str, rref: RRef, method: str,
                   args: tuple, kwargs: dict) -> SimFuture:
-        """Dispatch a method call on an RRef; returns a virtual-time future."""
-        caller = self.process_of(caller_name)
-        caller_machine = self.worker_info(caller_name).machine_id
-        owner_machine = self.worker_info(rref.owner_name).machine_id
-        server = self.server_of(rref.owner_name)
-        metrics = self.obs.metrics
-        metrics.inc("rpc.calls")
+        """Dispatch a method call on an RRef; returns a virtual-time future.
 
-        if caller_machine == owner_machine:
+        A remote call is one machine, ``_attempt`` → ``_deliver`` →
+        ``_on_timeout``: each attempt either delivers (the request survives
+        the network, the server is up and the reply beats the deadline) or
+        is written off by the attempt's timeout timer, which retransmits
+        after a deterministic backoff or — once the budget is spent —
+        resolves the future with a typed error.  Without a fault plan
+        nothing is rolled, and without a retry policy there is no deadline
+        and no timer: a healthy call is exactly one ``_deliver`` event.
+        Retransmissions happen on the RPC layer's background timeline: the
+        caller paid its issue overhead once and is blocked in ``Wait``
+        until the future resolves.
+        """
+        caller, server, call = self._begin_call(
+            caller_name, rref, method, args, kwargs, request_payload_sizes)
+        if call is None:
             # Shared-memory path: invoke directly on the caller's timeline.
-            metrics.inc("rpc.calls_local")
-            caller.charge_seconds(self.network.local_call_overhead, "local_call")
+            caller.charge_seconds(self.network.local_call_overhead,
+                                  "local_call")
             fn = server.resolve_method(rref.key, method)
             with caller.measured("local_exec"):
                 result = fn(*args, **kwargs)
@@ -97,161 +107,87 @@ class RpcContext(WorkerRegistry):
                                       tag=f"local:{method}")
 
         # Remote path: async issue, modeled transfer, FIFO service, reply.
-        req_bytes, req_tensors = request_payload_sizes(args, kwargs)
-        metrics.inc("rpc.calls_remote")
-        metrics.inc("rpc.request_bytes", req_bytes)
         issued_at = caller.clock
         caller.charge_seconds(self.network.send_overhead(), "rpc_issue")
-        fut = SimFuture(tag=f"rpc:{rref.owner_name}.{method}")
-
-        # Client span: reserved now so the server span can link to it, and
-        # recorded when the future resolves (its virtual ready time is the
-        # span's end).  The virtual round-trip also feeds the latency
-        # histogram regardless of tracing.
-        call = self._reserve_client_span(caller_name, rref.owner_name, method,
-                                         req_bytes, req_tensors)
-        if call is not None:
-            fut.span_id = call["span_id"]
+        fut = SimFuture(tag=f"rpc:{call.owner_name}.{method}")
+        # The client span's end is the future's virtual ready time; the
+        # round-trip also feeds the latency histogram regardless of tracing.
+        if call.span is not None:
+            fut.span_id = call.span["span_id"]
             fut.add_done_callback(lambda f: self._close_client_span(
                 call, issued_at, f.ready_time, f.exception))
+        metrics = self.obs.metrics
         fut.add_done_callback(
             lambda f: metrics.observe("rpc.latency", f.ready_time - issued_at)
         )
-
-        if self.retry_policy is None and self.fault_plan is None:
-            # Healthy fast path: identical to the pre-fault-layer engine.
-            arrival = caller.clock + self.network.transfer_time(req_bytes,
-                                                               req_tensors)
-
-            def deliver() -> None:
-                try:
-                    result, start, end = server.serve(arrival, rref.key,
-                                                      method, args, kwargs)
-                # repro: allow=REP006 fault travels back via the future
-                except BaseException as exc:
-                    fut.set_exception(
-                        exc, arrival + self.network.transfer_time(64, 0)
-                    )
-                    return
-                self._record_server_span(call, start, end)
-                resp_bytes, resp_tensors = payload_sizes(result)
-                metrics.inc("rpc.response_bytes", resp_bytes)
-                server.pool.stage(result, metrics)
-                ready = end + self.network.transfer_time(resp_bytes,
-                                                         resp_tensors)
-                fut.set_result(result, ready)
-
-            self.scheduler.call_at(arrival, deliver)
-            return fut
-
-        self._dispatch_with_retries(
-            fut, caller_name, caller, rref, server, method, args, kwargs,
-            caller_machine, owner_machine, req_bytes, req_tensors, call,
-        )
+        self._attempt(call, fut, 1, caller.clock)
         return fut
 
-    def _dispatch_with_retries(self, fut: SimFuture, caller_name: str,
-                               caller: SimProcess, rref: RRef,
-                               server: RpcServer, method: str, args: tuple,
-                               kwargs: dict, caller_machine: int,
-                               owner_machine: int, req_bytes: int,
-                               req_tensors: int, call) -> None:
-        """Run one logical remote call through the timeout/retry machinery.
+    def _attempt(self, call: RemoteCall, fut: SimFuture, n: int,
+                 send_time: float) -> None:
+        """Send attempt ``n`` of ``call`` at virtual ``send_time``."""
+        if fut.done:
+            return
+        if n > 1:
+            self._fault("retry")
+        plan, policy = self.fault_plan, self.retry_policy
+        deadline = math.inf if policy is None else send_time + policy.timeout
+        if plan is not None and plan.roll_drop(call.caller_name, call.index,
+                                               n):
+            self._fault("drop")
+            call.cause = "drop"
+        else:
+            arrival = send_time + self.network.transfer_time(*call.request)
+            self.scheduler.call_at(
+                arrival, partial(self._deliver, call, fut, arrival, deadline))
+        if policy is not None:
+            self.scheduler.call_at(
+                deadline, partial(self._on_timeout, call, fut, n, deadline))
 
-        Each attempt either delivers (request survives the network, the
-        server is up, and the reply beats the deadline) or is written off by
-        the attempt's timeout timer, which retransmits after a deterministic
-        backoff or — once the budget is spent — resolves ``fut`` with a
-        typed error.  Retransmissions happen on the RPC layer's background
-        timeline: the caller paid its issue overhead once and is blocked in
-        ``Wait`` until ``fut`` resolves.
-        """
-        plan = self.fault_plan if self.fault_plan is not None else FaultPlan()
-        policy = (self.retry_policy if self.retry_policy is not None
-                  else RetryPolicy())
-        metrics = self.obs.metrics
-        call_index = self._call_indices.get(caller_name, 0)
-        self._call_indices[caller_name] = call_index + 1
-        owner_name = rref.owner_name
-        #: why the latest attempt failed ("drop" | "crash" | "late")
-        last_failure = {"cause": "late"}
+    def _deliver(self, call: RemoteCall, fut: SimFuture, arrival: float,
+                 deadline: float) -> None:
+        """The request reaches its server: serve it and send the reply."""
+        if fut.done:
+            return  # an earlier attempt already resolved the call
+        plan = self.fault_plan
+        if plan is not None and plan.is_crashed(call.owner_name, arrival):
+            call.cause = "crash"
+            self._fault("crash")
+            return  # message lost on a dead server; the timer handles it
+        network = self.network
+        try:
+            result, start, end = call.server.serve(
+                arrival, call.key, call.method, call.args, call.kwargs)
+        # repro: allow=REP006 fault travels back via the future
+        except BaseException as exc:
+            fut.set_exception(exc, arrival + network.transfer_time(64, 0))
+            return
+        resp_bytes, resp_tensors = payload_sizes(result)
+        self._served(call, result, resp_bytes, start, end)
+        ready = end + network.transfer_time(resp_bytes, resp_tensors)
+        if ready <= deadline:
+            fut.set_result(result, ready)
+        else:
+            # Reply lands after the caller gave up on this attempt; it is
+            # discarded (classic at-least-once semantics).
+            call.cause = "late"
 
-        def attempt(n: int, send_time: float) -> None:
-            if fut.done:
-                return
-            if n > 1:
-                self._fault("retry")
-            deadline = send_time + policy.timeout
-            if plan.roll_drop(caller_name, call_index, n):
-                self._fault("drop")
-                last_failure["cause"] = "drop"
-                self.scheduler.call_at(deadline, lambda: on_timeout(n, deadline))
-                return
-            arrival = send_time + self.network.transfer_time_under(
-                plan, req_bytes, req_tensors,
-                src_machine=caller_machine, dst_machine=owner_machine,
-                caller=caller_name, call_index=call_index, attempt=n,
-            )
-
-            def deliver() -> None:
-                if fut.done:
-                    return  # an earlier attempt already resolved the call
-                if plan.is_crashed(owner_name, self.scheduler.now):
-                    last_failure["cause"] = "crash"
-                    self._fault("crash")
-                    return  # message lost on a dead server; timer handles it
-                try:
-                    result, start, end = server.serve(arrival, rref.key,
-                                                      method, args, kwargs)
-                # repro: allow=REP006 fault travels back via the future
-                except BaseException as exc:
-                    fut.set_exception(
-                        exc, arrival + self.network.transfer_time(64, 0)
-                    )
-                    return
-                self._record_server_span(call, start, end)
-                resp_bytes, resp_tensors = payload_sizes(result)
-                metrics.inc("rpc.response_bytes", resp_bytes)
-                server.pool.stage(result, metrics)
-                ready = end + self.network.transfer_time_under(
-                    plan, resp_bytes, resp_tensors,
-                    src_machine=owner_machine, dst_machine=caller_machine,
-                    caller=caller_name, call_index=call_index, attempt=n,
-                )
-                if ready <= deadline:
-                    fut.set_result(result, ready)
-                else:
-                    # Reply lands after the caller gave up on this attempt;
-                    # it is discarded (classic at-least-once semantics).
-                    last_failure["cause"] = "late"
-
-            self.scheduler.call_at(max(arrival, send_time), deliver)
-            self.scheduler.call_at(deadline, lambda: on_timeout(n, deadline))
-
-        def on_timeout(n: int, deadline: float) -> None:
-            if fut.done:
-                return
-            self._fault("timeout")
-            if n >= policy.max_attempts:
-                cause = last_failure["cause"]
-                detail = (f"{caller_name} -> {owner_name}.{method} failed "
-                          f"after {n} attempt(s) "
-                          f"(timeout={policy.timeout:g}s, last cause: {cause})")
-                exc: RpcError
-                if cause == "crash":
-                    exc = WorkerCrashedError(detail)
-                else:
-                    exc = RpcTimeoutError(detail)
-                self._fault("giveup")
-                fut.set_exception(exc, deadline)
-                return
-            delay = policy.backoff_delay(n, seed=plan.seed,
-                                         caller=caller_name,
-                                         call_index=call_index)
-            next_send = deadline + delay
-            self.scheduler.call_at(next_send, lambda: attempt(n + 1, next_send))
-
-        attempt(1, caller.clock)
+    def _on_timeout(self, call: RemoteCall, fut: SimFuture, n: int,
+                    deadline: float) -> None:
+        """Attempt ``n``'s deadline: retransmit after backoff, or give up."""
+        if fut.done:
+            return
+        self._fault("timeout")
+        policy = self.retry_policy
+        if n >= policy.max_attempts:
+            fut.set_exception(self._give_up(call, n), deadline)
+            return
+        plan = self.fault_plan
+        next_send = deadline + policy.backoff_delay(
+            n, seed=0 if plan is None else plan.seed,
+            caller=call.caller_name, call_index=call.index)
+        self.scheduler.call_at(
+            next_send, partial(self._attempt, call, fut, n + 1, next_send))
 
     # -- collectives ----------------------------------------------------------
     def allreduce_mean(self, group: str, caller_name: str, n_members: int,

@@ -9,7 +9,7 @@ an :class:`~repro.rpc.api.RpcContext` (or
 * expire after ``timeout`` seconds without a reply (backed by scheduler
   timers in virtual time);
 * retransmit up to ``max_attempts`` times total, waiting an exponentially
-  growing backoff between attempts;
+  growing backoff (:meth:`RetryPolicy.backoff_delay`) between attempts;
 * raise :class:`~repro.errors.RpcTimeoutError` (or
   :class:`~repro.errors.WorkerCrashedError` when the target was inside a
   crash window) to the waiting caller once the budget is exhausted.
@@ -24,12 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.simt.faults import fault_roll
-from repro.utils.validation import check_nonnegative, check_positive
+from repro.utils.validation import check_positive
+
+#: The backoff schedule.  After failed attempt ``n`` a call waits
+#: ``min(MAX_BACKOFF, BACKOFF_BASE * BACKOFF_FACTOR**(n-1))`` seconds times
+#: a deterministic factor in ``[1, 1 + JITTER]``.  Constants, not policy
+#: fields: nothing ever set them.
+BACKOFF_BASE = 0.002
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF = 0.1
+JITTER = 0.1
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-call timeout plus exponential backoff with deterministic jitter.
+    """Per-call timeout and retransmission budget.
 
     Parameters
     ----------
@@ -39,38 +48,21 @@ class RetryPolicy:
         Virtual seconds to wait for each attempt's reply.  The default is
         generous relative to the network model's round trips (~100 us), so
         a healthy cluster never times out spuriously.
-    backoff_base / backoff_factor / max_backoff:
-        Wait ``min(max_backoff, backoff_base * backoff_factor**(n-1))``
-        between attempt ``n`` and ``n+1``, scaled by the jitter term.
-    jitter:
-        Fractional jitter: the delay is multiplied by a deterministic
-        factor in ``[1, 1 + jitter]`` keyed by (seed, caller, call, attempt).
     """
 
     max_attempts: int = 3
     timeout: float = 0.05
-    backoff_base: float = 0.002
-    backoff_factor: float = 2.0
-    max_backoff: float = 0.1
-    jitter: float = 0.1
 
     def __post_init__(self) -> None:
         check_positive("max_attempts", self.max_attempts)
         check_positive("timeout", self.timeout)
-        check_nonnegative("backoff_base", self.backoff_base)
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        check_nonnegative("max_backoff", self.max_backoff)
-        check_nonnegative("jitter", self.jitter)
 
     def backoff_delay(self, attempt: int, *, seed: int = 0,
                       caller: str = "", call_index: int = 0) -> float:
-        """Seconds to wait after failed attempt number ``attempt`` (1-based)."""
-        raw = min(self.max_backoff,
-                  self.backoff_base * self.backoff_factor ** (attempt - 1))
-        if self.jitter <= 0.0:
-            return raw
+        """Seconds to wait after failed attempt number ``attempt`` (1-based).
+
+        The jitter factor is keyed by (seed, caller, call, attempt).
+        """
+        raw = min(MAX_BACKOFF, BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
         u = fault_roll(seed, "jitter", caller, call_index, attempt)
-        return raw * (1.0 + self.jitter * u)
+        return raw * (1.0 + JITTER * u)

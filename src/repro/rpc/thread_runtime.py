@@ -21,7 +21,7 @@ from concurrent.futures import Future as _PyFuture
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Generator
 
-from repro.errors import RpcError, RpcTimeoutError, SimulationError
+from repro.errors import RpcError, SimulationError
 from repro.obs import Obs
 from repro.rpc.rref import RRef
 from repro.rpc.serialization import payload_sizes, request_payload_sizes
@@ -141,8 +141,10 @@ class ThreadRuntime(WorkerRegistry):
     Fault injection: the *same* FaultPlan drop decisions replay here as on
     the virtual-time scheduler, because decisions are keyed on (seed,
     caller, per-caller call index, attempt) — never on time.  Crash windows
-    are virtual-time constructs and are ignored in thread mode; modeled
-    latency terms have no real-time effect.
+    are virtual-time constructs and are ignored in thread mode.  The
+    prologue, epilogue and give-up of a call are the registry's
+    (``_begin_call`` / ``_served`` / ``_give_up``), shared with RpcContext;
+    this class adds the blocking attempt loop.
 
     ``sanitizer`` is an optional lockset race detector
     (:class:`repro.analysis.race.RaceDetector`): the runtime's cross-thread
@@ -183,82 +185,66 @@ class ThreadRuntime(WorkerRegistry):
         return MergedThreadFuture(parts, finalize)
 
     # -- dispatch -------------------------------------------------------------
+    def _next_call_index(self, caller_name: str) -> int:
+        with self._fault_lock:
+            if self.sanitizer is not None:
+                self.sanitizer.record("ThreadRuntime.call_indices",
+                                      write=True)
+            return super()._next_call_index(caller_name)
+
     def rref_call(self, caller_name: str, rref: RRef, method: str,
                   args: tuple, kwargs: dict) -> ThreadFuture:
-        caller_machine = self.worker_info(caller_name).machine_id
-        owner_machine = self.worker_info(rref.owner_name).machine_id
-        server = self.server_of(rref.owner_name)
-        fn = server.resolve_method(rref.key, method)
-        metrics = self.obs.metrics
-        metrics.inc("rpc.calls")
-        if caller_machine == owner_machine:
-            metrics.inc("rpc.calls_local")
+        caller, server, call = self._begin_call(
+            caller_name, rref, method, args, kwargs, request_payload_sizes)
+        if call is None:
+            fn = server.resolve_method(rref.key, method)
             return ThreadFuture.resolved(fn(*args, **kwargs))
-        req_bytes, req_tensors = request_payload_sizes(args, kwargs)
-        metrics.inc("rpc.calls_remote")
-        metrics.inc("rpc.request_bytes", req_bytes)
         # Spans use the caller's charged clock at issue as the base and
         # real handler seconds as the extent — approximate, but enough to
         # see linked client/server pairs in a thread-mode trace.
-        call = self._reserve_client_span(caller_name, rref.owner_name, method,
-                                         req_bytes, req_tensors)
-        issue_clock = self.process_of(caller_name).clock
+        issue_clock = caller.clock
         handler_seconds = 0.0
+        plan, policy = self.fault_plan, self.retry_policy
 
         def serve() -> Any:
             """One handler invocation, on the server's executor thread."""
             nonlocal handler_seconds
+            fn = server.resolve_method(rref.key, method)
             server.requests_served += 1
             with Stopwatch() as sw:
                 result = fn(*args, **kwargs)
             handler_seconds = sw.elapsed
             resp_bytes, _ = payload_sizes(result)
-            metrics.inc("rpc.response_bytes", resp_bytes)
-            server.pool.stage(result, metrics)
-            self._record_server_span(call, issue_clock,
-                                     issue_clock + handler_seconds)
+            self._served(call, result, resp_bytes, issue_clock,
+                         issue_clock + handler_seconds)
             return result
 
-        handler = serve
-        plan = self.fault_plan
-        if plan is not None and not plan.is_empty():
-            policy = self.retry_policy
-            with self._fault_lock:
-                if self.sanitizer is not None:
-                    self.sanitizer.record("ThreadRuntime.call_indices",
-                                          write=True)
-                call_index = self._call_indices.get(caller_name, 0)
-                self._call_indices[caller_name] = call_index + 1
+        def attempt_loop() -> Any:
+            """Serve the first attempt the plan does not drop."""
+            budget = 1 if policy is None else policy.max_attempts
+            for n in range(1, budget + 1):
+                if n > 1:
+                    self._fault("retry")
+                if plan is not None and plan.roll_drop(caller_name,
+                                                       call.index, n):
+                    # Lost request: in thread mode the timeout elapses
+                    # logically (no real sleeping) and we retransmit.
+                    # Each drop implies one logical timeout firing — the
+                    # same accounting the virtual-time timers produce.
+                    self._fault("drop")
+                    self._fault("timeout")
+                    call.cause = "drop"
+                    continue
+                return serve()
+            raise self._give_up(call, budget)
 
-            def serve_with_faults() -> Any:
-                for attempt in range(1, policy.max_attempts + 1):
-                    if attempt > 1:
-                        self._fault("retry")
-                    if plan.roll_drop(caller_name, call_index, attempt):
-                        # Lost request: in thread mode the timeout elapses
-                        # logically (no real sleeping) and we retransmit.
-                        # Each drop implies one logical timeout firing — the
-                        # same accounting the virtual-time timers produce.
-                        self._fault("drop")
-                        self._fault("timeout")
-                        continue
-                    return serve()
-                self._fault("giveup")
-                raise RpcTimeoutError(
-                    f"{caller_name} -> {rref.owner_name}.{method} failed "
-                    f"after {policy.max_attempts} attempt(s) "
-                    f"(timeout={policy.timeout:g}s, last cause: drop)"
-                )
-
-            handler = serve_with_faults
-
-        inner = server.executor.submit(handler)
+        inner = server.executor.submit(attempt_loop)
         fut = ThreadFuture(inner)
-        if call is not None:
+        if call.span is not None:
             # Recorded when the call resolves, as on the scheduler — so a
             # call that exhausted its retries still leaves its client span
             # (zero handler seconds, ``error`` attr).
-            fut.span_id = call["span_id"]
+            fut.span_id = call.span["span_id"]
             inner.add_done_callback(lambda f: self._close_client_span(
                 call, issue_clock, issue_clock + handler_seconds,
                 f.exception()))

@@ -13,10 +13,13 @@ inside a computing process (Section 3.2.3).
 :class:`ObjectHost` and :class:`WorkerRegistry` are the runtime-independent
 halves of a server and of an RPC group — object hosting, the worker
 registry, remote-object creation, retry-policy resolution, and the
-observability hooks of a remote call (client/server span pair, fault
-counters) — written once; the virtual-time
+accounting of a remote call: its prologue (``_begin_call``: resolve,
+count, size, reserve the client span), its epilogue (``_served``:
+response bytes, buffer pool, linked server span) and its give-up
+(``_give_up``: the typed error) — written once; the virtual-time
 :class:`~repro.rpc.api.RpcContext` and the OS-thread
-:class:`~repro.rpc.thread_runtime.ThreadRuntime` add dispatch only.
+:class:`~repro.rpc.thread_runtime.ThreadRuntime` each add one attempt
+loop between the three.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import RpcError, WorkerCrashedError
+from repro.errors import RpcError, RpcTimeoutError, WorkerCrashedError
 from repro.obs import Obs
 from repro.rpc.handlers import check_dispatch
 from repro.rpc.retry import RetryPolicy
@@ -97,15 +100,10 @@ class ObjectHost:
 class RpcServer(ObjectHost):
     """A FIFO single-threaded request server bound to one worker."""
 
-    def __init__(self, info: WorkerInfo, process: SimProcess,
-                 fault_plan=None) -> None:
+    def __init__(self, info: WorkerInfo, process: SimProcess) -> None:
         super().__init__(info)
         self.process = process
         self.next_free = 0.0
-        #: optional FaultPlan consulted for straggler factors and crash
-        #: windows (the dispatch layer checks crashes first; the check here
-        #: guards direct serve() callers)
-        self.fault_plan = fault_plan
 
     def serve(self, arrival: float, key: str, method: str,
               args: tuple, kwargs: dict) -> tuple[Any, float, float]:
@@ -116,20 +114,11 @@ class RpcServer(ObjectHost):
         execution order does not affect results) and its measured duration
         becomes the virtual service time.
         """
-        if self.fault_plan is not None \
-                and self.fault_plan.is_crashed(self.info.name, arrival):
-            raise WorkerCrashedError(
-                f"server {self.info.name!r} is crashed at t={arrival:g}"
-            )
         fn = self.resolve_method(key, method)
         start = max(arrival, self.next_free)
         with Stopwatch() as sw:
             result = fn(*args, **kwargs)
         handler_dt = sw.elapsed
-        if self.fault_plan is not None:
-            # Straggler model: a slow machine's handlers take longer in
-            # virtual time even though the real compute is the same.
-            handler_dt *= self.fault_plan.slow_factor(self.info.machine_id)
         # Server clock accumulates busy time; the FIFO service horizon is
         # tracked by next_free (which also covers idle gaps between arrivals).
         self.process.charge_seconds(handler_dt, "serve")
@@ -137,6 +126,33 @@ class RpcServer(ObjectHost):
         self.next_free = end
         self.requests_served += 1
         return result, start, end
+
+
+class RemoteCall:
+    """One cross-machine call, from its prologue to its resolution."""
+
+    __slots__ = ("caller_name", "owner_name", "server", "key", "method",
+                 "args", "kwargs", "request", "span", "index", "cause")
+
+    def __init__(self, caller_name: str, rref: RRef, server: ObjectHost,
+                 method: str, args: tuple, kwargs: dict,
+                 request: tuple[int, int]) -> None:
+        self.caller_name = caller_name
+        self.owner_name = rref.owner_name
+        self.server = server
+        self.key = rref.key
+        self.method = method
+        self.args = args
+        self.kwargs = kwargs
+        #: request payload ``(nbytes, n_tensors)``
+        self.request = request
+        #: the reserved client span (``SpanTracer.record`` kwargs) when traced
+        self.span: dict | None = None
+        #: per-caller logical call index — the time-independent key fault
+        #: decisions are rolled on; 0 on a run that can roll none
+        self.index = 0
+        #: why the latest attempt failed: ``drop`` | ``crash`` | ``late``
+        self.cause = "late"
 
 
 class TransportCounters:
@@ -205,8 +221,7 @@ class WorkerRegistry(TransportCounters):
                 and retry_policy is None:
             retry_policy = RetryPolicy()
         self.retry_policy = retry_policy
-        #: per-caller logical call index — the time-independent key fault
-        #: decisions are rolled on
+        #: next ``RemoteCall.index`` of each caller
         self._call_indices: dict[str, int] = {}
 
     # -- registration -----------------------------------------------------
@@ -249,46 +264,84 @@ class WorkerRegistry(TransportCounters):
         except KeyError:
             raise RpcError(f"worker {name!r} is not a server") from None
 
-    # -- observability hooks of a remote call ------------------------------
-    def _reserve_client_span(self, caller_name: str, owner_name: str,
-                             method: str, request_nbytes: int,
-                             request_tensors: int) -> dict | None:
-        """Reserve a remote call's client span at issue; None when untraced.
+    # -- the remote call, minus its attempt loop ---------------------------
+    def _begin_call(self, caller_name: str, rref: RRef, method: str,
+                    args: tuple, kwargs: dict, size_request):
+        """Prologue of ``rref_call``: ``(caller process, server, call)``.
 
-        Returns what ``SpanTracer.record`` can be told now: the id (the
-        server span links to it, the future carries it as ``fut.span_id``),
-        the caller's innermost open span as parent, and the per-call facts
-        no counter keeps — what :func:`repro.obs.analysis.rpc_summary`
-        aggregates.
+        Resolves both ends, counts the call and — across machines — sizes
+        the request with the runtime's ``size_request``, reserves the
+        client span and, when faults can be rolled, takes the caller's
+        next call index.  ``call`` is None for a same-machine call, which
+        never touches the network.
         """
+        caller = self.process_of(caller_name)
+        caller_machine = self.worker_info(caller_name).machine_id
+        owner_name = rref.owner_name
+        owner_machine = self.worker_info(owner_name).machine_id
+        server = self.server_of(owner_name)
+        metrics = self.obs.metrics
+        metrics.inc("rpc.calls")
+        if caller_machine == owner_machine:
+            metrics.inc("rpc.calls_local")
+            return caller, server, None
+        request = size_request(args, kwargs)
+        metrics.inc("rpc.calls_remote")
+        metrics.inc("rpc.request_bytes", request[0])
+        call = RemoteCall(caller_name, rref, server, method, args, kwargs,
+                          request)
         tracer = self.obs.tracer
-        if tracer is None:
-            return None
-        return dict(
-            name=f"rpc:{method}", process=caller_name, kind="client",
-            span_id=tracer.next_id(), parent_id=tracer.current(caller_name),
-            attrs={"owner": owner_name, "method": method,
-                   "request_nbytes": request_nbytes,
-                   "request_tensors": request_tensors})
+        if tracer is not None:
+            # Reserved now so the server span can link to it; recorded by
+            # ``_close_client_span`` when the call resolves.  The attrs are
+            # the per-call facts no counter keeps — what
+            # :func:`repro.obs.analysis.rpc_summary` aggregates.
+            call.span = dict(
+                name=f"rpc:{method}", process=caller_name, kind="client",
+                span_id=tracer.next_id(),
+                parent_id=tracer.current(caller_name),
+                attrs={"owner": owner_name, "method": method,
+                       "request_nbytes": request[0],
+                       "request_tensors": request[1]})
+        if self.fault_plan is not None or self.retry_policy is not None:
+            call.index = self._next_call_index(caller_name)
+        return caller, server, call
 
-    def _close_client_span(self, call: dict, start: float, end: float,
-                           exception: BaseException | None) -> None:
+    def _next_call_index(self, caller_name: str) -> int:
+        index = self._call_indices.get(caller_name, 0)
+        self._call_indices[caller_name] = index + 1
+        return index
+
+    def _served(self, call: RemoteCall, result: Any, response_nbytes: int,
+                start: float, end: float) -> None:
+        """Epilogue of one served attempt: bytes, buffer pool, server span."""
+        metrics = self.obs.metrics
+        metrics.inc("rpc.response_bytes", response_nbytes)
+        call.server.pool.stage(result, metrics)
+        if call.span is not None:
+            self.obs.tracer.record(
+                f"serve:{call.method}", call.owner_name, start, end,
+                kind="server", link=call.span["span_id"],
+                attrs={"caller": call.caller_name, "method": call.method})
+
+    def _close_client_span(self, call: RemoteCall, start: float,
+                           end: float, exception: BaseException | None) -> None:
         """Record the reserved client span once the call has resolved."""
         if exception is not None:
             # the fault event fault_of_span / cli doctor attribute time to
-            call["attrs"]["error"] = type(exception).__name__
-        self.obs.tracer.record(start=start, end=end, **call)
+            call.span["attrs"]["error"] = type(exception).__name__
+        self.obs.tracer.record(start=start, end=end, **call.span)
 
-    def _record_server_span(self, call: dict | None, start: float,
-                            end: float) -> None:
-        """Record the service-side span, linked to the client span's id."""
-        if call is None:
-            return
-        method = call["attrs"]["method"]
-        self.obs.tracer.record(
-            f"serve:{method}", call["attrs"]["owner"], start, end,
-            kind="server", link=call["span_id"],
-            attrs={"caller": call["process"], "method": method})
+    def _give_up(self, call: RemoteCall, attempts: int) -> RpcError:
+        """The typed error of a call whose retry budget is spent."""
+        self._fault("giveup")
+        kind = WorkerCrashedError if call.cause == "crash" \
+            else RpcTimeoutError
+        return kind(
+            f"{call.caller_name} -> {call.owner_name}.{call.method} failed "
+            f"after {attempts} attempt(s) "
+            f"(timeout={self.retry_policy.timeout:g}s, "
+            f"last cause: {call.cause})")
 
     def _fault(self, kind: str) -> None:
         """Count one fault-layer event on a remote call.

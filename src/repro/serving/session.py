@@ -153,10 +153,6 @@ class SessionConfig:
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy | None = None
     degradation: DegradationMode = DegradationMode.FAIL_FAST
-    #: sample a serving-clock Timeline (repro.obs.analysis) at session
-    #: open and after every drain; the series is count-derived end to
-    #: end, so it replays bitwise on both runtimes
-    timeline: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in RUN_MODES:
@@ -281,28 +277,6 @@ class Session:
         self.missed_total = 0
         self._seq = 0
         self._rejected_since_drain = 0
-        #: serving-clock Timeline when SessionConfig(timeline=True)
-        self.timeline = None
-        if self.config.timeline:
-            from repro.obs.analysis.timeline import Timeline
-
-            self.timeline = Timeline()
-            self._sample_timeline()
-
-    def _sample_timeline(self) -> None:
-        """Snapshot the serve.* watch list at the current serving clock.
-
-        Every value is count-derived (admission counters, cost-model
-        clock, queue depth), so the series is part of the cross-runtime
-        differential contract.
-        """
-        from repro.obs.analysis.timeline import SESSION_WATCH, \
-            sample_counters
-
-        values = sample_counters(self.metrics, SESSION_WATCH)
-        values["serve.clock"] = self.now
-        values["serve.queue_depth"] = self.admission.depth
-        self.timeline.sample(self.now, values)
 
     # -- clock --------------------------------------------------------------
     def advance_to(self, t: float) -> None:
@@ -435,8 +409,6 @@ class Session:
             m.inc("serve.batch_retries", n_retries)
         m.set("serve.clock", self.now)
         m.set("serve.queue_depth", self.admission.depth)
-        if self.timeline is not None:
-            self._sample_timeline()
 
         if result is None:
             result = QueryRunResult(

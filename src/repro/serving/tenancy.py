@@ -160,9 +160,6 @@ class AdmissionController:
     def depth(self) -> int:
         return len(self._queue)
 
-    def depth_of(self, tenant: str) -> int:
-        return self._pending_per_tenant.get(tenant, 0)
-
     def offer(self, seq: int, tenant: str, item: object) -> AdmissionDecision:
         """Admit ``item`` into the bounded queue or reject it, typed."""
         spec = self.spec(tenant)

@@ -1,16 +1,17 @@
 """Deterministic fault injection for the simulated cluster.
 
-A :class:`FaultPlan` describes everything that can go wrong on the wire and
-on the machines: message loss, latency spikes, per-link extra latency,
-slow-machine multipliers, and server crash/recover schedules.  The RPC layer
-(:class:`~repro.rpc.api.RpcContext`, :class:`~repro.rpc.worker.RpcServer`)
-and the network model consult the plan on every remote call.
+A :class:`FaultPlan` describes what goes wrong on the wire and on the
+machines: message loss and server crash/recover schedules — the two faults
+any command, bench or example injects.  The RPC layer
+(:class:`~repro.rpc.api.RpcContext`,
+:class:`~repro.rpc.thread_runtime.ThreadRuntime`) consults the plan on
+every attempt of a remote call.
 
-Determinism is the design center.  Every stochastic decision (drop a
-message?  spike this transfer?) is a pure function of ``(plan.seed, caller
-name, per-caller call index, attempt number)`` — *not* of virtual time or
-arrival order.  Each caller coroutine issues its calls in a fixed program
-order, so the decision sequence is identical on the virtual-time
+Determinism is the design center.  Every stochastic decision (drop this
+message?) is a pure function of ``(plan.seed, caller name, per-caller call
+index, attempt number)`` — *not* of virtual time or arrival order.  Each
+caller coroutine issues its calls in a fixed program order, so the decision
+sequence is identical on the virtual-time
 :class:`~repro.simt.scheduler.Scheduler` and on the real-thread
 :class:`~repro.rpc.thread_runtime.ThreadRuntime`: the same plan replays the
 same faults on both runtimes, and twice in a row on either.
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from repro.utils.validation import check_nonnegative
 
@@ -76,15 +76,6 @@ class FaultPlan:
     drop_prob:
         Probability that one request attempt is lost in the network (the
         caller sees a timeout and, with a retry policy, retransmits).
-    latency_spike_prob / latency_spike:
-        Probability that a transfer suffers an extra ``latency_spike``
-        seconds of one-way delay (a congested or lossy link).
-    link_latency:
-        Constant extra one-way seconds per directed machine pair
-        ``(src, dst)`` — e.g. a cross-rack link.
-    slow_machines:
-        Per-machine service-time multiplier (``>= 1``) modeling stragglers;
-        applied to that machine's server handler time and its transfers.
     crashes:
         Server outage windows (virtual time).  Messages to a crashed server
         vanish; with retries and a recovery inside the retry horizon the
@@ -93,37 +84,18 @@ class FaultPlan:
 
     seed: int = 0
     drop_prob: float = 0.0
-    latency_spike_prob: float = 0.0
-    latency_spike: float = 0.0
-    link_latency: Mapping[tuple[int, int], float] = field(default_factory=dict)
-    slow_machines: Mapping[int, float] = field(default_factory=dict)
     crashes: tuple[CrashWindow, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("drop_prob", "latency_spike_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        check_nonnegative("latency_spike", self.latency_spike)
-        for link, extra in self.link_latency.items():
-            check_nonnegative(f"link_latency[{link}]", extra)
-        for machine, factor in self.slow_machines.items():
-            if factor < 1.0:
-                raise ValueError(
-                    f"slow_machines[{machine}] must be >= 1, got {factor}"
-                )
+        if not 0.0 <= self.drop_prob <= 1.0:
+            raise ValueError(
+                f"drop_prob must be in [0, 1], got {self.drop_prob}")
         object.__setattr__(self, "crashes", tuple(self.crashes))
 
     # -- queries ------------------------------------------------------------
     def is_empty(self) -> bool:
-        """Whether the plan injects nothing (the engine's fast path)."""
-        return (
-            self.drop_prob == 0.0
-            and self.latency_spike_prob == 0.0
-            and not self.link_latency
-            and not self.slow_machines
-            and not self.crashes
-        )
+        """Whether the plan injects nothing (it then needs no retries)."""
+        return self.drop_prob == 0.0 and not self.crashes
 
     def roll_drop(self, caller: str, call_index: int, attempt: int) -> bool:
         """Whether this attempt's request is lost in the network."""
@@ -131,27 +103,6 @@ class FaultPlan:
             return False
         return fault_roll(self.seed, "drop", caller, call_index,
                           attempt) < self.drop_prob
-
-    def spike_latency(self, caller: str, call_index: int,
-                      attempt: int) -> float:
-        """Extra one-way delay from a latency spike, if one fires."""
-        if self.latency_spike_prob <= 0.0 or self.latency_spike <= 0.0:
-            return 0.0
-        roll = fault_roll(self.seed, "spike", caller, call_index, attempt)
-        return self.latency_spike if roll < self.latency_spike_prob else 0.0
-
-    def link_extra(self, src_machine: int, dst_machine: int) -> float:
-        """Constant extra one-way latency on the ``src -> dst`` link."""
-        return float(self.link_latency.get((src_machine, dst_machine), 0.0))
-
-    def slow_factor(self, machine: int) -> float:
-        """Service/transfer multiplier for one machine (1.0 = healthy)."""
-        return float(self.slow_machines.get(machine, 1.0))
-
-    def link_slow_factor(self, src_machine: int, dst_machine: int) -> float:
-        """Transfer multiplier for a link: the slower endpoint dominates."""
-        return max(self.slow_factor(src_machine),
-                   self.slow_factor(dst_machine))
 
     def is_crashed(self, server: str, t: float) -> bool:
         """Whether ``server`` is down at virtual time ``t``."""

@@ -75,24 +75,6 @@ class NetworkModel:
             + self.latency
         )
 
-    def transfer_time_under(self, plan, nbytes: int, n_tensors: int, *,
-                            src_machine: int, dst_machine: int,
-                            caller: str, call_index: int,
-                            attempt: int) -> float:
-        """One-way transfer time with a :class:`~repro.simt.faults.FaultPlan`.
-
-        The healthy-path :meth:`transfer_time` is scaled by the slower
-        endpoint's straggler factor, then the plan's constant per-link extra
-        latency and any (deterministically rolled) latency spike are added.
-        """
-        base = self.transfer_time(nbytes, n_tensors)
-        base *= plan.link_slow_factor(src_machine, dst_machine)
-        return (
-            base
-            + plan.link_extra(src_machine, dst_machine)
-            + plan.spike_latency(caller, call_index, attempt)
-        )
-
     def send_overhead(self) -> float:
         """Caller-side cost of *issuing* an async request.
 

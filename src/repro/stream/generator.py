@@ -71,10 +71,6 @@ class TemporalEdgeStream:
                     self._edges.append((u, v))
 
     @property
-    def n_live_edges(self) -> int:
-        return len(self._edges)
-
-    @property
     def t(self) -> int:
         """Number of batches emitted so far (the stream clock)."""
         return self._t

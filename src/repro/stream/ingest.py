@@ -12,7 +12,7 @@ on every shard (invisible to readers), then commits everywhere:
   ``"inconsistent"`` — the typed :class:`~repro.errors.StreamIngestError`
   carries ``applied=None`` and the cluster needs operator attention.
 
-So a batch is all-or-nothing across the cluster under drops, stragglers
+So a batch is all-or-nothing across the cluster under drops
 and crash windows, which ``tests/test_failure_and_sync.py`` pins.
 
 All traffic flows through the normal RPC layer (fault injection,

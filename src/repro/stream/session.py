@@ -100,9 +100,6 @@ class StreamConfig:
     fault_plan: object = None
     retry_policy: object = None
     rebalance: RebalancePolicy = field(default_factory=RebalancePolicy)
-    #: sample a serving-clock Timeline (repro.obs.analysis) after every
-    #: streaming step; count-derived, so it replays bitwise on both runtimes
-    timeline: bool = False
 
     def __post_init__(self) -> None:
         if self.runtime not in SESSION_RUNTIMES:
@@ -156,24 +153,6 @@ class StreamingSession:
         self.report = StreamReport()
         self._tag = 0
         self._since_refresh = 0
-        #: serving-clock Timeline when StreamConfig(timeline=True)
-        self.timeline = None
-        if cfg.timeline:
-            from repro.obs.analysis.timeline import Timeline
-
-            self.timeline = Timeline()
-            self._sample_timeline()
-
-    def _sample_timeline(self) -> None:
-        """Snapshot the stream.*/serve.* watch lists at the serving clock."""
-        from repro.obs.analysis.timeline import SESSION_WATCH, \
-            STREAM_WATCH, sample_counters
-
-        values = sample_counters(self.metrics, STREAM_WATCH)
-        values.update(sample_counters(self.serving.metrics, SESSION_WATCH))
-        values["serve.clock"] = self.now
-        values["serve.queue_depth"] = self.serving.admission.depth
-        self.timeline.sample(self.now, values)
 
     # -- clock --------------------------------------------------------------
     @property
@@ -215,8 +194,6 @@ class StreamingSession:
         self._advance(self.serving.config.cost_model.service_time(
             n_queries=len(sources), n_pushes=_batch_pushes(result.states),
             n_walk_steps=0, n_retries=result.retries))
-        if self.timeline is not None:
-            self._sample_timeline()
 
     # -- ingest -------------------------------------------------------------
     def ingest(self, batch: UpdateBatch) -> IngestReport:
@@ -248,8 +225,6 @@ class StreamingSession:
             self.report.ingest_reports.append(report)
             self.report.n_applied += 1
             self._advance(BATCH_OVERHEAD)
-            if self.timeline is not None:
-                self._sample_timeline()
             return report
 
         payloads = build_shard_payloads(self.engine.sharded, self.dyn,
@@ -272,8 +247,6 @@ class StreamingSession:
         self._since_refresh += 1
         if self._since_refresh >= cfg.refresh_every:
             self.refresh()
-        if self.timeline is not None:
-            self._sample_timeline()
         return report
 
     # -- incremental maintenance --------------------------------------------
@@ -292,8 +265,6 @@ class StreamingSession:
         self.metrics.inc("stream.refresh_corrections", corrections)
         self.metrics.inc("stream.refresh_pushes", pushes)
         self._advance(refresh_time(corrections, pushes))
-        if self.timeline is not None:
-            self._sample_timeline()
         return stats
 
     # -- queries ------------------------------------------------------------
@@ -309,8 +280,6 @@ class StreamingSession:
             return None
         result = self.serving.drain()
         self._merge_heat(result.heat)
-        if self.timeline is not None:
-            self._sample_timeline()
         return result
 
     def _merge_heat(self, heat) -> None:
@@ -339,8 +308,6 @@ class StreamingSession:
         self.metrics.inc("rebalance.replications_planned",
                          plan.n_replicated)
         self.report.rebalance_reports.append(plan)
-        if self.timeline is not None:
-            self._sample_timeline()
         return plan
 
     # -- the loop -----------------------------------------------------------

@@ -278,10 +278,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(drop_prob=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(latency_spike_prob=-0.1)
-        with pytest.raises(ValueError):
-            FaultPlan(slow_machines={0: 0.5})
-        with pytest.raises(ValueError):
             CrashWindow(server="s0", crash_at=2.0, recover_at=1.0)
 
     def test_empty_plan(self):
@@ -414,23 +410,6 @@ class TestRpcFaultInjection:
         sched.run()
         assert values == [42]
         assert ctx.dropped_messages == 0
-
-    def test_slow_machine_and_link_latency_shape_transfers(self):
-        net = NetworkModel()
-        plan = FaultPlan(seed=0, slow_machines={1: 4.0},
-                         link_latency={(0, 1): 0.003})
-        base = net.transfer_time(10_000, 1)
-        shaped = net.transfer_time_under(
-            plan, 10_000, 1, src_machine=0, dst_machine=1,
-            caller="w1", call_index=0, attempt=1,
-        )
-        assert shaped == pytest.approx(4.0 * base + 0.003)
-        # the reverse direction still pays the slow endpoint
-        reverse = net.transfer_time_under(
-            plan, 10_000, 1, src_machine=1, dst_machine=0,
-            caller="w1", call_index=0, attempt=1,
-        )
-        assert reverse == pytest.approx(4.0 * base)
 
 
 class TestEngineFaultTolerance:

@@ -53,3 +53,54 @@ def test_workload_drives_end_to_end(spec):
     if spec.name != "tensor_products":  # the dense baseline has no table
         assert tally.sums["ppr.touched"] > 0
         assert tally.sums["hashmap.probe_rounds"] > 0
+
+
+@pytest.mark.parametrize("drop_prob", [0.0, 0.4])
+def test_sim_dispatch_sizes_payloads_through_rpc_api(monkeypatch, drop_prob):
+    """``rpc.payload_sizes`` is patched by *module attribute* on
+    ``repro.rpc.api``: the virtual-time dispatch has to reach both sizing
+    functions through that module's names — one request sizing per remote
+    call (not per attempt), one response sizing per served response —
+    even though the accounting around them lives in the shared registry."""
+    import repro.rpc.api as api
+    from repro.rpc import RetryPolicy, RpcContext
+    from repro.simt import FaultPlan, NetworkModel, Scheduler, Wait
+
+    sized = {"request": 0, "response": 0}
+    real_request, real_response = api.request_payload_sizes, api.payload_sizes
+
+    def count_request(args, kwargs):
+        sized["request"] += 1
+        return real_request(args, kwargs)
+
+    def count_response(result):
+        sized["response"] += 1
+        return real_response(result)
+
+    monkeypatch.setattr(api, "request_payload_sizes", count_request)
+    monkeypatch.setattr(api, "payload_sizes", count_response)
+
+    class Echo:
+        def ping(self, x):
+            return 2 * x
+
+    sched = Scheduler()
+    ctx = RpcContext(
+        sched, NetworkModel(),
+        fault_plan=FaultPlan(seed=5, drop_prob=drop_prob) if drop_prob
+        else None,
+        retry_policy=RetryPolicy(max_attempts=8) if drop_prob else None)
+    servers = [ctx.register_server(f"s{m}", m) for m in range(2)]
+    rrefs = [ctx.create_remote(f"s{m}", "echo", Echo) for m in range(2)]
+
+    def body():
+        for i in range(12):
+            for rref in rrefs:  # s0 is on the worker's machine: local
+                assert (yield Wait(rref.rpc_async("w", "ping", i))) == 2 * i
+
+    ctx.register_worker("w", 0, sched.spawn("w", body()))
+    sched.run()
+    assert ctx.local_calls == ctx.remote_requests == 12
+    assert (ctx.dropped_messages > 0) == bool(drop_prob)
+    assert sized["request"] == ctx.remote_requests
+    assert sized["response"] == sum(s.requests_served for s in servers) == 12

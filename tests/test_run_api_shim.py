@@ -6,8 +6,8 @@ tests pin the result-schema contract — the typed serving counters default
 to zero on plain batch runs, convenience wrappers return the same shape —
 plus the degenerate ``latency_percentiles`` inputs (0 and 1 samples) that
 historically tripped ``np.percentile`` — and the knob surface: the exact
-field names of ``EngineConfig``, ``RunRequest``, ``SessionConfig`` and
-``StreamConfig`` and the exact subcommands and flags of ``repro.cli``'s
+field names of ``EngineConfig``, ``RunRequest``, ``SessionConfig``,
+``StreamConfig``, ``RetryPolicy`` and ``FaultPlan`` and the exact subcommands and flags of ``repro.cli``'s
 ``analyze`` / ``bench``, so a new knob is a
 visible test diff — and the boundary: caller ids are validated once, with
 one typed error, on every path in; a knob combination that would silently
@@ -27,7 +27,9 @@ from repro.engine.query import sample_sources
 from repro.errors import ShardError
 from repro.graph import powerlaw_cluster
 from repro.ppr import DegradationMode, PPRParams
+from repro.rpc import RetryPolicy
 from repro.serving import Query, SessionConfig
+from repro.simt.faults import FaultPlan
 from repro.stream import StreamConfig
 
 
@@ -185,7 +187,7 @@ class TestKnobSurface:
         assert tuple(f.name for f in dataclasses.fields(SessionConfig)) == (
             "mode", "params", "runtime", "tenants", "queue_cap", "batch_cap",
             "slo", "batch_window", "cost_model", "fault_plan",
-            "retry_policy", "degradation", "timeline",
+            "retry_policy", "degradation",
         )
 
     def test_stream_config_fields(self):
@@ -193,9 +195,23 @@ class TestKnobSurface:
         are gone; the cost coefficients are module constants."""
         assert tuple(f.name for f in dataclasses.fields(StreamConfig)) == (
             "runtime", "params", "refresh_every", "fault_plan",
-            "retry_policy", "rebalance", "timeline",
+            "retry_policy", "rebalance",
         )
         assert not hasattr(repro.stream, "StreamCostModel")
+
+    def test_retry_policy_fields(self):
+        """The knobs inside the knobs.  The backoff schedule (base, factor,
+        cap, jitter) was set by nothing, tests included: module constants."""
+        assert tuple(f.name for f in dataclasses.fields(RetryPolicy)) == (
+            "max_attempts", "timeout",
+        )
+
+    def test_fault_plan_fields(self):
+        """Drops and crash windows are what commands, benches and examples
+        inject; spikes, link latency and stragglers had one unit test."""
+        assert tuple(f.name for f in dataclasses.fields(FaultPlan)) == (
+            "seed", "drop_prob", "crashes",
+        )
 
 
 def _subcommands(parser) -> dict:

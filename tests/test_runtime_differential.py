@@ -465,8 +465,7 @@ class TestStreamingDifferential:
         "rebalance.bytes_copied",
     ]
 
-    def _run(self, runtime, *, fault_plan=None, retry_policy=None,
-             timeline=False):
+    def _run(self, runtime, *, fault_plan=None, retry_policy=None):
         from repro.stream import (RebalancePolicy, StreamConfig,
                                   StreamEvent, StreamingSession,
                                   TemporalEdgeStream)
@@ -478,7 +477,6 @@ class TestStreamingDifferential:
             runtime=runtime, params=PARAMS, refresh_every=1,
             fault_plan=fault_plan, retry_policy=retry_policy,
             rebalance=RebalancePolicy(top_k=6, min_heat=2),
-            timeline=timeline,
         ))
         session.publish(self.PUBLISH)
         stream = TemporalEdgeStream(graph, seed=23, batch_size=12)
@@ -538,19 +536,6 @@ class TestStreamingDifferential:
         assert sim_c.get("rpc.dropped_messages", 0) > 0
         for key in RPC_COUNTERS:
             assert sim_c.get(key, 0) == thr_c.get(key, 0), key
-
-    def test_stream_timeline_bitwise_identical(self):
-        """The streaming Timeline samples on the deterministic serving
-        clock with count-derived values only — the whole series, sample
-        times included, replays bitwise across runtimes."""
-        sim = self._run("sim", timeline=True)
-        thr = self._run("threads", timeline=True)
-        sim_tl, thr_tl = sim[0].timeline, thr[0].timeline
-        assert sim_tl is not None and len(sim_tl) > 1
-        assert sim_tl.to_dict() == thr_tl.to_dict()
-        # the series actually moved: the stream counters accumulated
-        published = [v for _, v in sim_tl.series("stream.batches")]
-        assert published[-1] > 0
 
     def test_faulty_stream_equals_healthy_stream(self):
         healthy = self._run("sim")
