@@ -6,7 +6,7 @@ REP rule's check pass over two corpora: the shipped `src/repro` tree
 re-asserts as a deterministic column) and the per-rule fixture corpus
 under `tests/fixtures/analysis/` (where every rule must fire — the
 gate's non-vacuity check).  The `ALL` row is the end-to-end analyze
-cost: project build plus all ten rules, the same work
+cost: project build plus all eleven rules, the same work
 `python -m repro.cli analyze` does.
 
 Per-rule and end-to-end wall times are reported but not gated (host-
@@ -91,7 +91,7 @@ def test_analysis_gate(benchmark):
     common.publish(
         "analysis",
         "Static-analysis gate: per-rule cost, tree cleanliness, fixture "
-        "yield (REP001–REP010, whole-program model)",
+        "yield (REP001–REP011, whole-program model)",
         rows, key=("Rule",),
         deterministic=("Tree findings", "Fixture findings", "Tree clean",
                        "Fires on fixtures"),

@@ -10,14 +10,14 @@ randomness, ordering-nondeterministic iteration, unsizeable RPC payloads,
 blocking calls in coroutines, swallowed fault injections, data races,
 scheduler deadlocks — at lint time and at runtime:
 
-* :mod:`repro.analysis.lint` — a small AST visitor framework with
+* :mod:`repro.analysis.lint` — a small AST lint framework with
   per-rule allowlists (``# repro: allow=REPnnn`` pragmas and the
   ``[tool.repro.analysis]`` table in ``pyproject.toml``); the repo-specific
   rules live in :mod:`repro.analysis.rules` (REP001–REP011);
 * :mod:`repro.analysis.callgraph` — the whole-program model (module
-  import graph, alias-aware call graph, lock-site index) behind the
-  interprocedural rules REP008–REP010 and the project-refined
-  REP004/REP006 verdicts;
+  import graph, alias-aware call graph, call-site and lock-site indexes,
+  RPC dispatch catalogue) built once per lint run; every rule checks it
+  through one hook, ``Rule.check(project)``;
 * :mod:`repro.analysis.race` — an Eraser-style lockset race detector that
   instruments :class:`~repro.ppr.hashmap.ShardedMap` and
   :class:`~repro.rpc.thread_runtime.ThreadRuntime` shared state behind a
@@ -39,7 +39,6 @@ from repro.analysis.deadlock import DeadlockReport, diagnose
 from repro.analysis.lint import (
     AnalysisConfig,
     FileContext,
-    ProjectRule,
     Rule,
     Violation,
     load_config,
@@ -62,7 +61,6 @@ __all__ = [
     "DeadlockReport",
     "FileContext",
     "Project",
-    "ProjectRule",
     "RaceAccess",
     "RaceDetector",
     "RaceViolation",

@@ -1,36 +1,39 @@
-"""Whole-program resolution: modules, call graph, locks, RPC surface.
+"""The program model every lint rule checks: modules, calls, locks, RPC.
 
-The per-file rules (REP001–REP007) judge one ``FileContext`` at a time;
-the interprocedural rules (REP008–REP010, and the exception-flow upgrade
-to REP006) need to see the *program*: which function calls which, where
-locks are acquired while other locks are held, and which methods the RPC
-layer can actually dispatch to.  :func:`build_project` parses every file
-once (reusing :class:`~repro.analysis.lint.FileContext`) and assembles:
+:func:`~repro.analysis.lint.run_lint` builds one :class:`Project` per run
+and hands it to every rule.  The per-file rules walk its parsed modules
+(REP006 also consults the call graph); REP004 and REP008–REP010 read
+the indexes :func:`build_project` assembles, parsing every file once:
 
 * a **module graph** — project-internal imports, alias-aware;
 * a **function index** — one :class:`FunctionInfo` per ``def`` (methods
   qualified as ``module:Class.method``) with parameter shape, resolved
   call edges, raised exception names, lock acquisitions, and mutation
   sites over shared state;
+* a **call-site index** — every call expression by node
+  (:attr:`Project.call_sites`) and by resolved callee
+  (:attr:`Project.callers`);
 * a **lock-site index** — every ``with <lock>:`` block over a
   ``threading.Lock`` / :class:`~repro.analysis.race.TrackedLock` /
   lock-named ``self`` attribute, identified by ``(owning class,
   attribute)`` or ``module:name`` so REP008 can order acquisitions
   program-wide;
 * an **RPC surface** — methods marked ``@rpc_handler``
-  (:mod:`repro.rpc.handlers`) plus every ``rpc_async`` /
-  ``rpc_sync_effect`` / ``rref_call`` dispatch site with its method-name
-  literal (or the parameter forwarding one, resolved a hop later by
-  REP010).
+  (:mod:`repro.rpc.handlers`) plus every dispatch site in the one
+  catalogue (:data:`RPC_DISPATCH_ATTRS`, :data:`RPC_CONTEXT_ATTR`) with
+  its method-name literal (or the parameter forwarding one, resolved a
+  hop later by REP010) and the payload expressions REP004 judges.
 
 Resolution is deliberately conservative and purely syntactic: ``self.m()``
 binds inside the enclosing class (and project-internal bases),
 ``module.f()`` through the import map (following one package re-export),
-``x = ClassName(...)`` through the same single-assignment environment
-REP004 uses, and a bare method call on an unknown receiver only when
-exactly one project class defines that method name.  Anything else
-resolves to nothing — the rules treat unresolved calls as opaque (REP006
-keeps them *suspect*; REP008/REP009 propagate nothing through them).
+``x = ClassName(...)`` through the single-assignment environment
+(:func:`single_assignments`, shared with REP004), and a bare method call
+on an unknown receiver only when exactly one project class defines that
+method name.  Anything else resolves to nothing — the rules treat
+unresolved calls as opaque (REP006 keeps them *suspect*; REP008/REP009
+propagate nothing through them).  Code outside any ``def`` (module and
+class bodies) contributes declarations only, no call sites.
 
 Derived fixpoints (:meth:`Project.acquires_closure`,
 :meth:`Project.raises_fault`, :meth:`Project.always_called_locked`) are
@@ -133,6 +136,7 @@ class CallSite:
     """One call expression inside a function body."""
 
     node: ast.Call
+    caller: str                     # enclosing function qname
     raw: str                        # best-effort printable callee
     callee: str | None              # resolved function qname, if any
     held: tuple[str, ...]           # lock ids held at this site
@@ -167,11 +171,14 @@ class RpcCallSite:
     relpath: str
     node: ast.Call
     attr: str
-    function: str | None            # enclosing function qname
+    function: str                   # enclosing function qname
     method: str | None              # literal method name, if static
     method_param: str | None        # parameter forwarding the name, if so
     n_args: int | None              # payload positional count (None: unknown)
     kw_names: tuple[str, ...]
+    #: what the request carries: the method-name argument and the payload,
+    #: with ``rref_call``'s literal args tuple / kwargs dict opened up
+    payload: tuple[ast.expr, ...] = ()
 
 
 @dataclass
@@ -225,6 +232,26 @@ class ClassInfo:
     bases: tuple[str, ...] = ()     # resolved project class qnames
     methods: dict[str, str] = field(default_factory=dict)
     lock_attrs: set[str] = field(default_factory=set)
+
+
+def is_dispatch(call: ast.Call) -> bool:
+    """Whether ``call`` names a dispatch surface of the catalogue above."""
+    func = call.func
+    return isinstance(func, ast.Attribute) and \
+        func.attr in (*RPC_DISPATCH_ATTRS, RPC_CONTEXT_ATTR)
+
+
+def raised_name(ctx: FileContext, node: ast.Raise) -> str | None:
+    """The exception a ``raise`` names: canonical if resolvable, else bare."""
+    if node.exc is None:
+        return None
+    target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    name = ctx.imports.resolve(target)
+    if name is None and isinstance(target, ast.Name):
+        name = target.id
+    if name is None and isinstance(target, ast.Attribute):
+        name = target.attr
+    return name
 
 
 def _attr_chain(node: ast.expr) -> tuple[str, ...] | None:
@@ -289,11 +316,14 @@ class Project:
         self.module_locks: set[str] = set()
         #: module-level / class-body mutable container definitions
         self.shared_defs: dict[str, SharedDef] = {}
+        #: the call-site index: every catalogued call by its node ...
+        self.call_sites: dict[ast.Call, CallSite] = {}
+        #: ... and by resolved callee qname
+        self.callers: dict[str, list[CallSite]] = {}
         self.rpc_handlers: list[HandlerInfo] = []
         self.rpc_call_sites: list[RpcCallSite] = []
         self._acquires_memo: dict[str, frozenset[str]] = {}
         self._fault_memo: dict[str, bool] = {}
-        self._callers: dict[str, list[tuple[str, CallSite]]] | None = None
         self._locked_memo: dict[str, bool] = {}
 
     # -- lookups -----------------------------------------------------------
@@ -402,9 +432,7 @@ class Project:
         out = bool(fn.raises & FAULT_ERROR_NAMES)
         if not out:
             for call in fn.calls:
-                func = call.node.func
-                if isinstance(func, ast.Attribute) and \
-                        func.attr in (*RPC_DISPATCH_ATTRS, RPC_CONTEXT_ATTR):
+                if is_dispatch(call.node):
                     out = True
                     break
                 if call.callee is not None and self.raises_fault(call.callee):
@@ -417,25 +445,17 @@ class Project:
         """Whether every resolved project call path into ``qname`` holds a
         lock.  Entry points (no resolved callers) count as unlocked.  Lets
         REP009 accept helpers only ever invoked under a caller's lock."""
-        if self._callers is None:
-            callers: dict[str, list[tuple[str, CallSite]]] = {}
-            for fn in self.functions.values():
-                for call in fn.calls:
-                    if call.callee is not None:
-                        callers.setdefault(call.callee, []).append(
-                            (fn.qname, call))
-            self._callers = callers
 
         def locked(q: str, stack: frozenset[str]) -> bool:
             if q in self._locked_memo:
                 return self._locked_memo[q]
             if q in stack:
                 return True  # recursive edge: neutral
-            sites = self._callers.get(q, [])
+            sites = self.callers.get(q, [])
             if not sites:
                 return False
-            out = all(bool(c.held) or locked(owner, stack | {q})
-                      for owner, c in sites)
+            out = all(bool(c.held) or locked(c.caller, stack | {q})
+                      for c in sites)
             if not stack:  # only memoize top-level verdicts
                 self._locked_memo[q] = out
             return out
@@ -679,31 +699,22 @@ class _ModuleBuilder:
         }
         self._walk_stmts(fn, node.body, cls, env, (), local_defs)
 
-    def _instance_env(self, node: ast.AST) -> dict[str, str]:
+    def _instance_env(self, node: ast.FunctionDef | ast.AsyncFunctionDef
+                      ) -> dict[str, str]:
         """Single-assignment ``x = ClassName(...)`` typings in one scope."""
-        counts: dict[str, int] = {}
-        for n in _own_nodes(node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, (ast.Store,
-                                                              ast.Del)):
-                counts[n.id] = counts.get(n.id, 0) + 1
         env: dict[str, str] = {}
-        for n in _own_nodes(node):
-            if isinstance(n, ast.Assign) and len(n.targets) == 1 and \
-                    isinstance(n.targets[0], ast.Name) and \
-                    isinstance(n.value, ast.Call):
-                target = n.targets[0].id
-                if counts.get(target) != 1:
-                    continue
-                func = n.value.func
-                if isinstance(func, ast.Name) and \
-                        func.id in self.local_classes:
-                    env[target] = self.local_classes[func.id]
-                    continue
-                name = self.ctx.imports.resolve(func)
-                if name is not None:
-                    q = self.project.resolve_dotted(name)
-                    if q in self.project.classes:
-                        env[target] = q
+        for target, value in single_assignments(node).items():
+            if not isinstance(value, ast.Call):
+                continue
+            func = value.func
+            if isinstance(func, ast.Name) and func.id in self.local_classes:
+                env[target] = self.local_classes[func.id]
+                continue
+            name = self.ctx.imports.resolve(func)
+            if name is not None:
+                q = self.project.resolve_dotted(name)
+                if q in self.project.classes:
+                    env[target] = q
         return env
 
     def _walk_stmts(self, fn: FunctionInfo, stmts: list, cls: str | None,
@@ -737,13 +748,7 @@ class _ModuleBuilder:
                 continue
             if isinstance(stmt, ast.Raise):
                 if stmt.exc is not None:
-                    target = stmt.exc.func if isinstance(stmt.exc, ast.Call) \
-                        else stmt.exc
-                    name = self.ctx.imports.resolve(target)
-                    if name is None and isinstance(target, ast.Name):
-                        name = target.id
-                    if name is None and isinstance(target, ast.Attribute):
-                        name = target.attr
+                    name = raised_name(self.ctx, stmt)
                     if name is not None:
                         fn.raises.add(name)
                     self._scan_expr(fn, stmt.exc, cls, env, held, local_defs)
@@ -811,9 +816,13 @@ class _ModuleBuilder:
                 fn.has_yield = True
             elif isinstance(node, ast.Call):
                 callee = self._resolve_call(node, cls, env, local_defs)
-                fn.calls.append(CallSite(
-                    node=node, raw=_describe_callee(node.func),
-                    callee=callee, held=tuple(held)))
+                site = CallSite(node=node, caller=fn.qname,
+                                raw=_describe_callee(node.func),
+                                callee=callee, held=tuple(held))
+                fn.calls.append(site)
+                self.project.call_sites[node] = site
+                if callee is not None:
+                    self.project.callers.setdefault(callee, []).append(site)
                 self._maybe_rpc_site(fn, node)
                 self._maybe_mutator_call(fn, node, cls, held)
 
@@ -884,43 +893,44 @@ class _ModuleBuilder:
             method_pos, payload_from = 2, 3
         else:
             return
-        if len(node.args) <= method_pos:
-            return
-        marg = node.args[method_pos]
         method = method_param = None
+        marg = node.args[method_pos] if len(node.args) > method_pos \
+            else None
         if isinstance(marg, ast.Constant) and isinstance(marg.value, str):
             method = marg.value
         elif isinstance(marg, ast.Name) and \
                 marg.id in fn.params.positional + fn.params.kwonly:
             method_param = marg.id
-        if method is None and method_param is None:
-            return
+        sent = node.args[payload_from:]
+        payload = [*node.args[method_pos:payload_from],
+                   *(kw.value for kw in node.keywords)]
         n_args: int | None
         kw_names: tuple[str, ...]
         if func.attr == RPC_CONTEXT_ATTR:
             # rref_call carries the payload as (args_tuple, kwargs_dict)
             n_args, kw_names = None, ()
-            if len(node.args) > payload_from and \
-                    isinstance(node.args[payload_from], ast.Tuple):
-                elts = node.args[payload_from].elts
-                if not any(isinstance(e, ast.Starred) for e in elts):
-                    n_args = len(elts)
-            if len(node.args) > payload_from + 1 and \
-                    isinstance(node.args[payload_from + 1], ast.Dict):
-                keys = node.args[payload_from + 1].keys
-                if all(isinstance(k, ast.Constant) and
-                       isinstance(k.value, str) for k in keys):
-                    kw_names = tuple(k.value for k in keys)
+            args_t, kwargs_d = (*sent, None, None)[:2]
+            if isinstance(args_t, ast.Tuple) and not any(
+                    isinstance(e, ast.Starred) for e in args_t.elts):
+                n_args = len(args_t.elts)
+            if isinstance(kwargs_d, ast.Dict) and all(
+                    isinstance(k, ast.Constant) and isinstance(k.value, str)
+                    for k in kwargs_d.keys):
+                kw_names = tuple(k.value for k in kwargs_d.keys)
+            for arg in sent:
+                payload.extend(arg.elts if isinstance(arg, ast.Tuple) else
+                               arg.values if isinstance(arg, ast.Dict) else
+                               [arg])
         else:
-            payload = node.args[payload_from:]
             n_args = None if any(isinstance(a, ast.Starred)
-                                 for a in payload) else len(payload)
+                                 for a in sent) else len(sent)
             kw_names = tuple(kw.arg for kw in node.keywords
                              if kw.arg is not None)
+            payload.extend(sent)
         self.project.rpc_call_sites.append(RpcCallSite(
             relpath=self.ctx.relpath, node=node, attr=func.attr,
             function=fn.qname, method=method, method_param=method_param,
-            n_args=n_args, kw_names=kw_names))
+            n_args=n_args, kw_names=kw_names, payload=tuple(payload)))
 
     # -- call resolution --------------------------------------------------
     def _resolve_call(self, node: ast.Call, cls: str | None,
@@ -1012,6 +1022,35 @@ def _own_nodes(root: ast.AST) -> Iterator[ast.AST]:
                              ast.ClassDef)):
             continue
         stack.extend(ast.iter_child_nodes(node))
+
+
+def single_assignments(scope: ast.FunctionDef | ast.AsyncFunctionDef
+                       ) -> dict[str, ast.expr]:
+    """Names stored exactly once in ``scope``, mapped to their value.
+
+    Only simple single-target assignments qualify; any other binding
+    (re-assignment, ``del``, loop/with/walrus targets, parameters,
+    global/nonlocal) makes the name ambiguous and drops it.
+    """
+    a = scope.args
+    banned = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                              a.vararg, a.kwarg) if p is not None}
+    stores: dict[str, int] = {}
+    assigned: list[tuple[str, ast.expr]] = []
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.Name) and \
+                isinstance(node.ctx, (ast.Store, ast.Del)):
+            stores[node.id] = stores.get(node.id, 0) + 1
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            banned.update(node.names)
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                isinstance(node.targets[0], ast.Name):
+            assigned.append((node.targets[0].id, node.value))
+        elif isinstance(node, ast.AnnAssign) and \
+                isinstance(node.target, ast.Name) and node.value is not None:
+            assigned.append((node.target.id, node.value))
+    return {name: value for name, value in assigned
+            if stores[name] == 1 and name not in banned}
 
 
 def build_project(paths: Iterable[str | Path], *,

@@ -2,9 +2,11 @@
 
 A deliberately small framework: one :class:`FileContext` per source file
 (parsed tree, import-alias resolution, pragma comments), a :class:`Rule`
-base class whose subclasses yield :class:`Violation` records, and
-:func:`run_lint` tying discovery, scoping, and the two allowlist layers
-together:
+base class whose subclasses yield :class:`Violation` records from one
+hook, ``check(project)``, and :func:`run_lint`, which builds the
+whole-program model (:mod:`repro.analysis.callgraph`) once, runs every
+rule on it, and filters each violation through scoping and the two
+allowlist layers in one place:
 
 * **pragma comments** — ``# repro: allow=REP001`` (optionally a comma list,
   optionally followed by a free-text reason) suppresses the named rules on
@@ -30,7 +32,10 @@ import io
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from repro.analysis.callgraph import Project
 
 #: the pragma marker recognized in comments: ``# repro: allow=REP001,REP005``
 PRAGMA_MARKER = "repro: allow="
@@ -159,51 +164,39 @@ class FileContext:
 
 
 class Rule:
-    """Base class: subclasses set ``id``/``title`` and implement ``check``."""
+    """Base class: subclasses set ``id``/``title`` and implement ``check``.
+
+    ``check(project)`` yields violations anywhere in the project; a
+    per-file rule loops over :meth:`walk`.  Instances are shared
+    singletons (:data:`~repro.analysis.rules.ALL_RULES`) and hold no
+    per-run state.
+    """
 
     id: str = "REP000"
     title: str = ""
     #: directory names this rule is scoped to; empty = the whole tree
     scope_dirs: tuple[str, ...] = ()
-    #: set True on per-file rules that refine their verdicts through the
-    #: whole-program model; :func:`run_lint` then builds a
-    #: :class:`~repro.analysis.callgraph.Project` and assigns it to
-    #: ``self.project`` before checking (None when linting a single file
-    #: through :func:`lint_file` — rules must degrade gracefully)
-    wants_project: bool = False
-    #: the current whole-program model, managed by :func:`run_lint`
-    project = None
 
     def applies_to(self, ctx: FileContext) -> bool:
         if not self.scope_dirs:
             return True
         return any(part in self.scope_dirs for part in ctx.parts)
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
+    def walk(self, project: Project
+             ) -> Iterator[tuple[FileContext, ast.AST]]:
+        """Every AST node of the project's modules in this rule's scope."""
+        for ctx in project.modules.values():
+            if self.applies_to(ctx):
+                for node in ast.walk(ctx.tree):
+                    yield ctx, node
+
+    def check(self, project: Project) -> Iterator[Violation]:
         raise NotImplementedError
 
     def violation(self, ctx: FileContext, node: ast.AST,
                   message: str) -> Violation:
         return Violation(path=ctx.relpath, line=node.lineno,
                          col=node.col_offset, rule=self.id, message=message)
-
-
-class ProjectRule(Rule):
-    """A whole-program rule: checked once against the assembled project.
-
-    ``check_project`` yields violations anywhere in the linted tree;
-    :func:`run_lint` applies the same scope/pragma/config filters a
-    per-file rule gets, resolved against the file each violation lands
-    in.  The per-file ``check`` hook is a no-op.
-    """
-
-    wants_project = True
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Violation]:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -251,88 +244,31 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield p
 
 
-def lint_file(path: Path, rules: Iterable[Rule], *,
-              config: AnalysisConfig | None = None,
-              root: Path | None = None) -> list[Violation]:
-    """Run ``rules`` over one file, applying both allowlist layers."""
-    ctx = FileContext.parse(path, root=root)
-    return lint_ctx(ctx, rules, config=config)
-
-
-def lint_ctx(ctx: FileContext, rules: Iterable[Rule], *,
-             config: AnalysisConfig | None = None) -> list[Violation]:
-    """Run per-file ``rules`` over one parsed context."""
-    config = config if config is not None else AnalysisConfig()
-    out: list[Violation] = []
-    for rule in rules:
-        if not rule.applies_to(ctx):
-            continue
-        if config.allows(rule.id, ctx.relpath):
-            continue
-        for v in rule.check(ctx):
-            if ctx.allowed_by_pragma(v.rule, v.line):
-                continue
-            out.append(v)
-    return sorted(out)
-
-
 def run_lint(paths: Iterable[str | Path], *,
              rules: Iterable[Rule] | None = None,
              config: AnalysisConfig | None = None,
              root: Path | None = None,
-             project=None) -> list[Violation]:
+             project: Project | None = None) -> list[Violation]:
     """Lint every .py file under ``paths``; returns sorted violations.
 
-    When any rule ``wants_project`` (the interprocedural REP008–REP010,
-    plus the project-refined REP004/REP006), the whole-program model is
-    built once over ``paths`` and shared: per-file rules read it through
-    ``self.project``, :class:`ProjectRule` subclasses are checked against
-    it directly, with scope/pragma/config filters resolved per violation.
-
-    ``project`` lets a caller that already built the model pass it in.
+    The whole-program model is built once over ``paths`` — or taken from
+    ``project``, when a caller already built it — and every rule checks
+    it.  Each violation is kept only if the file it lands in is in the
+    rule's scope, no pragma on its line names the rule, and no config
+    allowlist entry covers the file.
     """
+    from repro.analysis.callgraph import build_project
     from repro.analysis.rules import ALL_RULES
 
-    rules = list(ALL_RULES if rules is None else rules)
     config = config if config is not None else AnalysisConfig()
-    if project is None and any(r.wants_project for r in rules):
-        from repro.analysis.callgraph import build_project
-
+    if project is None:
         project = build_project(paths, root=root)
-    for rule in rules:
-        rule.project = project  # always (re)set: no stale cross-run state
     out: list[Violation] = []
-    contexts: dict[str, FileContext] = {}
-    by_path = {} if project is None else {
-        ctx.path: ctx for ctx in project.modules.values()
-    }
-    for path in iter_python_files(paths):
-        if project is not None:
-            # reuse the project's parsed contexts (and skip files the
-            # project skipped as unparsable)
-            ctx = by_path.get(path)
-            if ctx is None:
-                continue
-        else:
-            try:
-                ctx = FileContext.parse(path, root=root)
-            except SyntaxError:
-                continue
-        if ctx.relpath in contexts:
-            continue
-        contexts[ctx.relpath] = ctx
-        out.extend(lint_ctx(ctx, rules, config=config))
-    for rule in rules:
-        if not isinstance(rule, ProjectRule) or project is None:
-            continue
-        for v in rule.check_project(project):
-            ctx = contexts.get(v.path) or project.ctx_for(v.path)
-            if ctx is not None:
-                if not rule.applies_to(ctx):
-                    continue
-                if ctx.allowed_by_pragma(v.rule, v.line):
-                    continue
-            if config.allows(v.rule, v.path):
-                continue
-            out.append(v)
+    for rule in ALL_RULES if rules is None else rules:
+        for v in rule.check(project):
+            ctx = project.ctx_for(v.path)
+            if rule.applies_to(ctx) and \
+                    not ctx.allowed_by_pragma(v.rule, v.line) and \
+                    not config.allows(v.rule, v.path):
+                out.append(v)
     return sorted(out)

@@ -1,5 +1,9 @@
 """The repo-specific rule registry (REP001–REP011).
 
+Every rule implements one hook, ``check(project)``, over the
+:mod:`repro.analysis.callgraph` model that
+:func:`~repro.analysis.lint.run_lint` builds once per run.
+
 Determinism rules (:mod:`repro.analysis.rules.determinism`):
 
 * **REP001** — wall-clock calls outside the sanctioned
@@ -10,8 +14,8 @@ Determinism rules (:mod:`repro.analysis.rules.determinism`):
 
 Concurrency rules (:mod:`repro.analysis.rules.concurrency`):
 
-* **REP004** — statically unsizeable payloads at ``rpc_async`` /
-  ``rpc`` call sites (cross-checked against the
+* **REP004** — statically unsizeable payloads at the model's RPC
+  dispatch sites (cross-checked against the
   :mod:`repro.rpc.serialization` cost model);
 * **REP005** — blocking calls inside simt coroutines;
 * **REP006** — broad ``except`` clauses that can swallow injected faults
@@ -24,8 +28,7 @@ Observability rules (:mod:`repro.analysis.rules.observability`):
   :mod:`repro.obs.metrics_catalog` (drift against
   ``docs/observability.md``).
 
-Whole-program rules (:mod:`repro.analysis.rules.interprocedural`),
-checked against the :mod:`repro.analysis.callgraph` project model:
+Whole-program rules (:mod:`repro.analysis.rules.interprocedural`):
 
 * **REP008** — lock-acquisition-order cycles across the call graph
   (static deadlock complement of ``analysis/deadlock.py``);

@@ -6,6 +6,10 @@ must be sizeable by the RPC cost model on both runtimes, coroutines must
 suspend only through simt effects (a real block stalls one runtime but not
 the other), and injected faults must reach the retry layer instead of
 dying in a broad ``except``.
+
+All three read the program model: REP004 judges the payloads of its
+dispatch catalogue, REP006 traces a ``try`` body's calls through its
+call-site index, and REP005 walks the in-scope modules.
 """
 
 from __future__ import annotations
@@ -13,10 +17,15 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.callgraph import (
+    FAULT_ERROR_NAMES,
+    Project,
+    _own_nodes,
+    is_dispatch,
+    raised_name,
+    single_assignments,
+)
 from repro.analysis.lint import FileContext, Rule, Violation
-
-#: RRef dispatch surfaces whose arguments travel as RPC payloads
-RPC_CALL_ATTRS = ("rpc_async", "rpc")
 
 #: canonical names whose call blocks the OS thread
 BLOCKING_CALLS = frozenset({
@@ -38,59 +47,56 @@ BROAD_EXCEPTION_NAMES = ("Exception", "BaseException")
 
 
 class Rep004UnsizeablePayload(Rule):
-    """Arguments at ``rpc_async``/``rpc`` call sites the cost model rejects.
+    """Payloads at RPC dispatch sites the cost model rejects.
 
     Every RPC argument is priced by
     :func:`repro.rpc.serialization.payload_sizes`; a payload it cannot size
     (lambdas, generators, arbitrary objects without ``rpc_payload()``)
-    raises at dispatch on both runtimes.  Literal arguments are
-    cross-checked against the cost model itself at lint time; lambdas and
-    generator expressions are rejected outright.
+    raises at dispatch on both runtimes.  The sites are the program
+    model's dispatch catalogue — ``rpc_async`` / ``rpc_sync_effect``
+    arguments and the elements of ``rref_call``'s args tuple / kwargs
+    dict, the same surfaces REP006 and REP010 read.  Literal arguments
+    are cross-checked against the cost model itself at lint time;
+    lambdas and generator expressions are rejected outright.
 
     Light dataflow: a plain-name argument assigned exactly once in the
-    enclosing scope is resolved to its assigned value and judged by the
-    same rules, so ``handler = lambda ...; ref.rpc_async("m", handler)`` is
-    caught too.  Names bound more than once, bound by loops/with/walrus
-    targets, or declared global/nonlocal are left unjudged, and a value
-    produced by ``.rpc_payload()`` is accepted as sizeable by
-    construction.
+    enclosing function is resolved to its assigned value and judged by
+    the same rules, so ``handler = lambda ...; ref.rpc_async(caller,
+    "m", handler)`` is caught too.  Names bound more than once, bound by
+    loops/with/walrus targets, or declared global/nonlocal are left
+    unjudged, and a value produced by ``.rpc_payload()`` is accepted as
+    sizeable by construction.
 
-    With the whole-program model available, the dataflow follows one
-    call-graph hop: an argument (or single-assignment value) that is a
-    call into a project function whose *every* return expression is
-    statically unsizeable is flagged too — ``ref.rpc_async("m",
-    make_handler())`` where ``make_handler`` returns a lambda.
+    The dataflow also follows one call-graph hop: an argument (or
+    single-assignment value) that is a call into a project function
+    whose *every* return expression is statically unsizeable is flagged
+    too — ``ref.rpc_async(caller, "m", make_handler())`` where
+    ``make_handler`` returns a lambda.
     """
 
     id = "REP004"
     title = "statically unsizeable RPC payload"
-    wants_project = True
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for scope in self._scopes(ctx.tree):
-            env = self._scope_env(scope)
-            for node in _own_nodes(scope):
-                if not isinstance(node, ast.Call) or \
-                        not isinstance(node.func, ast.Attribute) or \
-                        node.func.attr not in RPC_CALL_ATTRS:
-                    continue
-                values = list(node.args) + [kw.value for kw in node.keywords]
-                for arg in values:
-                    if isinstance(arg, ast.Starred):
-                        arg = arg.value
-                    hit = self._check_arg(arg, env)
-                    if hit is None:
-                        hit = self._check_call_returns(ctx, arg, env)
-                    if hit is not None:
-                        yield self.violation(
-                            ctx, arg,
-                            f"{node.func.attr}() argument {hit} — the "
-                            "rpc.serialization cost model cannot size it; "
-                            "send arrays/scalars/containers or a type "
-                            "implementing rpc_payload()",
-                        )
+    def check(self, project: Project) -> Iterator[Violation]:
+        for site in project.rpc_call_sites:
+            env = single_assignments(project.functions[site.function].node)
+            ctx = project.ctx_for(site.relpath)
+            for arg in site.payload:
+                if isinstance(arg, ast.Starred):
+                    arg = arg.value
+                hit = self._check_arg(arg, env)
+                if hit is None:
+                    hit = self._check_call_returns(project, arg, env)
+                if hit is not None:
+                    yield self.violation(
+                        ctx, arg,
+                        f"{site.attr}() argument {hit} — the "
+                        "rpc.serialization cost model cannot size it; "
+                        "send arrays/scalars/containers or a type "
+                        "implementing rpc_payload()",
+                    )
 
-    def _check_call_returns(self, ctx: FileContext, arg: ast.expr,
+    def _check_call_returns(self, project: Project, arg: ast.expr,
                             env: dict[str, ast.expr]) -> str | None:
         """One call-graph hop: judge the returns of a called project fn.
 
@@ -98,29 +104,14 @@ class Rep004UnsizeablePayload(Rule):
         unsizeable — a single sizeable (or unjudgeable) return path
         clears the argument, keeping the check conservative.
         """
-        project = self.project
-        if project is None:
-            return None
         call = arg
         via = ""
         if isinstance(arg, ast.Name):
             value = env.get(arg.id)
-            if value is not None and isinstance(value, ast.Call):
+            if isinstance(value, ast.Call):
                 call = value
                 via = f" via local {arg.id!r}"
-        if not isinstance(call, ast.Call):
-            return None
-        site = None
-        for fq, fn in project.functions.items():
-            if fn.relpath != ctx.relpath:
-                continue
-            for c in fn.calls:
-                if (c.node.lineno, c.node.col_offset) == \
-                        (call.lineno, call.col_offset):
-                    site = c
-                    break
-            if site is not None:
-                break
+        site = project.call_sites.get(call)
         if site is None or site.callee is None:
             return None
         callee = project.functions.get(site.callee)
@@ -136,57 +127,6 @@ class Rep004UnsizeablePayload(Rule):
             return (f"{hits[0]} (returned by {short}(){via}; every return "
                     "path is unsizeable)")
         return None
-
-    @staticmethod
-    def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
-        """The module plus every function and class body (however nested).
-
-        ``_own_nodes`` stops at nested definitions, so together the scopes
-        tile the file: every call site is judged exactly once, against the
-        assignment environment of its innermost scope.
-        """
-        yield tree
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                yield node
-
-    @staticmethod
-    def _scope_env(scope: ast.AST) -> dict[str, ast.expr]:
-        """Names assigned exactly once in ``scope``, mapped to their value.
-
-        Only simple single-target assignments qualify; any other binding
-        (re-assignment, loop/with/walrus targets, global/nonlocal) makes
-        the name ambiguous and drops it from the environment.
-        """
-        stores: dict[str, int] = {}
-        banned: set[str] = set()
-        args = getattr(scope, "args", None)
-        if args is not None:
-            for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
-                      *([args.vararg] if args.vararg else []),
-                      *([args.kwarg] if args.kwarg else [])]:
-                banned.add(a.arg)
-        for node in _own_nodes(scope):
-            if isinstance(node, ast.Name) and \
-                    isinstance(node.ctx, (ast.Store, ast.Del)):
-                stores[node.id] = stores.get(node.id, 0) + 1
-            elif isinstance(node, (ast.Global, ast.Nonlocal)):
-                banned.update(node.names)
-        env: dict[str, ast.expr] = {}
-        for node in _own_nodes(scope):
-            target = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
-                    isinstance(node.targets[0], ast.Name):
-                target = node.targets[0].id
-            elif isinstance(node, ast.AnnAssign) and \
-                    isinstance(node.target, ast.Name) and \
-                    node.value is not None:
-                target = node.target.id
-            if target is not None and stores.get(target) == 1 and \
-                    target not in banned:
-                env[target] = node.value
-        return env
 
     @classmethod
     def _check_arg(cls, arg: ast.expr,
@@ -230,18 +170,6 @@ class Rep004UnsizeablePayload(Rule):
         return None
 
 
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested def/class."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _is_generator(func: ast.AST) -> bool:
     return any(isinstance(n, (ast.Yield, ast.YieldFrom))
                for n in _own_nodes(func))
@@ -270,8 +198,8 @@ class Rep005BlockingCall(Rule):
     scope_dirs = ("simt", "rpc", "engine", "ppr", "walk", "storage",
                   "serving", "stream")
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for func in ast.walk(ctx.tree):
+    def check(self, project: Project) -> Iterator[Violation]:
+        for ctx, func in self.walk(project):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if not _is_generator(func):
@@ -332,24 +260,22 @@ class Rep006BroadExcept(Rule):
     turns a chaos test into a silent wrong answer.  Catch the specific
     error types, or re-raise (a ``raise`` anywhere in the handler counts).
 
-    With the whole-program model available (``run_lint``), exception flow
-    is traced through the call graph: the broad except is only a
-    violation when its ``try`` body can actually *see* an injected fault
-    — it dispatches RPC, yields (simt effects deliver faults by throwing
-    at the yield point), raises one itself, calls a project function
-    whose transitive callees can, or calls something unresolvable (a
-    dynamic callable may wrap any of the above).  Faults originate only
-    inside this codebase, so resolvable external calls (``np.argsort``,
-    ``dict.get``) are provably safe and no longer flagged.
+    Exception flow is traced through the call graph: the broad except is
+    only a violation when its ``try`` body can actually *see* an injected
+    fault — it dispatches RPC, yields (simt effects deliver faults by
+    throwing at the yield point), raises one itself, calls a project
+    function whose transitive callees can, or calls something
+    unresolvable (a dynamic callable may wrap any of the above).  Faults
+    originate only inside this codebase, so resolvable external calls
+    (``np.argsort``, ``dict.get``) are provably safe and not flagged.
     """
 
     id = "REP006"
     title = "broad except can swallow injected faults"
     scope_dirs = ("rpc", "simt", "engine", "ppr")
-    wants_project = True
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+    def check(self, project: Project) -> Iterator[Violation]:
+        for ctx, node in self.walk(project):
             if not isinstance(node, ast.Try):
                 continue
             for handler in node.handlers:
@@ -358,7 +284,7 @@ class Rep006BroadExcept(Rule):
                 if any(isinstance(n, ast.Raise) for child in handler.body
                        for n in ast.walk(child)):
                     continue
-                if not self._try_sees_fault(ctx, node):
+                if not self._try_sees_fault(project, ctx, node):
                     continue
                 caught = "bare except" if handler.type is None else \
                     f"except {ast.unparse(handler.type)}"
@@ -369,47 +295,27 @@ class Rep006BroadExcept(Rule):
                     "fault errors or re-raise",
                 )
 
-    def _try_sees_fault(self, ctx: FileContext, try_node: ast.Try) -> bool:
-        """Whether the guarded body can deliver an injected fault.
-
-        Without a project model every body is conservatively
-        fault-capable (the pre-interprocedural behavior).
-        """
-        project = self.project
-        if project is None or ctx.relpath not in project.module_of_relpath:
-            return True
-        from repro.analysis.callgraph import (
-            RPC_CONTEXT_ATTR,
-            RPC_DISPATCH_ATTRS,
-        )
-
-        # call sites catalogued for this file, keyed by position — shared
-        # AST identity is not assumed, (line, col) is stable either way
-        sites = {}
-        for fq, fn in project.functions.items():
-            if fn.relpath != ctx.relpath:
-                continue
-            for call in fn.calls:
-                sites[(call.node.lineno, call.node.col_offset)] = call
+    @staticmethod
+    def _try_sees_fault(project: Project, ctx: FileContext,
+                        try_node: ast.Try) -> bool:
+        """Whether the guarded body can deliver an injected fault."""
         for stmt in try_node.body:
             for n in ast.walk(stmt):
                 if isinstance(n, (ast.Yield, ast.YieldFrom)):
                     return True
-                if isinstance(n, ast.Raise) and self._raises_fault_name(
-                        ctx, n):
+                if isinstance(n, ast.Raise) and \
+                        raised_name(ctx, n) in FAULT_ERROR_NAMES:
                     return True
                 if not isinstance(n, ast.Call):
                     continue
-                func = n.func
-                if isinstance(func, ast.Attribute) and \
-                        func.attr in (*RPC_DISPATCH_ATTRS, RPC_CONTEXT_ATTR):
+                if is_dispatch(n):
                     return True
-                site = sites.get((n.lineno, n.col_offset))
+                site = project.call_sites.get(n)
                 if site is not None and site.callee is not None:
                     if project.raises_fault(site.callee):
                         return True
                     continue
-                name = ctx.imports.resolve(func)
+                name = ctx.imports.resolve(n.func)
                 if name is not None:
                     q = project.resolve_dotted(name)
                     if q is None:
@@ -417,26 +323,11 @@ class Rep006BroadExcept(Rule):
                     if q in project.functions and project.raises_fault(q):
                         return True
                     continue
-                if isinstance(func, ast.Name) and \
-                        func.id in _SAFE_BUILTINS:
+                if isinstance(n.func, ast.Name) and \
+                        n.func.id in _SAFE_BUILTINS:
                     continue
                 return True  # dynamic/unknown callable: suspect
         return False
-
-    @staticmethod
-    def _raises_fault_name(ctx: FileContext, node: ast.Raise) -> bool:
-        from repro.analysis.callgraph import FAULT_ERROR_NAMES
-
-        if node.exc is None:
-            return False
-        target = node.exc.func if isinstance(node.exc, ast.Call) \
-            else node.exc
-        name = ctx.imports.resolve(target)
-        if name is None and isinstance(target, ast.Name):
-            name = target.id
-        if name is None and isinstance(target, ast.Attribute):
-            name = target.attr
-        return name in FAULT_ERROR_NAMES
 
     @staticmethod
     def _is_broad(type_node: ast.expr | None) -> bool:

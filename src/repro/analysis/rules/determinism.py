@@ -11,7 +11,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.lint import FileContext, Rule, Violation
+from repro.analysis.callgraph import Project
+from repro.analysis.lint import Rule, Violation
 
 #: canonical names whose *call* reads the host clock
 WALL_CLOCK_CALLS = frozenset({
@@ -48,8 +49,8 @@ class Rep001WallClock(Rule):
     id = "REP001"
     title = "wall-clock call outside the sanctioned timer shims"
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+    def check(self, project: Project) -> Iterator[Violation]:
+        for ctx, node in self.walk(project):
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.imports.resolve(node.func)
@@ -75,8 +76,8 @@ class Rep002UnseededRandomness(Rule):
     id = "REP002"
     title = "unseeded randomness outside utils/rng.py"
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+    def check(self, project: Project) -> Iterator[Violation]:
+        for ctx, node in self.walk(project):
             if isinstance(node, ast.ImportFrom) and node.module == "random":
                 yield self.violation(
                     ctx, node,
@@ -160,8 +161,8 @@ class Rep003UnorderedIteration(Rule):
     scope_dirs = ("simt", "rpc", "engine", "partition", "serving",
                   "stream")
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+    def check(self, project: Project) -> Iterator[Violation]:
+        for ctx, node in self.walk(project):
             iters: list[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.callgraph import Project
 from repro.analysis.lint import FileContext, Rule, Violation
 
 #: repo-relative path suffixes the rule is scoped to
@@ -43,8 +44,8 @@ class Rep011HotPathCopy(Rule):
     def applies_to(self, ctx: FileContext) -> bool:
         return any(ctx.relpath.endswith(suffix) for suffix in HOT_PATH_FILES)
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+    def check(self, project: Project) -> Iterator[Violation]:
+        for ctx, node in self.walk(project):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -1,11 +1,11 @@
 """Whole-program rules: lock order, shared-state escape, RPC contracts.
 
-These run against the :class:`~repro.analysis.callgraph.Project` model
-(one build per :func:`~repro.analysis.lint.run_lint` call) rather than a
-single file, so they see hazards no per-file rule can: a lock-order
-inversion split across two modules, a module-level dict mutated from an
-RPC handler three calls deep, a dispatch literal whose handler was
-deleted last week.
+These read the :class:`~repro.analysis.callgraph.Project` model's call
+graph, lock and RPC indexes rather than walking files one at a time, so
+they see hazards no per-file rule can: a lock-order inversion split
+across two modules, a module-level dict mutated from an RPC handler
+three calls deep, a dispatch literal whose handler was deleted last
+week.
 
 * **REP008** — the static complement of the runtime deadlock detector
   (:mod:`repro.analysis.deadlock`): held-lock sets are propagated along
@@ -32,10 +32,10 @@ import ast
 from typing import Iterator
 
 from repro.analysis.callgraph import Project, RpcCallSite
-from repro.analysis.lint import ProjectRule, Violation
+from repro.analysis.lint import Rule, Violation
 
 
-class Rep008LockOrder(ProjectRule):
+class Rep008LockOrder(Rule):
     """Lock-acquisition-order cycles across the call graph.
 
     An edge ``A -> B`` is recorded when some path acquires lock B while
@@ -50,17 +50,16 @@ class Rep008LockOrder(ProjectRule):
     id = "REP008"
     title = "lock-order cycle (potential static deadlock)"
 
-    def check_project(self, project: Project) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
         edges = project.lock_order_edges()
         for cycle in project.lock_cycles():
             ring = cycle + cycle[:1]
             arrow = " -> ".join(ring)
             for a, b in zip(ring, ring[1:]):
                 witness = edges[(a, b)]
-                fn = project.functions.get(witness.function)
-                relpath = fn.relpath if fn is not None else witness.function
                 yield Violation(
-                    path=relpath, line=witness.lineno, col=witness.col,
+                    path=project.functions[witness.function].relpath,
+                    line=witness.lineno, col=witness.col,
                     rule=self.id,
                     message=(
                         f"acquires {b!r} while holding {a!r}, closing the "
@@ -70,7 +69,7 @@ class Rep008LockOrder(ProjectRule):
                 )
 
 
-class Rep009SharedMutableEscape(ProjectRule):
+class Rep009SharedMutableEscape(Rule):
     """Unsynchronized mutation of module-level / class-variable containers.
 
     The thread runtime executes handlers and drivers concurrently; any
@@ -87,7 +86,7 @@ class Rep009SharedMutableEscape(ProjectRule):
     scope_dirs = ("simt", "rpc", "engine", "storage", "serving", "stream",
                   "obs", "ppr", "walk")
 
-    def check_project(self, project: Project) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
         for fq in sorted(project.functions):
             fn = project.functions[fq]
             for mut in fn.mutations:
@@ -110,7 +109,7 @@ class Rep009SharedMutableEscape(ProjectRule):
                 )
 
 
-class Rep010RpcContract(ProjectRule):
+class Rep010RpcContract(Rule):
     """Dispatch literals must bind to registered handlers; no orphans.
 
     Three sub-checks, each gated so partial lints stay quiet:
@@ -128,45 +127,38 @@ class Rep010RpcContract(ProjectRule):
     id = "REP010"
     title = "RPC dispatch contract violation"
 
-    def check_project(self, project: Project) -> Iterator[Violation]:
+    def check(self, project: Project) -> Iterator[Violation]:
         handlers = project.handlers_by_name()
-        resolved: list[tuple[RpcCallSite, str, str, int, int]] = []
+        resolved: list[RpcCallSite] = []
         for site in project.rpc_call_sites:
             if site.method is not None:
-                resolved.append((site, site.method, site.relpath,
-                                 site.node.lineno, site.node.col_offset))
+                resolved.append(site)
             elif site.method_param is not None:
                 resolved.extend(self._propagated(project, site))
         used: set[str] = set()
         if handlers:
-            for site, method, relpath, line, col in resolved:
-                named = handlers.get(method)
+            for site in resolved:
+                named = handlers.get(site.method)
                 if named is None:
-                    yield Violation(
-                        path=relpath, line=line, col=col, rule=self.id,
-                        message=(
-                            f"{site.attr}() dispatches {method!r} but no "
-                            "@rpc_handler method with that name exists — "
-                            "the call fails at runtime on both runtimes"
-                        ),
-                    )
+                    yield self._at(site, (
+                        f"{site.attr}() dispatches {site.method!r} but no "
+                        "@rpc_handler method with that name exists — "
+                        "the call fails at runtime on both runtimes"
+                    ))
                     continue
-                used.add(method)
+                used.add(site.method)
                 if site.n_args is None:
                     continue
                 reasons = [h.params.accepts(site.n_args, site.kw_names)
                            for h in named]
                 if all(r is not None for r in reasons):
                     h = named[0]
-                    yield Violation(
-                        path=relpath, line=line, col=col, rule=self.id,
-                        message=(
-                            f"{site.attr}() payload does not bind "
-                            f"{method!r}: handler "
-                            f"{h.cls.split(':')[-1]}.{h.name} "
-                            f"({h.params.describe()}) {reasons[0]}"
-                        ),
-                    )
+                    yield self._at(site, (
+                        f"{site.attr}() payload does not bind "
+                        f"{site.method!r}: handler "
+                        f"{h.cls.split(':')[-1]}.{h.name} "
+                        f"({h.params.describe()}) {reasons[0]}"
+                    ))
         if resolved:
             for h in project.rpc_handlers:
                 if h.name not in used:
@@ -182,9 +174,14 @@ class Rep010RpcContract(ProjectRule):
                         ),
                     )
 
+    def _at(self, site: RpcCallSite, message: str) -> Violation:
+        return Violation(path=site.relpath, line=site.node.lineno,
+                         col=site.node.col_offset, rule=self.id,
+                         message=message)
+
     @staticmethod
     def _propagated(project: Project, site: RpcCallSite
-                    ) -> list[tuple[RpcCallSite, str, str, int, int]]:
+                    ) -> list[RpcCallSite]:
         """Resolve a forwarded method parameter one call-graph hop out.
 
         For a dispatch whose method argument is a parameter of the
@@ -194,35 +191,24 @@ class Rep010RpcContract(ProjectRule):
         literal lives).  Payload arity is unknowable here, so these
         sites only feed the registration and orphan checks.
         """
-        fn = project.functions.get(site.function)
-        if fn is None:
-            return []
-        try:
-            pos = fn.params.positional.index(site.method_param)
-        except ValueError:
-            pos = None
+        params = project.functions[site.function].params.positional
+        pos = params.index(site.method_param) \
+            if site.method_param in params else None
         out = []
-        for caller_q in sorted(project.functions):
-            caller = project.functions[caller_q]
-            for call in caller.calls:
-                if call.callee != site.function:
-                    continue
-                arg: ast.expr | None = None
-                if pos is not None and pos < len(call.node.args):
-                    candidate = call.node.args[pos]
-                    if not isinstance(candidate, ast.Starred):
-                        arg = candidate
-                for kw in call.node.keywords:
-                    if kw.arg == site.method_param:
-                        arg = kw.value
-                if isinstance(arg, ast.Constant) and \
-                        isinstance(arg.value, str):
-                    shadow = RpcCallSite(
-                        relpath=caller.relpath, node=call.node,
-                        attr=site.attr, function=caller.qname,
-                        method=arg.value, method_param=None,
-                        n_args=None, kw_names=(),
-                    )
-                    out.append((shadow, arg.value, caller.relpath,
-                                call.node.lineno, call.node.col_offset))
+        for call in project.callers.get(site.function, ()):
+            arg: ast.expr | None = None
+            if pos is not None and pos < len(call.node.args):
+                candidate = call.node.args[pos]
+                if not isinstance(candidate, ast.Starred):
+                    arg = candidate
+            for kw in call.node.keywords:
+                if kw.arg == site.method_param:
+                    arg = kw.value
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                out.append(RpcCallSite(
+                    relpath=project.functions[call.caller].relpath,
+                    node=call.node, attr=site.attr, function=call.caller,
+                    method=arg.value, method_param=None, n_args=None,
+                    kw_names=(),
+                ))
         return out

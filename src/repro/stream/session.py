@@ -37,8 +37,8 @@ from repro.obs import MetricsRegistry
 from repro.ppr.incremental import IncrementalState, RefreshStats
 from repro.ppr.incremental import refresh as refresh_state
 from repro.ppr.params import PPRParams
-from repro.serving.session import SESSION_RUNTIMES, Query, Session, \
-    SessionConfig, _batch_pushes
+from repro.serving.session import SESSION_RUNTIMES, Query, \
+    ServiceCostModel, Session, SessionConfig, _batch_pushes
 from repro.stream.dynamic import DynamicGraph
 from repro.stream.ingest import IngestReport, build_shard_payloads, \
     ingest_on_cluster, raise_if_failed, report_from_outcome
@@ -50,25 +50,27 @@ from repro.stream.updates import UpdateBatch
 # Deterministic virtual service time of streaming operations.  Inputs are
 # runtime-independent operator counts (staged rows, applied corrections,
 # signed pushes, retry counts), so the serving clock advances identically
-# on both runtimes.
-BATCH_OVERHEAD = 2e-3   # two-phase round trips + bookkeeping
+# on both runtimes.  The per-batch overhead, per-push and per-retry rates
+# are the serving session's ``ServiceCostModel``; the three below are
+# streaming's own.
 PER_ROW = 1e-4          # per core row staged across the cluster
 PER_CORRECTION = 1e-6   # per residual correction folded in
-PER_PUSH = 5e-8         # per signed push (same rate as serving)
-PER_RETRY = 1e-3        # per RPC retransmission
 PER_MOVE = 5e-3         # per rebalance decision executed
 
 
-def ingest_time(staged_rows: int, retries: int) -> float:
-    return BATCH_OVERHEAD + PER_ROW * staged_rows + PER_RETRY * retries
+def ingest_time(cost: ServiceCostModel, staged_rows: int,
+                retries: int) -> float:
+    return cost.batch_overhead + PER_ROW * staged_rows \
+        + cost.per_retry * retries
 
 
-def refresh_time(corrections: int, pushes: int) -> float:
-    return PER_CORRECTION * corrections + PER_PUSH * pushes
+def refresh_time(cost: ServiceCostModel, corrections: int,
+                 pushes: int) -> float:
+    return PER_CORRECTION * corrections + cost.per_push * pushes
 
 
-def rebalance_time(report: RebalanceReport) -> float:
-    return PER_MOVE * len(report.decisions) + PER_RETRY * report.retries
+def rebalance_time(cost: ServiceCostModel, report: RebalanceReport) -> float:
+    return PER_MOVE * len(report.decisions) + cost.per_retry * report.retries
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,7 @@ class StreamingSession:
         before anything — mirror, tag, counters — has moved.
         """
         cfg = self.config
+        cost = self.serving.config.cost_model
         self.dyn.check(batch)
         self._tag += 1
         tag = self._tag
@@ -224,7 +227,7 @@ class StreamingSession:
                                   staged_rows=0, error=None, retries=0)
             self.report.ingest_reports.append(report)
             self.report.n_applied += 1
-            self._advance(BATCH_OVERHEAD)
+            self._advance(cost.batch_overhead)
             return report
 
         payloads = build_shard_payloads(self.engine.sharded, self.dyn,
@@ -235,7 +238,7 @@ class StreamingSession:
         self.metrics.merge(metrics)
         report = report_from_outcome(tag, outcome, delta.n_changed, retries)
         self.report.ingest_reports.append(report)
-        self._advance(ingest_time(report.staged_rows, retries))
+        self._advance(ingest_time(cost, report.staged_rows, retries))
         if not report.applied:
             self.dyn.revert(delta)
             self.report.n_failed += 1
@@ -264,7 +267,8 @@ class StreamingSession:
         self.metrics.inc("stream.refreshes")
         self.metrics.inc("stream.refresh_corrections", corrections)
         self.metrics.inc("stream.refresh_pushes", pushes)
-        self._advance(refresh_time(corrections, pushes))
+        self._advance(refresh_time(self.serving.config.cost_model,
+                                   corrections, pushes))
         return stats
 
     # -- queries ------------------------------------------------------------
@@ -301,7 +305,8 @@ class StreamingSession:
                     fault_plan=cfg.fault_plan,
                     retry_policy=cfg.retry_policy):
                 self.metrics.merge(metrics)
-            self._advance(rebalance_time(plan))
+            self._advance(rebalance_time(self.serving.config.cost_model,
+                                         plan))
         self.heat = {}
         self.metrics.inc("rebalance.epochs")
         self.metrics.inc("rebalance.migrations_planned", plan.n_migrated)

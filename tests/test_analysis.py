@@ -26,12 +26,7 @@ from repro.analysis import (
     run_lint,
     uninstall,
 )
-from repro.analysis.lint import (
-    FileContext,
-    Violation,
-    collect_pragmas,
-    lint_file,
-)
+from repro.analysis.lint import FileContext, Violation, collect_pragmas
 from repro.analysis.rules import ALL_RULE_IDS, ALL_RULES, get_rules
 from repro.cli import main
 from repro.engine import EngineConfig, GraphEngine, RunRequest
@@ -79,6 +74,12 @@ class TestFramework:
                                 "REP005", "REP006", "REP007", "REP008",
                                 "REP009", "REP010", "REP011")
         assert all(r.title for r in ALL_RULES)
+
+    def test_rules_hold_no_per_run_state(self, tmp_path):
+        # ALL_RULES are shared singletons: a run must leave them untouched
+        (tmp_path / "mod.py").write_text("x = 1\n")
+        run_lint([tmp_path], root=tmp_path)
+        assert all(vars(rule) == {} for rule in ALL_RULES)
 
     def test_get_rules_unknown_id(self):
         with pytest.raises(KeyError, match="REP999"):
@@ -495,6 +496,21 @@ class TestInterproceduralRules:
                        root=tmp_path)
         assert len(out) == 1 and out[0].line == 8
         assert "every return path is unsizeable" in out[0].message
+
+    def test_rep004_judges_every_catalogued_dispatch_surface(self, tmp_path):
+        # the surfaces REP006/REP010 read: rpc_sync_effect payloads and the
+        # elements of rref_call's args tuple / kwargs dict
+        (tmp_path / "mod.py").write_text(
+            "def send(ctx, ref, caller):\n"
+            "    yield ref.rpc_sync_effect(caller, 'm', lambda x: x)\n"
+            "    ctx.rref_call(caller, ref, 'm', (1, lambda x: x), {})\n"
+            "    ctx.rref_call(caller, ref, 'm', (), {'k': (i for i in ())})\n"
+            "    ctx.rref_call(caller, ref, 'm', (1, [2]), {'k': 3})\n")
+        out = run_lint([tmp_path], rules=get_rules(["REP004"]),
+                       root=tmp_path)
+        assert [(v.line, v.col) for v in out] == [(2, 43), (3, 40), (4, 46)]
+        assert "rpc_sync_effect() argument is a lambda" in out[0].message
+        assert "rref_call() argument is a generator" in out[2].message
 
     def test_deleting_a_handler_is_caught(self, tmp_path):
         """The ISSUE acceptance scenario: drop a handler, REP010 fires."""
