@@ -50,7 +50,8 @@ def run_dataset(name: str) -> dict:
     extra_lookups = 0
     for gid, state in run.states.items():
         owner = sharded.result.assignment[gid]
-        touched_owner = sharded.owner_of(state.map.keys())
+        # engine mode: one query per state, so its keys are node ids
+        touched_owner = sharded.owner_of(state.multi.map.keys())
         extra_lookups += int(np.count_nonzero(touched_owner != owner))
 
     net = NetworkModel()

@@ -67,9 +67,11 @@ class QueryRunResult:
     per_proc_clocks: dict[str, float]
     remote_requests: int
     local_calls: int
-    #: source global id -> finished SSPPR / DenseSSPPR state
+    #: source global id -> the query's QueryView (hashmap modes) or
+    #: finished DenseSSPPR state (tensor mode)
     states: dict[int, object] = field(repr=False, default_factory=dict)
-    #: per-query virtual latency keyed by source global ID (engine runs)
+    #: per-query virtual latency keyed by source global ID (hashmap
+    #: modes; a batch's queries share their batch's latency)
     latencies: dict[int, float] = field(repr=False, default_factory=dict)
     #: fault-tolerance counters — all zero on a healthy run
     retries: int = 0              # re-sent attempts (attempt > 1)

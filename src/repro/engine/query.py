@@ -6,9 +6,10 @@ process of the machine owning its source (owner-compute rule); throughput is
 ``n_queries / makespan`` including synchronization.
 
 :func:`assign_queries` reproduces that dispatch; :func:`multi_query_driver`
-is the coroutine body of one computing process, looping its assigned queries
-through :func:`~repro.ppr.distributed.distributed_sppr_query` (or the tensor
-baseline driver).
+is the coroutine body of one computing process, running its assigned
+queries through :func:`~repro.ppr.distributed.distributed_sppr_query` — one
+at a time, or as one lockstep batch — and :func:`multi_query_tensor_driver`
+is the tensor baseline's.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.errors import SimulationError
 from repro.ppr.distributed import (
     DegradationMode,
     OptLevel,
-    distributed_multi_query,
     distributed_sppr_query,
     distributed_tensor_query,
 )
@@ -85,88 +85,47 @@ def _owned_globals(g: DistGraphStorage, sharded: ShardedGraph,
 
 def multi_query_driver(g: DistGraphStorage, proc, sources: np.ndarray,
                        sharded: ShardedGraph, params: PPRParams, *,
-                       opt: OptLevel, collect: dict | None = None,
+                       opt: OptLevel, batched: bool = False,
+                       collect: dict | None = None,
                        latencies: dict | None = None,
                        degradation: DegradationMode = DegradationMode.FAIL_FAST,
                        fault_stats: dict | None = None):
-    """Coroutine: run each assigned query to completion, in order.
+    """Coroutine: run the process's assigned queries to completion.
 
-    ``sources`` are node ids; ``collect`` and ``latencies`` (optional, the
-    engine's latency-percentile reporting) are keyed by the sources'
-    caller ids.
+    The engine mode runs them one at a time, each an ``SSPPR`` state
+    inside a ``query`` span; ``batched`` runs the whole chunk as one
+    lockstep ``MultiSSPPR`` inside a ``query_batch`` span.  ``sources``
+    are node ids; ``collect`` (each query's
+    :class:`~repro.ppr.multi_query.QueryView`) and ``latencies`` (the
+    engine's latency-percentile reporting; a batch's queries finish
+    together) are keyed by the sources' caller ids.
 
-    ``fault_stats`` (optional, shared across the batch's drivers) aggregates
-    ``skip_remote`` degradation: queries that lost at least one remote fetch
-    and the total residual mass written off.
-    """
-    for gid, source in zip(_owned_globals(g, sharded, sources),
-                           sources.tolist()):
-        started = proc.clock
-        with proc.span("query", source=gid):
-            state = yield from distributed_sppr_query(
-                g, proc, source, params, opt=opt, degradation=degradation
-            )
-        if latencies is not None:
-            latencies[gid] = proc.clock - started
-        if fault_stats is not None and state.skipped_fetches > 0:
-            fault_stats["degraded_queries"] += 1
-            fault_stats["abandoned_mass"] += state.abandoned_mass
-        if collect is not None:
-            collect[gid] = state
-    return len(sources)
-
-
-def multi_query_batched_driver(g: DistGraphStorage, proc,
-                               sources: np.ndarray,
-                               sharded: ShardedGraph, params: PPRParams, *,
-                               collect: dict | None = None):
-    """Coroutine: one process's whole chunk as a lockstep MultiSSPPR.
-
-    On completion, per-query views are extracted and stored into
-    ``collect`` as lightweight result adapters compatible with the
-    single-query state's ``results_global``/``dense_result`` surface.
+    ``fault_stats`` (optional, one per driver) aggregates ``skip_remote``
+    degradation: queries that lost at least one remote fetch and the
+    total residual mass written off, in query order.
     """
     gids = _owned_globals(g, sharded, sources)
-    with proc.span("query_batch", n_queries=len(sources)):
-        multi = yield from distributed_multi_query(g, proc, sources, params)
-    if collect is not None:
-        for qid, gid in enumerate(gids):
-            collect[gid] = MultiQueryResultView(multi, qid)
+    if batched:
+        runs = [(sources, gids, "query_batch", {"n_queries": len(gids)})]
+    else:
+        runs = [(source, [gid], "query", {"source": gid})
+                for source, gid in zip(sources.tolist(), gids)]
+    for chunk, chunk_gids, span, attrs in runs:
+        started = proc.clock
+        with proc.span(span, **attrs):
+            state = yield from distributed_sppr_query(
+                g, proc, chunk, params, opt=opt, degradation=degradation
+            )
+        for qid, gid in enumerate(chunk_gids):
+            view = state.query(qid)
+            if latencies is not None:
+                latencies[gid] = proc.clock - started
+            if fault_stats is not None and view.skipped_fetches > 0:
+                fault_stats["degraded_queries"] += 1
+                fault_stats["abandoned_mass"] += view.abandoned_mass
+            if collect is not None:
+                collect[gid] = view
     return len(sources)
-
-
-class MultiQueryResultView:
-    """Single-query adapter over a finished MultiSSPPR."""
-
-    __slots__ = ("multi", "qid")
-
-    def __init__(self, multi, qid: int) -> None:
-        self.multi = multi
-        self.qid = qid
-
-    @property
-    def n_touched(self) -> int:
-        keys = self.multi.map.keys()
-        return int(np.count_nonzero(keys % self.multi.n_queries == self.qid))
-
-    @property
-    def n_iterations(self) -> int:
-        return self.multi.n_iterations
-
-    def total_mass(self) -> float:
-        _ids, values = self.multi.results_for(self.qid)
-        # residual part of this query's mass
-        keys = self.multi.map.keys()
-        mine = keys % self.multi.n_queries == self.qid
-        n = len(self.multi.map)
-        return float(values.sum() + self.multi.residual[:n][mine].sum())
-
-    def results_global(self, sharded) -> tuple[np.ndarray, np.ndarray]:
-        ids, values = self.multi.results_for(self.qid)
-        return sharded.globals_of(ids), values
-
-    def dense_result(self, sharded, n_nodes: int) -> np.ndarray:
-        return self.multi.dense_result_for(self.qid, sharded, n_nodes)
 
 
 def multi_query_tensor_driver(g: DistGraphStorage, proc,

@@ -43,17 +43,19 @@ from repro.ppr.params import PPRParams
 from repro.rpc.retry import RetryPolicy
 from repro.simt.faults import FaultPlan
 
-#: execution modes: the PPR Engine, the dense tensor baseline, and the
-#: inter-query batched MultiSSPPR engine
+#: execution modes: the PPR Engine one query per state, the dense tensor
+#: baseline, and the PPR Engine one lockstep batch per computing process
 RUN_MODES = ("engine", "tensor", "batched")
 
 
 def check_degradation(mode: str, degradation: DegradationMode) -> None:
-    """Reject ``SKIP_REMOTE`` on a mode that would silently fail fast."""
-    if degradation is DegradationMode.SKIP_REMOTE and mode != "engine":
+    """Reject ``SKIP_REMOTE`` on the dense baseline, which cannot honour
+    it (``DenseSSPPR`` has no ``abandon``) and would fail fast instead."""
+    if degradation is DegradationMode.SKIP_REMOTE and mode == "tensor":
         raise ValueError(
-            f'degradation=SKIP_REMOTE needs mode="engine" (only SSPPR can '
-            f"abandon a batch); mode={mode!r} would fail fast instead"
+            'degradation=SKIP_REMOTE needs a hashmap mode ("engine" or '
+            '"batched"); mode="tensor" cannot abandon a batch and would '
+            "fail fast instead"
         )
 
 
@@ -71,11 +73,14 @@ class RunRequest:
     params:
         PPR parameters; engine defaults when ``None``.
     mode:
-        ``"engine"`` (hashmap PPR engine, the default), ``"tensor"`` (dense
-        baseline), or ``"batched"`` (inter-query MultiSSPPR batching).
+        ``"engine"`` (hashmap PPR engine, one ``SSPPR`` per query, the
+        default), ``"tensor"`` (dense baseline), or ``"batched"`` (the same
+        engine, one lockstep ``MultiSSPPR`` per computing process sharing
+        every fetch).
     keep_states:
-        Collect per-query result states into ``QueryRunResult.states``
-        (``mode="batched"`` always collects).
+        Collect per-query results into ``QueryRunResult.states`` — a
+        :class:`~repro.ppr.multi_query.QueryView` per query in the hashmap
+        modes (``mode="batched"`` always collects).
     seed:
         Source-sampling seed override; the config's seed when ``None``.
     trace:
@@ -99,8 +104,9 @@ class RunRequest:
         resolve as timeouts instead of deadlocks.
     degradation:
         What a query does when a remote fetch exhausts its retries.
-        ``SKIP_REMOTE`` needs ``mode="engine"`` — only its operator can
-        write a batch off — and is rejected with any other mode.
+        ``SKIP_REMOTE`` works in both hashmap modes, accounting the loss
+        per query; ``mode="tensor"`` rejects it (the dense baseline cannot
+        write a batch off).
     sanitize:
         Attach the lockset race detector
         (:class:`repro.analysis.race.RaceDetector`) to the run: shared

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.gnn.data import Batch
-from repro.ppr.ppr_ops import SSPPR
+from repro.ppr.multi_query import QueryView
 from repro.simt.events import Wait, WaitAll
 from repro.storage.build import ShardedGraph
 from repro.storage.dist_storage import DistGraphStorage, shard_masks
@@ -22,7 +22,7 @@ from repro.storage.feature_store import DistFeatureStore, assemble_rows
 from repro.utils.validation import check_positive
 
 
-def topk_ppr_nodes(state: SSPPR, sharded: ShardedGraph, k: int,
+def topk_ppr_nodes(state: QueryView, sharded: ShardedGraph, k: int,
                    *, include: np.ndarray | None = None) -> np.ndarray:
     """Global IDs of the top-``k`` PPR nodes of a finished query.
 

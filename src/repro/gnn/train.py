@@ -78,7 +78,8 @@ def gnn_training_driver(g: DistGraphStorage, feats: DistFeatureStore, proc,
                         g, proc, int(ego_ids[offset + i]), params,
                         opt=OptLevel.OVERLAP
                     )
-                    node_sets.append(topk_ppr_nodes(state, sharded, topk,
+                    node_sets.append(topk_ppr_nodes(state.query(0), sharded,
+                                                    topk,
                                                     include=egos[i:i + 1]))
                 offset += len(egos)
                 node_set = np.unique(np.concatenate(node_sets))

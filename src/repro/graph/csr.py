@@ -55,8 +55,10 @@ class CSRGraph:
         self.indices = indices
         self.weights = weights
         # Weighted out-degree: sum of outgoing edge weights per node,
-        # via cumulative-sum segment differences (robust to empty rows).
-        csum = np.concatenate([[0.0], np.cumsum(weights, dtype=np.float64)])
+        # via cumulative-sum segment differences (robust to empty rows),
+        # summed straight into one E+1 buffer: one E-sized temporary.
+        csum = np.zeros(len(weights) + 1)
+        np.cumsum(weights, out=csum[1:])
         self.weighted_degrees = csum[indptr[1:]] - csum[indptr[:-1]]
 
     # -- constructors -----------------------------------------------------

@@ -8,8 +8,9 @@ Each is a ``while pop:`` header around one
 compute in ``proc.measured(category)`` blocks — where the Figure 6 /
 Table 3 breakdowns come from.
 
-:func:`distributed_sppr_query` is the PPR Engine (hashmap ops) with the
-cumulative optimization levels of Table 3:
+:func:`distributed_sppr_query` is the PPR Engine (hashmap ops) — one
+query, or a batch of them sharing every fetch — with the cumulative
+optimization levels of Table 3:
 
 * ``SINGLE``   — one activated vertex per RPC, uncompressed;
 * ``BATCH``    — per-shard batched RPCs, list-of-lists responses;
@@ -41,7 +42,8 @@ class DegradationMode(enum.Enum):
 
     * ``FAIL_FAST``   — re-raise; the whole batch run fails loudly.
     * ``SKIP_REMOTE`` — write off the unreachable sources' residual mass
-      (:meth:`~repro.ppr.ppr_ops.SSPPR.abandon`) and keep going, mirroring
+      (:meth:`~repro.ppr.multi_query.MultiSSPPR.abandon`, per query) and
+      keep going, in engine and batched runs alike, mirroring
       the halo-cache fallback's serve-what-you-have philosophy.  The query
       completes with bounded accuracy loss, accounted in
       ``abandoned_mass`` / ``skipped_fetches`` on the state and surfaced as
@@ -73,16 +75,20 @@ class OptLevel(enum.Enum):
         return self is OptLevel.OVERLAP
 
 
-def distributed_sppr_query(g: DistGraphStorage, proc, source: int,
+def distributed_sppr_query(g: DistGraphStorage, proc, sources,
                            params: PPRParams, *,
                            opt: OptLevel = OptLevel.OVERLAP,
                            degradation: DegradationMode = DegradationMode.FAIL_FAST):
-    """Coroutine computing one SSPPR query on the PPR Engine.
+    """Coroutine computing SSPPR on the PPR Engine: one query or a batch.
 
-    The query's source (a node id) must be a core node of the caller's
-    shard (the owner-compute rule dispatches each query to the machine
-    hosting its source).  Returns the finished
-    :class:`~repro.ppr.ppr_ops.SSPPR` state.
+    ``sources`` is one node id — an :class:`~repro.ppr.ppr_ops.SSPPR`
+    query — or an array of them, advanced in lockstep as one
+    :class:`~repro.ppr.multi_query.MultiSSPPR`: each iteration fetches the
+    union of the batch's activated vertices, one RPC per destination shard
+    for the whole batch (the paper's batching, extended across queries).
+    Every source must be a core node of the caller's shard (the
+    owner-compute rule dispatches each query to the machine hosting its
+    source).  Returns the finished state.
 
     ``degradation`` selects the response to a remote fetch that fails at
     the transport level (retry budget exhausted against a lossy network or
@@ -94,10 +100,12 @@ def distributed_sppr_query(g: DistGraphStorage, proc, source: int,
             f"storage compress={g.compress} inconsistent with opt={opt}"
         )
     skip = degradation is DegradationMode.SKIP_REMOTE
-    wfut = g.source_weighted_degrees(g.shard_id,
-                                     np.array([source], dtype=np.int64))
-    src_wdeg = (yield Wait(wfut))[0]
-    m = SSPPR(source, params, float(src_wdeg))
+    ids = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    src_wdegs = yield Wait(g.source_weighted_degrees(g.shard_id, ids))
+    if np.ndim(sources) == 0:
+        m = SSPPR(int(ids[0]), params, src_wdegs[0])
+    else:
+        m = MultiSSPPR(ids, params, src_wdegs)
 
     while True:
         with proc.measured("pop"):
@@ -132,32 +140,6 @@ def distributed_sppr_query(g: DistGraphStorage, proc, source: int,
         yield from fetch_round(g, proc, node_ids, m.push,
                                overlap=opt.overlapped,
                                lost=m.abandon if skip else None)
-    return m
-
-
-def distributed_multi_query(g: DistGraphStorage, proc,
-                            sources: np.ndarray, params: PPRParams):
-    """Coroutine: a batch of SSPPR queries advanced in lockstep.
-
-    Extension of the paper's batching to the inter-query level: each
-    iteration fetches the union of all queries' activated vertices — one
-    RPC per destination shard for the whole batch.  Requires compressed
-    storage (the batched responses are CSR).  Returns the finished
-    :class:`~repro.ppr.multi_query.MultiSSPPR`.
-    """
-    if not g.compress:
-        raise ValueError("multi-query batching requires compressed storage")
-    sources = np.asarray(sources, dtype=np.int64)
-    wfut = g.source_weighted_degrees(g.shard_id, sources)
-    src_wdegs = yield Wait(wfut)
-    m = MultiSSPPR(sources, params, src_wdegs)
-
-    while True:
-        with proc.measured("pop"):
-            node_ids = m.pop()
-        if len(node_ids) == 0:
-            break
-        yield from fetch_round(g, proc, node_ids, m.push)
     return m
 
 

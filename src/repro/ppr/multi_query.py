@@ -1,33 +1,69 @@
-"""Batched multi-query SSPPR — inter-query RPC sharing.
+"""The PPR operators of Section 3.3 — one push state for every query.
 
-The paper batches RPCs *within* one query's iteration (all activated
-vertices per destination shard).  This module extends the same idea across
-queries, as suggested by the production setting of Section 3.1 ("each
-machine processes a batch of SSPPR queries in parallel"): a
-:class:`MultiSSPPR` advances B queries in lockstep, and each iteration
-fetches the **union** of their activated vertices — one RPC per destination
-shard for the whole batch, with every fetched adjacency row reused by every
-query that needs it.
+The paper's production setting (Section 3.1) has each machine process "a
+batch of SSPPR queries in parallel".  :class:`MultiSSPPR` is that batch as
+one Forward-Push state: B queries advance in lockstep, and each iteration
+fetches the **union** of their activated vertices — one RPC per
+destination shard for the whole batch, every fetched adjacency row reused
+by every query that needs it.  One query is a batch of one
+(:class:`~repro.ppr.ppr_ops.SSPPR` only names that case), so ``pop`` /
+``push`` are written once.
 
-State layout: the slot-table key packs ``(node, query)`` as
-``id * B + qid``; the frontier is the queued flags of the
-touched pair slots.  Pops dedupe at the *node* level for fetching while
-retaining the per-(node, query) activation pairs — node, query and slot,
-sorted by pair key — for the push expansion.  Total push work equals
-running the queries separately — the savings are pure communication (fewer,
-larger RPCs; shared rows).
+State: a :class:`~repro.ppr.hashmap.ShardedMap` from ``(node, query)`` pair
+keys ``node * B + qid`` to dense slots, and four slot-indexed value arrays
+(residual, PPR score, weighted degree, queued flag).  The activated set
+*is* the queued flags of the touched slots, so only ``push`` resolves keys.
+Work per iteration is proportional to the *touched frontier*, never to |V|
+— the property that separates the PPR Engine from the tensor baseline.
+
+Semantics follow the parallel Forward Push of Shun et al. [22] as adapted
+by the paper: ``pop`` drains the activated set, deduped to *nodes* for
+fetching (the per-pair activations are kept for ``push``); ``push``
+consumes a batch of sources *with their neighbor information* (local
+VertexProp or remote NeighborBatch/NeighborLists), converts ``alpha * r``
+into PPR mass, spreads ``(1 - alpha) * r`` over out-neighbors weighted by
+``W(v,u)/d_w(v)``, and re-activates any pair whose residual crosses
+``epsilon * d_w``.  Total push work equals running the queries separately —
+batching saves communication only.
+
+Dangling nodes (weighted degree 0) absorb their entire residual into their
+PPR score, so every query conserves its mass: ``sum(ppr) + sum(residual) +
+abandoned_mass == 1`` at every step (``abandon`` is the ``skip_remote``
+write-off).  :class:`QueryView` is the one per-query result surface.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.ppr.hashmap import ShardedMap, fit_values
 from repro.ppr.params import PPRParams
-from repro.ppr.ppr_ops import PushState
+
+_NOT_POPPED = "push received sources that were never touched or not popped"
 
 
-class MultiSSPPR(PushState):
-    """Lockstep state for a batch of SSPPR queries sharing fetches."""
+def split_residual(r_v: np.ndarray, src_wdeg: np.ndarray,
+                   alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """What pushed sources keep and spread: ``(gained, scale)``.
+
+    A source converts ``alpha * r`` into PPR mass and scales its out-edge
+    weights by ``(1 - alpha) * r / d_w``; a dangling one (``d_w == 0``)
+    absorbs its whole residual and spreads nothing.
+    """
+    gained = alpha * r_v
+    scale = (1.0 - alpha) * r_v
+    dangling = src_wdeg <= 0.0
+    if dangling.any():
+        gained[dangling] = r_v[dangling]
+        scale /= np.where(dangling, 1.0, src_wdeg)
+        scale[dangling] = 0.0
+    else:
+        scale /= src_wdeg
+    return gained, scale
+
+
+class MultiSSPPR:
+    """Lockstep Forward-Push state for a batch of SSPPR queries."""
 
     def __init__(self, sources, params: PPRParams, source_wdegs) -> None:
         sources = np.asarray(sources, dtype=np.int64)
@@ -37,122 +73,299 @@ class MultiSSPPR(PushState):
         if len(source_wdegs) != len(sources):
             raise ValueError("source_wdegs length mismatch")
         if np.any(source_wdegs < 0):
-            raise ValueError("source_wdegs must be >= 0")
-        self.n_queries = len(sources)
-        # The popped pairs sorted by pair key, as (node ids, query ids,
-        # slots); None once a pop found nothing activated.
+            raise ValueError(f"source_wdegs must be >= 0, got {source_wdegs}")
+        self.params = params
+        self.n_queries = b = len(sources)
+        self.map = ShardedMap()
+        cap = 1024
+        self.residual = np.zeros(cap)
+        self.ppr = np.zeros(cap)
+        self.wdeg = np.zeros(cap)
+        self.queued = np.zeros(cap, dtype=bool)  # the activated set
+        # Operator statistics (push-count ablation, workload accounting).
+        self.n_pushes = 0
+        self.n_entries_processed = 0
+        self.n_iterations = 0
+        # skip_remote accounting, per query: residual written off because
+        # its shard could not be fetched, and the fetches it was lost in.
+        self.abandoned_mass = np.zeros(b)
+        self.skipped_fetches = np.zeros(b, dtype=np.int64)
+        # The last pop's pairs sorted by pair key, as (node ids, query ids,
+        # slots, whether every node has exactly one); None once empty.
         self._pending: tuple | None = None
-        qids = np.arange(self.n_queries, dtype=np.int64)
-        self._seed(params, sources * self.n_queries + qids, source_wdegs)
+        idx, _ = self.map.get_or_insert(sources * b + np.arange(b))
+        self._fit_values()
+        self.residual[idx] = 1.0
+        self.wdeg[idx] = source_wdegs
+        self.queued[idx] = True
+
+    def _fit_values(self) -> None:
+        (self.residual, self.ppr, self.wdeg, self.queued) = fit_values(
+            self.map, self.residual, self.ppr, self.wdeg, self.queued)
 
     # -- operators -----------------------------------------------------------
     def pop(self) -> np.ndarray:
-        """Unique activated *nodes* across all queries -> fetch list.
+        """Drain the activated set -> node ids, ascending, and clear it.
 
-        The per-(node, query) pairs are retained internally for push.
-        Returned node ids are ascending (the order push expects back via
-        its ``ids`` argument).
+        The paper: "the pop operator first returns the local ID tensor and
+        the shard ID tensor from the current activated vertex set and then
+        clears the set" — one id tensor here, because a node id names its
+        shard; ascending ids are shard-major.  A node active in several
+        queries is returned once: one fetch serves them all.  The scan is
+        one flag per *touched* slot — O(touched) bytes, never |V|.
         """
-        slots = self._drain()
+        slots = np.flatnonzero(self.queued[: len(self.map)])
         if len(slots) == 0:
             self._pending = None
             return slots
+        self.queued[slots] = False
+        self.n_iterations += 1
         pairs = self.map.keys()[slots]
-        order = np.argsort(pairs)
-        # pairs are sorted, so pair_nodes is sorted: dedupe with one diff
-        # scan instead of a second np.unique sort, and cache for push().
-        pair_nodes, pair_qids = np.divmod(pairs[order], self.n_queries)
-        self._pending = (pair_nodes, pair_qids, slots[order])
-        first = np.empty(len(pair_nodes), dtype=bool)
+        order = pairs.argsort()
+        # sorted pairs give sorted nodes: dedupe with one diff scan
+        nodes, qids = np.divmod(pairs[order], self.n_queries)
+        first = np.empty(len(nodes), dtype=bool)
         first[0] = True
-        np.not_equal(pair_nodes[1:], pair_nodes[:-1], out=first[1:])
-        return pair_nodes[first]
+        np.not_equal(nodes[1:], nodes[:-1], out=first[1:])
+        unique = nodes[first]
+        self._pending = (nodes, qids, slots[order],
+                         len(unique) == len(nodes))
+        return unique
 
     def push(self, infos, ids: np.ndarray) -> None:
-        """Apply one fetched chunk to every query activated on its nodes."""
+        """Apply one fetched response to every query activated on its nodes.
+
+        ``infos`` is any response exposing ``to_arrays()`` (VertexProp,
+        NeighborBatch, NeighborLists); ``ids`` are nodes of the last pop
+        that this response answers, in request order.
+        """
         indptr, nbr_ids, weights, nbr_wdeg, src_wdeg = infos.to_arrays()
         if len(indptr) - 1 != len(ids):
             raise ValueError(
                 f"infos cover {len(indptr) - 1} sources, got "
                 f"{len(ids)} popped ids"
             )
-        if len(ids) == 0 or self._pending is None:
+        if len(ids) == 0:
             return
-        pair_nodes, pair_qids, pair_slots = self._pending
-        chunk_nodes = np.asarray(ids, dtype=np.int64)
-        # Pair range for each chunk node (pairs are sorted by pair key,
-        # hence by node id first).
-        starts = np.searchsorted(pair_nodes, chunk_nodes, side="left")
-        ends = np.searchsorted(pair_nodes, chunk_nodes, side="right")
-        pair_counts = ends - starts
-        total_pairs = int(pair_counts.sum())
-        if total_pairs == 0:
-            return
-        # Flatten: for chunk node i, its active pairs.
-        offsets = np.zeros(len(pair_counts) + 1, dtype=np.int64)
-        np.cumsum(pair_counts, out=offsets[1:])
-        pair_sel = (np.repeat(starts - offsets[:-1], pair_counts)
-                    + np.arange(total_pairs))
-        sel_qids = pair_qids[pair_sel]
-        # chunk-node index each pair belongs to
-        pair_chunk_idx = np.repeat(np.arange(len(chunk_nodes)), pair_counts)
-
-        scale = self._take(pair_slots[pair_sel], src_wdeg[pair_chunk_idx])
-        # Expand each pair over its node's adjacency row.
+        if self._pending is None:
+            raise ValueError(_NOT_POPPED)
+        nodes, qids, slots, one_each = self._pending
+        b = self.n_queries
         row_counts = indptr[1:] - indptr[:-1]
-        pair_row_counts = row_counts[pair_chunk_idx]
-        total_entries = int(pair_row_counts.sum())
-        if total_entries == 0:
+        if one_each:
+            # One pair per node: the response's rows are the entries, in
+            # order — the general path's expansion is the identity.
+            starts = nodes.searchsorted(ids)
+            if (nodes.take(starts, mode="clip") != ids).any():
+                raise ValueError(_NOT_POPPED)
+            scale = self._take(slots[starts], src_wdeg)
+            # with B = 1 a pair key is the node id itself
+            keys = nbr_ids if b == 1 else \
+                nbr_ids * b + np.repeat(qids[starts], row_counts)
+            self._spread(keys, weights * np.repeat(scale, row_counts),
+                         nbr_wdeg)
             return
-        row_starts = indptr[:-1][pair_chunk_idx]
-        entry_offsets = np.zeros(total_pairs + 1, dtype=np.int64)
+        sel, pair_counts = self._select(ids)
+        row_of = np.repeat(np.arange(len(ids)), pair_counts)
+        scale = self._take(slots[sel], src_wdeg[row_of])
+        # Expand each pair over its node's adjacency row.
+        pair_row_counts = row_counts[row_of]
+        entry_offsets = np.zeros(len(sel) + 1, dtype=np.int64)
         np.cumsum(pair_row_counts, out=entry_offsets[1:])
-        entry_idx = np.repeat(row_starts - entry_offsets[:-1],
-                              pair_row_counts) + np.arange(total_entries)
-        self._spread(nbr_ids[entry_idx] * self.n_queries
-                     + np.repeat(sel_qids, pair_row_counts),
+        entry_idx = (np.repeat(indptr[:-1][row_of] - entry_offsets[:-1],
+                               pair_row_counts)
+                     + np.arange(entry_offsets[-1]))
+        self._spread(nbr_ids[entry_idx] * b
+                     + np.repeat(qids[sel], pair_row_counts),
                      weights[entry_idx] * np.repeat(scale, pair_row_counts),
                      nbr_wdeg, entry_idx)
 
-    # -- results ------------------------------------------------------------
-    def results_for(self, qid: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(node ids, ppr)`` of one query's positive-mass nodes."""
-        if not 0 <= qid < self.n_queries:
-            raise ValueError(f"qid {qid} out of range [0, {self.n_queries})")
-        n = len(self.map)
-        keys = self.map.keys()
-        mine = keys % self.n_queries == qid
-        ppr = self.ppr[:n][mine]
-        pos = ppr > 0
-        return (keys[mine][pos] // self.n_queries), ppr[pos]
+    def abandon(self, ids: np.ndarray) -> None:
+        """Write off popped sources whose neighbor fetch failed for good.
 
-    def dense_result_for(self, qid: int, sharded, n_nodes: int) -> np.ndarray:
-        """One query's PPR as a dense |V| vector."""
-        ids, values = self.results_for(qid)
-        out = np.zeros(n_nodes)
-        out[sharded.globals_of(ids)] = values
-        return out
-
-    def residuals_for(self, qid: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(node ids, residual)`` of one query's nonzero residuals."""
-        if not 0 <= qid < self.n_queries:
-            raise ValueError(f"qid {qid} out of range [0, {self.n_queries})")
-        n = len(self.map)
-        keys = self.map.keys()
-        mine = keys % self.n_queries == qid
-        res = self.residual[:n][mine]
-        nz = res != 0
-        return (keys[mine][nz] // self.n_queries), res[nz]
-
-    def dense_residual_for(self, qid: int, sharded,
-                           n_nodes: int) -> np.ndarray:
-        """One query's residual as a dense |V| vector.
-
-        The residual is the other half of the forward-push invariant;
-        the streaming layer seeds incremental maintenance
-        (:mod:`repro.ppr.incremental`) from the exact ``(p, r)`` pair.
+        The ``skip_remote`` degradation mode calls this instead of ``push``
+        when a shard's batch could not be fetched within the retry budget:
+        every active pair's residual is dropped (``pop`` already dequeued
+        it) and charged to its query's ``abandoned_mass``, bounding that
+        query's accuracy loss — the same quantity the forward-push L1
+        error bound is built on.  Each query that lost a pair counts one
+        skipped fetch.
         """
-        ids, values = self.residuals_for(qid)
-        out = np.zeros(n_nodes)
-        out[sharded.globals_of(ids)] = values
-        return out
+        if len(ids) == 0:
+            return
+        sel, _ = self._select(ids)
+        _nodes, qids, slots, _one_each = self._pending
+        lost = self.residual[slots[sel]]
+        self.residual[slots[sel]] = 0.0
+        owners = qids[sel]
+        for q in np.unique(owners).tolist():
+            self.abandoned_mass[q] += lost[owners == q].sum()
+            self.skipped_fetches[q] += 1
+
+    # -- internals ----------------------------------------------------------
+    def _select(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of ``ids``' pairs in the last pop, grouped by id, and
+        the pair count of each id."""
+        if self._pending is None:
+            raise ValueError(_NOT_POPPED)
+        nodes = self._pending[0]
+        starts = nodes.searchsorted(ids, side="left")
+        counts = nodes.searchsorted(ids, side="right") - starts
+        if not counts.all():
+            raise ValueError(_NOT_POPPED)
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        sel = (np.repeat(starts - offsets[:-1], counts)
+               + np.arange(offsets[-1]))
+        return sel, counts
+
+    def _take(self, idx_v: np.ndarray, src_wdeg: np.ndarray) -> np.ndarray:
+        """Push sources at slots ``idx_v``: bank ``alpha * r``, zero ``r``.
+
+        Returns the per-source ``scale`` their out-edge weights spread by.
+        """
+        r_v = self.residual[idx_v]
+        self.residual[idx_v] = 0.0
+        gained, scale = split_residual(r_v, src_wdeg, self.params.alpha)
+        self.ppr[idx_v] += gained
+        self.n_pushes += len(idx_v)
+        return scale
+
+    def _spread(self, keys: np.ndarray, contrib: np.ndarray,
+                nbr_wdeg: np.ndarray, pos: np.ndarray | None = None) -> None:
+        """Add ``contrib[i]`` to the residual of ``keys[i]``; activate.
+
+        The weighted degree of ``keys[i]`` is ``nbr_wdeg[i]``, or
+        ``nbr_wdeg[pos[i]]`` when entries are an expansion of the
+        response's columns.
+        """
+        self.n_entries_processed += len(contrib)
+        if len(contrib) == 0:
+            return
+        # Resolve target slots in one vectorized pass (duplicates fine).
+        touched = len(self.map)
+        slots, new = self.map.get_or_insert(keys)
+        if len(self.map) > touched:
+            self._fit_values()
+            # Record the newcomers' weighted degrees (duplicates write the
+            # same global value, so no per-key dedup is needed).
+            self.wdeg[slots[new]] = nbr_wdeg[new if pos is None
+                                             else pos[new]]
+            touched = len(self.map)
+        # Scatter-add over the *dense slot domain*: O(touched), never O(|V|).
+        # This aggregation confined to touched nodes is the engine's win.
+        self.residual[:touched] += np.bincount(slots, weights=contrib,
+                                               minlength=touched)
+
+        threshold = self.params.epsilon * self.wdeg[slots]
+        above = self.residual[slots] > threshold
+        self.queued[slots[above]] = True
+
+    # -- results ------------------------------------------------------------
+    def query(self, qid: int) -> "QueryView":
+        """The result surface of query ``qid``."""
+        return QueryView(self, qid)
+
+    def total_mass(self) -> float:
+        """``sum(ppr) + sum(residual)`` over the batch — ``B`` minus the
+        abandoned mass."""
+        n = len(self.map)
+        return float(self.ppr[:n].sum() + self.residual[:n].sum())
+
+    def stats(self) -> dict[str, int]:
+        """Operator statistics, named for the ``ppr.*`` metrics namespace.
+
+        Pure counts of operator work (runtime-independent); a run sums them
+        over its distinct states, so a shared batch counts once.
+        """
+        return {
+            "ppr.pushes": self.n_pushes,
+            "ppr.entries": self.n_entries_processed,
+            "ppr.iterations": self.n_iterations,
+            "ppr.touched": len(self.map),
+            "ppr.skipped_fetches": int(self.skipped_fetches.sum()),
+        }
+
+
+class QueryView:
+    """One query of a :class:`MultiSSPPR`: its per-query result surface.
+
+    What ``QueryRunResult.states`` and ``QueryHandle.result()`` hold for
+    every hashmap run, engine or batched; ``multi`` is the push state the
+    query shares with the rest of its batch.
+    """
+
+    __slots__ = ("multi", "qid")
+
+    def __init__(self, multi: MultiSSPPR, qid: int) -> None:
+        if not 0 <= qid < multi.n_queries:
+            raise ValueError(
+                f"qid {qid} out of range [0, {multi.n_queries})")
+        self.multi = multi
+        self.qid = qid
+
+    def _mine(self) -> np.ndarray:
+        """Mask over the touched slots: this query's ones."""
+        return self.multi.map.keys() % self.multi.n_queries == self.qid
+
+    def _column(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(node ids, values)`` over this query's touched slots."""
+        mine = self._mine()
+        return (self.multi.map.keys()[mine] // self.multi.n_queries,
+                values[: len(mine)][mine])
+
+    def results(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(node ids, ppr)`` for every node with positive PPR mass."""
+        ids, ppr = self._column(self.multi.ppr)
+        pos = ppr > 0.0
+        return ids[pos], ppr[pos]
+
+    def results_global(self, sharded) -> tuple[np.ndarray, np.ndarray]:
+        """``(caller ids, ppr)`` via a ShardedGraph's address book."""
+        ids, values = self.results()
+        return sharded.globals_of(ids), values
+
+    def dense_result(self, sharded, n_nodes: int) -> np.ndarray:
+        """PPR scores scattered into a dense |V| vector (caller ids)."""
+        return _dense(*self.results(), sharded, n_nodes)
+
+    def dense_residual(self, sharded, n_nodes: int) -> np.ndarray:
+        """The residual as a dense |V| vector (caller ids).
+
+        The other half of the forward-push invariant; the streaming layer
+        seeds incremental maintenance (:mod:`repro.ppr.incremental`) from
+        the exact ``(p, r)`` pair.
+        """
+        return _dense(*self._column(self.multi.residual), sharded, n_nodes)
+
+    def total_mass(self) -> float:
+        """``sum(ppr) + sum(residual)`` — one minus ``abandoned_mass``."""
+        mine = self._mine()
+        n = len(mine)
+        return float(self.multi.ppr[:n][mine].sum()
+                     + self.multi.residual[:n][mine].sum())
+
+    @property
+    def n_touched(self) -> int:
+        """Number of distinct nodes that ever received this query's mass."""
+        return int(np.count_nonzero(self._mine()))
+
+    @property
+    def n_iterations(self) -> int:
+        """Lockstep iterations of the batch (this query's, when B = 1)."""
+        return self.multi.n_iterations
+
+    @property
+    def abandoned_mass(self) -> float:
+        return float(self.multi.abandoned_mass[self.qid])
+
+    @property
+    def skipped_fetches(self) -> int:
+        return int(self.multi.skipped_fetches[self.qid])
+
+
+def _dense(ids: np.ndarray, values: np.ndarray, sharded,
+           n_nodes: int) -> np.ndarray:
+    out = np.zeros(n_nodes)
+    out[sharded.globals_of(ids)] = values
+    return out

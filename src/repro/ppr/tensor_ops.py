@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ppr.params import PPRParams
-from repro.ppr.ppr_ops import split_residual
+from repro.ppr.multi_query import split_residual
 
 
 class DenseSSPPR:

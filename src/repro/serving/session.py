@@ -48,7 +48,6 @@ from repro.engine.breakdown import aggregate_breakdowns
 from repro.engine.cluster import deploy
 from repro.engine.query import (
     assign_queries,
-    multi_query_batched_driver,
     multi_query_driver,
     multi_query_tensor_driver,
     sample_sources,
@@ -56,6 +55,7 @@ from repro.engine.query import (
 from repro.engine.request import RUN_MODES, RunRequest, check_degradation
 from repro.obs import MetricsRegistry
 from repro.ppr.distributed import DegradationMode
+from repro.ppr.multi_query import QueryView
 from repro.ppr.params import PPRParams
 from repro.rpc.retry import RetryPolicy
 from repro.serving.tenancy import (
@@ -208,7 +208,8 @@ class QueryHandle:
         return self.status == "rejected"
 
     def result(self):
-        """The query's result state (SSPPR state / walk row).
+        """The query's result: a ``QueryView`` (``DenseSSPPR`` under
+        ``mode="tensor"``) or a walk row.
 
         Raises :class:`AdmissionRejected` for rejected queries and
         :class:`RuntimeError` while still queued.
@@ -231,24 +232,21 @@ class QueryHandle:
                 f"status={self.status!r})")
 
 
-def _batch_pushes(states: dict) -> int:
-    """Summed Forward-Push pushes across a batch's result states.
+def _push_states(states: dict) -> list:
+    """The distinct push states behind a run's per-query views, in order.
 
-    Counts are pure operator work — identical on both runtimes.  Batched
-    states are per-query views over shared ``MultiSSPPR`` objects; those
-    are deduplicated so shared work is counted once.
+    Hashmap results are :class:`QueryView` s, several of which share one
+    batched ``MultiSSPPR``; the dense baseline's states carry no operator
+    counters.
     """
-    total = 0
-    seen: set[int] = set()
-    for state in states.values():
-        multi = getattr(state, "multi", None)
-        if multi is not None:
-            if id(multi) not in seen:
-                seen.add(id(multi))
-                total += int(multi.n_pushes)
-        elif hasattr(state, "stats"):
-            total += int(state.stats().get("ppr.pushes", 0))
-    return total
+    return list({id(v.multi): v.multi for v in states.values()
+                 if isinstance(v, QueryView)}.values())
+
+
+def _batch_pushes(states: dict) -> int:
+    """Forward-Push pushes of a batch, shared work counted once — pure
+    operator work, identical on both runtimes."""
+    return sum(m.n_pushes for m in _push_states(states))
 
 
 class Session:
@@ -522,17 +520,13 @@ class Session:
                     storage_for(machine, proc, True), proc, chunk,
                     engine.sharded, params, collect=collect,
                 )
-            elif request.mode == "batched":
-                body = multi_query_batched_driver(
-                    storage_for(machine, proc, True), proc, chunk,
-                    engine.sharded, params, collect=collect,
-                )
             else:
                 fault_stats.append({"degraded_queries": 0,
                                     "abandoned_mass": 0.0})
                 body = multi_query_driver(
                     storage_for(machine, proc, cfg.opt.compressed), proc,
                     chunk, engine.sharded, params, opt=cfg.opt,
+                    batched=request.mode == "batched",
                     collect=collect, latencies=latencies,
                     degradation=request.degradation,
                     fault_stats=fault_stats[-1],
@@ -550,11 +544,10 @@ class Session:
         obs.metrics.inc("engine.queries", len(sources))
         obs.metrics.inc("engine.degraded_queries", degraded_queries)
         obs.metrics.set("engine.makespan", makespan)
-        for state in states.values():
+        for state in _push_states(states):
             # operator-work counts (pure counts — runtime-independent)
-            if hasattr(state, "stats"):
-                for key, val in state.stats().items():
-                    obs.metrics.inc(key, int(val))
+            for key, val in state.stats().items():
+                obs.metrics.inc(key, int(val))
         race_violations: list = []
         if cluster.sanitizer is not None:
             race_violations = list(cluster.sanitizer.report())

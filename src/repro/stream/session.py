@@ -188,7 +188,7 @@ class StreamingSession:
         for gid in sources.tolist():
             view = result.states[gid]
             p = view.dense_result(sharded, n)
-            r = view.multi.dense_residual_for(view.qid, sharded, n)
+            r = view.dense_residual(sharded, n)
             self.states[gid] = IncrementalState(gid, params, p, r)
         self._merge_heat(result.heat)
         self.metrics.merge(result.obs.metrics)

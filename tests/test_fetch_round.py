@@ -12,6 +12,10 @@ loop changed nothing observable:
   driver on both runtimes, healthy and under a drop-only ``FaultPlan``;
 * the routers that now share :func:`shard_masks`, checked against the
   K-pass ``owner == j`` scans they replaced.
+
+The same precedent keeps the last separate ``SSPPR`` (with its ``PushState``
+base) as :class:`_ParentSSPPR`, the bitwise oracle for ``SSPPR`` as a
+one-query ``MultiSSPPR``.
 """
 
 import dataclasses
@@ -31,6 +35,8 @@ from repro.errors import RpcTimeoutError, ShardError, TRANSPORT_ERRORS, \
 from repro.gnn.sampler import induce_subgraph
 from repro.graph import powerlaw_cluster
 from repro.ppr import DegradationMode, MultiSSPPR, OptLevel, PPRParams, SSPPR
+from repro.ppr.hashmap import ShardedMap, fit_values
+from repro.ppr.multi_query import split_residual
 from repro.rpc import RetryPolicy
 from repro.serving import Query, SessionConfig
 from repro.simt import FaultPlan, Wait
@@ -292,21 +298,18 @@ def engine():
     return GraphEngine(graph, EngineConfig(n_machines=3))
 
 
-def _engine_body(opt, degradation):
+def _engine_body(opt, degradation, *, batched=False):
+    """One query (its first source) or, ``batched``, all three."""
     def body(g, proc, sources, sharded):
         return distributed.distributed_sppr_query(
-            g, proc, int(sources[0]), PARAMS, opt=opt,
-            degradation=degradation)
+            g, proc, sources if batched else int(sources[0]), PARAMS,
+            opt=opt, degradation=degradation)
     return body
 
 
 def _tensor_body(g, proc, sources, sharded):
     return distributed.distributed_tensor_query(
         g, proc, int(sources[0]), PARAMS, sharded.to_node)
-
-
-def _multi_body(g, proc, sources, sharded):
-    return distributed.distributed_multi_query(g, proc, sources, PARAMS)
 
 
 def run_driver(engine, runtime, body, *, compress=True, plan=None,
@@ -333,12 +336,12 @@ def assert_same_state(a, b):
     assert type(a) is type(b)
     if isinstance(a, Exception):
         return
-    for name in ("ppr", "residual", "queued", "wdeg"):
+    for name in ("ppr", "residual", "queued", "wdeg", "abandoned_mass",
+                 "skipped_fetches"):
         if hasattr(a, name):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), \
                 name
-    for name in ("n_pushes", "n_entries_processed", "n_iterations",
-                 "abandoned_mass", "skipped_fetches"):
+    for name in ("n_pushes", "n_entries_processed", "n_iterations"):
         assert getattr(a, name, None) == getattr(b, name, None), name
     if hasattr(a, "map"):
         assert a.map.keys().tobytes() == b.map.keys().tobytes()
@@ -359,13 +362,19 @@ CASES = {
     "compress": (_engine_body(OptLevel.COMPRESS, FAIL), True, HEALTHY),
     "batch": (_engine_body(OptLevel.BATCH, FAIL), False, HEALTHY),
     "tensor": (_tensor_body, True, HEALTHY),
-    "multi": (_multi_body, True, HEALTHY),
+    "multi": (_engine_body(OptLevel.OVERLAP, FAIL, batched=True), True,
+              HEALTHY),
     "overlap-skip": (_engine_body(OptLevel.OVERLAP, SKIP), True, LOSSY),
     "compress-skip": (_engine_body(OptLevel.COMPRESS, SKIP), True, LOSSY),
     "batch-skip": (_engine_body(OptLevel.BATCH, SKIP), False, LOSSY),
     "overlap-fail-fast": (_engine_body(OptLevel.OVERLAP, FAIL), True, LOSSY),
     "tensor-drops": (_tensor_body, True, RETRIED),
-    "multi-drops": (_multi_body, True, RETRIED),
+    "multi-drops": (_engine_body(OptLevel.OVERLAP, FAIL, batched=True),
+                    True, RETRIED),
+    "multi-skip": (_engine_body(OptLevel.OVERLAP, SKIP, batched=True), True,
+                   LOSSY),
+    "multi-batch-skip": (_engine_body(OptLevel.BATCH, SKIP, batched=True),
+                         False, LOSSY),
 }
 
 
@@ -383,7 +392,7 @@ class TestHandwrittenOracle:
         assert len(new_calls) > 3
         assert_same_state(new, old)
         if case.endswith("-skip"):
-            assert new.skipped_fetches > 0 and new.abandoned_mass > 0
+            assert new.skipped_fetches.any() and new.abandoned_mass.any()
         elif case == "overlap-fail-fast":
             assert isinstance(new, TRANSPORT_ERRORS)
         else:
@@ -400,8 +409,108 @@ class TestHandwrittenOracle:
 
 
 # ---------------------------------------------------------------------------
-# (c) the fact PushState rests on
+# (c) one push state: the parent's SSPPR as the oracle
 # ---------------------------------------------------------------------------
+
+class _ParentSSPPR:
+    """The parent commit's ``SSPPR`` with its ``PushState`` base folded in,
+    verbatim but for the name and the result accessors it no longer needs."""
+
+    def __init__(self, source, params, source_wdeg):
+        if source_wdeg < 0:
+            raise ValueError(f"source_wdeg must be >= 0, got {source_wdeg}")
+        self._seed(params, np.array([int(source)], dtype=np.int64),
+                   float(source_wdeg))
+        self.abandoned_mass = 0.0
+        self.skipped_fetches = 0
+
+    def _seed(self, params, keys, wdegs):
+        self.params = params
+        self.map = ShardedMap()
+        cap = 1024
+        self.residual = np.zeros(cap)
+        self.ppr = np.zeros(cap)
+        self.wdeg = np.zeros(cap)
+        self.queued = np.zeros(cap, dtype=bool)
+        self.n_pushes = 0
+        self.n_entries_processed = 0
+        self.n_iterations = 0
+        idx, _ = self.map.get_or_insert(keys)
+        self._fit_values()
+        self.residual[idx] = 1.0
+        self.wdeg[idx] = wdegs
+        self.queued[idx] = True
+
+    def _fit_values(self):
+        (self.residual, self.ppr, self.wdeg, self.queued) = fit_values(
+            self.map, self.residual, self.ppr, self.wdeg, self.queued)
+
+    def _drain(self):
+        slots = np.flatnonzero(self.queued[: len(self.map)])
+        if len(slots):
+            self.queued[slots] = False
+            self.n_iterations += 1
+        return slots
+
+    def _take(self, idx_v, src_wdeg):
+        r_v = self.residual[idx_v]
+        self.residual[idx_v] = 0.0
+        gained, scale = split_residual(r_v, src_wdeg, self.params.alpha)
+        self.ppr[idx_v] += gained
+        self.n_pushes += len(idx_v)
+        return scale
+
+    def _spread(self, keys, contrib, nbr_wdeg, pos=None):
+        self.n_entries_processed += len(contrib)
+        if len(contrib) == 0:
+            return
+        touched = len(self.map)
+        slots, new = self.map.get_or_insert(keys)
+        if len(self.map) > touched:
+            self._fit_values()
+            self.wdeg[slots[new]] = nbr_wdeg[new if pos is None
+                                             else pos[new]]
+            touched = len(self.map)
+        self.residual[:touched] += np.bincount(slots, weights=contrib,
+                                               minlength=touched)
+        threshold = self.params.epsilon * self.wdeg[slots]
+        above = self.residual[slots] > threshold
+        self.queued[slots[above]] = True
+
+    def total_mass(self):
+        n = len(self.map)
+        return float(self.ppr[:n].sum() + self.residual[:n].sum())
+
+    def pop(self):
+        return np.sort(self.map.keys()[self._drain()])
+
+    def push(self, infos, ids):
+        indptr, nbr_ids, weights, nbr_wdeg, src_wdeg = infos.to_arrays()
+        if len(indptr) - 1 != len(ids):
+            raise ValueError(
+                f"infos cover {len(indptr) - 1} sources, got "
+                f"{len(ids)} popped ids"
+            )
+        if len(ids) == 0:
+            return
+        idx_v = self.map.lookup(ids)
+        if idx_v.min() < 0:
+            raise ValueError("push received sources that were never touched")
+        scale = self._take(idx_v, src_wdeg)
+        counts = indptr[1:] - indptr[:-1]
+        self._spread(nbr_ids, weights * np.repeat(scale, counts), nbr_wdeg)
+
+    def abandon(self, ids):
+        if len(ids) == 0:
+            return 0.0
+        idx = self.map.lookup(ids)
+        idx = idx[idx >= 0]
+        lost = float(self.residual[idx].sum())
+        self.residual[idx] = 0.0
+        self.abandoned_mass += lost
+        self.skipped_fetches += 1
+        return lost
+
 
 class _Rows:
     """A response over explicit rows, as ``to_arrays()`` returns it."""
@@ -438,34 +547,83 @@ def _response(adj, wdeg, ids):
     return _Rows(indptr, cols, data, wdeg[cols], wdeg[ids])
 
 
+def _round(state, adj, wdeg, ids, schedule, k):
+    """One iteration's pushes (and write-offs) in the given schedule."""
+    if schedule == "single":         # one vertex per response, descending
+        parts = [ids[i:i + 1] for i in range(len(ids) - 1, -1, -1)]
+    else:                            # two responses, like a two-shard round
+        parts = [ids[::2], ids[1::2]]
+    for j, part in enumerate(parts):
+        if schedule == "abandon" and (j + k) % 2:
+            state.abandon(part)
+        else:
+            state.push(_response(adj, wdeg, part), part)
+
+
 class TestMultiOfOneIsSSPPR:
-    @given(weighted_graphs(), st.sampled_from([1e-2, 1e-4]))
+    @given(weighted_graphs(), st.sampled_from([1e-2, 1e-4]),
+           st.sampled_from(["split", "single", "abandon"]))
     @settings(max_examples=40, deadline=None)
-    def test_bitwise(self, graph, epsilon):
-        """``MultiSSPPR`` with one query is ``SSPPR``: same slot order,
-        same ``ppr`` / ``residual`` / ``wdeg`` / ``queued`` bytes, same
-        counters, iteration by iteration — split or whole responses."""
+    def test_bitwise(self, graph, epsilon, schedule):
+        """``SSPPR`` — now a ``MultiSSPPR`` with one query — is the parent's
+        ``SSPPR``: same pops, slot order, ``ppr`` / ``residual`` / ``wdeg``
+        / ``queued`` bytes and counters, iteration by iteration, under
+        split responses, one-vertex pushes and ``skip_remote`` write-offs
+        (``abandoned_mass`` bitwise)."""
         adj, source = graph
         wdeg = np.asarray(adj.sum(axis=1)).ravel()
         params = PPRParams(epsilon=epsilon)
-        one = SSPPR(source, params, wdeg[source])
-        multi = MultiSSPPR([source], params, [wdeg[source]])
-        for _ in range(200):
-            ids = one.pop()
-            np.testing.assert_array_equal(ids, multi.pop())
+        old = _ParentSSPPR(source, params, wdeg[source])
+        new = SSPPR(source, params, wdeg[source])
+        for k in range(200):
+            ids = old.pop()
+            np.testing.assert_array_equal(ids, new.pop())
             if len(ids) == 0:
                 break
-            # two responses per iteration, like a two-shard round
-            for part in (ids[::2], ids[1::2]):
-                for state in (one, multi):
-                    state.push(_response(adj, wdeg, part), part)
-            assert one.map.keys().tobytes() == multi.map.keys().tobytes()
+            for state in (old, new):
+                _round(state, adj, wdeg, ids, schedule, k)
+            assert old.map.keys().tobytes() == new.map.keys().tobytes()
             for name in ("ppr", "residual", "wdeg", "queued"):
-                assert getattr(one, name).tobytes() == \
-                    getattr(multi, name).tobytes(), name
-        assert (one.n_pushes, one.n_entries_processed, one.n_iterations) == \
-            (multi.n_pushes, multi.n_entries_processed, multi.n_iterations)
-        assert one.total_mass() == multi.total_mass()
+                assert getattr(old, name).tobytes() == \
+                    getattr(new, name).tobytes(), name
+        assert (old.n_pushes, old.n_entries_processed, old.n_iterations) == \
+            (new.n_pushes, new.n_entries_processed, new.n_iterations)
+        assert old.total_mass() == new.total_mass()
+        view = new.query(0)
+        assert np.float64(old.abandoned_mass).tobytes() == \
+            np.float64(view.abandoned_mass).tobytes()
+        assert old.skipped_fetches == view.skipped_fetches
+        assert old.total_mass() + old.abandoned_mass == \
+            pytest.approx(1.0, abs=1e-12)
+
+    def test_unpopped_source_raises_on_both_push_paths(self):
+        """``push`` (and ``abandon``) refuse a node the last pop did not
+        return — on the one-pair-per-node path ``SSPPR`` takes, and on the
+        general pair expansion of a batch with a node active twice."""
+        adj = sp.csr_matrix(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                                     dtype=float))
+        wdeg = np.asarray(adj.sum(axis=1)).ravel()
+        stranger = np.array([2])
+        one = SSPPR(0, PARAMS, wdeg[0])
+        with pytest.raises(ValueError, match="never touched"):
+            one.push(_response(adj, wdeg, stranger), stranger)  # before pop
+        np.testing.assert_array_equal(one.pop(), [0])
+        assert one._pending[3]                  # the shortcut is selected
+        with pytest.raises(ValueError, match="never touched"):
+            one.push(_response(adj, wdeg, stranger), stranger)
+        twice = MultiSSPPR([0, 0], PARAMS, wdeg[[0, 0]])
+        np.testing.assert_array_equal(twice.pop(), [0])
+        assert not twice._pending[3]            # the general path
+        for state in (one, twice):
+            with pytest.raises(ValueError, match="never touched"):
+                state.abandon(stranger)
+        with pytest.raises(ValueError, match="never touched"):
+            twice.push(_response(adj, wdeg, stranger), stranger)
+        # the popped node itself is accepted on both paths
+        popped = np.array([0])
+        for state in (one, twice):
+            state.push(_response(adj, wdeg, popped), popped)
+        assert twice.n_pushes == 2 and one.n_pushes == 1
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,8 @@ class TestSampler:
         g = powerlaw_cluster(200, 6, mixing=0.1, n_communities=4, seed=2)
         sharded = build_shards(g, HashPartitioner().partition(g, 2))
         from tests.test_ppr_ops import run_hashmap_query
-        state = run_hashmap_query(sharded, 10, PPRParams(epsilon=1e-5))
+        state = run_hashmap_query(sharded, 10,
+                                  PPRParams(epsilon=1e-5)).query(0)
         top = topk_ppr_nodes(state, sharded, 16, include=np.array([10]))
         assert 10 in top
         assert len(top) <= 17
@@ -264,7 +265,8 @@ class TestSampler:
         g = powerlaw_cluster(50, 4, seed=3)
         sharded = build_shards(g, HashPartitioner().partition(g, 1))
         from tests.test_ppr_ops import run_hashmap_query
-        state = run_hashmap_query(sharded, 0, PPRParams(epsilon=1e-4))
+        state = run_hashmap_query(sharded, 0,
+                                  PPRParams(epsilon=1e-4)).query(0)
         with pytest.raises(ValueError):
             topk_ppr_nodes(state, sharded, 0)
 

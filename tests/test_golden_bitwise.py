@@ -72,7 +72,7 @@ def _engine() -> GraphEngine:
 
 def _legacy_keys(state, sharded) -> np.ndarray:
     """The state's keys as the fixture spelled them (see module docstring)."""
-    b = getattr(state, "n_queries", 1)
+    b = state.n_queries
     ids, qids = np.divmod(state.map.keys(), b)
     shard = sharded.owner_of(ids)
     return ((ids - sharded.base[shard]) * sharded.n_shards + shard) * b + qids
@@ -119,7 +119,7 @@ def compute_digests(runtime: str) -> dict[str, str]:
             sources=spread, params=PARAMS, keep_states=True,
         ), runtime)
         out[f"ssppr.{opt.value}"] = _digest(
-            (result.states[g] for g in spread.tolist()), sharded)
+            (result.states[g].multi for g in spread.tolist()), sharded)
     for b in MULTI_BATCHES:
         sources = on_machine0[:b]
         result = _run(engine, RunRequest(

@@ -143,6 +143,21 @@ class TestProperties:
         expected = np.asarray(g.to_scipy().sum(axis=1)).ravel()
         np.testing.assert_allclose(g.weighted_degrees, expected)
 
+    @given(st.integers(0, 40), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_weighted_degrees_bitwise_as_concatenated_cumsum(self, n, seed):
+        """Summing into a preallocated buffer is the same arithmetic as the
+        ``concatenate([[0.0], cumsum])`` it replaced, bit for bit."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 5, size=n)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        weights = rng.uniform(0.01, 3.0, int(indptr[-1]))
+        g = CSRGraph(n, indptr, rng.integers(0, max(n, 1), len(weights)),
+                     weights)
+        csum = np.concatenate([[0.0], np.cumsum(weights, dtype=np.float64)])
+        assert g.weighted_degrees.tobytes() == \
+            (csum[indptr[1:]] - csum[indptr[:-1]]).tobytes()
+
     @given(random_edge_lists())
     @settings(max_examples=60, deadline=None)
     def test_no_self_loops_or_duplicates(self, data):

@@ -50,7 +50,7 @@ class TestMultiSSPPRState:
     def test_results_for_bad_qid(self):
         m = MultiSSPPR([0, 1], PARAMS, [1.0, 1.0])
         with pytest.raises(ValueError):
-            m.results_for(5)
+            m.query(5)
 
     def test_total_mass_equals_n_queries(self):
         g = powerlaw_cluster(300, 6, mixing=0.2, seed=0)
@@ -66,7 +66,7 @@ class TestMultiSSPPRState:
         m = run_multi(sharded, sources)
         bound = 2 * PARAMS.epsilon * g.weighted_degrees.sum()
         for qid, gid in enumerate(sources.tolist()):
-            dense = m.dense_result_for(qid, sharded, g.n_nodes)
+            dense = m.query(qid).dense_result(sharded, g.n_nodes)
             ref, _, _ = forward_push_parallel(g, gid, PARAMS)
             assert np.abs(dense - ref).sum() <= bound, qid
 
@@ -75,7 +75,7 @@ class TestMultiSSPPRState:
         sharded = build_shards(g, HashPartitioner().partition(g, 2))
         src = sharded.shards[0].core_global[:1]
         m = run_multi(sharded, src)
-        dense = m.dense_result_for(0, sharded, g.n_nodes)
+        dense = m.query(0).dense_result(sharded, g.n_nodes)
         ref, _, _ = forward_push_parallel(g, int(src[0]), PARAMS)
         bound = 2 * PARAMS.epsilon * g.weighted_degrees.sum()
         assert np.abs(dense - ref).sum() <= bound
@@ -86,8 +86,8 @@ class TestMultiSSPPRState:
         sharded = build_shards(g, HashPartitioner().partition(g, 2))
         src = sharded.shards[0].core_global[0]
         m = run_multi(sharded, np.array([src, src]))
-        a = m.dense_result_for(0, sharded, g.n_nodes)
-        b = m.dense_result_for(1, sharded, g.n_nodes)
+        a = m.query(0).dense_result(sharded, g.n_nodes)
+        b = m.query(1).dense_result(sharded, g.n_nodes)
         np.testing.assert_allclose(a, b)
 
 
@@ -148,6 +148,6 @@ class TestMultiQueryProperties:
         assert m.total_mass() == pytest.approx(float(batch))
         bound = 2 * params.epsilon * g.weighted_degrees.sum() + 1e-12
         for qid, gid in enumerate(sources.tolist()):
-            dense = m.dense_result_for(qid, sharded, n)
+            dense = m.query(qid).dense_result(sharded, n)
             ref, _, _ = forward_push_parallel(g, gid, params)
             assert np.abs(dense - ref).sum() <= bound

@@ -90,7 +90,7 @@ class TestSSPPRState:
         sharded = build_shards(g, MetisLitePartitioner(seed=0).partition(g, 3))
         for source in (0, 17, 250):
             m = run_hashmap_query(sharded, source)
-            approx = m.dense_result(sharded, g.n_nodes)
+            approx = m.query(0).dense_result(sharded, g.n_nodes)
             ref, _, _ = forward_push_parallel(g, source, PARAMS)
             bound = 2 * PARAMS.epsilon * g.weighted_degrees.sum()
             assert np.abs(approx - ref).sum() <= bound
@@ -107,8 +107,8 @@ class TestSSPPRState:
         sharded1 = build_shards(g, HashPartitioner().partition(g, 1))
         ma = run_hashmap_query(sharded4, 11)
         mb = run_hashmap_query(sharded1, 11)
-        a = ma.dense_result(sharded4, g.n_nodes)
-        b = mb.dense_result(sharded1, g.n_nodes)
+        a = ma.query(0).dense_result(sharded4, g.n_nodes)
+        b = mb.query(0).dense_result(sharded1, g.n_nodes)
         bound = 2 * PARAMS.epsilon * g.weighted_degrees.sum()
         assert np.abs(a - b).sum() <= bound
         assert ma.total_mass() == pytest.approx(1.0)
@@ -120,14 +120,14 @@ class TestSSPPRState:
         g = CSRGraph.from_edges(3, [0], [1])
         sharded = build_shards(g, PartitionResult(np.zeros(3, dtype=int), 1))
         m = run_hashmap_query(sharded, 2)
-        dense = m.dense_result(sharded, 3)
+        dense = m.query(0).dense_result(sharded, 3)
         assert dense[2] == pytest.approx(1.0)
 
     def test_results_only_positive(self):
         g = powerlaw_cluster(200, 5, seed=3)
         sharded = build_shards(g, HashPartitioner().partition(g, 2))
         m = run_hashmap_query(sharded, 0)
-        _keys, values = m.results()
+        _keys, values = m.query(0).results()
         assert np.all(values > 0)
 
     def test_counters_populated(self):
@@ -137,7 +137,7 @@ class TestSSPPRState:
         assert m.n_pushes > 0
         assert m.n_iterations > 0
         assert m.n_entries_processed >= m.n_pushes
-        assert m.frontier_size() == 0  # drained
+        assert not m.queued.any()  # drained
 
 
 class TestDenseState:
@@ -145,7 +145,7 @@ class TestDenseState:
         g = powerlaw_cluster(400, 8, mixing=0.2, seed=5)
         sharded = build_shards(g, MetisLitePartitioner(seed=0).partition(g, 3))
         for source in (3, 99):
-            a = run_hashmap_query(sharded, source).dense_result(
+            a = run_hashmap_query(sharded, source).query(0).dense_result(
                 sharded, g.n_nodes
             )
             b = run_dense_query(sharded, source).dense_result()
@@ -187,7 +187,7 @@ class TestEngineEquivalenceProperties:
         sharded = build_shards(g, HashPartitioner().partition(g, k))
         source = seed % n
         m = run_hashmap_query(sharded, source, params)
-        approx = m.dense_result(sharded, n)
+        approx = m.query(0).dense_result(sharded, n)
         ref, _, _ = forward_push_parallel(g, source, params)
         bound = 2 * params.epsilon * g.weighted_degrees.sum() + 1e-12
         assert np.abs(approx - ref).sum() <= bound
@@ -238,7 +238,7 @@ class TestSlotFrontierInvariant:
         wdeg = sharded.shards[int(sharded.owner_of(source)[0])] \
             .source_weighted_degrees(source)[0]
         m = SSPPR(int(source[0]), PPRParams(epsilon=1e-4), float(wdeg))
-        assert m.frontier_size() == 1
+        assert np.count_nonzero(m.queued) == 1
         while True:
             node_ids = check_pop(m, 1.0)
             if len(node_ids) == 0:
@@ -254,7 +254,7 @@ class TestSlotFrontierInvariant:
                 hot = hit[m.residual[hit]
                           > m.params.epsilon * m.wdeg[hit]]
                 assert np.isin(hot, after).all()
-                assert m.frontier_size() == len(after)
+                assert np.count_nonzero(m.queued) == len(after)
         n_touched = len(m.map)
         assert np.all(m.residual[:n_touched]
                       <= m.params.epsilon * m.wdeg[:n_touched])

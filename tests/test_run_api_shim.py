@@ -145,22 +145,28 @@ class TestHostileSources:
 
 
 class TestKnobCombinations:
-    @pytest.mark.parametrize("mode", ["batched", "tensor"])
-    def test_skip_remote_needs_engine_mode(self, mode):
-        with pytest.raises(ValueError, match='mode="engine"'):
-            RunRequest(n_queries=1, mode=mode,
+    def test_skip_remote_rejected_on_tensor_mode(self):
+        """The dense baseline has no ``abandon``: it would fail fast."""
+        with pytest.raises(ValueError, match='mode="tensor"'):
+            RunRequest(n_queries=1, mode="tensor",
                        degradation=DegradationMode.SKIP_REMOTE)
-        with pytest.raises(ValueError, match='mode="engine"'):
-            SessionConfig(mode=mode,
+        with pytest.raises(ValueError, match='mode="tensor"'):
+            SessionConfig(mode="tensor",
                           degradation=DegradationMode.SKIP_REMOTE)
 
     def test_session_default_mode_is_batched(self):
-        with pytest.raises(ValueError, match='mode="engine"'):
-            SessionConfig(degradation=DegradationMode.SKIP_REMOTE)
+        config = SessionConfig(degradation=DegradationMode.SKIP_REMOTE)
+        assert config.mode == "batched"
 
     def test_skip_remote_with_engine_mode_is_accepted(self):
         RunRequest(n_queries=1, degradation=DegradationMode.SKIP_REMOTE)
         SessionConfig(mode="engine",
+                      degradation=DegradationMode.SKIP_REMOTE)
+
+    def test_skip_remote_with_batched_mode_is_accepted(self):
+        RunRequest(n_queries=1, mode="batched",
+                   degradation=DegradationMode.SKIP_REMOTE)
+        SessionConfig(mode="batched",
                       degradation=DegradationMode.SKIP_REMOTE)
 
 

@@ -195,6 +195,28 @@ class TestFaultyDifferential:
         assert (sim.degraded_queries, sim.abandoned_mass) == \
             (thr.degraded_queries, thr.abandoned_mass)
 
+    def test_batched_skip_remote_degrades_identically(self, engine):
+        """The same write-off in a batched run: losses are charged per
+        query of the shared state, identically on both runtimes, and each
+        query keeps ``sum(ppr) + sum(residual) + abandoned == 1``."""
+        sources = sample_sources(engine.sharded, 8, seed=0)
+        sim, thr = self._on_both(engine, sim_request(
+            sources, mode="batched",
+            fault_plan=FaultPlan(seed=3, drop_prob=0.6),
+            retry_policy=RetryPolicy(max_attempts=2, timeout=0.01),
+            degradation=DegradationMode.SKIP_REMOTE))
+        assert sim.degraded_queries > 0 and sim.abandoned_mass > 0
+        assert (sim.degraded_queries, sim.abandoned_mass) == \
+            (thr.degraded_queries, thr.abandoned_mass)
+        for run in (sim, thr):
+            views = run.states.values()
+            assert len({id(v.multi) for v in views}) < len(views)
+            assert run.degraded_queries == sum(
+                v.skipped_fetches > 0 for v in views)
+            for view in views:
+                assert view.total_mass() + view.abandoned_mass == \
+                    pytest.approx(1.0, abs=1e-12)
+
     def test_explicit_one_shot_policy_beats_the_fault_default(self, engine):
         """The request's policy is used as given even under a fault plan
         (which alone would get the default policy) — one attempt means no

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, GraphEngine, RunRequest
 from repro.graph import powerlaw_cluster
+from repro.ppr import DegradationMode
 from repro.rpc import RetryPolicy
 from repro.serving import (
     AdmissionController,
@@ -254,6 +255,65 @@ class TestSessionApi:
             SessionConfig(slo=-1.0)
         with pytest.raises(ValueError, match="kind"):
             Query(source=1, kind="bogus")
+
+
+PPR_WORK = ("ppr.pushes", "ppr.entries", "ppr.iterations", "ppr.touched")
+
+
+def _distinct_states(states):
+    return {id(v.multi): v.multi for v in states.values()}.values()
+
+
+class TestOperatorWork:
+    """``ppr.*`` counts each distinct push state once, in every hashmap
+    mode — a batched state once for all the queries sharing it."""
+
+    @pytest.mark.parametrize("mode", ["engine", "batched"])
+    def test_run_records_ppr_work(self, engine, mode):
+        run = engine.run(RunRequest(n_queries=8, mode=mode,
+                                    keep_states=True))
+        states = _distinct_states(run.states)
+        assert len(states) == (8 if mode == "engine" else 2)
+        for key in PPR_WORK:
+            assert run.metrics[key] == \
+                sum(m.stats()[key] for m in states) > 0, key
+
+    def test_every_drain_records_ppr_work(self, engine):
+        session = engine.open_session()
+        for source in (5, 9, 23):
+            session.submit(Query(source=source))
+        run = session.drain()
+        for key in PPR_WORK:
+            assert run.metrics[key] == sum(
+                m.stats()[key] for m in _distinct_states(run.states)) > 0
+            assert session.snapshot()[key] == run.metrics[key]
+
+
+class TestServedSkipRemote:
+    def test_default_batched_session_degrades_identically(self, engine):
+        """``skip_remote`` in a serving session (batched by default): the
+        same written-off mass on both runtimes, and every query keeps
+        ``sum(ppr) + sum(residual) + abandoned == 1``."""
+        sources = [5, 9, 23, 41, 77, 120]
+        outcomes = []
+        for runtime in ("sim", "threads"):
+            session = engine.open_session(SessionConfig(
+                runtime=runtime, fault_plan=FaultPlan(seed=3, drop_prob=0.6),
+                retry_policy=RetryPolicy(max_attempts=2, timeout=0.01),
+                degradation=DegradationMode.SKIP_REMOTE))
+            handles = [session.submit(Query(source=s)) for s in sources]
+            run = session.drain()
+            views = [h.result() for h in handles]
+            for view in views:
+                assert view.total_mass() + view.abandoned_mass == \
+                    pytest.approx(1.0, abs=1e-12)
+            assert run.degraded_queries == sum(
+                v.skipped_fetches > 0 for v in views)
+            outcomes.append((run.degraded_queries, run.abandoned_mass,
+                             session.now,
+                             [v.abandoned_mass for v in views]))
+        assert outcomes[0][0] > 0 and outcomes[0][1] > 0
+        assert outcomes[0] == outcomes[1]
 
 
 def _serve(engine, trace, runtime, *, chaos=False):

@@ -39,7 +39,7 @@ def collector_driver(g, proc, sources, sharded, out):
         state = yield from distributed_sppr_query(
             g, proc, node_id, PARAMS, opt=OptLevel.OVERLAP
         )
-        out[gid] = state
+        out[gid] = state.query(0)
     return len(sources)
 
 
