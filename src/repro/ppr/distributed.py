@@ -15,7 +15,15 @@ optimization levels of Table 3:
 * ``SINGLE``   — one activated vertex per RPC, uncompressed;
 * ``BATCH``    — per-shard batched RPCs, list-of-lists responses;
 * ``COMPRESS`` — batched + CSR-compressed responses + zero-copy local path;
-* ``OVERLAP``  — compress + remote calls issued before local work.
+* ``OVERLAP``  — compress + remote calls issued before the local fetch.
+
+It runs the schedule of
+:func:`~repro.ppr.forward_push_parallel.forward_push_parallel`: ``pop``
+takes the frontier's residuals, and every level pushes each popped node
+once from them, so all four levels make the same pushes in the same
+iterations.  The batched levels push an iteration's answered responses
+as one ``push`` (one fused gather–scale–scatter over the frontier); the
+single level pushes vertex by vertex as each response arrives.
 
 :func:`distributed_tensor_query` is the "PyTorch Tensor" baseline: the same
 storage and batched/compressed RPCs, but dense |V|-length state with
@@ -35,6 +43,7 @@ from repro.ppr.tensor_ops import DenseSSPPR
 from repro.simt.events import Wait
 from repro.storage.dist_storage import DistGraphStorage, await_fetch, \
     fetch_round
+from repro.storage.neighbor_batch import NeighborBatch
 
 
 class DegradationMode(enum.Enum):
@@ -55,7 +64,12 @@ class DegradationMode(enum.Enum):
 
 
 class OptLevel(enum.Enum):
-    """Cumulative RPC optimization levels (Table 3 rows)."""
+    """Cumulative RPC optimization levels (Table 3 rows).
+
+    ``OVERLAP`` issues the remote calls before the local fetch, so the
+    local fetch hides under the remote flights; the iteration's one push
+    still waits for the last response.
+    """
 
     SINGLE = "single"
     BATCH = "batch"
@@ -114,19 +128,12 @@ def distributed_sppr_query(g: DistGraphStorage, proc, sources,
             break
 
         if not opt.batched:
-            # Single mode: sequential per-vertex fetch + push.  push reads
-            # residuals at push time, so the visit order is observable
-            # (push counts, Table 3's RPC column): keep the paper's
-            # <local ID, shard ID> order — ascending row index, then shard —
-            # rather than pop's shard-major one.
+            # Single mode: sequential per-vertex fetch + push.  Every push
+            # reads its pop-time residual, so the visit order changes no
+            # count: visit pop's order.
             with proc.measured("pop"):
-                owners = g.owner_of(node_ids)
-                order = np.lexsort((owners, node_ids - g.base[owners]))
-                node_ids = node_ids[order]
-                # Convert once per frontier, not one int() per vertex.
-                node_list = node_ids.tolist()
-                shard_list = owners[order].tolist()
-            for i, (j, v) in enumerate(zip(shard_list, node_list)):
+                owners = g.owner_of(node_ids).tolist()
+            for i, (j, v) in enumerate(zip(owners, node_ids.tolist())):
                 one = node_ids[i:i + 1]
                 infos = yield from await_fetch(
                     proc, j, g.get_neighbor_infos_single(j, v), skip)
@@ -137,9 +144,20 @@ def distributed_sppr_query(g: DistGraphStorage, proc, sources,
                     m.push(infos, one)
             continue
 
-        yield from fetch_round(g, proc, node_ids, m.push,
+        # Batched modes: gather the round's answered responses in
+        # fetch_round's apply order, then push the frontier once.
+        answered, parts = [], []
+
+        def collect(infos, part):
+            answered.append(infos)
+            parts.append(part)
+
+        yield from fetch_round(g, proc, node_ids, collect,
                                overlap=opt.overlapped,
                                lost=m.abandon if skip else None)
+        if answered:
+            with proc.measured("push"):
+                m.push(NeighborBatch.concat(answered), np.concatenate(parts))
     return m
 
 

@@ -5,8 +5,12 @@ scatter-adds.  This is the algorithmic base the paper adopts because "there
 are no dependencies within a set of activated vertices", making it
 "naturally suitable for request batching" — the distributed engine in
 :mod:`repro.ppr.distributed` runs exactly this schedule over sharded
-storage.  The single-machine version here is used for correctness
-cross-checks and the push-count ablation.
+storage: its ``pop`` takes the frontier's residuals as the
+``r_f = residual[frontier].copy()`` below does, and it pushes every
+popped node once per iteration, so its push and iteration counts are this
+function's (``tests/test_push_schedule.py`` holds it to them under every
+``OptLevel`` on both runtimes).  The single-machine version here is used
+for correctness cross-checks and the push-count ablation.
 """
 
 from __future__ import annotations

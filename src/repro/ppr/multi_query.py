@@ -17,22 +17,32 @@ Work per iteration is proportional to the *touched frontier*, never to |V|
 — the property that separates the PPR Engine from the tensor baseline.
 
 Semantics follow the parallel Forward Push of Shun et al. [22] as adapted
-by the paper: ``pop`` drains the activated set, deduped to *nodes* for
-fetching (the per-pair activations are kept for ``push``); ``push``
-consumes a batch of sources *with their neighbor information* (local
-VertexProp or remote NeighborBatch/NeighborLists), converts ``alpha * r``
-into PPR mass, spreads ``(1 - alpha) * r`` over out-neighbors weighted by
-``W(v,u)/d_w(v)``, and re-activates any pair whose residual crosses
-``epsilon * d_w``.  Total push work equals running the queries separately —
+by the paper, and run exactly the schedule of
+:func:`~repro.ppr.forward_push_parallel.forward_push_parallel`: ``pop``
+drains the activated set, deduped to *nodes* for fetching, and takes every
+popped pair's residual out of ``residual`` into a pop-time stash (the
+reference's ``r_f = residual[frontier].copy(); residual[frontier] = 0``).
+``push`` consumes sources *with their neighbor information* (local
+VertexProp or remote NeighborBatch/NeighborLists) and pushes each popped
+pair once from that stash: it converts ``alpha * r`` into PPR mass, spreads
+``(1 - alpha) * r`` over out-neighbors weighted by ``W(v,u)/d_w(v)``, and
+re-activates any pair whose residual crosses ``epsilon * d_w``.  Mass a
+frontier node receives from its peers in the same iteration stays in
+``residual`` for the next one, so the visit order of an iteration's
+sources changes no count, and the batched driver applies the whole round
+as one ``push``.  Total push work equals running the queries separately —
 batching saves communication only.
 
 Dangling nodes (weighted degree 0) absorb their entire residual into their
 PPR score, so every query conserves its mass: ``sum(ppr) + sum(residual) +
-abandoned_mass == 1`` at every step (``abandon`` is the ``skip_remote``
-write-off).  :class:`QueryView` is the one per-query result surface.
+abandoned_mass == 1`` at every step, popped residual not yet pushed
+counted as residual (``abandon`` is the ``skip_remote`` write-off).
+:class:`QueryView` is the one per-query result surface.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +50,18 @@ from repro.ppr.hashmap import ShardedMap, fit_values
 from repro.ppr.params import PPRParams
 
 _NOT_POPPED = "push received sources that were never touched or not popped"
+_TWICE = "push received sources already pushed or abandoned this iteration"
+
+
+class _Popped(NamedTuple):
+    """The last pop's pairs, sorted by pair key."""
+
+    nodes: np.ndarray     # node id of each pair
+    qids: np.ndarray      # query id of each pair
+    slots: np.ndarray     # slot of each pair
+    residual: np.ndarray  # each pair's residual at pop time (the stash)
+    claimed: np.ndarray   # whether the pair was pushed or abandoned yet
+    one_each: bool        # whether every node carries exactly one pair
 
 
 def split_residual(r_v: np.ndarray, src_wdeg: np.ndarray,
@@ -90,9 +112,8 @@ class MultiSSPPR:
         # its shard could not be fetched, and the fetches it was lost in.
         self.abandoned_mass = np.zeros(b)
         self.skipped_fetches = np.zeros(b, dtype=np.int64)
-        # The last pop's pairs sorted by pair key, as (node ids, query ids,
-        # slots, whether every node has exactly one); None once empty.
-        self._pending: tuple | None = None
+        # The last pop's pairs; None once the activated set is empty.
+        self._pending: _Popped | None = None
         idx, _ = self.map.get_or_insert(sources * b + np.arange(b))
         self._fit_values()
         self.residual[idx] = 1.0
@@ -113,6 +134,10 @@ class MultiSSPPR:
         shard; ascending ids are shard-major.  A node active in several
         queries is returned once: one fetch serves them all.  The scan is
         one flag per *touched* slot — O(touched) bytes, never |V|.
+
+        Each popped pair's residual moves to the pop-time stash ``push``
+        reads, and ``residual`` restarts at zero for the mass peers send
+        it during this iteration.
         """
         slots = np.flatnonzero(self.queued[: len(self.map)])
         if len(slots) == 0:
@@ -122,22 +147,28 @@ class MultiSSPPR:
         self.n_iterations += 1
         pairs = self.map.keys()[slots]
         order = pairs.argsort()
+        slots = slots[order]
+        stash = self.residual[slots]
+        self.residual[slots] = 0.0
         # sorted pairs give sorted nodes: dedupe with one diff scan
         nodes, qids = np.divmod(pairs[order], self.n_queries)
         first = np.empty(len(nodes), dtype=bool)
         first[0] = True
         np.not_equal(nodes[1:], nodes[:-1], out=first[1:])
         unique = nodes[first]
-        self._pending = (nodes, qids, slots[order],
-                         len(unique) == len(nodes))
+        self._pending = _Popped(nodes, qids, slots, stash,
+                                np.zeros(len(nodes), dtype=bool),
+                                len(unique) == len(nodes))
         return unique
 
     def push(self, infos, ids: np.ndarray) -> None:
-        """Apply one fetched response to every query activated on its nodes.
+        """Push nodes of the last pop, for every query activated on them.
 
         ``infos`` is any response exposing ``to_arrays()`` (VertexProp,
-        NeighborBatch, NeighborLists); ``ids`` are nodes of the last pop
-        that this response answers, in request order.
+        NeighborBatch, NeighborLists, or several of them concatenated by
+        :meth:`~repro.storage.neighbor_batch.NeighborBatch.concat`);
+        ``ids`` are the nodes it answers, in row order.  Each popped pair
+        is pushed at most once, from its pop-time residual.
         """
         indptr, nbr_ids, weights, nbr_wdeg, src_wdeg = infos.to_arrays()
         if len(indptr) - 1 != len(ids):
@@ -149,25 +180,25 @@ class MultiSSPPR:
             return
         if self._pending is None:
             raise ValueError(_NOT_POPPED)
-        nodes, qids, slots, one_each = self._pending
+        nodes, qids = self._pending.nodes, self._pending.qids
         b = self.n_queries
         row_counts = indptr[1:] - indptr[:-1]
-        if one_each:
+        if self._pending.one_each:
             # One pair per node: the response's rows are the entries, in
             # order — the general path's expansion is the identity.
-            starts = nodes.searchsorted(ids)
-            if (nodes.take(starts, mode="clip") != ids).any():
+            sel = nodes.searchsorted(ids)
+            if (nodes.take(sel, mode="clip") != ids).any():
                 raise ValueError(_NOT_POPPED)
-            scale = self._take(slots[starts], src_wdeg)
+            scale = self._take(sel, src_wdeg)
             # with B = 1 a pair key is the node id itself
             keys = nbr_ids if b == 1 else \
-                nbr_ids * b + np.repeat(qids[starts], row_counts)
+                nbr_ids * b + np.repeat(qids[sel], row_counts)
             self._spread(keys, weights * np.repeat(scale, row_counts),
                          nbr_wdeg)
             return
         sel, pair_counts = self._select(ids)
         row_of = np.repeat(np.arange(len(ids)), pair_counts)
-        scale = self._take(slots[sel], src_wdeg[row_of])
+        scale = self._take(sel, src_wdeg[row_of])
         # Expand each pair over its node's adjacency row.
         pair_row_counts = row_counts[row_of]
         entry_offsets = np.zeros(len(sel) + 1, dtype=np.int64)
@@ -185,19 +216,17 @@ class MultiSSPPR:
 
         The ``skip_remote`` degradation mode calls this instead of ``push``
         when a shard's batch could not be fetched within the retry budget:
-        every active pair's residual is dropped (``pop`` already dequeued
-        it) and charged to its query's ``abandoned_mass``, bounding that
-        query's accuracy loss — the same quantity the forward-push L1
-        error bound is built on.  Each query that lost a pair counts one
-        skipped fetch.
+        every active pair's pop-time residual is dropped and charged to its
+        query's ``abandoned_mass``, bounding that query's accuracy loss —
+        the same quantity the forward-push L1 error bound is built on.
+        Each query that lost a pair counts one skipped fetch.
         """
         if len(ids) == 0:
             return
         sel, _ = self._select(ids)
-        _nodes, qids, slots, _one_each = self._pending
-        lost = self.residual[slots[sel]]
-        self.residual[slots[sel]] = 0.0
-        owners = qids[sel]
+        self._claim(sel)
+        lost = self._pending.residual[sel]
+        owners = self._pending.qids[sel]
         for q in np.unique(owners).tolist():
             self.abandoned_mass[q] += lost[owners == q].sum()
             self.skipped_fetches[q] += 1
@@ -208,7 +237,7 @@ class MultiSSPPR:
         the pair count of each id."""
         if self._pending is None:
             raise ValueError(_NOT_POPPED)
-        nodes = self._pending[0]
+        nodes = self._pending.nodes
         starts = nodes.searchsorted(ids, side="left")
         counts = nodes.searchsorted(ids, side="right") - starts
         if not counts.all():
@@ -219,16 +248,25 @@ class MultiSSPPR:
                + np.arange(offsets[-1]))
         return sel, counts
 
-    def _take(self, idx_v: np.ndarray, src_wdeg: np.ndarray) -> np.ndarray:
-        """Push sources at slots ``idx_v``: bank ``alpha * r``, zero ``r``.
+    def _claim(self, sel: np.ndarray) -> None:
+        """Mark the last pop's pairs ``sel`` spent; each spends once."""
+        claimed = self._pending.claimed
+        before = np.count_nonzero(claimed)
+        claimed[sel] = True
+        if np.count_nonzero(claimed) - before != len(sel):
+            raise ValueError(_TWICE)
+
+    def _take(self, sel: np.ndarray, src_wdeg: np.ndarray) -> np.ndarray:
+        """Push the last pop's pairs ``sel``: bank ``alpha * r`` of their
+        pop-time residual ``r``.
 
         Returns the per-source ``scale`` their out-edge weights spread by.
         """
-        r_v = self.residual[idx_v]
-        self.residual[idx_v] = 0.0
-        gained, scale = split_residual(r_v, src_wdeg, self.params.alpha)
-        self.ppr[idx_v] += gained
-        self.n_pushes += len(idx_v)
+        self._claim(sel)
+        gained, scale = split_residual(self._pending.residual[sel],
+                                       src_wdeg, self.params.alpha)
+        self.ppr[self._pending.slots[sel]] += gained
+        self.n_pushes += len(sel)
         return scale
 
     def _spread(self, keys: np.ndarray, contrib: np.ndarray,
@@ -268,9 +306,17 @@ class MultiSSPPR:
 
     def total_mass(self) -> float:
         """``sum(ppr) + sum(residual)`` over the batch — ``B`` minus the
-        abandoned mass."""
+        abandoned mass.  Popped residual not yet pushed counts as residual."""
         n = len(self.map)
-        return float(self.ppr[:n].sum() + self.residual[:n].sum())
+        return float(self.ppr[:n].sum() + self.residual[:n].sum()
+                     + self._unspent().sum())
+
+    def _unspent(self) -> np.ndarray:
+        """Pop-time residual of the last pop's pairs not yet pushed or
+        abandoned, one entry per pair (empty between iterations)."""
+        if self._pending is None:
+            return np.zeros(0)
+        return np.where(self._pending.claimed, 0.0, self._pending.residual)
 
     def stats(self) -> dict[str, int]:
         """Operator statistics, named for the ``ppr.*`` metrics namespace.
@@ -342,8 +388,11 @@ class QueryView:
         """``sum(ppr) + sum(residual)`` — one minus ``abandoned_mass``."""
         mine = self._mine()
         n = len(mine)
+        pending = self.multi._pending
+        unspent = 0.0 if pending is None else \
+            self.multi._unspent()[pending.qids == self.qid].sum()
         return float(self.multi.ppr[:n][mine].sum()
-                     + self.multi.residual[:n][mine].sum())
+                     + self.multi.residual[:n][mine].sum() + unspent)
 
     @property
     def n_touched(self) -> int:

@@ -203,6 +203,36 @@ class NeighborBatch:
             src_wdeg[pos] = batch.src_wdeg
         return cls(indptr, ids, w, wdeg, src_wdeg, check=False)
 
+    @classmethod
+    def concat(cls, responses: list) -> "NeighborBatch":
+        """The rows of every response, in list order, as one batch.
+
+        ``responses`` are any ``to_arrays()`` responses (NeighborBatch,
+        VertexProp, NeighborLists).  A single response is wrapped without a
+        copy; several are written into one fresh batch, part by part.
+        """
+        parts = [r.to_arrays() for r in responses]
+        if len(parts) == 1:
+            return cls(*parts[0], check=False)
+        n_rows = sum(len(p[4]) for p in parts)
+        n_entries = sum(len(p[1]) for p in parts)
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        ids = np.empty(n_entries, dtype=np.int64)
+        w = np.empty(n_entries, dtype=np.float64)
+        wdeg = np.empty(n_entries, dtype=np.float64)
+        src_wdeg = np.empty(n_rows, dtype=np.float64)
+        row = entry = 0
+        for p_indptr, p_ids, p_w, p_wdeg, p_src_wdeg in parts:
+            rows, entries = len(p_src_wdeg), len(p_ids)
+            indptr[row + 1:row + rows + 1] = p_indptr[1:] + entry
+            ids[entry:entry + entries] = p_ids
+            w[entry:entry + entries] = p_w
+            wdeg[entry:entry + entries] = p_wdeg
+            src_wdeg[row:row + rows] = p_src_wdeg
+            row += rows
+            entry += entries
+        return cls(indptr, ids, w, wdeg, src_wdeg, check=False)
+
 
 class NeighborLists:
     """Uncompressed list-of-lists response (ablation baseline)."""

@@ -13,9 +13,9 @@ loop changed nothing observable:
 * the routers that now share :func:`shard_masks`, checked against the
   K-pass ``owner == j`` scans they replaced.
 
-The same precedent keeps the last separate ``SSPPR`` (with its ``PushState``
-base) as :class:`_ParentSSPPR`, the bitwise oracle for ``SSPPR`` as a
-one-query ``MultiSSPPR``.
+The push state itself is checked against
+:func:`~repro.ppr.forward_push_parallel.forward_push_parallel`: however a
+round's frontier is split into responses, it makes the reference's pushes.
 """
 
 import dataclasses
@@ -33,10 +33,9 @@ from repro.engine.query import assign_queries, sample_sources
 from repro.errors import RpcTimeoutError, ShardError, TRANSPORT_ERRORS, \
     WorkerCrashedError
 from repro.gnn.sampler import induce_subgraph
-from repro.graph import powerlaw_cluster
+from repro.graph import CSRGraph, powerlaw_cluster
 from repro.ppr import DegradationMode, MultiSSPPR, OptLevel, PPRParams, SSPPR
-from repro.ppr.hashmap import ShardedMap, fit_values
-from repro.ppr.multi_query import split_residual
+from repro.ppr.forward_push_parallel import forward_push_parallel
 from repro.rpc import RetryPolicy
 from repro.serving import Query, SessionConfig
 from repro.simt import FaultPlan, Wait
@@ -409,108 +408,8 @@ class TestHandwrittenOracle:
 
 
 # ---------------------------------------------------------------------------
-# (c) one push state: the parent's SSPPR as the oracle
+# (c) the push state runs the reference schedule
 # ---------------------------------------------------------------------------
-
-class _ParentSSPPR:
-    """The parent commit's ``SSPPR`` with its ``PushState`` base folded in,
-    verbatim but for the name and the result accessors it no longer needs."""
-
-    def __init__(self, source, params, source_wdeg):
-        if source_wdeg < 0:
-            raise ValueError(f"source_wdeg must be >= 0, got {source_wdeg}")
-        self._seed(params, np.array([int(source)], dtype=np.int64),
-                   float(source_wdeg))
-        self.abandoned_mass = 0.0
-        self.skipped_fetches = 0
-
-    def _seed(self, params, keys, wdegs):
-        self.params = params
-        self.map = ShardedMap()
-        cap = 1024
-        self.residual = np.zeros(cap)
-        self.ppr = np.zeros(cap)
-        self.wdeg = np.zeros(cap)
-        self.queued = np.zeros(cap, dtype=bool)
-        self.n_pushes = 0
-        self.n_entries_processed = 0
-        self.n_iterations = 0
-        idx, _ = self.map.get_or_insert(keys)
-        self._fit_values()
-        self.residual[idx] = 1.0
-        self.wdeg[idx] = wdegs
-        self.queued[idx] = True
-
-    def _fit_values(self):
-        (self.residual, self.ppr, self.wdeg, self.queued) = fit_values(
-            self.map, self.residual, self.ppr, self.wdeg, self.queued)
-
-    def _drain(self):
-        slots = np.flatnonzero(self.queued[: len(self.map)])
-        if len(slots):
-            self.queued[slots] = False
-            self.n_iterations += 1
-        return slots
-
-    def _take(self, idx_v, src_wdeg):
-        r_v = self.residual[idx_v]
-        self.residual[idx_v] = 0.0
-        gained, scale = split_residual(r_v, src_wdeg, self.params.alpha)
-        self.ppr[idx_v] += gained
-        self.n_pushes += len(idx_v)
-        return scale
-
-    def _spread(self, keys, contrib, nbr_wdeg, pos=None):
-        self.n_entries_processed += len(contrib)
-        if len(contrib) == 0:
-            return
-        touched = len(self.map)
-        slots, new = self.map.get_or_insert(keys)
-        if len(self.map) > touched:
-            self._fit_values()
-            self.wdeg[slots[new]] = nbr_wdeg[new if pos is None
-                                             else pos[new]]
-            touched = len(self.map)
-        self.residual[:touched] += np.bincount(slots, weights=contrib,
-                                               minlength=touched)
-        threshold = self.params.epsilon * self.wdeg[slots]
-        above = self.residual[slots] > threshold
-        self.queued[slots[above]] = True
-
-    def total_mass(self):
-        n = len(self.map)
-        return float(self.ppr[:n].sum() + self.residual[:n].sum())
-
-    def pop(self):
-        return np.sort(self.map.keys()[self._drain()])
-
-    def push(self, infos, ids):
-        indptr, nbr_ids, weights, nbr_wdeg, src_wdeg = infos.to_arrays()
-        if len(indptr) - 1 != len(ids):
-            raise ValueError(
-                f"infos cover {len(indptr) - 1} sources, got "
-                f"{len(ids)} popped ids"
-            )
-        if len(ids) == 0:
-            return
-        idx_v = self.map.lookup(ids)
-        if idx_v.min() < 0:
-            raise ValueError("push received sources that were never touched")
-        scale = self._take(idx_v, src_wdeg)
-        counts = indptr[1:] - indptr[:-1]
-        self._spread(nbr_ids, weights * np.repeat(scale, counts), nbr_wdeg)
-
-    def abandon(self, ids):
-        if len(ids) == 0:
-            return 0.0
-        idx = self.map.lookup(ids)
-        idx = idx[idx >= 0]
-        lost = float(self.residual[idx].sum())
-        self.residual[idx] = 0.0
-        self.abandoned_mass += lost
-        self.skipped_fetches += 1
-        return lost
-
 
 class _Rows:
     """A response over explicit rows, as ``to_arrays()`` returns it."""
@@ -560,46 +459,44 @@ def _round(state, adj, wdeg, ids, schedule, k):
             state.push(_response(adj, wdeg, part), part)
 
 
-class TestMultiOfOneIsSSPPR:
+class TestPopTimeSchedule:
     @given(weighted_graphs(), st.sampled_from([1e-2, 1e-4]),
            st.sampled_from(["split", "single", "abandon"]))
     @settings(max_examples=40, deadline=None)
-    def test_bitwise(self, graph, epsilon, schedule):
-        """``SSPPR`` — now a ``MultiSSPPR`` with one query — is the parent's
-        ``SSPPR``: same pops, slot order, ``ppr`` / ``residual`` / ``wdeg``
-        / ``queued`` bytes and counters, iteration by iteration, under
-        split responses, one-vertex pushes and ``skip_remote`` write-offs
-        (``abandoned_mass`` bitwise)."""
+    def test_any_split_runs_the_reference(self, graph, epsilon, schedule):
+        """However an iteration's frontier is split into responses, and in
+        whatever order they come back, ``SSPPR`` makes
+        ``forward_push_parallel``'s pushes in its iterations and ends at its
+        values up to float reassociation; with ``skip_remote`` write-offs
+        the mass is still conserved, ``abandoned_mass`` included."""
         adj, source = graph
-        wdeg = np.asarray(adj.sum(axis=1)).ravel()
+        csr = CSRGraph.from_scipy(adj)
+        wdeg = csr.weighted_degrees
         params = PPRParams(epsilon=epsilon)
-        old = _ParentSSPPR(source, params, wdeg[source])
-        new = SSPPR(source, params, wdeg[source])
+        state = SSPPR(source, params, wdeg[source])
         for k in range(200):
-            ids = old.pop()
-            np.testing.assert_array_equal(ids, new.pop())
+            ids = state.pop()
             if len(ids) == 0:
                 break
-            for state in (old, new):
-                _round(state, adj, wdeg, ids, schedule, k)
-            assert old.map.keys().tobytes() == new.map.keys().tobytes()
-            for name in ("ppr", "residual", "wdeg", "queued"):
-                assert getattr(old, name).tobytes() == \
-                    getattr(new, name).tobytes(), name
-        assert (old.n_pushes, old.n_entries_processed, old.n_iterations) == \
-            (new.n_pushes, new.n_entries_processed, new.n_iterations)
-        assert old.total_mass() == new.total_mass()
-        view = new.query(0)
-        assert np.float64(old.abandoned_mass).tobytes() == \
-            np.float64(view.abandoned_mass).tobytes()
-        assert old.skipped_fetches == view.skipped_fetches
-        assert old.total_mass() + old.abandoned_mass == \
+            _round(state, adj, wdeg, ids, schedule, k)
+        view = state.query(0)
+        assert state.total_mass() + view.abandoned_mass == \
             pytest.approx(1.0, abs=1e-12)
+        if schedule == "abandon":
+            return
+        ppr, residual, ref = forward_push_parallel(csr, source, params)
+        assert (state.n_pushes, state.n_iterations) == \
+            (ref.n_pushes, ref.n_iterations)
+        ids, values = view.results()
+        dense = np.zeros(csr.n_nodes)
+        dense[ids] = values
+        np.testing.assert_allclose(dense, ppr, rtol=1e-12, atol=1e-15)
 
     def test_unpopped_source_raises_on_both_push_paths(self):
         """``push`` (and ``abandon``) refuse a node the last pop did not
-        return — on the one-pair-per-node path ``SSPPR`` takes, and on the
-        general pair expansion of a batch with a node active twice."""
+        return, or one already pushed or written off this iteration — on
+        the one-pair-per-node path ``SSPPR`` takes, and on the general pair
+        expansion of a batch with a node active twice."""
         adj = sp.csr_matrix(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]],
                                      dtype=float))
         wdeg = np.asarray(adj.sum(axis=1)).ravel()
@@ -608,12 +505,12 @@ class TestMultiOfOneIsSSPPR:
         with pytest.raises(ValueError, match="never touched"):
             one.push(_response(adj, wdeg, stranger), stranger)  # before pop
         np.testing.assert_array_equal(one.pop(), [0])
-        assert one._pending[3]                  # the shortcut is selected
+        assert one._pending.one_each                # the shortcut is selected
         with pytest.raises(ValueError, match="never touched"):
             one.push(_response(adj, wdeg, stranger), stranger)
         twice = MultiSSPPR([0, 0], PARAMS, wdeg[[0, 0]])
         np.testing.assert_array_equal(twice.pop(), [0])
-        assert not twice._pending[3]            # the general path
+        assert not twice._pending.one_each          # the general path
         for state in (one, twice):
             with pytest.raises(ValueError, match="never touched"):
                 state.abandon(stranger)
@@ -624,6 +521,19 @@ class TestMultiOfOneIsSSPPR:
         for state in (one, twice):
             state.push(_response(adj, wdeg, popped), popped)
         assert twice.n_pushes == 2 and one.n_pushes == 1
+        # ... once: a second push or a write-off of it is refused
+        for state in (one, twice):
+            with pytest.raises(ValueError, match="already pushed"):
+                state.push(_response(adj, wdeg, popped), popped)
+            with pytest.raises(ValueError, match="already pushed"):
+                state.abandon(popped)
+        assert twice.n_pushes == 2 and one.n_pushes == 1
+        # ... nor twice within one push
+        again = SSPPR(0, PARAMS, wdeg[0])
+        again.pop()
+        doubled = np.array([0, 0])
+        with pytest.raises(ValueError, match="already pushed"):
+            again.push(_response(adj, wdeg, doubled), doubled)
 
 
 # ---------------------------------------------------------------------------

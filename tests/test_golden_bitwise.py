@@ -3,10 +3,14 @@
 ``tests/fixtures/golden_ppr.json`` holds sha256 digests of the key-sorted
 ``(keys, ppr, residual)`` bytes of every finished query state on one fixed
 graph — :class:`~repro.ppr.ppr_ops.SSPPR` under all four ``OptLevel`` s and
-:class:`~repro.ppr.multi_query.MultiSSPPR` at B = 1, 3, 16 — captured
-*before* the paged slot table replaced the probing hash map.  Slot numbering
-(hence ``results()`` enumeration order) is an implementation detail; the
-value stored for a node is not, so states are compared in key order.
+:class:`~repro.ppr.multi_query.MultiSSPPR` at B = 1, 3, 16.  It was last
+regenerated when the engine moved to the pop-time schedule of
+:func:`~repro.ppr.forward_push_parallel.forward_push_parallel` (every
+popped node pushed once per iteration, from the residual it held when
+popped); ``tests/test_push_schedule.py`` holds those runs to the
+reference's push and iteration counts.  Slot numbering (hence
+``results()`` enumeration order) is an implementation detail; the value
+stored for a node is not, so states are compared in key order.
 The fixture also predates the shard-contiguous node id: it was hashed over
 the packed ``local * K + shard`` key (``* B + qid`` for ``MultiSSPPR``), so
 ``_digest`` re-encodes each state's ids to that legacy key before sorting
@@ -19,10 +23,8 @@ Regenerate only for a change that is *meant* to move results:
 ``tests/fixtures/golden_stream.json`` pins the write path the same way: one
 digest per runtime of every published ``(p, r)`` plus the final mirror
 after a fixed ``run_stream`` (queries, seven update batches refreshed every
-second one, a rebalance with three migrations in the middle) — captured
-with the dict-of-dicts ``DynamicGraph`` and per-batch ``snapshot()``,
-*before* the CSR-backed mirror and the vectorised payload planner, refresh
-and shard splice replaced them
+second one, a rebalance with three migrations in the middle) — regenerated
+with the ``golden_ppr.json`` epoch above
 (``python -m tests.test_golden_bitwise stream`` prints it).
 
 ``tests/fixtures/golden_partition.json`` pins the array every shard, node id
