@@ -35,9 +35,7 @@ N_MACHINES = 2
 
 
 def run_case(engine, sources, *, label) -> dict:
-    run = engine.run(RunRequest(
-        sources=sources, params=PARAMS, trace=True, timeline=0.05,
-    ))
+    run = engine.run(RunRequest(sources=sources, params=PARAMS, trace=True))
     t0 = time.perf_counter()
     report = diagnose(run)
     analyze_ms = (time.perf_counter() - t0) * 1e3

@@ -7,9 +7,10 @@ Downstream-friendly entry points for the preprocessing / query pipeline:
 * ``query``      — run an SSPPR batch against a graph or saved shards;
 * ``walk``       — run distributed random walks;
 * ``bench``      — the benchmark observatory (see ``docs/benchmarking.md``):
-  ``bench run`` executes the suite at a scale and aggregates the structured
-  reports into a ``BENCH_<scale>.json`` trajectory; ``bench report``
-  re-aggregates existing results; ``bench diff`` renders an old-vs-new
+  ``bench run`` executes the suite at a scale (and, given ``--out``,
+  aggregates the structured reports into a trajectory); ``bench report``
+  re-aggregates existing results (``--out BENCH_<scale>.json`` regenerates
+  the baseline); ``bench diff`` renders an old-vs-new
   trajectory comparison; ``bench check`` is the regression gate (non-zero
   exit naming every offending metric, ``.txt``/``.json`` result siblings
   cross-checked);
@@ -312,7 +313,10 @@ def _trajectory_from_results(results_dir: Path, scale: str) -> dict:
 
 
 def cmd_bench_run(args) -> int:
-    """Run the suite at a scale, then aggregate the structured reports."""
+    """Run the suite at a scale; with ``--out``, aggregate the structured
+    reports into a trajectory there.  Without it the committed
+    ``BENCH_<scale>.json`` is left alone, so ``bench check`` compares the
+    fresh results with the baseline rather than with themselves."""
     from repro.obs import bench as obs_bench
 
     code = obs_bench.run_suite(
@@ -323,14 +327,13 @@ def cmd_bench_run(args) -> int:
         print(f"bench run: suite FAILED (pytest exit {code}); "
               "trajectory not written")
         return code
-    if args.select:
-        print("bench run: partial suite (--select) — trajectory not "
-              "written; use 'bench report' to aggregate manually")
+    if args.select or args.out is None:
+        why = "partial suite (--select)" if args.select else "no --out"
+        print(f"bench run: {why} — trajectory not written; "
+              f"'bench check --scale {args.scale}' gates the results")
         return 0
     trajectory = _trajectory_from_results(Path(args.results_dir), args.scale)
-    path = obs_bench.write_trajectory(args.out or
-                                      _REPO_ROOT / f"BENCH_{args.scale}.json",
-                                      trajectory)
+    path = obs_bench.write_trajectory(args.out, trajectory)
     print(f"bench run: {len(trajectory['benches'])} benches at "
           f"scale={args.scale} -> {path}")
     return 0
@@ -567,7 +570,7 @@ def cmd_doctor(args) -> int:
         fault_plan, retry_policy = _chaos_from_args(args)
         run = engine.run(RunRequest(
             n_queries=args.queries, params=params, seed=args.seed,
-            trace=True, max_spans=args.max_spans, timeline=args.timeline,
+            trace=True, max_spans=args.max_spans,
             fault_plan=fault_plan, retry_policy=retry_policy,
         ))
         report = diagnose(run)
@@ -748,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--benchmarks-dir", default=str(_BENCHMARKS_DIR))
     add_results_dir(b)
     b.add_argument("--out", default=None,
-                   help="trajectory output (default BENCH_<scale>.json)")
+                   help="also aggregate a trajectory here (default: none)")
     b.set_defaults(fn=cmd_bench_run)
 
     b = bsub.add_parser("report",
@@ -867,9 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-spans", type=int, default=None,
                    help="span cap for the traced run (overflow flags the "
                         "report as trace-incomplete)")
-    p.add_argument("--timeline", type=float, default=None,
-                   help="sample a telemetry timeline at this virtual-time "
-                        "interval (seconds)")
     _add_chaos_args(p, drop=0.0, max_attempts=6)
     p.add_argument("--top", type=int, default=10,
                    help="critical-path buckets to print")

@@ -153,13 +153,6 @@ class SimCluster(_Cluster):
         """Return value of a finished body (re-raises its exception)."""
         return self.scheduler.result_of(name)
 
-    def start_timeline(self, timeline, gauges=None) -> None:
-        """Take the t=0 sample and arm the virtual-time grid sampler."""
-        from repro.obs.analysis.timeline import install_sim_sampler
-
-        install_sim_sampler(self.scheduler, self.obs.metrics, timeline,
-                            timeline.interval, gauges=gauges)
-
 
 class ThreadCluster(_Cluster):
     """The same deployment over :class:`~repro.rpc.ThreadRuntime`.
@@ -195,13 +188,6 @@ class ThreadCluster(_Cluster):
     def result_of(self, name: str):
         """Return value of a finished body (re-raises its exception)."""
         return self.ctx.result_of(name)
-
-    def start_timeline(self, timeline, gauges=None) -> None:
-        """Take the t=0 sample; real threads have no virtual timer to arm,
-        so the series keeps the two deterministic edges."""
-        from repro.obs.analysis.timeline import sample_engine
-
-        sample_engine(timeline, 0.0, self.obs.metrics, gauges)
 
 
 def deploy(sharded: ShardedGraph, config: EngineConfig,

@@ -34,8 +34,8 @@ class EngineConfig:
     #: pre-fetch-layer wire behavior (Table 3 ablation rows).
     fetch_split: bool = True
     #: hot-vertex cache budget in bytes (0 disables); adjacency rows from
-    #: remote responses are cached with deterministic frequency+recency
-    #: eviction so hub vertices are fetched once per run
+    #: remote responses are cached until the budget is full, and kept for
+    #: the run, so hub vertices are fetched once per run
     fetch_cache_bytes: int = 1 << 22
     #: dedup concurrent in-flight fetches for overlapping (shard, node)
     #: sets against a per-machine pending-futures table

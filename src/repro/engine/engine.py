@@ -102,9 +102,6 @@ class QueryRunResult:
     #: single-threaded, so a non-empty list here means instrumentation
     #: recorded accesses from multiple OS threads without a common lock
     race_violations: list = field(repr=False, default_factory=list)
-    #: telemetry Timeline (repro.obs.analysis) when the request asked for
-    #: one with ``RunRequest(timeline=interval)``, else None
-    timeline: object = field(repr=False, default=None)
 
     def latency_percentiles(self, q=(50, 90, 99)) -> dict[float, float]:
         """Virtual per-query latency percentiles in seconds.

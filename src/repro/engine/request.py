@@ -2,7 +2,7 @@
 
 A :class:`RunRequest` says *what* one batched query run computes — the
 query set, PPR parameters, execution mode, seeding — plus what is observed
-about it (tracing, sanitizer, timeline) and the chaos it runs under (fault
+about it (tracing, sanitizer) and the chaos it runs under (fault
 plan, the retry policy answering it, degradation mode), as a single
 validated value passed to :meth:`~repro.engine.engine.GraphEngine.run`::
 
@@ -114,14 +114,6 @@ class RunRequest:
         lock-discipline violations surface in
         ``QueryRunResult.race_violations`` plus the ``sanitizer.*``
         metrics.  Zero-overhead when off (the default).
-    timeline:
-        Sampling interval in virtual seconds for a
-        :class:`~repro.obs.analysis.Timeline` of selected counters and
-        gauges, returned on ``QueryRunResult.timeline``.  On the
-        virtual-time scheduler a grid of mid-run samples is taken every
-        ``timeline`` seconds; the thread runtime records the
-        deterministic edges (t=0 and the final counters).  ``None``
-        (the default) disables sampling.
     """
 
     n_queries: int | None = None
@@ -136,7 +128,6 @@ class RunRequest:
     retry_policy: RetryPolicy | None = None
     degradation: DegradationMode = DegradationMode.FAIL_FAST
     sanitize: bool = False
-    timeline: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in RUN_MODES:
@@ -168,8 +159,4 @@ class RunRequest:
                 )
             object.__setattr__(
                 self, "sources", sources.astype(np.int64, copy=False)
-            )
-        if self.timeline is not None and self.timeline <= 0:
-            raise ValueError(
-                f"timeline interval must be > 0, got {self.timeline}"
             )

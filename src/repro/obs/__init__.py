@@ -17,8 +17,7 @@ runtime, because both increment this registry at the same logical points.
 :class:`BenchReport` documents with embedded metrics snapshots, trajectory
 aggregation, baseline comparison and the ``repro.cli bench`` regression
 gate.  :mod:`repro.obs.analysis` adds trace analytics on top: causal
-critical paths over the span DAG, deterministic telemetry
-:class:`Timeline` series, and the :func:`diagnose` reports behind
+critical paths over the span DAG and the :func:`diagnose` reports behind
 ``repro.cli doctor``.  See ``docs/observability.md`` for the span-name /
 Figure 6 phase mapping and a ``repro.cli profile`` walkthrough;
 ``docs/benchmarking.md`` for the bench observatory.
@@ -42,8 +41,6 @@ from repro.obs.analysis import (
     CriticalPath,
     DiagnosisReport,
     PathSegment,
-    Timeline,
-    TimelineSample,
     TraceGraph,
     diagnose,
     diff_reports,
@@ -99,8 +96,6 @@ __all__ = [
     "PathSegment",
     "Span",
     "SpanTracer",
-    "Timeline",
-    "TimelineSample",
     "TraceGraph",
     "build_trajectory",
     "chrome_trace",

@@ -1,8 +1,7 @@
 """``diagnose(run)``: one structured verdict per run.
 
 Folds the causal critical path (:mod:`repro.obs.analysis.causal`), the
-metrics snapshot, the fetch-layer heat maps, and the optional
-:class:`~repro.obs.analysis.timeline.Timeline` into a single
+metrics snapshot and the fetch-layer heat maps into a single
 JSON-serializable :class:`DiagnosisReport` — the object behind
 ``python -m repro.cli doctor``.
 
@@ -10,7 +9,7 @@ Two layers of comparison:
 
 * :meth:`DiagnosisReport.differential_view` projects the report onto its
   **count-derived** fields (fault counters, fetch/cache counts, heat-based
-  straggler attribution, query-span counts, final timeline counters).
+  straggler attribution, query-span counts).
   Those replay bitwise-identically across the virtual-time scheduler and
   :class:`~repro.rpc.thread_runtime.ThreadRuntime` for the same seed and
   fault plan — asserted in ``tests/test_runtime_differential.py``.
@@ -28,10 +27,9 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from repro.obs.analysis.causal import PATH_PHASES, TraceGraph
-from repro.obs.analysis.timeline import ENGINE_WATCH, Timeline
 
 #: report schema tag — bump on incompatible field changes
-DIAGNOSIS_SCHEMA = "repro.diagnosis/v1"
+DIAGNOSIS_SCHEMA = "repro.diagnosis/v2"
 
 #: counters summarizing injected faults and the retry machinery
 FAULT_COUNTER_NAMES = ("rpc.retries", "rpc.timeouts", "rpc.dropped_messages",
@@ -70,8 +68,6 @@ class DiagnosisReport:
     #: per machine: final clock, skew vs the mean, fetch heat + share
     stragglers: list = field(default_factory=list)
     cache: dict = field(default_factory=dict)
-    #: Timeline.to_dict() when the run sampled one, else None
-    timeline: dict | None = None
 
     # -- views ---------------------------------------------------------------
     def top_edges(self, n: int = 10) -> list:
@@ -80,10 +76,6 @@ class DiagnosisReport:
 
     def differential_view(self) -> dict:
         """The count-derived projection (bitwise across runtimes)."""
-        timeline_last = None
-        if self.timeline and self.timeline.get("samples"):
-            last = self.timeline["samples"][-1]["values"]
-            timeline_last = {k: last[k] for k in ENGINE_WATCH if k in last}
         return {
             "schema": self.schema,
             "n_queries": self.n_queries,
@@ -95,7 +87,6 @@ class DiagnosisReport:
                                for s in self.stragglers},
             "cache_counts": {k: v for k, v in self.cache.items()
                              if k in CACHE_COUNTER_NAMES},
-            "timeline_last": timeline_last,
         }
 
     # -- serialization -------------------------------------------------------
@@ -185,7 +176,7 @@ def diagnose(run, *, validate: bool = True) -> DiagnosisReport:
     """Analyze one :class:`~repro.engine.engine.QueryRunResult`.
 
     Works with or without a trace: an untraced run still yields the
-    counter-derived sections (faults, cache, heat stragglers, timeline);
+    counter-derived sections (faults, cache, heat stragglers);
     a traced run adds critical paths.  ``validate=True`` re-asserts the
     conservation invariant on every extracted path.
     """
@@ -204,8 +195,6 @@ def diagnose(run, *, validate: bool = True) -> DiagnosisReport:
         },
         stragglers=_straggler_rows(run.per_proc_clocks or {}, run.heat or {}),
         cache=_cache_verdict(metrics),
-        timeline=(run.timeline.to_dict()
-                  if isinstance(run.timeline, Timeline) else run.timeline),
     )
 
     tracer = getattr(run.obs, "tracer", None) if run.obs is not None else None
@@ -316,9 +305,6 @@ def render_diagnosis(report: DiagnosisReport, *, top: int = 10) -> str:
             f"  fetch cache: {report.cache.get('verdict', 'n/a')} "
             f"(saved {report.cache.get('savings_ratio', 0.0) * 100:.1f}% "
             f"of {report.cache.get('fetch.requests', 0)} requests)")
-    if report.timeline and report.timeline.get("samples"):
-        lines.append(f"  timeline: {len(report.timeline['samples'])} "
-                     f"samples")
     return "\n".join(lines)
 
 

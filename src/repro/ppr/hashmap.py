@@ -27,7 +27,7 @@ module addresses them directly instead of hashing them:
 
 The module and class keep their historical names because the wall-clock
 benchmark patches ``repro.ppr.hashmap.ShardedMap`` by name; the rename
-waits for ROADMAP item 5a.
+waits for ROADMAP item 6a.
 """
 
 from __future__ import annotations

@@ -472,36 +472,21 @@ class Session:
         heat_maps: dict[int, dict[int, int]] = {}
 
         def storage_for(machine, proc, compress):
-            g = DistGraphStorage(cluster.rrefs, machine, proc.name,
-                                 compress=compress)
             if not (compress
                     and (cfg.fetch_split or cfg.fetch_cache_bytes > 0)):
-                return g
+                return DistGraphStorage(cluster.rrefs, machine, proc.name,
+                                        compress=compress)
             fc = fetch_caches.get(machine)
             if fc is None:
                 fc = fetch_caches[machine] = FetchCache(
                     cfg.fetch_cache_bytes, sanitizer=cluster.sanitizer
                 )
             return NeighborFetchService(
-                g, fc, split=cfg.fetch_split, coalesce=cfg.fetch_coalesce,
+                cluster.rrefs, machine, proc.name, fc,
+                split=cfg.fetch_split, coalesce=cfg.fetch_coalesce,
                 metrics=obs.metrics, proc=proc,
                 heat=heat_maps.setdefault(machine, {}),
             )
-
-        def cache_gauges() -> dict:
-            return {
-                "fetch.cache_bytes": sum(
-                    fc.nbytes for fc in fetch_caches.values()),
-                "fetch.cache_entries": sum(
-                    len(fc.rows) for fc in fetch_caches.values()),
-            }
-
-        run_timeline = None
-        if request.timeline is not None:
-            from repro.obs.analysis.timeline import Timeline
-
-            run_timeline = Timeline(interval=request.timeline)
-            cluster.start_timeline(run_timeline, gauges=cache_gauges)
 
         states: dict[int, object] = {}
         latencies: dict[int, float] = {}
@@ -539,8 +524,10 @@ class Session:
         degraded_queries = sum(s["degraded_queries"] for s in fault_stats)
         abandoned_mass = sum((s["abandoned_mass"] for s in fault_stats), 0.0)
         if fetch_caches:
-            for name, value in cache_gauges().items():
-                obs.metrics.set(name, value)
+            obs.metrics.set("fetch.cache_bytes", sum(
+                fc.nbytes for fc in fetch_caches.values()))
+            obs.metrics.set("fetch.cache_entries", sum(
+                len(fc.rows) for fc in fetch_caches.values()))
         obs.metrics.inc("engine.queries", len(sources))
         obs.metrics.inc("engine.degraded_queries", degraded_queries)
         obs.metrics.set("engine.makespan", makespan)
@@ -553,11 +540,6 @@ class Session:
             race_violations = list(cluster.sanitizer.report())
             obs.metrics.inc("sanitizer.accesses", cluster.sanitizer.accesses)
             obs.metrics.inc("sanitizer.violations", len(race_violations))
-        if run_timeline is not None:
-            from repro.obs.analysis.timeline import final_sample
-
-            final_sample(run_timeline, obs.metrics, makespan,
-                         gauges=cache_gauges)
         return QueryRunResult(
             n_queries=len(sources),
             makespan=makespan,
@@ -577,7 +559,6 @@ class Session:
             obs=obs,
             heat=heat_maps,
             race_violations=race_violations,
-            timeline=run_timeline,
         )
 
     def run_walks(self, roots: np.ndarray,

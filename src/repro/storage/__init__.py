@@ -22,8 +22,8 @@ Implements the storage stack exactly as the paper lays it out:
   ``get_neighbor_infos`` and ``sample_one_neighbor`` against local or
   remote shards through RRefs.
 * :class:`NeighborFetchService` / :class:`FetchCache` — the adaptive
-  neighbor-fetch layer on top of the facade: partial halo-cache hits,
-  a deterministic byte-budgeted hot-vertex cache, and single-flight
+  neighbor-fetch layer, a facade subclass: partial halo-cache hits,
+  a fill-once byte-budgeted hot-vertex cache, and single-flight
   coalescing of overlapping in-flight requests (docs/fetch-layer.md).
 """
 

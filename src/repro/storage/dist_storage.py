@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import TRANSPORT_ERRORS
+from repro.errors import TRANSPORT_ERRORS, ShardError
 from repro.rpc.rref import RRef, check_rrefs
 from repro.simt.events import Wait
 
@@ -137,9 +137,17 @@ class DistGraphStorage:
     def n_shards(self) -> int:
         return len(self.rrefs)
 
+    def _rref(self, dest_shard: int) -> RRef:
+        """``dest_shard``'s storage RRef; every method routes through here."""
+        if not 0 <= dest_shard < len(self.rrefs):
+            raise ShardError(
+                f"dest_shard {dest_shard} out of range [0, {len(self.rrefs)})"
+            )
+        return self.rrefs[dest_shard]
+
     def is_local(self, dest_shard: int) -> bool:
         """Whether ``dest_shard``'s storage lives on the caller's machine."""
-        return self.rrefs[dest_shard].is_owner(self.caller)
+        return self._rref(dest_shard).is_owner(self.caller)
 
     def owner_of(self, ids: np.ndarray) -> np.ndarray:
         """Owner shard of each node id."""
@@ -156,9 +164,9 @@ class DistGraphStorage:
         as part of the compression optimization ("tensor wrapping dominates
         the local fetch time").
         """
-        rref = self.rrefs[dest_shard]
+        rref = self._rref(dest_shard)
         if self.compress:
-            if self.is_local(dest_shard):
+            if rref.is_owner(self.caller):
                 return rref.rpc_async(self.caller, "get_vertex_props", ids)
             # 2-hop halo cache: if the local shard caches every requested
             # node's row, answer from shared memory instead of the network.
@@ -174,7 +182,7 @@ class DistGraphStorage:
 
     def get_neighbor_infos_single(self, dest_shard: int, node_id: int):
         """Single-node fetch (the unbatched, uncompressed ablation baseline)."""
-        return self.rrefs[dest_shard].rpc_async(
+        return self._rref(dest_shard).rpc_async(
             self.caller, "get_single", int(node_id)
         )
 
@@ -185,13 +193,13 @@ class DistGraphStorage:
         ``salt`` (e.g. the walk step number) makes sampling independent of
         request arrival order — see GraphShard.sample_one_neighbor.
         """
-        return self.rrefs[dest_shard].rpc_async(
+        return self._rref(dest_shard).rpc_async(
             self.caller, "sample_one_neighbor", ids, salt
         )
 
     def source_weighted_degrees(self, dest_shard: int, ids: np.ndarray):
         """Fetch own weighted degrees (used to seed SSPPR queries)."""
-        return self.rrefs[dest_shard].rpc_async(
+        return self._rref(dest_shard).rpc_async(
             self.caller, "source_weighted_degrees", ids
         )
 

@@ -1,6 +1,6 @@
 """Adaptive neighbor-fetch layer (``repro.storage.fetch``).
 
-Sits between the SSPPR/walk drivers and :class:`DistGraphStorage` and makes
+:class:`NeighborFetchService` is a :class:`DistGraphStorage` that makes
 every remote batch as small and as rare as possible, composing three
 mechanisms:
 
@@ -9,17 +9,12 @@ mechanisms:
    the network.  The fetch layer splits each request with
    :meth:`GraphShard.cache_mask`, serves covered rows from the local halo
    cache, and sends only the misses.
-2. **Hot-vertex cache** — a bounded, byte-budgeted cache of adjacency rows
+2. **Hot-vertex cache** — a byte-budgeted cache of adjacency rows
    populated from remote responses.  Power-law hub vertices re-fetched by
-   every query are fetched once per run.  Eviction is deterministic
-   (lowest ``(frequency, last-use tick, key)`` first — a logical tick, no
-   wall clock, no randomness) and the victim comes off a lazy min-heap
-   holding exactly one ``(freq, tick, key)`` entry per resident row.  A
-   hit only writes ``row.freq`` / ``row.tick``; since both only grow, a
-   filed entry is a lower bound on its row's priority, and eviction
-   re-files a stale top entry until the top matches its row — that row is
-   the true minimum.  Costs: hit none, admit one heap push, evict
-   O(log R) plus one re-file per row hit since it was filed.
+   every query are fetched once per run.  A row is admitted only if it
+   fits the remaining budget, and stays for the run: the cache fills once
+   and then only serves hits.  Admission order is the driver's consume
+   order, so the cached set is deterministic.
 3. **Single-flight coalescing** — concurrent in-flight requests for
    overlapping ``(shard, node)`` sets dedup against a pending-futures table;
    late arrivals extract their rows from the first request's response.
@@ -37,33 +32,31 @@ by one lock (sanitizer-tracked when a race detector is installed).
 from __future__ import annotations
 
 import threading
-from heapq import heappop, heappush, heapreplace
 from typing import Any
 
 import numpy as np
 
+from repro.storage.dist_storage import DistGraphStorage
 from repro.storage.neighbor_batch import NeighborBatch
 
 
 class _HotRow:
     """One cached adjacency row: row ``index`` (entries ``start:stop``) of
-    the remote response it arrived in, with its eviction priority.
+    the remote response it arrived in.
 
     A reference, not a copy: the response's arrays stay alive as long as
     one of its rows is resident.
     """
 
-    __slots__ = ("batch", "index", "start", "stop", "nbytes", "freq", "tick")
+    __slots__ = ("batch", "index", "start", "stop", "nbytes")
 
     def __init__(self, batch: NeighborBatch, index: int, start: int,
-                 stop: int, nbytes: int, tick: int) -> None:
+                 stop: int, nbytes: int) -> None:
         self.batch = batch
         self.index = index
         self.start = start
         self.stop = stop
         self.nbytes = nbytes
-        self.freq = 1
-        self.tick = tick
 
 
 class FetchCache:
@@ -80,16 +73,9 @@ class FetchCache:
             )
         self.capacity = int(capacity_bytes)
         self.rows: dict[int, _HotRow] = {}
-        #: eviction order: exactly one ``(freq, tick, key)`` entry per
-        #: resident row, filed at admission or at its last re-file.  Hits
-        #: bump the row, not the entry, so an entry may be stale — but
-        #: never above its row's current priority (freq and tick only grow)
-        self._heap: list[tuple[int, int, int]] = []
         #: key -> (in-flight future, row index within that request)
         self.pending: dict[int, tuple[Any, int]] = {}
         self.nbytes = 0
-        self.evictions = 0
-        self.tick = 0
         self._sanitizer = sanitizer
         if sanitizer is not None:
             self.lock = sanitizer.tracked_lock("fetch.cache")
@@ -103,40 +89,21 @@ class FetchCache:
 
     # The callers below hold ``self.lock``.
 
-    def admit(self, keys: list[int], batch: NeighborBatch) -> int:
-        """Cache rows of a remote response; returns evictions performed."""
-        if self.capacity <= 0:
-            return 0
+    def admit(self, keys: list[int], batch: NeighborBatch) -> None:
+        """Cache the rows of a remote response that fit the remaining
+        budget, in response order; a resident row is never replaced."""
         rows = self.rows
-        heap = self._heap
-        capacity = self.capacity
-        tick = self.tick
+        room = self.capacity - self.nbytes
         # bulk conversions once per response, not per row; a row is priced
         # by what it would cost as a batch of its own
         bounds = batch.indptr.tolist()
         sizes = batch.row_nbytes().tolist()
         for i, key in enumerate(keys):
-            if key in rows or sizes[i] > capacity:
+            if sizes[i] > room or key in rows:
                 continue
-            rows[key] = _HotRow(batch, i, bounds[i], bounds[i + 1], sizes[i],
-                                tick)
-            heappush(heap, (1, tick, key))
-            self.nbytes += sizes[i]
-        evicted = 0
-        while self.nbytes > capacity:
-            freq, filed, key = heap[0]
-            row = rows[key]
-            if row.freq != freq or row.tick != filed:
-                # hit since it was filed: re-file at its current priority;
-                # the first top entry that matches its row is the minimum
-                heapreplace(heap, (row.freq, row.tick, key))
-                continue
-            heappop(heap)
-            del rows[key]
-            self.nbytes -= row.nbytes
-            evicted += 1
-        self.evictions += evicted
-        return evicted
+            rows[key] = _HotRow(batch, i, bounds[i], bounds[i + 1], sizes[i])
+            room -= sizes[i]
+        self.nbytes = self.capacity - room
 
     def unregister(self, keys: list[int], fut: Any) -> None:
         """Drop pending entries that still point at ``fut`` (idempotent)."""
@@ -161,19 +128,18 @@ def _rows_to_batch(rows: list[_HotRow]) -> NeighborBatch:
     return NeighborBatch(indptr, ids, weights, wdeg, src_wdeg, check=False)
 
 
-class NeighborFetchService:
-    """Driver-facing storage facade adding split / hot-cache / coalescing.
+class NeighborFetchService(DistGraphStorage):
+    """The compressed storage facade plus split / hot-cache / coalescing.
 
-    Exposes the same surface as :class:`DistGraphStorage`; everything except
-    remote compressed ``get_neighbor_infos`` delegates straight through, so
-    drivers are agnostic to whether they hold the raw storage or the
-    service.
+    Everything except remote ``get_neighbor_infos`` is the inherited
+    :class:`DistGraphStorage` surface, so drivers are agnostic to which of
+    the two they hold.  The service exists only on the compressed path.
     """
 
-    def __init__(self, storage, cache: FetchCache, *, split: bool = True,
-                 coalesce: bool = True, metrics=None, proc=None,
-                 heat=None) -> None:
-        self._g = storage
+    def __init__(self, rrefs, shard_id: int, caller: str, cache: FetchCache,
+                 *, split: bool = True, coalesce: bool = True, metrics=None,
+                 proc=None, heat=None) -> None:
+        super().__init__(rrefs, shard_id, caller, compress=True)
         self._cache = cache
         self._split = bool(split)
         self._coalesce = bool(coalesce)
@@ -183,65 +149,20 @@ class NeighborFetchService:
         #: this between epochs to find hot boundary vertices
         self._heat = heat
 
-    # -- delegated surface ----------------------------------------------
-    @property
-    def rrefs(self):
-        return self._g.rrefs
-
-    @property
-    def shard_id(self) -> int:
-        return self._g.shard_id
-
-    @property
-    def caller(self) -> str:
-        return self._g.caller
-
-    @property
-    def compress(self) -> bool:
-        return self._g.compress
-
-    @property
-    def n_shards(self) -> int:
-        return self._g.n_shards
-
-    @property
-    def base(self) -> np.ndarray:
-        return self._g.base
-
-    def owner_of(self, ids: np.ndarray) -> np.ndarray:
-        return self._g.owner_of(ids)
-
-    def is_local(self, dest_shard: int) -> bool:
-        return self._g.is_local(dest_shard)
-
-    def shard_masks(self, ids: np.ndarray) -> dict[int, np.ndarray]:
-        return self._g.shard_masks(ids)
-
-    def get_neighbor_infos_single(self, dest_shard: int, node_id: int):
-        return self._g.get_neighbor_infos_single(dest_shard, node_id)
-
-    def sample_one_neighbor(self, dest_shard: int, ids: np.ndarray,
-                            salt: int | None = None):
-        return self._g.sample_one_neighbor(dest_shard, ids, salt)
-
-    def source_weighted_degrees(self, dest_shard: int, ids: np.ndarray):
-        return self._g.source_weighted_degrees(dest_shard, ids)
-
     # -- the adaptive path ----------------------------------------------
     def get_neighbor_infos(self, dest_shard: int, ids: np.ndarray):
-        if not self._g.compress or self._g.is_local(dest_shard):
-            return self._g.get_neighbor_infos(dest_shard, ids)
+        if self.is_local(dest_shard):
+            return super().get_neighbor_infos(dest_shard, ids)
         ids = np.asarray(ids, dtype=np.int64)
         if len(ids) == 0:
-            return self._g.get_neighbor_infos(dest_shard, ids)
+            return super().get_neighbor_infos(dest_shard, ids)
         return self._fetch_remote(int(dest_shard), ids)
 
     def _inc(self, name: str, value: int = 1) -> None:
         if self._metrics is not None and value:
             self._metrics.inc(name, value)
 
-    def _classify(self, cache, key_list, use_rows, tick,
-                  hot_pos, hot_rows, pend):
+    def _classify(self, cache, key_list, use_rows, hot_pos, hot_rows, pend):
         """Split request positions into hot hits / coalesced / misses."""
         rest: list[int] = []
         rows = cache.rows
@@ -251,8 +172,6 @@ class NeighborFetchService:
             if use_rows:
                 row = rows.get(key)
                 if row is not None:
-                    row.freq += 1
-                    row.tick = tick
                     hot_pos.append(i)
                     hot_rows.append(row)
                     continue
@@ -283,25 +202,23 @@ class NeighborFetchService:
 
         with cache.lock:
             cache.record_access(write=True)
-            cache.tick += 1
-            tick = cache.tick
             if self._heat is not None:
                 heat = self._heat
                 for key in key_list:
                     heat[key] = heat.get(key, 0) + 1
-            use_rows = cache.capacity > 0 and bool(cache.rows)
+            use_rows = bool(cache.rows)
             if not use_rows and not (coalesce and cache.pending):
                 # nothing cached or in flight: every node is a miss
                 rest = list(range(n))
             else:
-                rest = self._classify(cache, key_list, use_rows, tick,
+                rest = self._classify(cache, key_list, use_rows,
                                       hot_pos, hot_rows, pend)
             # Partial halo-cache hits: serve covered rows locally, send
             # only the misses over the wire.
             halo_pos: list[int] = []
             miss_pos = rest
             if self._split and rest:
-                local_shard = self._g.rrefs[self._g.shard_id].local_value()
+                local_shard = self.rrefs[self.shard_id].local_value()
                 if local_shard.has_halo_cache:
                     rest_arr = np.asarray(rest, dtype=np.int64)
                     covered = local_shard.cache_mask(ids[rest_arr])
@@ -310,9 +227,8 @@ class NeighborFetchService:
 
             halo_fut = None
             if halo_pos:
-                local_rref = self._g.rrefs[self._g.shard_id]
-                halo_fut = local_rref.rpc_async(
-                    self._g.caller, "get_cached_batch",
+                halo_fut = self.rrefs[self.shard_id].rpc_async(
+                    self.caller, "get_cached_batch",
                     ids[np.asarray(halo_pos, dtype=np.int64)],
                 )
 
@@ -321,7 +237,7 @@ class NeighborFetchService:
             #: once for pending registration, unregistration and admission
             miss_keys: list[int] = []
             if miss_pos:
-                miss_fut = self._g.get_neighbor_infos(
+                miss_fut = super().get_neighbor_infos(
                     dest_shard, ids[np.asarray(miss_pos, dtype=np.int64)]
                 )
                 if coalesce or cache.capacity > 0:
@@ -362,7 +278,7 @@ class NeighborFetchService:
                     )
 
         # Pure hot hit: no wire, no waiting — resolve immediately.
-        ctx = self._g.rrefs[0].ctx
+        ctx = self.rrefs[0].ctx
         if len(hot_pos) == n:
             return ctx.resolved_future(_rows_to_batch(hot_rows),
                                        tag="fetch.hot")
@@ -402,16 +318,14 @@ class NeighborFetchService:
                 merge_parts.append(
                     (np.asarray(positions, dtype=np.int64), batch)
                 )
-            evicted = 0
             if miss_keys:
                 with cache.lock:
                     cache.record_access(write=True)
                     if coalesce:
                         cache.unregister(miss_keys, miss_fut)
                     if cache.capacity > 0:
-                        evicted = cache.admit(miss_keys, miss_fut.value())
+                        cache.admit(miss_keys, miss_fut.value())
             self._inc("fetch.bytes_saved", saved)
-            self._inc("fetch.evictions", evicted)
             if hot_rows:
                 merge_parts.append(
                     (np.asarray(hot_pos, dtype=np.int64),

@@ -21,6 +21,18 @@ OP_UPSERT = 1
 OP_DELETE = -1
 
 
+def _int_column(name: str, values, dtype) -> np.ndarray:
+    """``values`` as a contiguous 1-D ``dtype`` array, or a typed error."""
+    arr = np.asarray(values)
+    # bool is not an integer dtype to NumPy, so [True, False] fails too
+    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+        raise GraphFormatError(
+            f"update batch {name} must be a 1-D array of integers, "
+            f"got shape {arr.shape} dtype {arr.dtype}"
+        )
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
 class UpdateBatch:
     """An ordered batch of undirected edge upserts/deletes.
 
@@ -32,15 +44,19 @@ class UpdateBatch:
         Edge weight for upserts (must be > 0 there); ignored for deletes.
     op:
         ``+1`` (upsert) or ``-1`` (delete) per operation.
+
+    ``src``, ``dst`` and ``op`` must be 1-D arrays of integer dtype: floats,
+    bools and 2-D arrays raise :class:`GraphFormatError` rather than being
+    truncated or flattened.
     """
 
     __slots__ = ("src", "dst", "weight", "op")
 
     def __init__(self, src, dst, weight, op) -> None:
-        self.src = np.ascontiguousarray(src, dtype=np.int64)
-        self.dst = np.ascontiguousarray(dst, dtype=np.int64)
+        self.src = _int_column("src", src, np.int64)
+        self.dst = _int_column("dst", dst, np.int64)
         self.weight = np.ascontiguousarray(weight, dtype=np.float64)
-        self.op = np.ascontiguousarray(op, dtype=np.int8)
+        self.op = _int_column("op", op, np.int8)
         n = self.src.shape[0]
         if not (self.dst.shape[0] == self.weight.shape[0]
                 == self.op.shape[0] == n):

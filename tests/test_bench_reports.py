@@ -426,6 +426,27 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "demo" in out and "bench" in out
 
+    def test_run_leaves_the_baseline_alone_without_out(
+            self, tmp_path, results_dir, monkeypatch, capsys):
+        """``bench run && bench check`` gates against the committed
+        baseline: ``run`` writes a trajectory only where ``--out`` says."""
+        import repro.cli
+        import repro.obs.bench
+
+        monkeypatch.setattr(repro.obs.bench, "run_suite",
+                            lambda *args, **kwargs: 0)
+        monkeypatch.setattr(repro.cli, "_REPO_ROOT", tmp_path)
+        argv = ["bench", "run", "--scale", "tiny",
+                "--results-dir", str(results_dir)]
+        assert main(argv) == 0
+        assert "trajectory not written" in capsys.readouterr().out
+        assert list(tmp_path.glob("BENCH_*.json")) == []
+
+        out = tmp_path / "traj.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())["benches"]) == {"demo"}
+        assert list(tmp_path.glob("BENCH_*.json")) == []
+
 
 class TestScaleKeyedCaches:
     def test_get_graph_keyed_on_scale(self, monkeypatch):

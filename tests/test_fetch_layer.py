@@ -8,15 +8,11 @@ checks the invariants the bitwise-identity guarantee depends on:
 
 * split/merge round-trip — any partition of a batch into parts, in any
   order, merges back to the original batch bit-for-bit;
-* eviction determinism — the same admission sequence always produces
-  the same cache contents and the same eviction count;
-* eviction order — under any interleaving of admissions, hits and tick
-  advances the heap-backed cache evicts exactly the rows a brute-force
-  ``min`` over ``(freq, tick, key)`` would, and files exactly one heap
-  entry per resident row (:func:`assert_cache_quiescent`).
+* admission — the same admission sequence always produces the same cache
+  contents; under any sequence the byte account stays within budget
+  (:func:`assert_cache_quiescent`), a resident row is never replaced, and
+  a hit returns the admitting response's row bitwise.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -26,15 +22,18 @@ from hypothesis import strategies as st
 from repro.errors import ShardError
 from repro.graph import powerlaw_cluster
 from repro.partition import HashPartitioner
+from repro.rpc.rref import RRef
 from repro.rpc.thread_runtime import ThreadFuture, ThreadRuntime
 from repro.storage import FetchCache, NeighborFetchService, build_shards
+from repro.storage.fetch import _rows_to_batch
 from repro.storage.neighbor_batch import NeighborBatch
 
 
-def make_batch(ids):
+def make_batch(ids, salt=0.0):
     """A deterministic batch for node ``ids``: row i has (i % 3) + 1
-    neighbors, all fields pure functions of the node id — so any subset
-    request is consistent with any other."""
+    neighbors, all fields pure functions of the node id (and ``salt``,
+    which shifts the weights) — so any subset request is consistent with
+    any other of the same salt."""
     ids = np.asarray(ids, dtype=np.int64)
     counts = (ids % 3) + 1
     indptr = np.zeros(len(ids) + 1, dtype=np.int64)
@@ -42,7 +41,7 @@ def make_batch(ids):
     total = int(indptr[-1])
     offset = np.arange(total) - np.repeat(indptr[:-1], counts)
     nbrs = np.repeat(ids * 10, counts) + offset
-    weights = nbrs.astype(np.float64) + 0.5
+    weights = nbrs.astype(np.float64) + 0.5 + salt
     wdeg = weights * 2.0
     src_wdeg = ids.astype(np.float64) + 1.0
     return NeighborBatch(indptr, nbrs, weights, wdeg, src_wdeg)
@@ -55,38 +54,29 @@ def assert_batches_equal(a, b):
 
 class _StubShard:
     has_halo_cache = False
+    #: the address book the storage facade reads at construction
+    base = np.array([0, 1000, 2000], dtype=np.int64)
 
 
-class _StubRref:
-    """Just enough RRef surface for the service's thread-path dispatch."""
+class _StubRref(RRef):
+    """Shard ``shard``'s storage RRef, owned by the caller's machine iff
+    ``shard == 0``: every call resolves immediately to :func:`make_batch`
+    and is recorded in ``calls`` as ``(shard, ids)``."""
 
-    def __init__(self, shard):
-        self._shard = shard
-        self.ctx = ThreadRuntime()  # the runtime builds the futures
+    def __init__(self, ctx, shard, calls):
+        super().__init__(ctx, f"server:{shard}", "storage")
+        self.shard = shard
+        self.calls = calls
+
+    def is_owner(self, caller_worker):
+        return self.shard == 0
 
     def local_value(self):
-        return self._shard
+        return _StubShard()
 
-
-class _StubStorage:
-    """Fake DistGraphStorage: every remote fetch resolves immediately to
-    :func:`make_batch` and is recorded for call-pattern assertions."""
-
-    compress = True
-
-    def __init__(self, n_shards=2, shard_id=0):
-        self.n_shards = n_shards
-        self.shard_id = shard_id
-        self.caller = "w0-0"
-        self.rrefs = [_StubRref(_StubShard()) for _ in range(n_shards)]
-        self.calls = []
-
-    def is_local(self, dest_shard):
-        return dest_shard == self.shard_id
-
-    def get_neighbor_infos(self, dest_shard, ids):
+    def rpc_async(self, caller, method, ids):
         ids = np.asarray(ids, dtype=np.int64)
-        self.calls.append((int(dest_shard), ids.copy()))
+        self.calls.append((self.shard, ids.copy()))
         return ThreadFuture.resolved(make_batch(ids))
 
 
@@ -99,11 +89,16 @@ class _Metrics:
 
 
 def make_service(**kwargs):
-    storage = _StubStorage()
+    """A service for shard 0 of two over stub RRefs; returns it with the
+    recorded ``(shard, ids)`` calls, its cache and its metrics."""
+    ctx = ThreadRuntime()  # the runtime builds the futures
+    calls = []
+    rrefs = [_StubRref(ctx, shard, calls) for shard in range(2)]
     metrics = _Metrics()
     cache = FetchCache(kwargs.pop("capacity", 1 << 20))
-    svc = NeighborFetchService(storage, cache, metrics=metrics, **kwargs)
-    return svc, storage, cache, metrics
+    svc = NeighborFetchService(rrefs, 0, "w0-0", cache, metrics=metrics,
+                               **kwargs)
+    return svc, calls, cache, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -226,71 +221,23 @@ class TestMergeProperties:
 # FetchCache
 # ---------------------------------------------------------------------------
 
-def admit_ids(cache, ids):
+def admit_ids(cache, ids, salt=0.0):
     ids = np.asarray(ids, dtype=np.int64)
     keys = ids.tolist()  # cache keys are node ids
-    batch = make_batch(ids)
     with cache.lock:
-        return cache.admit(keys, batch)
+        cache.admit(keys, make_batch(ids, salt))
+
+
+def row_nbytes(node):
+    """:func:`make_batch`'s row size: 3 columns per neighbor + a one-row
+    indptr + src_wdeg."""
+    return (node % 3 + 1) * 24 + 24
 
 
 def assert_cache_quiescent(cache):
-    """Between calls the byte account is exact and within budget, and the
-    eviction heap holds exactly one entry per resident row — none for an
-    evicted one, so it cannot grow with hits or with run length — each a
-    lower bound on its row's current ``(freq, tick)``."""
+    """Between calls the byte account is exact and within budget."""
     assert cache.nbytes == sum(r.nbytes for r in cache.rows.values())
     assert cache.nbytes <= cache.capacity
-    assert sorted(key for _, _, key in cache._heap) == sorted(cache.rows)
-    for freq, tick, key in cache._heap:
-        row = cache.rows[key]
-        assert (freq, tick) <= (row.freq, row.tick)
-
-
-class _ScanCache:
-    """The eviction oracle: rows as ``key -> [freq, tick, nbytes]``, every
-    victim picked by a full ``min`` scan over ``(freq, tick, key)``."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.rows = {}
-        self.nbytes = 0
-        self.evictions = 0
-        self.tick = 0
-
-    def admit(self, ids):
-        if self.capacity <= 0:
-            return 0
-        for node in ids:
-            key = node
-            # make_batch's row sizes: 3 columns per neighbor + one-row
-            # indptr + src_wdeg
-            nbytes = (node % 3 + 1) * 24 + 24
-            if key in self.rows or nbytes > self.capacity:
-                continue
-            self.rows[key] = [1, self.tick, nbytes]
-            self.nbytes += nbytes
-        evicted = 0
-        while self.nbytes > self.capacity:
-            key = min(self.rows, key=lambda k: (*self.rows[k][:2], k))
-            self.nbytes -= self.rows.pop(key)[2]
-            evicted += 1
-        self.evictions += evicted
-        return evicted
-
-
-#: one step of a cache's life: admit a response, hit the n-th resident
-#: row (in key order) the way ``_classify`` does, or advance the tick
-cache_steps = st.lists(
-    st.one_of(
-        st.tuples(st.just("admit"),
-                  st.lists(st.integers(min_value=0, max_value=40),
-                           min_size=1, max_size=6)),
-        st.tuples(st.just("hit"), st.integers(min_value=0, max_value=63)),
-        st.tuples(st.just("tick"), st.just(None)),
-    ),
-    min_size=1, max_size=40,
-)
 
 
 class TestFetchCache:
@@ -304,29 +251,15 @@ class TestFetchCache:
 
     def test_zero_capacity_disables(self):
         cache = FetchCache(0)
-        assert admit_ids(cache, [0, 1]) == 0
+        admit_ids(cache, [0, 1])
         assert cache.rows == {} and cache.nbytes == 0
-        assert cache._heap == []
 
     def test_oversize_row_skipped(self):
         cache = FetchCache(60)  # row of node 1 costs 2*24+24 = 72 > 60
         admit_ids(cache, [1])
-        assert cache.rows == {} and cache._heap == []
+        assert cache.rows == {}
         admit_ids(cache, [0, 1])  # node 0 costs 48, fits
         assert list(cache.rows) == [0]
-        assert cache.evictions == 0
-        assert_cache_quiescent(cache)
-
-    def test_eviction_prefers_cold_then_old(self):
-        cache = FetchCache(3 * 48)  # three single-neighbor rows max
-        admit_ids(cache, [0, 3, 6])  # one neighbor each
-        cache.rows[0].freq += 1  # node 0 is hot
-        cache.tick += 1
-        cache.rows[6].tick = cache.tick  # node 6 recently used
-        admit_ids(cache, [9])  # forces one eviction
-        assert cache.evictions == 1
-        assert 3 not in cache.rows  # coldest and oldest goes first
-        assert set(cache.rows) == {0, 6, 9}
         assert_cache_quiescent(cache)
 
     def test_negative_capacity_rejected(self):
@@ -349,90 +282,63 @@ class TestFetchCache:
                     min_size=1, max_size=12),
            st.integers(min_value=0, max_value=800))
     def test_admission_sequence_is_deterministic(self, seq, capacity):
-        """Same admissions, same capacity -> same rows, bytes, evictions."""
+        """Same admissions, same capacity -> same rows, same bytes."""
         a, b = FetchCache(capacity), FetchCache(capacity)
         for ids in seq:
             admit_ids(a, ids)
-            a.tick += 1
         for ids in seq:
             admit_ids(b, ids)
-            b.tick += 1
-        assert set(a.rows) == set(b.rows)
+        assert list(a.rows) == list(b.rows)
         assert a.nbytes == b.nbytes == sum(r.nbytes for r in a.rows.values())
-        assert a.evictions == b.evictions
         assert a.nbytes <= capacity
 
     @settings(max_examples=150, deadline=None)
-    @given(cache_steps, st.integers(min_value=0, max_value=800))
-    def test_evicts_what_a_min_scan_would(self, steps, capacity):
-        """Hits make heap entries stale; the victims must not change."""
-        cache, oracle = FetchCache(capacity), _ScanCache(capacity)
-        for op, arg in steps:
-            if op == "admit":
-                assert admit_ids(cache, arg) == oracle.admit(arg)
-            elif op == "tick":
-                cache.tick += 1
-                oracle.tick += 1
-            elif cache.rows:
-                key = sorted(cache.rows)[arg % len(cache.rows)]
-                row = cache.rows[key]
-                row.freq += 1
-                row.tick = cache.tick
-                oracle.rows[key][0] += 1
-                oracle.rows[key][1] = oracle.tick
-            assert set(cache.rows) == set(oracle.rows)
-            assert cache.nbytes == oracle.nbytes
-            assert cache.evictions == oracle.evictions
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=40),
+                             min_size=1, max_size=6),
+                    min_size=1, max_size=40),
+           st.integers(min_value=0, max_value=800))
+    def test_admits_until_full_and_never_replaces(self, seq, capacity):
+        """Every response is distinct (salted); after each admission the
+        budget holds, a resident row is the very row it was admitted as,
+        a hit on it returns its admitting response's row bitwise, and no
+        skipped row would still fit."""
+        cache = FetchCache(capacity)
+        admitted = {}  # key -> (row object, salt of its admitting response)
+        for salt, ids in enumerate(seq):
+            admit_ids(cache, ids, float(salt))
             assert_cache_quiescent(cache)
-
-    @pytest.mark.slow
-    def test_eviction_cost_does_not_scale_with_residents(self):
-        """The same number of evictions out of 16x the resident rows costs
-        < 4x per victim (a scan costs ~16x); a ratio, so host speed
-        cancels."""
-        n_victims, per_call = 2048, 64
-
-        def per_victim_seconds(resident):
-            cache = FetchCache(resident * 48)  # single-neighbor rows only
-            admit_ids(cache, np.arange(resident) * 3)
-            assert len(cache.rows) == resident
-            calls = []
-            for start in range(resident, resident + n_victims, per_call):
-                ids = np.arange(start, start + per_call) * 3
-                calls.append((ids.tolist(), make_batch(ids)))
-            cache.tick += 1
-            t0 = time.perf_counter()
-            for keys, batch in calls:
-                cache.admit(keys, batch)
-            elapsed = time.perf_counter() - t0
-            assert cache.evictions == n_victims
-            return elapsed / n_victims
-
-        small = min(per_victim_seconds(512) for _ in range(5))
-        large = min(per_victim_seconds(8192) for _ in range(5))
-        assert large < 4 * small, (small, large)
+            for key, (row, _) in admitted.items():
+                assert cache.rows[key] is row
+            for key, row in cache.rows.items():
+                admitted.setdefault(key, (row, salt))
+            for key in ids:
+                if key not in cache.rows:
+                    assert row_nbytes(key) > capacity - cache.nbytes
+        for key, (row, salt) in admitted.items():
+            assert_batches_equal(_rows_to_batch([row]),
+                                 make_batch([key], float(salt)))
 
 
 # ---------------------------------------------------------------------------
-# NeighborFetchService over a stub storage (thread-future path)
+# NeighborFetchService over stub RRefs (thread-future path)
 # ---------------------------------------------------------------------------
 
 class TestFetchService:
     def test_local_and_delegated_surface(self):
-        svc, storage, _, _ = make_service()
+        svc, calls, _, _ = make_service()
         assert svc.n_shards == 2 and svc.shard_id == 0
         assert svc.compress and svc.is_local(0) and not svc.is_local(1)
-        svc.get_neighbor_infos(0, np.array([1, 2]))  # local: delegated raw
-        assert storage.calls[0][0] == 0
-        assert np.array_equal(storage.calls[0][1], np.array([1, 2]))
+        svc.get_neighbor_infos(0, np.array([1, 2]))  # local: the raw path
+        assert calls[0][0] == 0
+        assert np.array_equal(calls[0][1], np.array([1, 2]))
 
     def test_miss_then_hot_is_bitwise_identical(self):
-        svc, storage, cache, metrics = make_service()
+        svc, calls, cache, metrics = make_service()
         ids = np.array([5, 6, 7], dtype=np.int64)
         first = svc.get_neighbor_infos(1, ids).value()
-        assert len(storage.calls) == 1
+        assert len(calls) == 1
         second = svc.get_neighbor_infos(1, ids).value()
-        assert len(storage.calls) == 1  # served entirely from the cache
+        assert len(calls) == 1  # served entirely from the cache
         assert_batches_equal(first, second)
         assert_batches_equal(second, make_batch(ids))
         assert metrics.c["fetch.requests"] == 2
@@ -442,7 +348,7 @@ class TestFetchService:
         assert len(cache.rows) == 3 and not cache.pending
 
     def test_pure_miss_passthrough_returns_raw_future(self):
-        svc, storage, _, _ = make_service(capacity=0, split=False,
+        svc, calls, _, _ = make_service(capacity=0, split=False,
                                           coalesce=False)
         ids = np.array([1, 2], dtype=np.int64)
         fut = svc.get_neighbor_infos(1, ids)
@@ -452,11 +358,11 @@ class TestFetchService:
         assert isinstance(fut, ThreadFuture)
 
     def test_coalescing_dedups_overlapping_flights(self):
-        svc, storage, cache, metrics = make_service()
+        svc, calls, cache, metrics = make_service()
         f1 = svc.get_neighbor_infos(1, np.array([5, 6, 7]))
         f2 = svc.get_neighbor_infos(1, np.array([6, 7, 8]))
         # second request only fetched the one genuinely new node
-        assert [list(ids) for _, ids in storage.calls] == [[5, 6, 7], [8]]
+        assert [list(ids) for _, ids in calls] == [[5, 6, 7], [8]]
         assert metrics.c["fetch.coalesced"] == 2
         assert metrics.c["fetch.misses"] == 3 + 1
         assert_batches_equal(f1.value(), make_batch(np.array([5, 6, 7])))
@@ -473,16 +379,16 @@ class TestFetchService:
         assert_batches_equal(f1.value(), make_batch(np.array([5, 6, 7])))
 
     def test_coalesce_off_refetches(self):
-        svc, storage, _, metrics = make_service(coalesce=False)
+        svc, calls, _, metrics = make_service(coalesce=False)
         svc.get_neighbor_infos(1, np.array([5, 6]))
         svc.get_neighbor_infos(1, np.array([5, 6]))
-        assert len(storage.calls) == 2
+        assert len(calls) == 2
         assert metrics.c.get("fetch.coalesced", 0) == 0
 
     def test_mixed_hot_and_miss_merges_in_request_order(self):
-        svc, storage, _, _ = make_service()
+        svc, calls, _, _ = make_service()
         svc.get_neighbor_infos(1, np.array([10, 11])).value()
         ids = np.array([12, 10, 13, 11], dtype=np.int64)
         out = svc.get_neighbor_infos(1, ids).value()
-        assert list(storage.calls[-1][1]) == [12, 13]  # only the misses
+        assert list(calls[-1][1]) == [12, 13]  # only the misses
         assert_batches_equal(out, make_batch(ids))

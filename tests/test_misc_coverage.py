@@ -64,6 +64,31 @@ class TestDistGraphStorageValidation:
         assert not g.is_local(1)
         ctx.scheduler.run()
 
+    @pytest.mark.parametrize("dest", [-1, 2])
+    def test_dest_shard_out_of_range_is_a_shard_error(self, dest):
+        """-1 must not wrap to the last shard, nor K raise a bare
+        IndexError: every method that picks an RRef checks the range."""
+        from repro.errors import ShardError
+        from repro.simt.events import Sleep
+
+        rrefs = self.make_rrefs(2)
+        ctx = rrefs[0].ctx
+
+        def body():
+            yield Sleep(0)
+
+        ctx.register_worker("w0", 0, ctx.scheduler.spawn("w0", body()))
+        g = DGS(rrefs, 0, "w0")
+        ids = g.base[:1]
+        for call in (lambda: g.is_local(dest),
+                     lambda: g.get_neighbor_infos(dest, ids),
+                     lambda: g.get_neighbor_infos_single(dest, 0),
+                     lambda: g.sample_one_neighbor(dest, ids),
+                     lambda: g.source_weighted_degrees(dest, ids)):
+            with pytest.raises(ShardError, match="out of range"):
+                call()
+        ctx.scheduler.run()
+
 
 class TestVertexPropPayload:
     def test_local_handoff_is_cheap(self):

@@ -186,7 +186,7 @@ class TestKnobSurface:
         assert tuple(f.name for f in dataclasses.fields(RunRequest)) == (
             "n_queries", "sources", "params", "mode", "keep_states",
             "seed", "trace", "max_spans", "fault_plan", "retry_policy",
-            "degradation", "sanitize", "timeline",
+            "degradation", "sanitize",
         )
 
     def test_session_config_fields(self):
@@ -247,6 +247,18 @@ class TestCliSurface:
         analyze = _subcommands(build_parser())["analyze"]
         assert _arguments(analyze) == (
             "paths", "--rule", "--json", "--list-rules",
+        )
+
+    def test_doctor_flags(self):
+        """The doctor reads end-of-run counters off ``run.metrics``; it has
+        no timeline to sample."""
+        doctor = _subcommands(build_parser())["doctor"]
+        assert _arguments(doctor) == (
+            "graph", "--scale", "--shards", "--machines", "--procs",
+            "--seed", "--no-fetch", "--fetch-cache-bytes", "--queries",
+            "--alpha", "--epsilon", "--max-spans", "--drop", "--fault-seed",
+            "--max-attempts", "--timeout", "--top", "--json", "--out",
+            "--load", "--diff",
         )
 
     def test_bench_subcommands_and_flags(self):

@@ -79,15 +79,17 @@ def run_threaded(engine, sources, *, fetch=True, fetch_caches=None,
             sharded, sharded.nodes_of(sources),
             cfg.procs_per_machine).items():
         proc = cluster.worker(machine, p)
-        g = DistGraphStorage(cluster.rrefs, machine, proc.name, compress=True)
         if fetch:
             if machine not in fetch_caches:
                 fetch_caches[machine] = FetchCache(
                     cfg.fetch_cache_bytes, sanitizer=cluster.sanitizer)
             g = NeighborFetchService(
-                g, fetch_caches[machine], split=cfg.fetch_split,
-                coalesce=cfg.fetch_coalesce, metrics=cluster.obs.metrics,
-                proc=proc)
+                cluster.rrefs, machine, proc.name, fetch_caches[machine],
+                split=cfg.fetch_split, coalesce=cfg.fetch_coalesce,
+                metrics=cluster.obs.metrics, proc=proc)
+        else:
+            g = DistGraphStorage(cluster.rrefs, machine, proc.name,
+                                 compress=True)
         cluster.spawn_compute(machine, p, multi_query_driver(
             g, proc, chunk, sharded, PARAMS,
             opt=OptLevel.OVERLAP, collect=states,
@@ -279,11 +281,10 @@ class TestFetchLayerDifferential:
         _, off_states = run_threaded(engine, sources, fetch=False)
         assert_same_vectors(engine, on_states, off_states)
 
-    def test_overflowing_cache_evicts_identically_and_stays_quiescent(
-            self, engine):
-        """A cache too small for the run evicts the same rows on both
-        runtimes, never changes an answer, and ends every run with exact
-        byte accounts and one heap entry per resident row."""
+    def test_full_cache_fills_identically(self, engine):
+        """A cache too small for the run fills with the same rows on both
+        runtimes, never changes an answer, and ends every run with an
+        exact byte account inside its budget."""
         tight = GraphEngine(engine.graph, EngineConfig(
             n_machines=2, fetch_cache_bytes=4096), sharded=engine.sharded)
         sources = sample_sources(engine.sharded, 8, seed=4)
@@ -296,14 +297,20 @@ class TestFetchLayerDifferential:
         assert_same_vectors(engine, sim.states, thr_states)
         sim_c = sim.obs.metrics.counters()
         thr_c = runtime.obs.metrics.counters()
-        for key in ("fetch.evictions", "fetch.cache_hits", "fetch.misses",
-                    "fetch.coalesced", "fetch.bytes_saved"):
+        for key in ("fetch.cache_hits", "fetch.misses", "fetch.coalesced",
+                    "fetch.bytes_saved"):
             assert sim_c.get(key, 0) == thr_c.get(key, 0), key
-        assert "fetch.evictions" not in roomy.obs.metrics.counters()
-        assert sim_c["fetch.evictions"] > 0
-        assert sim_c["fetch.cache_hits"] > 0  # stale heap entries exist
-        assert sum(c.evictions for c in caches.values()) \
-            == thr_c["fetch.evictions"]
+        # the same rows stay resident on both runtimes
+        assert sim.metrics["fetch.cache_entries"] == \
+            sum(len(c.rows) for c in caches.values())
+        assert sim.metrics["fetch.cache_bytes"] == \
+            sum(c.nbytes for c in caches.values())
+        # the budget binds: fewer rows resident, fewer hits, more misses
+        roomy_c = roomy.obs.metrics.counters()
+        assert sim.metrics["fetch.cache_entries"] \
+            < roomy.metrics["fetch.cache_entries"]
+        assert 0 < sim_c["fetch.cache_hits"] < roomy_c["fetch.cache_hits"]
+        assert sim_c["fetch.misses"] > roomy_c["fetch.misses"]
         for cache in caches.values():
             assert cache.rows
             assert_cache_quiescent(cache)
@@ -395,7 +402,7 @@ class TestTraceDifferential:
         cluster = deploy(engine.sharded, engine.config, runtime, trace=True)
         proc = cluster.worker(0, 0)
         svc = NeighborFetchService(
-            DistGraphStorage(cluster.rrefs, 0, proc.name, compress=True),
+            cluster.rrefs, 0, proc.name,
             FetchCache(engine.config.fetch_cache_bytes),
             metrics=cluster.obs.metrics, proc=proc)
 
@@ -423,35 +430,33 @@ class TestDoctorDifferential:
     """``DiagnosisReport.differential_view()``: bitwise across runtimes.
 
     The doctor's count-derived projection — fault counters, cache
-    counts, heat-based straggler attribution, query/path counts, the
-    final timeline sample — must replay identically on the virtual-time
-    scheduler and on :class:`ThreadRuntime` for the same seed and fault
-    plan.  Durations stay out of the view by design.
+    counts, heat-based straggler attribution, query/path counts — must
+    replay identically on the virtual-time scheduler and on
+    :class:`ThreadRuntime` for the same seed and fault plan.  Durations
+    stay out of the view by design.
     """
 
     def _both(self, engine, request):
         from repro.obs.analysis import diagnose
 
-        sim = engine.run(request)
-        thr = Session(engine, SessionConfig(runtime="threads")).run(request)
-        return diagnose(sim), diagnose(thr)
+        runs = run_on_both(engine, request)
+        return runs, tuple(diagnose(run) for run in runs)
 
     def test_healthy_reports_agree(self, engine):
         sources = sample_sources(engine.sharded, 8, seed=0)
-        sim, thr = self._both(engine, sim_request(
-            sources, trace=True, timeline=0.05))
+        runs, (sim, thr) = self._both(engine, sim_request(sources,
+                                                          trace=True))
         assert sim.has_trace and thr.has_trace
         assert sim.n_paths == len(sources)
         view = sim.differential_view()
         assert view == thr.differential_view()
-        # the timeline's last sample joined the contract
-        assert view["timeline_last"] is not None
-        assert view["timeline_last"]["rpc.calls"] > 0
+        # the end-of-run counters are the runs' own metrics
+        assert runs[0].metrics["rpc.calls"] == runs[1].metrics["rpc.calls"] > 0
 
     def test_chaos_reports_agree(self, engine):
         sources = sample_sources(engine.sharded, 8, seed=0)
-        sim, thr = self._both(engine, sim_request(
-            sources, trace=True, timeline=0.05,
+        _, (sim, thr) = self._both(engine, sim_request(
+            sources, trace=True,
             fault_plan=FaultPlan(seed=13, drop_prob=0.15),
             retry_policy=RetryPolicy(max_attempts=6, timeout=5.0)))
         view = sim.differential_view()

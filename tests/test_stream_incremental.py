@@ -69,6 +69,17 @@ class TestUpdateBatch:
         with pytest.raises(GraphFormatError):
             UpdateBatch([0, 1], [1], [1.0], [1])       # ragged
 
+    @pytest.mark.parametrize("src, dst, op", [
+        ([0.7, 2.9], [1, 3], [1, 1]),              # float src: no truncation
+        ([0, 2], [1.0, 3.0], [1, 1]),              # float dst, even integral
+        ([True, False], [2, 3], [1, 1]),           # bool endpoints
+        ([[0, 2]], [[1, 3]], [[1, 1]]),            # 2-D columns
+        ([0, 2], [1, 3], [1.9, 1.0]),              # float op: 1.9 is not 1
+    ])
+    def test_non_integer_or_non_1d_columns_rejected(self, src, dst, op):
+        with pytest.raises(GraphFormatError, match="1-D array of integers"):
+            UpdateBatch(src, dst, [1.0, 1.0], op)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_upsert_weight_rejected(self, bad):
         with pytest.raises(GraphFormatError, match="finite"):

@@ -1,4 +1,4 @@
-"""Trace analytics: critical-path invariants, timelines, doctor reports.
+"""Trace analytics: critical-path invariants and doctor reports.
 
 The hypothesis suite generates random span forests straight into a
 :class:`SpanTracer` — nested children, overlapping siblings, linked RPC
@@ -20,16 +20,13 @@ from repro.obs.analysis import (
     DIAGNOSIS_SCHEMA,
     PATH_PHASES,
     DiagnosisReport,
-    Timeline,
     TraceGraph,
     diagnose,
     diff_reports,
     machine_of_process,
     render_diagnosis,
     render_doctor_diff,
-    sample_counters,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.rpc import RetryPolicy
 from repro.simt import FaultPlan
@@ -226,8 +223,7 @@ class TestEnginePaths:
 
 class TestDiagnose:
     def test_report_fields_and_json_roundtrip(self, engine):
-        run = engine.run(RunRequest(n_queries=4, seed=5, trace=True,
-                                    timeline=0.05))
+        run = engine.run(RunRequest(n_queries=4, seed=5, trace=True))
         report = diagnose(run)
         assert report.schema == DIAGNOSIS_SCHEMA
         assert report.has_trace
@@ -242,7 +238,6 @@ class TestDiagnose:
         secs = [row["seconds"] for row in report.path_buckets]
         assert secs == sorted(secs, reverse=True)
         assert {row["machine"] for row in report.stragglers} == {0, 1}
-        assert report.timeline is not None
         again = DiagnosisReport.from_json(report.to_json())
         assert again.to_dict() == report.to_dict()
         text = render_diagnosis(report)
@@ -251,6 +246,8 @@ class TestDiagnose:
     def test_from_dict_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="unsupported"):
             DiagnosisReport.from_dict({"schema": "repro.diagnosis/v999"})
+        with pytest.raises(ValueError, match="unsupported"):
+            DiagnosisReport.from_dict({"schema": "repro.diagnosis/v1"})
 
     def test_trace_incomplete_flag(self, engine):
         run = engine.run(RunRequest(n_queries=4, seed=5, trace=True,
@@ -278,54 +275,6 @@ class TestDiagnose:
         assert report.cache["verdict"] in ("effective", "marginal",
                                            "ineffective", "idle")
         assert "no span trace attached" in render_diagnosis(report)
-
-
-class TestTimeline:
-    def test_sample_ordering_enforced(self):
-        tl = Timeline()
-        tl.sample(0.0, {"a": 1})
-        tl.sample(0.0, {"a": 2})  # equal timestamps are fine
-        tl.sample(1.0, {"a": 3})
-        with pytest.raises(ValueError, match="time-ordered"):
-            tl.sample(0.5, {"a": 4})
-        assert tl.series("a") == [(0.0, 1), (0.0, 2), (1.0, 3)]
-        assert tl.names() == ("a",)
-
-    def test_dict_roundtrip(self):
-        tl = Timeline(interval=0.25)
-        tl.sample(0.0, {"rpc.calls": 0})
-        tl.sample(0.25, {"rpc.calls": 7, "fetch.requests": 2})
-        again = Timeline.from_dict(tl.to_dict())
-        assert again.to_dict() == tl.to_dict()
-        assert again.interval == 0.25
-        assert len(again) == 2
-
-    def test_sample_counters_missing_is_zero(self):
-        reg = MetricsRegistry()
-        reg.inc("rpc.calls", 3)
-        assert sample_counters(reg, ("rpc.calls", "rpc.retries")) == \
-            {"rpc.calls": 3, "rpc.retries": 0}
-
-    def test_request_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            RunRequest(n_queries=1, timeline=0.0)
-
-    def test_sim_run_samples_on_the_grid(self, engine):
-        run = engine.run(RunRequest(n_queries=4, seed=7, timeline=0.05))
-        tl = run.timeline
-        assert tl is not None and len(tl) >= 2
-        ts = [s.t for s in tl.samples]
-        assert ts == sorted(ts)
-        assert tl.samples[0].t == 0.0
-        assert tl.samples[0].values["rpc.calls"] == 0
-        # the final sample agrees with the run's own counter snapshot
-        metrics = dict(run.metrics)
-        assert tl.samples[-1].values["rpc.calls"] == metrics["rpc.calls"]
-        assert tl.samples[-1].t >= run.makespan - 1e-9
-        # counters are cumulative: every watched series is non-decreasing
-        for name in ("rpc.calls", "rpc.calls_remote", "fetch.requests"):
-            series = [v for _, v in tl.series(name)]
-            assert series == sorted(series)
 
 
 class TestMachineOfProcess:
