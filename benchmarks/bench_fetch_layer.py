@@ -14,12 +14,16 @@ bytes must fall at every step, remote request counts must never rise,
 and the full layer must beat the bypassed engine on virtual throughput.
 
 Determinism note: with two procs per machine, hot-cache and coalescing
-counters depend on how the procs' virtual timelines interleave, and
-those timelines incorporate *measured* handler time — so only the
-split classification is exactly reproducible ("Halo hits": halo-covered
-rows never enter the hot cache or the pending table, and each driver's
-request content is interleaving-independent).  Everything else is gated
-by inequality expectations with comfortable margins, not exact replay.
+counters depend on how the procs' virtual timelines interleave.  Those
+timelines are modeled end to end (compute is charged from counts, not
+host time), so every column replays exactly and is gated as such.
+
+The layer is not free: its merge and hot-cache admission are charged to
+the consumer (``fetch_merge``, ~52 µs per finalized response).  At bench
+scale the split saves bytes but no requests, so the last expectation —
+the full layer beats the bypassed engine — has failed at every scale
+since that cost was priced; it stays as the claim the hot-cache
+admission work (ROADMAP) has to win back.
 """
 
 import dataclasses
@@ -122,9 +126,8 @@ def test_fetch_layer_ablation(benchmark):
         "Adaptive fetch-layer ablation on ogbn-products "
         f"({N_MACHINES} machines x {PROCS} procs, 2-hop halo)",
         rows, key=("Level",),
-        deterministic=("Halo hits",),
-        higher_is_better=("q/s",),
-        lower_is_better=("Total (s)", "Response bytes"),
+        deterministic=("q/s", "Total (s)", "Remote RPCs", "Response bytes",
+                       "Hot hits", "Halo hits", "Coalesced", "Bytes saved"),
         expectations=EXPECTATIONS, wall_s=wall,
         virtual_cols=("Total (s)",),
     )

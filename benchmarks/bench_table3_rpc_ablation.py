@@ -46,12 +46,10 @@ def run_level(engine, sources, opt: OptLevel) -> tuple[dict, dict]:
 # keeps remote activations rare, so the per-vertex count is modest even
 # unbatched; the time ratio is the big win).  Compression's robust
 # signatures: the zero-copy local path slashes local fetch by an order of
-# magnitude, and the total improves.  (The remote-fetch column mixes
-# modeled transfer with *measured* handler time, so run-to-run compute
-# noise can wash out its per-tensor savings at bench scale — not
-# asserted.)  Overlap improves (or at least does not hurt) the total.
-# RPC counts are deterministic, so the batching count claim holds at
-# every scale; the time ratios only separate cleanly at full scale.
+# magnitude, and the total improves.  (Its per-tensor savings on the
+# remote-fetch column are small next to the fetch's fixed costs at bench
+# scale — not asserted.)  Overlap improves (or at least does not hurt)
+# the total.  All of it holds at every scale.
 EXPECTATIONS = [
     {"kind": "cmp", "label": "batching cuts RPC count >2x",
      "left": {"col": "RPCs", "where": {"Level": "batch"}}, "op": "lt",
@@ -60,21 +58,21 @@ EXPECTATIONS = [
     {"kind": "cmp", "label": "batching cuts total >2x",
      "left": {"col": "Total (s)", "where": {"Level": "batch"}}, "op": "lt",
      "right": {"col": "Total (s)", "where": {"Level": "single"}},
-     "factor": 0.5, "scales": ["full"]},
+     "factor": 0.5, "scales": "all"},
     {"kind": "cmp", "label": "compression slashes local fetch",
      "left": {"col": "Local Fetch (s)", "where": {"Level": "compress"}},
      "op": "lt",
      "right": {"col": "Local Fetch (s)", "where": {"Level": "batch"}},
-     "factor": 0.2, "scales": ["full"]},
+     "factor": 0.2, "scales": "all"},
     {"kind": "cmp", "label": "compression does not hurt total",
      "left": {"col": "Total (s)", "where": {"Level": "compress"}},
      "op": "le", "right": {"col": "Total (s)", "where": {"Level": "batch"}},
-     "factor": 1.05, "scales": ["full"]},
+     "factor": 1.05, "scales": "all"},
     {"kind": "cmp", "label": "overlap does not hurt total",
      "left": {"col": "Total (s)", "where": {"Level": "overlap"}},
      "op": "le",
      "right": {"col": "Total (s)", "where": {"Level": "compress"}},
-     "factor": 1.1, "scales": ["full"]},
+     "factor": 1.1, "scales": "all"},
 ]
 
 
@@ -110,10 +108,8 @@ def test_table3_rpc_ablation(benchmark):
         "Table 3: RPC optimization ablation on Friendster "
         f"({N_MACHINES} machines, eps={ABLATION_PARAMS.epsilon:g})",
         rows, key=("Level",),
-        deterministic=("RPCs",),
-        lower_is_better=("Local Fetch (s)", "Remote Fetch (s)", "Push (s)",
-                         "Total (s)"),
-        higher_is_better=("Speedup",),
+        deterministic=("Local Fetch (s)", "Remote Fetch (s)", "Push (s)",
+                       "Total (s)", "RPCs", "Speedup"),
         expectations=EXPECTATIONS, metrics=metrics,
         wall_s=wall, virtual_cols=("Total (s)",),
     )

@@ -63,7 +63,7 @@ class ImportMap:
     """Alias -> canonical dotted-name resolution for one module.
 
     Tracks ``import numpy as np`` (``np`` -> ``numpy``) and
-    ``from time import perf_counter as pc`` (``pc`` -> ``time.perf_counter``)
+    ``from time import monotonic as now`` (``now`` -> ``time.monotonic``)
     so rules can match call sites against canonical names regardless of how
     the module spelled its imports.
     """

@@ -14,18 +14,10 @@ from typing import Iterator
 from repro.analysis.callgraph import Project
 from repro.analysis.lint import Rule, Violation
 
-#: canonical names whose *call* reads the host clock
-WALL_CLOCK_CALLS = frozenset({
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-})
+#: canonical-name prefixes of calls that read the host clock (every
+#: ``time`` function but ``sleep``, which blocks: REP005's)
+WALL_CLOCK_CALLS = ("time.", "datetime.datetime.now",
+                    "datetime.datetime.utcnow")
 
 #: ``np.random`` attributes that are fine outside ``utils/rng.py`` —
 #: constructors and types that take explicit seed material
@@ -40,10 +32,10 @@ class Rep001WallClock(Rule):
 
     Virtual-time code paths must never read the host clock directly: a
     ``time.time()`` in a simt/ rpc/ engine path makes modeled timings (and
-    potentially results) depend on the machine running the test.  Measured
-    compute goes through ``proc.measured()`` (built on
-    :class:`repro.utils.timer.Stopwatch`); report timestamps go through
-    :func:`repro.utils.timer.wall_unix`.
+    potentially results) depend on the machine running the test.  Compute
+    is charged from counts (``proc.compute`` with
+    :data:`repro.simt.compute.COMPUTE`); report timestamps and the CLI's
+    progress timer go through :mod:`repro.utils.timer`.
     """
 
     id = "REP001"
@@ -54,12 +46,14 @@ class Rep001WallClock(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.imports.resolve(node.func)
-            if name in WALL_CLOCK_CALLS:
+            if name is not None and name.startswith(WALL_CLOCK_CALLS) \
+                    and name != "time.sleep":
                 yield self.violation(
                     ctx, node,
-                    f"wall-clock call {name}() — route through "
-                    "proc.measured() or repro.utils.timer (Stopwatch / "
-                    "wall_unix) so virtual-time code stays deterministic",
+                    f"wall-clock call {name}() — charge modeled seconds "
+                    "(proc.compute) or read wall time through "
+                    "repro.utils.timer so virtual-time code stays "
+                    "deterministic",
                 )
 
 

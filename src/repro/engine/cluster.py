@@ -85,7 +85,7 @@ class _Cluster(TransportCounters):
         """Process handle of computing process ``proc_index`` on ``machine``.
 
         Registered on first use, *before* its body exists: drivers and the
-        fetch layer take their own handle (``measured``, ``span``,
+        fetch layer take their own handle (``compute``, ``span``,
         ``clock``) as an argument, and :meth:`spawn_compute` then starts
         the body on it.
         """
@@ -171,7 +171,8 @@ class ThreadCluster(_Cluster):
         super().__init__(sharded, config, **overrides)
 
     def _make_ctx(self, fault_plan, retry_policy) -> ThreadRuntime:
-        return ThreadRuntime(fault_plan=fault_plan, retry_policy=retry_policy,
+        return ThreadRuntime(network=self.config.network,
+                             fault_plan=fault_plan, retry_policy=retry_policy,
                              obs=self.obs, sanitizer=self.sanitizer)
 
     def _start(self, proc, body) -> None:

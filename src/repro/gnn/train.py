@@ -31,6 +31,7 @@ from repro.gnn.sampler import convert_batch, topk_ppr_nodes
 from repro.graph.csr import CSRGraph
 from repro.ppr.distributed import OptLevel, distributed_sppr_query
 from repro.ppr.params import PPRParams
+from repro.simt.compute import COMPUTE
 from repro.simt.events import Wait
 from repro.storage.build import build_shards
 from repro.storage.dist_storage import DistGraphStorage
@@ -89,10 +90,11 @@ def gnn_training_driver(g: DistGraphStorage, feats: DistFeatureStore, proc,
                     sharded, g, feats, node_set, egos, labels[egos]
                 )
 
-                # (3) local forward/backward
+                # (3) local forward/backward, charged with (5)'s step
                 model.zero_grad()
-                with proc.measured("train_compute"):
-                    loss, acc = model.loss_and_grad(batch)
+                loss, acc = model.loss_and_grad(batch)
+                proc.compute("train_compute", COMPUTE.train(
+                    batch.n_nodes, batch.adj.nnz))
 
                 # (4) DDP gradient synchronization
                 flat = model.flatten_grads()
@@ -102,8 +104,7 @@ def gnn_training_driver(g: DistGraphStorage, feats: DistFeatureStore, proc,
                 model.load_flat_grads(mean_grad)
 
                 # (5) replicas apply identical averaged gradients
-                with proc.measured("train_compute"):
-                    optimizer.step()
+                optimizer.step()
             records.append((step, loss, acc))
     return len(ego_batches)
 

@@ -33,7 +33,6 @@ from repro.obs.bench import (
     compare_trajectories,
     evaluate_expectations,
     lint_results,
-    merge_reports,
     render_diff,
     validate_report,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "evaluate_expectations",
     "flat_stats",
     "lint_results",
-    "merge_reports",
     "render_diagnosis",
     "render_diff",
     "render_doctor_diff",

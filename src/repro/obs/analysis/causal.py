@@ -1,7 +1,7 @@
 """Causal trace graph and critical-path extraction.
 
 :class:`SpanTracer` records two causal relations: parent/child nesting
-inside one process (driver spans, measured categories, RPC client
+inside one process (driver spans, compute categories, RPC client
 spans) and client→server links across processes (the propagated span
 id).  This module reconstructs that DAG on the virtual clock and walks
 it to answer *where did each query's virtual time actually go?*

@@ -14,8 +14,8 @@ Two layers of comparison:
   :class:`~repro.rpc.thread_runtime.ThreadRuntime` for the same seed and
   fault plan — asserted in ``tests/test_runtime_differential.py``.
   Durations (critical-path seconds, clock skews) stay *out* of the view:
-  both runtimes fold measured host compute into their clocks, so no span
-  duration is reproducible across hosts, let alone across runtimes.
+  they replay exactly on the scheduler, but the thread runtime waits on
+  no modeled network, so its span durations are not the scheduler's.
 * :func:`diff_reports` compares two full reports and names the
   critical-path buckets that moved — the before/after lens for "did my
   change actually shrink remote-fetch time?".

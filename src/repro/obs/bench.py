@@ -18,7 +18,7 @@ ordering.  This module makes benchmark telemetry a first-class subsystem:
 * **comparator** — deterministic fields (dispatch counts, modeled network
   seconds, push/iteration counters: everything seeded) compare exactly;
   wall-clock-derived fields compare under a relative tolerance with a
-  declared improvement direction, supporting best-of-N rep merging;
+  declared improvement direction;
 * **linter** — cross-checks each ``results/<name>.txt`` table against its
   ``.json`` sibling (row counts, headline values) so the human-readable and
   machine-readable artifacts cannot drift apart.
@@ -115,7 +115,7 @@ class BenchReport:
     entries) that are seeded/modeled and therefore compared exactly by the
     regression gate, every other numeric column is wall-clock-derived and
     compared under tolerance.  ``higher_is_better`` / ``lower_is_better``
-    give wall columns a regression direction (and pick the best-of-N rep).
+    give wall columns a regression direction.
     """
 
     name: str
@@ -136,7 +136,6 @@ class BenchReport:
     git_rev: str | None = None
     env: dict = field(default_factory=dict)
     created_unix: float = 0.0
-    reps: int = 1
 
     def __post_init__(self) -> None:
         self.key = tuple(self.key)
@@ -169,7 +168,6 @@ class BenchReport:
             "expectations": self.expectations,
             "metrics": self.metrics,
             "timing": {"wall_s": self.wall_s, "virtual_s": self.virtual_s},
-            "reps": self.reps,
         }
 
     @classmethod
@@ -193,7 +191,6 @@ class BenchReport:
             wall_s=timing.get("wall_s"), virtual_s=timing.get("virtual_s"),
             git_rev=d.get("git_rev"), env=dict(d.get("env", {})),
             created_unix=d.get("created_unix", 0.0),
-            reps=d.get("reps", 1),
         )
 
     def row_key(self, row: Mapping) -> str:
@@ -530,60 +527,6 @@ def write_trajectory(path: str | Path, trajectory: dict) -> Path:
     path = Path(path)
     path.write_text(json.dumps(trajectory, indent=1) + "\n")
     return path
-
-
-def merge_reports(reps: list[Mapping]) -> dict:
-    """Best-of-N merge of repeated runs of one bench.
-
-    Deterministic fields must agree across reps (a mismatch means the run
-    is *not* deterministic — that is itself a bug and raises).  Wall-clock
-    fields take the best value per the declared direction (max when higher
-    is better, min when lower is better, mean otherwise).
-    """
-    if not reps:
-        raise ValueError("no reports to merge")
-    base = BenchReport.from_dict(reps[0])
-    if len(reps) == 1:
-        return dict(reps[0])
-    merged_rows = [dict(r) for r in base.rows]
-    keys = [base.row_key(r) for r in merged_rows]
-    per_key = {k: [r] for k, r in zip(keys, merged_rows)}
-    for other_d in reps[1:]:
-        other = BenchReport.from_dict(other_d)
-        if other.name != base.name:
-            raise ValueError(
-                f"cannot merge {other.name!r} into {base.name!r}"
-            )
-        for row in other.rows:
-            rk = other.row_key(row)
-            if rk not in per_key:
-                raise ValueError(f"{base.name}: rep row {rk!r} not in base")
-            per_key[rk].append(dict(row))
-    for rk, variants in per_key.items():
-        out = variants[0]
-        for col, v in list(out.items()):
-            if col in base.key or not _is_numeric(v):
-                continue
-            vals = [float(var[col]) for var in variants]
-            if col in base.deterministic:
-                for other_v in vals[1:]:
-                    if not math.isclose(vals[0], other_v,
-                                        rel_tol=DET_RTOL, abs_tol=DET_ATOL):
-                        raise ValueError(
-                            f"{base.name}: deterministic field {rk}.{col} "
-                            f"differs across reps: {vals}"
-                        )
-                continue
-            if col in base.higher_is_better:
-                out[col] = max(vals)
-            elif col in base.lower_is_better:
-                out[col] = min(vals)
-            else:
-                out[col] = sum(vals) / len(vals)
-    merged = base.to_dict()
-    merged["rows"] = [per_key[k][0] for k in keys]
-    merged["reps"] = sum(d.get("reps", 1) for d in reps)
-    return merged
 
 
 # ---------------------------------------------------------------------------

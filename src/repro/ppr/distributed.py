@@ -4,9 +4,9 @@ The drivers are generator coroutines runnable on either runtime (the
 virtual-time scheduler for benchmarks, real threads for concurrency tests).
 Each is a ``while pop:`` header around one
 :func:`~repro.storage.dist_storage.fetch_round`, which yields
-:class:`~repro.simt.events.Wait` effects on remote futures and wraps real
-compute in ``proc.measured(category)`` blocks — where the Figure 6 /
-Table 3 breakdowns come from.
+:class:`~repro.simt.events.Wait` effects on remote futures; ``proc.compute``
+charges every pop and push over its counts — the Figure 6 / Table 3
+breakdowns.
 
 :func:`distributed_sppr_query` is the PPR Engine (hashmap ops) — one
 query, or a batch of them sharing every fetch — with the cumulative
@@ -33,6 +33,7 @@ full-vector activation scans.
 from __future__ import annotations
 
 import enum
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from repro.ppr.multi_query import MultiSSPPR
 from repro.ppr.params import PPRParams
 from repro.ppr.ppr_ops import SSPPR
 from repro.ppr.tensor_ops import DenseSSPPR
+from repro.simt.compute import COMPUTE
 from repro.simt.events import Wait
 from repro.storage.dist_storage import DistGraphStorage, await_fetch, \
     fetch_round
@@ -121,9 +123,15 @@ def distributed_sppr_query(g: DistGraphStorage, proc, sources,
     else:
         m = MultiSSPPR(ids, params, src_wdegs)
 
+    def push(infos, ids):
+        entries, touched = m.n_entries_processed, len(m.map)
+        m.push(infos, ids)
+        proc.compute("push", COMPUTE.push(m.n_entries_processed - entries,
+                                          len(m.map) - touched))
+
     while True:
-        with proc.measured("pop"):
-            node_ids = m.pop()
+        node_ids = m.pop()
+        proc.compute("pop", COMPUTE.pop(m.n_popped))
         if len(node_ids) == 0:
             break
 
@@ -131,8 +139,8 @@ def distributed_sppr_query(g: DistGraphStorage, proc, sources,
             # Single mode: sequential per-vertex fetch + push.  Every push
             # reads its pop-time residual, so the visit order changes no
             # count: visit pop's order.
-            with proc.measured("pop"):
-                owners = g.owner_of(node_ids).tolist()
+            owners = g.owner_of(node_ids).tolist()
+            proc.compute("pop", COMPUTE.route(len(node_ids)))
             for i, (j, v) in enumerate(zip(owners, node_ids.tolist())):
                 one = node_ids[i:i + 1]
                 infos = yield from await_fetch(
@@ -140,24 +148,22 @@ def distributed_sppr_query(g: DistGraphStorage, proc, sources,
                 if infos is None:  # skip_remote: write this vertex off
                     m.abandon(one)
                     continue
-                with proc.measured("push"):
-                    m.push(infos, one)
+                push(infos, one)
             continue
 
         # Batched modes: gather the round's answered responses in
-        # fetch_round's apply order, then push the frontier once.
+        # fetch_round's apply order (free), then push the frontier once.
         answered, parts = [], []
 
         def collect(infos, part):
             answered.append(infos)
             parts.append(part)
 
-        yield from fetch_round(g, proc, node_ids, collect,
+        yield from fetch_round(g, proc, node_ids, collect, cost=None,
                                overlap=opt.overlapped,
                                lost=m.abandon if skip else None)
         if answered:
-            with proc.measured("push"):
-                m.push(NeighborBatch.concat(answered), np.concatenate(parts))
+            push(NeighborBatch.concat(answered), np.concatenate(parts))
     return m
 
 
@@ -176,10 +182,11 @@ def distributed_tensor_query(g: DistGraphStorage, proc, source: int,
     m.seed_source_degree(float(src_wdeg))
 
     while True:
-        with proc.measured("pop"):
-            node_ids = m.pop()
+        node_ids = m.pop()
+        proc.compute("pop", COMPUTE.scan(m.n_nodes))
         if len(node_ids) == 0:
             break
         # Figure 6 configuration: no overlap — wait before local work.
-        yield from fetch_round(g, proc, node_ids, m.push, overlap=False)
+        yield from fetch_round(g, proc, node_ids, m.push, overlap=False,
+                               cost=partial(COMPUTE.dense_push, m.n_nodes))
     return m

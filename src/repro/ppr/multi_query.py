@@ -161,6 +161,11 @@ class MultiSSPPR:
                                 len(unique) == len(nodes))
         return unique
 
+    @property
+    def n_popped(self) -> int:
+        """Pairs the last pop returned (0 once the batch has drained)."""
+        return 0 if self._pending is None else len(self._pending.nodes)
+
     def push(self, infos, ids: np.ndarray) -> None:
         """Push nodes of the last pop, for every query activated on them.
 

@@ -48,10 +48,9 @@ class RpcContext(WorkerRegistry):
                  fault_plan: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
                  obs: Obs | None = None) -> None:
-        super().__init__(fault_plan=fault_plan, retry_policy=retry_policy,
-                         obs=obs)
+        super().__init__(network=network, fault_plan=fault_plan,
+                         retry_policy=retry_policy, obs=obs)
         self.scheduler = scheduler
-        self.network = network
         self._collectives: dict[str, "_AllReduceRound"] = {}
 
     # -- registration -----------------------------------------------------
@@ -98,11 +97,8 @@ class RpcContext(WorkerRegistry):
             caller_name, rref, method, args, kwargs, request_payload_sizes)
         if call is None:
             # Shared-memory path: invoke directly on the caller's timeline.
-            caller.charge_seconds(self.network.local_call_overhead,
-                                  "local_call")
-            fn = server.resolve_method(rref.key, method)
-            with caller.measured("local_exec"):
-                result = fn(*args, **kwargs)
+            result = self._local_call(caller, server, rref.key, method,
+                                      args, kwargs)
             return SimFuture.resolved(result, ready_time=caller.clock,
                                       tag=f"local:{method}")
 
@@ -156,15 +152,15 @@ class RpcContext(WorkerRegistry):
             return  # message lost on a dead server; the timer handles it
         network = self.network
         try:
-            result, start, end = call.server.serve(
-                arrival, call.key, call.method, call.args, call.kwargs)
+            result, sizes, start, end = call.server.serve(
+                arrival, call.key, call.method, call.args, call.kwargs,
+                payload_sizes)
         # repro: allow=REP006 fault travels back via the future
         except BaseException as exc:
             fut.set_exception(exc, arrival + network.transfer_time(64, 0))
             return
-        resp_bytes, resp_tensors = payload_sizes(result)
-        self._served(call, result, resp_bytes, start, end)
-        ready = end + network.transfer_time(resp_bytes, resp_tensors)
+        self._served(call, result, sizes[0], start, end)
+        ready = end + network.transfer_time(*sizes)
         if ready <= deadline:
             fut.set_result(result, ready)
         else:

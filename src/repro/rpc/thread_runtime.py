@@ -8,10 +8,9 @@ with genuine concurrency.  Tests use it to demonstrate that results are
 independent of the runtime (same PPR vectors, same walks) and that the
 storage layer is safe under concurrent readers.
 
-Timing semantics in thread mode: measured blocks accumulate real seconds on
-the process breakdown as usual, modeled ``Charge``/``Sleep`` effects are
-recorded but not slept (thread mode is for functional validation, not
-timing).
+Timing semantics in thread mode: compute, same-machine calls and ``Charge``
+effects are charged as on the scheduler; ``Sleep`` effects and network
+waits are not (thread mode is for functional validation, not timing).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.rpc.serialization import payload_sizes, request_payload_sizes
 from repro.rpc.worker import ObjectHost, WorkerInfo, WorkerRegistry
 from repro.simt.events import Charge, Sleep, Wait, WaitAll
 from repro.simt.process import ProcessClock
-from repro.utils.timer import Stopwatch
 
 
 class ThreadFuture:
@@ -98,7 +96,7 @@ class MergedThreadFuture:
 
 class ThreadProcess(ProcessClock):
     """Per-thread worker state; the clock accumulates charged seconds
-    (real, for reporting), so thread spans run on the charged-seconds
+    (no network waits), so thread spans run on the charged-seconds
     timeline, not wall time."""
 
     def __init__(self, name: str) -> None:
@@ -153,10 +151,10 @@ class ThreadRuntime(WorkerRegistry):
     (``repro.engine.cluster``).
     """
 
-    def __init__(self, *, fault_plan=None, retry_policy=None,
+    def __init__(self, *, network=None, fault_plan=None, retry_policy=None,
                  obs: Obs | None = None, sanitizer=None) -> None:
-        super().__init__(fault_plan=fault_plan, retry_policy=retry_policy,
-                         obs=obs)
+        super().__init__(network=network, fault_plan=fault_plan,
+                         retry_policy=retry_policy, obs=obs)
         self._threads: list[threading.Thread] = []
         self.sanitizer = sanitizer
         #: guards the per-caller call indices, which many driver threads
@@ -197,30 +195,19 @@ class ThreadRuntime(WorkerRegistry):
         caller, server, call = self._begin_call(
             caller_name, rref, method, args, kwargs, request_payload_sizes)
         if call is None:
-            fn = server.resolve_method(rref.key, method)
-            return ThreadFuture.resolved(fn(*args, **kwargs))
+            return ThreadFuture.resolved(self._local_call(
+                caller, server, rref.key, method, args, kwargs))
         # Spans use the caller's charged clock at issue as the base and
-        # real handler seconds as the extent — approximate, but enough to
-        # see linked client/server pairs in a thread-mode trace.
+        # the modeled service seconds as the extent — approximate, but
+        # enough to see linked client/server pairs in a thread-mode trace.
         issue_clock = caller.clock
         handler_seconds = 0.0
         plan, policy = self.fault_plan, self.retry_policy
 
-        def serve() -> Any:
-            """One handler invocation, on the server's executor thread."""
-            nonlocal handler_seconds
-            fn = server.resolve_method(rref.key, method)
-            server.requests_served += 1
-            with Stopwatch() as sw:
-                result = fn(*args, **kwargs)
-            handler_seconds = sw.elapsed
-            resp_bytes, _ = payload_sizes(result)
-            self._served(call, result, resp_bytes, issue_clock,
-                         issue_clock + handler_seconds)
-            return result
-
         def attempt_loop() -> Any:
-            """Serve the first attempt the plan does not drop."""
+            """Serve the first attempt the plan does not drop, on the
+            server's executor thread."""
+            nonlocal handler_seconds
             budget = 1 if policy is None else policy.max_attempts
             for n in range(1, budget + 1):
                 if n > 1:
@@ -235,7 +222,11 @@ class ThreadRuntime(WorkerRegistry):
                     self._fault("timeout")
                     call.cause = "drop"
                     continue
-                return serve()
+                result, sizes, handler_seconds = server.execute(
+                    rref.key, method, args, kwargs, payload_sizes)
+                self._served(call, result, sizes[0], issue_clock,
+                             issue_clock + handler_seconds)
+                return result
             raise self._give_up(call, budget)
 
         inner = server.executor.submit(attempt_loop)

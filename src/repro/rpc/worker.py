@@ -11,13 +11,13 @@ the paper's fix for the GIL contention of serving RPC target functions
 inside a computing process (Section 3.2.3).
 
 :class:`ObjectHost` and :class:`WorkerRegistry` are the runtime-independent
-halves of a server and of an RPC group — object hosting, the worker
-registry, remote-object creation, retry-policy resolution, and the
-accounting of a remote call: its prologue (``_begin_call``: resolve,
-count, size, reserve the client span), its epilogue (``_served``:
-response bytes, buffer pool, linked server span) and its give-up
-(``_give_up``: the typed error) — written once; the virtual-time
-:class:`~repro.rpc.api.RpcContext` and the OS-thread
+halves of a server and of an RPC group — object hosting and serving, the
+worker registry, remote-object creation, retry-policy resolution, the
+same-machine call (``_local_call``) and the accounting of a remote call:
+its prologue (``_begin_call``: resolve, count, size, reserve the client
+span), its epilogue (``_served``: response bytes, buffer pool, linked
+server span) and its give-up (``_give_up``: the typed error) — written
+once; the virtual-time :class:`~repro.rpc.api.RpcContext` and the OS-thread
 :class:`~repro.rpc.thread_runtime.ThreadRuntime` each add one attempt
 loop between the three.
 """
@@ -32,9 +32,10 @@ from repro.obs import Obs
 from repro.rpc.handlers import check_dispatch
 from repro.rpc.retry import RetryPolicy
 from repro.rpc.rref import RRef
-from repro.rpc.serialization import BufferPool
+from repro.rpc.serialization import BufferPool, payload_sizes
+from repro.simt.compute import COMPUTE
+from repro.simt.network import NetworkModel
 from repro.simt.process import SimProcess
-from repro.utils.timer import Stopwatch
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,15 @@ class ObjectHost:
             )
         return fn
 
+    def execute(self, key: str, method: str, args: tuple, kwargs: dict,
+                size) -> tuple[Any, tuple[int, int], float]:
+        """Serve one remote request: ``(result, size(result), service
+        seconds)``, modeled on the reply's ``(nbytes, n_tensors)``."""
+        result = self.resolve_method(key, method)(*args, **kwargs)
+        sizes = size(result)
+        self.requests_served += 1
+        return result, sizes, COMPUTE.serve(*sizes)
+
 
 class RpcServer(ObjectHost):
     """A FIFO single-threaded request server bound to one worker."""
@@ -105,27 +115,22 @@ class RpcServer(ObjectHost):
         self.process = process
         self.next_free = 0.0
 
-    def serve(self, arrival: float, key: str, method: str,
-              args: tuple, kwargs: dict) -> tuple[Any, float, float]:
+    def serve(self, arrival: float, key: str, method: str, args: tuple,
+              kwargs: dict, size) -> tuple[Any, tuple[int, int], float, float]:
         """Execute a request that arrived at virtual time ``arrival``.
 
-        Returns ``(result, service_start, service_end)``.  The handler runs
-        *now* in real time (handlers are read-only over shard data, so
-        execution order does not affect results) and its measured duration
-        becomes the virtual service time.
+        Returns ``(result, (nbytes, n_tensors), service_start,
+        service_end)``.  The handler runs *now* (handlers are read-only over
+        shard data, so execution order does not affect results).
         """
-        fn = self.resolve_method(key, method)
+        result, sizes, dt = self.execute(key, method, args, kwargs, size)
         start = max(arrival, self.next_free)
-        with Stopwatch() as sw:
-            result = fn(*args, **kwargs)
-        handler_dt = sw.elapsed
         # Server clock accumulates busy time; the FIFO service horizon is
         # tracked by next_free (which also covers idle gaps between arrivals).
-        self.process.charge_seconds(handler_dt, "serve")
-        end = start + handler_dt
+        self.process.charge_seconds(dt, "serve")
+        end = start + dt
         self.next_free = end
-        self.requests_served += 1
-        return result, start, end
+        return result, sizes, start, end
 
 
 class RemoteCall:
@@ -204,9 +209,10 @@ class WorkerRegistry(TransportCounters):
     (``resolved_future`` / ``merged_future``).
     """
 
-    def __init__(self, *, fault_plan=None,
-                 retry_policy: RetryPolicy | None = None,
+    def __init__(self, *, network: NetworkModel | None = None,
+                 fault_plan=None, retry_policy: RetryPolicy | None = None,
                  obs: Obs | None = None) -> None:
+        self.network = network if network is not None else NetworkModel()
         #: observability bundle — the registry is always live (cheap), the
         #: span tracer only when the deployment asked for tracing
         self.obs = obs if obs is not None else Obs()
@@ -312,6 +318,16 @@ class WorkerRegistry(TransportCounters):
         self._call_indices[caller_name] = index + 1
         return index
 
+    def _local_call(self, caller, server: ObjectHost, key: str, method: str,
+                    args: tuple, kwargs: dict) -> Any:
+        """A same-machine call on the caller's timeline: ``local_call``
+        overhead, then the handler, ``local_exec`` over its result."""
+        caller.charge_seconds(self.network.local_call_overhead, "local_call")
+        result = server.resolve_method(key, method)(*args, **kwargs)
+        caller.compute("local_exec",
+                       COMPUTE.local_exec(*payload_sizes(result)))
+        return result
+
     def _served(self, call: RemoteCall, result: Any, response_nbytes: int,
                 start: float, end: float) -> None:
         """Epilogue of one served attempt: bytes, buffer pool, server span."""
@@ -361,7 +377,7 @@ class WorkerRegistry(TransportCounters):
                       factory: Callable[..., Any], *args, **kwargs) -> RRef:
         """Instantiate ``factory(*args, **kwargs)`` on ``owner_name``.
 
-        Setup happens outside measured time: graph-shard construction is a
+        Setup is charged to no clock: graph-shard construction is a
         preprocessing step whose cost the paper amortizes across queries.
         """
         server = self.server_of(owner_name)

@@ -8,8 +8,8 @@ account time virtually:
 
 * every simulated process (SSPPR computing process, graph-storage server)
   owns a **virtual clock**;
-* real compute (actual NumPy work on actual shard data) is *measured* with
-  ``perf_counter`` and charged to the owner's clock;
+* real compute (NumPy work on real shard data) is charged through one
+  :class:`~repro.simt.compute.ComputeCostModel` over its counts, never timed on the host;
 * network transfers are charged through an explicit :class:`NetworkModel`
   (per-request overhead + per-tensor wrapping cost + bytes/bandwidth +
   latency), calibrated to the TensorPipe behaviour the paper describes;
@@ -19,10 +19,11 @@ account time virtually:
 
 Processes are plain Python generators that ``yield`` effects
 (:class:`Charge`, :class:`Sleep`, :class:`Wait`, :class:`WaitAll`) and call
-non-suspending methods (``charge_seconds``, ``measured`` context manager)
-directly on their :class:`SimProcess` handle.
+non-suspending methods (``charge_seconds``, ``compute``) directly on their
+:class:`SimProcess` handle.
 """
 
+from repro.simt.compute import COMPUTE
 from repro.simt.events import Charge, Sleep, Wait, WaitAll
 from repro.simt.faults import CrashWindow, FaultPlan
 from repro.simt.futures import SimFuture
@@ -32,6 +33,7 @@ from repro.simt.scheduler import Scheduler
 from repro.simt.sync import SimBarrier
 
 __all__ = [
+    "COMPUTE",
     "Charge",
     "CrashWindow",
     "FaultPlan",

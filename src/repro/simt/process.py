@@ -1,11 +1,11 @@
 """Simulated processes: generator coroutines with a virtual clock.
 
 A :class:`SimProcess` wraps a generator.  Its virtual clock advances by
-(a) *measured* real compute — wrap actual work in ``proc.measured(category)``;
-(b) modeled charges — ``proc.charge_seconds``; and (c) waits on futures.
-Only effects that need to *suspend* the coroutine (waits/sleeps) go through
-``yield``; pure clock charges are direct method calls, which keeps hot loops
-cheap.
+(a) modeled compute — ``proc.compute(category, seconds)`` with seconds
+from :data:`~repro.simt.compute.COMPUTE`; (b) other modeled charges —
+``proc.charge_seconds``; and (c) waits on futures.  Only effects that need
+to *suspend* the coroutine (waits/sleeps) go through ``yield``; pure clock
+charges are direct method calls, which keeps hot loops cheap.
 
 The per-category :class:`~repro.utils.timer.TimeBreakdown` accumulated on
 every process is what regenerates the paper's Figure 6 and Table 3
@@ -20,20 +20,20 @@ from typing import Any, Generator
 from repro.errors import SimulationError, WorkerCrashedError
 from repro.simt.events import Charge, Sleep, Wait, WaitAll
 from repro.simt.futures import SimFuture
-from repro.utils.timer import Stopwatch, TimeBreakdown
+from repro.utils.timer import TimeBreakdown
 
 
 class ProcessClock:
     """Name, clock and per-category time accounting of one process.
 
-    The half of a process handle the drivers see (``measured``, ``span``,
+    The half of a process handle the drivers see (``compute``, ``span``,
     ``charge_seconds``, ``breakdown``), written once for both runtimes:
     :class:`SimProcess` adds the coroutine lifecycle on the virtual-time
     scheduler, :class:`~repro.rpc.thread_runtime.ThreadProcess` the
     result slot of an OS thread.
 
-    This is the only place a second is charged: every charge — measured,
-    modeled or waited — adds the same float to ``clock`` and to
+    This is the only place a second is charged: every charge — computed,
+    transferred or waited — adds the same float to ``clock`` and to
     ``breakdown`` (an idle ``Sleep`` moves the clock alone).
     """
 
@@ -42,7 +42,7 @@ class ProcessClock:
         self.clock = 0.0
         #: per-category seconds accumulated so far
         self.breakdown = TimeBreakdown()
-        #: optional SpanTracer; when set, measured() blocks and span() open
+        #: optional SpanTracer; when set, compute() charges and span() open
         #: intervals on this process's timeline
         self.tracer = None
 
@@ -51,18 +51,16 @@ class ProcessClock:
         self.breakdown.charge(category, dt)
         self.clock += dt
 
-    def measured(self, category: str) -> "_Measured":
-        """Context manager: run real work, charge its measured duration.
-
-        With a tracer attached, the charged interval is also recorded as a
-        span named after the category (nested under the innermost open
-        span), which is how the pop/push/serve spans of the runtime
-        breakdown reach the Chrome trace.
-
-        >>> with proc.measured("push"):        # doctest: +SKIP
-        ...     state.push(infos, ids)
-        """
-        return _Measured(self, category)
+    def compute(self, category: str, seconds: float) -> None:
+        """Charge ``seconds`` of modeled compute to ``category`` — with a
+        tracer, also as a span of that name over the clock advance (how
+        the pop/push/local_exec spans reach the Chrome trace)."""
+        start = self.clock
+        self.charge_seconds(seconds, category)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.record(category, self.name, start, self.clock,
+                          parent_id=tracer.current(self.name))
 
     def span(self, name: str, **attrs):
         """Open a logical span (e.g. one query) on this process's timeline.
@@ -75,32 +73,6 @@ class ProcessClock:
             return nullcontext()
         return self.tracer.span(self.name, name, lambda: self.clock,
                                 attrs or None)
-
-
-class _Measured(Stopwatch):
-    """``proc.measured(category)``: time the block, charge it, span it.
-
-    The span's interval is the *clock advance* the charge caused, so
-    breakdown categories and spans stay consistent by construction; it is
-    recorded only when the process has a tracer.
-    """
-
-    __slots__ = ("_proc", "_category")
-
-    def __init__(self, proc: ProcessClock, category: str) -> None:
-        # the Stopwatch slots are written by __enter__ / __exit__
-        self._proc = proc
-        self._category = category
-
-    def __exit__(self, *exc) -> None:
-        Stopwatch.__exit__(self)
-        proc = self._proc
-        start = proc.clock
-        proc.charge_seconds(self.elapsed, self._category)
-        tracer = proc.tracer
-        if tracer is not None:
-            tracer.record(self._category, proc.name, start, proc.clock,
-                          parent_id=tracer.current(proc.name))
 
 
 class SimProcess(ProcessClock):
@@ -155,8 +127,8 @@ class SimProcess(ProcessClock):
         self._waiting = False
         self.waiting_on = ()
         while True:
-            # Virtual time advances only through explicit charges: nested
-            # measured() blocks, charge_seconds(), and yielded effects.
+            # Virtual time advances only through explicit charges:
+            # compute(), charge_seconds(), and yielded effects.
             # Un-instrumented coroutine glue is free, which keeps the model
             # predictable and avoids double counting.
             try:

@@ -3,8 +3,7 @@
 Maintains a priority queue of ``(virtual_time, sequence, callback)`` entries
 and executes them in order.  Sequence numbers break ties deterministically,
 so a given workload always produces the same interleaving and the same
-virtual timings for modeled costs (measured compute varies with the host, as
-it does for the paper's wall-clock numbers).
+virtual timings: every charge is modeled, none is read off the host.
 """
 
 from __future__ import annotations

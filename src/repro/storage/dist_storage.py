@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import TRANSPORT_ERRORS, ShardError
 from repro.rpc.rref import RRef, check_rrefs
+from repro.simt.compute import COMPUTE
 from repro.simt.events import Wait
 
 
@@ -69,25 +70,33 @@ def await_fetch(proc, shard: int, fut, absorb: bool):
         return None
 
 
-def fetch_round(g, proc, ids: np.ndarray, apply, *, overlap: bool = True,
-                lost=None):
+def fetch_round(g, proc, ids: np.ndarray, apply, *, cost,
+                overlap: bool = True, lost=None):
     """Coroutine: one round of Figure 4 — route, fetch per shard, apply.
 
-    Routes ``ids`` with ``g.shard_masks`` (charged as ``pop``), issues one
-    ``get_neighbor_infos`` per remote shard in ascending shard order, then
-    the local one, and calls ``apply(infos, ids_of_that_shard)`` (charged
-    as ``push``) for the local response first and the remote ones in issue
-    order.  With ``overlap`` the remote responses are awaited one by one
-    after the local work (Table 3's ``+Overlap``); without it they are all
-    awaited before it.  Every remote wait is a ``fetch`` span.
+    Routes ``ids`` with ``g.shard_masks`` (charged as ``pop`` over the
+    ids), issues one ``get_neighbor_infos`` per remote shard in ascending
+    shard order, then the local one, and calls ``apply(infos,
+    ids_of_that_shard)`` (charged as ``push``: ``cost(rows, entries)``, a
+    :class:`~repro.simt.compute.Cost`; None when ``apply`` only collects)
+    for the local response first and the remote ones in issue order.  With
+    ``overlap`` the remote responses are awaited one by one after the local
+    work (Table 3's ``+Overlap``); without it they are all awaited before
+    it.  Every remote wait is a ``fetch`` span.
 
     A remote wait that fails at the transport level (retry budget
     exhausted) re-raises, unless ``lost`` is given: then the round goes on
     and ``lost(ids_of_that_shard)`` stands in for that shard's ``apply``.
     Handler errors always propagate.
     """
-    with proc.measured("pop"):
-        masks = g.shard_masks(ids)
+    masks = g.shard_masks(ids)
+    proc.compute("pop", COMPUTE.route(len(ids)))
+
+    def push(infos, part):
+        apply(infos, part)
+        if cost is not None:
+            proc.compute("push", cost(len(part), infos.n_entries))
+
     local = masks.pop(g.shard_id, None)
     remote = []
     for j, mask in masks.items():
@@ -101,9 +110,7 @@ def fetch_round(g, proc, ids: np.ndarray, apply, *, overlap: bool = True,
     if local is not None:
         part = ids[local]
         # local calls resolve synchronously
-        infos = yield Wait(g.get_neighbor_infos(g.shard_id, part))
-        with proc.measured("push"):
-            apply(infos, part)
+        push((yield Wait(g.get_neighbor_infos(g.shard_id, part))), part)
     for k, (j, part, fut) in enumerate(remote):
         if overlap:
             infos = yield from await_fetch(proc, j, fut, absorb)
@@ -112,8 +119,7 @@ def fetch_round(g, proc, ids: np.ndarray, apply, *, overlap: bool = True,
         if infos is None:  # absorbed loss: write off this shard's batch
             lost(part)
             continue
-        with proc.measured("push"):
-            apply(infos, part)
+        push(infos, part)
 
 
 class DistGraphStorage:

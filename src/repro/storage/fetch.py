@@ -36,6 +36,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.simt.compute import COMPUTE
 from repro.storage.dist_storage import DistGraphStorage
 from repro.storage.neighbor_batch import NeighborBatch
 
@@ -331,12 +332,15 @@ class NeighborFetchService(DistGraphStorage):
                     (np.asarray(hot_pos, dtype=np.int64),
                      _rows_to_batch(hot_rows))
                 )
+            if self._proc is not None:
+                self._proc.compute("fetch_merge", COMPUTE.merge(n))
             if (len(merge_parts) == 1
                     and np.array_equal(merge_parts[0][0], np.arange(n))):
                 return merge_parts[0][1]
             return NeighborBatch.merge(n, merge_parts)
 
         # Merge + hot-cache admission + pending-table cleanup run when the
-        # driver first consumes the future, on either runtime.
+        # driver first consumes the future, on either runtime (charged to
+        # it as ``fetch_merge``).
         return ctx.merged_future([spec[0] for spec in part_specs], finalize,
                                  tag="fetch.merge")

@@ -183,8 +183,8 @@ class GraphShard:
 
         ``salt`` makes the draw a pure function of
         ``(shard seed, salt, requested rows)`` — independent of request
-        *arrival order*, which carries measured-time jitter in the
-        simulator.  Callers wanting run-to-run reproducible walks pass a
+        *arrival order*, which differs between the runtimes (and between
+        thread-mode runs).  Callers wanting reproducible walks pass a
         per-step salt; without one, the shard's shared stream is used.
         """
         ids = np.asarray(ids, dtype=np.int64)

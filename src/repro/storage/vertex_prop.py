@@ -8,8 +8,7 @@ VertexProp across the C++ and Python layers for local fetching, without
 taking ownership of the original data".
 
 ``to_arrays()`` materializes the same tuple a :class:`NeighborBatch` carries
-(gather cost paid by the consumer, i.e. inside the push operator's measured
-block).
+(gather cost paid by the consumer, i.e. priced into the push it feeds).
 """
 
 from __future__ import annotations
@@ -31,6 +30,11 @@ class VertexProp:
     @property
     def n_sources(self) -> int:
         return len(self.rows)
+
+    @property
+    def n_entries(self) -> int:
+        indptr = self.arena.indptr
+        return int((indptr[self.rows + 1] - indptr[self.rows]).sum())
 
     def degree(self, i: int) -> int:
         """Neighbor count of the i-th requested node."""

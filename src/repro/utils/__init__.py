@@ -5,7 +5,7 @@ every other subpackage.
 """
 
 from repro.utils.rng import rng_from_seed, spawn_rngs
-from repro.utils.timer import Stopwatch, TimeBreakdown
+from repro.utils.timer import TimeBreakdown
 from repro.utils.validation import (
     check_dtype,
     check_in_range,
@@ -16,7 +16,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Stopwatch",
     "TimeBreakdown",
     "check_dtype",
     "check_in_range",

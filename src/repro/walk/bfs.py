@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph, row_blocks
 from repro.ppr.hashmap import ShardedMap, fit_values
+from repro.simt.compute import COMPUTE
 from repro.storage.dist_storage import DistGraphStorage, fetch_round
 
 
@@ -76,13 +77,14 @@ def distributed_bfs(g: DistGraphStorage, proc, source: int, *,
     """
     state = BfsState(source)
     while True:
-        with proc.measured("pop"):
-            node_ids = state.pop()
+        node_ids = state.pop()
+        proc.compute("pop", COMPUTE.frontier())
         if len(node_ids) == 0:
             break
         if max_depth is not None and state.level >= max_depth:
             break
-        yield from fetch_round(g, proc, node_ids, state.expand)
+        yield from fetch_round(g, proc, node_ids, state.expand,
+                               cost=COMPUTE.expand)
         state.level += 1
     return state
 

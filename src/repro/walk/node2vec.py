@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.simt.compute import COMPUTE
 from repro.simt.events import Wait
 from repro.storage.build import ShardedGraph
 from repro.storage.dist_storage import DistGraphStorage
@@ -66,8 +67,8 @@ def distributed_node2vec_walk(g: DistGraphStorage, proc, roots: np.ndarray,
 
     for step in range(1, walk_length + 1):
         cur = summary[:, step - 1]
-        with proc.measured("pop"):
-            masks = g.shard_masks(cur)
+        masks = g.shard_masks(cur)
+        proc.compute("pop", COMPUTE.route(len(cur)))
         futs = {}
         for j, mask in masks.items():
             futs[j] = g.get_neighbor_infos(j, cur[mask])
@@ -75,19 +76,19 @@ def distributed_node2vec_walk(g: DistGraphStorage, proc, roots: np.ndarray,
             infos = yield Wait(fut)
             indptr, nbr_ids, weights, _wd, _src = infos.to_arrays()
             walker_rows = masks[j]  # index array: walker rows directly
-            with proc.measured("push"):
-                for i, walker in enumerate(walker_rows):
-                    s, e = indptr[i], indptr[i + 1]
-                    if s == e:  # stuck walker stays put
-                        summary[walker, step] = cur[walker]
-                        prev[walker] = cur[walker]
-                        prev_neighbors[walker] = np.empty(0, np.int64)
-                        continue
-                    pick = _biased_choice(
-                        rng, nbr_ids[s:e], weights[s:e],
-                        int(prev[walker]), prev_neighbors[walker], p, q,
-                    )
+            for i, walker in enumerate(walker_rows):
+                s, e = indptr[i], indptr[i + 1]
+                if s == e:  # stuck walker stays put
+                    summary[walker, step] = cur[walker]
                     prev[walker] = cur[walker]
-                    prev_neighbors[walker] = nbr_ids[s:e].copy()
-                    summary[walker, step] = nbr_ids[s + pick]
+                    prev_neighbors[walker] = np.empty(0, np.int64)
+                    continue
+                pick = _biased_choice(
+                    rng, nbr_ids[s:e], weights[s:e],
+                    int(prev[walker]), prev_neighbors[walker], p, q,
+                )
+                prev[walker] = cur[walker]
+                prev_neighbors[walker] = nbr_ids[s:e].copy()
+                summary[walker, step] = nbr_ids[s + pick]
+            proc.compute("push", COMPUTE.node2vec(len(nbr_ids)))
     return sharded.globals_of(summary)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.simt.compute import COMPUTE
 from repro.simt.events import Wait
 from repro.storage.build import ShardedGraph
 from repro.storage.dist_storage import DistGraphStorage
@@ -32,8 +33,8 @@ def distributed_random_walk(g: DistGraphStorage, proc, roots: np.ndarray,
 
     for step in range(1, walk_length + 1):
         node_ids = summary[:, step - 1]
-        with proc.measured("pop"):
-            masks = g.shard_masks(node_ids)
+        masks = g.shard_masks(node_ids)
+        proc.compute("pop", COMPUTE.route(len(node_ids)))
         futs = {}
         for j, mask in masks.items():
             # per-step salt: draws depend on (shard seed, step, rows), not
@@ -41,8 +42,8 @@ def distributed_random_walk(g: DistGraphStorage, proc, roots: np.ndarray,
             futs[j] = g.sample_one_neighbor(j, node_ids[mask], salt=step)
         for j, fut in futs.items():
             next_ids = yield Wait(fut)
-            with proc.measured("push"):
-                summary[masks[j], step] = next_ids
+            summary[masks[j], step] = next_ids
+            proc.compute("push", COMPUTE.frontier())
     return sharded.globals_of(summary)
 
 

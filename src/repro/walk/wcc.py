@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.ppr.hashmap import ShardedMap, fit_values
+from repro.simt.compute import COMPUTE
 from repro.storage.dist_storage import DistGraphStorage, fetch_round
 
 
@@ -79,11 +80,12 @@ def distributed_wcc(g: DistGraphStorage, proc, seeds: np.ndarray):
     """
     state = WccState(seeds)
     while True:
-        with proc.measured("pop"):
-            node_ids = state.pop()
+        node_ids = state.pop()
+        proc.compute("pop", COMPUTE.frontier())
         if len(node_ids) == 0:
             break
-        yield from fetch_round(g, proc, node_ids, state.relax)
+        yield from fetch_round(g, proc, node_ids, state.relax,
+                               cost=COMPUTE.relax)
     return state
 
 

@@ -1,8 +1,8 @@
 """The benchmark observatory: reports, expectations, baselines, gating.
 
 Covers ``repro.obs.bench`` in isolation (schema validation, the
-expectations mini-language, the exact-vs-tolerance comparator, best-of-N
-merging, the txt/json linter) and the ``repro.cli bench`` surface (check
+expectations mini-language, the exact-vs-tolerance comparator, the
+txt/json linter) and the ``repro.cli bench`` surface (check
 exit codes, diff rendering, the legacy ``bench <graph>`` shim) plus the
 scale-keyed bench caches.
 """
@@ -21,7 +21,6 @@ from repro.obs.bench import (
     expectation_applies,
     lint_results,
     load_report,
-    merge_reports,
     regressions,
     render_diff,
     validate_report,
@@ -278,33 +277,6 @@ class TestComparator:
         assert "1 regression(s)" in text
         base, cur = self.trajectories()
         assert "no differences." in render_diff(base, cur)
-
-
-class TestMergeReports:
-    def reps(self, qps):
-        out = []
-        for v in qps:
-            rep = make_report()
-            rep.rows[0]["q/s"] = v
-            out.append(rep.to_dict())
-        return out
-
-    def test_best_of_n_picks_by_direction(self):
-        merged = merge_reports(self.reps([8.0, 12.0, 10.0]))
-        assert merged["rows"][0]["q/s"] == 12.0  # higher_is_better -> max
-        assert merged["reps"] == 3
-
-    def test_lower_is_better_takes_min(self):
-        reps = self.reps([8.0, 8.0])
-        reps[1]["rows"][0]["Time (s)"] = 0.9
-        merged = merge_reports(reps)
-        assert merged["rows"][0]["Time (s)"] == 0.9
-
-    def test_deterministic_mismatch_raises(self):
-        reps = self.reps([8.0, 8.0])
-        reps[1]["rows"][0]["RPCs"] = 11
-        with pytest.raises(ValueError, match="deterministic field a.RPCs"):
-            merge_reports(reps)
 
 
 class TestResultsLinter:

@@ -1,20 +1,29 @@
 """Cross-stack determinism and stress tests.
 
 Reproducibility is a core property of the virtual-time methodology: with
-fixed seeds, everything *structural* (partitions, query sets, walk paths,
-RPC counts, modeled network charges) must be identical run to run — only
-measured wall-clock compute varies.
+fixed seeds, a run is a pure function of (graph, seed, request).  Not only
+everything structural (partitions, query sets, walk paths, RPC counts) but
+every virtual second replays bit for bit: compute is charged from counts
+(``repro.simt.compute``), never from the host clock, so makespans, phases,
+per-process clocks and every count that follows the event interleaving
+(coalescing, cache hits, retries under a crash window) are the same on any
+host — which ``TestVirtualTimeReplays`` checks by skewing the host clock.
 """
 
 import numpy as np
 import pytest
 
+import repro.serving.session as session_mod
+import repro.utils.timer as timer
 from repro import EngineConfig, GraphEngine, PPRParams, RunRequest
 from repro.engine.query import sample_sources
 from repro.graph import load_dataset, powerlaw_cluster
 from repro.obs.analysis import machine_of_process, rpc_summary
 from repro.partition import MetisLitePartitioner
-from repro.simt import Scheduler, Sleep, Wait
+from repro.ppr import DegradationMode
+from repro.rpc import RetryPolicy
+from repro.serving import Session, SessionConfig
+from repro.simt import CrashWindow, FaultPlan, Scheduler, Sleep, Wait
 from repro.storage import build_shards
 
 
@@ -75,6 +84,102 @@ class TestDeterminism:
             counts.append((run.remote_requests, run.local_calls,
                            rpc_summary(run.obs.tracer, machine_of)))
         assert counts[0] == counts[1]
+
+
+class _SkewedClock:
+    """A host clock that advances 1 ms on every read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1e-3
+        return self.now
+
+
+def _replay(run):
+    """What a run must replay: its clocks and its interleaving's counts."""
+    counts = {k: v for k, v in run.metrics.items()
+              if k.startswith(("rpc.", "fetch."))}
+    return (run.makespan, run.per_proc_clocks, run.phases, run.latencies,
+            run.retries, run.timeouts, run.degraded_queries,
+            run.abandoned_mass, counts)
+
+
+def _plain_and_skewed(engine, request, monkeypatch):
+    plain = engine.run(request)
+    with monkeypatch.context() as patch:
+        patch.setattr(timer.time, "perf_counter", _SkewedClock())
+        skewed = engine.run(request)
+    return plain, skewed
+
+
+@pytest.fixture(scope="module")
+def hub_graph():
+    return powerlaw_cluster(800, 8, mixing=0.5, seed=7)
+
+
+class TestVirtualTimeReplays:
+    """A skewed host clock changes nothing a run reports."""
+
+    @pytest.mark.parametrize("mode", ["engine", "batched", "tensor"])
+    def test_coalescing_hub_run_replays(self, hub_graph, monkeypatch, mode):
+        """Three processes per machine share each machine's fetch cache,
+        so which rows coalesce, hit or miss follows the event order."""
+        engine = GraphEngine(hub_graph, EngineConfig(
+            n_machines=2, procs_per_machine=3, seed=0))
+        request = RunRequest(n_queries=12, seed=3, mode=mode,
+                             params=PPRParams(epsilon=1e-5))
+        plain, skewed = _plain_and_skewed(engine, request, monkeypatch)
+        assert plain.metrics["fetch.coalesced"] > 0
+        assert plain.metrics["fetch.cache_hits"] > 0
+        assert _replay(skewed) == _replay(plain)
+
+    def test_crash_window_faults_replay(self, hub_graph, monkeypatch):
+        """Which attempts land in the outage — so every retry, timeout,
+        give-up and degraded query — depends on virtual send times."""
+        engine = GraphEngine(hub_graph, EngineConfig(
+            n_machines=3, procs_per_machine=2, seed=0))
+        request = RunRequest(
+            n_queries=12, seed=3, params=PPRParams(epsilon=1e-5),
+            fault_plan=FaultPlan(seed=5, crashes=(
+                CrashWindow("server:1", 0.0005, 0.02),)),
+            retry_policy=RetryPolicy(max_attempts=2, timeout=0.003),
+            degradation=DegradationMode.SKIP_REMOTE)
+        plain, skewed = _plain_and_skewed(engine, request, monkeypatch)
+        assert plain.retries > 0 and plain.timeouts > 0
+        assert plain.metrics["rpc.giveups"] > 0
+        assert plain.degraded_queries > 0
+        assert _replay(skewed) == _replay(plain)
+
+    @pytest.mark.parametrize("mode", ["engine", "batched", "tensor"])
+    def test_sim_and_threads_charge_the_same_compute(self, hub_graph,
+                                                     monkeypatch, mode):
+        """Per driver process, the pop / push / local_exec seconds are
+        bitwise equal on the scheduler and on real threads (one process
+        per machine, so each fetch cache has a single consumer)."""
+        engine = GraphEngine(hub_graph, EngineConfig(n_machines=3, seed=0))
+        request = RunRequest(n_queries=6, seed=3, mode=mode,
+                             params=PPRParams(epsilon=1e-5))
+        charged = {}
+        real_deploy = session_mod.deploy
+        for runtime in ("sim", "threads"):
+            clusters = []
+
+            def recording_deploy(*args, **kwargs):
+                clusters.append(real_deploy(*args, **kwargs))
+                return clusters[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(session_mod, "deploy", recording_deploy)
+                Session(engine, SessionConfig(runtime=runtime)).run(request)
+            charged[runtime] = {
+                p.name: tuple(p.breakdown.get(c)
+                              for c in ("pop", "push", "local_exec"))
+                for p in clusters[0].compute_processes()}
+        assert charged["threads"] == charged["sim"]
+        assert all(pop > 0 and push > 0 and local > 0
+                   for pop, push, local in charged["sim"].values())
 
 
 class TestSchedulerStress:

@@ -38,7 +38,7 @@ from repro.ppr import DegradationMode, MultiSSPPR, OptLevel, PPRParams, SSPPR
 from repro.ppr.forward_push_parallel import forward_push_parallel
 from repro.rpc import RetryPolicy
 from repro.serving import Query, SessionConfig
-from repro.simt import FaultPlan, Wait
+from repro.simt import COMPUTE, FaultPlan, Wait
 from repro.storage import DistGraphStorage
 from repro.storage.dist_storage import fetch_round, shard_masks
 
@@ -62,16 +62,22 @@ class _Block:
 
 
 class _FakeProc:
-    """Records every ``measured`` / ``span`` block a driver opens."""
+    """Records every charge a driver makes and every span it opens."""
 
     def __init__(self, log):
         self.log = log
 
-    def measured(self, category):
-        return _Block(self.log, ("measured", category))
+    def compute(self, category, seconds):
+        self.log.append(("compute", category, seconds))
 
     def span(self, name, **attrs):
         return _Block(self.log, ("span", name, attrs))
+
+
+class _Infos(str):
+    """A fake response: its shard's name, three neighbor entries."""
+
+    n_entries = 3
 
 
 class _FakeG:
@@ -106,6 +112,7 @@ def drive(ids, *, fail=None, **kwargs):
 
     if kwargs.get("lost") is True:
         kwargs["lost"] = lambda part: log.append(("lost", part.tolist()))
+    kwargs.setdefault("cost", None)
     gen = fetch_round(_FakeG(log), _FakeProc(log), np.asarray(ids), apply,
                       **kwargs)
     try:
@@ -117,7 +124,7 @@ def drive(ids, *, fail=None, **kwargs):
             if shard in fail:
                 effect = gen.throw(fail[shard])
             else:
-                effect = gen.send(f"infos{shard}")
+                effect = gen.send(_Infos(f"infos{shard}"))
     except StopIteration:
         return log
 
@@ -165,16 +172,17 @@ class TestFetchRoundUnit:
         ]
 
     def test_charges_and_spans(self):
-        """Routing is charged as pop, every apply as push, and every
-        remote wait — never the local one — sits inside a fetch span."""
-        log = drive(self.IDS)
-        assert log[0] == ("enter", "measured", "pop")
-        assert log[1] == ("exit", "measured", "pop")
-        assert len(only(log, "enter")) == 1 + 3 + 2
+        """Routing is charged as pop over the routed ids, every apply as
+        push over its rows and entries, and every remote wait — never the
+        local one — sits inside a fetch span."""
+        log = drive(self.IDS, cost=COMPUTE.expand)
+        assert log[0] == ("compute", "pop", COMPUTE.route(len(self.IDS)))
+        assert len(only(log, "compute")) == 1 + 3
+        assert len(only(log, "enter")) == 2
         for k, event in enumerate(log):
             if event[0] == "apply":
-                assert log[k - 1] == ("enter", "measured", "push")
-                assert log[k + 1] == ("exit", "measured", "push")
+                assert log[k + 1] == ("compute", "push",
+                                      COMPUTE.expand(len(event[2]), 3))
             if event[0] == "wait" and event[1] != _FakeG.shard_id:
                 assert log[k - 1] == ("enter", "span", "fetch",
                                       {"shard": event[1]})
@@ -207,6 +215,14 @@ class TestFetchRoundUnit:
             drive(self.IDS, fail={0: ShardError("bug")}, lost=True,
                   overlap=overlap)
 
+    def test_a_collecting_apply_is_not_charged(self):
+        """``cost=None``: the caller pushes (and charges) what ``apply``
+        collected, so only the routing is charged here."""
+        log = drive(self.IDS)
+        assert only(log, "compute") == [
+            ("compute", "pop", COMPUTE.route(len(self.IDS)))]
+        assert len(only(log, "apply")) == 3
+
     def test_local_only_and_remote_only_rounds(self):
         assert only(drive([12, 15]), "issue", "apply") == [
             ("issue", 1, [12, 15]), ("apply", "infos1", [12, 15])]
@@ -222,14 +238,20 @@ class TestFetchRoundUnit:
 # (b) the parent's hand-written loop as the oracle
 # ---------------------------------------------------------------------------
 
-def _handwritten_round(g, proc, node_ids, apply, *, overlap=True, lost=None):
+def _handwritten_round(g, proc, node_ids, apply, *, cost, overlap=True,
+                       lost=None):
     """The batched branch of the parent's ``distributed_sppr_query``,
     verbatim but for its names (``opt.overlapped`` -> ``overlap``,
     ``skip`` -> ``lost is not None``, ``m.push`` / ``m.abandon`` ->
-    ``apply`` / ``lost``)."""
+    ``apply`` / ``lost``); its charges are ``fetch_round``'s."""
     shard = g.shard_id
-    with proc.measured("pop"):
-        masks = g.shard_masks(node_ids)
+    masks = g.shard_masks(node_ids)
+    proc.compute("pop", COMPUTE.route(len(node_ids)))
+
+    def charged(infos, ids):
+        apply(infos, ids)
+        if cost is not None:
+            proc.compute("push", cost(len(ids), infos.n_entries))
 
     futs = {}
     for j, mask in masks.items():
@@ -251,8 +273,7 @@ def _handwritten_round(g, proc, node_ids, apply, *, overlap=True, lost=None):
     if local_mask is not None:
         lfut = g.get_neighbor_infos(shard, node_ids[local_mask])
         infos = yield Wait(lfut)
-        with proc.measured("push"):
-            apply(infos, node_ids[local_mask])
+        charged(infos, node_ids[local_mask])
 
     for j in futs:
         jm = masks[j]
@@ -269,8 +290,7 @@ def _handwritten_round(g, proc, node_ids, apply, *, overlap=True, lost=None):
         if infos is None:
             lost(node_ids[jm])
             continue
-        with proc.measured("push"):
-            apply(infos, node_ids[jm])
+        charged(infos, node_ids[jm])
 
 
 class _RecordingStorage(DistGraphStorage):

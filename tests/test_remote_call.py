@@ -18,7 +18,8 @@ import pytest
 from repro.errors import RpcError
 from repro.rpc import RpcContext, ThreadRuntime
 from repro.rpc.serialization import payload_sizes, request_payload_sizes
-from repro.simt import FaultPlan, NetworkModel, Scheduler, Wait, WaitAll
+from repro.simt import COMPUTE, FaultPlan, NetworkModel, Scheduler, Wait, \
+    WaitAll
 from repro.simt.futures import SimFuture
 
 CALL_COUNTERS = ("rpc.calls", "rpc.calls_local", "rpc.calls_remote")
@@ -117,6 +118,27 @@ def test_empty_plan_equals_no_plan(runtime):
         assert sched_empty.events_executed == sched_none.events_executed
 
 
+@pytest.mark.parametrize("runtime", ["sim", "threads"])
+def test_same_machine_call_is_charged_the_same_on_both_runtimes(runtime):
+    """The shared-memory path is the registry's: the binding-layer
+    overhead, then the handler's modeled execution over its result."""
+    sched, ctx, rref = _deploy(runtime, 0)
+
+    def body():
+        for i in range(3):
+            yield Wait(rref.rpc_async("w", "ping", i))
+
+    _drive(sched, ctx, body())
+    want = {"local_call": 0.0, "local_exec": 0.0}
+    for i in range(3):
+        want["local_call"] += NetworkModel().local_call_overhead
+        want["local_exec"] += COMPUTE.local_exec(*payload_sizes(2 * i))
+    breakdown = ctx.process_of("w").breakdown
+    assert {k: breakdown.get(k) for k in want} == want
+    assert ctx.process_of("w").clock == sum(
+        [NetworkModel().local_call_overhead, COMPUTE.local_exec(8, 0)] * 3)
+
+
 # -- the oracle: the previous commit's healthy fast path ----------------------
 
 class _ParentFastPath(RpcContext):
@@ -135,8 +157,9 @@ class _ParentFastPath(RpcContext):
             caller.charge_seconds(self.network.local_call_overhead,
                                   "local_call")
             fn = server.resolve_method(rref.key, method)
-            with caller.measured("local_exec"):
-                result = fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            caller.compute("local_exec",
+                           COMPUTE.local_exec(*payload_sizes(result)))
             return SimFuture.resolved(result, ready_time=caller.clock,
                                       tag=f"local:{method}")
         req_bytes, req_tensors = request_payload_sizes(args, kwargs)
@@ -151,8 +174,8 @@ class _ParentFastPath(RpcContext):
                                                             req_tensors)
 
         def deliver():
-            result, _start, end = server.serve(arrival, rref.key, method,
-                                               args, kwargs)
+            result, _sizes, _start, end = server.serve(
+                arrival, rref.key, method, args, kwargs, payload_sizes)
             resp_bytes, resp_tensors = payload_sizes(result)
             metrics.inc("rpc.response_bytes", resp_bytes)
             server.pool.stage(result, metrics)
@@ -170,32 +193,18 @@ class _Rows:
         return np.arange(len(ids), dtype=np.float64) + call_id
 
 
-class _FixedStopwatch:
-    """Every handler takes 100 virtual us, so whole timelines compare."""
-
-    elapsed = 1e-4
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-
 def _run_ring(ctx_cls, monkeypatch, n_machines=3, n_rounds=4):
     """One server + one worker per machine; every round each worker
     fetches from every *other* machine's server and waits for all."""
     import repro.rpc.worker as worker_mod
 
-    monkeypatch.setattr(worker_mod, "Stopwatch", _FixedStopwatch)
     service_end = {}
     real_serve = worker_mod.RpcServer.serve
 
-    def logging_serve(self, arrival, key, method, args, kwargs):
-        result, start, end = real_serve(self, arrival, key, method, args,
-                                        kwargs)
-        service_end[args[0]] = end
-        return result, start, end
+    def logging_serve(self, arrival, key, method, args, kwargs, size):
+        out = real_serve(self, arrival, key, method, args, kwargs, size)
+        service_end[args[0]] = out[-1]
+        return out
 
     monkeypatch.setattr(worker_mod.RpcServer, "serve", logging_serve)
 

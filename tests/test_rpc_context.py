@@ -6,7 +6,7 @@ import pytest
 from repro.errors import RpcError
 from repro.rpc import RpcContext
 from repro.rpc.rref import check_rrefs
-from repro.simt import NetworkModel, Scheduler, Wait, WaitAll
+from repro.simt import COMPUTE, NetworkModel, Scheduler, Wait, WaitAll
 
 
 class Counter:
@@ -197,12 +197,8 @@ class TestServerContention:
 
         class Slow:
             def work(self):
-                # Burn a deterministic ~5ms of real CPU.
-                import time
-                start = time.perf_counter()
-                while time.perf_counter() - start < 0.005:
-                    pass
-                return True
+                # a 2 MB reply: its modeled service is ~0.6 ms
+                return np.zeros(2_000_000, dtype=np.uint8)
 
         net = NetworkModel(rpc_overhead=0.0, tensor_wrap_cost=0.0,
                            bandwidth=1e18, latency=0.0,
@@ -224,10 +220,11 @@ class TestServerContention:
         sched.run()
         server = ctx.server_of("s0")
         assert server.requests_served == 2
-        # One of the two waited for the other's ~5ms service slot.
-        lo, hi = sorted(clocks.values())
-        assert lo >= 0.005 - 1e-4
-        assert hi >= lo + 0.004
+        # One of the two waited for the other's service slot (the
+        # "instant" wire still moves 2 MB in 2 ps).
+        service = COMPUTE.serve(2_000_000, 1)
+        assert sorted(clocks.values()) == pytest.approx(
+            [service, 2 * service], rel=1e-6)
 
 
 class TestAllReduce:

@@ -1,14 +1,13 @@
 """Focused tests for RPC server semantics and WorkerInfo validation."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.errors import RpcError
 from repro.rpc import RpcContext
+from repro.rpc.serialization import payload_sizes
 from repro.rpc.worker import RpcServer, WorkerInfo
-from repro.simt import NetworkModel, Scheduler, Wait, WaitAll
+from repro.simt import COMPUTE, NetworkModel, Scheduler, Wait, WaitAll
 
 
 class TestWorkerInfo:
@@ -66,35 +65,39 @@ class TestRpcServerDirect:
 
     def test_fifo_horizon_advances(self):
         class Work:
-            def spin(self):
-                start = time.perf_counter()
-                while time.perf_counter() - start < 0.002:
-                    pass
-                return True
+            def rows(self):
+                return np.zeros(4096)
 
         server = self.make_server()
         server.put_object("w", Work())
-        _r1, s1, e1 = server.serve(0.0, "w", "spin", (), {})
-        assert e1 > s1 >= 0.0
+        service = COMPUTE.serve(*payload_sizes(np.zeros(4096)))
+        _r1, _sz, s1, e1 = server.serve(0.0, "w", "rows", (), {},
+                                        payload_sizes)
+        assert (s1, e1) == (0.0, service)
         # arrival before the previous service end queues behind it
-        _r2, s2, _e2 = server.serve(e1 / 2, "w", "spin", (), {})
-        assert s2 == pytest.approx(e1)
+        _r2, _sz, s2, e2 = server.serve(e1 / 2, "w", "rows", (), {},
+                                        payload_sizes)
+        assert (s2, e2) == (e1, e1 + service)
         # arrival after an idle gap starts at its arrival time
-        _r3, s3, _e3 = server.serve(100.0, "w", "spin", (), {})
-        assert s3 == pytest.approx(100.0)
+        _r3, _sz, s3, _e3 = server.serve(100.0, "w", "rows", (), {},
+                                         payload_sizes)
+        assert s3 == 100.0
         assert server.requests_served == 3
 
     def test_serve_charges_server_clock(self):
+        """The charge is the modeled service of the result's payload —
+        ``(nbytes, n_tensors)``, returned for the reply transfer too."""
         class Work:
             def nop(self):
                 return 1
 
         server = self.make_server()
         server.put_object("w", Work())
-        before = server.process.clock
-        server.serve(0.0, "w", "nop", (), {})
-        assert server.process.clock >= before
-        assert server.process.breakdown.get("serve") > 0.0
+        result, sizes, _start, _end = server.serve(0.0, "w", "nop", (), {},
+                                                   payload_sizes)
+        assert (result, sizes) == (1, (8, 0))
+        assert server.process.clock == COMPUTE.serve(8, 0) > 0.0
+        assert server.process.breakdown.get("serve") == server.process.clock
 
 
 class TestWaitAllOverRpc:

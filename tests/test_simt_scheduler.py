@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import SimulationError, WorkerCrashedError
 from repro.obs import SpanTracer
-from repro.simt import Charge, Scheduler, SimFuture, Sleep, Wait, WaitAll
+from repro.simt import COMPUTE, Charge, Scheduler, SimFuture, Sleep, Wait, \
+    WaitAll
 from repro.simt.process import ProcessClock
 
 
@@ -62,14 +63,13 @@ class TestBasicProcesses:
         sched = Scheduler()
 
         def body():
-            with proc.measured("real"):
-                sum(range(10000))
+            proc.compute("real", COMPUTE.route(10000))
             yield Sleep(0.0)
 
         proc = sched.spawn("p0", body())
         sched.run()
-        assert proc.clock > 0.0
-        assert proc.breakdown.get("real") == pytest.approx(proc.clock)
+        assert proc.clock == COMPUTE.route(10000) > 0.0
+        assert proc.breakdown.get("real") == proc.clock
 
     def test_duplicate_name_rejected(self):
         sched = Scheduler()
@@ -101,20 +101,27 @@ class TestProcessClock:
     def test_measured_charges_clock_and_breakdown_by_same_float(self):
         proc = ProcessClock("p")
         proc.charge_seconds(0.25, "net")
-        with proc.measured("work") as block:
-            sum(range(10000))
-        assert block.elapsed > 0.0
-        assert proc.breakdown.get("work") == block.elapsed
-        assert proc.clock == 0.25 + block.elapsed
+        work = COMPUTE.push(10000, 300)
+        proc.compute("work", work)
+        assert work == pytest.approx(COMPUTE.push.call
+                                     + 10000 * COMPUTE.push.per_unit[0]
+                                     + 300 * COMPUTE.push.per_unit[1])
+        assert proc.breakdown.get("work") == work
+        assert proc.clock == 0.25 + work
         assert len(proc.breakdown.seconds) == 2
+        assert proc.tracer is None  # untraced: no span, nothing else
+
+    def test_cost_term_takes_exactly_its_units(self):
+        assert COMPUTE.frontier() == COMPUTE.frontier.call
+        with pytest.raises(TypeError, match="takes 2 unit counts, got 1"):
+            COMPUTE.push(10)
 
     def test_traced_measure_span_is_the_clock_advance(self):
         proc = ProcessClock("p")
         proc.tracer = SpanTracer()
         proc.charge_seconds(1.0, "net")
         with proc.span("query"):
-            with proc.measured("push"):
-                sum(range(10000))
+            proc.compute("push", COMPUTE.push(10000, 300))
         push, query = proc.tracer.spans
         assert (push.name, push.start, push.end) == ("push", 1.0, proc.clock)
         assert push.parent_id == query.span_id
