@@ -1,26 +1,19 @@
 """Trace analytics cost and verdicts (docs/observability.md).
 
-Runs traced query batches of growing size, with the adaptive fetch
-layer on and bypassed, and times ``diagnose(run)`` — the full causal
-critical-path extraction plus report assembly — against each trace.
+Runs traced query batches of two sizes and times ``diagnose(run)`` —
+the full causal critical-path extraction plus report assembly — against
+each trace.
 
-Two things are gated:
-
-* **accounting** — every extracted path must be total-conserving
-  (segments partition the query span exactly) and fit inside the run's
-  makespan, at every trace size and fetch configuration;
-* **the fetch-layer story read off the path** — the share of critical
-  seconds spent waiting on remote fetches (network + server execution)
-  must *shrink* when the fetch layer is enabled: cached and coalesced
-  rows never reach the wire, so the path re-attributes that time to
-  local compute.
+Gated: **accounting** — every extracted path must be total-conserving
+(segments partition the query span exactly) and fit inside the run's
+makespan, at every trace size.  The share of critical seconds spent
+waiting on remote fetches (network + server execution) is reported.
 
 Analyze wall time is reported per trace size (the doctor is pure
 post-processing — its cost must stay far below the run it explains)
 but not gated: it is host-measured, not virtual.
 """
 
-import dataclasses
 import time
 
 from benchmarks import common
@@ -66,16 +59,10 @@ EXPECTATIONS = [
     {"kind": "per_row", "label": "one critical path per query",
      "left_col": "Paths", "op": "eq", "right_col": "Queries",
      "scales": "all"},
-    {"kind": "cmp",
-     "label": "fetch layer shrinks the remote-fetch path share",
-     "left": {"col": "Remote share %", "where": {"Case": "fetch-on"}},
-     "op": "lt",
-     "right": {"col": "Remote share %", "where": {"Case": "fetch-off"}},
-     "scales": "all"},
     {"kind": "cmp", "label": "bigger batches record bigger traces",
-     "left": {"col": "Spans", "where": {"Case": "fetch-on 2x"}},
+     "left": {"col": "Spans", "where": {"Case": "2x batch"}},
      "op": "gt",
-     "right": {"col": "Spans", "where": {"Case": "fetch-on"}},
+     "right": {"col": "Spans", "where": {"Case": "batch"}},
      "scales": "all"},
 ]
 
@@ -85,24 +72,19 @@ def test_doctor_analytics(benchmark):
     sharded = get_sharded("products", N_MACHINES)
     engine = GraphEngine(sharded.graph, engine_config(N_MACHINES),
                          sharded=sharded)
-    # the fetch layer bypassed: same shards, a sibling engine's config
-    bypassed = GraphEngine(sharded.graph, dataclasses.replace(
-        engine.config, fetch_split=False, fetch_cache_bytes=0),
-        sharded=sharded)
     sources = sample_sources(sharded, scale.queries, seed=29)
     sources_2x = sample_sources(sharded, 2 * scale.queries, seed=29)
 
     def run_all():
         return [
-            run_case(engine, sources, label="fetch-on"),
-            run_case(bypassed, sources, label="fetch-off"),
-            run_case(engine, sources_2x, label="fetch-on 2x"),
+            run_case(engine, sources, label="batch"),
+            run_case(engine, sources_2x, label="2x batch"),
         ]
 
     rows, wall = common.timed(benchmark, run_all)
     common.publish(
         "doctor",
-        "Critical-path analytics: analyze cost and fetch-layer path share "
+        "Critical-path analytics: analyze cost and remote-fetch path share "
         f"(ogbn-products, {N_MACHINES} machines)",
         rows, key=("Case",),
         deterministic=("Queries", "Paths", "Conserving", "Within makespan",

@@ -79,13 +79,7 @@ EXPECTATIONS = [
 def test_table3_rpc_ablation(benchmark):
     scale = bench_scale()
     sharded = get_sharded("friendster", N_MACHINES)
-    # the adaptive fetch layer would rewrite the RPC pattern this table
-    # ablates; pin it off so the level rows keep the paper's meaning
-    # (bench_fetch_layer.py owns the fetch-layer ablation)
-    engine = GraphEngine(sharded.graph,
-                         engine_config(N_MACHINES, fetch_split=False,
-                                       fetch_cache_bytes=0,
-                                       fetch_coalesce=False),
+    engine = GraphEngine(sharded.graph, engine_config(N_MACHINES),
                          sharded=sharded)
     sources = sample_sources(sharded, scale.queries_small, seed=13)
     metrics: dict = {}

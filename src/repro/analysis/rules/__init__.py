@@ -41,8 +41,8 @@ Hot-path rules (:mod:`repro.analysis.rules.hotpath`):
 
 * **REP011** — ``.copy()`` / ``np.repeat`` / ``np.concatenate`` in the
   zero-copy read-path modules (``storage/shard.py``,
-  ``storage/neighbor_batch.py``, ``storage/fetch.py``) without an
-  explicit ``# repro: allow=REP011`` pragma naming the sanctioned copy.
+  ``storage/neighbor_batch.py``) without an explicit
+  ``# repro: allow=REP011`` pragma naming the sanctioned copy.
 """
 
 from __future__ import annotations

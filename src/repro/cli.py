@@ -23,8 +23,8 @@ Downstream-friendly entry points for the preprocessing / query pipeline:
   text table (``table``); ``--stream-batches N`` folds the streaming
   loop's ``stream.*``/``rebalance.*`` counters into the output;
 * ``doctor``     — trace analytics (``docs/observability.md``): causal
-  critical paths with per-bucket attribution, straggler and fetch-cache
-  verdicts, trace-incompleteness warnings; ``--diff`` compares two saved
+  critical paths with per-bucket attribution, heat-ordered stragglers,
+  trace-incompleteness warnings; ``--diff`` compares two saved
   diagnosis reports;
 * ``analyze``    — the determinism/concurrency lint gate
   (see ``docs/static-analysis.md``): run the ``repro.analysis`` AST rules
@@ -113,12 +113,6 @@ def _add_engine_args(p: argparse.ArgumentParser,
     p.add_argument("--machines", type=int, default=4)
     p.add_argument("--procs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0, help=seed_help)
-    p.add_argument("--no-fetch", action="store_true",
-                   help="disable the adaptive fetch layer (split + "
-                        "hot-vertex cache + coalescing)")
-    p.add_argument("--fetch-cache-bytes", type=int, default=None,
-                   help="hot-vertex cache budget per machine "
-                        "(0 disables the cache; default 4 MiB)")
 
 
 def _add_ppr_args(p: argparse.ArgumentParser, queries: int) -> None:
@@ -183,26 +177,15 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _fetch_overrides(args) -> dict:
-    if getattr(args, "no_fetch", False):
-        return {"fetch_split": False, "fetch_cache_bytes": 0,
-                "fetch_coalesce": False}
-    cache_bytes = getattr(args, "fetch_cache_bytes", None)
-    if cache_bytes is not None:
-        return {"fetch_cache_bytes": cache_bytes}
-    return {}
-
-
 def _engine_from_args(args) -> GraphEngine:
-    fetch = _fetch_overrides(args)
     if args.shards:
         sharded = load_sharded(args.shards)
         cfg = EngineConfig(n_machines=sharded.n_shards,
-                           procs_per_machine=args.procs, **fetch)
+                           procs_per_machine=args.procs)
         return GraphEngine(sharded.graph, cfg, sharded=sharded)
     _, graph = _load_graph(args)
     cfg = EngineConfig(n_machines=args.machines,
-                       procs_per_machine=args.procs, **fetch)
+                       procs_per_machine=args.procs)
     return GraphEngine(graph, cfg)
 
 
@@ -220,12 +203,6 @@ def cmd_query(args) -> int:
         f"{k}={v * 1e3:.2f}ms" for k, v in run.phases.items()
     ))
     print(f"RPC: {run.remote_requests} remote, {run.local_calls} local")
-    if run.metrics.get("fetch.requests"):
-        print(f"fetch: {run.metrics.get('fetch.cache_hits', 0)} hot, "
-              f"{run.metrics.get('fetch.halo_hits', 0)} halo, "
-              f"{run.metrics.get('fetch.coalesced', 0)} coalesced, "
-              f"{run.metrics.get('fetch.misses', 0)} misses "
-              f"({run.metrics.get('fetch.bytes_saved', 0)} bytes saved)")
     if args.top > 0 and run.states:
         gid, state = next(iter(run.states.items()))
         gids, values = state.results_global(engine.sharded)
@@ -541,7 +518,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_doctor(args) -> int:
-    """Trace analytics: critical paths, stragglers, cache verdicts.
+    """Trace analytics: critical paths, stragglers, fault counters.
 
     Three modes: run-and-diagnose (the default), ``--load`` a saved
     diagnosis JSON, or ``--diff A B`` to name the critical-path buckets
@@ -864,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("doctor",
                        help="trace analytics: critical paths, stragglers, "
-                            "cache verdicts (docs/observability.md)")
+                            "fault counters (docs/observability.md)")
     _add_engine_args(p, graph_default="products")
     _add_ppr_args(p, queries=8)
     p.add_argument("--max-spans", type=int, default=None,

@@ -1,13 +1,13 @@
 """Mapping raw timing categories onto the paper's breakdown phases.
 
 Processes accumulate low-level categories while running (``local_call``,
-``local_exec``, ``rpc_issue``, ``wait``, ``fetch_merge``, ``pop``,
-``push``); Figure 6 and Table 3 report four phases:
+``local_exec``, ``rpc_issue``, ``wait``, ``pop``, ``push``); Figure 6
+and Table 3 report four phases:
 
 * **local_fetch**  = binding-layer overhead + local handler execution;
 * **remote_fetch** = request issue overhead + time blocked on remote
   futures (with overlap on, the blocked time shrinks because local work
-  happens while requests are in flight) + the fetch layer's merge;
+  happens while requests are in flight);
 * **push**         = the PPR operators' update time;
 * **pop**          = activated-set retrieval (negligible for the hashmap
   engine, |V|-proportional for the tensor baseline).
@@ -27,7 +27,7 @@ from repro.utils.timer import TimeBreakdown
 #: phase -> contributing low-level categories
 PHASES: dict[str, tuple[str, ...]] = {
     "local_fetch": ("local_call", "local_exec"),
-    "remote_fetch": ("rpc_issue", "wait", "fetch_merge"),
+    "remote_fetch": ("rpc_issue", "wait"),
     "push": ("push",),
     "pop": ("pop",),
     "crashed": ("crashed",),

@@ -84,10 +84,9 @@ class _Cluster(TransportCounters):
     def worker(self, machine: int, proc_index: int):
         """Process handle of computing process ``proc_index`` on ``machine``.
 
-        Registered on first use, *before* its body exists: drivers and the
-        fetch layer take their own handle (``compute``, ``span``,
-        ``clock``) as an argument, and :meth:`spawn_compute` then starts
-        the body on it.
+        Registered on first use, *before* its body exists: drivers take
+        their own handle (``compute``, ``span``, ``clock``) as an
+        argument, and :meth:`spawn_compute` then starts the body on it.
         """
         name = self.config.worker_name(machine, proc_index)
         proc = self._workers.get(name)

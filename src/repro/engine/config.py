@@ -28,18 +28,6 @@ class EngineConfig:
     #: 2 = cache full adjacency rows of 1-hop halo nodes (Section 3.2.1's
     #: memory-for-communication trade)
     halo_hops: int = 1
-    #: adaptive fetch layer (docs/fetch-layer.md): split per-shard requests
-    #: into halo-cache hits (served locally) and misses (only misses cross
-    #: the wire).  Turn off together with ``fetch_cache_bytes=0`` to get the
-    #: pre-fetch-layer wire behavior (Table 3 ablation rows).
-    fetch_split: bool = True
-    #: hot-vertex cache budget in bytes (0 disables); adjacency rows from
-    #: remote responses are cached until the budget is full, and kept for
-    #: the run, so hub vertices are fetched once per run
-    fetch_cache_bytes: int = 1 << 22
-    #: dedup concurrent in-flight fetches for overlapping (shard, node)
-    #: sets against a per-machine pending-futures table
-    fetch_coalesce: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -47,10 +35,6 @@ class EngineConfig:
         check_positive("procs_per_machine", self.procs_per_machine)
         if self.halo_hops not in (1, 2):
             raise ValueError(f"halo_hops must be 1 or 2, got {self.halo_hops}")
-        if self.fetch_cache_bytes < 0:
-            raise ValueError(
-                f"fetch_cache_bytes must be >= 0, got {self.fetch_cache_bytes}"
-            )
 
     @property
     def n_shards(self) -> int:

@@ -93,7 +93,8 @@ class QueryRunResult:
     #: ``RunRequest(trace=True)`` (export with repro.obs.write_chrome_trace)
     obs: object = field(repr=False, default=None)
     #: per-machine remote-row demand: machine -> {node id ->
-    #: request count}, gathered by the fetch layer; feeds the
+    #: request count}, recorded by the compressed storage facade
+    #: (``repro.storage.fetch``) for every non-local request; feeds the
     #: telemetry-driven shard rebalancer (``repro.stream.rebalance``)
     heat: dict = field(repr=False, default_factory=dict)
     #: lockset violations found by the race sanitizer

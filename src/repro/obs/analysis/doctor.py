@@ -1,15 +1,15 @@
 """``diagnose(run)``: one structured verdict per run.
 
 Folds the causal critical path (:mod:`repro.obs.analysis.causal`), the
-metrics snapshot and the fetch-layer heat maps into a single
+metrics snapshot and the per-machine heat maps into a single
 JSON-serializable :class:`DiagnosisReport` — the object behind
 ``python -m repro.cli doctor``.
 
 Two layers of comparison:
 
 * :meth:`DiagnosisReport.differential_view` projects the report onto its
-  **count-derived** fields (fault counters, fetch/cache counts, heat-based
-  straggler attribution, query-span counts).
+  **count-derived** fields (fault counters, heat-based straggler
+  attribution, query-span counts).
   Those replay bitwise-identically across the virtual-time scheduler and
   :class:`~repro.rpc.thread_runtime.ThreadRuntime` for the same seed and
   fault plan — asserted in ``tests/test_runtime_differential.py``.
@@ -29,16 +29,11 @@ from dataclasses import asdict, dataclass, field
 from repro.obs.analysis.causal import PATH_PHASES, TraceGraph
 
 #: report schema tag — bump on incompatible field changes
-DIAGNOSIS_SCHEMA = "repro.diagnosis/v2"
+DIAGNOSIS_SCHEMA = "repro.diagnosis/v3"
 
 #: counters summarizing injected faults and the retry machinery
 FAULT_COUNTER_NAMES = ("rpc.retries", "rpc.timeouts", "rpc.dropped_messages",
                        "rpc.giveups")
-
-#: row-level fetch counters (all under the cross-runtime contract)
-CACHE_COUNTER_NAMES = ("fetch.requests", "fetch.cache_hits",
-                       "fetch.halo_hits", "fetch.coalesced",
-                       "fetch.misses", "fetch.bytes_saved")
 
 
 @dataclass
@@ -65,9 +60,8 @@ class DiagnosisReport:
     #: critical seconds on segments that witnessed a fault event
     fault_path_s: float = 0.0
     fault_counters: dict = field(default_factory=dict)
-    #: per machine: final clock, skew vs the mean, fetch heat + share
+    #: per machine: final clock, skew vs the mean, heat + share
     stragglers: list = field(default_factory=list)
-    cache: dict = field(default_factory=dict)
 
     # -- views ---------------------------------------------------------------
     def top_edges(self, n: int = 10) -> list:
@@ -85,8 +79,6 @@ class DiagnosisReport:
             "fault_counters": dict(self.fault_counters),
             "straggler_heat": {str(s["machine"]): s["heat"]
                                for s in self.stragglers},
-            "cache_counts": {k: v for k, v in self.cache.items()
-                             if k in CACHE_COUNTER_NAMES},
         }
 
     # -- serialization -------------------------------------------------------
@@ -153,30 +145,11 @@ def _straggler_rows(per_proc_clocks: dict, heat: dict) -> list:
     return rows
 
 
-def _cache_verdict(metrics: dict) -> dict:
-    out = {name: int(metrics.get(name, 0)) for name in CACHE_COUNTER_NAMES}
-    saved = (out["fetch.cache_hits"] + out["fetch.halo_hits"]
-             + out["fetch.coalesced"])
-    rows = saved + out["fetch.misses"]
-    ratio = saved / rows if rows > 0 else 0.0
-    if out["fetch.requests"] == 0:
-        verdict = "idle"
-    elif ratio >= 0.2:
-        verdict = "effective"
-    elif ratio > 0.0:
-        verdict = "marginal"
-    else:
-        verdict = "ineffective"
-    out["savings_ratio"] = ratio
-    out["verdict"] = verdict
-    return out
-
-
 def diagnose(run, *, validate: bool = True) -> DiagnosisReport:
     """Analyze one :class:`~repro.engine.engine.QueryRunResult`.
 
     Works with or without a trace: an untraced run still yields the
-    counter-derived sections (faults, cache, heat stragglers);
+    counter-derived sections (faults, heat stragglers);
     a traced run adds critical paths.  ``validate=True`` re-asserts the
     conservation invariant on every extracted path.
     """
@@ -194,7 +167,6 @@ def diagnose(run, *, validate: bool = True) -> DiagnosisReport:
                if name.startswith("rpc.faults.")},
         },
         stragglers=_straggler_rows(run.per_proc_clocks or {}, run.heat or {}),
-        cache=_cache_verdict(metrics),
     )
 
     tracer = getattr(run.obs, "tracer", None) if run.obs is not None else None
@@ -300,11 +272,6 @@ def render_diagnosis(report: DiagnosisReport, *, top: int = 10) -> str:
     if report.fault_counters:
         hot = {k: v for k, v in report.fault_counters.items() if v}
         lines.append(f"  fault counters: {hot if hot else 'clean'}")
-    if report.cache:
-        lines.append(
-            f"  fetch cache: {report.cache.get('verdict', 'n/a')} "
-            f"(saved {report.cache.get('savings_ratio', 0.0) * 100:.1f}% "
-            f"of {report.cache.get('fetch.requests', 0)} requests)")
     return "\n".join(lines)
 
 

@@ -67,21 +67,6 @@ def chrome_trace(tracer: SpanTracer,
             events.append({"ph": "f", "bp": "e", "name": "rpc", "cat": "rpc",
                            "id": s.link, "ts": s.start * 1e6,
                            "pid": pid, "tid": tids[s.process]})
-        if s.kind == "coalesce" and s.link in client_spans:
-            # A coalesced fetch rides another caller's in-flight RPC: draw
-            # the arrow from the origin client span to the late requester's
-            # marker so the piggybacked flow doesn't dangle.  The flow id is
-            # the marker's own span id — the origin id already names the
-            # client->server arrow above.
-            origin = client_spans[s.link]
-            opid = int(machine_of.get(origin.process, 0))
-            events.append({"ph": "s", "name": "coalesce", "cat": "coalesce",
-                           "id": s.span_id, "ts": origin.start * 1e6,
-                           "pid": opid, "tid": tids[origin.process]})
-            events.append({"ph": "f", "bp": "e", "name": "coalesce",
-                           "cat": "coalesce", "id": s.span_id,
-                           "ts": s.start * 1e6,
-                           "pid": pid, "tid": tids[s.process]})
     events.sort(key=lambda e: e["ts"])  # stable: ties keep record order
     return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 

@@ -21,7 +21,6 @@ METRIC_NAMESPACES: dict[str, str] = {
             "reuse"),
     "engine": "per-run query accounting and makespan",
     "ppr": "SSPPR operator work (pushes, iterations, touched)",
-    "fetch": "adaptive neighbor-fetch layer",
     "serve": "multi-tenant serving sessions",
     "stream": "streaming update ingestion + incremental PPR",
     "rebalance": "telemetry-driven shard rebalancing",

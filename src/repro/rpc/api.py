@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from repro.rpc.rref import RRef
 from repro.rpc.serialization import payload_sizes, request_payload_sizes
 from repro.rpc.worker import RemoteCall, RpcServer, WorkerRegistry
 from repro.simt.faults import FaultPlan
-from repro.simt.futures import MergedSimFuture, SimFuture
+from repro.simt.futures import SimFuture
 from repro.simt.network import NetworkModel
 from repro.simt.process import SimProcess
 from repro.simt.scheduler import Scheduler
@@ -66,16 +65,6 @@ class RpcContext(WorkerRegistry):
     def _new_process(self, name: str) -> SimProcess:
         return self.scheduler.add_passive(name)
 
-    # -- futures ------------------------------------------------------------
-    def resolved_future(self, value: Any, tag: str | None = None) -> SimFuture:
-        """A future already resolved with ``value`` (no wire, no waiting)."""
-        return SimFuture.resolved(value, 0.0, tag=tag)
-
-    def merged_future(self, parts: list[SimFuture], finalize,
-                      tag: str | None = None) -> MergedSimFuture:
-        """One future over ``parts``; ``finalize`` runs at consumption."""
-        return MergedSimFuture(parts, finalize, tag=tag)
-
     # -- dispatch -----------------------------------------------------------
     def rref_call(self, caller_name: str, rref: RRef, method: str,
                   args: tuple, kwargs: dict) -> SimFuture:
@@ -109,7 +98,6 @@ class RpcContext(WorkerRegistry):
         # The client span's end is the future's virtual ready time; the
         # round-trip also feeds the latency histogram regardless of tracing.
         if call.span is not None:
-            fut.span_id = call.span["span_id"]
             fut.add_done_callback(lambda f: self._close_client_span(
                 call, issued_at, f.ready_time, f.exception))
         metrics = self.obs.metrics

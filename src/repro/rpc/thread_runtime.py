@@ -32,12 +32,10 @@ from repro.simt.process import ProcessClock
 class ThreadFuture:
     """Future resolved on a server thread; waiters block."""
 
-    __slots__ = ("_inner", "span_id")
+    __slots__ = ("_inner",)
 
     def __init__(self, inner: _PyFuture) -> None:
         self._inner = inner
-        #: client span id of the remote call behind this future, when traced
-        self.span_id: int | None = None
 
     @property
     def done(self) -> bool:
@@ -51,47 +49,6 @@ class ThreadFuture:
         inner: _PyFuture = _PyFuture()
         inner.set_result(value)
         return cls(inner)
-
-
-class MergedThreadFuture:
-    """Composite future: blocks on its parts at ``value()``.
-
-    ``finalize(ok)`` builds the value from the parts (or cleans up after a
-    failed part) exactly once, on the first consumer's thread.
-    """
-
-    __slots__ = ("_parts", "_finalize", "_lock", "_result", "_exception",
-                 "_materialized")
-
-    def __init__(self, parts: list[Any], finalize) -> None:
-        self._parts = parts
-        self._finalize = finalize
-        self._lock = threading.Lock()
-        self._result: Any = None
-        self._exception: BaseException | None = None
-        self._materialized = False
-
-    @property
-    def done(self) -> bool:
-        return all(p.done for p in self._parts)
-
-    def value(self) -> Any:
-        with self._lock:
-            if not self._materialized:
-                self._materialized = True
-                fin, self._finalize = self._finalize, None
-                try:
-                    for p in self._parts:
-                        p.value()
-                except BaseException as exc:
-                    fin(False)
-                    self._exception = exc
-                    raise
-                self._result = fin(True)
-                return self._result
-            if self._exception is not None:
-                raise self._exception
-            return self._result
 
 
 class ThreadProcess(ProcessClock):
@@ -172,16 +129,6 @@ class ThreadRuntime(WorkerRegistry):
     def _new_process(self, name: str) -> ThreadProcess:
         return ThreadProcess(name)
 
-    # -- futures ------------------------------------------------------------
-    def resolved_future(self, value: Any, tag: str | None = None) -> ThreadFuture:
-        """A future already resolved with ``value`` (no wire, no waiting)."""
-        return ThreadFuture.resolved(value)
-
-    def merged_future(self, parts: list[Any], finalize,
-                      tag: str | None = None) -> MergedThreadFuture:
-        """One future over ``parts``; ``finalize`` runs at consumption."""
-        return MergedThreadFuture(parts, finalize)
-
     # -- dispatch -------------------------------------------------------------
     def _next_call_index(self, caller_name: str) -> int:
         with self._fault_lock:
@@ -235,7 +182,6 @@ class ThreadRuntime(WorkerRegistry):
             # Recorded when the call resolves, as on the scheduler — so a
             # call that exhausted its retries still leaves its client span
             # (zero handler seconds, ``error`` attr).
-            fut.span_id = call.span["span_id"]
             inner.add_done_callback(lambda f: self._close_client_span(
                 call, issue_clock, issue_clock + handler_seconds,
                 f.exception()))

@@ -205,8 +205,7 @@ class WorkerRegistry(TransportCounters):
 
     Subclasses supply the runtime: how a server is built
     (``register_server``), what a bare process handle is
-    (``_new_process``), dispatch (``rref_call``) and the future types
-    (``resolved_future`` / ``merged_future``).
+    (``_new_process``) and dispatch (``rref_call``).
     """
 
     def __init__(self, *, network: NetworkModel | None = None,

@@ -430,13 +430,13 @@ class Session:
         body for both runtimes: it is written against the
         :func:`~repro.engine.cluster.deploy` seam, so the virtual-time
         scheduler and real OS threads run the same worker names, the same
-        query assignment and the same storage wrapping (fresh per-machine
-        ``FetchCache`` per batch), issue the identical remote-call
+        query assignment and the same storage wrapping (a fresh demand
+        ledger per machine per batch), issue the identical remote-call
         sequence, and replay a ``FaultPlan``'s drop decisions identically.
 
         Dispatches on ``request.mode`` (PPR Engine / tensor baseline /
         inter-query batching), deploys a fresh cluster at the engine
-        config's optimization level and fetch settings with the request's
+        config's optimization level with the request's
         tracing, fault plan and retry policy, and reports the
         fault-tolerance counters alongside the usual throughput numbers.
         """
@@ -464,29 +464,21 @@ class Session:
         assignment = assign_queries(engine.sharded, source_ids,
                                     cfg.procs_per_machine)
 
-        # one FetchCache per machine, shared by its computing processes —
-        # that sharing is what makes cross-request coalescing fire
-        fetch_caches: dict[int, FetchCache] = {}
-        # per-machine remote-row demand, mutated under the FetchCache lock;
-        # the stream rebalancer reads it off the result between epochs
-        heat_maps: dict[int, dict[int, int]] = {}
+        # one demand ledger per machine, shared by its computing
+        # processes; its counts are the result's heat, which the stream
+        # rebalancer reads between epochs
+        ledgers: dict[int, FetchCache] = {}
 
         def storage_for(machine, proc, compress):
-            if not (compress
-                    and (cfg.fetch_split or cfg.fetch_cache_bytes > 0)):
+            if not compress:
                 return DistGraphStorage(cluster.rrefs, machine, proc.name,
-                                        compress=compress)
-            fc = fetch_caches.get(machine)
-            if fc is None:
-                fc = fetch_caches[machine] = FetchCache(
-                    cfg.fetch_cache_bytes, sanitizer=cluster.sanitizer
-                )
-            return NeighborFetchService(
-                cluster.rrefs, machine, proc.name, fc,
-                split=cfg.fetch_split, coalesce=cfg.fetch_coalesce,
-                metrics=obs.metrics, proc=proc,
-                heat=heat_maps.setdefault(machine, {}),
-            )
+                                        compress=False)
+            ledger = ledgers.get(machine)
+            if ledger is None:
+                ledger = ledgers[machine] = FetchCache(
+                    sanitizer=cluster.sanitizer)
+            return NeighborFetchService(cluster.rrefs, machine, proc.name,
+                                        ledger)
 
         states: dict[int, object] = {}
         latencies: dict[int, float] = {}
@@ -523,11 +515,6 @@ class Session:
         phases = aggregate_breakdowns([p.breakdown for p in procs])
         degraded_queries = sum(s["degraded_queries"] for s in fault_stats)
         abandoned_mass = sum((s["abandoned_mass"] for s in fault_stats), 0.0)
-        if fetch_caches:
-            obs.metrics.set("fetch.cache_bytes", sum(
-                fc.nbytes for fc in fetch_caches.values()))
-            obs.metrics.set("fetch.cache_entries", sum(
-                len(fc.rows) for fc in fetch_caches.values()))
         obs.metrics.inc("engine.queries", len(sources))
         obs.metrics.inc("engine.degraded_queries", degraded_queries)
         obs.metrics.set("engine.makespan", makespan)
@@ -557,7 +544,7 @@ class Session:
             abandoned_mass=abandoned_mass,
             metrics=obs.metrics.snapshot(),
             obs=obs,
-            heat=heat_maps,
+            heat={m: ledger.heat() for m, ledger in ledgers.items()},
             race_violations=race_violations,
         )
 

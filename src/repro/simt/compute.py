@@ -44,7 +44,6 @@ class ComputeCostModel:
     relax: Cost = Cost(2.44e-4, (0.0, 3.43e-8))    # WCC: rows, entries
     node2vec: Cost = Cost(3.05e-5, (9.92e-7,))     # biased steps: entries
     frontier: Cost = Cost(2.47e-6)                 # BFS/WCC pop, walk step
-    merge: Cost = Cost(5.21e-5, (1.32e-6,))        # fetch finalize: rows
     #: a handler on a storage server / the caller's machine: result bytes,
     #: result tensors
     serve: Cost = Cost(2.45e-5, (3.07e-10, 4.95e-7))

@@ -19,7 +19,7 @@ class SimFuture:
     """A write-once container resolving at a known virtual time."""
 
     __slots__ = ("_value", "_exception", "_ready_time", "_done", "_callbacks",
-                 "tag", "span_id")
+                 "tag")
 
     def __init__(self, tag: str | None = None) -> None:
         self._value: Any = None
@@ -29,9 +29,6 @@ class SimFuture:
         self._callbacks: list[Callable[["SimFuture"], None]] = []
         #: optional label for tracing/debugging
         self.tag = tag
-        #: client span id of the RPC that produced this future (traced runs
-        #: only) — lets coalesced waiters link flows back to the origin call
-        self.span_id: int | None = None
 
     # -- state ----------------------------------------------------------
     @property
@@ -100,47 +97,3 @@ class SimFuture:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = f"done@{self._ready_time:.6g}" if self._done else "pending"
         return f"SimFuture(tag={self.tag!r}, {state})"
-
-
-class MergedSimFuture(SimFuture):
-    """Composite SimFuture whose value materializes at first consumption.
-
-    Resolves (ready time = max over parts; exception = first failing part)
-    as soon as every part resolves, but ``finalize(ok)`` — which builds the
-    value from the parts — runs lazily inside :meth:`value`.  The scheduler
-    calls ``value()`` exactly when the waiting driver resumes, so whatever
-    state ``finalize`` mutates evolves in driver program order, as it does
-    when a thread blocks in ``value()`` on the thread runtime.
-    """
-
-    __slots__ = ("_finalize",)
-
-    def __init__(self, parts: list[SimFuture], finalize,
-                 tag: str | None = None) -> None:
-        super().__init__(tag=tag)
-        self._finalize = finalize
-        remaining = {"n": len(parts)}
-
-        def on_done(_f: SimFuture) -> None:
-            remaining["n"] -= 1
-            if remaining["n"] > 0:
-                return
-            ready = max(p.ready_time for p in parts)
-            exc = next((p.exception for p in parts
-                        if p.exception is not None), None)
-            if exc is not None:
-                self.set_exception(exc, ready)
-            else:
-                self.set_result(None, ready)
-
-        for p in parts:
-            p.add_done_callback(on_done)
-
-    def value(self) -> Any:
-        if self._done and self._finalize is not None:
-            fin, self._finalize = self._finalize, None
-            if self._exception is None:
-                self._value = fin(True)
-            else:
-                fin(False)
-        return super().value()

@@ -21,10 +21,9 @@ Implements the storage stack exactly as the paper lays it out:
 * :class:`DistGraphStorage` — the per-process facade of Figure 4:
   ``get_neighbor_infos`` and ``sample_one_neighbor`` against local or
   remote shards through RRefs.
-* :class:`NeighborFetchService` / :class:`FetchCache` — the adaptive
-  neighbor-fetch layer, a facade subclass: partial halo-cache hits,
-  a fill-once byte-budgeted hot-vertex cache, and single-flight
-  coalescing of overlapping in-flight requests (docs/fetch-layer.md).
+* :class:`NeighborFetchService` / :class:`FetchCache` — the facade
+  subclass every compressed-path driver holds, and the per-machine
+  ledger it records remote demand (heat) in.
 """
 
 from repro.storage.build import ShardedGraph, build_shards

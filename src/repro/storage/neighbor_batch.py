@@ -82,14 +82,6 @@ class NeighborBatch:
         return (self.indptr.nbytes + self.ids.nbytes + self.weights.nbytes
                 + self.wdeg.nbytes + self.src_wdeg.nbytes)
 
-    def row_nbytes(self) -> np.ndarray:
-        """``slice_rows(i, i + 1).nbytes`` for every row ``i`` at once: what
-        each row costs to keep or send on its own."""
-        per_entry = (self.ids.itemsize + self.weights.itemsize
-                     + self.wdeg.itemsize)
-        return (np.diff(self.indptr) * per_entry
-                + 2 * self.indptr.itemsize + self.src_wdeg.itemsize)
-
     def rpc_payload(self) -> tuple[int, int]:
         """5 tensors regardless of batch size — the compression win."""
         return self.nbytes, 5

@@ -236,8 +236,8 @@ class GraphShard:
     def cache_mask(self, ids: np.ndarray) -> np.ndarray:
         """Per-node boolean mask of which remote nodes the halo cache holds.
 
-        The fetch layer uses it to serve covered rows locally and send only
-        the misses over the wire.
+        The storage facade answers a request from the halo cache when
+        every entry is set (``cache_mask(ids).all()``).
         """
         ids = np.asarray(ids, dtype=np.int64)
         if self.halo is None:

@@ -11,8 +11,8 @@ inserts/deletes over a fixed node set), applied
   visible to obs/chaos like any other traffic.
 
 Published PPR vectors are maintained *incrementally*
-(:mod:`repro.ppr.incremental`) instead of recomputed, and observed
-``fetch.*`` heat drives shard rebalancing (:mod:`repro.stream.rebalance`).
+(:mod:`repro.ppr.incremental`) instead of recomputed, and the heat of
+remote requests drives shard rebalancing (:mod:`repro.stream.rebalance`).
 :class:`StreamingSession` ties all of it to the serving clock.  See
 docs/streaming.md.
 """

@@ -1,7 +1,7 @@
 """Telemetry-driven shard rebalancing (``repro.stream.rebalance``).
 
-The fetch layer records per-machine *heat*: how often each remote row
-(node id) was requested during a serving epoch
+Every compressed-path storage handle records per-machine *heat*: how
+often each remote row (node id) was requested during a serving epoch
 (:class:`~repro.engine.engine.QueryRunResult.heat`).  Between epochs the
 planner turns that demand into deterministic decisions:
 
@@ -14,11 +14,11 @@ planner turns that demand into deterministic decisions:
   :func:`~repro.storage.build.build_shards` — which re-issues every
   shard's id range, so a migration is a **relabel epoch**: node ids are
   only meaningful between two rebuilds, and everything keyed by them
-  (heat, fetch caches, halo caches) is per-run or reset here, while
+  (heat, halo caches) is per-run or reset here, while
   decisions, the mirror and published vectors stay in caller ids.
 * **replicate** — demand is spread across requesters: push the row into
-  each requester's halo cache (``install_halo_rows``), so future
-  fetches are partial-halo hits instead of remote misses.
+  each requester's halo cache (``install_halo_rows``), so a future
+  request whose every row is cached is answered locally.
 
 Planning is pure and runs driver-side; only execution touches the
 network.  Identical heat maps yield identical decisions and identical

@@ -15,7 +15,7 @@
 * **refresh** — fold the accumulated row diffs into every published
   vector by residual correction + signed re-push
   (:mod:`repro.ppr.incremental`) instead of recomputing from scratch;
-* **rebalance** — between epochs, turn the fetch layer's accumulated
+* **rebalance** — between epochs, turn the accumulated remote-request
   heat into migrations/replications (:mod:`repro.stream.rebalance`).
 
 Every step advances the serving clock only through the deterministic

@@ -2,7 +2,7 @@
 from repro.obs import MetricsRegistry
 
 metrics = MetricsRegistry()
-metrics.inc("fetch.requests")
+metrics.inc("engine.queries")
 metrics.set("serve.queue_depth", 3)
 metrics.observe("rpc.latency", 0.25)
 tenant = "gold"

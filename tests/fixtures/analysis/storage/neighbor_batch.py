@@ -1,7 +1,7 @@
 """REP011 negative fixture: views are free, sanctioned copies are pragma'd.
 
-Same scope as the positive fixture (path ends in ``storage/fetch.py``)
-but every allocation either disappears into a slice or carries an
+In scope like the positive fixture (path ends in
+``storage/neighbor_batch.py``) but every allocation either disappears into a slice or carries an
 explicit ``# repro: allow=REP011`` pragma with its reason.
 """
 

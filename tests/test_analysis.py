@@ -55,7 +55,7 @@ FIXTURE_MAP = {
     "REP008": ("rep008_bad.py", "rep008_ok.py", 4),
     "REP009": ("rpc/rep009_bad.py", "rpc/rep009_ok.py", 3),
     "REP010": ("rpc/rep010_bad.py", "rpc/rep010_ok.py", 3),
-    "REP011": ("storage/shard.py", "storage/fetch.py", 3),
+    "REP011": ("storage/shard.py", "storage/neighbor_batch.py", 3),
 }
 
 
@@ -224,7 +224,7 @@ class TestRuleFixtures:
         assert [v.line for v in out] == [3]
 
     def test_rep011_scope_is_path_suffix_not_directory(self, tmp_path):
-        # the identical hazard outside the three hot-path files is ignored,
+        # the identical hazard outside the two hot-path files is ignored,
         # even inside a directory named "storage"
         storage = tmp_path / "storage"
         storage.mkdir()

@@ -265,9 +265,7 @@ class TestConfigValidation:
         assert e.sharded is sharded
 
     def test_instant_network(self, graph):
-        """Without the fetch layer (whose merge is compute charged to
-        remote_fetch) an instant wire leaves only server time to wait on."""
-        cfg = EngineConfig(n_machines=2, network=NetworkModel.instant(),
-                           fetch_split=False, fetch_cache_bytes=0)
+        """An instant wire leaves only server time to wait on."""
+        cfg = EngineConfig(n_machines=2, network=NetworkModel.instant())
         run = GraphEngine(graph, cfg).run(RunRequest(n_queries=2))
         assert run.phases["remote_fetch"] < run.phases["push"]

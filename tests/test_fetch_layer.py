@@ -1,31 +1,41 @@
-"""Unit and property tests for the adaptive neighbor-fetch layer.
+"""Tests for the remote fetch path (``repro.storage.fetch``).
 
-Covers the three mechanisms in isolation (partial-hit splitting via
-``GraphShard.cache_mask``, the byte-budgeted hot-vertex cache, and the
-single-flight pending table) plus the wire-format helpers they rest on
-(``NeighborBatch.take_rows`` / ``NeighborBatch.merge``).  Hypothesis
-checks the invariants the bitwise-identity guarantee depends on:
+Every remote ``get_neighbor_infos`` is one ``DistGraphStorage`` call:
+the all-or-nothing halo-cache shortcut (``GraphShard.cache_mask``), or
+one batched RPC whose future reaches the driver as is.  What
+``NeighborFetchService`` adds is the per-machine demand ledger
+(:class:`FetchCache`), whose counts are a run's heat.  Checked here:
 
-* split/merge round-trip — any partition of a batch into parts, in any
-  order, merges back to the original batch bit-for-bit;
-* admission — the same admission sequence always produces the same cache
-  contents; under any sequence the byte account stays within budget
-  (:func:`assert_cache_quiescent`), a resident row is never replaced, and
-  a hit returns the admitting response's row bitwise.
+* heat equals an oracle that counts the ids of every non-local request,
+  on both runtimes, and ``rpc.calls_remote`` equals the number of those
+  requests when there is no halo cache;
+* the halo shortcut answers a fully covered request locally, and one
+  uncovered id sends the whole batch over the wire;
+* the wire-format helpers the halo cache rests on
+  (``NeighborBatch.take_rows`` / ``NeighborBatch.merge``, which
+  ``GraphShard.install_halo_rows`` uses).
 """
+
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import EngineConfig, GraphEngine, PPRParams, RunRequest
+from repro.engine.cluster import deploy
 from repro.errors import ShardError
 from repro.graph import powerlaw_cluster
 from repro.partition import HashPartitioner
 from repro.rpc.rref import RRef
 from repro.rpc.thread_runtime import ThreadFuture, ThreadRuntime
-from repro.storage import FetchCache, NeighborFetchService, build_shards
-from repro.storage.fetch import _rows_to_batch
+from repro.serving import Session, SessionConfig
+from repro.simt import Wait
+from repro.storage import DistGraphStorage, FetchCache, \
+    NeighborFetchService, build_shards
 from repro.storage.neighbor_batch import NeighborBatch
 
 
@@ -80,25 +90,14 @@ class _StubRref(RRef):
         return ThreadFuture.resolved(make_batch(ids))
 
 
-class _Metrics:
-    def __init__(self):
-        self.c = {}
-
-    def inc(self, name, value=1):
-        self.c[name] = self.c.get(name, 0) + value
-
-
-def make_service(**kwargs):
+def make_service():
     """A service for shard 0 of two over stub RRefs; returns it with the
-    recorded ``(shard, ids)`` calls, its cache and its metrics."""
-    ctx = ThreadRuntime()  # the runtime builds the futures
+    recorded ``(shard, ids)`` calls and its ledger."""
+    ctx = ThreadRuntime()
     calls = []
     rrefs = [_StubRref(ctx, shard, calls) for shard in range(2)]
-    metrics = _Metrics()
-    cache = FetchCache(kwargs.pop("capacity", 1 << 20))
-    svc = NeighborFetchService(rrefs, 0, "w0-0", cache, metrics=metrics,
-                               **kwargs)
-    return svc, calls, cache, metrics
+    ledger = FetchCache()
+    return NeighborFetchService(rrefs, 0, "w0-0", ledger), calls, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ class TestMergeProperties:
     @given(batch_partitions())
     def test_split_merge_round_trip_bitwise(self, case):
         """Any partition of a batch, in any row order, merges back to the
-        original bit-for-bit — the fetch layer's identity guarantee."""
+        original bit-for-bit — what ``install_halo_rows`` relies on."""
         ids, parts = case
         full = make_batch(ids)
         pieces = [(np.asarray(p, dtype=np.int64),
@@ -218,177 +217,206 @@ class TestMergeProperties:
 
 
 # ---------------------------------------------------------------------------
-# FetchCache
+# FetchCache: the demand ledger
 # ---------------------------------------------------------------------------
 
-def admit_ids(cache, ids, salt=0.0):
-    ids = np.asarray(ids, dtype=np.int64)
-    keys = ids.tolist()  # cache keys are node ids
-    with cache.lock:
-        cache.admit(keys, make_batch(ids, salt))
-
-
-def row_nbytes(node):
-    """:func:`make_batch`'s row size: 3 columns per neighbor + a one-row
-    indptr + src_wdeg."""
-    return (node % 3 + 1) * 24 + 24
-
-
-def assert_cache_quiescent(cache):
-    """Between calls the byte account is exact and within budget."""
-    assert cache.nbytes == sum(r.nbytes for r in cache.rows.values())
-    assert cache.nbytes <= cache.capacity
+def ids_lists():
+    return st.lists(st.lists(st.integers(min_value=0, max_value=40),
+                             min_size=1, max_size=6),
+                    min_size=0, max_size=12)
 
 
 class TestFetchCache:
-    def test_admit_accounts_bytes(self):
-        cache = FetchCache(1 << 20)
-        admit_ids(cache, [0, 1, 2])  # 1, 2, 3 neighbors
-        assert len(cache.rows) == 3
-        assert cache.nbytes == sum(
-            make_batch([i]).nbytes for i in (0, 1, 2)) \
-            == (1 + 2 + 3) * 24 + 3 * 24
+    def test_heat_counts_every_id_of_every_request(self):
+        ledger = FetchCache()
+        ledger.admit(np.array([5, 6, 5], dtype=np.int64))
+        ledger.admit(np.array([6, 9], dtype=np.int64))
+        heat = ledger.heat()
+        assert heat == {5: 2, 6: 2, 9: 1}
+        assert all(type(k) is int and type(v) is int
+                   for k, v in heat.items())
 
-    def test_zero_capacity_disables(self):
-        cache = FetchCache(0)
-        admit_ids(cache, [0, 1])
-        assert cache.rows == {} and cache.nbytes == 0
+    def test_empty_ledger_has_no_heat(self):
+        assert FetchCache().heat() == {}
 
-    def test_oversize_row_skipped(self):
-        cache = FetchCache(60)  # row of node 1 costs 2*24+24 = 72 > 60
-        admit_ids(cache, [1])
-        assert cache.rows == {}
-        admit_ids(cache, [0, 1])  # node 0 costs 48, fits
-        assert list(cache.rows) == [0]
-        assert_cache_quiescent(cache)
+    def test_concurrent_admits_lose_no_request(self):
+        """Eight threads (more than cores) share one ledger, switching
+        as often as the interpreter allows: every request is counted."""
+        ledger = FetchCache()
+        requests = [np.arange(t, t + 5, dtype=np.int64) for t in range(8)]
 
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity_bytes"):
-            FetchCache(-1)
+        def admit_all(ids):
+            for _ in range(300):
+                ledger.admit(ids)
 
-    def test_unregister_is_identity_guarded(self):
-        cache = FetchCache(0)
-        fut_a, fut_b = object(), object()
-        cache.pending[5] = (fut_a, 0)
-        cache.unregister([5], fut_b)  # someone else's flight: untouched
-        assert 5 in cache.pending
-        cache.unregister([5], fut_a)
-        assert 5 not in cache.pending
-        cache.unregister([5], fut_a)  # idempotent
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=admit_all, args=(ids,))
+                       for ids in requests]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        oracle = Counter(i for ids in requests for i in ids.tolist() * 300)
+        assert ledger.heat() == dict(oracle)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.lists(st.integers(min_value=0, max_value=40),
-                             min_size=1, max_size=6),
-                    min_size=1, max_size=12),
-           st.integers(min_value=0, max_value=800))
-    def test_admission_sequence_is_deterministic(self, seq, capacity):
-        """Same admissions, same capacity -> same rows, same bytes."""
-        a, b = FetchCache(capacity), FetchCache(capacity)
+    @given(ids_lists(), st.randoms(use_true_random=False))
+    def test_admission_sequence_is_deterministic(self, seq, rng):
+        """Heat is the multiset count of the admitted ids, whatever order
+        the machine's processes admitted their requests in."""
+        a, b = FetchCache(), FetchCache()
         for ids in seq:
-            admit_ids(a, ids)
-        for ids in seq:
-            admit_ids(b, ids)
-        assert list(a.rows) == list(b.rows)
-        assert a.nbytes == b.nbytes == sum(r.nbytes for r in a.rows.values())
-        assert a.nbytes <= capacity
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.lists(st.integers(min_value=0, max_value=40),
-                             min_size=1, max_size=6),
-                    min_size=1, max_size=40),
-           st.integers(min_value=0, max_value=800))
-    def test_admits_until_full_and_never_replaces(self, seq, capacity):
-        """Every response is distinct (salted); after each admission the
-        budget holds, a resident row is the very row it was admitted as,
-        a hit on it returns its admitting response's row bitwise, and no
-        skipped row would still fit."""
-        cache = FetchCache(capacity)
-        admitted = {}  # key -> (row object, salt of its admitting response)
-        for salt, ids in enumerate(seq):
-            admit_ids(cache, ids, float(salt))
-            assert_cache_quiescent(cache)
-            for key, (row, _) in admitted.items():
-                assert cache.rows[key] is row
-            for key, row in cache.rows.items():
-                admitted.setdefault(key, (row, salt))
-            for key in ids:
-                if key not in cache.rows:
-                    assert row_nbytes(key) > capacity - cache.nbytes
-        for key, (row, salt) in admitted.items():
-            assert_batches_equal(_rows_to_batch([row]),
-                                 make_batch([key], float(salt)))
+            a.admit(np.asarray(ids, dtype=np.int64))
+        shuffled = list(seq)
+        rng.shuffle(shuffled)
+        for ids in shuffled:
+            b.admit(np.asarray(ids, dtype=np.int64))
+        oracle = Counter(i for ids in seq for i in ids)
+        assert a.heat() == b.heat() == dict(oracle)
 
 
 # ---------------------------------------------------------------------------
-# NeighborFetchService over stub RRefs (thread-future path)
+# NeighborFetchService over stub RRefs
 # ---------------------------------------------------------------------------
 
 class TestFetchService:
     def test_local_and_delegated_surface(self):
-        svc, calls, _, _ = make_service()
+        svc, calls, ledger = make_service()
         assert svc.n_shards == 2 and svc.shard_id == 0
         assert svc.compress and svc.is_local(0) and not svc.is_local(1)
         svc.get_neighbor_infos(0, np.array([1, 2]))  # local: the raw path
         assert calls[0][0] == 0
         assert np.array_equal(calls[0][1], np.array([1, 2]))
-
-    def test_miss_then_hot_is_bitwise_identical(self):
-        svc, calls, cache, metrics = make_service()
-        ids = np.array([5, 6, 7], dtype=np.int64)
-        first = svc.get_neighbor_infos(1, ids).value()
-        assert len(calls) == 1
-        second = svc.get_neighbor_infos(1, ids).value()
-        assert len(calls) == 1  # served entirely from the cache
-        assert_batches_equal(first, second)
-        assert_batches_equal(second, make_batch(ids))
-        assert metrics.c["fetch.requests"] == 2
-        assert metrics.c["fetch.misses"] == 3
-        assert metrics.c["fetch.cache_hits"] == 3
-        assert metrics.c["fetch.bytes_saved"] > 0
-        assert len(cache.rows) == 3 and not cache.pending
+        assert ledger.heat() == {}  # local demand is not heat
 
     def test_pure_miss_passthrough_returns_raw_future(self):
-        svc, calls, _, _ = make_service(capacity=0, split=False,
-                                          coalesce=False)
+        """A remote fetch is the storage call's own future: no merge."""
+        svc, calls, ledger = make_service()
         ids = np.array([1, 2], dtype=np.int64)
         fut = svc.get_neighbor_infos(1, ids)
-        assert fut.done
+        assert isinstance(fut, ThreadFuture) and fut.done
         assert_batches_equal(fut.value(), make_batch(ids))
-        # with every mechanism off the storage future passes through as-is
-        assert isinstance(fut, ThreadFuture)
-
-    def test_coalescing_dedups_overlapping_flights(self):
-        svc, calls, cache, metrics = make_service()
-        f1 = svc.get_neighbor_infos(1, np.array([5, 6, 7]))
-        f2 = svc.get_neighbor_infos(1, np.array([6, 7, 8]))
-        # second request only fetched the one genuinely new node
-        assert [list(ids) for _, ids in calls] == [[5, 6, 7], [8]]
-        assert metrics.c["fetch.coalesced"] == 2
-        assert metrics.c["fetch.misses"] == 3 + 1
-        assert_batches_equal(f1.value(), make_batch(np.array([5, 6, 7])))
-        assert_batches_equal(f2.value(), make_batch(np.array([6, 7, 8])))
-        assert not cache.pending
-        assert set(cache.rows) == {5, 6, 7, 8}
-
-    def test_coalesced_flight_consumable_in_any_order(self):
-        svc, _, _, _ = make_service()
-        f1 = svc.get_neighbor_infos(1, np.array([5, 6, 7]))
-        f2 = svc.get_neighbor_infos(1, np.array([7, 5]))
-        # consume the late arrival first: it extracts from f1's response
-        assert_batches_equal(f2.value(), make_batch(np.array([7, 5])))
-        assert_batches_equal(f1.value(), make_batch(np.array([5, 6, 7])))
+        assert len(calls) == 1 and ledger.heat() == {1: 1, 2: 1}
 
     def test_coalesce_off_refetches(self):
-        svc, calls, _, metrics = make_service(coalesce=False)
-        svc.get_neighbor_infos(1, np.array([5, 6]))
-        svc.get_neighbor_infos(1, np.array([5, 6]))
-        assert len(calls) == 2
-        assert metrics.c.get("fetch.coalesced", 0) == 0
+        """Nothing coalesces or caches: overlapping and repeated requests
+        each send their whole batch."""
+        svc, calls, ledger = make_service()
+        for ids in ([5, 6, 7], [6, 7, 8], [5, 6, 7]):
+            svc.get_neighbor_infos(1, np.array(ids)).value()
+        assert [list(ids) for _, ids in calls] == \
+            [[5, 6, 7], [6, 7, 8], [5, 6, 7]]
+        assert ledger.heat() == {5: 2, 6: 3, 7: 3, 8: 1}
 
-    def test_mixed_hot_and_miss_merges_in_request_order(self):
-        svc, calls, _, _ = make_service()
-        svc.get_neighbor_infos(1, np.array([10, 11])).value()
-        ids = np.array([12, 10, 13, 11], dtype=np.int64)
-        out = svc.get_neighbor_infos(1, ids).value()
-        assert list(calls[-1][1]) == [12, 13]  # only the misses
-        assert_batches_equal(out, make_batch(ids))
+    def test_empty_request_records_nothing(self):
+        svc, _, ledger = make_service()
+        svc.get_neighbor_infos(1, np.array([], dtype=np.int64))
+        assert ledger.heat() == {}
+
+    def test_out_of_range_shard_is_typed(self):
+        svc, _, _ = make_service()
+        with pytest.raises(ShardError, match="dest_shard"):
+            svc.get_neighbor_infos(2, np.array([1]))
+
+
+# ---------------------------------------------------------------------------
+# the remote path on a real deployment
+# ---------------------------------------------------------------------------
+
+PARAMS = PPRParams(epsilon=1e-5)
+
+
+@pytest.fixture(scope="module")
+def hub_graph():
+    return powerlaw_cluster(500, 6, mixing=0.4, seed=13)
+
+
+def recorded_requests(monkeypatch):
+    """Log ``(caller shard, dest shard, ids, local)`` for every
+    ``get_neighbor_infos`` the storage facade serves."""
+    log = []
+    real = DistGraphStorage.get_neighbor_infos
+
+    def recording(self, dest_shard, ids):
+        log.append((self.shard_id, int(dest_shard),
+                    np.array(ids, dtype=np.int64), self.is_local(dest_shard)))
+        return real(self, dest_shard, ids)
+
+    monkeypatch.setattr(DistGraphStorage, "get_neighbor_infos", recording)
+    return log
+
+
+def run_recorded(engine, runtime, monkeypatch, mode="engine"):
+    log = recorded_requests(monkeypatch)
+    run = Session(engine, SessionConfig(runtime=runtime)).run(RunRequest(
+        n_queries=12, seed=3, params=PARAMS, mode=mode))
+    remote = [(m, ids) for m, _j, ids, local in log if not local]
+    return run, remote
+
+
+@pytest.mark.parametrize("runtime", ["sim", "threads"])
+class TestRemotePath:
+    @pytest.mark.parametrize("mode", ["engine", "tensor"])
+    def test_heat_counts_the_ids_of_every_non_local_request(
+            self, hub_graph, monkeypatch, runtime, mode):
+        engine = GraphEngine(hub_graph, EngineConfig(
+            n_machines=3, procs_per_machine=2, halo_hops=2, seed=0))
+        run, remote = run_recorded(engine, runtime, monkeypatch, mode)
+        oracle = {m: Counter() for m in run.heat}
+        for machine, ids in remote:
+            oracle[machine].update(ids.tolist())
+        assert remote and run.heat == {m: dict(c) for m, c in oracle.items()}
+        assert sorted(run.heat) == [0, 1, 2]
+
+    def test_calls_remote_counts_non_local_requests(
+            self, hub_graph, monkeypatch, runtime):
+        """Without a halo cache every non-local request is one RPC, and
+        no other call crosses the wire."""
+        engine = GraphEngine(hub_graph, EngineConfig(
+            n_machines=3, procs_per_machine=2, seed=0))
+        run, remote = run_recorded(engine, runtime, monkeypatch)
+        assert run.metrics["rpc.calls_remote"] == run.remote_requests \
+            == len(remote) > 0
+
+    def test_halo_shortcut_answers_covered_requests_locally(
+            self, hub_graph, runtime):
+        engine = GraphEngine(hub_graph, EngineConfig(
+            n_machines=2, halo_hops=2, seed=0))
+        shards = engine.sharded.shards
+        covered = shards[0].halo_nodes()
+        covered = covered[covered >= engine.sharded.base[1]][:6]
+        uncovered = np.setdiff1d(
+            np.arange(engine.sharded.base[1], engine.sharded.base[2]),
+            shards[0].halo_nodes())[:1]
+        assert len(covered) == 6 and len(uncovered) == 1
+        cluster = deploy(engine.sharded, engine.config, runtime)
+        proc = cluster.worker(0, 0)
+        ledger = FetchCache()
+        svc = NeighborFetchService(cluster.rrefs, 0, proc.name, ledger)
+        got = {}
+
+        def body():
+            got["hit"] = yield Wait(svc.get_neighbor_infos(1, covered))
+            got["local"] = cluster.local_calls
+            mixed = np.concatenate([covered, uncovered])
+            got["miss"] = yield Wait(svc.get_neighbor_infos(1, mixed))
+
+        cluster.spawn_compute(0, 0, body())
+        cluster.run()
+        # the covered request never left the machine ...
+        assert got["local"] == 1
+        assert_batches_equal(got["hit"],
+                             shards[1].get_neighbor_batch(covered))
+        # ... one uncovered id sends the whole batch, in one RPC, and no
+        # covered row of it is served locally
+        assert cluster.remote_requests == 1 and cluster.local_calls == 1
+        assert_batches_equal(got["miss"], shards[1].get_neighbor_batch(
+            np.concatenate([covered, uncovered])))
+        # both requests were remote demand
+        assert ledger.heat() == {**{k: 2 for k in covered.tolist()},
+                                 int(uncovered[0]): 1}

@@ -18,8 +18,6 @@ The push state itself is checked against
 round's frontier is split into responses, it makes the reference's pushes.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -564,12 +562,9 @@ class TestFetchSpans:
     @pytest.mark.parametrize("mode", ["batched", "tensor"])
     def test_one_fetch_span_per_remote_wait(self, engine, mode):
         """Each driver issues one ``get_neighbor_infos`` per remote shard
-        per round and waits for it once; with the fetch layer off every
-        one of those is one remote RPC, so the counts must agree."""
-        bypassed = GraphEngine(engine.graph, dataclasses.replace(
-            engine.config, fetch_split=False, fetch_cache_bytes=0),
-            sharded=engine.sharded)
-        run = bypassed.run(RunRequest(
+        per round and waits for it once; without a halo cache every one
+        of those is one remote RPC, so the counts must agree."""
+        run = engine.run(RunRequest(
             n_queries=6, params=PARAMS, mode=mode, trace=True))
         spans = [s for s in run.obs.tracer.spans if s.name == "fetch"]
         assert len(spans) > 0

@@ -212,77 +212,6 @@ class TestChromeExport:
         assert finishes[0]["ts"] == pytest.approx(0.3e6)
 
 
-class TestCoalescedFlow:
-    """Flow arrows for piggybacked fetches.
-
-    A coalesced fetch never issues its own RPC — it awaits another
-    caller's in-flight future — so without the zero-width marker span
-    the late requester's timeline would show a wait with no incoming
-    arrow.  The exporter draws a dedicated ``coalesce`` flow from the
-    origin client span to the marker.
-    """
-
-    def _tracer(self):
-        tracer = SpanTracer()
-        cid = tracer.next_id()
-        tracer.record("rpc.fetch_rows", "compute:0.0", 0.0, 1.0,
-                      span_id=cid, kind="client")
-        tracer.record("fetch_rows", "server:1", 0.3, 0.7, kind="server",
-                      link=cid)
-        # a second worker joined the same flight later: zero-width marker
-        mid = tracer.record("fetch.coalesced", "compute:0.1", 0.4, 0.4,
-                            kind="coalesce", link=cid,
-                            attrs={"shard": 1, "rows": 3})
-        return tracer, cid, mid
-
-    def test_marker_gets_its_own_flow_arrow(self):
-        tracer, cid, mid = self._tracer()
-        doc = chrome_trace(tracer, {"compute:0.0": 0, "compute:0.1": 0,
-                                    "server:1": 1})
-        starts = {e["id"]: e for e in doc["traceEvents"] if e["ph"] == "s"}
-        finishes = {e["id"]: e for e in doc["traceEvents"]
-                    if e["ph"] == "f"}
-        assert set(starts) == set(finishes) == {cid, mid}
-        # the coalesce arrow leaves the origin client span's start...
-        assert starts[mid]["cat"] == "coalesce"
-        assert starts[mid]["ts"] == 0.0
-        assert starts[mid]["tid"] != finishes[mid]["tid"]
-        # ...and lands on the late requester's marker, forward in time
-        assert finishes[mid]["ts"] == pytest.approx(0.4e6)
-        assert finishes[mid]["ts"] >= starts[mid]["ts"]
-        # the rpc arrow is untouched
-        assert starts[cid]["cat"] == "rpc"
-
-    def test_unlinked_marker_draws_no_arrow(self):
-        tracer = SpanTracer()
-        tracer.record("fetch.coalesced", "compute:0.1", 0.4, 0.4,
-                      kind="coalesce", link=777)  # origin span not traced
-        doc = chrome_trace(tracer)
-        assert not [e for e in doc["traceEvents"] if e["ph"] in ("s", "f")]
-
-    def test_traced_engine_run_records_linked_markers(self):
-        """Regression: coalesced fetches used to dangle — the requester
-        awaited a flight whose only trace presence was the *origin*
-        worker's client span."""
-        graph = powerlaw_cluster(400, 6, mixing=0.3, seed=7)
-        eng = GraphEngine(graph, EngineConfig(
-            n_machines=2, procs_per_machine=2, halo_hops=2))
-        run = eng.run(RunRequest(n_queries=12, seed=5, trace=True))
-        assert run.metrics.get("fetch.coalesced", 0) > 0
-        tracer = run.obs.tracer
-        markers = tracer.by_kind("coalesce")
-        assert markers
-        client_ids = {s.span_id for s in tracer.by_kind("client")}
-        for m in markers:
-            assert m.name == "fetch.coalesced"
-            assert m.duration == 0.0
-            assert m.link in client_ids
-            assert m.attrs["rows"] > 0
-        # markers never masquerade as RPC traffic: client-span count is
-        # still exactly the remote-request count
-        assert len(tracer.by_kind("client")) == run.remote_requests
-
-
 class TestEngineWiring:
     def test_metrics_agree_with_legacy_counters(self, engine):
         run = engine.run(RunRequest(n_queries=6, seed=3))
@@ -473,9 +402,7 @@ class TestChromeTraceSchema:
         assert start_ids and start_ids == finish_ids
         client_ids = {e["args"]["span_id"] for e in events
                       if e["ph"] == "X" and e.get("cat") == "client"}
-        coalesce_ids = {e["args"]["span_id"] for e in events
-                        if e["ph"] == "X" and e.get("cat") == "coalesce"}
-        assert set(start_ids) <= client_ids | coalesce_ids
+        assert set(start_ids) <= client_ids
 
 
 class TestCliProfile:

@@ -178,8 +178,7 @@ class TestKnobSurface:
     def test_engine_config_fields(self):
         assert tuple(f.name for f in dataclasses.fields(EngineConfig)) == (
             "n_machines", "procs_per_machine", "partitioner", "network",
-            "opt", "halo_hops", "fetch_split", "fetch_cache_bytes",
-            "fetch_coalesce", "seed",
+            "opt", "halo_hops", "seed",
         )
 
     def test_run_request_fields(self):
@@ -255,7 +254,7 @@ class TestCliSurface:
         doctor = _subcommands(build_parser())["doctor"]
         assert _arguments(doctor) == (
             "graph", "--scale", "--shards", "--machines", "--procs",
-            "--seed", "--no-fetch", "--fetch-cache-bytes", "--queries",
+            "--seed", "--queries",
             "--alpha", "--epsilon", "--max-spans", "--drop", "--fault-seed",
             "--max-attempts", "--timeout", "--top", "--json", "--out",
             "--load", "--diff",
@@ -276,7 +275,7 @@ class TestCliSurface:
         """The graph / engine / ppr / chaos groups are spelled once; what
         differs per subcommand is only these defaults."""
         engine_group = dict(scale=0.1, shards=None, machines=4, procs=1,
-                            seed=0, no_fetch=False, fetch_cache_bytes=None)
+                            seed=0)
         ppr = dict(alpha=0.462, epsilon=1e-6)
         expected = {
             ("query", "products"): dict(engine_group, **ppr, queries=16),

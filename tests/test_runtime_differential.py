@@ -29,9 +29,8 @@ from repro.obs.analysis.causal import fault_of_span
 from repro.ppr import DegradationMode, OptLevel, PPRParams
 from repro.rpc import RetryPolicy
 from repro.serving.session import Session, SessionConfig
-from repro.simt import FaultPlan, Wait
-from repro.storage import DistGraphStorage, FetchCache, NeighborFetchService
-from tests.test_fetch_layer import assert_cache_quiescent
+from repro.simt import FaultPlan
+from repro.storage import FetchCache, NeighborFetchService
 
 PARAMS = PPRParams(epsilon=1e-5)
 
@@ -59,37 +58,28 @@ def engine():
     return GraphEngine(graph, EngineConfig(n_machines=2))
 
 
-def run_threaded(engine, sources, *, fetch=True, fetch_caches=None,
-                 **overrides):
+def run_threaded(engine, sources, *, ledgers=None, **overrides):
     """``engine.run``'s deployment on real threads, driver by driver.
 
-    ``fetch`` mirrors the engine's fetch-layer wrapping (one shared
-    FetchCache per machine) with the config's default knobs; a caller that
-    wants to inspect those caches afterwards passes its own (empty)
-    ``fetch_caches`` dict.  ``overrides`` are the cluster's per-run knobs
-    (fault plan, retry policy, sanitize).
+    Mirrors the engine's storage wrapping (one demand ledger per machine,
+    shared by its processes); a caller that wants to read the ledgers
+    afterwards passes its own (empty) ``ledgers`` dict.  ``overrides``
+    are the cluster's per-run knobs (fault plan, retry policy, sanitize).
     """
     cfg = engine.config
     sharded = engine.sharded
     cluster = deploy(sharded, cfg, "threads", **overrides)
     states: dict[int, object] = {}
-    if fetch_caches is None:
-        fetch_caches = {}
+    if ledgers is None:
+        ledgers = {}
     for (machine, p), chunk in assign_queries(
             sharded, sharded.nodes_of(sources),
             cfg.procs_per_machine).items():
         proc = cluster.worker(machine, p)
-        if fetch:
-            if machine not in fetch_caches:
-                fetch_caches[machine] = FetchCache(
-                    cfg.fetch_cache_bytes, sanitizer=cluster.sanitizer)
-            g = NeighborFetchService(
-                cluster.rrefs, machine, proc.name, fetch_caches[machine],
-                split=cfg.fetch_split, coalesce=cfg.fetch_coalesce,
-                metrics=cluster.obs.metrics, proc=proc)
-        else:
-            g = DistGraphStorage(cluster.rrefs, machine, proc.name,
-                                 compress=True)
+        if machine not in ledgers:
+            ledgers[machine] = FetchCache(sanitizer=cluster.sanitizer)
+        g = NeighborFetchService(cluster.rrefs, machine, proc.name,
+                                 ledgers[machine])
         cluster.spawn_compute(machine, p, multi_query_driver(
             g, proc, chunk, sharded, PARAMS,
             opt=OptLevel.OVERLAP, collect=states,
@@ -131,9 +121,7 @@ class TestHealthyDifferential:
         sim_counters = sim.obs.metrics.counters()
         thr_counters = runtime.obs.metrics.counters()
         for key in ("rpc.calls", "rpc.calls_local", "rpc.calls_remote",
-                    "rpc.request_bytes", "rpc.response_bytes",
-                    "fetch.requests", "fetch.cache_hits", "fetch.halo_hits",
-                    "fetch.misses", "fetch.coalesced", "fetch.bytes_saved"):
+                    "rpc.request_bytes", "rpc.response_bytes"):
             assert sim_counters.get(key, 0) == thr_counters.get(key, 0), key
         # the fault counters never appeared on either side
         for key in ("rpc.retries", "rpc.dropped_messages", "rpc.giveups"):
@@ -256,89 +244,45 @@ class TestFaultyDifferential:
         assert a.dropped_messages == b.dropped_messages
 
 
-class TestFetchLayerDifferential:
-    """The fetch layer never changes answers — only how they travel."""
+class TestHeatDifferential:
+    """The per-machine demand ledgers count the same heat on both runtimes."""
 
-    def test_fetch_on_off_bitwise_identical_sim(self, engine):
+    def test_heat_identical_sim_and_threads(self, engine):
         sources = sample_sources(engine.sharded, 8, seed=4)
-        on = engine.run(sim_request(sources))
-        bypassed = GraphEngine(engine.graph, EngineConfig(
-            n_machines=2, fetch_split=False, fetch_cache_bytes=0),
-            sharded=engine.sharded)
-        off = bypassed.run(sim_request(sources))
-        assert_same_vectors(engine, on.states, off.states)
-        # ... and travels less: the hot-vertex cache absorbs repeats
-        on_c = on.obs.metrics.counters()
-        off_c = off.obs.metrics.counters()
-        assert on.remote_requests < off.remote_requests
-        assert on_c["rpc.response_bytes"] < off_c["rpc.response_bytes"]
-        assert on_c["fetch.cache_hits"] > 0
-        assert "fetch.requests" not in off_c
-
-    def test_fetch_on_off_bitwise_identical_threads(self, engine):
-        sources = sample_sources(engine.sharded, 8, seed=4)
-        _, on_states = run_threaded(engine, sources, fetch=True)
-        _, off_states = run_threaded(engine, sources, fetch=False)
-        assert_same_vectors(engine, on_states, off_states)
-
-    def test_full_cache_fills_identically(self, engine):
-        """A cache too small for the run fills with the same rows on both
-        runtimes, never changes an answer, and ends every run with an
-        exact byte account inside its budget."""
-        tight = GraphEngine(engine.graph, EngineConfig(
-            n_machines=2, fetch_cache_bytes=4096), sharded=engine.sharded)
-        sources = sample_sources(engine.sharded, 8, seed=4)
-        roomy = engine.run(sim_request(sources))
-        sim = tight.run(sim_request(sources))
-        caches: dict[int, FetchCache] = {}
-        runtime, thr_states = run_threaded(tight, sources,
-                                           fetch_caches=caches)
-        assert_same_vectors(engine, roomy.states, sim.states)
+        sim = engine.run(sim_request(sources))
+        ledgers: dict[int, FetchCache] = {}
+        _, thr_states = run_threaded(engine, sources, ledgers=ledgers)
         assert_same_vectors(engine, sim.states, thr_states)
-        sim_c = sim.obs.metrics.counters()
-        thr_c = runtime.obs.metrics.counters()
-        for key in ("fetch.cache_hits", "fetch.misses", "fetch.coalesced",
-                    "fetch.bytes_saved"):
-            assert sim_c.get(key, 0) == thr_c.get(key, 0), key
-        # the same rows stay resident on both runtimes
-        assert sim.metrics["fetch.cache_entries"] == \
-            sum(len(c.rows) for c in caches.values())
-        assert sim.metrics["fetch.cache_bytes"] == \
-            sum(c.nbytes for c in caches.values())
-        # the budget binds: fewer rows resident, fewer hits, more misses
-        roomy_c = roomy.obs.metrics.counters()
-        assert sim.metrics["fetch.cache_entries"] \
-            < roomy.metrics["fetch.cache_entries"]
-        assert 0 < sim_c["fetch.cache_hits"] < roomy_c["fetch.cache_hits"]
-        assert sim_c["fetch.misses"] > roomy_c["fetch.misses"]
-        for cache in caches.values():
-            assert cache.rows
-            assert_cache_quiescent(cache)
+        thr_heat = {m: ledger.heat() for m, ledger in ledgers.items()}
+        assert sim.heat == thr_heat
+        assert any(sim.heat.values())
+        # a session on real threads reports the same heat
+        _, thr = run_on_both(engine, sim_request(sources))
+        assert thr.heat == sim.heat
 
-    def test_sanitized_threads_clean_through_coalescing(self):
-        """Two procs per machine hammer one shared FetchCache: the lockset
+    def test_sanitized_threads_share_one_ledger(self):
+        """Two procs per machine append to one shared ledger: the lockset
         detector must see accesses but no discipline violations."""
         graph = powerlaw_cluster(400, 6, mixing=0.3, seed=7)
         engine = GraphEngine(graph, EngineConfig(
             n_machines=2, procs_per_machine=2, halo_hops=2,
         ))
         sources = sample_sources(engine.sharded, 12, seed=5)
-        caches: dict[int, FetchCache] = {}
+        ledgers: dict[int, FetchCache] = {}
         runtime, states = run_threaded(engine, sources, sanitize=True,
-                                       fetch_caches=caches)
+                                       ledgers=ledgers)
         assert len(states) == len(sources)
         assert runtime.sanitizer.accesses > 0
         assert list(runtime.sanitizer.report()) == []
-        for cache in caches.values():
-            assert not cache.pending
-            assert_cache_quiescent(cache)
+        assert engine.run(sim_request(sources)).heat == \
+            {m: ledger.heat() for m, ledger in ledgers.items()}
 
 
 class TestTraceDifferential:
     """One tracer, one set of RPC hooks (``WorkerRegistry``): both
     runtimes record the same client/server span pairs, so everything read
     off them agrees — the per-call account, the client span's parent, the
-    ``error`` attr of a failed call, the span id on the future."""
+    ``error`` attr of a failed call."""
 
     CHAOS = dict(fault_plan=FaultPlan(seed=13, drop_prob=0.15),
                  retry_policy=RetryPolicy(max_attempts=6, timeout=5.0))
@@ -394,43 +338,12 @@ class TestTraceDifferential:
             failed.append(len(errors))
         assert failed[0] == failed[1]
 
-    @pytest.mark.parametrize("runtime", ["sim", "threads"])
-    def test_coalesce_marker_links_origin(self, engine, runtime):
-        """A second request joining an in-flight fetch draws its
-        ``fetch.coalesced`` marker from ``fut.span_id`` on either
-        runtime's future."""
-        cluster = deploy(engine.sharded, engine.config, runtime, trace=True)
-        proc = cluster.worker(0, 0)
-        svc = NeighborFetchService(
-            cluster.rrefs, 0, proc.name,
-            FetchCache(engine.config.fetch_cache_bytes),
-            metrics=cluster.obs.metrics, proc=proc)
-
-        first_id = engine.sharded.base[1]
-
-        def body():
-            first = svc.get_neighbor_infos(1, first_id + np.array([0, 1, 2]))
-            second = svc.get_neighbor_infos(1, first_id + np.array([1, 2, 3]))
-            yield Wait(first)
-            yield Wait(second)
-
-        cluster.spawn_compute(0, 0, body())
-        cluster.run()
-        tracer = cluster.obs.tracer
-        assert cluster.obs.metrics.count("fetch.coalesced") == 2
-        origin, _late = sorted(tracer.by_kind("client"),
-                               key=lambda s: s.span_id)
-        (marker,) = tracer.by_kind("coalesce")
-        assert marker.name == "fetch.coalesced"
-        assert marker.link == origin.span_id
-        assert marker.attrs["rows"] == 2
-
 
 class TestDoctorDifferential:
     """``DiagnosisReport.differential_view()``: bitwise across runtimes.
 
-    The doctor's count-derived projection — fault counters, cache
-    counts, heat-based straggler attribution, query/path counts — must
+    The doctor's count-derived projection — fault counters, heat-based
+    straggler attribution, query/path counts — must
     replay identically on the virtual-time scheduler and on
     :class:`ThreadRuntime` for the same seed and fault plan.  Durations
     stay out of the view by design.
