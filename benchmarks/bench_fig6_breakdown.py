@@ -38,7 +38,8 @@ def run_dataset(name: str) -> list[dict]:
     for impl, run in (
         ("PPR Engine", engine.run(RunRequest(sources=sources, params=PARAMS))),
         ("PyTorch Tensor",
-         engine.run_tensor_queries(sources=sources, params=PARAMS)),
+         engine.run(RunRequest(sources=sources, params=PARAMS,
+                               mode="tensor"))),
     ):
         total = sum(run.phases.values())
         rows.append({

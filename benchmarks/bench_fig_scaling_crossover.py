@@ -44,9 +44,10 @@ def run_size(n_nodes: int, n_queries: int) -> dict:
     engine = GraphEngine(graph, cfg)
     run_e = engine.run(RunRequest(n_queries=n_queries, seed=7, params=PARAMS,
                                keep_states=True))
-    run_t = engine.run_tensor_queries(
-        sources=np.array(sorted(run_e.states)), seed=7, params=PARAMS
-    )
+    run_t = engine.run(RunRequest(
+        sources=np.array(sorted(run_e.states)), seed=7, params=PARAMS,
+        mode="tensor",
+    ))
     touched = int(np.mean([s.n_touched for s in run_e.states.values()]))
     return {
         "|V|": n_nodes,

@@ -27,7 +27,8 @@ def run_dataset(name: str) -> dict:
                          sharded=sharded)
     sources = sample_sources(sharded, scale.queries, seed=61)
     seq = engine.run(RunRequest(sources=sources, params=PARAMS))
-    bat = engine.run_queries_batched(sources=sources, params=PARAMS)
+    bat = engine.run(RunRequest(sources=sources, params=PARAMS,
+                                mode="batched"))
     return {
         "Dataset": name,
         "Queries": len(sources),

@@ -3,17 +3,20 @@
 A rate sweep of seeded Poisson arrivals is replayed through a
 multi-tenant session (docs/serving.md) on a 2-machine deployment, once
 clean and once with chaos (injected message drops + retries) layered on
-top.  The sweep crosses the service capacity set by the deterministic
-cost model, so the top loads saturate: the bounded queue fills, typed
-rejections appear, latency climbs against the SLO, and goodput flattens
-then falls — the overload curve the ROADMAP north star asks for.
+top.  Each drain advances the serving clock by what its deployments
+cost — the engine's compute counts, its remote calls priced by the
+network model, its timed-out attempts by the retry policy — and the
+sweep crosses the capacity that sets, so the top loads saturate: the
+bounded queue fills, typed rejections appear, latency climbs against
+the SLO, and goodput flattens then falls — the overload curve the
+ROADMAP north star asks for.
 
 Every reported number is virtual-clock output — admission counts,
-latency percentiles, attainment, goodput all derive from the trace seed,
-the cost model, and operator counts — so the whole table is exactly
-reproducible and gated as deterministic.  Chaos rows pay a modeled
-per-retry cost, which is why their goodput may trail the clean series at
-the same load without ever changing a query result.
+latency percentiles, attainment, goodput all derive from the trace seed
+and the counts each deployment charges — so the whole table is exactly
+reproducible and gated as deterministic.  A chaos row pays the policy's
+full timeout for every dropped attempt, which is why its goodput trails
+the clean series at the same load without ever changing a query result.
 """
 
 import numpy as np
@@ -24,7 +27,6 @@ from repro.engine import GraphEngine
 from repro.ppr import PPRParams
 from repro.rpc import RetryPolicy
 from repro.serving import (
-    ServiceCostModel,
     SessionConfig,
     TenantSpec,
     poisson_trace,
@@ -36,16 +38,13 @@ N_MACHINES = 2
 DURATION = 0.2          # virtual seconds of arrivals per cell
 SLO = 0.05              # virtual seconds per query
 TRACE_SEED = 31
-#: arrivals per virtual second; capacity under COST is ~300 q/s, so the
-#: last two loads sit past saturation
-RATES = (100, 200, 400, 800)
-SATURATED = (400, 800)
+#: arrivals per virtual second; capacity is ~850 q/s at tiny scale and
+#: ~1 200 q/s at small, so the last two loads sit past saturation
+RATES = (100, 400, 3200, 12800)
+SATURATED = (3200, 12800)
 TENANTS = (TenantSpec("gold", priority=2, quota=24, weight=2.0),
            TenantSpec("free", priority=0, quota=6, weight=1.0))
 PARAMS = PPRParams(alpha=0.462, epsilon=1e-5)
-#: deliberately heavy per-query cost to place saturation inside RATES
-COST = ServiceCostModel(batch_overhead=4e-3, per_query=2e-3,
-                        per_retry=2e-3)
 CHAOS_PLAN = FaultPlan(seed=13, drop_prob=0.05)
 CHAOS_POLICY = RetryPolicy(max_attempts=6, timeout=5.0)
 
@@ -57,7 +56,7 @@ def run_cell(engine, rate: float, series: str) -> dict:
     chaos = series == "chaos"
     config = SessionConfig(
         tenants=TENANTS, queue_cap=16, batch_cap=8, slo=SLO,
-        params=PARAMS, cost_model=COST,
+        params=PARAMS,
         fault_plan=CHAOS_PLAN if chaos else None,
         retry_policy=CHAOS_POLICY if chaos else None,
     )

@@ -62,9 +62,9 @@ def run_dataset(name: str) -> dict:
     engine.run(RunRequest(sources=sources[: max(2, len(sources) // 4)],
                        params=PARAMS))
     run_engine = engine.run(RunRequest(sources=sources, params=PARAMS))
-    run_tensor = engine.run_tensor_queries(
-        sources=sources[: scale.queries_small], params=PARAMS
-    )
+    run_tensor = engine.run(RunRequest(
+        sources=sources[: scale.queries_small], params=PARAMS, mode="tensor"
+    ))
     pi_sources = sources[: max(2, scale.queries_small // 2)]
     thpt_pi = power_iteration_throughput(sharded.graph, pi_sources)
     return {

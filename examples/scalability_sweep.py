@@ -64,9 +64,10 @@ def crossover() -> None:
         ))
         run_e = engine.run(RunRequest(n_queries=4, seed=7, params=params,
                                    keep_states=True))
-        run_t = engine.run_tensor_queries(
-            sources=np.array(sorted(run_e.states)), seed=7, params=params
-        )
+        run_t = engine.run(RunRequest(
+            sources=np.array(sorted(run_e.states)), seed=7, params=params,
+            mode="tensor",
+        ))
         print(f"  |V|={n:>7,}: engine {run_e.throughput:>7.1f} q/s, "
               f"tensor {run_t.throughput:>7.1f} q/s, "
               f"ratio {run_e.throughput / run_t.throughput:.2f}x")

@@ -13,6 +13,11 @@ is written once against this seam::
     cluster.spawn_compute(machine, p, driver(g, proc, ...))
     makespan = cluster.run()                 # re-raises a driver failure
     value = cluster.result_of(proc.name)
+    seconds = cluster.charge()               # what a serving clock advances
+
+The makespan is the paper's throughput denominator on the scheduler.  A
+serving or streaming clock advances by :meth:`_Cluster.charge` instead,
+which both runtimes compute bitwise.
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ from repro.rpc.thread_runtime import ThreadRuntime
 from repro.rpc.worker import TransportCounters
 from repro.simt.scheduler import Scheduler
 from repro.storage.build import ShardedGraph
+
+#: breakdown categories that are time spent on the network, not compute;
+#: :meth:`_Cluster.charge` prices remote calls from their counts instead
+NETWORK_CATEGORIES = ("rpc_issue", "wait", "crashed")
 
 
 class _Cluster(TransportCounters):
@@ -119,6 +128,25 @@ class _Cluster(TransportCounters):
         for proc in self._compute:
             self.result_of(proc.name)
         return max((p.clock for p in self._compute), default=0.0)
+
+    def charge(self) -> float:
+        """Virtual seconds this finished deployment costs its caller.
+
+        The maximum, over the computing processes, of the process's
+        compute breakdown (every category but :data:`NETWORK_CATEGORIES`,
+        summed in sorted category order) plus the priced remote calls and
+        timed-out attempts it issued
+        (:meth:`~repro.rpc.worker.WorkerRegistry.traffic_seconds`).  Both
+        terms come from counts, so the charge is the same float on the
+        scheduler and on threads, whose clocks hold no network waits.
+        """
+        def seconds(proc) -> float:
+            spent = proc.breakdown.seconds
+            return (sum(spent[c] for c in sorted(spent)
+                        if c not in NETWORK_CATEGORIES)
+                    + self.ctx.traffic_seconds(proc.name))
+
+        return max((seconds(p) for p in self._compute), default=0.0)
 
     def compute_processes(self) -> list:
         """Process handles of the spawned bodies, in spawn order."""

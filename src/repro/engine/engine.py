@@ -36,7 +36,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.query import sample_sources
 from repro.engine.request import RunRequest
 from repro.graph.csr import CSRGraph
-from repro.ppr.params import PPRParams
 from repro.storage.build import ShardedGraph, build_shards
 from repro.storage.dist_storage import DistGraphStorage
 
@@ -190,38 +189,6 @@ class GraphEngine:
         from repro.serving.session import Session
 
         return Session(self).run(request)
-
-    def run_queries_batched(self, n_queries: int | None = None, *,
-                            sources: np.ndarray | None = None,
-                            params: PPRParams | None = None,
-                            seed: int | None = None) -> QueryRunResult:
-        """Run SSPPR with inter-query batching (one MultiSSPPR per process).
-
-        Each computing process advances its whole query chunk in lockstep,
-        sharing every iteration's per-shard RPC across queries — trading a
-        little extra state for far fewer, larger messages.  Results land in
-        ``states`` keyed by source global ID.  Convenience wrapper over
-        :meth:`run` with ``mode="batched"``.
-        """
-        return self.run(RunRequest(
-            n_queries=n_queries if sources is None else None,
-            sources=sources, params=params, seed=seed, mode="batched",
-        ))
-
-    def run_tensor_queries(self, n_queries: int | None = None, *,
-                           sources: np.ndarray | None = None,
-                           params: PPRParams | None = None,
-                           keep_states: bool = False,
-                           seed: int | None = None) -> QueryRunResult:
-        """Run the same batch on the dense tensor baseline.
-
-        Convenience wrapper over :meth:`run` with ``mode="tensor"``.
-        """
-        return self.run(RunRequest(
-            n_queries=n_queries if sources is None else None,
-            sources=sources, params=params, keep_states=keep_states,
-            seed=seed, mode="tensor",
-        ))
 
     # -- random walks ---------------------------------------------------------
     def run_random_walks(self, n_roots: int, walk_length: int, *,

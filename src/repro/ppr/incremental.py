@@ -56,6 +56,7 @@ class RefreshStats:
     n_changed: int       # vertices with a captured pre-row
     n_corrections: int   # nonzero residual corrections applied
     n_pushes: int        # signed pushes to restore the threshold
+    n_entries: int       # residual entries those pushes spread to
     residual_l1: float   # ||r||_1 after the refresh
 
 
@@ -160,6 +161,7 @@ def refresh(state: IncrementalState, dyn, *,
     queued[first] = True
     queue: deque[int] = deque(first.tolist())
     n_pushes = 0
+    n_entries = 0
     while queue:
         v = queue.popleft()
         queued[v] = False
@@ -183,6 +185,7 @@ def refresh(state: IncrementalState, dyn, *,
         m = (1.0 - alpha) * r_v
         r[v] = 0.0
         gids, wts = dyn.row(v)
+        n_entries += len(gids)
         r[gids] += wts * (m / d_v)
         # A row holds each neighbor once and never v itself, so one masked
         # test in row order queues exactly what a per-neighbor loop would.
@@ -191,5 +194,5 @@ def refresh(state: IncrementalState, dyn, *,
         queue.extend(woken.tolist())
 
     return RefreshStats(n_changed=n_changed, n_corrections=n_corrections,
-                        n_pushes=n_pushes,
+                        n_pushes=n_pushes, n_entries=n_entries,
                         residual_l1=float(np.sum(np.abs(r))))

@@ -147,7 +147,7 @@ class RpcContext(WorkerRegistry):
         except BaseException as exc:
             fut.set_exception(exc, arrival + network.transfer_time(64, 0))
             return
-        self._served(call, result, sizes[0], start, end)
+        self._served(call, result, sizes, start, end)
         ready = end + network.transfer_time(*sizes)
         if ready <= deadline:
             fut.set_result(result, ready)
@@ -161,7 +161,7 @@ class RpcContext(WorkerRegistry):
         """Attempt ``n``'s deadline: retransmit after backoff, or give up."""
         if fut.done:
             return
-        self._fault("timeout")
+        self._timed_out(call)
         policy = self.retry_policy
         if n >= policy.max_attempts:
             fut.set_exception(self._give_up(call, n), deadline)

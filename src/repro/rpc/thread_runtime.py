@@ -166,12 +166,12 @@ class ThreadRuntime(WorkerRegistry):
                     # Each drop implies one logical timeout firing — the
                     # same accounting the virtual-time timers produce.
                     self._fault("drop")
-                    self._fault("timeout")
+                    self._timed_out(call)
                     call.cause = "drop"
                     continue
                 result, sizes, handler_seconds = server.execute(
                     rref.key, method, args, kwargs, payload_sizes)
-                self._served(call, result, sizes[0], issue_clock,
+                self._served(call, result, sizes, issue_clock,
                              issue_clock + handler_seconds)
                 return result
             raise self._give_up(call, budget)

@@ -16,14 +16,18 @@ worker registry, remote-object creation, retry-policy resolution, the
 same-machine call (``_local_call``) and the accounting of a remote call:
 its prologue (``_begin_call``: resolve, count, size, reserve the client
 span), its epilogue (``_served``: response bytes, buffer pool, linked
-server span) and its give-up (``_give_up``: the typed error) — written
-once; the virtual-time :class:`~repro.rpc.api.RpcContext` and the OS-thread
+server span), its timed-out attempts (``_timed_out``) and its give-up
+(``_give_up``: the typed error) — written once; the virtual-time
+:class:`~repro.rpc.api.RpcContext` and the OS-thread
 :class:`~repro.rpc.thread_runtime.ThreadRuntime` each add one attempt
-loop between the three.
+loop between them.  The registry also keeps each caller's integer
+traffic totals, which :meth:`WorkerRegistry.traffic_seconds` prices.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -228,6 +232,11 @@ class WorkerRegistry(TransportCounters):
         self.retry_policy = retry_policy
         #: next ``RemoteCall.index`` of each caller
         self._call_indices: dict[str, int] = {}
+        #: caller -> integer totals of its remote traffic (``calls``,
+        #: ``request_bytes`` / ``_tensors``, ``response_bytes`` /
+        #: ``_tensors``, ``timeouts``); server threads add to them too
+        self._traffic: defaultdict[str, Counter] = defaultdict(Counter)
+        self._traffic_lock = threading.Lock()
 
     # -- registration -----------------------------------------------------
     def register_worker(self, name: str, machine_id: int, process=None):
@@ -293,6 +302,8 @@ class WorkerRegistry(TransportCounters):
         request = size_request(args, kwargs)
         metrics.inc("rpc.calls_remote")
         metrics.inc("rpc.request_bytes", request[0])
+        self._tally(caller_name, calls=1, request_bytes=request[0],
+                    request_tensors=request[1])
         call = RemoteCall(caller_name, rref, server, method, args, kwargs,
                           request)
         tracer = self.obs.tracer
@@ -327,11 +338,13 @@ class WorkerRegistry(TransportCounters):
                        COMPUTE.local_exec(*payload_sizes(result)))
         return result
 
-    def _served(self, call: RemoteCall, result: Any, response_nbytes: int,
+    def _served(self, call: RemoteCall, result: Any, sizes: tuple[int, int],
                 start: float, end: float) -> None:
         """Epilogue of one served attempt: bytes, buffer pool, server span."""
         metrics = self.obs.metrics
-        metrics.inc("rpc.response_bytes", response_nbytes)
+        metrics.inc("rpc.response_bytes", sizes[0])
+        self._tally(call.caller_name, response_bytes=sizes[0],
+                    response_tensors=sizes[1])
         call.server.pool.stage(result, metrics)
         if call.span is not None:
             self.obs.tracer.record(
@@ -346,6 +359,40 @@ class WorkerRegistry(TransportCounters):
             # the fault event fault_of_span / cli doctor attribute time to
             call.span["attrs"]["error"] = type(exception).__name__
         self.obs.tracer.record(start=start, end=end, **call.span)
+
+    def _timed_out(self, call: RemoteCall) -> None:
+        """One attempt of ``call`` hit its deadline."""
+        self._fault("timeout")
+        self._tally(call.caller_name, timeouts=1)
+
+    def _tally(self, caller_name: str, **counts: int) -> None:
+        with self._traffic_lock:
+            totals = self._traffic[caller_name]
+            for key, n in counts.items():
+                totals[key] += n
+
+    def traffic_seconds(self, caller_name: str) -> float:
+        """Modeled seconds of one caller's remote calls.
+
+        Each call pays its issue overhead, both transfers and the
+        handler's ``COMPUTE.serve``; each timed-out attempt pays the
+        policy's timeout.  The price is linear in the caller's integer
+        totals, so the order in which server threads served cannot change
+        it: both runtimes get the same float.
+        """
+        t = self._traffic.get(caller_name, Counter())
+        net, serve = self.network, COMPUTE.serve
+        seconds = (
+            t["calls"] * (net.send_overhead() + serve.call
+                          + 2 * (net.rpc_overhead + net.latency))
+            + (t["request_tensors"] + t["response_tensors"])
+            * net.tensor_wrap_cost
+            + (t["request_bytes"] + t["response_bytes"]) / net.bandwidth
+            + serve.per_unit[0] * t["response_bytes"]
+            + serve.per_unit[1] * t["response_tensors"])
+        if t["timeouts"]:
+            seconds += t["timeouts"] * self.retry_policy.timeout
+        return seconds
 
     def _give_up(self, call: RemoteCall, attempts: int) -> RpcError:
         """The typed error of a call whose retry budget is spent."""

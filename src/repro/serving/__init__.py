@@ -21,7 +21,6 @@ from repro.serving.session import (
     SESSION_RUNTIMES,
     Query,
     QueryHandle,
-    ServiceCostModel,
     Session,
     SessionConfig,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "QueryHandle",
     "RejectReason",
     "SESSION_RUNTIMES",
-    "ServiceCostModel",
     "ServingReport",
     "Session",
     "SessionConfig",

@@ -12,7 +12,7 @@ and ``benchmarks/bench_serving.py`` both sit on it).  It replays a seeded
   queue-full and quota rejections come from under overload;
 * dispatch a fused batch (respecting the configured minimum
   ``batch_window`` between dispatches) and let the drain advance the
-  clock by the deterministic modeled service time.
+  clock by what its deployments charge.
 
 Everything here is a pure function of (graph, config, trace), so the
 resulting :class:`ServingReport` — admission decisions, batch

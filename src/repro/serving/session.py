@@ -26,21 +26,24 @@ future-like :class:`QueryHandle`.  ``drain`` selects the next fused batch
 (guarantee round + priority fill), executes concurrent SSPPR queries as
 one shared-frontier :class:`~repro.ppr.multi_query.MultiSSPPR` batch per
 owning process (``mode="batched"``, the default) alongside any walk
-queries, advances the serving clock by the deterministic
-:class:`ServiceCostModel`, and resolves the batch's handles.
+queries, advances the serving clock by what those deployments cost
+(:meth:`~repro.engine.cluster._Cluster.charge`), and resolves the batch's
+handles.
 
-Determinism: the serving clock advances only by cost-model time computed
-from runtime-independent inputs (query counts, operator push counts,
-fault-plan retry counts), so a seeded arrival trace produces identical
-admission decisions, batch compositions, latencies, and result vectors on
-the virtual-time scheduler and on real threads
+Determinism: the serving clock advances only by deployment charges, which
+are computed from counts — compute charged by the one cost model, remote
+calls priced by the network model, timed-out attempts by the retry
+policy — so a seeded arrival trace produces identical admission
+decisions, batch compositions, latencies, and result vectors on the
+virtual-time scheduler and on real threads
 (``SessionConfig(runtime="threads")``) — pinned by
 ``tests/test_serving.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,37 +100,15 @@ class Query:
             )
         if self.source < 0:
             raise ValueError(f"source must be >= 0, got {self.source}")
+        if (isinstance(self.walk_length, bool)
+                or not isinstance(self.walk_length, (int, np.integer))):
+            raise ValueError(
+                f"walk_length must be an integer, got {self.walk_length!r}"
+            )
         if self.kind == "walk" and self.walk_length <= 0:
             raise ValueError(
                 f"walk_length must be > 0, got {self.walk_length}"
             )
-
-
-@dataclass(frozen=True)
-class ServiceCostModel:
-    """Deterministic virtual service time for one fused batch.
-
-    The serving clock advances by this model — never by measured wall
-    time — so serving decisions replay identically on both runtimes.
-    Inputs are runtime-independent: query counts, summed Forward-Push
-    operator counts, walk steps, and fault-plan retry counts.
-    """
-
-    batch_overhead: float = 2e-3    # per-batch deployment + dispatch cost
-    per_query: float = 1e-3         # per fused SSPPR query
-    per_push: float = 5e-8          # per Forward-Push pair push
-    per_walk_step: float = 2e-5     # per walker step
-    per_retry: float = 1e-3         # per injected-fault retransmission
-
-    def service_time(self, *, n_queries: int = 0, n_pushes: int = 0,
-                     n_walk_steps: int = 0, n_retries: int = 0) -> float:
-        if min(n_queries, n_pushes, n_walk_steps, n_retries) < 0:
-            raise ValueError("cost-model inputs must be >= 0")
-        return (self.batch_overhead
-                + self.per_query * n_queries
-                + self.per_push * n_pushes
-                + self.per_walk_step * n_walk_steps
-                + self.per_retry * n_retries)
 
 
 @dataclass(frozen=True)
@@ -148,7 +129,6 @@ class SessionConfig:
     slo: float | None = None
     #: minimum virtual seconds between batch dispatches (batching cadence)
     batch_window: float = 0.0
-    cost_model: ServiceCostModel = field(default_factory=ServiceCostModel)
     #: chaos knobs layered onto every drained batch
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy | None = None
@@ -165,11 +145,14 @@ class SessionConfig:
                 f"got {self.runtime!r}"
             )
         check_degradation(self.mode, self.degradation)
-        if self.slo is not None and self.slo <= 0:
-            raise ValueError(f"slo must be > 0 or None, got {self.slo}")
-        if self.batch_window < 0:
+        if self.slo is not None and not (math.isfinite(self.slo)
+                                         and self.slo > 0):
             raise ValueError(
-                f"batch_window must be >= 0, got {self.batch_window}"
+                f"slo must be finite and > 0, or None, got {self.slo}")
+        if not (math.isfinite(self.batch_window) and self.batch_window >= 0):
+            raise ValueError(
+                f"batch_window must be finite and >= 0, "
+                f"got {self.batch_window}"
             )
 
 
@@ -243,12 +226,6 @@ def _push_states(states: dict) -> list:
                  if isinstance(v, QueryView)}.values())
 
 
-def _batch_pushes(states: dict) -> int:
-    """Forward-Push pushes of a batch, shared work counted once — pure
-    operator work, identical on both runtimes."""
-    return sum(m.n_pushes for m in _push_states(states))
-
-
 class Session:
     """Long-lived submit/drain front end over one :class:`GraphEngine`."""
 
@@ -261,7 +238,7 @@ class Session:
             batch_cap=self.config.batch_cap,
         )
         #: virtual serving clock (seconds); advanced by submissions'
-        #: ``advance_to`` and by every drain's modeled service time
+        #: ``advance_to`` and by every drain's deployment charges
         self.now = 0.0
         #: serve.* metrics plus the merged per-batch engine registries
         self.metrics = MetricsRegistry()
@@ -345,9 +322,7 @@ class Session:
         walks = [h for h in handles if h.query.kind == "walk"]
 
         result = None
-        n_pushes = 0
-        n_retries = 0
-        n_walk_steps = 0
+        service = 0.0
         if sppr:
             request = RunRequest(
                 sources=np.array([h.query.source for h in sppr],
@@ -356,27 +331,17 @@ class Session:
                 fault_plan=cfg.fault_plan, retry_policy=cfg.retry_policy,
                 degradation=cfg.degradation,
             )
-            result = self.run(request)
-            n_pushes = _batch_pushes(result.states)
-            n_retries += result.retries
+            result, service = self._run(request)
             self.metrics.merge(result.obs.metrics)
         walk_rows: dict[tuple[int, int], np.ndarray] = {}
-        if walks:
-            lengths = sorted({h.query.walk_length for h in walks})
-            for length in lengths:
-                roots = np.array(
-                    [h.query.source for h in walks
-                     if h.query.walk_length == length], dtype=np.int64)
-                rows, _makespan, retries = self.run_walks(roots, length)
-                walk_rows.update({(int(row[0]), length): row
-                                  for row in rows})
-                n_retries += retries
-                n_walk_steps += len(roots) * length
+        for length in sorted({h.query.walk_length for h in walks}):
+            roots = np.array([h.query.source for h in walks
+                              if h.query.walk_length == length],
+                             dtype=np.int64)
+            rows, _makespan, charge = self.run_walks(roots, length)
+            walk_rows.update({(int(row[0]), length): row for row in rows})
+            service += charge
 
-        service = cfg.cost_model.service_time(
-            n_queries=len(sppr), n_pushes=n_pushes,
-            n_walk_steps=n_walk_steps, n_retries=n_retries,
-        )
         completion = start + service
         self.now = completion
 
@@ -403,8 +368,6 @@ class Session:
         self.missed_total += missed
         m.inc("serve.batches")
         m.inc("serve.batch_queries", len(handles))
-        if n_retries:
-            m.inc("serve.batch_retries", n_retries)
         m.set("serve.clock", self.now)
         m.set("serve.queue_depth", self.admission.depth)
 
@@ -413,7 +376,7 @@ class Session:
                 n_queries=len(handles), makespan=service,
                 throughput=len(handles) / service if service > 0 else 0.0,
                 phases={}, per_proc_clocks={}, remote_requests=0,
-                local_calls=0, retries=n_retries,
+                local_calls=0,
             )
         result.admitted = len(handles)
         result.rejected = rejected_here
@@ -422,7 +385,11 @@ class Session:
 
     # -- execution ----------------------------------------------------------
     def run(self, request: RunRequest):
-        """Execute one batched SSPPR request on the session's runtime.
+        """Execute one batched SSPPR request on the session's runtime."""
+        return self._run(request)[0]
+
+    def _run(self, request: RunRequest):
+        """:meth:`run`'s body: ``(result, the deployment's charge)``.
 
         This is the single execution path shared by ``engine.run`` (which
         opens a throwaway session) and ``drain`` — identical requests
@@ -511,6 +478,7 @@ class Session:
             cluster.spawn_compute(machine, proc_index, body)
 
         makespan = cluster.run()
+        charge = cluster.charge()
         procs = cluster.compute_processes()
         phases = aggregate_breakdowns([p.breakdown for p in procs])
         degraded_queries = sum(s["degraded_queries"] for s in fault_stats)
@@ -546,16 +514,17 @@ class Session:
             obs=obs,
             heat={m: ledger.heat() for m, ledger in ledgers.items()},
             race_violations=race_violations,
-        )
+        ), charge
 
     def run_walks(self, roots: np.ndarray,
-                  walk_length: int) -> tuple[np.ndarray, float, int]:
+                  walk_length: int) -> tuple[np.ndarray, float, float]:
         """Execute one random-walk batch (``roots`` are caller ids).
 
         The single walk execution path, shared by ``drain`` and
         ``engine.run_random_walks`` (through a throwaway session).  Returns
-        ``(walks, makespan, retries)``: one row per root, duplicates
-        included, in worker-name order, each row starting at its root.
+        ``(walks, makespan, charge)``: one row per root, duplicates
+        included, in worker-name order, each row starting at its root, and
+        the deployment's makespan and serving-clock charge.
         """
         engine = self.engine
         cfg = engine.config
@@ -576,7 +545,7 @@ class Session:
         walks = np.concatenate(
             [cluster.result_of(n) for n in sorted(names)], axis=0)
         self.metrics.merge(cluster.obs.metrics)
-        return walks, makespan, cluster.retries
+        return walks, makespan, cluster.charge()
 
     # -- reporting ----------------------------------------------------------
     def snapshot(self) -> dict:

@@ -155,8 +155,9 @@ def run_round(engine, driver, *args, runtime="sim", fault_plan=None,
     """One driver-side traffic round on a fresh cluster of ``runtime``.
 
     Spawns ``driver(rrefs, caller, *args, metrics)`` as the first
-    computing process of machine 0 and returns ``(its result, the round's
-    metrics registry, retries)``.
+    computing process of machine 0 and returns ``(its result, the finished
+    cluster)`` — whose ``obs.metrics``, ``retries`` and ``charge()`` the
+    caller reads.
     """
     from repro.engine.cluster import deploy
 
@@ -166,13 +167,13 @@ def run_round(engine, driver, *args, runtime="sim", fault_plan=None,
     name = cluster.spawn_compute(0, 0, driver(
         cluster.rrefs, proc.name, *args, cluster.obs.metrics))
     cluster.run()
-    return cluster.result_of(name), cluster.obs.metrics, cluster.retries
+    return cluster.result_of(name), cluster
 
 
 def ingest_on_cluster(engine, payloads, tag, **deployment):
     """Apply one batch on a fresh cluster (``runtime="sim"`` by default).
 
-    Returns ``(outcome dict, metrics registry, retries)``; the metrics
+    Returns ``(outcome dict, finished cluster)``; the cluster's metrics
     carry this round's ``stream.*`` and ``rpc.*`` counters.
     """
     return run_round(engine, ingest_driver, payloads, tag, **deployment)

@@ -161,40 +161,41 @@ def rebalance_driver(rrefs, caller, jobs, metrics):
 
 def execute_rebalance(engine, report: RebalanceReport, *, runtime="sim",
                       fault_plan=None, retry_policy=None):
-    """Execute a plan against ``engine``; returns the rounds' metrics.
+    """Execute a plan against ``engine``; returns the rounds' clusters.
 
     Two traffic rounds at most: the migration copies run first, then the
     shards are rebuilt deterministically from ``engine.graph`` under the
     moved assignment, then replications install rows against the *new*
     address book.  Mutates ``engine.sharded`` in place and fills the
-    report's ``bytes_copied`` / ``retries``.
+    report's ``bytes_copied`` / ``retries``.  Each finished cluster carries
+    its round's metrics and ``charge()``.
     """
     from repro.storage.build import build_shards
 
     migr = [d for d in report.decisions if d.action == "migrate"]
     repl = [d for d in report.decisions if d.action == "replicate"]
-    metrics_list = []
+    clusters = []
     if migr:
-        outcome, metrics, retries = run_round(
+        outcome, cluster = run_round(
             engine, rebalance_driver, _jobs_for(engine.sharded, migr),
             runtime=runtime, fault_plan=fault_plan,
             retry_policy=retry_policy)
-        metrics.inc("rebalance.migrations", len(migr))
+        cluster.obs.metrics.inc("rebalance.migrations", len(migr))
         report.bytes_copied += int(outcome["bytes_copied"])
-        report.retries += int(retries)
-        metrics_list.append(metrics)
+        report.retries += cluster.retries
+        clusters.append(cluster)
         old = engine.sharded
         engine.sharded = build_shards(
             old.graph, old.result.with_moves(report.moves),
             seed=engine.config.seed, halo_hops=engine.config.halo_hops)
         engine.sharded.graph_source = old.graph_source
     if repl:
-        outcome, metrics, retries = run_round(
+        outcome, cluster = run_round(
             engine, rebalance_driver, _jobs_for(engine.sharded, repl),
             runtime=runtime, fault_plan=fault_plan,
             retry_policy=retry_policy)
-        metrics.inc("rebalance.replications", len(repl))
+        cluster.obs.metrics.inc("rebalance.replications", len(repl))
         report.bytes_copied += int(outcome["bytes_copied"])
-        report.retries += int(retries)
-        metrics_list.append(metrics)
-    return metrics_list
+        report.retries += cluster.retries
+        clusters.append(cluster)
+    return clusters

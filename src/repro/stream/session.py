@@ -18,9 +18,10 @@
 * **rebalance** — between epochs, turn the accumulated remote-request
   heat into migrations/replications (:mod:`repro.stream.rebalance`).
 
-Every step advances the serving clock only through the deterministic
-cost functions below (:func:`ingest_time`, :func:`refresh_time`,
-:func:`rebalance_time` — never wall time), and all distributed traffic
+Every step advances the serving clock only by counts, never wall time:
+publish, ingest and rebalance by the charge of the deployments they run
+(:meth:`~repro.engine.cluster._Cluster.charge`), refresh by the
+``COMPUTE.push`` price of the entries it writes.  All distributed traffic
 runs on the session's configured runtime through the one
 :func:`~repro.engine.cluster.deploy` seam — so the same event stream and
 fault plan replay bitwise-identically on the virtual-time scheduler and
@@ -37,40 +38,15 @@ from repro.obs import MetricsRegistry
 from repro.ppr.incremental import IncrementalState, RefreshStats
 from repro.ppr.incremental import refresh as refresh_state
 from repro.ppr.params import PPRParams
-from repro.serving.session import SESSION_RUNTIMES, Query, \
-    ServiceCostModel, Session, SessionConfig, _batch_pushes
+from repro.serving.session import SESSION_RUNTIMES, Query, Session, \
+    SessionConfig
+from repro.simt.compute import COMPUTE
 from repro.stream.dynamic import DynamicGraph
 from repro.stream.ingest import IngestReport, build_shard_payloads, \
     ingest_on_cluster, raise_if_failed, report_from_outcome
 from repro.stream.rebalance import RebalancePolicy, RebalanceReport, \
     execute_rebalance, plan_rebalance
 from repro.stream.updates import UpdateBatch
-
-
-# Deterministic virtual service time of streaming operations.  Inputs are
-# runtime-independent operator counts (staged rows, applied corrections,
-# signed pushes, retry counts), so the serving clock advances identically
-# on both runtimes.  The per-batch overhead, per-push and per-retry rates
-# are the serving session's ``ServiceCostModel``; the three below are
-# streaming's own.
-PER_ROW = 1e-4          # per core row staged across the cluster
-PER_CORRECTION = 1e-6   # per residual correction folded in
-PER_MOVE = 5e-3         # per rebalance decision executed
-
-
-def ingest_time(cost: ServiceCostModel, staged_rows: int,
-                retries: int) -> float:
-    return cost.batch_overhead + PER_ROW * staged_rows \
-        + cost.per_retry * retries
-
-
-def refresh_time(cost: ServiceCostModel, corrections: int,
-                 pushes: int) -> float:
-    return PER_CORRECTION * corrections + cost.per_push * pushes
-
-
-def rebalance_time(cost: ServiceCostModel, report: RebalanceReport) -> float:
-    return PER_MOVE * len(report.decisions) + cost.per_retry * report.retries
 
 
 @dataclass(frozen=True)
@@ -178,7 +154,7 @@ class StreamingSession:
         cfg = self.config
         params = cfg.params if cfg.params is not None else PPRParams()
         sources = np.asarray(sources, dtype=np.int64)
-        result = self.serving.run(RunRequest(
+        result, charge = self.serving._run(RunRequest(
             sources=sources, params=params, mode="batched",
             keep_states=True, fault_plan=cfg.fault_plan,
             retry_policy=cfg.retry_policy,
@@ -193,9 +169,7 @@ class StreamingSession:
         self._merge_heat(result.heat)
         self.metrics.merge(result.obs.metrics)
         self.metrics.inc("stream.published", len(sources))
-        self._advance(self.serving.config.cost_model.service_time(
-            n_queries=len(sources), n_pushes=_batch_pushes(result.states),
-            n_walk_steps=0, n_retries=result.retries))
+        self._advance(charge)
 
     # -- ingest -------------------------------------------------------------
     def ingest(self, batch: UpdateBatch) -> IngestReport:
@@ -208,10 +182,10 @@ class StreamingSession:
         :class:`~repro.errors.StreamIngestError` is raised — the graph
         is unchanged everywhere.  A batch naming a vertex outside the
         node set is rejected (:class:`~repro.errors.GraphFormatError`)
-        before anything — mirror, tag, counters — has moved.
+        before anything — mirror, tag, counters — has moved.  A batch
+        that changes no row runs no cluster and costs no time.
         """
         cfg = self.config
-        cost = self.serving.config.cost_model
         self.dyn.check(batch)
         self._tag += 1
         tag = self._tag
@@ -227,18 +201,18 @@ class StreamingSession:
                                   staged_rows=0, error=None, retries=0)
             self.report.ingest_reports.append(report)
             self.report.n_applied += 1
-            self._advance(cost.batch_overhead)
             return report
 
         payloads = build_shard_payloads(self.engine.sharded, self.dyn,
                                         delta.changed)
-        outcome, metrics, retries = ingest_on_cluster(
+        outcome, cluster = ingest_on_cluster(
             self.engine, payloads, tag, runtime=cfg.runtime,
             fault_plan=cfg.fault_plan, retry_policy=cfg.retry_policy)
-        self.metrics.merge(metrics)
-        report = report_from_outcome(tag, outcome, delta.n_changed, retries)
+        self.metrics.merge(cluster.obs.metrics)
+        report = report_from_outcome(tag, outcome, delta.n_changed,
+                                     cluster.retries)
         self.report.ingest_reports.append(report)
-        self._advance(ingest_time(cost, report.staged_rows, retries))
+        self._advance(cluster.charge())
         if not report.applied:
             self.dyn.revert(delta)
             self.report.n_failed += 1
@@ -254,7 +228,11 @@ class StreamingSession:
 
     # -- incremental maintenance --------------------------------------------
     def refresh(self) -> list[RefreshStats]:
-        """Fold pending row diffs into every published vector."""
+        """Fold pending row diffs into every published vector.
+
+        Priced as one ``COMPUTE.push`` over every residual entry written
+        (corrections and the rows the signed pushes spread), no slots.
+        """
         stats = [refresh_state(self.states[gid], self.dyn)
                  for gid in sorted(self.states)]
         self._since_refresh = 0
@@ -262,13 +240,13 @@ class StreamingSession:
             return stats
         corrections = sum(s.n_corrections for s in stats)
         pushes = sum(s.n_pushes for s in stats)
+        entries = sum(s.n_entries for s in stats)
         self.report.n_refreshes += 1
         self.report.refresh_stats.append(stats)
         self.metrics.inc("stream.refreshes")
         self.metrics.inc("stream.refresh_corrections", corrections)
         self.metrics.inc("stream.refresh_pushes", pushes)
-        self._advance(refresh_time(self.serving.config.cost_model,
-                                   corrections, pushes))
+        self._advance(COMPUTE.push(corrections + entries, 0))
         return stats
 
     # -- queries ------------------------------------------------------------
@@ -300,13 +278,12 @@ class StreamingSession:
         plan = plan_rebalance(self.engine.sharded, self.heat,
                               cfg.rebalance)
         if plan:
-            for metrics in execute_rebalance(
+            for cluster in execute_rebalance(
                     self.engine, plan, runtime=cfg.runtime,
                     fault_plan=cfg.fault_plan,
                     retry_policy=cfg.retry_policy):
-                self.metrics.merge(metrics)
-            self._advance(rebalance_time(self.serving.config.cost_model,
-                                         plan))
+                self.metrics.merge(cluster.obs.metrics)
+                self._advance(cluster.charge())
         self.heat = {}
         self.metrics.inc("rebalance.epochs")
         self.metrics.inc("rebalance.migrations_planned", plan.n_migrated)
@@ -322,7 +299,8 @@ class StreamingSession:
         Update and rebalance events first drain pending queries, so each
         admitted batch executes against one consistent snapshot; a final
         drain and (if diffs are pending) refresh leave the published
-        vectors current.
+        vectors current.  What the inner serving session recorded since
+        the previous call is folded into :attr:`metrics` once.
         """
         for event in events:
             if event.kind == "update":
@@ -336,7 +314,8 @@ class StreamingSession:
         if self._since_refresh:
             self.refresh()
         self.report.clock = self.now
-        self.metrics.merge(self.serving.metrics)
+        served, self.serving.metrics = self.serving.metrics, MetricsRegistry()
+        self.metrics.merge(served)
         return self.report
 
     # -- results ------------------------------------------------------------

@@ -203,8 +203,9 @@ class TestTensorBaseline:
         params = PPRParams(epsilon=1e-5)
         a = engine.run(RunRequest(sources=np.array([10, 20]), keep_states=True,
                                params=params))
-        b = engine.run_tensor_queries(sources=np.array([10, 20]),
-                                      keep_states=True, params=params)
+        b = engine.run(RunRequest(sources=np.array([10, 20]),
+                                  keep_states=True, params=params,
+                                  mode="tensor"))
         bound = 2 * params.epsilon * graph.weighted_degrees.sum()
         for gid in (10, 20):
             da = a.states[gid].dense_result(engine.sharded, graph.n_nodes)
@@ -223,7 +224,8 @@ class TestTensorBaseline:
             e = GraphEngine(g, EngineConfig(
                 n_machines=2, partitioner=HashPartitioner(), seed=1,
             ))
-            run = e.run_tensor_queries(n_queries=3, seed=2, keep_states=True)
+            run = e.run(RunRequest(n_queries=3, seed=2, keep_states=True,
+                                   mode="tensor"))
             iters = sum(s.n_iterations for s in run.states.values())
             per_iter[name] = run.phases["pop"] / iters
         assert per_iter["big"] > 2 * per_iter["small"]

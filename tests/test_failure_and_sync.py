@@ -521,20 +521,21 @@ class TestStreamIngestAtomicity:
 
         engine, payloads = self._engine_and_payloads()
         images = self._shard_images(engine)
-        outcome, metrics, _ = ingest_on_cluster(
+        outcome, cluster = ingest_on_cluster(
             engine, payloads, 1,
             fault_plan=FaultPlan(seed=3, drop_prob=1.0),
             retry_policy=RetryPolicy(max_attempts=2, timeout=0.01))
         assert outcome["status"] == "aborted"
         self._assert_unchanged(engine, images)
-        assert metrics.counters().get("stream.batches_committed", 0) == 0
+        counters = cluster.obs.metrics.counters()
+        assert counters.get("stream.batches_committed", 0) == 0
 
     def test_total_drop_aborts_cleanly_threads(self):
         from repro.stream import ingest_on_cluster
 
         engine, payloads = self._engine_and_payloads()
         images = self._shard_images(engine)
-        outcome, _, _ = ingest_on_cluster(
+        outcome, _ = ingest_on_cluster(
             engine, payloads, 1, runtime="threads",
             fault_plan=FaultPlan(seed=3, drop_prob=1.0),
             retry_policy=RetryPolicy(max_attempts=2, timeout=0.01))
@@ -546,7 +547,7 @@ class TestStreamIngestAtomicity:
 
         engine, payloads = self._engine_and_payloads()
         images = self._shard_images(engine)
-        outcome, _, _ = ingest_on_cluster(
+        outcome, _ = ingest_on_cluster(
             engine, payloads, 1,
             fault_plan=FaultPlan(seed=4, crashes=(
                 CrashWindow(server="server:1", crash_at=0.0),
@@ -560,13 +561,14 @@ class TestStreamIngestAtomicity:
 
         for runtime in ("sim", "threads"):
             engine, payloads = self._engine_and_payloads()
-            outcome, metrics, retries = ingest_on_cluster(
+            outcome, cluster = ingest_on_cluster(
                 engine, payloads, 1, runtime=runtime,
                 fault_plan=FaultPlan(seed=2, drop_prob=0.4),
                 retry_policy=RetryPolicy(max_attempts=8, timeout=5.0))
             assert outcome["status"] == "applied", runtime
-            assert retries > 0
-            assert metrics.counters()["stream.batches_committed"] == 1
+            assert cluster.retries > 0
+            counters = cluster.obs.metrics.counters()
+            assert counters["stream.batches_committed"] == 1
 
     def test_session_reverts_mirror_on_failure(self):
         """A failed batch leaves the driver-side mirror bitwise intact,

@@ -96,9 +96,9 @@ class TestEngineBatchedQueries:
         g = powerlaw_cluster(600, 8, mixing=0.15, seed=4)
         engine = GraphEngine(g, EngineConfig(n_machines=3, seed=0))
         seq = engine.run(RunRequest(n_queries=9, keep_states=True, seed=5))
-        bat = engine.run_queries_batched(
-            sources=np.array(sorted(seq.states)), seed=5
-        )
+        bat = engine.run(RunRequest(
+            sources=np.array(sorted(seq.states)), seed=5, mode="batched"
+        ))
         bound = 2 * PARAMS.epsilon * g.weighted_degrees.sum()
         for gid in seq.states:
             a = seq.states[gid].dense_result(engine.sharded, g.n_nodes)
@@ -110,13 +110,13 @@ class TestEngineBatchedQueries:
         g = powerlaw_cluster(600, 8, mixing=0.3, seed=6)
         engine = GraphEngine(g, EngineConfig(n_machines=3, seed=0))
         seq = engine.run(RunRequest(n_queries=12, seed=7))
-        bat = engine.run_queries_batched(n_queries=12, seed=7)
+        bat = engine.run(RunRequest(n_queries=12, seed=7, mode="batched"))
         assert bat.remote_requests < seq.remote_requests
 
     def test_result_view_surface(self):
         g = powerlaw_cluster(300, 6, seed=8)
         engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
-        run = engine.run_queries_batched(n_queries=4, seed=9)
+        run = engine.run(RunRequest(n_queries=4, seed=9, mode="batched"))
         for gid, view in run.states.items():
             gids, values = view.results_global(engine.sharded)
             assert np.all(values > 0)
@@ -124,10 +124,8 @@ class TestEngineBatchedQueries:
             assert view.n_iterations > 0
 
     def test_missing_args_rejected(self):
-        g = powerlaw_cluster(100, 4, seed=10)
-        engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
         with pytest.raises(ValueError, match="n_queries or sources"):
-            engine.run_queries_batched()
+            RunRequest(mode="batched")
 
 
 class TestMultiQueryProperties:

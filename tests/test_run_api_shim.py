@@ -3,8 +3,7 @@
 ``engine.run(RunRequest(...))`` is the one batch entry point (the
 deprecated ``run_queries`` shim was removed once serving landed); these
 tests pin the result-schema contract — the typed serving counters default
-to zero on plain batch runs, convenience wrappers return the same shape —
-plus the degenerate ``latency_percentiles`` inputs (0 and 1 samples) that
+to zero on plain batch runs — plus the degenerate ``latency_percentiles`` inputs (0 and 1 samples) that
 historically tripped ``np.percentile`` — and the knob surface: the exact
 field names of ``EngineConfig``, ``RunRequest``, ``SessionConfig``,
 ``StreamConfig``, ``RetryPolicy`` and ``FaultPlan`` and the exact subcommands and flags of ``repro.cli``'s
@@ -41,7 +40,11 @@ def engine():
 
 class TestResultSchema:
     def test_shim_is_gone(self, engine):
-        assert not hasattr(engine, "run_queries")
+        """No per-mode wrappers either: callers name the mode on the
+        request."""
+        for name in ("run_queries", "run_queries_batched",
+                     "run_tensor_queries"):
+            assert not hasattr(engine, name), name
 
     def test_serving_counters_default_zero_on_batch_runs(self, engine):
         run = engine.run(RunRequest(n_queries=3))
@@ -55,24 +58,6 @@ class TestResultSchema:
                                     keep_states=True, seed=5))
         assert run.n_queries == 3
         assert sorted(run.states) == sorted(sources.tolist())
-
-    def test_wrappers_share_the_run_path(self, engine):
-        """Convenience wrappers are pure forwarders over ``run``: same
-        deterministic outputs as the equivalent explicit request."""
-        sources = sample_sources(engine.sharded, 4, seed=9)
-        old = engine.run_queries_batched(sources=sources)
-        new = engine.run(RunRequest(sources=sources, mode="batched"))
-        assert isinstance(old, QueryRunResult)
-        assert old.n_queries == new.n_queries
-        assert old.remote_requests == new.remote_requests
-        assert old.local_calls == new.local_calls
-        assert old.states.keys() == new.states.keys()
-        n = engine.graph.n_nodes
-        for gid in old.states:
-            np.testing.assert_array_equal(
-                old.states[gid].dense_result(engine.sharded, n),
-                new.states[gid].dense_result(engine.sharded, n),
-            )
 
     def test_sources_win_over_n_queries(self, engine):
         sources = sample_sources(engine.sharded, 2, seed=0)
@@ -191,13 +176,13 @@ class TestKnobSurface:
     def test_session_config_fields(self):
         assert tuple(f.name for f in dataclasses.fields(SessionConfig)) == (
             "mode", "params", "runtime", "tenants", "queue_cap", "batch_cap",
-            "slo", "batch_window", "cost_model", "fault_plan",
-            "retry_policy", "degradation",
+            "slo", "batch_window", "fault_plan", "retry_policy",
+            "degradation",
         )
 
     def test_stream_config_fields(self):
-        """``cost_model`` / ``serving`` / ``max_pushes`` had no caller and
-        are gone; the cost coefficients are module constants."""
+        """Streaming steps are priced from the engine's own counts: no
+        cost-coefficient field, no stream cost-model class."""
         assert tuple(f.name for f in dataclasses.fields(StreamConfig)) == (
             "runtime", "params", "refresh_every", "fault_plan",
             "retry_policy", "rebalance",

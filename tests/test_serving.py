@@ -32,14 +32,13 @@ from repro.serving import (
     AdmissionRejected,
     Query,
     RejectReason,
-    ServiceCostModel,
     SessionConfig,
     TenantSpec,
     bursty_trace,
     poisson_trace,
     serve_trace,
 )
-from repro.simt import FaultPlan
+from repro.simt import FaultPlan, NetworkModel
 
 TENANTS = (TenantSpec("gold", priority=2, quota=32, weight=2.0),
            TenantSpec("silver", priority=1, quota=16, weight=1.5),
@@ -231,15 +230,53 @@ class TestSessionApi:
         assert snap["serve.batches"] == 1
         assert snap["serve.latency.count"] == 3
 
-    def test_cost_model_validation_and_clock(self, engine):
-        cm = ServiceCostModel()
-        with pytest.raises(ValueError):
-            cm.service_time(n_queries=-1)
-        session = engine.open_session(SessionConfig(cost_model=cm))
-        session.submit(Query(source=1))
-        assert session.now == 0.0
-        session.drain()
-        assert session.now > 0.0      # modeled service time, not wall time
+    def test_drain_advances_the_clock_by_its_charge(self, engine):
+        """A drain costs its run's deployment charge — counts priced, not
+        wall time — and that charge is the same float on both runtimes."""
+        request = RunRequest(sources=np.array([1]), mode="batched",
+                             keep_states=True)
+        charges = []
+        for runtime in ("sim", "threads"):
+            config = SessionConfig(runtime=runtime)
+            session = engine.open_session(config)
+            session.submit(Query(source=1))
+            assert session.now == 0.0
+            session.drain()
+            _, charge = engine.open_session(config)._run(request)
+            assert session.now == charge > 0.0
+            charges.append(charge)
+        assert charges[0] == charges[1]
+
+    def test_a_slower_network_slows_the_clock_not_the_answers(self, engine):
+        """The serving clock reads the network model: a dearer per-request
+        overhead ends the same drains later, with every latency higher and
+        every result bitwise unchanged."""
+        slow = GraphEngine(engine.graph, EngineConfig(
+            n_machines=2, network=NetworkModel(rpc_overhead=1e-3)),
+            sharded=engine.sharded)
+        runs = []
+        for eng in (engine, slow):
+            session = eng.open_session(SessionConfig(batch_cap=4))
+            handles = [session.submit(Query(source=s))
+                       for s in (5, 9, 23, 41, 77, 120)]
+            handles += [session.submit(Query(source=s, kind="walk",
+                                             walk_length=4))
+                        for s in (7, 88)]
+            while session.pending:
+                session.drain()
+            runs.append((session, handles))
+        (fast_s, fast_h), (slow_s, slow_h) = runs
+        assert slow_s.batch_log == fast_s.batch_log
+        assert slow_s.now > fast_s.now
+        n = engine.graph.n_nodes
+        for a, b in zip(fast_h, slow_h):
+            assert b.latency > a.latency
+            if a.query.kind == "sppr":
+                np.testing.assert_array_equal(
+                    a.result().dense_result(engine.sharded, n),
+                    b.result().dense_result(engine.sharded, n))
+            else:
+                np.testing.assert_array_equal(a.result(), b.result())
 
     def test_empty_drain_is_a_zero_result(self, engine):
         session = engine.open_session()
@@ -255,6 +292,24 @@ class TestSessionApi:
             SessionConfig(slo=-1.0)
         with pytest.raises(ValueError, match="kind"):
             Query(source=1, kind="bogus")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_slo_or_window_rejected(self, bad):
+        """A NaN SLO would count every completion as a miss; an infinite
+        window would never dispatch."""
+        with pytest.raises(ValueError, match="slo"):
+            SessionConfig(slo=bad)
+        with pytest.raises(ValueError, match="batch_window"):
+            SessionConfig(batch_window=bad)
+
+    @pytest.mark.parametrize("length", [2.5, True, "3", np.float64(4.0)])
+    def test_non_integer_walk_length_rejected(self, length):
+        """Same rule as ``source``: integers only.  A float length used to
+        be admitted and then killed the drain after ``take_batch``,
+        stranding its co-batched queries as ``"queued"``."""
+        with pytest.raises(ValueError, match="walk_length"):
+            Query(5, kind="walk", walk_length=length)
+        Query(5, kind="walk", walk_length=np.int32(3))
 
 
 PPR_WORK = ("ppr.pushes", "ppr.entries", "ppr.iterations", "ppr.touched")

@@ -31,8 +31,8 @@ from repro.ppr.incremental import (IncrementalState, accuracy_bound,
                                    refresh)
 from repro.storage.build import build_shards
 from repro.storage.shard_update import ShardUpdate
-from repro.stream import (DynamicGraph, StreamConfig, StreamingSession,
-                          TemporalEdgeStream, UpdateBatch,
+from repro.stream import (DynamicGraph, StreamConfig, StreamEvent,
+                          StreamingSession, TemporalEdgeStream, UpdateBatch,
                           build_shard_payloads, ingest_on_cluster)
 
 PARAMS = PPRParams(alpha=0.2, epsilon=1e-4)
@@ -533,7 +533,7 @@ class TestShardSplice:
                 assert sorted(p.n_rows for p in payloads) == [0, 0, 2]
             if shuffle:
                 payloads = [_shuffled(p, seed=tag) for p in payloads]
-            outcome, _, _ = ingest_on_cluster(engine, payloads, tag=tag)
+            outcome, _ = ingest_on_cluster(engine, payloads, tag=tag)
             assert outcome["status"] == "applied"
         assert not len(dyn.row(loner)[0])
         fresh = build_shards(dyn.snapshot(), sharded.result,
@@ -703,3 +703,34 @@ class TestSessionGraphView:
         # and the next good batch takes the next tag
         report = session.ingest(UpdateBatch([0], [absent], [1.0], [1]))
         assert report.applied and report.tag == tag + 1
+
+
+class TestStreamClock:
+    """The stream's clock advances only by what its steps cost."""
+
+    def _session(self):
+        g = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
+        engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
+        session = StreamingSession(engine, StreamConfig(params=PARAMS))
+        session.publish([3, 17])
+        return session
+
+    def test_empty_ingest_leaves_the_clock(self):
+        session = self._session()
+        before = session.now
+        assert before > 0.0                 # publish ran a deployment
+        report = session.ingest(UpdateBatch.empty())
+        assert report.status == "empty"
+        assert session.now == before
+        assert session.ingest(TemporalEdgeStream(
+            session.engine.graph, seed=1, batch_size=8).next_batch()).applied
+        assert session.now > before
+
+    def test_run_stream_merges_each_drain_once(self):
+        """Two calls with one query each: two completions, not three."""
+        session = self._session()
+        for source in (3, 17):
+            session.run_stream([StreamEvent("query", source=source)])
+        counters = session.metrics.counters()
+        assert counters["serve.completed"] == 2
+        assert counters["serve.batches"] == 2
