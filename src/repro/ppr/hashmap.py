@@ -10,12 +10,21 @@ module addresses them directly instead of hashing them:
 * a **page directory** indexed by ``key >> PAGE_BITS`` names the page a key
   lives on; pages are ``PAGE_SLOTS`` cells (32 KiB), allocated on first
   touch, so memory is O(touched pages) and nothing is ever re-placed;
-* ``lookup`` is two array indexings (directory, then cell); page 0 is a
-  permanent all-missing *null page* every unallocated directory entry
-  points at, so absent keys need no branch;
+* each directory entry is stored *pre-offset*, as ``(physical page - page)
+  << PAGE_BITS``, so a key's cell is ``key + directory[key >> PAGE_BITS]``
+  — a shift, a gather and an add;
+* ``lookup`` is that address plus one cell gather; page 0 is a permanent
+  all-missing *null page* every unallocated directory entry points at
+  (its entry is ``-page << PAGE_BITS``, so the cell is ``key & _LOW``),
+  and absent keys need no branch;
 * ``get_or_insert`` is the same plus a first-occurrence claim for the keys
-  it finds missing: dense slots are numbered in order of first occurrence
-  in the call, so ``keys()`` enumerates in first-touch order;
+  it finds missing.  It returns ``(slots, fresh)``: ``fresh`` holds the
+  ascending positions of each newly inserted key's first occurrence, and
+  those keys take the dense slots ``before .. after - 1`` (the table's
+  length before and after the call) in that order, so ``keys()``
+  enumerates in first-touch order and a caller initialises its
+  newcomers' values with one slice, ``values[before:after] =
+  new_values[fresh]``;
 * **all operations are batch-vectorized** and duplicate keys are allowed in
   every call — this is the "C++ speed" stand-in;
 * the table stores only key -> *dense slot*.  Values live in caller-owned
@@ -27,7 +36,7 @@ module addresses them directly instead of hashing them:
 
 The module and class keep their historical names because the wall-clock
 benchmark patches ``repro.ppr.hashmap.ShardedMap`` by name; the rename
-waits for ROADMAP item 6a.
+waits for ROADMAP item 1b.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ def _fit(arr: np.ndarray, needed: int, used: int | None = None):
     cap = len(arr)
     if needed <= cap:
         return arr
+    cap = max(cap, 1)
     while cap < needed:
         cap *= 2
     grown = np.zeros(cap, dtype=arr.dtype)
@@ -72,7 +82,7 @@ class ShardedMap:
     MAX_KEY = (1 << 34) - 1
 
     def __init__(self) -> None:
-        self._directory = np.zeros(16, dtype=np.int64)  # 0 = the null page
+        self._directory = _null_entries(0, 16)
         self._cells = np.empty(8 * PAGE_SLOTS, dtype=np.int64)
         self._cells[:PAGE_SLOTS] = -1
         self._n_pages = 1
@@ -109,32 +119,40 @@ class ShardedMap:
         keys, top = self._checked(keys)
         if len(keys) == 0:
             return np.empty(0, dtype=np.int64)
-        return self._cells[self._address(keys, top)]
+        return self._cells.take(self._address(keys, top))
 
     def get_or_insert(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """Dense slots for ``keys``, inserting missing ones.  Duplicates OK.
 
-        Returns ``(slots, new_mask)`` — ``new_mask`` is True for every
-        occurrence of a key first inserted by this call.
+        Returns ``(slots, fresh)``: ``fresh`` holds the ascending positions
+        in ``keys`` of each newly inserted key's first occurrence, and
+        those keys took the slots ``before .. after - 1`` in that order
+        (``before`` / ``after`` being ``len(self)`` around the call).
         """
         if self._sanitizer is not None:
             self._sanitizer.record(f"ShardedMap@{id(self):#x}", write=True)
         keys, top = self._checked(keys)
         if len(keys) == 0:
-            return np.empty(0, dtype=np.int64), np.zeros(0, dtype=bool)
-        if top >> PAGE_BITS >= len(self._directory):
-            self._directory = _fit(self._directory, (top >> PAGE_BITS) + 1)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        n_dir = len(self._directory)
+        if top >> PAGE_BITS >= n_dir:
+            grown = _fit(self._directory, (top >> PAGE_BITS) + 1)
+            grown[n_dir:] = _null_entries(n_dir, len(grown))
+            self._directory = grown
         addr = self._address(keys, top)
-        slots = self._cells[addr]
-        new = slots < 0
-        if new.any():
-            pos = np.flatnonzero(new)
-            slots[pos] = self._claim(keys[pos], addr[pos])
-        return slots, new
+        slots = self._cells.take(addr)
+        missing = np.flatnonzero(slots < 0)
+        if len(missing) == 0:
+            return slots, missing
+        return slots, self._claim(keys, addr, slots, missing)
 
     # -- internals ----------------------------------------------------------
     def _checked(self, keys) -> tuple[np.ndarray, int]:
         """``keys`` as 1-D in-domain int64, plus their maximum."""
+        keys = np.asarray(keys)
+        # an empty list arrives as float64; it holds no key to truncate
+        if keys.dtype.kind not in "iu" and keys.size:
+            raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         if keys.ndim != 1:
             raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
@@ -158,43 +176,52 @@ class ShardedMap:
         page = keys >> PAGE_BITS
         n_dir = len(self._directory)
         if top >> PAGE_BITS < n_dir:
-            addr = self._directory[page]
+            addr = self._directory.take(page)
+            addr += keys
         else:  # keys past every inserted key resolve through the null page
-            addr = np.zeros(len(keys), dtype=np.int64)
-            inside = page < n_dir
-            addr[inside] = self._directory[page[inside]]
-        addr <<= PAGE_BITS
-        addr |= keys & _LOW
+            addr = keys & _LOW
+            inside = np.flatnonzero(page < n_dir)
+            addr[inside] = keys[inside] + self._directory[page[inside]]
         return addr
 
-    def _claim(self, keys: np.ndarray, addr: np.ndarray) -> np.ndarray:
-        """Slots for missing ``keys`` (duplicates OK) at cells ``addr``."""
-        on_null = addr < PAGE_SLOTS
+    def _claim(self, keys: np.ndarray, addr: np.ndarray, slots: np.ndarray,
+               missing: np.ndarray) -> np.ndarray:
+        """Claim slots for ``keys[missing]`` (duplicates OK) at cells
+        ``addr[missing]`` and write them into ``slots``; returns the
+        positions in ``keys`` of each claimed key's first occurrence."""
+        where = addr[missing]
+        on_null = where < PAGE_SLOTS
         if on_null.any():
             # Allocate the untouched pages, then re-address their keys.
-            homeless = keys[on_null]
+            homeless = keys[missing[on_null]]
             pages = homeless >> PAGE_BITS
             fresh = np.unique(pages)
             used = self._n_pages * PAGE_SLOTS
             self._n_pages += len(fresh)
             self._cells = _fit(self._cells, self._n_pages * PAGE_SLOTS, used)
             self._cells[used: self._n_pages * PAGE_SLOTS] = -1
-            self._directory[fresh] = np.arange(
-                self._n_pages - len(fresh), self._n_pages)
-            addr[on_null] = ((self._directory[pages] << PAGE_BITS)
-                             | (homeless & _LOW))
+            self._directory[fresh] = (
+                np.arange(self._n_pages - len(fresh), self._n_pages) - fresh
+            ) << PAGE_BITS
+            where[on_null] = homeless + self._directory[pages]
         # First-occurrence claim: every occurrence writes its position,
         # back to front, so each cell ends up holding its earliest one.
         # (NumPy assigns repeated indices in order; were that ever to
         # change, slots would still be unique per key — only their
         # numbering would differ.)
-        order = np.arange(len(keys))
-        self._cells[addr[::-1]] = order[::-1]
-        first = self._cells[addr] == order
-        claimed = keys[first]
+        self._cells[where[::-1]] = missing[::-1]
+        is_first = self._cells.take(where) == missing
+        first = missing[is_first]
         base = self._n
-        self._n += len(claimed)
+        self._n += len(first)
         self._dense_keys = _fit(self._dense_keys, self._n, base)
-        self._dense_keys[base: self._n] = claimed
-        self._cells[addr[first]] = np.arange(base, self._n)
-        return self._cells[addr]
+        self._dense_keys[base: self._n] = keys[first]
+        self._cells[where[is_first]] = np.arange(base, self._n)
+        slots[missing] = self._cells.take(where)
+        return first
+
+
+def _null_entries(start: int, stop: int) -> np.ndarray:
+    """Directory entries for pages ``start .. stop - 1`` pointing at the
+    null page: ``(0 - page) << PAGE_BITS``."""
+    return -np.arange(start, stop, dtype=np.int64) << PAGE_BITS

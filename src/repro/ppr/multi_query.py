@@ -26,7 +26,14 @@ reference's ``r_f = residual[frontier].copy(); residual[frontier] = 0``).
 VertexProp or remote NeighborBatch/NeighborLists) and pushes each popped
 pair once from that stash: it converts ``alpha * r`` into PPR mass, spreads
 ``(1 - alpha) * r`` over out-neighbors weighted by ``W(v,u)/d_w(v)``, and
-re-activates any pair whose residual crosses ``epsilon * d_w``.  Mass a
+re-activates any pair whose residual crosses ``epsilon * d_w``.  The
+spread is one ``bincount`` over the pushed entries' slots, and the
+threshold is tested only on the slots it *hit* (non-zero sum), never per
+entry.  That is exact because of an invariant that holds after every
+``push``: each touched slot above ``epsilon * d_w`` is already queued.
+``pop`` zeroes the residual of every slot it dequeues, a slot's ``d_w``
+never changes once recorded, and a slot the spread did not hit gains
+``+0.0``, so its residual is bit for bit the one last tested.  Mass a
 frontier node receives from its peers in the same iteration stays in
 ``residual`` for the next one, so the visit order of an iteration's
 sources changes no count, and the batched driver applies the whole round
@@ -286,23 +293,22 @@ class MultiSSPPR:
         if len(contrib) == 0:
             return
         # Resolve target slots in one vectorized pass (duplicates fine).
+        before = len(self.map)
+        slots, fresh = self.map.get_or_insert(keys)
         touched = len(self.map)
-        slots, new = self.map.get_or_insert(keys)
-        if len(self.map) > touched:
+        if touched > before:
             self._fit_values()
-            # Record the newcomers' weighted degrees (duplicates write the
-            # same global value, so no per-key dedup is needed).
-            self.wdeg[slots[new]] = nbr_wdeg[new if pos is None
-                                             else pos[new]]
-            touched = len(self.map)
+            # The newcomers took slots before..touched-1, in fresh's order.
+            self.wdeg[before:touched] = nbr_wdeg[fresh if pos is None
+                                                 else pos[fresh]]
         # Scatter-add over the *dense slot domain*: O(touched), never O(|V|).
         # This aggregation confined to touched nodes is the engine's win.
-        self.residual[:touched] += np.bincount(slots, weights=contrib,
-                                               minlength=touched)
-
-        threshold = self.params.epsilon * self.wdeg[slots]
-        above = self.residual[slots] > threshold
-        self.queued[slots[above]] = True
+        acc = np.bincount(slots, weights=contrib, minlength=touched)
+        self.residual[:touched] += acc
+        # Only slots that received mass can have crossed their threshold.
+        hit = np.flatnonzero(acc != 0.0)
+        above = self.residual[hit] > self.params.epsilon * self.wdeg[hit]
+        self.queued[hit[above]] = True
 
     # -- results ------------------------------------------------------------
     def query(self, qid: int) -> "QueryView":

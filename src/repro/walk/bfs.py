@@ -47,13 +47,14 @@ class BfsState:
         nbr_ids = infos.to_arrays()[1]
         if len(nbr_ids) == 0:
             return
-        slots, new = self.map.get_or_insert(nbr_ids)
-        if new.any():
+        before = len(self.map)
+        _, fresh = self.map.get_or_insert(nbr_ids)
+        if len(fresh):
             (self.depths,) = fit_values(self.map, self.depths)
-            self.depths[slots[new]] = self.level + 1
-            # dedupe new ids (duplicates share slots; keep one each)
+            self.depths[before:len(self.map)] = self.level + 1
+            # fresh names each new id once: sort to keep ids ascending
             self.frontier = np.concatenate([self.frontier,
-                                            np.unique(nbr_ids[new])])
+                                            np.sort(nbr_ids[fresh])])
 
     def results(self) -> tuple[np.ndarray, np.ndarray]:
         """``(node ids, depths)`` of every reached node."""

@@ -49,18 +49,19 @@ class WccState:
         src_labels = self.labels[self.map.lookup(ids)]
         counts = np.diff(indptr)
         sent = np.repeat(src_labels, counts)
-        slots, new = self.map.get_or_insert(nbr_ids)
-        if new.any():
+        before = len(self.map)
+        slots, fresh = self.map.get_or_insert(nbr_ids)
+        if len(fresh):
             (self.labels,) = fit_values(self.map, self.labels)
-            self.labels[slots[new]] = nbr_ids[new]  # own id baseline
+            self.labels[before:len(self.map)] = nbr_ids[fresh]  # own id
         # min-label adoption: scatter-min via sorting-free two-pass
         # (numpy minimum.at is adequate here: entries per round are small)
-        before = self.labels[slots].copy()
+        old = self.labels[slots]
         np.minimum.at(self.labels, slots, sent)
-        improved = self.labels[slots] < before
+        queue = self.labels[slots] < old
         # Improved nodes re-broadcast; first-touched nodes must broadcast
         # their own (possibly smaller) label at least once.
-        queue = improved | new
+        queue[fresh] = True
         if queue.any():
             self.frontier = np.unique(np.concatenate(
                 [self.frontier, nbr_ids[queue]]

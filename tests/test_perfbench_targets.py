@@ -12,7 +12,8 @@ import pytest
 
 from perfbench import workloads
 from perfbench.spec import DEFAULT_SEED, WORKLOADS
-from perfbench.trace import TARGETS, _resolve
+from perfbench.trace import TARGETS, Tracer, _resolve
+from repro.engine import EngineConfig, GraphEngine, RunRequest
 from repro.graph import powerlaw_cluster
 
 
@@ -30,6 +31,20 @@ def test_every_trace_site_resolves():
                 broken.append(f"{span}: {module}:{path}")
     assert not broken, "unresolvable perfbench trace sites:\n" + \
         "\n".join(broken)
+
+
+def test_kernel_work_lands_in_the_ledger():
+    """An engine run under the tracer books its push, pop and slot-table
+    work to the spans the ledger reports: a kernel change that moved the
+    work off the patched names would leave them silently at zero."""
+    graph = powerlaw_cluster(600, 5, mixing=0.3, seed=3)
+    engine = GraphEngine(graph, EngineConfig(n_machines=2))
+    tracer = Tracer()
+    with tracer:
+        tracer.region(lambda: engine.run(RunRequest(n_queries=2, seed=1)))
+    ledger = tracer.ledger()
+    for span in ("ssppr.push", "ssppr.pop", "hashmap.get_or_insert"):
+        assert ledger.get(span, {}).get("calls", 0) > 0, span
 
 
 @pytest.mark.parametrize("spec", WORKLOADS, ids=lambda spec: spec.name)

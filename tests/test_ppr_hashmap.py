@@ -1,5 +1,6 @@
 """Tests for the paged direct-address slot table (``ShardedMap``)."""
 
+import signal
 import time
 import tracemalloc
 
@@ -21,8 +22,8 @@ class TestBasics:
     def test_insert_and_lookup(self):
         m = ShardedMap()
         keys = i64(5, 17, 123456789)
-        idx, new = m.get_or_insert(keys)
-        assert new.all()
+        idx, fresh = m.get_or_insert(keys)
+        np.testing.assert_array_equal(fresh, [0, 1, 2])
         np.testing.assert_array_equal(idx, [0, 1, 2])  # first-occurrence order
         np.testing.assert_array_equal(m.lookup(keys), idx)
         assert len(m) == 3
@@ -31,16 +32,16 @@ class TestBasics:
         m = ShardedMap()
         keys = i64(1, 2, 3)
         idx1, _ = m.get_or_insert(keys)
-        idx2, new2 = m.get_or_insert(keys)
+        idx2, fresh2 = m.get_or_insert(keys)
         np.testing.assert_array_equal(idx1, idx2)
-        assert not new2.any()
+        assert len(fresh2) == 0
         assert len(m) == 3
 
     def test_partial_overlap(self):
         m = ShardedMap()
         first, _ = m.get_or_insert(i64(10, 20))
-        idx, new = m.get_or_insert(i64(20, 30))
-        np.testing.assert_array_equal(new, [False, True])
+        idx, fresh = m.get_or_insert(i64(20, 30))
+        np.testing.assert_array_equal(fresh, [1])
         assert idx[0] == first[1]  # 20 keeps its dense slot
         assert idx[1] == 2  # newcomer gets the next dense index
 
@@ -62,8 +63,8 @@ class TestBasics:
 
     def test_empty_calls(self):
         m = ShardedMap()
-        idx, new = m.get_or_insert(np.empty(0, dtype=np.int64))
-        assert len(idx) == 0 and len(new) == 0
+        idx, fresh = m.get_or_insert(np.empty(0, dtype=np.int64))
+        assert len(idx) == 0 and len(fresh) == 0
         assert len(m.lookup(np.empty(0, dtype=np.int64))) == 0
         assert m.probe_rounds == 0  # only non-empty calls probe
 
@@ -77,14 +78,15 @@ class TestBasics:
     def test_duplicate_keys_in_one_insert(self):
         m = ShardedMap()
         keys = i64(7, 9, 7, 7, 9, 11)
-        idx, new = m.get_or_insert(keys)
+        idx, fresh = m.get_or_insert(keys)
         assert len(m) == 3
-        assert new.all()  # every occurrence of a first-seen key is "new"
+        # only each first-seen key's first occurrence is fresh
+        np.testing.assert_array_equal(fresh, [0, 1, 5])
         np.testing.assert_array_equal(idx, [0, 1, 0, 0, 1, 2])
         # re-insert: nothing new
-        idx2, new2 = m.get_or_insert(keys)
+        idx2, fresh2 = m.get_or_insert(keys)
         np.testing.assert_array_equal(idx, idx2)
-        assert not new2.any()
+        assert len(fresh2) == 0
 
     def test_negative_keys_rejected(self):
         m = ShardedMap()
@@ -115,14 +117,31 @@ class TestBasics:
         idx, _ = m.get_or_insert(i64(ShardedMap.MAX_KEY))
         assert m.lookup(i64(ShardedMap.MAX_KEY))[0] == idx[0] == 1
 
+    def test_non_integer_keys_rejected(self):
+        """Float and bool keys raise instead of being truncated to ints."""
+        m = ShardedMap()
+        for bad in (np.array([2.7, 3.9]), np.array([True, False]),
+                    [2.0], [True]):
+            for call in (m.get_or_insert, m.lookup):
+                with pytest.raises(ValueError, match="integers"):
+                    call(bad)
+        assert len(m) == 0 and m.resident_pages == 0
+        # integer arrays of any width and lists of Python ints still work
+        idx, _ = m.get_or_insert([2, 3])
+        np.testing.assert_array_equal(idx, [0, 1])
+        np.testing.assert_array_equal(
+            m.lookup(np.array([3, 2], dtype=np.uint8)), [1, 0])
+        np.testing.assert_array_equal(
+            m.get_or_insert(np.array([3, 4], dtype=np.int32))[0], [1, 2])
+
 
 class TestGrowth:
     def test_grows_past_initial_capacity(self):
         m = ShardedMap()
         n_cells, n_dir = len(m._cells), len(m._directory)
         keys = np.arange(1000, dtype=np.int64) * 997 + 3  # ~244 pages
-        idx, new = m.get_or_insert(keys)
-        assert new.all()
+        idx, fresh = m.get_or_insert(keys)
+        np.testing.assert_array_equal(fresh, np.arange(1000))
         assert len(m._cells) > n_cells and len(m._directory) > n_dir
         assert m.rehashes == 0  # pages are appended, never re-placed
         np.testing.assert_array_equal(idx, np.arange(1000))
@@ -157,6 +176,25 @@ class TestGrowth:
         assert grown_flags.dtype == bool
         np.testing.assert_array_equal(grown_values[:4], 1.0)
         assert not grown_values[4:].any() and not grown_flags[4:].any()
+
+    def test_fit_values_grows_an_empty_array(self):
+        """A zero-length value array grows like any other (it used to
+        double its capacity from 0 forever)."""
+        def hung(signum, frame):
+            raise TimeoutError("fit_values did not return")
+
+        m = ShardedMap()
+        m.get_or_insert(i64(3))
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            (grown,) = fit_values(m, np.zeros(0))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        np.testing.assert_array_equal(grown, [0.0])
+        m.get_or_insert(np.arange(3, dtype=np.int64))
+        assert len(fit_values(m, np.zeros(0, dtype=bool))[0]) == 4
 
 
 class TestPages:
@@ -213,20 +251,27 @@ class TestProperties:
     @given(engine_batches())
     @settings(max_examples=100, deadline=None)
     def test_behaves_like_dict(self, batches):
-        """Slots, ``new_mask`` and ``keys()`` agree with a Python dict in
-        first-occurrence order after every call."""
+        """Slots, ``fresh`` and ``keys()`` agree with a Python dict in
+        first-occurrence order after every call: ``fresh`` is exactly the
+        first occurrences of previously absent keys, ascending, and they
+        take the slots ``before .. after - 1`` in that order."""
         m = ShardedMap()
         oracle: dict[int, int] = {}
         calls = 0
         for raw in batches:
             batch = np.array(raw, dtype=np.int64)
-            known = set(oracle)
-            for k in raw:
-                oracle.setdefault(k, len(oracle))
-            idx, new = m.get_or_insert(batch)
+            before = len(oracle)
+            first_absent = []
+            for i, k in enumerate(raw):
+                if k not in oracle:
+                    oracle[k] = len(oracle)
+                    first_absent.append(i)
+            idx, fresh = m.get_or_insert(batch)
             calls += bool(raw)
             assert idx.tolist() == [oracle[k] for k in raw]
-            assert new.tolist() == [k not in known for k in raw]
+            assert fresh.tolist() == first_absent
+            assert idx[fresh].tolist() == list(range(before, len(oracle)))
+            assert m.keys()[before:].tolist() == batch[fresh].tolist()
             assert m.keys().tolist() == list(oracle)
             assert len(m) == len(oracle)
         probe = np.arange(0, max(oracle, default=0) + 2 * PAGE_SLOTS, 7,

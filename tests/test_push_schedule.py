@@ -13,16 +13,21 @@ iteration.  These tests hold the distributed engine to that schedule:
   its mass is conserved and its scores sit within ``eps * sum(d_w)`` of
   the reference's;
 * a fused ``MultiSSPPR`` batch makes exactly the sum of its queries'
-  reference pushes, in the max of their iteration counts.
+  reference pushes, in the max of their iteration counts;
+* after every ``push``, at every level, each touched slot whose residual
+  exceeds ``eps * d_w`` is queued — the invariant that lets ``push`` test
+  the threshold only on the slots its spread hit.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, GraphEngine, RunRequest
-from repro.graph import load_dataset, powerlaw_cluster
+from repro.graph import CSRGraph, load_dataset, powerlaw_cluster
 from repro.ppr import MultiSSPPR, OptLevel, PPRParams, SSPPR
 from repro.ppr.forward_push_parallel import forward_push_parallel
 from repro.serving.session import Session, SessionConfig
@@ -127,3 +132,59 @@ class TestReferenceCounts:
                 for gid in sources]
         assert multi.n_pushes == sum(r.n_pushes for r in refs)
         assert multi.n_iterations == max(r.n_iterations for r in refs)
+
+
+@st.composite
+def zero_weight_graphs(draw):
+    """A small undirected graph whose arcs may weigh 0, with isolated
+    nodes and nodes whose every arc weighs 0 (both dangling: ``d_w == 0``),
+    plus a few sources and an epsilon."""
+    n = draw(st.integers(4, 24))
+    n_edges = draw(st.integers(0, 48))
+    node = st.integers(0, n - 1)
+    src = draw(st.lists(node, min_size=n_edges, max_size=n_edges))
+    dst = draw(st.lists(node, min_size=n_edges, max_size=n_edges))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]),
+                            min_size=n_edges, max_size=n_edges))
+    sources = draw(st.lists(node, min_size=1, max_size=3, unique=True))
+    epsilon = draw(st.sampled_from([1e-2, 1e-3, 1e-4]))
+    return (CSRGraph.from_edges(n, src, dst, weights),
+            np.array(sources, dtype=np.int64), PPRParams(epsilon=epsilon))
+
+
+class TestQueuedInvariant:
+    @given(zero_weight_graphs())
+    @settings(max_examples=15, deadline=None)
+    def test_every_push_queues_every_slot_above_threshold(self, case):
+        """Under every ``OptLevel`` (``SINGLE`` pushes once per popped
+        vertex, so many times an iteration) and in both the per-query and
+        the fused mode: after each ``push`` no touched slot holds residual
+        above ``eps * d_w`` without being queued."""
+        graph, sources, params = case
+        original = MultiSSPPR.push
+        pushes = []
+
+        def checked_push(state, infos, ids):
+            original(state, infos, ids)
+            n = len(state.map)
+            above = (state.residual[:n]
+                     > state.params.epsilon * state.wdeg[:n])
+            stranded = np.flatnonzero(above & ~state.queued[:n])
+            assert len(stranded) == 0, (
+                f"{len(stranded)} touched slots above threshold unqueued")
+            pushes.append(n)
+
+        engine = GraphEngine(graph, EngineConfig(n_machines=2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(MultiSSPPR, "push", checked_push)
+            mp.setattr(SSPPR, "push", checked_push)
+            for opt in OptLevel:
+                for mode in ("engine", "batched"):
+                    before = len(pushes)
+                    result = _sibling(engine, opt).run(RunRequest(
+                        sources=sources, params=params, mode=mode,
+                        keep_states=True))
+                    for view in result.states.values():
+                        assert view.total_mass() == pytest.approx(1.0)
+                    # every source pushes at least once, dangling or not
+                    assert len(pushes) > before

@@ -415,8 +415,9 @@ class TestRuntimeDifferential:
             sim_c = sim.session.metrics.counters()
             thr_c = thr.session.metrics.counters()
             assert sim_c["rpc.dropped_messages"] > 0
+            assert sim_c["rpc.timeouts"] > 0
             for key in ("rpc.dropped_messages", "rpc.retries",
-                        "serve.batch_retries"):
+                        "rpc.timeouts"):
                 assert sim_c.get(key, 0) == thr_c.get(key, 0), key
 
     def test_chaos_slows_the_serving_clock(self, engine):
