@@ -50,8 +50,10 @@ def run_case(shard, batch, n_responses) -> dict:
     view = shard.get_neighbor_batch(contiguous)
     copy = view.materialize()
     pool = BufferPool()
+    requests = hits = 0
     for _ in range(n_responses):
-        pool.stage(view)
+        n, h, _reused = pool.stage(view)
+        requests, hits = requests + n, hits + h
     return {
         "Batch": b,
         "View ns/row": round(_time_per_row(shard, contiguous, reps), 1),
@@ -60,8 +62,8 @@ def run_case(shard, batch, n_responses) -> dict:
         "Copy bytes": payload_sizes(copy)[0],
         "View-owned tensors": _owned_tensors(view),
         "Copy-owned tensors": _owned_tensors(copy),
-        "Pool reqs": pool.requests,
-        "Pool hit %": round(100.0 * pool.hits / pool.requests, 2),
+        "Pool reqs": requests,
+        "Pool hit %": round(100.0 * hits / requests, 2),
         "Pool bytes": pool.nbytes(),
     }
 

@@ -116,18 +116,25 @@ class _Cluster(TransportCounters):
 
         The makespan is the latest final clock among the computing
         processes — the paper's throughput denominator.  The first driver
-        failure (in spawn order) is re-raised.
+        failure (in spawn order) is re-raised — after the ``rpc.*``
+        counters are published, which happens either way.
         """
-        if self.sanitizer is None:
-            self._drain()
-        else:
-            from repro.analysis.race import installed
-
-            with installed(self.sanitizer):
+        try:
+            if self.sanitizer is None:
                 self._drain()
-        for proc in self._compute:
-            self.result_of(proc.name)
+            else:
+                from repro.analysis.race import installed
+
+                with installed(self.sanitizer):
+                    self._drain()
+            for proc in self._compute:
+                self.result_of(proc.name)
+        finally:
+            self.ctx.publish_metrics()
         return max((p.clock for p in self._compute), default=0.0)
+
+    def ledger_total(self, key: str) -> int:
+        return self.ctx.ledger_total(key)
 
     def charge(self) -> float:
         """Virtual seconds this finished deployment costs its caller.

@@ -8,7 +8,7 @@ from repro.partition.base import Partitioner
 from repro.partition.metis_lite import MetisLitePartitioner
 from repro.ppr.distributed import OptLevel
 from repro.simt.network import NetworkModel
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_int
 
 
 @dataclass
@@ -31,8 +31,9 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_positive("n_machines", self.n_machines)
-        check_positive("procs_per_machine", self.procs_per_machine)
+        check_int("n_machines", self.n_machines, positive=True)
+        check_int("procs_per_machine", self.procs_per_machine, positive=True)
+        check_int("halo_hops", self.halo_hops)
         if self.halo_hops not in (1, 2):
             raise ValueError(f"halo_hops must be 1 or 2, got {self.halo_hops}")
 

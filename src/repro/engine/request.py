@@ -42,6 +42,7 @@ from repro.ppr.distributed import DegradationMode
 from repro.ppr.params import PPRParams
 from repro.rpc.retry import RetryPolicy
 from repro.simt.faults import FaultPlan
+from repro.utils.validation import check_int
 
 #: execution modes: the PPR Engine one query per state, the dense tensor
 #: baseline, and the PPR Engine one lockstep batch per computing process
@@ -138,10 +139,8 @@ class RunRequest:
             raise ValueError("pass n_queries or sources")
         if self.sources is not None and self.n_queries is not None:
             raise ValueError("pass n_queries or sources, not both")
-        if self.n_queries is not None and self.n_queries <= 0:
-            raise ValueError(
-                f"n_queries must be > 0, got {self.n_queries}"
-            )
+        if self.n_queries is not None:
+            check_int("n_queries", self.n_queries, positive=True)
         if not isinstance(self.degradation, DegradationMode):
             raise TypeError(
                 f"degradation must be a DegradationMode, "

@@ -2,9 +2,9 @@
 
 One :class:`MetricsRegistry` exists per engine run (created by the
 cluster :func:`~repro.engine.cluster.deploy` brings up, on either
-runtime).  Every layer — RPC
-dispatch, fault handling, drivers, the engine facade — increments the *same*
-named instruments, so a run's counters are identical whether the workload
+runtime).  Every layer — drivers, the engine facade, and the RPC layer,
+which publishes its per-call ledger as ``rpc.*`` once the run ends — writes
+the *same* named instruments, so a run's counters are identical whether it
 executed on the virtual-time scheduler or on real threads: the registry is
 what the differential tests compare.
 
@@ -201,11 +201,6 @@ class MetricsRegistry:
     def get(self, name: str):
         """The instrument registered under ``name`` (KeyError if absent)."""
         return self._instruments[name]
-
-    def count(self, name: str) -> int:
-        """Value of counter ``name``; 0 (and no instrument) if never bumped."""
-        inst = self._instruments.get(name)
-        return inst.value if inst is not None else 0
 
     def counters(self) -> dict[str, int]:
         """All counter values — the differential tests' comparison unit."""

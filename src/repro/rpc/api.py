@@ -113,12 +113,12 @@ class RpcContext(WorkerRegistry):
         if fut.done:
             return
         if n > 1:
-            self._fault("retry")
+            self._fault(call, "retry")
         plan, policy = self.fault_plan, self.retry_policy
         deadline = math.inf if policy is None else send_time + policy.timeout
         if plan is not None and plan.roll_drop(call.caller_name, call.index,
                                                n):
-            self._fault("drop")
+            self._fault(call, "drop")
             call.cause = "drop"
         else:
             arrival = send_time + self.network.transfer_time(*call.request)
@@ -136,7 +136,7 @@ class RpcContext(WorkerRegistry):
         plan = self.fault_plan
         if plan is not None and plan.is_crashed(call.owner_name, arrival):
             call.cause = "crash"
-            self._fault("crash")
+            self._fault(call, "crash")
             return  # message lost on a dead server; the timer handles it
         network = self.network
         try:
@@ -161,7 +161,7 @@ class RpcContext(WorkerRegistry):
         """Attempt ``n``'s deadline: retransmit after backoff, or give up."""
         if fut.done:
             return
-        self._timed_out(call)
+        self._fault(call, "timeout")
         policy = self.retry_policy
         if n >= policy.max_attempts:
             fut.set_exception(self._give_up(call, n), deadline)

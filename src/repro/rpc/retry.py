@@ -21,10 +21,11 @@ identical timings and counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.simt.faults import fault_roll
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_in_range, check_int
 
 #: The backoff schedule.  After failed attempt ``n`` a call waits
 #: ``min(MAX_BACKOFF, BACKOFF_BASE * BACKOFF_FACTOR**(n-1))`` seconds times
@@ -45,17 +46,17 @@ class RetryPolicy:
     max_attempts:
         Total tries per logical call (first send + retransmissions).
     timeout:
-        Virtual seconds to wait for each attempt's reply.  The default is
-        generous relative to the network model's round trips (~100 us), so
-        a healthy cluster never times out spuriously.
+        Finite virtual seconds to wait for each attempt's reply.  The
+        default is generous relative to the network model's round trips
+        (~100 us), so a healthy cluster never times out spuriously.
     """
 
     max_attempts: int = 3
     timeout: float = 0.05
 
     def __post_init__(self) -> None:
-        check_positive("max_attempts", self.max_attempts)
-        check_positive("timeout", self.timeout)
+        check_int("max_attempts", self.max_attempts, positive=True)
+        check_in_range("timeout", self.timeout, 0.0, math.inf)
 
     def backoff_delay(self, attempt: int, *, seed: int = 0,
                       caller: str = "", call_index: int = 0) -> float:

@@ -29,11 +29,11 @@ payload type in the tree.
 response serialization buffers.  Serializing a response borrows one
 pooled buffer per tensor (size class = next power of two of the tensor's
 bytes, keyed by dtype) and returns them all once the response is on the
-wire, so steady-state serving allocates nothing: pool inventory per class
-converges to the largest single-response demand.  All accounting is
-order-independent across responses — total misses per class equal the
-maximum per-response demand ever seen, hits are the remainder — which is
-what keeps the ``rpc.pool.*`` counters bitwise-identical between the
+wire, so the inventory is the pool's whole state and converges to the
+largest single-response demand per class.  A response's hits per class
+are ``min(demand, inventory)``, so totals are order-independent — which
+keeps the ``rpc.pool.*`` counters, booked by the RPC ledger from what
+:meth:`BufferPool.stage` returns, bitwise-identical between the
 virtual-time scheduler and :class:`~repro.rpc.thread_runtime.ThreadRuntime`.
 """
 
@@ -193,65 +193,36 @@ class BufferPool:
 
     One pool per RPC server.  :meth:`stage` accounts the serialization of
     one response: every tensor borrows a buffer of its ``(dtype,
-    size-class)`` — reusing a free one when available, growing inventory
-    on a miss — and all buffers return to the free lists when the
-    response has been staged (the transport owns the bytes after copy-out,
-    so the buffers are immediately reusable).
-
-    Determinism: inventory per class only ever grows to the largest
-    demand a *single* response has exhibited, so total misses (and
-    therefore hits and reused bytes) are independent of the order in
-    which responses are served — the property the cross-runtime
-    differential tests rely on.
-
-    ``enabled=False`` short-circuits :meth:`stage` to a single attribute
-    check (zero overhead when off).
+    size-class)``, reusing an idle one when the class has any and growing
+    inventory on a miss; all are idle again once the response is staged
+    (the transport owns the bytes after copy-out).  Inventory per class
+    only ever grows to the largest demand a *single* response has made,
+    so total hits are independent of the order responses are served in.
     """
 
-    __slots__ = ("enabled", "_free", "_inventory",
-                 "requests", "hits", "misses", "bytes_reused")
+    __slots__ = ("_inventory",)
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
-        #: (dtype str, size class) -> currently returned buffer count
-        self._free: dict[tuple[str, int], int] = {}
-        #: (dtype str, size class) -> total buffers ever allocated
+    def __init__(self) -> None:
+        #: (dtype str, size class) -> buffers allocated, all idle
         self._inventory: dict[tuple[str, int], int] = {}
-        self.requests = 0
-        self.hits = 0
-        self.misses = 0
-        self.bytes_reused = 0
 
-    def stage(self, result: Any, metrics=None) -> None:
-        """Borrow/return pooled buffers for one serialized response."""
-        if not self.enabled:
-            return
-        borrowed: list[tuple[str, int]] = []
-        hits = reused = 0
+    def stage(self, result: Any) -> tuple[int, int, int]:
+        """Borrow/return pooled buffers for one serialized response:
+        ``(tensors staged, hits on idle buffers, bytes of those hits)``."""
+        inventory = self._inventory
+        borrowed: dict[tuple[str, int], int] = {}
+        requests = hits = reused = 0
         for arr in _iter_tensors(result):
             key = (arr.dtype.str, size_class(int(arr.nbytes)))
-            free = self._free.get(key, 0)
-            if free:
-                self._free[key] = free - 1
+            # the n-th buffer of a class hits iff the inventory has n
+            n = borrowed[key] = borrowed.get(key, 0) + 1
+            requests += 1
+            if n <= inventory.get(key, 0):
                 hits += 1
                 reused += key[1]
             else:
-                self._inventory[key] = self._inventory.get(key, 0) + 1
-            borrowed.append(key)
-        for key in borrowed:
-            self._free[key] = self._free.get(key, 0) + 1
-        n = len(borrowed)
-        if not n:
-            return
-        self.requests += n
-        self.hits += hits
-        self.misses += n - hits
-        self.bytes_reused += reused
-        if metrics is not None:
-            metrics.inc("rpc.pool.requests", n)
-            metrics.inc("rpc.pool.hits", hits)
-            metrics.inc("rpc.pool.misses", n - hits)
-            metrics.inc("rpc.pool.bytes_reused", reused)
+                inventory[key] = n
+        return requests, hits, reused
 
     def nbytes(self) -> int:
         """Resident bytes across all pooled buffers (memory accounting)."""

@@ -158,15 +158,15 @@ class ThreadRuntime(WorkerRegistry):
             budget = 1 if policy is None else policy.max_attempts
             for n in range(1, budget + 1):
                 if n > 1:
-                    self._fault("retry")
+                    self._fault(call, "retry")
                 if plan is not None and plan.roll_drop(caller_name,
                                                        call.index, n):
                     # Lost request: in thread mode the timeout elapses
                     # logically (no real sleeping) and we retransmit.
                     # Each drop implies one logical timeout firing — the
                     # same accounting the virtual-time timers produce.
-                    self._fault("drop")
-                    self._timed_out(call)
+                    self._fault(call, "drop")
+                    self._fault(call, "timeout")
                     call.cause = "drop"
                     continue
                 result, sizes, handler_seconds = server.execute(

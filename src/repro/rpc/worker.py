@@ -14,14 +14,17 @@ inside a computing process (Section 3.2.3).
 halves of a server and of an RPC group — object hosting and serving, the
 worker registry, remote-object creation, retry-policy resolution, the
 same-machine call (``_local_call``) and the accounting of a remote call:
-its prologue (``_begin_call``: resolve, count, size, reserve the client
+its prologue (``_begin_call``: resolve, size, count, reserve the client
 span), its epilogue (``_served``: response bytes, buffer pool, linked
-server span), its timed-out attempts (``_timed_out``) and its give-up
+server span), its fault events (``_fault``) and its give-up
 (``_give_up``: the typed error) — written once; the virtual-time
 :class:`~repro.rpc.api.RpcContext` and the OS-thread
 :class:`~repro.rpc.thread_runtime.ThreadRuntime` each add one attempt
-loop between them.  The registry also keeps each caller's integer
-traffic totals, which :meth:`WorkerRegistry.traffic_seconds` prices.
+loop between them.  Each of those counts once, in the registry's
+per-caller integer ledger: :meth:`WorkerRegistry.traffic_seconds` prices
+it, :class:`TransportCounters` reads it, and
+:meth:`WorkerRegistry.publish_metrics` folds it into the ``rpc.*``
+counters when the deployment has finished.
 """
 
 from __future__ import annotations
@@ -164,44 +167,66 @@ class RemoteCall:
         self.cause = "late"
 
 
+def _ledger_view(key: str, doc: str) -> property:
+    return property(lambda self: self.ledger_total(key), doc=doc)
+
+
 class TransportCounters:
-    """Read-only transport/fault counters over ``self.obs.metrics``.
+    """Read-only transport/fault counters: typed views of an RPC group's
+    ledger summed over callers (``ledger_total``), which both runtimes
+    write once per call and per fault — what results and tests read."""
 
-    Both runtimes count every dispatched call and every injected fault in
-    the run's metrics registry; these typed views are what results and
-    tests read, so there is one set of books.
+    remote_requests = _ledger_view("calls", "Cross-machine requests "
+                                   "dispatched.")
+    local_calls = _ledger_view("local_calls", "Same-machine "
+                               "(shared-memory path) calls.")
+    retries = _ledger_view("retry", "Re-sent attempts (attempt > 1).")
+    timeouts = _ledger_view("timeout", "Attempts that hit their deadline.")
+    dropped_messages = _ledger_view("drop", "Requests lost on the injected "
+                                    "network.")
+
+
+#: fault kind (a ledger key) -> the transport counter that moves with it
+#: (``crash`` has none: a request lost on a dead server is written off by
+#: its timeout)
+_FAULT_COUNTERS = {"crash": None, "drop": "rpc.dropped_messages",
+                   "giveup": "rpc.giveups", "retry": "rpc.retries",
+                   "timeout": "rpc.timeouts"}
+
+
+def rpc_counters(total: Callable[[str], int]) -> dict[str, int]:
+    """The ``rpc.*`` counters of a finished deployment; ``total(key)`` is
+    one ledger key summed over callers.
+
+    The one place metric names meet the ledger.  A name is present iff
+    the event that bumps it happened at least once (a served attempt for
+    ``rpc.response_bytes``, a staged tensor for ``rpc.pool.*`` ...), so a
+    value may be 0 while its key records that the event occurred.
     """
-
-    @property
-    def remote_requests(self) -> int:
-        """Cross-machine requests dispatched."""
-        return self.obs.metrics.count("rpc.calls_remote")
-
-    @property
-    def local_calls(self) -> int:
-        """Same-machine (shared-memory path) calls."""
-        return self.obs.metrics.count("rpc.calls_local")
-
-    @property
-    def retries(self) -> int:
-        """Re-sent attempts (attempt > 1)."""
-        return self.obs.metrics.count("rpc.retries")
-
-    @property
-    def timeouts(self) -> int:
-        """Attempts that hit their deadline."""
-        return self.obs.metrics.count("rpc.timeouts")
-
-    @property
-    def dropped_messages(self) -> int:
-        """Requests lost on the injected network."""
-        return self.obs.metrics.count("rpc.dropped_messages")
-
-
-#: fault kind -> the transport counter that moves with it (``crash`` has
-#: none: a request lost on a dead server is written off by its timeout)
-_FAULT_COUNTERS = {"retry": "rpc.retries", "drop": "rpc.dropped_messages",
-                   "timeout": "rpc.timeouts", "giveup": "rpc.giveups"}
+    out: dict[str, int] = {}
+    remote, local = total("calls"), total("local_calls")
+    if remote or local:
+        out["rpc.calls"] = remote + local
+    if local:
+        out["rpc.calls_local"] = local
+    if remote:
+        out["rpc.calls_remote"] = remote
+        out["rpc.request_bytes"] = total("request_bytes")
+    if total("served"):
+        out["rpc.response_bytes"] = total("response_bytes")
+    requests, hits = total("pool_requests"), total("pool_hits")
+    if requests:
+        out["rpc.pool.requests"] = requests
+        out["rpc.pool.hits"] = hits
+        out["rpc.pool.misses"] = requests - hits
+        out["rpc.pool.bytes_reused"] = total("pool_bytes_reused")
+    for kind, paired in _FAULT_COUNTERS.items():
+        n = total(kind)
+        if n:
+            out[f"rpc.faults.{kind}"] = n
+            if paired is not None:
+                out[paired] = n
+    return out
 
 
 class WorkerRegistry(TransportCounters):
@@ -232,11 +257,10 @@ class WorkerRegistry(TransportCounters):
         self.retry_policy = retry_policy
         #: next ``RemoteCall.index`` of each caller
         self._call_indices: dict[str, int] = {}
-        #: caller -> integer totals of its remote traffic (``calls``,
-        #: ``request_bytes`` / ``_tensors``, ``response_bytes`` /
-        #: ``_tensors``, ``timeouts``); server threads add to them too
-        self._traffic: defaultdict[str, Counter] = defaultdict(Counter)
-        self._traffic_lock = threading.Lock()
+        #: caller -> integer totals of its calls (keys as read by
+        #: :func:`rpc_counters`); server threads add to it too
+        self._ledger: defaultdict[str, Counter] = defaultdict(Counter)
+        self._ledger_lock = threading.Lock()
 
     # -- registration -----------------------------------------------------
     def register_worker(self, name: str, machine_id: int, process=None):
@@ -283,25 +307,20 @@ class WorkerRegistry(TransportCounters):
                     args: tuple, kwargs: dict, size_request):
         """Prologue of ``rref_call``: ``(caller process, server, call)``.
 
-        Resolves both ends, counts the call and — across machines — sizes
-        the request with the runtime's ``size_request``, reserves the
+        Resolves both ends and — across machines — sizes the request with
+        the runtime's ``size_request``, counts the call, reserves the
         client span and, when faults can be rolled, takes the caller's
         next call index.  ``call`` is None for a same-machine call, which
-        never touches the network.
+        never touches the network and is counted by ``_local_call``.
         """
         caller = self.process_of(caller_name)
         caller_machine = self.worker_info(caller_name).machine_id
         owner_name = rref.owner_name
         owner_machine = self.worker_info(owner_name).machine_id
         server = self.server_of(owner_name)
-        metrics = self.obs.metrics
-        metrics.inc("rpc.calls")
         if caller_machine == owner_machine:
-            metrics.inc("rpc.calls_local")
             return caller, server, None
         request = size_request(args, kwargs)
-        metrics.inc("rpc.calls_remote")
-        metrics.inc("rpc.request_bytes", request[0])
         self._tally(caller_name, calls=1, request_bytes=request[0],
                     request_tensors=request[1])
         call = RemoteCall(caller_name, rref, server, method, args, kwargs,
@@ -332,6 +351,7 @@ class WorkerRegistry(TransportCounters):
                     args: tuple, kwargs: dict) -> Any:
         """A same-machine call on the caller's timeline: ``local_call``
         overhead, then the handler, ``local_exec`` over its result."""
+        self._tally(caller.name, local_calls=1)
         caller.charge_seconds(self.network.local_call_overhead, "local_call")
         result = server.resolve_method(key, method)(*args, **kwargs)
         caller.compute("local_exec",
@@ -341,11 +361,10 @@ class WorkerRegistry(TransportCounters):
     def _served(self, call: RemoteCall, result: Any, sizes: tuple[int, int],
                 start: float, end: float) -> None:
         """Epilogue of one served attempt: bytes, buffer pool, server span."""
-        metrics = self.obs.metrics
-        metrics.inc("rpc.response_bytes", sizes[0])
-        self._tally(call.caller_name, response_bytes=sizes[0],
-                    response_tensors=sizes[1])
-        call.server.pool.stage(result, metrics)
+        requests, hits, reused = call.server.pool.stage(result)
+        self._tally(call.caller_name, served=1, response_bytes=sizes[0],
+                    response_tensors=sizes[1], pool_requests=requests,
+                    pool_hits=hits, pool_bytes_reused=reused)
         if call.span is not None:
             self.obs.tracer.record(
                 f"serve:{call.method}", call.owner_name, start, end,
@@ -360,16 +379,24 @@ class WorkerRegistry(TransportCounters):
             call.span["attrs"]["error"] = type(exception).__name__
         self.obs.tracer.record(start=start, end=end, **call.span)
 
-    def _timed_out(self, call: RemoteCall) -> None:
-        """One attempt of ``call`` hit its deadline."""
-        self._fault("timeout")
-        self._tally(call.caller_name, timeouts=1)
-
     def _tally(self, caller_name: str, **counts: int) -> None:
-        with self._traffic_lock:
-            totals = self._traffic[caller_name]
+        """Add ``counts`` to ``caller_name``'s row of the ledger."""
+        with self._ledger_lock:
+            totals = self._ledger[caller_name]
             for key, n in counts.items():
                 totals[key] += n
+
+    def ledger_total(self, key: str) -> int:
+        """One ledger key summed over callers."""
+        with self._ledger_lock:
+            return sum(row[key] for row in self._ledger.values())
+
+    def publish_metrics(self) -> None:
+        """Fold the ledger into ``obs.metrics`` as the ``rpc.*`` counters:
+        once, when the deployment has finished (they are totals)."""
+        metrics = self.obs.metrics
+        for name, n in rpc_counters(self.ledger_total).items():
+            metrics.inc(name, n)
 
     def traffic_seconds(self, caller_name: str) -> float:
         """Modeled seconds of one caller's remote calls.
@@ -380,7 +407,7 @@ class WorkerRegistry(TransportCounters):
         totals, so the order in which server threads served cannot change
         it: both runtimes get the same float.
         """
-        t = self._traffic.get(caller_name, Counter())
+        t = self._ledger.get(caller_name, Counter())
         net, serve = self.network, COMPUTE.serve
         seconds = (
             t["calls"] * (net.send_overhead() + serve.call
@@ -390,13 +417,13 @@ class WorkerRegistry(TransportCounters):
             + (t["request_bytes"] + t["response_bytes"]) / net.bandwidth
             + serve.per_unit[0] * t["response_bytes"]
             + serve.per_unit[1] * t["response_tensors"])
-        if t["timeouts"]:
-            seconds += t["timeouts"] * self.retry_policy.timeout
+        if t["timeout"]:
+            seconds += t["timeout"] * self.retry_policy.timeout
         return seconds
 
     def _give_up(self, call: RemoteCall, attempts: int) -> RpcError:
         """The typed error of a call whose retry budget is spent."""
-        self._fault("giveup")
+        self._fault(call, "giveup")
         kind = WorkerCrashedError if call.cause == "crash" \
             else RpcTimeoutError
         return kind(
@@ -405,18 +432,15 @@ class WorkerRegistry(TransportCounters):
             f"(timeout={self.retry_policy.timeout:g}s, "
             f"last cause: {call.cause})")
 
-    def _fault(self, kind: str) -> None:
-        """Count one fault-layer event on a remote call.
+    def _fault(self, call: RemoteCall, kind: str) -> None:
+        """Count one fault-layer event on ``call``, in its caller's row.
 
         ``kind``: ``drop`` (request lost in the network), ``crash`` (it
         reached a dead server), ``timeout`` (an attempt's deadline fired;
         a late reply is folded in), ``retry`` (a retransmission) or
         ``giveup`` (budget exhausted; the caller sees a typed error).
         """
-        paired = _FAULT_COUNTERS.get(kind)
-        if paired is not None:
-            self.obs.metrics.inc(paired)
-        self.obs.metrics.inc(f"rpc.faults.{kind}")
+        self._tally(call.caller_name, **{kind: 1})
 
     # -- remote object lifecycle ------------------------------------------
     def create_remote(self, owner_name: str, key: str,

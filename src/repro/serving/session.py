@@ -70,6 +70,7 @@ from repro.serving.tenancy import (
 from repro.simt.faults import FaultPlan
 from repro.storage.dist_storage import DistGraphStorage
 from repro.storage.fetch import FetchCache, NeighborFetchService
+from repro.utils.validation import check_int, check_nonnegative
 from repro.walk.random_walk import distributed_random_walk
 
 #: query kinds a session can serve
@@ -93,22 +94,10 @@ class Query:
                 f"kind must be one of {QUERY_KINDS}, got {self.kind!r}"
             )
         # same rule as RunRequest.sources: integers only, nothing truncated
-        if (isinstance(self.source, bool)
-                or not isinstance(self.source, (int, np.integer))):
-            raise ValueError(
-                f"source must be an integer id, got {self.source!r}"
-            )
-        if self.source < 0:
-            raise ValueError(f"source must be >= 0, got {self.source}")
-        if (isinstance(self.walk_length, bool)
-                or not isinstance(self.walk_length, (int, np.integer))):
-            raise ValueError(
-                f"walk_length must be an integer, got {self.walk_length!r}"
-            )
-        if self.kind == "walk" and self.walk_length <= 0:
-            raise ValueError(
-                f"walk_length must be > 0, got {self.walk_length}"
-            )
+        check_int("source", self.source)
+        check_nonnegative("source", self.source)
+        check_int("walk_length", self.walk_length,
+                  positive=self.kind == "walk")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from repro.utils.timer import TimeBreakdown
 from repro.utils.validation import (
     check_dtype,
     check_in_range,
+    check_int,
     check_nonnegative,
     check_positive,
     check_same_length,
@@ -19,6 +20,7 @@ __all__ = [
     "TimeBreakdown",
     "check_dtype",
     "check_in_range",
+    "check_int",
     "check_nonnegative",
     "check_positive",
     "check_same_length",

@@ -17,9 +17,18 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_nonnegative(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value >= 0``."""
-    if value < 0:
+    """Raise ``ValueError`` unless ``value >= 0`` (so NaN fails too)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
+def check_int(name: str, value, *, positive: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is a Python or NumPy integer
+    (never a bool, nothing truncated), and ``> 0`` when ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if positive:
+        check_positive(name, value)
 
 
 def check_in_range(name: str, value: float, lo: float, hi: float,

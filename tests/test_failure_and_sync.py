@@ -6,6 +6,8 @@ storage boundary, and one process's failure doesn't corrupt others'
 results.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.ppr import DegradationMode, forward_push_parallel
 from repro.ppr.distributed import OptLevel, distributed_sppr_query
 from repro.rpc import RetryPolicy, RpcContext
 from repro.rpc.thread_runtime import ThreadRuntime
+from repro.serving import Session, SessionConfig
 from repro.simt import (
     CrashWindow,
     FaultPlan,
@@ -434,6 +437,35 @@ class TestEngineFaultTolerance:
                 a.degraded_queries, a.abandoned_mass) == \
                (b.retries, b.timeouts, b.dropped_messages,
                 b.degraded_queries, b.abandoned_mass)
+
+    @pytest.mark.parametrize("runtime", ["sim", "threads"])
+    @pytest.mark.parametrize("policy", [
+        {"max_attempts": 2.5}, {"max_attempts": True},
+        {"timeout": math.inf}], ids=["fractional", "bool", "inf"])
+    def test_hostile_retry_policy_is_refused(self, engine, runtime, policy):
+        """A fractional budget made 3 attempts on the scheduler and raised
+        ``TypeError`` from ``range`` on threads; an infinite deadline gave
+        a ``nan`` makespan on the scheduler.  Now both are one
+        ``ValueError`` where the policy is written, on either runtime."""
+        session = Session(engine, SessionConfig(runtime=runtime))
+        with pytest.raises(ValueError, match="max_attempts|timeout"):
+            session.run(RunRequest(
+                n_queries=4, seed=1,
+                fault_plan=FaultPlan(seed=3, drop_prob=0.3),
+                retry_policy=RetryPolicy(**policy),
+                degradation=DegradationMode.SKIP_REMOTE))
+
+    def test_numpy_integer_budget_runs_alike_on_both_runtimes(self, engine):
+        request = RunRequest(
+            n_queries=4, seed=1, fault_plan=FaultPlan(seed=3, drop_prob=0.3),
+            retry_policy=RetryPolicy(max_attempts=np.int64(2)),
+            degradation=DegradationMode.SKIP_REMOTE)
+        runs = [Session(engine, SessionConfig(runtime=rt)).run(request)
+                for rt in ("sim", "threads")]
+        counts = [(r.retries, r.timeouts, r.dropped_messages,
+                   r.metrics.get("rpc.giveups", 0)) for r in runs]
+        assert counts[0] == counts[1]
+        assert counts[0][0] > 0
 
     def test_fail_fast_propagates_crash(self, engine):
         plan = FaultPlan(seed=1, crashes=(

@@ -47,6 +47,25 @@ def test_kernel_work_lands_in_the_ledger():
         assert ledger.get(span, {}).get("calls", 0) > 0, span
 
 
+def test_pool_work_and_counts_reach_the_benchmark():
+    """perfbench times ``BufferPool.stage`` as ``rpc.pool_stage`` and
+    derives ``rpc.pool_hit_ratio`` from a run's ``rpc.pool.hits`` /
+    ``rpc.pool.requests``.  The pool's counts are booked by the RPC
+    ledger and published when the deployment finishes, so both must
+    still arrive: a traced run stages responses, and its metrics carry
+    the two inputs of the ratio."""
+    graph = powerlaw_cluster(400, 5, mixing=0.3, seed=21)
+    engine = GraphEngine(graph, EngineConfig(n_machines=2))
+    tracer = Tracer()
+    with tracer:
+        run = tracer.region(
+            lambda: engine.run(RunRequest(n_queries=2, seed=1)))
+    assert tracer.ledger().get("rpc.pool_stage", {}).get("calls", 0) > 0
+    metrics = run.metrics
+    assert metrics["rpc.pool.requests"] > 0
+    assert 0 < metrics["rpc.pool.hits"] <= metrics["rpc.pool.requests"]
+
+
 @pytest.mark.parametrize("spec", WORKLOADS, ids=lambda spec: spec.name)
 def test_workload_drives_end_to_end(spec):
     """Every declared workload's five steps on a small graph: deploy,

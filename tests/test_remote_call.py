@@ -46,15 +46,20 @@ def _deploy(runtime, worker_machine, **kw):
 
 
 def _drive(sched, ctx, body):
-    if sched is not None:
-        ctx.process_of("w").start(body)
-        sched.run()
-    else:
-        ctx.spawn("w", body)
-        try:
-            ctx.join()
-        finally:
-            ctx.shutdown()
+    """Run ``body`` as ``w``, then publish the ledger as a deployment
+    does when it finishes."""
+    try:
+        if sched is not None:
+            ctx.process_of("w").start(body)
+            sched.run()
+        else:
+            ctx.spawn("w", body)
+            try:
+                ctx.join()
+            finally:
+                ctx.shutdown()
+    finally:
+        ctx.publish_metrics()
 
 
 def _call_undeclared(runtime, locality, method):
@@ -178,7 +183,12 @@ class _ParentFastPath(RpcContext):
                 arrival, rref.key, method, args, kwargs, payload_sizes)
             resp_bytes, resp_tensors = payload_sizes(result)
             metrics.inc("rpc.response_bytes", resp_bytes)
-            server.pool.stage(result, metrics)
+            requests, hits, reused = server.pool.stage(result)
+            if requests:
+                metrics.inc("rpc.pool.requests", requests)
+                metrics.inc("rpc.pool.hits", hits)
+                metrics.inc("rpc.pool.misses", requests - hits)
+                metrics.inc("rpc.pool.bytes_reused", reused)
             fut.set_result(result, end + self.network.transfer_time(
                 resp_bytes, resp_tensors))
 
@@ -232,6 +242,7 @@ def _run_ring(ctx_cls, monkeypatch, n_machines=3, n_rounds=4):
     for m in range(n_machines):
         ctx.register_worker(f"w{m}", m, sched.spawn(f"w{m}", body(m)))
     makespan = sched.run()
+    ctx.publish_metrics()  # a no-op for the oracle, which books inline
     counters = {k: v for k, v in ctx.obs.metrics.counters().items()
                 if k.startswith("rpc.")}
     tail = {call_id: ready[call_id] - service_end[call_id]
@@ -252,3 +263,113 @@ def test_unified_machine_replays_the_parent_fast_path(monkeypatch):
     # what a run schedules: one start per worker, one resume per round,
     # and exactly one ``deliver`` per remote call
     assert events == 3 + 3 * 4 + n_calls
+
+
+# -- one book per call ----------------------------------------------------------
+
+@pytest.mark.parametrize("runtime", ["sim", "threads"])
+def test_a_call_writes_one_book_and_rpc_counters_are_folded_once(
+        runtime, monkeypatch):
+    """During a run, calls and faults touch only the per-caller ledger:
+    the registry sees no ``rpc.`` ``inc`` per call (each published name
+    is written once, when the deployment finishes) and, per remote call
+    on the scheduler, one ``rpc.latency`` observe.  The published
+    counters are the ledger's totals, and the typed views agree."""
+    from repro import DegradationMode, EngineConfig, GraphEngine, RunRequest
+    from repro.graph import powerlaw_cluster
+    from repro.obs.metrics import MetricsRegistry
+    from repro.serving.session import Session, SessionConfig
+    import repro.serving.session as session_mod
+
+    engine = GraphEngine(powerlaw_cluster(300, 5, mixing=0.3, seed=5),
+                         EngineConfig(n_machines=2))
+    incs, observes, clusters = [], [], []
+    real_inc, real_observe = MetricsRegistry.inc, MetricsRegistry.observe
+    real_deploy = session_mod.deploy
+
+    def inc(self, name, n=1):
+        incs.append(name)
+        real_inc(self, name, n)
+
+    def observe(self, name, v):
+        observes.append(name)
+        real_observe(self, name, v)
+
+    def deploy(*args, **kwargs):
+        clusters.append(real_deploy(*args, **kwargs))
+        return clusters[-1]
+
+    monkeypatch.setattr(MetricsRegistry, "inc", inc)
+    monkeypatch.setattr(MetricsRegistry, "observe", observe)
+    monkeypatch.setattr(session_mod, "deploy", deploy)
+    run = Session(engine, SessionConfig(runtime=runtime)).run(RunRequest(
+        n_queries=6, seed=3, fault_plan=FaultPlan(seed=3, drop_prob=0.3),
+        degradation=DegradationMode.SKIP_REMOTE))
+
+    published = {k: v for k, v in run.metrics.items()
+                 if k.startswith("rpc.") and not k.startswith("rpc.latency")}
+    rpc_incs = [name for name in incs if name.startswith("rpc.")]
+    assert sorted(rpc_incs) == sorted(published)  # once per name, not call
+    assert run.remote_requests > 0 and run.local_calls > 0
+    assert run.retries > 0 and run.dropped_messages > 0
+    want_latency = run.remote_requests if runtime == "sim" else 0
+    assert observes.count("rpc.latency") == want_latency
+    assert set(observes) <= {"rpc.latency"}
+
+    from repro.rpc.worker import rpc_counters
+
+    (cluster,) = clusters
+    assert published == rpc_counters(cluster.ledger_total)
+    assert (published["rpc.calls_remote"], published["rpc.calls_local"],
+            published["rpc.retries"], published["rpc.timeouts"],
+            published["rpc.dropped_messages"]) == \
+        (cluster.remote_requests, cluster.local_calls, cluster.retries,
+         cluster.timeouts, cluster.dropped_messages) == \
+        (run.remote_requests, run.local_calls, run.retries, run.timeouts,
+         run.dropped_messages)
+    assert published["rpc.pool.requests"] > 0
+
+
+@pytest.mark.parametrize("runtime", ["sim", "threads"])
+def test_a_counter_exists_iff_its_event_happened(runtime):
+    """Publishing keeps the inline counters' key set: a call that never
+    got served leaves no ``rpc.response_bytes`` and no ``rpc.pool.*``; a
+    zero-byte request still leaves ``rpc.request_bytes`` (= 0); each
+    fault kind appears with its paired transport counter, ``crash`` has
+    none."""
+    from repro.rpc import RetryPolicy
+
+    class Quiet:
+        def nothing(self):
+            return None
+
+    sched, ctx, rref = _deploy(runtime, 1, fault_plan=FaultPlan(
+        seed=1, drop_prob=1.0), retry_policy=RetryPolicy(max_attempts=2))
+    quiet = ctx.create_remote("s0", "quiet", Quiet)
+    failed = []
+
+    def body():
+        try:
+            yield Wait(quiet.rpc_async("w", "nothing"))
+        except RpcError as exc:
+            failed.append(type(exc).__name__)
+
+    _drive(sched, ctx, body())
+    assert failed == ["RpcTimeoutError"]
+    assert ctx.obs.metrics.counters() == {
+        "rpc.calls": 1, "rpc.calls_remote": 1, "rpc.request_bytes": 0,
+        "rpc.faults.drop": 2, "rpc.dropped_messages": 2,
+        "rpc.faults.timeout": 2, "rpc.timeouts": 2,
+        "rpc.faults.retry": 1, "rpc.retries": 1,
+        "rpc.faults.giveup": 1, "rpc.giveups": 1}
+
+    sched, ctx, rref = _deploy(runtime, 1)
+    quiet = ctx.create_remote("s0", "quiet", Quiet)
+
+    def served():
+        assert (yield Wait(quiet.rpc_async("w", "nothing"))) is None
+
+    _drive(sched, ctx, served())
+    assert ctx.obs.metrics.counters() == {
+        "rpc.calls": 1, "rpc.calls_remote": 1, "rpc.request_bytes": 0,
+        "rpc.response_bytes": 0}

@@ -129,6 +129,33 @@ class TestHostileSources:
         Query(source=np.int32(3))
 
 
+class TestHostileInts:
+    """Integer knobs follow the ``sources`` rule: a bool or a non-integer
+    is a ``ValueError`` where it is written — ``n_queries=True`` used to
+    run one query, ``2.5`` died inside slicing, ``n_machines=True``
+    deployed one machine and ``halo_hops=True`` passed as 1."""
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 2.0, "2"])
+    def test_n_queries(self, bad):
+        with pytest.raises(ValueError, match="n_queries must be an integer"):
+            RunRequest(n_queries=bad)
+
+    @pytest.mark.parametrize("field", ["n_machines", "procs_per_machine",
+                                       "halo_hops"])
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5])
+    def test_engine_config(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EngineConfig(**{field: bad})
+
+    def test_numpy_integers_pass(self, engine):
+        config = EngineConfig(n_machines=np.int64(2),
+                              procs_per_machine=np.int32(1),
+                              halo_hops=np.uint8(2))
+        assert (config.n_machines, config.halo_hops) == (2, 2)
+        run = engine.run(RunRequest(n_queries=np.int64(2), seed=1))
+        assert run.n_queries == 2
+
+
 class TestKnobCombinations:
     def test_skip_remote_rejected_on_tensor_mode(self):
         """The dense baseline has no ``abandon``: it would fail fast."""

@@ -11,10 +11,12 @@ Three pillars:
 * **Mutation guard**: the CSC arena and every view into it are
   read-only — an in-place write raises instead of silently corrupting
   outstanding responses; ``materialize()`` detaches.
-* **Buffer pool**: deterministic order-independent counters, hit rate
-  monotone in request count, zero overhead when disabled, and pool
-  bytes folded into ``GraphShard.memory_nbytes``.  End-to-end, both
-  runtimes must report bitwise-identical ``rpc.pool.*`` counters.
+* **Buffer pool**: the inventory-only pool matches the free-list pool it
+  replaced (kept below as ``_FreeListPool``, the oracle) on random
+  response traces; its counts are order-independent, its hit rate is
+  monotone in request count, and pool bytes are folded into
+  ``GraphShard.memory_nbytes``.  End-to-end, both runtimes must report
+  bitwise-identical ``rpc.pool.*`` counters.
 """
 
 import numpy as np
@@ -168,33 +170,97 @@ class TestMutationGuard:
             batch.ids[:] = -1
 
 
+class _FreeListPool:
+    """The pool as it was before it kept only its inventory: free lists
+    beside the inventory, every tensor borrowed and returned one by one,
+    its own counters.  The oracle of :class:`TestBufferPool`."""
+
+    def __init__(self):
+        self._free = {}
+        self._inventory = {}
+        self.requests = self.hits = self.misses = self.bytes_reused = 0
+
+    def stage(self, result):
+        from repro.rpc.serialization import _iter_tensors
+
+        borrowed = []
+        hits = reused = 0
+        for arr in _iter_tensors(result):
+            key = (arr.dtype.str, size_class(int(arr.nbytes)))
+            free = self._free.get(key, 0)
+            if free:
+                self._free[key] = free - 1
+                hits += 1
+                reused += key[1]
+            else:
+                self._inventory[key] = self._inventory.get(key, 0) + 1
+            borrowed.append(key)
+        for key in borrowed:
+            self._free[key] = self._free.get(key, 0) + 1
+        n = len(borrowed)
+        self.requests += n
+        self.hits += hits
+        self.misses += n - hits
+        self.bytes_reused += reused
+        return n, hits, reused
+
+    def nbytes(self):
+        return sum(cls * count for (_, cls), count in self._inventory.items())
+
+
+def _staged(pool, responses):
+    """Stage ``responses`` in order; the summed ``(requests, hits,
+    misses, bytes_reused)``."""
+    requests = hits = reused = 0
+    for r in responses:
+        n, h, b = pool.stage(r)
+        requests, hits, reused = requests + n, hits + h, reused + b
+    return requests, hits, requests - hits, reused
+
+
+_DTYPES = (np.int64, np.int32, np.float64, np.float32)
+_responses = st.lists(
+    st.lists(st.tuples(st.sampled_from(_DTYPES),
+                       st.integers(min_value=0, max_value=300)),
+             max_size=6),
+    max_size=12)
+
+
 class TestBufferPool:
     def batch(self, lo, hi):
         return SHARD.get_neighbor_batch(np.arange(lo, hi, dtype=np.int64))
 
-    def test_disabled_pool_is_inert(self):
-        pool = BufferPool(enabled=False)
-        pool.stage(self.batch(0, 20))
-        assert pool.requests == pool.hits == pool.misses == 0
-        assert pool.nbytes() == 0
+    @settings(max_examples=100, deadline=None)
+    @given(_responses)
+    def test_matches_the_free_list_pool(self, trace):
+        pool, oracle = BufferPool(), _FreeListPool()
+        for shapes in trace:
+            response = [np.zeros(n, dtype=dt) for dt, n in shapes]
+            assert pool.stage(response) == oracle.stage(response)
+            assert pool.nbytes() == oracle.nbytes()
+        assert pool.stage(self.batch(0, 20)) == \
+            oracle.stage(self.batch(0, 20))
 
     def test_first_response_all_misses_then_all_hits(self):
         pool = BufferPool()
         b = self.batch(0, 20)
-        pool.stage(b)
-        assert pool.requests == 5 and pool.misses == 5 and pool.hits == 0
+        assert pool.stage(b) == (5, 0, 0)
         inventory = pool.nbytes()
-        pool.stage(b)
-        assert pool.requests == 10 and pool.hits == 5
+        requests, hits, _ = pool.stage(b)
+        assert requests == hits == 5
         assert pool.nbytes() == inventory  # steady state: no growth
+
+    def test_response_without_tensors_stages_nothing(self):
+        pool = BufferPool()
+        assert pool.stage({"n": 3, "tag": "x"}) == (0, 0, 0)
+        assert pool.nbytes() == 0
 
     def test_hit_rate_monotone_in_request_count(self):
         rates = []
         for n_responses in (1, 2, 4, 8):
-            pool = BufferPool()
-            for _ in range(n_responses):
-                pool.stage(self.batch(0, 20))
-            rates.append(pool.hits / pool.requests)
+            requests, hits, _, _ = _staged(
+                BufferPool(), [self.batch(0, 20)] * n_responses)
+            rates.append(hits / requests)
         assert rates == sorted(rates)
         assert rates[-1] > 0.8
 
@@ -202,12 +268,7 @@ class TestBufferPool:
         responses = [self.batch(0, 5), self.batch(0, 40),
                      self.batch(10, 20), self.batch(0, 40)]
         fwd, rev = BufferPool(), BufferPool()
-        for r in responses:
-            fwd.stage(r)
-        for r in reversed(responses):
-            rev.stage(r)
-        for attr in ("requests", "hits", "misses", "bytes_reused"):
-            assert getattr(fwd, attr) == getattr(rev, attr), attr
+        assert _staged(fwd, responses) == _staged(rev, responses[::-1])
         assert fwd.nbytes() == rev.nbytes()
 
     def test_size_class_shape(self):
