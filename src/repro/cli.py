@@ -570,8 +570,6 @@ def _parse_tenants(spec: str):
     out = []
     for part in spec.split(","):
         bits = part.strip().split(":")
-        if not bits or not bits[0]:
-            raise SystemExit(f"error: bad tenant spec {part!r}")
         try:
             out.append(TenantSpec(
                 bits[0],
@@ -580,7 +578,7 @@ def _parse_tenants(spec: str):
                 weight=float(bits[3]) if len(bits) > 3 else 1.0,
             ))
         except ValueError as exc:
-            raise SystemExit(f"error: bad tenant spec {part!r}: {exc}")
+            raise ValueError(f"bad tenant spec {part!r}: {exc}") from None
     return tuple(out)
 
 
@@ -591,23 +589,26 @@ def cmd_serve(args) -> int:
     from repro.serving import TRACES, SessionConfig, serve_trace
 
     engine = _engine_from_args(args)
-    tenants = _parse_tenants(args.tenants)
-    pool = np.arange(engine.graph.n_nodes)
+    fault_plan, retry_policy = _chaos_from_args(args)
     kwargs = dict(rate=args.rate, duration=args.duration, seed=args.seed,
-                  tenants=tenants, walk_frac=args.walk_frac,
-                  walk_length=args.walk_length)
+                  walk_frac=args.walk_frac, walk_length=args.walk_length)
     if args.trace == "bursty":
         kwargs.update(burst_factor=args.burst_factor, period=args.period,
                       duty=args.duty)
-    trace = TRACES[args.trace](pool, **kwargs)
-
-    fault_plan, retry_policy = _chaos_from_args(args)
-    config = SessionConfig(
-        mode=args.mode, runtime=args.runtime, tenants=tenants,
-        queue_cap=args.queue_cap, batch_cap=args.batch_cap, slo=args.slo,
-        batch_window=args.window, fault_plan=fault_plan,
-        retry_policy=retry_policy,
-    )
+    try:
+        tenants = _parse_tenants(args.tenants)
+        trace = TRACES[args.trace](np.arange(engine.graph.n_nodes),
+                                   tenants=tenants, **kwargs)
+        config = SessionConfig(
+            mode=args.mode, runtime=args.runtime, tenants=tenants,
+            queue_cap=args.queue_cap, batch_cap=args.batch_cap,
+            slo=args.slo, batch_window=args.window, fault_plan=fault_plan,
+            retry_policy=retry_policy,
+        )
+    except ValueError as exc:
+        # a rejected argument is a usage error, reported as argparse does
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = serve_trace(engine, trace, config)
     if args.json:
         print(_json.dumps(report.row(), indent=1))

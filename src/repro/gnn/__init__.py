@@ -6,34 +6,28 @@ from top-K SSPPR scores computed by the PPR engine, features are sliced from
 the cross-machine feature store, and gradients are synchronized with a
 DistributedDataParallel-style all-reduce.
 
-The neural side is deliberately small but real: dense layers and mean-
+The neural side is deliberately small but real: a dense head and two mean-
 aggregation SAGE convolutions with hand-written backward passes, softmax
-cross-entropy, SGD and Adam — enough to demonstrate end-to-end learning on
-a node-classification task without a deep-learning framework.
+cross-entropy and Adam — enough to demonstrate end-to-end learning on a
+node-classification task without a deep-learning framework.
 """
 
 from repro.gnn.data import Batch, community_task
-from repro.gnn.eval import evaluate, local_ppr_batch
-from repro.gnn.layers import Dropout, GcnConv, Linear, Parameter, SageConv, relu, relu_grad
+from repro.gnn.layers import Linear, Parameter, SageConv, relu, relu_grad
 from repro.gnn.model import ShadowSage
-from repro.gnn.optim import SGD, Adam
+from repro.gnn.optim import Adam
 from repro.gnn.sampler import convert_batch, topk_ppr_nodes
 from repro.gnn.train import TrainingHistory, run_distributed_training
 
 __all__ = [
     "Adam",
     "Batch",
-    "Dropout",
-    "GcnConv",
     "Linear",
     "Parameter",
-    "SGD",
     "SageConv",
     "ShadowSage",
     "TrainingHistory",
     "community_task",
-    "evaluate",
-    "local_ppr_batch",
     "convert_batch",
     "relu",
     "relu_grad",

@@ -120,75 +120,6 @@ class SageConv:
         return dh
 
 
-class GcnConv:
-    """Kipf-Welling graph convolution: ``h' = A_hat @ h @ W + b``.
-
-    ``A_hat`` is the symmetrically normalized adjacency with self-loops,
-    computed once per batch via :meth:`normalize_adj`.
-    """
-
-    def __init__(self, in_dim: int, out_dim: int, *, seed=None,
-                 name: str = "gcn") -> None:
-        rng = rng_from_seed(seed)
-        self.weight = Parameter(glorot(rng, in_dim, out_dim), f"{name}.W")
-        self.bias = Parameter(np.zeros(out_dim), f"{name}.b")
-        self._agg_h: np.ndarray | None = None
-        self._adj_norm: sp.csr_matrix | None = None
-
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
-    @staticmethod
-    def normalize_adj(adj: sp.csr_matrix) -> sp.csr_matrix:
-        """``D^-1/2 (A + I) D^-1/2`` — GCN's symmetric normalization."""
-        n = adj.shape[0]
-        a_hat = adj + sp.identity(n, format="csr")
-        deg = np.asarray(a_hat.sum(axis=1)).ravel()
-        inv_sqrt = np.zeros_like(deg)
-        nz = deg > 0
-        inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-        d = sp.diags(inv_sqrt)
-        return d @ a_hat @ d
-
-    def forward(self, h: np.ndarray, adj_norm: sp.csr_matrix) -> np.ndarray:
-        self._adj_norm = adj_norm
-        self._agg_h = adj_norm @ h
-        return self._agg_h @ self.weight.value + self.bias.value
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._agg_h is not None, "backward before forward"
-        self.weight.grad += self._agg_h.T @ dout
-        self.bias.grad += dout.sum(axis=0)
-        d_agg = dout @ self.weight.value.T
-        # A_hat is symmetric, so its transpose is itself.
-        return self._adj_norm @ d_agg
-
-
-class Dropout:
-    """Inverted dropout: scales kept units by ``1/(1-rate)`` at train time."""
-
-    def __init__(self, rate: float, *, seed=None) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng_from_seed(seed)
-        self._mask: np.ndarray | None = None
-        self.training = True
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dout
-        return dout * self._mask
-
-
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
                           ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean CE loss; returns ``(loss, dlogits, probs)``."""

@@ -1,60 +1,31 @@
-"""Optimizers over :class:`~repro.gnn.layers.Parameter` lists."""
+"""The optimizer over :class:`~repro.gnn.layers.Parameter` lists."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.gnn.layers import Parameter
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_positive
 
-
-class SGD:
-    """Plain (optionally momentum) stochastic gradient descent."""
-
-    def __init__(self, parameters: list[Parameter], lr: float = 0.1,
-                 momentum: float = 0.0) -> None:
-        check_positive("lr", lr)
-        check_in_range("momentum", momentum, 0.0, 1.0, inclusive=True)
-        self.parameters = parameters
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if self.momentum > 0.0:
-                v *= self.momentum
-                v += p.grad
-                p.value -= self.lr * v
-            else:
-                p.value -= self.lr * p.grad
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 
 
 class Adam:
     """Adam (Kingma & Ba, 2015) — the optimizer of the paper's Figure 7."""
 
-    def __init__(self, parameters: list[Parameter], lr: float = 1e-2,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8) -> None:
+    def __init__(self, parameters: list[Parameter], lr: float = 1e-2) -> None:
         check_positive("lr", lr)
-        check_in_range("beta1", betas[0], 0.0, 1.0)
-        check_in_range("beta2", betas[1], 0.0, 1.0)
-        check_positive("eps", eps)
         self.parameters = parameters
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self._m = [np.zeros_like(p.value) for p in parameters]
         self._v = [np.zeros_like(p.value) for p in parameters]
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETAS
         bias1 = 1.0 - b1 ** self._t
         bias2 = 1.0 - b2 ** self._t
         for p, m, v in zip(self.parameters, self._m, self._v):
@@ -62,8 +33,4 @@ class Adam:
             m += (1.0 - b1) * p.grad
             v *= b2
             v += (1.0 - b2) * p.grad ** 2
-            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
+            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)

@@ -7,8 +7,11 @@ uses one GPU per machine with ``DistributedDataParallel``).  Per step:
 2. ``convert_batch``: induce the subgraph + slice cross-machine features;
 3. forward/backward on the local replica;
 4. all-reduce gradients (the DDP synchronization point);
-5. optimizer step — replicas stay bit-identical because they apply the
-   same averaged gradients.
+5. Adam step — replicas stay bit-identical because they apply the same
+   averaged gradients.
+
+The model is Figure 7's one: a two-layer ShaDow-SAGE, every replica built
+from the same seed.
 
 The whole loop runs on the virtual-time cluster, so training throughput and
 the share of time spent in PPR sampling are measurable the same way as
@@ -23,8 +26,7 @@ import numpy as np
 
 from repro.engine.cluster import SimCluster
 from repro.engine.config import EngineConfig
-from repro.engine.query import assign_queries
-from repro.gnn.data import Batch, community_task
+from repro.gnn.data import Batch
 from repro.gnn.model import ShadowSage
 from repro.gnn.optim import Adam
 from repro.gnn.sampler import convert_batch, topk_ppr_nodes
@@ -52,10 +54,11 @@ class TrainingHistory:
     #: bit-identical; tests assert it)
     replica_states: list = field(default_factory=list)
 
-    def final_accuracy(self, window: int = 5) -> float:
+    def final_accuracy(self) -> float:
+        """Mean accuracy over the last five steps."""
         if not self.accuracies:
             return 0.0
-        return float(np.mean(self.accuracies[-window:]))
+        return float(np.mean(self.accuracies[-5:]))
 
 
 def gnn_training_driver(g: DistGraphStorage, feats: DistFeatureStore, proc,
@@ -114,19 +117,17 @@ def run_distributed_training(graph: CSRGraph, features: np.ndarray,
                              config: EngineConfig | None = None, *,
                              n_steps: int = 8, batch_size: int = 8,
                              topk: int = 32, lr: float = 1e-2,
-                             params: PPRParams | None = None,
-                             model_seed: int = 0, seed: int = 0
-                             ) -> TrainingHistory:
+                             seed: int = 0) -> TrainingHistory:
     """Figure 7 end-to-end: returns the loss/accuracy history.
 
     One training process per machine (``procs_per_machine`` is ignored —
     DDP has a single replica per device).  Every replica starts from the
-    same ``model_seed``, so parameters stay synchronized.
+    same model seed, so parameters stay synchronized.
     """
     check_positive("n_steps", n_steps)
     check_positive("batch_size", batch_size)
     config = config if config is not None else EngineConfig(n_machines=2)
-    params = params if params is not None else PPRParams(epsilon=1e-5)
+    params = PPRParams(epsilon=1e-5)
     rng = rng_from_seed(seed)
 
     partitioner = config.partitioner
@@ -162,8 +163,7 @@ def run_distributed_training(graph: CSRGraph, features: np.ndarray,
         name = proc.name
         g = DistGraphStorage(cluster.rrefs, m, name, compress=True)
         feats = DistFeatureStore(feat_rrefs, name)
-        model = ShadowSage(features.shape[1], 32, n_classes,
-                           seed=model_seed)
+        model = ShadowSage(features.shape[1], 32, n_classes, seed=0)
         models.append(model)
         body = gnn_training_driver(
             g, feats, proc, cluster.ctx, sharded,
@@ -185,10 +185,3 @@ def run_distributed_training(graph: CSRGraph, features: np.ndarray,
             )
     return history
 
-
-def make_community_dataset(graph: CSRGraph, n_communities: int = 64,
-                           feature_dim: int = 64, *, noise: float = 0.3,
-                           seed: int = 0):
-    """Convenience: features/labels for a planted-community graph."""
-    return community_task(graph.n_nodes, n_communities, feature_dim,
-                          noise=noise, seed=seed)

@@ -12,12 +12,7 @@ Provides the single-machine graph substrate everything else builds on:
 * stats utilities that regenerate Table 1 for the stand-ins.
 """
 
-from repro.graph.components import (
-    component_sizes,
-    connected_components,
-    induced_subgraph,
-    largest_component,
-)
+from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
 from repro.graph.generators import (
@@ -40,13 +35,10 @@ __all__ = [
     "DatasetSpec",
     "GraphStats",
     "complete_graph",
-    "component_sizes",
     "connected_components",
     "compute_stats",
     "cycle_graph",
     "erdos_renyi",
-    "induced_subgraph",
-    "largest_component",
     "load_dataset",
     "load_npz",
     "path_graph",

@@ -21,6 +21,7 @@ sample, clamped to the observed maximum.
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 
 #: default histogram bucket upper bounds — a 1/2/5 ladder from 1 us to 10 s,
@@ -124,7 +125,7 @@ class Histogram:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
         if self.count == 0:
             return 0.0
-        rank = max(1, -(-int(q * self.count) // 100))  # ceil(q/100 * count)
+        rank = max(1, math.ceil(q * self.count / 100))
         cum = 0
         for i, upper in enumerate(self.buckets):
             c = self.counts[i]

@@ -23,6 +23,7 @@ all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,10 @@ def _draw_arrival(rng, t, pool, names, cum, walk_frac, walk_length):
 def _check_workload(pool, rate, duration, walk_frac) -> None:
     if len(pool) == 0:
         raise ValueError("source pool must be non-empty")
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
+    # NaN and inf pass a bare sign test and then never end the draw loop
+    for name, value in (("rate", rate), ("duration", duration)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     if not 0.0 <= walk_frac <= 1.0:
         raise ValueError(f"walk_frac must be in [0, 1], got {walk_frac}")
 
@@ -138,10 +139,11 @@ def bursty_trace(pool, *, rate: float, duration: float, seed: int = 0,
     pure function of the seed.
     """
     _check_workload(pool, rate, duration, walk_frac)
-    if burst_factor < 1.0:
-        raise ValueError(f"burst_factor must be >= 1, got {burst_factor}")
-    if period <= 0:
-        raise ValueError(f"period must be > 0, got {period}")
+    if not (math.isfinite(burst_factor) and burst_factor >= 1.0):
+        raise ValueError(
+            f"burst_factor must be finite and >= 1, got {burst_factor}")
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and > 0, got {period}")
     if not 0.0 < duty < 1.0:
         raise ValueError(f"duty must be in (0, 1), got {duty}")
     rng = rng_from_seed(seed)

@@ -134,6 +134,8 @@ class SessionConfig:
                 f"got {self.runtime!r}"
             )
         check_degradation(self.mode, self.degradation)
+        check_int("queue_cap", self.queue_cap, positive=True)
+        check_int("batch_cap", self.batch_cap, positive=True)
         if self.slo is not None and not (math.isfinite(self.slo)
                                          and self.slo > 0):
             raise ValueError(

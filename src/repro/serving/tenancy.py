@@ -29,9 +29,11 @@ decisions and the same batch compositions on either runtime.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
+from repro.utils.validation import check_int
 
 
 class RejectReason(enum.Enum):
@@ -81,14 +83,14 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if self.quota is not None and self.quota <= 0:
+        check_int(f"tenant {self.name!r}: priority", self.priority)
+        if self.quota is not None:
+            check_int(f"tenant {self.name!r}: quota", self.quota,
+                      positive=True)
+        if not (math.isfinite(self.weight) and self.weight > 0):
             raise ValueError(
-                f"tenant {self.name!r}: quota must be > 0 or None, "
-                f"got {self.quota}"
-            )
-        if self.weight <= 0:
-            raise ValueError(
-                f"tenant {self.name!r}: weight must be > 0, got {self.weight}"
+                f"tenant {self.name!r}: weight must be finite and > 0, "
+                f"got {self.weight}"
             )
 
 
@@ -134,10 +136,8 @@ class AdmissionController:
                                                 default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.queue_cap <= 0:
-            raise ValueError(f"queue_cap must be > 0, got {self.queue_cap}")
-        if self.batch_cap <= 0:
-            raise ValueError(f"batch_cap must be > 0, got {self.batch_cap}")
+        check_int("queue_cap", self.queue_cap, positive=True)
+        check_int("batch_cap", self.batch_cap, positive=True)
         self._specs = {}
         for spec in self.tenants:
             if spec.name in self._specs:

@@ -30,7 +30,6 @@ from repro.simt.futures import SimFuture
 from repro.simt.network import NetworkModel
 from repro.simt.process import SimProcess
 from repro.simt.scheduler import Scheduler
-from repro.simt.sync import SimBarrier
 
 __all__ = [
     "COMPUTE",
@@ -39,7 +38,6 @@ __all__ = [
     "FaultPlan",
     "NetworkModel",
     "Scheduler",
-    "SimBarrier",
     "SimFuture",
     "SimProcess",
     "Sleep",

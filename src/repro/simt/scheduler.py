@@ -119,21 +119,6 @@ class Scheduler:
             raise SimulationError(f"process {name!r} has not finished")
         return proc.completion.value()
 
-    def makespan(self, names: list[str] | None = None) -> float:
-        """Latest final clock among the given (default: all) processes.
-
-        This is the paper's throughput denominator: total runtime of a batch
-        of queries across all machines, including synchronization.
-        """
-        procs = (
-            [self.processes[n] for n in names]
-            if names is not None
-            else list(self.processes.values())
-        )
-        if not procs:
-            raise SimulationError("no processes to compute makespan over")
-        return max(p.clock for p in procs)
-
     def resolved_future(self, value: Any, *, delay: float = 0.0,
                         tag: str | None = None) -> SimFuture:
         """A future that resolves ``delay`` after the current virtual time."""

@@ -47,6 +47,7 @@ from repro.stream.ingest import IngestReport, build_shard_payloads, \
 from repro.stream.rebalance import RebalancePolicy, RebalanceReport, \
     execute_rebalance, plan_rebalance
 from repro.stream.updates import UpdateBatch
+from repro.utils.validation import check_int
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,7 @@ class StreamConfig:
         if self.runtime not in SESSION_RUNTIMES:
             raise ValueError(f"runtime must be one of {SESSION_RUNTIMES}, "
                              f"got {self.runtime!r}")
-        if self.refresh_every <= 0:
-            raise ValueError(f"refresh_every must be > 0, "
-                             f"got {self.refresh_every}")
+        check_int("refresh_every", self.refresh_every, positive=True)
 
 
 @dataclass

@@ -48,35 +48,3 @@ def check_same_length(**arrays) -> None:
     if len(set(lengths.values())) > 1:
         raise ValueError(f"length mismatch: {lengths}")
 
-
-def check_dtype(name: str, array: np.ndarray, kind: str) -> None:
-    """Raise ``TypeError`` unless ``array.dtype.kind`` matches ``kind``.
-
-    ``kind`` follows NumPy's convention: ``'i'`` signed integer, ``'u'``
-    unsigned, ``'f'`` float, ``'iu'`` any integer.
-    """
-    if array.dtype.kind not in kind:
-        raise TypeError(
-            f"{name} must have dtype kind in {kind!r}, got {array.dtype} "
-            f"(kind {array.dtype.kind!r})"
-        )
-
-
-def ensure_int_array(values, *, name: str = "values", dtype=np.int64) -> np.ndarray:
-    """Convert ``values`` to a 1-D integer array, validating convertibility."""
-    arr = np.asarray(values)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.dtype.kind == "f":
-        if not np.all(arr == np.floor(arr)):
-            raise TypeError(f"{name} contains non-integral floats")
-        arr = arr.astype(dtype)
-    elif arr.dtype.kind in "iu":
-        arr = arr.astype(dtype, copy=False)
-    elif arr.size == 0:
-        arr = arr.astype(dtype)
-    else:
-        raise TypeError(f"{name} must be integer-like, got dtype {arr.dtype}")
-    return arr

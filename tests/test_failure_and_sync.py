@@ -1,4 +1,4 @@
-"""Failure injection and synchronization-primitive tests.
+"""Failure injection tests.
 
 A distributed engine must fail *loudly and cleanly*: handler exceptions
 travel to the calling coroutine, invalid requests are rejected at the
@@ -34,7 +34,6 @@ from repro.simt import (
     Sleep,
     Wait,
 )
-from repro.simt.sync import SimBarrier
 from repro.storage import DistGraphStorage, build_shards
 
 
@@ -163,73 +162,6 @@ class TestFailureInjection:
         ctx.register_worker("w1", 1, proc)
         sched.run()
         assert outcome == ["data"]
-
-
-class TestSimBarrier:
-    def test_all_parties_resume_at_latest(self):
-        sched = Scheduler()
-        barrier = SimBarrier(3)
-        resumed = {}
-
-        def mk(name, delay):
-            def body():
-                yield Sleep(delay)
-                proc = sched.processes[name]
-                gen = yield Wait(barrier.arrive(proc.clock))
-                resumed[name] = (proc.clock, gen)
-            return body
-
-        for name, delay in (("a", 1.0), ("b", 5.0), ("c", 3.0)):
-            sched.spawn(name, mk(name, delay)())
-        sched.run()
-        for name, (clock, gen) in resumed.items():
-            assert clock == pytest.approx(5.0), name
-            assert gen == 0
-
-    def test_reusable_generations(self):
-        sched = Scheduler()
-        barrier = SimBarrier(2)
-        gens = []
-
-        def body(name, delays):
-            def run():
-                for d in delays:
-                    yield Sleep(d)
-                    proc = sched.processes[name]
-                    gen = yield Wait(barrier.arrive(proc.clock))
-                    gens.append(gen)
-            return run
-
-        sched.spawn("a", body("a", [1.0, 1.0])())
-        sched.spawn("b", body("b", [2.0, 2.0])())
-        sched.run()
-        assert sorted(gens) == [0, 0, 1, 1]
-        assert barrier.generation == 2
-
-    def test_invalid_parties(self):
-        with pytest.raises(ValueError):
-            SimBarrier(0)
-
-    def test_extra_arrivals_roll_into_next_generation(self):
-        """Completion resets the barrier, so arrivals beyond n_parties
-        start the next generation instead of over-subscribing."""
-        barrier = SimBarrier(1)
-        fut = barrier.arrive(0.0)
-        assert fut.done  # single party resolves immediately
-        barrier2 = SimBarrier(2)
-        f1 = barrier2.arrive(0.0)
-        f2 = barrier2.arrive(1.0)
-        assert f1.done and f2.done
-        f3 = barrier2.arrive(2.0)
-        assert not f3.done
-        assert barrier2.generation == 1
-        assert barrier2.n_waiting == 1
-
-    def test_n_waiting(self):
-        barrier = SimBarrier(3)
-        assert barrier.n_waiting == 0
-        barrier.arrive(0.0)
-        assert barrier.n_waiting == 1
 
 
 class Echo:

@@ -10,7 +10,6 @@ from repro.gnn import (
     Adam,
     Batch,
     Linear,
-    SGD,
     SageConv,
     ShadowSage,
     community_task,
@@ -18,7 +17,6 @@ from repro.gnn import (
     topk_ppr_nodes,
 )
 from repro.gnn.layers import softmax_cross_entropy
-from repro.gnn.train import make_community_dataset
 from repro.graph import powerlaw_cluster
 from repro.partition import HashPartitioner
 from repro.ppr import PPRParams
@@ -125,13 +123,13 @@ class TestModel:
         )
 
     def test_forward_shape(self):
-        model = ShadowSage(6, 8, 3, n_layers=2, seed=0)
+        model = ShadowSage(6, 8, 3, seed=0)
         batch = self.make_batch()
         logits = model.forward(batch)
         assert logits.shape == (3, 3)
 
     def test_model_gradient_check(self):
-        model = ShadowSage(4, 5, 2, n_layers=2, seed=1)
+        model = ShadowSage(4, 5, 2, seed=1)
         rng = np.random.default_rng(2)
         adj = sp.random(7, 7, density=0.4, random_state=2, format="csr")
         batch = Batch(
@@ -195,14 +193,6 @@ class TestOptimizers:
             opt.step()
         return p.value
 
-    def test_sgd_converges(self):
-        final = self.quadratic(SGD, lr=0.1)
-        np.testing.assert_allclose(final, 0.0, atol=1e-6)
-
-    def test_sgd_momentum_converges(self):
-        final = self.quadratic(SGD, lr=0.05, momentum=0.9)
-        np.testing.assert_allclose(final, 0.0, atol=1e-3)
-
     def test_adam_converges(self):
         final = self.quadratic(Adam, lr=0.1)
         np.testing.assert_allclose(final, 0.0, atol=1e-3)
@@ -210,7 +200,7 @@ class TestOptimizers:
     def test_invalid_lr(self):
         from repro.gnn.layers import Parameter
         with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(2))], lr=0.0)
+            Adam([Parameter(np.zeros(2))], lr=0.0)
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(2))], lr=-1.0)
 
@@ -285,10 +275,9 @@ class TestDistributedTraining:
         assert history.losses[-1] < history.losses[0]
         assert history.final_accuracy() > 2 / 6
 
-    def test_make_community_dataset_matches_graph(self):
+    def test_community_task_matches_graph(self):
         g = powerlaw_cluster(300, 5, seed=7)
-        feats, labels = make_community_dataset(g, n_communities=4,
-                                               feature_dim=8)
+        feats, labels = community_task(g.n_nodes, 4, 8)
         assert feats.shape == (300, 8)
         assert labels.max() == 3
 

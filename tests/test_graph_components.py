@@ -1,17 +1,11 @@
-"""Tests for connected-component utilities."""
+"""Tests for ``connected_components``, the WCC oracle."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, erdos_renyi, path_graph
-from repro.graph.components import (
-    component_sizes,
-    connected_components,
-    induced_subgraph,
-    largest_component,
-)
+from repro.graph.components import connected_components
 
 
 def two_fragments():
@@ -27,58 +21,9 @@ class TestComponents:
         assert labels[3] == labels[4]
         assert labels[5] not in (labels[0], labels[3])
 
-    def test_sizes_descending(self):
-        sizes = component_sizes(two_fragments())
-        np.testing.assert_array_equal(sizes, [3, 2, 1])
-
     def test_connected_graph(self):
         n, _ = connected_components(path_graph(5))
         assert n == 1
-
-    def test_largest_component(self):
-        sub, node_map = largest_component(two_fragments())
-        assert sub.n_nodes == 3
-        np.testing.assert_array_equal(node_map, [0, 1, 2])
-        assert sub.has_arc(0, 1) and sub.has_arc(1, 2)
-
-    def test_largest_component_noop_when_connected(self):
-        g = path_graph(4)
-        sub, node_map = largest_component(g)
-        assert sub is g
-        np.testing.assert_array_equal(node_map, np.arange(4))
-
-
-class TestInducedSubgraph:
-    def test_relabeling_and_weights(self):
-        g = CSRGraph.from_edges(5, [0, 1, 2], [1, 2, 3],
-                                [2.0, 3.0, 4.0])
-        sub = induced_subgraph(g, np.array([1, 2, 3]))
-        assert sub.n_nodes == 3
-        # edge 1-2 (w 3) -> 0-1; edge 2-3 (w 4) -> 1-2
-        assert sub.has_arc(0, 1) and sub.has_arc(1, 2)
-        assert not sub.has_arc(0, 2)
-        s, e = sub.indptr[0], sub.indptr[1]
-        assert sub.weights[s:e][0] == pytest.approx(3.0)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            induced_subgraph(path_graph(3), np.array([9]))
-
-    def test_empty_selection(self):
-        sub = induced_subgraph(path_graph(3), np.array([], dtype=np.int64))
-        assert sub.n_nodes == 0
-
-    @given(n=st.integers(10, 60), seed=st.integers(0, 20))
-    @settings(max_examples=20, deadline=None)
-    def test_subgraph_arcs_subset_of_graph(self, n, seed):
-        g = erdos_renyi(n, 4, seed=seed)
-        rng = np.random.default_rng(seed)
-        nodes = np.unique(rng.choice(n, size=n // 2, replace=False))
-        sub = induced_subgraph(g, nodes)
-        assert sub.n_nodes == len(nodes)
-        for i in range(sub.n_nodes):
-            for j in sub.neighbors(i):
-                assert g.has_arc(int(nodes[i]), int(nodes[j]))
 
     @given(n=st.integers(10, 60), seed=st.integers(0, 20))
     @settings(max_examples=15, deadline=None)

@@ -81,6 +81,27 @@ class TestMetricsRegistry:
         assert sum(v <= p50 for v in values) >= 50
         assert sum(v <= p99 for v in values) >= 90
 
+    def test_histogram_fractional_percentile_rank_is_not_truncated(self):
+        """The value at rank ceil(q*n/100): p33.34 of 1, 2, 3 ms is the
+        2nd observation (q*n = 100.02 must not truncate to rank 1)."""
+        h = Histogram("lat", threading.Lock(), buckets=(1e-3, 2e-3, 3e-3))
+        for v in (1e-3, 2e-3, 3e-3):
+            h.observe(v)
+        assert h.percentile(33.34) == 2e-3
+        assert [h.percentile(q) for q in (33, 34, 66, 67)] == \
+            [1e-3, 2e-3, 2e-3, 3e-3]
+
+    def test_histogram_integer_percentiles_hit_the_ceiling_rank(self):
+        """p50/p95/p99 (every snapshot's) read the observation at rank
+        ceil(q*n/100), for every sample count."""
+        for n in range(1, 120):
+            bounds = tuple(float(i + 1) for i in range(n))
+            h = Histogram("lat", threading.Lock(), buckets=bounds)
+            for v in bounds:
+                h.observe(v)
+            for q in (50, 95, 99):
+                assert h.percentile(q) == float(max(1, -(-q * n // 100)))
+
     def test_histogram_overflow_reports_max(self):
         h = Histogram("lat", threading.Lock(), buckets=(1.0,))
         h.observe(5.0)

@@ -15,10 +15,14 @@ do nothing is rejected where it is written.
 
 import argparse
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+import repro.gnn
+import repro.graph
+import repro.simt
 import repro.stream
 from repro.cli import build_parser
 from repro.engine import EngineConfig, GraphEngine, QueryRunResult, RunRequest
@@ -229,6 +233,42 @@ class TestKnobSurface:
         assert tuple(f.name for f in dataclasses.fields(FaultPlan)) == (
             "seed", "drop_prob", "crashes",
         )
+
+    def test_gnn_signatures(self):
+        """Figure 7 trains one model: a two-layer ShaDow-SAGE under Adam.
+        Layer count, conv type, dropout, betas/eps, the PPR params and the
+        model seed are constants, not knobs."""
+        def params(fn):
+            return tuple(inspect.signature(fn).parameters)
+
+        assert params(repro.gnn.ShadowSage) == (
+            "in_dim", "hidden_dim", "n_classes", "seed")
+        assert params(repro.gnn.Adam) == ("parameters", "lr")
+        assert params(repro.gnn.run_distributed_training) == (
+            "graph", "features", "labels", "config", "n_steps",
+            "batch_size", "topk", "lr", "seed")
+
+    def test_package_exports(self):
+        """Re-adding an extra (a layer, an optimizer, a graph helper, a
+        sync primitive) has to show up here."""
+        assert sorted(repro.gnn.__all__) == [
+            "Adam", "Batch", "Linear", "Parameter", "SageConv",
+            "ShadowSage", "TrainingHistory", "community_task",
+            "convert_batch", "relu", "relu_grad",
+            "run_distributed_training", "topk_ppr_nodes",
+        ]
+        assert sorted(repro.graph.__all__) == [
+            "CSRGraph", "DATASETS", "DatasetSpec", "GraphStats",
+            "cap_degrees", "complete_graph", "compute_stats",
+            "connected_components", "cycle_graph", "erdos_renyi",
+            "load_dataset", "load_npz", "path_graph", "powerlaw_cluster",
+            "rmat", "save_npz", "star_graph", "table1_rows",
+        ]
+        assert sorted(repro.simt.__all__) == [
+            "COMPUTE", "Charge", "CrashWindow", "FaultPlan", "NetworkModel",
+            "Scheduler", "SimFuture", "SimProcess", "Sleep", "Wait",
+            "WaitAll",
+        ]
 
 
 def _subcommands(parser) -> dict:

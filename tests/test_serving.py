@@ -18,6 +18,10 @@ Four pillars:
   ``QueryRunResult`` fields and ``serve.*`` metrics.
 """
 
+import contextlib
+import math
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,10 +43,26 @@ from repro.serving import (
     serve_trace,
 )
 from repro.simt import FaultPlan, NetworkModel
+from repro.stream import StreamConfig
 
 TENANTS = (TenantSpec("gold", priority=2, quota=32, weight=2.0),
            TenantSpec("silver", priority=1, quota=16, weight=1.5),
            TenantSpec("free", priority=0, quota=4, weight=1.0))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block with ``TimeoutError`` instead of letting it hang."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +190,74 @@ class TestArrivalTraces:
             poisson_trace(np.array([]), rate=1, duration=1.0)
         with pytest.raises(ValueError, match="duty"):
             bursty_trace(pool, rate=1, duration=1.0, duty=1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("arg", ["rate", "duration"])
+    def test_non_finite_rate_or_duration_raises(self, arg, bad):
+        """NaN and inf pass a bare sign test; the draw loop then never
+        ends (or appends forever)."""
+        kwargs = {"rate": 100.0, "duration": 0.5, arg: bad}
+        for trace in (poisson_trace, bursty_trace):
+            with deadline(2.0), pytest.raises(ValueError, match=arg):
+                trace(np.arange(10), **kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("arg", ["burst_factor", "period"])
+    def test_non_finite_burst_shape_raises(self, arg, bad):
+        with deadline(2.0), pytest.raises(ValueError, match=arg):
+            bursty_trace(np.arange(10), rate=100.0, duration=0.5,
+                         **{arg: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tenant_weight_raises(self, bad):
+        """A NaN or inf weight used to send every arrival to the first
+        tenant."""
+        with pytest.raises(ValueError, match="weight"):
+            TenantSpec("t", weight=bad)
+
+
+class TestIntegerKnobs:
+    """Counts and priorities are integers: a bool or a float fails where
+    it is written, not at the first ``drain`` (or as ``True == 1``)."""
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(4.0)])
+    @pytest.mark.parametrize("knob", ["queue_cap", "batch_cap"])
+    def test_session_caps(self, knob, bad):
+        with pytest.raises(ValueError, match=f"{knob} must be an integer"):
+            SessionConfig(**{knob: bad})
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_tenant_quota_and_priority(self, bad):
+        with pytest.raises(ValueError, match="quota must be an integer"):
+            TenantSpec("t", quota=bad)
+        with pytest.raises(ValueError, match="priority must be an integer"):
+            TenantSpec("t", priority=bad)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True])
+    def test_stream_refresh_every(self, bad):
+        with pytest.raises(ValueError, match="refresh_every"):
+            StreamConfig(refresh_every=bad)
+
+    def test_python_and_numpy_integers_pass(self):
+        SessionConfig(queue_cap=np.int64(8), batch_cap=4,
+                      tenants=(TenantSpec("t", priority=np.int32(-1),
+                                          quota=np.uint8(3)),))
+        StreamConfig(refresh_every=np.int16(2))
+        with pytest.raises(ValueError, match="must be > 0"):
+            SessionConfig(batch_cap=np.int64(0))
+
+
+class TestServeCli:
+    @pytest.mark.parametrize("argv", [["--rate", "nan"],
+                                      ["--duration", "inf"],
+                                      ["--trace", "bursty", "--period", "nan"],
+                                      ["--tenants", "gold:1:2:nan"]])
+    def test_rejected_trace_argument_is_a_usage_error(self, argv, capsys):
+        from repro.cli import main
+        with deadline(30.0):
+            status = main(["serve", "products", "--scale", "0.02", *argv])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSessionApi:

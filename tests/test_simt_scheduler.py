@@ -289,11 +289,11 @@ class TestSchedulerSemantics:
         def body(dt):
             yield Sleep(dt)
 
-        sched.spawn("fast", body(1.0))
-        sched.spawn("slow", body(7.0))
-        sched.run()
-        assert sched.makespan() == pytest.approx(7.0)
-        assert sched.makespan(["fast"]) == pytest.approx(1.0)
+        fast = sched.spawn("fast", body(1.0))
+        slow = sched.spawn("slow", body(7.0))
+        assert sched.run() == pytest.approx(7.0)
+        assert fast.clock == pytest.approx(1.0)
+        assert slow.clock == pytest.approx(7.0)
 
     def test_process_exception_surfaces_via_result(self):
         sched = Scheduler()

@@ -133,10 +133,9 @@ class TestDdpReplicaSync:
         """The DDP guarantee: identical init + averaged gradients =>
         identical replicas at every step, hence at the end."""
         from repro.engine.config import EngineConfig
-        from repro.gnn.train import make_community_dataset, run_distributed_training
+        from repro.gnn import community_task, run_distributed_training
         g = powerlaw_cluster(900, 8, mixing=0.1, n_communities=4, seed=11)
-        feats, labels = make_community_dataset(g, n_communities=4,
-                                               feature_dim=8, seed=12)
+        feats, labels = community_task(g.n_nodes, 4, 8, seed=12)
         history = run_distributed_training(
             g, feats, labels, EngineConfig(n_machines=3),
             n_steps=4, batch_size=4, topk=12, seed=13,

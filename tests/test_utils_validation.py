@@ -8,13 +8,11 @@ import pytest
 from repro.simt import CrashWindow, NetworkModel
 from repro.utils.rng import rng_from_seed, spawn_rngs
 from repro.utils.validation import (
-    check_dtype,
     check_in_range,
     check_int,
     check_nonnegative,
     check_positive,
     check_same_length,
-    ensure_int_array,
 )
 
 
@@ -66,40 +64,6 @@ class TestChecks:
         check_same_length(a=[1, 2], b=np.array([3, 4]))
         with pytest.raises(ValueError, match="length mismatch"):
             check_same_length(a=[1], b=[1, 2])
-
-    def test_check_dtype(self):
-        check_dtype("ids", np.array([1, 2]), "iu")
-        with pytest.raises(TypeError):
-            check_dtype("ids", np.array([1.5]), "iu")
-
-
-class TestEnsureIntArray:
-    def test_list_input(self):
-        out = ensure_int_array([1, 2, 3])
-        assert out.dtype == np.int64
-        np.testing.assert_array_equal(out, [1, 2, 3])
-
-    def test_scalar_promoted(self):
-        out = ensure_int_array(5)
-        np.testing.assert_array_equal(out, [5])
-
-    def test_integral_floats_accepted(self):
-        out = ensure_int_array(np.array([1.0, 2.0]))
-        assert out.dtype == np.int64
-
-    def test_fractional_floats_rejected(self):
-        with pytest.raises(TypeError, match="non-integral"):
-            ensure_int_array(np.array([1.5]))
-
-    def test_2d_rejected(self):
-        with pytest.raises(ValueError, match="1-D"):
-            ensure_int_array(np.zeros((2, 2), dtype=np.int64))
-
-    def test_empty_ok(self):
-        assert ensure_int_array([]).shape == (0,)
-
-    def test_custom_dtype(self):
-        assert ensure_int_array([1], dtype=np.int32).dtype == np.int32
 
 
 class TestRng:
