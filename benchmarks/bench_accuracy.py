@@ -71,7 +71,7 @@ EXPECTATIONS = [
 
 
 def test_accuracy_vs_ground_truth(benchmark):
-    rows, wall = common.timed(
+    rows = common.run_once(
         benchmark,
         lambda: [r for name in DATASET_NAMES for r in run_dataset(name)],
     )
@@ -79,8 +79,7 @@ def test_accuracy_vs_ground_truth(benchmark):
         "accuracy",
         "Forward Push accuracy vs power iteration (tol=1e-10) ground truth",
         rows, key=("Dataset", "epsilon"),
-        deterministic=("Top-100 precision", "L1 error", "L1 bound"),
-        expectations=EXPECTATIONS, wall_s=wall,
+        expectations=EXPECTATIONS,
     )
     for row in rows:
         benchmark.extra_info[f"{row['Dataset']}@{row['epsilon']:g}"] = (

@@ -9,9 +9,9 @@ gate's non-vacuity check).  The `ALL` row is the end-to-end analyze
 cost: project build plus all eleven rules, the same work
 `python -m repro.cli analyze` does.
 
-Per-rule and end-to-end wall times are reported but not gated (host-
-measured); finding counts are deterministic and gated exactly by
-`cli bench check`.
+Per-rule and end-to-end wall times and the model's size are reported
+but named `ungated`; finding counts are deterministic and gated exactly
+by `cli bench check`.
 """
 
 import time
@@ -54,6 +54,16 @@ EXPECTATIONS = [
      "col": "Fires on fixtures", "scales": "all"},
 ]
 
+_TREE_SIZE = "counts the source tree itself, which every code change moves"
+UNGATED = {
+    "Check (ms)": "host-timed with perf_counter",
+    "build_ms": "host-timed with perf_counter",
+    "functions": _TREE_SIZE,
+    "handlers": _TREE_SIZE,
+    "rpc_sites": _TREE_SIZE,
+    "lock_sites": _TREE_SIZE,
+}
+
 
 def test_analysis_gate(benchmark):
     config = load_config(REPO_ROOT / "pyproject.toml")
@@ -87,17 +97,13 @@ def test_analysis_gate(benchmark):
         }
         return rows, stats
 
-    (rows, stats), wall = common.timed(benchmark, run_all)
+    rows, stats = common.run_once(benchmark, run_all)
     common.publish(
         "analysis",
         "Static-analysis gate: per-rule cost, tree cleanliness, fixture "
         "yield (REP001–REP011, whole-program model)",
         rows, key=("Rule",),
-        deterministic=("Tree findings", "Fixture findings", "Tree clean",
-                       "Fires on fixtures"),
-        lower_is_better=("Check (ms)",),
-        expectations=EXPECTATIONS, wall_s=wall,
-        extra=stats,
+        ungated=UNGATED, expectations=EXPECTATIONS, extra=stats,
     )
     benchmark.extra_info["model"] = (
         f"functions={stats['functions']} lock_sites={stats['lock_sites']} "

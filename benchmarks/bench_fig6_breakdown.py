@@ -90,7 +90,7 @@ EXPECTATIONS = [
 
 
 def test_fig6_breakdown(benchmark):
-    rows, wall = common.timed(
+    rows = common.run_once(
         benchmark,
         lambda: [r for name in DATASET_NAMES for r in run_dataset(name)],
     )
@@ -98,11 +98,7 @@ def test_fig6_breakdown(benchmark):
         "fig6",
         "Figure 6: runtime breakdown, batched + compressed, no overlap",
         rows, key=("Dataset", "Impl"),
-        deterministic=("Local Fetch", "Remote Fetch", "Push",
-                       "Pop (act. retrieval)", "Pop share"),
-        expectations=EXPECTATIONS, wall_s=wall,
-        virtual_cols=("Local Fetch", "Remote Fetch", "Push",
-                      "Pop (act. retrieval)"),
+        expectations=EXPECTATIONS,
     )
     for row in rows:
         benchmark.extra_info[f"{row['Dataset']}/{row['Impl']}"] = (

@@ -9,6 +9,10 @@ algorithms sharing the identical storage/RPC substrate:
   algorithm);
 * second-order node2vec walks (the harder random-walk workload);
 * FORA hybrid SSPPR (push + Monte-Carlo, the paper's reference [25]).
+
+BFS and node2vec run on the simulated cluster and report its virtual
+makespan.  FORA runs single-machine outside it, so it has no virtual time;
+its host seconds get their own ``ungated`` column.
 """
 
 import time
@@ -47,6 +51,7 @@ def run_bfs(sharded) -> dict:
         "Algorithm": "distributed BFS",
         "Work": f"{len(state.map)} nodes reached",
         "Virtual time (s)": round(makespan, 4),
+        "Host time (s)": "-",
         "Correct": bool(np.array_equal(got, expected)),
     }
 
@@ -78,6 +83,7 @@ def run_node2vec(sharded) -> dict:
         "Algorithm": "node2vec (p=0.5,q=2)",
         "Work": f"{len(roots)} walks x 8 steps",
         "Virtual time (s)": round(makespan, 4),
+        "Host time (s)": "-",
         "Correct": valid,
     }
 
@@ -93,7 +99,8 @@ def run_fora(sharded) -> dict:
     return {
         "Algorithm": "FORA (push+MC)",
         "Work": "1 query",
-        "Virtual time (s)": round(elapsed, 4),
+        "Virtual time (s)": "-",
+        "Host time (s)": round(elapsed, 4),
         "Correct": bool(topk_precision(est, exact, 50) >= 0.8),
     }
 
@@ -107,7 +114,7 @@ EXPECTATIONS = [
 
 def test_engine_generality(benchmark):
     sharded = get_sharded(DATASET, N_MACHINES)
-    rows, wall = common.timed(
+    rows = common.run_once(
         benchmark,
         lambda: [run_bfs(sharded), run_node2vec(sharded), run_fora(sharded)],
     )
@@ -116,12 +123,11 @@ def test_engine_generality(benchmark):
         f"Engine generality on {DATASET}: other algorithms on the same "
         "storage/RPC substrate",
         rows, key=("Algorithm",),
-        deterministic=("Correct",),
-        lower_is_better=("Virtual time (s)",),
-        expectations=EXPECTATIONS, wall_s=wall,
-        virtual_cols=("Virtual time (s)",),
+        ungated={"Host time (s)": "FORA is host-timed with perf_counter"},
+        expectations=EXPECTATIONS,
     )
     for row in rows:
         benchmark.extra_info[row["Algorithm"]] = (
-            f"t={row['Virtual time (s)']}s ok={row['Correct']}"
+            f"t={row['Virtual time (s)']}s host={row['Host time (s)']}s "
+            f"ok={row['Correct']}"
         )

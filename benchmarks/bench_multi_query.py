@@ -60,16 +60,14 @@ EXPECTATIONS = [
 
 
 def test_multi_query_batching(benchmark):
-    rows, wall = common.timed(
+    rows = common.run_once(
         benchmark, lambda: [run_dataset(name) for name in DATASETS]
     )
     common.publish(
         "multi_query",
         "Inter-query batching: sequential vs lockstep MultiSSPPR",
         rows, key=("Dataset",),
-        deterministic=("Queries", "Seq (q/s)", "Batched (q/s)", "Speedup",
-                       "Seq RPCs", "Batched RPCs", "RPC reduction"),
-        expectations=EXPECTATIONS, wall_s=wall,
+        expectations=EXPECTATIONS,
     )
     for row in rows:
         benchmark.extra_info[row["Dataset"]] = (

@@ -78,16 +78,14 @@ EXPECTATIONS = [
 
 
 def test_partition_quality(benchmark):
-    rows, wall = common.timed(
+    rows = common.run_once(
         benchmark, lambda: [run_partitioner(n, f) for n, f in PARTITIONERS]
     )
     common.publish(
         "partition_quality",
         f"Partitioner ablation on {DATASET} ({N_MACHINES} shards)",
         rows, key=("Partitioner",),
-        deterministic=("Edge cut", "Remote call share"),
-        higher_is_better=("Throughput (q/s)",),
-        expectations=EXPECTATIONS, wall_s=wall,
+        expectations=EXPECTATIONS,
     )
     for row in rows:
         benchmark.extra_info[row["Partitioner"]] = (

@@ -72,17 +72,14 @@ EXPECTATIONS = [
 
 
 def test_push_counts(benchmark):
-    rows, wall = common.timed(
+    rows = common.run_once(
         benchmark, lambda: [run_dataset(name) for name in DATASETS]
     )
     common.publish(
         "push_counts",
         "Parallel vs sequential Forward Push: pushes and rounds",
         rows, key=("Dataset",),
-        deterministic=("Seq pushes", "Par pushes", "Engine pushes",
-                       "Push overhead",
-                       "Seq rounds", "Par rounds", "Round reduction"),
-        expectations=EXPECTATIONS, wall_s=wall,
+        expectations=EXPECTATIONS,
     )
     for row in rows:
         benchmark.extra_info[row["Dataset"]] = (

@@ -54,14 +54,12 @@ EXPECTATIONS = [
 
 
 def test_random_walk_throughput(benchmark):
-    rows, wall = common.timed(benchmark, run_walks)
+    rows = common.run_once(benchmark, run_walks)
     common.publish(
         "random_walk",
         f"Distributed random walks on {DATASET} (length {WALK_LENGTH})",
         rows, key=("Dataset", "Machines"),
-        deterministic=("Roots", "Walk length"),
-        higher_is_better=("Walks/s", "Steps/s"),
-        expectations=EXPECTATIONS, wall_s=wall,
+        expectations=EXPECTATIONS,
     )
     for row in rows:
         benchmark.extra_info[f"{row['Machines']}m"] = f"{row['Walks/s']} walks/s"

@@ -90,16 +90,19 @@ EXPECTATIONS = [
 
 
 def test_table2_throughput(benchmark):
-    rows, wall = common.timed(
+    rows = common.run_once(
         benchmark, lambda: [run_dataset(name) for name in DATASET_NAMES]
     )
     common.publish(
         "table2",
         "Table 2: SSPPR throughput (queries/s), 4 machines x 3 processes",
         rows, key=("Dataset",),
-        deterministic=("PyTorch Tensor", "PPR Engine"),
-        higher_is_better=("DGL SpMM", "Engine/SpMM", "Tensor/SpMM"),
-        expectations=EXPECTATIONS, wall_s=wall,
+        ungated={
+            "DGL SpMM": "power iteration is host-timed with perf_counter",
+            "Engine/SpMM": "divides by the host-timed DGL SpMM",
+            "Tensor/SpMM": "divides by the host-timed DGL SpMM",
+        },
+        expectations=EXPECTATIONS,
     )
     for row in rows:
         benchmark.extra_info[row["Dataset"]] = (

@@ -27,7 +27,7 @@ ABLATION_PARAMS = PPRParams(alpha=0.462, epsilon=1e-5)
 N_MACHINES = 2
 
 
-def run_level(engine, sources, opt: OptLevel) -> tuple[dict, dict]:
+def run_level(engine, sources, opt: OptLevel) -> dict:
     engine.config.opt = opt
     run = engine.run(RunRequest(sources=sources, params=ABLATION_PARAMS))
     row = {
@@ -39,7 +39,7 @@ def run_level(engine, sources, opt: OptLevel) -> tuple[dict, dict]:
         "RPCs": run.remote_requests,
         "_makespan": run.makespan,
     }
-    return row, run.metrics
+    return row
 
 
 # Batching reduces both RPC count and total time (min-cut partitioning
@@ -82,30 +82,23 @@ def test_table3_rpc_ablation(benchmark):
     engine = GraphEngine(sharded.graph, engine_config(N_MACHINES),
                          sharded=sharded)
     sources = sample_sources(sharded, scale.queries_small, seed=13)
-    metrics: dict = {}
 
     def run_all():
-        rows = []
-        for opt in (OptLevel.SINGLE, OptLevel.BATCH, OptLevel.COMPRESS,
-                    OptLevel.OVERLAP):
-            row, run_metrics = run_level(engine, sources, opt)
-            rows.append(row)
-            metrics.update(run_metrics)
+        rows = [run_level(engine, sources, opt)
+                for opt in (OptLevel.SINGLE, OptLevel.BATCH,
+                            OptLevel.COMPRESS, OptLevel.OVERLAP)]
         base = rows[0]["_makespan"]
         for row in rows:
             row["Speedup"] = round(base / row.pop("_makespan"), 1)
         return rows
 
-    rows, wall = common.timed(benchmark, run_all)
+    rows = common.run_once(benchmark, run_all)
     common.publish(
         "table3",
         "Table 3: RPC optimization ablation on Friendster "
         f"({N_MACHINES} machines, eps={ABLATION_PARAMS.epsilon:g})",
         rows, key=("Level",),
-        deterministic=("Local Fetch (s)", "Remote Fetch (s)", "Push (s)",
-                       "Total (s)", "RPCs", "Speedup"),
-        expectations=EXPECTATIONS, metrics=metrics,
-        wall_s=wall, virtual_cols=("Total (s)",),
+        expectations=EXPECTATIONS,
     )
     for row in rows:
         benchmark.extra_info[row["Level"]] = (

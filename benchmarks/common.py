@@ -22,17 +22,16 @@ Every bench publishes two artifacts via :func:`publish`:
 * ``benchmarks/results/<name>.txt`` — the human-readable table (as before);
 * ``benchmarks/results/<name>.json`` — a schema-valid
   :class:`repro.obs.bench.BenchReport` with typed rows, the run's scale /
-  git revision / environment fingerprint, a deterministic-vs-wall field
-  split, declarative expectations, and (optionally) an embedded metrics
-  snapshot.  ``repro.cli bench`` aggregates these into ``BENCH_<scale>.json``
-  trajectories and diffs them against committed baselines — see
-  ``docs/benchmarking.md``.
+  git revision / environment fingerprint, the columns the bench names
+  ``ungated`` (with their reasons) and declarative expectations.
+  ``repro.cli bench`` aggregates the gated fields into
+  ``BENCH_<scale>.json`` trajectories and diffs them against committed
+  baselines — see ``docs/benchmarking.md``.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -101,15 +100,6 @@ def engine_config(n_machines: int, procs: int = 1, **kw) -> EngineConfig:
                         partitioner=MetisLitePartitioner(seed=0), **kw)
 
 
-def assert_shapes() -> bool:
-    """Whether shape assertions should run (full scale only).
-
-    Retained for ad-hoc scripts; the benches themselves now carry
-    declarative per-scale ``expectations`` through :func:`publish`.
-    """
-    return bench_scale().name == "full"
-
-
 def write_result(name: str, text: str) -> Path:
     """Persist a bench's printable table under benchmarks/results/."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -134,51 +124,35 @@ def _jsonable(v):
     return v
 
 
-def timed(benchmark, fn, *args):
-    """Run ``fn`` once under pytest-benchmark; returns (result, wall_s)."""
-    t0 = time.perf_counter()
-    out = benchmark.pedantic(fn, args=args, rounds=1, iterations=1)
-    return out, time.perf_counter() - t0
+def run_once(benchmark, fn, *args):
+    """Run ``fn`` once under pytest-benchmark; returns its result."""
+    return benchmark.pedantic(fn, args=args, rounds=1, iterations=1)
 
 
 def publish(name: str, title: str, rows: list[dict], *, key,
-            deterministic=(), higher_is_better=(), lower_is_better=(),
-            expectations=(), extra=None, metrics=None,
-            wall_s: float | None = None, virtual_cols=(),
-            check: bool = True) -> BenchReport:
+            ungated=None, expectations=(), extra=None) -> BenchReport:
     """Print + persist a bench's table AND its structured report.
 
     Writes ``results/<name>.txt`` and ``results/<name>.json``, then
     evaluates every declarative expectation active at the current scale and
-    raises ``AssertionError`` listing the failures.  ``virtual_cols`` names
-    row columns holding simulated (virtual-time) seconds; their sum is
-    recorded as the report's ``virtual_s`` to split simulated time from the
-    harness's measured ``wall_s``.
+    raises ``AssertionError`` listing the failures.  Every numeric column
+    and ``extra`` value is gated against the baseline except those
+    ``ungated`` maps to the reason they cannot be: host-timed values and
+    counts of the source tree.
     """
     rows = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
     extra = {k: _jsonable(v) for k, v in (extra or {}).items()}
-    metrics = ({k: _jsonable(v) for k, v in metrics.items()}
-               if metrics else None)
     print_and_store(name, title, rows)
-    virtual_s = None
-    if virtual_cols:
-        virtual_s = float(sum(float(row[c]) for row in rows
-                              for c in virtual_cols if c in row))
     report = BenchReport(
         name=name, title=title, scale=bench_scale().name, rows=rows,
-        key=tuple(key), deterministic=tuple(deterministic),
-        higher_is_better=tuple(higher_is_better),
-        lower_is_better=tuple(lower_is_better),
-        expectations=list(expectations),
-        extra=extra, metrics=metrics,
-        wall_s=wall_s, virtual_s=virtual_s,
+        key=tuple(key), ungated=ungated or {},
+        expectations=list(expectations), extra=extra,
     )
     write_report(RESULTS_DIR / f"{name}.json", report)
-    if check:
-        failures = evaluate_expectations(report.to_dict())
-        if failures:
-            raise AssertionError(
-                f"{len(failures)} expectation(s) failed:\n  "
-                + "\n  ".join(failures)
-            )
+    failures = evaluate_expectations(report.to_dict())
+    if failures:
+        raise AssertionError(
+            f"{len(failures)} expectation(s) failed:\n  "
+            + "\n  ".join(failures)
+        )
     return report

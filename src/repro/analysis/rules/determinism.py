@@ -64,7 +64,7 @@ class Rep002UnseededRandomness(Rule):
     legacy ``np.random.*`` module functions and the stdlib ``random``
     module mutate hidden global state.  Either way a replay stops being a
     replay.  All randomness must flow from an explicit seed via
-    :func:`repro.utils.rng.rng_from_seed` / :func:`repro.utils.rng.spawn_rngs`.
+    :func:`repro.utils.rng.rng_from_seed`.
     """
 
     id = "REP002"

@@ -321,15 +321,10 @@ def cmd_bench_report(args) -> int:
     from repro.obs import bench as obs_bench
 
     trajectory = _trajectory_from_results(Path(args.results_dir), args.scale)
-    rows = []
-    for name, b in sorted(trajectory["benches"].items()):
-        n_det = sum(
-            1 for rec in b["records"].values()
-            for col in rec if col in set(b["deterministic"])
-        ) + len(set(b["deterministic"]) & set(b["extra"]))
-        n_fields = sum(len(rec) for rec in b["records"].values())
-        rows.append({"bench": name, "rows": b["n_rows"],
-                     "fields": n_fields, "deterministic": n_det})
+    rows = [{"bench": name, "rows": b["n_rows"],
+             "fields": sum(len(rec) for rec in b["records"].values()),
+             "extra": len(b["extra"])}
+            for name, b in sorted(trajectory["benches"].items())]
     print(format_table(rows))
     if args.out:
         path = obs_bench.write_trajectory(args.out, trajectory)
@@ -346,17 +341,16 @@ def cmd_bench_diff(args) -> int:
         cur = obs_bench.load_trajectory(args.current)
     else:
         cur = _trajectory_from_results(Path(args.results_dir), base["scale"])
-    print(obs_bench.render_diff(base, cur, wall_rtol=args.wall_rtol))
+    print(obs_bench.render_diff(base, cur))
     return 0
 
 
 def cmd_bench_check(args) -> int:
     """The regression gate: current results vs the committed baseline.
 
-    Exit 1 — naming every offending metric — when a deterministic field
-    drifts from the baseline, a stored expectation fails, or the .txt/.json
-    result siblings disagree.  Wall-clock fields only gate when
-    ``--wall-rtol`` is given.
+    Exit 1 — naming every offending metric — when a gated field drifts
+    from the baseline, a stored expectation fails, or the .txt/.json
+    result siblings disagree.
     """
     from repro.obs import bench as obs_bench
 
@@ -373,8 +367,7 @@ def cmd_bench_check(args) -> int:
     at_scale = [d for d in reports if d["scale"] == base["scale"]]
     cur = obs_bench.build_trajectory(at_scale, base["scale"])
 
-    deltas = obs_bench.compare_trajectories(base, cur,
-                                            wall_rtol=args.wall_rtol)
+    deltas = obs_bench.compare_trajectories(base, cur)
     regressions = obs_bench.regressions(deltas)
     expectation_failures = [
         msg for d in at_scale for msg in obs_bench.evaluate_expectations(d)
@@ -747,8 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="current trajectory JSON (default: rebuild "
                         "from --results-dir)")
     add_results_dir(b)
-    b.add_argument("--wall-rtol", type=float, default=None,
-                   help="gate wall-clock fields at this relative tolerance")
     b.set_defaults(fn=cmd_bench_diff)
 
     b = bsub.add_parser("check",
@@ -758,8 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--baseline", default=None,
                    help="baseline trajectory (default BENCH_<scale>.json)")
     add_results_dir(b)
-    b.add_argument("--wall-rtol", type=float, default=None,
-                   help="gate wall-clock fields at this relative tolerance")
     b.add_argument("--no-lint", action="store_true",
                    help="skip the txt/json consistency linter")
     b.set_defaults(fn=cmd_bench_check)

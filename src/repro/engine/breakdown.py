@@ -22,16 +22,7 @@ with outage time); the total is conserved either way, which
 
 from __future__ import annotations
 
-from repro.utils.timer import TimeBreakdown
-
-#: phase -> contributing low-level categories
-PHASES: dict[str, tuple[str, ...]] = {
-    "local_fetch": ("local_call", "local_exec"),
-    "remote_fetch": ("rpc_issue", "wait"),
-    "push": ("push",),
-    "pop": ("pop",),
-    "crashed": ("crashed",),
-}
+from repro.utils.timer import PHASES, TimeBreakdown
 
 
 def phase_seconds(breakdown: TimeBreakdown) -> dict[str, float]:

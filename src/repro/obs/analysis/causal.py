@@ -26,22 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.spans import Span, SpanTracer
+from repro.utils.timer import PHASES
 
 #: span names that anchor one critical path each
 ROOT_SPAN_NAMES = ("query", "query_batch")
 
-#: span-name -> phase bucket (the Figure 6 mapping from
-#: docs/observability.md); client/server spans are classified by kind.
-PHASE_OF_NAME = {
-    "local_fetch": "local_fetch",
-    "local_exec": "local_fetch",
-    "remote_fetch": "remote_fetch",
-    "rpc_issue": "remote_fetch",
-    "rpc_wait": "remote_fetch",
-    "push": "push",
-    "pop": "pop",
-    "crashed": "crashed",
-}
+#: span-name -> phase bucket: a compute span carries its category's name
+#: (``ProcessClock.compute``), so the Figure 6 mapping applies as is;
+#: client/server spans are classified by kind.
+_PHASE_OF_NAME = {category: phase for phase, categories in PHASES.items()
+                  for category in categories}
 
 #: path phases beyond the aggregate breakdown: ``serve`` is the slice of
 #: a remote call the server was actually executing (the straggler
@@ -67,7 +61,7 @@ def phase_of_span(span: Span) -> str:
         return "remote_fetch"
     if span.kind == "server":
         return "serve"
-    return PHASE_OF_NAME.get(span.name, "other")
+    return _PHASE_OF_NAME.get(span.name, "other")
 
 
 def fault_of_span(span: Span) -> str | None:

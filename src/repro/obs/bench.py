@@ -6,24 +6,25 @@ change silently halves Table 2 throughput or flips the Table 3 ablation
 ordering.  This module makes benchmark telemetry a first-class subsystem:
 
 * :class:`BenchReport` — one bench's machine-readable result: typed per-row
-  records, the run's scale and environment fingerprint, a virtual-time vs
-  wall-clock field split, an optional embedded metrics snapshot, and the
-  bench's *declarative expectations* (the shape claims the paper makes);
+  records, the run's scale and environment fingerprint, the ``ungated``
+  columns it names (each with its reason), and the bench's *declarative
+  expectations* (the shape claims the paper makes);
 * **expectations** — a small declarative language (``cmp`` / ``per_row`` /
   ``monotone`` / ``bounds`` / ``all_true`` / ``ratio``) evaluated against
   the report's own rows, replacing imperative ``assert`` blocks so the same
   claims can be re-checked from the JSON long after the run;
 * **trajectory files** (``BENCH_<scale>.json``) — the per-scale aggregate of
-  every bench's numeric records, the unit the baseline store diffs;
-* **comparator** — deterministic fields (dispatch counts, modeled network
-  seconds, push/iteration counters: everything seeded) compare exactly;
-  wall-clock-derived fields compare under a relative tolerance with a
-  declared improvement direction;
+  every bench's gated numeric fields, the unit the baseline store diffs;
+* **comparator** — every gated field compares exactly (ints/bools) or at
+  ``DET_RTOL`` (floats): the simulator is seeded and charges virtual time
+  from counts, so a field that moves is a regression.  A column is gated
+  unless its bench names it ``ungated`` — host-timed columns and counts
+  of the source tree itself, which no seed pins;
 * **linter** — cross-checks each ``results/<name>.txt`` table against its
   ``.json`` sibling (row counts, headline values) so the human-readable and
   machine-readable artifacts cannot drift apart.
 
-``repro.cli bench run|report|diff|check|lint`` is the operational surface;
+``repro.cli bench run|report|diff|check`` is the operational surface;
 ``benchmarks/common.py`` is the producer.  See ``docs/benchmarking.md``.
 """
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import platform
 import subprocess
@@ -64,10 +66,9 @@ def set_wall_clock(clock=None):
     return _wall_clock
 
 
-_CMP_OPS = ("gt", "ge", "lt", "le", "eq", "ne")
-_AGGS = ("only", "first", "last", "min", "max", "mean", "sum")
 _KINDS = ("cmp", "per_row", "monotone", "bounds", "all_true", "ratio")
-_WHERE_OPS = ("eq", "ne", "gt", "ge", "lt", "le", "in")
+_WHERE_OPS = {"eq": operator.eq, "ne": operator.ne, "gt": operator.gt,
+              "ge": operator.ge, "lt": operator.lt, "le": operator.le}
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +112,9 @@ class BenchReport:
     ``rows`` are typed records: every value is a number, bool, or string
     (strings are display-only — they never enter comparisons).  ``key``
     names the columns whose values identify a row (e.g. ``("Dataset",
-    "Machines")``); ``deterministic`` names the columns (and ``extra``
-    entries) that are seeded/modeled and therefore compared exactly by the
-    regression gate, every other numeric column is wall-clock-derived and
-    compared under tolerance.  ``higher_is_better`` / ``lower_is_better``
-    give wall columns a regression direction.
+    "Machines")``).  Every other numeric column, and every numeric
+    ``extra`` entry, is gated: compared exactly against the baseline.
+    ``ungated`` maps the names that are not to the reason why.
     """
 
     name: str
@@ -123,25 +122,16 @@ class BenchReport:
     scale: str
     rows: list[dict]
     key: tuple[str, ...]
-    deterministic: tuple[str, ...] = ()
-    higher_is_better: tuple[str, ...] = ()
-    lower_is_better: tuple[str, ...] = ()
+    ungated: dict[str, str] = field(default_factory=dict)
     expectations: list[dict] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
-    metrics: dict | None = None
-    #: wall-clock seconds the bench body took, and the summed virtual
-    #: seconds its engine runs simulated — the report-level time split
-    wall_s: float | None = None
-    virtual_s: float | None = None
     git_rev: str | None = None
     env: dict = field(default_factory=dict)
     created_unix: float = 0.0
 
     def __post_init__(self) -> None:
         self.key = tuple(self.key)
-        self.deterministic = tuple(self.deterministic)
-        self.higher_is_better = tuple(self.higher_is_better)
-        self.lower_is_better = tuple(self.lower_is_better)
+        self.ungated = dict(self.ungated)
         if not self.env:
             self.env = env_fingerprint()
         if self.git_rev is None:
@@ -160,14 +150,10 @@ class BenchReport:
             "created_unix": self.created_unix,
             "env": self.env,
             "key": list(self.key),
-            "deterministic": list(self.deterministic),
-            "higher_is_better": list(self.higher_is_better),
-            "lower_is_better": list(self.lower_is_better),
+            "ungated": self.ungated,
             "rows": self.rows,
             "extra": self.extra,
             "expectations": self.expectations,
-            "metrics": self.metrics,
-            "timing": {"wall_s": self.wall_s, "virtual_s": self.virtual_s},
         }
 
     @classmethod
@@ -177,18 +163,12 @@ class BenchReport:
             raise ValueError(
                 f"invalid bench report {d.get('name')!r}: " + "; ".join(errors)
             )
-        timing = d.get("timing") or {}
         return cls(
             name=d["name"], title=d.get("title", d["name"]),
             scale=d["scale"], rows=[dict(r) for r in d["rows"]],
-            key=tuple(d["key"]),
-            deterministic=tuple(d.get("deterministic", ())),
-            higher_is_better=tuple(d.get("higher_is_better", ())),
-            lower_is_better=tuple(d.get("lower_is_better", ())),
+            key=tuple(d["key"]), ungated=dict(d.get("ungated", {})),
             expectations=list(d.get("expectations", ())),
             extra=dict(d.get("extra", {})),
-            metrics=d.get("metrics"),
-            wall_s=timing.get("wall_s"), virtual_s=timing.get("virtual_s"),
             git_rev=d.get("git_rev"), env=dict(d.get("env", {})),
             created_unix=d.get("created_unix", 0.0),
         )
@@ -196,14 +176,18 @@ class BenchReport:
     def row_key(self, row: Mapping) -> str:
         return "|".join(str(row[k]) for k in self.key)
 
+    def _gated(self, values: Mapping, skip=()) -> dict:
+        return {k: v for k, v in values.items()
+                if k not in skip and k not in self.ungated and _is_numeric(v)}
+
     def numeric_records(self) -> dict[str, dict]:
-        """Row-key -> {column: numeric value} for every comparable field."""
-        out: dict[str, dict] = {}
-        for row in self.rows:
-            rec = {k: v for k, v in row.items()
-                   if k not in self.key and _is_numeric(v)}
-            out[self.row_key(row)] = rec
-        return out
+        """Row-key -> {column: value} for every gated row field."""
+        return {self.row_key(row): self._gated(row, self.key)
+                for row in self.rows}
+
+    def gated_extra(self) -> dict:
+        """The gated numeric ``extra`` values."""
+        return self._gated(self.extra)
 
 
 def _is_numeric(v) -> bool:
@@ -245,15 +229,18 @@ def validate_report(d: Mapping) -> list[str]:
         if rk in seen_keys:
             errors.append(f"duplicate row key {rk!r}")
         seen_keys.add(rk)
-    for col in d.get("deterministic", ()):
+    ungated = d.get("ungated", {})
+    if not isinstance(ungated, Mapping):
+        errors.append("ungated must map names to reasons")
+        ungated = {}
+    for col, why in ungated.items():
         if col not in columns and col not in d.get("extra", {}):
-            errors.append(f"deterministic column {col!r} not in rows or extra")
+            errors.append(f"ungated column {col!r} not in rows or extra")
+        if not isinstance(why, str) or not why.strip():
+            errors.append(f"ungated column {col!r} needs a reason")
     for exp in d.get("expectations", ()):
         if not isinstance(exp, Mapping) or exp.get("kind") not in _KINDS:
             errors.append(f"bad expectation {exp!r}")
-    metrics = d.get("metrics")
-    if metrics is not None and not isinstance(metrics, Mapping):
-        errors.append("metrics must be a mapping or null")
     return errors
 
 
@@ -294,19 +281,7 @@ def _match_where(row: Mapping, where: Mapping | None) -> bool:
             for op, ref in cond.items():
                 if op not in _WHERE_OPS:
                     raise ValueError(f"unknown where op {op!r}")
-                if op == "eq" and not v == ref:
-                    return False
-                if op == "ne" and not v != ref:
-                    return False
-                if op == "gt" and not v > ref:
-                    return False
-                if op == "ge" and not v >= ref:
-                    return False
-                if op == "lt" and not v < ref:
-                    return False
-                if op == "le" and not v <= ref:
-                    return False
-                if op == "in" and v not in ref:
+                if not _WHERE_OPS[op](v, ref):
                     return False
         elif v != cond:
             return False
@@ -336,15 +311,11 @@ def _resolve(spec, rows: list[dict], extra: Mapping) -> float:
         sel = sorted(sel, key=lambda r: r[order_col])
     vals = [float(r[col]) for r in sel]
     agg = spec.get("agg", "only")
-    if agg not in _AGGS:
-        raise ValueError(f"unknown agg {agg!r}")
     if agg == "only":
         if len(vals) != 1:
             raise ValueError(
                 f"agg 'only' on col {col!r} matched {len(vals)} rows"
             )
-        return vals[0]
-    if agg == "first":
         return vals[0]
     if agg == "last":
         return vals[-1]
@@ -352,9 +323,7 @@ def _resolve(spec, rows: list[dict], extra: Mapping) -> float:
         return min(vals)
     if agg == "max":
         return max(vals)
-    if agg == "mean":
-        return sum(vals) / len(vals)
-    return sum(vals)
+    raise ValueError(f"unknown agg {agg!r}")
 
 
 def _apply_op(left: float, op: str, right: float) -> bool:
@@ -381,13 +350,12 @@ def _check_one(exp: Mapping, rows: list[dict], extra: Mapping) -> str | None:
     """Evaluate one expectation; returns a failure message or None."""
     kind = exp["kind"]
     factor = float(exp.get("factor", 1.0))
-    offset = float(exp.get("offset", 0.0))
     if kind == "cmp":
         left = _resolve(exp["left"], rows, extra)
         right = _resolve(exp["right"], rows, extra)
-        if not _apply_op(left, exp["op"], factor * right + offset):
+        if not _apply_op(left, exp["op"], factor * right):
             return (f"{_exp_label(exp)}: {left:.6g} !{exp['op']} "
-                    f"{factor:.6g}*{right:.6g}+{offset:.6g}")
+                    f"{factor:.6g}*{right:.6g}")
         return None
     if kind == "per_row":
         sel = _select(rows, exp.get("where"))
@@ -397,11 +365,10 @@ def _check_one(exp: Mapping, rows: list[dict], extra: Mapping) -> str | None:
             left = float(row[exp["left_col"]])
             right = (float(row[exp["right_col"]]) if "right_col" in exp
                      else float(exp["right"]))
-            if not _apply_op(left, exp["op"], factor * right + offset):
-                return (f"{_exp_label(exp)}: row "
-                        f"{ {k: row[k] for k in exp.get('show', ())} or row}"
-                        f" has {exp['left_col']}={left:.6g} !{exp['op']} "
-                        f"{factor:.6g}*{right:.6g}+{offset:.6g}")
+            if not _apply_op(left, exp["op"], factor * right):
+                return (f"{_exp_label(exp)}: row {row} has "
+                        f"{exp['left_col']}={left:.6g} !{exp['op']} "
+                        f"{factor:.6g}*{right:.6g}")
         return None
     if kind == "monotone":
         groups: dict[object, list[dict]] = {}
@@ -447,9 +414,9 @@ def _check_one(exp: Mapping, rows: list[dict], extra: Mapping) -> str | None:
             rval = (_resolve(right[0], rows, extra)
                     / _resolve(right[1], rows, extra))
         lval = lnum / lden if lden else math.inf
-        if not _apply_op(lval, exp["op"], factor * rval + offset):
+        if not _apply_op(lval, exp["op"], factor * rval):
             return (f"{_exp_label(exp)}: ratio {lval:.6g} !{exp['op']} "
-                    f"{factor:.6g}*{rval:.6g}+{offset:.6g}")
+                    f"{factor:.6g}*{rval:.6g}")
         return None
     raise ValueError(f"unknown expectation kind {kind!r}")
 
@@ -487,7 +454,8 @@ def evaluate_expectations(report: Mapping,
 # ---------------------------------------------------------------------------
 
 def build_trajectory(reports: Iterable[Mapping], scale: str) -> dict:
-    """Aggregate per-bench reports into one ``BENCH_<scale>`` trajectory."""
+    """Aggregate per-bench reports into one ``BENCH_<scale>`` trajectory:
+    each bench's gated fields, and nothing its bench names ``ungated``."""
     benches = {}
     for d in sorted(reports, key=lambda r: r["name"]):
         if d["scale"] != scale:
@@ -497,11 +465,8 @@ def build_trajectory(reports: Iterable[Mapping], scale: str) -> dict:
             "title": rep.title,
             "key": list(rep.key),
             "n_rows": len(rep.rows),
-            "deterministic": list(rep.deterministic),
-            "higher_is_better": list(rep.higher_is_better),
-            "lower_is_better": list(rep.lower_is_better),
             "records": rep.numeric_records(),
-            "extra": {k: v for k, v in rep.extra.items() if _is_numeric(v)},
+            "extra": rep.gated_extra(),
         }
     return {
         "schema": TRAJECTORY_SCHEMA,
@@ -536,11 +501,11 @@ def write_trajectory(path: str | Path, trajectory: dict) -> Path:
 @dataclass
 class Delta:
     """One compared field: where it lives, what changed, and whether it
-    counts as a regression under the active policy."""
+    counts as a regression."""
 
     bench: str
     field: str
-    kind: str                 # "deterministic" | "wall" | "structure"
+    kind: str                 # "deterministic" | "structure"
     base: object
     cur: object
     regressed: bool
@@ -566,16 +531,21 @@ class Delta:
                 + (f"  {self.note}" if self.note else ""))
 
 
-def compare_trajectories(base: Mapping, cur: Mapping, *,
-                         wall_rtol: float | None = None) -> list[Delta]:
+def _same(bval, cval) -> bool:
+    """Ints and bools exactly, floats at ``DET_RTOL``."""
+    if isinstance(bval, bool) or isinstance(cval, bool) \
+            or (isinstance(bval, int) and isinstance(cval, int)):
+        return bval == cval
+    return math.isclose(float(bval), float(cval),
+                        rel_tol=DET_RTOL, abs_tol=DET_ATOL)
+
+
+def compare_trajectories(base: Mapping, cur: Mapping) -> list[Delta]:
     """Field-by-field comparison of two trajectory files.
 
-    Deterministic fields compare exactly (ints/bools) or at ``DET_RTOL``
-    (floats); a mismatch is a regression.  Wall-clock fields are skipped
-    unless ``wall_rtol`` is given, in which case a change beyond the
-    tolerance — in the *worse* direction when the column declares one —
-    is a regression.  Structural drift (missing bench, row-count change,
-    missing field) always regresses.
+    Every field of the baseline is gated: a mismatch is a regression, and
+    a float within ``DET_RTOL`` is a note.  Structural drift (missing
+    bench, row-count change, missing field) always regresses.
     """
     deltas: list[Delta] = []
     base_benches = base.get("benches", {})
@@ -590,61 +560,23 @@ def compare_trajectories(base: Mapping, cur: Mapping, *,
             deltas.append(Delta(name, "n_rows", "structure",
                                 b.get("n_rows"), c.get("n_rows"), True,
                                 "row count changed"))
-        det = set(b.get("deterministic", ()))
-        hib = set(b.get("higher_is_better", ()))
-        lib = set(b.get("lower_is_better", ()))
-        pairs = [(rk, col, rec.get(col), None)
-                 for rk, rec in sorted(b.get("records", {}).items())
-                 for col in rec]
-        pairs += [("<extra>", k, v, None)
-                  for k, v in sorted(b.get("extra", {}).items())]
-        for rk, col, bval, _ in pairs:
-            if rk == "<extra>":
-                cval = c.get("extra", {}).get(col)
-                fieldname = f"extra.{col}"
-            else:
-                cval = c.get("records", {}).get(rk, {}).get(col)
-                fieldname = f"{rk}.{col}"
+        cur_records = c.get("records", {})
+        fields = [(f"{rk}.{col}", bval, cur_records.get(rk, {}).get(col))
+                  for rk, rec in sorted(b.get("records", {}).items())
+                  for col, bval in rec.items()]
+        fields += [(f"extra.{k}", bval, c.get("extra", {}).get(k))
+                   for k, bval in sorted(b.get("extra", {}).items())]
+        for fieldname, bval, cval in fields:
             if cval is None:
                 deltas.append(Delta(name, fieldname, "structure", bval,
                                     "missing", True, "field disappeared"))
-                continue
-            if col in det:
-                if isinstance(bval, bool) or isinstance(cval, bool) \
-                        or (isinstance(bval, int) and isinstance(cval, int)):
-                    same = bval == cval
-                else:
-                    same = math.isclose(float(bval), float(cval),
-                                        rel_tol=DET_RTOL, abs_tol=DET_ATOL)
-                if not same:
-                    deltas.append(Delta(name, fieldname, "deterministic",
-                                        bval, cval, True,
-                                        "deterministic field changed"))
-                elif bval != cval:
-                    deltas.append(Delta(name, fieldname, "deterministic",
-                                        bval, cval, False, "within DET_RTOL"))
-                continue
-            # wall-clock-derived field
-            if wall_rtol is None:
-                continue
-            try:
-                bf, cf = float(bval), float(cval)
-            except (TypeError, ValueError):
-                continue
-            lo = bf - wall_rtol * abs(bf)
-            hi = bf + wall_rtol * abs(bf)
-            if col in hib:
-                bad = cf < lo
-                note = "throughput-like value fell" if bad else ""
-            elif col in lib:
-                bad = cf > hi
-                note = "time-like value rose" if bad else ""
-            else:
-                bad = not (lo <= cf <= hi)
-                note = "wall value drifted" if bad else ""
-            if bad or cf != bf:
-                deltas.append(Delta(name, fieldname, "wall", bval, cval,
-                                    bad, note))
+            elif not _same(bval, cval):
+                deltas.append(Delta(name, fieldname, "deterministic",
+                                    bval, cval, True,
+                                    "deterministic field changed"))
+            elif bval != cval:
+                deltas.append(Delta(name, fieldname, "deterministic",
+                                    bval, cval, False, "within DET_RTOL"))
     for name in sorted(set(cur_benches) - set(base_benches)):
         deltas.append(Delta(name, "<bench>", "structure", "missing",
                             "present", False, "new bench (no baseline)"))
@@ -655,10 +587,9 @@ def regressions(deltas: Iterable[Delta]) -> list[Delta]:
     return [d for d in deltas if d.regressed]
 
 
-def render_diff(base: Mapping, cur: Mapping, *,
-                wall_rtol: float | None = None) -> str:
+def render_diff(base: Mapping, cur: Mapping) -> str:
     """Readable old-vs-new comparison of two trajectory files."""
-    deltas = compare_trajectories(base, cur, wall_rtol=wall_rtol)
+    deltas = compare_trajectories(base, cur)
     lines = [
         f"baseline: scale={base.get('scale')} rev={base.get('git_rev')}",
         f"current:  scale={cur.get('scale')} rev={cur.get('git_rev')}",

@@ -5,7 +5,7 @@ These helpers are deliberately dependency-free (NumPy only) and are used by
 every other subpackage.
 """
 
-from repro.utils.rng import rng_from_seed, spawn_rngs
+from repro.utils.rng import rng_from_seed
 from repro.utils.timer import TimeBreakdown
 from repro.utils.validation import (
     check_in_range,
@@ -23,5 +23,4 @@ __all__ = [
     "check_positive",
     "check_same_length",
     "rng_from_seed",
-    "spawn_rngs",
 ]

@@ -2,8 +2,8 @@
 
 Every stochastic component in the library (graph generators, random walks,
 query sampling, GNN init) takes an explicit seed or `numpy.random.Generator`
-so that experiments are reproducible run-to-run.  These helpers normalize
-between the two and derive independent child streams.
+so that experiments are reproducible run-to-run.  :func:`rng_from_seed`
+normalizes between the two.
 """
 
 from __future__ import annotations
@@ -20,19 +20,3 @@ def rng_from_seed(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent generators from one seed.
-
-    Used to give each simulated machine/process its own stream so results do
-    not depend on scheduling order.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children by jumping the parent's bit generator state.
-        ss = np.random.SeedSequence(seed.integers(0, 2**63 - 1))
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]

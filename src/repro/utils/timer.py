@@ -5,7 +5,10 @@ is read only here — bench report timestamps and the CLI's progress
 timer — so the REP001 lint rule allowlists one module.
 :class:`TimeBreakdown` is the per-category accumulator behind the
 Figure 6 and Table 3 breakdowns, charged by
-:class:`repro.simt.process.ProcessClock`.
+:class:`repro.simt.process.ProcessClock`; :data:`PHASES` maps its
+categories onto those figures' phases, for the aggregate breakdown
+(:mod:`repro.engine.breakdown`) and the per-span critical paths
+(:mod:`repro.obs.analysis.causal`) alike.
 """
 
 from __future__ import annotations
@@ -59,6 +62,16 @@ class Stopwatch:
         out = now - self._start
         self._start = now
         return out
+
+
+#: phase -> contributing low-level categories
+PHASES: dict[str, tuple[str, ...]] = {
+    "local_fetch": ("local_call", "local_exec"),
+    "remote_fetch": ("rpc_issue", "wait"),
+    "push": ("push",),
+    "pop": ("pop",),
+    "crashed": ("crashed",),
+}
 
 
 @dataclass

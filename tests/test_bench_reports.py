@@ -1,10 +1,11 @@
 """The benchmark observatory: reports, expectations, baselines, gating.
 
 Covers ``repro.obs.bench`` in isolation (schema validation, the
-expectations mini-language, the exact-vs-tolerance comparator, the
-txt/json linter) and the ``repro.cli bench`` surface (check
-exit codes, diff rendering, the legacy ``bench <graph>`` shim) plus the
-scale-keyed bench caches.
+expectations mini-language, the comparator that gates every column a
+bench does not name ``ungated``, the txt/json linter) and the
+``repro.cli bench`` surface (check exit codes, diff rendering, the
+committed baseline against the committed results) plus the scale-keyed
+bench caches.
 """
 
 import json
@@ -35,8 +36,7 @@ def make_report(rows=None, **kw):
             {"Dataset": "a", "RPCs": 10, "Time (s)": 1.5, "q/s": 8.0},
             {"Dataset": "b", "RPCs": 20, "Time (s)": 3.0, "q/s": 4.0},
         ],
-        key=("Dataset",), deterministic=("RPCs",),
-        higher_is_better=("q/s",), lower_is_better=("Time (s)",),
+        key=("Dataset",), ungated={"Time (s)": "host-timed"},
         git_rev="abc1234", env={"python": "3"}, created_unix=1.0,
     )
     defaults.update(kw)
@@ -73,20 +73,20 @@ class TestInjectableClock:
 
 class TestReportSchema:
     def test_roundtrip(self, tmp_path):
-        rep = make_report(extra={"fitted": 2.5}, metrics={"rpc.calls": 30},
-                          wall_s=0.5, virtual_s=4.5)
+        rep = make_report(extra={"fitted": 2.5})
         path = write_report(tmp_path / "demo.json", rep)
         d = load_report(path)
         assert d["schema"] == REPORT_SCHEMA
         back = BenchReport.from_dict(d)
         assert back.rows == rep.rows
         assert back.key == ("Dataset",)
-        assert back.metrics == {"rpc.calls": 30}
-        assert back.wall_s == 0.5 and back.virtual_s == 4.5
+        assert back.ungated == {"Time (s)": "host-timed"}
+        assert back.extra == {"fitted": 2.5}
 
     def test_numeric_records_excludes_keys_and_strings(self):
         rep = make_report(rows=[
-            {"Dataset": "a", "RPCs": 10, "note": "fast", "ok": True},
+            {"Dataset": "a", "RPCs": 10, "note": "fast", "ok": True,
+             "Time (s)": 1.5},
         ])
         recs = rep.numeric_records()
         assert recs == {"a": {"RPCs": 10, "ok": True}}
@@ -111,8 +111,12 @@ class TestReportSchema:
         bad["rows"][0]["Time (s)"] = float("nan")
         assert any("non-finite" in e for e in validate_report(bad))
         bad = make_report().to_dict()
-        bad["deterministic"] = ["Missing col"]
-        assert any("deterministic" in e for e in validate_report(bad))
+        bad["ungated"] = {"Missing col": "host-timed"}
+        assert any("not in rows or extra" in e
+                   for e in validate_report(bad))
+        bad = make_report().to_dict()
+        bad["ungated"] = {"q/s": ""}
+        assert any("needs a reason" in e for e in validate_report(bad))
 
     def test_from_dict_rejects_invalid(self):
         bad = make_report().to_dict()
@@ -226,25 +230,33 @@ class TestComparator:
         assert d.kind == "deterministic" and d.base == 10 and d.cur == 11
         assert "demo.a.RPCs" in d.describe()
 
-    def test_wall_fields_skipped_without_rtol(self):
+    def test_every_column_not_named_ungated_is_gated(self):
         def mutate(rep):
-            rep.rows[0]["q/s"] = 1.0  # huge throughput drop
+            rep.rows[0]["q/s"] = 50.0  # a rise drifts as much as a fall
+            rep.extra["fitted"] = 3.0
+        base_rep = make_report(extra={"fitted": 2.5})
+        cur_rep = make_report(extra={"fitted": 2.5})
+        mutate(cur_rep)
+        base = build_trajectory([base_rep.to_dict()], "tiny")
+        cur = build_trajectory([cur_rep.to_dict()], "tiny")
+        regs = regressions(compare_trajectories(base, cur))
+        assert [d.field for d in regs] == ["a.q/s", "extra.fitted"]
+
+    def test_ungated_fields_stay_out_of_the_trajectory(self):
+        def mutate(rep):
+            rep.rows[0]["Time (s)"] = 99.0
         base, cur = self.trajectories(mutate)
         assert compare_trajectories(base, cur) == []
+        assert "Time (s)" not in base["benches"]["demo"]["records"]["a"]
+        assert set(base["benches"]["demo"]) == {
+            "title", "key", "n_rows", "records", "extra"}
 
-    def test_wall_rtol_gates_by_direction(self):
-        def slower(rep):
-            rep.rows[0]["q/s"] = 6.0       # fell 25%
-            rep.rows[0]["Time (s)"] = 1.2  # improved — fine
-        base, cur = self.trajectories(slower)
-        regs = regressions(compare_trajectories(base, cur, wall_rtol=0.1))
-        assert [d.field for d in regs] == ["a.q/s"]
-
-        def faster(rep):
-            rep.rows[0]["q/s"] = 50.0  # improvement is never a regression
-        base, cur = self.trajectories(faster)
-        deltas = compare_trajectories(base, cur, wall_rtol=0.1)
-        assert deltas and not regressions(deltas)
+    def test_float_within_det_rtol_is_a_note(self):
+        def mutate(rep):
+            rep.rows[0]["q/s"] = 8.0 * (1 + 1e-9)
+        base, cur = self.trajectories(mutate)
+        (d,) = compare_trajectories(base, cur)
+        assert not d.regressed and d.note == "within DET_RTOL"
 
     def test_structural_drift_always_regresses(self):
         def drop_row(rep):
@@ -354,6 +366,17 @@ class TestBenchCli:
         assert "REGRESSION" in out and "demo.a.RPCs" in out
         assert "bench check FAILED" in out
 
+    def test_check_fails_on_drift_in_a_column_not_named_ungated(
+            self, tmp_path, results_dir, capsys):
+        def mutate(rep):
+            rep.rows[1]["q/s"] = 4.5
+        baseline = self.write_baseline(tmp_path, mutate)
+        rc = main(["bench", "check", "--scale", "tiny",
+                   "--baseline", str(baseline),
+                   "--results-dir", str(results_dir)])
+        out = capsys.readouterr().out
+        assert rc == 1 and "REGRESSION" in out and "demo.b.q/s" in out
+
     def test_check_fails_on_stored_expectation(self, tmp_path, capsys):
         d = tmp_path / "results"
         d.mkdir()
@@ -390,6 +413,12 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "LINT" in out and "1 lint problem(s)" in out
         assert main(argv + ["--no-lint"]) == 0
+
+    def test_committed_results_match_the_committed_baseline(self, capsys):
+        """``benchmarks/results/`` and ``BENCH_tiny.json`` are regenerated
+        together: the gate passes on the tree as committed."""
+        rc = main(["bench", "check", "--scale", "tiny"])
+        assert rc == 0, capsys.readouterr().out
 
     def test_report_command(self, results_dir, capsys):
         rc = main(["bench", "report", "--scale", "tiny",

@@ -318,9 +318,8 @@ class TestCliSurface:
             "run": ("--scale", "--select", "--benchmarks-dir",
                     "--results-dir", "--out"),
             "report": ("--scale", "--results-dir", "--out"),
-            "diff": ("baseline", "current", "--results-dir", "--wall-rtol"),
-            "check": ("--scale", "--baseline", "--results-dir",
-                      "--wall-rtol", "--no-lint"),
+            "diff": ("baseline", "current", "--results-dir"),
+            "check": ("--scale", "--baseline", "--results-dir", "--no-lint"),
         }
 
     def test_shared_flag_groups_keep_each_commands_defaults(self):

@@ -39,7 +39,7 @@ def engine():
 
 
 # -- random trace generation -------------------------------------------------
-CHILD_NAMES = ("push", "pop", "local_fetch", "stage", "crashed")
+CHILD_NAMES = ("push", "pop", "local_exec", "stage", "crashed")
 
 
 def _grow(draw, tracer, parent_id, process, lo, hi, depth):

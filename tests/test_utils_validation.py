@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.simt import CrashWindow, NetworkModel
-from repro.utils.rng import rng_from_seed, spawn_rngs
+from repro.utils.rng import rng_from_seed
 from repro.utils.validation import (
     check_in_range,
     check_int,
@@ -75,41 +75,3 @@ class TestRng:
     def test_generator_passthrough(self):
         g = np.random.default_rng(0)
         assert rng_from_seed(g) is g
-
-    def test_spawn_rngs_independent(self):
-        streams = spawn_rngs(7, 3)
-        assert len(streams) == 3
-        draws = [g.integers(0, 2**32) for g in streams]
-        assert len(set(draws)) == 3  # overwhelmingly likely distinct
-
-    def test_spawn_rngs_reproducible(self):
-        a = [g.integers(0, 2**32) for g in spawn_rngs(7, 3)]
-        b = [g.integers(0, 2**32) for g in spawn_rngs(7, 3)]
-        assert a == b
-
-    def test_spawn_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_from_generator_seed_deterministic(self):
-        # a Generator parent seeds children by jumping its own stream:
-        # identically-seeded parents must yield identical children
-        a = [g.integers(0, 2**32)
-             for g in spawn_rngs(np.random.default_rng(11), 3)]
-        b = [g.integers(0, 2**32)
-             for g in spawn_rngs(np.random.default_rng(11), 3)]
-        assert a == b
-
-    def test_spawn_from_generator_seed_children_distinct(self):
-        streams = spawn_rngs(np.random.default_rng(11), 4)
-        assert len(streams) == 4
-        draws = [tuple(g.integers(0, 2**32, size=4)) for g in streams]
-        assert len(set(draws)) == 4
-
-    def test_spawn_from_generator_advances_parent(self):
-        # the jump consumes parent state, so successive spawns differ —
-        # children are independent of each other, batch to batch
-        parent = np.random.default_rng(11)
-        first = [g.integers(0, 2**32) for g in spawn_rngs(parent, 2)]
-        second = [g.integers(0, 2**32) for g in spawn_rngs(parent, 2)]
-        assert first != second
