@@ -2,14 +2,15 @@
 
 For each batch size, a contiguous id run (the arena-slice fast path)
 and an equally-sized strided id set (the ``np.repeat`` gather fallback)
-fetch the same shard; the table reports per-row latency for both, the
-modeled response bytes of the view-backed batch vs its materialized
-copy (these must be *equal* — the zero-copy path may not move a single
-modeled byte), the number of tensors each backing actually owns (the
-allocation count: 1 for the view path — the rebased indptr — vs 7 for
-a full copy), and the buffer pool's hit rate as the per-row staged
-request count grows (must be monotone increasing: inventory converges
-to one response's demand, after which every borrow hits).
+fetch the same shard and read the rows (``to_arrays()``, where the
+consumer's one gather happens); the table reports per-row latency for
+both, the modeled bytes of the row-selection response vs a materialized
+copy of its rows (these must be *equal* — the zero-copy path may not
+move a single modeled byte), the number of tensors each backing actually
+owns (the allocation count: 1 for the view path — the rebased indptr —
+vs 5 for a full copy), and the buffer pool's hit rate as the per-row
+staged request count grows (must be monotone increasing: inventory
+converges to one response's demand, after which every borrow hits).
 
 Wall columns (``ns/row``) move with the interpreter and are named
 ``ungated``; everything the regression gate diffs exactly is derived from
@@ -23,6 +24,7 @@ import numpy as np
 from benchmarks import common
 from benchmarks.common import bench_scale, get_sharded
 from repro.rpc.serialization import BufferPool, payload_sizes
+from repro.storage.neighbor_batch import NeighborBatch
 
 N_MACHINES = 2
 
@@ -33,7 +35,7 @@ CASES = ((16, 1), (64, 4), (256, 16), (1024, 64))
 def _time_per_row(shard, ids, reps) -> float:
     t0 = time.perf_counter()
     for _ in range(reps):
-        shard.get_neighbor_batch(ids)
+        shard.get_neighbor_batch(ids).to_arrays()
     dt = time.perf_counter() - t0
     return dt / (reps * len(ids)) * 1e9
 
@@ -49,7 +51,7 @@ def run_case(shard, batch, n_responses) -> dict:
     contiguous = np.arange(b, dtype=np.int64)
     strided = np.arange(b, dtype=np.int64) * 2  # sorted, never contiguous
     view = shard.get_neighbor_batch(contiguous)
-    copy = view.materialize()
+    copy = NeighborBatch(*view.to_arrays(), check=False).materialize()
     pool = BufferPool()
     requests = hits = 0
     for _ in range(n_responses):

@@ -40,8 +40,9 @@ Whole-program rules (:mod:`repro.analysis.rules.interprocedural`):
 Hot-path rules (:mod:`repro.analysis.rules.hotpath`):
 
 * **REP011** — ``.copy()`` / ``np.repeat`` / ``np.concatenate`` in the
-  zero-copy read-path modules (``storage/shard.py``,
-  ``storage/neighbor_batch.py``) without an explicit
+  fetch hot-path modules (``storage/shard.py``,
+  ``storage/neighbor_batch.py``, ``storage/vertex_prop.py``) without an
+  explicit
   ``# repro: allow=REP011`` pragma naming the sanctioned copy.
 """
 

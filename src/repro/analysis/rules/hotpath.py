@@ -1,7 +1,8 @@
 """Hot-path rules: the zero-copy read path must stay zero-copy.
 
-REP011 guards the two modules on the local-fetch hot path —
-``storage/shard.py`` and ``storage/neighbor_batch.py`` — against
+REP011 guards the three modules on the fetch hot path —
+``storage/shard.py``, ``storage/neighbor_batch.py`` and
+``storage/vertex_prop.py`` (the responses and the round gather) — against
 allocation creep.  Any ``.copy()`` method call, ``np.repeat``
 or ``np.concatenate`` in those files allocates and fills a fresh buffer
 per request, which is exactly the cost the arena-view read path exists
@@ -12,7 +13,7 @@ mutation preimages).
 
 The rule is a per-file AST scan: attribute calls named ``copy`` and
 calls resolving through the import map to ``numpy.repeat`` /
-``numpy.concatenate``.  Everything outside the two scoped files is
+``numpy.concatenate``.  Everything outside the three scoped files is
 ignored — copies are fine where they are not per-request.
 """
 
@@ -28,6 +29,7 @@ from repro.analysis.lint import FileContext, Rule, Violation
 HOT_PATH_FILES = (
     "storage/shard.py",
     "storage/neighbor_batch.py",
+    "storage/vertex_prop.py",
 )
 
 #: canonical numpy callables that gather/concatenate into fresh buffers

@@ -57,7 +57,7 @@ def induce_subgraph(sharded: ShardedGraph, g: DistGraphStorage,
         indptr, nbr_ids, weights, _wd, _src = infos.to_arrays()
         nbr_gids = sharded.globals_of(nbr_ids)
         counts = np.diff(indptr)
-        row_ids = np.repeat(masks[j], counts)
+        row_ids = np.repeat(np.arange(len(ids))[masks[j]], counts)
         keep = np.isin(nbr_gids, node_set)
         col_ids = np.searchsorted(node_set, nbr_gids[keep])
         rows_parts.append(row_ids[keep])

@@ -45,7 +45,6 @@ from repro.simt.compute import COMPUTE
 from repro.simt.events import Wait
 from repro.storage.dist_storage import DistGraphStorage, await_fetch, \
     fetch_round
-from repro.storage.neighbor_batch import NeighborBatch
 
 
 class DegradationMode(enum.Enum):
@@ -151,8 +150,9 @@ def distributed_sppr_query(g: DistGraphStorage, proc, sources,
                 push(infos, one)
             continue
 
-        # Batched modes: gather the round's answered responses in
-        # fetch_round's apply order (free), then push the frontier once.
+        # Batched modes: collect the round's answered responses in
+        # fetch_round's apply order, then push the frontier once; the push
+        # gathers every response's rows straight into its round buffers.
         answered, parts = [], []
 
         def collect(infos, part):
@@ -163,7 +163,7 @@ def distributed_sppr_query(g: DistGraphStorage, proc, sources,
                                overlap=opt.overlapped,
                                lost=m.abandon if skip else None)
         if answered:
-            push(NeighborBatch.concat(answered), np.concatenate(parts))
+            push(answered, np.concatenate(parts))
     return m
 
 

@@ -46,6 +46,7 @@ import numpy as np
 PAGE_BITS = 12
 PAGE_SLOTS = 1 << PAGE_BITS
 _LOW = PAGE_SLOTS - 1
+_INT64 = np.dtype(np.int64)
 
 
 def _fit(arr: np.ndarray, needed: int, used: int | None = None):
@@ -149,13 +150,16 @@ class ShardedMap:
     # -- internals ----------------------------------------------------------
     def _checked(self, keys) -> tuple[np.ndarray, int]:
         """``keys`` as 1-D in-domain int64, plus their maximum."""
-        keys = np.asarray(keys)
-        # an empty list arrives as float64; it holds no key to truncate
-        if keys.dtype.kind not in "iu" and keys.size:
-            raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        if keys.ndim != 1:
-            raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
+        if not (type(keys) is np.ndarray and keys.dtype is _INT64
+                and keys.ndim == 1 and keys.flags.c_contiguous):
+            keys = np.asarray(keys)
+            # an empty list arrives as float64; it holds no key to truncate
+            if keys.dtype.kind not in "iu" and keys.size:
+                raise ValueError(
+                    f"keys must be integers, got dtype {keys.dtype}")
+            keys = np.ascontiguousarray(keys, dtype=np.int64)
+            if keys.ndim != 1:
+                raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
         if len(keys) == 0:
             return keys, 0
         # Negative keys wrap above MAX_KEY as uint64: one pass checks both
@@ -189,10 +193,10 @@ class ShardedMap:
         """Claim slots for ``keys[missing]`` (duplicates OK) at cells
         ``addr[missing]`` and write them into ``slots``; returns the
         positions in ``keys`` of each claimed key's first occurrence."""
-        where = addr[missing]
-        on_null = where < PAGE_SLOTS
-        if on_null.any():
+        where = addr.take(missing)
+        if where.min() < PAGE_SLOTS:
             # Allocate the untouched pages, then re-address their keys.
+            on_null = where < PAGE_SLOTS
             homeless = keys[missing[on_null]]
             pages = homeless >> PAGE_BITS
             fresh = np.unique(pages)
@@ -215,7 +219,7 @@ class ShardedMap:
         base = self._n
         self._n += len(first)
         self._dense_keys = _fit(self._dense_keys, self._n, base)
-        self._dense_keys[base: self._n] = keys[first]
+        keys.take(first, out=self._dense_keys[base: self._n], mode="clip")
         self._cells[where[is_first]] = np.arange(base, self._n)
         slots[missing] = self._cells.take(where)
         return first

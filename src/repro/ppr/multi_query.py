@@ -23,7 +23,7 @@ drains the activated set, deduped to *nodes* for fetching, and takes every
 popped pair's residual out of ``residual`` into a pop-time stash (the
 reference's ``r_f = residual[frontier].copy(); residual[frontier] = 0``).
 ``push`` consumes sources *with their neighbor information* (local
-VertexProp or remote NeighborBatch/NeighborLists) and pushes each popped
+VertexProp, remote RowSelection or NeighborLists) and pushes each popped
 pair once from that stash: it converts ``alpha * r`` into PPR mass, spreads
 ``(1 - alpha) * r`` over out-neighbors weighted by ``W(v,u)/d_w(v)``, and
 re-activates any pair whose residual crosses ``epsilon * d_w``.  The
@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.ppr.hashmap import ShardedMap, fit_values
 from repro.ppr.params import PPRParams
+from repro.storage.vertex_prop import gather_rows
 
 _NOT_POPPED = "push received sources that were never touched or not popped"
 _TWICE = "push received sources already pushed or abandoned this iteration"
@@ -157,12 +158,16 @@ class MultiSSPPR:
         slots = slots[order]
         stash = self.residual[slots]
         self.residual[slots] = 0.0
-        # sorted pairs give sorted nodes: dedupe with one diff scan
-        nodes, qids = np.divmod(pairs[order], self.n_queries)
-        first = np.empty(len(nodes), dtype=bool)
-        first[0] = True
-        np.not_equal(nodes[1:], nodes[:-1], out=first[1:])
-        unique = nodes[first]
+        if self.n_queries == 1:  # a pair key is its node id
+            unique = nodes = pairs[order]
+            qids = np.zeros(len(nodes), dtype=np.int64)
+        else:
+            # sorted pairs give sorted nodes: dedupe with one diff scan
+            nodes, qids = np.divmod(pairs[order], self.n_queries)
+            first = np.empty(len(nodes), dtype=bool)
+            first[0] = True
+            np.not_equal(nodes[1:], nodes[:-1], out=first[1:])
+            unique = nodes[first]
         self._pending = _Popped(nodes, qids, slots, stash,
                                 np.zeros(len(nodes), dtype=bool),
                                 len(unique) == len(nodes))
@@ -176,13 +181,16 @@ class MultiSSPPR:
     def push(self, infos, ids: np.ndarray) -> None:
         """Push nodes of the last pop, for every query activated on them.
 
-        ``infos`` is any response exposing ``to_arrays()`` (VertexProp,
-        NeighborBatch, NeighborLists, or several of them concatenated by
-        :meth:`~repro.storage.neighbor_batch.NeighborBatch.concat`);
-        ``ids`` are the nodes it answers, in row order.  Each popped pair
-        is pushed at most once, from its pop-time residual.
+        ``infos`` is one response exposing ``to_arrays()`` (VertexProp,
+        RowSelection, NeighborBatch, NeighborLists), or a round's list of
+        them, whose rows are gathered once into one set of round buffers
+        (:func:`~repro.storage.vertex_prop.gather_rows`); ``ids`` are
+        the nodes the rows answer, in row order.  Each popped pair is
+        pushed at most once, from its pop-time residual.
         """
-        indptr, nbr_ids, weights, nbr_wdeg, src_wdeg = infos.to_arrays()
+        indptr, nbr_ids, weights, nbr_wdeg, src_wdeg = (
+            gather_rows(infos) if isinstance(infos, list)
+            else infos.to_arrays())
         if len(indptr) - 1 != len(ids):
             raise ValueError(
                 f"infos cover {len(indptr) - 1} sources, got "

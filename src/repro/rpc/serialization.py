@@ -163,17 +163,19 @@ def size_class(nbytes: int) -> int:
     return 1 << (nbytes - 1).bit_length()
 
 
-def _iter_tensors(obj: Any) -> Iterator[np.ndarray]:
-    """Yield the tensors a serialized structure would put on the wire.
+def _iter_tensors(obj: Any) -> Iterator[tuple[str, int]]:
+    """Yield ``(dtype str, nbytes)`` of each tensor a serialized structure
+    would put on the wire.
 
     Mirrors :func:`payload_sizes`' walk: bare arrays count directly,
     payload objects enumerate themselves through ``rpc_tensors()`` (when
-    they offer it — objects without it carry no poolable tensors, e.g.
-    the pointer-passing ``VertexProp``), containers recurse, scalar
-    leaves yield nothing.
+    they offer it — objects without it carry no poolable tensors), so a
+    response that names rows instead of holding them, like
+    :class:`~repro.storage.vertex_prop.RowSelection`, stages the tensors
+    it stands for.  Containers recurse, scalar leaves yield nothing.
     """
     if isinstance(obj, np.ndarray):
-        yield obj
+        yield obj.dtype.str, int(obj.nbytes)
         return
     tensors = getattr(obj, "rpc_tensors", None)
     if tensors is not None:
@@ -212,8 +214,8 @@ class BufferPool:
         inventory = self._inventory
         borrowed: dict[tuple[str, int], int] = {}
         requests = hits = reused = 0
-        for arr in _iter_tensors(result):
-            key = (arr.dtype.str, size_class(int(arr.nbytes)))
+        for dtype, nbytes in _iter_tensors(result):
+            key = (dtype, size_class(nbytes))
             # the n-th buffer of a class hits iff the inventory has n
             n = borrowed[key] = borrowed.get(key, 0) + 1
             requests += 1

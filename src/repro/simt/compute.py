@@ -26,7 +26,12 @@ class Cost:
         if len(units) != len(self.per_unit):
             raise TypeError(f"cost term takes {len(self.per_unit)} unit "
                             f"counts, got {len(units)}")
-        return self.call + sum(c * n for c, n in zip(self.per_unit, units))
+        # call + ((0 + c0·n0) + c1·n1 ...): the association the golden
+        # virtual times were recorded with
+        total = 0
+        for c, n in zip(self.per_unit, units):
+            total += c * n
+        return self.call + total
 
 
 @dataclass(frozen=True)

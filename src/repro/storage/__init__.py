@@ -8,13 +8,16 @@ Implements the storage stack exactly as the paper lays it out:
   weights, and weighted degrees — Figures 2 and 3).  Storing neighbor
   weighted degrees inline is what lets Forward Push threshold-check
   remotely-owned nodes without extra RPCs.
-* :class:`VertexProp` — the zero-copy local-fetch result: views over the
-  shard arrays plus per-node extents, "a vector of shared pointers ...
-  without taking ownership of the original data".
-* :class:`NeighborBatch` — the CSR-compressed remote response (the
-  *Compress* optimization): five-ish flat arrays instead of a list of small
-  per-node tensors.  :class:`NeighborLists` is the uncompressed
-  list-of-lists response kept for the Table 3 ablation.
+* :class:`VertexProp` — the zero-copy local-fetch result: the requested
+  rows of the shard's arena, "a vector of shared pointers ... without
+  taking ownership of the original data".
+* :class:`NeighborBatch` — the CSR rows format (the *Compress*
+  optimization): five flat arrays instead of a list of small per-node
+  tensors.  A remote fetch answers with a
+  :class:`~repro.storage.vertex_prop.RowSelection` of the serving arena,
+  priced as the ``NeighborBatch`` it names and gathered by the consumer.
+  :class:`NeighborLists` is the uncompressed list-of-lists response kept
+  for the Table 3 ablation.
 * :class:`ShardedGraph` / :func:`build_shards` — partition-to-shard
   preprocessing, including the global -> (local ID, shard ID) address
   translation the engine uses everywhere.

@@ -6,16 +6,20 @@ methods mirror the paper's interface:
 
 * ``get_neighbor_infos(dest_shard, ids)`` — asynchronous batched
   fetch.  Same-machine requests take the zero-copy :class:`VertexProp`
-  path; cross-machine requests return a CSR-compressed
-  :class:`NeighborBatch` (or the uncompressed list-of-lists when the
-  *Compress* optimization is disabled, for the Table 3 ablation).
+  path; cross-machine requests return a
+  :class:`~repro.storage.vertex_prop.RowSelection` of the serving arena,
+  priced as a CSR-compressed :class:`NeighborBatch` and gathered by the
+  consumer (or the uncompressed list-of-lists when the *Compress*
+  optimization is disabled, for the Table 3 ablation).
 * ``get_neighbor_infos_single(dest_shard, node_id)`` — one node per RPC,
   the unbatched ablation baseline.
 * ``sample_one_neighbor(dest_shard, ids)`` — random-walk step.
 
 Nodes are addressed by node id throughout; ``dest_shard`` is the routing
 decision the caller already made with :func:`shard_masks` (one
-``searchsorted`` over the address book ``base``).
+``searchsorted`` between the ids and the address book ``base``).  Which
+shards are local, and the caller's own shard, are resolved once per
+facade.
 
 All methods return a future (already resolved for local calls), so driver
 code is identical with and without overlap — and is written once:
@@ -33,21 +37,34 @@ from repro.simt.compute import COMPUTE
 from repro.simt.events import Wait
 
 
-def shard_masks(base: np.ndarray, ids: np.ndarray) -> dict[int, np.ndarray]:
-    """Index array per destination shard (Figure 4's ``mask_dict``).
+def shard_masks(base: np.ndarray,
+                ids: np.ndarray) -> dict[int, slice | np.ndarray]:
+    """Index into ``ids`` per destination shard (Figure 4's ``mask_dict``).
 
     ``base`` is the address book (shard ``j`` owns ``[base[j], base[j+1])``).
-    Each entry holds the ascending positions in ``ids`` of the nodes that
-    shard owns — equivalent to ``np.flatnonzero(owner == j)`` for every
-    present shard, but built in one ``np.argsort`` pass instead of one
-    comparison scan per shard.  Only shards actually present get an entry,
-    in ascending shard order — at high machine counts a frontier usually
+    Entry ``j`` selects the ids shard ``j`` owns, in their order in ``ids``
+    (``ids[masks[j]]``).  Only shards actually present get an entry, in
+    ascending shard order — at high machine counts a frontier usually
     touches a few shards, and building all K masks per iteration is
     O(K·frontier) waste.  Callers must treat absent shards as empty
     (``masks.get(j)``).
+
+    Ascending ``ids`` (every PPR and WCC pop) are shard-major, so each
+    shard's ids are one run: one ``searchsorted`` of the address book into
+    ``ids`` finds the runs, and each entry is a ``slice`` (``ids[mask]`` is
+    a view).  Any other order is routed by one stable ``argsort`` of the
+    owners, and each entry is the ascending index array
+    ``np.flatnonzero(owner == j)``.  A caller that needs positions rather
+    than ids takes ``np.arange(len(ids))[mask]``.
     """
     if len(ids) == 0:
         return {}
+    if (ids[1:] >= ids[:-1]).all():
+        # runs before base[0] and from base[-1] on belong to the out-of-range
+        # owners -1 and K, as on the argsort path
+        cuts = [0, *np.searchsorted(ids, base).tolist(), len(ids)]
+        return {j - 1: slice(lo, hi)
+                for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi}
     owner = np.searchsorted(base, ids, side="right") - 1
     order = np.argsort(owner, kind="stable")
     boundaries = np.flatnonzero(np.diff(owner[order])) + 1
@@ -136,8 +153,11 @@ class DistGraphStorage:
         self.shard_id = int(shard_id)
         self.caller = caller
         self.compress = compress
+        self._local: list[bool] | None = None  # see _localities
+        #: this process's own shard (its halo cache answers remote ids)
+        self._own = rrefs[self.shard_id].local_value()
         #: the address book, as held by this machine's own shard
-        self.base = rrefs[self.shard_id].local_value().base
+        self.base = self._own.base
 
     @property
     def n_shards(self) -> int:
@@ -153,7 +173,16 @@ class DistGraphStorage:
 
     def is_local(self, dest_shard: int) -> bool:
         """Whether ``dest_shard``'s storage lives on the caller's machine."""
-        return self._rref(dest_shard).is_owner(self.caller)
+        self._rref(dest_shard)  # a bad shard is a ShardError
+        return self._localities()[dest_shard]
+
+    def _localities(self) -> list[bool]:
+        """Whether each shard lives on the caller's machine, resolved once:
+        on first use, because a facade may be built before its caller
+        registers with the RPC context."""
+        if self._local is None:
+            self._local = [rref.is_owner(self.caller) for rref in self.rrefs]
+        return self._local
 
     def owner_of(self, ids: np.ndarray) -> np.ndarray:
         """Owner shard of each node id."""
@@ -172,15 +201,12 @@ class DistGraphStorage:
         """
         rref = self._rref(dest_shard)
         if self.compress:
-            if rref.is_owner(self.caller):
+            if self._localities()[dest_shard]:
                 return rref.rpc_async(self.caller, "get_vertex_props", ids)
             # 2-hop halo cache: if the local shard caches every requested
             # node's row, answer from shared memory instead of the network.
-            local_rref = self.rrefs[self.shard_id]
-            local_shard = local_rref.local_value()
-            if (local_shard.has_halo_cache
-                    and local_shard.cache_mask(ids).all()):
-                return local_rref.rpc_async(
+            if self._own.has_halo_cache and self._own.cache_mask(ids).all():
+                return self.rrefs[self.shard_id].rpc_async(
                     self.caller, "get_cached_batch", ids
                 )
             return rref.rpc_async(self.caller, "get_neighbor_batch", ids)
@@ -209,6 +235,6 @@ class DistGraphStorage:
             self.caller, "source_weighted_degrees", ids
         )
 
-    def shard_masks(self, ids: np.ndarray) -> dict[int, np.ndarray]:
+    def shard_masks(self, ids: np.ndarray) -> dict[int, slice | np.ndarray]:
         """:func:`shard_masks` over this process's address book."""
         return shard_masks(self.base, ids)

@@ -76,8 +76,8 @@ class DistFeatureStore:
         """Issue one gather per owning shard.
 
         Returns ``(futures, masks)``: ``futures[j]`` resolves to the rows of
-        ``global_ids[masks[j]]`` (``masks`` are :func:`shard_masks` index
-        arrays).  The caller reassembles rows in request order (see
+        ``global_ids[masks[j]]`` (``masks`` are :func:`shard_masks`
+        selections).  The caller reassembles rows in request order (see
         :func:`assemble_rows`).
         """
         ids = sharded.nodes_of(global_ids)

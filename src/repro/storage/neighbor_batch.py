@@ -4,10 +4,11 @@
 flat per-neighbor columns — node ``ids``, edge ``weights`` and the
 neighbors' weighted degrees ``wdeg`` — plus ``src_wdeg``, the rows' own
 weighted degrees.  It is the only row format in the storage layer: a
-shard's arena, its 2-hop halo cache, a staged replacement, both blocks of
-a :class:`~repro.storage.shard_update.ShardUpdate`, a hot-cache row and
-every fetch response are values of this one type, so slicing, gathering,
-merging and pricing rows are each written once, here.
+shard's arena, its 2-hop halo cache, a staged replacement and both blocks
+of a :class:`~repro.storage.shard_update.ShardUpdate` are values of this
+one type, and every fetch response names rows of one
+(:mod:`repro.storage.vertex_prop`), so slicing, gathering, merging and
+pricing rows are each written once, here.
 
 On the wire a batch is **5 tensors total** regardless of batch size — the
 paper's *Compress* optimization.  :class:`NeighborLists` is the
@@ -15,9 +16,9 @@ list-of-lists response it replaces: **3 tensors per node**, exactly the
 TensorPipe-hostile pattern the paper measures as ~5x slower to transfer
 (Table 3, +Compress row).
 
-Both expose ``to_arrays()`` so the push operator consumes either
-uniformly; conversion cost for the uncompressed format lands on the
-consumer, as it does in the real system.
+Every response exposes ``to_arrays()`` so the push operator consumes any
+of them uniformly; conversion cost for the uncompressed format lands on
+the consumer, as it does in the real system.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ class NeighborBatch:
                 self.src_wdeg)
 
     def rpc_tensors(self):
-        """The tensors a serialized response would carry (buffer-pool hook)."""
-        return self.to_arrays()
+        """``(dtype, nbytes)`` of each tensor a serialized response would
+        carry (buffer-pool hook)."""
+        return [(a.dtype.str, int(a.nbytes)) for a in self.to_arrays()]
 
     @property
     def nbytes(self) -> int:
@@ -93,13 +95,14 @@ class NeighborBatch:
         return self
 
     def materialize(self) -> "NeighborBatch":
-        """Copy-on-serialize: a batch backed by private, writable arrays.
+        """A batch backed by private, writable arrays.
 
-        View-backed batches alias the shard's read-only arena; the RPC
-        boundary (and any consumer that wants ownership) calls this to
-        detach.  Values are bitwise identical.
+        View-backed batches alias the shard's read-only arena; a consumer
+        that wants to write rows calls this to detach them.  Values and
+        modelled bytes are identical.  Nothing on the fetch path calls it:
+        the RPC boundary hands responses over by reference.
         """
-        # repro: allow=REP011 copy-on-serialize is the one sanctioned copy point
+        # repro: allow=REP011 explicit detach for a consumer that writes rows
         copies = tuple(a.copy() for a in self.to_arrays())
         return NeighborBatch(*copies, check=False)
 
@@ -116,12 +119,13 @@ class NeighborBatch:
     def take_rows(self, rows: np.ndarray) -> "NeighborBatch":
         """A new batch holding the given rows, in the given order.
 
-        The one slice-or-gather of the storage layer (local fetches,
-        remote responses, halo-cache reads and single-flight extraction
-        all come through here).  When ``rows`` is one ascending run the
-        result is pure zero-copy slices (:meth:`slice_rows`); otherwise
-        one gather with a flat index (no Python loop).  Both paths return
-        bitwise-identical values.
+        The one slice-or-gather of a block of rows (every response's
+        ``to_arrays()`` comes through here; a Forward-Push round gathers
+        its responses with :func:`~repro.storage.vertex_prop.gather_rows`).
+        When ``rows`` is one ascending run the result is pure zero-copy
+        slices (:meth:`slice_rows`); otherwise one gather with a flat
+        index (no Python loop).  Both paths return bitwise-identical
+        values.
         """
         rows = np.asarray(rows, dtype=np.int64)
         n = len(rows)
@@ -195,36 +199,6 @@ class NeighborBatch:
             src_wdeg[pos] = batch.src_wdeg
         return cls(indptr, ids, w, wdeg, src_wdeg, check=False)
 
-    @classmethod
-    def concat(cls, responses: list) -> "NeighborBatch":
-        """The rows of every response, in list order, as one batch.
-
-        ``responses`` are any ``to_arrays()`` responses (NeighborBatch,
-        VertexProp, NeighborLists).  A single response is wrapped without a
-        copy; several are written into one fresh batch, part by part.
-        """
-        parts = [r.to_arrays() for r in responses]
-        if len(parts) == 1:
-            return cls(*parts[0], check=False)
-        n_rows = sum(len(p[4]) for p in parts)
-        n_entries = sum(len(p[1]) for p in parts)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        ids = np.empty(n_entries, dtype=np.int64)
-        w = np.empty(n_entries, dtype=np.float64)
-        wdeg = np.empty(n_entries, dtype=np.float64)
-        src_wdeg = np.empty(n_rows, dtype=np.float64)
-        row = entry = 0
-        for p_indptr, p_ids, p_w, p_wdeg, p_src_wdeg in parts:
-            rows, entries = len(p_src_wdeg), len(p_ids)
-            indptr[row + 1:row + rows + 1] = p_indptr[1:] + entry
-            ids[entry:entry + entries] = p_ids
-            w[entry:entry + entries] = p_w
-            wdeg[entry:entry + entries] = p_wdeg
-            src_wdeg[row:row + rows] = p_src_wdeg
-            row += rows
-            entry += entries
-        return cls(indptr, ids, w, wdeg, src_wdeg, check=False)
-
 
 class NeighborLists:
     """Uncompressed list-of-lists response (ablation baseline)."""
@@ -272,7 +246,9 @@ class NeighborLists:
         return nbytes, n_tensors
 
     def rpc_tensors(self):
-        """Every per-node tensor a transfer would wrap (buffer-pool hook)."""
-        yield self.src_wdeg
+        """``(dtype, nbytes)`` of every per-node tensor a transfer would
+        wrap (buffer-pool hook)."""
+        yield self.src_wdeg.dtype.str, int(self.src_wdeg.nbytes)
         for entry in self.entries:
-            yield from entry
+            for arr in entry:
+                yield arr.dtype.str, int(arr.nbytes)

@@ -35,7 +35,7 @@ from repro.errors import ShardError
 from repro.rpc.handlers import rpc_handler
 from repro.storage.neighbor_batch import NeighborBatch, NeighborLists
 from repro.storage.shard_update import ShardUpdate
-from repro.storage.vertex_prop import VertexProp
+from repro.storage.vertex_prop import RowSelection, VertexProp
 from repro.utils.rng import rng_from_seed
 
 
@@ -69,10 +69,10 @@ class GraphShard:
         self.base = base
         self._lo, self._hi = int(base[shard_id]), int(base[shard_id + 1])
         self.core_global = core_global
-        # The arena is read-only: fetch responses are zero-copy views into
-        # these arrays, so an in-place write anywhere would silently
-        # corrupt every outstanding response.  Mutation goes through the
-        # staged two-phase path, which builds fresh rows and swaps.
+        # The arena is read-only: fetch responses name rows of these
+        # arrays (or are views into them), so an in-place write anywhere
+        # would silently corrupt every outstanding response.  Mutation goes
+        # through the staged two-phase path, which builds fresh rows and swaps.
         self.rows = rows.freeze()
         core_global.flags.writeable = False
         self._seed = seed
@@ -129,23 +129,26 @@ class GraphShard:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 1:
             raise ShardError(f"ids must be 1-D, got shape {ids.shape}")
-        if len(ids) and (ids.min() < self._lo or ids.max() >= self._hi):
+        rows = ids - self._lo
+        # ids below lo wrap past n_core as uint64: one pass checks both ends
+        if len(rows) and rows.view(np.uint64).max() >= self._hi - self._lo:
             raise ShardError(
                 f"ids out of range for shard {self.shard_id} "
                 f"[{self._lo}, {self._hi}): [{ids.min()}, {ids.max()}]"
             )
-        return ids - self._lo
+        return rows
 
     # -- fetch API (the "Graph Storage" operations) --------------------------
     @rpc_handler
     def get_vertex_props(self, ids) -> VertexProp:
-        """Zero-copy local fetch: views over the shard arrays."""
+        """Zero-copy local fetch: the requested rows of the arena."""
         return VertexProp(self.rows, self._rows_of(ids))
 
     @rpc_handler
-    def get_neighbor_batch(self, ids) -> NeighborBatch:
-        """CSR-compressed batch response (remote fetch, *Compress* mode)."""
-        return self.rows.take_rows(self._rows_of(ids))
+    def get_neighbor_batch(self, ids) -> RowSelection:
+        """CSR-compressed batch response (remote fetch, *Compress* mode):
+        the requested rows of the arena, priced as the gathered batch."""
+        return RowSelection(self.rows, self._rows_of(ids))
 
     @rpc_handler
     def get_neighbor_lists(self, ids) -> NeighborLists:
@@ -228,7 +231,7 @@ class GraphShard:
         if rows.n_sources != len(halo_ids):
             raise ShardError("halo rows / halo_ids length mismatch")
         # The cache is part of the read-only arena: get_cached_batch hands
-        # out zero-copy views into these arrays.
+        # out selections of these arrays.
         halo_ids.flags.writeable = False
         self.halo_ids = halo_ids
         self.halo = rows.freeze()
@@ -245,8 +248,9 @@ class GraphShard:
         return _find_sorted(self.halo_ids, ids)[1]
 
     @rpc_handler
-    def get_cached_batch(self, ids) -> NeighborBatch:
-        """Serve remote shards' nodes from the local halo cache."""
+    def get_cached_batch(self, ids) -> RowSelection:
+        """Serve remote shards' nodes from the local halo cache: the
+        requested rows of the cache, priced as the gathered batch."""
         if self.halo is None:
             raise ShardError(f"shard {self.shard_id} has no halo cache")
         ids = np.asarray(ids, dtype=np.int64)
@@ -257,7 +261,7 @@ class GraphShard:
                 f"halo cache miss for {len(missing)} nodes "
                 f"(first id {missing[0]})"
             )
-        return self.halo.take_rows(pos)
+        return RowSelection(self.halo, pos)
 
     # -- streaming: staged batch application ---------------------------------
     # Two-phase protocol (repro.stream.ingest): the driver stages one
@@ -351,15 +355,18 @@ class GraphShard:
         return 1
 
     @rpc_handler
-    def install_halo_rows(self, ids, rows: NeighborBatch) -> int:
+    def install_halo_rows(self, ids, rows) -> int:
         """Merge replacement/replica rows into the halo cache.
 
-        ``ids`` are ascending node ids, one per row of ``rows``; rows for
-        ids already cached replace the old content, new ids extend
-        coverage (the replication path of telemetry-driven rebalancing).
-        Creates the cache if the shard had none.
+        ``ids`` are ascending node ids, one per row of ``rows`` (any
+        ``to_arrays()`` response; the cache stores them as a
+        :class:`NeighborBatch`); rows for ids already cached replace the
+        old content, new ids extend coverage (the replication path of
+        telemetry-driven rebalancing).  Creates the cache if the shard had
+        none.
         """
         ids = np.asarray(ids, dtype=np.int64)
+        rows = NeighborBatch(*rows.to_arrays())
         if self.halo is None:
             self.install_halo_cache(ids, rows)
             return int(len(ids))

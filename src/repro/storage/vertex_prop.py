@@ -1,14 +1,23 @@
-"""Zero-copy local fetch results.
+"""Fetch responses that name arena rows instead of copying them, and the
+one gather that reads them.
 
-A :class:`VertexProp` is what a local (shared-memory) ``get_neighbor_infos``
-returns: no data is copied — it records the shard's arena and the requested
-rows, and exposes views into the arena's flat arrays.  This mirrors
-the paper's optimization of passing "a vector of shared pointers of
-VertexProp across the C++ and Python layers for local fetching, without
-taking ownership of the original data".
+A :class:`RowSelection` is what a remote ``get_neighbor_infos`` returns: the
+serving shard's frozen arena (or halo cache) and the indices of the
+requested rows.  The server gathers nothing; the consumer gathers each
+row once — ``to_arrays()`` through :meth:`NeighborBatch.take_rows`, or a
+Forward-Push round straight into its round buffers (:func:`gather_rows`).
+On the modelled wire a selection is the CSR batch it names:
+:meth:`RowSelection.rpc_payload` and :meth:`RowSelection.rpc_tensors`
+report the bytes and tensors of the gathered :class:`NeighborBatch`, so
+every RPC count and virtual second is the one a gathering server would
+produce.  An outstanding selection stays valid because a commit swaps in
+a new arena and never writes the old one.
 
-``to_arrays()`` materializes the same tuple a :class:`NeighborBatch` carries
-(gather cost paid by the consumer, i.e. priced into the push it feeds).
+A :class:`VertexProp` is the same selection returned by a local
+(shared-memory) fetch.  This mirrors the paper's optimization of passing
+"a vector of shared pointers of VertexProp across the C++ and Python
+layers for local fetching, without taking ownership of the original
+data": its modelled payload is a pointer handoff.
 """
 
 from __future__ import annotations
@@ -17,15 +26,31 @@ import numpy as np
 
 from repro.storage.neighbor_batch import NeighborBatch
 
+_INDPTR = np.dtype(np.int64).str
 
-class VertexProp:
-    """Views over a shard's arena rows for a batch of core nodes."""
 
-    __slots__ = ("arena", "rows")
+class RowSelection:
+    """Rows ``rows`` of the frozen arena ``arena``, in request order."""
+
+    __slots__ = ("arena", "rows", "_extent")
 
     def __init__(self, arena: NeighborBatch, rows: np.ndarray) -> None:
         self.arena = arena
         self.rows = rows
+        self._extent = None
+
+    def extent(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(starts, counts, n_entries)``: where each selected row begins
+        in the arena's flat columns, its length, and their total —
+        computed on first use (pricing or gathering), then kept.  The
+        value is a pure function of the frozen arena, so a serving and a
+        consuming thread that race here only compute it twice."""
+        if self._extent is None:
+            indptr = self.arena.indptr
+            starts = indptr.take(self.rows)
+            counts = indptr[1:].take(self.rows) - starts
+            self._extent = (starts, counts, int(counts.sum()))
+        return self._extent
 
     @property
     def n_sources(self) -> int:
@@ -33,8 +58,34 @@ class VertexProp:
 
     @property
     def n_entries(self) -> int:
-        indptr = self.arena.indptr
-        return int((indptr[self.rows + 1] - indptr[self.rows]).sum())
+        return self.extent()[2]
+
+    def to_arrays(self):
+        """Materialize ``(indptr, ids, w, wdeg, src_wdeg)``.
+
+        Zero-copy slices of the arena when the rows are one ascending run,
+        else one gather — see :meth:`NeighborBatch.take_rows`.
+        """
+        return self.arena.take_rows(self.rows).to_arrays()
+
+    def rpc_tensors(self):
+        """``(dtype, nbytes)`` of each tensor of the gathered batch."""
+        n, e = len(self.rows), self.n_entries
+        a = self.arena
+        return ((_INDPTR, 8 * (n + 1)), (a.ids.dtype.str, e * a.ids.itemsize),
+                (a.weights.dtype.str, e * a.weights.itemsize),
+                (a.wdeg.dtype.str, e * a.wdeg.itemsize),
+                (a.src_wdeg.dtype.str, n * a.src_wdeg.itemsize))
+
+    def rpc_payload(self) -> tuple[int, int]:
+        """The gathered batch's bytes, in its 5 tensors."""
+        return sum(nbytes for _, nbytes in self.rpc_tensors()), 5
+
+
+class VertexProp(RowSelection):
+    """A local fetch's rows: views over the caller's own shard arena."""
+
+    __slots__ = ()
 
     def degree(self, i: int) -> int:
         """Neighbor count of the i-th requested node."""
@@ -52,13 +103,9 @@ class VertexProp:
         """Own weighted degree of each requested node."""
         return self.arena.src_wdeg[self.rows]
 
-    def to_arrays(self):
-        """Materialize ``(indptr, ids, w, wdeg, src_wdeg)``.
-
-        Zero-copy slices of the arena when the rows are one ascending run,
-        else one gather — see :meth:`NeighborBatch.take_rows`.
-        """
-        return self.arena.take_rows(self.rows).to_arrays()
+    def rpc_tensors(self):
+        """Pointer-passing puts no tensor on the wire."""
+        return ()
 
     def rpc_payload(self) -> tuple[int, int]:
         """Local handoff is pointer-passing: negligible payload.
@@ -68,3 +115,47 @@ class VertexProp:
         (unsent) underlying arrays.
         """
         return 16 * (len(self.rows) + 1), 1
+
+
+def gather_rows(responses: list) -> tuple:
+    """The rows of every response, in list order, gathered once:
+    ``(indptr, ids, w, wdeg, src_wdeg)``.
+
+    A Forward-Push round's one gather: each selection's rows are read
+    straight from its arena into the round buffers; any other
+    ``to_arrays()`` response (``NeighborLists``) contributes its rows as
+    they are.  A single response is its own ``to_arrays()`` — zero-copy
+    slices when its rows are one ascending run.
+    """
+    if len(responses) == 1:
+        return responses[0].to_arrays()
+    parts = [r if isinstance(r, RowSelection) else
+             RowSelection(NeighborBatch(*r.to_arrays(), check=False),
+                          np.arange(r.n_sources))
+             for r in responses]
+    extents = [part.extent() for part in parts]
+    # repro: allow=REP011 the round gather copies each fetched row once
+    starts = np.concatenate([extent[0] for extent in extents])
+    row_counts = np.concatenate([extent[1] for extent in extents])  # repro: allow=REP011
+    n_rows = len(row_counts)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=indptr[1:])
+    n_entries = int(indptr[-1])
+    # repro: allow=REP011 the round gather's flat index into each arena
+    idx = np.repeat(starts - indptr[:-1], row_counts)
+    idx += np.arange(n_entries)
+    ids = np.empty(n_entries, dtype=np.int64)
+    w = np.empty(n_entries)
+    wdeg = np.empty(n_entries)
+    src_wdeg = np.empty(n_rows)
+    r0 = e0 = 0
+    for part, (_, _, n) in zip(parts, extents):
+        r1, e1 = r0 + len(part.rows), e0 + n
+        at = idx[e0:e1]
+        arena = part.arena
+        arena.ids.take(at, out=ids[e0:e1], mode="clip")
+        arena.weights.take(at, out=w[e0:e1], mode="clip")
+        arena.wdeg.take(at, out=wdeg[e0:e1], mode="clip")
+        arena.src_wdeg.take(part.rows, out=src_wdeg[r0:r1], mode="clip")
+        r0, e0 = r1, e1
+    return indptr, ids, w, wdeg, src_wdeg

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.simt.events import Wait, WaitAll
+from repro.storage.neighbor_batch import NeighborBatch
 from repro.stream.ingest import run_round
 
 
@@ -140,15 +141,17 @@ def _jobs_for(sharded, decisions):
 def rebalance_driver(rrefs, caller, jobs, metrics):
     """Move/replicate rows as ordinary RPC traffic (coroutine body).
 
-    Per job: one ``get_neighbor_batch`` from the owner (the copy), then
-    one ``install_halo_rows`` per destination — so drops, retries,
-    spans and payload pricing all apply.
+    Per job: one ``get_neighbor_batch`` from the owner (the copy: its
+    rows, gathered into a :class:`NeighborBatch`), then one
+    ``install_halo_rows`` per destination — so drops, retries, spans and
+    payload pricing all apply.
     """
     bytes_copied = 0
     for src, node_id, dsts in jobs:
         ids = np.array([node_id], dtype=np.int64)
-        batch = yield Wait(rrefs[src].rpc_async(caller, "get_neighbor_batch",
-                                                ids))
+        rows = yield Wait(rrefs[src].rpc_async(caller, "get_neighbor_batch",
+                                               ids))
+        batch = NeighborBatch(*rows.to_arrays(), check=False)
         bytes_copied += batch.rpc_payload()[0]
         futs = [rrefs[d].rpc_async(caller, "install_halo_rows", ids, batch)
                 for d in dsts]

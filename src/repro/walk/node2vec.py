@@ -75,7 +75,7 @@ def distributed_node2vec_walk(g: DistGraphStorage, proc, roots: np.ndarray,
         for j, fut in futs.items():
             infos = yield Wait(fut)
             indptr, nbr_ids, weights, _wd, _src = infos.to_arrays()
-            walker_rows = masks[j]  # index array: walker rows directly
+            walker_rows = np.arange(len(cur))[masks[j]]
             for i, walker in enumerate(walker_rows):
                 s, e = indptr[i], indptr[i + 1]
                 if s == e:  # stuck walker stays put

@@ -9,6 +9,7 @@ from repro.graph import powerlaw_cluster
 from repro.partition import HashPartitioner, MetisLitePartitioner
 from repro.ppr import forward_push_parallel
 from repro.storage import build_shards
+from repro.storage.neighbor_batch import NeighborBatch
 
 PARAMS = PPRParams()
 
@@ -118,7 +119,8 @@ class TestInstallHaloRows:
         new_ids = np.sort(np.concatenate([
             cached[sharded.owner_of(cached) == 1], uncached]))
         # incoming content differs from the cached content: doubled weights
-        new = shard1.get_neighbor_batch(new_ids).materialize()
+        new = NeighborBatch(
+            *shard1.get_neighbor_batch(new_ids).to_arrays()).materialize()
         new.weights *= 2.0
         old_ids, old = shard0.halo_ids, shard0.halo
         want_ids, want_rows = _merge_by_loop(old_ids, old, new_ids, new)

@@ -250,7 +250,7 @@ class TestSlotFrontierInvariant:
                 after = check_push(m, infos, node_ids[mask], 1.0)
                 # every node this response reached that now sits above
                 # its threshold is activated
-                hit = np.unique(m.map.lookup(infos.ids))
+                hit = np.unique(m.map.lookup(infos.to_arrays()[1]))
                 hot = hit[m.residual[hit]
                           > m.params.epsilon * m.wdeg[hit]]
                 assert np.isin(hot, after).all()

@@ -104,29 +104,6 @@ class TestFormatEquivalenceProperties:
         _, uncompressed = shard.get_neighbor_lists(ids).rpc_payload()
         assert compressed < uncompressed
 
-    @given(n=st.integers(10, 80), seed=st.integers(0, 20))
-    @settings(max_examples=15, deadline=None)
-    def test_concat_is_the_rows_in_order(self, n, seed):
-        """``NeighborBatch.concat`` of one shard's responses in the three
-        formats is the one batch over all their rows, in list order."""
-        g = erdos_renyi(n, 4, seed=seed)
-        sharded = build_shards(g, HashPartitioner().partition(g, 1))
-        shard = sharded.shards[0]
-        rng = np.random.default_rng(seed)
-        parts = [rng.choice(shard.n_core, size=size, replace=False)
-                 for size in (3, 0, 2, 4)]
-        responses = [shard.get_vertex_props(parts[0]),
-                     shard.get_neighbor_batch(parts[1]),
-                     shard.get_neighbor_lists(parts[2]),
-                     shard.get_neighbor_batch(parts[3])]
-        got = NeighborBatch.concat(responses).to_arrays()
-        want = shard.get_neighbor_batch(np.concatenate(parts)).to_arrays()
-        for x, y in zip(got, want):
-            np.testing.assert_array_equal(x, y)
-        one = NeighborBatch.concat(responses[:1]).to_arrays()
-        for x, y in zip(one, responses[0].to_arrays()):
-            np.testing.assert_array_equal(x, y)
-
 
 class TestDdpReplicaSync:
     def test_replicas_bit_identical_after_training(self):

@@ -263,6 +263,19 @@ class TestShardFetch:
         with pytest.raises(ShardError, match="out of range"):
             sharded.shards[1].get_neighbor_batch(np.array([0]))
 
+    def test_out_of_range_message_names_the_range(self, sharded):
+        s1 = sharded.shards[1]  # owns ids [3, 5)
+        for ids, shown in (([3, -2, 4], "[-2, 4]"),   # a negative id
+                           ([4, 5], "[4, 5]"),        # hi itself
+                           ([9, 3], "[3, 9]"),        # past hi
+                           ([-1, 9], "[-1, 9]")):     # both ends
+            with pytest.raises(ShardError) as exc:
+                s1.get_neighbor_batch(np.array(ids))
+            assert str(exc.value) == \
+                f"ids out of range for shard 1 [3, 5): {shown}"
+        # the bounds themselves are in range
+        assert s1.get_neighbor_batch(np.array([3, 4])).n_sources == 2
+
     def test_compressed_payload_constant_tensors(self, sharded):
         s0 = sharded.shards[0]
         small = s0.get_neighbor_batch(np.array([0]))

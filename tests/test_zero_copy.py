@@ -3,8 +3,9 @@
 Three pillars:
 
 * **Round-trip equivalence** (hypothesis): a view-backed
-  :class:`NeighborBatch` — arrays aliasing the shard's read-only CSC
-  arena — and its :meth:`materialize` copy stay bitwise identical
+  :class:`NeighborBatch` — a fetch response's rows gathered through
+  ``to_arrays()``, aliasing the shard's read-only CSC arena where they
+  can — and its :meth:`materialize` copy stay bitwise identical
   through ``take_rows``, split + ``merge``, and the serialization cost
   model, for arbitrary id sets (contiguous runs take the slice fast
   path, scattered ids the gather fallback; both must agree).
@@ -53,6 +54,12 @@ runs = st.tuples(
                           dtype=np.int64))
 
 
+def gathered(response) -> NeighborBatch:
+    """A fetch response's rows as a batch (views where ``take_rows``
+    slices)."""
+    return NeighborBatch(*response.to_arrays())
+
+
 def assert_batches_bitwise_equal(a: NeighborBatch, b: NeighborBatch):
     for left, right in zip(a.to_arrays(), b.to_arrays()):
         assert left.dtype == right.dtype
@@ -63,11 +70,13 @@ class TestViewCopyRoundTrip:
     @given(ids=st.one_of(runs, id_sets))
     @settings(max_examples=60, deadline=None)
     def test_materialize_is_bitwise_identical(self, ids):
-        batch = SHARD.get_neighbor_batch(ids)
+        response = SHARD.get_neighbor_batch(ids)
+        batch = gathered(response)
         mat = batch.materialize()
         assert_batches_bitwise_equal(batch, mat)
         # same modeled wire cost: the RPC byte counters cannot move
-        assert payload_sizes(batch) == payload_sizes(mat)
+        assert payload_sizes(response) == payload_sizes(batch) \
+            == payload_sizes(mat)
         # the copy owns its buffers; the view may alias the frozen arena
         for arr in mat.to_arrays():
             assert arr.flags.writeable
@@ -75,7 +84,7 @@ class TestViewCopyRoundTrip:
     @given(ids=runs)
     @settings(max_examples=30, deadline=None)
     def test_contiguous_fetch_aliases_the_arena(self, ids):
-        batch = SHARD.get_neighbor_batch(ids)
+        batch = gathered(SHARD.get_neighbor_batch(ids))
         # the flat arrays are views into the arena, not copies
         assert batch.ids.base is not None
         assert np.shares_memory(batch.ids, SHARD.rows.ids) \
@@ -109,7 +118,7 @@ class TestViewCopyRoundTrip:
     @given(ids=st.one_of(runs, id_sets), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_take_rows_agrees_across_backings(self, ids, data):
-        batch = SHARD.get_neighbor_batch(ids)
+        batch = gathered(SHARD.get_neighbor_batch(ids))
         mat = batch.materialize()
         n = batch.n_sources
         rows = data.draw(st.lists(
@@ -122,7 +131,7 @@ class TestViewCopyRoundTrip:
     @given(ids=st.one_of(runs, id_sets), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_split_merge_round_trips(self, ids, data):
-        batch = SHARD.get_neighbor_batch(ids)
+        batch = gathered(SHARD.get_neighbor_batch(ids))
         n = batch.n_sources
         # arbitrary permutation, arbitrary cut into parts
         perm = np.array(data.draw(st.permutations(range(n))),
@@ -145,14 +154,16 @@ class TestMutationGuard:
                 arr[0] = 1
 
     def test_view_backed_batch_rejects_writes(self):
-        batch = SHARD.get_neighbor_batch(np.arange(10, dtype=np.int64))
+        batch = gathered(SHARD.get_neighbor_batch(
+            np.arange(10, dtype=np.int64)))
         with pytest.raises(ValueError):
             batch.ids[0] = 99
         with pytest.raises(ValueError):
             batch.weights[0] = 0.5
 
     def test_materialized_batch_is_writable_and_detached(self):
-        batch = SHARD.get_neighbor_batch(np.arange(10, dtype=np.int64))
+        batch = gathered(SHARD.get_neighbor_batch(
+            np.arange(10, dtype=np.int64)))
         mat = batch.materialize()
         if mat.n_entries:
             before = int(batch.ids[0])
@@ -165,7 +176,7 @@ class TestMutationGuard:
                                halo_hops=2)
         shard = sharded.shards[0]
         assert shard.has_halo_cache
-        batch = shard.get_cached_batch(shard.halo_ids[:1])
+        batch = gathered(shard.get_cached_batch(shard.halo_ids[:1]))
         with pytest.raises(ValueError):
             batch.ids[:] = -1
 
@@ -185,8 +196,8 @@ class _FreeListPool:
 
         borrowed = []
         hits = reused = 0
-        for arr in _iter_tensors(result):
-            key = (arr.dtype.str, size_class(int(arr.nbytes)))
+        for dtype, nbytes in _iter_tensors(result):
+            key = (dtype, size_class(nbytes))
             free = self._free.get(key, 0)
             if free:
                 self._free[key] = free - 1
