@@ -18,7 +18,7 @@ from repro.ppr import (
     PPRParams,
     forward_push_parallel,
     l1_error,
-    monte_carlo_ssppr_unweighted,
+    monte_carlo_ssppr,
     power_iteration_ssppr,
     topk_precision,
 )
@@ -56,8 +56,8 @@ def run_methods() -> list[dict]:
         )
 
         start = time.perf_counter()
-        mc = monte_carlo_ssppr_unweighted(graph, int(s), alpha=params.alpha,
-                                          n_walks=N_WALKS, seed=int(s))
+        mc = monte_carlo_ssppr(graph, int(s), alpha=params.alpha,
+                               n_walks=N_WALKS, seed=int(s))
         dt = time.perf_counter() - start
         agg["monte_carlo"].append(
             (dt, l1_error(mc, exact), topk_precision(mc, exact, 50))

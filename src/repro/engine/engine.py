@@ -238,7 +238,7 @@ class GraphEngine:
         Returns ``(labels, makespan)`` — labels are canonical per-component
         minimum global IDs.
         """
-        from repro.walk.wcc import distributed_wcc
+        from repro.walk.wcc import canonical_labels, distributed_wcc
 
         cfg = self.config
         cluster = SimCluster(self.sharded, cfg)
@@ -257,11 +257,7 @@ class GraphEngine:
             np.minimum.at(labels, self.sharded.globals_of(ids), labs)
         # Canonicalize: label = min global ID within each class.  Every
         # core node is seeded, so all nodes are touched.
-        out = np.empty(self.graph.n_nodes, dtype=np.int64)
-        for lab in np.unique(labels):
-            members = np.flatnonzero(labels == lab)
-            out[members] = members.min()
-        return out, makespan
+        return canonical_labels(labels), makespan
 
 
 @dataclass

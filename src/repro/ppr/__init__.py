@@ -35,7 +35,7 @@ from repro.ppr.fora import fora_ssppr
 from repro.ppr.forward_push_parallel import forward_push_parallel
 from repro.ppr.forward_push_seq import forward_push_sequential
 from repro.ppr.hashmap import ShardedMap
-from repro.ppr.monte_carlo import monte_carlo_ssppr, monte_carlo_ssppr_unweighted
+from repro.ppr.monte_carlo import monte_carlo_ssppr
 from repro.ppr.multi_query import MultiSSPPR, QueryView
 from repro.ppr.params import PPRParams
 from repro.ppr.power_iteration import power_iteration_ssppr
@@ -58,7 +58,6 @@ __all__ = [
     "forward_push_sequential",
     "l1_error",
     "monte_carlo_ssppr",
-    "monte_carlo_ssppr_unweighted",
     "power_iteration_ssppr",
     "topk_nodes",
     "topk_precision",

@@ -12,7 +12,10 @@ tuned continuously between pure push and pure Monte-Carlo:
 
 Implemented single-machine (the refinement stage is embarrassingly
 parallel across residual nodes; the distributed engine's Forward Push
-stage can feed it directly via ``SSPPR.results``/residuals).
+stage could feed it through :meth:`QueryView.dense_result` and
+:meth:`QueryView.dense_residual`).  The walks are
+:func:`~repro.ppr.monte_carlo.restart_walks`, each carrying its share of
+its origin's residual.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.ppr.forward_push_parallel import forward_push_parallel
+from repro.ppr.monte_carlo import restart_walks
 from repro.ppr.params import PPRParams
 from repro.utils.rng import rng_from_seed
 from repro.utils.validation import check_positive
@@ -46,57 +50,14 @@ def fora_ssppr(graph: CSRGraph, source: int, *, alpha: float = 0.462,
     params = PPRParams(alpha=alpha, epsilon=push_epsilon)
     ppr, residual, _stats = forward_push_parallel(graph, source, params)
 
-    estimate = ppr.copy()
     hot = np.flatnonzero(residual > 0)
     if len(hot) == 0:
-        return estimate
+        return ppr
 
     # Launch walks from every residual node, each walk carrying its
     # origin's per-walk residual weight.
     n_walks = np.ceil(residual[hot] * walks_per_unit).astype(np.int64)
     origins = np.repeat(hot, n_walks)
-    walk_weight = np.repeat(residual[hot] / n_walks, n_walks)
-    current = origins.copy()
-    alive = np.ones(len(origins), dtype=bool)
-    degrees = np.diff(graph.indptr)
-
-    for _ in range(max_steps):
-        if not alive.any():
-            break
-        live_idx = np.flatnonzero(alive)
-        nodes = current[live_idx]
-        fire = rng.random(len(live_idx)) < alpha
-        dangling = degrees[nodes] == 0
-        stop = fire | dangling
-        if stop.any():
-            stopped = live_idx[stop]
-            np.add.at(estimate, current[stopped], walk_weight[stopped])
-            alive[stopped] = False
-        move_idx = live_idx[~stop]
-        if len(move_idx) == 0:
-            continue
-        # Weighted neighbor step via vectorized rejection sampling:
-        # propose uniformly, accept with probability w / w_max.
-        w_max = graph.weights.max() if graph.n_arcs else 1.0
-        pending = move_idx
-        for _round in range(64):
-            if len(pending) == 0:
-                break
-            nodes = current[pending]
-            offsets = rng.integers(0, np.maximum(degrees[nodes], 1))
-            pick = np.minimum(graph.indptr[nodes] + offsets,
-                              max(graph.n_arcs - 1, 0))
-            accept = rng.random(len(pending)) < graph.weights[pick] / w_max
-            taken = pending[accept]
-            current[taken] = graph.indices[pick[accept]]
-            pending = pending[~accept]
-        if len(pending):  # pathological weights: fall back to uniform
-            nodes = current[pending]
-            offsets = rng.integers(0, np.maximum(degrees[nodes], 1))
-            pick = np.minimum(graph.indptr[nodes] + offsets,
-                              max(graph.n_arcs - 1, 0))
-            current[pending] = graph.indices[pick]
-    if alive.any():
-        stopped = np.flatnonzero(alive)
-        np.add.at(estimate, current[stopped], walk_weight[stopped])
-    return estimate
+    mass = np.repeat(residual[hot] / n_walks, n_walks)
+    return ppr + restart_walks(graph, origins, mass, alpha=alpha,
+                               max_steps=max_steps, rng=rng)

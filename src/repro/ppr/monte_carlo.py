@@ -9,8 +9,10 @@ implements the Monte-Carlo estimator so the trade-off is measurable:
 simulate ``n_walks`` alpha-terminated random walks from the source and
 estimate ``pi(s, v)`` as the fraction of walks terminating at ``v``.
 
-Walks are simulated in vectorized generations (all live walkers advance
-one step per NumPy round), so cost is O(total steps), independent of |V|.
+:func:`restart_walks` is the one walk kernel, shared with the FORA hybrid
+(:mod:`~repro.ppr.fora`).  All live walkers advance together, one NumPy
+round per step, and each weighted step is one ``searchsorted`` over the
+arcs' running weight total, so cost is O(total steps + |E|).
 """
 
 from __future__ import annotations
@@ -20,6 +22,52 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import rng_from_seed
 from repro.utils.validation import check_in_range, check_positive
+
+
+def restart_walks(graph: CSRGraph, origins: np.ndarray, mass: np.ndarray, *,
+                  alpha: float, max_steps: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Walk from every origin until the restart fires; return landed mass.
+
+    Walk ``i`` starts at ``origins[i]`` carrying ``mass[i]``.  Each step
+    it terminates at its current node with probability ``alpha`` (a
+    dangling node terminates it at once), else moves along an out-arc
+    picked with probability proportional to the arc's weight.  Walks
+    still alive after ``max_steps`` terminate where they stand.  Entry
+    ``v`` of the result is the total mass of the walks ending at ``v``.
+    """
+    landed = np.zeros(graph.n_nodes)
+    current = np.array(origins, dtype=np.int64)
+    alive = np.ones(len(current), dtype=bool)
+    degrees = np.diff(graph.indptr)
+    # running[j] = total weight of arcs [0, j); row u spans
+    # running[indptr[u]] .. running[indptr[u + 1]]
+    running = np.zeros(graph.n_arcs + 1)
+    np.cumsum(graph.weights, out=running[1:])
+
+    for _ in range(max_steps):
+        live = np.flatnonzero(alive)
+        if len(live) == 0:
+            break
+        nodes = current[live]
+        stop = (rng.random(len(live)) < alpha) | (degrees[nodes] == 0)
+        ended = live[stop]
+        np.add.at(landed, current[ended], mass[ended])
+        alive[ended] = False
+        # Survivors take one weighted step: an inverse-CDF draw inside
+        # the walker's row, clipped so rounding cannot leave the row.
+        move = live[~stop]
+        nodes = current[move]
+        starts = graph.indptr[nodes]
+        target = (running[starts]
+                  + rng.random(len(move)) * graph.weighted_degrees[nodes])
+        pick = np.searchsorted(running, target, side="right") - 1
+        pick = np.clip(pick, starts, starts + degrees[nodes] - 1)
+        current[move] = graph.indices[pick]
+
+    live = np.flatnonzero(alive)
+    np.add.at(landed, current[live], mass[live])
+    return landed
 
 
 def monte_carlo_ssppr(graph: CSRGraph, source: int, *, alpha: float = 0.462,
@@ -43,94 +91,7 @@ def monte_carlo_ssppr(graph: CSRGraph, source: int, *, alpha: float = 0.462,
     n = graph.n_nodes
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range [0, {n})")
-    rng = rng_from_seed(seed)
-
-    counts = np.zeros(n, dtype=np.int64)
-    current = np.full(n_walks, source, dtype=np.int64)
-    alive = np.ones(n_walks, dtype=bool)
-    degrees = np.diff(graph.indptr)
-
-    for _ in range(max_steps):
-        if not alive.any():
-            break
-        live_idx = np.flatnonzero(alive)
-        live_nodes = current[live_idx]
-        # Terminate: restart fires, or the walker is stuck on a dangling node.
-        fire = rng.random(len(live_idx)) < alpha
-        dangling = degrees[live_nodes] == 0
-        stop = fire | dangling
-        stopped_nodes = live_nodes[stop]
-        if len(stopped_nodes):
-            np.add.at(counts, stopped_nodes, 1)
-        alive[live_idx[stop]] = False
-        # Advance the survivors one weighted step.
-        move_idx = live_idx[~stop]
-        if len(move_idx) == 0:
-            continue
-        nodes = current[move_idx]
-        starts = graph.indptr[nodes]
-        spans = degrees[nodes]
-        # weighted neighbor choice via per-walker inverse-CDF on edge weights
-        r = rng.random(len(move_idx)) * graph.weighted_degrees[nodes]
-        next_nodes = np.empty(len(move_idx), dtype=np.int64)
-        # Vectorized per-row searchsorted: cumulative weights are not stored
-        # per row, so walk rows in groups of equal spans is overkill; a
-        # single pass with np.add.reduceat-style cumsum windows:
-        for i, (s, span, target) in enumerate(zip(starts, spans, r)):
-            w = graph.weights[s:s + span]
-            next_nodes[i] = graph.indices[s + np.searchsorted(
-                np.cumsum(w), target, side="right"
-            ).clip(0, span - 1)]
-        current[move_idx] = next_nodes
-
-    # Walks still alive after max_steps terminate where they stand.
-    if alive.any():
-        np.add.at(counts, current[alive], 1)
-    return counts / n_walks
-
-
-def monte_carlo_ssppr_unweighted(graph: CSRGraph, source: int, *,
-                                 alpha: float = 0.462,
-                                 n_walks: int = 10_000,
-                                 max_steps: int = 1_000,
-                                 seed=None) -> np.ndarray:
-    """Fast path ignoring edge weights (uniform neighbor choice).
-
-    Fully vectorized (no per-walker Python loop); used by benchmarks where
-    the graphs carry near-uniform weights and by tests as a structural
-    check.
-    """
-    check_in_range("alpha", alpha, 0.0, 1.0)
-    check_positive("n_walks", n_walks)
-    n = graph.n_nodes
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range [0, {n})")
-    rng = rng_from_seed(seed)
-
-    counts = np.zeros(n, dtype=np.int64)
-    current = np.full(n_walks, source, dtype=np.int64)
-    alive = np.ones(n_walks, dtype=bool)
-    degrees = np.diff(graph.indptr)
-
-    for _ in range(max_steps):
-        if not alive.any():
-            break
-        live_idx = np.flatnonzero(alive)
-        live_nodes = current[live_idx]
-        fire = rng.random(len(live_idx)) < alpha
-        dangling = degrees[live_nodes] == 0
-        stop = fire | dangling
-        if stop.any():
-            np.add.at(counts, live_nodes[stop], 1)
-            alive[live_idx[stop]] = False
-        move_idx = live_idx[~stop]
-        if len(move_idx) == 0:
-            continue
-        nodes = current[move_idx]
-        offsets = rng.integers(0, np.maximum(degrees[nodes], 1))
-        pick = np.minimum(graph.indptr[nodes] + offsets,
-                          max(graph.n_arcs - 1, 0))
-        current[move_idx] = graph.indices[pick]
-    if alive.any():
-        np.add.at(counts, current[alive], 1)
-    return counts / n_walks
+    landed = restart_walks(graph, np.full(n_walks, source), np.ones(n_walks),
+                           alpha=alpha, max_steps=max_steps,
+                           rng=rng_from_seed(seed))
+    return landed / n_walks

@@ -12,7 +12,6 @@ import heapq
 from typing import Any, Callable, Generator
 
 from repro.errors import SimulationError
-from repro.simt.futures import SimFuture
 from repro.simt.process import SimProcess
 
 
@@ -118,14 +117,3 @@ class Scheduler:
         if not proc.completion.done:
             raise SimulationError(f"process {name!r} has not finished")
         return proc.completion.value()
-
-    def resolved_future(self, value: Any, *, delay: float = 0.0,
-                        tag: str | None = None) -> SimFuture:
-        """A future that resolves ``delay`` after the current virtual time."""
-        fut = SimFuture(tag=tag)
-        if delay <= 0.0:
-            fut.set_result(value, self._now)
-        else:
-            self._schedule(self._now + delay,
-                           lambda: fut.set_result(value, self._now))
-        return fut

@@ -13,7 +13,7 @@ methods mirror the paper's interface:
   optimization is disabled, for the Table 3 ablation).
 * ``get_neighbor_infos_single(dest_shard, node_id)`` — one node per RPC,
   the unbatched ablation baseline.
-* ``sample_one_neighbor(dest_shard, ids)`` — random-walk step.
+* ``sample_one_neighbor(dest_shard, ids, salt)`` — random-walk step.
 
 Nodes are addressed by node id throughout; ``dest_shard`` is the routing
 decision the caller already made with :func:`shard_masks` (one
@@ -219,10 +219,10 @@ class DistGraphStorage:
         )
 
     def sample_one_neighbor(self, dest_shard: int, ids: np.ndarray,
-                            salt: int | None = None):
+                            salt: int):
         """Sample one out-neighbor per node (random-walk step).
 
-        ``salt`` (e.g. the walk step number) makes sampling independent of
+        ``salt`` (the walk step number) makes sampling independent of
         request arrival order — see GraphShard.sample_one_neighbor.
         """
         return self._rref(dest_shard).rpc_async(

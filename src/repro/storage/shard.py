@@ -26,7 +26,6 @@ building blocks of the two-phase batch protocol in
 
 from __future__ import annotations
 
-import threading
 import zlib
 
 import numpy as np
@@ -36,7 +35,6 @@ from repro.rpc.handlers import rpc_handler
 from repro.storage.neighbor_batch import NeighborBatch, NeighborLists
 from repro.storage.shard_update import ShardUpdate
 from repro.storage.vertex_prop import RowSelection, VertexProp
-from repro.utils.rng import rng_from_seed
 
 
 def _find_sorted(keys: np.ndarray, ids: np.ndarray):
@@ -77,8 +75,6 @@ class GraphShard:
         core_global.flags.writeable = False
         self._seed = seed
         self._pool = None  # RPC buffer pool, attached by the hosting server
-        self._rng = rng_from_seed(seed)
-        self._rng_lock = threading.Lock()
         # Optional 2-hop halo cache (install_halo_cache): full adjacency
         # rows for this shard's 1-hop halo nodes, answerable locally.
         # ``halo_ids`` are the cached nodes' ids, ascending; ``halo`` holds
@@ -179,7 +175,7 @@ class GraphShard:
         return self.rows.src_wdeg[self._rows_of(ids)]
 
     @rpc_handler
-    def sample_one_neighbor(self, ids, salt: int | None = None) -> np.ndarray:
+    def sample_one_neighbor(self, ids, salt: int) -> np.ndarray:
         """Uniformly sample one out-neighbor (id) per requested core node.
 
         Nodes with no out-neighbors stay in place (self-transition).
@@ -187,25 +183,20 @@ class GraphShard:
         ``salt`` makes the draw a pure function of
         ``(shard seed, salt, requested rows)`` — independent of request
         *arrival order*, which differs between the runtimes (and between
-        thread-mode runs).  Callers wanting reproducible walks pass a
-        per-step salt; without one, the shard's shared stream is used.
+        thread-mode runs).  Walkers pass the step number.
         """
         ids = np.asarray(ids, dtype=np.int64)
         rows = self._rows_of(ids)
         arena = self.rows
         starts = arena.indptr[rows]
         counts = arena.indptr[rows + 1] - starts
-        if salt is not None:
-            # hashed over the shard-private row indices, not the ids, so a
-            # relabel epoch that keeps a shard's rows keeps its walks
-            digest = zlib.crc32(rows.tobytes())
-            base = (int(self._seed)
-                    if isinstance(self._seed, (int, np.integer)) else 0)
-            rng = np.random.default_rng((base, int(salt), digest))
-            offsets = rng.integers(0, np.maximum(counts, 1))
-        else:
-            with self._rng_lock:
-                offsets = self._rng.integers(0, np.maximum(counts, 1))
+        # hashed over the shard-private row indices, not the ids, so a
+        # relabel epoch that keeps a shard's rows keeps its walks
+        digest = zlib.crc32(rows.tobytes())
+        base = (int(self._seed)
+                if isinstance(self._seed, (int, np.integer)) else 0)
+        rng = np.random.default_rng((base, int(salt), digest))
+        offsets = rng.integers(0, np.maximum(counts, 1))
         # Clamp picks for zero-degree nodes so the gather stays in bounds;
         # their values are discarded by the np.where below.
         pick = np.minimum(starts + offsets, max(self.n_entries - 1, 0))

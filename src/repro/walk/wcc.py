@@ -90,14 +90,17 @@ def distributed_wcc(g: DistGraphStorage, proc, seeds: np.ndarray):
     return state
 
 
+def canonical_labels(labels: np.ndarray) -> np.ndarray:
+    """Relabel each class of equal ``labels`` by its smallest position."""
+    _, inverse = np.unique(labels, return_inverse=True)
+    first = np.full(len(labels), len(labels), dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(len(labels)))
+    return first[inverse]
+
+
 def single_machine_wcc(graph: CSRGraph) -> np.ndarray:
     """Reference: component label per node (smallest member's global ID)."""
     from repro.graph.components import connected_components
 
     _, labels = connected_components(graph)
-    # canonicalize: label = min global id within the component
-    out = np.empty(graph.n_nodes, dtype=np.int64)
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        out[members] = members.min()
-    return out
+    return canonical_labels(labels)

@@ -770,7 +770,7 @@ class TestDeadlockDetector:
         sched = Scheduler()
 
         def body():
-            yield Wait(sched.resolved_future(1))
+            yield Wait(SimFuture.resolved(1, ready_time=sched.now))
 
         sched.spawn("fine", body())
         sched.run()

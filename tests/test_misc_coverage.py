@@ -84,7 +84,7 @@ class TestDistGraphStorageValidation:
         for call in (lambda: g.is_local(dest),
                      lambda: g.get_neighbor_infos(dest, ids),
                      lambda: g.get_neighbor_infos_single(dest, 0),
-                     lambda: g.sample_one_neighbor(dest, ids),
+                     lambda: g.sample_one_neighbor(dest, ids, 0),
                      lambda: g.source_weighted_degrees(dest, ids)):
             with pytest.raises(ShardError, match="out of range"):
                 call()

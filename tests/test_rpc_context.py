@@ -6,7 +6,14 @@ import pytest
 from repro.errors import RpcError
 from repro.rpc import RpcContext
 from repro.rpc.rref import check_rrefs
-from repro.simt import COMPUTE, NetworkModel, Scheduler, Wait, WaitAll
+from repro.simt import (
+    COMPUTE,
+    NetworkModel,
+    Scheduler,
+    SimFuture,
+    Wait,
+    WaitAll,
+)
 
 
 class Counter:
@@ -51,7 +58,7 @@ class TestRegistration:
         sched, ctx = make_ctx()
 
         def body():
-            yield Wait(sched.resolved_future(None))
+            yield Wait(SimFuture.resolved(None, ready_time=sched.now))
 
         proc = sched.spawn("w0", body())
         ctx.register_worker("w0", 0, proc)
@@ -257,7 +264,7 @@ class TestAllReduce:
             with pytest.raises(RpcError, match="size mismatch"):
                 ctx.allreduce_mean("g", "w0", 3, np.zeros(2))
             fired.append(True)
-            yield Wait(sched.resolved_future(None))
+            yield Wait(SimFuture.resolved(None, ready_time=sched.now))
 
         proc = sched.spawn("w0", body())
         ctx.register_worker("w0", 0, proc)
@@ -270,14 +277,14 @@ class TestAllReduce:
 
         def body0():
             ctx.allreduce_mean("g", "w0", 2, np.zeros(2))
-            yield Wait(sched.resolved_future(None))
+            yield Wait(SimFuture.resolved(None, ready_time=sched.now))
 
         def body1():
             try:
                 ctx.allreduce_mean("g", "w1", 2, np.zeros(3))
             except RpcError as exc:
                 errors.append(str(exc))
-            yield Wait(sched.resolved_future(None))
+            yield Wait(SimFuture.resolved(None, ready_time=sched.now))
 
         p0 = sched.spawn("w0", body0())
         ctx.register_worker("w0", 0, p0)

@@ -22,6 +22,7 @@ import pytest
 
 import repro.gnn
 import repro.graph
+import repro.ppr
 import repro.simt
 import repro.stream
 from repro.cli import build_parser
@@ -248,9 +249,21 @@ class TestKnobSurface:
             "graph", "features", "labels", "config", "n_steps",
             "batch_size", "topk", "lr", "seed")
 
+    def test_walk_estimator_signatures(self):
+        """Monte-Carlo SSPPR and FORA share one walk kernel; neither grows
+        a sampler switch."""
+        def params(fn):
+            return tuple(inspect.signature(fn).parameters)
+
+        assert params(repro.ppr.monte_carlo_ssppr) == (
+            "graph", "source", "alpha", "n_walks", "max_steps", "seed")
+        assert params(repro.ppr.fora_ssppr) == (
+            "graph", "source", "alpha", "push_epsilon", "walks_per_unit",
+            "max_steps", "seed")
+
     def test_package_exports(self):
         """Re-adding an extra (a layer, an optimizer, a graph helper, a
-        sync primitive) has to show up here."""
+        sync primitive, a second walk sampler) has to show up here."""
         assert sorted(repro.gnn.__all__) == [
             "Adam", "Batch", "Linear", "Parameter", "SageConv",
             "ShadowSage", "TrainingHistory", "community_task",
@@ -268,6 +281,14 @@ class TestKnobSurface:
             "COMPUTE", "Charge", "CrashWindow", "FaultPlan", "NetworkModel",
             "Scheduler", "SimFuture", "SimProcess", "Sleep", "Wait",
             "WaitAll",
+        ]
+        assert sorted(repro.ppr.__all__) == [
+            "DegradationMode", "DenseSSPPR", "MultiSSPPR", "OptLevel",
+            "PPRParams", "QueryView", "SSPPR", "ShardedMap",
+            "distributed_sppr_query", "distributed_tensor_query",
+            "fora_ssppr", "forward_push_parallel", "forward_push_sequential",
+            "l1_error", "monte_carlo_ssppr", "power_iteration_ssppr",
+            "topk_nodes", "topk_precision",
         ]
 
 

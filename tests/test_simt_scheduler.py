@@ -313,19 +313,6 @@ class TestSchedulerSemantics:
         sched.run()  # no events; passive procs don't count as deadlocked
         assert server.clock == 0.0
 
-    def test_resolved_future_with_delay(self):
-        sched = Scheduler()
-
-        def body():
-            fut = sched.resolved_future("v", delay=3.0)
-            value = yield Wait(fut)
-            return value
-
-        proc = sched.spawn("p0", body())
-        sched.run()
-        assert sched.result_of("p0") == "v"
-        assert proc.clock == pytest.approx(3.0)
-
     def test_max_events_guard(self):
         sched = Scheduler()
 

@@ -297,8 +297,8 @@ class TestShardFetch:
 
     def test_sample_one_neighbor_valid(self, sharded):
         s0 = sharded.shards[0]
-        for _ in range(10):
-            nxt = s0.sample_one_neighbor(np.array([1]))
+        for step in range(10):
+            nxt = s0.sample_one_neighbor(np.array([1]), salt=step)
             # node global 1's neighbors: 0, 2 (shard 0), 3 (shard 1)
             ng = sharded.globals_of(nxt)
             assert ng[0] in (0, 2, 3)
@@ -308,7 +308,7 @@ class TestShardFetch:
     def test_sample_isolated_node_stays(self):
         g = CSRGraph.from_edges(3, [0], [1])  # node 2 isolated
         sg = build_shards(g, PartitionResult(np.zeros(3, dtype=int), 1), seed=0)
-        nxt = sg.shards[0].sample_one_neighbor(np.array([2]))
+        nxt = sg.shards[0].sample_one_neighbor(np.array([2]), salt=0)
         assert nxt[0] == 2
 
 
