@@ -23,66 +23,59 @@ def grow_regions(graph: CSRGraph, n_parts: int, node_weights: np.ndarray,
                  rng) -> np.ndarray:
     """Core region-growing routine over weighted nodes.
 
-    Returns an assignment array.  Seeds are chosen greedily far apart
-    (first random, then the unassigned node most distant from existing
-    regions in BFS rounds).  Each region stops absorbing once it reaches the
-    ideal weight; leftover nodes go to the lightest neighboring region.
+    Returns an assignment array.  The first ``n_parts`` nodes of a random
+    permutation seed the regions, which then grow breadth-first in
+    round-robin order; each region stops absorbing once it reaches the
+    ideal weight.  Leftover nodes (disconnected or budget-capped) go to the
+    lightest neighboring region, or the lightest region overall.
+
+    Both loops are sequential, so they run over Python lists and floats:
+    reading a NumPy array one element at a time is their slow path.  Each
+    popped node's row is read with one ``tolist()``.
     """
     n = graph.n_nodes
-    assignment = np.full(n, UNASSIGNED, dtype=np.int64)
-    total_weight = float(node_weights.sum())
-    budget = total_weight / n_parts
-    part_weight = np.zeros(n_parts)
+    budget = float(node_weights.sum()) / n_parts
+    weight = np.asarray(node_weights, dtype=np.float64).tolist()
+    indptr = graph.indptr.tolist()
+    assignment = [UNASSIGNED] * n
+    part_weight = [0.0] * n_parts
 
-    # Seed selection: node 0's component first; subsequent seeds are random
-    # unassigned nodes (cheap, good enough at coarse level).
     frontiers: list[deque] = []
-    order = rng.permutation(n)
-    seed_iter = iter(order)
-
-    def next_seed() -> int | None:
-        for cand in seed_iter:
-            if assignment[cand] == UNASSIGNED:
-                return int(cand)
-        return None
-
-    for p in range(n_parts):
-        seed = next_seed()
-        if seed is None:
-            break
+    for p, seed in enumerate(rng.permutation(n)[:n_parts].tolist()):
         assignment[seed] = p
-        part_weight[p] += node_weights[seed]
+        part_weight[p] += weight[seed]
         frontiers.append(deque([seed]))
 
-    # Round-robin BFS expansion under the weight budget.
+    # Round-robin BFS expansion under the weight budget, until every node
+    # has a part.
+    unassigned = n - len(frontiers)
     active = True
-    while active:
+    while active and unassigned:
         active = False
         for p, frontier in enumerate(frontiers):
             if not frontier or part_weight[p] >= budget:
                 continue
             v = frontier.popleft()
-            for u in graph.neighbors(v):
-                if assignment[u] == UNASSIGNED and part_weight[p] < budget:
+            for u in graph.indices[indptr[v]:indptr[v + 1]].tolist():
+                if assignment[u] == UNASSIGNED:
                     assignment[u] = p
-                    part_weight[p] += node_weights[u]
-                    frontier.append(int(u))
+                    part_weight[p] += weight[u]
+                    frontier.append(u)
+                    unassigned -= 1
+                    if part_weight[p] >= budget:
+                        break
             if frontier:
                 active = True
 
-    # Stragglers (disconnected or budget-capped): lightest part wins.
-    for v in np.flatnonzero(assignment == UNASSIGNED):
-        nbr_parts = assignment[graph.neighbors(v)]
-        nbr_parts = nbr_parts[nbr_parts != UNASSIGNED]
-        if len(nbr_parts):
-            # lightest among neighboring parts keeps locality
-            candidates = np.unique(nbr_parts)
-            p = candidates[np.argmin(part_weight[candidates])]
-        else:
-            p = int(np.argmin(part_weight))
+    # Stragglers: the lightest neighboring part keeps locality, ties go to
+    # the smaller part id.
+    for v in [v for v, p in enumerate(assignment) if p == UNASSIGNED]:
+        row = graph.indices[indptr[v]:indptr[v + 1]].tolist()
+        parts = sorted({assignment[u] for u in row} - {UNASSIGNED})
+        p = min(parts or range(n_parts), key=part_weight.__getitem__)
         assignment[v] = p
-        part_weight[p] += node_weights[v]
-    return assignment
+        part_weight[p] += weight[v]
+    return np.array(assignment, dtype=np.int64)
 
 
 class BfsPartitioner(Partitioner):

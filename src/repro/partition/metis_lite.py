@@ -11,6 +11,8 @@ discussion and our partition-quality ablation bench).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.graph.csr import CSRGraph
@@ -19,6 +21,7 @@ from repro.partition.bfs_part import grow_regions
 from repro.partition.coarsen import coarsen_to
 from repro.partition.refine import refine
 from repro.utils.rng import rng_from_seed
+from repro.utils.validation import check_int, check_nonnegative
 
 
 class MetisLitePartitioner(Partitioner):
@@ -29,7 +32,11 @@ class MetisLitePartitioner(Partitioner):
     imbalance:
         Allowed part-weight overshoot (default 5%, METIS-like).
     coarsest_factor:
-        Coarsening stops around ``coarsest_factor * n_parts`` nodes.
+        Coarsening aims at ``max(coarsest_factor * n_parts, 128)`` nodes
+        and stops earlier once a level shrinks the graph by less than 5%.
+        On the stand-ins it stops far above the target: ``products`` at
+        14 148 of 25 000 nodes and ``twitter`` at 32 923 of 41 700, against
+        240 at 4 parts (ROADMAP item 8).
     refine_passes:
         FM passes per level during uncoarsening.
     seed:
@@ -38,10 +45,13 @@ class MetisLitePartitioner(Partitioner):
 
     def __init__(self, *, imbalance: float = 0.05, coarsest_factor: int = 60,
                  refine_passes: int = 6, seed=0) -> None:
-        if imbalance < 0:
-            raise ValueError(f"imbalance must be >= 0, got {imbalance}")
-        if coarsest_factor < 1:
-            raise ValueError(f"coarsest_factor must be >= 1, got {coarsest_factor}")
+        # A NaN or infinite cap would switch the balance constraint off.
+        check_nonnegative("imbalance", imbalance)
+        if not math.isfinite(imbalance):
+            raise ValueError(f"imbalance must be finite, got {imbalance!r}")
+        check_int("coarsest_factor", coarsest_factor, positive=True)
+        check_int("refine_passes", refine_passes)
+        check_nonnegative("refine_passes", refine_passes)
         self.imbalance = imbalance
         self.coarsest_factor = coarsest_factor
         self.refine_passes = refine_passes

@@ -18,9 +18,12 @@ from repro.graph.csr import CSRGraph
 def connectivity_matrix(graph: CSRGraph, assignment: np.ndarray,
                         n_parts: int) -> np.ndarray:
     """Dense ``(n, k)``: total edge weight from each node into each part."""
-    adj = graph.to_scipy()
-    x = np.zeros((graph.n_nodes, n_parts))
-    x[np.arange(graph.n_nodes), assignment] = 1.0
+    return _connectivity(graph.to_scipy(), assignment, n_parts)
+
+
+def _connectivity(adj, assignment: np.ndarray, n_parts: int) -> np.ndarray:
+    x = np.zeros((len(assignment), n_parts))
+    x[np.arange(len(assignment)), assignment] = 1.0
     return np.asarray(adj @ x)
 
 
@@ -31,6 +34,9 @@ def refine(graph: CSRGraph, assignment: np.ndarray, node_weights: np.ndarray,
 
     ``imbalance`` is the allowed overshoot of any part's weight over the
     ideal ``total / n_parts`` (METIS's default ubfactor is ~3-5%).
+
+    Each pass computes every gain and the move order in NumPy; the greedy
+    move loop is sequential, so it runs over Python lists and floats.
     """
     assignment = assignment.copy()
     node_weights = np.asarray(node_weights, dtype=np.float64)
@@ -38,41 +44,40 @@ def refine(graph: CSRGraph, assignment: np.ndarray, node_weights: np.ndarray,
     ideal = total / n_parts
     # At least one node of slack above the ideal, so perfectly-full parts
     # can still exchange nodes (otherwise interleaved assignments are stuck).
-    cap = max((1.0 + imbalance) * ideal,
-              ideal + (node_weights.max() if len(node_weights) else 0.0))
+    cap = float(max((1.0 + imbalance) * ideal,
+                    ideal + (node_weights.max() if len(node_weights) else 0.0)))
     part_weight = np.bincount(assignment, weights=node_weights,
-                              minlength=n_parts)
+                              minlength=n_parts).tolist()
+    adj = graph.to_scipy()
+    rows = np.arange(graph.n_nodes)
 
     for _ in range(max_passes):
-        conn = connectivity_matrix(graph, assignment, n_parts)
-        internal = conn[np.arange(graph.n_nodes), assignment]
+        conn = _connectivity(adj, assignment, n_parts)
+        internal = conn[rows, assignment]
         # Best alternative part per node.
-        conn_masked = conn.copy()
-        conn_masked[np.arange(graph.n_nodes), assignment] = -np.inf
-        best_part = np.argmax(conn_masked, axis=1)
-        best_external = conn_masked[np.arange(graph.n_nodes), best_part]
-        gain = best_external - internal
+        conn[rows, assignment] = -np.inf
+        best_part = np.argmax(conn, axis=1)
+        gain = conn[rows, best_part] - internal
 
         candidates = np.flatnonzero(gain > 1e-12)
         if len(candidates) == 0:
             break
         order = candidates[np.argsort(-gain[candidates])]
-        moved = 0
-        for v in order:
-            target = best_part[v]
-            source = assignment[v]
-            if target == source:
-                continue
-            wv = node_weights[v]
-            if part_weight[target] + wv > cap:
+        moved = []
+        for i, (target, source, wv) in enumerate(zip(
+                best_part[order].tolist(), assignment[order].tolist(),
+                node_weights[order].tolist())):
+            if target == source or part_weight[target] + wv > cap:
                 continue
             # Keep parts nonempty.
             if part_weight[source] - wv <= 0:
                 continue
-            assignment[v] = target
             part_weight[source] -= wv
             part_weight[target] += wv
-            moved += 1
-        if moved == 0:
+            moved.append(i)
+        if not moved:
             break
+        # Each node is visited once per pass, so the moves commit together.
+        movers = order[moved]
+        assignment[movers] = best_part[movers]
     return assignment

@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -23,10 +24,12 @@ from repro.partition import (
     edge_cut_fraction,
     partition_quality,
 )
-from repro.partition import coarsen
+from repro.partition import bfs_part, coarsen, metis_lite
+from repro.partition.bfs_part import UNASSIGNED, grow_regions
 from repro.partition.coarsen import (CoarseLevel, coarsen_to, contract,
                                      heaviest_neighbor, match_mutual)
 from repro.partition.refine import connectivity_matrix, refine
+from repro.utils.rng import rng_from_seed
 
 
 class TestPartitionResult:
@@ -254,9 +257,11 @@ def colliding_graphs(draw):
     """Small weighted CSR graphs built to tie, with empty rows forced at the
     start / middle / end (isolated nodes, when the graph is symmetric)."""
     n = draw(st.integers(1, 10))
-    cell = st.sampled_from(draw(st.sampled_from((_DENSE_CELLS,
-                                                 _SPARSE_CELLS))))
-    cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    choices = draw(st.sampled_from((_DENSE_CELLS, _SPARSE_CELLS)))
+    # One byte per cell, drawn at once: a list of n * n single draws made
+    # generation most of these tests' time.  Byte 0 shrinks to "no arc".
+    cells = [choices[b % len(choices)]
+             for b in draw(st.binary(min_size=n * n, max_size=n * n))]
     symmetric = draw(st.booleans())
     empty = draw(st.sets(st.sampled_from((0, n // 2, n - 1))))
     indptr, indices, weights = [0], [], []
@@ -326,6 +331,181 @@ class TestSegmentArgMaxAgainstLexsort:
         without_2[2] = False
         np.testing.assert_array_equal(heaviest_neighbor(g, without_2),
                                       [1, 3, -1, 0, -1])
+
+
+def _numpy_grow_regions(graph, n_parts, node_weights, rng):
+    """``grow_regions`` as it was: both loops read NumPy arrays one scalar
+    at a time."""
+    n = graph.n_nodes
+    assignment = np.full(n, UNASSIGNED, dtype=np.int64)
+    total_weight = float(node_weights.sum())
+    budget = total_weight / n_parts
+    part_weight = np.zeros(n_parts)
+    frontiers = []
+    seed_iter = iter(rng.permutation(n))
+
+    def next_seed():
+        for cand in seed_iter:
+            if assignment[cand] == UNASSIGNED:
+                return int(cand)
+        return None
+
+    for p in range(n_parts):
+        seed = next_seed()
+        if seed is None:
+            break
+        assignment[seed] = p
+        part_weight[p] += node_weights[seed]
+        frontiers.append(deque([seed]))
+    active = True
+    while active:
+        active = False
+        for p, frontier in enumerate(frontiers):
+            if not frontier or part_weight[p] >= budget:
+                continue
+            v = frontier.popleft()
+            for u in graph.neighbors(v):
+                if assignment[u] == UNASSIGNED and part_weight[p] < budget:
+                    assignment[u] = p
+                    part_weight[p] += node_weights[u]
+                    frontier.append(int(u))
+            if frontier:
+                active = True
+    for v in np.flatnonzero(assignment == UNASSIGNED):
+        nbr_parts = assignment[graph.neighbors(v)]
+        nbr_parts = nbr_parts[nbr_parts != UNASSIGNED]
+        if len(nbr_parts):
+            candidates = np.unique(nbr_parts)
+            p = candidates[np.argmin(part_weight[candidates])]
+        else:
+            p = int(np.argmin(part_weight))
+        assignment[v] = p
+        part_weight[p] += node_weights[v]
+    return assignment
+
+
+def _numpy_refine(graph, assignment, node_weights, n_parts, *,
+                  imbalance=0.05, max_passes=6):
+    """``refine`` as it was: one adjacency per pass, NumPy scalars in the
+    move loop."""
+    assignment = assignment.copy()
+    node_weights = np.asarray(node_weights, dtype=np.float64)
+    ideal = float(node_weights.sum()) / n_parts
+    cap = max((1.0 + imbalance) * ideal,
+              ideal + (node_weights.max() if len(node_weights) else 0.0))
+    part_weight = np.bincount(assignment, weights=node_weights,
+                              minlength=n_parts)
+    rows = np.arange(graph.n_nodes)
+    for _ in range(max_passes):
+        conn = connectivity_matrix(graph, assignment, n_parts)
+        internal = conn[rows, assignment]
+        conn_masked = conn.copy()
+        conn_masked[rows, assignment] = -np.inf
+        best_part = np.argmax(conn_masked, axis=1)
+        gain = conn_masked[rows, best_part] - internal
+        candidates = np.flatnonzero(gain > 1e-12)
+        if len(candidates) == 0:
+            break
+        moved = 0
+        for v in candidates[np.argsort(-gain[candidates])]:
+            target = best_part[v]
+            source = assignment[v]
+            if target == source:
+                continue
+            wv = node_weights[v]
+            if part_weight[target] + wv > cap:
+                continue
+            if part_weight[source] - wv <= 0:
+                continue
+            assignment[v] = target
+            part_weight[source] -= wv
+            part_weight[target] += wv
+            moved += 1
+        if moved == 0:
+            break
+    return assignment
+
+
+@st.composite
+def drawn_node_weights(draw, n):
+    """Node weights that tie, are fractional, or let one node dominate."""
+    values = draw(st.sampled_from(((1.0, 2.0), (0.1, 0.25, 1 / 3, 1.5))))
+    weights = [values[b % len(values)]
+               for b in draw(st.binary(min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, n - 1))] = 10.0 * n
+    return np.array(weights)
+
+
+def _same_partitions(graph, n_parts, seed):
+    """Both partitioners give the assignment they give on the oracles."""
+    partitioners = (MetisLitePartitioner(seed=seed), BfsPartitioner(seed=seed))
+    got = [p.partition(graph, n_parts).assignment for p in partitioners]
+    with mock.patch.multiple(metis_lite, grow_regions=_numpy_grow_regions,
+                             refine=_numpy_refine), \
+            mock.patch.object(bfs_part, "grow_regions", _numpy_grow_regions):
+        want = [p.partition(graph, n_parts).assignment for p in partitioners]
+    return all(_identical(a, b) for a, b in zip(got, want))
+
+
+def _disjoint_union(*graphs):
+    """One graph whose components are ``graphs``, in order."""
+    return CSRGraph.from_scipy(sp.block_diag([g.to_scipy() for g in graphs],
+                                             format="csr"))
+
+
+def _star(n_leaves):
+    return CSRGraph.from_edges(n_leaves + 1, [0] * n_leaves,
+                               list(range(1, n_leaves + 1)))
+
+
+class TestSequentialLoopsAgainstNumpy:
+    """The parent's NumPy-scalar loops are the oracle, bit for bit."""
+
+    @given(graph=colliding_graphs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_regions_moves_and_partitions(self, graph, data):
+        n = graph.n_nodes
+        weights = data.draw(drawn_node_weights(n))
+        n_parts = data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        grown = grow_regions(graph, n_parts, weights, rng_from_seed(seed))
+        assert _identical(grown, _numpy_grow_regions(
+            graph, n_parts, weights, rng_from_seed(seed)))
+
+        drawn = np.frombuffer(data.draw(st.binary(min_size=n, max_size=n)),
+                              dtype=np.uint8).astype(np.int64) % n_parts
+        options = dict(imbalance=data.draw(st.sampled_from((0.0, 0.05, 0.5))),
+                       max_passes=data.draw(st.integers(0, 6)))
+        for start in (drawn, grown):
+            assert _identical(
+                refine(graph, start, weights, n_parts, **options),
+                _numpy_refine(graph, start, weights, n_parts, **options))
+        assert _same_partitions(graph, n_parts, seed)
+
+    @pytest.mark.parametrize("graph, n_parts, weights", [
+        # unreachable from the only seed
+        (_disjoint_union(path_graph(4), path_graph(3)), 1, None),
+        # isolated nodes beside a clique
+        (_disjoint_union(complete_graph(5), CSRGraph.from_edges(3, [], [])),
+         2, None),
+        # the hub fills its region at once, so every other leaf is capped
+        (_star(8), 2, [50.0] + [1.0] * 8),
+        # multilevel: coarsening and refinement on weighted coarse levels
+        (powerlaw_cluster(900, 6, mixing=0.2, seed=12), 3, None),
+        (_disjoint_union(powerlaw_cluster(400, 5, seed=13), path_graph(30),
+                         CSRGraph.from_edges(20, [], [])), 4, None),
+    ], ids=["two-paths", "isolated", "capped-star", "multilevel",
+            "multilevel-disconnected"])
+    def test_stragglers_and_levels(self, graph, n_parts, weights):
+        weights = np.ones(graph.n_nodes) if weights is None \
+            else np.array(weights)
+        for seed in range(4):
+            assert _identical(
+                grow_regions(graph, n_parts, weights, rng_from_seed(seed)),
+                _numpy_grow_regions(graph, n_parts, weights,
+                                    rng_from_seed(seed)))
+            assert _same_partitions(graph, n_parts, seed)
 
 
 @pytest.mark.slow
@@ -423,10 +603,13 @@ class TestMetisLite:
             assert r.nonempty(), f"empty part at k={k}"
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            MetisLitePartitioner(imbalance=-0.1)
-        with pytest.raises(ValueError):
-            MetisLitePartitioner(coarsest_factor=0)
+        for params in (dict(imbalance=-0.1), dict(imbalance=float("nan")),
+                       dict(imbalance=float("inf")), dict(coarsest_factor=0),
+                       dict(coarsest_factor=2.5), dict(coarsest_factor=True),
+                       dict(refine_passes=-3), dict(refine_passes=2.5),
+                       dict(refine_passes=True)):
+            with pytest.raises(ValueError):
+                MetisLitePartitioner(**params)
 
     def test_deterministic_given_seed(self):
         g = powerlaw_cluster(800, 6, mixing=0.1, seed=11)
