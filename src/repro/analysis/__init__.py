@@ -6,18 +6,16 @@ virtual-time runtime (:mod:`repro.simt`) and the real-thread runtime
 driver coroutines with identical results.  The differential tests can
 detect a divergence but not localize its cause; this package catches the
 hazard *classes* behind such divergences — wall-clock leakage, unseeded
-randomness, ordering-nondeterministic iteration, unsizeable RPC payloads,
-blocking calls in coroutines, swallowed fault injections, data races,
-scheduler deadlocks — at lint time and at runtime:
+randomness, ordering-nondeterministic iteration, blocking calls in
+coroutines, swallowed fault injections, broken RPC contracts, data
+races, scheduler deadlocks — at lint time and at runtime:
 
 * :mod:`repro.analysis.lint` — a small AST lint framework with
   per-rule allowlists (``# repro: allow=REPnnn`` pragmas and the
   ``[tool.repro.analysis]`` table in ``pyproject.toml``); the repo-specific
-  rules live in :mod:`repro.analysis.rules` (REP001–REP011);
-* :mod:`repro.analysis.callgraph` — the whole-program model (module
-  import graph, alias-aware call graph, call-site and lock-site indexes,
-  RPC dispatch catalogue) built once per lint run; every rule checks it
-  through one hook, ``Rule.check(project)``;
+  rules live in :mod:`repro.analysis.rules`; each file is parsed once
+  per lint run and every rule checks the parsed files through one hook,
+  ``Rule.check(files)``;
 * :mod:`repro.analysis.race` — an Eraser-style lockset race detector that
   instruments :class:`~repro.ppr.hashmap.ShardedMap` and
   :class:`~repro.rpc.thread_runtime.ThreadRuntime` shared state behind a
@@ -34,7 +32,6 @@ intentional hit is suppressed by a pragma or an allowlist entry.  See
 
 from __future__ import annotations
 
-from repro.analysis.callgraph import Project, build_project
 from repro.analysis.deadlock import DeadlockReport, diagnose
 from repro.analysis.lint import (
     AnalysisConfig,
@@ -49,7 +46,6 @@ from repro.analysis.race import (
     RaceDetector,
     RaceViolation,
     TrackedLock,
-    install,
     installed,
     uninstall,
 )
@@ -60,17 +56,14 @@ __all__ = [
     "AnalysisConfig",
     "DeadlockReport",
     "FileContext",
-    "Project",
     "RaceAccess",
     "RaceDetector",
     "RaceViolation",
     "Rule",
     "TrackedLock",
     "Violation",
-    "build_project",
     "diagnose",
     "get_rules",
-    "install",
     "installed",
     "load_config",
     "run_lint",

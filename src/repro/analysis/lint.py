@@ -3,10 +3,9 @@
 A deliberately small framework: one :class:`FileContext` per source file
 (parsed tree, import-alias resolution, pragma comments), a :class:`Rule`
 base class whose subclasses yield :class:`Violation` records from one
-hook, ``check(project)``, and :func:`run_lint`, which builds the
-whole-program model (:mod:`repro.analysis.callgraph`) once, runs every
-rule on it, and filters each violation through scoping and the two
-allowlist layers in one place:
+hook, ``check(files)``, and :func:`run_lint`, which parses every file
+once, runs every rule over the parsed files, and filters each violation
+through the two allowlist layers in one place:
 
 * **pragma comments** — ``# repro: allow=REP001`` (optionally a comma list,
   optionally followed by a free-text reason) suppresses the named rules on
@@ -15,12 +14,12 @@ allowlist layers in one place:
 * **config allowlist** — the ``[tool.repro.analysis]`` table in
   ``pyproject.toml`` carries ``allow = ["REP001:src/repro/utils/timer.py"]``
   entries: ``<rule>:<repo-relative glob>`` pairs exempting whole files
-  (``*`` matches every rule).
+  (``*`` as the rule matches every rule).
 
-Rules are *scoped*: a rule with ``scope_dirs`` only fires in files whose
+Rules are *scoped*: a rule with ``scope_dirs`` only walks files whose
 path contains one of those directory names (e.g. REP003 only inside
 ``simt``/``rpc``/``engine``/``partition``), mirroring where the hazard
-class actually bites.  The concrete REP001–REP011 rules live in
+class actually bites.  The concrete rules live in
 :mod:`repro.analysis.rules`.
 """
 
@@ -30,12 +29,9 @@ import ast
 import fnmatch
 import io
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:
-    from repro.analysis.callgraph import Project
+from typing import Iterable, Iterator
 
 #: the pragma marker recognized in comments: ``# repro: allow=REP001,REP005``
 PRAGMA_MARKER = "repro: allow="
@@ -55,8 +51,7 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
     def as_dict(self) -> dict:
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "rule": self.rule, "message": self.message}
+        return asdict(self)
 
 
 class ImportMap:
@@ -103,27 +98,37 @@ class ImportMap:
         return ".".join(reversed(parts))
 
 
+def pragma_comments(source: str) -> Iterator[tuple[int, set[str]]]:
+    """``(line, rule IDs)`` of every ``# repro: allow=`` comment.
+
+    Only real comments count, never docstrings; a source without the
+    marker holds no such comment, so the tokenizer is skipped.
+    """
+    if PRAGMA_MARKER not in source:
+        return
+    try:
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        comments = [(tok.start[0], tok.string) for tok in tokens
+                    if tok.type == tokenize.COMMENT]
+    except tokenize.TokenError:  # pragma: no cover - malformed fixture input
+        return
+    for line, text in comments:
+        body = text.lstrip("#").strip()
+        if not body.startswith(PRAGMA_MARKER):
+            continue
+        spec = body[len(PRAGMA_MARKER):].split(maxsplit=1)[:1]
+        rules = {r for word in spec for r in word.split(",") if r}
+        if rules:
+            yield line, rules
+
+
 def collect_pragmas(source: str) -> dict[int, set[str]]:
     """Map line number -> rule IDs allowed there by ``# repro: allow=`` pragmas.
 
     A pragma suppresses its own line and the line directly below it.
     """
     allowed: dict[int, set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [(tok.start[0], tok.string) for tok in tokens
-                    if tok.type == tokenize.COMMENT]
-    except tokenize.TokenError:  # pragma: no cover - malformed fixture input
-        return allowed
-    for line, text in comments:
-        body = text.lstrip("#").strip()
-        if not body.startswith(PRAGMA_MARKER):
-            continue
-        spec = body[len(PRAGMA_MARKER):].split()[0] if \
-            body[len(PRAGMA_MARKER):].strip() else ""
-        rules = {r.strip() for r in spec.split(",") if r.strip()}
-        if not rules:
-            continue
+    for line, rules in pragma_comments(source):
         for target in (line, line + 1):
             allowed.setdefault(target, set()).update(rules)
     return allowed
@@ -133,9 +138,7 @@ def collect_pragmas(source: str) -> dict[int, set[str]]:
 class FileContext:
     """Everything a rule needs to know about one source file."""
 
-    path: Path
     relpath: str                      # posix, repo-root-relative when possible
-    source: str
     tree: ast.Module
     imports: ImportMap
     pragmas: dict[int, set[str]] = field(default_factory=dict)
@@ -150,8 +153,7 @@ class FileContext:
                 relpath = path.resolve().relative_to(root.resolve()).as_posix()
             except ValueError:
                 pass
-        return cls(path=path, relpath=relpath, source=source, tree=tree,
-                   imports=ImportMap(tree),
+        return cls(relpath=relpath, tree=tree, imports=ImportMap(tree),
                    pragmas=collect_pragmas(source))
 
     @property
@@ -166,10 +168,10 @@ class FileContext:
 class Rule:
     """Base class: subclasses set ``id``/``title`` and implement ``check``.
 
-    ``check(project)`` yields violations anywhere in the project; a
-    per-file rule loops over :meth:`walk`.  Instances are shared
-    singletons (:data:`~repro.analysis.rules.ALL_RULES`) and hold no
-    per-run state.
+    ``check(files)`` yields violations in the files of the rule's scope;
+    a per-node rule loops over :meth:`walk`, which yields only those.
+    Instances are shared singletons
+    (:data:`~repro.analysis.rules.ALL_RULES`) and hold no per-run state.
     """
 
     id: str = "REP000"
@@ -182,15 +184,15 @@ class Rule:
             return True
         return any(part in self.scope_dirs for part in ctx.parts)
 
-    def walk(self, project: Project
+    def walk(self, files: Iterable[FileContext]
              ) -> Iterator[tuple[FileContext, ast.AST]]:
-        """Every AST node of the project's modules in this rule's scope."""
-        for ctx in project.modules.values():
+        """Every AST node of the files in this rule's scope."""
+        for ctx in files:
             if self.applies_to(ctx):
                 for node in ast.walk(ctx.tree):
                     yield ctx, node
 
-    def check(self, project: Project) -> Iterator[Violation]:
+    def check(self, files: list[FileContext]) -> Iterator[Violation]:
         raise NotImplementedError
 
     def violation(self, ctx: FileContext, node: ast.AST,
@@ -208,16 +210,21 @@ class AnalysisConfig:
     def allows(self, rule_id: str, relpath: str) -> bool:
         for entry in self.allow:
             rid, _, pattern = entry.partition(":")
-            if rid not in (rule_id, "*"):
-                continue
-            if fnmatch.fnmatch(relpath, pattern or "*"):
+            if rid in (rule_id, "*") and fnmatch.fnmatch(relpath, pattern):
                 return True
         return False
 
 
 def load_config(pyproject: str | Path) -> AnalysisConfig:
-    """Read ``[tool.repro.analysis]`` from a ``pyproject.toml``."""
+    """Read ``[tool.repro.analysis]`` from a ``pyproject.toml``.
+
+    Every entry must be ``<RULE>:<glob>`` with a registered rule ID (or
+    ``*``) and a non-empty glob: an entry without one would exempt every
+    file, and one naming an unknown rule would exempt nothing.
+    """
     import tomllib
+
+    from repro.analysis.rules import ALL_RULE_IDS
 
     path = Path(pyproject)
     if not path.exists():
@@ -231,44 +238,60 @@ def load_config(pyproject: str | Path) -> AnalysisConfig:
             "[tool.repro.analysis].allow must be a list of "
             "'<RULE>:<glob>' strings"
         )
+    for entry in allow:
+        rid, _, pattern = entry.partition(":")
+        if not pattern or rid not in (*ALL_RULE_IDS, "*"):
+            raise ValueError(
+                f"[tool.repro.analysis].allow entry {entry!r} is not "
+                "'<RULE>:<glob>' with a non-empty glob and a rule among "
+                f"{', '.join(ALL_RULE_IDS)} or '*'"
+            )
     return AnalysisConfig(allow=tuple(allow))
 
 
-def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    """Expand files/directories into a deterministic .py file sequence."""
-    for entry in paths:
-        p = Path(entry)
-        if p.is_dir():
-            yield from sorted(p.rglob("*.py"))
-        elif p.suffix == ".py":
-            yield p
+def parse_files(paths: Iterable[str | Path], *,
+                root: Path | None = None) -> list[FileContext]:
+    """Parse every .py file under ``paths`` once, in a deterministic order.
+
+    Directories expand to their sorted .py files.  A file that does not
+    parse is skipped, and so is a second spelling of a file already
+    parsed.
+    """
+    files: dict[str, FileContext] = {}
+    for entry in map(Path, paths):
+        for path in sorted(entry.rglob("*.py")) if entry.is_dir() else [entry]:
+            if path.suffix != ".py":
+                continue
+            try:
+                ctx = FileContext.parse(path, root=root)
+            except SyntaxError:  # pragma: no cover - unparsable input skipped
+                continue
+            files.setdefault(ctx.relpath, ctx)
+    return list(files.values())
+
+
+def lint_files(files: list[FileContext],
+               rules: Iterable[Rule] | None = None) -> list[Violation]:
+    """Every rule's findings over ``files``, before suppression."""
+    from repro.analysis.rules import ALL_RULES
+
+    return [v for rule in (ALL_RULES if rules is None else rules)
+            for v in rule.check(files)]
 
 
 def run_lint(paths: Iterable[str | Path], *,
              rules: Iterable[Rule] | None = None,
              config: AnalysisConfig | None = None,
-             root: Path | None = None,
-             project: Project | None = None) -> list[Violation]:
+             root: Path | None = None) -> list[Violation]:
     """Lint every .py file under ``paths``; returns sorted violations.
 
-    The whole-program model is built once over ``paths`` — or taken from
-    ``project``, when a caller already built it — and every rule checks
-    it.  Each violation is kept only if the file it lands in is in the
-    rule's scope, no pragma on its line names the rule, and no config
-    allowlist entry covers the file.
+    Each file is parsed once and every rule checks the parsed files.  A
+    violation is kept only if no pragma on its line names the rule and
+    no config allowlist entry covers the file.
     """
-    from repro.analysis.callgraph import build_project
-    from repro.analysis.rules import ALL_RULES
-
     config = config if config is not None else AnalysisConfig()
-    if project is None:
-        project = build_project(paths, root=root)
-    out: list[Violation] = []
-    for rule in ALL_RULES if rules is None else rules:
-        for v in rule.check(project):
-            ctx = project.ctx_for(v.path)
-            if rule.applies_to(ctx) and \
-                    not ctx.allowed_by_pragma(v.rule, v.line) and \
-                    not config.allows(v.rule, v.path):
-                out.append(v)
-    return sorted(out)
+    files = parse_files(paths, root=root)
+    by_path = {ctx.relpath: ctx for ctx in files}
+    return sorted(v for v in lint_files(files, rules)
+                  if not by_path[v.path].allowed_by_pragma(v.rule, v.line)
+                  and not config.allows(v.rule, v.path))

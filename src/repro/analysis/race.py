@@ -15,7 +15,7 @@ Instrumentation points:
   ``get_or_insert`` a write, keyed per map instance.  The hook is a class
   attribute (``_sanitizer``) that defaults to ``None``, so the off-path
   cost is one attribute check per *batched* call — zero overhead in
-  practice.  :func:`install` / :func:`installed` flip it.
+  practice.  :func:`installed` flips it.
 * :class:`~repro.rpc.thread_runtime.ThreadRuntime` — constructed with
   ``sanitizer=detector``, its cross-thread call-index table is recorded
   under a detector-tracked lock (see :class:`TrackedLock`).
@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 #: stack frames retained per access record
 STACK_DEPTH = 10
@@ -59,13 +59,6 @@ class RaceAccess:
         return (f"{kind} by thread {self.thread_name!r} holding "
                 f"[{locks}] at {site}")
 
-    def as_dict(self) -> dict:
-        return {"thread_id": self.thread_id,
-                "thread_name": self.thread_name,
-                "write": self.write,
-                "lockset": list(self.lockset),
-                "stack": list(self.stack)}
-
 
 @dataclass(frozen=True)
 class RaceViolation:
@@ -78,11 +71,6 @@ class RaceViolation:
     def describe(self) -> str:
         return (f"race on {self.location}: "
                 f"{self.first.describe()} vs {self.second.describe()}")
-
-    def as_dict(self) -> dict:
-        return {"location": self.location,
-                "first": self.first.as_dict(),
-                "second": self.second.as_dict()}
 
 
 class _LocationState:
@@ -102,11 +90,10 @@ class _LocationState:
 class RaceDetector:
     """Collects accesses and reports lockset-discipline violations."""
 
-    def __init__(self, *, stack_depth: int = STACK_DEPTH) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._state: dict[str, _LocationState] = {}
-        self._stack_depth = stack_depth
         self._next_uid = 0
         self.violations: list[RaceViolation] = []
         self.accesses = 0
@@ -124,17 +111,16 @@ class RaceDetector:
     def on_release(self, name: str) -> None:
         self._held().discard(name)
 
-    def tracked_lock(self, name: str,
-                     lock: threading.Lock | None = None) -> "TrackedLock":
+    def tracked_lock(self, name: str) -> "TrackedLock":
         """A lock whose acquire/release updates this thread's lockset."""
-        return TrackedLock(self, name, lock)
+        return TrackedLock(self, name)
 
     # -- access recording ------------------------------------------------
     def _stack(self) -> tuple[str, ...]:
-        frames = traceback.extract_stack(limit=self._stack_depth + 4)
+        frames = traceback.extract_stack(limit=STACK_DEPTH + 4)
         out = [f"{f.filename}:{f.lineno} in {f.name}" for f in frames
                if not f.filename.endswith("analysis/race.py")]
-        return tuple(out[-self._stack_depth:])
+        return tuple(out[-STACK_DEPTH:])
 
     def record(self, location: str, *, write: bool) -> None:
         """Record one access to ``location`` from the current thread."""
@@ -193,7 +179,7 @@ class RaceDetector:
             return {
                 "accesses": self.accesses,
                 "locations": len(self._state),
-                "violations": [v.as_dict() for v in self.violations],
+                "violations": [asdict(v) for v in self.violations],
             }
 
 
@@ -202,11 +188,10 @@ class TrackedLock:
 
     __slots__ = ("_detector", "name", "_inner")
 
-    def __init__(self, detector: RaceDetector, name: str,
-                 lock: threading.Lock | None = None) -> None:
+    def __init__(self, detector: RaceDetector, name: str) -> None:
         self._detector = detector
         self.name = name
-        self._inner = lock if lock is not None else threading.Lock()
+        self._inner = threading.Lock()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         got = self._inner.acquire(blocking, timeout)
@@ -229,13 +214,6 @@ class TrackedLock:
 # ---------------------------------------------------------------------------
 # global instrumentation hooks
 # ---------------------------------------------------------------------------
-
-def install(detector: RaceDetector) -> None:
-    """Point the ShardedMap class-level hook at ``detector``."""
-    from repro.ppr.hashmap import ShardedMap
-
-    ShardedMap._sanitizer = detector
-
 
 def uninstall(detector: RaceDetector | None = None) -> None:
     """Clear the ShardedMap hook (only if it is ``detector``, when given)."""

@@ -1,55 +1,28 @@
-"""The repo-specific rule registry (REP001–REP011).
+"""The repo-specific rule registry: eight rules, REP001–REP011.
 
-Every rule implements one hook, ``check(project)``, over the
-:mod:`repro.analysis.callgraph` model that
-:func:`~repro.analysis.lint.run_lint` builds once per run.
+Every rule implements one hook, ``check(files)``, over the parsed
+:class:`~repro.analysis.lint.FileContext` list that
+:func:`~repro.analysis.lint.run_lint` builds once per run.  The rules
+live by hazard class:
 
-Determinism rules (:mod:`repro.analysis.rules.determinism`):
+* :mod:`~repro.analysis.rules.determinism` — REP001 wall clocks,
+  REP002 unseeded randomness, REP003 unordered iteration;
+* :mod:`~repro.analysis.rules.concurrency` — REP005 blocking calls in
+  coroutines, REP006 broad excepts that can swallow injected faults;
+* :mod:`~repro.analysis.rules.observability` — REP007 metric names
+  outside the catalogued namespaces;
+* :mod:`~repro.analysis.rules.rpc_contract` — REP010 dispatch literals
+  that bind no ``@rpc_handler``, and orphan handlers;
+* :mod:`~repro.analysis.rules.hotpath` — REP011 copies on the zero-copy
+  read path.
 
-* **REP001** — wall-clock calls outside the sanctioned
-  ``utils/timer.py`` shims;
-* **REP002** — unseeded randomness outside ``utils/rng.py``;
-* **REP003** — ordering-nondeterministic iteration (``set`` /
-  ``dict.keys()``) in scheduling / RPC dispatch / partition paths.
-
-Concurrency rules (:mod:`repro.analysis.rules.concurrency`):
-
-* **REP004** — statically unsizeable payloads at the model's RPC
-  dispatch sites (cross-checked against the
-  :mod:`repro.rpc.serialization` cost model);
-* **REP005** — blocking calls inside simt coroutines;
-* **REP006** — broad ``except`` clauses that can swallow injected faults
-  in retry paths.
-
-Observability rules (:mod:`repro.analysis.rules.observability`):
-
-* **REP007** — metric-name literals passed to
-  ``MetricsRegistry.inc/set/observe`` outside the namespaces declared in
-  :mod:`repro.obs.metrics_catalog` (drift against
-  ``docs/observability.md``).
-
-Whole-program rules (:mod:`repro.analysis.rules.interprocedural`):
-
-* **REP008** — lock-acquisition-order cycles across the call graph
-  (static deadlock complement of ``analysis/deadlock.py``);
-* **REP009** — module-level / class-variable containers mutated with no
-  lock held on any call path (static complement of ``analysis/race.py``);
-* **REP010** — RPC dispatch literals must bind a registered
-  ``@rpc_handler`` with compatible arity; orphan handlers are flagged.
-
-Hot-path rules (:mod:`repro.analysis.rules.hotpath`):
-
-* **REP011** — ``.copy()`` / ``np.repeat`` / ``np.concatenate`` in the
-  fetch hot-path modules (``storage/shard.py``,
-  ``storage/neighbor_batch.py``, ``storage/vertex_prop.py``) without an
-  explicit
-  ``# repro: allow=REP011`` pragma naming the sanctioned copy.
+``docs/static-analysis.md`` is the catalog, and it names what carries
+the contracts of the retired REP004, REP008 and REP009.
 """
 
 from __future__ import annotations
 
 from repro.analysis.rules.concurrency import (
-    Rep004UnsizeablePayload,
     Rep005BlockingCall,
     Rep006BroadExcept,
 )
@@ -59,24 +32,17 @@ from repro.analysis.rules.determinism import (
     Rep003UnorderedIteration,
 )
 from repro.analysis.rules.hotpath import Rep011HotPathCopy
-from repro.analysis.rules.interprocedural import (
-    Rep008LockOrder,
-    Rep009SharedMutableEscape,
-    Rep010RpcContract,
-)
 from repro.analysis.rules.observability import Rep007MetricNamespace
+from repro.analysis.rules.rpc_contract import Rep010RpcContract
 
 #: every registered rule, in ID order
 ALL_RULES = (
     Rep001WallClock(),
     Rep002UnseededRandomness(),
     Rep003UnorderedIteration(),
-    Rep004UnsizeablePayload(),
     Rep005BlockingCall(),
     Rep006BroadExcept(),
     Rep007MetricNamespace(),
-    Rep008LockOrder(),
-    Rep009SharedMutableEscape(),
     Rep010RpcContract(),
     Rep011HotPathCopy(),
 )
@@ -97,19 +63,4 @@ def get_rules(ids=None):
     return [by_id[i] for i in ids]
 
 
-__all__ = [
-    "ALL_RULES",
-    "ALL_RULE_IDS",
-    "Rep001WallClock",
-    "Rep002UnseededRandomness",
-    "Rep003UnorderedIteration",
-    "Rep004UnsizeablePayload",
-    "Rep005BlockingCall",
-    "Rep006BroadExcept",
-    "Rep007MetricNamespace",
-    "Rep008LockOrder",
-    "Rep009SharedMutableEscape",
-    "Rep010RpcContract",
-    "Rep011HotPathCopy",
-    "get_rules",
-]
+__all__ = ["ALL_RULES", "ALL_RULE_IDS", "get_rules"]

@@ -11,15 +11,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.callgraph import Project
-from repro.analysis.lint import Rule, Violation
+from repro.analysis.lint import FileContext, Rule, Violation
 
 #: canonical-name prefixes of calls that read the host clock (every
 #: ``time`` function but ``sleep``, which blocks: REP005's)
 WALL_CLOCK_CALLS = ("time.", "datetime.datetime.now",
                     "datetime.datetime.utcnow")
 
-#: ``np.random`` attributes that are fine outside ``utils/rng.py`` —
+#: ``np.random`` attributes that are fine to call anywhere —
 #: constructors and types that take explicit seed material
 SEEDABLE_NP_RANDOM = frozenset({
     "Generator", "SeedSequence", "BitGenerator",
@@ -41,8 +40,8 @@ class Rep001WallClock(Rule):
     id = "REP001"
     title = "wall-clock call outside the sanctioned timer shims"
 
-    def check(self, project: Project) -> Iterator[Violation]:
-        for ctx, node in self.walk(project):
+    def check(self, files: list[FileContext]) -> Iterator[Violation]:
+        for ctx, node in self.walk(files):
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.imports.resolve(node.func)
@@ -58,7 +57,7 @@ class Rep001WallClock(Rule):
 
 
 class Rep002UnseededRandomness(Rule):
-    """Unseeded or global-state randomness outside ``utils/rng.py``.
+    """Unseeded or global-state randomness, ``utils/rng.py`` included.
 
     ``np.random.default_rng()`` with no arguments pulls OS entropy; the
     legacy ``np.random.*`` module functions and the stdlib ``random``
@@ -68,49 +67,38 @@ class Rep002UnseededRandomness(Rule):
     """
 
     id = "REP002"
-    title = "unseeded randomness outside utils/rng.py"
+    title = "unseeded or global-state randomness"
 
-    def check(self, project: Project) -> Iterator[Violation]:
-        for ctx, node in self.walk(project):
-            if isinstance(node, ast.ImportFrom) and node.module == "random":
-                yield self.violation(
-                    ctx, node,
-                    "import from the stdlib random module (global-state "
+    def check(self, files: list[FileContext]) -> Iterator[Violation]:
+        for ctx, node in self.walk(files):
+            hit = self._describe(ctx, node)
+            if hit is not None:
+                yield self.violation(ctx, node, hit)
+
+    @staticmethod
+    def _describe(ctx: FileContext, node: ast.AST) -> str | None:
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            return ("import from the stdlib random module (global-state "
                     "RNG) — use repro.utils.rng helpers with an explicit "
-                    "seed",
-                )
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            name = ctx.imports.resolve(node.func)
-            if name is None:
-                continue
-            if name in ("numpy.random.default_rng", "numpy.default_rng"):
-                if not node.args and not node.keywords:
-                    yield self.violation(
-                        ctx, node,
-                        "np.random.default_rng() with no seed draws OS "
-                        "entropy — pass explicit seed material (see "
-                        "repro.utils.rng.rng_from_seed)",
-                    )
-                continue
-            if name.startswith("random."):
-                yield self.violation(
-                    ctx, node,
-                    f"stdlib {name}() uses hidden global RNG state — "
-                    "use a seeded numpy Generator via repro.utils.rng",
-                )
-                continue
-            if name.startswith("numpy.random."):
-                attr = name.removeprefix("numpy.random.")
-                if attr == "default_rng" or attr in SEEDABLE_NP_RANDOM:
-                    continue
-                yield self.violation(
-                    ctx, node,
-                    f"legacy np.random.{attr}() mutates numpy's global "
-                    "RNG state — use a seeded Generator via "
-                    "repro.utils.rng",
-                )
+                    "seed")
+        name = ctx.imports.resolve(node.func) \
+            if isinstance(node, ast.Call) else None
+        if name is None:
+            return None
+        if name in ("numpy.random.default_rng", "numpy.default_rng"):
+            if node.args or node.keywords:
+                return None
+            return ("np.random.default_rng() with no seed draws OS "
+                    "entropy — pass explicit seed material (see "
+                    "repro.utils.rng.rng_from_seed)")
+        if name.startswith("random."):
+            return (f"stdlib {name}() uses hidden global RNG state — "
+                    "use a seeded numpy Generator via repro.utils.rng")
+        attr = name.removeprefix("numpy.random.")
+        if attr == name or attr in SEEDABLE_NP_RANDOM:
+            return None
+        return (f"legacy np.random.{attr}() mutates numpy's global "
+                "RNG state — use a seeded Generator via repro.utils.rng")
 
 
 def _is_unordered_iterable(node: ast.expr) -> str | None:
@@ -155,8 +143,8 @@ class Rep003UnorderedIteration(Rule):
     scope_dirs = ("simt", "rpc", "engine", "partition", "serving",
                   "stream")
 
-    def check(self, project: Project) -> Iterator[Violation]:
-        for ctx, node in self.walk(project):
+    def check(self, files: list[FileContext]) -> Iterator[Violation]:
+        for ctx, node in self.walk(files):
             iters: list[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)

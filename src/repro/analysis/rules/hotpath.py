@@ -22,7 +22,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.callgraph import Project
 from repro.analysis.lint import FileContext, Rule, Violation
 
 #: repo-relative path suffixes the rule is scoped to
@@ -45,8 +44,8 @@ class Rep011HotPathCopy(Rule):
     def applies_to(self, ctx: FileContext) -> bool:
         return any(ctx.relpath.endswith(suffix) for suffix in HOT_PATH_FILES)
 
-    def check(self, project: Project) -> Iterator[Violation]:
-        for ctx, node in self.walk(project):
+    def check(self, files: list[FileContext]) -> Iterator[Violation]:
+        for ctx, node in self.walk(files):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -21,8 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.callgraph import Project
-from repro.analysis.lint import Rule, Violation
+from repro.analysis.lint import FileContext, Rule, Violation
 from repro.obs.metrics_catalog import METRIC_NAMESPACES, is_catalogued
 
 #: MetricsRegistry convenience methods that take an instrument name first
@@ -46,8 +45,8 @@ class Rep007MetricNamespace(Rule):
     id = "REP007"
     title = "metric name outside the namespaces in obs/metrics_catalog.py"
 
-    def check(self, project: Project) -> Iterator[Violation]:
-        for ctx, node in self.walk(project):
+    def check(self, files: list[FileContext]) -> Iterator[Violation]:
+        for ctx, node in self.walk(files):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
             func = node.func

@@ -72,7 +72,7 @@ def fit_values(table: "ShardedMap", *arrays: np.ndarray) -> tuple:
 class ShardedMap:
     """Lazily paged direct-address int64 -> dense-slot table."""
 
-    #: race-sanitizer hook (repro.analysis.race.install).  Class-level and
+    #: race-sanitizer hook (repro.analysis.race.installed).  Class-level and
     #: None by default: the off path costs one attribute check per *batched*
     #: call, so instrumentation is zero-overhead when disabled.
     _sanitizer = None

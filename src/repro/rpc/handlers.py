@@ -7,7 +7,7 @@ until the request lands — a typo'd or deleted handler only surfaces when a
 chaos test happens to exercise that path.  Marking handlers explicitly
 closes the loop twice:
 
-* **statically** — REP010 (:mod:`repro.analysis.rules.interprocedural`)
+* **statically** — REP010 (:mod:`repro.analysis.rules.rpc_contract`)
   checks every dispatch literal against the decorated surface with
   compatible arity, and flags decorated handlers nothing calls;
 * **at runtime** — :meth:`~repro.rpc.worker.Worker.resolve_method` and

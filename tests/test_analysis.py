@@ -1,18 +1,20 @@
 """The determinism & concurrency sanitizer suite (``repro.analysis``).
 
-Pillars, tested in order: the custom AST lint engine and its
-REP001–REP011 rules (against per-rule positive/negative fixtures under
+Pillars, tested in order: the custom AST lint engine and its eight
+rules (against per-rule positive/negative fixtures under
 ``tests/fixtures/analysis/`` and against the shipped tree, which must be
-clean — the tier-1 gate); the whole-program call/lock-graph model behind
-the interprocedural rules; the Eraser-style lockset race detector wired through ``ShardedMap`` /
-``ThreadRuntime`` / ``RunRequest(sanitize=True)``; and the scheduler
-deadlock detector that names the blocked coroutine and the future it
-awaits when the event queue drains early.
+clean and carry no stale suppression — the tier-1 gate); REP010's
+cross-file RPC contract; the Eraser-style lockset race detector wired
+through ``ShardedMap`` / ``ThreadRuntime`` /
+``RunRequest(sanitize=True)``; and the scheduler deadlock detector that
+names the blocked coroutine and the future it awaits when the event
+queue drains early.
 """
 
 import contextlib
 import io
 import json
+import re
 import threading
 
 import numpy as np
@@ -21,14 +23,15 @@ import pytest
 from repro.analysis import (
     AnalysisConfig,
     RaceDetector,
-    build_project,
     diagnose,
     installed,
     load_config,
     run_lint,
     uninstall,
 )
-from repro.analysis.lint import FileContext, Violation, collect_pragmas
+from repro.analysis import lint
+from repro.analysis.lint import FileContext, Violation, collect_pragmas, \
+    pragma_comments
 from repro.analysis.rules import ALL_RULE_IDS, ALL_RULES, get_rules
 from repro.cli import main
 from repro.engine import EngineConfig, GraphEngine, RunRequest
@@ -49,12 +52,9 @@ FIXTURE_MAP = {
     "REP001": ("rep001_bad.py", "rep001_ok.py", 3),
     "REP002": ("rep002_bad.py", "rep002_ok.py", 3),
     "REP003": ("simt/rep003_bad.py", "simt/rep003_ok.py", 3),
-    "REP004": ("rpc/rep004_bad.py", "rpc/rep004_ok.py", 5),
     "REP005": ("simt/rep005_bad.py", "simt/rep005_ok.py", 3),
     "REP006": ("rpc/rep006_bad.py", "rpc/rep006_ok.py", 2),
     "REP007": ("rep007_bad.py", "rep007_ok.py", 3),
-    "REP008": ("rep008_bad.py", "rep008_ok.py", 4),
-    "REP009": ("rpc/rep009_bad.py", "rpc/rep009_ok.py", 3),
     "REP010": ("rpc/rep010_bad.py", "rpc/rep010_ok.py", 3),
     "REP011": ("storage/shard.py", "storage/neighbor_batch.py", 3),
 }
@@ -71,9 +71,8 @@ def lint_fixture(rel, rule_id):
 
 class TestFramework:
     def test_all_rules_registered(self):
-        assert ALL_RULE_IDS == ("REP001", "REP002", "REP003", "REP004",
-                                "REP005", "REP006", "REP007", "REP008",
-                                "REP009", "REP010", "REP011")
+        assert ALL_RULE_IDS == ("REP001", "REP002", "REP003", "REP005",
+                                "REP006", "REP007", "REP010", "REP011")
         assert all(r.title for r in ALL_RULES)
 
     def test_rules_hold_no_per_run_state(self, tmp_path):
@@ -137,6 +136,25 @@ class TestFramework:
         with pytest.raises(ValueError, match="allow"):
             load_config(py)
 
+    @pytest.mark.parametrize("entry", ["REP001", "REP001:"])
+    def test_load_config_rejects_entry_without_glob(self, tmp_path, entry):
+        # a missing glob would exempt every file from the rule
+        py = tmp_path / "pyproject.toml"
+        py.write_text(f'[tool.repro.analysis]\nallow = ["{entry}"]\n')
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            load_config(py)
+
+    @pytest.mark.parametrize("entry", ["REP04:src/a.py", "REP008:src/a.py"])
+    def test_load_config_rejects_unknown_or_retired_rule(self, tmp_path,
+                                                         entry):
+        # an entry naming no registered rule would exempt nothing
+        py = tmp_path / "pyproject.toml"
+        py.write_text(f'[tool.repro.analysis]\nallow = ["{entry}"]\n')
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            load_config(py)
+        py.write_text('[tool.repro.analysis]\nallow = ["*:src/a.py"]\n')
+        assert load_config(py).allow == ("*:src/a.py",)
+
     def test_config_allowlist_applied_by_run_lint(self, tmp_path):
         bad = tmp_path / "timer_shim.py"
         bad.write_text("import time\nt = time.time()\n")
@@ -188,23 +206,30 @@ class TestRuleFixtures:
         _bad, ok, _n = FIXTURE_MAP[rule_id]
         assert lint_fixture(ok, rule_id) == []
 
-    def test_rep004_names_the_offending_argument(self):
-        out = lint_fixture("rpc/rep004_bad.py", "REP004")
-        messages = " ".join(v.message for v in out)
-        assert "lambda" in messages
-        assert "generator expression" in messages
-        assert "payload_sizes" in messages  # the Ellipsis literal
-
-    def test_rep004_dataflow_resolves_single_assignment_names(self):
-        out = lint_fixture("rpc/rep004_bad.py", "REP004")
-        via = [v for v in out if "via local" in v.message]
-        assert len(via) == 2
-        assert any("'handler'" in v.message for v in via)
-        assert any("'bad_payload'" in v.message for v in via)
-
     def test_rep006_exempts_reraising_handler(self):
         out = lint_fixture("rpc/rep006_ok.py", "REP006")
         assert out == []
+
+    def test_rep006_flags_a_broad_except_whatever_its_body_calls(
+            self, tmp_path):
+        # per-file: no call graph decides the body is fault-free; a
+        # handler that must swallow says why in a pragma
+        rpc = tmp_path / "rpc"
+        rpc.mkdir()
+        body = ("import numpy as np\n"
+                "def summarize(rows):\n"
+                "    try:\n"
+                "        return float(np.mean(rows))\n"
+                "    except Exception:{}\n"
+                "        return 0.0\n")
+        (rpc / "mod.py").write_text(body.format(""))
+        out = run_lint([tmp_path], rules=get_rules(["REP006"]),
+                       root=tmp_path)
+        assert [v.line for v in out] == [5]
+        (rpc / "mod.py").write_text(
+            body.format("  # repro: allow=REP006 mean of a list"))
+        assert run_lint([tmp_path], rules=get_rules(["REP006"]),
+                        root=tmp_path) == []
 
     def test_rep007_names_the_bad_metric(self):
         out = lint_fixture("rep007_bad.py", "REP007")
@@ -267,24 +292,54 @@ class TestRuleFixtures:
 
 @pytest.fixture(scope="module")
 def tree_analysis():
-    """One ``cli analyze`` of the shipped tree: (exit code, stdout)."""
+    """One ``cli analyze`` of the shipped tree: (exit code, stdout), plus
+    the files it parsed and their raw findings before suppression."""
+    seen = {}
+
+    def recording(files, rules=None):
+        seen["files"], seen["raw"] = files, lint_files(files, rules)
+        return seen["raw"]
+
+    lint_files = lint.lint_files
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(out):
+        mp.setattr(lint, "lint_files", recording)
         rc = main(["analyze"])
-    return rc, out.getvalue()
+    return rc, out.getvalue(), seen["files"], seen["raw"]
 
 
 class TestTreeGateAndCli:
     def test_shipped_tree_is_clean(self, tree_analysis):
-        rc, out = tree_analysis
+        rc, out, _files, _raw = tree_analysis
         # a violation prints one line before the verdict
         assert out.splitlines() == [
             f"analyze OK: {len(ALL_RULES)} rule(s), 0 violations"], out
 
     def test_cli_analyze_exits_zero_on_tree(self, tree_analysis):
-        rc, out = tree_analysis
+        rc, out, _files, _raw = tree_analysis
         assert rc == 0
         assert "analyze OK" in out
+
+    def test_every_suppression_suppresses_something(self, tree_analysis):
+        # each real pragma comment (not a docstring example) and each
+        # allowlist entry must cover a raw finding of a rule it names;
+        # one that covers nothing is stale, or names a retired rule
+        _rc, _out, files, raw = tree_analysis
+        hits = {(v.path, v.line, rule) for v in raw for rule in (v.rule, "*")}
+        stale = [
+            f"{ctx.relpath}:{line} allow={','.join(sorted(rules))}"
+            for ctx in files
+            for line, rules in pragma_comments(
+                (REPO_ROOT / ctx.relpath).read_text())
+            if not hits & {(ctx.relpath, at, rule)
+                           for at in (line, line + 1) for rule in rules}
+        ]
+        config = load_config(REPO_ROOT / "pyproject.toml")
+        stale += [entry for entry in config.allow
+                  if not any(AnalysisConfig(allow=(entry,)).allows(
+                      v.rule, v.path) for v in raw)]
+        assert stale == []
 
     def test_cli_analyze_nonzero_names_rule_and_location(self, capsys):
         bad = FIXTURES / "rep001_bad.py"
@@ -324,68 +379,12 @@ class TestTreeGateAndCli:
 
 
 # ---------------------------------------------------------------------------
-# the whole-program model (callgraph.py)
+# REP010's cross-file RPC contract and REP006's per-file verdicts
 # ---------------------------------------------------------------------------
 
 class TestCallGraph:
-    def test_aliased_import_resolves_cross_module(self, tmp_path):
-        (tmp_path / "helpers.py").write_text(
-            "def fetch(x):\n    return x\n")
-        (tmp_path / "driver.py").write_text(
-            "from helpers import fetch as grab\n"
-            "import helpers as h\n"
-            "def run():\n"
-            "    grab(1)\n"
-            "    h.fetch(2)\n")
-        project = build_project([tmp_path], root=tmp_path)
-        callees = [c.callee for c in project.functions["driver:run"].calls]
-        assert callees == ["helpers:fetch", "helpers:fetch"]
-
-    def test_self_method_and_inherited_resolution(self, tmp_path):
-        (tmp_path / "mod.py").write_text(
-            "class Base:\n"
-            "    def ping(self):\n"
-            "        return 1\n"
-            "class Impl(Base):\n"
-            "    def run(self):\n"
-            "        return self.ping()\n")
-        project = build_project([tmp_path], root=tmp_path)
-        calls = project.functions["mod:Impl.run"].calls
-        assert [c.callee for c in calls] == ["mod:Base.ping"]
-
-    def test_nested_defs_are_cataloged_and_resolved(self, tmp_path):
-        (tmp_path / "mod.py").write_text(
-            "import threading\n"
-            "L = threading.Lock()\n"
-            "def outer():\n"
-            "    def inner():\n"
-            "        with L:\n"
-            "            pass\n"
-            "    inner()\n")
-        project = build_project([tmp_path], root=tmp_path)
-        nested = project.functions["mod:outer.<locals>.inner"]
-        assert [a.lock_id for a in nested.locks] == ["mod:L"]
-        outer_calls = project.functions["mod:outer"].calls
-        assert [c.callee for c in outer_calls] == \
-            ["mod:outer.<locals>.inner"]
-
-    def test_lock_cycle_through_closure(self, tmp_path):
-        (tmp_path / "mod.py").write_text(
-            "import threading\n"
-            "L1 = threading.Lock()\n"
-            "L2 = threading.Lock()\n"
-            "def outer():\n"
-            "    def inner():\n"
-            "        with L1:\n"
-            "            with L2:\n"
-            "                pass\n"
-            "    return inner\n"
-            "def other():\n"
-            "    with L2:\n"
-            "        with L1:\n"
-            "            pass\n")
-        project = build_project([tmp_path], root=tmp_path)
-        assert project.lock_cycles() == [["mod:L1", "mod:L2"]]
+    """REP010 judges every linted file at once: a dispatch site binds a
+    handler declared in another file without any call graph."""
 
     def test_dispatch_site_in_another_file_binds_the_handler(self, tmp_path):
         rpc = tmp_path / "rpc"
@@ -407,29 +406,9 @@ class TestCallGraph:
         assert [(v.path, v.line) for v in out] == [("rpc/client.py", 3)]
 
 
-
-# ---------------------------------------------------------------------------
-# the interprocedural rules (REP008–REP010) + project-refined verdicts
-# ---------------------------------------------------------------------------
-
 class TestInterproceduralRules:
-    def test_rep008_reports_every_cycle_edge_with_the_ring(self):
-        out = lint_fixture("rep008_bad.py", "REP008")
-        module_cycle = [v for v in out if "LOCK_A" in v.message]
-        class_cycle = [v for v in out if "Pool._" in v.message]
-        assert len(module_cycle) == 2 and len(class_cycle) == 2
-        assert all("->" in v.message for v in out)
-
-    def test_rep009_names_target_and_definition_site(self):
-        out = lint_fixture("rpc/rep009_bad.py", "REP009")
-        assert any("REGISTRY" in v.message and "rep009_bad.py:8" in v.message
-                   for v in out)
-
-    def test_rep009_locked_callers_exempt_helper(self):
-        # the _insert helper in the ok fixture mutates with no lock at the
-        # site; it is exempt only because every caller holds _LOCK
-        out = lint_fixture("rpc/rep009_ok.py", "REP009")
-        assert out == []
+    """REP010 resolves a forwarded method name one bare-name call out, in
+    the same module; REP006 flags a broad except whatever its body calls."""
 
     def test_rep010_forwarded_method_param_resolves_one_hop(self, tmp_path):
         rpc = tmp_path / "rpc"
@@ -460,19 +439,6 @@ class TestInterproceduralRules:
         assert run_lint([tmp_path], rules=get_rules(["REP010"]),
                         root=tmp_path) == []
 
-    def test_rep006_provably_safe_body_not_flagged(self, tmp_path):
-        rpc = tmp_path / "rpc"
-        rpc.mkdir()
-        (rpc / "mod.py").write_text(
-            "import numpy as np\n"
-            "def summarize(rows):\n"
-            "    try:\n"
-            "        return float(np.mean(rows))\n"
-            "    except Exception:\n"
-            "        return 0.0\n")
-        assert run_lint([tmp_path], rules=get_rules(["REP006"]),
-                        root=tmp_path) == []
-
     def test_rep006_fault_capable_bodies_still_flagged(self, tmp_path):
         rpc = tmp_path / "rpc"
         rpc.mkdir()
@@ -490,39 +456,6 @@ class TestInterproceduralRules:
         out = run_lint([tmp_path], rules=get_rules(["REP006"]),
                        root=tmp_path)
         assert [v.line for v in out] == [4, 9]
-
-    def test_rep004_judges_callee_return_paths_one_hop(self, tmp_path):
-        rpc = tmp_path / "rpc"
-        rpc.mkdir()
-        (rpc / "mod.py").write_text(
-            "def make_cb():\n"
-            "    return lambda x: x\n"
-            "def mixed(flag):\n"
-            "    if flag:\n"
-            "        return lambda x: x\n"
-            "    return [1, 2]\n"
-            "def send(ctx, ref):\n"
-            "    ctx.rpc_async(ref, 'm', make_cb())\n"   # every return bad
-            "    ctx.rpc_async(ref, 'm', mixed(True))\n")  # one good path
-        out = run_lint([tmp_path], rules=get_rules(["REP004"]),
-                       root=tmp_path)
-        assert len(out) == 1 and out[0].line == 8
-        assert "every return path is unsizeable" in out[0].message
-
-    def test_rep004_judges_every_catalogued_dispatch_surface(self, tmp_path):
-        # the surfaces REP006/REP010 read: rpc_sync_effect payloads and the
-        # elements of rref_call's args tuple / kwargs dict
-        (tmp_path / "mod.py").write_text(
-            "def send(ctx, ref, caller):\n"
-            "    yield ref.rpc_sync_effect(caller, 'm', lambda x: x)\n"
-            "    ctx.rref_call(caller, ref, 'm', (1, lambda x: x), {})\n"
-            "    ctx.rref_call(caller, ref, 'm', (), {'k': (i for i in ())})\n"
-            "    ctx.rref_call(caller, ref, 'm', (1, [2]), {'k': 3})\n")
-        out = run_lint([tmp_path], rules=get_rules(["REP004"]),
-                       root=tmp_path)
-        assert [(v.line, v.col) for v in out] == [(2, 43), (3, 40), (4, 46)]
-        assert "rpc_sync_effect() argument is a lambda" in out[0].message
-        assert "rref_call() argument is a generator" in out[2].message
 
     def test_deleting_a_handler_is_caught(self, tmp_path):
         """The ISSUE acceptance scenario: drop a handler, REP010 fires."""
@@ -550,33 +483,6 @@ class TestInterproceduralRules:
         out = run_lint([tmp_path], rules=get_rules(["REP010"]),
                        root=tmp_path)
         assert len(out) == 1 and "'beta'" in out[0].message
-
-    def test_inverting_lock_order_is_caught(self, tmp_path):
-        """The ISSUE acceptance scenario: invert two with-blocks, REP008."""
-        before = (
-            "import threading\n"
-            "A = threading.Lock()\n"
-            "B = threading.Lock()\n"
-            "def one():\n"
-            "    with A:\n"
-            "        with B:\n"
-            "            pass\n"
-            "def two():\n"
-            "    with A:\n"
-            "        with B:\n"
-            "            pass\n")
-        mod = tmp_path / "mod.py"
-        mod.write_text(before)
-        assert run_lint([tmp_path], rules=get_rules(["REP008"]),
-                        root=tmp_path) == []
-        mod.write_text(before.replace(
-            "def two():\n    with A:\n        with B:\n",
-            "def two():\n    with B:\n        with A:\n"))
-        out = run_lint([tmp_path], rules=get_rules(["REP008"]),
-                       root=tmp_path)
-        assert len(out) == 2
-        assert all("mod:A" in v.message and "mod:B" in v.message
-                   for v in out)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,25 @@ def test_undeclared_handler_fails_in_one_place(runtime, locality, method):
     assert (where, counted) == _call_undeclared(other, locality, method)
 
 
+@pytest.mark.parametrize("runtime", ["sim", "threads"])
+def test_unsizeable_remote_payload_is_rejected_at_dispatch(runtime):
+    """A cross-machine request is sized by ``payload_sizes`` before it is
+    sent, so a payload the cost model cannot price (a lambda) raises
+    ``TypeError`` out of ``rpc_async`` on both runtimes."""
+    sched, ctx, rref = _deploy(runtime, 1)
+    raised = []
+
+    def body():
+        try:
+            rref.rpc_async("w", "ping", lambda x: x)
+        except TypeError as exc:
+            raised.append(str(exc))
+        yield from ()
+
+    _drive(sched, ctx, body())
+    assert len(raised) == 1 and "cannot size" in raised[0], raised
+
+
 def _three_calls(runtime, **kw):
     sched, ctx, rref = _deploy(runtime, 1, **kw)
     values = []
