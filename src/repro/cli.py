@@ -20,8 +20,7 @@ Downstream-friendly entry points for the preprocessing / query pipeline:
 * ``chaos``      — a clean-vs-faulty run under an injected fault plan;
 * ``profile``    — run a traced batch and export metrics as a Chrome trace
   (``--format chrome``), machine-readable JSON (``stats``), or an aligned
-  text table (``table``); ``--stream-batches N`` folds the streaming
-  loop's ``stream.*``/``rebalance.*`` counters into the output;
+  text table (``table``);
 * ``doctor``     — trace analytics (``docs/observability.md``): causal
   critical paths with per-bucket attribution, heat-ordered stragglers,
   trace-incompleteness warnings; ``--diff`` compares two saved
@@ -437,28 +436,6 @@ def cmd_chaos(args) -> int:
     return 0
 
 
-def _stream_profile_metrics(engine, params, args) -> dict:
-    """``stream.*``/``rebalance.*`` counters from a short streaming bout.
-
-    ``profile --stream-batches N`` appends these namespaces to the stats
-    surface so one JSON document covers the batch engine *and* the
-    streaming loop.
-    """
-    from repro.engine.query import sample_sources
-    from repro.stream import (StreamConfig, StreamEvent, StreamingSession,
-                              TemporalEdgeStream)
-
-    session = StreamingSession(engine, StreamConfig(params=params))
-    session.publish(sample_sources(engine.sharded, 2, seed=args.seed))
-    updates = TemporalEdgeStream(engine.graph, seed=args.seed, batch_size=8)
-    events = [StreamEvent(kind="update", batch=updates.next_batch())
-              for _ in range(args.stream_batches)]
-    events.append(StreamEvent(kind="rebalance"))
-    session.run_stream(events)
-    return {k: v for k, v in session.metrics.snapshot().items()
-            if k.startswith(("stream.", "rebalance."))}
-
-
 def cmd_profile(args) -> int:
     """Traced run; ``--format`` picks the export surface."""
     import json as _json
@@ -472,9 +449,6 @@ def cmd_profile(args) -> int:
         n_queries=args.queries, params=params, seed=args.seed,
         mode=args.mode, trace=True,
     ))
-    metrics = dict(run.metrics)
-    if getattr(args, "stream_batches", 0):
-        metrics.update(_stream_profile_metrics(engine, params, args))
     cfg = engine.config
     machine_of = {cfg.server_name(m): m for m in range(cfg.n_machines)}
     machine_of.update({
@@ -485,7 +459,7 @@ def cmd_profile(args) -> int:
     if args.format == "stats":
         # machine-readable: the flat metrics snapshot, the per-call RPC
         # account and phase seconds
-        print(_json.dumps({"metrics": metrics,
+        print(_json.dumps({"metrics": run.metrics,
                            "rpc": rpc,
                            "phases": run.phases,
                            "makespan_s": run.makespan,
@@ -497,7 +471,7 @@ def cmd_profile(args) -> int:
         print(f"{run.n_queries} queries traced: {n_spans} spans "
               f"({rpc['calls_remote']} RPC client/server pairs) -> {path}")
         print(f"open in chrome://tracing or https://ui.perfetto.dev")
-    print(text_table(metrics, title="metrics"))
+    print(text_table(run.metrics, title="metrics"))
     print("remote calls: " + ", ".join(
         f"{method}={n}" for method, n in rpc["by_method"].items()
     ))
@@ -588,20 +562,15 @@ def cmd_serve(args) -> int:
     if args.trace == "bursty":
         kwargs.update(burst_factor=args.burst_factor, period=args.period,
                       duty=args.duty)
-    try:
-        tenants = _parse_tenants(args.tenants)
-        trace = TRACES[args.trace](np.arange(engine.graph.n_nodes),
-                                   tenants=tenants, **kwargs)
-        config = SessionConfig(
-            mode=args.mode, runtime=args.runtime, tenants=tenants,
-            queue_cap=args.queue_cap, batch_cap=args.batch_cap,
-            slo=args.slo, batch_window=args.window, fault_plan=fault_plan,
-            retry_policy=retry_policy,
-        )
-    except ValueError as exc:
-        # a rejected argument is a usage error, reported as argparse does
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tenants = _parse_tenants(args.tenants)
+    trace = TRACES[args.trace](np.arange(engine.graph.n_nodes),
+                               tenants=tenants, **kwargs)
+    config = SessionConfig(
+        mode=args.mode, runtime=args.runtime, tenants=tenants,
+        queue_cap=args.queue_cap, batch_cap=args.batch_cap,
+        slo=args.slo, batch_window=args.window, fault_plan=fault_plan,
+        retry_policy=retry_policy,
+    )
     report = serve_trace(engine, trace, config)
     if args.json:
         print(_json.dumps(report.row(), indent=1))
@@ -823,10 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("chrome", "stats", "table"),
                    help="chrome: trace file + tables; stats: metrics JSON "
                         "to stdout; table: metrics table only")
-    p.add_argument("--stream-batches", type=int, default=0,
-                   help="also run N streaming update batches and fold the "
-                        "stream.*/rebalance.* counters into the output "
-                        "(0 = off)")
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("doctor",
@@ -868,7 +833,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # a rejected argument is a usage error, reported as argparse does
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from repro.partition.base import Partitioner
 from repro.partition.metis_lite import MetisLitePartitioner
 from repro.ppr.distributed import OptLevel
 from repro.simt.network import NetworkModel
-from repro.utils.validation import check_int
+from repro.utils.validation import check_int, check_nonnegative
 
 
 @dataclass
@@ -36,6 +36,8 @@ class EngineConfig:
         check_int("halo_hops", self.halo_hops)
         if self.halo_hops not in (1, 2):
             raise ValueError(f"halo_hops must be 1 or 2, got {self.halo_hops}")
+        check_int("seed", self.seed)
+        check_nonnegative("seed", self.seed)
 
     @property
     def n_shards(self) -> int:

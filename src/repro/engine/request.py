@@ -42,7 +42,7 @@ from repro.ppr.distributed import DegradationMode
 from repro.ppr.params import PPRParams
 from repro.rpc.retry import RetryPolicy
 from repro.simt.faults import FaultPlan
-from repro.utils.validation import check_int
+from repro.utils.validation import check_int, check_nonnegative
 
 #: execution modes: the PPR Engine one query per state, the dense tensor
 #: baseline, and the PPR Engine one lockstep batch per computing process
@@ -141,6 +141,11 @@ class RunRequest:
             raise ValueError("pass n_queries or sources, not both")
         if self.n_queries is not None:
             check_int("n_queries", self.n_queries, positive=True)
+        if self.seed is not None:
+            check_int("seed", self.seed)
+            check_nonnegative("seed", self.seed)
+        if self.max_spans is not None:
+            check_int("max_spans", self.max_spans, positive=True)
         if not isinstance(self.degradation, DegradationMode):
             raise TypeError(
                 f"degradation must be a DegradationMode, "

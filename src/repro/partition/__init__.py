@@ -7,7 +7,8 @@ available here, so :class:`MetisLitePartitioner` reimplements the same
 multilevel scheme from scratch:
 
 1. **Coarsening** — repeated heavy-edge mutual matching contracts the graph
-   by ~35-50% per level while preserving cut structure;
+   while preserving cut structure (on the stand-ins it stalls after a level
+   or two, far above its target — see :mod:`repro.partition.coarsen`);
 2. **Initial partitioning** — greedy balanced BFS region growing on the
    coarsest graph;
 3. **Uncoarsening + refinement** — project the assignment back level by

@@ -1,18 +1,22 @@
 """Payload sizing and buffer pooling for the RPC cost model.
 
 A TensorPipe-style transport charges per message, per tensor, and per byte.
-:func:`payload_sizes` walks an arbitrary argument/result structure and
-returns ``(nbytes, n_tensors)``:
+One walk (``_walk``) describes what an argument/result structure puts on
+the wire — the ``(dtype, nbytes)`` of each tensor, plus the bytes of
+everything else — and both consumers read it: :func:`payload_sizes`
+prices a message as ``(nbytes, n_tensors)``, and :meth:`BufferPool.stage`
+borrows one pooled buffer per tensor.  The walk's rules:
 
-* a NumPy array counts as **one tensor** of ``arr.nbytes`` bytes;
+* a NumPy array is **one tensor** of ``arr.nbytes`` bytes;
 * Python scalars cost 8 bytes (pickled fixed-size header approximation);
 * strings/bytes cost their encoded length;
 * containers are walked recursively;
-* objects exposing ``rpc_payload() -> (nbytes, n_tensors)`` report
-  themselves — e.g. a CSR-compressed
-  :class:`~repro.storage.neighbor_batch.NeighborBatch` reports five tensors
-  total, while the uncompressed list-of-lists response reports one tensor
-  *per source node per field*, which is exactly why compression wins.
+* objects exposing ``rpc_tensors()`` describe themselves as the
+  ``(dtype, nbytes)`` of each tensor they would serialize to — e.g. a
+  CSR-compressed :class:`~repro.storage.neighbor_batch.NeighborBatch` is
+  five tensors total, while the uncompressed list-of-lists response is one
+  tensor *per source node per field*, which is exactly why compression
+  wins.
 
 Sizing is intentionally decoupled from actual serialization: within the
 simulated cluster, objects are handed over by reference (the paper's
@@ -22,7 +26,7 @@ expensive the transfer *would* be over the wire.
 Type dispatch is memoized per concrete type (``_DISPATCH``): the hot path
 sizes millions of identically-shaped responses, so the isinstance chain is
 resolved once per type instead of once per call.  The protocol check is
-type-level (``rpc_payload`` found on the class), matching every real
+type-level (``rpc_tensors`` found on the class), matching every real
 payload type in the tree.
 
 :class:`BufferPool` models a deterministic size-class allocator for
@@ -39,7 +43,7 @@ virtual-time scheduler and :class:`~repro.rpc.thread_runtime.ThreadRuntime`.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -48,112 +52,112 @@ _SCALAR_NBYTES = 8
 _MIN_POOL_CLASS = 64
 
 
-def _size_none(obj: Any) -> tuple[int, int]:
-    return 0, 0
+def _walk_none(obj: Any, tensors: list) -> int:
+    return 0
 
 
-def _size_ndarray(obj: np.ndarray) -> tuple[int, int]:
-    return int(obj.nbytes), 1
+def _walk_ndarray(obj: np.ndarray, tensors: list) -> int:
+    tensors.append((obj.dtype, obj.nbytes))
+    return 0
 
 
-def _size_custom(obj: Any) -> tuple[int, int]:
-    nbytes, n_tensors = obj.rpc_payload()
-    if nbytes < 0 or n_tensors < 0:
-        raise ValueError(
-            f"{type(obj).__name__}.rpc_payload() returned negative sizes"
-        )
-    return int(nbytes), int(n_tensors)
+def _walk_described(obj: Any, tensors: list) -> int:
+    for tensor in obj.rpc_tensors():
+        if tensor[1] < 0:
+            raise ValueError(
+                f"{type(obj).__name__}.rpc_tensors() yielded a negative size"
+            )
+        tensors.append(tensor)
+    return 0
 
 
-def _size_scalar(obj: Any) -> tuple[int, int]:
-    return _SCALAR_NBYTES, 0
+def _walk_scalar(obj: Any, tensors: list) -> int:
+    return _SCALAR_NBYTES
 
 
-def _size_str(obj: str) -> tuple[int, int]:
-    return len(obj.encode("utf-8")), 0
+def _walk_str(obj: str, tensors: list) -> int:
+    return len(obj.encode("utf-8"))
 
 
-def _size_bytes(obj: Any) -> tuple[int, int]:
-    return len(obj), 0
+def _walk_bytes(obj: Any, tensors: list) -> int:
+    return len(obj)
 
 
-def _size_dict(obj: dict) -> tuple[int, int]:
-    nbytes = n_tensors = 0
+def _walk_dict(obj: dict, tensors: list) -> int:
+    nbytes = 0
     for key, value in obj.items():
-        kb, kt = payload_sizes(key)
-        vb, vt = payload_sizes(value)
-        nbytes += kb + vb
-        n_tensors += kt + vt
-    return nbytes, n_tensors
+        nbytes += _walk(key, tensors) + _walk(value, tensors)
+    return nbytes
 
 
-def _size_sequence(obj: Any) -> tuple[int, int]:
-    nbytes = n_tensors = 0
+def _walk_sequence(obj: Any, tensors: list) -> int:
+    nbytes = 0
     for item in obj:
-        ib, it = payload_sizes(item)
-        nbytes += ib
-        n_tensors += it
-    return nbytes, n_tensors
+        nbytes += _walk(item, tensors)
+    return nbytes
 
 
-def _size_unsupported(obj: Any) -> tuple[int, int]:
+def _walk_unsupported(obj: Any, tensors: list) -> int:
     raise TypeError(
         f"cannot size RPC payload of type {type(obj).__name__}; "
-        "implement rpc_payload() -> (nbytes, n_tensors)"
+        "implement rpc_tensors() -> iterable of (dtype, nbytes)"
     )
 
 
 def _resolve_handler(tp: type):
-    """Pick the sizing handler for one concrete type (isinstance order)."""
+    """Pick the walk handler for one concrete type (isinstance order)."""
     if tp is type(None):
-        return _size_none
+        return _walk_none
     if issubclass(tp, np.ndarray):
-        return _size_ndarray
-    if getattr(tp, "rpc_payload", None) is not None:
-        return _size_custom
+        return _walk_ndarray
+    if getattr(tp, "rpc_tensors", None) is not None:
+        return _walk_described
     if issubclass(tp, (bool, int, float, complex, np.generic)):
-        return _size_scalar
+        return _walk_scalar
     if issubclass(tp, str):
-        return _size_str
+        return _walk_str
     if issubclass(tp, (bytes, bytearray, memoryview)):
-        return _size_bytes
+        return _walk_bytes
     if issubclass(tp, dict):
-        return _size_dict
+        return _walk_dict
     if issubclass(tp, (list, tuple, set, frozenset)):
-        return _size_sequence
-    return _size_unsupported
+        return _walk_sequence
+    return _walk_unsupported
 
 
-#: concrete type -> sizing handler, filled lazily
+#: concrete type -> walk handler, filled lazily
 _DISPATCH: dict[type, Any] = {}
 
 
-def payload_sizes(obj: Any) -> tuple[int, int]:
-    """Return ``(nbytes, n_tensors)`` for an RPC argument/result structure."""
+def _walk(obj: Any, tensors: list) -> int:
+    """Append the ``(dtype, nbytes)`` of each tensor ``obj`` puts on the
+    wire to ``tensors``; return the bytes of everything else."""
     tp = obj.__class__
     handler = _DISPATCH.get(tp)
     if handler is None:
         handler = _DISPATCH[tp] = _resolve_handler(tp)
-    return handler(obj)
+    return handler(obj, tensors)
+
+
+def _priced(nbytes: int, tensors: list) -> tuple[int, int]:
+    """``(nbytes, n_tensors)`` of a walk: its other bytes plus its tensors'."""
+    for _, tensor_nbytes in tensors:
+        nbytes += tensor_nbytes
+    return nbytes, len(tensors)
+
+
+def payload_sizes(obj: Any) -> tuple[int, int]:
+    """Return ``(nbytes, n_tensors)`` for an RPC argument/result structure."""
+    tensors: list = []
+    return _priced(_walk(obj, tensors), tensors)
 
 
 def request_payload_sizes(args: tuple, kwargs: dict) -> tuple[int, int]:
-    """Size a call's ``(args, kwargs)`` without building wrapper containers.
-
-    Byte- and tensor-identical to ``payload_sizes([list(args), kwargs])``
-    (containers themselves are free), minus the per-call list allocation.
-    """
-    nbytes = n_tensors = 0
-    for item in args:
-        ib, it = payload_sizes(item)
-        nbytes += ib
-        n_tensors += it
-    for key, value in kwargs.items():
-        kb, kt = payload_sizes(key)
-        vb, vt = payload_sizes(value)
-        nbytes += kb + vb
-        n_tensors += kt + vt
-    return nbytes, n_tensors
+    """Size a call's ``(args, kwargs)``: ``payload_sizes((args, kwargs))``
+    without walking the wrapper (containers themselves are free)."""
+    tensors: list = []
+    return _priced(_walk_sequence(args, tensors) + _walk_dict(kwargs, tensors),
+                   tensors)
 
 
 def size_class(nbytes: int) -> int:
@@ -161,33 +165,6 @@ def size_class(nbytes: int) -> int:
     if nbytes <= _MIN_POOL_CLASS:
         return _MIN_POOL_CLASS
     return 1 << (nbytes - 1).bit_length()
-
-
-def _iter_tensors(obj: Any) -> Iterator[tuple[str, int]]:
-    """Yield ``(dtype str, nbytes)`` of each tensor a serialized structure
-    would put on the wire.
-
-    Mirrors :func:`payload_sizes`' walk: bare arrays count directly,
-    payload objects enumerate themselves through ``rpc_tensors()`` (when
-    they offer it — objects without it carry no poolable tensors), so a
-    response that names rows instead of holding them, like
-    :class:`~repro.storage.vertex_prop.RowSelection`, stages the tensors
-    it stands for.  Containers recurse, scalar leaves yield nothing.
-    """
-    if isinstance(obj, np.ndarray):
-        yield obj.dtype.str, int(obj.nbytes)
-        return
-    tensors = getattr(obj, "rpc_tensors", None)
-    if tensors is not None:
-        yield from tensors()
-        return
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _iter_tensors(key)
-            yield from _iter_tensors(value)
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        for item in obj:
-            yield from _iter_tensors(item)
 
 
 class BufferPool:
@@ -205,26 +182,27 @@ class BufferPool:
     __slots__ = ("_inventory",)
 
     def __init__(self) -> None:
-        #: (dtype str, size class) -> buffers allocated, all idle
-        self._inventory: dict[tuple[str, int], int] = {}
+        #: (dtype, size class) -> buffers allocated, all idle
+        self._inventory: dict[tuple[np.dtype, int], int] = {}
 
     def stage(self, result: Any) -> tuple[int, int, int]:
         """Borrow/return pooled buffers for one serialized response:
         ``(tensors staged, hits on idle buffers, bytes of those hits)``."""
         inventory = self._inventory
-        borrowed: dict[tuple[str, int], int] = {}
-        requests = hits = reused = 0
-        for dtype, nbytes in _iter_tensors(result):
+        borrowed: dict[tuple[np.dtype, int], int] = {}
+        tensors: list = []
+        _walk(result, tensors)
+        hits = reused = 0
+        for dtype, nbytes in tensors:
             key = (dtype, size_class(nbytes))
             # the n-th buffer of a class hits iff the inventory has n
             n = borrowed[key] = borrowed.get(key, 0) + 1
-            requests += 1
             if n <= inventory.get(key, 0):
                 hits += 1
                 reused += key[1]
             else:
                 inventory[key] = n
-        return requests, hits, reused
+        return len(tensors), hits, reused
 
     def nbytes(self) -> int:
         """Resident bytes across all pooled buffers (memory accounting)."""

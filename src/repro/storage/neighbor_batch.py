@@ -74,19 +74,15 @@ class NeighborBatch:
                 self.src_wdeg)
 
     def rpc_tensors(self):
-        """``(dtype, nbytes)`` of each tensor a serialized response would
-        carry (buffer-pool hook)."""
-        return [(a.dtype.str, int(a.nbytes)) for a in self.to_arrays()]
+        """``(dtype, nbytes)`` of each tensor on the wire: 5 regardless of
+        batch size — the compression win."""
+        return [(a.dtype, a.nbytes) for a in self.to_arrays()]
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the five arrays: what a row costs to keep or send."""
         return (self.indptr.nbytes + self.ids.nbytes + self.weights.nbytes
                 + self.wdeg.nbytes + self.src_wdeg.nbytes)
-
-    def rpc_payload(self) -> tuple[int, int]:
-        """5 tensors regardless of batch size — the compression win."""
-        return self.nbytes, 5
 
     def freeze(self) -> "NeighborBatch":
         """Mark the arrays read-only (the zero-copy arena guard)."""
@@ -235,20 +231,10 @@ class NeighborLists:
             w = wdeg = np.zeros(0, dtype=np.float64)
         return indptr, ids, w, wdeg, self.src_wdeg
 
-    def rpc_payload(self) -> tuple[int, int]:
-        """3 tensors *per requested node* — the TensorPipe-hostile shape."""
-        nbytes = self.src_wdeg.nbytes
-        n_tensors = 1
-        for entry in self.entries:
-            for arr in entry:
-                nbytes += arr.nbytes
-                n_tensors += 1
-        return nbytes, n_tensors
-
     def rpc_tensors(self):
-        """``(dtype, nbytes)`` of every per-node tensor a transfer would
-        wrap (buffer-pool hook)."""
-        yield self.src_wdeg.dtype.str, int(self.src_wdeg.nbytes)
+        """``src_wdeg``, then 3 tensors *per requested node* — the
+        TensorPipe-hostile shape."""
+        yield self.src_wdeg.dtype, self.src_wdeg.nbytes
         for entry in self.entries:
             for arr in entry:
-                yield arr.dtype.str, int(arr.nbytes)
+                yield arr.dtype, arr.nbytes

@@ -24,7 +24,7 @@ update batch without further communication, as two blocks of CSR rows
 
 Built by :func:`repro.stream.ingest.build_shard_payloads`; consumed by
 :meth:`repro.storage.shard.GraphShard.stage_updates`.  Implements
-``rpc_payload`` so the RPC cost model prices the ingest traffic like
+``rpc_tensors`` so the RPC cost model prices the ingest traffic like
 any other message.
 """
 
@@ -62,13 +62,8 @@ class ShardUpdate:
     def n_changed(self) -> int:
         return int(self.changed_ids.shape[0])
 
-    def rpc_payload(self) -> tuple[int, int]:
-        """The two id arrays plus the two row blocks, each priced as a
-        response of its own."""
-        nbytes = self.row_ids.nbytes + self.changed_ids.nbytes
-        n_tensors = 2
-        for block in (self.rows, self.changed_rows):
-            block_nbytes, block_tensors = block.rpc_payload()
-            nbytes += block_nbytes
-            n_tensors += block_tensors
-        return nbytes, n_tensors
+    def rpc_tensors(self):
+        """The two id arrays, then both row blocks' tensors."""
+        return [(self.row_ids.dtype, self.row_ids.nbytes),
+                (self.changed_ids.dtype, self.changed_ids.nbytes),
+                *self.rows.rpc_tensors(), *self.changed_rows.rpc_tensors()]

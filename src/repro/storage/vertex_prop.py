@@ -7,17 +7,17 @@ requested rows.  The server gathers nothing; the consumer gathers each
 row once — ``to_arrays()`` through :meth:`NeighborBatch.take_rows`, or a
 Forward-Push round straight into its round buffers (:func:`gather_rows`).
 On the modelled wire a selection is the CSR batch it names:
-:meth:`RowSelection.rpc_payload` and :meth:`RowSelection.rpc_tensors`
-report the bytes and tensors of the gathered :class:`NeighborBatch`, so
-every RPC count and virtual second is the one a gathering server would
-produce.  An outstanding selection stays valid because a commit swaps in
-a new arena and never writes the old one.
+:meth:`RowSelection.rpc_tensors` reports the tensors of the gathered
+:class:`NeighborBatch`, so every RPC count and virtual second is the one a
+gathering server would produce.  An outstanding selection stays valid
+because a commit swaps in a new arena and never writes the old one.
 
 A :class:`VertexProp` is the same selection returned by a local
 (shared-memory) fetch.  This mirrors the paper's optimization of passing
 "a vector of shared pointers of VertexProp across the C++ and Python
 layers for local fetching, without taking ownership of the original
-data": its modelled payload is a pointer handoff.
+data": on the modelled wire it is one tensor of 16-byte pointers, one per
+requested row plus the vector's own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ import numpy as np
 
 from repro.storage.neighbor_batch import NeighborBatch
 
-_INDPTR = np.dtype(np.int64).str
+_INDPTR = np.dtype(np.int64)
+#: a shared pointer: the VertexProp handoff's element
+_POINTER = np.dtype((np.void, 16))
 
 
 class RowSelection:
@@ -69,17 +71,13 @@ class RowSelection:
         return self.arena.take_rows(self.rows).to_arrays()
 
     def rpc_tensors(self):
-        """``(dtype, nbytes)`` of each tensor of the gathered batch."""
+        """``(dtype, nbytes)`` of each of the gathered batch's 5 tensors."""
         n, e = len(self.rows), self.n_entries
         a = self.arena
-        return ((_INDPTR, 8 * (n + 1)), (a.ids.dtype.str, e * a.ids.itemsize),
-                (a.weights.dtype.str, e * a.weights.itemsize),
-                (a.wdeg.dtype.str, e * a.wdeg.itemsize),
-                (a.src_wdeg.dtype.str, n * a.src_wdeg.itemsize))
-
-    def rpc_payload(self) -> tuple[int, int]:
-        """The gathered batch's bytes, in its 5 tensors."""
-        return sum(nbytes for _, nbytes in self.rpc_tensors()), 5
+        return ((_INDPTR, 8 * (n + 1)), (a.ids.dtype, e * a.ids.itemsize),
+                (a.weights.dtype, e * a.weights.itemsize),
+                (a.wdeg.dtype, e * a.wdeg.itemsize),
+                (a.src_wdeg.dtype, n * a.src_wdeg.itemsize))
 
 
 class VertexProp(RowSelection):
@@ -87,34 +85,14 @@ class VertexProp(RowSelection):
 
     __slots__ = ()
 
-    def degree(self, i: int) -> int:
-        """Neighbor count of the i-th requested node."""
-        row = self.rows[i]
-        return int(self.arena.indptr[row + 1] - self.arena.indptr[row])
-
-    def neighbors(self, i: int):
-        """Views: ``(ids, weights, wdeg)`` of node i's neighbors."""
-        row = self.rows[i]
-        s, e = self.arena.indptr[row], self.arena.indptr[row + 1]
-        return (self.arena.ids[s:e], self.arena.weights[s:e],
-                self.arena.wdeg[s:e])
-
-    def source_weighted_degrees(self) -> np.ndarray:
-        """Own weighted degree of each requested node."""
-        return self.arena.src_wdeg[self.rows]
-
     def rpc_tensors(self):
-        """Pointer-passing puts no tensor on the wire."""
-        return ()
-
-    def rpc_payload(self) -> tuple[int, int]:
-        """Local handoff is pointer-passing: negligible payload.
+        """Pointer-passing: one small tensor of pointers, not the rows.
 
         VertexProp never crosses machines in the engine; if it ever did, the
         cost model would still see a tiny control payload rather than the
         (unsent) underlying arrays.
         """
-        return 16 * (len(self.rows) + 1), 1
+        return ((_POINTER, 16 * (len(self.rows) + 1)),)
 
 
 def gather_rows(responses: list) -> tuple:

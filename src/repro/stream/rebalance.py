@@ -34,6 +34,8 @@ import numpy as np
 from repro.simt.events import Wait, WaitAll
 from repro.storage.neighbor_batch import NeighborBatch
 from repro.stream.ingest import run_round
+from repro.utils.validation import (check_in_range, check_int,
+                                    check_nonnegative)
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,14 @@ class RebalancePolicy:
     min_heat: int = 4         # ignore vertices requested fewer times
     migrate_frac: float = 0.6  # one requester >= this share -> migrate
     max_migrations: int = 4   # cap on ownership changes per epoch
+
+    def __post_init__(self) -> None:
+        for name in ("top_k", "max_migrations"):
+            check_int(name, getattr(self, name))
+            check_nonnegative(name, getattr(self, name))
+        check_nonnegative("min_heat", self.min_heat)
+        check_in_range("migrate_frac", self.migrate_frac, 0.0, 1.0,
+                       inclusive=True)
 
 
 @dataclass
@@ -100,7 +110,7 @@ def plan_rebalance(sharded, heat_maps, policy=None) -> RebalanceReport:
 
     candidates = sorted(
         (g for g, t in totals.items() if t >= policy.min_heat),
-        key=lambda g: (-totals[g], g))[:max(policy.top_k, 0)]
+        key=lambda g: (-totals[g], g))[:policy.top_k]
 
     sizes = np.diff(sharded.base).tolist()
     report = RebalanceReport()
@@ -152,7 +162,7 @@ def rebalance_driver(rrefs, caller, jobs, metrics):
         rows = yield Wait(rrefs[src].rpc_async(caller, "get_neighbor_batch",
                                                ids))
         batch = NeighborBatch(*rows.to_arrays(), check=False)
-        bytes_copied += batch.rpc_payload()[0]
+        bytes_copied += batch.nbytes
         futs = [rrefs[d].rpc_async(caller, "install_halo_rows", ids, batch)
                 for d in dsts]
         counts = yield WaitAll(futs)

@@ -103,18 +103,6 @@ class TestVertexPropPayload:
         assert nbytes < real_bytes / 5
         assert n_tensors == 1
 
-    def test_vertex_prop_degree_accessors(self):
-        g = powerlaw_cluster(100, 5, seed=2)
-        sharded = build_shards(g, HashPartitioner().partition(g, 1))
-        shard = sharded.shards[0]
-        ids = np.array([0, 1, 2])
-        prop = shard.get_vertex_props(ids)
-        for i, lid in enumerate(ids):
-            gid = shard.core_global[lid]
-            assert prop.degree(i) == g.out_degree(int(gid))
-        np.testing.assert_allclose(prop.source_weighted_degrees(),
-                                   shard.rows.src_wdeg[ids])
-
 
 class TestCliHaloHops:
     def test_partition_with_two_hop_cache(self, tmp_path, capsys):

@@ -72,7 +72,7 @@ class TestSelectionPricesAsTheGatheredBatch:
         response = SHARD.get_neighbor_batch(LO + rows)
         gathered = SHARD.rows.take_rows(rows)
         assert payload_sizes(response) == payload_sizes(gathered)
-        assert response.rpc_payload() == gathered.rpc_payload()
+        assert list(response.rpc_tensors()) == list(gathered.rpc_tensors())
         assert _staged(response) == _staged(gathered)
         assert response.n_sources == gathered.n_sources
         assert response.n_entries == gathered.n_entries

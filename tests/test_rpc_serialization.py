@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.rpc.serialization import payload_sizes
+from repro.graph import powerlaw_cluster
+from repro.partition import HashPartitioner
+from repro.rpc.serialization import BufferPool, payload_sizes
 from repro.simt.network import NetworkModel
+from repro.storage import build_shards
+from repro.storage.shard_update import ShardUpdate
 
 
 class TestPayloadSizes:
@@ -39,24 +43,66 @@ class TestPayloadSizes:
         # arrays 12+16, int 8, "x" 1, keys "ids"+"k"+"inner" = 9 string bytes
         assert nbytes == 12 + 16 + 8 + 1 + 9
 
-    def test_custom_rpc_payload(self):
+    def test_custom_rpc_tensors(self):
         class Compressed:
-            def rpc_payload(self):
-                return (1000, 5)
+            def rpc_tensors(self):
+                return [(np.dtype(np.int64), 200)] * 5
 
         assert payload_sizes(Compressed()) == (1000, 5)
 
-    def test_custom_rpc_payload_negative_rejected(self):
+    def test_custom_rpc_tensors_negative_rejected(self):
         class Bad:
-            def rpc_payload(self):
-                return (-1, 0)
+            def rpc_tensors(self):
+                return [(np.dtype(np.int64), -1)]
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative"):
             payload_sizes(Bad())
+        with pytest.raises(ValueError, match="negative"):
+            BufferPool().stage(Bad())
 
     def test_unsizeable_object_rejected(self):
         with pytest.raises(TypeError, match="cannot size"):
             payload_sizes(object())
+
+
+def _wire_payloads():
+    """One payload of each wire type, over six rows of a 2-shard deployment."""
+    g = powerlaw_cluster(300, 4, seed=0)
+    sharded = build_shards(g, HashPartitioner().partition(g, 2))
+    shard = sharded.shards[1]
+    lo = int(sharded.base[1])
+    rows = np.array([0, 3, 4, 5, 9, 2], dtype=np.int64)
+    ids = lo + rows
+    return {
+        "RowSelection": shard.get_neighbor_batch(ids),
+        "VertexProp": shard.get_vertex_props(ids),
+        "NeighborLists": shard.get_neighbor_lists(ids),
+        "NeighborBatch": shard.rows.take_rows(rows),
+        "ShardUpdate": ShardUpdate(ids[:3], shard.rows.take_rows(rows[:3]),
+                                   np.sort(ids),
+                                   shard.rows.take_rows(np.sort(rows))),
+    }
+
+
+class TestSizingAndStagingAgree:
+    """``payload_sizes`` and ``BufferPool.stage`` read one description."""
+
+    #: (nbytes, n_tensors) of each payload, as sized before the wire
+    #: description was one ``rpc_tensors()`` per type
+    SIZES = {
+        "RowSelection": (1064, 5),
+        "VertexProp": (112, 1),        # 7 pointers of 16 B
+        "NeighborLists": (1008, 19),   # 3 per row + src_wdeg
+        "NeighborBatch": (1064, 5),
+        "ShardUpdate": (2032, 12),     # 2 id arrays + 2 blocks of 5
+    }
+
+    @pytest.mark.parametrize("name", sorted(SIZES))
+    def test_one_description_sizes_and_stages(self, name):
+        payload = _wire_payloads()[name]
+        assert type(payload).__name__ == name
+        assert payload_sizes(payload) == self.SIZES[name]
+        assert BufferPool().stage(payload)[0] == payload_sizes(payload)[1]
 
 
 class TestNetworkModel:

@@ -34,7 +34,8 @@ from repro.ppr import DegradationMode, PPRParams
 from repro.rpc import RetryPolicy
 from repro.serving import Query, SessionConfig
 from repro.simt.faults import FaultPlan
-from repro.stream import StreamConfig
+from repro.stream import StreamConfig, TemporalEdgeStream
+from repro.stream.rebalance import RebalancePolicy
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +160,64 @@ class TestHostileInts:
         assert (config.n_machines, config.halo_hops) == (2, 2)
         run = engine.run(RunRequest(n_queries=np.int64(2), seed=1))
         assert run.n_queries == 2
+
+
+#: (constructor, kwargs, error) — each was accepted, then failed later
+#: (inside NumPy's SeedSequence, at a traced deploy) or truncated silently
+_CONSTRUCTOR_HOLES = {
+    "RunRequest-seed-float": (RunRequest, dict(n_queries=1, seed=1.5),
+                              "seed must be an integer"),
+    "RunRequest-seed-negative": (RunRequest, dict(n_queries=1, seed=-1),
+                                 "seed must be >= 0"),
+    "EngineConfig-seed-float": (EngineConfig, dict(seed=1.5),
+                                "seed must be an integer"),
+    "EngineConfig-seed-negative": (EngineConfig, dict(seed=-1),
+                                   "seed must be >= 0"),
+    "RunRequest-max_spans-zero": (RunRequest, dict(n_queries=1, max_spans=0),
+                                  "max_spans must be > 0"),
+    "RunRequest-max_spans-negative": (
+        RunRequest, dict(n_queries=1, max_spans=-1), "max_spans must be > 0"),
+    "TemporalEdgeStream-batch_size-float": (
+        TemporalEdgeStream, dict(batch_size=2.5),
+        "batch_size must be an integer"),
+    "TemporalEdgeStream-batch_size-bool": (
+        TemporalEdgeStream, dict(batch_size=True),
+        "batch_size must be an integer"),
+    "RebalancePolicy-top_k-nan": (RebalancePolicy, dict(top_k=float("nan")),
+                                  "top_k must be an integer"),
+    "RebalancePolicy-top_k-negative": (RebalancePolicy, dict(top_k=-1),
+                                       "top_k must be >= 0"),
+    "RebalancePolicy-max_migrations-float": (
+        RebalancePolicy, dict(max_migrations=1.5),
+        "max_migrations must be an integer"),
+    "RebalancePolicy-migrate_frac-nan": (
+        RebalancePolicy, dict(migrate_frac=float("nan")),
+        r"migrate_frac must be in \[0.0, 1.0\]"),
+    "RebalancePolicy-min_heat-negative": (RebalancePolicy, dict(min_heat=-1),
+                                          "min_heat must be >= 0"),
+}
+
+
+class TestConstructorHoles:
+    """Public constructors reject a bad value where it is written."""
+
+    @pytest.mark.parametrize("make, kwargs, error",
+                             list(_CONSTRUCTOR_HOLES.values()),
+                             ids=list(_CONSTRUCTOR_HOLES))
+    def test_rejected(self, make, kwargs, error):
+        if make is TemporalEdgeStream:
+            kwargs = dict(kwargs, graph=powerlaw_cluster(30, 3, seed=0),
+                          seed=0)
+        with pytest.raises(ValueError, match=error):
+            make(**kwargs)
+
+    def test_defaults_and_edges_pass(self):
+        RunRequest(n_queries=1, seed=np.int64(0), max_spans=1)
+        EngineConfig(seed=np.uint32(3))
+        TemporalEdgeStream(powerlaw_cluster(30, 3, seed=0), seed=0,
+                           batch_size=np.int64(1))
+        RebalancePolicy(top_k=0, min_heat=0, migrate_frac=1.0,
+                        max_migrations=0)
 
 
 class TestKnobCombinations:
@@ -332,6 +391,28 @@ class TestCliSurface:
             "--max-attempts", "--timeout", "--top", "--json", "--out",
             "--load", "--diff",
         )
+
+    def test_profile_flags(self):
+        profile = _subcommands(build_parser())["profile"]
+        assert _arguments(profile) == (
+            "graph", "--scale", "--shards", "--machines", "--procs",
+            "--seed", "--queries", "--alpha", "--epsilon", "--mode",
+            "--out", "--format",
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "products", "--queries", "0"],
+        ["walk", "products", "--roots", "0"],
+        ["chaos", "products", "--queries", "0"],
+        ["profile", "products", "--queries", "0", "--format", "table"],
+        ["serve", "--machines", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_rejected_argument_is_a_usage_error(self, argv, capsys):
+        """Every subcommand reports a rejected value as argparse does:
+        ``error: ...`` on stderr and exit status 2, not a traceback."""
+        from repro.cli import main
+        assert main([*argv, "--scale", "0.02"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bench_subcommands_and_flags(self):
         bench = _subcommands(_subcommands(build_parser())["bench"])

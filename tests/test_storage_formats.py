@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import ShardError
 from repro.graph import erdos_renyi, powerlaw_cluster
 from repro.partition import HashPartitioner
+from repro.rpc.serialization import payload_sizes
 from repro.storage import build_shards
 from repro.storage.neighbor_batch import NeighborBatch, NeighborLists
 
@@ -57,7 +58,7 @@ class TestNeighborListsValidation:
         indptr, *arrays = lists.to_arrays()
         assert len(indptr) == 1
         assert all(len(a) == 0 for a in arrays)
-        nbytes, n_tensors = lists.rpc_payload()
+        nbytes, n_tensors = payload_sizes(lists)
         assert n_tensors == 1  # just the src_wdeg array
 
     def test_n_entries(self):
@@ -100,8 +101,8 @@ class TestFormatEquivalenceProperties:
         ids = np.arange(min(4, shard.n_core))
         if len(ids) < 2:
             return
-        _, compressed = shard.get_neighbor_batch(ids).rpc_payload()
-        _, uncompressed = shard.get_neighbor_lists(ids).rpc_payload()
+        _, compressed = payload_sizes(shard.get_neighbor_batch(ids))
+        _, uncompressed = payload_sizes(shard.get_neighbor_lists(ids))
         assert compressed < uncompressed
 
 

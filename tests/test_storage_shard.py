@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import PartitionError, ShardError
 from repro.graph import CSRGraph, erdos_renyi, powerlaw_cluster
 from repro.partition import HashPartitioner, MetisLitePartitioner, PartitionResult
+from repro.rpc.serialization import payload_sizes
 from repro.storage import build_shards
 from repro.storage.neighbor_batch import NeighborBatch
 from repro.storage.shard_update import ShardUpdate
@@ -224,10 +225,11 @@ class TestShardFetch:
         s0 = sharded.shards[0]
         prop = s0.get_vertex_props(np.array([1, 2]))
         assert prop.n_sources == 2
-        ids, w, wdeg = prop.neighbors(0)
+        indptr, ids, w, wdeg, _ = prop.to_arrays()
         # node global 1: neighbors 0, 2, 3
-        np.testing.assert_array_equal(sharded.globals_of(ids), [0, 2, 3])
-        # views share memory with the shard
+        np.testing.assert_array_equal(
+            sharded.globals_of(ids[indptr[0]:indptr[1]]), [0, 2, 3])
+        # one ascending run of rows: views that share memory with the shard
         assert ids.base is s0.rows.ids or ids is s0.rows.ids
 
     def test_vertex_prop_to_arrays_matches_batch(self, sharded):
@@ -280,14 +282,14 @@ class TestShardFetch:
         s0 = sharded.shards[0]
         small = s0.get_neighbor_batch(np.array([0]))
         big = s0.get_neighbor_batch(np.array([0, 1, 2]))
-        assert small.rpc_payload()[1] == big.rpc_payload()[1] == 5
+        assert payload_sizes(small)[1] == payload_sizes(big)[1] == 5
 
     def test_uncompressed_payload_grows_with_batch(self, sharded):
         s0 = sharded.shards[0]
         small = s0.get_neighbor_lists(np.array([0]))
         big = s0.get_neighbor_lists(np.array([0, 1, 2]))
-        assert small.rpc_payload()[1] == 4   # 3 tensors + src_wdeg
-        assert big.rpc_payload()[1] == 10    # 9 tensors + src_wdeg
+        assert payload_sizes(small)[1] == 4   # 3 tensors + src_wdeg
+        assert payload_sizes(big)[1] == 10    # 9 tensors + src_wdeg
 
     def test_empty_request(self, sharded):
         s0 = sharded.shards[0]

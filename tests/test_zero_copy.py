@@ -192,11 +192,13 @@ class _FreeListPool:
         self.requests = self.hits = self.misses = self.bytes_reused = 0
 
     def stage(self, result):
-        from repro.rpc.serialization import _iter_tensors
+        from repro.rpc.serialization import _walk
 
+        tensors = []
+        _walk(result, tensors)
         borrowed = []
         hits = reused = 0
-        for dtype, nbytes in _iter_tensors(result):
+        for dtype, nbytes in tensors:
             key = (dtype, size_class(nbytes))
             free = self._free.get(key, 0)
             if free:
