@@ -38,6 +38,7 @@ from repro.engine.request import RunRequest
 from repro.graph.csr import CSRGraph
 from repro.storage.build import ShardedGraph, build_shards
 from repro.storage.dist_storage import DistGraphStorage
+from repro.utils.validation import check_int
 
 
 @dataclass
@@ -200,6 +201,10 @@ class GraphEngine:
         """
         from repro.serving.session import Session
 
+        # sample_sources would name n_roots "n_queries"; a fractional
+        # length would fail deep inside the walk
+        check_int("n_roots", n_roots, positive=True)
+        check_int("walk_length", walk_length, positive=True)
         seed = self.config.seed if seed is None else seed
         roots = sample_sources(self.sharded, n_roots, seed=seed)
         summary, makespan, _ = Session(self).run_walks(roots, walk_length)

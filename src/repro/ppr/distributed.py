@@ -128,13 +128,15 @@ def distributed_sppr_query(g: DistGraphStorage, proc, sources,
         proc.compute("push", COMPUTE.push(m.n_entries_processed - entries,
                                           len(m.map) - touched))
 
+    batched, overlap = opt.batched, opt.overlapped
+    lost = m.abandon if skip else None
     while True:
         node_ids = m.pop()
         proc.compute("pop", COMPUTE.pop(m.n_popped))
         if len(node_ids) == 0:
             break
 
-        if not opt.batched:
+        if not batched:
             # Single mode: sequential per-vertex fetch + push.  Every push
             # reads its pop-time residual, so the visit order changes no
             # count: visit pop's order.
@@ -160,10 +162,10 @@ def distributed_sppr_query(g: DistGraphStorage, proc, sources,
             parts.append(part)
 
         yield from fetch_round(g, proc, node_ids, collect, cost=None,
-                               overlap=opt.overlapped,
-                               lost=m.abandon if skip else None)
+                               overlap=overlap, lost=lost)
         if answered:
-            push(answered, np.concatenate(parts))
+            push(answered, parts[0] if len(parts) == 1
+                 else np.concatenate(parts))
     return m
 
 

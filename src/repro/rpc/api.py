@@ -14,7 +14,6 @@ DDP-style gradient synchronization.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -92,27 +91,34 @@ class RpcContext(WorkerRegistry):
                                       tag=f"local:{method}")
 
         # Remote path: async issue, modeled transfer, FIFO service, reply.
-        issued_at = caller.clock
+        call.issued_at = caller.clock
         caller.charge_seconds(self.network.send_overhead(), "rpc_issue")
         fut = SimFuture(tag=f"rpc:{call.owner_name}.{method}")
-        # The client span's end is the future's virtual ready time; the
-        # round-trip also feeds the latency histogram regardless of tracing.
-        if call.span is not None:
-            fut.add_done_callback(lambda f: self._close_client_span(
-                call, issued_at, f.ready_time, f.exception))
-        metrics = self.obs.metrics
-        fut.add_done_callback(
-            lambda f: metrics.observe("rpc.latency", f.ready_time - issued_at)
-        )
         self._attempt(call, fut, 1, caller.clock)
         return fut
+
+    def _resolve(self, call: RemoteCall, fut: SimFuture, result,
+                 exc: BaseException | None, ready: float) -> None:
+        """Resolve ``call``'s future at virtual ``ready``.
+
+        The client span ends there, and the round trip feeds the latency
+        histogram regardless of tracing — both before the waiters'
+        callbacks run, as the future's first callbacks would.
+        """
+        if call.span is not None:
+            self._close_client_span(call, call.issued_at, ready, exc)
+        self.obs.metrics.observe("rpc.latency", ready - call.issued_at)
+        if exc is None:
+            fut.set_result(result, ready)
+        else:
+            fut.set_exception(exc, ready)
 
     def _attempt(self, call: RemoteCall, fut: SimFuture, n: int,
                  send_time: float) -> None:
         """Send attempt ``n`` of ``call`` at virtual ``send_time``."""
-        if fut.done:
-            return
         if n > 1:
+            if fut.done:
+                return  # an earlier attempt resolved it during the backoff
             self._fault(call, "retry")
         plan, policy = self.fault_plan, self.retry_policy
         deadline = math.inf if policy is None else send_time + policy.timeout
@@ -122,11 +128,11 @@ class RpcContext(WorkerRegistry):
             call.cause = "drop"
         else:
             arrival = send_time + self.network.transfer_time(*call.request)
-            self.scheduler.call_at(
-                arrival, partial(self._deliver, call, fut, arrival, deadline))
+            self.scheduler._schedule(arrival, self._deliver,
+                                     (call, fut, arrival, deadline))
         if policy is not None:
-            self.scheduler.call_at(
-                deadline, partial(self._on_timeout, call, fut, n, deadline))
+            self.scheduler._schedule(deadline, self._on_timeout,
+                                     (call, fut, n, deadline))
 
     def _deliver(self, call: RemoteCall, fut: SimFuture, arrival: float,
                  deadline: float) -> None:
@@ -145,12 +151,13 @@ class RpcContext(WorkerRegistry):
                 payload_sizes)
         # repro: allow=REP006 fault travels back via the future
         except BaseException as exc:
-            fut.set_exception(exc, arrival + network.transfer_time(64, 0))
+            self._resolve(call, fut, None, exc,
+                          arrival + network.transfer_time(64, 0))
             return
         self._served(call, result, sizes, start, end)
         ready = end + network.transfer_time(*sizes)
         if ready <= deadline:
-            fut.set_result(result, ready)
+            self._resolve(call, fut, result, None, ready)
         else:
             # Reply lands after the caller gave up on this attempt; it is
             # discarded (classic at-least-once semantics).
@@ -164,14 +171,14 @@ class RpcContext(WorkerRegistry):
         self._fault(call, "timeout")
         policy = self.retry_policy
         if n >= policy.max_attempts:
-            fut.set_exception(self._give_up(call, n), deadline)
+            self._resolve(call, fut, None, self._give_up(call, n), deadline)
             return
         plan = self.fault_plan
         next_send = deadline + policy.backoff_delay(
             n, seed=0 if plan is None else plan.seed,
             caller=call.caller_name, call_index=call.index)
-        self.scheduler.call_at(
-            next_send, partial(self._attempt, call, fut, n + 1, next_send))
+        self.scheduler._schedule(next_send, self._attempt,
+                                 (call, fut, n + 1, next_send))
 
     # -- collectives ----------------------------------------------------------
     def allreduce_mean(self, group: str, caller_name: str, n_members: int,

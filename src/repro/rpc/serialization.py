@@ -93,7 +93,9 @@ def _walk_dict(obj: dict, tensors: list) -> int:
 def _walk_sequence(obj: Any, tensors: list) -> int:
     nbytes = 0
     for item in obj:
-        nbytes += _walk(item, tensors)
+        # _walk(item, tensors), inline: every request is an args tuple
+        tp = item.__class__
+        nbytes += (_DISPATCH.get(tp) or _dispatch(tp))(item, tensors)
     return nbytes
 
 
@@ -129,35 +131,39 @@ def _resolve_handler(tp: type):
 _DISPATCH: dict[type, Any] = {}
 
 
+def _dispatch(tp: type):
+    """Resolve and memoize ``tp``'s walk handler."""
+    handler = _DISPATCH[tp] = _resolve_handler(tp)
+    return handler
+
+
 def _walk(obj: Any, tensors: list) -> int:
     """Append the ``(dtype, nbytes)`` of each tensor ``obj`` puts on the
     wire to ``tensors``; return the bytes of everything else."""
     tp = obj.__class__
-    handler = _DISPATCH.get(tp)
-    if handler is None:
-        handler = _DISPATCH[tp] = _resolve_handler(tp)
-    return handler(obj, tensors)
-
-
-def _priced(nbytes: int, tensors: list) -> tuple[int, int]:
-    """``(nbytes, n_tensors)`` of a walk: its other bytes plus its tensors'."""
-    for _, tensor_nbytes in tensors:
-        nbytes += tensor_nbytes
-    return nbytes, len(tensors)
+    return (_DISPATCH.get(tp) or _dispatch(tp))(obj, tensors)
 
 
 def payload_sizes(obj: Any) -> tuple[int, int]:
     """Return ``(nbytes, n_tensors)`` for an RPC argument/result structure."""
     tensors: list = []
-    return _priced(_walk(obj, tensors), tensors)
+    tp = obj.__class__
+    nbytes = (_DISPATCH.get(tp) or _dispatch(tp))(obj, tensors)
+    for _, tensor_nbytes in tensors:
+        nbytes += tensor_nbytes
+    return nbytes, len(tensors)
 
 
 def request_payload_sizes(args: tuple, kwargs: dict) -> tuple[int, int]:
     """Size a call's ``(args, kwargs)``: ``payload_sizes((args, kwargs))``
     without walking the wrapper (containers themselves are free)."""
     tensors: list = []
-    return _priced(_walk_sequence(args, tensors) + _walk_dict(kwargs, tensors),
-                   tensors)
+    nbytes = _walk_sequence(args, tensors)
+    if kwargs:
+        nbytes += _walk_dict(kwargs, tensors)
+    for _, tensor_nbytes in tensors:
+        nbytes += tensor_nbytes
+    return nbytes, len(tensors)
 
 
 def size_class(nbytes: int) -> int:
@@ -194,7 +200,9 @@ class BufferPool:
         _walk(result, tensors)
         hits = reused = 0
         for dtype, nbytes in tensors:
-            key = (dtype, size_class(nbytes))
+            # size_class(nbytes), inline: this loop runs per staged tensor
+            key = (dtype, _MIN_POOL_CLASS if nbytes <= _MIN_POOL_CLASS
+                   else 1 << (nbytes - 1).bit_length())
             # the n-th buffer of a class hits iff the inventory has n
             n = borrowed[key] = borrowed.get(key, 0) + 1
             if n <= inventory.get(key, 0):

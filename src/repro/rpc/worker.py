@@ -21,8 +21,9 @@ server span), its fault events (``_fault``) and its give-up
 :class:`~repro.rpc.api.RpcContext` and the OS-thread
 :class:`~repro.rpc.thread_runtime.ThreadRuntime` each add one attempt
 loop between them.  Each of those counts once, in the registry's
-per-caller integer ledger: :meth:`WorkerRegistry.traffic_seconds` prices
-it, :class:`TransportCounters` reads it, and
+per-caller integer ledger (one row per writing thread, so a booking
+takes no lock): :meth:`WorkerRegistry.traffic_seconds` prices it,
+:class:`TransportCounters` reads it, and
 :meth:`WorkerRegistry.publish_metrics` folds it into the ``rpc.*``
 counters when the deployment has finished.
 """
@@ -30,7 +31,6 @@ counters when the deployment has finished.
 from __future__ import annotations
 
 import threading
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -70,6 +70,9 @@ class ObjectHost:
     def __init__(self, info: WorkerInfo) -> None:
         self.info = info
         self.objects: dict[str, Any] = {}
+        #: ``(key, method)`` pairs that passed :meth:`resolve_method`'s
+        #: checks — an object is hosted once under its key, so they hold
+        self._dispatchable: set[tuple[str, str]] = set()
         self.requests_served = 0
         #: size-class buffer pool for response serialization (cost model)
         self.pool = BufferPool()
@@ -93,6 +96,8 @@ class ObjectHost:
             ) from None
 
     def resolve_method(self, key: str, method: str) -> Callable:
+        if (key, method) in self._dispatchable:
+            return getattr(self.objects[key], method)
         obj = self.get_object(key)
         refused = check_dispatch(obj, method)
         if refused is not None:
@@ -102,6 +107,7 @@ class ObjectHost:
             raise RpcError(
                 f"object {key!r} on {self.info.name!r} has no method {method!r}"
             )
+        self._dispatchable.add((key, method))
         return fn
 
     def execute(self, key: str, method: str, args: tuple, kwargs: dict,
@@ -143,15 +149,19 @@ class RpcServer(ObjectHost):
 class RemoteCall:
     """One cross-machine call, from its prologue to its resolution."""
 
-    __slots__ = ("caller_name", "owner_name", "server", "key", "method",
-                 "args", "kwargs", "request", "span", "index", "cause")
+    __slots__ = ("caller_name", "owner_name", "server", "row", "key",
+                 "method", "args", "kwargs", "request", "span", "index",
+                 "cause", "issued_at")
 
     def __init__(self, caller_name: str, rref: RRef, server: ObjectHost,
-                 method: str, args: tuple, kwargs: dict,
+                 row: dict[str, int], method: str, args: tuple, kwargs: dict,
                  request: tuple[int, int]) -> None:
         self.caller_name = caller_name
         self.owner_name = rref.owner_name
         self.server = server
+        #: the ledger row its served attempts and fault events are booked
+        #: in: the caller's row written by the owner's side
+        self.row = row
         self.key = rref.key
         self.method = method
         self.args = args
@@ -165,6 +175,17 @@ class RemoteCall:
         self.index = 0
         #: why the latest attempt failed: ``drop`` | ``crash`` | ``late``
         self.cause = "late"
+        #: the caller's clock when it issued the call (before the issue
+        #: overhead): the start of the round trip and of the client span
+        self.issued_at = 0.0
+
+
+#: the ledger's integer keys, as read by :func:`rpc_counters` and
+#: :meth:`WorkerRegistry.traffic_seconds`
+_LEDGER_KEYS = ("calls", "request_bytes", "request_tensors", "local_calls",
+               "served", "response_bytes", "response_tensors",
+               "pool_requests", "pool_hits", "pool_bytes_reused",
+               "drop", "crash", "timeout", "retry", "giveup")
 
 
 def _ledger_view(key: str, doc: str) -> property:
@@ -257,9 +278,16 @@ class WorkerRegistry(TransportCounters):
         self.retry_policy = retry_policy
         #: next ``RemoteCall.index`` of each caller
         self._call_indices: dict[str, int] = {}
-        #: caller -> integer totals of its calls (keys as read by
-        #: :func:`rpc_counters`); server threads add to it too
-        self._ledger: defaultdict[str, Counter] = defaultdict(Counter)
+        #: ``(caller, owner)`` -> ``(caller process, owner's server, same
+        #: machine?, caller's own ledger row, the row the owner's side
+        #: books in)``: the registry does not change once a pair resolves
+        self._routes: dict[tuple[str, str], tuple] = {}
+        #: caller -> writer -> integer totals of the caller's calls
+        #: (:data:`_LEDGER_KEYS`).  The writer is the caller itself (its
+        #: requests and local calls) or the server that served or lost
+        #: them; each runs on one thread, so a row has one writer and a
+        #: booking takes no lock.  The lock guards adding and reading rows.
+        self._ledger: dict[str, dict[str, dict[str, int]]] = {}
         self._ledger_lock = threading.Lock()
 
     # -- registration -----------------------------------------------------
@@ -311,20 +339,22 @@ class WorkerRegistry(TransportCounters):
         the runtime's ``size_request``, counts the call, reserves the
         client span and, when faults can be rolled, takes the caller's
         next call index.  ``call`` is None for a same-machine call, which
-        never touches the network and is counted by ``_local_call``.
+        never touches the network (``_local_call`` runs it).
         """
-        caller = self.process_of(caller_name)
-        caller_machine = self.worker_info(caller_name).machine_id
         owner_name = rref.owner_name
-        owner_machine = self.worker_info(owner_name).machine_id
-        server = self.server_of(owner_name)
-        if caller_machine == owner_machine:
+        route = self._routes.get((caller_name, owner_name))
+        if route is None:
+            route = self._route(caller_name, owner_name)
+        caller, server, same_machine, own_row, served_row = route
+        if same_machine:
+            own_row["local_calls"] += 1
             return caller, server, None
         request = size_request(args, kwargs)
-        self._tally(caller_name, calls=1, request_bytes=request[0],
-                    request_tensors=request[1])
-        call = RemoteCall(caller_name, rref, server, method, args, kwargs,
-                          request)
+        own_row["calls"] += 1
+        own_row["request_bytes"] += request[0]
+        own_row["request_tensors"] += request[1]
+        call = RemoteCall(caller_name, rref, server, served_row, method,
+                          args, kwargs, request)
         tracer = self.obs.tracer
         if tracer is not None:
             # Reserved now so the server span can link to it; recorded by
@@ -342,6 +372,26 @@ class WorkerRegistry(TransportCounters):
             call.index = self._next_call_index(caller_name)
         return caller, server, call
 
+    def _route(self, caller_name: str, owner_name: str) -> tuple:
+        """Resolve and keep one ``(caller, owner)`` pair's route."""
+        caller = self.process_of(caller_name)
+        same_machine = (self.worker_info(caller_name).machine_id
+                        == self.worker_info(owner_name).machine_id)
+        route = self._routes[caller_name, owner_name] = (
+            caller, self.server_of(owner_name), same_machine,
+            self._ledger_row(caller_name, caller_name),
+            None if same_machine else self._ledger_row(caller_name,
+                                                       owner_name))
+        return route
+
+    def _ledger_row(self, caller_name: str, writer: str) -> dict[str, int]:
+        with self._ledger_lock:
+            rows = self._ledger.setdefault(caller_name, {})
+            row = rows.get(writer)
+            if row is None:
+                row = rows[writer] = dict.fromkeys(_LEDGER_KEYS, 0)
+            return row
+
     def _next_call_index(self, caller_name: str) -> int:
         index = self._call_indices.get(caller_name, 0)
         self._call_indices[caller_name] = index + 1
@@ -351,7 +401,6 @@ class WorkerRegistry(TransportCounters):
                     args: tuple, kwargs: dict) -> Any:
         """A same-machine call on the caller's timeline: ``local_call``
         overhead, then the handler, ``local_exec`` over its result."""
-        self._tally(caller.name, local_calls=1)
         caller.charge_seconds(self.network.local_call_overhead, "local_call")
         result = server.resolve_method(key, method)(*args, **kwargs)
         caller.compute("local_exec",
@@ -362,9 +411,13 @@ class WorkerRegistry(TransportCounters):
                 start: float, end: float) -> None:
         """Epilogue of one served attempt: bytes, buffer pool, server span."""
         requests, hits, reused = call.server.pool.stage(result)
-        self._tally(call.caller_name, served=1, response_bytes=sizes[0],
-                    response_tensors=sizes[1], pool_requests=requests,
-                    pool_hits=hits, pool_bytes_reused=reused)
+        row = call.row
+        row["served"] += 1
+        row["response_bytes"] += sizes[0]
+        row["response_tensors"] += sizes[1]
+        row["pool_requests"] += requests
+        row["pool_hits"] += hits
+        row["pool_bytes_reused"] += reused
         if call.span is not None:
             self.obs.tracer.record(
                 f"serve:{call.method}", call.owner_name, start, end,
@@ -379,23 +432,32 @@ class WorkerRegistry(TransportCounters):
             call.span["attrs"]["error"] = type(exception).__name__
         self.obs.tracer.record(start=start, end=end, **call.span)
 
-    def _tally(self, caller_name: str, **counts: int) -> None:
-        """Add ``counts`` to ``caller_name``'s row of the ledger."""
-        with self._ledger_lock:
-            totals = self._ledger[caller_name]
-            for key, n in counts.items():
-                totals[key] += n
-
     def ledger_total(self, key: str) -> int:
         """One ledger key summed over callers."""
         with self._ledger_lock:
-            return sum(row[key] for row in self._ledger.values())
+            return sum(row[key] for rows in self._ledger.values()
+                       for row in rows.values())
+
+    def _ledger_totals(self, caller_name: str | None = None
+                       ) -> dict[str, int]:
+        """Every ledger key summed over one caller's rows (all rows when
+        ``caller_name`` is None)."""
+        with self._ledger_lock:
+            groups = (self._ledger.values() if caller_name is None
+                      else [self._ledger.get(caller_name, {})])
+            rows = [row for by_writer in groups for row in by_writer.values()]
+        totals = dict.fromkeys(_LEDGER_KEYS, 0)
+        for row in rows:
+            for key, n in row.items():
+                totals[key] += n
+        return totals
 
     def publish_metrics(self) -> None:
         """Fold the ledger into ``obs.metrics`` as the ``rpc.*`` counters:
         once, when the deployment has finished (they are totals)."""
         metrics = self.obs.metrics
-        for name, n in rpc_counters(self.ledger_total).items():
+        totals = self._ledger_totals()
+        for name, n in rpc_counters(totals.__getitem__).items():
             metrics.inc(name, n)
 
     def traffic_seconds(self, caller_name: str) -> float:
@@ -407,7 +469,7 @@ class WorkerRegistry(TransportCounters):
         totals, so the order in which server threads served cannot change
         it: both runtimes get the same float.
         """
-        t = self._ledger.get(caller_name, Counter())
+        t = self._ledger_totals(caller_name)
         net, serve = self.network, COMPUTE.serve
         seconds = (
             t["calls"] * (net.send_overhead() + serve.call
@@ -440,7 +502,7 @@ class WorkerRegistry(TransportCounters):
         a late reply is folded in), ``retry`` (a retransmission) or
         ``giveup`` (budget exhausted; the caller sees a typed error).
         """
-        self._tally(call.caller_name, **{kind: 1})
+        call.row[kind] += 1
 
     # -- remote object lifecycle ------------------------------------------
     def create_remote(self, owner_name: str, key: str,

@@ -31,6 +31,7 @@ import numpy as np
 from repro.serving.session import Query
 from repro.serving.tenancy import TenantSpec
 from repro.utils.rng import rng_from_seed
+from repro.utils.validation import check_int, check_nonnegative
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,9 @@ def _draw_arrival(rng, t, pool, names, cum, walk_frac, walk_length):
                                walk_length=walk_length))
 
 
-def _check_workload(pool, rate, duration, walk_frac) -> None:
+def _check_workload(pool, rate, duration, walk_frac, seed) -> None:
+    check_int("seed", seed)
+    check_nonnegative("seed", seed)
     if len(pool) == 0:
         raise ValueError("source pool must be non-empty")
     # NaN and inf pass a bare sign test and then never end the draw loop
@@ -109,7 +112,7 @@ def poisson_trace(pool, *, rate: float, duration: float, seed: int = 0,
     vertex id, or a hot subset); each arrival draws one uniformly.
     ``walk_frac`` of arrivals are random-walk queries, the rest SSPPR.
     """
-    _check_workload(pool, rate, duration, walk_frac)
+    _check_workload(pool, rate, duration, walk_frac, seed)
     rng = rng_from_seed(seed)
     names, cum = _tenant_table(tenants)
     arrivals: list[Arrival] = []
@@ -138,7 +141,7 @@ def bursty_trace(pool, *, rate: float, duration: float, seed: int = 0,
     stays fixed (gap, accept, tenant, source, kind) and the trace is a
     pure function of the seed.
     """
-    _check_workload(pool, rate, duration, walk_frac)
+    _check_workload(pool, rate, duration, walk_frac, seed)
     if not (math.isfinite(burst_factor) and burst_factor >= 1.0):
         raise ValueError(
             f"burst_factor must be finite and >= 1, got {burst_factor}")

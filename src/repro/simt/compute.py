@@ -23,13 +23,21 @@ class Cost:
     per_unit: tuple[float, ...] = ()
 
     def __call__(self, *units: int) -> float:
-        if len(units) != len(self.per_unit):
-            raise TypeError(f"cost term takes {len(self.per_unit)} unit "
-                            f"counts, got {len(units)}")
+        per_unit = self.per_unit
+        n_units = len(units)
+        if n_units != len(per_unit):
+            raise TypeError(f"cost term takes {len(per_unit)} unit "
+                            f"counts, got {n_units}")
         # call + ((0 + c0·n0) + c1·n1 ...): the association the golden
-        # virtual times were recorded with
+        # virtual times were recorded with; 0 + x is x, so the one- and
+        # two-unit terms skip the loop with the same bits
+        if n_units == 1:
+            return self.call + per_unit[0] * units[0]
+        if n_units == 2:
+            return self.call + (per_unit[0] * units[0]
+                                + per_unit[1] * units[1])
         total = 0
-        for c, n in zip(self.per_unit, units):
+        for c, n in zip(per_unit, units):
             total += c * n
         return self.call + total
 

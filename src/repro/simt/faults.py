@@ -28,7 +28,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from repro.utils.validation import check_nonnegative
+from repro.utils.validation import check_int, check_nonnegative
 
 
 def fault_roll(seed: int, *key) -> float:
@@ -87,6 +87,9 @@ class FaultPlan:
     crashes: tuple[CrashWindow, ...] = ()
 
     def __post_init__(self) -> None:
+        # fault_roll hashes int(seed): 1.5 or True would replay as seed 1
+        check_int("seed", self.seed)
+        check_nonnegative("seed", self.seed)
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError(
                 f"drop_prob must be in [0, 1], got {self.drop_prob}")

@@ -91,7 +91,7 @@ class SimFuture:
                  tag: str | None = None) -> "SimFuture":
         """A future already resolved with ``value`` at ``ready_time``."""
         fut = cls(tag=tag)
-        fut.set_result(value, ready_time)
+        fut._resolve(value, None, ready_time)
         return fut
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

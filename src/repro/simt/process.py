@@ -22,6 +22,9 @@ from repro.simt.events import Charge, Sleep, Wait, WaitAll
 from repro.simt.futures import SimFuture
 from repro.utils.timer import TimeBreakdown
 
+#: what ``span`` opens without a tracer (a nullcontext is reusable)
+_NO_SPAN = nullcontext()
+
 
 class ProcessClock:
     """Name, clock and per-category time accounting of one process.
@@ -47,8 +50,13 @@ class ProcessClock:
         self.tracer = None
 
     def charge_seconds(self, dt: float, category: str = "other") -> None:
-        """Charge a modeled duration to this process's clock + breakdown."""
-        self.breakdown.charge(category, dt)
+        """Charge a modeled duration to this process's clock + breakdown
+        (:meth:`TimeBreakdown.charge <repro.utils.timer.TimeBreakdown.charge>`,
+        inline: a remote call makes three charges)."""
+        if dt < 0.0:
+            raise ValueError(f"negative charge {dt!r} for category {category!r}")
+        seconds = self.breakdown.seconds
+        seconds[category] = seconds.get(category, 0.0) + dt
         self.clock += dt
 
     def compute(self, category: str, seconds: float) -> None:
@@ -70,7 +78,7 @@ class ProcessClock:
         ``query`` span's duration is the query's virtual latency.
         """
         if self.tracer is None:
-            return nullcontext()
+            return _NO_SPAN
         return self.tracer.span(self.name, name, lambda: self.clock,
                                 attrs or None)
 
@@ -86,7 +94,6 @@ class SimProcess(ProcessClock):
         #: for a computing process between registration and start()
         self._body: Generator | None = None
         self._finished = False
-        self._waiting = False
         #: futures this process is currently suspended on — the wait-for
         #: graph edge set read by repro.analysis.deadlock when the
         #: scheduler drains with unfinished processes
@@ -107,7 +114,7 @@ class SimProcess(ProcessClock):
         if self._body is not None:
             raise SimulationError(f"process {self.name!r} already has a body")
         self._body = body
-        self.scheduler._schedule(self.clock, lambda: self._step(None))
+        self.scheduler._schedule(self.clock, self._step, (None,))
 
     def _throw(self, exc: BaseException) -> None:
         """Inject an exception (e.g. failed RPC) into the coroutine."""
@@ -120,11 +127,11 @@ class SimProcess(ProcessClock):
         :meth:`_throw` with ``body.throw`` — if the coroutine catches the
         exception and yields a new effect, it is handled right here.
         """
+        body = self._body
         if resume is None:
-            resume = self._body.send
+            resume = body.send
         if self._finished:
             raise SimulationError(f"process {self.name!r} stepped after finish")
-        self._waiting = False
         self.waiting_on = ()
         while True:
             # Virtual time advances only through explicit charges:
@@ -140,36 +147,58 @@ class SimProcess(ProcessClock):
             except BaseException as exc:
                 self._fail(exc)
                 return
-            resume, arg = self._body.send, None
+            resume, arg = body.send, None
 
+            if isinstance(effect, Wait):
+                fut = effect.future
+                self.waiting_on = (fut,)
+                fut.add_done_callback(self._on_ready)
+                return
             if isinstance(effect, Charge):
                 self.charge_seconds(effect.seconds, effect.category or "charged")
                 continue
             if isinstance(effect, Sleep):
                 self.clock += effect.seconds
-                self.scheduler._schedule(self.clock, lambda: self._step(None))
-                self._waiting = True
-                return
-            if isinstance(effect, Wait):
-                self._wait((effect.future,), unwrap=True)
+                self.scheduler._schedule(self.clock, self._step, (None,))
                 return
             if isinstance(effect, WaitAll):
-                self._wait(tuple(effect.futures), unwrap=False)
+                self._wait_all(tuple(effect.futures))
                 return
             raise SimulationError(
                 f"process {self.name!r} yielded unknown effect {effect!r}"
             )
 
-    def _wait(self, futs: tuple[SimFuture, ...], unwrap: bool) -> None:
-        """Suspend until every future resolves; resume at the latest one.
+    def _on_ready(self, fut: SimFuture) -> None:
+        """A ``Wait``'s one future resolved: schedule the resume at
+        ``max(clock, ready_time)``, charging the gap as ``wait`` (or
+        ``crashed``, see :meth:`_wait_all`).
 
-        ``unwrap`` sends back the bare value a ``Wait`` expects instead of
-        the list a ``WaitAll`` receives.
-        """
-        self._waiting = True
+        This and :meth:`_resume` run once per fetch, so they read the
+        resolved future's slots directly."""
+        ready = fut._ready_time
+        resume_at = ready if ready > self.clock else self.clock
+        category = ("crashed"
+                    if isinstance(fut._exception, WorkerCrashedError)
+                    else "wait")
+        self.scheduler._schedule(resume_at, self._resume,
+                                 (fut, resume_at - self.clock, category))
+
+    def _resume(self, fut: SimFuture, wait_dt: float, category: str) -> None:
+        """Charge a ``Wait``'s gap, then send its value (or throw its
+        exception) into the coroutine."""
+        self.charge_seconds(wait_dt, category)
+        exc = fut._exception
+        if exc is not None:
+            self._throw(exc)
+        else:
+            self._step(fut._value)
+
+    def _wait_all(self, futs: tuple[SimFuture, ...]) -> None:
+        """Suspend until every future resolves; resume at the latest one
+        with the list of their values."""
         self.waiting_on = futs
         if not futs:
-            self.scheduler._schedule(self.clock, lambda: self._step([]))
+            self.scheduler._schedule(self.clock, self._step, ([],))
             return
         remaining = len(futs)
 
@@ -179,7 +208,6 @@ class SimProcess(ProcessClock):
             if remaining > 0:
                 return
             resume_at = max(self.clock, *(f.ready_time for f in futs))
-            wait_dt = resume_at - self.clock
             # Time blocked on a worker that turned out to be crashed is its
             # own breakdown category: lumping it into "wait" would silently
             # inflate the remote_fetch phase with outage time.
@@ -187,21 +215,22 @@ class SimProcess(ProcessClock):
                         if any(isinstance(f.exception, WorkerCrashedError)
                                for f in futs)
                         else "wait")
-
-            def resume() -> None:
-                self.charge_seconds(wait_dt, category)
-                try:
-                    values = [f.value() for f in futs]
-                # repro: allow=REP006 fault is forwarded into the coroutine
-                except BaseException as exc:
-                    self._throw(exc)
-                    return
-                self._step(values[0] if unwrap else values)
-
-            self.scheduler._schedule(resume_at, resume)
+            self.scheduler._schedule(resume_at, self._resume_all,
+                                     (futs, resume_at - self.clock, category))
 
         for f in futs:
             f.add_done_callback(on_done)
+
+    def _resume_all(self, futs: tuple[SimFuture, ...], wait_dt: float,
+                    category: str) -> None:
+        self.charge_seconds(wait_dt, category)
+        try:
+            values = [f.value() for f in futs]
+        # repro: allow=REP006 fault is forwarded into the coroutine
+        except BaseException as exc:
+            self._throw(exc)
+            return
+        self._step(values)
 
     def _finish(self, value: Any) -> None:
         self._finished = True
@@ -212,5 +241,6 @@ class SimProcess(ProcessClock):
         self.completion.set_exception(exc, self.clock)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "finished" if self._finished else ("waiting" if self._waiting else "ready")
+        state = "finished" if self._finished else (
+            "waiting" if self.waiting_on else "ready")
         return f"SimProcess({self.name!r}, clock={self.clock:.6g}, {state})"

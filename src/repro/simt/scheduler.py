@@ -1,14 +1,21 @@
 """The discrete-event scheduler.
 
-Maintains a priority queue of ``(virtual_time, sequence, callback)`` entries
-and executes them in order.  Sequence numbers break ties deterministically,
-so a given workload always produces the same interleaving and the same
-virtual timings: every charge is modeled, none is read off the host.
+Maintains a priority queue of ``(virtual_time, sequence, fn, args)``
+entries and executes each as ``fn(*args)``, in order.  Sequence numbers
+break ties deterministically (and are unique, so ``fn`` is never
+compared), so a given workload always produces the same interleaving and
+the same virtual timings: every charge is modeled, none is read off the
+host.  An event is a bound method and its arguments, so scheduling one
+builds no closure: a process waking from a ``Sleep`` is ``(t, seq,
+proc._step, (None,))``, one resuming from a ``Wait`` ``(t, seq,
+proc._resume, (future, wait_seconds, category))``, a request reaching
+its server ``(t, seq, ctx._deliver, (call, future, arrival, deadline))``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator
 
 from repro.errors import SimulationError
@@ -19,7 +26,7 @@ class Scheduler:
     """Deterministic event loop over virtual time."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._now = 0.0
         self.processes: dict[str, SimProcess] = {}
@@ -56,20 +63,22 @@ class Scheduler:
         return proc
 
     # -- event queue ------------------------------------------------------
-    def _schedule(self, at: float, callback: Callable[[], None]) -> None:
+    def _schedule(self, at: float, fn: Callable[..., None],
+                  args: tuple = ()) -> None:
+        """Queue the event ``fn(*args)`` at virtual time ``at``."""
         if at < self._now - 1e-12:
             raise SimulationError(
                 f"cannot schedule in the past: at={at!r} < now={self._now!r}"
             )
-        heapq.heappush(self._heap, (at, self._seq, callback))
+        heapq.heappush(self._heap, (at, self._seq, fn, args))
         self._seq += 1
 
     def call_at(self, at: float, callback: Callable[[], None]) -> None:
-        """Public timer: run ``callback`` at virtual time ``at`` (>= now).
+        """Public timer: run ``callback()`` at virtual time ``at`` (>= now).
 
-        This is what the RPC layer's per-call timeouts and retry backoffs
-        are built on; timers fire in deterministic (time, insertion) order
-        like every other event.
+        Timers fire in deterministic (time, insertion) order like every
+        other event; the simulated runtime's own events (process steps,
+        RPC deliveries, timeouts, retries) queue through the same heap.
         """
         self._schedule(at, callback)
 
@@ -83,17 +92,19 @@ class Scheduler:
         if self._running:
             raise SimulationError("scheduler is already running")
         self._running = True
+        heap, pop = self._heap, heapq.heappop
+        limit = math.inf if max_events is None else max_events
+        n = 0
         try:
-            n = 0
-            while self._heap:
-                at, _seq, callback = heapq.heappop(self._heap)
+            while heap:
+                at, _seq, fn, args = pop(heap)
                 self._now = at
-                callback()
-                self.events_executed += 1
+                fn(*args)
                 n += 1
-                if max_events is not None and n >= max_events:
+                if n >= limit:
                     raise SimulationError(f"exceeded max_events={max_events}")
         finally:
+            self.events_executed += n
             self._running = False
         stuck = [p.name for p in self.processes.values()
                  if p._body is not None and not p.finished]

@@ -108,35 +108,45 @@ def fetch_round(g, proc, ids: np.ndarray, apply, *, cost,
     """
     masks = g.shard_masks(ids)
     proc.compute("pop", COMPUTE.route(len(ids)))
-
-    def push(infos, part):
-        apply(infos, part)
-        if cost is not None:
-            proc.compute("push", cost(len(part), infos.n_entries))
-
     local = masks.pop(g.shard_id, None)
     remote = []
     for j, mask in masks.items():
         part = ids[mask]
         remote.append((j, part, g.get_neighbor_infos(j, part)))
-    absorb = lost is not None
-    early = []
-    if not overlap:
-        for j, _part, fut in remote:
-            early.append((yield from await_fetch(proc, j, fut, absorb)))
-    if local is not None:
-        part = ids[local]
-        # local calls resolve synchronously
-        push((yield Wait(g.get_neighbor_infos(g.shard_id, part))), part)
-    for k, (j, part, fut) in enumerate(remote):
-        if overlap:
-            infos = yield from await_fetch(proc, j, fut, absorb)
+    traced = proc.tracer is not None
+    # the waits in order; None is the local fetch, issued when reached
+    order = [None, *remote] if overlap else [*remote, None]
+    held = []  # (infos or None if lost, ids) awaiting their apply
+    for step in order:
+        if step is None:
+            if local is not None:
+                part = ids[local]
+                # local calls resolve synchronously; their apply comes first
+                held.insert(0, ((yield Wait(g.get_neighbor_infos(
+                    g.shard_id, part))), part))
         else:
-            infos = early[k]
-        if infos is None:  # absorbed loss: write off this shard's batch
-            lost(part)
-            continue
-        push(infos, part)
+            j, part, fut = step
+            try:
+                if traced:
+                    with proc.span("fetch", shard=j):
+                        infos = yield Wait(fut)
+                else:  # no span to open: skip the no-op context
+                    infos = yield Wait(fut)
+            except TRANSPORT_ERRORS:
+                if lost is None:
+                    raise
+                infos = None
+            held.append((infos, part))
+            if not overlap:
+                continue
+        for infos, part in held:
+            if infos is None:  # absorbed loss: write off this shard's batch
+                lost(part)
+                continue
+            apply(infos, part)
+            if cost is not None:
+                proc.compute("push", cost(len(part), infos.n_entries))
+        held.clear()
 
 
 class DistGraphStorage:

@@ -19,7 +19,7 @@ from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.stream.updates import OP_DELETE, OP_UPSERT, UpdateBatch
 from repro.utils.rng import rng_from_seed
-from repro.utils.validation import check_int
+from repro.utils.validation import check_int, check_nonnegative
 
 
 class TemporalEdgeStream:
@@ -45,6 +45,8 @@ class TemporalEdgeStream:
                  weight_high: float = 1.5) -> None:
         if graph.n_nodes < 2:
             raise GraphFormatError("stream needs at least 2 nodes")
+        check_int("seed", seed)
+        check_nonnegative("seed", seed)
         check_int("batch_size", batch_size, positive=True)
         if not 0.0 <= insert_frac <= 1.0:
             raise GraphFormatError("insert_frac must be in [0, 1]")

@@ -62,6 +62,9 @@ class _Block:
 class _FakeProc:
     """Records every charge a driver makes and every span it opens."""
 
+    #: a traced process: ``fetch_round`` opens spans only under a tracer
+    tracer = "recording"
+
     def __init__(self, log):
         self.log = log
 

@@ -32,7 +32,7 @@ from repro.errors import ShardError
 from repro.graph import powerlaw_cluster
 from repro.ppr import DegradationMode, PPRParams
 from repro.rpc import RetryPolicy
-from repro.serving import Query, SessionConfig
+from repro.serving import Query, SessionConfig, bursty_trace, poisson_trace
 from repro.simt.faults import FaultPlan
 from repro.stream import StreamConfig, TemporalEdgeStream
 from repro.stream.rebalance import RebalancePolicy
@@ -162,6 +162,13 @@ class TestHostileInts:
         assert run.n_queries == 2
 
 
+def _walks(**kwargs):
+    """``run_random_walks`` on a two-machine toy engine."""
+    engine = GraphEngine(powerlaw_cluster(40, 3, seed=0),
+                         EngineConfig(n_machines=2))
+    return engine.run_random_walks(**kwargs)
+
+
 #: (constructor, kwargs, error) — each was accepted, then failed later
 #: (inside NumPy's SeedSequence, at a traced deploy) or truncated silently
 _CONSTRUCTOR_HOLES = {
@@ -195,6 +202,26 @@ _CONSTRUCTOR_HOLES = {
         r"migrate_frac must be in \[0.0, 1.0\]"),
     "RebalancePolicy-min_heat-negative": (RebalancePolicy, dict(min_heat=-1),
                                           "min_heat must be >= 0"),
+    "TemporalEdgeStream-seed-float": (TemporalEdgeStream, dict(seed=1.5),
+                                      "seed must be an integer"),
+    "FaultPlan-seed-float": (FaultPlan, dict(seed=1.5),
+                             "seed must be an integer"),
+    "FaultPlan-seed-bool": (FaultPlan, dict(seed=True),
+                            "seed must be an integer"),
+    "FaultPlan-seed-negative": (FaultPlan, dict(seed=-1), "seed must be >= 0"),
+    "poisson_trace-seed-float": (
+        poisson_trace, dict(pool=np.arange(4), rate=10.0, duration=1.0,
+                            seed=1.5), "seed must be an integer"),
+    "bursty_trace-seed-negative": (
+        bursty_trace, dict(pool=np.arange(4), rate=10.0, duration=1.0,
+                           seed=-1), "seed must be >= 0"),
+    "run_random_walks-n_roots-zero": (_walks, dict(n_roots=0, walk_length=2),
+                                      "n_roots must be > 0"),
+    "run_random_walks-n_roots-float": (
+        _walks, dict(n_roots=2.5, walk_length=2), "n_roots must be an integer"),
+    "run_random_walks-walk_length-float": (
+        _walks, dict(n_roots=2, walk_length=2.5),
+        "walk_length must be an integer"),
 }
 
 
@@ -206,8 +233,8 @@ class TestConstructorHoles:
                              ids=list(_CONSTRUCTOR_HOLES))
     def test_rejected(self, make, kwargs, error):
         if make is TemporalEdgeStream:
-            kwargs = dict(kwargs, graph=powerlaw_cluster(30, 3, seed=0),
-                          seed=0)
+            kwargs = {"graph": powerlaw_cluster(30, 3, seed=0), "seed": 0,
+                      **kwargs}
         with pytest.raises(ValueError, match=error):
             make(**kwargs)
 
@@ -218,6 +245,14 @@ class TestConstructorHoles:
                            batch_size=np.int64(1))
         RebalancePolicy(top_k=0, min_heat=0, migrate_frac=1.0,
                         max_migrations=0)
+        TemporalEdgeStream(powerlaw_cluster(30, 3, seed=0),
+                           seed=np.int64(0))
+        FaultPlan(seed=np.int64(3))
+        poisson_trace(np.arange(4), rate=10.0, duration=1.0,
+                      seed=np.uint32(2))
+        bursty_trace(np.arange(4), rate=10.0, duration=1.0, seed=0)
+        run = _walks(n_roots=np.int64(2), walk_length=np.int64(3))
+        assert run.walks.shape == (2, 4)
 
 
 class TestKnobCombinations:
@@ -413,6 +448,14 @@ class TestCliSurface:
         from repro.cli import main
         assert main([*argv, "--scale", "0.02"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_walk_names_the_rejected_flag(self, capsys):
+        """``walk --roots 0`` names ``n_roots``, not the query sampler's
+        ``n_queries``."""
+        from repro.cli import main
+        assert main(["walk", "products", "--roots", "0",
+                     "--scale", "0.02"]) == 2
+        assert "n_roots must be > 0" in capsys.readouterr().err
 
     def test_bench_subcommands_and_flags(self):
         bench = _subcommands(_subcommands(build_parser())["bench"])

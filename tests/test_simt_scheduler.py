@@ -252,6 +252,116 @@ class TestFutures:
             _ = SimFuture().ready_time
 
 
+class TestSingleFutureWait:
+    """``Wait(f)`` on one future — every fetch — and ``WaitAll([f])``:
+    the value they send back, a failure thrown in, the wait's category,
+    and a future that was ready before the process clock."""
+
+    def test_wait_sends_the_bare_value_and_wait_all_a_list(self):
+        sched = Scheduler()
+        ready = SimFuture.resolved("now", ready_time=1.0)
+        later = SimFuture(tag="later")
+        got = []
+
+        def producer():
+            yield Sleep(2.0)
+            later.set_result("later", sched.now)
+
+        def body():
+            got.append((yield Wait(ready)))
+            got.append((yield WaitAll([ready])))
+            got.append((yield Wait(later)))
+            got.append((yield WaitAll([later])))
+
+        sched.spawn("prod", producer())
+        proc = sched.spawn("p0", body())
+        sched.run()
+        assert got == ["now", ["now"], "later", ["later"]]
+        assert proc.clock == 2.0
+        assert proc.breakdown.as_dict() == {"wait": 2.0}
+        # two starts, the producer's wake-up, one resume per wait
+        assert sched.events_executed == 3 + 4
+
+    def test_failure_is_thrown_in_and_a_caught_one_keeps_running(self):
+        sched = Scheduler()
+        failed = SimFuture()
+        failed.set_exception(RuntimeError("boom"), 1.0)
+        pending = SimFuture()
+        ok = SimFuture.resolved(7, ready_time=3.0)
+        seen = []
+
+        def producer():
+            yield Sleep(2.0)
+            pending.set_exception(KeyError("late"), sched.now)
+
+        def body():
+            try:
+                yield Wait(failed)
+            except RuntimeError as exc:
+                seen.append(str(exc))
+            try:
+                yield Wait(pending)
+            except KeyError as exc:
+                seen.append(exc.args[0])
+                seen.append((yield Wait(ok)))
+            return "done"
+
+        sched.spawn("prod", producer())
+        proc = sched.spawn("p0", body())
+        sched.run()
+        assert sched.result_of("p0") == "done"
+        assert seen == ["boom", "late", 7]
+        assert proc.clock == 3.0
+        assert proc.waiting_on == ()
+
+    def test_uncaught_failure_fails_the_process(self):
+        sched = Scheduler()
+        failed = SimFuture()
+        failed.set_exception(RuntimeError("boom"), 1.0)
+
+        def body():
+            yield Wait(failed)
+
+        sched.spawn("p0", body())
+        sched.run()
+        with pytest.raises(RuntimeError, match="boom"):
+            sched.result_of("p0")
+
+    def test_crashed_worker_is_charged_to_crashed_not_wait(self):
+        sched = Scheduler()
+        dead = SimFuture()
+        dead.set_exception(WorkerCrashedError("server down"), 4.0)
+
+        def body():
+            yield Charge(1.0, "work")
+            try:
+                yield Wait(dead)
+            except WorkerCrashedError:
+                return "written off"
+
+        proc = sched.spawn("p0", body())
+        sched.run()
+        assert sched.result_of("p0") == "written off"
+        assert proc.breakdown.as_dict() == {"work": 1.0, "crashed": 3.0}
+        assert proc.clock == 4.0
+
+    def test_future_ready_before_the_clock_resumes_at_the_clock(self):
+        sched = Scheduler()
+        early = SimFuture.resolved("x", ready_time=0.25)
+        resumed_at = []
+
+        def body():
+            yield Charge(1.5, "work")
+            value = yield Wait(early)
+            resumed_at.append((sched.now, value))
+
+        proc = sched.spawn("p0", body())
+        sched.run()
+        assert resumed_at == [(1.5, "x")]
+        assert proc.clock == 1.5
+        assert proc.breakdown.as_dict() == {"work": 1.5, "wait": 0.0}
+
+
 class TestSchedulerSemantics:
     def test_deadlock_detected(self):
         sched = Scheduler()
