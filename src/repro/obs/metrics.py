@@ -167,17 +167,22 @@ class MetricsRegistry:
         self._instruments: dict[str, object] = {}
 
     def _get_or_create(self, name: str, kind: type, *args):
-        with self._create_lock:
-            inst = self._instruments.get(name)
-            if inst is None:
-                inst = kind(name, self._lock, *args)
-                self._instruments[name] = inst
-            elif not isinstance(inst, kind):
-                raise TypeError(
-                    f"metric {name!r} is a {type(inst).__name__}, "
-                    f"not a {kind.__name__}"
-                )
-            return inst
+        # Instruments are only ever added, and one dict read is atomic, so
+        # an existing one is found without the lock; only creation takes
+        # it, re-checking so two racing creators build one instrument.
+        inst = self._instruments.get(name)
+        if inst is None:
+            with self._create_lock:
+                inst = self._instruments.get(name)
+                if inst is None:
+                    inst = kind(name, self._lock, *args)
+                    self._instruments[name] = inst
+        if not isinstance(inst, kind):
+            raise TypeError(
+                f"metric {name!r} is a {type(inst).__name__}, "
+                f"not a {kind.__name__}"
+            )
+        return inst
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)

@@ -33,10 +33,13 @@ class MetisLitePartitioner(Partitioner):
         Allowed part-weight overshoot (default 5%, METIS-like).
     coarsest_factor:
         Coarsening aims at ``max(coarsest_factor * n_parts, 128)`` nodes
-        and stops earlier once a level shrinks the graph by less than 5%.
-        On the stand-ins it stops far above the target: ``products`` at
-        14 148 of 25 000 nodes and ``twitter`` at 32 923 of 41 700, against
-        240 at 4 parts (ROADMAP item 8).
+        and stops earlier once a level's matching would shrink the graph by
+        less than 5% (read off the matching; that level is never
+        contracted).  Matching rounds after the first re-propose only for
+        nodes whose pick was just matched.  On the stand-ins coarsening
+        stops far above the target: ``products`` at 14 148 of 25 000 nodes
+        and ``twitter`` at 32 923 of 41 700, against 240 at 4 parts
+        (ROADMAP item 8).
     refine_passes:
         FM passes per level during uncoarsening.
     seed:

@@ -213,6 +213,7 @@ class DistGraphStorage:
         if self.compress:
             if self._localities()[dest_shard]:
                 return rref.rpc_async(self.caller, "get_vertex_props", ids)
+            self._record_remote(ids)
             # 2-hop halo cache: if the local shard caches every requested
             # node's row, answer from shared memory instead of the network.
             if self._own.has_halo_cache and self._own.cache_mask(ids).all():
@@ -221,6 +222,11 @@ class DistGraphStorage:
                 )
             return rref.rpc_async(self.caller, "get_neighbor_batch", ids)
         return rref.rpc_async(self.caller, "get_neighbor_lists", ids)
+
+    def _record_remote(self, ids: np.ndarray) -> None:
+        """Called with every compressed request bound off this machine,
+        once its shard is resolved; a facade that keeps demand overrides
+        it."""
 
     def get_neighbor_infos_single(self, dest_shard: int, node_id: int):
         """Single-node fetch (the unbatched, uncompressed ablation baseline)."""

@@ -55,7 +55,9 @@ class NeighborFetchService(DistGraphStorage):
     """The compressed storage facade, recording remote demand.
 
     Everything but the recording is the inherited
-    :class:`DistGraphStorage` surface.
+    :class:`DistGraphStorage` surface; the storage call resolves the
+    destination shard once and hands a request bound off this machine to
+    :meth:`_record_remote`.
     """
 
     def __init__(self, rrefs, shard_id: int, caller: str,
@@ -64,7 +66,10 @@ class NeighborFetchService(DistGraphStorage):
         self.ledger = ledger
 
     def get_neighbor_infos(self, dest_shard: int, ids: np.ndarray):
-        ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) and not self.is_local(dest_shard):
+        return super().get_neighbor_infos(dest_shard,
+                                          np.asarray(ids, dtype=np.int64))
+
+    def _record_remote(self, ids: np.ndarray) -> None:
+        # the storage call resolved the shard: it is not on this machine
+        if len(ids):
             self.ledger.admit(ids)
-        return super().get_neighbor_infos(dest_shard, ids)

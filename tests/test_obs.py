@@ -9,6 +9,7 @@ acceptance path.
 """
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -32,6 +33,22 @@ from repro.simt import CrashWindow, FaultPlan
 def engine():
     graph = powerlaw_cluster(600, 6, mixing=0.2, seed=2)
     return GraphEngine(graph, EngineConfig(n_machines=2))
+
+
+class _CountingLock:
+    """A lock that counts how often it is entered."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.entered = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.entered += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._lock.release()
 
 
 class TestMetricsRegistry:
@@ -147,6 +164,50 @@ class TestMetricsRegistry:
             t.join()
         assert reg.counter("hits").value == n_threads * n_iters
         assert reg.histogram("lat").count == n_threads * n_iters
+
+    def test_existing_instrument_is_found_without_the_create_lock(self):
+        reg = MetricsRegistry()
+        reg._create_lock = _CountingLock()
+        reg.inc("a")
+        reg.observe("h", 1e-4)
+        assert reg._create_lock.entered == 2  # one per creation
+        reg.inc("a")
+        reg.observe("h", 2e-4)
+        assert reg.counter("a") is reg.get("a")
+        with pytest.raises(TypeError, match="Counter"):
+            reg.histogram("a")
+        assert reg._create_lock.entered == 2
+        assert reg.counters() == {"a": 2} and reg.histogram("h").count == 2
+
+    def test_racing_creators_share_one_instrument(self):
+        """Threads that create the same names at once each find the one
+        instrument per name: a lost creation would lose its increments."""
+        reg = MetricsRegistry()
+        n_threads, names = 8, [f"c{i}" for i in range(200)]
+        start = threading.Barrier(n_threads)
+        seen = [set() for _ in range(n_threads)]
+
+        def work(i):
+            start.wait()
+            for name in names:
+                inst = reg.counter(name)
+                inst.inc()
+                seen[i].add(id(inst))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert reg.counters() == {name: n_threads for name in names}
+        assert all(ids == seen[0] for ids in seen)
 
     def test_text_table_renders_all_keys(self):
         reg = MetricsRegistry()

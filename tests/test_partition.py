@@ -189,6 +189,24 @@ class TestCoarsening:
         assert all(sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1))
         assert sizes[-1] <= 2000  # made progress or stopped cleanly
 
+    @pytest.mark.parametrize("g, n_levels", [
+        (powerlaw_cluster(400, 5, seed=13), 6),
+        # one pair of 20 nodes: 19 = 0.95 * 20 is kept, 19 -> 19 is not
+        (CSRGraph.from_edges(20, [0], [1]), 2),
+    ], ids=["powerlaw", "shrinks-exactly-5pct"])
+    def test_a_stalled_level_is_never_contracted(self, g, n_levels):
+        """Coarsening stops on the matching alone: each kept level is one
+        contraction, and the level that would shrink < 5% costs none."""
+        with mock.patch.object(coarsen, "contract",
+                               wraps=coarsen.contract) as spy:
+            levels = coarsen_to(g, 1)
+        sizes = [lv.graph.n_nodes for lv in levels]
+        assert sizes[-1] > 1 and len(levels) == n_levels
+        assert spy.call_count == len(levels) - 1
+        mate = match_mutual(levels[-1].graph)
+        assert sizes[-1] - np.count_nonzero(mate >= 0) // 2 \
+            > 0.95 * sizes[-1]
+
 
 def _lexsort_heaviest_neighbor(graph, eligible):
     """The 3-key arc sort ``heaviest_neighbor`` used to be: the oracle."""
@@ -238,11 +256,62 @@ def _gather_contract(graph, node_weights, mate):
     return CoarseLevel(coarse, coarse_weights, fine_to_coarse)
 
 
+def _all_rows_match_mutual(graph, *, rounds=3):
+    """``match_mutual`` as it was: every round re-proposes for every node."""
+    n = graph.n_nodes
+    mate = np.full(n, -1, dtype=np.int64)
+    for _ in range(rounds):
+        eligible = mate == -1
+        if not eligible.any():
+            break
+        proposal = _lexsort_heaviest_neighbor(graph, eligible)
+        has = proposal >= 0
+        ids = np.flatnonzero(has)
+        mutual = ids[proposal[proposal[ids]] == ids]
+        mutual = mutual[mutual < proposal[mutual]]
+        mate[mutual] = proposal[mutual]
+        mate[proposal[mutual]] = mutual
+    return mate
+
+
+def _contract_every_level(graph, target_nodes, *, max_levels=30):
+    """``coarsen_to`` as it was: contract, then drop a level that shrank
+    by less than 5%.  Its kernels are looked up on the module, so under
+    :func:`_oracle_kernels` it runs on this file's oracles only."""
+    levels = [CoarseLevel(graph, np.ones(graph.n_nodes),
+                          np.arange(graph.n_nodes))]
+    while levels[-1].graph.n_nodes > target_nodes and len(levels) < max_levels:
+        current = levels[-1]
+        mate = coarsen.match_mutual(current.graph)
+        nxt = coarsen.contract(current.graph, current.node_weights, mate)
+        if nxt.graph.n_nodes > 0.95 * current.graph.n_nodes:
+            break
+        levels.append(nxt)
+    return levels
+
+
+def _not_on_the_oracle_side(*args, **kwargs):
+    raise AssertionError("the oracle side ran the proposal kernel")
+
+
 def _oracle_kernels():
-    """Run the coarsening phase on the two kernels this file keeps."""
+    """Run the coarsening phase on the kernels this file keeps: the arc
+    sort, the all-rows matching and the int64 contraction."""
     return mock.patch.multiple(coarsen,
+                               _propose=_not_on_the_oracle_side,
                                heaviest_neighbor=_lexsort_heaviest_neighbor,
+                               match_mutual=_all_rows_match_mutual,
                                contract=_gather_contract)
+
+
+def _same_hierarchy(got, want):
+    return len(got) == len(want) and all(
+        _identical(a.fine_to_coarse, b.fine_to_coarse)
+        and _identical(a.node_weights, b.node_weights)
+        and _identical(a.graph.indptr, b.graph.indptr)
+        and _identical(a.graph.indices, b.graph.indices)
+        and _identical(a.graph.weights, b.graph.weights)
+        for a, b in zip(got, want))
 
 
 #: few distinct values, so rows tie; both zeros, which compare equal
@@ -284,7 +353,8 @@ def _identical(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestSegmentArgMaxAgainstLexsort:
-    """The parent's kernels (arc sort, int64 contraction) are the oracle."""
+    """The parent's kernels (arc sort, all-rows matching, int64
+    contraction, contract-then-check levels) are the oracle."""
 
     @given(graph=colliding_graphs(), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -302,22 +372,36 @@ class TestSegmentArgMaxAgainstLexsort:
             # the drawn row's winner (node n-1 if it has none) sits out
             only_heaviest_out,
         )
+        nonempty = np.diff(graph.indptr) > 0
         for eligible in masks:
-            assert _identical(heaviest_neighbor(graph, eligible),
-                              _lexsort_heaviest_neighbor(graph, eligible))
+            want = _lexsort_heaviest_neighbor(graph, eligible)
+            assert _identical(heaviest_neighbor(graph, eligible), want)
+            # the kernel on a subset of rows: eligible, non-empty ones
+            rows = np.flatnonzero(eligible & nonempty)
+            proposal = np.full(n, -2, dtype=np.int64)
+            coarsen._propose(graph, proposal, rows, eligible)
+            assert np.array_equal(proposal[rows], want[rows])
+            assert not np.any(np.delete(proposal, rows) != -2)
 
-        mate = match_mutual(graph)
+        rounds = data.draw(st.integers(0, 4))
+        mate = match_mutual(graph, rounds=rounds)
+        assert _identical(mate, _all_rows_match_mutual(graph, rounds=rounds))
         levels = coarsen_to(graph, 1)
         with _oracle_kernels():
-            assert _identical(mate, match_mutual(graph))
-            expected = coarsen_to(graph, 1)
-        assert len(levels) == len(expected)
-        for got, want in zip(levels, expected):
-            assert _identical(got.fine_to_coarse, want.fine_to_coarse)
-            assert _identical(got.node_weights, want.node_weights)
-            assert _identical(got.graph.indptr, want.graph.indptr)
-            assert _identical(got.graph.indices, want.graph.indices)
-            assert _identical(got.graph.weights, want.graph.weights)
+            expected = _contract_every_level(graph, 1)
+        assert _same_hierarchy(levels, expected)
+
+    @pytest.mark.parametrize("name", ["products", "twitter"])
+    def test_stand_ins_match_and_coarsen_as_before(self, name):
+        """Every level of a 0.04-scale stand-in: the weighted coarse
+        levels tie in ways the drawn graphs do not."""
+        graph = load_dataset(name, scale=0.04, use_cache=False)
+        levels = coarsen_to(graph, 1)
+        for level in levels:
+            assert _identical(match_mutual(level.graph),
+                              _all_rows_match_mutual(level.graph))
+        with _oracle_kernels():
+            assert _same_hierarchy(levels, _contract_every_level(graph, 1))
 
     def test_tie_goes_to_larger_id_and_zeros_compare_equal(self):
         # row 0: weights 2, 2, -0.0 -> the larger id of the two 2s;
@@ -512,21 +596,27 @@ class TestSequentialLoopsAgainstNumpy:
 class TestSetupPathGuards:
     """Full stand-in scale: what a deployment pays before its first query."""
 
-    def test_coarsening_transient_memory(self):
+    @pytest.mark.parametrize("name, n_levels, reached_mb", [
+        ("products", 3, 9.9), ("twitter", 2, 20.7),
+    ], ids=["products", "twitter"])
+    def test_coarsening_transient_memory(self, name, n_levels, reached_mb):
         """E-sized temporaries above the retained hierarchy stay bounded.
 
-        Reached: 20.2 MB on ``products`` (the arc sort and int64
-        contraction this replaced: 34.3 MB); the bound is that plus 25%.
+        Reached (NumPy 2.4, SciPy 1.17): 9.9 MB on ``products`` and 20.7
+        MB on ``twitter``; the bound is that plus 25%.  Coarsening that
+        also contracts the level it then discards, and masks every arc in
+        every matching round, peaks at 17.1 and 43.6 MB: it cannot come
+        back silently.
         """
-        graph = load_dataset("products", scale=1.0, use_cache=False)
+        graph = load_dataset(name, scale=1.0, use_cache=False)
         tracemalloc.start()
         try:
             levels = coarsen_to(graph, 240)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(levels) == 3
-        assert (peak - retained) / 2**20 <= 20.2 * 1.25
+        assert len(levels) == n_levels
+        assert (peak - retained) / 2**20 <= reached_mb * 1.25
 
     def test_hub_graph_partitions_in_proportion_to_its_arcs(self):
         """``twitter`` has 1.85x the arcs of ``products``; an E log E pass
