@@ -2,9 +2,10 @@
 
 Implements every PPR method the paper evaluates:
 
-* :class:`ShardedMap` (:mod:`~repro.ppr.hashmap`) — a vectorized, lazily
-  paged direct-address slot table standing in for the lock-free
-  parallel-hashmap the paper's C++ operators build on;
+* :class:`ShardedMap` (:mod:`~repro.ppr.hashmap`) — a vectorized
+  direct-address slot table, key-indexed for a small declared domain and
+  lazily paged otherwise, standing in for the lock-free parallel-hashmap
+  the paper's C++ operators build on;
 * :class:`MultiSSPPR` (:mod:`~repro.ppr.multi_query`) — the one
   slot-table push state: the local PPR operators ``pop`` / ``push`` of
   Section 3.3 ("PPR Ops") over a lockstep batch of queries, with per-query

@@ -117,10 +117,11 @@ def distributed_sppr_query(g: DistGraphStorage, proc, sources,
     skip = degradation is DegradationMode.SKIP_REMOTE
     ids = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     src_wdegs = yield Wait(g.source_weighted_degrees(g.shard_id, ids))
+    n_nodes = int(g.base[-1])  # every node id is in [0, n_nodes)
     if np.ndim(sources) == 0:
-        m = SSPPR(int(ids[0]), params, src_wdegs[0])
+        m = SSPPR(int(ids[0]), params, src_wdegs[0], n_nodes)
     else:
-        m = MultiSSPPR(ids, params, src_wdegs)
+        m = MultiSSPPR(ids, params, src_wdegs, n_nodes)
 
     def push(infos, ids):
         entries, touched = m.n_entries_processed, len(m.map)

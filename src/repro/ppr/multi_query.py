@@ -15,6 +15,10 @@ keys ``node * B + qid`` to dense slots, and four slot-indexed value arrays
 *is* the queued flags of the touched slots, so only ``push`` resolves keys.
 Work per iteration is proportional to the *touched frontier*, never to |V|
 — the property that separates the PPR Engine from the tensor baseline.
+A state told its node domain (``n_nodes``, as every distributed query is)
+declares the pair-key domain ``n_nodes * B`` to its table, which is then
+key-indexed while that domain is small: an O(domain) fill once per state,
+and each iteration stays O(frontier) — one gather per pushed entry.
 
 Semantics follow the parallel Forward Push of Shun et al. [22] as adapted
 by the paper, and run exactly the schedule of
@@ -56,6 +60,7 @@ import numpy as np
 from repro.ppr.hashmap import ShardedMap, fit_values
 from repro.ppr.params import PPRParams
 from repro.storage.vertex_prop import gather_rows
+from repro.utils.validation import check_int
 
 _NOT_POPPED = "push received sources that were never touched or not popped"
 _TWICE = "push received sources already pushed or abandoned this iteration"
@@ -93,9 +98,15 @@ def split_residual(r_v: np.ndarray, src_wdeg: np.ndarray,
 
 
 class MultiSSPPR:
-    """Lockstep Forward-Push state for a batch of SSPPR queries."""
+    """Lockstep Forward-Push state for a batch of SSPPR queries.
 
-    def __init__(self, sources, params: PPRParams, source_wdegs) -> None:
+    ``n_nodes``, when given, is the node-id domain ``[0, n_nodes)`` every
+    source and neighbor lies in; the slot table then declares its pair-key
+    domain ``n_nodes * B``.
+    """
+
+    def __init__(self, sources, params: PPRParams, source_wdegs,
+                 n_nodes: int | None = None) -> None:
         sources = np.asarray(sources, dtype=np.int64)
         source_wdegs = np.asarray(source_wdegs, dtype=np.float64)
         if len(sources) == 0:
@@ -104,9 +115,13 @@ class MultiSSPPR:
             raise ValueError("source_wdegs length mismatch")
         if np.any(source_wdegs < 0):
             raise ValueError(f"source_wdegs must be >= 0, got {source_wdegs}")
+        if n_nodes is not None:
+            check_int("n_nodes", n_nodes, positive=True)
         self.params = params
         self.n_queries = b = len(sources)
-        self.map = ShardedMap()
+        # pair keys live in [0, n_nodes * B): declare that domain, so the
+        # table is key-indexed whenever it is small
+        self.map = ShardedMap(None if n_nodes is None else n_nodes * b)
         cap = 1024
         self.residual = np.zeros(cap)
         self.ppr = np.zeros(cap)

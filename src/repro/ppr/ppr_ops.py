@@ -19,8 +19,8 @@ class SSPPR(MultiSSPPR):
     """Forward-Push state of one SSPPR query (``MultiSSPPR`` with B = 1)."""
 
     def __init__(self, source: int, params: PPRParams,
-                 source_wdeg: float) -> None:
-        super().__init__([source], params, [source_wdeg])
+                 source_wdeg: float, n_nodes: int | None = None) -> None:
+        super().__init__([source], params, [source_wdeg], n_nodes)
 
     # perfbench's ssppr.* spans patch these two names on SSPPR itself
     pop = MultiSSPPR.pop

@@ -9,20 +9,22 @@ from hypothesis import strategies as st
 from repro import EngineConfig, GraphEngine, PPRParams, RunRequest
 from repro.graph import erdos_renyi, powerlaw_cluster
 from repro.partition import HashPartitioner
+from repro.engine.query import sample_sources
 from repro.ppr import MultiSSPPR, forward_push_parallel
+from repro.serving import Query
 from repro.storage import build_shards
 
 PARAMS = PPRParams()
 
 
-def run_multi(sharded, sources_global, params=PARAMS):
+def run_multi(sharded, sources_global, params=PARAMS, n_nodes=None):
     """Drive a MultiSSPPR directly against shards (no RPC layer)."""
     sources = sharded.nodes_of(sources_global)
     shard = sharded.owner_of(sources)
     assert len(np.unique(shard)) == 1, "all sources must share a shard"
     own = int(shard[0])
     wdegs = sharded.shards[own].source_weighted_degrees(sources)
-    m = MultiSSPPR(sources, params, wdegs)
+    m = MultiSSPPR(sources, params, wdegs, n_nodes)
     while True:
         node_ids = m.pop()
         if len(node_ids) == 0:
@@ -89,6 +91,55 @@ class TestMultiSSPPRState:
         a = m.query(0).dense_result(sharded, g.n_nodes)
         b = m.query(1).dense_result(sharded, g.n_nodes)
         np.testing.assert_allclose(a, b)
+
+
+class TestDeclaredDomain:
+    """A state told its node domain keeps a key-indexed table and computes
+    exactly what an undeclared (paged) one does."""
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_same_bytes_with_and_without_the_domain(self, batch):
+        g = powerlaw_cluster(500, 8, mixing=0.2, seed=12)
+        sharded = build_shards(g, HashPartitioner().partition(g, 3))
+        sources = sharded.shards[2].core_global[:batch]
+        paged = run_multi(sharded, sources)
+        indexed = run_multi(sharded, sources, n_nodes=g.n_nodes)
+        assert (paged.map.key_indexed, indexed.map.key_indexed) == (
+            False, True)
+        n = len(paged.map)
+        assert len(indexed.map) == n
+        assert paged.map.keys().tobytes() == indexed.map.keys().tobytes()
+        for name in ("ppr", "residual", "wdeg"):
+            assert (getattr(paged, name)[:n].tobytes()
+                    == getattr(indexed, name)[:n].tobytes()), name
+        assert paged.stats() == indexed.stats()
+        assert paged.map.probe_rounds == indexed.map.probe_rounds
+
+    def test_sources_outside_the_domain_are_rejected(self):
+        with pytest.raises(ValueError, match="outside the table's domain"):
+            MultiSSPPR([0, 5], PARAMS, [1.0, 1.0], n_nodes=5)
+
+    def test_every_distributed_state_is_key_indexed(self):
+        """``engine.run`` in both hashmap modes and ``Session.drain`` hand
+        their states the node domain, so a small one is key-indexed."""
+        g = powerlaw_cluster(300, 6, seed=8)
+        engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
+        views = []
+        for mode in ("engine", "batched"):
+            run = engine.run(RunRequest(n_queries=4, seed=9, mode=mode,
+                                        keep_states=True))
+            views += run.states.values()
+        session = engine.open_session()
+        handles = [session.submit(Query(source=int(s)))
+                   for s in sample_sources(engine.sharded, 3, seed=1)]
+        while session.pending:
+            session.drain()
+        views += [handle.result() for handle in handles]
+        assert len(views) == 11
+        for view in views:
+            table = view.multi.map
+            assert table.key_indexed
+            assert table.top_key == g.n_nodes * view.multi.n_queries - 1
 
 
 class TestEngineBatchedQueries:

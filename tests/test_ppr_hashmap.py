@@ -1,4 +1,5 @@
-"""Tests for the paged direct-address slot table (``ShardedMap``)."""
+"""Tests for the direct-address slot table (``ShardedMap``): paged, and
+key-indexed when its declared domain fits ``KEY_INDEXED_MAX_KEYS``."""
 
 import signal
 import time
@@ -9,13 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ppr.hashmap import PAGE_SLOTS, ShardedMap, fit_values
+from repro.ppr.hashmap import (KEY_INDEXED_MAX_KEYS, PAGE_SLOTS,
+                                ShardedMap, fit_values)
 
 PAGE_BYTES = PAGE_SLOTS * 8
 
 
 def i64(*values):
     return np.array(values, dtype=np.int64)
+
+
+def layouts() -> dict[str, ShardedMap]:
+    """One fresh table per layout: no declared domain, a declared domain at
+    the key-indexed bound, and one just past it (paged)."""
+    return {"undeclared": ShardedMap(),
+            "key-indexed": ShardedMap(n_keys=KEY_INDEXED_MAX_KEYS),
+            "past the bound": ShardedMap(n_keys=KEY_INDEXED_MAX_KEYS + 1)}
 
 
 class TestBasics:
@@ -57,9 +67,10 @@ class TestBasics:
         np.testing.assert_array_equal(m.lookup(i64(1, 2)), [-1, -1])
 
     def test_lookup_duplicates_allowed(self):
-        m = ShardedMap()
-        m.get_or_insert(i64(42))
-        np.testing.assert_array_equal(m.lookup(i64(42, 42, 42)), [0, 0, 0])
+        for name, m in layouts().items():
+            m.get_or_insert(i64(42))
+            np.testing.assert_array_equal(m.lookup(i64(42, 42, 42)),
+                                          [0, 0, 0], err_msg=name)
 
     def test_empty_calls(self):
         m = ShardedMap()
@@ -69,24 +80,27 @@ class TestBasics:
         assert m.probe_rounds == 0  # only non-empty calls probe
 
     def test_keys_batch_ordering(self):
-        """Slots are numbered by first occurrence, across and within calls."""
-        m = ShardedMap()
-        m.get_or_insert(i64(100, 50, 100))
-        m.get_or_insert(i64(75, 50))
-        np.testing.assert_array_equal(m.keys(), [100, 50, 75])
+        """Slots are numbered by first occurrence, across and within calls,
+        in every layout."""
+        for name, m in layouts().items():
+            m.get_or_insert(i64(100, 50, 100))
+            m.get_or_insert(i64(75, 50))
+            np.testing.assert_array_equal(m.keys(), [100, 50, 75],
+                                          err_msg=name)
 
     def test_duplicate_keys_in_one_insert(self):
-        m = ShardedMap()
         keys = i64(7, 9, 7, 7, 9, 11)
-        idx, fresh = m.get_or_insert(keys)
-        assert len(m) == 3
-        # only each first-seen key's first occurrence is fresh
-        np.testing.assert_array_equal(fresh, [0, 1, 5])
-        np.testing.assert_array_equal(idx, [0, 1, 0, 0, 1, 2])
-        # re-insert: nothing new
-        idx2, fresh2 = m.get_or_insert(keys)
-        np.testing.assert_array_equal(idx, idx2)
-        assert len(fresh2) == 0
+        for name, m in layouts().items():
+            idx, fresh = m.get_or_insert(keys)
+            assert len(m) == 3, name
+            # only each first-seen key's first occurrence is fresh
+            np.testing.assert_array_equal(fresh, [0, 1, 5], err_msg=name)
+            np.testing.assert_array_equal(idx, [0, 1, 0, 0, 1, 2],
+                                          err_msg=name)
+            # re-insert: nothing new
+            idx2, fresh2 = m.get_or_insert(keys)
+            np.testing.assert_array_equal(idx, idx2, err_msg=name)
+            assert len(fresh2) == 0, name
 
     def test_negative_keys_rejected(self):
         m = ShardedMap()
@@ -103,19 +117,30 @@ class TestBasics:
                 ShardedMap(**{option: 16})
 
     def test_bad_keys_raise_without_allocating(self):
-        m = ShardedMap()
-        m.get_or_insert(i64(1))
-        cells, directory = m._cells, m._directory
-        for bad in (i64(-1), np.zeros((2, 2), dtype=np.int64),
-                    i64(0, ShardedMap.MAX_KEY + 1), i64(2**40)):
-            for call in (m.get_or_insert, m.lookup):
-                with pytest.raises(ValueError):
-                    call(bad)
-        assert m._cells is cells and m._directory is directory
-        assert (len(m), m.resident_pages) == (1, 1)
-        # the bound itself is admissible
-        idx, _ = m.get_or_insert(i64(ShardedMap.MAX_KEY))
-        assert m.lookup(i64(ShardedMap.MAX_KEY))[0] == idx[0] == 1
+        """Negative keys, keys at or past the domain's end (``MAX_KEY + 1``
+        undeclared, ``n_keys`` declared) and non-1-D arrays raise from
+        both calls, in every layout, and leave the table untouched."""
+        tables = {"undeclared": ShardedMap(), **{
+            f"n_keys={n}": ShardedMap(n_keys=n)
+            for n in (100, KEY_INDEXED_MAX_KEYS + 1)}}
+        for name, m in tables.items():
+            end = m.top_key + 1
+            m.get_or_insert(i64(1))
+            cells, directory = m._cells, m._directory
+            before = cells.copy()
+            pages = m.resident_pages
+            for bad in (i64(-1), np.zeros((2, 2), dtype=np.int64),
+                        i64(0, end), i64(end + 5), i64(2**40)):
+                for call in (m.get_or_insert, m.lookup):
+                    with pytest.raises(ValueError):
+                        call(bad)
+            assert m._cells is cells and m._directory is directory, name
+            np.testing.assert_array_equal(cells, before, err_msg=name)
+            assert (len(m), m.resident_pages) == (1, pages), name
+            # the domain's last key is admissible
+            idx, _ = m.get_or_insert(i64(end - 1))
+            assert m.lookup(i64(end - 1))[0] == idx[0] == 1, name
+        assert tables["undeclared"].top_key == ShardedMap.MAX_KEY
 
     def test_non_integer_keys_rejected(self):
         """Float and bool keys raise instead of being truncated to ints."""
@@ -254,8 +279,9 @@ class TestProperties:
         """Slots, ``fresh`` and ``keys()`` agree with a Python dict in
         first-occurrence order after every call: ``fresh`` is exactly the
         first occurrences of previously absent keys, ascending, and they
-        take the slots ``before .. after - 1`` in that order."""
-        m = ShardedMap()
+        take the slots ``before .. after - 1`` in that order.  Every layout
+        gives the same arrays, byte for byte."""
+        tables = layouts()
         oracle: dict[int, int] = {}
         calls = 0
         for raw in batches:
@@ -266,20 +292,31 @@ class TestProperties:
                 if k not in oracle:
                     oracle[k] = len(oracle)
                     first_absent.append(i)
-            idx, fresh = m.get_or_insert(batch)
             calls += bool(raw)
-            assert idx.tolist() == [oracle[k] for k in raw]
-            assert fresh.tolist() == first_absent
-            assert idx[fresh].tolist() == list(range(before, len(oracle)))
-            assert m.keys()[before:].tolist() == batch[fresh].tolist()
-            assert m.keys().tolist() == list(oracle)
-            assert len(m) == len(oracle)
+            seen = []
+            for m in tables.values():
+                idx, fresh = m.get_or_insert(batch)
+                assert idx.tolist() == [oracle[k] for k in raw]
+                assert fresh.tolist() == first_absent
+                assert idx[fresh].tolist() == list(range(before, len(oracle)))
+                assert m.keys()[before:].tolist() == batch[fresh].tolist()
+                assert m.keys().tolist() == list(oracle)
+                assert len(m) == len(oracle)
+                seen.append((idx.dtype, fresh.dtype, idx.tobytes(),
+                             fresh.tobytes(), m.keys().tobytes()))
+            assert seen[1:] == seen[:-1]
         probe = np.arange(0, max(oracle, default=0) + 2 * PAGE_SLOTS, 7,
                           dtype=np.int64)
-        assert m.lookup(probe).tolist() == [oracle.get(k, -1)
-                                            for k in probe.tolist()]
-        assert (m.probe_rounds, m.rehashes) == (calls + 1, 0)
-        assert m.resident_pages == len({k // PAGE_SLOTS for k in oracle})
+        touched = len({k // PAGE_SLOTS for k in oracle})
+        for name, m in tables.items():
+            assert m.lookup(probe).tolist() == [oracle.get(k, -1)
+                                                for k in probe.tolist()]
+            assert (m.probe_rounds, m.rehashes) == (calls + 1, 0)
+            assert m.resident_pages == (
+                KEY_INDEXED_MAX_KEYS // PAGE_SLOTS if m.key_indexed
+                else touched), name
+        assert [m.key_indexed for m in tables.values()] == [
+            False, True, False]
 
     @given(st.integers(1, 2000), st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
@@ -312,14 +349,20 @@ class TestScaling:
         assert per_key[524_288] < 2.0 * per_key[8_192], per_key
 
     def test_peak_table_bytes_track_touched_pages(self):
-        """Memory follows the pages touched, not the key range spanned."""
-        def peak_bytes(keys) -> int:
+        """Paged memory follows the pages touched, not the key range
+        spanned, with or without a declared domain past the key-indexed
+        bound; a key-indexed table's cells are its domain, exactly."""
+        def peak_bytes(keys, n_keys=None) -> int:
             tracemalloc.start()
             try:
-                m = ShardedMap()
+                m = ShardedMap(n_keys)
                 for chunk in np.array_split(keys, max(1, len(keys) // 2048)):
                     m.get_or_insert(chunk)  # push-sized calls
-                assert m.resident_pages == len(np.unique(keys >> 12))
+                if m.key_indexed:
+                    assert m._cells.nbytes == 8 * n_keys
+                    assert m.resident_pages == -(-n_keys // PAGE_SLOTS)
+                else:
+                    assert m.resident_pages == len(np.unique(keys >> 12))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -328,10 +371,21 @@ class TestScaling:
         dense = np.arange(512 * 1024, dtype=np.int64)             # 128 pages
         sparse = np.arange(128, dtype=np.int64) * (span // 128)   # 128 pages
         wide = np.arange(1024, dtype=np.int64) * (span // 1024)   # 1024 pages
-        for keys, pages in ((dense, 128), (sparse, 128), (wide, 1024)):
-            # growing by doubling holds an old and a new copy at the peak;
-            # the dense side, the directory and a call's temporaries ride
-            # along
-            riders = 2 * 8 * len(keys) + 3 * 8 * (span >> 12) + 2**20
-            assert peak_bytes(keys) <= 4 * pages * PAGE_BYTES + riders
-        assert peak_bytes(wide) > 4 * peak_bytes(sparse)
+        for n_keys in (None, span):
+            assert span > KEY_INDEXED_MAX_KEYS  # declared, yet paged
+            for keys, pages in ((dense, 128), (sparse, 128), (wide, 1024)):
+                # growing by doubling holds an old and a new copy at the
+                # peak; the dense side, the directory and a call's
+                # temporaries ride along
+                riders = 2 * 8 * len(keys) + 3 * 8 * (span >> 12) + 2**20
+                assert peak_bytes(keys, n_keys) <= (4 * pages * PAGE_BYTES
+                                                    + riders)
+            assert peak_bytes(wide, n_keys) > 4 * peak_bytes(sparse, n_keys)
+        # Key-indexed: one fill of the whole domain, however few keys it
+        # holds, and nothing grown after it.
+        cells = 8 * KEY_INDEXED_MAX_KEYS
+        few = np.arange(128, dtype=np.int64) * (KEY_INDEXED_MAX_KEYS // 128)
+        for keys in (dense, few):
+            riders = 2 * 8 * len(keys) + 2**20
+            assert cells <= peak_bytes(keys, KEY_INDEXED_MAX_KEYS) \
+                <= cells + riders

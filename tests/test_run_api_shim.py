@@ -30,7 +30,8 @@ from repro.engine import EngineConfig, GraphEngine, QueryRunResult, RunRequest
 from repro.engine.query import sample_sources
 from repro.errors import ShardError
 from repro.graph import powerlaw_cluster
-from repro.ppr import DegradationMode, PPRParams
+from repro.ppr import DegradationMode, MultiSSPPR, PPRParams, SSPPR
+from repro.ppr.hashmap import ShardedMap
 from repro.rpc import RetryPolicy
 from repro.serving import Query, SessionConfig, bursty_trace, poisson_trace
 from repro.simt.faults import FaultPlan
@@ -222,7 +223,26 @@ _CONSTRUCTOR_HOLES = {
     "run_random_walks-walk_length-float": (
         _walks, dict(n_roots=2, walk_length=2.5),
         "walk_length must be an integer"),
+    "ShardedMap-n_keys-past-MAX_KEY": (
+        ShardedMap, dict(n_keys=ShardedMap.MAX_KEY + 2),
+        f"n_keys must be <= {ShardedMap.MAX_KEY + 1}"),
 }
+#: a declared key domain (``ShardedMap``) or node domain (the PPR states)
+#: that is not a positive integer
+_CONSTRUCTOR_HOLES.update({
+    f"{make.__name__}-{name}-{case}": (
+        make, {**kwargs, name: value}, f"{name} must be {error}")
+    for make, name, kwargs in (
+        (ShardedMap, "n_keys", {}),
+        (MultiSSPPR, "n_nodes", dict(sources=[0], params=PPRParams(),
+                                     source_wdegs=[1.0])),
+        (SSPPR, "n_nodes", dict(source=0, params=PPRParams(),
+                                source_wdeg=1.0)))
+    for case, value, error in (("bool", True, "an integer"),
+                               ("float", 64.0, "an integer"),
+                               ("nan", float("nan"), "an integer"),
+                               ("zero", 0, "> 0"),
+                               ("negative", -64, "> 0"))})
 
 
 class TestConstructorHoles:
@@ -253,6 +273,11 @@ class TestConstructorHoles:
         bursty_trace(np.arange(4), rate=10.0, duration=1.0, seed=0)
         run = _walks(n_roots=np.int64(2), walk_length=np.int64(3))
         assert run.walks.shape == (2, 4)
+        assert ShardedMap(n_keys=np.int64(1)).key_indexed
+        assert not ShardedMap(n_keys=ShardedMap.MAX_KEY + 1).key_indexed
+        assert MultiSSPPR([0, 1], PPRParams(), [1.0, 1.0],
+                          n_nodes=np.uint32(2)).map.top_key == 3
+        assert SSPPR(0, PPRParams(), 1.0, n_nodes=1).map.top_key == 0
 
 
 class TestKnobCombinations:
