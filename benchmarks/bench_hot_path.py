@@ -7,8 +7,9 @@ consumer's one gather happens); the table reports per-row latency for
 both, the modeled bytes of the row-selection response vs a materialized
 copy of its rows (these must be *equal* — the zero-copy path may not
 move a single modeled byte), the number of tensors each backing actually
-owns (the allocation count: 1 for the view path — the rebased indptr —
-vs 5 for a full copy), and the buffer pool's hit rate as the per-row
+owns (the allocation count: 3 for the view path — the rebased indptr
+and the two degree columns, resolved from the shard's node-indexed
+degree table — vs 5 for a full copy), and the buffer pool's hit rate as the per-row
 staged request count grows (must be monotone increasing: inventory
 converges to one response's demand, after which every borrow hits).
 

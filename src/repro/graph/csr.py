@@ -22,7 +22,16 @@ from repro.utils.validation import check_same_length
 
 
 class CSRGraph:
-    """Immutable edge-weighted directed graph in CSR form."""
+    """Immutable edge-weighted directed graph in CSR form.
+
+    ``weighted_degrees[v]`` is the sum of ``v``'s outgoing edge weights,
+    taken as differences of one global cumulative sum; that association
+    differs in the last bits from the per-row ``np.sum`` the streaming
+    mirror (:class:`~repro.stream.dynamic.DynamicGraph`) uses (on the
+    full-scale products stand-in, on 24 998 of 25 000 rows, by at most
+    3.2e-11 relative), so a graph's and a mirror's degree of one row agree
+    to float tolerance, not bitwise.
+    """
 
     __slots__ = ("n_nodes", "indptr", "indices", "weights", "weighted_degrees")
 

@@ -5,9 +5,10 @@ Implements the storage stack exactly as the paper lays it out:
 * :class:`GraphShard` — one partition's data in CSR form: rows are *core
   nodes* (the partition's METIS assignment), columns are core + *halo*
   nodes (1-hop neighbors cached with their shard IDs, local IDs, edge
-  weights, and weighted degrees — Figures 2 and 3).  Storing neighbor
-  weighted degrees inline is what lets Forward Push threshold-check
-  remotely-owned nodes without extra RPCs.
+  weights, and weighted degrees — Figures 2 and 3).  Keeping neighbor
+  weighted degrees on the shard (one node-indexed table every row reads
+  from) is what lets Forward Push threshold-check remotely-owned nodes
+  without extra RPCs.
 * :class:`VertexProp` — the zero-copy local-fetch result: the requested
   rows of the shard's arena, "a vector of shared pointers ... without
   taking ownership of the original data".

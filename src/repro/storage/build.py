@@ -80,21 +80,22 @@ class ShardedGraph:
 
 
 def _rows_of_graph(graph: CSRGraph, nodes: np.ndarray,
-                   to_node: np.ndarray) -> NeighborBatch:
-    """The adjacency rows of ``nodes`` (caller ids) as one row block."""
+                   to_node: np.ndarray, degrees: np.ndarray) -> NeighborBatch:
+    """The adjacency rows of ``nodes`` (caller ids) as one row block over
+    the node-indexed degree table ``degrees``."""
     indptr, idx = row_blocks(graph.indptr, nodes)
-    nbrs = graph.indices[idx]
-    return NeighborBatch(indptr, to_node[nbrs], graph.weights[idx],
-                         graph.weighted_degrees[nbrs],
-                         graph.weighted_degrees[nodes], check=False)
+    return NeighborBatch(indptr, to_node[graph.indices[idx]],
+                         graph.weights[idx], None, None, check=False,
+                         degrees=degrees, src_ids=to_node[nodes])
 
 
 def build_shards(graph: CSRGraph, result: PartitionResult, *,
                  seed=0, halo_hops: int = 1) -> ShardedGraph:
     """Convert a partitioned graph into per-shard CSR storage.
 
-    ``halo_hops=1`` (default) caches only halo *metadata* (ids and
-    weighted degrees inline in the neighbor arrays — the paper's scheme).
+    ``halo_hops=1`` (default) caches only halo *metadata* (ids in the
+    neighbor arrays and weighted degrees in one node-indexed table, which
+    every shard shares until its first stage — the paper's scheme).
     ``halo_hops=2`` additionally caches the full adjacency *rows* of every
     1-hop halo node, so requests for them are answered locally — the
     memory-for-communication trade the paper describes in Section 3.2.1.
@@ -114,14 +115,15 @@ def build_shards(graph: CSRGraph, result: PartitionResult, *,
     base = np.zeros(n_shards + 1, dtype=np.int64)
     np.cumsum(np.bincount(result.assignment, minlength=n_shards),
               out=base[1:])
-    for book in (base, to_node, to_global):
+    degrees = graph.weighted_degrees[to_global]
+    for book in (base, to_node, to_global, degrees):
         book.flags.writeable = False
 
     shards = []
     for p in range(n_shards):
         core = to_global[base[p]:base[p + 1]]
         shards.append(GraphShard(
-            p, base, core, _rows_of_graph(graph, core, to_node),
+            p, base, core, _rows_of_graph(graph, core, to_node, degrees),
             seed=None if seed is None else seed + p,
         ))
 
@@ -130,5 +132,5 @@ def build_shards(graph: CSRGraph, result: PartitionResult, *,
             halo_ids = shard.halo_nodes()
             shard.install_halo_cache(
                 halo_ids,
-                _rows_of_graph(graph, to_global[halo_ids], to_node))
+                _rows_of_graph(graph, to_global[halo_ids], to_node, degrees))
     return ShardedGraph(graph, result, shards, base, to_node, to_global)

@@ -1,14 +1,24 @@
 """The adjacency-row format, and the uncompressed ablation beside it.
 
-:class:`NeighborBatch` is a block of CSR rows: one ``indptr`` over three
-flat per-neighbor columns — node ``ids``, edge ``weights`` and the
-neighbors' weighted degrees ``wdeg`` — plus ``src_wdeg``, the rows' own
-weighted degrees.  It is the only row format in the storage layer: a
-shard's arena, its 2-hop halo cache, a staged replacement and both blocks
-of a :class:`~repro.storage.shard_update.ShardUpdate` are values of this
-one type, and every fetch response names rows of one
+:class:`NeighborBatch` is a block of CSR rows: one ``indptr`` over flat
+per-neighbor columns — node ``ids``, edge ``weights`` and the neighbors'
+weighted degrees ``wdeg`` — plus ``src_wdeg``, the rows' own weighted
+degrees.  It is the only row format in the storage layer: a shard's
+arena, its 2-hop halo cache, a staged replacement and both blocks of a
+:class:`~repro.storage.shard_update.ShardUpdate` are values of this one
+type, and every fetch response names rows of one
 (:mod:`repro.storage.vertex_prop`), so slicing, gathering, merging and
 pricing rows are each written once, here.
+
+A degree is stored in one of two places.  A batch that travels (an
+update block, a merged or materialized response) carries the neighbors'
+degrees per entry, in ``wdeg``, and the rows' own per row, in
+``src_wdeg``.  A batch a shard keeps (its arena and halo cache) is
+*tabled*: it holds neither column, but a node-indexed table ``degrees``
+(one value per node id, shared by every row that names the node) and its
+rows' node ids ``src_ids``; an entry's degree is ``degrees[ids]`` and a
+row's own is ``degrees[src_ids]``, resolved when the rows are read
+(``to_arrays()``).  Readers never see the difference.
 
 On the wire a batch is **5 tensors total** regardless of batch size — the
 paper's *Compress* optimization.  :class:`NeighborLists` is the
@@ -23,7 +33,7 @@ the consumer, as it does in the real system.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -44,9 +54,15 @@ class NeighborBatch:
     indptr: np.ndarray    # (n+1,) extents into the flat arrays
     ids: np.ndarray       # neighbor node ids
     weights: np.ndarray   # edge weights
-    wdeg: np.ndarray      # neighbors' weighted degrees (1-hop degree halo)
-    src_wdeg: np.ndarray  # (n,) the rows' own weighted degrees
+    wdeg: np.ndarray | None      # neighbors' weighted degrees (not tabled)
+    src_wdeg: np.ndarray | None  # (n,) the rows' own degrees (not tabled)
     check: InitVar[bool] = True
+    #: a tabled batch's node-indexed weighted degrees (the shard's 1-hop
+    #: degree halo, held once per node instead of per entry) ...
+    degrees: np.ndarray | None = field(default=None, kw_only=True,
+                                       repr=False)
+    #: ... and its rows' node ids, which index it for the rows' own degrees
+    src_ids: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self, check: bool = True) -> None:
         if not check:  # trusted internal construction
@@ -54,11 +70,16 @@ class NeighborBatch:
         n_entries = len(self.ids)
         if self.indptr[0] != 0 or self.indptr[-1] != n_entries:
             raise ShardError("NeighborBatch indptr does not span its arrays")
-        for name in ("weights", "wdeg"):
+        tabled = self.degrees is not None
+        if tabled and (self.wdeg is not None or self.src_wdeg is not None):
+            raise ShardError("a tabled NeighborBatch reads its degrees from "
+                             "its table, not wdeg / src_wdeg")
+        for name in ("weights",) if tabled else ("weights", "wdeg"):
             if len(getattr(self, name)) != n_entries:
                 raise ShardError(f"NeighborBatch field {name} length mismatch")
-        if len(self.src_wdeg) != len(self.indptr) - 1:
-            raise ShardError("NeighborBatch src_wdeg length mismatch")
+        name = "src_ids" if tabled else "src_wdeg"
+        if len(getattr(self, name)) != len(self.indptr) - 1:
+            raise ShardError(f"NeighborBatch {name} length mismatch")
 
     @property
     def n_sources(self) -> int:
@@ -68,10 +89,42 @@ class NeighborBatch:
     def n_entries(self) -> int:
         return len(self.ids)
 
+    def _columns(self) -> tuple[tuple, np.ndarray]:
+        """``(per-entry columns, per-row column)`` this batch stores."""
+        if self.degrees is None:
+            return (self.ids, self.weights, self.wdeg), self.src_wdeg
+        return (self.ids, self.weights), self.src_ids
+
+    def _stored(self) -> tuple:
+        """Every array this batch stores (a table is its holder's)."""
+        entry_columns, row_column = self._columns()
+        return (self.indptr, *entry_columns, row_column)
+
+    def _like(self, indptr, entry_columns, row_column) -> "NeighborBatch":
+        """A batch of this one's kind over the given arrays."""
+        if self.degrees is None:
+            return NeighborBatch(indptr, *entry_columns, row_column,
+                                 check=False)
+        return NeighborBatch(indptr, *entry_columns, None, None, check=False,
+                             degrees=self.degrees, src_ids=row_column)
+
+    def tabled(self, src_ids: np.ndarray,
+               degrees: np.ndarray) -> "NeighborBatch":
+        """These rows, as the rows of nodes ``src_ids``, reading every
+        degree from the node-indexed ``degrees`` (stored ones are
+        dropped)."""
+        return NeighborBatch(self.indptr, self.ids, self.weights, None, None,
+                             check=False, degrees=degrees, src_ids=src_ids)
+
     def to_arrays(self):
-        """Uniform consumption API: ``(indptr, ids, w, wdeg, src_wdeg)``."""
-        return (self.indptr, self.ids, self.weights, self.wdeg,
-                self.src_wdeg)
+        """Uniform consumption API: ``(indptr, ids, w, wdeg, src_wdeg)``;
+        a tabled batch resolves both degree columns with one take each
+        from its table."""
+        if self.degrees is None:
+            return (self.indptr, self.ids, self.weights, self.wdeg,
+                    self.src_wdeg)
+        return (self.indptr, self.ids, self.weights,
+                self.degrees.take(self.ids), self.degrees.take(self.src_ids))
 
     def rpc_tensors(self):
         """``(dtype, nbytes)`` of each tensor on the wire: 5 regardless of
@@ -80,14 +133,16 @@ class NeighborBatch:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the five arrays: what a row costs to keep or send."""
-        return (self.indptr.nbytes + self.ids.nbytes + self.weights.nbytes
-                + self.wdeg.nbytes + self.src_wdeg.nbytes)
+        """Bytes held by the stored arrays: what a row costs to keep."""
+        return sum(a.nbytes for a in self._stored())
 
     def freeze(self) -> "NeighborBatch":
-        """Mark the arrays read-only (the zero-copy arena guard)."""
-        for arr in self.to_arrays():
+        """Mark the arrays (and a table) read-only: the zero-copy arena
+        guard."""
+        for arr in self._stored():
             arr.flags.writeable = False
+        if self.degrees is not None:
+            self.degrees.flags.writeable = False
         return self
 
     def materialize(self) -> "NeighborBatch":
@@ -106,11 +161,10 @@ class NeighborBatch:
         """Rows ``[start, stop)`` as zero-copy views of this batch's arrays."""
         s0 = int(self.indptr[start])
         e_last = int(self.indptr[stop])
-        return NeighborBatch(
-            self.indptr[start:stop + 1] - s0, self.ids[s0:e_last],
-            self.weights[s0:e_last], self.wdeg[s0:e_last],
-            self.src_wdeg[start:stop], check=False,
-        )
+        entry_columns, row_column = self._columns()
+        return self._like(self.indptr[start:stop + 1] - s0,
+                          [col[s0:e_last] for col in entry_columns],
+                          row_column[start:stop])
 
     def take_rows(self, rows: np.ndarray) -> "NeighborBatch":
         """A new batch holding the given rows, in the given order.
@@ -129,21 +183,25 @@ class NeighborBatch:
             first = int(rows[0])
             return self.slice_rows(first, first + n)
         indptr, idx = row_blocks(self.indptr, rows)
-        return NeighborBatch(indptr, self.ids[idx], self.weights[idx],
-                             self.wdeg[idx], self.src_wdeg[rows],
-                             check=False)
+        entry_columns, row_column = self._columns()
+        return self._like(indptr, [col[idx] for col in entry_columns],
+                          row_column[rows])
 
     def splice(self, rows: np.ndarray, block: "NeighborBatch",
-               block_rows: np.ndarray) -> "NeighborBatch":
-        """A private copy with row ``rows[j]`` (unique, any order) replaced
-        by ``block``'s row ``block_rows[j]``; this batch is not written to."""
-        indptr, columns = splice_rows(
-            self.indptr, (self.ids, self.weights, self.wdeg), rows,
+               block_rows: np.ndarray, degrees: np.ndarray) -> "NeighborBatch":
+        """A tabled copy with row ``rows[j]`` (unique, any order) replaced
+        by ``block``'s row ``block_rows[j]``, reading its degrees from
+        ``degrees``; this batch is not written to.
+
+        Only ids and weights are spliced: every degree lives in the table,
+        and a replaced row is still the row of the same node.
+        """
+        indptr, (ids, weights) = splice_rows(
+            self.indptr, (self.ids, self.weights), rows,
             block.indptr[block_rows], block.indptr[block_rows + 1],
-            (block.ids, block.weights, block.wdeg))
-        src_wdeg = self.src_wdeg.copy()  # repro: allow=REP011 staged replacement
-        src_wdeg[rows] = block.src_wdeg[block_rows]
-        return NeighborBatch(indptr, *columns, src_wdeg, check=False)
+            (block.ids, block.weights))
+        return NeighborBatch(indptr, ids, weights, None, None, check=False,
+                             degrees=degrees, src_ids=self.src_ids)
 
     @classmethod
     def merge(cls, n_sources: int,
@@ -157,7 +215,7 @@ class NeighborBatch:
         fully vectorized (one ``np.repeat`` gather per part), and the
         output rows are the parts' rows verbatim — a merged response is
         bitwise identical to the response a single unsplit fetch would
-        have produced.
+        have produced.  The result carries its degrees per entry.
         """
         counts = np.zeros(n_sources, dtype=np.int64)
         seen = np.zeros(n_sources, dtype=bool)
@@ -184,15 +242,16 @@ class NeighborBatch:
         wdeg = np.empty(total, dtype=np.float64)
         src_wdeg = np.empty(n_sources, dtype=np.float64)
         for pos, batch in parts:
-            part_counts = np.diff(batch.indptr)
-            part_total = int(batch.indptr[-1])
+            part_ptr, part_ids, part_w, part_wdeg, part_src = \
+                batch.to_arrays()
+            part_counts = np.diff(part_ptr)
             # repro: allow=REP011 scatter into the merged arena is a copy by definition
-            idx = (np.repeat(indptr[pos] - batch.indptr[:-1], part_counts)
-                   + np.arange(part_total))
-            ids[idx] = batch.ids
-            w[idx] = batch.weights
-            wdeg[idx] = batch.wdeg
-            src_wdeg[pos] = batch.src_wdeg
+            idx = (np.repeat(indptr[pos] - part_ptr[:-1], part_counts)
+                   + np.arange(int(part_ptr[-1])))
+            ids[idx] = part_ids
+            w[idx] = part_w
+            wdeg[idx] = part_wdeg
+            src_wdeg[pos] = part_src
         return cls(indptr, ids, w, wdeg, src_wdeg, check=False)
 
 

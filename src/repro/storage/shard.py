@@ -4,11 +4,15 @@ Shard ``s`` owns the contiguous node-id range ``[base[s], base[s+1])``; its
 rows are its *core nodes* in id order (row index = ``id - base[s]``, private
 to this module).  For every core node the shard stores its full
 out-neighborhood as one CSR-rows value (:class:`NeighborBatch`, the
-``rows`` arena): per neighbor the node id, the edge weight and the
-neighbor's weighted degree (the 1-hop halo cache: lets Forward Push
-threshold-check any touched node without a second RPC), and per row the
-core node's own weighted degree.  An id says who owns it — one
-``searchsorted`` over ``base`` — so no per-neighbor shard column exists.
+``rows`` arena): per neighbor the node id and the edge weight.  Weighted
+degrees — the neighbors' (the 1-hop degree halo: lets Forward Push
+threshold-check any touched node without a second RPC) and the core
+nodes' own — live once per node, in the arena's node-indexed ``degrees``
+table, and every read resolves them from it, so a node has one degree
+per shard whichever row names it.  At build every shard shares one
+table; a shard's first stage gives it its own (8 B per node id).  An id
+says who owns it — one ``searchsorted`` over ``base`` — so no
+per-neighbor shard column exists.
 
 Neighbors owned by other shards are the shard's *halo nodes*; only their
 ids and degree metadata are cached — their adjacency stays with their owner
@@ -62,15 +66,19 @@ class GraphShard:
                 f"shard {shard_id} owns {n_core} ids but got "
                 f"{len(core_global)} core nodes and {rows.n_sources} rows"
             )
+        if rows.degrees is None or len(rows.degrees) != base[-1]:
+            raise ShardError(f"shard {shard_id} rows need a degree table "
+                             f"over all {int(base[-1])} node ids")
         self.shard_id = int(shard_id)
         #: the address book: shard ``s`` owns ids ``[base[s], base[s+1])``
         self.base = base
         self._lo, self._hi = int(base[shard_id]), int(base[shard_id + 1])
         self.core_global = core_global
-        # The arena is read-only: fetch responses name rows of these
-        # arrays (or are views into them), so an in-place write anywhere
-        # would silently corrupt every outstanding response.  Mutation goes
-        # through the staged two-phase path, which builds fresh rows and swaps.
+        # The arena and its degree table are read-only: fetch responses
+        # name rows of these arrays (or are views into them), so an
+        # in-place write anywhere would silently corrupt every outstanding
+        # response.  Mutation goes through the staged two-phase path, which
+        # builds fresh rows and a fresh table and swaps.
         self.rows = rows.freeze()
         core_global.flags.writeable = False
         self._seed = seed
@@ -78,7 +86,7 @@ class GraphShard:
         # Optional 2-hop halo cache (install_halo_cache): full adjacency
         # rows for this shard's 1-hop halo nodes, answerable locally.
         # ``halo_ids`` are the cached nodes' ids, ascending; ``halo`` holds
-        # their rows in that order.
+        # their rows in that order, over the arena's degree table.
         self.halo_ids: np.ndarray | None = None
         self.halo: NeighborBatch | None = None
         # Streaming two-phase state: staged replacement ``(rows, halo)`` per
@@ -108,13 +116,16 @@ class GraphShard:
     def memory_nbytes(self) -> int:
         """Bytes held by the shard's arrays (paper: ~1.5x the raw CSR).
 
-        Includes the optional 2-hop halo cache when installed, and the
-        hosting server's pooled RPC buffers when a pool is attached —
-        rebalancing heat decisions see the true per-shard footprint.
+        Includes the degree table (once: arena and halo cache share it;
+        shards built together share one in this process, but each
+        modelled machine holds its own), the optional 2-hop halo cache
+        when installed, and the hosting server's pooled RPC buffers when a
+        pool is attached.
         """
-        total = self.core_global.nbytes + self.rows.nbytes
-        if self.halo is not None:
-            total += self.halo_ids.nbytes + self.halo.nbytes
+        total = (self.core_global.nbytes + self.rows.nbytes
+                 + self.rows.degrees.nbytes)
+        if self.halo is not None:  # its rows' node ids are ``halo_ids``
+            total += self.halo.nbytes
         if self._pool is not None:
             total += self._pool.nbytes()
         return total
@@ -159,10 +170,11 @@ class GraphShard:
         for row in rows:
             s, e = arena.indptr[row], arena.indptr[row + 1]
             # repro: allow=REP011 this ablation measures per-node copy cost
-            entries.append((arena.ids[s:e].copy(),
+            nbrs = arena.ids[s:e].copy()
+            entries.append((nbrs,
                             arena.weights[s:e].copy(),  # repro: allow=REP011
-                            arena.wdeg[s:e].copy()))  # repro: allow=REP011
-        return NeighborLists(entries, arena.src_wdeg[rows].copy())  # repro: allow=REP011
+                            arena.degrees.take(nbrs)))
+        return NeighborLists(entries, arena.degrees.take(arena.src_ids[rows]))
 
     @rpc_handler
     def get_single(self, node_id: int) -> NeighborLists:
@@ -172,7 +184,7 @@ class GraphShard:
     @rpc_handler
     def source_weighted_degrees(self, ids) -> np.ndarray:
         """Own weighted degrees of the given core nodes."""
-        return self.rows.src_wdeg[self._rows_of(ids)]
+        return self.rows.degrees.take(self._lo + self._rows_of(ids))
 
     @rpc_handler
     def sample_one_neighbor(self, ids, salt: int) -> np.ndarray:
@@ -216,7 +228,9 @@ class GraphShard:
     def install_halo_cache(self, halo_ids: np.ndarray,
                            rows: NeighborBatch) -> None:
         """Attach cached adjacency ``rows`` for the halo nodes ``halo_ids``
-        (ascending node ids, one row each)."""
+        (ascending node ids, one row each).  The cache reads its degrees
+        from the arena's table, so degrees ``rows`` stores are dropped
+        (every shard's table holds the same values)."""
         if len(halo_ids) and np.any(np.diff(halo_ids) <= 0):
             raise ShardError("halo_ids must be strictly increasing")
         if rows.n_sources != len(halo_ids):
@@ -225,7 +239,7 @@ class GraphShard:
         # out selections of these arrays.
         halo_ids.flags.writeable = False
         self.halo_ids = halo_ids
-        self.halo = rows.freeze()
+        self.halo = rows.tabled(halo_ids, self.rows.degrees).freeze()
 
     def cache_mask(self, ids: np.ndarray) -> np.ndarray:
         """Per-node boolean mask of which remote nodes the halo cache holds.
@@ -268,16 +282,33 @@ class GraphShard:
         Returns the number of core rows the stage would replace.  A tag
         that already committed is a no-op (a retried stage after a lost
         reply must not re-apply on top of the new rows).
+
+        Every degree lives in the arena's node-indexed table, not in its
+        rows, so staging costs the batch's work plus two arena columns
+        copied: the replacement rows are spliced over the arena's ids and
+        weights, and the degree broadcast is a copy of the table plus one
+        scatter of the degrees the batch ships — no arena entry is scanned
+        or patched.  Memory: the arena holds no degree column (8 B less
+        per entry than a per-entry column), and from its first stage on
+        the shard holds a table of its own (8 B per node id) instead of
+        the one shared at build.
         """
         tag = int(tag)
         if tag in self._preimage:
             return 0
-        # Replacement rows (each brings its own new degree) spliced over
-        # the old arena, then the degree broadcast over every entry
-        # referencing a changed vertex.
-        rows = self.rows.splice(self._rows_of(update.row_ids), update.rows,
-                                np.arange(update.n_rows))
-        self._patch_degrees(rows, update)
+        replaced = self._rows_of(update.row_ids)
+        # Copy-on-write: outstanding selections and the pre-image keep the
+        # live table.  Every degree the batch ships is absorbed: both
+        # blocks' neighbor degrees, then the rows' own.
+        degrees = self.rows.degrees.copy()  # repro: allow=REP011 staged table
+        blocks = ((update.row_ids, update.rows),
+                  (update.changed_ids, update.changed_rows))
+        for _, block in blocks:
+            degrees[block.ids] = block.wdeg
+        for ids, block in blocks:
+            degrees[ids] = block.src_wdeg
+        rows = self.rows.splice(replaced, update.rows,
+                                np.arange(update.n_rows), degrees)
         # Cached content must always equal the owner's current row; rows
         # this shard never cached stay uncached (coverage of *new* halo
         # vertices is rebalancing's job, not ingestion's).
@@ -285,30 +316,20 @@ class GraphShard:
         if self.halo is not None:
             srcs, changed = _find_sorted(update.changed_ids, self.halo_ids)
             stale = np.flatnonzero(changed)
-            halo = self.halo.splice(stale, update.changed_rows, srcs[stale])
-            self._patch_degrees(halo, update)
+            halo = self.halo.splice(stale, update.changed_rows, srcs[stale],
+                                    degrees)
         self._staged[tag] = (rows, halo)
         return update.n_rows
 
-    @staticmethod
-    def _patch_degrees(rows: NeighborBatch, update: ShardUpdate) -> None:
-        """Overwrite ``rows.wdeg`` where ``rows.ids`` names a changed vertex.
-
-        Membership is one gather through a table over ``[0, max changed
-        id]``; larger ids clip onto the table's trailing miss cell.
-        """
-        deg_ids, deg_wdeg = update.changed_ids, update.changed_rows.src_wdeg
-        if not len(rows.ids) or not len(deg_ids):
-            return
-        slot = np.full(int(deg_ids[-1]) + 2, -1, dtype=np.int64)
-        slot[deg_ids] = np.arange(len(deg_ids))
-        pos = slot.take(rows.ids, mode="clip")
-        hit = np.flatnonzero(pos >= 0)
-        rows.wdeg[hit] = deg_wdeg[pos[hit]]
-
     @rpc_handler
     def commit_updates(self, tag: int) -> int:
-        """Swap staged rows in, retaining the pre-image for rollback."""
+        """Swap staged rows in, retaining the pre-image for rollback.
+
+        The arena references its degree table, so rows and table go live
+        as one reference assignment (likewise the halo cache, over the
+        same new table); a reader sees the old pair or the new pair, never
+        a mix, and a selection taken before keeps reading the old pair.
+        """
         tag = int(tag)
         if tag in self._preimage:
             return 1  # retried commit after a lost reply: already applied

@@ -7,20 +7,27 @@ update batch without further communication, as two blocks of CSR rows
 * **row replacements** (``row_ids`` / ``rows``) — for every *core*
   vertex of ``p`` whose adjacency changed, the complete new row (targets
   in caller-id order, with their node ids, weights, and new weighted
-  degrees; ``src_wdeg`` is the vertex's own new degree), spliced
-  wholesale over the old row.  Row replacement is idempotent and
-  order-insensitive, which keeps retried RPCs and split/merged batches
-  convergent.
+  degrees; ``src_wdeg`` is the vertex's own new degree), whose ids and
+  weights are spliced wholesale over the old row.  Row replacement is
+  idempotent and order-insensitive, which keeps retried RPCs and
+  split/merged batches convergent.
 * **changed rows** (``changed_ids`` / ``changed_rows``) — the same
   complete rows for *every* vertex the batch changed, anywhere in the
-  graph, identical for all shards.  Its ``(changed_ids, src_wdeg)``
-  columns are the **degree broadcast**: the shard patches the neighbor-
-  degree column of its arena and halo cache with them (the 1-hop degree
-  halo stays coherent without a second RPC round).  Its rows are the
-  **halo row refresh**: shards holding a 2-hop halo cache replace the
-  cached adjacency of changed vertices in place (cached content always
-  equals the owner's current row; coverage of *new* halo vertices is
-  left to rebalancing/replication).
+  graph, identical for all shards.  Its rows are the **halo row
+  refresh**: shards holding a 2-hop halo cache replace the cached
+  adjacency of changed vertices in place (cached content always equals
+  the owner's current row; coverage of *new* halo vertices is left to
+  rebalancing/replication).
+
+Both blocks' degree columns are the **degree broadcast**.  A shard keeps
+every degree once per node id, in one table its arena and halo cache
+read from; staging copies that table and scatters into it each block's
+``wdeg`` by neighbor id, then each block's ``src_wdeg`` by row id (the 1-hop
+degree halo stays coherent without a second RPC round).  Every degree
+column shipped is read there: ``src_wdeg`` is the only carrier of a
+changed vertex's own degree when no changed row names it (a vertex that
+lost its last edge), and the per-entry ``wdeg`` carries the mirror's
+degree of each neighbor a changed row names.
 
 Built by :func:`repro.stream.ingest.build_shard_payloads`; consumed by
 :meth:`repro.storage.shard.GraphShard.stage_updates`.  Implements

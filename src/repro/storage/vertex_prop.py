@@ -6,11 +6,17 @@ serving shard's frozen arena (or halo cache) and the indices of the
 requested rows.  The server gathers nothing; the consumer gathers each
 row once — ``to_arrays()`` through :meth:`NeighborBatch.take_rows`, or a
 Forward-Push round straight into its round buffers (:func:`gather_rows`).
+A shard keeps every degree in one node-indexed table that its arena
+references, not per entry, so the gather resolves each entry's degree as
+one ``take`` from that table by the gathered neighbor id (and each row's
+own by the row's node id).
 On the modelled wire a selection is the CSR batch it names:
 :meth:`RowSelection.rpc_tensors` reports the tensors of the gathered
-:class:`NeighborBatch`, so every RPC count and virtual second is the one a
+:class:`NeighborBatch` (its degrees 8 B per entry and per row, wherever
+the shard keeps them), so every RPC count and virtual second is the one a
 gathering server would produce.  An outstanding selection stays valid
-because a commit swaps in a new arena and never writes the old one.
+because a commit swaps in a new arena and a new degree table (the arena
+references its table) and never writes the old ones.
 
 A :class:`VertexProp` is the same selection returned by a local
 (shared-memory) fetch.  This mirrors the paper's optimization of passing
@@ -27,6 +33,8 @@ import numpy as np
 from repro.storage.neighbor_batch import NeighborBatch
 
 _INDPTR = np.dtype(np.int64)
+#: a weighted degree: per entry and per row on the wire, wherever stored
+_DEGREE = np.dtype(np.float64)
 #: a shared pointer: the VertexProp handoff's element
 _POINTER = np.dtype((np.void, 16))
 
@@ -76,8 +84,8 @@ class RowSelection:
         a = self.arena
         return ((_INDPTR, 8 * (n + 1)), (a.ids.dtype, e * a.ids.itemsize),
                 (a.weights.dtype, e * a.weights.itemsize),
-                (a.wdeg.dtype, e * a.wdeg.itemsize),
-                (a.src_wdeg.dtype, n * a.src_wdeg.itemsize))
+                (_DEGREE, e * _DEGREE.itemsize),
+                (_DEGREE, n * _DEGREE.itemsize))
 
 
 class VertexProp(RowSelection):
@@ -133,7 +141,12 @@ def gather_rows(responses: list) -> tuple:
         arena = part.arena
         arena.ids.take(at, out=ids[e0:e1], mode="clip")
         arena.weights.take(at, out=w[e0:e1], mode="clip")
-        arena.wdeg.take(at, out=wdeg[e0:e1], mode="clip")
-        arena.src_wdeg.take(part.rows, out=src_wdeg[r0:r1], mode="clip")
+        if arena.degrees is None:
+            arena.wdeg.take(at, out=wdeg[e0:e1], mode="clip")
+            arena.src_wdeg.take(part.rows, out=src_wdeg[r0:r1], mode="clip")
+        else:  # a shard's arena: the degrees are one take from its table
+            arena.degrees.take(ids[e0:e1], out=wdeg[e0:e1], mode="clip")
+            arena.degrees.take(arena.src_ids.take(part.rows),
+                               out=src_wdeg[r0:r1], mode="clip")
         r0, e0 = r1, e1
     return indptr, ids, w, wdeg, src_wdeg

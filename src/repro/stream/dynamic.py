@@ -158,11 +158,28 @@ class DynamicGraph:
         return float(w)
 
     def wdeg_of(self, gids: np.ndarray) -> np.ndarray:
-        """:meth:`wdeg` of every vertex in ``gids`` (a fresh array)."""
+        """:meth:`wdeg` of every vertex in ``gids`` (a fresh array).
+
+        The vertices not memoised are summed in one grouped pass: their
+        rows are bucketed by length, and each bucket is summed as one
+        C-contiguous ``(n, L)`` array over axis 1, which adds every row
+        exactly as ``np.sum`` adds it alone (pairwise, in the same order;
+        ``np.add.reduceat`` would not).  So the memoised values are the
+        ones :meth:`wdeg` would store.
+        """
         out = self._wdeg[gids]
-        for i in np.flatnonzero(np.isnan(out)).tolist():
-            out[i] = self.wdeg(int(gids[i]))
-        return out
+        missing = np.isnan(out)
+        if not missing.any():
+            return out
+        buckets: dict[int, tuple[list, list]] = {}
+        for u in np.unique(gids[missing]).tolist():
+            weights = self.row(u)[1]
+            vertices, rows = buckets.setdefault(len(weights), ([], []))
+            vertices.append(u)
+            rows.append(weights)
+        for vertices, rows in buckets.values():
+            self._wdeg[vertices] = np.array(rows).sum(axis=1)
+        return self._wdeg[gids]
 
     # -- mutation ---------------------------------------------------------
     def check(self, batch: UpdateBatch) -> None:

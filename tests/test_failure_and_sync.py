@@ -457,12 +457,13 @@ class TestStreamIngestAtomicity:
     shard and the driver mirror, or on none of them.
     """
 
-    def _engine_and_payloads(self, seed=0):
+    def _engine_and_payloads(self, seed=0, halo_hops=1):
         from repro.stream import (DynamicGraph, TemporalEdgeStream,
                                   build_shard_payloads)
 
         graph = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
-        engine = GraphEngine(graph, EngineConfig(n_machines=2, seed=0))
+        engine = GraphEngine(graph, EngineConfig(n_machines=2, seed=0,
+                                                 halo_hops=halo_hops))
         dyn = DynamicGraph.from_csr(graph)
         delta = dyn.apply(
             TemporalEdgeStream(graph, seed=seed, batch_size=12).next_batch())
@@ -518,6 +519,36 @@ class TestStreamIngestAtomicity:
             )),
             retry_policy=RetryPolicy(max_attempts=2, timeout=0.01))
         assert outcome["status"] == "aborted"
+        self._assert_unchanged(engine, images)
+
+    @pytest.mark.parametrize("runtime", ["sim", "threads"])
+    @pytest.mark.parametrize("plan, status", [
+        (FaultPlan(seed=3, drop_prob=1.0), "aborted"),
+        # drops the remote commit: the local shard committed, then rolls back
+        (FaultPlan(seed=0, drop_prob=0.5), "rolled_back"),
+    ])
+    def test_failed_batch_leaves_the_degree_table_bitwise(self, runtime,
+                                                          plan, status):
+        """Each shard's node-indexed degree table (arena and halo cache
+        alike) is bitwise what it was before a batch that did not apply,
+        and the rows still read their degrees from it."""
+        from repro.stream import ingest_on_cluster
+
+        engine, payloads = self._engine_and_payloads(halo_hops=2)
+        shards = engine.sharded.shards
+        tables = [s.rows.degrees.copy() for s in shards]
+        images = self._shard_images(engine)
+        outcome, _ = ingest_on_cluster(
+            engine, payloads, 1, runtime=runtime, fault_plan=plan,
+            retry_policy=RetryPolicy(max_attempts=1, timeout=0.01))
+        assert outcome["status"] == status
+        changed = payloads[0].changed_ids
+        assert not np.array_equal(
+            tables[0][changed], payloads[0].changed_rows.src_wdeg)
+        for shard, table in zip(shards, tables):
+            for live in (shard.rows.degrees, shard.halo.degrees):
+                assert np.array_equal(live.view(np.int64),
+                                      table.view(np.int64))
         self._assert_unchanged(engine, images)
 
     def test_moderate_drops_apply_after_retries(self):

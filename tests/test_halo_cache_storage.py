@@ -97,9 +97,9 @@ def _merge_by_loop(old_ids, old, new_ids, new):
         ids, block = ((new_ids, new) if node_id in new_ids
                       else (old_ids, old))
         pos = int(np.searchsorted(ids, node_id))
-        s, e = block.indptr[pos], block.indptr[pos + 1]
-        rows.append((block.ids[s:e], block.weights[s:e], block.wdeg[s:e],
-                     block.src_wdeg[pos]))
+        indptr, nbrs, w, wdeg, src_wdeg = block.to_arrays()
+        s, e = indptr[pos], indptr[pos + 1]
+        rows.append((nbrs[s:e], w[s:e], wdeg[s:e], src_wdeg[pos]))
     return merged, rows
 
 
@@ -128,13 +128,15 @@ class TestInstallHaloRows:
         assert shard0.install_halo_rows(new_ids, new) == len(new_ids)
         np.testing.assert_array_equal(shard0.halo_ids, want_ids)
         assert shard0.cache_mask(want_ids).all()
-        halo = shard0.halo
+        # every cached row, read back through the cache's read path
+        indptr, got_ids, got_w, got_wdeg, got_src = \
+            shard0.get_cached_batch(want_ids).to_arrays()
         for i, (ids, w, wdeg, src) in enumerate(want_rows):
-            s, e = halo.indptr[i], halo.indptr[i + 1]
-            np.testing.assert_array_equal(halo.ids[s:e], ids)
-            np.testing.assert_array_equal(halo.weights[s:e], w)
-            np.testing.assert_array_equal(halo.wdeg[s:e], wdeg)
-            assert halo.src_wdeg[i] == src
+            s, e = indptr[i], indptr[i + 1]
+            np.testing.assert_array_equal(got_ids[s:e], ids)
+            np.testing.assert_array_equal(got_w[s:e], w)
+            np.testing.assert_array_equal(got_wdeg[s:e], wdeg)
+            assert got_src[i] == src
 
     def test_creates_the_cache_when_there_is_none(self):
         g = powerlaw_cluster(100, 4, seed=0)

@@ -112,7 +112,7 @@ class TestServerGathersNothing:
     def test_strided_rows_share_the_arena(self, step):
         rows = np.arange(0, SHARD.n_core, step)
         response = SHARD.get_neighbor_batch(LO + rows)
-        arena = SHARD.rows.to_arrays()
+        arena = _arrays_reachable(SHARD.rows)  # its columns and degree table
         n_entries = response.n_entries
         assert n_entries > len(rows)
         for arr in _arrays_reachable(response):
@@ -122,7 +122,7 @@ class TestServerGathersNothing:
     def test_cached_rows_share_the_cache(self):
         pos = np.arange(0, len(SHARD.halo_ids), 2)
         response = SHARD.get_cached_batch(SHARD.halo_ids[pos])
-        halo = SHARD.halo.to_arrays()
+        halo = _arrays_reachable(SHARD.halo)
         for arr in _arrays_reachable(response):
             if len(arr) >= response.n_entries:
                 assert any(np.shares_memory(arr, a) for a in halo)

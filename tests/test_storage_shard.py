@@ -70,17 +70,18 @@ class TestBuildShards:
     def test_weighted_degrees_cached_for_halos(self):
         g, res = figure2_graph()
         sg = build_shards(g, res)
-        rows = sg.shards[0].rows
-        s, e = rows.indptr[2], rows.indptr[3]
-        # global 3 weighted degree = 3 + 1 + 2 = 6
-        assert rows.wdeg[s:e][2] == pytest.approx(6.0)
+        # core node global 2: its third neighbor is global 3, whose
+        # weighted degree is 3 + 1 + 2 = 6, read through a fetch
+        wdeg = sg.shards[0].get_neighbor_batch(sg.nodes_of([2])).to_arrays()[3]
+        assert wdeg[2] == pytest.approx(6.0)
 
     def test_core_wdeg_matches_graph(self):
         g, res = figure2_graph()
         sg = build_shards(g, res)
         for shard in sg.shards:
             np.testing.assert_allclose(
-                shard.rows.src_wdeg, g.weighted_degrees[shard.core_global]
+                shard.source_weighted_degrees(sg.nodes_of(shard.core_global)),
+                g.weighted_degrees[shard.core_global]
             )
 
     def test_shards_cover_all_arcs(self):
@@ -346,6 +347,10 @@ class TestShardProperties:
             if shard.n_entries == 0:
                 continue
             ids = shard.rows.ids
+            # the degree each entry reports through a fetch of every row
+            wdeg = shard.get_vertex_props(
+                np.arange(sg.base[shard.shard_id],
+                          sg.base[shard.shard_id + 1])).to_arrays()[3]
             owner = sg.owner_of(ids)
             for p in np.unique(owner).tolist():
                 mine = owner == p
@@ -353,4 +358,5 @@ class TestShardProperties:
                 np.testing.assert_array_equal(
                     sg.shards[p].core_global[rows], sg.globals_of(ids[mine]))
                 np.testing.assert_array_equal(
-                    sg.shards[p].rows.src_wdeg[rows], shard.rows.wdeg[mine])
+                    sg.shards[p].source_weighted_degrees(ids[mine]),
+                    wdeg[mine])

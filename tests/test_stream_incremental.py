@@ -31,6 +31,7 @@ from repro.ppr.incremental import (IncrementalState, accuracy_bound,
                                    refresh)
 from repro.storage.build import build_shards
 from repro.storage.shard_update import ShardUpdate
+from repro.storage.vertex_prop import gather_rows
 from repro.stream import (DynamicGraph, StreamConfig, StreamEvent,
                           StreamingSession, TemporalEdgeStream, UpdateBatch,
                           build_shard_payloads, ingest_on_cluster)
@@ -130,6 +131,49 @@ class TestDynamicGraph:
         snap = dyn.snapshot()
         assert np.array_equal(snap.indices, g.indices)
         assert np.array_equal(snap.weights, g.weights)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_grouped_degrees_add_each_row_as_np_sum(self, seed):
+        """``wdeg_of`` sums the rows it has not memoised in length
+        buckets; every degree it reports and memoises must be bitwise the
+        ``np.sum`` of that row alone, on base rows and overlay rows, at
+        row lengths around the pairwise-sum boundaries (8 and 128
+        unrolled, 8192 blocked)."""
+        lengths = (0, 7, 8, 9, 128, 129, 8192, 8193)
+        rng = np.random.default_rng(seed)
+        n_hubs, n_leaves = len(lengths), max(lengths) + 2
+        src = np.concatenate([np.full(n, h) for h, n in enumerate(lengths)])
+        dst = n_hubs + np.concatenate([rng.choice(n_leaves, n, replace=False)
+                                       for n in lengths])
+        # magnitudes over 9 decades: association changes the low bits
+        w = rng.random(len(src)) * 10.0 ** rng.integers(-4, 5, len(src))
+        g = CSRGraph.from_edges(n_hubs + n_leaves, src, dst, w)
+        assert [g.out_degree(h) for h in range(n_hubs)] == list(lengths)
+
+        def assert_np_sum_bitwise(dyn, gids):
+            want = np.array([np.sum(dyn.row(u)[1]) for u in gids.tolist()])
+            got = dyn.wdeg_of(gids)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            again = np.array([dyn.wdeg(u) for u in gids.tolist()])
+            assert np.array_equal(again.view(np.int64), want.view(np.int64))
+
+        everyone = np.arange(g.n_nodes)
+        dyn = DynamicGraph.from_csr(g)
+        # duplicates, and the hubs read twice: one bucket per length
+        assert_np_sum_bitwise(dyn, np.concatenate([everyone[::-1],
+                                                   everyone[:n_hubs]]))
+        # overlay rows: each hub gains a leaf or loses one (0 gains only)
+        ops = []
+        for h, n in enumerate(lengths):
+            nbrs = dyn.row(h)[0]
+            absent = next(int(v) for v in range(n_hubs, g.n_nodes)
+                          if v not in set(nbrs.tolist()))
+            ops.append((h, absent, 0.37 * (h + 1), 1))
+            if n:
+                ops.append((h, int(nbrs[n // 2]), 1.0, -1))
+        delta = dyn.apply(UpdateBatch(*zip(*ops)))
+        assert set(range(n_hubs)) <= set(delta.changed.tolist())
+        assert_np_sum_bitwise(dyn, everyone)
 
     def test_snapshot_matches_from_edges(self):
         g = small_graph()
@@ -542,24 +586,30 @@ class TestShardSplice:
             assert np.array_equal(spliced.rows.indptr, rebuilt.rows.indptr)
             assert np.array_equal(spliced.rows.ids, rebuilt.rows.ids)
             assert np.array_equal(spliced.rows.weights, rebuilt.rows.weights)
-            # wdeg columns: same sums, different summation order
-            assert np.allclose(spliced.rows.src_wdeg, rebuilt.rows.src_wdeg)
-            assert np.allclose(spliced.rows.wdeg, rebuilt.rows.wdeg)
+            # degrees, as fetches read them: same sums, different
+            # summation order
+            core = np.arange(sharded.base[spliced.shard_id],
+                             sharded.base[spliced.shard_id + 1])
+            for got, want in zip(
+                    spliced.get_vertex_props(core).to_arrays()[3:],
+                    rebuilt.get_vertex_props(core).to_arrays()[3:]):
+                assert np.allclose(got, want)
             if halo_hops == 2:
                 self._assert_cache_current(spliced, sharded, dyn)
 
     @staticmethod
     def _assert_cache_current(shard, sharded, dyn):
         """Every cached halo row equals its owner's current row."""
-        halo = shard.halo
+        indptr, ids, weights, wdeg, src_wdeg = shard.get_cached_batch(
+            shard.halo_ids).to_arrays()
         gids = sharded.globals_of(shard.halo_ids)
         for i, gid in enumerate(gids.tolist()):
-            s, e = halo.indptr[i], halo.indptr[i + 1]
+            s, e = indptr[i], indptr[i + 1]
             want_g, want_w = dyn.row(gid)
-            assert np.array_equal(halo.ids[s:e], sharded.nodes_of(want_g))
-            assert np.array_equal(halo.weights[s:e], want_w)
-            assert np.allclose(halo.wdeg[s:e], dyn.wdeg_of(want_g))
-            assert np.isclose(halo.src_wdeg[i], dyn.wdeg(gid))
+            assert np.array_equal(ids[s:e], sharded.nodes_of(want_g))
+            assert np.array_equal(weights[s:e], want_w)
+            assert np.allclose(wdeg[s:e], dyn.wdeg_of(want_g))
+            assert np.isclose(src_wdeg[i], dyn.wdeg(gid))
 
     def test_stage_commit_rollback_idempotent(self):
         g = powerlaw_cluster(80, 4, mixing=0.2, seed=3)
@@ -589,6 +639,108 @@ class TestShardSplice:
         engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
         with pytest.raises(ShardError):
             engine.sharded.shards[0].commit_updates(99)
+
+
+# -- one degree per node: the shard's table is what every read reports ------
+
+def _read_paths(sharded, shard):
+    """``(name, row node ids, to_arrays() tuple)`` of every read path of
+    one shard, over all of its rows (and its whole halo cache)."""
+    lo, hi = sharded.base[shard.shard_id], sharded.base[shard.shard_id + 1]
+    core = np.arange(lo, hi)
+    reads = [
+        ("get_vertex_props", core, shard.get_vertex_props(core).to_arrays()),
+        ("get_neighbor_batch", core[::2],          # strided: the gather path
+         shard.get_neighbor_batch(core[::2]).to_arrays()),
+        ("get_neighbor_lists", core, shard.get_neighbor_lists(core).to_arrays()),
+        ("gather_rows", np.concatenate([core[1::2], core[:3]]),
+         gather_rows([shard.get_neighbor_batch(core[1::2]),
+                      shard.get_vertex_props(core[:3])])),
+    ]
+    if shard.has_halo_cache:
+        reads.append(("get_cached_batch", shard.halo_ids,
+                      shard.get_cached_batch(shard.halo_ids).to_arrays()))
+    return reads
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestDegreeCoherence:
+    """A neighbor's weighted degree lives once per node in each shard's
+    table: after ingests every read path of every shard reports that one
+    value, for neighbors and for the rows' own degrees alike."""
+
+    @staticmethod
+    def _ingested(runtime, n_batches=3):
+        from repro.graph import load_dataset
+
+        g = load_dataset("products", scale=0.04, use_cache=False)
+        engine = GraphEngine(g, EngineConfig(n_machines=4, seed=0,
+                                             halo_hops=2))
+        session = StreamingSession(engine, StreamConfig(runtime=runtime,
+                                                        params=PARAMS))
+        stream = TemporalEdgeStream(g, seed=11, batch_size=64)
+        for batch in stream.batches(n_batches):
+            assert session.ingest(batch).applied
+        return session, stream
+
+    @pytest.mark.parametrize("runtime", ["sim", "threads"])
+    def test_every_read_path_reports_one_degree_per_node(self, runtime):
+        session, _ = self._ingested(runtime)
+        sharded = session.engine.sharded
+        seen_ids, seen_degrees = [], []
+        for shard in sharded.shards:
+            for name, rows, (indptr, ids, _, wdeg, src_wdeg) in \
+                    _read_paths(sharded, shard):
+                assert len(wdeg) == len(ids) == indptr[-1], name
+                seen_ids += [ids, rows]
+                seen_degrees += [wdeg, src_wdeg]
+                table = shard.rows.degrees
+                assert np.array_equal(_bits(wdeg), _bits(table[ids])), name
+                assert np.array_equal(_bits(src_wdeg), _bits(table[rows])), \
+                    name
+            assert np.array_equal(
+                _bits(shard.source_weighted_degrees(sharded.base[
+                    shard.shard_id] + np.arange(shard.n_core))),
+                _bits(shard.rows.degrees[sharded.base[shard.shard_id]:
+                                         sharded.base[shard.shard_id + 1]]))
+        tables = [_bits(shard.rows.degrees) for shard in sharded.shards]
+        assert all(np.array_equal(t, tables[0]) for t in tables[1:])
+        # the same claim without the table: no node reports two degrees
+        ids, degrees = np.concatenate(seen_ids), np.concatenate(seen_degrees)
+        lo = np.full(sharded.base[-1], np.inf)
+        hi = np.full(sharded.base[-1], -np.inf)
+        np.minimum.at(lo, ids, degrees)
+        np.maximum.at(hi, ids, degrees)
+        assert np.array_equal(lo, hi)
+        # and that degree is the mirror's, up to summation order
+        everyone = np.arange(session.dyn.n_nodes)
+        assert np.allclose(sharded.shards[0].rows.degrees[
+            sharded.nodes_of(everyone)], session.dyn.wdeg_of(everyone))
+
+    def test_a_selection_taken_before_a_commit_reads_as_before(self):
+        """Commits swap in new rows and a new table; a selection taken
+        earlier keeps reading the old ones, bitwise."""
+        session, stream = self._ingested("sim", n_batches=1)
+        sharded = session.engine.sharded
+        shard = sharded.shards[1]
+        core = sharded.base[1] + np.arange(shard.n_core)
+        selections = [shard.get_neighbor_batch(core[::3]),
+                      shard.get_vertex_props(core),
+                      shard.get_cached_batch(shard.halo_ids)]
+        before = [[a.copy() for a in sel.to_arrays()] for sel in selections]
+        gathered = [a.copy() for a in gather_rows(selections[:2])]
+        for batch in stream.batches(3):
+            assert session.ingest(batch).applied
+        live = shard.get_vertex_props(core).to_arrays()
+        assert not np.array_equal(_bits(live[3]), _bits(before[1][3]))
+        for sel, want in zip(selections, before):
+            for got, column in zip(sel.to_arrays(), want):
+                assert np.array_equal(got, column)
+        for got, column in zip(gather_rows(selections[:2]), gathered):
+            assert np.array_equal(got, column)
 
 
 # -- the session: nothing |E|-sized on the write path, no stale view ---------

@@ -101,14 +101,16 @@ class TestViewCopyRoundTrip:
         arena = SHARD.rows
         got = arena.take_rows(rows)
         bounds = [(arena.indptr[r], arena.indptr[r + 1]) for r in rows]
+        # every column as the arena's own read path reports it
+        _, *columns, src_wdeg = arena.to_arrays()
         want = NeighborBatch(
             np.concatenate([[0], np.cumsum([e - s for s, e in bounds])]),
             *(np.concatenate([col[s:e] for s, e in bounds])
-              for col in (arena.ids, arena.weights, arena.wdeg)),
-            arena.src_wdeg[rows])
+              for col in columns),
+            src_wdeg[rows])
         assert_batches_bitwise_equal(got, want)
         is_run = bool(np.all(np.diff(rows) == 1))
-        assert np.shares_memory(got.src_wdeg, arena.src_wdeg) == is_run
+        assert np.shares_memory(got.src_ids, arena.src_ids) == is_run
         # the same rows through the other path: a run read backwards is a
         # gather, and reversing the result restores the order
         back = arena.take_rows(rows[::-1]).take_rows(
@@ -148,7 +150,9 @@ class TestViewCopyRoundTrip:
 class TestMutationGuard:
     def test_arena_is_read_only(self):
         shard = SHARD
-        for arr in (*shard.rows.to_arrays(), shard.core_global):
+        rows = shard.rows
+        for arr in (rows.indptr, rows.ids, rows.weights, rows.src_ids,
+                    rows.degrees, shard.core_global):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1
