@@ -33,7 +33,7 @@ PARAMS = PPRParams()
 SIZES_BY_SCALE = {
     "tiny": (10_000, 40_000),
     "small": (25_000, 100_000, 400_000),
-    "full": (50_000, 200_000, 800_000),
+    "full": (50_000, 200_000, 800_000, 1_600_000),
 }
 
 

@@ -1,4 +1,4 @@
-"""Microbenchmark — the paged slot table vs a Python dict.
+"""Microbenchmark — the key-indexed slot table vs a Python dict.
 
 The paper's Section 3.3 rests on the parallel hashmap being fast at batch
 updates.  Our NumPy stand-in must beat the obvious alternative (a Python
@@ -7,14 +7,14 @@ the "C++ operator" claim would be hollow.  Keys are engine-shaped: packed
 ``(local * K + shard) * B + qid`` ids over a |V| * B = 50 000 * 4 range
 (the twitter stand-in under a 4-query fused batch), each distinct key
 repeated ~4x inside a call — a push resolves 19% (products) to 49%
-(twitter) distinct keys per call.  Also records page fill: the share of
-resident cells in use, i.e. what lazily paging the domain costs in memory.
+(twitter) distinct keys per call.  The table declares that range as its
+key domain, as every PPR state does.
 """
 
 import numpy as np
 
 from benchmarks import common
-from repro.ppr.hashmap import PAGE_SLOTS, ShardedMap
+from repro.ppr.hashmap import ShardedMap
 
 BATCH_SIZES = (1_000, 10_000, 100_000)
 KEY_RANGE = 50_000 * 4
@@ -51,7 +51,7 @@ def run_batch_size(n: int) -> dict:
     keys = push_shaped_keys(rng, n)
     fresh_keys = push_shaped_keys(rng, n)
 
-    m = ShardedMap()
+    m = ShardedMap(KEY_RANGE)
     t_insert = time_once(lambda: m.get_or_insert(keys))
     t_lookup = time_once(lambda: m.lookup(keys))
     t_insert_more = time_once(lambda: m.get_or_insert(fresh_keys))
@@ -67,12 +67,11 @@ def run_batch_size(n: int) -> dict:
         "Map 2nd insert (ms)": round(t_insert_more * 1e3, 2),
         "Dict insert (ms)": round(t_dict_insert * 1e3, 2),
         "Dict lookup (ms)": round(t_dict_lookup * 1e3, 2),
-        "Page fill": round(len(m) / (m.resident_pages * PAGE_SLOTS), 4),
+        "Keys held": len(m),
     }
 
 
-# at engine-scale batches the vectorized table clearly wins, and an
-# engine-scale batch leaves its pages usefully full (paging is not waste)
+# at engine-scale batches the vectorized table clearly wins
 EXPECTATIONS = [
     {"kind": "cmp", "label": "map insert beats dict at engine batches",
      "left": {"col": "Map insert (ms)", "where": {"Batch": BATCH_SIZES[-1]}},
@@ -86,9 +85,6 @@ EXPECTATIONS = [
      "right": {"col": "Dict lookup (ms)",
                "where": {"Batch": BATCH_SIZES[-1]}},
      "scales": ["full"]},
-    {"kind": "bounds", "label": "engine-scale batches fill their pages",
-     "col": "Page fill", "where": {"Batch": BATCH_SIZES[-1]},
-     "lo": 0.1, "scales": "all"},
 ]
 
 

@@ -3,8 +3,8 @@
 Implements every PPR method the paper evaluates:
 
 * :class:`ShardedMap` (:mod:`~repro.ppr.hashmap`) — a vectorized
-  direct-address slot table, key-indexed for a small declared domain and
-  lazily paged otherwise, standing in for the lock-free parallel-hashmap
+  direct-address slot table, one key-indexed cell per key of a declared
+  domain (8 B per key), standing in for the lock-free parallel-hashmap
   the paper's C++ operators build on;
 * :class:`MultiSSPPR` (:mod:`~repro.ppr.multi_query`) — the one
   slot-table push state: the local PPR operators ``pop`` / ``push`` of

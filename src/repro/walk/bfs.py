@@ -22,10 +22,11 @@ from repro.storage.dist_storage import DistGraphStorage, fetch_round
 
 
 class BfsState:
-    """Visited set + frontier for one BFS traversal."""
+    """Visited set + frontier for one BFS traversal over the node ids
+    ``[0, n_nodes)``."""
 
-    def __init__(self, source: int) -> None:
-        self.map = ShardedMap()
+    def __init__(self, source: int, n_nodes: int) -> None:
+        self.map = ShardedMap(n_nodes)
         self.depths = np.zeros(1024, dtype=np.int64)
         self.frontier = np.array([int(source)], dtype=np.int64)
         idx, _ = self.map.get_or_insert(self.frontier)
@@ -76,7 +77,7 @@ def distributed_bfs(g: DistGraphStorage, proc, source: int, *,
 
     Returns the finished :class:`BfsState`.
     """
-    state = BfsState(source)
+    state = BfsState(source, int(g.base[-1]))  # node ids: [0, base[-1])
     while True:
         node_ids = state.pop()
         proc.compute("pop", COMPUTE.frontier())

@@ -23,10 +23,11 @@ from repro.storage.dist_storage import DistGraphStorage, fetch_round
 
 
 class WccState:
-    """Label table + frontier for a label-propagation run."""
+    """Label table + frontier for a label-propagation run over the node
+    ids ``[0, n_nodes)``."""
 
-    def __init__(self, seeds: np.ndarray) -> None:
-        self.map = ShardedMap()
+    def __init__(self, seeds: np.ndarray, n_nodes: int) -> None:
+        self.map = ShardedMap(n_nodes)
         self.labels = np.zeros(1024, dtype=np.int64)
         seeds = np.asarray(seeds, dtype=np.int64)
         idx, _ = self.map.get_or_insert(seeds)
@@ -79,7 +80,7 @@ def distributed_wcc(g: DistGraphStorage, proc, seeds: np.ndarray):
     Returns the finished :class:`WccState`.  Seeding with *all* of the
     shard's core nodes yields labels for the whole reachable region.
     """
-    state = WccState(seeds)
+    state = WccState(seeds, int(g.base[-1]))  # node ids: [0, base[-1])
     while True:
         node_ids = state.pop()
         proc.compute("pop", COMPUTE.frontier())

@@ -502,7 +502,7 @@ def hammer(fn, n_threads=2):
 class TestRaceDetector:
     def test_unsynchronized_sharded_map_writes_flagged(self):
         detector = RaceDetector()
-        table = ShardedMap()
+        table = ShardedMap(64)
         with installed(detector):
             hammer(lambda i: table.get_or_insert(
                 np.arange(i * 8, i * 8 + 8, dtype=np.int64)))
@@ -519,7 +519,7 @@ class TestRaceDetector:
 
     def test_lock_disciplined_access_is_clean(self):
         detector = RaceDetector()
-        table = ShardedMap()
+        table = ShardedMap(64)
         lock = detector.tracked_lock("table_lock")
 
         def writer(i):
@@ -534,7 +534,7 @@ class TestRaceDetector:
 
     def test_single_thread_never_flagged(self):
         detector = RaceDetector()
-        table = ShardedMap()
+        table = ShardedMap(64)
         with installed(detector):
             for i in range(4):
                 table.get_or_insert(np.array([i], dtype=np.int64))
@@ -544,7 +544,7 @@ class TestRaceDetector:
 
     def test_concurrent_reads_without_writes_are_clean(self):
         detector = RaceDetector()
-        table = ShardedMap()
+        table = ShardedMap(64)
         table.get_or_insert(np.arange(16, dtype=np.int64))
         with installed(detector):
             hammer(lambda i: table.lookup(np.arange(8, dtype=np.int64)))
@@ -566,7 +566,7 @@ class TestRaceDetector:
 
     def test_summary_structure(self):
         detector = RaceDetector()
-        table = ShardedMap()
+        table = ShardedMap(64)
         with installed(detector):
             hammer(lambda i: table.get_or_insert(
                 np.array([i], dtype=np.int64)))

@@ -210,9 +210,9 @@ def run_echo_on_threads(plan, policy, n_calls):
 
 class TestFaultPlan:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"drop_prob must be in \[0, 1\]"):
             FaultPlan(drop_prob=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"recover_at \(1.0\) must be > "):
             CrashWindow(server="s0", crash_at=2.0, recover_at=1.0)
 
     def test_empty_plan(self):

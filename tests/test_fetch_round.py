@@ -494,7 +494,7 @@ class TestPopTimeSchedule:
         csr = CSRGraph.from_scipy(adj)
         wdeg = csr.weighted_degrees
         params = PPRParams(epsilon=epsilon)
-        state = SSPPR(source, params, wdeg[source])
+        state = SSPPR(source, params, wdeg[source], csr.n_nodes)
         for k in range(200):
             ids = state.pop()
             if len(ids) == 0:
@@ -522,14 +522,14 @@ class TestPopTimeSchedule:
                                      dtype=float))
         wdeg = np.asarray(adj.sum(axis=1)).ravel()
         stranger = np.array([2])
-        one = SSPPR(0, PARAMS, wdeg[0])
+        one = SSPPR(0, PARAMS, wdeg[0], 3)
         with pytest.raises(ValueError, match="never touched"):
             one.push(_response(adj, wdeg, stranger), stranger)  # before pop
         np.testing.assert_array_equal(one.pop(), [0])
         assert one._pending.one_each                # the shortcut is selected
         with pytest.raises(ValueError, match="never touched"):
             one.push(_response(adj, wdeg, stranger), stranger)
-        twice = MultiSSPPR([0, 0], PARAMS, wdeg[[0, 0]])
+        twice = MultiSSPPR([0, 0], PARAMS, wdeg[[0, 0]], 3)
         np.testing.assert_array_equal(twice.pop(), [0])
         assert not twice._pending.one_each          # the general path
         for state in (one, twice):
@@ -550,7 +550,7 @@ class TestPopTimeSchedule:
                 state.abandon(popped)
         assert twice.n_pushes == 2 and one.n_pushes == 1
         # ... nor twice within one push
-        again = SSPPR(0, PARAMS, wdeg[0])
+        again = SSPPR(0, PARAMS, wdeg[0], 3)
         again.pop()
         doubled = np.array([0, 0])
         with pytest.raises(ValueError, match="already pushed"):

@@ -17,14 +17,14 @@ from repro.storage import build_shards
 PARAMS = PPRParams()
 
 
-def run_multi(sharded, sources_global, params=PARAMS, n_nodes=None):
+def run_multi(sharded, sources_global, params=PARAMS):
     """Drive a MultiSSPPR directly against shards (no RPC layer)."""
     sources = sharded.nodes_of(sources_global)
     shard = sharded.owner_of(sources)
     assert len(np.unique(shard)) == 1, "all sources must share a shard"
     own = int(shard[0])
     wdegs = sharded.shards[own].source_weighted_degrees(sources)
-    m = MultiSSPPR(sources, params, wdegs, n_nodes)
+    m = MultiSSPPR(sources, params, wdegs, int(sharded.base[-1]))
     while True:
         node_ids = m.pop()
         if len(node_ids) == 0:
@@ -40,17 +40,17 @@ def run_multi(sharded, sources_global, params=PARAMS, n_nodes=None):
 
 class TestMultiSSPPRState:
     def test_construction_validation(self):
-        with pytest.raises(ValueError):
-            MultiSSPPR([], PARAMS, [])
-        with pytest.raises(ValueError):
-            MultiSSPPR([0], PARAMS, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            MultiSSPPR([0], PARAMS, [-1.0])
-        with pytest.raises(ValueError):
-            MultiSSPPR([-1], PARAMS, [1.0])
+        with pytest.raises(ValueError, match="at least one source"):
+            MultiSSPPR([], PARAMS, [], 4)
+        with pytest.raises(ValueError, match="source_wdegs length"):
+            MultiSSPPR([0], PARAMS, [1.0, 2.0], 4)
+        with pytest.raises(ValueError, match="source_wdegs must be >= 0"):
+            MultiSSPPR([0], PARAMS, [-1.0], 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            MultiSSPPR([-1], PARAMS, [1.0], 4)
 
     def test_results_for_bad_qid(self):
-        m = MultiSSPPR([0, 1], PARAMS, [1.0, 1.0])
+        m = MultiSSPPR([0, 1], PARAMS, [1.0, 1.0], 2)
         with pytest.raises(ValueError):
             m.query(5)
 
@@ -94,34 +94,16 @@ class TestMultiSSPPRState:
 
 
 class TestDeclaredDomain:
-    """A state told its node domain keeps a key-indexed table and computes
-    exactly what an undeclared (paged) one does."""
-
-    @pytest.mark.parametrize("batch", [1, 4])
-    def test_same_bytes_with_and_without_the_domain(self, batch):
-        g = powerlaw_cluster(500, 8, mixing=0.2, seed=12)
-        sharded = build_shards(g, HashPartitioner().partition(g, 3))
-        sources = sharded.shards[2].core_global[:batch]
-        paged = run_multi(sharded, sources)
-        indexed = run_multi(sharded, sources, n_nodes=g.n_nodes)
-        assert (paged.map.key_indexed, indexed.map.key_indexed) == (
-            False, True)
-        n = len(paged.map)
-        assert len(indexed.map) == n
-        assert paged.map.keys().tobytes() == indexed.map.keys().tobytes()
-        for name in ("ppr", "residual", "wdeg"):
-            assert (getattr(paged, name)[:n].tobytes()
-                    == getattr(indexed, name)[:n].tobytes()), name
-        assert paged.stats() == indexed.stats()
-        assert paged.map.probe_rounds == indexed.map.probe_rounds
+    """A state's slot table covers exactly its pair-key domain
+    ``n_nodes * B``."""
 
     def test_sources_outside_the_domain_are_rejected(self):
         with pytest.raises(ValueError, match="outside the table's domain"):
             MultiSSPPR([0, 5], PARAMS, [1.0, 1.0], n_nodes=5)
 
-    def test_every_distributed_state_is_key_indexed(self):
+    def test_every_distributed_state_declares_the_node_domain(self):
         """``engine.run`` in both hashmap modes and ``Session.drain`` hand
-        their states the node domain, so a small one is key-indexed."""
+        their states the node domain."""
         g = powerlaw_cluster(300, 6, seed=8)
         engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
         views = []
@@ -138,7 +120,6 @@ class TestDeclaredDomain:
         assert len(views) == 11
         for view in views:
             table = view.multi.map
-            assert table.key_indexed
             assert table.top_key == g.n_nodes * view.multi.n_queries - 1
 
 

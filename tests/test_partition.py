@@ -693,12 +693,17 @@ class TestMetisLite:
             assert r.nonempty(), f"empty part at k={k}"
 
     def test_invalid_params(self):
-        for params in (dict(imbalance=-0.1), dict(imbalance=float("nan")),
-                       dict(imbalance=float("inf")), dict(coarsest_factor=0),
-                       dict(coarsest_factor=2.5), dict(coarsest_factor=True),
-                       dict(refine_passes=-3), dict(refine_passes=2.5),
-                       dict(refine_passes=True)):
-            with pytest.raises(ValueError):
+        for params, error in (
+                (dict(imbalance=-0.1), "imbalance must be >= 0"),
+                (dict(imbalance=float("nan")), "imbalance must be >= 0"),
+                (dict(imbalance=float("inf")), "imbalance must be finite"),
+                (dict(coarsest_factor=0), "coarsest_factor must be > 0"),
+                (dict(coarsest_factor=2.5), "coarsest_factor must be an int"),
+                (dict(coarsest_factor=True), "coarsest_factor must be an int"),
+                (dict(refine_passes=-3), "refine_passes must be >= 0"),
+                (dict(refine_passes=2.5), "refine_passes must be an int"),
+                (dict(refine_passes=True), "refine_passes must be an int")):
+            with pytest.raises(ValueError, match=error):
                 MetisLitePartitioner(**params)
 
     def test_deterministic_given_seed(self):

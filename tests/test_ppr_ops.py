@@ -20,7 +20,7 @@ def run_hashmap_query(sharded, source_global, params=PARAMS):
     source = sharded.nodes_of([source_global])
     shard = sharded.shards[int(sharded.owner_of(source)[0])]
     wdeg = shard.source_weighted_degrees(source)[0]
-    m = SSPPR(int(source[0]), params, float(wdeg))
+    m = SSPPR(int(source[0]), params, float(wdeg), int(sharded.base[-1]))
     while True:
         node_ids = m.pop()
         if len(node_ids) == 0:
@@ -57,21 +57,21 @@ def run_dense_query(sharded, source_global, params=PARAMS):
 
 class TestSSPPRState:
     def test_init_queues_source(self):
-        m = SSPPR(3, PARAMS, 2.5)
+        m = SSPPR(3, PARAMS, 2.5, 4)
         np.testing.assert_array_equal(m.pop(), [3])
         # second pop is empty
         assert len(m.pop()) == 0
 
     def test_invalid_init(self):
-        with pytest.raises(ValueError):
-            SSPPR(-1, PARAMS, 1.0)
-        with pytest.raises(ValueError):
-            SSPPR(0, PARAMS, -1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            SSPPR(-1, PARAMS, 1.0, 4)
+        with pytest.raises(ValueError, match="source_wdegs must be >= 0"):
+            SSPPR(0, PARAMS, -1.0, 4)
 
     def test_push_unknown_source_rejected(self):
         g = powerlaw_cluster(50, 4, seed=0)
         sharded = build_shards(g, HashPartitioner().partition(g, 2))
-        m = SSPPR(0, PARAMS, 1.0)
+        m = SSPPR(0, PARAMS, 1.0, g.n_nodes)
         other = sharded.base[1:2]  # first id of shard 1: never touched
         infos = sharded.shards[1].get_neighbor_batch(other)
         with pytest.raises(ValueError, match="never touched"):
@@ -80,7 +80,7 @@ class TestSSPPRState:
     def test_push_length_mismatch_rejected(self):
         g = powerlaw_cluster(50, 4, seed=0)
         sharded = build_shards(g, HashPartitioner().partition(g, 1))
-        m = SSPPR(0, PARAMS, 1.0)
+        m = SSPPR(0, PARAMS, 1.0, g.n_nodes)
         infos = sharded.shards[0].get_neighbor_batch(np.array([0, 1]))
         with pytest.raises(ValueError, match="sources"):
             m.push(infos, np.array([0]))
@@ -237,7 +237,8 @@ class TestSlotFrontierInvariant:
         source = sharded.nodes_of([seed % n])
         wdeg = sharded.shards[int(sharded.owner_of(source)[0])] \
             .source_weighted_degrees(source)[0]
-        m = SSPPR(int(source[0]), PPRParams(epsilon=1e-4), float(wdeg))
+        m = SSPPR(int(source[0]), PPRParams(epsilon=1e-4), float(wdeg),
+                  g.n_nodes)
         assert np.count_nonzero(m.queued) == 1
         while True:
             node_ids = check_pop(m, 1.0)
@@ -269,7 +270,7 @@ class TestSlotFrontierInvariant:
         sharded = build_shards(g, HashPartitioner().partition(g, k))
         own = np.arange(sharded.base[0], sharded.base[1])[:batch]
         wdegs = sharded.shards[0].source_weighted_degrees(own)
-        m = MultiSSPPR(own, PPRParams(epsilon=1e-4), wdegs)
+        m = MultiSSPPR(own, PPRParams(epsilon=1e-4), wdegs, g.n_nodes)
         mass = float(len(own))
         while True:
             node_ids = check_pop(m, mass)

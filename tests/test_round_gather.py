@@ -166,7 +166,8 @@ class TestOneRoundGather:
         params = PPRParams(epsilon=1e-4)
         sources = SHARDED.base[0] + np.arange(n_queries) * 5
         wdegs = SHARDED.shards[0].source_weighted_degrees(sources)
-        fused, oracle = (MultiSSPPR(sources, params, wdegs)
+        fused, oracle = (MultiSSPPR(sources, params, wdegs,
+                                    int(SHARDED.base[-1]))
                          for _ in range(2))
         halo = SHARDED.shards[0].halo
         kinds, cached, rounds = set(), 0, 0

@@ -273,8 +273,7 @@ class TestConstructorHoles:
         bursty_trace(np.arange(4), rate=10.0, duration=1.0, seed=0)
         run = _walks(n_roots=np.int64(2), walk_length=np.int64(3))
         assert run.walks.shape == (2, 4)
-        assert ShardedMap(n_keys=np.int64(1)).key_indexed
-        assert not ShardedMap(n_keys=ShardedMap.MAX_KEY + 1).key_indexed
+        assert ShardedMap(n_keys=np.int64(1)).top_key == 0
         assert MultiSSPPR([0, 1], PPRParams(), [1.0, 1.0],
                           n_nodes=np.uint32(2)).map.top_key == 3
         assert SSPPR(0, PPRParams(), 1.0, n_nodes=1).map.top_key == 0

@@ -79,8 +79,10 @@ class TestDistributedBfs:
 
     def test_invalid_state_args(self):
         from repro.walk.bfs import BfsState
-        with pytest.raises(ValueError):
-            BfsState(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            BfsState(-1, 4)
+        with pytest.raises(ValueError, match="outside the table's domain"):
+            BfsState(4, 4)
 
     @given(n=st.integers(20, 100), k=st.integers(1, 3),
            seed=st.integers(0, 10))

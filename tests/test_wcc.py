@@ -47,8 +47,8 @@ def run_wcc_all_machines(graph, n_machines, partitioner=None):
 
 class TestWccState:
     def test_invalid_shards(self):
-        with pytest.raises(ValueError):
-            WccState(np.array([-1]))
+        with pytest.raises(ValueError, match="non-negative"):
+            WccState(np.array([-1]), 4)
 
     def test_single_component_graph(self):
         g = powerlaw_cluster(150, 6, seed=0)
