@@ -33,18 +33,26 @@ bitwise-identical row contributes nothing at all):
   the end) yields bitwise-identical final vectors,
 
 because pre-rows are captured at *first touch* since the last refresh.
-Pre-row capture is the caller's job (:meth:`capture_pre_rows`) and must
-happen against the pre-batch state of the mirror.
+Pre-row capture happens against the pre-batch state of the mirror:
+:meth:`~repro.stream.session.StreamingSession.ingest` reads the batch's
+touched rows once, as one :class:`RowCapture` CSR block, and every
+published state references that block
+(:meth:`IncrementalState.capture_pre_rows`).  A refresh turns a state's
+capture window into one flat row diff (:func:`row_diff`), shared by
+every state refreshed over the same window, and folds it in a few numpy
+calls.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ConvergenceError
+from repro.graph.csr import row_blocks
 from repro.ppr.forward_push_seq import forward_push_sequential
 from repro.ppr.params import PPRParams
 
@@ -57,7 +65,35 @@ class RefreshStats:
     n_corrections: int   # nonzero residual corrections applied
     n_pushes: int        # signed pushes to restore the threshold
     n_entries: int       # residual entries those pushes spread to
-    residual_l1: float   # ||r||_1 after the refresh
+
+
+@dataclass(frozen=True, eq=False)
+class RowCapture:
+    """Rows of sorted vertices as one CSR block, read before a batch.
+
+    Hashed by identity: one read of the mirror, referenced by every state
+    that captured it.
+    """
+
+    vertices: np.ndarray  # sorted unique int64 vertex ids
+    indptr: np.ndarray
+    gids: np.ndarray      # each row sorted by neighbor id
+    wts: np.ndarray
+    wdeg: np.ndarray      # weighted degree of each vertex
+
+    @classmethod
+    def read(cls, dyn, vertices) -> "RowCapture":
+        vs = _sorted_unique(np.asarray(vertices, dtype=np.int64))
+        return cls(vs, *dyn.rows_of(vs.tolist()), dyn.wdeg_of(vs))
+
+
+class RowDiff(NamedTuple):
+    """Net normalized-row change of a capture window, entry by entry."""
+
+    changed: np.ndarray  # every captured vertex, sorted
+    u: np.ndarray        # source vertex of each entry, ascending
+    t: np.ndarray        # target of each entry, ascending within one u
+    d: np.ndarray        # N_u_cur(t) - N_u_pre(t), never 0.0
 
 
 class IncrementalState:
@@ -71,9 +107,9 @@ class IncrementalState:
         self.params = params
         self.p = np.asarray(p, dtype=np.float64)
         self.r = np.asarray(r, dtype=np.float64)
-        #: rows as they were at the last refresh, captured at first touch:
-        #: vertex -> (sorted neighbor gids, weights, weighted degree)
-        self.pre_rows: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        #: captures taken since the last refresh, oldest first; a vertex's
+        #: pre-row is the one in the first capture that holds it
+        self.pre_rows: list[RowCapture] = []
 
     @classmethod
     def from_scratch(cls, graph, source: int,
@@ -82,26 +118,91 @@ class IncrementalState:
         p, r, _ = forward_push_sequential(graph, source, params)
         return cls(source, params, p, r)
 
-    def capture_pre_rows(self, dyn, vertices) -> None:
+    def capture_pre_rows(self, dyn, vertices,
+                         shared: RowCapture | None = None) -> RowCapture:
         """Record pre-mutation rows for ``vertices`` (first touch wins).
 
         Must be called with the *pre-batch* state of ``dyn`` for every
         vertex the batch will change.  A vertex already captured since
         the last refresh keeps its original pre-row, so a sequence of
-        batches folds into one net row diff at refresh time.
+        batches folds into one net row diff at refresh time.  ``shared``
+        is a capture of the same vertices already read from this
+        pre-batch mirror; it is referenced instead of read again.
+        Returns the capture.
         """
-        for v in sorted(int(v) for v in vertices):
-            if v not in self.pre_rows:
-                gids, wts = dyn.row(v)
-                self.pre_rows[v] = (gids, wts, dyn.wdeg(v))
+        capture = shared if shared is not None else RowCapture.read(
+            dyn, vertices)
+        self.pre_rows.append(capture)
+        return capture
 
 
-def _normalized_row(gids: np.ndarray, wts: np.ndarray, wdeg: float,
-                    vertex: int) -> dict[int, float]:
-    """Transition row ``N_u`` under the dangling self-loop convention."""
-    if wdeg <= 0.0:
-        return {vertex: 1.0}
-    return {int(g): float(w) / wdeg for g, w in zip(gids, wts)}
+def _window_rows(captures: list[RowCapture]):
+    """``(vertices, indptr, gids, wts, wdeg)``: first-touch pre-rows."""
+    if len(captures) == 1:
+        c = captures[0]
+        return c.vertices, c.indptr, c.gids, c.wts, c.wdeg
+    vertices, first = np.unique(
+        np.concatenate([c.vertices for c in captures]), return_index=True)
+    offsets = np.cumsum([0] + [len(c.gids) for c in captures])
+    indptr = np.concatenate([c.indptr[:-1] + off for c, off
+                             in zip(captures, offsets.tolist())]
+                            + [offsets[-1:]])
+    indptr, idx = row_blocks(indptr, first)
+    return (vertices, indptr,
+            np.concatenate([c.gids for c in captures])[idx],
+            np.concatenate([c.wts for c in captures])[idx],
+            np.concatenate([c.wdeg for c in captures])[first])
+
+
+def _transitions(vertices, indptr, gids, wts, wdeg, n: int):
+    """``(key, N_u(t))`` entries of the rows' normalized transitions.
+
+    ``key = i * n + t`` for an entry of row ``i``; a row with
+    ``wdeg <= 0`` is the dangling ``{u: 1.0}``.
+    """
+    row = np.repeat(np.arange(len(vertices)), np.diff(indptr))
+    dangling = np.flatnonzero(wdeg <= 0.0)
+    if len(dangling):
+        live = (wdeg > 0.0)[row]
+        row, gids, wts = row[live], gids[live], wts[live]
+    keys = np.concatenate((row * n + gids, dangling * n + vertices[dangling]))
+    return keys, np.concatenate((wts / wdeg[row], np.ones(len(dangling))))
+
+
+def row_diff(captures: list[RowCapture], dyn) -> RowDiff:
+    """The net row diff of a capture window against the current mirror.
+
+    An entry absent on one side counts as ``0.0`` there, so every ``d`` is
+    ``cur - pre``, ``cur`` or ``-pre`` exactly; zeros are dropped, which
+    also drops every row that ended up bitwise as it was captured.
+    """
+    if not captures:
+        none = np.empty(0, dtype=np.int64)
+        return RowDiff(none, none, none, np.empty(0))
+    vertices, *pre = _window_rows(captures)
+    n = dyn.n_nodes
+    cur_keys, cur_n = _transitions(vertices, *dyn.rows_of(vertices.tolist()),
+                                   dyn.wdeg_of(vertices), n)
+    pre_keys, pre_n = _transitions(vertices, *pre, n)
+    keys = np.concatenate((cur_keys, pre_keys))
+    vals = np.concatenate((cur_n, -pre_n))
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    # A key is on each side at most once, so a repeated key is a cur entry
+    # then a pre one: their sum cur + (-pre) rounds exactly as cur - pre.
+    twin = np.flatnonzero(keys[1:] == keys[:-1])
+    vals[twin] += vals[twin + 1]
+    vals[twin + 1] = 0.0
+    keep = np.flatnonzero(vals)
+    keys = keys[keep]
+    rows = keys // n
+    return RowDiff(vertices, vertices[rows], keys - rows * n, vals[keep])
+
+
+def _sorted_unique(vs: np.ndarray) -> np.ndarray:
+    """``np.unique(vs)`` without its overhead on small arrays."""
+    vs = np.sort(vs)
+    return vs[np.concatenate(([True], vs[1:] != vs[:-1]))]
 
 
 def accuracy_bound(graph, params: PPRParams) -> float:
@@ -109,55 +210,57 @@ def accuracy_bound(graph, params: PPRParams) -> float:
     return float(params.epsilon * np.sum(graph.weighted_degrees))
 
 
-def refresh(state: IncrementalState, dyn, *,
-            max_pushes: int | None = None) -> RefreshStats:
+def refresh(state: IncrementalState, dyn, *, max_pushes: int | None = None,
+            diffs: dict | None = None) -> RefreshStats:
     """Fold captured row diffs into ``(p, r)`` and re-push to threshold.
 
     Mutates ``state`` in place and clears its captured pre-rows.
+    ``diffs`` caches :func:`row_diff` by capture window across the states
+    a caller refreshes against one unchanged mirror.
     """
     params = state.params
-    alpha, eps = params.alpha, params.epsilon
-    scale = (1.0 - alpha) / alpha
+    scale = (1.0 - params.alpha) / params.alpha
     p, r = state.p, state.r
-    n = p.shape[0]
     if max_pushes is None:
-        max_pushes = int(min(5e8, 500 * n / eps))
+        max_pushes = int(min(5e8, 500 * p.shape[0] / params.epsilon))
 
     # -- phase 1: residual corrections -------------------------------------
-    n_corrections = 0
-    seeds: set[int] = set()
-    for u in sorted(state.pre_rows):
-        seeds.add(u)  # threshold may have moved even if p[u] == 0
-        p_u = p[u]
-        if p_u == 0.0:
-            continue
-        pre_gids, pre_wts, pre_wdeg = state.pre_rows[u]
-        cur_gids, cur_wts = dyn.row(u)
-        cur_wdeg = dyn.wdeg(u)
-        if (cur_wdeg == pre_wdeg and np.array_equal(cur_gids, pre_gids)
-                and np.array_equal(cur_wts, pre_wts)):
-            continue  # net no-op row: contributes exactly nothing
-        n_pre = _normalized_row(pre_gids, pre_wts, pre_wdeg, u)
-        n_cur = _normalized_row(cur_gids, cur_wts, cur_wdeg, u)
-        for t in sorted(n_pre.keys() | n_cur.keys()):
-            d = n_cur.get(t, 0.0) - n_pre.get(t, 0.0)
-            if d == 0.0:
-                continue
-            r[t] += scale * (p_u * d)
-            n_corrections += 1
-            seeds.add(t)
-    n_changed = len(state.pre_rows)
+    diffs = {} if diffs is None else diffs
+    window = tuple(state.pre_rows)
+    diff = diffs.get(window)
+    if diff is None:
+        diff = diffs[window] = row_diff(state.pre_rows, dyn)
     state.pre_rows.clear()
+    live = p[diff.u] != 0.0
+    t = diff.t[live]
+    # Unbuffered and in entry order: each r[t] receives its corrections in
+    # ascending u, the order of a loop over the changed rows.
+    np.add.at(r, t, scale * (p[diff.u[live]] * diff.d[live]))
+    # a changed vertex's threshold may have moved even if p[u] == 0
+    seeds = _sorted_unique(np.concatenate((diff.changed, t)))
 
-    # -- phase 2: signed forward push back under the threshold --------------
+    n_pushes, n_entries = _push_back(state, dyn, seeds, max_pushes)
+    return RefreshStats(n_changed=len(diff.changed), n_corrections=len(t),
+                        n_pushes=n_pushes, n_entries=n_entries)
+
+
+def _push_back(state: IncrementalState, dyn, seeds: np.ndarray,
+               max_pushes: int) -> tuple[int, int]:
+    """Phase 2: signed FIFO forward push from ``seeds`` back under the
+    threshold; returns ``(pushes, entries spread)``."""
+    alpha, eps = state.params.alpha, state.params.epsilon
+    p, r = state.p, state.r
+
     def over_threshold(vs: np.ndarray) -> np.ndarray:
-        """Those of ``vs`` (in order) whose residual needs a push."""
-        d, r_vs = dyn.wdeg_of(vs), r[vs]
-        return vs[np.where(d > 0.0, np.abs(r_vs) > eps * d, r_vs != 0.0)]
+        """Those of ``vs`` (in order) whose residual needs a push.
 
-    queued = np.zeros(n, dtype=bool)
-    first = over_threshold(np.fromiter(sorted(seeds), dtype=np.int64,
-                                       count=len(seeds)))
+        Degrees are never negative, so at ``wdeg == 0`` (dangling) the
+        strict test is ``r != 0``.
+        """
+        return vs[np.abs(r[vs]) > eps * dyn.wdeg_of(vs)]
+
+    queued = np.zeros(p.shape[0], dtype=bool)
+    first = over_threshold(seeds)
     queued[first] = True
     queue: deque[int] = deque(first.tolist())
     n_pushes = 0
@@ -167,9 +270,7 @@ def refresh(state: IncrementalState, dyn, *,
         queued[v] = False
         r_v = r[v]
         d_v = dyn.wdeg(v)
-        if d_v > 0.0 and abs(r_v) <= eps * d_v:
-            continue
-        if r_v == 0.0:
+        if abs(r_v) <= eps * d_v:
             continue
         n_pushes += 1
         if n_pushes > max_pushes:
@@ -192,7 +293,4 @@ def refresh(state: IncrementalState, dyn, *,
         woken = over_threshold(gids[~queued[gids]])
         queued[woken] = True
         queue.extend(woken.tolist())
-
-    return RefreshStats(n_changed=n_changed, n_corrections=n_corrections,
-                        n_pushes=n_pushes, n_entries=n_entries,
-                        residual_l1=float(np.sum(np.abs(r))))
+    return n_pushes, n_entries

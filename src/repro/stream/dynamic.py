@@ -5,21 +5,23 @@ update batches apply here first, then the resulting *row replacements*
 are shipped to the shards (:mod:`repro.stream.ingest`).  Storage is the
 frozen :class:`~repro.graph.csr.CSRGraph` the mirror was built from (the
 *base*) plus an *overlay* ``vertex -> (sorted gids, weights)`` of the
-rows replaced since — so mirroring a graph is O(1), a batch costs its
-changed rows, and nothing |E|-sized happens until somebody asks for a
-whole graph (:meth:`DynamicGraph.snapshot` splices base and overlay once
-and adopts the result as the new base).  Three rules make the
-metamorphic exactness guarantees of the incremental PPR layer possible:
+rows replaced since — so mirroring a graph copies nothing (one
+vectorised pass checks row order and sums every row's degree), a batch
+costs its changed rows, and nothing else |E|-sized happens until
+somebody asks for a whole graph (:meth:`DynamicGraph.snapshot` splices
+base and overlay once and adopts the result as the new base).  Three
+rules make the metamorphic exactness guarantees of the incremental PPR
+layer possible:
 
 * ``row(u)`` is always sorted by neighbor id;
 * row arrays are **copy-on-write** — a changed row is a new pair of
-  arrays, never an in-place edit, because captured pre-rows and
-  :attr:`AppliedDelta.undo` keep references to the old ones;
+  arrays, never an in-place edit, because :attr:`AppliedDelta.undo`
+  keeps references to the old ones;
 * ``wdeg(u)`` is only ever ``float(np.sum(weights))`` of the current
-  sorted row — memoised per vertex, forgotten when the row is replaced,
-  never adjusted by ``+-w`` — so restoring a row's content (e.g.
-  insert-then-delete of the same edge) restores its weighted degree
-  *bitwise*.
+  sorted row — kept in one table, summed again from the row whenever
+  the row is replaced, never adjusted by ``+-w`` — so restoring a row's
+  content (e.g. insert-then-delete of the same edge) restores its
+  weighted degree *bitwise*.
 
 The mirror stores undirected edges as two arcs, rejects self-loops, and
 ``snapshot()`` produces a :class:`~repro.graph.csr.CSRGraph` equal to
@@ -83,6 +85,24 @@ def _without_entry(row, pos: int):
     return tuple(np.concatenate((col[:pos], col[pos + 1:])) for col in row)
 
 
+def _row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``np.sum`` of every CSR row, bitwise, in one pass per row length.
+
+    The rows of one length are gathered into one C-contiguous ``(n, L)``
+    array and summed over axis 1, which adds each row exactly as
+    ``np.sum`` adds it alone (pairwise, in the same order;
+    ``np.add.reduceat`` would not).
+    """
+    lens = np.diff(indptr)
+    out = np.empty(len(lens))
+    order = np.argsort(lens, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
+        if len(rows):
+            cols = np.arange(lens[rows[0]])
+            out[rows] = weights[indptr[rows][:, None] + cols].sum(axis=1)
+    return out
+
+
 class DynamicGraph:
     """Mutable undirected adjacency over a fixed node set."""
 
@@ -104,12 +124,12 @@ class DynamicGraph:
         self._base = base
         #: rows replaced since the base was frozen (copy-on-write arrays)
         self._overlay: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: memoised weighted degrees; NaN = not computed for the current row
-        self._wdeg = np.full(base.n_nodes, np.nan)
+        #: weighted degree of every vertex, summed from its current row
+        self._wdeg = _row_sums(ptr, base.weights)
 
     @classmethod
     def from_csr(cls, graph: CSRGraph) -> "DynamicGraph":
-        """Mirror a (symmetrized) CSR graph; shares its arrays, O(1)."""
+        """Mirror a (symmetrized) CSR graph; shares its arrays."""
         return cls(graph)
 
     # -- queries ----------------------------------------------------------
@@ -145,41 +165,36 @@ class DynamicGraph:
                 np.concatenate([_NO_WEIGHTS] + [w for _, w in rows]))
 
     def wdeg(self, u: int) -> float:
-        """Weighted degree: the sum over the current sorted row, memoised.
+        """Weighted degree: the sum over the current sorted row.
 
-        Deliberately *not* maintained incrementally: the value is a pure
-        function of the row content, so restoring a row restores its
-        weighted degree bitwise — load-bearing for the metamorphic
-        exactness checks.
+        Deliberately *not* maintained incrementally: the value is summed
+        again from the row whenever the row is replaced, a pure function
+        of the row content, so restoring a row restores its weighted
+        degree bitwise — load-bearing for the metamorphic exactness
+        checks.
         """
-        w = self._wdeg[u]
-        if w != w:
-            w = self._wdeg[u] = np.sum(self.row(u)[1])
-        return float(w)
+        return float(self._wdeg[u])
 
-    def wdeg_of(self, gids: np.ndarray) -> np.ndarray:
-        """:meth:`wdeg` of every vertex in ``gids`` (a fresh array).
-
-        The vertices not memoised are summed in one grouped pass: their
-        rows are bucketed by length, and each bucket is summed as one
-        C-contiguous ``(n, L)`` array over axis 1, which adds every row
-        exactly as ``np.sum`` adds it alone (pairwise, in the same order;
-        ``np.add.reduceat`` would not).  So the memoised values are the
-        ones :meth:`wdeg` would store.
-        """
-        out = self._wdeg[gids]
-        missing = np.isnan(out)
-        if not missing.any():
-            return out
-        buckets: dict[int, tuple[list, list]] = {}
-        for u in np.unique(gids[missing]).tolist():
-            weights = self.row(u)[1]
-            vertices, rows = buckets.setdefault(len(weights), ([], []))
-            vertices.append(u)
-            rows.append(weights)
-        for vertices, rows in buckets.values():
-            self._wdeg[vertices] = np.array(rows).sum(axis=1)
+    def wdeg_of(self, gids) -> np.ndarray:
+        """:meth:`wdeg` of every vertex in ``gids`` (a fresh array)."""
         return self._wdeg[gids]
+
+    def _sum_rows(self, vertices) -> None:
+        """Sum the weighted degrees of ``vertices`` from their rows.
+
+        The rows are bucketed by length in a dict and each bucket summed
+        as :func:`_row_sums` sums one: a batch's few rows have mostly
+        distinct lengths, where a vectorised pass per length costs more
+        than it saves.
+        """
+        buckets: dict[int, tuple[list, list]] = {}
+        for u in vertices:
+            weights = self.row(u)[1]
+            bucket, rows = buckets.setdefault(len(weights), ([], []))
+            bucket.append(u)
+            rows.append(weights)
+        for bucket, rows in buckets.values():
+            self._wdeg[bucket] = np.array(rows).sum(axis=1)
 
     # -- mutation ---------------------------------------------------------
     def check(self, batch: UpdateBatch) -> None:
@@ -206,7 +221,6 @@ class DynamicGraph:
             if u not in undo:
                 undo[u] = self.row(u)
             self._overlay[u] = row
-            self._wdeg[u] = np.nan
 
         for u, v, w, op in zip(batch.src.tolist(), batch.dst.tolist(),
                                batch.weight.tolist(), batch.op.tolist()):
@@ -228,6 +242,7 @@ class DynamicGraph:
                     replace(v, _without_entry(row_v, pos_v))
                 deleted += 1
         changed = np.fromiter(sorted(undo), dtype=np.int64, count=len(undo))
+        self._sum_rows(undo)
         return AppliedDelta(changed, inserted, deleted, reweighted, undo)
 
     def revert(self, delta: AppliedDelta) -> None:
@@ -239,9 +254,8 @@ class DynamicGraph:
         :meth:`snapshot`.  Used when the distributed two-phase
         application of the batch aborts or rolls back.
         """
-        for u, row in delta.undo.items():
-            self._overlay[u] = row
-            self._wdeg[u] = np.nan
+        self._overlay.update(delta.undo)
+        self._sum_rows(delta.undo)
 
     # -- export -----------------------------------------------------------
     def snapshot(self) -> CSRGraph:

@@ -174,8 +174,9 @@ class StreamingSession:
     def ingest(self, batch: UpdateBatch) -> IngestReport:
         """Apply one update batch atomically to mirror + shards.
 
-        Pre-rows are captured for every published state *before* the
-        mirror mutates (first touch since the last refresh wins), then
+        The batch's touched rows are read once *before* the mirror
+        mutates, as one capture every published state references (first
+        touch since a state's last refresh wins), then
         the batch goes through the two-phase shard protocol.  On any
         distributed failure the mirror is reverted bitwise and a
         :class:`~repro.errors.StreamIngestError` is raised — the graph
@@ -192,8 +193,9 @@ class StreamingSession:
         self.metrics.inc("stream.batches")
         if len(batch):
             touched = np.unique(np.concatenate([batch.src, batch.dst]))
+            capture = None  # read by the first state, shared by the rest
             for state in self.states.values():
-                state.capture_pre_rows(self.dyn, touched)
+                capture = state.capture_pre_rows(self.dyn, touched, capture)
         delta = self.dyn.apply(batch)
         if not delta:
             report = IngestReport(tag=tag, status="empty", n_changed=0,
@@ -229,10 +231,12 @@ class StreamingSession:
     def refresh(self) -> list[RefreshStats]:
         """Fold pending row diffs into every published vector.
 
+        States that captured the same batches share one row diff.
         Priced as one ``COMPUTE.push`` over every residual entry written
         (corrections and the rows the signed pushes spread), no slots.
         """
-        stats = [refresh_state(self.states[gid], self.dyn)
+        diffs: dict = {}
+        stats = [refresh_state(self.states[gid], self.dyn, diffs=diffs)
                  for gid in sorted(self.states)]
         self._since_refresh = 0
         if not self.states:

@@ -2,7 +2,8 @@
 
 The tier-1 selection (``pytest -m "not slow"``, the default via addopts)
 must stay fast enough to run on every change.  ``pyproject.toml`` declares
-the budget (``tier1_budget_seconds``); this hook asserts it, but only when
+the budget (``tier1_budget_seconds``, registered by the repo-root
+``conftest.py``); this hook asserts it, but only when
 ``REPRO_CI_BUDGET=1`` is set — local runs on loaded machines should not
 flake on timing.
 """
@@ -12,15 +13,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-
-
-def pytest_addoption(parser):
-    parser.addini(
-        "tier1_budget_seconds",
-        "wall-clock budget for the tier-1 (not slow) selection, "
-        "enforced when REPRO_CI_BUDGET=1",
-        default="60",
-    )
 
 
 def pytest_sessionstart(session):

@@ -16,6 +16,8 @@ angles:
   they are sums of the same terms in a different order).
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,8 +29,8 @@ from repro.graph import powerlaw_cluster
 from repro.graph.csr import CSRGraph, splice_rows
 from repro.ppr import PPRParams
 from repro.ppr.forward_push_seq import forward_push_sequential
-from repro.ppr.incremental import (IncrementalState, accuracy_bound,
-                                   refresh)
+from repro.ppr.incremental import (IncrementalState, RefreshStats,
+                                   _push_back, accuracy_bound, refresh)
 from repro.storage.build import build_shards
 from repro.storage.shard_update import ShardUpdate
 from repro.storage.vertex_prop import gather_rows
@@ -134,11 +136,11 @@ class TestDynamicGraph:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_grouped_degrees_add_each_row_as_np_sum(self, seed):
-        """``wdeg_of`` sums the rows it has not memoised in length
-        buckets; every degree it reports and memoises must be bitwise the
-        ``np.sum`` of that row alone, on base rows and overlay rows, at
-        row lengths around the pairwise-sum boundaries (8 and 128
-        unrolled, 8192 blocked)."""
+        """The mirror sums its base rows when it is built, and each row
+        ``apply`` or ``revert`` replaces, in length buckets; every degree
+        it reports must be bitwise the ``np.sum`` of that row alone, on
+        base rows and overlay rows, at row lengths around the pairwise-sum
+        boundaries (8 and 128 unrolled, 8192 blocked)."""
         lengths = (0, 7, 8, 9, 128, 129, 8192, 8193)
         rng = np.random.default_rng(seed)
         n_hubs, n_leaves = len(lengths), max(lengths) + 2
@@ -159,7 +161,7 @@ class TestDynamicGraph:
 
         everyone = np.arange(g.n_nodes)
         dyn = DynamicGraph.from_csr(g)
-        # duplicates, and the hubs read twice: one bucket per length
+        # duplicates, and the hubs read twice
         assert_np_sum_bitwise(dyn, np.concatenate([everyone[::-1],
                                                    everyone[:n_hubs]]))
         # overlay rows: each hub gains a leaf or loses one (0 gains only)
@@ -173,6 +175,8 @@ class TestDynamicGraph:
                 ops.append((h, int(nbrs[n // 2]), 1.0, -1))
         delta = dyn.apply(UpdateBatch(*zip(*ops)))
         assert set(range(n_hubs)) <= set(delta.changed.tolist())
+        assert_np_sum_bitwise(dyn, everyone)
+        dyn.revert(delta)
         assert_np_sum_bitwise(dyn, everyone)
 
     def test_snapshot_matches_from_edges(self):
@@ -525,6 +529,147 @@ class TestMetamorphic:
         assert np.array_equal(state.r, r0)
 
 
+class _ScalarOracle:
+    """One published state refreshed by the scalar phase-1 loop.
+
+    Pre-rows are held per vertex as ``(gids, wts, wdeg)``, captured at
+    first touch row by row, and phase 1 walks the changed rows in
+    ascending ``u`` and each row's targets in ascending ``t``; phase 2 is
+    the module's own signed re-push.  ``refresh`` must match it bitwise.
+    """
+
+    def __init__(self, state):
+        self.state = IncrementalState(state.source, state.params,
+                                      state.p.copy(), state.r.copy())
+        self.pre_rows = {}
+
+    def capture(self, dyn, vertices):
+        for v in sorted(int(v) for v in vertices):
+            if v not in self.pre_rows:
+                gids, wts = dyn.row(v)
+                self.pre_rows[v] = (gids, wts, dyn.wdeg(v))
+
+    @staticmethod
+    def _normalized(gids, wts, wdeg, vertex):
+        if wdeg <= 0.0:
+            return {vertex: 1.0}
+        return {int(g): float(w) / wdeg for g, w in zip(gids, wts)}
+
+    def refresh(self, dyn):
+        state = self.state
+        alpha, eps = state.params.alpha, state.params.epsilon
+        scale = (1.0 - alpha) / alpha
+        p, r = state.p, state.r
+        n_corrections = 0
+        seeds = set()
+        for u in sorted(self.pre_rows):
+            seeds.add(u)
+            p_u = p[u]
+            if p_u == 0.0:
+                continue
+            pre_gids, pre_wts, pre_wdeg = self.pre_rows[u]
+            cur_gids, cur_wts = dyn.row(u)
+            cur_wdeg = dyn.wdeg(u)
+            if (cur_wdeg == pre_wdeg and np.array_equal(cur_gids, pre_gids)
+                    and np.array_equal(cur_wts, pre_wts)):
+                continue
+            n_pre = self._normalized(pre_gids, pre_wts, pre_wdeg, u)
+            n_cur = self._normalized(cur_gids, cur_wts, cur_wdeg, u)
+            for t in sorted(n_pre.keys() | n_cur.keys()):
+                d = n_cur.get(t, 0.0) - n_pre.get(t, 0.0)
+                if d == 0.0:
+                    continue
+                r[t] += scale * (p_u * d)
+                n_corrections += 1
+                seeds.add(t)
+        n_changed = len(self.pre_rows)
+        self.pre_rows = {}
+        max_pushes = int(min(5e8, 500 * p.shape[0] / eps))
+        n_pushes, n_entries = _push_back(
+            state, dyn, np.array(sorted(seeds), dtype=np.int64), max_pushes)
+        return RefreshStats(n_changed=n_changed, n_corrections=n_corrections,
+                            n_pushes=n_pushes, n_entries=n_entries)
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+class TestFoldAgainstScalarLoop:
+    """The vectorized fold equals the scalar loop it replaced, bitwise."""
+
+    N_LIVE, N_NODES = 30, 36   # vertices 30..35 start isolated
+
+    def _graph(self, rng):
+        edges = rng.integers(0, self.N_LIVE, size=(120, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        return CSRGraph.from_edges(self.N_NODES, edges[:, 0], edges[:, 1],
+                                   rng.choice([0.5, 1.0, 1.25, 3.0],
+                                              len(edges)))
+
+    def _batch(self, rng, dyn, window_step):
+        """Random upserts (inserts and reweights) and deletes, plus one
+        vertex stripped of its last edge and one isolated vertex given
+        its first."""
+        ops = []
+        for _ in range(10):
+            u, v = rng.choice(self.N_NODES, 2, replace=False).tolist()
+            if rng.random() < 0.3:
+                ops.append((u, v, 1.0, -1))
+            else:
+                ops.append((u, v, float(rng.choice([0.5, 1.0, 2.0])), 1))
+        live = [u for u in range(self.N_LIVE) if len(dyn.row(u)[0])]
+        lonely = int(rng.choice(live))
+        ops += [(lonely, int(v), 1.0, -1) for v in dyn.row(lonely)[0]]
+        isolated = [u for u in range(self.N_NODES)
+                    if not len(dyn.row(u)[0]) and u != lonely]
+        if isolated:
+            u = isolated[window_step % len(isolated)]
+            v = int(rng.choice([v for v in range(self.N_LIVE) if v != u]))
+            ops.append((u, v, 0.75, 1))
+        return UpdateBatch(*zip(*ops))
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_refresh_equals_the_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        g = self._graph(rng)
+        dyn = DynamicGraph.from_csr(g)
+        # sources: a live vertex, and an isolated one (p = 1 at itself)
+        states = [IncrementalState.from_scratch(g, s, PARAMS)
+                  for s in (int(rng.integers(self.N_LIVE)), self.N_NODES - 1)]
+        oracles = [_ScalarOracle(s) for s in states]
+        for window in range(2):
+            n_batches = int(rng.integers(1, 4))
+            for step in range(n_batches):
+                if step == 1:
+                    # published mid-window: folds only what comes after
+                    late = IncrementalState.from_scratch(
+                        dyn.snapshot(), int(rng.integers(self.N_LIVE)),
+                        PARAMS)
+                    states.append(late)
+                    oracles.append(_ScalarOracle(late))
+                batch = self._batch(rng, dyn, 2 * window + step)
+                if step == 2:
+                    # undo the window's first inserts: rows come back
+                    batch = UpdateBatch.concat(
+                        [batch, first.inverse_of_inserts(dyn)])
+                first = batch if step == 0 else first
+                touched = touched_vertices(batch)
+                capture = None
+                for state, oracle in zip(states, oracles):
+                    capture = state.capture_pre_rows(dyn, touched, capture)
+                    oracle.capture(dyn, touched)
+                dyn.apply(batch)
+            diffs = {}
+            for state, oracle in zip(states, oracles):
+                got = refresh(state, dyn, diffs=diffs)
+                assert got == oracle.refresh(dyn)
+                assert not state.pre_rows
+                assert np.array_equal(_bits(state.p), _bits(oracle.state.p))
+                assert np.array_equal(_bits(state.r), _bits(oracle.state.r))
+
+
 # -- distributed application ------------------------------------------------
 
 def _shuffled(update, seed):
@@ -803,6 +948,45 @@ class TestSessionGraphView:
             counts.append(len(rows))
             monkeypatch.undo()
         assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("n_states", [1, 8])
+    def test_an_ingest_reads_each_touched_row_once(self, monkeypatch,
+                                                   n_states):
+        """However many vectors are published, an ingest captures the
+        batch's touched rows in one read, and a refresh diffs the rows of
+        a capture window in one read; ``pre_rows`` is empty after it."""
+        g = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
+        batches = TemporalEdgeStream(g, seed=3, batch_size=12).batches(2)
+        touched = touched_vertices(batches[0])
+        reads = {}
+        for k in (0, n_states):
+            session = self._session(g, refresh_every=2)
+            for source in range(k):
+                session.states[source] = IncrementalState.from_scratch(
+                    g, source, PARAMS)
+            # rows_of reads through row: one row call per row read
+            rows = _count_calls(monkeypatch, "row")
+            blocks = _count_calls(monkeypatch, "rows_of")
+            assert session.ingest(batches[0]).applied
+            reads[k] = (Counter(v for v, in rows), len(blocks))
+            monkeypatch.undo()
+            captures = {id(c) for state in session.states.values()
+                        for c in state.pre_rows}
+            assert len(captures) == min(k, 1)
+            if k:
+                blocks = _count_calls(monkeypatch, "rows_of")
+                assert session.ingest(batches[1]).applied  # refreshes
+                monkeypatch.undo()
+                # one for the capture, one for the window's diff, the
+                # rest (payloads) as without published vectors
+                assert len(blocks) == reads[0][1] + 2
+                assert not any(state.pre_rows
+                               for state in session.states.values())
+        rows_k, blocks_k = reads[n_states]
+        rows_0, blocks_0 = reads[0]
+        assert rows_k - rows_0 == Counter(touched.tolist())
+        assert not rows_0 - rows_k
+        assert blocks_k == blocks_0 + 1
 
     def test_views_read_through_and_rebalance_sees_current_graph(self):
         g = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
