@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph, splice_rows
+from repro.graph.csr import CSRGraph, row_blocks, splice_rows
 from repro.stream.updates import OP_UPSERT, UpdateBatch
 
 
@@ -88,18 +88,26 @@ def _without_entry(row, pos: int):
 def _row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``np.sum`` of every CSR row, bitwise, in one pass per row length.
 
-    The rows of one length are gathered into one C-contiguous ``(n, L)``
-    array and summed over axis 1, which adds each row exactly as
-    ``np.sum`` adds it alone (pairwise, in the same order;
-    ``np.add.reduceat`` would not).
+    The rows are gathered once in ascending length, so the rows of one
+    length form one C-contiguous ``(n, L)`` block; summing it over axis 1
+    adds each row exactly as ``np.sum`` adds it alone (pairwise, in the
+    same order; ``np.add.reduceat`` would not).
     """
     lens = np.diff(indptr)
-    out = np.empty(len(lens))
     order = np.argsort(lens, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
-        if len(rows):
-            cols = np.arange(lens[rows[0]])
-            out[rows] = weights[indptr[rows][:, None] + cols].sum(axis=1)
+    lens = lens[order]
+    blocks = weights[row_blocks(indptr, order)[1]]
+    bounds = np.flatnonzero(np.diff(lens)) + 1
+    sums = np.empty(len(lens))
+    a = pos = 0
+    for b in bounds.tolist() + [len(lens)]:
+        if b > a:
+            n_rows, width = b - a, int(lens[a])
+            end = pos + n_rows * width
+            sums[a:b] = blocks[pos:end].reshape(n_rows, width).sum(axis=1)
+            a, pos = b, end
+    out = np.empty(len(lens))
+    out[order] = sums
     return out
 
 
@@ -179,22 +187,10 @@ class DynamicGraph:
         """:meth:`wdeg` of every vertex in ``gids`` (a fresh array)."""
         return self._wdeg[gids]
 
-    def _sum_rows(self, vertices) -> None:
-        """Sum the weighted degrees of ``vertices`` from their rows.
-
-        The rows are bucketed by length in a dict and each bucket summed
-        as :func:`_row_sums` sums one: a batch's few rows have mostly
-        distinct lengths, where a vectorised pass per length costs more
-        than it saves.
-        """
-        buckets: dict[int, tuple[list, list]] = {}
-        for u in vertices:
-            weights = self.row(u)[1]
-            bucket, rows = buckets.setdefault(len(weights), ([], []))
-            bucket.append(u)
-            rows.append(weights)
-        for bucket, rows in buckets.values():
-            self._wdeg[bucket] = np.array(rows).sum(axis=1)
+    def _sum_rows(self, vertices: list) -> None:
+        """Sum the weighted degrees of ``vertices`` from their rows."""
+        indptr, _, wts = self.rows_of(vertices)
+        self._wdeg[vertices] = _row_sums(indptr, wts)
 
     # -- mutation ---------------------------------------------------------
     def check(self, batch: UpdateBatch) -> None:
@@ -242,7 +238,7 @@ class DynamicGraph:
                     replace(v, _without_entry(row_v, pos_v))
                 deleted += 1
         changed = np.fromiter(sorted(undo), dtype=np.int64, count=len(undo))
-        self._sum_rows(undo)
+        self._sum_rows(list(undo))
         return AppliedDelta(changed, inserted, deleted, reweighted, undo)
 
     def revert(self, delta: AppliedDelta) -> None:
@@ -255,7 +251,7 @@ class DynamicGraph:
         application of the batch aborts or rolls back.
         """
         self._overlay.update(delta.undo)
-        self._sum_rows(delta.undo)
+        self._sum_rows(list(delta.undo))
 
     # -- export -----------------------------------------------------------
     def snapshot(self) -> CSRGraph:

@@ -608,18 +608,22 @@ class TestFoldAgainstScalarLoop:
                                               len(edges)))
 
     def _batch(self, rng, dyn, window_step):
-        """Random upserts (inserts and reweights) and deletes, plus one
-        vertex stripped of its last edge and one isolated vertex given
-        its first."""
-        ops = []
+        """One insert of an absent edge, random upserts (inserts and
+        reweights) and deletes, plus one vertex stripped of its last edge
+        and one isolated vertex given its first."""
+        live = [u for u in range(self.N_LIVE) if len(dyn.row(u)[0])]
+        lonely = int(rng.choice(live))
+        absent = [(u, v) for u in range(self.N_LIVE)
+                  for v in range(u + 1, self.N_LIVE)
+                  if lonely not in (u, v) and not dyn.has_edge(u, v)]
+        u, v = absent[int(rng.integers(len(absent)))]
+        ops = [(u, v, 1.5, 1)]
         for _ in range(10):
             u, v = rng.choice(self.N_NODES, 2, replace=False).tolist()
             if rng.random() < 0.3:
                 ops.append((u, v, 1.0, -1))
             else:
                 ops.append((u, v, float(rng.choice([0.5, 1.0, 2.0])), 1))
-        live = [u for u in range(self.N_LIVE) if len(dyn.row(u)[0])]
-        lonely = int(rng.choice(live))
         ops += [(lonely, int(v), 1.0, -1) for v in dyn.row(lonely)[0]]
         isolated = [u for u in range(self.N_NODES)
                     if not len(dyn.row(u)[0]) and u != lonely]
@@ -650,11 +654,13 @@ class TestFoldAgainstScalarLoop:
                     states.append(late)
                     oracles.append(_ScalarOracle(late))
                 batch = self._batch(rng, dyn, 2 * window + step)
-                if step == 2:
-                    # undo the window's first inserts: rows come back
-                    batch = UpdateBatch.concat(
-                        [batch, first.inverse_of_inserts(dyn)])
-                first = batch if step == 0 else first
+                if step == 0:
+                    # against the pre-batch state: the batch's inserts
+                    undo = batch.inverse_of_inserts(dyn)
+                    assert len(undo)
+                elif step == 2:
+                    # delete the window's first inserts again
+                    batch = UpdateBatch.concat([batch, undo])
                 touched = touched_vertices(batch)
                 capture = None
                 for state, oracle in zip(states, oracles):
