@@ -44,7 +44,7 @@ def sample_sources(sharded: ShardedGraph, n_queries: int, *,
     per_shard[: n_queries % k] += 1
     picks = []
     for p, shard in enumerate(sharded.shards):
-        candidates = shard.core_global[np.diff(shard.rows.indptr) > 0]
+        candidates = shard.core_global[shard.rows.row_extents()[1] > 0]
         if len(candidates) == 0:
             candidates = shard.core_global
         if len(candidates) == 0:

@@ -177,10 +177,17 @@ class CSRGraph:
 
 def row_blocks(indptr: np.ndarray, rows: np.ndarray):
     """``(block indptr, flat entry index)`` gathering CSR ``rows`` in order."""
-    counts = indptr[rows + 1] - indptr[rows]
-    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    starts = indptr[rows]
+    return extent_blocks(starts, indptr[rows + 1] - starts)
+
+
+def extent_blocks(starts: np.ndarray, counts: np.ndarray):
+    """``(block indptr, flat entry index)`` gathering, in order, the rows
+    that begin at ``starts`` and hold ``counts`` entries — rows of a CSR
+    layout or rows stored anywhere in their columns."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
-    return out, np.repeat(indptr[rows] - out[:-1], counts) + np.arange(out[-1])
+    return out, np.repeat(starts - out[:-1], counts) + np.arange(out[-1])
 
 
 def splice_rows(indptr: np.ndarray, columns, rows: np.ndarray,

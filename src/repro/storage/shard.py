@@ -25,7 +25,12 @@ replacement rows off to the side (invisible to readers),
 retaining the pre-image, and :meth:`~GraphShard.rollback_updates` /
 :meth:`~GraphShard.abort_updates` undo a commit / discard a stage — the
 building blocks of the two-phase batch protocol in
-:mod:`repro.stream.ingest`.
+:mod:`repro.stream.ingest`.  A stage appends the replaced rows to the
+arena's buffer and copies only the per-row extents (the arena becomes an
+*extent arena*, :class:`~repro.storage.neighbor_batch.RowBuffer`); a
+fixed rule compacts the live rows when an append does not fit.  So the
+columns may hold dead entries, and every reader of whole columns reads
+the live rows only (``halo_nodes``, ``n_entries``, ``memory_nbytes``).
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ class GraphShard:
 
     def halo_nodes(self) -> np.ndarray:
         """Ids of this shard's halo nodes (remote-owned neighbors)."""
-        ids = self.rows.ids
+        ids = self.rows.packed().ids
         return np.unique(ids[(ids < self._lo) | (ids >= self._hi)])
 
     def attach_pool(self, pool) -> None:
@@ -120,7 +125,8 @@ class GraphShard:
         shards built together share one in this process, but each
         modelled machine holds its own), the optional 2-hop halo cache
         when installed, and the hosting server's pooled RPC buffers when a
-        pool is attached.
+        pool is attached.  Rows count as packed (``NeighborBatch.nbytes``):
+        a staged arena's dead entries and slack are not the shard's rows.
         """
         total = (self.core_global.nbytes + self.rows.nbytes
                  + self.rows.degrees.nbytes)
@@ -166,9 +172,10 @@ class GraphShard:
         """
         rows = self._rows_of(ids)
         arena = self.rows
+        starts, counts = arena.row_extents(rows)
         entries = []
-        for row in rows:
-            s, e = arena.indptr[row], arena.indptr[row + 1]
+        for s, n in zip(starts.tolist(), counts.tolist()):
+            e = s + n
             # repro: allow=REP011 this ablation measures per-node copy cost
             nbrs = arena.ids[s:e].copy()
             entries.append((nbrs,
@@ -200,8 +207,7 @@ class GraphShard:
         ids = np.asarray(ids, dtype=np.int64)
         rows = self._rows_of(ids)
         arena = self.rows
-        starts = arena.indptr[rows]
-        counts = arena.indptr[rows + 1] - starts
+        starts, counts = arena.row_extents(rows)
         # hashed over the shard-private row indices, not the ids, so a
         # relabel epoch that keeps a shard's rows keeps its walks
         digest = zlib.crc32(rows.tobytes())
@@ -209,9 +215,9 @@ class GraphShard:
                 if isinstance(self._seed, (int, np.integer)) else 0)
         rng = np.random.default_rng((base, int(salt), digest))
         offsets = rng.integers(0, np.maximum(counts, 1))
-        # Clamp picks for zero-degree nodes so the gather stays in bounds;
-        # their values are discarded by the np.where below.
-        pick = np.minimum(starts + offsets, max(self.n_entries - 1, 0))
+        # Clamp picks for zero-degree nodes so the gather stays in the
+        # columns; their values are discarded by the np.where below.
+        pick = np.minimum(starts + offsets, max(len(arena.ids) - 1, 0))
         return np.where(counts > 0, arena.ids[pick], ids)
 
     # -- 2-hop halo cache ----------------------------------------------------
@@ -283,15 +289,17 @@ class GraphShard:
         that already committed is a no-op (a retried stage after a lost
         reply must not re-apply on top of the new rows).
 
-        Every degree lives in the arena's node-indexed table, not in its
-        rows, so staging costs the batch's work plus two arena columns
-        copied: the replacement rows are spliced over the arena's ids and
-        weights, and the degree broadcast is a copy of the table plus one
-        scatter of the degrees the batch ships — no arena entry is scanned
-        or patched.  Memory: the arena holds no degree column (8 B less
-        per entry than a per-entry column), and from its first stage on
-        the shard holds a table of its own (8 B per node id) instead of
-        the one shared at build.
+        Staging costs the batch, not the arena: the replacement rows are
+        appended to the arena's buffer and only the per-row extents are
+        copied (:meth:`NeighborBatch.replace_rows`, which states the
+        compaction rule: 9/8 of the live entries per buffer, amortized
+        eight entry copies per appended entry), and likewise for the
+        halo cache.  Every degree lives in the arena's node-indexed
+        table, not in its rows, so the degree broadcast is a copy of the
+        table plus one scatter of the degrees the batch ships — no arena
+        entry is scanned or patched.  Memory: the arena holds no degree
+        column, and from its first stage on the shard holds a table of
+        its own (8 B per node id) instead of the one shared at build.
         """
         tag = int(tag)
         if tag in self._preimage:
@@ -307,8 +315,8 @@ class GraphShard:
             degrees[block.ids] = block.wdeg
         for ids, block in blocks:
             degrees[ids] = block.src_wdeg
-        rows = self.rows.splice(replaced, update.rows,
-                                np.arange(update.n_rows), degrees)
+        rows = self.rows.replace_rows(replaced, update.rows,
+                                      np.arange(update.n_rows), degrees)
         # Cached content must always equal the owner's current row; rows
         # this shard never cached stay uncached (coverage of *new* halo
         # vertices is rebalancing's job, not ingestion's).
@@ -316,8 +324,8 @@ class GraphShard:
         if self.halo is not None:
             srcs, changed = _find_sorted(update.changed_ids, self.halo_ids)
             stale = np.flatnonzero(changed)
-            halo = self.halo.splice(stale, update.changed_rows, srcs[stale],
-                                    degrees)
+            halo = self.halo.replace_rows(stale, update.changed_rows,
+                                          srcs[stale], degrees)
         self._staged[tag] = (rows, halo)
         return update.n_rows
 

@@ -8,9 +8,11 @@ update batch without further communication, as two blocks of CSR rows
   vertex of ``p`` whose adjacency changed, the complete new row (targets
   in caller-id order, with their node ids, weights, and new weighted
   degrees; ``src_wdeg`` is the vertex's own new degree), whose ids and
-  weights are spliced wholesale over the old row.  Row replacement is
-  idempotent and order-insensitive, which keeps retried RPCs and
-  split/merged batches convergent.
+  weights replace the old row wholesale: the shard appends them to its
+  arena's buffer and points the row at them, so staging costs these
+  rows, not the arena.  Row replacement is idempotent and
+  order-insensitive, which keeps retried RPCs and split/merged batches
+  convergent.
 * **changed rows** (``changed_ids`` / ``changed_rows``) — the same
   complete rows for *every* vertex the batch changed, anywhere in the
   graph, identical for all shards.  Its rows are the **halo row
@@ -29,8 +31,10 @@ changed vertex's own degree when no changed row names it (a vertex that
 lost its last edge), and the per-entry ``wdeg`` carries the mirror's
 degree of each neighbor a changed row names.
 
-Built by :func:`repro.stream.ingest.build_shard_payloads`; consumed by
-:meth:`repro.storage.shard.GraphShard.stage_updates`.  Implements
+Both blocks travel packed (one ``indptr``), whatever layout the shard
+keeps.  Built by :func:`repro.stream.ingest.build_shard_payloads` from
+the rows :meth:`~repro.stream.dynamic.DynamicGraph.apply` laid out;
+consumed by :meth:`repro.storage.shard.GraphShard.stage_updates`.  Implements
 ``rpc_tensors`` so the RPC cost model prices the ingest traffic like
 any other message.
 """

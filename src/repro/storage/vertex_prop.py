@@ -16,7 +16,9 @@ On the modelled wire a selection is the CSR batch it names:
 the shard keeps them), so every RPC count and virtual second is the one a
 gathering server would produce.  An outstanding selection stays valid
 because a commit swaps in a new arena and a new degree table (the arena
-references its table) and never writes the old ones.
+references its table) and never writes the old ones: a stage writes its
+rows only past the fill of the arena's buffer, which every existing arena
+reads below (:class:`~repro.storage.neighbor_batch.RowBuffer`).
 
 A :class:`VertexProp` is the same selection returned by a local
 (shared-memory) fetch.  This mirrors the paper's optimization of passing
@@ -51,14 +53,13 @@ class RowSelection:
 
     def extent(self) -> tuple[np.ndarray, np.ndarray, int]:
         """``(starts, counts, n_entries)``: where each selected row begins
-        in the arena's flat columns, its length, and their total —
-        computed on first use (pricing or gathering), then kept.  The
-        value is a pure function of the frozen arena, so a serving and a
-        consuming thread that race here only compute it twice."""
+        in the arena's flat columns, its length, and their total — read
+        from the arena's extents on first use (pricing or gathering),
+        then kept.  The value is a pure function of the frozen arena, so
+        a serving and a consuming thread that race here only compute it
+        twice."""
         if self._extent is None:
-            indptr = self.arena.indptr
-            starts = indptr.take(self.rows)
-            counts = indptr[1:].take(self.rows) - starts
+            starts, counts = self.arena.row_extents(self.rows)
             self._extent = (starts, counts, int(counts.sum()))
         return self._extent
 

@@ -50,7 +50,10 @@ class AppliedDelta:
     ``undo`` maps every vertex the batch touched to its pre-batch
     ``(gids, weights)`` row arrays, so :meth:`DynamicGraph.revert` can
     restore the mirror bitwise when the distributed application of the
-    batch fails.
+    batch fails.  ``rows`` are the post-batch rows of ``changed``, laid
+    out once by :meth:`DynamicGraph.apply` as CSR ``(indptr, gids,
+    weights)`` in ``changed`` order — what the shard payloads ship
+    (stale once the delta is reverted).
     """
 
     changed: np.ndarray  # sorted int64 vertex ids with changed rows
@@ -58,6 +61,7 @@ class AppliedDelta:
     arcs_deleted: int
     arcs_reweighted: int
     undo: dict
+    rows: tuple
 
     @property
     def n_changed(self) -> int:
@@ -187,10 +191,12 @@ class DynamicGraph:
         """:meth:`wdeg` of every vertex in ``gids`` (a fresh array)."""
         return self._wdeg[gids]
 
-    def _sum_rows(self, vertices: list) -> None:
-        """Sum the weighted degrees of ``vertices`` from their rows."""
-        indptr, _, wts = self.rows_of(vertices)
-        self._wdeg[vertices] = _row_sums(indptr, wts)
+    def _sum_rows(self, vertices: list) -> tuple:
+        """Sum the weighted degrees of ``vertices`` from their rows; return
+        the rows read (:meth:`rows_of`)."""
+        rows = self.rows_of(vertices)
+        self._wdeg[vertices] = _row_sums(rows[0], rows[2])
+        return rows
 
     # -- mutation ---------------------------------------------------------
     def check(self, batch: UpdateBatch) -> None:
@@ -238,8 +244,8 @@ class DynamicGraph:
                     replace(v, _without_entry(row_v, pos_v))
                 deleted += 1
         changed = np.fromiter(sorted(undo), dtype=np.int64, count=len(undo))
-        self._sum_rows(list(undo))
-        return AppliedDelta(changed, inserted, deleted, reweighted, undo)
+        return AppliedDelta(changed, inserted, deleted, reweighted, undo,
+                            self._sum_rows(changed.tolist()))
 
     def revert(self, delta: AppliedDelta) -> None:
         """Undo an applied batch, restoring every touched row bitwise.

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TRANSPORT_ERRORS, StreamIngestError
+from repro.graph.csr import row_blocks
 from repro.simt.events import WaitAll
 from repro.storage.neighbor_batch import NeighborBatch
 from repro.storage.shard_update import ShardUpdate
@@ -54,23 +55,26 @@ class IngestReport:
 
 # -- payload planning -------------------------------------------------------
 
-def build_shard_payloads(sharded, dyn, changed) -> list[ShardUpdate]:
-    """One :class:`ShardUpdate` per shard for the given changed vertices.
+def build_shard_payloads(sharded, dyn, delta) -> list[ShardUpdate]:
+    """One :class:`ShardUpdate` per shard for one applied batch.
 
-    ``dyn`` must already hold the *post*-batch adjacency.  Row targets
-    carry node ids from ``sharded`` (ownership never changes during
-    ingestion — only rebalancing moves vertices) and the targets' new
-    weighted degrees, so shards apply rows without lookups.  The changed
-    rows are laid out once, in node-id order — that layout is the block
-    every shard receives (degree broadcast + halo refresh) — and each
-    shard's own replacement rows are the run of it that the shard owns.
+    ``dyn`` must hold the *post*-batch adjacency ``delta`` (an
+    :class:`~repro.stream.dynamic.AppliedDelta`) left it with.  Row
+    targets carry node ids from ``sharded`` (ownership never changes
+    during ingestion — only rebalancing moves vertices) and the targets'
+    new weighted degrees, so shards apply rows without lookups.  The
+    changed rows ``apply`` laid out are gathered once, in node-id order —
+    that layout is the block every shard receives (degree broadcast +
+    halo refresh) — and each shard's own replacement rows are the run of
+    it that the shard owns.
     """
-    changed = np.asarray(changed, dtype=np.int64)
-    changed_ids = sharded.nodes_of(changed)
+    changed_ids = sharded.nodes_of(delta.changed)
     order = np.argsort(changed_ids)
-    changed, changed_ids = changed[order], changed_ids[order]
-    indptr, gids, wts = dyn.rows_of(changed.tolist())
-    changed_rows = NeighborBatch(indptr, sharded.nodes_of(gids), wts,
+    changed, changed_ids = delta.changed[order], changed_ids[order]
+    ptr, gids, wts = delta.rows
+    indptr, idx = row_blocks(ptr, order)
+    gids = gids[idx]
+    changed_rows = NeighborBatch(indptr, sharded.nodes_of(gids), wts[idx],
                                  dyn.wdeg_of(gids), dyn.wdeg_of(changed))
     # ascending ids are shard-major: shard p's rows are one run
     cuts = np.searchsorted(changed_ids, sharded.base)

@@ -204,8 +204,7 @@ class StreamingSession:
             self.report.n_applied += 1
             return report
 
-        payloads = build_shard_payloads(self.engine.sharded, self.dyn,
-                                        delta.changed)
+        payloads = build_shard_payloads(self.engine.sharded, self.dyn, delta)
         outcome, cluster = ingest_on_cluster(
             self.engine, payloads, tag, runtime=cfg.runtime,
             fault_plan=cfg.fault_plan, retry_policy=cfg.retry_policy)

@@ -264,6 +264,30 @@ class TestRuleFixtures:
         out = run_lint([storage / "shard.py"], rules=get_rules(["REP011"]))
         assert len(out) == 2
 
+    def test_rep011_flags_a_whole_arena_splice(self, tmp_path):
+        # staging appends replaced rows; a splice_rows call re-copies
+        # every arena column, so it needs a pragma in the scoped files
+        storage = tmp_path / "storage"
+        storage.mkdir()
+        body = ("from repro.graph.csr import splice_rows\n"
+                "def stage(indptr, columns, rows, starts, ends, block):\n"
+                "    return splice_rows(indptr, columns, rows, starts,\n"
+                "                       ends, block)\n")
+        (storage / "shard.py").write_text(body)
+        out = run_lint([storage / "shard.py"], rules=get_rules(["REP011"]))
+        assert [v.line for v in out] == [3]
+        assert "'splice_rows'" in out[0].message
+        assert "replace_rows" in out[0].message
+        (storage / "vertex_prop.py").write_text(body.replace(
+            "    return splice_rows(",
+            "    # repro: allow=REP011 a rebuild, not a stage\n"
+            "    return splice_rows("))
+        assert run_lint([storage / "vertex_prop.py"],
+                        rules=get_rules(["REP011"])) == []
+        (storage / "dynamic.py").write_text(body)  # out of scope
+        assert run_lint([storage / "dynamic.py"],
+                        rules=get_rules(["REP011"])) == []
+
     def test_rep011_message_names_the_pragma(self):
         out = lint_fixture("storage/shard.py", "REP011")
         messages = " ".join(v.message for v in out)

@@ -467,7 +467,7 @@ class TestStreamIngestAtomicity:
         dyn = DynamicGraph.from_csr(graph)
         delta = dyn.apply(
             TemporalEdgeStream(graph, seed=seed, batch_size=12).next_batch())
-        payloads = build_shard_payloads(engine.sharded, dyn, delta.changed)
+        payloads = build_shard_payloads(engine.sharded, dyn, delta)
         return engine, payloads
 
     @staticmethod
@@ -550,6 +550,112 @@ class TestStreamIngestAtomicity:
                 assert np.array_equal(live.view(np.int64),
                                       table.view(np.int64))
         self._assert_unchanged(engine, images)
+
+    @staticmethod
+    def _assert_rows_of(engine, dyn):
+        """Every core row and every cached halo row of every shard reads
+        as in a fresh build of the mirror (ids and weights bitwise)."""
+        sharded = engine.sharded
+        fresh = build_shards(dyn.snapshot(), sharded.result, seed=0)
+        for shard in sharded.shards:
+            for ids, got in (
+                    (sharded.base[shard.shard_id] + np.arange(shard.n_core),
+                     shard.get_vertex_props),
+                    (shard.halo_ids, shard.get_cached_batch)):
+                owners = sharded.owner_of(ids)
+                want = [fresh.shards[int(p)].get_neighbor_batch([i])
+                        .to_arrays() for i, p in zip(ids, owners)]
+                indptr, nbrs, weights = got(ids).to_arrays()[:3]
+                for j, (_, want_ids, want_w, _, _) in enumerate(want):
+                    s, e = indptr[j], indptr[j + 1]
+                    np.testing.assert_array_equal(nbrs[s:e], want_ids)
+                    np.testing.assert_array_equal(weights[s:e], want_w)
+
+    @pytest.mark.parametrize("runtime", ["sim", "threads"])
+    @pytest.mark.parametrize("plan, status", [
+        (FaultPlan(seed=3, drop_prob=1.0), "aborted"),
+        (FaultPlan(seed=0, drop_prob=0.5), "rolled_back"),
+    ])
+    def test_a_failed_compacting_stage_leaves_every_row_bitwise(
+            self, runtime, plan, status):
+        """A batch too large for the slack of arenas that already hold
+        appended rows compacts as it stages; when it then fails, every
+        shard reads its old rows from its old buffer, bitwise, and the
+        same batch applies cleanly afterwards."""
+        from repro.stream import (DynamicGraph, TemporalEdgeStream,
+                                  build_shard_payloads, ingest_on_cluster)
+
+        graph = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
+        engine = GraphEngine(graph, EngineConfig(n_machines=2, seed=0,
+                                                 halo_hops=2))
+        shards = engine.sharded.shards
+        dyn = DynamicGraph.from_csr(graph)
+        stream = TemporalEdgeStream(graph, seed=1, batch_size=1)
+        for tag in (1, 2):  # a compaction, then an append, per shard
+            delta = dyn.apply(stream.next_batch())
+            outcome, _ = ingest_on_cluster(
+                engine, build_shard_payloads(engine.sharded, dyn, delta),
+                tag, runtime=runtime)
+            assert outcome["status"] == "applied"
+        stream = TemporalEdgeStream(graph, seed=2, batch_size=40)
+        delta = dyn.apply(stream.next_batch())
+        payloads = build_shard_payloads(engine.sharded, dyn, delta)
+        buffers = [(s.rows.buffer, s.halo.buffer) for s in shards]
+        for shard, payload, (rows, _) in zip(shards, payloads, buffers):
+            assert rows is not None  # already an extent arena ...
+            # ... whose slack this stage's rows overflow: it compacts
+            assert payload.rows.n_entries > len(rows.ids) - rows.fill
+        images = self._shard_images(engine)
+        cached = [[a.copy() for a in
+                   s.get_cached_batch(s.halo_ids).to_arrays()]
+                  for s in shards]
+        outcome, _ = ingest_on_cluster(
+            engine, payloads, 3, runtime=runtime, fault_plan=plan,
+            retry_policy=RetryPolicy(max_attempts=1, timeout=0.01))
+        assert outcome["status"] == status
+        self._assert_unchanged(engine, images)
+        for shard, before, (rows, halo) in zip(shards, cached, buffers):
+            assert shard.rows.buffer is rows and shard.halo.buffer is halo
+            for now, then in zip(
+                    shard.get_cached_batch(shard.halo_ids).to_arrays(),
+                    before):
+                np.testing.assert_array_equal(now, then)
+        outcome, _ = ingest_on_cluster(engine, payloads, 4, runtime=runtime)
+        assert outcome["status"] == "applied"
+        self._assert_rows_of(engine, dyn)
+
+    def test_a_stage_retried_after_a_dropped_reply_applies_once(self):
+        """A stage whose reply was lost is sent again: the retry stages
+        afresh (its first attempt's appends stay dead), whether the first
+        attempt compacted or appended, and a retry after the commit is a
+        no-op."""
+        from repro.stream import (DynamicGraph, TemporalEdgeStream,
+                                  build_shard_payloads)
+
+        graph = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
+        engine = GraphEngine(graph, EngineConfig(n_machines=2, seed=0,
+                                                 halo_hops=2))
+        shards = engine.sharded.shards
+        dyn = DynamicGraph.from_csr(graph)
+        stream = TemporalEdgeStream(graph, seed=4, batch_size=1)
+        appended = set()
+        for tag in (1, 2, 3):
+            delta = dyn.apply(stream.next_batch())
+            payloads = build_shard_payloads(engine.sharded, dyn, delta)
+            for shard, payload in zip(shards, payloads):
+                buffer = shard.rows.buffer
+                for _ in range(2):  # the first reply is lost
+                    assert shard.stage_updates(tag, payload) \
+                        == payload.n_rows
+                staged = shard._staged[tag][0]
+                appended.add(buffer is not None and staged.buffer is buffer)
+            for shard, payload in zip(shards, payloads):
+                assert shard.commit_updates(tag) == 1
+                # the commit's reply is lost too: stage and commit again
+                assert shard.stage_updates(tag, payload) == 0
+                assert shard.commit_updates(tag) == 1
+            self._assert_rows_of(engine, dyn)
+        assert appended == {True, False}
 
     def test_moderate_drops_apply_after_retries(self):
         from repro.stream import ingest_on_cluster

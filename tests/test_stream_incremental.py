@@ -11,9 +11,10 @@ angles:
   restores the published vector *bitwise*, and splitting/merging the
   same stream yields bitwise-identical final vectors;
 * **splice == rebuild**: the two-phase distributed application leaves
-  every shard structurally identical to a fresh ``build_shards`` of the
-  updated graph (weighted-degree columns agree to float tolerance —
-  they are sums of the same terms in a different order).
+  every shard reading the rows a fresh ``build_shards`` of the updated
+  graph holds, and right after a compaction storing them entry for
+  entry as that build does (weighted-degree columns agree to float
+  tolerance — they are sums of the same terms in a different order).
 """
 
 from collections import Counter
@@ -682,7 +683,7 @@ def _shuffled(update, seed):
     """``update`` with its replacement rows in a random order.
 
     ``ShardUpdate`` itself insists on ascending ``row_ids`` (what the
-    planner emits); the splice underneath takes any order, and this pins
+    planner emits); the append underneath takes any order, and this pins
     it — so the permuted payload is assembled around the validation.
     """
     order = np.random.default_rng(seed).permutation(update.n_rows)
@@ -692,6 +693,27 @@ def _shuffled(update, seed):
     out.row_ids = update.row_ids[order]
     out.rows = update.rows.take_rows(order)
     return out
+
+
+def _assert_rows_equal(spliced, rebuilt, sharded):
+    """Every core row of ``spliced`` reads as ``rebuilt``'s: ids and
+    weights bitwise; degrees as fetches read them, the same sums in a
+    different summation order."""
+    core = np.arange(sharded.base[spliced.shard_id],
+                     sharded.base[spliced.shard_id + 1])
+    got = spliced.get_neighbor_batch(core).to_arrays()
+    want = rebuilt.get_neighbor_batch(core).to_arrays()
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    for a, b in zip(got[3:], want[3:]):
+        assert np.allclose(a, b)
+
+
+def _stage_and_commit(sharded, payloads, tag):
+    for shard, payload in zip(sharded.shards, payloads):
+        shard.stage_updates(tag, payload)
+    for shard in sharded.shards:
+        shard.commit_updates(tag)
 
 
 class TestShardSplice:
@@ -720,33 +742,35 @@ class TestShardSplice:
         def inside_shard0():  # the other shards stage no rows at all
             return UpdateBatch(owned0[:1], owned0[1:2], [0.7], [1])
 
+        buffers = [None] * sharded.n_shards
         for tag, make in enumerate((stream.next_batch, stream.next_batch,
                                     empties_loner, inside_shard0), start=1):
             delta = dyn.apply(make())
-            payloads = build_shard_payloads(sharded, dyn, delta.changed)
+            payloads = build_shard_payloads(sharded, dyn, delta)
             if make is inside_shard0:
                 assert sorted(p.n_rows for p in payloads) == [0, 0, 2]
             if shuffle:
                 payloads = [_shuffled(p, seed=tag) for p in payloads]
             outcome, _ = ingest_on_cluster(engine, payloads, tag=tag)
             assert outcome["status"] == "applied"
+            fresh = build_shards(dyn.snapshot(), sharded.result,
+                                 seed=0, halo_hops=halo_hops)
+            for spliced, rebuilt in zip(sharded.shards, fresh.shards):
+                _assert_rows_equal(spliced, rebuilt, sharded)
+                arena = spliced.rows
+                if arena.buffer is not buffers[spliced.shard_id]:
+                    # this stage compacted: the stored columns are a
+                    # fresh build's, entry for entry
+                    buffers[spliced.shard_id] = arena.buffer
+                    want = rebuilt.rows
+                    assert np.array_equal(arena.starts, want.indptr[:-1])
+                    assert np.array_equal(arena.counts, np.diff(want.indptr))
+                    assert np.array_equal(arena.ids, want.ids)
+                    assert np.array_equal(arena.weights, want.weights)
+                if halo_hops == 2:
+                    self._assert_cache_current(spliced, sharded, dyn)
         assert not len(dyn.row(loner)[0])
-        fresh = build_shards(dyn.snapshot(), sharded.result,
-                             seed=0, halo_hops=halo_hops)
-        for spliced, rebuilt in zip(sharded.shards, fresh.shards):
-            assert np.array_equal(spliced.rows.indptr, rebuilt.rows.indptr)
-            assert np.array_equal(spliced.rows.ids, rebuilt.rows.ids)
-            assert np.array_equal(spliced.rows.weights, rebuilt.rows.weights)
-            # degrees, as fetches read them: same sums, different
-            # summation order
-            core = np.arange(sharded.base[spliced.shard_id],
-                             sharded.base[spliced.shard_id + 1])
-            for got, want in zip(
-                    spliced.get_vertex_props(core).to_arrays()[3:],
-                    rebuilt.get_vertex_props(core).to_arrays()[3:]):
-                assert np.allclose(got, want)
-            if halo_hops == 2:
-                self._assert_cache_current(spliced, sharded, dyn)
+        assert all(buffer is not None for buffer in buffers)
 
     @staticmethod
     def _assert_cache_current(shard, sharded, dyn):
@@ -768,7 +792,7 @@ class TestShardSplice:
         dyn = DynamicGraph.from_csr(g)
         delta = dyn.apply(
             TemporalEdgeStream(g, seed=2, batch_size=8).next_batch())
-        payloads = build_shard_payloads(engine.sharded, dyn, delta.changed)
+        payloads = build_shard_payloads(engine.sharded, dyn, delta)
         shard = engine.sharded.shards[0]
         before = shard.rows.weights.copy()
 
@@ -790,6 +814,169 @@ class TestShardSplice:
         engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
         with pytest.raises(ShardError):
             engine.sharded.shards[0].commit_updates(99)
+
+
+# -- extent arenas: a stage appends, a fixed rule compacts -------------------
+
+class TestExtentArena:
+    """A stage appends each replaced row to the arena's buffer and copies
+    only the extents; a compaction packs the live rows when an append
+    does not fit.  Dead entries never reach a reader."""
+
+    @staticmethod
+    def _empties(dyn, vertex):
+        nbrs, _ = dyn.row(vertex)
+        return UpdateBatch(np.full(len(nbrs), vertex), nbrs,
+                           np.ones(len(nbrs)), np.full(len(nbrs), -1))
+
+    def test_whole_column_readers_read_live_rows_across_compactions(self):
+        from repro.engine.query import sample_sources
+
+        g = powerlaw_cluster(600, 10, mixing=0.2, seed=4)
+        engine = GraphEngine(g, EngineConfig(n_machines=3, seed=0))
+        sharded = engine.sharded
+        dyn = DynamicGraph.from_csr(g)
+        stream = TemporalEdgeStream(g, seed=5, batch_size=4)
+        loner = int(sharded.shards[1].core_global[0])
+        buffers = [None] * sharded.n_shards
+        compactions = [0] * sharded.n_shards
+        saw_dead = False
+        for tag in range(1, 41):
+            batch = (self._empties(dyn, loner) if tag == 20
+                     else stream.next_batch())
+            delta = dyn.apply(batch)
+            assert tag != 20 or not len(dyn.row(loner)[0])
+            _stage_and_commit(sharded,
+                              build_shard_payloads(sharded, dyn, delta), tag)
+            fresh = build_shards(dyn.snapshot(), sharded.result, seed=0)
+            for shard, rebuilt in zip(sharded.shards, fresh.shards):
+                p = shard.shard_id
+                if shard.rows.buffer is not buffers[p]:
+                    buffers[p] = shard.rows.buffer
+                    compactions[p] += 1
+                saw_dead |= len(shard.rows.ids) > shard.n_entries
+                _assert_rows_equal(shard, rebuilt, sharded)
+                assert np.array_equal(shard.halo_nodes(),
+                                      rebuilt.halo_nodes())
+                assert shard.n_entries == rebuilt.n_entries
+                assert shard.memory_nbytes() == rebuilt.memory_nbytes()
+                assert shard.describe() == rebuilt.describe()
+                core = sharded.base[p] + np.arange(shard.n_core)
+                assert np.array_equal(shard.sample_one_neighbor(core, tag),
+                                      rebuilt.sample_one_neighbor(core, tag))
+            assert np.array_equal(sample_sources(sharded, 30, seed=tag),
+                                  sample_sources(fresh, 30, seed=tag))
+        assert saw_dead
+        # the first stage compacts a built arena; two more each, at least
+        assert min(compactions) >= 3, compactions
+
+    def test_a_one_row_stage_allocates_a_sliver_of_the_arena(self):
+        """Past its first stage, replacing one row costs the row, the
+        extents and the degree table — under 5% of the arena's bytes —
+        not a copy of the arena."""
+        import tracemalloc
+
+        from repro.graph import erdos_renyi
+
+        g = erdos_renyi(2000, 100, seed=2)
+        engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
+        sharded = engine.sharded
+        shard = sharded.shards[0]
+        dyn = DynamicGraph.from_csr(g)
+        u = int(shard.core_global[0])
+        others = sharded.shards[1].core_global.tolist()
+        for tag, v in enumerate(others[:2], start=1):
+            # one upsert between the shards: one row replaced on each
+            delta = dyn.apply(UpdateBatch([u], [v], [0.25 * tag], [1]))
+            payloads = build_shard_payloads(sharded, dyn, delta)
+            assert payloads[0].n_rows == 1
+            buffer = shard.rows.buffer
+            tracemalloc.start()
+            try:
+                shard.stage_updates(tag, payloads[0])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            shard.commit_updates(tag)
+            if buffer is None:  # a built arena's first stage compacts
+                assert shard.rows.buffer is not None
+                continue
+            assert shard.rows.buffer is buffer  # appended, no compaction
+            assert peak < 0.05 * shard.rows.nbytes, (peak,
+                                                     shard.rows.nbytes)
+        assert buffer is not None
+
+    def test_selections_taken_before_commits_read_as_before(self):
+        """A selection taken before a commit that appends, or before one
+        that compacts, keeps reading the rows it was taken on, bitwise."""
+        g = powerlaw_cluster(300, 8, mixing=0.2, seed=7)
+        engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0,
+                                             halo_hops=2))
+        sharded = engine.sharded
+        shard = sharded.shards[0]
+        core = sharded.base[0] + np.arange(shard.n_core)
+        dyn = DynamicGraph.from_csr(g)
+        stream = TemporalEdgeStream(g, seed=8, batch_size=2)
+        held = []
+        kinds = set()
+        for tag in range(1, 31):
+            selections = [shard.get_neighbor_batch(core[::-2]),
+                          shard.get_vertex_props(core),
+                          shard.get_cached_batch(shard.halo_ids)]
+            held.append((selections,
+                         [[a.copy() for a in sel.to_arrays()]
+                          for sel in selections],
+                         [a.copy() for a in gather_rows(selections[:2])]))
+            buffer = shard.rows.buffer
+            delta = dyn.apply(stream.next_batch())
+            _stage_and_commit(sharded,
+                              build_shard_payloads(sharded, dyn, delta), tag)
+            if buffer is not None:
+                kinds.add(shard.rows.buffer is buffer)
+        assert kinds == {True, False}  # both appending and compacting
+        for selections, before, gathered in held:
+            for sel, want in zip(selections, before):
+                for got, column in zip(sel.to_arrays(), want):
+                    assert np.array_equal(got, column)
+            for got, column in zip(gather_rows(selections[:2]), gathered):
+                assert np.array_equal(got, column)
+
+    def test_a_selection_on_a_rolled_back_arena_reads_as_before(self):
+        """A rollback restores the pre-image, whose buffer fill stays
+        past the rolled-back rows: a selection taken on them while they
+        were live reads them still after the next stage appends."""
+        g = powerlaw_cluster(300, 8, mixing=0.2, seed=7)
+        engine = GraphEngine(g, EngineConfig(n_machines=2, seed=0))
+        sharded = engine.sharded
+        shard = sharded.shards[0]
+        core = sharded.base[0] + np.arange(shard.n_core)
+        dyn = DynamicGraph.from_csr(g)
+        # one upsert per batch, each replacing rows of shard 0
+        mine = shard.core_global.tolist()
+        batches = [UpdateBatch([mine[0]], [v], [w], [1]) for v, w in
+                   zip(sharded.shards[1].core_global[:4].tolist(),
+                       (0.5, 0.75, 1.25, 1.5))]
+        delta = dyn.apply(batches[0])
+        _stage_and_commit(sharded, build_shard_payloads(sharded, dyn, delta),
+                          1)
+        buffer = shard.rows.buffer
+        delta = dyn.apply(batches[1])
+        _stage_and_commit(sharded, build_shard_payloads(sharded, dyn, delta),
+                          2)
+        selection = shard.get_vertex_props(core)
+        before = [a.copy() for a in selection.to_arrays()]
+        for other in sharded.shards:
+            other.rollback_updates(2)
+        dyn.revert(delta)
+        for tag, batch in enumerate(batches[2:], start=3):
+            delta = dyn.apply(batch)
+            _stage_and_commit(sharded,
+                              build_shard_payloads(sharded, dyn, delta), tag)
+        assert buffer is not None and shard.rows.buffer is buffer
+        for got, want in zip(selection.to_arrays(), before):
+            assert np.array_equal(got, want)
+        fresh = build_shards(dyn.snapshot(), sharded.result, seed=0)
+        _assert_rows_equal(shard, fresh.shards[0], sharded)
 
 
 # -- one degree per node: the shard's table is what every read reports ------
@@ -959,8 +1146,10 @@ class TestSessionGraphView:
     def test_an_ingest_reads_each_touched_row_once(self, monkeypatch,
                                                    n_states):
         """However many vectors are published, an ingest captures the
-        batch's touched rows in one read, and a refresh diffs the rows of
-        a capture window in one read; ``pre_rows`` is empty after it."""
+        batch's touched rows in one read, ``apply`` lays out the changed
+        rows in one read that the shard payloads reuse, and a refresh
+        diffs the rows of a capture window in one read; ``pre_rows`` is
+        empty after it."""
         g = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
         batches = TemporalEdgeStream(g, seed=3, batch_size=12).batches(2)
         touched = touched_vertices(batches[0])
@@ -983,13 +1172,14 @@ class TestSessionGraphView:
                 blocks = _count_calls(monkeypatch, "rows_of")
                 assert session.ingest(batches[1]).applied  # refreshes
                 monkeypatch.undo()
-                # one for the capture, one for the window's diff, the
-                # rest (payloads) as without published vectors
+                # one for the capture, one for the window's diff, and
+                # apply's one, as without published vectors
                 assert len(blocks) == reads[0][1] + 2
                 assert not any(state.pre_rows
                                for state in session.states.values())
         rows_k, blocks_k = reads[n_states]
         rows_0, blocks_0 = reads[0]
+        assert blocks_0 == 1  # apply's layout; the payloads gather it
         assert rows_k - rows_0 == Counter(touched.tolist())
         assert not rows_0 - rows_k
         assert blocks_k == blocks_0 + 1
