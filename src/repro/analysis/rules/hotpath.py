@@ -3,19 +3,20 @@
 REP011 guards the three modules on the fetch hot path and the shard
 write path — ``storage/shard.py``, ``storage/neighbor_batch.py`` and
 ``storage/vertex_prop.py`` (the responses, the round gather and staging)
-— against allocation creep.  Any ``.copy()`` method call,
-``np.repeat`` or ``np.concatenate`` in those files allocates and fills a
-fresh buffer per request, which is exactly the cost the arena-view read
-path exists to avoid; ``repro.graph.csr.splice_rows`` re-copies every
-column of the rows it splices, which is what an append-only stage exists
-to avoid.  Each call must either go away or carry an explicit
-``# repro: allow=REP011 <reason>`` pragma naming why the copy is
-sanctioned (copy-on-serialize, non-contiguous gather fallback, a stage's
-extents).
+— and the streaming mirror ``stream/dynamic.py`` against allocation
+creep.  Any ``.copy()`` method call, ``np.repeat`` or ``np.concatenate``
+in those files allocates and fills a fresh buffer per request (or per
+row of a batch), which is exactly the cost the arena-view read path and
+the mirror's extents exist to avoid; ``repro.graph.csr.splice_rows``
+re-copies every column of the rows it splices, which is what an
+append-only stage exists to avoid.  Each call must either go away or
+carry an explicit ``# repro: allow=REP011 <reason>`` pragma naming why
+the copy is sanctioned (copy-on-serialize, non-contiguous gather
+fallback, a stage's extents, a snapshot's pack).
 
 The rule is a per-file AST scan: attribute calls named ``copy`` and
 calls resolving through the import map to one of
-:data:`FLAGGED_ALLOCATORS`.  Everything outside the three scoped files is
+:data:`FLAGGED_ALLOCATORS`.  Everything outside the four scoped files is
 ignored — copies are fine where they are not per-request.
 """
 
@@ -31,6 +32,7 @@ HOT_PATH_FILES = (
     "storage/shard.py",
     "storage/neighbor_batch.py",
     "storage/vertex_prop.py",
+    "stream/dynamic.py",
 )
 
 #: canonical callables that fill fresh buffers -> what to do instead

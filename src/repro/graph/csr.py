@@ -190,6 +190,24 @@ def extent_blocks(starts: np.ndarray, counts: np.ndarray):
     return out, np.repeat(starts - out[:-1], counts) + np.arange(out[-1])
 
 
+def entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row index of every entry of a CSR layout."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def sorted_unique(*arrays: np.ndarray) -> np.ndarray:
+    """``np.unique`` of the arrays' values together, by sorting.
+
+    ``np.unique`` in NumPy 2.4 builds a hash table first, which on a few
+    hundred ids takes about 45 us against 8 us here, and the streaming
+    path calls it on every batch and refresh (EXPERIMENTS.md).
+    """
+    vs = np.sort(arrays[0] if len(arrays) == 1 else np.concatenate(arrays))
+    first = np.ones(len(vs), dtype=bool)
+    first[1:] = vs[1:] != vs[:-1]
+    return vs[first]
+
+
 def splice_rows(indptr: np.ndarray, columns, rows: np.ndarray,
                 starts: np.ndarray, ends: np.ndarray, row_columns):
     """Replace whole CSR rows by contiguous block copies.

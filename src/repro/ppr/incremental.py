@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.graph.csr import row_blocks
+from repro.graph.csr import entry_rows, row_blocks, sorted_unique
 from repro.ppr.forward_push_seq import forward_push_sequential
 from repro.ppr.params import PPRParams
 
@@ -84,8 +84,7 @@ class RowCapture:
     @classmethod
     def read(cls, dyn, vertices: np.ndarray) -> "RowCapture":
         """Read the rows of ``vertices``, sorted unique int64 ids."""
-        return cls(vertices, *dyn.rows_of(vertices.tolist()),
-                   dyn.wdeg_of(vertices))
+        return cls(vertices, *dyn.rows_of(vertices), dyn.wdeg_of(vertices))
 
 
 class RowDiff(NamedTuple):
@@ -159,7 +158,7 @@ def _transitions(vertices, indptr, gids, wts, wdeg, n: int):
     ``key = i * n + t`` for an entry of row ``i``; a row with
     ``wdeg <= 0`` is the dangling ``{u: 1.0}``.
     """
-    row = np.repeat(np.arange(len(vertices)), np.diff(indptr))
+    row = entry_rows(indptr)
     dangling = np.flatnonzero(wdeg <= 0.0)
     if len(dangling):
         live = (wdeg > 0.0)[row]
@@ -180,7 +179,7 @@ def row_diff(captures: list[RowCapture], dyn) -> RowDiff:
         return RowDiff(none, none, none, np.empty(0))
     vertices, *pre = _window_rows(captures)
     n = dyn.n_nodes
-    cur_keys, cur_n = _transitions(vertices, *dyn.rows_of(vertices.tolist()),
+    cur_keys, cur_n = _transitions(vertices, *dyn.rows_of(vertices),
                                    dyn.wdeg_of(vertices), n)
     pre_keys, pre_n = _transitions(vertices, *pre, n)
     keys = np.concatenate((cur_keys, pre_keys))
@@ -196,18 +195,6 @@ def row_diff(captures: list[RowCapture], dyn) -> RowDiff:
     keys = keys[keep]
     rows = keys // n
     return RowDiff(vertices, vertices[rows], keys - rows * n, vals[keep])
-
-
-def _sorted_unique(vs: np.ndarray) -> np.ndarray:
-    """``np.unique(vs)`` by sorting.
-
-    ``np.unique`` in NumPy 2.4 builds a hash table first, which on a
-    refresh's few hundred seeds takes about 45 us against 8 us here.
-    Once per published state per refresh, that is about 0.3 ms of a
-    ``stream_updates`` ingest (EXPERIMENTS.md).
-    """
-    vs = np.sort(vs)
-    return vs[np.concatenate(([True], vs[1:] != vs[:-1]))]
 
 
 def accuracy_bound(graph, params: PPRParams) -> float:
@@ -242,7 +229,7 @@ def refresh(state: IncrementalState, dyn, *, max_pushes: int | None = None,
     # ascending u, the order of a loop over the changed rows.
     np.add.at(r, t, scale * (p[diff.u[live]] * diff.d[live]))
     # a changed vertex's threshold may have moved even if p[u] == 0
-    seeds = _sorted_unique(np.concatenate((diff.changed, t)))
+    seeds = sorted_unique(diff.changed, t)
 
     n_pushes, n_entries = _push_back(state, dyn, seeds, max_pushes)
     return RefreshStats(n_changed=len(diff.changed), n_corrections=len(t),

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, entry_rows
 from repro.stream.updates import OP_DELETE, OP_UPSERT, UpdateBatch
 from repro.utils.rng import rng_from_seed
 from repro.utils.validation import check_int, check_nonnegative
@@ -61,33 +61,60 @@ class TemporalEdgeStream:
         # partition / walk streams even under equal integer seeds.
         self._rng = rng_from_seed(np.random.SeedSequence([0x57E4, seed]))
         self._t = 0
-        # Live undirected edges as (u, v) with u < v: a list for O(1)
-        # uniform sampling plus an index map for O(1) membership/removal.
-        self._edges: list[tuple[int, int]] = []
-        self._index: dict[tuple[int, int], int] = {}
-        for u in range(graph.n_nodes):
-            for v in graph.neighbors(u):
-                v = int(v)
-                if u < v:
-                    self._index[(u, v)] = len(self._edges)
-                    self._edges.append((u, v))
+        # Live undirected edges (u, v), u < v, in CSR order at first: two
+        # growable columns for O(1) uniform sampling and swap-removal.
+        # Membership is the sorted keys ``u * n + v`` of the starting
+        # edges, corrected by the (small) sets of keys added and removed
+        # since — no Python object per live edge.
+        u, v = entry_rows(graph.indptr), graph.indices
+        first = u < v
+        self._live = np.array((u[first], v[first]))
+        self._n_live = self._live.shape[1]
+        self._base_keys = np.sort(u[first] * self.n_nodes + v[first])
+        self._added: set[int] = set()
+        self._removed: set[int] = set()
 
     @property
     def t(self) -> int:
         """Number of batches emitted so far (the stream clock)."""
         return self._t
 
-    def _add(self, key: tuple[int, int]) -> None:
-        if key not in self._index:
-            self._index[key] = len(self._edges)
-            self._edges.append(key)
+    def _is_live(self, key: int) -> bool:
+        if key in self._added:
+            return True
+        if key in self._removed:
+            return False
+        keys = self._base_keys
+        pos = int(keys.searchsorted(key))
+        return pos < len(keys) and int(keys[pos]) == key
 
-    def _remove(self, key: tuple[int, int]) -> None:
-        pos = self._index.pop(key)
-        last = self._edges.pop()
-        if pos < len(self._edges):
-            self._edges[pos] = last
-            self._index[last] = pos
+    def _add(self, u: int, v: int) -> None:
+        key = u * self.n_nodes + v
+        if self._is_live(key):
+            return
+        if self._n_live == self._live.shape[1]:  # grow both columns
+            grown = np.empty((2, max(16, 2 * self._n_live)), dtype=np.int64)
+            grown[:, :self._n_live] = self._live
+            self._live = grown
+        self._live[:, self._n_live] = u, v
+        self._n_live += 1
+        if key in self._removed:
+            self._removed.discard(key)
+        else:
+            self._added.add(key)
+
+    def _remove_at(self, pos: int) -> tuple[int, int]:
+        """Swap-remove the live edge at ``pos``; returns it."""
+        live = self._live
+        u, v = int(live[0, pos]), int(live[1, pos])
+        self._n_live -= 1
+        live[:, pos] = live[:, self._n_live]
+        key = u * self.n_nodes + v
+        if key in self._added:
+            self._added.discard(key)
+        else:
+            self._removed.add(key)
+        return u, v
 
     def next_batch(self) -> UpdateBatch:
         """Generate the next batch and advance the live edge set."""
@@ -97,7 +124,7 @@ class TemporalEdgeStream:
         weight = np.empty(self.batch_size, dtype=np.float64)
         op = np.empty(self.batch_size, dtype=np.int8)
         for i in range(self.batch_size):
-            do_insert = (not self._edges
+            do_insert = (not self._n_live
                          or float(rng.random()) < self.insert_frac)
             if do_insert:
                 u = int(rng.integers(self.n_nodes))
@@ -105,14 +132,11 @@ class TemporalEdgeStream:
                 if v >= u:
                     v += 1  # uniform over pairs with v != u
                 w = float(rng.uniform(self.weight_low, self.weight_high))
-                key = (u, v) if u < v else (v, u)
-                self._add(key)
+                self._add(min(u, v), max(u, v))
                 src[i], dst[i], weight[i], op[i] = u, v, w, OP_UPSERT
             else:
-                key = self._edges[int(rng.integers(len(self._edges)))]
-                self._remove(key)
-                src[i], dst[i], weight[i], op[i] = key[0], key[1], 1.0, \
-                    OP_DELETE
+                u, v = self._remove_at(int(rng.integers(self._n_live)))
+                src[i], dst[i], weight[i], op[i] = u, v, 1.0, OP_DELETE
         self._t += 1
         return UpdateBatch(src, dst, weight, op)
 

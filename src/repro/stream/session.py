@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.graph.csr import sorted_unique
 from repro.obs import MetricsRegistry
 from repro.ppr.incremental import IncrementalState, RefreshStats
 from repro.ppr.incremental import refresh as refresh_state
@@ -192,7 +193,7 @@ class StreamingSession:
         self.report.n_batches += 1
         self.metrics.inc("stream.batches")
         if len(batch):
-            touched = np.unique(np.concatenate([batch.src, batch.dst]))
+            touched = sorted_unique(batch.src, batch.dst)
             capture = None  # read by the first state, shared by the rest
             for state in self.states.values():
                 capture = state.capture_pre_rows(self.dyn, touched, capture)

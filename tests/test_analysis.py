@@ -288,6 +288,24 @@ class TestRuleFixtures:
         assert run_lint([storage / "dynamic.py"],
                         rules=get_rules(["REP011"])) == []
 
+    def test_rep011_covers_the_streaming_mirror(self, tmp_path):
+        # the mirror's rows are extents: a row rebuilt by concatenation
+        # per op is the cost its one block append exists to avoid
+        stream = tmp_path / "stream"
+        stream.mkdir()
+        body = ("import numpy as np\n"
+                "def with_entry(row, pos, gid):\n"
+                "    return np.concatenate((row[:pos], [gid], row[pos:]))\n")
+        (stream / "dynamic.py").write_text(body)
+        out = run_lint([stream / "dynamic.py"], rules=get_rules(["REP011"]))
+        assert [v.line for v in out] == [3]
+        assert "'np.concatenate'" in out[0].message
+        # the real mirror is clean: its sanctioned copies carry pragmas
+        mirror = REPO_ROOT / "src" / "repro" / "stream" / "dynamic.py"
+        assert run_lint([mirror], rules=get_rules(["REP011"]),
+                        root=REPO_ROOT) == []
+        assert "allow=REP011" in mirror.read_text()
+
     def test_rep011_message_names_the_pragma(self):
         out = lint_fixture("storage/shard.py", "REP011")
         messages = " ".join(v.message for v in out)

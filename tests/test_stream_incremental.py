@@ -17,6 +17,7 @@ angles:
   tolerance — they are sums of the same terms in a different order).
 """
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -138,9 +139,10 @@ class TestDynamicGraph:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_grouped_degrees_add_each_row_as_np_sum(self, seed):
         """The mirror sums its base rows when it is built, and each row
-        ``apply`` or ``revert`` replaces, in length buckets; every degree
+        ``apply`` replaces, in length buckets (``revert`` puts back the
+        sums of the rows it restores); every degree
         it reports must be bitwise the ``np.sum`` of that row alone, on
-        base rows and overlay rows, at row lengths around the pairwise-sum
+        base rows and appended rows, at row lengths around the pairwise-sum
         boundaries (8 and 128 unrolled, 8192 blocked)."""
         lengths = (0, 7, 8, 9, 128, 129, 8192, 8193)
         rng = np.random.default_rng(seed)
@@ -165,7 +167,7 @@ class TestDynamicGraph:
         # duplicates, and the hubs read twice
         assert_np_sum_bitwise(dyn, np.concatenate([everyone[::-1],
                                                    everyone[:n_hubs]]))
-        # overlay rows: each hub gains a leaf or loses one (0 gains only)
+        # appended rows: each hub gains a leaf or loses one (0 gains only)
         ops = []
         for h, n in enumerate(lengths):
             nbrs = dyn.row(h)[0]
@@ -220,6 +222,95 @@ class TestDynamicGraph:
         g = CSRGraph(3, [0, 2, 3, 4], [2, 1, 0, 0], [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(GraphFormatError):
             DynamicGraph.from_csr(g)
+
+
+def _compacts(dyn, batches):
+    """Apply ``batches``; yield ``(delta, compacted)`` per batch."""
+    for batch in batches:
+        buffer = dyn._buffer
+        delta = dyn.apply(batch)
+        yield delta, dyn._buffer is not buffer
+
+
+def _live_appended(dyn):
+    """Entries of the rows that lie in the mirror's buffer."""
+    return int(dyn._counts[dyn._starts >= len(dyn._base.indices)].sum())
+
+
+class TestMirrorExtents:
+    """The mirror's rows are extents into the base and one append-only
+    buffer: ``apply`` and ``rows_of`` gather, never read row by row, and
+    the buffer compacts by one rule without moving what a reader holds."""
+
+    def test_apply_and_rows_of_never_call_row(self, monkeypatch):
+        g = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
+        dyn = DynamicGraph.from_csr(g)
+        batches = TemporalEdgeStream(g, seed=2, batch_size=24).batches(12)
+
+        def tripwire(self, u):
+            raise AssertionError("a per-row read on the batch path")
+
+        monkeypatch.setattr(DynamicGraph, "row", tripwire)
+        deltas = [dyn.apply(b) for b in batches]
+        dyn.rows_of(np.arange(g.n_nodes))
+        for delta in reversed(deltas[-3:]):
+            dyn.revert(delta)
+        dyn.snapshot()
+        assert any(deltas)
+
+    def test_revert_after_a_compaction_restores_rows_bitwise(self):
+        g = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
+        dyn = DynamicGraph.from_csr(g)
+        everyone = np.arange(g.n_nodes)
+        rows0, wdeg0 = dyn.rows_of(everyone), dyn.wdeg_of(everyone)
+        stream = TemporalEdgeStream(g, seed=4, batch_size=16)
+        deltas, held, compactions = [], [], 0
+        while compactions < 2:  # revert right after the second one
+            # every row as a reader holds it, before the next apply
+            held += [(gids, wts, gids.copy(), wts.copy()) for gids, wts
+                     in map(dyn.row, range(g.n_nodes)) if len(gids)]
+            buffer = dyn._buffer
+            deltas.append(dyn.apply(stream.next_batch()))
+            compactions += dyn._buffer is not buffer
+        for delta in reversed(deltas):
+            dyn.revert(delta)
+        for got, want in zip(dyn.rows_of(everyone), rows0):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype
+        assert np.array_equal(dyn.wdeg_of(everyone).view(np.int64),
+                              wdeg0.view(np.int64))
+        for gids, wts, gids0, wts0 in held:
+            assert np.array_equal(gids, gids0)
+            assert np.array_equal(wts, wts0)
+        snap = dyn.snapshot()
+        assert np.array_equal(snap.indices, g.indices)
+        assert np.array_equal(snap.weights, g.weights)
+
+    def test_buffer_capacity_follows_the_rule_without_snapshots(self):
+        """At a compaction the buffer is sized twice the live appended
+        entries (at most the arcs); in between it only fills.  Entries
+        copied by compactions never exceed the entries appended."""
+        g = powerlaw_cluster(300, 5, mixing=0.25, seed=2)
+        dyn = DynamicGraph.from_csr(g)
+        batches = TemporalEdgeStream(g, seed=9, batch_size=16).batches(200)
+        appended = copied = compactions = 0
+        capacity = 0
+        for delta, compacted in _compacts(dyn, batches):
+            need = len(delta.rows[1])
+            appended += need
+            buf = dyn._buffer
+            if compacted:
+                compactions += 1
+                live = _live_appended(dyn)
+                assert len(buf.ids) == 2 * live
+                assert live <= dyn.n_arcs
+                assert buf.fill == live
+                copied += live - need
+                capacity = len(buf.ids)
+            assert len(buf.ids) == capacity
+            assert buf.fill <= capacity
+        assert compactions >= 3
+        assert copied <= appended
 
 
 # -- the old mirror, kept as the oracle of the new one ------------------------
@@ -377,6 +468,121 @@ class TestMirrorAgainstDictOracle:
         assert [dyn.wdeg(u) for u in range(g.n_nodes)] == wdeg0
 
 
+class _LoopMirror:
+    """The op-by-op ``DynamicGraph.apply`` this repo shipped before the
+    extent layout: an overlay ``vertex -> (gids, weights)`` over the base
+    and, per op, a ``searchsorted`` and a copied row for each endpoint.
+    The oracle of the vectorised apply — also on a non-symmetric CSR,
+    where an op reads its own ``src -> dst`` arc only."""
+
+    def __init__(self, graph):
+        self.base, self.overlay = graph, {}
+
+    def row(self, u):
+        if u in self.overlay:
+            return self.overlay[u]
+        s, e = self.base.indptr[u], self.base.indptr[u + 1]
+        return self.base.indices[s:e], self.base.weights[s:e]
+
+    def apply(self, batch):
+        undo, counts = {}, [0, 0, 0]  # inserted, deleted, reweighted
+
+        def find(gids, gid):
+            pos = int(np.searchsorted(gids, gid))
+            return pos, pos < len(gids) and int(gids[pos]) == gid
+
+        def put(row, pos, present, gid, w):
+            return tuple(np.concatenate((col[:pos], np.array((x,)),
+                                         col[pos + present:]))
+                         for col, x in zip(row, (gid, w)))
+
+        def drop(row, pos):
+            return tuple(np.concatenate((col[:pos], col[pos + 1:]))
+                         for col in row)
+
+        def replace(u, row):
+            undo.setdefault(u, self.row(u))
+            self.overlay[u] = row
+
+        for u, v, w, op in zip(batch.src.tolist(), batch.dst.tolist(),
+                               batch.weight.tolist(), batch.op.tolist()):
+            row_u, row_v = self.row(u), self.row(v)
+            pos_u, present = find(row_u[0], v)
+            pos_v, mirrored = find(row_v[0], u)
+            if op == 1:
+                if present and row_u[1][pos_u] == w:
+                    continue
+                replace(u, put(row_u, pos_u, present, v, w))
+                replace(v, put(row_v, pos_v, mirrored, u, w))
+                counts[2 if present else 0] += 1
+            elif present:
+                replace(u, drop(row_u, pos_u))
+                if mirrored:
+                    replace(v, drop(row_v, pos_v))
+                counts[1] += 1
+        return sorted(undo), tuple(counts), undo
+
+    def revert(self, undo):
+        self.overlay.update(undo)
+
+
+class TestApplyAgainstTheLoop:
+    @staticmethod
+    def _graph(rng, n, symmetric):
+        """Arcs over ``n`` nodes with three weights; unless ``symmetric``,
+        many arcs lack their reverse or carry another weight there."""
+        src, dst = rng.integers(0, n, (2, int(rng.integers(0, 3 * n))))
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        w = rng.choice([0.5, 1.25, 2.0], len(src))
+        if symmetric:
+            return CSRGraph.from_edges(n, src, dst, w)
+        keys, first = np.unique(src * n + dst, return_index=True)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return CSRGraph(n, indptr, keys % n, w[first])
+
+    @given(st.integers(0, 2**16), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_colliding_batches_apply_as_the_loop(self, seed, symmetric):
+        """Every delta (changed rows, counts, the rows it lays out), every
+        row and degree, across applies, reverts and snapshots."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        g = self._graph(rng, n, symmetric)
+        dyn, loop = DynamicGraph.from_csr(g), _LoopMirror(g)
+        applied = []
+        for kind in rng.choice(["apply"] * 4 + ["revert", "snapshot"], 12):
+            if kind == "apply":
+                k = int(rng.integers(0, 12))
+                src = rng.integers(0, n, k)
+                dst = (src + rng.integers(1, n, k)) % n
+                batch = UpdateBatch(src, dst, rng.choice([0.5, 1.25, 2.0], k),
+                                    rng.choice([1, -1], k))
+                delta = dyn.apply(batch)
+                changed, counts, undo = loop.apply(batch)
+                assert delta.changed.tolist() == changed
+                assert (delta.arcs_inserted, delta.arcs_deleted,
+                        delta.arcs_reweighted) == counts
+                ptr, gids, wts = delta.rows
+                for j, u in enumerate(changed):
+                    want_g, want_w = loop.row(u)
+                    assert np.array_equal(gids[ptr[j]:ptr[j + 1]], want_g)
+                    assert np.array_equal(wts[ptr[j]:ptr[j + 1]], want_w)
+                applied.append((delta, undo))
+            elif kind == "revert" and applied:
+                delta, undo = applied.pop()
+                dyn.revert(delta)
+                loop.revert(undo)
+            elif kind == "snapshot":
+                dyn.snapshot()
+            for u in range(n):
+                (gids, wts), (want_g, want_w) = dyn.row(u), loop.row(u)
+                assert np.array_equal(gids, want_g)
+                assert np.array_equal(wts, want_w)
+                assert dyn.wdeg(u) == float(np.sum(want_w))
+
+
 class TestSpliceRows:
     """``splice_rows`` (shared by ``snapshot()`` and shard staging)
     against a row-by-row rebuild."""
@@ -435,6 +641,25 @@ class TestGenerator:
             # every delete the generator emits names a then-live edge,
             # so none is a no-op when replayed in order
             assert delta.arcs_deleted == batch.n_deletes
+
+    @pytest.mark.parametrize("seed, insert_frac, want", [
+        (3, 0.6, "f6fb0ed5efd28712c82bdc61638ed6da"
+                 "7ea3926352a366cb23eb4ea4367c8ba2"),
+        (11, 0.3, "b5a8b1d7e9cc646e82bc1b468f506475"
+                  "715f48f1065385d15c7ab3608a07fead"),
+    ])
+    def test_batches_are_pinned(self, seed, insert_frac, want):
+        """The stream is a pure function of graph and seed, and of nothing
+        about how the live edge set is stored: a digest of the first 40
+        batches, taken when that set was a list of tuples and a dict."""
+        g = powerlaw_cluster(150, 5, mixing=0.25, seed=6)
+        stream = TemporalEdgeStream(g, seed=seed, batch_size=16,
+                                    insert_frac=insert_frac)
+        digest = hashlib.sha256()
+        for batch in stream.batches(40):
+            for col in (batch.src, batch.dst, batch.weight, batch.op):
+                digest.update(col.tobytes())
+        assert digest.hexdigest() == want
 
 
 # -- incremental maintenance: the headline guarantee ------------------------
@@ -1159,11 +1384,11 @@ class TestSessionGraphView:
             for source in range(k):
                 session.states[source] = IncrementalState.from_scratch(
                     g, source, PARAMS)
-            # rows_of reads through row: one row call per row read
-            rows = _count_calls(monkeypatch, "row")
             blocks = _count_calls(monkeypatch, "rows_of")
             assert session.ingest(batches[0]).applied
-            reads[k] = (Counter(v for v, in rows), len(blocks))
+            reads[k] = (Counter(v for vertices, in blocks
+                                for v in np.asarray(vertices).tolist()),
+                        len(blocks))
             monkeypatch.undo()
             captures = {id(c) for state in session.states.values()
                         for c in state.pre_rows}
